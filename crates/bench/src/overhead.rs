@@ -63,7 +63,7 @@ fn unique_key(space: &str, i: u64) -> Vec<u8> {
 fn warm_up(cache: &SharedCache, operations: u64) {
     for i in 0..operations {
         let key = unique_key("warm", i);
-        cache.set(&key, 0, value_for(i));
+        cache.set_for(0, &key, 0, value_for(i));
     }
 }
 
@@ -90,13 +90,13 @@ fn latency_numbers(mode: BackendMode, options: &OverheadOptions) -> LatencyNumbe
     let resident: Vec<Vec<u8>> = (0..1_000u64)
         .map(|i| {
             let key = unique_key("hot", i);
-            cache.set(&key, 0, Bytes::from_static(b"hot-value"));
+            cache.set_for(0, &key, 0, Bytes::from_static(b"hot-value"));
             key
         })
         .collect();
     let get_hit_ns = measure(options.operations, |i| {
         let key = &resident[(i % resident.len() as u64) as usize];
-        std::hint::black_box(cache.get(key));
+        std::hint::black_box(cache.get_for(0, key));
     });
 
     // GET misses on unique keys (worst case: every miss probes the shadow
@@ -105,7 +105,7 @@ fn latency_numbers(mode: BackendMode, options: &OverheadOptions) -> LatencyNumbe
     let get_miss_ns = measure(options.operations, |_| {
         counter += 1;
         let key = unique_key("miss", counter);
-        std::hint::black_box(cache.get(&key));
+        std::hint::black_box(cache.get_for(0, &key));
     });
 
     // SETs of unique keys with the cache full: every store evicts and pushes
@@ -114,7 +114,7 @@ fn latency_numbers(mode: BackendMode, options: &OverheadOptions) -> LatencyNumbe
     let set_miss_ns = measure(options.operations, |_| {
         set_counter += 1;
         let key = unique_key("fill", set_counter);
-        std::hint::black_box(cache.set(&key, 0, value_for(set_counter)));
+        std::hint::black_box(cache.set_for(0, &key, 0, value_for(set_counter)));
     });
 
     LatencyNumbers {
@@ -180,9 +180,9 @@ fn throughput_ops_per_sec(mode: BackendMode, get_fraction: f64, options: &Overhe
         counter += 1;
         let key = unique_key("tp", counter);
         if is_get {
-            std::hint::black_box(cache.get(&key));
+            std::hint::black_box(cache.get_for(0, &key));
         } else {
-            std::hint::black_box(cache.set(&key, 0, value_for(counter)));
+            std::hint::black_box(cache.set_for(0, &key, 0, value_for(counter)));
         }
     }
     options.operations as f64 / start.elapsed().as_secs_f64()

@@ -22,8 +22,8 @@
 //! * [`shadow`] — key-only shadow queues with half-classification (older/newer
 //!   half), the paper's central measurement device.
 //! * [`slab`] — Memcached-style slab-class geometry.
-//! * [`policy`] — eviction policies: LRU, LFU, ARC, the Facebook mid-queue
-//!   insertion scheme, LRU-K and 2Q, all behind [`policy::EvictionPolicy`].
+//! * [`policy`] — eviction policies: LRU, ARC and the Facebook mid-queue
+//!   insertion scheme, all behind [`policy::EvictionPolicy`].
 //! * [`queue`] — a physical cache queue: a policy plus values, a byte budget
 //!   and an attached shadow queue.
 //! * [`store`] — a slab-class cache for a single application (first-come-

@@ -9,10 +9,7 @@
 //! * [`facebook::FacebookPolicy`] — Facebook's hybrid scheme: first-time items
 //!   are inserted at the middle of the queue, promoted to the top on a second
 //!   hit (§5.5, §6.2).
-//! * [`lfu::LfuPolicy`] — least-frequently-used with LRU tie-breaking.
 //! * [`arc::ArcPolicy`] — Adaptive Replacement Cache (Megiddo & Modha, FAST'03).
-//! * [`lru_k::LruKPolicy`] — LRU-K (O'Neil et al., SIGMOD'93), default K = 2.
-//! * [`two_q::TwoQPolicy`] — 2Q (Johnson & Shasha, VLDB'94), simplified variant.
 //!
 //! Eviction is driven externally: the owning queue calls [`EvictionPolicy::evict`]
 //! until it is back under its byte budget, so policies order items but do not
@@ -20,10 +17,7 @@
 
 pub mod arc;
 pub mod facebook;
-pub mod lfu;
 pub mod lru;
-pub mod lru_k;
-pub mod two_q;
 
 use crate::key::Key;
 use crate::lru::HitLocation;
@@ -37,14 +31,8 @@ pub enum PolicyKind {
     Lru,
     /// Facebook's mid-queue insertion scheme on top of LRU.
     Facebook,
-    /// Least frequently used, ties broken by recency.
-    Lfu,
     /// Adaptive Replacement Cache.
     Arc,
-    /// LRU-K with the given K (K >= 1; K = 1 degenerates to LRU).
-    LruK(u32),
-    /// Simplified 2Q.
-    TwoQ,
 }
 
 impl PolicyKind {
@@ -53,10 +41,7 @@ impl PolicyKind {
         match self {
             PolicyKind::Lru => Box::new(lru::LruPolicy::new()),
             PolicyKind::Facebook => Box::new(facebook::FacebookPolicy::new()),
-            PolicyKind::Lfu => Box::new(lfu::LfuPolicy::new()),
             PolicyKind::Arc => Box::new(arc::ArcPolicy::new()),
-            PolicyKind::LruK(k) => Box::new(lru_k::LruKPolicy::new(k.max(1))),
-            PolicyKind::TwoQ => Box::new(two_q::TwoQPolicy::new()),
         }
     }
 
@@ -80,7 +65,7 @@ pub trait EvictionPolicy: std::fmt::Debug + Send {
     fn access(&mut self, key: Key) -> Option<HitLocation>;
 
     /// Notifies the policy of a GET that missed the physical queue. Policies
-    /// with ghost lists (ARC, 2Q) use this to adapt; others ignore it.
+    /// with ghost lists (ARC) use this to adapt; others ignore it.
     fn on_miss(&mut self, _key: Key) {}
 
     /// Makes `key` resident with the given weight (replacing any previous

@@ -412,14 +412,7 @@ mod tests {
 
     #[test]
     fn works_with_every_policy_kind() {
-        for kind in [
-            PolicyKind::Lru,
-            PolicyKind::Facebook,
-            PolicyKind::Lfu,
-            PolicyKind::Arc,
-            PolicyKind::LruK(2),
-            PolicyKind::TwoQ,
-        ] {
+        for kind in [PolicyKind::Lru, PolicyKind::Facebook, PolicyKind::Arc] {
             let mut q: CacheQueue<()> = CacheQueue::new(QueueConfig {
                 policy: kind,
                 target_bytes: 2_000,

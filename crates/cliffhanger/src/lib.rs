@@ -21,9 +21,6 @@
 //! * [`controller`] — the combined Cliffhanger cache for one application:
 //!   one managed, partitioned queue per slab class, hill climbing across
 //!   classes and cliff scaling within each class (§4.3).
-//! * [`multi_app`] — an extension that runs one hill-climbing pool across
-//!   every queue of every application on a server (the "queue of an entire
-//!   application" case mentioned in §4.1).
 //! * [`shard_balance`] — an extension that treats the *shards* of a
 //!   key-partitioned server as the queues: per-shard shadow-hit deltas are
 //!   the gradients, and a periodic hill-climbing round moves budget between
@@ -47,7 +44,6 @@ pub mod config;
 pub mod controller;
 pub mod events;
 pub mod hill_climb;
-pub mod multi_app;
 pub mod partitioned_queue;
 pub mod shard_balance;
 pub mod tenant_arbiter;
@@ -57,7 +53,6 @@ pub use config::{CliffhangerConfig, ShardBalanceConfig, TenantBalanceConfig};
 pub use controller::{ClassSnapshot, Cliffhanger};
 pub use events::{EventSink, NoopSink, TransferEvent};
 pub use hill_climb::HillClimber;
-pub use multi_app::CliffhangerServer;
 pub use partitioned_queue::{Partition, PartitionedQueue, QueueEvent, SetOutcome};
 pub use shard_balance::{ShardRebalancer, ShardSample, ShardTransfer};
 pub use tenant_arbiter::{TenantArbiter, TenantSample, TenantTransfer};

@@ -5,8 +5,6 @@
 //! 10–12 and Tables 6–7 are all throughput / latency / hit rate under real
 //! traffic, which requires putting load on a real socket).
 //!
-//! * [`telemetry`] — HDR-style log-linear latency histograms; lock-free
-//!   per-worker recording, merged on report.
 //! * [`workload`] — adapts the `workloads` crate's key-popularity and
 //!   item-size distributions into a wire-level request stream.
 //! * [`runner`] — the multi-threaded closed-loop (fixed concurrency,
@@ -30,7 +28,6 @@ pub mod report;
 pub mod runner;
 pub mod scenario;
 pub mod sweep;
-pub mod telemetry;
 pub mod workload;
 
 pub use report::{
@@ -43,5 +40,4 @@ pub use scenario::{
     SCENARIO_MATRIX_SCHEMA, SCENARIO_SCHEMA,
 };
 pub use sweep::{run_self_hosted, run_shard_sweep, SelfHostConfig};
-pub use telemetry::{Histogram, LatencySummary};
 pub use workload::{GenOp, RequestGen, TenantLoad, WorkloadSpec};

@@ -6,9 +6,9 @@
 //! `cliffhanger-loadgen-sweep/v1` document embedding one run report per
 //! shard count.
 
-use crate::telemetry::LatencySummary;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
+use telemetry::LatencySummary;
 
 /// Report of a single load-generation run.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]

@@ -10,13 +10,13 @@
 //! per-worker histograms and merged after the workers join.
 
 use crate::report::{LoadReport, TenantSection, WorkloadEcho, LOAD_SCHEMA};
-use crate::telemetry::Histogram;
 use crate::workload::{GenOp, RequestGen, TenantLoad, WorkloadSpec};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
+use telemetry::Histogram;
 use workloads::{KeyPopularity, SizeDistribution};
 
 /// Closed- vs open-loop driving.

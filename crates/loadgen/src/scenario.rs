@@ -25,7 +25,6 @@ use crate::runner::{
     claim, encode_op, open_loop_step, record, select_app, Conn, OpKind, Pacer, WorkerStats,
     PAYLOAD_POOL_BYTES,
 };
-use crate::telemetry::LatencySummary;
 use crate::workload::{GenOp, RequestGen};
 use cache_server::{
     BackendConfig, CacheClient, CacheServer, HotKeyConfig, ServerConfig, TenantSpec,
@@ -39,6 +38,7 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
+use telemetry::LatencySummary;
 use workloads::KeyPopularity;
 
 /// Schema tag of a single scenario report.
@@ -1768,7 +1768,7 @@ mod tests {
             conn_final: 1,
             phases: vec![PhaseReport {
                 name: "steady".to_string(),
-                latency: crate::telemetry::LatencySummary {
+                latency: LatencySummary {
                     count: 100,
                     p99_us: 900.0,
                     ..Default::default()

@@ -30,21 +30,20 @@
 //!   `app_create` / `app_list` live-onboarding admin commands. The
 //!   resumable [`protocol::Parser`] lets a connection pick a `set` back up
 //!   mid-value when the data block trickles in.
-//! * [`backend`] — the embedded backend: the same sharded, multi-tenant
-//!   engine hierarchy behind one lock per engine, for tests, benches and
-//!   library consumers that call the cache in-process from many threads.
 //! * [`reactor`] — the epoll event loops, their mailboxes and the
 //!   wakeup-pipe hand-off (thin unsafe FFI against the system libc; no
 //!   crates).
 //! * [`server`] — the TCP listener, accept gate and lifecycle; its serving
-//!   side is the data plane in `plane` (exposed as [`PlaneHandle`]).
+//!   side is the data plane in `plane` (exposed as [`PlaneHandle`], the
+//!   in-process view of a running server). [`SharedCache`] runs the same
+//!   routing and engine code in the caller's thread, with no reactor, for
+//!   the overhead measurements of Tables 6–7.
 //! * [`client`] — a blocking client for tests, benches and examples.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![deny(unsafe_code)]
 
-pub mod backend;
 pub mod client;
 mod conn;
 mod engine;
@@ -55,10 +54,10 @@ pub mod reactor;
 pub mod server;
 mod stats;
 
-pub use backend::{detect_shards, BackendConfig, BackendMode, SharedCache, TenantSpec};
 pub use client::CacheClient;
+pub use engine::{detect_shards, BackendConfig, BackendMode, TenantSpec};
 pub use hotkey::HotKeyConfig;
-pub use plane::PlaneHandle;
+pub use plane::{PlaneHandle, SharedCache};
 pub use protocol::{Command, Response, StatsFormat};
 pub use reactor::ConnTelemetry;
 pub use server::{default_event_loops, CacheServer, ServerConfig};

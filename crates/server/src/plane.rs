@@ -37,8 +37,7 @@
 //!   every owning loop has built the new tenant's engines, so a session
 //!   can never resolve a tenant whose cells do not exist yet.
 
-use crate::backend::{BackendConfig, BackendMode};
-use crate::engine::{even_split, route_key, weighted_split, Engine};
+use crate::engine::{even_split, route_key, weighted_split, BackendConfig, BackendMode, Engine};
 use crate::hotkey::{plan_round, HotKeyCount, HotLoopState, HotShared, PromotedEntry};
 use crate::protocol::StatsFormat;
 use crate::reactor::{ConnTelemetry, Mailbox};
@@ -205,8 +204,7 @@ pub(crate) enum ControlMsg {
         bytes: u64,
     },
     /// Replace one engine with a fresh build at the given budget (tenant
-    /// `flush_all`). Wire counters survive, exactly as they did when the
-    /// engine lived behind a mutex in a persistent cell.
+    /// `flush_all`). Wire counters survive.
     Rebuild {
         shard: usize,
         tenant: usize,
@@ -313,9 +311,6 @@ pub(crate) enum AdminResult {
 pub(crate) struct RosterMaster {
     pub(crate) directory: TenantDirectory,
     pub(crate) weights: Vec<u64>,
-    /// Per-(tenant, shard) budgets at construction/creation time; the
-    /// flush-restore point.
-    pub(crate) initial_budgets: Vec<Vec<u64>>,
     /// Live per-(tenant, shard) byte budgets.
     pub(crate) budgets: Vec<Vec<u64>>,
 }
@@ -365,6 +360,64 @@ pub(crate) struct PlaneShared {
 }
 
 impl PlaneShared {
+    /// Resolves the tenant roster, the shard count and the boot budget
+    /// split (weight-proportional across tenants, even across shards) for
+    /// a plane of `loops` event loops reachable over `mailboxes`.
+    fn new(
+        config: BackendConfig,
+        loops: usize,
+        mailboxes: Vec<Mailbox>,
+        ctrl: Sender<CtrlReq>,
+        slow_op_micros: u64,
+    ) -> PlaneShared {
+        let directory = config.tenant_directory();
+        let weights = config.tenant_weights(&directory);
+        let requested = config.requested_shards();
+        let shards = config.resolved_shards();
+        if shards < requested {
+            // The budget cap is a silent hit-rate/scaling hazard otherwise:
+            // a sweep that asked for 8 shards may be measuring 2.
+            eprintln!(
+                "plane: shard count clamped from {requested} to {shards} \
+                 ({} MB total across {} tenant(s)); \
+                 stats reports shards_requested/shard_count",
+                config.total_bytes >> 20,
+                directory.len(),
+            );
+        }
+        let budgets: Vec<Vec<u64>> = weighted_split(config.total_bytes, &weights)
+            .iter()
+            .map(|&share| even_split(share.max(1), shards))
+            .collect();
+        PlaneShared {
+            shards,
+            loops,
+            mailboxes,
+            ctrl,
+            generation: AtomicU64::new(1),
+            roster: Mutex::new(RosterMaster {
+                directory,
+                weights,
+                budgets,
+            }),
+            journal: Arc::new(Journal::new(JOURNAL_CAPACITY)),
+            slow_op_nanos: slow_op_micros.saturating_mul(1_000),
+            started: Instant::now(),
+            start_unix_us: SystemTime::now()
+                .duration_since(SystemTime::UNIX_EPOCH)
+                .map(|d| d.as_micros() as u64)
+                .unwrap_or(0),
+            mrc_shift: config.mrc_shift(),
+            hot: config
+                .hot_key
+                .enabled
+                .then(|| HotShared::new(config.hot_key.clone())),
+            rebalance_pending: AtomicBool::new(false),
+            arbitrate_pending: AtomicBool::new(false),
+            config,
+        }
+    }
+
     /// The event loop that owns a shard.
     pub(crate) fn owner_of(&self, shard: usize) -> usize {
         shard % self.loops
@@ -500,13 +553,17 @@ pub(crate) struct LoopState {
 }
 
 impl LoopState {
-    fn new(index: usize, shared: Arc<PlaneShared>, initial_budgets: &[Vec<u64>]) -> LoopState {
-        let tenants = shared.roster.lock().directory.names().to_vec();
+    /// The state of loop `index` of a plane that has not served yet: an
+    /// engine per tenant, at its boot budget, for every shard the loop owns.
+    fn new(index: usize, shared: Arc<PlaneShared>) -> LoopState {
+        let roster = shared.roster.lock();
+        let tenants = roster.directory.names().to_vec();
         let owned: Vec<OwnedShard> = (index..shared.shards)
             .step_by(shared.loops)
             .map(|s| OwnedShard {
                 global: s,
-                cells: initial_budgets
+                cells: roster
+                    .budgets
                     .iter()
                     .zip(&tenants)
                     .map(|(per_shard, name)| {
@@ -515,6 +572,7 @@ impl LoopState {
                     .collect(),
             })
             .collect();
+        drop(roster);
         let mut slots = vec![None; shared.shards];
         for (i, shard) in owned.iter().enumerate() {
             slots[shard.global] = Some(i);
@@ -1123,8 +1181,7 @@ impl LoopState {
 
 /// The control thread: the single blocking coordinator behind rounds,
 /// flushes, tenant onboarding and `stats` assembly. It owns both
-/// balancers' decision state outright — being single-threaded replaces
-/// every `try_lock` dance the mutex-based backend needed.
+/// balancers' decision state outright, so rounds need no locking.
 struct Control {
     shared: Arc<PlaneShared>,
     rx: Receiver<CtrlReq>,
@@ -1593,18 +1650,9 @@ impl Control {
             tenant: name.to_string(),
             weight,
         });
-        // Rebase every tenant's flush-restore point to the post-carve live
-        // split: restoring the donors' pre-carve budgets on `flush` while
-        // the new tenant keeps its carve would over-commit the total.
-        for t in 0..tenants {
-            for s in 0..n {
-                roster.initial_budgets[t][s] = roster.budgets[t][s];
-            }
-        }
         let index = roster.directory.add(name);
         roster.weights.push(weight);
-        roster.budgets.push(carved_per_shard.clone());
-        roster.initial_budgets.push(carved_per_shard);
+        roster.budgets.push(carved_per_shard);
         self.balancers
             .push(ShardRebalancer::new(n, shared.config.rebalance.clone()));
         self.arbiter =
@@ -1768,7 +1816,7 @@ impl Control {
     /// The legacy human-oriented `stats` report.
     fn stats(&self) -> Vec<(String, String)> {
         let (snapshot, plane, _, _) = self.collect();
-        render_stats(&snapshot, Some(&self.telemetry), Some(&plane))
+        render_stats(&snapshot, &self.telemetry, &plane)
     }
 
     /// The machine-readable expositions: one `cliffhanger-stats/v1`
@@ -1777,7 +1825,7 @@ impl Control {
         let (snapshot, plane, loops, observed) = self.collect();
         let doc = build_document(
             &snapshot,
-            Some(&self.telemetry),
+            &self.telemetry,
             &plane,
             &loops,
             &self.admin_latency,
@@ -2093,6 +2141,69 @@ impl PlaneHandle {
     }
 }
 
+/// The plane's routing and engine code run in the caller's thread: the
+/// `LoopState` of a one-loop plane that owns every shard, with no reactor
+/// and no control thread. An op is `LoopState::route` + `LoopState::apply`,
+/// what a connection runs for a key its own loop owns (less the
+/// service-time stamp of `apply_local`). With nobody to run balancing
+/// rounds, budgets stay at their boot split. The paper's Tables 6–7
+/// overhead measurement (`bench::overhead`) and the benchmark's `engine.*`
+/// layer probes time this.
+pub struct SharedCache {
+    state: Mutex<LoopState>,
+}
+
+impl SharedCache {
+    /// Builds the tenants' engines on every configured (or detected) shard.
+    pub fn new(config: BackendConfig) -> SharedCache {
+        // The receiver is dropped: the round nudges `LoopState::tick`
+        // sends have no control thread to reach and fail silently.
+        let (ctrl, _) = channel();
+        let shared = Arc::new(PlaneShared::new(config, 1, Vec::new(), ctrl, 0));
+        SharedCache {
+            state: Mutex::new(LoopState::new(0, shared)),
+        }
+    }
+
+    /// The dense index of a tenant name, if hosted.
+    pub fn tenant_index(&self, name: &str) -> Option<usize> {
+        self.state.lock().tenant_lookup(name)
+    }
+
+    fn run(&self, tenant: usize, key: &[u8], verb: DataVerb) -> DataOutcome {
+        let mut state = self.state.lock();
+        let (_, id, slot) = state.route(tenant, key);
+        let slot = slot.expect("a one-loop plane owns every shard");
+        state.apply(slot, tenant, id, key, &verb)
+    }
+
+    /// Looks up a key for one tenant, returning its flags and value on an
+    /// exact match.
+    pub fn get_for(&self, tenant: usize, key: &[u8]) -> Option<(u32, Bytes)> {
+        match self.run(tenant, key, DataVerb::Get) {
+            DataOutcome::Value(found) => found,
+            DataOutcome::Flag(_) => None,
+        }
+    }
+
+    /// Stores a key for one tenant unconditionally. Returns `false` only
+    /// if the item could not be admitted.
+    pub fn set_for(&self, tenant: usize, key: &[u8], flags: u32, data: Bytes) -> bool {
+        matches!(
+            self.run(tenant, key, DataVerb::Set { flags, data }),
+            DataOutcome::Flag(true)
+        )
+    }
+
+    /// Deletes a key for one tenant; returns whether it was present.
+    pub fn delete_for(&self, tenant: usize, key: &[u8]) -> bool {
+        matches!(
+            self.run(tenant, key, DataVerb::Delete),
+            DataOutcome::Flag(true)
+        )
+    }
+}
+
 /// A running data plane: the loops, the control thread and the handle.
 pub(crate) struct Plane {
     pub(crate) handle: Arc<PlaneHandle>,
@@ -2111,24 +2222,6 @@ impl Plane {
         idle_timeout: Option<Duration>,
         slow_op_micros: u64,
     ) -> std::io::Result<Plane> {
-        let directory = config.tenant_directory();
-        let weights = config.tenant_weights(&directory);
-        let requested = config.requested_shards();
-        let shards = config.resolved_shards();
-        if shards < requested {
-            eprintln!(
-                "plane: shard count clamped from {requested} to {shards} \
-                 ({} MB total across {} tenant(s)); \
-                 stats reports shards_requested/shard_count",
-                config.total_bytes >> 20,
-                directory.len(),
-            );
-        }
-        let tenant_shares = weighted_split(config.total_bytes, &weights);
-        let initial_budgets: Vec<Vec<u64>> = tenant_shares
-            .iter()
-            .map(|&share| even_split(share.max(1), shards))
-            .collect();
         let (ctrl_tx, ctrl_rx) = channel();
         let mut mailboxes = Vec::with_capacity(workers);
         let mut seeds = Vec::with_capacity(workers);
@@ -2137,42 +2230,22 @@ impl Plane {
             mailboxes.push(mailbox);
             seeds.push(seed);
         }
-        let shared = Arc::new(PlaneShared {
-            shards,
-            loops: workers,
-            mailboxes,
-            ctrl: ctrl_tx.clone(),
-            generation: AtomicU64::new(1),
-            roster: Mutex::new(RosterMaster {
-                directory: directory.clone(),
-                weights,
-                initial_budgets: initial_budgets.clone(),
-                budgets: initial_budgets.clone(),
-            }),
-            journal: Arc::new(Journal::new(JOURNAL_CAPACITY)),
-            slow_op_nanos: slow_op_micros.saturating_mul(1_000),
-            started: Instant::now(),
-            start_unix_us: SystemTime::now()
-                .duration_since(SystemTime::UNIX_EPOCH)
-                .map(|d| d.as_micros() as u64)
-                .unwrap_or(0),
-            mrc_shift: config.mrc_shift(),
-            hot: config
-                .hot_key
-                .enabled
-                .then(|| HotShared::new(config.hot_key.clone())),
-            rebalance_pending: AtomicBool::new(false),
-            arbitrate_pending: AtomicBool::new(false),
+        let shared = Arc::new(PlaneShared::new(
             config,
-        });
+            workers,
+            mailboxes,
+            ctrl_tx.clone(),
+            slow_op_micros,
+        ));
+        let tenants = shared.roster.lock().directory.len();
         let control = Control {
             shared: Arc::clone(&shared),
             rx: ctrl_rx,
             telemetry: Arc::clone(&telemetry),
-            balancers: (0..directory.len())
-                .map(|_| ShardRebalancer::new(shards, shared.config.rebalance.clone()))
+            balancers: (0..tenants)
+                .map(|_| ShardRebalancer::new(shared.shards, shared.config.rebalance.clone()))
                 .collect(),
-            arbiter: TenantArbiter::new(directory.len(), shared.config.tenant_balance.clone()),
+            arbiter: TenantArbiter::new(tenants, shared.config.tenant_balance.clone()),
             rebalance_runs: 0,
             rebalance_transfers: 0,
             rebalance_bytes: 0,
@@ -2192,7 +2265,7 @@ impl Plane {
         let loops: Vec<crate::reactor::LoopHandle> = seeds
             .into_iter()
             .map(|seed| {
-                let state = LoopState::new(seed.index, Arc::clone(&shared), &initial_budgets);
+                let state = LoopState::new(seed.index, Arc::clone(&shared));
                 crate::reactor::LoopHandle::spawn(
                     seed,
                     state,

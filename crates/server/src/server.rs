@@ -14,7 +14,7 @@
 //! outright, and [`CacheServer::cache`] hands out a [`PlaneHandle`] whose
 //! operations are message round-trips to the owning loop.
 
-use crate::backend::BackendConfig;
+use crate::engine::BackendConfig;
 use crate::plane::{Plane, PlaneHandle};
 use crate::reactor::ConnTelemetry;
 use std::io::Write;
@@ -245,18 +245,18 @@ fn shed(mut stream: TcpStream) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{BackendMode, TenantSpec};
     use crate::client::CacheClient;
+    use crate::engine::{BackendMode, TenantSpec};
     use std::io::{BufRead, BufReader};
 
     fn start_test_server(mode: BackendMode) -> CacheServer {
         CacheServer::start(ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
-            backend: crate::backend::BackendConfig {
+            backend: BackendConfig {
                 total_bytes: 8 << 20,
                 mode,
-                ..crate::backend::BackendConfig::default()
+                ..BackendConfig::default()
             },
             ..ServerConfig::default()
         })
@@ -323,9 +323,9 @@ mod tests {
             addr: "127.0.0.1:0".to_string(),
             workers: 1,
             max_connections: 2,
-            backend: crate::backend::BackendConfig {
+            backend: BackendConfig {
                 total_bytes: 8 << 20,
-                ..crate::backend::BackendConfig::default()
+                ..BackendConfig::default()
             },
             ..ServerConfig::default()
         })
@@ -420,9 +420,9 @@ mod tests {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
             idle_timeout: Some(Duration::from_millis(200)),
-            backend: crate::backend::BackendConfig {
+            backend: BackendConfig {
                 total_bytes: 8 << 20,
-                ..crate::backend::BackendConfig::default()
+                ..BackendConfig::default()
             },
             ..ServerConfig::default()
         })
@@ -458,12 +458,12 @@ mod tests {
             // connections no longer pin a worker for life, so this is the
             // configuration the reactor exists to serve.
             workers: 2,
-            backend: crate::backend::BackendConfig {
+            backend: BackendConfig {
                 total_bytes: 12 << 20,
                 mode: BackendMode::Cliffhanger,
                 shards: 2,
                 tenants: vec![TenantSpec::new("alpha", 1), TenantSpec::new("beta", 1)],
-                ..crate::backend::BackendConfig::default()
+                ..BackendConfig::default()
             },
             ..ServerConfig::default()
         })

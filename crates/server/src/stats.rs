@@ -1,20 +1,18 @@
-//! The single `stats` renderer behind both backends, in three expositions.
+//! The `stats` renderer, in three expositions.
 //!
-//! The embedded [`crate::backend::SharedCache`] and the server's
-//! shared-nothing data plane assemble a [`StatsSnapshot`] from their own
-//! worlds (engine locks there, loop-snapshot messages here) and render it
-//! through [`render_stats`], so the stat key set and ordering cannot drift
-//! between the two — the committed benchmark baselines and the CI smoke
-//! validators parse these keys by name.
+//! The data plane's control thread assembles a [`StatsSnapshot`] from the
+//! loops' snapshot messages and renders it through [`render_stats`] — the
+//! committed benchmark baselines and the CI smoke validators parse these
+//! keys by name.
 //!
-//! The data plane additionally renders the same state machine-readably:
+//! The same state is also rendered machine-readably:
 //! [`build_document`] assembles one versioned [`StatsDocument`]
 //! (`cliffhanger-stats/v1`) carrying per-loop service-time quantiles and
 //! the flight-recorder journal, and [`render_json`] / [`render_prom`]
 //! serialise it as JSON or Prometheus text exposition. Both formats come
 //! from the *same* document, so they cannot disagree.
 
-use crate::backend::BackendMode;
+use crate::engine::BackendMode;
 use crate::reactor::ConnTelemetry;
 use cache_core::CacheStats;
 use profiler::MrcSnapshot;
@@ -83,8 +81,7 @@ pub(crate) struct StatsSnapshot {
     pub(crate) balance: BalanceCounters,
 }
 
-/// Per-event-loop counters of the shared-nothing data plane, reported only
-/// by the server (`None` for the embedded backend).
+/// Per-event-loop counters of the shared-nothing data plane.
 pub(crate) struct PlaneStats {
     /// Owning event loop per shard index.
     pub(crate) owner_of: Vec<usize>,
@@ -166,13 +163,12 @@ fn rollup(snap: &StatsSnapshot) -> Rollup {
 }
 
 /// Renders a snapshot as the `STAT` key/value list: aggregated counters,
-/// allocation-hierarchy counters, the optional connection section, then
-/// per-tenant and per-shard breakdowns, then the optional data-plane
-/// section.
+/// allocation-hierarchy counters, the connection section, then per-tenant
+/// and per-shard breakdowns, then the data-plane section.
 pub(crate) fn render_stats(
     snap: &StatsSnapshot,
-    conns: Option<&ConnTelemetry>,
-    plane: Option<&PlaneStats>,
+    conns: &ConnTelemetry,
+    plane: &PlaneStats,
 ) -> Vec<(String, String)> {
     let ns = snap.cells.len();
     let nt = snap.tenant_names.len();
@@ -243,22 +239,20 @@ pub(crate) fn render_stats(
             snap.balance.arbiter_bytes.to_string(),
         ),
     ];
-    if let Some(conns) = conns {
-        out.push(("curr_connections".into(), conns.curr().to_string()));
-        out.push(("total_connections".into(), conns.total().to_string()));
-        out.push(("rejected_connections".into(), conns.rejected().to_string()));
-        out.push((
-            "max_connections".into(),
-            conns.max_connections().to_string(),
-        ));
-        for i in 0..conns.loops() {
-            out.push((format!("conns:loop:{i}"), conns.loop_curr(i).to_string()));
-        }
-        out.push((
-            "idle_closed_connections".into(),
-            conns.idle_closed().to_string(),
-        ));
+    out.push(("curr_connections".into(), conns.curr().to_string()));
+    out.push(("total_connections".into(), conns.total().to_string()));
+    out.push(("rejected_connections".into(), conns.rejected().to_string()));
+    out.push((
+        "max_connections".into(),
+        conns.max_connections().to_string(),
+    ));
+    for i in 0..conns.loops() {
+        out.push((format!("conns:loop:{i}"), conns.loop_curr(i).to_string()));
     }
+    out.push((
+        "idle_closed_connections".into(),
+        conns.idle_closed().to_string(),
+    ));
     for t in 0..nt {
         let name = &snap.tenant_names[t];
         let wire = tenant_wire[t];
@@ -310,26 +304,24 @@ pub(crate) fn render_stats(
             shard_core[s].shadow_hits.to_string(),
         ));
     }
-    if let Some(plane) = plane {
-        let local: u64 = plane.per_loop.iter().map(|l| l.0).sum();
-        let remote: u64 = plane.per_loop.iter().map(|l| l.1).sum();
-        out.push(("plane:event_loops".into(), plane.per_loop.len().to_string()));
-        out.push(("plane:local_ops".into(), local.to_string()));
-        out.push(("plane:remote_ops".into(), remote.to_string()));
-        out.push(("plane:admin_msgs".into(), plane.admin_msgs.to_string()));
-        out.push((
-            "plane:idle_timeout_ms".into(),
-            plane.idle_timeout_ms.to_string(),
-        ));
-        out.push(("plane:slow_ops".into(), plane.slow_ops.to_string()));
-        for (i, (local_ops, remote_in, remote_out)) in plane.per_loop.iter().enumerate() {
-            out.push((format!("loop:{i}:local_ops"), local_ops.to_string()));
-            out.push((format!("loop:{i}:remote_in"), remote_in.to_string()));
-            out.push((format!("loop:{i}:remote_out"), remote_out.to_string()));
-        }
-        for (s, owner) in plane.owner_of.iter().enumerate() {
-            out.push((format!("shard:{s}:owner_loop"), owner.to_string()));
-        }
+    let local: u64 = plane.per_loop.iter().map(|l| l.0).sum();
+    let remote: u64 = plane.per_loop.iter().map(|l| l.1).sum();
+    out.push(("plane:event_loops".into(), plane.per_loop.len().to_string()));
+    out.push(("plane:local_ops".into(), local.to_string()));
+    out.push(("plane:remote_ops".into(), remote.to_string()));
+    out.push(("plane:admin_msgs".into(), plane.admin_msgs.to_string()));
+    out.push((
+        "plane:idle_timeout_ms".into(),
+        plane.idle_timeout_ms.to_string(),
+    ));
+    out.push(("plane:slow_ops".into(), plane.slow_ops.to_string()));
+    for (i, (local_ops, remote_in, remote_out)) in plane.per_loop.iter().enumerate() {
+        out.push((format!("loop:{i}:local_ops"), local_ops.to_string()));
+        out.push((format!("loop:{i}:remote_in"), remote_in.to_string()));
+        out.push((format!("loop:{i}:remote_out"), remote_out.to_string()));
+    }
+    for (s, owner) in plane.owner_of.iter().enumerate() {
+        out.push((format!("shard:{s}:owner_loop"), owner.to_string()));
     }
     out
 }
@@ -589,8 +581,7 @@ pub(crate) struct AllocatorDoc {
 
 /// What the control thread observed beyond the point-in-time snapshot:
 /// wall-clock anchoring, the merged per-tenant MRC estimators and the
-/// merged stats time series. Server-only (the embedded backend renders
-/// text stats, never the document).
+/// merged stats time series.
 pub(crate) struct ObservedPlane {
     /// Unix microseconds at plane boot (anchors journal event times).
     pub(crate) server_start_unix_us: u64,
@@ -621,7 +612,7 @@ pub(crate) struct StatsDocument {
     pub(crate) counters: CountersDoc,
     pub(crate) capacity: CapacityDoc,
     pub(crate) balance: BalanceDoc,
-    pub(crate) connections: Option<ConnectionsDoc>,
+    pub(crate) connections: ConnectionsDoc,
     pub(crate) service_latency: ServiceLatencyDoc,
     pub(crate) loops: Vec<LoopDoc>,
     pub(crate) tenants: Vec<TenantDoc>,
@@ -827,7 +818,7 @@ fn build_allocator(
 /// the observability plane (wall clock, MRC estimators, time series).
 pub(crate) fn build_document(
     snap: &StatsSnapshot,
-    conns: Option<&ConnTelemetry>,
+    conns: &ConnTelemetry,
     plane: &PlaneStats,
     loops: &[LoopTelemetry],
     admin_latency: &Histogram,
@@ -880,14 +871,14 @@ pub(crate) fn build_document(
             arbiter_transfers: snap.balance.arbiter_transfers,
             arbiter_bytes_moved: snap.balance.arbiter_bytes,
         },
-        connections: conns.map(|c| ConnectionsDoc {
-            curr: c.curr(),
-            total: c.total(),
-            rejected: c.rejected(),
-            idle_closed: c.idle_closed(),
-            max: c.max_connections(),
-            per_loop: (0..c.loops()).map(|i| c.loop_curr(i)).collect(),
-        }),
+        connections: ConnectionsDoc {
+            curr: conns.curr(),
+            total: conns.total(),
+            rejected: conns.rejected(),
+            idle_closed: conns.idle_closed(),
+            max: conns.max_connections(),
+            per_loop: (0..conns.loops()).map(|i| conns.loop_curr(i)).collect(),
+        },
         service_latency: ServiceLatencyDoc {
             local: local_merged.summarize_us(),
             remote: remote_merged.summarize_us(),
@@ -1066,32 +1057,31 @@ pub(crate) fn render_prom(doc: &StatsDocument) -> String {
             &[(String::new(), value.to_string())],
         );
     }
-    if let Some(conns) = &doc.connections {
-        prom_metric(
-            &mut out,
-            "cliffhanger_connections",
-            "gauge",
-            &[(String::new(), conns.curr.to_string())],
-        );
-        prom_metric(
-            &mut out,
-            "cliffhanger_connections_total",
-            "counter",
-            &[(String::new(), conns.total.to_string())],
-        );
-        prom_metric(
-            &mut out,
-            "cliffhanger_connections_rejected_total",
-            "counter",
-            &[(String::new(), conns.rejected.to_string())],
-        );
-        prom_metric(
-            &mut out,
-            "cliffhanger_connections_idle_closed_total",
-            "counter",
-            &[(String::new(), conns.idle_closed.to_string())],
-        );
-    }
+    let conns = &doc.connections;
+    prom_metric(
+        &mut out,
+        "cliffhanger_connections",
+        "gauge",
+        &[(String::new(), conns.curr.to_string())],
+    );
+    prom_metric(
+        &mut out,
+        "cliffhanger_connections_total",
+        "counter",
+        &[(String::new(), conns.total.to_string())],
+    );
+    prom_metric(
+        &mut out,
+        "cliffhanger_connections_rejected_total",
+        "counter",
+        &[(String::new(), conns.rejected.to_string())],
+    );
+    prom_metric(
+        &mut out,
+        "cliffhanger_connections_idle_closed_total",
+        "counter",
+        &[(String::new(), conns.idle_closed.to_string())],
+    );
     let mut latency_lines = prom_quantiles("local", &doc.service_latency.local);
     latency_lines.extend(prom_quantiles("remote", &doc.service_latency.remote));
     latency_lines.extend(prom_quantiles("admin", &doc.plane.admin_latency));

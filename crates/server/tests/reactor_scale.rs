@@ -437,9 +437,9 @@ fn message_based_transfers_conserve_the_budget_total() {
     // Greedy's demand: disjoint key ranges whose combined population lands
     // past the physical capacity of each engine but inside its shadow
     // window, so reuse distances register as shadow hits (the gradient
-    // signal) instead of physical hits or silence. Same geometry as the
-    // embedded-backend arbitration test, but every op here is a message
-    // round-trip through the owning event loop.
+    // signal) instead of physical hits or silence (the geometry
+    // `plane_control.rs` derives). Every op here is a message round-trip
+    // through the owning event loop.
     let workers: Vec<_> = (0..3)
         .map(|w| {
             let cache = cache.clone();

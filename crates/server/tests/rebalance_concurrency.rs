@@ -2,12 +2,13 @@
 //! entries.
 //!
 //! Two angles:
-//! * a threaded stress test where writers hammer the sharded backend while
-//!   rebalancing rounds run organically (interval ticks) and forcibly
-//!   (`rebalance_now` from a dedicated thread) under genuine memory
-//!   pressure — every read must see either the exact value last written or
-//!   a clean miss, budgets must keep summing to the configured total, and
-//!   transfers must actually have happened for the test to mean anything;
+//! * a threaded stress test where writers hammer a 2-loop data plane
+//!   through its in-process handle while rebalancing rounds run organically
+//!   (interval ticks) and forcibly (`rebalance_now` from a dedicated
+//!   thread) under genuine memory pressure — every read must see either
+//!   the exact value last written or a clean miss, budgets must keep
+//!   summing to the configured total, and transfers must actually have
+//!   happened for the test to mean anything;
 //! * a property test driving random op sequences with rebalancing rounds
 //!   interleaved at arbitrary points, in a no-eviction regime: with zero
 //!   evictions, *every* entry ever stored must still be present with its
@@ -16,18 +17,30 @@
 use bytes::Bytes;
 use cache_core::hash_bytes;
 use cache_core::key::mix64;
-use cache_server::{BackendConfig, BackendMode, SharedCache};
+use cache_server::{BackendConfig, BackendMode, CacheServer, PlaneHandle, ServerConfig};
 use cliffhanger::ShardBalanceConfig;
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-fn stats_map(cache: &SharedCache) -> HashMap<String, String> {
+fn stats_map(cache: &PlaneHandle) -> HashMap<String, String> {
     cache.stats().into_iter().collect()
 }
 
-/// The shard a byte-string key routes to (same double hash as the backend),
+/// A server on two event loops, so the shards are split between owners
+/// and every budget transfer is a message conversation; the tests drive
+/// it through [`CacheServer::cache`].
+fn start(backend: BackendConfig) -> CacheServer {
+    CacheServer::start(ServerConfig {
+        workers: 2,
+        backend,
+        ..ServerConfig::default()
+    })
+    .expect("server must start")
+}
+
+/// The shard a byte-string key routes to (same double hash as the server),
 /// so the test can pin each writer's keys to one shard and give the shards
 /// deliberately unequal demand — uniform demand would make rebalancing a
 /// no-op and the test vacuous.
@@ -38,7 +51,7 @@ fn shard_of(key: &str, shards: u64) -> usize {
 #[test]
 fn concurrent_ops_during_rebalance_see_exact_values() {
     let total: u64 = 16 << 20;
-    let cache = Arc::new(SharedCache::new(BackendConfig {
+    let server = start(BackendConfig {
         total_bytes: total,
         mode: BackendMode::Cliffhanger,
         shards: 4,
@@ -51,7 +64,8 @@ fn concurrent_ops_during_rebalance_see_exact_values() {
             ..ShardBalanceConfig::default()
         },
         ..BackendConfig::default()
-    }));
+    });
+    let cache = Arc::clone(server.cache());
 
     let stop = Arc::new(AtomicBool::new(false));
     // A poker thread forces extra rounds on top of the organic ticks, so
@@ -122,7 +136,7 @@ fn concurrent_ops_during_rebalance_see_exact_values() {
     assert!(stats["evictions"].parse::<u64>().unwrap() > 0);
 }
 
-/// One scripted backend operation.
+/// One scripted cache operation.
 #[derive(Clone, Debug)]
 enum Op {
     Set(u8, u8),
@@ -149,7 +163,7 @@ proptest! {
     #[test]
     fn rebalance_rounds_lose_no_entries(ops in prop::collection::vec(op_strategy(), 1..120)) {
         let total: u64 = 32 << 20;
-        let cache = SharedCache::new(BackendConfig {
+        let server = start(BackendConfig {
             total_bytes: total,
             mode: BackendMode::Cliffhanger,
             shards: 4,
@@ -160,6 +174,7 @@ proptest! {
             },
             ..BackendConfig::default()
         });
+        let cache = server.cache();
         let mut model: HashMap<u8, u8> = HashMap::new();
         for op in &ops {
             match *op {
@@ -195,8 +210,7 @@ proptest! {
             prop_assert_eq!(flags, v as u32);
             prop_assert_eq!(data, Bytes::from(vec![v; 32]));
         }
-        let stats: HashMap<String, String> = cache.stats().into_iter().collect();
-        prop_assert_eq!(&stats["evictions"], "0");
+        prop_assert_eq!(&stats_map(cache)["evictions"], "0");
         prop_assert_eq!(
             cache.shard_budgets().iter().sum::<u64>(),
             total

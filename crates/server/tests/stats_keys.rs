@@ -8,15 +8,11 @@
 //! diff, not as a silently green build — machine-readable additions go to
 //! `stats json`, never into renaming this surface.
 //!
-//! Both backends are pinned: the embedded [`SharedCache`] (no connection
-//! or data-plane sections) and the server's shared-nothing data plane
-//! (full surface), over both the plain and the Cliffhanger allocator.
+//! The surface is pinned over both the plain and the Cliffhanger allocator.
 
-use cache_server::{
-    BackendConfig, BackendMode, CacheClient, CacheServer, ServerConfig, SharedCache,
-};
+use cache_server::{BackendConfig, BackendMode, CacheClient, CacheServer, ServerConfig};
 
-/// The aggregate head section, identical for every backend.
+/// The aggregate head section.
 fn head_keys() -> Vec<String> {
     [
         "cmd_get",
@@ -63,17 +59,6 @@ fn engine_keys(prefix: &str) -> Vec<String> {
     ]
     .map(|k| format!("{prefix}:{k}"))
     .to_vec()
-}
-
-/// The full expected key sequence for the embedded backend (no connection
-/// or data-plane sections): head, tenants, shards.
-fn embedded_keys(shards: usize) -> Vec<String> {
-    let mut keys = head_keys();
-    keys.extend(engine_keys("tenant:default"));
-    for s in 0..shards {
-        keys.extend(engine_keys(&format!("shard:{s}")));
-    }
-    keys
 }
 
 /// The full expected key sequence for the server: head, connections,
@@ -127,24 +112,6 @@ fn assert_keys(label: &str, stats: &[(String, String)], expected: &[String]) {
         "{label}: the legacy `stats` key set/order is a compatibility \
          surface; additions belong in `stats json`"
     );
-}
-
-#[test]
-fn embedded_backend_stats_keys_are_pinned() {
-    for mode in [BackendMode::Default, BackendMode::Cliffhanger] {
-        let cache = SharedCache::new(BackendConfig {
-            total_bytes: 8 << 20,
-            mode,
-            shards: 2,
-            ..BackendConfig::default()
-        });
-        cache.set(b"k", 0, bytes::Bytes::from_static(b"v"));
-        assert_keys(
-            &format!("embedded/{mode:?}"),
-            &cache.stats(),
-            &embedded_keys(2),
-        );
-    }
 }
 
 #[test]

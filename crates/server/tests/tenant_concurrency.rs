@@ -18,19 +18,33 @@
 //!   transfers actually happen so the test means something.
 
 use bytes::Bytes;
-use cache_server::{BackendConfig, BackendMode, SharedCache, TenantSpec};
+use cache_server::{
+    BackendConfig, BackendMode, CacheServer, PlaneHandle, ServerConfig, TenantSpec,
+};
 use cliffhanger::TenantBalanceConfig;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-fn stats_map(cache: &SharedCache) -> HashMap<String, String> {
+fn stats_map(cache: &PlaneHandle) -> HashMap<String, String> {
     cache.stats().into_iter().collect()
+}
+
+/// A server on two event loops, so each tenant's two shard engines live on
+/// different loops and flushes, carve-outs and transfers are message
+/// conversations; the tests drive it through [`CacheServer::cache`].
+fn start(backend: BackendConfig) -> CacheServer {
+    CacheServer::start(ServerConfig {
+        workers: 2,
+        backend,
+        ..ServerConfig::default()
+    })
+    .expect("server must start")
 }
 
 #[test]
 fn flush_storm_never_touches_other_tenants() {
-    let cache = Arc::new(SharedCache::new(BackendConfig {
+    let server = start(BackendConfig {
         total_bytes: 24 << 20,
         mode: BackendMode::Cliffhanger,
         shards: 2,
@@ -40,7 +54,8 @@ fn flush_storm_never_touches_other_tenants() {
             TenantSpec::new("steady-b", 1),
         ],
         ..BackendConfig::default()
-    }));
+    });
+    let cache = Arc::clone(server.cache());
     let flusher = cache.tenant_index("flusher").unwrap();
     let steady = [
         cache.tenant_index("steady-a").unwrap(),
@@ -141,14 +156,15 @@ fn flush_storm_never_touches_other_tenants() {
 fn eviction_storm_is_isolated_behind_static_reservations() {
     // Arbitration off: the storming tenant's budget cannot grow, so all its
     // pressure must be absorbed by its own engines.
-    let cache = Arc::new(SharedCache::new(BackendConfig {
+    let server = start(BackendConfig {
         total_bytes: 12 << 20,
         mode: BackendMode::Cliffhanger,
         shards: 2,
         tenants: vec![TenantSpec::new("storm", 2), TenantSpec::new("quiet", 1)],
         tenant_balance: TenantBalanceConfig::disabled(),
         ..BackendConfig::default()
-    }));
+    });
+    let cache = Arc::clone(server.cache());
     let storm = cache.tenant_index("storm").unwrap();
     let quiet = cache.tenant_index("quiet").unwrap();
 
@@ -204,7 +220,7 @@ fn eviction_storm_is_isolated_behind_static_reservations() {
 #[test]
 fn budgets_conserve_the_total_under_live_arbitration() {
     let total: u64 = 16 << 20;
-    let cache = Arc::new(SharedCache::new(BackendConfig {
+    let server = start(BackendConfig {
         total_bytes: total,
         mode: BackendMode::Cliffhanger,
         shards: 2,
@@ -218,7 +234,8 @@ fn budgets_conserve_the_total_under_live_arbitration() {
             ..TenantBalanceConfig::default()
         },
         ..BackendConfig::default()
-    }));
+    });
+    let cache = Arc::clone(server.cache());
     let greedy = cache.tenant_index("greedy").unwrap();
     let modest = cache.tenant_index("modest").unwrap();
 
@@ -263,7 +280,7 @@ fn budgets_conserve_the_total_under_live_arbitration() {
     // (~19.8k keys, ~9.9k per engine at 2 shards) overshoots the per-engine
     // physical capacity (~9k items at greedy's initial third of the total)
     // but keeps every worker's reuse distance inside physical + shadow —
-    // the same geometry as the backend unit tests, except raced by three
+    // the same geometry as `plane_control.rs`, except raced by three
     // writers. Sharing one sequence instead would make followers hit
     // physically and leave the leader's reuse distance past the shadow
     // window: zero gradient signal, nothing for the arbiter to act on.

@@ -42,7 +42,7 @@ pub mod prelude {
         SlabCacheConfig, SlabConfig,
     };
     pub use cache_server::{BackendConfig, BackendMode, CacheClient, CacheServer, ServerConfig};
-    pub use cliffhanger::{Cliffhanger, CliffhangerConfig, CliffhangerServer};
+    pub use cliffhanger::{Cliffhanger, CliffhangerConfig};
     pub use profiler::{DynacacheSolver, HitRateCurve, QueueProfile, TalusPartition};
     pub use simulator::{
         engine::{replay_app, CacheSystem, CliffhangerMode, ReplayOptions},

@@ -30,8 +30,14 @@ fn facade_get_set_round_trip() {
     assert!(hit.hit, "value stored via the facade must be readable");
     assert_eq!(cache.value(key), Some(&"hello-cliffhanger"));
 
-    // And the same through the wire-protocol backend re-exports.
-    let shared = cache_server::SharedCache::new(BackendConfig::default());
+    // And the same through the server re-exports: a two-loop server's
+    // in-process handle.
+    let server = CacheServer::start(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    })
+    .expect("server must start");
+    let shared = server.cache();
     assert!(shared.set(b"greeting", 7, bytes::Bytes::from_static(b"hi")));
     let (flags, data) = shared.get(b"greeting").expect("stored key must hit");
     assert_eq!(flags, 7);
