@@ -15,19 +15,38 @@
 //!   reading and parsing, so a client that requests faster than it reads
 //!   responses is throttled by TCP instead of ballooning server memory.
 //!
-//! # Routing and parking
+//! # Routing and the completion ring
 //!
 //! This is where the shared-nothing data plane routes: every key is hashed
 //! to its shard *before* any engine is touched. A key whose shard the
 //! connection's own loop owns executes inline — plain field accesses on
 //! loop-owned state, zero shared locks. A key owned by another loop is
-//! forwarded as a [`DataOp`] message and the connection *parks*: it stops
-//! parsing (keeping per-connection program order, exactly as if the
-//! commands executed inline) and drops `EPOLLIN` interest until the
-//! [`crate::plane::LoopMsg::DataReply`] arrives. Admin commands (`stats`,
-//! `flush_all`, `app_create`, `app_list`) park the same way while the
-//! control thread runs them — the event loop keeps serving every sibling
-//! connection meanwhile, which is what ended admin head-of-line blocking.
+//! forwarded as a [`DataOp`] message, and the connection *keeps parsing*:
+//! the command takes an [`Entry`] in the connection's in-order completion
+//! ring (entry `seq` sits at index `seq - head_seq`), later commands queue
+//! their finished responses behind it, and a
+//! [`crate::plane::LoopMsg::DataReply`] fills its entry whenever it
+//! arrives. Responses leave the head of the ring in program order, so the
+//! wire is byte-identical to inline execution while a pipelined batch
+//! crosses the mailbox as one message batch and one wake-up per target
+//! loop. With the ring empty (every key local) responses encode straight
+//! into `out`, exactly as before the ring existed.
+//!
+//! * **Same-key order** needs no mechanism of its own: shard ownership is
+//!   static and mailboxes are FIFO, so every op on a key reaches its one
+//!   owner in program order.
+//! * **Admin commands** (`stats`, `flush_all`, `app_create`, `app_list`) are
+//!   barriers. They go to the control thread at once, while forwarded data
+//!   ops wait in the loop's outbound batch, so one is sent only when the
+//!   ring ahead of it has drained, and nothing is parsed past it until its
+//!   [`crate::plane::LoopMsg::AdminDone`] — the event loop keeps serving
+//!   every sibling connection meanwhile.
+//! * **Replica bypass**: while a forwarded write is un-acked its owner has
+//!   not bumped the key's version yet, so remote GETs skip the hot-key
+//!   replica cache and forward; FIFO to the owner restores read-your-writes.
+//! * **Bounds**: at most [`MAX_IN_FLIGHT`] entries, and finished responses
+//!   waiting in the ring count toward [`OUT_HIGH_WATERMARK`]; at either
+//!   limit the connection stops parsing and reading until replies drain it.
 //!
 //! The command semantics (and every byte on the wire) are identical to the
 //! old blocking handler; only the scheduling changed.
@@ -37,6 +56,8 @@ use crate::plane::{
 };
 use crate::protocol::{encode_response, Command, ParseOutcome, Parser, Response, StoreVerb, Value};
 use bytes::{Bytes, BytesMut};
+use cache_core::Key;
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::fd::{AsRawFd, RawFd};
@@ -48,6 +69,10 @@ use crate::reactor::{EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 /// parsing until the socket drains (and above which a pipelined batch is
 /// cut, matching the old handler's flush threshold).
 pub(crate) const OUT_HIGH_WATERMARK: usize = 256 * 1024;
+/// Ring entries a connection may hold before it stops parsing: deep enough
+/// that a pipelined batch crosses the mailbox in one piece, small enough to
+/// bound what one socket can queue on other loops.
+const MAX_IN_FLIGHT: usize = 128;
 /// Bytes read from the socket per `read` call.
 const READ_CHUNK: usize = 16 * 1024;
 /// Bytes buffered per fill pass before yielding back to the loop, so one
@@ -88,24 +113,55 @@ enum Flow {
     Broken,
 }
 
-/// An operation in flight on another thread; the connection does not parse
-/// until it resolves.
-enum Pending {
+/// One key's slot in a (multi-)get: outer `None` = reply outstanding,
+/// inner option = hit/miss.
+type GetSlot = Option<Option<(u32, Bytes)>>;
+
+/// What a GET's outcome found.
+fn found(outcome: DataOutcome) -> Option<(u32, Bytes)> {
+    match outcome {
+        DataOutcome::Value(found) => found,
+        DataOutcome::Flag(_) => None,
+    }
+}
+
+/// One command whose response is not on `out` yet, in program order.
+enum Entry {
     /// A (multi-)get with at least one remotely owned key. Local keys fill
     /// their slots immediately; remote slots fill as replies arrive.
     Get {
-        seq: u64,
         keys: Vec<Bytes>,
-        /// Outer `None` = reply outstanding; inner option = hit/miss.
-        results: Vec<Option<Option<(u32, Bytes)>>>,
+        results: Vec<GetSlot>,
         remaining: usize,
     },
-    /// A store verb forwarded to the owning loop.
-    Store { seq: u64, noreply: bool },
-    /// A delete forwarded to the owning loop.
-    Delete { seq: u64, noreply: bool },
-    /// An admin command running on the control thread.
-    Admin { seq: u64 },
+    /// A store or delete forwarded to the owning loop. A `noreply` one
+    /// keeps its place in the order and emits nothing.
+    Write { delete: bool, noreply: bool },
+    /// An admin command: `Some` until the ring ahead of it drains and it is
+    /// sent to the control thread, `None` while that thread runs it.
+    Admin(Option<AdminOp>),
+    /// Finished response bytes waiting for the entries ahead of them.
+    Done(Vec<u8>),
+}
+
+/// The reply to a store (`delete == false`) or delete verb.
+fn flag_response(delete: bool, outcome: &DataOutcome) -> Response {
+    match (delete, matches!(outcome, DataOutcome::Flag(true))) {
+        (false, true) => Response::Stored,
+        (false, false) => Response::NotStored,
+        (true, true) => Response::Deleted,
+        (true, false) => Response::NotFound,
+    }
+}
+
+/// The reply to a completed (multi-)get: hits in request order, misses
+/// omitted.
+fn values_response(keys: Vec<Bytes>, results: Vec<GetSlot>) -> Response {
+    let hit = |(key, result): (Bytes, GetSlot)| {
+        let (flags, data) = result.flatten()?;
+        Some(Value { key, flags, data })
+    };
+    Response::Values(keys.into_iter().zip(results).filter_map(hit).collect())
 }
 
 /// One client connection: socket, buffers, parser and session state.
@@ -123,11 +179,16 @@ pub(crate) struct Connection {
     interest: u32,
     /// Quit or EOF observed: flush the remaining output, then close.
     draining: bool,
-    /// The operation the connection is parked on, if any.
-    pending: Option<Pending>,
-    /// Monotone sequence stamped on every parked operation, so a reply
-    /// can never resolve the wrong one.
-    op_seq: u64,
+    /// The in-order completion ring; empty whenever every key so far was
+    /// local.
+    ring: VecDeque<Entry>,
+    /// Sequence number of `ring[0]`. Replies carry their entry's number, so
+    /// one that no longer (or never) maps into the ring is dropped.
+    head_seq: u64,
+    /// Bytes held by the ring's `Done` entries.
+    ring_bytes: usize,
+    /// Forwarded writes not yet acknowledged (the replica bypass).
+    unacked_writes: usize,
     /// Last time the peer gave us bytes or an operation resolved — the
     /// idle reaper's clock.
     last_activity: Instant,
@@ -135,8 +196,7 @@ pub(crate) struct Connection {
 
 /// What one parse-and-execute pass produced.
 enum Step {
-    /// Number of commands executed (0 = waiting for bytes, parked, or
-    /// backpressured).
+    /// Number of commands executed (0 = waiting for bytes, or stalled).
     Parsed(usize),
     /// The client sent `quit`.
     Quit,
@@ -156,8 +216,10 @@ impl Connection {
             tenant: 0,
             interest: EPOLLIN | EPOLLRDHUP,
             draining: false,
-            pending: None,
-            op_seq: 0,
+            ring: VecDeque::new(),
+            head_seq: 0,
+            ring_bytes: 0,
+            unacked_writes: 0,
             last_activity: Instant::now(),
         })
     }
@@ -172,9 +234,9 @@ impl Connection {
         self.interest
     }
 
-    /// Whether an operation is in flight on another thread.
-    pub(crate) fn is_parked(&self) -> bool {
-        self.pending.is_some()
+    /// Whether a command is still waiting on another thread.
+    pub(crate) fn in_flight(&self) -> bool {
+        !self.ring.is_empty()
     }
 
     /// How long the connection has been silent, for the idle reaper.
@@ -186,13 +248,25 @@ impl Connection {
         self.out.len() - self.out_pos
     }
 
+    /// Whether parsing must wait: output (unsent, or finished but still in
+    /// the ring) is past the watermark, the ring is full, or an admin
+    /// barrier is up.
+    fn stalled(&self) -> bool {
+        self.pending_out() + self.ring_bytes >= OUT_HIGH_WATERMARK
+            || self.ring.len() >= MAX_IN_FLIGHT
+            || matches!(self.ring.back(), Some(Entry::Admin(_)))
+    }
+
     /// One readiness pass: flush, fill, then parse/execute/flush until
-    /// quiescent or parked.
+    /// quiescent or stalled.
     pub(crate) fn on_ready(&mut self, readable: bool, writable: bool, ctx: &mut Ctx<'_>) -> Drive {
         if readable || writable {
             self.last_activity = Instant::now();
         }
-        if writable && self.flush() == Flow::Broken {
+        // Always flush first, not only on `EPOLLOUT`: replies that resolved
+        // ring entries since the last pass put bytes on `out`, and `process`
+        // may only find the watermark in its way when the socket is full.
+        if self.flush() == Flow::Broken {
             return Drive::Close;
         }
         if readable && !self.draining {
@@ -222,17 +296,18 @@ impl Connection {
                 break;
             }
         }
-        if self.draining && self.pending_out() == 0 && self.pending.is_none() {
+        if self.draining && self.pending_out() == 0 && self.ring.is_empty() {
             return Drive::Close;
         }
         let mut want = 0;
         if self.pending_out() > 0 {
             want |= EPOLLOUT;
         }
-        // A parked connection reads nothing: per-connection order requires
-        // the in-flight operation to resolve before the next command runs,
-        // so there is no point waking on input we would not parse.
-        if !self.draining && self.pending.is_none() && self.pending_out() < OUT_HIGH_WATERMARK {
+        // A stalled connection reads nothing: there is no point waking on
+        // (and buffering) input we would not parse. A ring that is merely
+        // non-empty keeps `EPOLLIN`, so a pipelined stream costs no
+        // `epoll_ctl` per batch.
+        if !self.draining && !self.stalled() {
             want |= EPOLLIN | EPOLLRDHUP;
         }
         let changed = want != self.interest;
@@ -243,78 +318,45 @@ impl Connection {
         }
     }
 
-    /// A [`DataOutcome`] arrived for a forwarded operation. Returns whether
-    /// the parked operation completed (the loop should re-drive us).
-    pub(crate) fn on_data_reply(&mut self, seq: u64, slot: usize, outcome: DataOutcome) -> bool {
+    /// A [`DataOutcome`] arrived for a forwarded operation: fill its entry.
+    /// A reply whose entry has left the ring is dropped.
+    pub(crate) fn on_data_reply(&mut self, seq: u64, slot: usize, outcome: DataOutcome) {
         self.last_activity = Instant::now();
-        let done = match &mut self.pending {
-            Some(Pending::Get {
-                seq: pending_seq,
+        let Some(index) = self.index_of(seq) else {
+            return;
+        };
+        let response = match &mut self.ring[index] {
+            Entry::Get {
+                keys,
                 results,
                 remaining,
-                ..
-            }) if *pending_seq == seq => {
-                if slot < results.len() && results[slot].is_none() {
-                    results[slot] = Some(match outcome {
-                        DataOutcome::Value(found) => found,
-                        DataOutcome::Flag(_) => None,
-                    });
-                    *remaining -= 1;
+            } if slot < results.len() && results[slot].is_none() => {
+                results[slot] = Some(found(outcome));
+                *remaining -= 1;
+                if *remaining > 0 {
+                    return;
                 }
-                *remaining == 0
+                Some(values_response(
+                    std::mem::take(keys),
+                    std::mem::take(results),
+                ))
             }
-            Some(Pending::Store {
-                seq: pending_seq,
-                noreply,
-            }) if *pending_seq == seq => {
-                if !*noreply {
-                    let stored = matches!(outcome, DataOutcome::Flag(true));
-                    let response = if stored {
-                        Response::Stored
-                    } else {
-                        Response::NotStored
-                    };
-                    encode_response(&response, &mut self.out);
-                }
-                true
+            Entry::Write { delete, noreply } => {
+                self.unacked_writes -= 1;
+                (!*noreply).then(|| flag_response(*delete, &outcome))
             }
-            Some(Pending::Delete {
-                seq: pending_seq,
-                noreply,
-            }) if *pending_seq == seq => {
-                if !*noreply {
-                    let deleted = matches!(outcome, DataOutcome::Flag(true));
-                    let response = if deleted {
-                        Response::Deleted
-                    } else {
-                        Response::NotFound
-                    };
-                    encode_response(&response, &mut self.out);
-                }
-                true
-            }
-            // A reply for an operation that is no longer pending (the seq
-            // guard): drop it.
-            _ => return false,
+            _ => return,
         };
-        if !done {
-            return false;
-        }
-        if let Some(Pending::Get { keys, results, .. }) = self.pending.take() {
-            self.emit_get(keys, results);
-        }
-        true
+        self.complete(index, response);
     }
 
-    /// The control thread finished an admin command this connection
-    /// forwarded. Returns whether we were parked on it.
-    pub(crate) fn on_admin_done(&mut self, seq: u64, result: AdminResult) -> bool {
+    /// The control thread finished the admin command at the head of the
+    /// ring.
+    pub(crate) fn on_admin_done(&mut self, seq: u64, result: AdminResult) {
         self.last_activity = Instant::now();
-        match &self.pending {
-            Some(Pending::Admin { seq: pending_seq }) if *pending_seq == seq => {}
-            _ => return false,
+        if self.index_of(seq) != Some(0) || !matches!(self.ring[0], Entry::Admin(None)) {
+            return;
         }
-        self.pending = None;
         let response = match result {
             AdminResult::Stats(lines) => Response::Stats(lines),
             AdminResult::Blob(payload) => Response::Blob(payload),
@@ -331,8 +373,55 @@ impl Connection {
                     .collect(),
             ),
         };
-        encode_response(&response, &mut self.out);
-        true
+        self.complete(0, Some(response));
+    }
+
+    /// The ring index of entry `seq`, if it is still in the ring.
+    fn index_of(&self, seq: u64) -> Option<usize> {
+        let index = usize::try_from(seq.checked_sub(self.head_seq)?).ok()?;
+        (index < self.ring.len()).then_some(index)
+    }
+
+    /// Entry `index` resolved to `response` (`None` for `noreply`). At the
+    /// head it goes out, followed by every finished entry behind it;
+    /// elsewhere it waits as `Done` bytes for the entries ahead.
+    fn complete(&mut self, index: usize, response: Option<Response>) {
+        if index > 0 {
+            let mut bytes = Vec::new();
+            if let Some(response) = &response {
+                encode_response(response, &mut bytes);
+            }
+            self.ring_bytes += bytes.len();
+            self.ring[index] = Entry::Done(bytes);
+            return;
+        }
+        self.ring.pop_front();
+        self.head_seq += 1;
+        if let Some(response) = &response {
+            encode_response(response, &mut self.out);
+        }
+        while let Some(Entry::Done(bytes)) = self.ring.front() {
+            self.out.extend_from_slice(bytes);
+            self.ring_bytes -= bytes.len();
+            self.ring.pop_front();
+            self.head_seq += 1;
+        }
+    }
+
+    /// Queues the response of a command that executed inline: straight
+    /// into `out` when nothing is ahead of it, else behind the ring.
+    fn respond(&mut self, response: &Response) {
+        if self.ring.is_empty() {
+            return encode_response(response, &mut self.out);
+        }
+        if !matches!(self.ring.back(), Some(Entry::Done(_))) {
+            self.ring.push_back(Entry::Done(Vec::new()));
+        }
+        if let Some(Entry::Done(bytes)) = self.ring.back_mut() {
+            let before = bytes.len();
+            encode_response(response, bytes);
+            self.ring_bytes += bytes.len() - before;
+        }
     }
 
     /// Reads whatever the socket has (bounded per pass).
@@ -356,12 +445,12 @@ impl Connection {
         }
     }
 
-    /// Parses and executes buffered commands until the input runs dry, an
-    /// operation parks the connection, the output backs up past the
-    /// watermark, or the client quits.
+    /// Parses and executes buffered commands until the input runs dry, the
+    /// connection stalls (see [`Connection::stalled`]), or the client quits.
     fn process(&mut self, ctx: &mut Ctx<'_>) -> Step {
+        self.launch_admin(ctx);
         let mut parsed = 0;
-        while self.pending.is_none() && self.pending_out() < OUT_HIGH_WATERMARK {
+        while !self.stalled() {
             match self.parser.parse(&mut self.inbuf) {
                 ParseOutcome::Complete(Command::Quit) => return Step::Quit,
                 ParseOutcome::Complete(command) => {
@@ -370,7 +459,7 @@ impl Connection {
                 }
                 ParseOutcome::Invalid(message) => {
                     parsed += 1;
-                    encode_response(&Response::ClientError(message), &mut self.out);
+                    self.respond(&Response::ClientError(message));
                 }
                 ParseOutcome::Incomplete => break,
             }
@@ -378,18 +467,41 @@ impl Connection {
         Step::Parsed(parsed)
     }
 
-    fn next_seq(&mut self) -> u64 {
-        self.op_seq += 1;
-        self.op_seq
+    /// Forwards one key's op to the loop that owns it, addressed to the
+    /// ring entry the caller pushes next.
+    fn forward(
+        &self,
+        ctx: &mut Ctx<'_>,
+        (shard, id, owner): (usize, Key, usize),
+        key: Bytes,
+        verb: DataVerb,
+        slot: usize,
+        hot_fill: bool,
+    ) {
+        let op = DataOp {
+            shard,
+            tenant: self.tenant,
+            id,
+            key,
+            verb,
+            enqueued: Instant::now(),
+            reply: DataReplyTo::Conn {
+                origin: ctx.state.index,
+                token: ctx.token,
+                seq: self.head_seq + self.ring.len() as u64,
+                slot,
+            },
+            hot_fill,
+        };
+        ctx.state.forward(owner, LoopMsg::Data(op));
     }
 
-    /// Executes one command: route by key hash, run locally when this loop
-    /// owns the shard, forward and park otherwise.
+    /// Executes one command: route by key hash, run inline when this loop
+    /// owns the shard, forward and take a ring entry otherwise.
     fn dispatch(&mut self, command: Command, ctx: &mut Ctx<'_>) {
         match command {
             Command::Get { keys } => {
-                let seq = self.next_seq();
-                let mut results: Vec<Option<Option<(u32, Bytes)>>> = vec![None; keys.len()];
+                let mut results: Vec<GetSlot> = vec![None; keys.len()];
                 let mut remaining = 0usize;
                 for (slot, key) in keys.iter().enumerate() {
                     let (shard, id, route) = ctx.state.route(self.tenant, key);
@@ -398,47 +510,34 @@ impl Connection {
                             let outcome =
                                 ctx.state
                                     .apply_local(local, self.tenant, id, key, &DataVerb::Get);
-                            results[slot] = Some(match outcome {
-                                DataOutcome::Value(found) => found,
-                                DataOutcome::Flag(_) => None,
-                            });
+                            results[slot] = Some(found(outcome));
                         }
                         Err(owner) => {
                             // Promoted hot keys serve from the loop-local
-                            // replica cache: no forward, no park.
-                            if let Some(found) = ctx.state.replica_get(shard, self.tenant, id, key)
-                            {
-                                results[slot] = Some(Some(found));
-                                continue;
+                            // replica cache: no forward, no ring entry. Not
+                            // behind an un-acked write, whose version bump
+                            // the replica check could not see yet.
+                            if self.unacked_writes == 0 {
+                                if let Some(found) =
+                                    ctx.state.replica_get(shard, self.tenant, id, key)
+                                {
+                                    results[slot] = Some(Some(found));
+                                    continue;
+                                }
                             }
                             // A replica miss on a promoted key rides the
                             // normal forward but asks the owner to fill us.
                             let hot_fill = ctx.state.wants_hot_fill(self.tenant, id);
                             remaining += 1;
-                            let op = DataOp {
-                                shard,
-                                tenant: self.tenant,
-                                id,
-                                key: key.clone(),
-                                verb: DataVerb::Get,
-                                enqueued: Instant::now(),
-                                reply: DataReplyTo::Conn {
-                                    origin: ctx.state.index,
-                                    token: ctx.token,
-                                    seq,
-                                    slot,
-                                },
-                                hot_fill,
-                            };
-                            ctx.state.forward(owner, LoopMsg::Data(op));
+                            let route = (shard, id, owner);
+                            self.forward(ctx, route, key.clone(), DataVerb::Get, slot, hot_fill);
                         }
                     }
                 }
                 if remaining == 0 {
-                    self.emit_get(keys, results);
+                    self.respond(&values_response(keys, results));
                 } else {
-                    self.pending = Some(Pending::Get {
-                        seq,
+                    self.ring.push_back(Entry::Get {
                         keys,
                         results,
                         remaining,
@@ -458,84 +557,9 @@ impl Connection {
                     StoreVerb::Add => DataVerb::Add { flags, data },
                     StoreVerb::Replace => DataVerb::Replace { flags, data },
                 };
-                let (shard, id, route) = ctx.state.route(self.tenant, &key);
-                match route {
-                    Ok(local) => {
-                        let outcome = ctx.state.apply_local(local, self.tenant, id, &key, &verb);
-                        if !noreply {
-                            let stored = matches!(outcome, DataOutcome::Flag(true));
-                            let response = if stored {
-                                Response::Stored
-                            } else {
-                                Response::NotStored
-                            };
-                            encode_response(&response, &mut self.out);
-                        }
-                    }
-                    Err(owner) => {
-                        let seq = self.next_seq();
-                        let op = DataOp {
-                            shard,
-                            tenant: self.tenant,
-                            id,
-                            key,
-                            verb,
-                            enqueued: Instant::now(),
-                            reply: DataReplyTo::Conn {
-                                origin: ctx.state.index,
-                                token: ctx.token,
-                                seq,
-                                slot: 0,
-                            },
-                            hot_fill: false,
-                        };
-                        ctx.state.forward(owner, LoopMsg::Data(op));
-                        // Parked even on noreply: the next command must
-                        // observe this store, so program order requires the
-                        // reply before parsing resumes.
-                        self.pending = Some(Pending::Store { seq, noreply });
-                    }
-                }
+                self.write(key, verb, noreply, ctx);
             }
-            Command::Delete { key, noreply } => {
-                let (shard, id, route) = ctx.state.route(self.tenant, &key);
-                match route {
-                    Ok(local) => {
-                        let outcome =
-                            ctx.state
-                                .apply_local(local, self.tenant, id, &key, &DataVerb::Delete);
-                        if !noreply {
-                            let deleted = matches!(outcome, DataOutcome::Flag(true));
-                            let response = if deleted {
-                                Response::Deleted
-                            } else {
-                                Response::NotFound
-                            };
-                            encode_response(&response, &mut self.out);
-                        }
-                    }
-                    Err(owner) => {
-                        let seq = self.next_seq();
-                        let op = DataOp {
-                            shard,
-                            tenant: self.tenant,
-                            id,
-                            key,
-                            verb: DataVerb::Delete,
-                            enqueued: Instant::now(),
-                            reply: DataReplyTo::Conn {
-                                origin: ctx.state.index,
-                                token: ctx.token,
-                                seq,
-                                slot: 0,
-                            },
-                            hot_fill: false,
-                        };
-                        ctx.state.forward(owner, LoopMsg::Data(op));
-                        self.pending = Some(Pending::Delete { seq, noreply });
-                    }
-                }
-            }
+            Command::Delete { key, noreply } => self.write(key, DataVerb::Delete, noreply, ctx),
             Command::App { id } => {
                 let response = match std::str::from_utf8(&id)
                     .ok()
@@ -551,71 +575,82 @@ impl Connection {
                         ctx.state.tenant_names().join(", ")
                     )),
                 };
-                encode_response(&response, &mut self.out);
+                self.respond(&response);
             }
             Command::AppCreate { name, weight } => match std::str::from_utf8(&name) {
-                Ok(name) => self.forward_admin(
+                Ok(name) => self.admin(
                     AdminOp::CreateTenant {
                         name: name.to_string(),
                         weight,
                     },
                     ctx,
                 ),
-                Err(_) => encode_response(
-                    &Response::ClientError("app names must be UTF-8".to_string()),
-                    &mut self.out,
-                ),
+                Err(_) => self.respond(&Response::ClientError(
+                    "app names must be UTF-8".to_string(),
+                )),
             },
-            Command::AppList => self.forward_admin(AdminOp::AppList, ctx),
-            Command::Stats { format } => self.forward_admin(AdminOp::Stats { format }, ctx),
-            Command::Version => encode_response(
-                &Response::Version("cliffhanger-cache 0.1.0".to_string()),
-                &mut self.out,
-            ),
+            Command::AppList => self.admin(AdminOp::AppList, ctx),
+            Command::Stats { format } => self.admin(AdminOp::Stats { format }, ctx),
+            Command::Version => {
+                self.respond(&Response::Version("cliffhanger-cache 0.1.0".to_string()))
+            }
             Command::FlushAll => {
                 // Tenant-scoped: one application flushing its namespace
                 // must never wipe another application's working set. On a
                 // single-tenant server this clears everything, as before.
-                self.forward_admin(
+                self.admin(
                     AdminOp::FlushTenant {
                         tenant: self.tenant,
                     },
                     ctx,
                 )
             }
-            Command::Quit => encode_response(&Response::Ok, &mut self.out),
+            Command::Quit => self.respond(&Response::Ok),
         }
     }
 
-    /// Hands an admin command to the control thread and parks until the
-    /// [`crate::plane::LoopMsg::AdminDone`] comes back.
-    fn forward_admin(&mut self, op: AdminOp, ctx: &mut Ctx<'_>) {
-        let seq = self.next_seq();
-        if ctx.state.forward_admin(op, ctx.token, seq) {
-            self.pending = Some(Pending::Admin { seq });
-        } else {
+    /// A store or delete: inline when this loop owns the key, else
+    /// forwarded. A forwarded `noreply` still takes a ring entry — program
+    /// order, drain-before-close and the replica bypass all hang on it.
+    fn write(&mut self, key: Bytes, verb: DataVerb, noreply: bool, ctx: &mut Ctx<'_>) {
+        let delete = matches!(verb, DataVerb::Delete);
+        let (shard, id, route) = ctx.state.route(self.tenant, &key);
+        match route {
+            Ok(local) => {
+                let outcome = ctx.state.apply_local(local, self.tenant, id, &key, &verb);
+                if !noreply {
+                    self.respond(&flag_response(delete, &outcome));
+                }
+            }
+            Err(owner) => {
+                self.forward(ctx, (shard, id, owner), key, verb, 0, false);
+                self.unacked_writes += 1;
+                self.ring.push_back(Entry::Write { delete, noreply });
+            }
+        }
+    }
+
+    /// Raises an admin barrier: the command joins the ring and goes to the
+    /// control thread once everything ahead of it has resolved.
+    fn admin(&mut self, op: AdminOp, ctx: &mut Ctx<'_>) {
+        self.ring.push_back(Entry::Admin(Some(op)));
+        self.launch_admin(ctx);
+    }
+
+    /// Sends the admin command at the head of the ring, if one waits there.
+    fn launch_admin(&mut self, ctx: &mut Ctx<'_>) {
+        let Some(Entry::Admin(op)) = self.ring.front_mut() else {
+            return;
+        };
+        let Some(op) = op.take() else {
+            return;
+        };
+        if !ctx.state.forward_admin(op, ctx.token, self.head_seq) {
             // The control thread is gone: the server is shutting down and
             // this connection is about to be torn down with its loop.
-            encode_response(
-                &Response::ClientError("server is shutting down".to_string()),
-                &mut self.out,
-            );
+            let reason = "server is shutting down".to_string();
+            self.complete(0, Some(Response::ClientError(reason)));
         }
-    }
-
-    /// Encodes a completed (multi-)get: hits in request order, misses
-    /// omitted, exactly like the inline path.
-    fn emit_get(&mut self, keys: Vec<Bytes>, results: Vec<Option<Option<(u32, Bytes)>>>) {
-        let values: Vec<Value> = keys
-            .into_iter()
-            .zip(results)
-            .filter_map(|(key, result)| {
-                result
-                    .flatten()
-                    .map(|(flags, data)| Value { key, flags, data })
-            })
-            .collect();
-        encode_response(&Response::Values(values), &mut self.out);
     }
 
     /// Writes as much parked output as the socket accepts.

@@ -9,9 +9,10 @@
 //! * keys owned by the connection's own loop execute immediately on the
 //!   loop thread (the fast path — zero shared locks);
 //! * keys owned by another loop are forwarded as a [`DataOp`] message over
-//!   that loop's wakeup mailbox; the connection parks (stops parsing) until
-//!   the [`LoopMsg::DataReply`] comes back, preserving per-connection
-//!   program order while its event loop keeps serving every sibling.
+//!   that loop's wakeup mailbox; the connection keeps parsing, and its
+//!   in-order completion ring holds every later response until the
+//!   [`LoopMsg::DataReply`] comes back, so a pipelined batch crosses the
+//!   mailbox in one piece and still answers in program order.
 //!
 //! Cross-cutting operations never touch the loops' owned state directly.
 //! A single *control thread* — the only blocking coordinator in the server
@@ -28,9 +29,10 @@
 //!   slab-class floors contributes nothing), so the summed live budgets
 //!   never exceed `total_bytes`.
 //! * **No blocking loops** — event loops never wait on a lock or a reply;
-//!   only connections park. The control thread blocks on loop replies, and
-//!   loops answer control messages from their mailboxes, so the wait graph
-//!   is acyclic (control → loops, never loops → control).
+//!   only a connection's completion ring does. The control thread blocks
+//!   on loop replies, and loops answer control messages from their
+//!   mailboxes, so the wait graph is acyclic (control → loops, never loops
+//!   → control).
 //! * **Tenant-table generation** — the name table used by the `app`
 //!   command is a per-loop copy refreshed when the shared generation
 //!   counter moves. The control thread bumps the generation only *after*
@@ -94,7 +96,7 @@ pub(crate) enum LoopMsg {
     DataReply {
         /// The origin connection's token on this loop.
         token: u64,
-        /// The connection's op sequence number the reply answers.
+        /// The connection's ring-entry sequence number the reply answers.
         seq: u64,
         /// Multi-get slot index (0 for single-key ops).
         slot: usize,

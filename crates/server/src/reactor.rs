@@ -25,7 +25,7 @@
 //! `UnixStream::pair`, which the standard library manages safely.
 
 use crate::conn::{Connection, Ctx, Drive};
-use crate::plane::{AdminResult, DataOutcome, LoopMsg, LoopState, PlaneShared};
+use crate::plane::{LoopMsg, LoopState, PlaneShared};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -515,17 +515,32 @@ impl EventLoop {
 
     fn process_mailbox(&mut self) {
         let msgs: Vec<LoopMsg> = std::mem::take(&mut *self.inbox.msgs.lock());
+        // Connections a reply reached. Each is driven once after the whole
+        // drain, so a batch of replies costs one parse-and-flush pass (one
+        // socket write), not one per reply.
+        let mut touched: Vec<u64> = Vec::new();
         for msg in msgs {
             match msg {
                 LoopMsg::Conn(stream) => self.adopt(stream),
                 LoopMsg::Data(op) => self.state.serve_remote(op),
+                // A reply for a connection that closed meanwhile is dropped.
                 LoopMsg::DataReply {
                     token,
                     seq,
                     slot,
                     outcome,
-                } => self.resume_data(token, seq, slot, outcome),
-                LoopMsg::AdminDone { token, seq, result } => self.resume_admin(token, seq, result),
+                } => {
+                    if let Some(conn) = self.conns.get_mut(&token) {
+                        conn.on_data_reply(seq, slot, outcome);
+                        touched.push(token);
+                    }
+                }
+                LoopMsg::AdminDone { token, seq, result } => {
+                    if let Some(conn) = self.conns.get_mut(&token) {
+                        conn.on_admin_done(seq, result);
+                        touched.push(token);
+                    }
+                }
                 LoopMsg::Control(msg) => self.state.serve_control(msg),
                 LoopMsg::HotFill {
                     tenant,
@@ -538,6 +553,11 @@ impl EventLoop {
                 LoopMsg::HotInvalidate { tenant, id } => self.state.hot_invalidate(tenant, id),
                 LoopMsg::HotFlushTenant { tenant } => self.state.hot_flush_tenant(tenant),
             }
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        for token in touched {
+            self.drive(token, 0);
         }
     }
 
@@ -578,29 +598,6 @@ impl EventLoop {
         }
     }
 
-    /// A reply for a remote data operation a parked connection issued.
-    fn resume_data(&mut self, token: u64, seq: u64, slot: usize, outcome: DataOutcome) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            // The connection closed while its operation was in flight.
-            return;
-        };
-        if conn.on_data_reply(seq, slot, outcome) {
-            // The operation completed: resume parsing where it parked.
-            self.drive(token, 0);
-        }
-    }
-
-    /// The control thread finished an admin command a parked connection
-    /// forwarded.
-    fn resume_admin(&mut self, token: u64, seq: u64, result: AdminResult) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        if conn.on_admin_done(seq, result) {
-            self.drive(token, 0);
-        }
-    }
-
     /// Closes connections silent past the idle timeout. Connections with an
     /// operation in flight are never reaped — they are waiting on us, not
     /// the other way round.
@@ -618,7 +615,7 @@ impl EventLoop {
         let stale: Vec<u64> = self
             .conns
             .iter()
-            .filter(|(_, conn)| !conn.is_parked() && conn.idle_for(now) >= timeout)
+            .filter(|(_, conn)| !conn.in_flight() && conn.idle_for(now) >= timeout)
             .map(|(&token, _)| token)
             .collect();
         for token in stale {

@@ -8,7 +8,7 @@
 //! acknowledged, and a replica entry serves only while its captured
 //! version equals the live slot.
 //!
-//! Three angles:
+//! Four angles:
 //! * promotion end-to-end — heat a key over TCP, force a control round,
 //!   and require the promoted set, replica hits and the `stats json`
 //!   `hot_keys` block to all show it;
@@ -17,9 +17,15 @@
 //!   was acknowledged before the read began, while promotion rounds churn
 //!   the key in and out of the hot set;
 //! * demotion under churn — once the traffic moves on, the key must leave
-//!   the promoted set.
+//!   the promoted set;
+//! * read-your-writes inside one pipeline — a GET pipelined behind a SET of
+//!   the same promoted key is issued *before* that SET is acknowledged (the
+//!   connection no longer waits for remote acks), so it must bypass the
+//!   replica, whose version the owner has not bumped yet.
 
 use cache_server::{BackendConfig, CacheClient, CacheServer, HotKeyConfig, ServerConfig};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -427,4 +433,92 @@ fn a_cooled_key_is_demoted_once_traffic_moves_on() {
     );
     // The value itself is untouched — demotion only drops replicas.
     assert_eq!(client.get(b"fad").unwrap().unwrap().1, b"v");
+}
+
+/// A raw connection, so the test controls what shares one `write`.
+struct Pipe {
+    writer: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+impl Pipe {
+    /// Sends `get` once per key in one write and reads the replies.
+    fn get_each(&mut self, keys: &[&str]) -> Vec<Option<Vec<u8>>> {
+        let request: String = keys.iter().map(|key| format!("get {key}\r\n")).collect();
+        self.writer.write_all(request.as_bytes()).unwrap();
+        keys.iter().map(|_| self.read_get_reply()).collect()
+    }
+
+    fn read_line(&mut self) -> String {
+        let mut line = String::new();
+        self.reader.read_line(&mut line).unwrap();
+        line
+    }
+
+    fn read_get_reply(&mut self) -> Option<Vec<u8>> {
+        let header = self.read_line();
+        if header == "END\r\n" {
+            return None;
+        }
+        let len: usize = header
+            .trim_end()
+            .rsplit(' ')
+            .next()
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("unexpected get reply {header:?}"));
+        let mut data = vec![0u8; len + 2];
+        self.reader.read_exact(&mut data).unwrap();
+        data.truncate(len);
+        assert_eq!(self.read_line(), "END\r\n");
+        Some(data)
+    }
+
+    /// `set key v:n` and `get key` in one write — the GET reaches the
+    /// server with its SET still un-acked. Returns the version read back.
+    fn set_then_get(&mut self, key: &str, n: u64) -> u64 {
+        let payload = probe_payload(n);
+        let mut request = format!("set {key} 0 0 {}\r\n", payload.len()).into_bytes();
+        request.extend_from_slice(&payload);
+        request.extend_from_slice(format!("\r\nget {key}\r\n").as_bytes());
+        self.writer.write_all(&request).unwrap();
+        assert_eq!(self.read_line(), "STORED\r\n");
+        probe_version(&self.read_get_reply().expect("the key was just set"))
+    }
+}
+
+#[test]
+fn a_get_pipelined_behind_a_set_of_a_promoted_key_reads_that_set() {
+    const ROUNDS: u64 = 10_000;
+    let server = start_server(HotKeyConfig::aggressive());
+    let writer = TcpStream::connect(server.local_addr()).unwrap();
+    writer.set_nodelay(true).unwrap();
+    let reader = BufReader::new(writer.try_clone().unwrap());
+    let mut pipe = Pipe { writer, reader };
+
+    // Find a key another loop owns (3 in 4 are) and warm this loop's
+    // replica of it: promoted, filled, and serving local hits.
+    let key = (0..64)
+        .map(|i| format!("ryw-{i}"))
+        .find(|key| {
+            for _ in 0..200 {
+                pipe.set_then_get(key, 0);
+            }
+            server.cache().hot_round_now();
+            let before = replica_hits(&server);
+            assert!(pipe.get_each(&[key, key]).iter().all(Option::is_some));
+            replica_hits(&server) > before
+        })
+        .expect("some candidate key is remote to this connection");
+
+    for n in 1..=ROUNDS {
+        let seen = pipe.set_then_get(&key, n);
+        assert_eq!(seen, n, "stale read: v{seen} right behind the set of v{n}");
+    }
+    assert!(
+        server
+            .cache()
+            .promoted_keys()
+            .contains(&("default".to_string(), key.clone())),
+        "{key} must have stayed promoted for the whole run"
+    );
 }

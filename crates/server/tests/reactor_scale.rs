@@ -9,6 +9,10 @@
 //! * write backpressure — a client that requests far more response bytes
 //!   than it reads must be throttled by TCP while its event loop keeps
 //!   serving its siblings, and must eventually receive every byte intact;
+//! * the completion ring's failure and backpressure paths — a client that
+//!   vanishes with a ring full of forwarded ops leaks nothing and its late
+//!   replies are dropped, and one that pipelines far more remote reads than
+//!   it ever reads back is held to the output watermark plus one ring;
 //! * the shared-nothing contract — every data op executes on the loop
 //!   that owns the key's shard (locally or via one forwarded message),
 //!   `flush_all` and tenant-table growth ride the control plane without
@@ -210,6 +214,157 @@ fn write_backpressure_does_not_block_the_loop() {
         reader.read_line(&mut end).unwrap();
         assert_eq!(end.trim_end(), "END", "response {response} END");
     }
+}
+
+fn plane_stat(server: &CacheServer, name: &str) -> u64 {
+    let stats: HashMap<String, String> = server.cache().stats().into_iter().collect();
+    stats[name].parse().unwrap()
+}
+
+/// Opens a raw connection and finds a key whose shard the *other* loop
+/// owns: a GET of it is the one that moves `plane:remote_ops`.
+fn connect_with_remote_key(server: &CacheServer) -> (TcpStream, String) {
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let key = (0..64)
+        .map(|i| format!("far-{i}"))
+        .find(|key| {
+            let before = plane_stat(server, "plane:remote_ops");
+            stream
+                .write_all(format!("get {key}\r\n").as_bytes())
+                .unwrap();
+            let mut reply = [0u8; 5];
+            stream.read_exact(&mut reply).unwrap();
+            assert_eq!(&reply, b"END\r\n");
+            plane_stat(server, "plane:remote_ops") > before
+        })
+        .expect("half of all keys are remote on 2 loops x 2 shards");
+    (stream, key)
+}
+
+/// A client that pipelines a ring's worth (and more) of remote GETs and
+/// disconnects without reading a byte: the replies come back to a token
+/// that no longer exists and are dropped, the connection count returns to
+/// where it was, and the loops keep serving.
+#[test]
+fn a_client_that_vanishes_mid_ring_leaks_nothing() {
+    let server = start_server(2, 64);
+    let mut probe = CacheClient::connect(server.local_addr()).unwrap();
+    let baseline = plane_stat(&server, "curr_connections");
+    for _ in 0..20 {
+        let (mut stream, key) = connect_with_remote_key(&server);
+        let request = format!("get {key}\r\n").repeat(256);
+        stream.write_all(request.as_bytes()).unwrap();
+        drop(stream);
+        // The loops are alive while the orphaned ops are in flight.
+        assert!(probe.set(b"still", 0, b"serving").unwrap());
+        assert_eq!(probe.get(b"still").unwrap().unwrap().1, b"serving");
+    }
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while plane_stat(&server, "curr_connections") != baseline {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "vanished connections must all be closed: {} live, {baseline} before",
+            plane_stat(&server, "curr_connections")
+        );
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    assert_eq!(probe.get(b"still").unwrap().unwrap().1, b"serving");
+}
+
+/// Bytes the kernel holds on the way from the server to a client that is
+/// not reading: the server socket's send queue plus the client socket's
+/// receive queue, from `/proc/net/tcp` (`tx_queue:rx_queue`, hex).
+fn kernel_held_bytes(client_port: u16, server_port: u16) -> u64 {
+    let table = std::fs::read_to_string("/proc/net/tcp").expect("procfs is mounted");
+    let port = |address: &str| u16::from_str_radix(address.rsplit(':').next().unwrap(), 16);
+    let mut held = 0;
+    for line in table.lines().skip(1) {
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        let (Ok(local), Ok(remote)) = (port(fields[1]), port(fields[2])) else {
+            continue;
+        };
+        let (tx, rx) = fields[4].split_once(':').unwrap();
+        if (local, remote) == (server_port, client_port) {
+            held += u64::from_str_radix(tx, 16).unwrap();
+        } else if (local, remote) == (client_port, server_port) {
+            held += u64::from_str_radix(rx, 16).unwrap();
+        }
+    }
+    held
+}
+
+/// A client pipelines 10k remote GETs of a 4 KB value (~41 MB of replies)
+/// and does not read. The ring must not become a queue the socket can grow
+/// without limit: what the server has fetched beyond what the kernel took
+/// stays within the output watermark plus one ring of replies. Siblings on
+/// both loops are answered promptly meanwhile, and when the client finally
+/// reads, every reply arrives, in order.
+#[test]
+fn remote_reads_nobody_reads_back_are_held_to_the_watermark() {
+    const VALUE_BYTES: usize = 4096;
+    const GETS: usize = 10_000;
+    // conn.rs: OUT_HIGH_WATERMARK, and MAX_IN_FLIGHT replies on top of it.
+    const WATERMARK: u64 = 256 * 1024;
+    const RING: u64 = 128;
+    let server = start_server(2, 64);
+    let (mut stalled, key) = connect_with_remote_key(&server);
+    let payload: Vec<u8> = (0..VALUE_BYTES).map(|i| (i % 251) as u8).collect();
+    let mut setup = CacheClient::connect(server.local_addr()).unwrap();
+    assert!(setup.set(key.as_bytes(), 0, &payload).unwrap());
+    let mut reply = format!("VALUE {key} 0 {VALUE_BYTES}\r\n").into_bytes();
+    reply.extend_from_slice(&payload);
+    reply.extend_from_slice(b"\r\nEND\r\n");
+
+    let forwarded_before = plane_stat(&server, "plane:remote_ops");
+    let request = format!("get {key}\r\n").repeat(GETS);
+    stalled.write_all(request.as_bytes()).unwrap();
+    // Wait for the server to stop fetching: the count of forwarded ops
+    // holds still once backpressure has stalled the connection.
+    let mut forwarded = 0;
+    let mut quiet = 0;
+    while quiet < 5 {
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let now = plane_stat(&server, "plane:remote_ops") - forwarded_before;
+        quiet = if now == forwarded { quiet + 1 } else { 0 };
+        forwarded = now;
+    }
+    let client_port = stalled.local_addr().unwrap().port();
+    let in_kernel = kernel_held_bytes(client_port, server.local_addr().port());
+    let buffered = (forwarded * reply.len() as u64).saturating_sub(in_kernel);
+    assert!(
+        buffered <= WATERMARK + (RING + 1) * reply.len() as u64,
+        "{forwarded} replies fetched, {in_kernel} bytes in the kernel: \
+         the server buffers {buffered} bytes for a client that reads nothing"
+    );
+    assert!((forwarded as usize) < GETS, "backpressure never engaged");
+
+    // One sibling per loop (the acceptor round-robins), so one of them
+    // shares the stalled connection's loop.
+    let started = std::time::Instant::now();
+    for s in 0..2 {
+        let mut sibling = CacheClient::connect(server.local_addr()).unwrap();
+        for i in 0..50 {
+            let key = format!("sib-{s}-{i}");
+            assert!(sibling.set(key.as_bytes(), 0, b"quick").unwrap());
+            assert_eq!(sibling.get(key.as_bytes()).unwrap().unwrap().1, b"quick");
+        }
+    }
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(1),
+        "siblings took {:?} beside a stalled pipeline",
+        started.elapsed()
+    );
+
+    // Drain: `quit` closes only after everything outstanding was answered.
+    stalled.write_all(b"quit\r\n").unwrap();
+    let mut replies = Vec::with_capacity(GETS * reply.len());
+    stalled.read_to_end(&mut replies).unwrap();
+    assert_eq!(replies.len(), GETS * reply.len(), "every reply arrives");
+    assert!(
+        replies.chunks(reply.len()).all(|chunk| chunk == reply),
+        "replies arrive framed and in order"
+    );
 }
 
 /// Every data op lands on the loop that owns its shard. A single client
