@@ -5,7 +5,9 @@
 //! exact-match side table (see the `cache-server` crate).
 
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A cache key: an opaque 64-bit identifier.
 ///
@@ -43,6 +45,40 @@ impl From<u64> for Key {
         Key(raw)
     }
 }
+
+/// The hasher of the [`Key`]-keyed maps: one multiply and one xor-shift.
+///
+/// A `Key` is already a hash (FNV-1a of the byte-string key on the server,
+/// `mix64` of a counter in the generators), so running it through SipHash
+/// on every index probe buys nothing. It is not used as it is either:
+/// FNV-1a's high bits are weak, and hashbrown takes its control byte from
+/// the top seven bits and the bucket from the low ones, so the multiply
+/// spreads every input bit upwards and the shift folds the strong half back
+/// down. Unlike SipHash this is not keyed: a client that chooses its keys
+/// can aim them at one bucket chain, as it can in Memcached itself.
+#[derive(Clone, Copy, Default)]
+pub struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, value: u64) {
+        let h = (self.0 ^ value).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` keyed by [`Key`] and hashed with [`KeyHasher`]. Nothing may
+/// depend on its iteration order.
+pub type KeyMap<V> = HashMap<Key, V, BuildHasherDefault<KeyHasher>>;
 
 /// Identifier of an application (tenant) sharing a cache server.
 #[derive(
@@ -145,6 +181,24 @@ mod tests {
             seen.insert(mix64(i));
         }
         assert_eq!(seen.len(), 10_000, "mix64 collided on sequential inputs");
+    }
+
+    #[test]
+    fn key_hasher_spreads_fnv_keys_over_both_ends_of_the_hash() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<KeyHasher>::default();
+        let (mut top, mut low) = (HashSet::new(), HashSet::new());
+        for i in 0..4096u32 {
+            let hash = build.hash_one(Key::new(hash_bytes(format!("key:{i}").as_bytes())));
+            top.insert(hash >> 57);
+            low.insert(hash & 0xfff);
+        }
+        // hashbrown's control byte (top 7 bits) and bucket index (low bits).
+        assert_eq!(top.len(), 128);
+        assert!(low.len() > 2400, "{} of 4096 low-bit patterns", low.len());
+        let mut map = KeyMap::default();
+        map.insert(Key::new(7), "seven");
+        assert_eq!(map.get(&Key::new(7)), Some(&"seven"));
     }
 
     #[test]

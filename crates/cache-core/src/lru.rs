@@ -16,9 +16,8 @@
 //!   the upper/lower segment boundary, which is maintained at half of the
 //!   non-tail population.
 
-use crate::key::Key;
+use crate::key::{Key, KeyMap};
 use crate::list::{LinkedArena, NodeHandle};
-use std::collections::HashMap;
 
 /// Where a hit was found inside the physical queue.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -72,7 +71,7 @@ pub struct LruList {
     upper: LinkedArena<Entry>,
     lower: LinkedArena<Entry>,
     tail: LinkedArena<Entry>,
-    index: HashMap<Key, Slot>,
+    index: KeyMap<Slot>,
     tail_items: usize,
     total_weight: u64,
 }
@@ -90,7 +89,7 @@ impl LruList {
             upper: LinkedArena::new(),
             lower: LinkedArena::new(),
             tail: LinkedArena::new(),
-            index: HashMap::new(),
+            index: KeyMap::default(),
             tail_items,
             total_weight: 0,
         }

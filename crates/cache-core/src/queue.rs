@@ -8,13 +8,12 @@
 //! budget, and records evicted keys in its shadow queue so that later misses
 //! can be classified as "would have hit with more memory".
 
-use crate::key::Key;
+use crate::key::{Key, KeyMap};
 use crate::lru::HitLocation;
 use crate::policy::{EvictionPolicy, PolicyKind};
 use crate::shadow::{ShadowHit, ShadowQueue};
 use crate::stats::CacheStats;
 use crate::ITEM_OVERHEAD;
-use std::collections::HashMap;
 
 /// Configuration of a [`CacheQueue`].
 #[derive(Clone, Debug)]
@@ -87,7 +86,7 @@ pub struct SetResult {
 #[derive(Debug)]
 pub struct CacheQueue<V> {
     policy: Box<dyn EvictionPolicy>,
-    values: HashMap<Key, V>,
+    values: KeyMap<V>,
     shadow: ShadowQueue,
     target_bytes: u64,
     stats: CacheStats,
@@ -102,7 +101,7 @@ impl<V> CacheQueue<V> {
         }
         CacheQueue {
             policy,
-            values: HashMap::new(),
+            values: KeyMap::default(),
             shadow: ShadowQueue::new(config.shadow_capacity),
             target_bytes: config.target_bytes,
             stats: CacheStats::new(),

@@ -14,9 +14,8 @@
 //! curve); which half a hit lands in approximates the sign of the second
 //! derivative (paper §4.2, Algorithm 2).
 
-use crate::key::Key;
+use crate::key::{Key, KeyMap};
 use crate::list::{LinkedArena, NodeHandle};
-use std::collections::HashMap;
 
 /// Which half of a shadow queue a hit landed in.
 ///
@@ -58,7 +57,7 @@ struct Slot {
 pub struct ShadowQueue {
     left: LinkedArena<Key>,
     right: LinkedArena<Key>,
-    index: HashMap<Key, Slot>,
+    index: KeyMap<Slot>,
     capacity: usize,
 }
 
@@ -68,7 +67,7 @@ impl ShadowQueue {
         ShadowQueue {
             left: LinkedArena::new(),
             right: LinkedArena::new(),
-            index: HashMap::new(),
+            index: KeyMap::default(),
             capacity,
         }
     }

@@ -12,12 +12,11 @@
 //!   (by the Dynacache solver, by Cliffhanger's hill climbing, or by a static
 //!   plan); the cache only enforces them.
 
-use crate::key::{ClassId, Key};
+use crate::key::{ClassId, Key, KeyMap};
 use crate::policy::PolicyKind;
 use crate::queue::{CacheQueue, GetResult, QueueConfig, SetResult};
 use crate::slab::SlabConfig;
 use crate::stats::CacheStats;
-use std::collections::HashMap;
 
 /// How the application's memory is divided among its slab classes.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -89,7 +88,7 @@ pub struct SlabCache<V> {
     /// Bytes of the reservation granted to each class (FCFS mode only).
     granted: Vec<u64>,
     /// Class of each resident key (needed to serve GETs without a size hint).
-    resident_class: HashMap<Key, ClassId>,
+    resident_class: KeyMap<ClassId>,
     stats: CacheStats,
 }
 
@@ -121,7 +120,7 @@ impl<V> SlabCache<V> {
         SlabCache {
             granted: vec![0; num_classes],
             queues,
-            resident_class: HashMap::new(),
+            resident_class: KeyMap::default(),
             config,
             stats: CacheStats::new(),
         }

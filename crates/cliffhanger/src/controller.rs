@@ -12,6 +12,7 @@ use crate::config::CliffhangerConfig;
 use crate::events::{EventSink, SinkSlot};
 use crate::hill_climb::HillClimber;
 use crate::partitioned_queue::{PartitionedQueue, PartitionedQueueConfig, QueueEvent};
+use cache_core::key::KeyMap;
 use cache_core::{CacheStats, ClassId, Key};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -51,7 +52,7 @@ pub struct Cliffhanger<V> {
     free_bytes: u64,
     /// Slab class of every resident key — the equivalent of Memcached's
     /// global hash table, so lookups without a size hint stay O(1).
-    resident: std::collections::HashMap<Key, ClassId>,
+    resident: KeyMap<ClassId>,
     stats: CacheStats,
     /// Optional host sink narrating allocation decisions (free-pool grants,
     /// cliff-scaler ratio steps). `None` keeps every hook zero-cost.
@@ -118,7 +119,7 @@ impl<V> Cliffhanger<V> {
             queues,
             climber,
             free_bytes,
-            resident: std::collections::HashMap::new(),
+            resident: KeyMap::default(),
             stats: CacheStats::new(),
             sink: SinkSlot::default(),
             // Fresh partitioned queues start with an even 0.5 split.

@@ -32,6 +32,17 @@
 //! loop. With the ring empty (every key local) responses encode straight
 //! into `out`, exactly as before the ring existed.
 //!
+//! # The byte path
+//!
+//! A request byte is copied once, by the kernel, into `inbuf`; commands are
+//! parsed in place and consumed by moving a cursor, a local `get` looks its
+//! keys up while they still sit in `inbuf` and copies a hit's payload from
+//! the engine's stored item onto `out` (the payload's one copy), and a
+//! store's key and data are copied once into the `Bytes` that then move
+//! into the engine. Only a key another loop owns is copied out to cross
+//! threads. ARCHITECTURE.md has the table; `tests/byte_path.rs` holds the
+//! allocation counts.
+//!
 //! * **Same-key order** needs no mechanism of its own: shard ownership is
 //!   static and mailboxes are FIFO, so every op on a key reaches its one
 //!   owner in program order.
@@ -54,7 +65,9 @@
 use crate::plane::{
     AdminOp, AdminResult, DataOp, DataOutcome, DataReplyTo, DataVerb, LoopMsg, LoopState,
 };
-use crate::protocol::{encode_response, Command, ParseOutcome, Parser, Response, StoreVerb, Value};
+use crate::protocol::{
+    encode_response, encode_value, Command, ParseOutcome, Parser, Request, Response,
+};
 use bytes::{Bytes, BytesMut};
 use cache_core::Key;
 use std::collections::VecDeque;
@@ -73,8 +86,14 @@ pub(crate) const OUT_HIGH_WATERMARK: usize = 256 * 1024;
 /// that a pipelined batch crosses the mailbox in one piece, small enough to
 /// bound what one socket can queue on other loops.
 const MAX_IN_FLIGHT: usize = 128;
-/// Bytes read from the socket per `read` call.
+/// Spare input capacity a fill pass starts with, and what a connection's
+/// two buffers are born with.
 const READ_CHUNK: usize = 16 * 1024;
+/// Input capacity an idle connection may keep: a burst's buffer (up to
+/// [`IN_FILL_BUDGET`] of pipelined commands, or one value of up to
+/// [`crate::protocol::MAX_DATA_BYTES`]) goes back to the allocator once it
+/// is parsed, the way `flush` trims `out`.
+const IN_RETAIN: usize = 4 * READ_CHUNK;
 /// Bytes buffered per fill pass before yielding back to the loop, so one
 /// fire-hosing connection cannot starve its siblings (level-triggered
 /// epoll re-schedules it immediately).
@@ -113,27 +132,14 @@ enum Flow {
     Broken,
 }
 
-/// One key's slot in a (multi-)get: outer `None` = reply outstanding,
-/// inner option = hit/miss.
-type GetSlot = Option<Option<(u32, Bytes)>>;
-
-/// What a GET's outcome found.
-fn found(outcome: DataOutcome) -> Option<(u32, Bytes)> {
-    match outcome {
-        DataOutcome::Value(found) => found,
-        DataOutcome::Flag(_) => None,
-    }
-}
-
 /// One command whose response is not on `out` yet, in program order.
 enum Entry {
-    /// A (multi-)get with at least one remotely owned key. Local keys fill
-    /// their slots immediately; remote slots fill as replies arrive.
-    Get {
-        keys: Vec<Bytes>,
-        results: Vec<GetSlot>,
-        remaining: usize,
-    },
+    /// One key of a `get`, forwarded to the loop that owns it; the key is
+    /// kept for the `VALUE` line of a hit. A (multi-)get is one entry per
+    /// remote key with its local hits as `Done` bytes between them, so the
+    /// ring's order is the reply's order. `end`: the command's `END`
+    /// follows this key (no later key of it produced bytes).
+    Get { key: Bytes, end: bool },
     /// A store or delete forwarded to the owning loop. A `noreply` one
     /// keeps its place in the order and emits nothing.
     Write { delete: bool, noreply: bool },
@@ -144,6 +150,9 @@ enum Entry {
     Done(Vec<u8>),
 }
 
+/// What closes a `get` reply.
+const END: &[u8] = b"END\r\n";
+
 /// The reply to a store (`delete == false`) or delete verb.
 fn flag_response(delete: bool, outcome: &DataOutcome) -> Response {
     match (delete, matches!(outcome, DataOutcome::Flag(true))) {
@@ -152,16 +161,6 @@ fn flag_response(delete: bool, outcome: &DataOutcome) -> Response {
         (true, true) => Response::Deleted,
         (true, false) => Response::NotFound,
     }
-}
-
-/// The reply to a completed (multi-)get: hits in request order, misses
-/// omitted.
-fn values_response(keys: Vec<Bytes>, results: Vec<GetSlot>) -> Response {
-    let hit = |(key, result): (Bytes, GetSlot)| {
-        let (flags, data) = result.flatten()?;
-        Some(Value { key, flags, data })
-    };
-    Response::Values(keys.into_iter().zip(results).filter_map(hit).collect())
 }
 
 /// One client connection: socket, buffers, parser and session state.
@@ -196,8 +195,10 @@ pub(crate) struct Connection {
 
 /// What one parse-and-execute pass produced.
 enum Step {
-    /// Number of commands executed (0 = waiting for bytes, or stalled).
-    Parsed(usize),
+    /// Number of commands executed before the input ran dry.
+    Dry(usize),
+    /// Number of commands executed before the connection stalled.
+    Stalled(usize),
     /// The client sent `quit`.
     Quit,
 }
@@ -257,8 +258,8 @@ impl Connection {
             || matches!(self.ring.back(), Some(Entry::Admin(_)))
     }
 
-    /// One readiness pass: flush, fill, then parse/execute/flush until
-    /// quiescent or stalled.
+    /// One readiness pass: flush, then parse/execute/flush — with one fill
+    /// from the socket in between — until quiescent or stalled.
     pub(crate) fn on_ready(&mut self, readable: bool, writable: bool, ctx: &mut Ctx<'_>) -> Drive {
         if readable || writable {
             self.last_activity = Instant::now();
@@ -269,28 +270,35 @@ impl Connection {
         if self.flush() == Flow::Broken {
             return Drive::Close;
         }
-        if readable && !self.draining {
-            match self.fill() {
-                Flow::Broken => return Drive::Close,
-                Flow::Eof => self.draining = true,
-                Flow::Open => {}
-            }
-        }
         // Parsing can be resumed by a flush that drains the output below
         // the watermark, so alternate the two until neither makes progress.
+        // The socket is read once per pass, and only when the parser has
+        // run the buffer dry: a connection held at the watermark executes
+        // what it already holds instead of buffering more behind it.
+        let mut read = readable;
         loop {
-            let parsed = match self.process(ctx) {
-                Step::Parsed(n) => n,
+            let (parsed, dry) = match self.process(ctx) {
+                Step::Dry(n) => (n, true),
+                Step::Stalled(n) => (n, false),
                 Step::Quit => {
                     // Commands pipelined after `quit` are never parsed,
                     // exactly like the blocking handler's early return.
                     self.draining = true;
                     self.inbuf.clear();
-                    0
+                    (0, false)
                 }
             };
             if self.flush() == Flow::Broken {
                 return Drive::Close;
+            }
+            if dry && read && !self.draining && !self.stalled() {
+                read = false;
+                match self.fill() {
+                    Flow::Broken => return Drive::Close,
+                    Flow::Eof => self.draining = true,
+                    Flow::Open => {}
+                }
+                continue;
             }
             if parsed == 0 || self.pending_out() > 0 {
                 break;
@@ -318,36 +326,32 @@ impl Connection {
         }
     }
 
-    /// A [`DataOutcome`] arrived for a forwarded operation: fill its entry.
-    /// A reply whose entry has left the ring is dropped.
-    pub(crate) fn on_data_reply(&mut self, seq: u64, slot: usize, outcome: DataOutcome) {
+    /// A [`DataOutcome`] arrived for a forwarded operation: resolve its
+    /// entry. A reply whose entry has left the ring is dropped.
+    pub(crate) fn on_data_reply(&mut self, seq: u64, outcome: DataOutcome) {
         self.last_activity = Instant::now();
         let Some(index) = self.index_of(seq) else {
             return;
         };
-        let response = match &mut self.ring[index] {
-            Entry::Get {
-                keys,
-                results,
-                remaining,
-            } if slot < results.len() && results[slot].is_none() => {
-                results[slot] = Some(found(outcome));
-                *remaining -= 1;
-                if *remaining > 0 {
-                    return;
+        match std::mem::replace(&mut self.ring[index], Entry::Done(Vec::new())) {
+            Entry::Get { key, end } => self.complete(index, |out| {
+                if let DataOutcome::Value(Some((flags, data))) = &outcome {
+                    encode_value(&key, *flags, data, out);
                 }
-                Some(values_response(
-                    std::mem::take(keys),
-                    std::mem::take(results),
-                ))
-            }
+                if end {
+                    out.extend_from_slice(END);
+                }
+            }),
             Entry::Write { delete, noreply } => {
                 self.unacked_writes -= 1;
-                (!*noreply).then(|| flag_response(*delete, &outcome))
+                self.complete(index, |out| {
+                    if !noreply {
+                        encode_response(&flag_response(delete, &outcome), out);
+                    }
+                });
             }
-            _ => return,
-        };
-        self.complete(index, response);
+            other => self.ring[index] = other,
+        }
     }
 
     /// The control thread finished the admin command at the head of the
@@ -373,7 +377,7 @@ impl Connection {
                     .collect(),
             ),
         };
-        self.complete(0, Some(response));
+        self.complete(0, |out| encode_response(&response, out));
     }
 
     /// The ring index of entry `seq`, if it is still in the ring.
@@ -382,24 +386,21 @@ impl Connection {
         (index < self.ring.len()).then_some(index)
     }
 
-    /// Entry `index` resolved to `response` (`None` for `noreply`). At the
-    /// head it goes out, followed by every finished entry behind it;
-    /// elsewhere it waits as `Done` bytes for the entries ahead.
-    fn complete(&mut self, index: usize, response: Option<Response>) {
+    /// Entry `index` resolved to the bytes `write` produces (none for
+    /// `noreply` or a miss). At the head they go out, followed by every
+    /// finished entry behind them; elsewhere they wait as `Done` bytes for
+    /// the entries ahead.
+    fn complete(&mut self, index: usize, write: impl FnOnce(&mut Vec<u8>)) {
         if index > 0 {
             let mut bytes = Vec::new();
-            if let Some(response) = &response {
-                encode_response(response, &mut bytes);
-            }
+            write(&mut bytes);
             self.ring_bytes += bytes.len();
             self.ring[index] = Entry::Done(bytes);
             return;
         }
         self.ring.pop_front();
         self.head_seq += 1;
-        if let Some(response) = &response {
-            encode_response(response, &mut self.out);
-        }
+        write(&mut self.out);
         while let Some(Entry::Done(bytes)) = self.ring.front() {
             self.out.extend_from_slice(bytes);
             self.ring_bytes -= bytes.len();
@@ -408,40 +409,37 @@ impl Connection {
         }
     }
 
-    /// Queues the response of a command that executed inline: straight
-    /// into `out` when nothing is ahead of it, else behind the ring.
-    fn respond(&mut self, response: &Response) {
+    /// Lets `write` append the response of a command that executed inline:
+    /// straight onto `out` when nothing is ahead of it, else behind the ring.
+    fn emit(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
         if self.ring.is_empty() {
-            return encode_response(response, &mut self.out);
+            return write(&mut self.out);
         }
         if !matches!(self.ring.back(), Some(Entry::Done(_))) {
             self.ring.push_back(Entry::Done(Vec::new()));
         }
         if let Some(Entry::Done(bytes)) = self.ring.back_mut() {
             let before = bytes.len();
-            encode_response(response, bytes);
+            write(bytes);
             self.ring_bytes += bytes.len() - before;
         }
     }
 
-    /// Reads whatever the socket has (bounded per pass).
+    fn respond(&mut self, response: &Response) {
+        self.emit(|out| encode_response(response, out));
+    }
+
+    /// Reads whatever the socket has (bounded per pass) straight into
+    /// `inbuf`: the kernel's copy is the only one a request byte gets.
     fn fill(&mut self) -> Flow {
-        let mut chunk = [0u8; READ_CHUNK];
-        let mut taken = 0usize;
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Flow::Eof,
-                Ok(n) => {
-                    self.inbuf.extend_from_slice(&chunk[..n]);
-                    taken += n;
-                    if taken >= IN_FILL_BUDGET {
-                        return Flow::Open;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Flow::Open,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return Flow::Broken,
-            }
+        self.inbuf.reserve(READ_CHUNK);
+        let mut budget = (&self.stream).take(IN_FILL_BUDGET as u64);
+        match self.inbuf.read_from(&mut budget) {
+            // End of input: the budget's, or else the peer's.
+            Ok(_) if budget.limit() == 0 => Flow::Open,
+            Ok(_) => Flow::Eof,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Flow::Open,
+            Err(_) => Flow::Broken,
         }
     }
 
@@ -449,22 +447,31 @@ impl Connection {
     /// connection stalls (see [`Connection::stalled`]), or the client quits.
     fn process(&mut self, ctx: &mut Ctx<'_>) -> Step {
         self.launch_admin(ctx);
+        // A `get`'s keys borrow the input while the rest of the connection
+        // is mutated around them, so the buffer steps out of `self`.
+        let mut inbuf = std::mem::take(&mut self.inbuf);
+        let mut input = &inbuf[..];
         let mut parsed = 0;
-        while !self.stalled() {
-            match self.parser.parse(&mut self.inbuf) {
-                ParseOutcome::Complete(Command::Quit) => return Step::Quit,
-                ParseOutcome::Complete(command) => {
-                    parsed += 1;
-                    self.dispatch(command, ctx);
-                }
-                ParseOutcome::Invalid(message) => {
-                    parsed += 1;
-                    self.respond(&Response::ClientError(message));
-                }
-                ParseOutcome::Incomplete => break,
+        let step = loop {
+            if self.stalled() {
+                break Step::Stalled(parsed);
             }
+            match self.parser.next_request(&mut input) {
+                ParseOutcome::Complete(Request::Other(Command::Quit)) => break Step::Quit,
+                ParseOutcome::Complete(Request::Get(keys)) => self.get(keys, ctx),
+                ParseOutcome::Complete(Request::Other(command)) => self.dispatch(command, ctx),
+                ParseOutcome::Invalid(message) => self.respond(&Response::ClientError(message)),
+                ParseOutcome::Incomplete => break Step::Dry(parsed),
+            }
+            parsed += 1;
+        };
+        let used = inbuf.len() - input.len();
+        inbuf.advance(used);
+        if inbuf.is_empty() {
+            inbuf.shrink_to(IN_RETAIN);
         }
-        Step::Parsed(parsed)
+        self.inbuf = inbuf;
+        step
     }
 
     /// Forwards one key's op to the loop that owns it, addressed to the
@@ -475,7 +482,6 @@ impl Connection {
         (shard, id, owner): (usize, Key, usize),
         key: Bytes,
         verb: DataVerb,
-        slot: usize,
         hot_fill: bool,
     ) {
         let op = DataOp {
@@ -489,61 +495,63 @@ impl Connection {
                 origin: ctx.state.index,
                 token: ctx.token,
                 seq: self.head_seq + self.ring.len() as u64,
-                slot,
             },
             hot_fill,
         };
         ctx.state.forward(owner, LoopMsg::Data(op));
     }
 
-    /// Executes one command: route by key hash, run inline when this loop
-    /// owns the shard, forward and take a ring entry otherwise.
-    fn dispatch(&mut self, command: Command, ctx: &mut Ctx<'_>) {
-        match command {
-            Command::Get { keys } => {
-                let mut results: Vec<GetSlot> = vec![None; keys.len()];
-                let mut remaining = 0usize;
-                for (slot, key) in keys.iter().enumerate() {
-                    let (shard, id, route) = ctx.state.route(self.tenant, key);
-                    match route {
-                        Ok(local) => {
-                            let outcome =
-                                ctx.state
-                                    .apply_local(local, self.tenant, id, key, &DataVerb::Get);
-                            results[slot] = Some(found(outcome));
-                        }
-                        Err(owner) => {
-                            // Promoted hot keys serve from the loop-local
-                            // replica cache: no forward, no ring entry. Not
-                            // behind an un-acked write, whose version bump
-                            // the replica check could not see yet.
-                            if self.unacked_writes == 0 {
-                                if let Some(found) =
-                                    ctx.state.replica_get(shard, self.tenant, id, key)
-                                {
-                                    results[slot] = Some(Some(found));
-                                    continue;
-                                }
-                            }
-                            // A replica miss on a promoted key rides the
-                            // normal forward but asks the owner to fill us.
-                            let hot_fill = ctx.state.wants_hot_fill(self.tenant, id);
-                            remaining += 1;
-                            let route = (shard, id, owner);
-                            self.forward(ctx, route, key.clone(), DataVerb::Get, slot, hot_fill);
-                        }
+    /// A (multi-)get, key by key: route by hash, and answer a key this
+    /// loop owns straight from the engine's stored item — its payload's one
+    /// copy is the one onto `out`. A key another loop owns takes a ring
+    /// entry, so the hits reach the wire in request order whatever mix of
+    /// owners the keys have.
+    fn get<'k>(&mut self, keys: impl Iterator<Item = &'k [u8]>, ctx: &mut Ctx<'_>) {
+        for key in keys {
+            let (shard, id, route) = ctx.state.route(self.tenant, key);
+            match route {
+                Ok(local) => {
+                    let started = Instant::now();
+                    let hit = ctx.state.get(local, self.tenant, id, key);
+                    let took = started.elapsed();
+                    if let Some(item) = hit {
+                        self.emit(|out| encode_value(key, item.flags, &item.data, out));
                     }
+                    ctx.state.note_local(took);
                 }
-                if remaining == 0 {
-                    self.respond(&values_response(keys, results));
-                } else {
-                    self.ring.push_back(Entry::Get {
-                        keys,
-                        results,
-                        remaining,
-                    });
+                Err(owner) => {
+                    // Promoted hot keys serve from the loop-local replica
+                    // cache: no forward, no ring entry. Not behind an
+                    // un-acked write, whose version bump the replica check
+                    // could not see yet.
+                    let replica = (self.unacked_writes == 0)
+                        .then(|| ctx.state.replica_get(shard, self.tenant, id, key));
+                    if let Some(Some((flags, data))) = replica {
+                        self.emit(|out| encode_value(key, flags, &data, out));
+                        continue;
+                    }
+                    // A replica miss on a promoted key rides the normal
+                    // forward but asks the owner to fill us.
+                    let hot_fill = ctx.state.wants_hot_fill(self.tenant, id);
+                    let key = Bytes::copy_from_slice(key);
+                    let route = (shard, id, owner);
+                    self.forward(ctx, route, key.clone(), DataVerb::Get, hot_fill);
+                    self.ring.push_back(Entry::Get { key, end: false });
                 }
             }
+        }
+        // Between commands every `Get` entry has `end` set, so an unset
+        // one at the back is this command's, with nothing emitted since.
+        match self.ring.back_mut() {
+            Some(Entry::Get { end, .. }) if !*end => *end = true,
+            _ => self.emit(|out| out.extend_from_slice(END)),
+        }
+    }
+
+    /// Executes one command other than a parsed `get`.
+    fn dispatch(&mut self, command: Command, ctx: &mut Ctx<'_>) {
+        match command {
+            Command::Get { keys } => self.get(keys.iter().map(|key| &key[..]), ctx),
             Command::Store {
                 verb,
                 key,
@@ -551,14 +559,7 @@ impl Connection {
                 data,
                 noreply,
                 ..
-            } => {
-                let verb = match verb {
-                    StoreVerb::Set => DataVerb::Set { flags, data },
-                    StoreVerb::Add => DataVerb::Add { flags, data },
-                    StoreVerb::Replace => DataVerb::Replace { flags, data },
-                };
-                self.write(key, verb, noreply, ctx);
-            }
+            } => self.write(key, DataVerb::Store { verb, flags, data }, noreply, ctx),
             Command::Delete { key, noreply } => self.write(key, DataVerb::Delete, noreply, ctx),
             Command::App { id } => {
                 let response = match std::str::from_utf8(&id)
@@ -609,21 +610,24 @@ impl Connection {
         }
     }
 
-    /// A store or delete: inline when this loop owns the key, else
-    /// forwarded. A forwarded `noreply` still takes a ring entry — program
-    /// order, drain-before-close and the replica bypass all hang on it.
+    /// A store or delete: inline when this loop owns the key — the parsed
+    /// key and data move into the engine — else forwarded. A forwarded
+    /// `noreply` still takes a ring entry: program order, drain-before-close
+    /// and the replica bypass all hang on it.
     fn write(&mut self, key: Bytes, verb: DataVerb, noreply: bool, ctx: &mut Ctx<'_>) {
         let delete = matches!(verb, DataVerb::Delete);
         let (shard, id, route) = ctx.state.route(self.tenant, &key);
         match route {
             Ok(local) => {
-                let outcome = ctx.state.apply_local(local, self.tenant, id, &key, &verb);
+                let started = Instant::now();
+                let outcome = ctx.state.apply(local, self.tenant, id, key, verb);
+                ctx.state.note_local(started.elapsed());
                 if !noreply {
                     self.respond(&flag_response(delete, &outcome));
                 }
             }
             Err(owner) => {
-                self.forward(ctx, (shard, id, owner), key, verb, 0, false);
+                self.forward(ctx, (shard, id, owner), key, verb, false);
                 self.unacked_writes += 1;
                 self.ring.push_back(Entry::Write { delete, noreply });
             }
@@ -648,8 +652,8 @@ impl Connection {
         if !ctx.state.forward_admin(op, ctx.token, self.head_seq) {
             // The control thread is gone: the server is shutting down and
             // this connection is about to be torn down with its loop.
-            let reason = "server is shutting down".to_string();
-            self.complete(0, Some(Response::ClientError(reason)));
+            let reason = Response::ClientError("server is shutting down".to_string());
+            self.complete(0, |out| encode_response(&reason, out));
         }
     }
 

@@ -194,21 +194,6 @@ pub(crate) struct StoredValue {
     pub(crate) data: Bytes,
 }
 
-impl StoredValue {
-    pub(crate) fn new(key: &[u8], flags: u32, data: Bytes) -> StoredValue {
-        StoredValue {
-            key: Bytes::copy_from_slice(key),
-            flags,
-            data,
-        }
-    }
-}
-
-/// The bytes an item is charged against its engine's budget.
-pub(crate) fn charge_size(key: &[u8], data: &[u8]) -> u64 {
-    (key.len() + data.len()) as u64
-}
-
 /// Routes a byte-string key of one tenant to its shard index and 64-bit
 /// cache key.
 ///
@@ -300,44 +285,25 @@ impl Engine {
     }
 
     /// A wire-level GET: records the access (feeding the shadow queues in
-    /// managed mode) and returns `(flags, data)` on an exact byte-string
+    /// managed mode) and lends the stored item on an exact byte-string
     /// match. A 64-bit hash collision is a miss for the colliding key,
     /// never a wrong value.
-    pub(crate) fn wire_get(&mut self, id: Key, key: &[u8]) -> Option<(u32, Bytes)> {
-        let found = match self {
-            Engine::Plain(cache) => {
-                let hit = cache.get_untyped(id).result.hit;
-                if hit {
-                    cache.value(id).cloned()
-                } else {
-                    None
-                }
-            }
-            Engine::Managed(cache) => {
-                let (_, event) = cache.get_untyped(id);
-                if event.hit {
-                    cache.value(id).cloned()
-                } else {
-                    None
-                }
-            }
+    pub(crate) fn wire_get(&mut self, id: Key, key: &[u8]) -> Option<&StoredValue> {
+        let hit = match self {
+            Engine::Plain(cache) => cache.get_untyped(id).result.hit,
+            Engine::Managed(cache) => cache.get_untyped(id).1.hit,
         };
-        match found {
-            Some(stored) if stored.key == key => Some((stored.flags, stored.data)),
-            _ => None,
+        if !hit {
+            return None;
         }
+        self.value(id).filter(|stored| stored.key == key)
     }
 
-    /// A wire-level store: charges `key + data` bytes and admits the item.
-    /// Returns `false` only if the item could not be admitted (e.g. larger
-    /// than the largest slab class).
-    pub(crate) fn wire_set(&mut self, id: Key, key: &[u8], flags: u32, data: Bytes) -> bool {
-        let size = charge_size(key, &data);
-        let stored = StoredValue::new(key, flags, data);
-        self.set(id, size, stored)
-    }
-
-    pub(crate) fn set(&mut self, id: Key, size: u64, stored: StoredValue) -> bool {
+    /// A wire-level store: charges `key + data` bytes and admits the item,
+    /// which moves into the cache as it is. Returns `false` only if the
+    /// item could not be admitted (e.g. larger than the largest slab class).
+    pub(crate) fn wire_set(&mut self, id: Key, stored: StoredValue) -> bool {
+        let size = (stored.key.len() + stored.data.len()) as u64;
         match self {
             Engine::Plain(cache) => cache
                 .set(id, size, stored)

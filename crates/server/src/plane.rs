@@ -39,9 +39,11 @@
 //!   every owning loop has built the new tenant's engines, so a session
 //!   can never resolve a tenant whose cells do not exist yet.
 
-use crate::engine::{even_split, route_key, weighted_split, BackendConfig, BackendMode, Engine};
+use crate::engine::{
+    even_split, route_key, weighted_split, BackendConfig, BackendMode, Engine, StoredValue,
+};
 use crate::hotkey::{plan_round, HotKeyCount, HotLoopState, HotShared, PromotedEntry};
-use crate::protocol::StatsFormat;
+use crate::protocol::{StatsFormat, StoreVerb};
 use crate::reactor::{ConnTelemetry, Mailbox};
 use crate::stats::{
     build_document, render_json, render_prom, render_stats, BalanceCounters, EngineStat,
@@ -98,8 +100,6 @@ pub(crate) enum LoopMsg {
         token: u64,
         /// The connection's ring-entry sequence number the reply answers.
         seq: u64,
-        /// Multi-get slot index (0 for single-key ops).
-        slot: usize,
         /// The operation's result.
         outcome: DataOutcome,
     },
@@ -157,21 +157,18 @@ pub(crate) struct DataOp {
 /// The operation itself.
 pub(crate) enum DataVerb {
     Get,
-    Set { flags: u32, data: Bytes },
-    Add { flags: u32, data: Bytes },
-    Replace { flags: u32, data: Bytes },
+    Store {
+        verb: StoreVerb,
+        flags: u32,
+        data: Bytes,
+    },
     Delete,
 }
 
 /// Where a [`DataOp`]'s result goes.
 pub(crate) enum DataReplyTo {
     /// Back to the loop whose connection issued it.
-    Conn {
-        origin: usize,
-        token: u64,
-        seq: u64,
-        slot: usize,
-    },
+    Conn { origin: usize, token: u64, seq: u64 },
     /// Straight to a blocked [`PlaneHandle`] caller.
     Sync(Sender<DataOutcome>),
 }
@@ -694,93 +691,107 @@ impl LoopState {
         }
     }
 
-    /// Executes one data op against an owned engine. The zero-lock fast
-    /// path: a slot lookup, plain-field counter bumps and the engine call.
-    pub(crate) fn apply(
+    /// A GET against an owned engine, lending the stored item on a hit.
+    /// The zero-lock fast path: a slot lookup, plain-field counter bumps and
+    /// the engine call — no allocation and no refcount traffic.
+    pub(crate) fn get(
         &mut self,
         slot: usize,
         tenant: usize,
         id: Key,
         key: &[u8],
-        verb: &DataVerb,
-    ) -> DataOutcome {
+    ) -> Option<&StoredValue> {
         // Online MRC sampling: when profiling is off the vec is empty and
         // this is a single bounds-checked lookup; when on, a hash + compare
         // for unsampled keys.
-        if matches!(verb, DataVerb::Get) {
-            if let Some(estimator) = self.mrc.get_mut(tenant) {
-                estimator.record(id);
-            }
-            // Hot-key detection rides the same sampled GET stream.
-            if let Some(hot) = self.hot.as_mut() {
-                hot.tracker.record(tenant, id, key);
-            }
+        if let Some(estimator) = self.mrc.get_mut(tenant) {
+            estimator.record(id);
         }
-        let shard = &mut self.owned[slot];
-        let Some(cell) = shard.cells.get_mut(tenant) else {
-            // A tenant index this loop has not materialised (impossible by
-            // the generation protocol; never panic the loop over it).
-            return match verb {
-                DataVerb::Get => DataOutcome::Value(None),
-                _ => DataOutcome::Flag(false),
-            };
+        // Hot-key detection rides the same sampled GET stream.
+        if let Some(hot) = self.hot.as_mut() {
+            hot.tracker.record(tenant, id, key);
+        }
+        self.tick();
+        // A tenant index this loop has not materialised is impossible by
+        // the generation protocol; never panic the loop over it.
+        let cell = self.owned[slot].cells.get_mut(tenant)?;
+        cell.gets += 1;
+        let found = cell.engine.wire_get(id, key);
+        cell.hits += u64::from(found.is_some());
+        found
+    }
+
+    /// A store against an owned engine: `item` moves into the cache as it
+    /// is. `touched` below is whether a mutating engine call actually ran:
+    /// a failed `add` on a present key or a `delete` of a missing key never
+    /// touches the store, so it must not bump the version slot (and, for
+    /// promoted keys, broadcast invalidations that evict perfectly valid
+    /// replicas). A `set` that ran but was not admitted still counts —
+    /// admission failure may have displaced the old value.
+    pub(crate) fn store(
+        &mut self,
+        slot: usize,
+        tenant: usize,
+        id: Key,
+        verb: StoreVerb,
+        item: StoredValue,
+    ) -> bool {
+        let Some(cell) = self.owned[slot].cells.get_mut(tenant) else {
+            return false;
         };
-        // Whether a mutating engine call actually ran: a failed `add` on a
-        // present key or a `delete` of a missing key never touches the
-        // store, so it must not bump the version slot (and, for promoted
-        // keys, broadcast invalidations that evict perfectly valid
-        // replicas). A `set` that ran but was not admitted still counts —
-        // admission failure may have displaced the old value.
-        let mut touched = false;
-        let outcome = match verb {
-            DataVerb::Get => {
-                cell.gets += 1;
-                match cell.engine.wire_get(id, key) {
-                    Some(found) => {
-                        cell.hits += 1;
-                        DataOutcome::Value(Some(found))
-                    }
-                    None => DataOutcome::Value(None),
-                }
-            }
-            DataVerb::Set { flags, data } => {
-                cell.sets += 1;
-                touched = true;
-                DataOutcome::Flag(cell.engine.wire_set(id, key, *flags, data.clone()))
-            }
-            DataVerb::Add { flags, data } => {
-                if cell.engine.contains_exact(id, key) {
-                    DataOutcome::Flag(false)
-                } else {
-                    cell.sets += 1;
-                    touched = true;
-                    DataOutcome::Flag(cell.engine.wire_set(id, key, *flags, data.clone()))
-                }
-            }
-            DataVerb::Replace { flags, data } => {
-                if !cell.engine.contains_exact(id, key) {
-                    DataOutcome::Flag(false)
-                } else {
-                    cell.sets += 1;
-                    touched = true;
-                    DataOutcome::Flag(cell.engine.wire_set(id, key, *flags, data.clone()))
-                }
-            }
-            DataVerb::Delete => {
-                cell.deletes += 1;
-                if !cell.engine.contains_exact(id, key) {
-                    DataOutcome::Flag(false)
-                } else {
-                    touched = true;
-                    DataOutcome::Flag(cell.engine.delete(id))
-                }
-            }
+        let touched = match verb {
+            StoreVerb::Set => true,
+            StoreVerb::Add => !cell.engine.contains_exact(id, &item.key),
+            StoreVerb::Replace => cell.engine.contains_exact(id, &item.key),
         };
-        if touched && self.shared.hot.is_some() {
+        cell.sets += u64::from(touched);
+        let stored = touched && cell.engine.wire_set(id, item);
+        if touched {
             self.note_mutation(tenant, id);
         }
         self.tick();
-        outcome
+        stored
+    }
+
+    /// A delete against an owned engine; returns whether the key was there.
+    pub(crate) fn delete(&mut self, slot: usize, tenant: usize, id: Key, key: &[u8]) -> bool {
+        let Some(cell) = self.owned[slot].cells.get_mut(tenant) else {
+            return false;
+        };
+        cell.deletes += 1;
+        let touched = cell.engine.contains_exact(id, key);
+        let deleted = touched && cell.engine.delete(id);
+        if touched {
+            self.note_mutation(tenant, id);
+        }
+        self.tick();
+        deleted
+    }
+
+    /// Executes one owned data op — a forwarded one, or a connection's own
+    /// write — against an owned engine.
+    pub(crate) fn apply(
+        &mut self,
+        slot: usize,
+        tenant: usize,
+        id: Key,
+        key: Bytes,
+        verb: DataVerb,
+    ) -> DataOutcome {
+        match verb {
+            DataVerb::Get => {
+                let found = self.get(slot, tenant, id, &key);
+                DataOutcome::Value(found.map(|v| (v.flags, v.data.clone())))
+            }
+            DataVerb::Store { verb, flags, data } => DataOutcome::Flag(self.store(
+                slot,
+                tenant,
+                id,
+                verb,
+                StoredValue { key, flags, data },
+            )),
+            DataVerb::Delete => DataOutcome::Flag(self.delete(slot, tenant, id, &key)),
+        }
     }
 
     /// Hot-key bookkeeping for a mutation this (owning) loop just applied:
@@ -875,23 +886,13 @@ impl LoopState {
         }
     }
 
-    /// [`LoopState::apply`] for the loop's own connections: counts the op
+    /// An op for one of the loop's own connections took `took`: counts it
     /// as local and records its service time in the local histogram.
-    pub(crate) fn apply_local(
-        &mut self,
-        slot: usize,
-        tenant: usize,
-        id: Key,
-        key: &[u8],
-        verb: &DataVerb,
-    ) -> DataOutcome {
-        let started = Instant::now();
-        let outcome = self.apply(slot, tenant, id, key, verb);
+    pub(crate) fn note_local(&mut self, took: Duration) {
         self.local_ops += 1;
-        let nanos = started.elapsed().as_nanos() as u64;
+        let nanos = took.as_nanos() as u64;
         self.local_latency.record(nanos);
         self.note_slow(nanos, "local");
-        outcome
     }
 
     /// Counts (and samples into the journal) an op over the slow-op
@@ -998,14 +999,15 @@ impl LoopState {
     /// and routes the outcome back.
     pub(crate) fn serve_remote(&mut self, op: DataOp) {
         self.remote_in += 1;
-        let outcome = match self.slots[op.shard] {
-            Some(slot) => self.apply(slot, op.tenant, op.id, &op.key, &op.verb),
+        // Read-through fill: the origin loop missed its replica of a
+        // promoted key and wants the value the GET below reads.
+        let fill_key = op.hot_fill.then(|| op.key.clone());
+        let outcome = match (self.slots[op.shard], op.verb) {
+            (Some(slot), verb) => self.apply(slot, op.tenant, op.id, op.key, verb),
             // Only reachable if ownership and routing disagree — fail the
             // op rather than wedge the issuing connection.
-            None => match op.verb {
-                DataVerb::Get => DataOutcome::Value(None),
-                _ => DataOutcome::Flag(false),
-            },
+            (None, DataVerb::Get) => DataOutcome::Value(None),
+            (None, _) => DataOutcome::Flag(false),
         };
         // Forwarded ops are measured from the moment the issuing side
         // created them: mailbox queueing is part of the latency a remote
@@ -1013,46 +1015,37 @@ impl LoopState {
         let nanos = op.enqueued.elapsed().as_nanos() as u64;
         self.remote_latency.record(nanos);
         self.note_slow(nanos, "remote");
-        // Read-through fill: the origin loop missed its replica of a
-        // promoted key, so hand it the value *with the version it carried
-        // at read time*. Queued before the DataReply on the same FIFO
-        // mailbox, and this loop is the key's only writer, so the
-        // (value, version) pair is a consistent snapshot.
-        if op.hot_fill {
-            if let DataOutcome::Value(Some((flags, data))) = &outcome {
-                if let DataReplyTo::Conn { origin, .. } = &op.reply {
-                    let origin = *origin;
-                    if let Some(version) = self
-                        .shared
-                        .hot
-                        .as_ref()
-                        .map(|hot| hot.versions.load(op.tenant, op.id))
-                    {
-                        let fill = LoopMsg::HotFill {
-                            tenant: op.tenant,
-                            id: op.id,
-                            key: op.key.clone(),
-                            flags: *flags,
-                            data: data.clone(),
-                            version,
-                        };
-                        self.forward(origin, fill);
-                    }
+        // The fill carries the value *with the version it had at read
+        // time*. Queued before the DataReply on the same FIFO mailbox, and
+        // this loop is the key's only writer, so the (value, version) pair
+        // is a consistent snapshot.
+        if let (Some(key), DataOutcome::Value(Some((flags, data)))) = (fill_key, &outcome) {
+            if let DataReplyTo::Conn { origin, .. } = &op.reply {
+                let origin = *origin;
+                if let Some(version) = self
+                    .shared
+                    .hot
+                    .as_ref()
+                    .map(|hot| hot.versions.load(op.tenant, op.id))
+                {
+                    let fill = LoopMsg::HotFill {
+                        tenant: op.tenant,
+                        id: op.id,
+                        key,
+                        flags: *flags,
+                        data: data.clone(),
+                        version,
+                    };
+                    self.forward(origin, fill);
                 }
             }
         }
         match op.reply {
-            DataReplyTo::Conn {
-                origin,
-                token,
-                seq,
-                slot,
-            } => self.forward(
+            DataReplyTo::Conn { origin, token, seq } => self.forward(
                 origin,
                 LoopMsg::DataReply {
                     token,
                     seq,
-                    slot,
                     outcome,
                 },
             ),
@@ -1891,29 +1884,35 @@ impl PlaneHandle {
         }
     }
 
+    fn store_for(
+        &self,
+        verb: StoreVerb,
+        tenant: usize,
+        key: &[u8],
+        flags: u32,
+        data: Bytes,
+    ) -> bool {
+        let verb = DataVerb::Store { verb, flags, data };
+        matches!(
+            self.data_op(tenant, key, verb),
+            Some(DataOutcome::Flag(true))
+        )
+    }
+
     /// Stores a key for one tenant unconditionally. Returns `false` only
     /// if the item could not be admitted.
     pub fn set_for(&self, tenant: usize, key: &[u8], flags: u32, data: Bytes) -> bool {
-        matches!(
-            self.data_op(tenant, key, DataVerb::Set { flags, data }),
-            Some(DataOutcome::Flag(true))
-        )
+        self.store_for(StoreVerb::Set, tenant, key, flags, data)
     }
 
     /// Stores a key for one tenant only if it is absent (`add`).
     pub fn add_for(&self, tenant: usize, key: &[u8], flags: u32, data: Bytes) -> bool {
-        matches!(
-            self.data_op(tenant, key, DataVerb::Add { flags, data }),
-            Some(DataOutcome::Flag(true))
-        )
+        self.store_for(StoreVerb::Add, tenant, key, flags, data)
     }
 
     /// Stores a key for one tenant only if it is present (`replace`).
     pub fn replace_for(&self, tenant: usize, key: &[u8], flags: u32, data: Bytes) -> bool {
-        matches!(
-            self.data_op(tenant, key, DataVerb::Replace { flags, data }),
-            Some(DataOutcome::Flag(true))
-        )
+        self.store_for(StoreVerb::Replace, tenant, key, flags, data)
     }
 
     /// Deletes a key for one tenant; returns whether it was present.
@@ -2145,9 +2144,9 @@ impl PlaneHandle {
 
 /// The plane's routing and engine code run in the caller's thread: the
 /// `LoopState` of a one-loop plane that owns every shard, with no reactor
-/// and no control thread. An op is `LoopState::route` + `LoopState::apply`,
-/// what a connection runs for a key its own loop owns (less the
-/// service-time stamp of `apply_local`). With nobody to run balancing
+/// and no control thread. An op is `LoopState::route` + `LoopState::get` /
+/// `store` / `delete`, what a connection runs for a key its own loop owns
+/// (less the service-time stamp of `note_local`). With nobody to run balancing
 /// rounds, budgets stay at their boot split. The paper's Tables 6–7
 /// overhead measurement (`bench::overhead`) and the benchmark's `engine.*`
 /// layer probes time this.
@@ -2172,37 +2171,51 @@ impl SharedCache {
         self.state.lock().tenant_lookup(name)
     }
 
-    fn run(&self, tenant: usize, key: &[u8], verb: DataVerb) -> DataOutcome {
+    /// Routes `key` and runs `op` on the state with the owning slot.
+    fn routed<R>(
+        &self,
+        tenant: usize,
+        key: &[u8],
+        op: impl FnOnce(&mut LoopState, usize, Key) -> R,
+    ) -> R {
         let mut state = self.state.lock();
         let (_, id, slot) = state.route(tenant, key);
-        let slot = slot.expect("a one-loop plane owns every shard");
-        state.apply(slot, tenant, id, key, &verb)
+        op(
+            &mut state,
+            slot.expect("a one-loop plane owns every shard"),
+            id,
+        )
     }
 
     /// Looks up a key for one tenant, returning its flags and value on an
     /// exact match.
     pub fn get_for(&self, tenant: usize, key: &[u8]) -> Option<(u32, Bytes)> {
-        match self.run(tenant, key, DataVerb::Get) {
-            DataOutcome::Value(found) => found,
-            DataOutcome::Flag(_) => None,
-        }
+        self.routed(tenant, key, |state, slot, id| {
+            let found = state.get(slot, tenant, id, key);
+            found.map(|v| (v.flags, v.data.clone()))
+        })
     }
 
     /// Stores a key for one tenant unconditionally. Returns `false` only
     /// if the item could not be admitted.
     pub fn set_for(&self, tenant: usize, key: &[u8], flags: u32, data: Bytes) -> bool {
-        matches!(
-            self.run(tenant, key, DataVerb::Set { flags, data }),
-            DataOutcome::Flag(true)
-        )
+        self.routed(tenant, key, |state, slot, id| {
+            let key = Bytes::copy_from_slice(key);
+            state.store(
+                slot,
+                tenant,
+                id,
+                StoreVerb::Set,
+                StoredValue { key, flags, data },
+            )
+        })
     }
 
     /// Deletes a key for one tenant; returns whether it was present.
     pub fn delete_for(&self, tenant: usize, key: &[u8]) -> bool {
-        matches!(
-            self.run(tenant, key, DataVerb::Delete),
-            DataOutcome::Flag(true)
-        )
+        self.routed(tenant, key, |state, slot, id| {
+            state.delete(slot, tenant, id, key)
+        })
     }
 }
 

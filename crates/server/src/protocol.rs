@@ -6,7 +6,8 @@
 //! Parsing is incremental over a byte buffer so a connection handler can
 //! feed it whatever the socket delivers.
 //!
-//! Two parsing entry points share the same grammar:
+//! Two parsing entry points share one grammar (`parse_line`, over borrowed
+//! byte tokens — no `String`, integers parsed from the bytes):
 //!
 //! * [`parse_command`] — stateless: a store command whose data block has not
 //!   fully arrived consumes nothing and returns
@@ -17,6 +18,13 @@
 //!   trickles in over many reads costs one header parse total and the
 //!   parser only ever waits for the exact number of data bytes outstanding.
 //!   This is what the event-driven connection state machine uses.
+//!
+//! Both work on a slice cursor and consume by advancing it, so parsing a
+//! pipelined batch copies nothing and costs the same per command however
+//! much input waits behind it. The public functions wrap that in
+//! `&mut BytesMut` in, owned [`Command`] out; the connection calls
+//! `Parser::next_request` on the slice itself and gets a `get`'s keys still
+//! borrowed from its input buffer.
 //!
 //! # The `app` extension
 //!
@@ -31,6 +39,7 @@
 //! pre-extension protocol.
 
 use bytes::{Bytes, BytesMut};
+use std::io::Write;
 
 /// A parsed client command.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -174,14 +183,55 @@ pub struct Value {
 
 /// The outcome of trying to parse one command from a buffer.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ParseOutcome {
+pub enum ParseOutcome<C = Command> {
     /// A complete command was parsed and consumed from the buffer.
-    Complete(Command),
+    Complete(C),
     /// More bytes are needed.
     Incomplete,
     /// The buffer starts with something that is not a valid command; the
     /// offending line has been consumed.
     Invalid(String),
+}
+
+/// The whitespace-separated tokens of a command line, borrowed from it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct Tokens<'a>(&'a [u8]);
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = &'a [u8];
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let start = self.0.iter().position(|b| !b.is_ascii_whitespace())?;
+        let rest = &self.0[start..];
+        let end = rest
+            .iter()
+            .position(u8::is_ascii_whitespace)
+            .unwrap_or(rest.len());
+        self.0 = &rest[end..];
+        Some(&rest[..end])
+    }
+}
+
+/// A command as the connection executes it: a `get`'s keys still borrow the
+/// input buffer, so looking one up allocates nothing; every other command
+/// owns what it carries (a store's key and data move into the cache).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) enum Request<'a> {
+    Get(Tokens<'a>),
+    Other(Command),
+}
+
+impl ParseOutcome<Request<'_>> {
+    /// The outcome the public entry points return: keys copied out.
+    fn into_owned(self) -> ParseOutcome {
+        match self {
+            ParseOutcome::Complete(Request::Get(keys)) => ParseOutcome::Complete(Command::Get {
+                keys: keys.map(Bytes::copy_from_slice).collect(),
+            }),
+            ParseOutcome::Complete(Request::Other(command)) => ParseOutcome::Complete(command),
+            ParseOutcome::Incomplete => ParseOutcome::Incomplete,
+            ParseOutcome::Invalid(message) => ParseOutcome::Invalid(message),
+        }
+    }
 }
 
 /// A store command whose header line has been parsed but whose data block
@@ -197,126 +247,145 @@ struct PendingStore {
 }
 
 impl PendingStore {
-    /// Completes the store with its data block.
-    fn complete(self, data: Bytes) -> Command {
-        Command::Store {
+    /// Bytes the data block takes on the wire: the payload and its CRLF.
+    fn needed(&self) -> usize {
+        self.bytes.saturating_add(2)
+    }
+
+    /// Completes the store with the data block at the front of `input`
+    /// (`bytes` of payload, then CRLF), consuming it.
+    fn complete(self, input: &mut &[u8]) -> ParseOutcome<Request<'static>> {
+        let (block, rest) = input.split_at(self.needed());
+        *input = rest;
+        if &block[self.bytes..] != b"\r\n" {
+            return ParseOutcome::Invalid("bad data chunk terminator".to_string());
+        }
+        ParseOutcome::Complete(Request::Other(Command::Store {
             verb: self.verb,
             key: self.key,
             flags: self.flags,
             exptime: self.exptime,
-            data,
+            data: Bytes::copy_from_slice(&block[..self.bytes]),
             noreply: self.noreply,
-        }
+        }))
     }
 }
 
 /// The outcome of parsing one complete command line (without its data
 /// block, for store verbs).
-enum LineOutcome {
-    Complete(Command),
+enum LineOutcome<'a> {
+    Complete(Request<'a>),
     Store(PendingStore),
     Invalid(String),
 }
 
-/// Parses one command line (CRLF excluded). Shared by the stateless
-/// [`parse_command`] and the resumable [`Parser`], so the two entry points
-/// cannot drift apart.
-fn parse_line(line: &[u8]) -> LineOutcome {
-    let line_str = String::from_utf8_lossy(line).to_string();
-    let mut parts = line_str.split_ascii_whitespace();
+/// Parses one decimal token; a missing or malformed one is `None`.
+fn number<T: std::str::FromStr>(token: Option<&[u8]>) -> Option<T> {
+    std::str::from_utf8(token?).ok()?.parse().ok()
+}
+
+/// Parses one command line (CRLF excluded) into borrowed tokens. Shared by
+/// the stateless [`parse_command`] and the resumable [`Parser`], so the two
+/// entry points cannot drift apart.
+fn parse_line(line: &[u8]) -> LineOutcome<'_> {
+    let complete = |command| LineOutcome::Complete(Request::Other(command));
+    let invalid = |message: &str| LineOutcome::Invalid(message.to_string());
+    let mut parts = Tokens(line);
     let Some(verb) = parts.next() else {
-        return LineOutcome::Invalid("empty command".to_string());
+        return invalid("empty command");
     };
     match verb {
-        "get" | "gets" => {
-            let keys: Vec<Bytes> = parts
-                .map(|k| Bytes::copy_from_slice(k.as_bytes()))
-                .collect();
-            if keys.is_empty() {
-                LineOutcome::Invalid("get requires at least one key".to_string())
-            } else {
-                LineOutcome::Complete(Command::Get { keys })
-            }
-        }
-        "set" | "add" | "replace" => {
+        b"get" | b"gets" => match parts.clone().next() {
+            Some(_) => LineOutcome::Complete(Request::Get(parts)),
+            None => invalid("get requires at least one key"),
+        },
+        b"set" | b"add" | b"replace" => {
             let verb = match verb {
-                "set" => StoreVerb::Set,
-                "add" => StoreVerb::Add,
+                b"set" => StoreVerb::Set,
+                b"add" => StoreVerb::Add,
                 _ => StoreVerb::Replace,
             };
-            let key = parts.next().map(str::to_string);
-            let flags = parts.next().and_then(|s| s.parse::<u32>().ok());
-            let exptime = parts.next().and_then(|s| s.parse::<u32>().ok());
-            let bytes = parts.next().and_then(|s| s.parse::<usize>().ok());
-            let noreply = parts.next() == Some("noreply");
+            let key = parts.next();
+            let flags = number::<u32>(parts.next());
+            let exptime = number::<u32>(parts.next());
+            let bytes = number::<usize>(parts.next());
+            let noreply = parts.next() == Some(b"noreply");
             let (Some(key), Some(flags), Some(exptime), Some(bytes)) = (key, flags, exptime, bytes)
             else {
-                return LineOutcome::Invalid("bad store command".to_string());
+                return invalid("bad store command");
             };
             LineOutcome::Store(PendingStore {
                 verb,
-                key: Bytes::copy_from_slice(key.as_bytes()),
+                key: Bytes::copy_from_slice(key),
                 flags,
                 exptime,
                 bytes,
                 noreply,
             })
         }
-        "delete" => {
-            let key = parts.next().map(str::to_string);
-            let noreply = parts.next() == Some("noreply");
-            match key {
-                Some(key) => LineOutcome::Complete(Command::Delete {
-                    key: Bytes::copy_from_slice(key.as_bytes()),
-                    noreply,
-                }),
-                None => LineOutcome::Invalid("delete requires a key".to_string()),
-            }
-        }
-        "app" => {
-            let id = parts.next().map(str::to_string);
-            let extra = parts.next().is_some();
-            match id {
-                Some(id) if !extra => LineOutcome::Complete(Command::App {
-                    id: Bytes::copy_from_slice(id.as_bytes()),
-                }),
-                Some(_) => LineOutcome::Invalid("app takes exactly one name".to_string()),
-                None => LineOutcome::Invalid("app requires a name".to_string()),
-            }
-        }
-        "app_create" => {
-            let name = parts.next().map(str::to_string);
-            let weight = parts.next().and_then(|w| w.parse::<u64>().ok());
-            let extra = parts.next().is_some();
-            match (name, weight) {
-                (Some(name), Some(weight)) if weight >= 1 && !extra => {
-                    LineOutcome::Complete(Command::AppCreate {
-                        name: Bytes::copy_from_slice(name.as_bytes()),
-                        weight,
-                    })
-                }
-                _ => LineOutcome::Invalid(
-                    "app_create takes a name and an integer weight >= 1".to_string(),
-                ),
-            }
-        }
-        "app_list" => LineOutcome::Complete(Command::AppList),
-        "stats" => {
+        b"delete" => match parts.next() {
+            Some(key) => complete(Command::Delete {
+                key: Bytes::copy_from_slice(key),
+                noreply: parts.next() == Some(b"noreply"),
+            }),
+            None => invalid("delete requires a key"),
+        },
+        b"app" => match (parts.next(), parts.next()) {
+            (Some(id), None) => complete(Command::App {
+                id: Bytes::copy_from_slice(id),
+            }),
+            (Some(_), Some(_)) => invalid("app takes exactly one name"),
+            (None, _) => invalid("app requires a name"),
+        },
+        b"app_create" => match (parts.next(), number::<u64>(parts.next()), parts.next()) {
+            (Some(name), Some(weight), None) if weight >= 1 => complete(Command::AppCreate {
+                name: Bytes::copy_from_slice(name),
+                weight,
+            }),
+            _ => invalid("app_create takes a name and an integer weight >= 1"),
+        },
+        b"app_list" => complete(Command::AppList),
+        b"stats" => {
             let format = match (parts.next(), parts.next()) {
-                (None, _) => Some(StatsFormat::Text),
-                (Some("json"), None) => Some(StatsFormat::Json),
-                (Some("prom"), None) => Some(StatsFormat::Prom),
-                _ => None,
+                (None, _) => StatsFormat::Text,
+                (Some(b"json"), None) => StatsFormat::Json,
+                (Some(b"prom"), None) => StatsFormat::Prom,
+                _ => return invalid("stats takes at most one of: json, prom"),
             };
-            match format {
-                Some(format) => LineOutcome::Complete(Command::Stats { format }),
-                None => LineOutcome::Invalid("stats takes at most one of: json, prom".to_string()),
-            }
+            complete(Command::Stats { format })
         }
-        "version" => LineOutcome::Complete(Command::Version),
-        "flush_all" => LineOutcome::Complete(Command::FlushAll),
-        "quit" => LineOutcome::Complete(Command::Quit),
-        other => LineOutcome::Invalid(format!("unknown command {other}")),
+        b"version" => complete(Command::Version),
+        b"flush_all" => complete(Command::FlushAll),
+        b"quit" => complete(Command::Quit),
+        other => LineOutcome::Invalid(format!(
+            "unknown command {}",
+            String::from_utf8_lossy(other)
+        )),
+    }
+}
+
+/// [`parse_command`] over a slice cursor: `input` is advanced past what was
+/// consumed.
+fn parse_stateless<'a>(input: &mut &'a [u8]) -> ParseOutcome<Request<'a>> {
+    let all = *input;
+    let Some(line_end) = find_crlf(all) else {
+        return ParseOutcome::Incomplete;
+    };
+    let rest = &all[line_end + 2..];
+    match parse_line(&all[..line_end]) {
+        LineOutcome::Complete(request) => {
+            *input = rest;
+            ParseOutcome::Complete(request)
+        }
+        LineOutcome::Invalid(message) => {
+            *input = rest;
+            ParseOutcome::Invalid(message)
+        }
+        LineOutcome::Store(pending) if rest.len() < pending.needed() => ParseOutcome::Incomplete,
+        LineOutcome::Store(pending) => {
+            *input = rest;
+            pending.complete(input)
+        }
     }
 }
 
@@ -324,33 +393,20 @@ fn parse_line(line: &[u8]) -> LineOutcome {
 /// bytes it used. A store command whose data block is not fully buffered
 /// consumes nothing (see [`Parser`] for the resumable alternative).
 pub fn parse_command(buffer: &mut BytesMut) -> ParseOutcome {
-    let Some(line_end) = find_crlf(buffer, 0) else {
-        return ParseOutcome::Incomplete;
-    };
-    match parse_line(&buffer[..line_end]) {
-        LineOutcome::Complete(command) => {
-            buffer.advance_checked(line_end + 2);
-            ParseOutcome::Complete(command)
-        }
-        LineOutcome::Invalid(message) => {
-            buffer.advance_checked(line_end + 2);
-            ParseOutcome::Invalid(message)
-        }
-        LineOutcome::Store(pending) => {
-            // The data block is <bytes> bytes followed by CRLF.
-            let needed = line_end + 2 + pending.bytes + 2;
-            if buffer.len() < needed {
-                return ParseOutcome::Incomplete;
-            }
-            let data = Bytes::copy_from_slice(&buffer[line_end + 2..line_end + 2 + pending.bytes]);
-            let ok = &buffer[line_end + 2 + pending.bytes..needed] == b"\r\n";
-            buffer.advance_checked(needed);
-            if !ok {
-                return ParseOutcome::Invalid("bad data chunk terminator".to_string());
-            }
-            ParseOutcome::Complete(pending.complete(data))
-        }
-    }
+    parse_owned(buffer, parse_stateless)
+}
+
+/// Runs a slice-cursor parser over `buffer`: what it consumed is advanced
+/// past, and the command it yields is copied out of the buffer.
+fn parse_owned(
+    buffer: &mut BytesMut,
+    parse: impl for<'a> FnOnce(&mut &'a [u8]) -> ParseOutcome<Request<'a>>,
+) -> ParseOutcome {
+    let mut input = &buffer[..];
+    let outcome = parse(&mut input).into_owned();
+    let used = buffer.len() - input.len();
+    buffer.advance(used);
+    outcome
 }
 
 /// The largest data block the resumable parser will buffer. Values past
@@ -417,26 +473,26 @@ impl Parser {
     /// Attempts to parse one command from the front of `buffer`, consuming
     /// the bytes it used and stashing mid-command state on `self`.
     pub fn parse(&mut self, buffer: &mut BytesMut) -> ParseOutcome {
+        parse_owned(buffer, |input| self.next_request(input))
+    }
+
+    /// [`Parser::parse`] over a slice cursor, which is how the connection
+    /// calls it: `input` is advanced past what was consumed, and a `get`
+    /// hands its keys back borrowed from the bytes it was given.
+    pub(crate) fn next_request<'a>(&mut self, input: &mut &'a [u8]) -> ParseOutcome<Request<'a>> {
         loop {
+            let all = *input;
             match std::mem::take(&mut self.state) {
                 ParseState::Data(pending) => {
-                    let needed = pending.bytes + 2;
-                    if buffer.len() < needed {
+                    if all.len() < pending.needed() {
                         self.state = ParseState::Data(pending);
                         return ParseOutcome::Incomplete;
                     }
-                    let data = Bytes::copy_from_slice(&buffer[..pending.bytes]);
-                    let ok = &buffer[pending.bytes..needed] == b"\r\n";
-                    buffer.advance_checked(needed);
-                    return if ok {
-                        ParseOutcome::Complete(pending.complete(data))
-                    } else {
-                        ParseOutcome::Invalid("bad data chunk terminator".to_string())
-                    };
+                    return pending.complete(input);
                 }
                 ParseState::DiscardData { remaining, message } => {
-                    let drop = remaining.min(buffer.len());
-                    buffer.advance_checked(drop);
+                    let drop = remaining.min(all.len());
+                    *input = &all[drop..];
                     if drop < remaining {
                         self.state = ParseState::DiscardData {
                             remaining: remaining - drop,
@@ -446,34 +502,33 @@ impl Parser {
                     }
                     return ParseOutcome::Invalid(message.to_string());
                 }
-                ParseState::DiscardLine => match find_crlf(buffer, 0) {
+                ParseState::DiscardLine => match find_crlf(all) {
                     Some(line_end) => {
-                        buffer.advance_checked(line_end + 2);
+                        *input = &all[line_end + 2..];
                         return ParseOutcome::Invalid("command line too long".to_string());
                     }
                     None => {
-                        discard_keeping_split_cr(buffer);
+                        discard_keeping_split_cr(input);
                         self.state = ParseState::DiscardLine;
                         return ParseOutcome::Incomplete;
                     }
                 },
                 ParseState::Idle => {
-                    let Some(line_end) = find_crlf(buffer, 0) else {
-                        if buffer.len() > MAX_LINE_BYTES {
-                            discard_keeping_split_cr(buffer);
+                    let Some(line_end) = find_crlf(all) else {
+                        if all.len() > MAX_LINE_BYTES {
+                            discard_keeping_split_cr(input);
                             self.state = ParseState::DiscardLine;
                         }
                         return ParseOutcome::Incomplete;
                     };
-                    let outcome = parse_line(&buffer[..line_end]);
-                    buffer.advance_checked(line_end + 2);
-                    match outcome {
-                        LineOutcome::Complete(command) => return ParseOutcome::Complete(command),
+                    *input = &all[line_end + 2..];
+                    match parse_line(&all[..line_end]) {
+                        LineOutcome::Complete(request) => return ParseOutcome::Complete(request),
                         LineOutcome::Invalid(message) => return ParseOutcome::Invalid(message),
                         LineOutcome::Store(pending) if pending.bytes > MAX_DATA_BYTES => {
                             // Swallow the declared block + CRLF unbuffered.
                             self.state = ParseState::DiscardData {
-                                remaining: pending.bytes + 2,
+                                remaining: pending.needed(),
                                 message: "object too large for cache",
                             };
                         }
@@ -486,82 +541,71 @@ impl Parser {
     }
 }
 
-/// Serialises a response into the wire format.
+/// Appends one hit of a `get` reply: the `VALUE` header and the data block.
+pub(crate) fn encode_value(key: &[u8], flags: u32, data: &[u8], out: &mut Vec<u8>) {
+    out.extend_from_slice(b"VALUE ");
+    out.extend_from_slice(key);
+    let _ = write!(out, " {flags} {}\r\n", data.len());
+    out.extend_from_slice(data);
+    out.extend_from_slice(b"\r\n");
+}
+
+/// Serialises a response into the wire format. Formatting goes straight
+/// into `out` (writing to a `Vec` cannot fail), so no reply allocates.
 pub fn encode_response(response: &Response, out: &mut Vec<u8>) {
-    match response {
+    let _ = match response {
         Response::Values(values) => {
             for v in values {
-                out.extend_from_slice(b"VALUE ");
-                out.extend_from_slice(&v.key);
-                out.extend_from_slice(format!(" {} {}\r\n", v.flags, v.data.len()).as_bytes());
-                out.extend_from_slice(&v.data);
-                out.extend_from_slice(b"\r\n");
+                encode_value(&v.key, v.flags, &v.data, out);
             }
-            out.extend_from_slice(b"END\r\n");
+            out.write_all(b"END\r\n")
         }
-        Response::Stored => out.extend_from_slice(b"STORED\r\n"),
-        Response::NotStored => out.extend_from_slice(b"NOT_STORED\r\n"),
-        Response::Deleted => out.extend_from_slice(b"DELETED\r\n"),
-        Response::NotFound => out.extend_from_slice(b"NOT_FOUND\r\n"),
-        Response::Ok => out.extend_from_slice(b"OK\r\n"),
-        Response::Version(v) => out.extend_from_slice(format!("VERSION {v}\r\n").as_bytes()),
+        Response::Stored => out.write_all(b"STORED\r\n"),
+        Response::NotStored => out.write_all(b"NOT_STORED\r\n"),
+        Response::Deleted => out.write_all(b"DELETED\r\n"),
+        Response::NotFound => out.write_all(b"NOT_FOUND\r\n"),
+        Response::Ok => out.write_all(b"OK\r\n"),
+        Response::Version(v) => write!(out, "VERSION {v}\r\n"),
         Response::Stats(stats) => {
             for (name, value) in stats {
-                out.extend_from_slice(format!("STAT {name} {value}\r\n").as_bytes());
+                let _ = write!(out, "STAT {name} {value}\r\n");
             }
-            out.extend_from_slice(b"END\r\n");
+            out.write_all(b"END\r\n")
         }
         Response::Blob(payload) => {
             out.extend_from_slice(payload.as_bytes());
             if !payload.ends_with('\n') {
                 out.extend_from_slice(b"\r\n");
             }
-            out.extend_from_slice(b"END\r\n");
+            out.write_all(b"END\r\n")
         }
         Response::Apps(apps) => {
             for app in apps {
-                out.extend_from_slice(
-                    format!("APP {} {} {}\r\n", app.name, app.weight, app.budget_bytes).as_bytes(),
+                let _ = write!(
+                    out,
+                    "APP {} {} {}\r\n",
+                    app.name, app.weight, app.budget_bytes
                 );
             }
-            out.extend_from_slice(b"END\r\n");
+            out.write_all(b"END\r\n")
         }
-        Response::ClientError(msg) => {
-            out.extend_from_slice(format!("CLIENT_ERROR {msg}\r\n").as_bytes())
-        }
-        Response::ServerError(msg) => {
-            out.extend_from_slice(format!("SERVER_ERROR {msg}\r\n").as_bytes())
-        }
-        Response::Error => out.extend_from_slice(b"ERROR\r\n"),
-    }
+        Response::ClientError(msg) => write!(out, "CLIENT_ERROR {msg}\r\n"),
+        Response::ServerError(msg) => write!(out, "SERVER_ERROR {msg}\r\n"),
+        Response::Error => out.write_all(b"ERROR\r\n"),
+    };
 }
 
-/// Discards a CRLF-less buffer, retaining a trailing `\r`: the line's
+/// Discards a CRLF-less input, retaining a trailing `\r`: the line's
 /// terminator may straddle a read boundary (`…\r` now, `\n` next read),
 /// and dropping the `\r` would make the discard overrun into the *next*
 /// command's line — desynchronizing every later pipelined response.
-fn discard_keeping_split_cr(buffer: &mut BytesMut) {
-    let keep = usize::from(buffer.last() == Some(&b'\r'));
-    let drop = buffer.len() - keep;
-    let _ = buffer.split_to(drop);
+fn discard_keeping_split_cr(input: &mut &[u8]) {
+    let keep = usize::from(input.last() == Some(&b'\r'));
+    *input = &input[input.len() - keep..];
 }
 
-fn find_crlf(buffer: &[u8], from: usize) -> Option<usize> {
-    buffer[from..]
-        .windows(2)
-        .position(|w| w == b"\r\n")
-        .map(|p| p + from)
-}
-
-trait AdvanceChecked {
-    fn advance_checked(&mut self, n: usize);
-}
-
-impl AdvanceChecked for BytesMut {
-    fn advance_checked(&mut self, n: usize) {
-        let n = n.min(self.len());
-        let _ = self.split_to(n);
-    }
+fn find_crlf(buffer: &[u8]) -> Option<usize> {
+    buffer.windows(2).position(|w| w == b"\r\n")
 }
 
 #[cfg(test)]

@@ -527,11 +527,10 @@ impl EventLoop {
                 LoopMsg::DataReply {
                     token,
                     seq,
-                    slot,
                     outcome,
                 } => {
                     if let Some(conn) = self.conns.get_mut(&token) {
-                        conn.on_data_reply(seq, slot, outcome);
+                        conn.on_data_reply(seq, outcome);
                         touched.push(token);
                     }
                 }

@@ -1,0 +1,204 @@
+//! Allocation and copy budgets of the connection's byte path.
+//!
+//! A request byte is copied once by the kernel into the connection's input
+//! buffer and consumed there through a cursor; a GET hit's payload is copied
+//! once from the stored item onto the output buffer. Nothing on that path
+//! allocates for a GET, and a SET allocates its stored key and its stored
+//! data. This test holds the server to those figures with a counting global
+//! allocator: counts, not timings, so the budgets hold on any host.
+//!
+//! The budgets sit well above what a readiness pass itself allocates (the
+//! history sample in `LoopState::observe`, once per `epoll_wait` return) and
+//! an order of magnitude under what the path cost when every command
+//! `split_to`-copied the unparsed rest of the buffer: 7 allocations per GET
+//! and per SET, and ≈ 1.3 GB allocated to serve one 256 KB pipelined write.
+//!
+//! One `#[test]` on purpose: the allocator counts every thread of the
+//! process, so nothing else may run while it is armed. The client half
+//! pre-builds its request bytes and pre-sizes its read buffer, and allocates
+//! nothing while counting.
+
+use cache_server::{BackendConfig, CacheClient, CacheServer, ServerConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Barrier;
+
+static ARMED: AtomicBool = AtomicBool::new(false);
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// The system allocator, counting calls and newly allocated bytes while
+/// armed. A growing `realloc` is one call and its growth in bytes.
+struct Counting;
+
+fn count(bytes: usize) {
+    if ARMED.load(Ordering::Relaxed) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters are plain atomics and
+// never allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller's `layout` is passed through as it came.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` and `layout` are the caller's, from this allocator,
+        // which only ever hands out `System`'s blocks.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size.saturating_sub(layout.size()));
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Runs `run` with the allocator armed; returns `(calls, bytes)`.
+fn counted(run: impl FnOnce()) -> (u64, u64) {
+    ALLOCS.store(0, Ordering::Relaxed);
+    BYTES.store(0, Ordering::Relaxed);
+    ARMED.store(true, Ordering::SeqCst);
+    run();
+    ARMED.store(false, Ordering::SeqCst);
+    (
+        ALLOCS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    )
+}
+
+const KEYS: usize = 64;
+const VALUE: [u8; 64] = [b'v'; 64];
+const DEPTH: usize = 64;
+
+/// Counted rounds per verb: 200 per push, `BYTE_PATH_ROUNDS` overrides
+/// (nightly.yml runs 20 x that).
+fn rounds() -> usize {
+    std::env::var("BYTE_PATH_ROUNDS")
+        .ok()
+        .and_then(|rounds| rounds.parse().ok())
+        .unwrap_or(200)
+}
+
+fn key(i: usize) -> String {
+    format!("byte-path-key-{:04}", i % KEYS)
+}
+
+/// The bytes of a hit on `key(i)`.
+fn hit(i: usize) -> Vec<u8> {
+    let mut reply = format!("VALUE {} 0 {}\r\n", key(i), VALUE.len()).into_bytes();
+    reply.extend_from_slice(&VALUE);
+    reply.extend_from_slice(b"\r\nEND\r\n");
+    reply
+}
+
+/// Sends `request` and reads `reply.len()` bytes back `rounds` times over,
+/// checking the last reply, with the allocator armed. Returns the
+/// allocations per operation at `DEPTH` operations per round.
+fn steady_state(stream: &mut TcpStream, request: &[u8], reply: &[u8], rounds: usize) -> f64 {
+    let mut got = vec![0u8; reply.len()];
+    let round = |stream: &mut TcpStream, got: &mut [u8]| {
+        stream.write_all(request).unwrap();
+        stream.read_exact(got).unwrap();
+    };
+    // Buffers, maps and the history ring reach their steady size first.
+    for _ in 0..20 {
+        round(stream, &mut got);
+    }
+    let (allocs, _) = counted(|| {
+        for _ in 0..rounds {
+            round(stream, &mut got);
+        }
+    });
+    assert_eq!(got, reply, "the counted replies must be the expected ones");
+    allocs as f64 / (rounds * DEPTH) as f64
+}
+
+#[test]
+fn the_byte_path_stays_inside_its_allocation_and_copy_budgets() {
+    let server = CacheServer::start(ServerConfig {
+        workers: 1,
+        backend: BackendConfig {
+            shards: 1,
+            ..BackendConfig::default()
+        },
+        ..ServerConfig::default()
+    })
+    .expect("server must start");
+    let mut client = CacheClient::connect(server.local_addr()).unwrap();
+    for i in 0..KEYS {
+        assert!(client.set(key(i).as_bytes(), 0, &VALUE).unwrap());
+    }
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+
+    // (a) 64-deep pipelined single-key GET hits, then SETs of the same keys.
+    let gets: Vec<u8> = (0..DEPTH)
+        .flat_map(|i| format!("get {}\r\n", key(i)).into_bytes())
+        .collect();
+    let hits: Vec<u8> = (0..DEPTH).flat_map(hit).collect();
+    let per_get = steady_state(&mut stream, &gets, &hits, rounds());
+    assert!(
+        per_get <= 0.25,
+        "a pipelined GET hit costs {per_get:.3} allocations; the budget is 0.25"
+    );
+    let sets: Vec<u8> = (0..DEPTH)
+        .flat_map(|i| {
+            let mut set = format!("set {} 0 0 {}\r\n", key(i), VALUE.len()).into_bytes();
+            set.extend_from_slice(&VALUE);
+            set.extend_from_slice(b"\r\n");
+            set
+        })
+        .collect();
+    let stored = b"STORED\r\n".repeat(DEPTH);
+    let per_set = steady_state(&mut stream, &sets, &stored, rounds());
+    assert!(
+        per_set <= 2.25,
+        "a pipelined SET costs {per_set:.3} allocations; the budget is 2.25 (key and data)"
+    );
+
+    // (b) One 256 KB write of pipelined GETs: what the server allocates to
+    // serve it is bounded by the bytes that cross the socket, not by the
+    // number of commands times the bytes still unparsed behind each.
+    let commands = (256 << 10) / (gets.len() / DEPTH);
+    let burst: Vec<u8> = (0..commands)
+        .flat_map(|i| format!("get {}\r\n", key(i)).into_bytes())
+        .collect();
+    let expected: Vec<u8> = (0..commands).flat_map(hit).collect();
+    let mut got = vec![0u8; expected.len()];
+    let start = Barrier::new(2);
+    let writer = stream.try_clone().unwrap();
+    let (_, bytes) = std::thread::scope(|scope| {
+        // The writer is spawned (which allocates) before counting starts.
+        scope.spawn(|| {
+            start.wait();
+            (&writer).write_all(&burst).unwrap();
+        });
+        counted(|| {
+            start.wait();
+            stream.read_exact(&mut got).unwrap();
+        })
+    });
+    assert!(got == expected, "every pipelined GET must hit, in order");
+    let budget = 2 * (burst.len() + expected.len()) as u64;
+    println!("allocations per GET {per_get:.3}, per SET {per_set:.3}; burst of {commands} GETs allocated {bytes} of {budget} bytes");
+    assert!(
+        bytes <= budget,
+        "serving {} pipelined GETs in one {} KB write allocated {bytes} bytes; \
+         the budget is {budget} (2 x the bytes sent plus received)",
+        commands,
+        burst.len() >> 10
+    );
+}

@@ -148,6 +148,41 @@ fn parse_split_resumable(stream: &[u8], cuts: &[usize]) -> (Vec<ParseOutcome>, V
     (outcomes, buffer.to_vec(), parser.mid_command())
 }
 
+/// Feeds the resumable [`Parser`] a byte at a time, and after every command
+/// it yields appends the next `refills[i]` bytes of the stream before
+/// parsing on. The buffer then holds a consumed prefix, whole commands not
+/// yet parsed and a partial one when the refill lands — the states in which
+/// an append has to reclaim the prefix (the buffer starts small, so appends
+/// run out of spare capacity all the time).
+fn parse_with_refills(stream: &[u8], refills: &[usize]) -> (Vec<ParseOutcome>, Vec<u8>, bool) {
+    let mut parser = Parser::new();
+    let mut buffer = BytesMut::with_capacity(16);
+    let mut outcomes = Vec::new();
+    let mut offset = 0;
+    let mut feed = |buffer: &mut BytesMut, n: usize| {
+        let end = (offset + n).min(stream.len());
+        buffer.extend_from_slice(&stream[offset..end]);
+        offset = end;
+        offset == stream.len()
+    };
+    let mut refill = refills.iter().cycle();
+    loop {
+        let fed_all = feed(&mut buffer, 1);
+        loop {
+            match parser.parse(&mut buffer) {
+                ParseOutcome::Incomplete => break,
+                outcome => {
+                    outcomes.push(outcome);
+                    feed(&mut buffer, *refill.next().unwrap_or(&0));
+                }
+            }
+        }
+        if fed_all {
+            return (outcomes, buffer.to_vec(), parser.mid_command());
+        }
+    }
+}
+
 fn key_strategy() -> impl Strategy<Value = String> {
     prop::collection::vec(0usize..36, 1..9).prop_map(|digits| {
         digits
@@ -263,5 +298,22 @@ proptest! {
         // The truncated outcomes must be a prefix of the full outcomes.
         prop_assert!(truncated.len() <= full.len());
         prop_assert_eq!(&full[..truncated.len()], &truncated[..]);
+    }
+
+    /// One buffer holding the whole script, and the same script fed a byte
+    /// at a time with arbitrary refills between commands, parse alike: the
+    /// input buffer is consumed through a cursor and compacted on refill,
+    /// and no refill boundary may lose, repeat or reorder a byte.
+    #[test]
+    fn refills_between_commands_change_nothing(
+        items in prop::collection::vec(item_strategy(), 0..24),
+        refills in prop::collection::vec(0usize..160, 1..12),
+    ) {
+        let stream = render(&items);
+        let (whole, _) = parse_unsplit(&stream);
+        let (refilled, rest, mid_command) = parse_with_refills(&stream, &refills);
+        prop_assert_eq!(&whole, &refilled);
+        prop_assert_eq!(rest.len(), 0);
+        prop_assert!(!mid_command);
     }
 }

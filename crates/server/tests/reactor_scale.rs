@@ -13,6 +13,8 @@
 //!   vanishes with a ring full of forwarded ops leaks nothing and its late
 //!   replies are dropped, and one that pipelines far more remote reads than
 //!   it ever reads back is held to the output watermark plus one ring;
+//! * retained input capacity — 200 connections that each send a 1 MB
+//!   pipelined burst and go idle give the burst's buffers back;
 //! * the shared-nothing contract — every data op executes on the loop
 //!   that owns the key's shard (locally or via one forwarded message),
 //!   `flush_all` and tenant-table growth ride the control plane without
@@ -250,6 +252,9 @@ fn connect_with_remote_key(server: &CacheServer) -> (TcpStream, String) {
 fn a_client_that_vanishes_mid_ring_leaks_nothing() {
     let server = start_server(2, 64);
     let mut probe = CacheClient::connect(server.local_addr()).unwrap();
+    // A round trip first: `connect` returns before the acceptor has counted
+    // the probe, and a baseline of 0 could never be returned to.
+    assert!(probe.set(b"still", 0, b"serving").unwrap());
     let baseline = plane_stat(&server, "curr_connections");
     for _ in 0..20 {
         let (mut stream, key) = connect_with_remote_key(&server);
@@ -364,6 +369,80 @@ fn remote_reads_nobody_reads_back_are_held_to_the_watermark() {
     assert!(
         replies.chunks(reply.len()).all(|chunk| chunk == reply),
         "replies arrive framed and in order"
+    );
+}
+
+/// The process's resident set, in bytes.
+fn resident_bytes() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap();
+    let line = status.lines().find(|l| l.starts_with("VmRSS:")).unwrap();
+    let kb: u64 = line.split_whitespace().nth(1).unwrap().parse().unwrap();
+    kb << 10
+}
+
+/// A burst must not pin memory: a fill pass reads up to 256 KB into a
+/// connection's input buffer (and one value may be 16 MB), so the buffer
+/// grows under a pipelined burst — and has to fall back to a few read
+/// chunks once the burst is parsed, or every connection that ever burst
+/// keeps its high-water mark for life. 200 connections send 1 MB of
+/// pipelined `noreply` stores each (no replies, a handful of keys: neither
+/// output buffers nor the cache grow) and go idle; the process's resident
+/// set may end at most 32 MB above where it started — 13 MB is what 200
+/// idle connections may keep (64 KB each), the rest is allocator slack. A
+/// buffer that kept its burst capacity holds about 100 MB here.
+///
+/// Resident memory belongs to the process, and this binary's other tests
+/// run beside this one, so the measurement re-executes the binary for this
+/// test alone.
+#[test]
+fn idle_connections_give_their_burst_buffers_back() {
+    const NAME: &str = "idle_connections_give_their_burst_buffers_back";
+    const ALONE: &str = "REACTOR_SCALE_BURST_ALONE";
+    if std::env::var_os(ALONE).is_none() {
+        let status = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", NAME, "--nocapture"])
+            .env(ALONE, "1")
+            .status()
+            .expect("re-executing the test binary");
+        assert!(status.success(), "the measurement run failed");
+        return;
+    }
+    const CONNECTIONS: usize = 200;
+    let server = start_server(2, 1024);
+    let mut burst = Vec::with_capacity(1 << 20);
+    for i in 0.. {
+        let store = format!("set burst-{} 0 0 1000 noreply\r\n", i % 8);
+        if burst.len() + store.len() + 1002 + 9 > 1 << 20 {
+            break;
+        }
+        burst.extend_from_slice(store.as_bytes());
+        burst.extend_from_slice(&[b'b'; 1000]);
+        burst.extend_from_slice(b"\r\n");
+    }
+    burst.extend_from_slice(b"version\r\n");
+    let round_trip = |stream: &mut TcpStream, request: &[u8]| {
+        stream.write_all(request).unwrap();
+        let mut reply = String::new();
+        BufReader::new(&*stream).read_line(&mut reply).unwrap();
+        assert!(reply.starts_with("VERSION "), "{reply:?}");
+    };
+    let mut fleet: Vec<TcpStream> = (0..CONNECTIONS)
+        .map(|_| TcpStream::connect(server.local_addr()).unwrap())
+        .collect();
+    for stream in &mut fleet {
+        round_trip(stream, b"version\r\n");
+    }
+    let before = resident_bytes();
+    for stream in &mut fleet {
+        // The `version` behind the burst answers once all of it is parsed.
+        round_trip(stream, &burst);
+    }
+    let grown = resident_bytes().saturating_sub(before);
+    println!("resident set grew by {} KB", grown >> 10);
+    assert!(
+        grown <= 32 << 20,
+        "{CONNECTIONS} idle connections hold {} MB more than before their bursts",
+        grown >> 20
     );
 }
 
