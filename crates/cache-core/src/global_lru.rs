@@ -6,65 +6,72 @@
 //! paper simulates exactly that idealised model — a global LRU with no
 //! fragmentation — and so do we.
 
-use crate::key::Key;
-use crate::policy::PolicyKind;
+use crate::key::{Key, KeyMap};
+use crate::policy::Token;
 use crate::queue::{CacheQueue, GetResult, QueueConfig, SetResult};
 use crate::stats::CacheStats;
 
-/// A cache with a single global eviction queue over bytes.
+/// A cache with a single global eviction queue over bytes: one index from
+/// key to (queue token, value) over one [`CacheQueue`].
 #[derive(Debug)]
 pub struct GlobalLruCache<V> {
-    queue: CacheQueue<V>,
+    queue: CacheQueue,
+    index: KeyMap<(Token, V)>,
 }
 
 impl<V> GlobalLruCache<V> {
     /// Creates a global-LRU cache with the given byte budget.
     pub fn new(total_bytes: u64) -> Self {
-        Self::with_policy(total_bytes, PolicyKind::Lru)
+        Self::with_config(QueueConfig::lru(total_bytes))
     }
 
-    /// Creates a global cache with an arbitrary eviction policy.
-    pub fn with_policy(total_bytes: u64, policy: PolicyKind) -> Self {
+    /// Creates a global cache over a queue of any configuration.
+    pub fn with_config(config: QueueConfig) -> Self {
         GlobalLruCache {
-            queue: CacheQueue::new(QueueConfig {
-                policy,
-                target_bytes: total_bytes,
-                tail_region_items: 0,
-                shadow_capacity: 0,
-            }),
-        }
-    }
-
-    /// Enables a shadow queue of `capacity` keys on the global queue.
-    pub fn with_shadow(total_bytes: u64, capacity: usize) -> Self {
-        GlobalLruCache {
-            queue: CacheQueue::new(QueueConfig {
-                policy: PolicyKind::Lru,
-                target_bytes: total_bytes,
-                tail_region_items: 0,
-                shadow_capacity: capacity,
-            }),
+            queue: CacheQueue::new(config),
+            index: KeyMap::default(),
         }
     }
 
     /// Looks up `key`.
     pub fn get(&mut self, key: Key) -> GetResult {
-        self.queue.get(key)
+        match self.index.get_mut(&key) {
+            Some((token, _)) => self.queue.hit(token),
+            None => self.queue.miss(key),
+        }
     }
 
     /// Stores `key` with a payload of `size` bytes.
     pub fn set(&mut self, key: Key, size: u64, value: V) -> SetResult {
-        self.queue.set(key, size, value)
+        let old = self.index.get(&key).map(|&(token, _)| token);
+        let result = self.queue.set(key, size, old);
+        for evicted in &result.evicted {
+            self.index.remove(evicted);
+        }
+        match result.token {
+            // Overwrites the old entry where it stands.
+            Some(token) => drop(self.index.insert(key, (token, value))),
+            // Turned away, or evicted by its own insertion: either way the
+            // copy it replaced is gone too.
+            None => drop(self.index.remove(&key)),
+        }
+        result
     }
 
     /// Deletes `key`.
     pub fn delete(&mut self, key: Key) -> bool {
-        self.queue.delete(key)
+        match self.index.remove(&key) {
+            Some((token, _)) => {
+                self.queue.remove(token);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Stored value for `key`.
     pub fn value(&self, key: Key) -> Option<&V> {
-        self.queue.value(key)
+        self.index.get(&key).map(|(_, value)| value)
     }
 
     /// Cumulative statistics.
@@ -89,17 +96,17 @@ impl<V> GlobalLruCache<V> {
 
     /// Number of resident items.
     pub fn len(&self) -> usize {
-        self.queue.len()
+        self.index.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+        self.index.is_empty()
     }
 
     /// The underlying queue (for allocators and tests).
-    pub fn queue_mut(&mut self) -> &mut CacheQueue<V> {
-        &mut self.queue
+    pub fn queue(&self) -> &CacheQueue {
+        &self.queue
     }
 }
 
@@ -139,7 +146,10 @@ mod tests {
 
     #[test]
     fn works_with_facebook_policy() {
-        let mut c: GlobalLruCache<()> = GlobalLruCache::with_policy(5_000, PolicyKind::Facebook);
+        let mut c: GlobalLruCache<()> = GlobalLruCache::with_config(QueueConfig {
+            policy: crate::PolicyKind::Facebook,
+            ..QueueConfig::lru(5_000)
+        });
         for i in 0..100 {
             c.set(key(i), 52, ());
         }
@@ -149,7 +159,10 @@ mod tests {
 
     #[test]
     fn shadow_queue_reports_near_misses() {
-        let mut c: GlobalLruCache<()> = GlobalLruCache::with_shadow(1_000, 64);
+        let mut c: GlobalLruCache<()> = GlobalLruCache::with_config(QueueConfig {
+            shadow_capacity: 64,
+            ..QueueConfig::lru(1_000)
+        });
         for i in 0..50 {
             c.set(key(i), 52, ());
         }

@@ -67,12 +67,35 @@ impl Hasher for KeyHasher {
     }
 
     fn write_u64(&mut self, value: u64) {
+        #[cfg(any(test, debug_assertions))]
+        probes::HASHED.with(|count| count.set(count.get() + 1));
         let h = (self.0 ^ value).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         self.0 = h ^ (h >> 32);
     }
 
     fn finish(&self) -> u64 {
         self.0
+    }
+}
+
+/// Counts the keys this thread has hashed for a [`KeyMap`], so tests can
+/// hold an operation to a number of index probes instead of timing it.
+/// Compiled into test and debug builds only; a release build hashes and
+/// counts nothing.
+#[cfg(any(test, debug_assertions))]
+#[doc(hidden)]
+pub mod probes {
+    use std::cell::Cell;
+
+    thread_local! {
+        pub(super) static HASHED: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// How many keys `run` hashed on this thread.
+    pub fn hashed_by<T>(run: impl FnOnce() -> T) -> (u64, T) {
+        let before = HASHED.with(Cell::get);
+        let out = run();
+        (HASHED.with(Cell::get) - before, out)
     }
 }
 
@@ -206,5 +229,108 @@ mod tests {
         assert_eq!(AppId::new(3).to_string(), "app3");
         assert_eq!(ClassId::new(9).to_string(), "slab9");
         assert_eq!(ClassId::new(9).index(), 9);
+    }
+
+    /// The engines' lookup cost, as a count of keys hashed for a `KeyMap`
+    /// (the engine's one index plus the key-only shadow indexes): counts,
+    /// so they hold on any host and fail on the first extra probe.
+    mod probe_counts {
+        use super::super::probes::hashed_by;
+        use super::*;
+        use crate::store::AllocationMode;
+        use crate::{GlobalLruCache, SlabCache, SlabCacheConfig};
+
+        /// A managed slab cache whose 64-byte class fits 4 items of 60 or
+        /// 61 bytes; with `shadow_bytes` every class queue has a shadow.
+        fn slab_cache(shadow_bytes: u64) -> SlabCache<u64> {
+            let mut cache = SlabCache::new(SlabCacheConfig {
+                mode: AllocationMode::Managed,
+                shadow_bytes,
+                ..SlabCacheConfig::default()
+            });
+            let class = cache.class_for_size(60).unwrap();
+            cache.set_class_target(class, 4 * (61 + crate::ITEM_OVERHEAD));
+            cache
+        }
+
+        #[test]
+        fn a_resident_get_hashes_one_key() {
+            for shadow_bytes in [0, 1 << 20] {
+                let mut cache = slab_cache(shadow_bytes);
+                cache.set(Key::new(1), 60, 10);
+                assert_eq!(hashed_by(|| cache.get_untyped(Key::new(1))).0, 1);
+                assert_eq!(hashed_by(|| cache.get(Key::new(1), 60)).0, 1);
+                assert_eq!(
+                    hashed_by(|| cache.lookup(Key::new(1)).copied()),
+                    (1, Some(10))
+                );
+                assert_eq!(
+                    hashed_by(|| cache.value(Key::new(1)).copied()),
+                    (1, Some(10))
+                );
+            }
+            let mut global: GlobalLruCache<u64> = GlobalLruCache::new(1 << 20);
+            global.set(Key::new(1), 60, 10);
+            assert_eq!(hashed_by(|| global.get(Key::new(1)).hit), (1, true));
+        }
+
+        #[test]
+        fn a_miss_hashes_the_index_and_the_shadow_indexes_it_consults() {
+            // No shadow queues (the server's plain engine): the index only.
+            let mut plain = slab_cache(0);
+            plain.set(Key::new(1), 60, 10);
+            assert_eq!(
+                hashed_by(|| plain.get_untyped(Key::new(2)).result.hit),
+                (1, false)
+            );
+            assert_eq!(hashed_by(|| plain.get(Key::new(2), 60)).0, 1);
+            // With them: every class's shadow is asked where the key went,
+            // then the chosen class's is probed — but an empty one is
+            // never hashed for.
+            let mut shadowed = slab_cache(1 << 20);
+            shadowed.set(Key::new(1), 60, 10);
+            assert_eq!(hashed_by(|| shadowed.get_untyped(Key::new(2))).0, 1);
+            for key in 2..10 {
+                shadowed.set(Key::new(key), 60, 10);
+            }
+            let (hashed, got) = hashed_by(|| shadowed.get_untyped(Key::new(1)));
+            assert!(got.result.shadow_hit.is_some());
+            assert_eq!(hashed, 3, "the index, one shadow's `contains`, its `probe`");
+        }
+
+        #[test]
+        fn a_write_hashes_two_keys_and_one_per_eviction() {
+            let mut cache = slab_cache(0);
+            // (An empty table answers without hashing; keep one item in
+            // another class so every count below is of a real probe.)
+            let large = cache.class_for_size(5_000).unwrap();
+            cache.set_class_target(large, 1 << 20);
+            cache.set(Key::new(0), 5_000, 0);
+            // New key: the lookup that finds nothing, the insert.
+            assert_eq!(hashed_by(|| cache.set(Key::new(1), 60, 10)).0, 2);
+            // Overwrite in the same class: the lookup, the replacing insert.
+            assert_eq!(hashed_by(|| cache.set(Key::new(1), 61, 11)).0, 2);
+            for key in 2..5 {
+                cache.set(Key::new(key), 60, 10);
+            }
+            // A full class: each evicted key costs its removal from the
+            // index and nothing else.
+            let (hashed, (_, result)) = hashed_by(|| cache.set(Key::new(9), 60, 10).unwrap());
+            assert_eq!(result.evicted, vec![Key::new(1)]);
+            assert_eq!(hashed, 3);
+            let (hashed, evicted) = hashed_by(|| {
+                cache.set_class_target(cache.class_of(Key::new(9)).unwrap(), 0);
+                cache.enforce_targets()
+            });
+            assert_eq!((hashed, evicted), (5, 4), "`class_of` and four removals");
+            assert_eq!(hashed_by(|| cache.delete(Key::new(9))).0, 1);
+            // With a shadow queue behind the class an overwrite adds that
+            // index: the key must not linger there once it is resident.
+            let mut shadowed = slab_cache(1 << 20);
+            for key in 1..10 {
+                shadowed.set(Key::new(key), 60, 10);
+            }
+            assert!(hashed_by(|| shadowed.set(Key::new(9), 61, 11)).0 <= 2 + 1);
+        }
     }
 }

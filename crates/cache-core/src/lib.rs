@@ -24,13 +24,13 @@
 //! * [`slab`] — Memcached-style slab-class geometry.
 //! * [`policy`] — eviction policies: LRU, ARC and the Facebook mid-queue
 //!   insertion scheme, all behind [`policy::EvictionPolicy`].
-//! * [`queue`] — a physical cache queue: a policy plus values, a byte budget
-//!   and an attached shadow queue.
+//! * [`queue`] — a physical cache queue: a policy, a byte budget and an
+//!   attached shadow queue, addressed by token (the engine above it owns
+//!   the one index from key to value).
 //! * [`store`] — a slab-class cache for a single application (first-come-
 //!   first-serve by default, externally resizable per class).
 //! * [`global_lru`] — the log-structured-memory model: one global LRU.
-//! * [`tenant`] — a multi-tenant cache server: per-application reservations or
-//!   a shared memory pool.
+//! * [`tenant`] — the tenant name table of a multi-tenant server.
 //! * [`stats`] — hit/miss/eviction accounting shared by all of the above.
 
 #![warn(missing_docs)]
@@ -52,13 +52,13 @@ pub mod tenant;
 pub use global_lru::GlobalLruCache;
 pub use key::{hash_bytes, AppId, ClassId, Key};
 pub use lru::{HitLocation, LruList};
-pub use policy::{EvictionPolicy, PolicyKind};
+pub use policy::{EvictionPolicy, PolicyKind, Token};
 pub use queue::{CacheQueue, GetResult, QueueConfig, SetResult};
 pub use shadow::{ShadowHalf, ShadowHit, ShadowQueue};
 pub use slab::SlabConfig;
 pub use stats::{CacheStats, HitRatio};
 pub use store::{SlabCache, SlabCacheConfig};
-pub use tenant::{MultiTenantCache, TenantConfig, TenantDirectory, DEFAULT_TENANT};
+pub use tenant::{TenantDirectory, DEFAULT_TENANT};
 
 /// Fixed per-item metadata overhead charged against the memory budget, in
 /// bytes. Memcached charges roughly 48–56 bytes of header per item; we use a

@@ -4,14 +4,17 @@
 //! segmented queues used by ARC) is built on [`LinkedArena`]: a `Vec`
 //! of nodes linked by indices, with a free list for recycling slots. Compared
 //! to `std::collections::LinkedList` this gives O(1) removal of arbitrary
-//! elements by handle without unsafe code or per-node allocations.
+//! elements by handle without unsafe code or per-node allocations. A node
+//! never moves between slots, so a handle stays good while the list is
+//! relinked around it: that is what lets the queues keep their segments as
+//! boundaries in one list and lets an engine's index hold handles.
 
 /// Handle to a node inside a [`LinkedArena`].
 ///
 /// Handles are only meaningful for the arena that issued them and become
 /// invalid after the node is removed (slots are recycled; a stale handle may
-/// alias a newer node, so callers must drop handles on removal — the queue
-/// types in this crate do so via their key maps).
+/// alias a newer node, so whoever holds a handle drops it on removal — the
+/// engines do, with the index entry that holds it).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct NodeHandle(u32);
 
@@ -59,17 +62,6 @@ impl<T> LinkedArena<T> {
     pub fn new() -> Self {
         LinkedArena {
             nodes: Vec::new(),
-            free: Vec::new(),
-            head: NodeHandle::NONE,
-            tail: NodeHandle::NONE,
-            len: 0,
-        }
-    }
-
-    /// Creates an empty list with room for `capacity` nodes.
-    pub fn with_capacity(capacity: usize) -> Self {
-        LinkedArena {
-            nodes: Vec::with_capacity(capacity),
             free: Vec::new(),
             head: NodeHandle::NONE,
             tail: NodeHandle::NONE,
@@ -184,24 +176,6 @@ impl<T> LinkedArena<T> {
         value
     }
 
-    /// Removes the value at the back (least-recent end), if any.
-    pub fn pop_back(&mut self) -> Option<T> {
-        if self.tail == NodeHandle::NONE {
-            return None;
-        }
-        let handle = NodeHandle::some(self.tail as usize);
-        Some(self.remove(handle))
-    }
-
-    /// Removes the value at the front (most-recent end), if any.
-    pub fn pop_front(&mut self) -> Option<T> {
-        if self.head == NodeHandle::NONE {
-            return None;
-        }
-        let handle = NodeHandle::some(self.head as usize);
-        Some(self.remove(handle))
-    }
-
     /// Moves an existing node to the front (most-recent end).
     pub fn move_to_front(&mut self, handle: NodeHandle) {
         let idx = handle.index() as u32;
@@ -219,23 +193,6 @@ impl<T> LinkedArena<T> {
         self.head = idx;
     }
 
-    /// Moves an existing node to the back (least-recent end).
-    pub fn move_to_back(&mut self, handle: NodeHandle) {
-        let idx = handle.index() as u32;
-        if self.tail == idx {
-            return;
-        }
-        self.unlink(idx);
-        self.nodes[idx as usize].prev = self.tail;
-        self.nodes[idx as usize].next = NodeHandle::NONE;
-        if self.tail != NodeHandle::NONE {
-            self.nodes[self.tail as usize].next = idx;
-        } else {
-            self.head = idx;
-        }
-        self.tail = idx;
-    }
-
     /// Returns a reference to the value stored at `handle`.
     pub fn get(&self, handle: NodeHandle) -> Option<&T> {
         self.nodes
@@ -248,11 +205,6 @@ impl<T> LinkedArena<T> {
         self.nodes
             .get_mut(handle.index())
             .and_then(|n| n.value.as_mut())
-    }
-
-    /// Handle of the front (most-recent) node.
-    pub fn front(&self) -> Option<NodeHandle> {
-        (self.head != NodeHandle::NONE).then(|| NodeHandle::some(self.head as usize))
     }
 
     /// Handle of the back (least-recent) node.
@@ -278,15 +230,6 @@ impl<T> LinkedArena<T> {
             arena: self,
             cursor: self.head,
         }
-    }
-
-    /// Removes every element.
-    pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.free.clear();
-        self.head = NodeHandle::NONE;
-        self.tail = NodeHandle::NONE;
-        self.len = 0;
     }
 }
 
@@ -337,58 +280,41 @@ mod tests {
     }
 
     #[test]
-    fn pop_back_returns_least_recent() {
+    fn remove_relinks_and_empties() {
         let mut a = LinkedArena::new();
-        a.push_front(1);
-        a.push_front(2);
-        assert_eq!(a.pop_back(), Some(1));
-        assert_eq!(a.pop_back(), Some(2));
-        assert_eq!(a.pop_back(), None);
-        assert!(a.is_empty());
-    }
-
-    #[test]
-    fn remove_middle_relinks() {
-        let mut a = LinkedArena::new();
-        let _h1 = a.push_front(1);
+        let h1 = a.push_front(1);
         let h2 = a.push_front(2);
-        let _h3 = a.push_front(3);
+        let h3 = a.push_front(3);
         assert_eq!(a.remove(h2), 2);
         assert_eq!(collect(&a), vec![3, 1]);
-        assert_eq!(a.len(), 2);
+        assert_eq!(a.back(), Some(h1));
+        assert_eq!(a.remove(h1), 1);
+        assert_eq!(a.remove(h3), 3);
+        assert!(a.is_empty());
+        assert_eq!(a.back(), None);
+        assert_eq!(a.get(h3), None, "a removed handle names nothing");
     }
 
     #[test]
-    fn move_to_front_promotes() {
+    fn move_to_front_promotes_in_place() {
         let mut a = LinkedArena::new();
         let h1 = a.push_front(1);
         a.push_front(2);
         a.push_front(3);
         a.move_to_front(h1);
         assert_eq!(collect(&a), vec![1, 3, 2]);
-    }
-
-    #[test]
-    fn move_to_back_demotes() {
-        let mut a = LinkedArena::new();
-        a.push_front(1);
-        a.push_front(2);
-        let h3 = a.push_front(3);
-        a.move_to_back(h3);
-        assert_eq!(collect(&a), vec![2, 1, 3]);
-        assert_eq!(a.pop_back(), Some(3));
+        assert_eq!(a.get(h1), Some(&1), "the handle still names the node");
     }
 
     #[test]
     fn insert_before_keeps_order() {
         let mut a = LinkedArena::new();
         let h1 = a.push_front(1);
-        a.push_front(3);
+        let h3 = a.push_front(3);
         a.insert_before(h1, 2);
         assert_eq!(collect(&a), vec![3, 2, 1]);
         // Inserting before the head is equivalent to push_front.
-        let head = a.front().unwrap();
-        a.insert_before(head, 4);
+        a.insert_before(h3, 4);
         assert_eq!(collect(&a), vec![4, 3, 2, 1]);
     }
 
@@ -412,17 +338,6 @@ mod tests {
         assert_eq!(a.next(h2), Some(h1));
         assert_eq!(a.prev(h2), None);
         assert_eq!(a.next(h1), None);
-        assert_eq!(a.front(), Some(h2));
         assert_eq!(a.back(), Some(h1));
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut a = LinkedArena::new();
-        a.push_front(1);
-        a.push_front(2);
-        a.clear();
-        assert!(a.is_empty());
-        assert_eq!(a.pop_back(), None);
     }
 }

@@ -1,22 +1,28 @@
 //! A weighted LRU list with an exactly-maintained *tail region*.
 //!
 //! [`LruList`] is the recency-ordered queue underlying the physical eviction
-//! queues in this crate. Besides the usual O(1) `access` / `insert` /
-//! `pop_lru`, it offers two features the Cliffhanger algorithms rely on:
+//! queues in this crate. It keeps order and nothing else: there is no key
+//! index here. [`LruList::insert`] hands back a [`NodeHandle`] that stays
+//! valid until the item is removed or evicted, `access` / `remove` take
+//! that handle, and eviction hands back the key so the owner of the one
+//! index (the engine, see [`crate::store`]) can drop its entry. Besides the
+//! usual O(1) `access` / `insert` / `pop_lru`, it offers two features the
+//! Cliffhanger algorithms rely on:
 //!
 //! * **Tail region** — the cliff-scaling algorithm (paper §5.1) needs to know
 //!   whether a hit landed "in the last part of the queue (the last 128
 //!   items)". `LruList` maintains the boundary of the last `k` items exactly,
-//!   in O(1) amortised time per operation, by keeping the list in three
-//!   internally-ordered segments (upper, lower, tail) whose concatenation is
-//!   the LRU order.
+//!   in O(1) amortised time per operation: the list is one arena whose nodes
+//!   are tagged upper, lower or tail, the three runs sit in that order, and
+//!   rebalancing moves a *boundary* — it retags the node next to it and
+//!   never relinks or looks anybody up.
 //! * **Middle insertion** — the Facebook eviction scheme (paper §5.5) inserts
 //!   an item in the middle of the queue on first use and promotes it to the
 //!   top on its second hit. [`InsertPosition::Middle`] lands the new item at
 //!   the upper/lower segment boundary, which is maintained at half of the
 //!   non-tail population.
 
-use crate::key::{Key, KeyMap};
+use crate::key::Key;
 use crate::list::{LinkedArena, NodeHandle};
 
 /// Where a hit was found inside the physical queue.
@@ -42,36 +48,31 @@ pub enum InsertPosition {
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Segment {
-    Upper,
-    Lower,
-    Tail,
-}
-
-#[derive(Clone, Copy, Debug)]
-struct Slot {
-    segment: Segment,
-    handle: NodeHandle,
-    weight: u64,
+    Upper = 0,
+    Lower = 1,
+    Tail = 2,
 }
 
 #[derive(Clone, Copy, Debug)]
 struct Entry {
     key: Key,
     weight: u64,
+    segment: Segment,
 }
 
 /// A weighted LRU list with tail-region tracking and middle insertion.
 ///
 /// The logical order, from most- to least-recently used, is always
-/// `upper ++ lower ++ tail`; rebalancing only ever moves items across the
-/// segment boundaries in a way that preserves that order, so the list behaves
-/// exactly like a single LRU queue.
+/// `upper ++ lower ++ tail`; rebalancing only ever moves the boundaries
+/// between the segments, so the list behaves exactly like a single LRU
+/// queue.
 #[derive(Debug, Default)]
 pub struct LruList {
-    upper: LinkedArena<Entry>,
-    lower: LinkedArena<Entry>,
-    tail: LinkedArena<Entry>,
-    index: KeyMap<Slot>,
+    nodes: LinkedArena<Entry>,
+    /// First node of each segment, `None` while it is empty (the upper
+    /// segment's is the list's front and is not tracked).
+    heads: [Option<NodeHandle>; 3],
+    lens: [usize; 3],
     tail_items: usize,
     total_weight: u64,
 }
@@ -86,33 +87,24 @@ impl LruList {
     /// [`HitLocation::TailRegion`] on access.
     pub fn with_tail_region(tail_items: usize) -> Self {
         LruList {
-            upper: LinkedArena::new(),
-            lower: LinkedArena::new(),
-            tail: LinkedArena::new(),
-            index: KeyMap::default(),
             tail_items,
-            total_weight: 0,
+            ..LruList::default()
         }
     }
 
     /// Number of items in the list.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.nodes.len()
     }
 
     /// Whether the list is empty.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.nodes.is_empty()
     }
 
     /// Sum of the weights of all items.
     pub fn total_weight(&self) -> u64 {
         self.total_weight
-    }
-
-    /// Size of the configured tail region in items.
-    pub fn tail_region(&self) -> usize {
-        self.tail_items
     }
 
     /// Reconfigures the tail region to the last `items` items.
@@ -121,118 +113,128 @@ impl LruList {
         self.rebalance();
     }
 
-    /// Whether `key` is present.
-    pub fn contains(&self, key: Key) -> bool {
-        self.index.contains_key(&key)
+    /// The key and weight stored at `handle` (`None` for a freed slot),
+    /// without affecting recency.
+    pub fn get(&self, handle: NodeHandle) -> Option<(Key, u64)> {
+        self.nodes.get(handle).map(|e| (e.key, e.weight))
     }
 
-    /// Returns the stored weight of `key` without affecting recency.
-    pub fn weight_of(&self, key: Key) -> Option<u64> {
-        self.index.get(&key).map(|s| s.weight)
-    }
-
-    /// Records an access to `key`, promoting it to the most-recently-used
-    /// position. Returns where the item was found, or `None` on a miss.
-    pub fn access(&mut self, key: Key) -> Option<HitLocation> {
-        let slot = *self.index.get(&key)?;
-        let entry = match slot.segment {
-            Segment::Upper => self.upper.remove(slot.handle),
-            Segment::Lower => self.lower.remove(slot.handle),
-            Segment::Tail => self.tail.remove(slot.handle),
-        };
-        let handle = self.upper.push_front(entry);
-        self.index.insert(
-            key,
-            Slot {
-                segment: Segment::Upper,
-                handle,
-                weight: slot.weight,
-            },
-        );
+    /// Records an access to the item at `handle`, promoting it to the
+    /// most-recently-used position. Returns where the item was found.
+    ///
+    /// # Panics
+    /// Panics if the handle does not refer to a live item.
+    pub fn access(&mut self, handle: NodeHandle) -> HitLocation {
+        let found = self.segment_of(handle);
+        self.leave(handle, found);
+        self.nodes.move_to_front(handle);
+        self.enter(handle, Segment::Upper, true);
         self.rebalance();
-        Some(match slot.segment {
+        match found {
             Segment::Tail => HitLocation::TailRegion,
             _ => HitLocation::Main,
-        })
+        }
     }
 
-    /// Inserts `key` with the given weight at `position`.
-    ///
-    /// If the key is already present its weight is updated and it is moved to
-    /// the requested position; the previous weight is returned.
-    pub fn insert(&mut self, key: Key, weight: u64, position: InsertPosition) -> Option<u64> {
-        let previous = self.remove(key);
-        let entry = Entry { key, weight };
-        let (segment, handle) = match position {
-            InsertPosition::Top => (Segment::Upper, self.upper.push_front(entry)),
-            InsertPosition::Middle => (Segment::Lower, self.lower.push_front(entry)),
+    /// Inserts `key` with the given weight at `position` and returns the
+    /// handle that names it until it is removed. The list does not know
+    /// which keys it holds: a caller replacing an item removes the old
+    /// handle first.
+    pub fn insert(&mut self, key: Key, weight: u64, position: InsertPosition) -> NodeHandle {
+        let segment = match position {
+            InsertPosition::Top => Segment::Upper,
+            InsertPosition::Middle => Segment::Lower,
         };
-        self.index.insert(
+        let entry = Entry {
             key,
-            Slot {
-                segment,
-                handle,
-                weight,
-            },
-        );
+            weight,
+            segment,
+        };
+        // The front of the lower segment is wherever the upper one ends.
+        let handle = match (
+            position,
+            self.first(Segment::Lower).or(self.first(Segment::Tail)),
+        ) {
+            (InsertPosition::Top, _) => self.nodes.push_front(entry),
+            (InsertPosition::Middle, Some(first)) => self.nodes.insert_before(first, entry),
+            (InsertPosition::Middle, None) => self.nodes.push_back(entry),
+        };
+        self.enter(handle, segment, true);
         self.total_weight += weight;
         self.rebalance();
-        previous
+        handle
     }
 
-    /// Removes `key`, returning its weight if it was present.
-    pub fn remove(&mut self, key: Key) -> Option<u64> {
-        let slot = self.index.remove(&key)?;
-        match slot.segment {
-            Segment::Upper => self.upper.remove(slot.handle),
-            Segment::Lower => self.lower.remove(slot.handle),
-            Segment::Tail => self.tail.remove(slot.handle),
-        };
-        self.total_weight -= slot.weight;
+    /// Removes the item at `handle`, returning its key and weight.
+    ///
+    /// # Panics
+    /// Panics if the handle does not refer to a live item.
+    pub fn remove(&mut self, handle: NodeHandle) -> (Key, u64) {
+        self.leave(handle, self.segment_of(handle));
+        let entry = self.nodes.remove(handle);
+        self.total_weight -= entry.weight;
         self.rebalance();
-        Some(slot.weight)
+        (entry.key, entry.weight)
     }
 
     /// Removes and returns the least-recently-used item.
     pub fn pop_lru(&mut self) -> Option<(Key, u64)> {
-        let entry = self
-            .tail
-            .pop_back()
-            .or_else(|| self.lower.pop_back())
-            .or_else(|| self.upper.pop_back())?;
-        self.index.remove(&entry.key);
-        self.total_weight -= entry.weight;
-        self.rebalance();
-        Some((entry.key, entry.weight))
-    }
-
-    /// Returns the least-recently-used item without removing it.
-    pub fn peek_lru(&self) -> Option<(Key, u64)> {
-        let entry = self
-            .tail
-            .back()
-            .and_then(|h| self.tail.get(h))
-            .or_else(|| self.lower.back().and_then(|h| self.lower.get(h)))
-            .or_else(|| self.upper.back().and_then(|h| self.upper.get(h)))?;
-        Some((entry.key, entry.weight))
+        self.nodes.back().map(|handle| self.remove(handle))
     }
 
     /// Iterates over keys from most- to least-recently used.
     pub fn iter(&self) -> impl Iterator<Item = (Key, u64)> + '_ {
-        self.upper
-            .iter()
-            .chain(self.lower.iter())
-            .chain(self.tail.iter())
-            .map(|e| (e.key, e.weight))
+        self.nodes.iter().map(|e| (e.key, e.weight))
     }
 
-    /// Removes every item.
-    pub fn clear(&mut self) {
-        self.upper.clear();
-        self.lower.clear();
-        self.tail.clear();
-        self.index.clear();
-        self.total_weight = 0;
+    /// The first node of `segment` (untracked, hence `None`, for the upper).
+    fn first(&self, segment: Segment) -> Option<NodeHandle> {
+        self.heads[segment as usize]
+    }
+
+    fn segment_of(&self, handle: NodeHandle) -> Segment {
+        self.nodes
+            .get(handle)
+            .expect("LruList handle must name a live item")
+            .segment
+    }
+
+    /// Takes the node at `handle` out of `segment`'s books (it stays linked
+    /// where it is).
+    fn leave(&mut self, handle: NodeHandle, segment: Segment) {
+        let s = segment as usize;
+        self.lens[s] -= 1;
+        if self.heads[s] == Some(handle) {
+            // Segments are contiguous: the next node, if the segment still
+            // has one, is its new first.
+            self.heads[s] = match self.lens[s] {
+                0 => None,
+                _ => self.nodes.next(handle),
+            };
+        }
+    }
+
+    /// Books the node at `handle` into `segment`, as its first node
+    /// (`at_front`) or its last.
+    fn enter(&mut self, handle: NodeHandle, segment: Segment, at_front: bool) {
+        let s = segment as usize;
+        if let Some(entry) = self.nodes.get_mut(handle) {
+            entry.segment = segment;
+        }
+        self.lens[s] += 1;
+        if segment != Segment::Upper && (at_front || self.heads[s].is_none()) {
+            self.heads[s] = Some(handle);
+        }
+    }
+
+    /// The node just before `boundary`, or the list's last when there is no
+    /// boundary behind it.
+    fn last_before(&self, boundary: Option<NodeHandle>) -> NodeHandle {
+        match boundary {
+            Some(first) => self.nodes.prev(first),
+            None => self.nodes.back(),
+        }
+        .expect("a non-empty segment precedes the boundary")
     }
 
     /// Target sizes: the tail region holds `min(tail_items, len)` items and
@@ -240,58 +242,50 @@ impl LruList {
     /// the extra item when odd) so that [`InsertPosition::Middle`] lands in
     /// the middle of the non-tail population.
     fn targets(&self) -> (usize, usize) {
-        let len = self.index.len();
+        let len = self.nodes.len();
         let tail_target = self.tail_items.min(len);
         let rest = len - tail_target;
         let upper_target = rest.div_ceil(2);
         (upper_target, tail_target)
     }
 
+    /// Moves the two boundaries until the segments have their target sizes.
+    /// A node changes segment by being retagged where it stands, so handles
+    /// held outside stay valid and nothing is hashed.
     fn rebalance(&mut self) {
+        use Segment::{Lower, Tail, Upper};
         let (upper_target, tail_target) = self.targets();
-        // Fill the tail from the lower segment (and the lower from the upper)
-        // or drain it back, preserving order across boundaries.
         loop {
-            let upper_len = self.upper.len();
-            let lower_len = self.lower.len();
-            let tail_len = self.tail.len();
-
+            let [upper_len, lower_len, tail_len] = self.lens;
             if tail_len < tail_target && lower_len > 0 {
-                let entry = self.lower.pop_back().expect("lower non-empty");
-                let handle = self.tail.push_front(entry);
-                self.reindex(entry.key, Segment::Tail, handle);
+                let node = self.last_before(self.first(Tail));
+                self.leave(node, Lower);
+                self.enter(node, Tail, true);
             } else if tail_len < tail_target && upper_len > 0 {
-                let entry = self.upper.pop_back().expect("upper non-empty");
-                let handle = self.tail.push_front(entry);
-                self.reindex(entry.key, Segment::Tail, handle);
+                let node = self.last_before(self.first(Tail));
+                self.leave(node, Upper);
+                self.enter(node, Tail, true);
             } else if tail_len > tail_target {
-                let entry = self.tail.pop_front().expect("tail non-empty");
-                let handle = self.lower.push_back(entry);
-                self.reindex(entry.key, Segment::Lower, handle);
+                let node = self.first(Tail).expect("tail non-empty");
+                self.leave(node, Tail);
+                self.enter(node, Lower, false);
             } else if upper_len > upper_target {
-                let entry = self.upper.pop_back().expect("upper non-empty");
-                let handle = self.lower.push_front(entry);
-                self.reindex(entry.key, Segment::Lower, handle);
+                let node = self.last_before(self.first(Lower).or(self.first(Tail)));
+                self.leave(node, Upper);
+                self.enter(node, Lower, true);
             } else if upper_len < upper_target && lower_len > 0 {
-                let entry = self.lower.pop_front().expect("lower non-empty");
-                let handle = self.upper.push_back(entry);
-                self.reindex(entry.key, Segment::Upper, handle);
+                let node = self.first(Lower).expect("lower non-empty");
+                self.leave(node, Lower);
+                self.enter(node, Upper, false);
             } else {
                 break;
             }
         }
     }
 
-    fn reindex(&mut self, key: Key, segment: Segment, handle: NodeHandle) {
-        if let Some(slot) = self.index.get_mut(&key) {
-            slot.segment = segment;
-            slot.handle = handle;
-        }
-    }
-
     #[cfg(test)]
     fn segment_lens(&self) -> (usize, usize, usize) {
-        (self.upper.len(), self.lower.len(), self.tail.len())
+        (self.lens[0], self.lens[1], self.lens[2])
     }
 }
 
@@ -303,29 +297,32 @@ mod tests {
         Key::new(i)
     }
 
+    /// A list of keys `0..n`, each of weight `weight`, inserted at the top
+    /// in that order; `handles[i]` names key `i`.
+    fn filled(tail_items: usize, n: u64, weight: u64) -> (LruList, Vec<NodeHandle>) {
+        let mut list = LruList::with_tail_region(tail_items);
+        let handles = (0..n)
+            .map(|i| list.insert(key(i), weight, InsertPosition::Top))
+            .collect();
+        (list, handles)
+    }
+
     fn order(list: &LruList) -> Vec<u64> {
         list.iter().map(|(k, _)| k.raw()).collect()
     }
 
     #[test]
     fn access_promotes_to_mru() {
-        let mut l = LruList::new();
-        for i in 0..4 {
-            l.insert(key(i), 1, InsertPosition::Top);
-        }
+        let (mut l, h) = filled(0, 4, 1);
         assert_eq!(order(&l), vec![3, 2, 1, 0]);
-        assert_eq!(l.access(key(0)), Some(HitLocation::Main));
+        assert_eq!(l.access(h[0]), HitLocation::Main);
         assert_eq!(order(&l), vec![0, 3, 2, 1]);
-        assert_eq!(l.access(key(9)), None);
     }
 
     #[test]
     fn pop_lru_is_least_recent() {
-        let mut l = LruList::new();
-        for i in 0..3 {
-            l.insert(key(i), 10, InsertPosition::Top);
-        }
-        l.access(key(0));
+        let (mut l, h) = filled(0, 3, 10);
+        l.access(h[0]);
         assert_eq!(l.pop_lru(), Some((key(1), 10)));
         assert_eq!(l.pop_lru(), Some((key(2), 10)));
         assert_eq!(l.pop_lru(), Some((key(0), 10)));
@@ -335,57 +332,65 @@ mod tests {
     #[test]
     fn weights_are_tracked() {
         let mut l = LruList::new();
-        l.insert(key(1), 100, InsertPosition::Top);
-        l.insert(key(2), 50, InsertPosition::Top);
+        let one = l.insert(key(1), 100, InsertPosition::Top);
+        let two = l.insert(key(2), 50, InsertPosition::Top);
         assert_eq!(l.total_weight(), 150);
-        // Re-inserting updates the weight rather than double counting.
-        assert_eq!(l.insert(key(1), 70, InsertPosition::Top), Some(100));
+        // Replacing an item is remove-then-insert; nothing double counts.
+        assert_eq!(l.remove(one), (key(1), 100));
+        let one = l.insert(key(1), 70, InsertPosition::Top);
         assert_eq!(l.total_weight(), 120);
-        assert_eq!(l.weight_of(key(1)), Some(70));
-        l.remove(key(2));
+        assert_eq!(l.get(one), Some((key(1), 70)));
+        l.remove(two);
         assert_eq!(l.total_weight(), 70);
     }
 
     #[test]
-    fn tail_region_hits_are_classified() {
-        let mut l = LruList::with_tail_region(2);
-        for i in 0..6 {
-            l.insert(key(i), 1, InsertPosition::Top);
+    fn handles_survive_every_rebalance() {
+        // Every insert, access and removal shifts the segment boundaries;
+        // a handle must keep naming its own key throughout.
+        let (mut l, h) = filled(3, 40, 1);
+        for round in 0..40usize {
+            l.access(h[(round * 7) % 40]);
+            for (i, &handle) in h.iter().enumerate() {
+                assert_eq!(l.get(handle), Some((key(i as u64), 1)));
+            }
         }
+        l.set_tail_region(17);
+        let extra = l.insert(key(99), 5, InsertPosition::Middle);
+        for (i, &handle) in h.iter().enumerate() {
+            assert_eq!(l.get(handle), Some((key(i as u64), 1)));
+        }
+        assert_eq!(l.remove(extra), (key(99), 5));
+        assert_eq!(l.get(extra), None, "a removed handle names nothing");
+    }
+
+    #[test]
+    fn tail_region_hits_are_classified() {
+        let (mut l, h) = filled(2, 6, 1);
         // Order is [5,4,3,2,1,0]; tail region holds {1, 0}.
-        assert_eq!(l.access(key(0)), Some(HitLocation::TailRegion));
+        assert_eq!(l.access(h[0]), HitLocation::TailRegion);
         // 0 promoted: order [0,5,4,3,2,1]; tail region now {2, 1}.
-        assert_eq!(l.access(key(1)), Some(HitLocation::TailRegion));
-        assert_eq!(l.access(key(5)), Some(HitLocation::Main));
-        assert_eq!(l.access(key(0)), Some(HitLocation::Main));
+        assert_eq!(l.access(h[1]), HitLocation::TailRegion);
+        assert_eq!(l.access(h[5]), HitLocation::Main);
+        assert_eq!(l.access(h[0]), HitLocation::Main);
     }
 
     #[test]
     fn tail_region_tracks_exact_boundary() {
-        let mut l = LruList::with_tail_region(3);
-        for i in 0..10 {
-            l.insert(key(i), 1, InsertPosition::Top);
-        }
         // LRU order from MRU: 9..0. The last 3 items are 2, 1, 0.
-        for probe in [2u64, 1, 0] {
-            let mut fresh = LruList::with_tail_region(3);
-            for i in 0..10 {
-                fresh.insert(key(i), 1, InsertPosition::Top);
-            }
+        for probe in [2usize, 1, 0] {
+            let (mut fresh, h) = filled(3, 10, 1);
             assert_eq!(
-                fresh.access(key(probe)),
-                Some(HitLocation::TailRegion),
+                fresh.access(h[probe]),
+                HitLocation::TailRegion,
                 "key {probe} should be in the tail region"
             );
         }
-        for probe in [3u64, 5, 9] {
-            let mut fresh = LruList::with_tail_region(3);
-            for i in 0..10 {
-                fresh.insert(key(i), 1, InsertPosition::Top);
-            }
+        for probe in [3usize, 5, 9] {
+            let (mut fresh, h) = filled(3, 10, 1);
             assert_eq!(
-                fresh.access(key(probe)),
-                Some(HitLocation::Main),
+                fresh.access(h[probe]),
+                HitLocation::Main,
                 "key {probe} should be above the tail region"
             );
         }
@@ -393,29 +398,19 @@ mod tests {
 
     #[test]
     fn tail_region_smaller_than_list() {
-        let mut l = LruList::with_tail_region(10);
-        l.insert(key(1), 1, InsertPosition::Top);
-        l.insert(key(2), 1, InsertPosition::Top);
+        let (mut l, h) = filled(10, 2, 1);
         // Every item is within the last 10, so every hit is a tail hit.
-        assert_eq!(l.access(key(1)), Some(HitLocation::TailRegion));
-        assert_eq!(l.access(key(2)), Some(HitLocation::TailRegion));
+        assert_eq!(l.access(h[0]), HitLocation::TailRegion);
+        assert_eq!(l.access(h[1]), HitLocation::TailRegion);
     }
 
     #[test]
     fn middle_insertion_lands_between_halves() {
-        let mut l = LruList::new();
-        for i in 0..6 {
-            l.insert(key(i), 1, InsertPosition::Top);
-        }
-        // Order: [5,4,3,2,1,0]. A middle insert should appear after the upper
-        // half (3 items) and before the rest.
+        let (mut l, _) = filled(0, 6, 1);
+        // Order: [5,4,3,2,1,0]. A middle insert lands after the upper half
+        // (3 items) and before the rest.
         l.insert(key(100), 1, InsertPosition::Middle);
-        let ord = order(&l);
-        let pos = ord.iter().position(|&k| k == 100).unwrap();
-        assert!(
-            (2..=4).contains(&pos),
-            "middle insert landed at position {pos} of {ord:?}"
-        );
+        assert_eq!(order(&l), vec![5, 4, 3, 100, 2, 1, 0]);
         // Eviction order must still end with the coldest original items.
         let mut evictions = Vec::new();
         while let Some((k, _)) = l.pop_lru() {
@@ -426,78 +421,45 @@ mod tests {
     }
 
     #[test]
+    fn middle_insertion_with_empty_segments() {
+        // Into an empty list, and into one whose every item is tail.
+        let mut l = LruList::with_tail_region(4);
+        l.insert(key(1), 1, InsertPosition::Middle);
+        l.insert(key(2), 1, InsertPosition::Middle);
+        l.insert(key(3), 1, InsertPosition::Top);
+        assert_eq!(order(&l), vec![3, 2, 1]);
+        assert_eq!(l.segment_lens(), (0, 0, 3));
+    }
+
+    #[test]
     fn ordering_preserved_across_segments() {
         // Regardless of tail-region bookkeeping, the global eviction order
-        // must be exactly reverse insertion order when there are no hits.
-        let mut l = LruList::with_tail_region(4);
-        for i in 0..32 {
-            l.insert(key(i), 1, InsertPosition::Top);
-        }
-        let mut expected: Vec<u64> = (0..32).collect();
-        let mut got = Vec::new();
-        while let Some((k, _)) = l.pop_lru() {
-            got.push(k.raw());
-        }
-        expected.sort_unstable();
-        got.sort_unstable();
-        assert_eq!(got, expected);
-
-        let mut l = LruList::with_tail_region(4);
-        for i in 0..32 {
-            l.insert(key(i), 1, InsertPosition::Top);
-        }
+        // must be exactly insertion order when there are no hits.
+        let (mut l, _) = filled(4, 32, 1);
         let mut evicted = Vec::new();
-        for _ in 0..10 {
-            evicted.push(l.pop_lru().unwrap().0.raw());
+        while let Some((k, _)) = l.pop_lru() {
+            evicted.push(k.raw());
         }
-        assert_eq!(evicted, (0..10).collect::<Vec<_>>());
+        assert_eq!(evicted, (0..32).collect::<Vec<_>>());
     }
 
     #[test]
     fn set_tail_region_rebalances() {
-        let mut l = LruList::new();
-        for i in 0..8 {
-            l.insert(key(i), 1, InsertPosition::Top);
-        }
-        assert_eq!(l.access(key(0)), Some(HitLocation::Main));
+        let (mut l, h) = filled(0, 8, 1);
+        assert_eq!(l.access(h[0]), HitLocation::Main);
         l.set_tail_region(4);
         // After reconfiguration the 4 coldest items are 1,2,3,4 (0 was just
         // promoted).
-        assert_eq!(l.access(key(1)), Some(HitLocation::TailRegion));
-        assert_eq!(l.access(key(7)), Some(HitLocation::Main));
+        assert_eq!(l.access(h[1]), HitLocation::TailRegion);
+        assert_eq!(l.access(h[7]), HitLocation::Main);
     }
 
     #[test]
     fn segments_respect_targets() {
-        let mut l = LruList::with_tail_region(2);
-        for i in 0..9 {
-            l.insert(key(i), 1, InsertPosition::Top);
-        }
+        let (l, _) = filled(2, 9, 1);
         let (u, lo, t) = l.segment_lens();
         assert_eq!(t, 2);
         assert_eq!(u + lo + t, 9);
         assert_eq!(u, 4); // ceil((9-2)/2)
-    }
-
-    #[test]
-    fn peek_does_not_modify() {
-        let mut l = LruList::new();
-        l.insert(key(1), 5, InsertPosition::Top);
-        l.insert(key(2), 5, InsertPosition::Top);
-        assert_eq!(l.peek_lru(), Some((key(1), 5)));
-        assert_eq!(l.len(), 2);
-        assert_eq!(l.peek_lru(), Some((key(1), 5)));
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut l = LruList::with_tail_region(2);
-        for i in 0..5 {
-            l.insert(key(i), 3, InsertPosition::Top);
-        }
-        l.clear();
-        assert!(l.is_empty());
-        assert_eq!(l.total_weight(), 0);
-        assert_eq!(l.pop_lru(), None);
     }
 }

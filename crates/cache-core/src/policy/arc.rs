@@ -14,7 +14,7 @@
 
 use crate::key::Key;
 use crate::lru::{HitLocation, InsertPosition, LruList};
-use crate::policy::{EvictionPolicy, PolicyKind};
+use crate::policy::{EvictionPolicy, Token};
 use crate::shadow::ShadowQueue;
 use std::collections::HashSet;
 
@@ -79,16 +79,16 @@ impl ArcPolicy {
 }
 
 impl EvictionPolicy for ArcPolicy {
-    fn access(&mut self, key: Key) -> Option<HitLocation> {
-        if self.t1.contains(key) {
-            let weight = self.t1.remove(key).expect("contains implies remove");
-            self.t2.insert(key, weight, InsertPosition::Top);
-            Some(HitLocation::Main)
-        } else if self.t2.access(key).is_some() {
-            Some(HitLocation::Main)
+    fn access(&mut self, token: &mut Token) -> HitLocation {
+        if token.frequent {
+            self.t2.access(token.node);
         } else {
-            None
+            // Second reference: the item moves to the frequency list.
+            let (key, weight) = self.t1.remove(token.node);
+            token.node = self.t2.insert(key, weight, InsertPosition::Top);
+            token.frequent = true;
         }
+        HitLocation::Main
     }
 
     fn on_miss(&mut self, key: Key) {
@@ -107,18 +107,14 @@ impl EvictionPolicy for ArcPolicy {
         }
     }
 
-    fn insert(&mut self, key: Key, weight: u64) {
-        // Replace any existing copy so weights never double count.
-        self.t1.remove(key);
-        self.t2.remove(key);
-        if self.pending_frequent.remove(&key) {
-            self.t2.insert(key, weight, InsertPosition::Top);
-        } else {
-            self.t1.insert(key, weight, InsertPosition::Top);
-        }
+    fn insert(&mut self, key: Key, weight: u64) -> Token {
+        let frequent = self.pending_frequent.remove(&key);
+        let list = if frequent { &mut self.t2 } else { &mut self.t1 };
+        let node = list.insert(key, weight, InsertPosition::Top);
         self.b1.remove(key);
         self.b2.remove(key);
         self.update_capacity_estimate();
+        Token { node, frequent }
     }
 
     fn evict(&mut self) -> Option<(Key, u64)> {
@@ -140,13 +136,26 @@ impl EvictionPolicy for ArcPolicy {
         }
     }
 
-    fn remove(&mut self, key: Key) -> Option<u64> {
-        self.pending_frequent.remove(&key);
-        self.t1.remove(key).or_else(|| self.t2.remove(key))
+    fn remove(&mut self, token: Token) -> (Key, u64) {
+        // A resident key is never also marked: the mark is set on a miss
+        // and consumed by the insert that made the key resident.
+        if token.frequent {
+            self.t2.remove(token.node)
+        } else {
+            self.t1.remove(token.node)
+        }
     }
 
-    fn contains(&self, key: Key) -> bool {
-        self.t1.contains(key) || self.t2.contains(key)
+    fn forget(&mut self, key: Key) {
+        self.pending_frequent.remove(&key);
+    }
+
+    fn peek(&self, token: Token) -> Option<(Key, u64)> {
+        if token.frequent {
+            self.t2.get(token.node)
+        } else {
+            self.t1.get(token.node)
+        }
     }
 
     fn len(&self) -> usize {
@@ -158,10 +167,6 @@ impl EvictionPolicy for ArcPolicy {
     }
 
     fn set_tail_region(&mut self, _items: usize) {}
-
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Arc
-    }
 }
 
 #[cfg(test)]
@@ -178,10 +183,11 @@ mod tests {
     #[test]
     fn second_access_moves_to_frequency_list() {
         let mut p = ArcPolicy::new();
-        p.insert(key(1), 1);
+        let mut one = p.insert(key(1), 1);
         p.insert(key(2), 1);
         assert_eq!(p.list_sizes().0, 2, "both keys start in T1");
-        p.access(key(1));
+        p.access(&mut one);
+        assert_eq!(p.peek(one), Some((key(1), 1)), "the token follows the item");
         let (t1, t2, _, _) = p.list_sizes();
         assert_eq!(t1, 1);
         assert_eq!(t2, 1);
@@ -195,7 +201,6 @@ mod tests {
         }
         // Evict a few keys into the B1 ghost list.
         let (victim, _) = p.evict().unwrap();
-        assert!(!p.contains(victim));
         // A miss on the ghost key adapts p and earmarks it for T2.
         p.on_miss(victim);
         p.insert(victim, 1);
@@ -220,12 +225,9 @@ mod tests {
         // The headline ARC property: a long scan of one-time keys must not
         // evict the frequently reused working set.
         let mut p = ArcPolicy::new();
-        let working: Vec<Key> = (0..32).map(key).collect();
-        for &k in &working {
-            p.insert(k, 1);
-        }
-        for &k in &working {
-            p.access(k); // promote the working set to T2
+        let mut working: Vec<Token> = (0..32).map(|i| p.insert(key(i), 1)).collect();
+        for token in &mut working {
+            p.access(token); // promote the working set to T2
         }
         // Scan 10_000 one-time keys through a cache held at 64 items by an
         // external byte budget (we emulate the budget by evicting whenever
@@ -238,17 +240,15 @@ mod tests {
                 p.evict();
             }
         }
-        let survivors = working.iter().filter(|&&k| p.contains(k)).count();
+        // Nothing was inserted into T2 during the scan, so a working-set
+        // token still names its key exactly when the key survived.
+        let survivors = (0..32u64)
+            .filter(|&i| p.peek(working[i as usize]) == Some((key(i), 1)))
+            .count();
         assert!(
             survivors > 16,
             "ARC should protect the reused working set from a scan, \
              only {survivors}/32 survived"
         );
-    }
-
-    #[test]
-    fn does_not_support_tail_region() {
-        assert!(!ArcPolicy::new().supports_tail_region());
-        assert!(!PolicyKind::Arc.supports_tail_region());
     }
 }

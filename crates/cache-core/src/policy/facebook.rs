@@ -9,7 +9,7 @@
 
 use crate::key::Key;
 use crate::lru::{HitLocation, InsertPosition, LruList};
-use crate::policy::{EvictionPolicy, PolicyKind};
+use crate::policy::{EvictionPolicy, Token};
 
 /// Facebook's hybrid insertion policy on top of a recency list.
 #[derive(Debug, Default)]
@@ -24,36 +24,29 @@ impl FacebookPolicy {
             list: LruList::new(),
         }
     }
-
-    /// Creates a policy with a tail region of `tail_items` items.
-    pub fn with_tail_region(tail_items: usize) -> Self {
-        FacebookPolicy {
-            list: LruList::with_tail_region(tail_items),
-        }
-    }
 }
 
 impl EvictionPolicy for FacebookPolicy {
-    fn access(&mut self, key: Key) -> Option<HitLocation> {
+    fn access(&mut self, token: &mut Token) -> HitLocation {
         // A hit promotes the item to the top of the queue, wherever it was.
-        self.list.access(key)
+        self.list.access(token.node)
     }
 
-    fn insert(&mut self, key: Key, weight: u64) {
+    fn insert(&mut self, key: Key, weight: u64) -> Token {
         // First-time (and re-admitted) items land in the middle of the queue.
-        self.list.insert(key, weight, InsertPosition::Middle);
+        Token::new(self.list.insert(key, weight, InsertPosition::Middle))
     }
 
     fn evict(&mut self) -> Option<(Key, u64)> {
         self.list.pop_lru()
     }
 
-    fn remove(&mut self, key: Key) -> Option<u64> {
-        self.list.remove(key)
+    fn remove(&mut self, token: Token) -> (Key, u64) {
+        self.list.remove(token.node)
     }
 
-    fn contains(&self, key: Key) -> bool {
-        self.list.contains(key)
+    fn peek(&self, token: Token) -> Option<(Key, u64)> {
+        self.list.get(token.node)
     }
 
     fn len(&self) -> usize {
@@ -66,14 +59,6 @@ impl EvictionPolicy for FacebookPolicy {
 
     fn set_tail_region(&mut self, items: usize) {
         self.list.set_tail_region(items);
-    }
-
-    fn supports_tail_region(&self) -> bool {
-        true
-    }
-
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Facebook
     }
 }
 
@@ -93,11 +78,9 @@ mod tests {
         let mut p = FacebookPolicy::new();
         // Build a resident population that gets promoted (a hit each), so the
         // most recently promoted half sits above the queue middle.
-        for i in 0..8 {
-            p.insert(key(i), 1);
-        }
-        for i in 0..8 {
-            p.access(key(i));
+        let mut tokens: Vec<Token> = (0..8).map(|i| p.insert(key(i), 1)).collect();
+        for token in &mut tokens {
+            p.access(token);
         }
         // A one-hit wonder enters at the middle of the queue.
         p.insert(key(100), 1);
@@ -116,8 +99,9 @@ mod tests {
             );
         }
         for survivor in 4..8 {
-            assert!(
-                p.contains(key(survivor)),
+            assert_eq!(
+                p.peek(tokens[survivor]),
+                Some((key(survivor as u64), 1)),
                 "recently promoted key {survivor} must outlive the one-hit wonder"
             );
         }
@@ -126,12 +110,10 @@ mod tests {
     #[test]
     fn second_hit_promotes_to_top() {
         let mut p = FacebookPolicy::new();
-        for i in 0..6 {
-            p.insert(key(i), 1);
-        }
+        let mut tokens: Vec<Token> = (0..6).map(|i| p.insert(key(i), 1)).collect();
         // key 1 sits at the very bottom of the queue after middle insertions;
         // a hit must promote it to the top.
-        p.access(key(1));
+        p.access(&mut tokens[1]);
         let mut order = Vec::new();
         while let Some((k, _)) = p.evict() {
             order.push(k.raw());
@@ -141,13 +123,5 @@ mod tests {
             1,
             "promoted key must be evicted last"
         );
-    }
-
-    #[test]
-    fn kind_and_tail_region() {
-        let p = FacebookPolicy::with_tail_region(128);
-        assert_eq!(p.kind(), PolicyKind::Facebook);
-        assert!(p.supports_tail_region());
-        assert!(PolicyKind::Facebook.supports_tail_region());
     }
 }

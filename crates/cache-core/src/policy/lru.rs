@@ -2,7 +2,7 @@
 
 use crate::key::Key;
 use crate::lru::{HitLocation, InsertPosition, LruList};
-use crate::policy::{EvictionPolicy, PolicyKind};
+use crate::policy::{EvictionPolicy, Token};
 
 /// Least-recently-used eviction over a [`LruList`].
 #[derive(Debug, Default)]
@@ -17,40 +17,27 @@ impl LruPolicy {
             list: LruList::new(),
         }
     }
-
-    /// Creates an LRU policy whose last `tail_items` items report
-    /// [`HitLocation::TailRegion`].
-    pub fn with_tail_region(tail_items: usize) -> Self {
-        LruPolicy {
-            list: LruList::with_tail_region(tail_items),
-        }
-    }
-
-    /// Iterates over resident keys from most- to least-recently used.
-    pub fn iter(&self) -> impl Iterator<Item = (Key, u64)> + '_ {
-        self.list.iter()
-    }
 }
 
 impl EvictionPolicy for LruPolicy {
-    fn access(&mut self, key: Key) -> Option<HitLocation> {
-        self.list.access(key)
+    fn access(&mut self, token: &mut Token) -> HitLocation {
+        self.list.access(token.node)
     }
 
-    fn insert(&mut self, key: Key, weight: u64) {
-        self.list.insert(key, weight, InsertPosition::Top);
+    fn insert(&mut self, key: Key, weight: u64) -> Token {
+        Token::new(self.list.insert(key, weight, InsertPosition::Top))
     }
 
     fn evict(&mut self) -> Option<(Key, u64)> {
         self.list.pop_lru()
     }
 
-    fn remove(&mut self, key: Key) -> Option<u64> {
-        self.list.remove(key)
+    fn remove(&mut self, token: Token) -> (Key, u64) {
+        self.list.remove(token.node)
     }
 
-    fn contains(&self, key: Key) -> bool {
-        self.list.contains(key)
+    fn peek(&self, token: Token) -> Option<(Key, u64)> {
+        self.list.get(token.node)
     }
 
     fn len(&self) -> usize {
@@ -63,14 +50,6 @@ impl EvictionPolicy for LruPolicy {
 
     fn set_tail_region(&mut self, items: usize) {
         self.list.set_tail_region(items);
-    }
-
-    fn supports_tail_region(&self) -> bool {
-        true
-    }
-
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Lru
     }
 }
 
@@ -88,11 +67,9 @@ mod tests {
     #[test]
     fn evicts_least_recently_used() {
         let mut p = LruPolicy::new();
-        for i in 0..4 {
-            p.insert(key(i), 1);
-        }
-        p.access(key(0));
-        p.access(key(1));
+        let mut t: Vec<Token> = (0..4).map(|i| p.insert(key(i), 1)).collect();
+        p.access(&mut t[0]);
+        p.access(&mut t[1]);
         assert_eq!(p.evict().unwrap().0, key(2));
         assert_eq!(p.evict().unwrap().0, key(3));
         assert_eq!(p.evict().unwrap().0, key(0));
@@ -100,19 +77,11 @@ mod tests {
     }
 
     #[test]
-    fn tail_region_is_supported() {
-        let mut p = LruPolicy::with_tail_region(2);
-        assert!(p.supports_tail_region());
-        for i in 0..5 {
-            p.insert(key(i), 1);
-        }
-        assert_eq!(p.access(key(0)), Some(HitLocation::TailRegion));
-        assert_eq!(p.access(key(4)), Some(HitLocation::Main));
-    }
-
-    #[test]
-    fn kind_tag() {
-        assert_eq!(LruPolicy::new().kind(), PolicyKind::Lru);
-        assert!(PolicyKind::Lru.supports_tail_region());
+    fn tail_region_hits_are_reported() {
+        let mut p = LruPolicy::new();
+        p.set_tail_region(2);
+        let mut t: Vec<Token> = (0..5).map(|i| p.insert(key(i), 1)).collect();
+        assert_eq!(p.access(&mut t[0]), HitLocation::TailRegion);
+        assert_eq!(p.access(&mut t[4]), HitLocation::Main);
     }
 }

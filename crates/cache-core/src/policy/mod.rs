@@ -14,12 +14,22 @@
 //! Eviction is driven externally: the owning queue calls [`EvictionPolicy::evict`]
 //! until it is back under its byte budget, so policies order items but do not
 //! themselves enforce a capacity (except for their internal ghost lists).
+//!
+//! A policy is an order keeper, not a dictionary. It cannot tell whether a
+//! key is resident: [`EvictionPolicy::insert`] returns a [`Token`], the
+//! engine that owns the queue keeps that token in its one index entry for
+//! the key, and [`EvictionPolicy::access`] / [`EvictionPolicy::remove`]
+//! take it back. [`EvictionPolicy::evict`] returns the victim's key so the
+//! engine can drop the entry. Only ARC's ghost lists are looked up by key,
+//! and they keep a key-only index of their own, as every
+//! [`crate::ShadowQueue`] does.
 
 pub mod arc;
 pub mod facebook;
 pub mod lru;
 
 use crate::key::Key;
+use crate::list::NodeHandle;
 use crate::lru::HitLocation;
 use serde::{Deserialize, Serialize};
 
@@ -44,11 +54,24 @@ impl PolicyKind {
             PolicyKind::Arc => Box::new(arc::ArcPolicy::new()),
         }
     }
+}
 
-    /// Whether the policy keeps a strict recency order and can therefore
-    /// report tail-region hits (required by the cliff-scaling algorithm).
-    pub fn supports_tail_region(self) -> bool {
-        matches!(self, PolicyKind::Lru | PolicyKind::Facebook)
+/// Names one resident item inside the policy that issued it, from
+/// [`EvictionPolicy::insert`] until the item is removed or evicted. Opaque:
+/// the engine stores it beside the value and hands it back.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Token {
+    node: NodeHandle,
+    /// ARC only: the node is in T2 (the frequency list), not T1.
+    frequent: bool,
+}
+
+impl Token {
+    pub(crate) fn new(node: NodeHandle) -> Token {
+        Token {
+            node,
+            frequent: false,
+        }
     }
 }
 
@@ -60,26 +83,31 @@ impl PolicyKind {
 /// eviction order within a queue (size-awareness comes from slab classes and
 /// from the allocation algorithm above).
 pub trait EvictionPolicy: std::fmt::Debug + Send {
-    /// Records a hit on `key`, reorganising internal structures. Returns
-    /// where the hit was found, or `None` if the key is not resident.
-    fn access(&mut self, key: Key) -> Option<HitLocation>;
+    /// Records a hit on the item `token` names, reorganising internal
+    /// structures (ARC moves the item between its lists and rewrites the
+    /// token). Returns where the hit was found.
+    fn access(&mut self, token: &mut Token) -> HitLocation;
 
     /// Notifies the policy of a GET that missed the physical queue. Policies
     /// with ghost lists (ARC) use this to adapt; others ignore it.
     fn on_miss(&mut self, _key: Key) {}
 
-    /// Makes `key` resident with the given weight (replacing any previous
-    /// entry for the same key).
-    fn insert(&mut self, key: Key, weight: u64);
+    /// Makes `key` resident with the given weight. The caller has removed
+    /// any previous copy: a policy cannot look a key up.
+    fn insert(&mut self, key: Key, weight: u64) -> Token;
 
     /// Removes and returns the next eviction victim.
     fn evict(&mut self) -> Option<(Key, u64)>;
 
-    /// Removes a specific key, returning its weight if it was resident.
-    fn remove(&mut self, key: Key) -> Option<u64>;
+    /// Removes the item `token` names, returning its key and weight.
+    fn remove(&mut self, token: Token) -> (Key, u64);
 
-    /// Whether `key` is resident.
-    fn contains(&self, key: Key) -> bool;
+    /// A write of non-resident `key` was turned away; drops what the policy
+    /// remembered about its next admission (ARC's ghost-hit mark).
+    fn forget(&mut self, _key: Key) {}
+
+    /// The key and weight `token` names, if it names a live item.
+    fn peek(&self, token: Token) -> Option<(Key, u64)>;
 
     /// Number of resident keys.
     fn len(&self) -> usize;
@@ -93,16 +121,9 @@ pub trait EvictionPolicy: std::fmt::Debug + Send {
     fn total_weight(&self) -> u64;
 
     /// Configures the tail region (last `items` items) for policies that
-    /// support it; a no-op otherwise.
+    /// keep a strict recency order and can therefore report tail-region
+    /// hits (LRU, Facebook); a no-op otherwise.
     fn set_tail_region(&mut self, items: usize);
-
-    /// Whether [`EvictionPolicy::set_tail_region`] has any effect.
-    fn supports_tail_region(&self) -> bool {
-        false
-    }
-
-    /// The policy's kind tag.
-    fn kind(&self) -> PolicyKind;
 }
 
 #[cfg(test)]
@@ -119,25 +140,24 @@ pub(crate) mod conformance {
         assert!(policy.is_empty());
         assert_eq!(policy.evict(), None);
 
-        for i in 0..16 {
-            policy.insert(key(i), 10);
-        }
+        let mut tokens: Vec<Token> = (0..16).map(|i| policy.insert(key(i), 10)).collect();
         assert_eq!(policy.len(), 16);
         assert_eq!(policy.total_weight(), 160);
-        assert!(policy.contains(key(3)));
-        assert!(!policy.contains(key(99)));
+        assert_eq!(policy.peek(tokens[3]), Some((key(3), 10)));
 
-        assert!(policy.access(key(3)).is_some());
-        assert!(policy.access(key(99)).is_none());
+        // A hit may move the item between lists but the (possibly
+        // rewritten) token keeps naming it.
+        policy.access(&mut tokens[3]);
+        assert_eq!(policy.peek(tokens[3]), Some((key(3), 10)));
 
-        // Removing returns the weight exactly once.
-        assert_eq!(policy.remove(key(5)), Some(10));
-        assert_eq!(policy.remove(key(5)), None);
+        // Removing hands the key and weight back.
+        assert_eq!(policy.remove(tokens[5]), (key(5), 10));
         assert_eq!(policy.len(), 15);
         assert_eq!(policy.total_weight(), 150);
 
-        // Re-inserting an existing key must not double count.
-        policy.insert(key(3), 20);
+        // Replacing an item is remove-then-insert and must not double count.
+        policy.remove(tokens[3]);
+        tokens[3] = policy.insert(key(3), 20);
         assert_eq!(policy.len(), 15);
         assert_eq!(policy.total_weight(), 160);
 
@@ -158,14 +178,12 @@ pub(crate) mod conformance {
     /// never return the same key twice.
     pub(crate) fn no_duplicate_evictions(mut policy: Box<dyn EvictionPolicy>) {
         use std::collections::HashSet;
-        for i in 0..64 {
-            policy.insert(key(i), 1);
-        }
+        let mut tokens: Vec<Token> = (0..64).map(|i| policy.insert(key(i), 1)).collect();
         for i in (0..64).step_by(3) {
-            policy.access(key(i));
+            policy.access(&mut tokens[i]);
         }
         for i in (0..64).step_by(7) {
-            policy.remove(key(i));
+            policy.remove(tokens[i]);
         }
         let mut seen = HashSet::new();
         while let Some((k, _)) = policy.evict() {

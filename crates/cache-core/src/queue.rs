@@ -1,5 +1,5 @@
-//! A physical cache queue: an eviction policy, the stored values, a byte
-//! budget and an attached shadow queue.
+//! A physical cache queue: an eviction policy, a byte budget and an attached
+//! shadow queue.
 //!
 //! [`CacheQueue`] is the unit the allocation algorithms reason about — one
 //! per slab class (or one per application when optimizing across
@@ -7,10 +7,18 @@
 //! its `target_bytes` budget, evicts according to its policy when over
 //! budget, and records evicted keys in its shadow queue so that later misses
 //! can be classified as "would have hit with more memory".
+//!
+//! A queue keeps order and bytes; it holds no values and cannot look a key
+//! up. The engine above it ([`crate::SlabCache`], [`crate::GlobalLruCache`],
+//! `cliffhanger::Cliffhanger`) owns the one index from key to value and
+//! [`Token`]: it tells the queue whether a GET was a [`CacheQueue::hit`] (and
+//! on which token) or a [`CacheQueue::miss`], passes the token of the copy a
+//! SET replaces, and drops its entries for the keys a SET or a shrink hands
+//! back as evicted.
 
-use crate::key::{Key, KeyMap};
+use crate::key::Key;
 use crate::lru::HitLocation;
-use crate::policy::{EvictionPolicy, PolicyKind};
+use crate::policy::{EvictionPolicy, PolicyKind, Token};
 use crate::shadow::{ShadowHit, ShadowQueue};
 use crate::stats::CacheStats;
 use crate::ITEM_OVERHEAD;
@@ -61,17 +69,6 @@ pub struct GetResult {
     pub shadow_hit: Option<ShadowHit>,
 }
 
-impl GetResult {
-    /// A miss that also missed the shadow queue.
-    pub fn cold_miss() -> Self {
-        GetResult {
-            hit: false,
-            location: None,
-            shadow_hit: None,
-        }
-    }
-}
-
 /// Outcome of a SET against a [`CacheQueue`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SetResult {
@@ -80,19 +77,23 @@ pub struct SetResult {
     pub admitted: bool,
     /// Keys evicted from the physical queue to make room.
     pub evicted: Vec<Key>,
+    /// Where the item now sits: `None` if it was not admitted, or if making
+    /// room evicted the item itself (a mid-queue insertion into a queue
+    /// that fits almost nothing).
+    pub token: Option<Token>,
 }
 
-/// A physical cache queue with values, a byte budget and a shadow queue.
+/// A physical cache queue: an order of weighted keys under a byte budget,
+/// with a shadow queue behind it.
 #[derive(Debug)]
-pub struct CacheQueue<V> {
+pub struct CacheQueue {
     policy: Box<dyn EvictionPolicy>,
-    values: KeyMap<V>,
     shadow: ShadowQueue,
     target_bytes: u64,
     stats: CacheStats,
 }
 
-impl<V> CacheQueue<V> {
+impl CacheQueue {
     /// Creates a queue from its configuration.
     pub fn new(config: QueueConfig) -> Self {
         let mut policy = config.policy.build();
@@ -101,7 +102,6 @@ impl<V> CacheQueue<V> {
         }
         CacheQueue {
             policy,
-            values: KeyMap::default(),
             shadow: ShadowQueue::new(config.shadow_capacity),
             target_bytes: config.target_bytes,
             stats: CacheStats::new(),
@@ -113,64 +113,68 @@ impl<V> CacheQueue<V> {
         size + ITEM_OVERHEAD
     }
 
-    /// Looks up `key`, updating recency, the shadow queue and statistics.
-    pub fn get(&mut self, key: Key) -> GetResult {
-        let location = self.policy.access(key);
-        let hit = location.is_some();
-        let shadow_hit = if hit {
-            None
-        } else {
-            self.policy.on_miss(key);
-            self.shadow.probe(key)
-        };
-        self.stats.record_get(hit);
+    /// Records a GET of the resident item `token` names, updating recency
+    /// and statistics.
+    pub fn hit(&mut self, token: &mut Token) -> GetResult {
+        let location = self.policy.access(token);
+        self.stats.record_get(true);
+        GetResult {
+            hit: true,
+            location: Some(location),
+            shadow_hit: None,
+        }
+    }
+
+    /// Records a GET of `key`, which the engine's index does not hold for
+    /// this queue: the policy's ghost lists, the shadow queue and the
+    /// statistics see the miss.
+    pub fn miss(&mut self, key: Key) -> GetResult {
+        self.policy.on_miss(key);
+        let shadow_hit = self.shadow.probe(key);
+        self.stats.record_get(false);
         if shadow_hit.is_some() {
             self.stats.shadow_hits += 1;
         }
         GetResult {
-            hit,
-            location,
+            hit: false,
+            location: None,
             shadow_hit,
         }
     }
 
-    /// Returns the stored value without affecting recency or statistics.
-    pub fn value(&self, key: Key) -> Option<&V> {
-        self.values.get(&key)
-    }
-
     /// Inserts `key` with a payload of `size` bytes, evicting items as needed
-    /// to stay within the byte budget.
-    pub fn set(&mut self, key: Key, size: u64, value: V) -> SetResult {
+    /// to stay within the byte budget. `old` names the copy of `key` this
+    /// queue already holds, if it holds one; it is gone afterwards whether
+    /// or not the new item was admitted.
+    pub fn set(&mut self, key: Key, size: u64, old: Option<Token>) -> SetResult {
         self.stats.record_set();
+        if let Some(token) = old {
+            self.policy.remove(token);
+        }
         let charge = Self::charge(size);
         if charge > self.target_bytes {
             // The item alone exceeds the budget; do not admit it (Memcached
             // would fail the store with SERVER_ERROR object too large).
-            // Remove any stale copy so we do not serve an outdated value.
-            self.policy.remove(key);
-            self.values.remove(&key);
-            return SetResult {
-                admitted: false,
-                evicted: Vec::new(),
-            };
+            if old.is_none() {
+                self.policy.forget(key);
+            }
+            return SetResult::default();
         }
-        self.policy.insert(key, charge);
-        self.values.insert(key, value);
+        let token = self.policy.insert(key, charge);
         // The key is now resident; it must not linger in the shadow queue.
         self.shadow.remove(key);
         let evicted = self.evict_to_target();
         SetResult {
             admitted: true,
+            token: (!evicted.contains(&key)).then_some(token),
             evicted,
         }
     }
 
-    /// Removes `key` from the physical queue (but not the shadow queue).
-    pub fn delete(&mut self, key: Key) -> bool {
-        let removed = self.policy.remove(key).is_some();
-        self.values.remove(&key);
-        removed
+    /// Removes the item `token` names from the physical queue (its key does
+    /// not enter the shadow queue), returning its key.
+    pub fn remove(&mut self, token: Token) -> Key {
+        self.policy.remove(token).0
     }
 
     /// Evicts items until the queue fits its byte budget; returns the evicted
@@ -180,7 +184,6 @@ impl<V> CacheQueue<V> {
         while self.policy.total_weight() > self.target_bytes {
             match self.policy.evict() {
                 Some((key, _)) => {
-                    self.values.remove(&key);
                     self.shadow.insert(key);
                     evicted.push(key);
                 }
@@ -219,9 +222,9 @@ impl<V> CacheQueue<V> {
         self.policy.is_empty()
     }
 
-    /// Whether `key` is resident.
-    pub fn contains(&self, key: Key) -> bool {
-        self.policy.contains(key)
+    /// The key and charge of the item `token` names, if it names one.
+    pub fn peek(&self, token: Token) -> Option<(Key, u64)> {
+        self.policy.peek(token)
     }
 
     /// Cumulative statistics.
@@ -238,39 +241,81 @@ impl<V> CacheQueue<V> {
     pub fn shadow(&self) -> &ShadowQueue {
         &self.shadow
     }
+}
 
-    /// Mutable access to the attached shadow queue (used by allocators that
-    /// resize shadow queues together with their physical queues).
-    pub fn shadow_mut(&mut self) -> &mut ShadowQueue {
-        &mut self.shadow
+/// The invariant between an engine's index and its queues, for the engines'
+/// `check_index`: every entry's token must name a queued node holding that
+/// entry's key (`entries` pairs each indexed key with what its token names),
+/// and the index must account for exactly the `queued` (items, bytes).
+#[doc(hidden)]
+pub fn check_index(
+    entries: impl Iterator<Item = (Key, Option<(Key, u64)>)>,
+    queued: (usize, u64),
+) -> Result<(), String> {
+    let mut indexed = (0, 0);
+    for (key, named) in entries {
+        match named {
+            Some((held, weight)) if held == key => indexed = (indexed.0 + 1, indexed.1 + weight),
+            other => return Err(format!("{key:?}: its token names {other:?}")),
+        }
     }
-
-    /// Reconfigures the tail region of the physical queue.
-    pub fn set_tail_region(&mut self, items: usize) {
-        self.policy.set_tail_region(items);
+    if indexed != queued {
+        return Err(format!(
+            "(items, bytes) indexed {indexed:?}, queued {queued:?}"
+        ));
     }
-
-    /// Whether the underlying policy supports tail-region classification.
-    pub fn supports_tail_region(&self) -> bool {
-        self.policy.supports_tail_region()
-    }
-
-    /// The policy kind backing this queue.
-    pub fn policy_kind(&self) -> PolicyKind {
-        self.policy.kind()
-    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::key::KeyMap;
 
     fn key(i: u64) -> Key {
         Key::new(i)
     }
 
-    fn queue(target_bytes: u64, shadow: usize) -> CacheQueue<()> {
-        CacheQueue::new(QueueConfig {
+    /// The smallest engine there is: a queue and the index it relies on.
+    struct Keyed {
+        queue: CacheQueue,
+        index: KeyMap<Token>,
+    }
+
+    impl Keyed {
+        fn new(config: QueueConfig) -> Keyed {
+            Keyed {
+                queue: CacheQueue::new(config),
+                index: KeyMap::default(),
+            }
+        }
+
+        fn get(&mut self, key: Key) -> GetResult {
+            match self.index.get_mut(&key) {
+                Some(token) => self.queue.hit(token),
+                None => self.queue.miss(key),
+            }
+        }
+
+        fn set(&mut self, key: Key, size: u64) -> SetResult {
+            let old = self.index.remove(&key);
+            let result = self.queue.set(key, size, old);
+            for evicted in &result.evicted {
+                self.index.remove(evicted);
+            }
+            if let Some(token) = result.token {
+                self.index.insert(key, token);
+            }
+            result
+        }
+
+        fn contains(&self, key: Key) -> bool {
+            self.index.contains_key(&key)
+        }
+    }
+
+    fn queue(target_bytes: u64, shadow: usize) -> Keyed {
+        Keyed::new(QueueConfig {
             policy: PolicyKind::Lru,
             target_bytes,
             tail_region_items: 0,
@@ -281,16 +326,17 @@ mod tests {
     #[test]
     fn get_miss_then_set_then_hit() {
         let mut q = queue(10_000, 0);
-        assert_eq!(q.get(key(1)), GetResult::cold_miss());
-        let set = q.set(key(1), 100, ());
+        assert!(!q.get(key(1)).hit);
+        let set = q.set(key(1), 100);
         assert!(set.admitted);
         assert!(set.evicted.is_empty());
         let got = q.get(key(1));
         assert!(got.hit);
-        assert_eq!(q.stats().gets, 2);
-        assert_eq!(q.stats().hits, 1);
-        assert_eq!(q.stats().misses, 1);
-        assert_eq!(q.stats().sets, 1);
+        let stats = q.queue.stats();
+        assert_eq!(stats.gets, 2);
+        assert_eq!(stats.hits, 1);
+        assert_eq!(stats.misses, 1);
+        assert_eq!(stats.sets, 1);
     }
 
     #[test]
@@ -298,86 +344,111 @@ mod tests {
         // Each item charges 100 + 48 = 148 bytes; budget fits 4 items.
         let mut q = queue(600, 0);
         for i in 0..10 {
-            q.set(key(i), 100, ());
+            q.set(key(i), 100);
         }
-        assert!(q.used_bytes() <= 600);
-        assert_eq!(q.len(), 4);
+        assert!(q.queue.used_bytes() <= 600);
+        assert_eq!(q.queue.len(), 4);
         // The oldest items were evicted.
         assert!(!q.contains(key(0)));
         assert!(q.contains(key(9)));
-        assert_eq!(q.stats().evictions, 6);
+        assert_eq!(q.queue.stats().evictions, 6);
     }
 
     #[test]
     fn evicted_keys_land_in_shadow_queue() {
         let mut q = queue(600, 100);
         for i in 0..10 {
-            q.set(key(i), 100, ());
+            q.set(key(i), 100);
         }
         // Key 0 was evicted; a GET on it must report a shadow hit.
         let result = q.get(key(0));
         assert!(!result.hit);
         assert!(result.shadow_hit.is_some());
-        assert_eq!(q.stats().shadow_hits, 1);
+        assert_eq!(q.queue.stats().shadow_hits, 1);
         // A completely cold key misses both.
-        assert_eq!(q.get(key(77)), GetResult::cold_miss());
+        let cold = q.get(key(77));
+        assert!(!cold.hit && cold.shadow_hit.is_none());
     }
 
     #[test]
     fn oversized_items_are_rejected() {
         let mut q = queue(100, 0);
-        let res = q.set(key(1), 1_000, ());
+        let res = q.set(key(1), 1_000);
         assert!(!res.admitted);
-        assert!(!q.contains(key(1)));
-        assert_eq!(q.len(), 0);
+        assert_eq!(res.token, None);
+        assert_eq!(q.queue.len(), 0);
     }
 
     #[test]
     fn oversized_overwrite_drops_stale_value() {
         let mut q = queue(1_000, 0);
-        q.set(key(1), 100, ());
+        q.set(key(1), 100);
         assert!(q.contains(key(1)));
-        // An update that no longer fits must not leave the old value behind.
-        let res = q.set(key(1), 5_000, ());
+        // An update that no longer fits must not leave the old copy behind.
+        let res = q.set(key(1), 5_000);
         assert!(!res.admitted);
         assert!(!q.contains(key(1)));
-        assert!(q.value(key(1)).is_none());
+        assert!(q.queue.is_empty());
+    }
+
+    #[test]
+    fn an_item_evicted_by_its_own_insertion_gets_no_token() {
+        // A mid-queue insertion behind one promoted item, into a budget of
+        // one item: making room evicts the newcomer itself.
+        let mut q = Keyed::new(QueueConfig {
+            policy: PolicyKind::Facebook,
+            target_bytes: 148,
+            ..QueueConfig::default()
+        });
+        q.set(key(1), 100);
+        assert!(q.get(key(1)).hit);
+        let res = q.set(key(2), 100);
+        assert!(res.admitted);
+        assert_eq!(res.evicted, vec![key(2)]);
+        assert_eq!(res.token, None);
+        assert!(q.contains(key(1)) && !q.contains(key(2)));
     }
 
     #[test]
     fn shrinking_budget_is_lazy_then_enforced() {
         let mut q = queue(10_000, 0);
         for i in 0..10 {
-            q.set(key(i), 100, ());
+            q.set(key(i), 100);
         }
-        let before = q.len();
-        q.set_target_bytes(500);
-        assert_eq!(q.len(), before, "shrinking must not evict immediately");
-        let evicted = q.evict_to_target();
+        let before = q.queue.len();
+        q.queue.set_target_bytes(500);
+        assert_eq!(
+            q.queue.len(),
+            before,
+            "shrinking must not evict immediately"
+        );
+        let evicted = q.queue.evict_to_target();
         assert!(!evicted.is_empty());
-        assert!(q.used_bytes() <= 500);
+        assert!(q.queue.used_bytes() <= 500);
     }
 
     #[test]
-    fn values_are_stored_and_deleted() {
-        let mut q: CacheQueue<String> = CacheQueue::new(QueueConfig::lru(10_000));
-        q.set(key(1), 10, "hello".to_string());
-        assert_eq!(q.value(key(1)).map(String::as_str), Some("hello"));
-        assert!(q.delete(key(1)));
-        assert!(!q.delete(key(1)));
-        assert!(q.value(key(1)).is_none());
+    fn remove_takes_the_item_out_without_a_shadow_entry() {
+        let mut q = queue(10_000, 16);
+        q.set(key(1), 10);
+        let token = q.index.remove(&key(1)).unwrap();
+        assert_eq!(q.queue.peek(token), Some((key(1), 58)));
+        assert_eq!(q.queue.remove(token), key(1));
+        assert!(q.queue.is_empty());
+        let gone = q.get(key(1));
+        assert!(!gone.hit && gone.shadow_hit.is_none());
     }
 
     #[test]
     fn set_removes_key_from_shadow_queue() {
         let mut q = queue(600, 100);
         for i in 0..10 {
-            q.set(key(i), 100, ());
+            q.set(key(i), 100);
         }
-        assert!(q.shadow().contains(key(0)));
-        q.set(key(0), 100, ());
+        assert!(q.queue.shadow().contains(key(0)));
+        q.set(key(0), 100);
         assert!(
-            !q.shadow().contains(key(0)),
+            !q.queue.shadow().contains(key(0)),
             "a resident key must not also be in the shadow queue"
         );
     }
@@ -385,34 +456,34 @@ mod tests {
     #[test]
     fn updating_an_item_does_not_double_charge() {
         let mut q = queue(10_000, 0);
-        q.set(key(1), 100, ());
-        let used = q.used_bytes();
-        q.set(key(1), 100, ());
-        assert_eq!(q.used_bytes(), used);
-        q.set(key(1), 200, ());
-        assert_eq!(q.used_bytes(), used + 100);
+        q.set(key(1), 100);
+        let used = q.queue.used_bytes();
+        q.set(key(1), 100);
+        assert_eq!(q.queue.used_bytes(), used);
+        q.set(key(1), 200);
+        assert_eq!(q.queue.used_bytes(), used + 100);
+        assert_eq!(q.queue.len(), 1);
     }
 
     #[test]
     fn tail_region_classification_flows_through() {
-        let mut q: CacheQueue<()> = CacheQueue::new(QueueConfig {
+        let mut q = Keyed::new(QueueConfig {
             policy: PolicyKind::Lru,
             target_bytes: 1 << 20,
             tail_region_items: 2,
             shadow_capacity: 0,
         });
         for i in 0..6 {
-            q.set(key(i), 100, ());
+            q.set(key(i), 100);
         }
         assert_eq!(q.get(key(0)).location, Some(HitLocation::TailRegion));
         assert_eq!(q.get(key(5)).location, Some(HitLocation::Main));
-        assert!(q.supports_tail_region());
     }
 
     #[test]
     fn works_with_every_policy_kind() {
         for kind in [PolicyKind::Lru, PolicyKind::Facebook, PolicyKind::Arc] {
-            let mut q: CacheQueue<()> = CacheQueue::new(QueueConfig {
+            let mut q = Keyed::new(QueueConfig {
                 policy: kind,
                 target_bytes: 2_000,
                 tail_region_items: 0,
@@ -420,11 +491,14 @@ mod tests {
             });
             for i in 0..50 {
                 q.get(key(i % 20));
-                q.set(key(i % 20), 64, ());
+                q.set(key(i % 20), 64);
             }
-            assert!(q.used_bytes() <= 2_000, "budget violated for {kind:?}");
-            assert!(!q.is_empty());
-            assert_eq!(q.policy_kind(), kind);
+            assert!(
+                q.queue.used_bytes() <= 2_000,
+                "budget violated for {kind:?}"
+            );
+            assert!(!q.queue.is_empty());
+            assert_eq!(q.queue.len(), q.index.len());
         }
     }
 }

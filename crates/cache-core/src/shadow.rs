@@ -36,28 +36,28 @@ pub enum ShadowHalf {
 pub struct ShadowHit {
     /// Which half of the queue the key was found in.
     pub half: ShadowHalf,
-    /// Approximate distance (in entries, counted from the physical queue)
-    /// at which the key was found: 0-based index of the half boundary the
-    /// key fell into. `0` for the left half, `capacity / 2` for the right.
-    pub depth_hint: usize,
 }
 
 #[derive(Clone, Copy, Debug)]
-struct Slot {
+struct Ghost {
+    key: Key,
     half: ShadowHalf,
-    handle: NodeHandle,
 }
 
 /// A fixed-capacity, key-only LRU queue with exact half classification.
 ///
-/// Internally the queue keeps two segments (left = newer, right = older) whose
-/// concatenation is the full recency order; the boundary is maintained at
-/// `ceil(len / 2)` so half membership is exact at all times.
+/// The queue is one list, newest first, whose nodes are tagged left (newer)
+/// or right (older); the boundary is kept at `ceil(len / 2)` by retagging
+/// the node next to it, so half membership is exact at all times and the
+/// key index (a shadow queue is looked up by key: its keys are resident
+/// nowhere else) is touched only for the key an operation names.
 #[derive(Debug)]
 pub struct ShadowQueue {
-    left: LinkedArena<Key>,
-    right: LinkedArena<Key>,
-    index: KeyMap<Slot>,
+    nodes: LinkedArena<Ghost>,
+    /// First node of the right half (`None` while it is empty).
+    right_head: Option<NodeHandle>,
+    left_len: usize,
+    index: KeyMap<NodeHandle>,
     capacity: usize,
 }
 
@@ -65,8 +65,9 @@ impl ShadowQueue {
     /// Creates a shadow queue holding at most `capacity` keys.
     pub fn new(capacity: usize) -> Self {
         ShadowQueue {
-            left: LinkedArena::new(),
-            right: LinkedArena::new(),
+            nodes: LinkedArena::new(),
+            right_head: None,
+            left_len: 0,
             index: KeyMap::default(),
             capacity,
         }
@@ -106,20 +107,12 @@ impl ShadowQueue {
         if self.capacity == 0 {
             return None;
         }
-        if let Some(slot) = self.index.remove(&key) {
-            match slot.half {
-                ShadowHalf::Left => self.left.remove(slot.handle),
-                ShadowHalf::Right => self.right.remove(slot.handle),
-            };
+        let half = ShadowHalf::Left;
+        let handle = self.nodes.push_front(Ghost { key, half });
+        self.left_len += 1;
+        if let Some(stale) = self.index.insert(key, handle) {
+            self.unlink(stale);
         }
-        let handle = self.left.push_front(key);
-        self.index.insert(
-            key,
-            Slot {
-                half: ShadowHalf::Left,
-                handle,
-            },
-        );
         let evicted = self.enforce_capacity();
         self.rebalance();
         evicted
@@ -129,86 +122,82 @@ impl ShadowQueue {
     /// about to be re-admitted to the physical queue by the caller) and the
     /// half it was found in is reported.
     pub fn probe(&mut self, key: Key) -> Option<ShadowHit> {
-        let slot = self.index.remove(&key)?;
-        match slot.half {
-            ShadowHalf::Left => self.left.remove(slot.handle),
-            ShadowHalf::Right => self.right.remove(slot.handle),
-        };
+        // An empty queue (every capacity-0 one) costs a lookup no hash.
+        if self.index.is_empty() {
+            return None;
+        }
+        let handle = self.index.remove(&key)?;
+        let half = self.unlink(handle);
         self.rebalance();
-        Some(ShadowHit {
-            half: slot.half,
-            depth_hint: match slot.half {
-                ShadowHalf::Left => 0,
-                ShadowHalf::Right => self.capacity / 2,
-            },
-        })
+        Some(ShadowHit { half })
     }
 
     /// Looks up `key` without removing it.
     pub fn peek(&self, key: Key) -> Option<ShadowHalf> {
-        self.index.get(&key).map(|s| s.half)
+        let handle = self.index.get(&key)?;
+        self.nodes.get(*handle).map(|ghost| ghost.half)
     }
 
     /// Removes `key` if present (used when the physical queue re-admits a key
     /// through a path that did not call [`ShadowQueue::probe`]).
     pub fn remove(&mut self, key: Key) -> bool {
-        match self.index.remove(&key) {
-            Some(slot) => {
-                match slot.half {
-                    ShadowHalf::Left => self.left.remove(slot.handle),
-                    ShadowHalf::Right => self.right.remove(slot.handle),
-                };
-                self.rebalance();
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Drops every key.
-    pub fn clear(&mut self) {
-        self.left.clear();
-        self.right.clear();
-        self.index.clear();
+        self.probe(key).is_some()
     }
 
     /// Iterates over keys from most to least recently evicted.
     pub fn iter(&self) -> impl Iterator<Item = Key> + '_ {
-        self.left.iter().copied().chain(self.right.iter().copied())
+        self.nodes.iter().map(|ghost| ghost.key)
+    }
+
+    /// Takes the node at `handle` off the list and out of its half's books.
+    fn unlink(&mut self, handle: NodeHandle) -> ShadowHalf {
+        if self.right_head == Some(handle) {
+            self.right_head = self.nodes.next(handle);
+        }
+        let ghost = self.nodes.remove(handle);
+        if ghost.half == ShadowHalf::Left {
+            self.left_len -= 1;
+        }
+        ghost.half
     }
 
     fn enforce_capacity(&mut self) -> Option<Key> {
         let mut last_evicted = None;
         while self.index.len() > self.capacity {
-            let key = self
-                .right
-                .pop_back()
-                .or_else(|| self.left.pop_back())
-                .expect("index non-empty implies a segment is non-empty");
+            let oldest = self.nodes.back().expect("over capacity implies non-empty");
+            let key = self.nodes.get(oldest).expect("back is live").key;
+            self.unlink(oldest);
             self.index.remove(&key);
             last_evicted = Some(key);
         }
         last_evicted
     }
 
+    /// Moves the boundary until the left half holds `ceil(len / 2)` keys.
     fn rebalance(&mut self) {
         let left_target = self.index.len().div_ceil(2);
-        while self.left.len() > left_target {
-            let key = self.left.pop_back().expect("left non-empty");
-            let handle = self.right.push_front(key);
-            self.reindex(key, ShadowHalf::Right, handle);
+        while self.left_len > left_target {
+            // The left half's last node becomes the right half's first.
+            let node = match self.right_head {
+                Some(first) => self.nodes.prev(first),
+                None => self.nodes.back(),
+            }
+            .expect("left half non-empty");
+            self.retag(node, ShadowHalf::Right);
+            self.right_head = Some(node);
+            self.left_len -= 1;
         }
-        while self.left.len() < left_target {
-            let key = self.right.pop_front().expect("right non-empty");
-            let handle = self.left.push_back(key);
-            self.reindex(key, ShadowHalf::Left, handle);
+        while self.left_len < left_target {
+            let node = self.right_head.expect("right half non-empty");
+            self.retag(node, ShadowHalf::Left);
+            self.right_head = self.nodes.next(node);
+            self.left_len += 1;
         }
     }
 
-    fn reindex(&mut self, key: Key, half: ShadowHalf, handle: NodeHandle) {
-        if let Some(slot) = self.index.get_mut(&key) {
-            slot.half = half;
-            slot.handle = handle;
+    fn retag(&mut self, node: NodeHandle, half: ShadowHalf) {
+        if let Some(ghost) = self.nodes.get_mut(node) {
+            ghost.half = half;
         }
     }
 }
@@ -283,7 +272,6 @@ mod tests {
         }
         let hit = q.probe(key(0)).unwrap();
         assert_eq!(hit.half, ShadowHalf::Right);
-        assert_eq!(hit.depth_hint, 2);
     }
 
     #[test]
@@ -329,14 +317,5 @@ mod tests {
         assert!(!q.remove(key(2)));
         let keys: Vec<u64> = q.iter().map(Key::raw).collect();
         assert_eq!(keys, vec![4, 3, 1, 0]);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut q = ShadowQueue::new(5);
-        q.insert(key(1));
-        q.clear();
-        assert!(q.is_empty());
-        assert!(!q.contains(key(1)));
     }
 }

@@ -13,7 +13,7 @@
 //!   plan); the cache only enforces them.
 
 use crate::key::{ClassId, Key, KeyMap};
-use crate::policy::PolicyKind;
+use crate::policy::{PolicyKind, Token};
 use crate::queue::{CacheQueue, GetResult, QueueConfig, SetResult};
 use crate::slab::SlabConfig;
 use crate::stats::CacheStats;
@@ -80,15 +80,27 @@ pub struct SlabGetResult {
     pub result: GetResult,
 }
 
+/// What the cache's one index holds per resident key: where the item is
+/// (its class queue and the token that queue issued) and the value itself.
+#[derive(Debug)]
+struct Resident<V> {
+    class: ClassId,
+    token: Token,
+    value: V,
+}
+
 /// A slab-structured single-application cache.
+///
+/// One hash table — Memcached's — maps every resident key to its
+/// `Resident` entry; the per-class queues below it keep eviction order and
+/// bytes and are addressed by token, so a GET hit is one probe.
 #[derive(Debug)]
 pub struct SlabCache<V> {
     config: SlabCacheConfig,
-    queues: Vec<CacheQueue<V>>,
+    queues: Vec<CacheQueue>,
     /// Bytes of the reservation granted to each class (FCFS mode only).
     granted: Vec<u64>,
-    /// Class of each resident key (needed to serve GETs without a size hint).
-    resident_class: KeyMap<ClassId>,
+    index: KeyMap<Resident<V>>,
     stats: CacheStats,
 }
 
@@ -96,31 +108,28 @@ impl<V> SlabCache<V> {
     /// Creates a cache from its configuration.
     pub fn new(config: SlabCacheConfig) -> Self {
         let num_classes = config.slab.num_classes();
-        let mut queues = Vec::with_capacity(num_classes);
-        for class in 0..num_classes as u32 {
-            let chunk = config.slab.chunk_size(ClassId::new(class));
-            let shadow_capacity = if config.shadow_bytes == 0 {
-                0
-            } else {
-                (config.shadow_bytes / chunk).max(1) as usize
-            };
-            let target = match config.mode {
-                // In FCFS mode targets start at zero and grow as pages are
-                // granted; in managed mode an external allocator sets them.
-                AllocationMode::FirstComeFirstServe { .. } => 0,
-                AllocationMode::Managed => 0,
-            };
-            queues.push(CacheQueue::new(QueueConfig {
-                policy: config.policy,
-                target_bytes: target,
-                tail_region_items: config.tail_region_items,
-                shadow_capacity,
-            }));
-        }
+        let queues = (0..num_classes as u32)
+            .map(|class| {
+                let chunk = config.slab.chunk_size(ClassId::new(class));
+                let shadow_capacity = if config.shadow_bytes == 0 {
+                    0
+                } else {
+                    (config.shadow_bytes / chunk).max(1) as usize
+                };
+                // Targets start at zero: FCFS grows them as pages are
+                // granted, managed mode has an external allocator set them.
+                CacheQueue::new(QueueConfig {
+                    policy: config.policy,
+                    target_bytes: 0,
+                    tail_region_items: config.tail_region_items,
+                    shadow_capacity,
+                })
+            })
+            .collect();
         SlabCache {
             granted: vec![0; num_classes],
             queues,
-            resident_class: KeyMap::default(),
+            index: KeyMap::default(),
             config,
             stats: CacheStats::new(),
         }
@@ -142,81 +151,123 @@ impl<V> SlabCache<V> {
     }
 
     /// Looks up `key`; `size` routes the request to its slab class (traces
-    /// carry the item size on every request).
+    /// carry the item size on every request). A key resident in another
+    /// class is a miss in this one.
     pub fn get(&mut self, key: Key, size: u64) -> Option<SlabGetResult> {
         let class = self.class_for_size(size)?;
-        Some(self.get_in_class(key, class))
+        let (queues, stats) = (&mut self.queues, &mut self.stats);
+        Some(match self.index.get_mut(&key) {
+            Some(item) if item.class == class => Self::hit(queues, stats, item),
+            _ => Self::miss(queues, stats, key, class),
+        })
     }
 
     /// Looks up `key` without a size hint: resident keys are routed by the
-    /// recorded class; unknown keys are routed to the class whose shadow
-    /// queue remembers them, if any, and otherwise reported as a cold miss
-    /// in class 0.
+    /// index; unknown keys are routed to the class whose shadow queue
+    /// remembers them, if any, and otherwise reported as a cold miss in
+    /// class 0.
     pub fn get_untyped(&mut self, key: Key) -> SlabGetResult {
-        if let Some(&class) = self.resident_class.get(&key) {
-            return self.get_in_class(key, class);
-        }
-        // Only consult the shadow queues when they exist at all.
-        if self.config.shadow_bytes > 0 {
-            for (idx, queue) in self.queues.iter().enumerate() {
-                if queue.shadow().contains(key) {
-                    return self.get_in_class(key, ClassId::new(idx as u32));
-                }
-            }
-        }
-        self.get_in_class(key, ClassId::new(0))
+        self.touch(key).0
     }
 
-    fn get_in_class(&mut self, key: Key, class: ClassId) -> SlabGetResult {
-        let result = self.queues[class.index()].get(key);
-        self.stats.record_get(result.hit);
-        if result.shadow_hit.is_some() {
-            self.stats.shadow_hits += 1;
-        }
-        if result.hit {
-            self.resident_class.insert(key, class);
-        } else {
-            // A miss in this class supersedes any stale residency record
-            // (e.g. the item changed size class).
-            if self.resident_class.get(&key) == Some(&class) {
-                self.resident_class.remove(&key);
+    /// [`SlabCache::get_untyped`] that lends the value on a hit: the GET of
+    /// a server, one index probe for the access and the value together.
+    pub fn lookup(&mut self, key: Key) -> Option<&V> {
+        self.touch(key).1
+    }
+
+    fn touch(&mut self, key: Key) -> (SlabGetResult, Option<&V>) {
+        let (queues, stats) = (&mut self.queues, &mut self.stats);
+        match self.index.get_mut(&key) {
+            Some(item) => (Self::hit(queues, stats, item), Some(&item.value)),
+            None => {
+                // Only consult the shadow queues when they exist at all.
+                let remembered = (self.config.shadow_bytes > 0)
+                    .then(|| queues.iter().position(|q| q.shadow().contains(key)))
+                    .flatten();
+                let class = ClassId::new(remembered.unwrap_or(0) as u32);
+                (Self::miss(queues, stats, key, class), None)
             }
         }
+    }
+
+    fn hit(
+        queues: &mut [CacheQueue],
+        stats: &mut CacheStats,
+        item: &mut Resident<V>,
+    ) -> SlabGetResult {
+        stats.record_get(true);
+        SlabGetResult {
+            class: item.class,
+            result: queues[item.class.index()].hit(&mut item.token),
+        }
+    }
+
+    fn miss(
+        queues: &mut [CacheQueue],
+        stats: &mut CacheStats,
+        key: Key,
+        class: ClassId,
+    ) -> SlabGetResult {
+        let result = queues[class.index()].miss(key);
+        stats.record_get(false);
+        if result.shadow_hit.is_some() {
+            stats.shadow_hits += 1;
+        }
         SlabGetResult { class, result }
+    }
+
+    /// Drops the index entries of keys a queue evicted.
+    fn unindex(&mut self, evicted: &[Key]) {
+        for key in evicted {
+            self.index.remove(key);
+        }
+        self.stats.record_evictions(evicted.len() as u64);
     }
 
     /// Stores `key` with a payload of `size` bytes.
     pub fn set(&mut self, key: Key, size: u64, value: V) -> Option<(ClassId, SetResult)> {
         let class = self.class_for_size(size)?;
         self.stats.record_set();
-        // If the key currently lives in a different class, remove it there.
-        if let Some(&old_class) = self.resident_class.get(&key) {
-            if old_class != class {
-                self.queues[old_class.index()].delete(key);
-                self.resident_class.remove(&key);
-            }
+        // The write replaces whatever copy there is: one in another class
+        // goes now, one in this class with its queue's set.
+        let mut old = self.index.get(&key).map(|item| (item.class, item.token));
+        if let Some((old_class, token)) = old.filter(|&(old_class, _)| old_class != class) {
+            self.queues[old_class.index()].remove(token);
+            self.index.remove(&key);
+            old = None;
         }
-        let charge = CacheQueue::<V>::charge(size);
+        let charge = CacheQueue::charge(size);
         if let AllocationMode::FirstComeFirstServe { page_size } = self.config.mode {
             self.grow_class_fcfs(class, charge, page_size);
         }
-        let result = self.queues[class.index()].set(key, size, value);
-        if result.admitted {
-            self.resident_class.insert(key, class);
+        let result = self.queues[class.index()].set(key, size, old.map(|(_, token)| token));
+        self.unindex(&result.evicted);
+        match result.token {
+            // Overwrites the old entry where it stands.
+            Some(token) => {
+                let item = Resident {
+                    class,
+                    token,
+                    value,
+                };
+                self.index.insert(key, item);
+            }
+            // Turned away, or evicted by its own insertion: either way the
+            // copy it replaced is gone too.
+            None => drop(self.index.remove(&key)),
         }
-        for evicted in &result.evicted {
-            self.resident_class.remove(evicted);
-        }
-        self.stats.record_evictions(result.evicted.len() as u64);
         Some((class, result))
     }
 
     /// Deletes `key` if resident.
     pub fn delete(&mut self, key: Key) -> bool {
-        if let Some(class) = self.resident_class.remove(&key) {
-            self.queues[class.index()].delete(key)
-        } else {
-            false
+        match self.index.remove(&key) {
+            Some(item) => {
+                self.queues[item.class.index()].remove(item.token);
+                true
+            }
+            None => false,
         }
     }
 
@@ -258,15 +309,11 @@ impl<V> SlabCache<V> {
     /// evicted.
     pub fn enforce_targets(&mut self) -> usize {
         let mut evicted = 0;
-        for (idx, queue) in self.queues.iter_mut().enumerate() {
-            let keys = queue.evict_to_target();
-            for key in &keys {
-                self.resident_class.remove(key);
-            }
+        for idx in 0..self.queues.len() {
+            let keys = self.queues[idx].evict_to_target();
+            self.unindex(&keys);
             evicted += keys.len();
-            let _ = idx;
         }
-        self.stats.record_evictions(evicted as u64);
         evicted
     }
 
@@ -295,12 +342,12 @@ impl<V> SlabCache<V> {
 
     /// Total resident items across all classes.
     pub fn len(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
+        self.index.len()
     }
 
     /// Whether the cache holds no items.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.index.is_empty()
     }
 
     /// The application's total reservation in bytes.
@@ -315,19 +362,29 @@ impl<V> SlabCache<V> {
     }
 
     /// Direct access to a class queue (used by allocators and tests).
-    pub fn queue(&self, class: ClassId) -> &CacheQueue<V> {
+    pub fn queue(&self, class: ClassId) -> &CacheQueue {
         &self.queues[class.index()]
     }
 
-    /// Mutable access to a class queue (used by allocators).
-    pub fn queue_mut(&mut self, class: ClassId) -> &mut CacheQueue<V> {
-        &mut self.queues[class.index()]
+    /// Stored value for `key`, if resident (no effect on recency).
+    pub fn value(&self, key: Key) -> Option<&V> {
+        self.index.get(&key).map(|item| &item.value)
     }
 
-    /// Stored value for `key`, if resident.
-    pub fn value(&self, key: Key) -> Option<&V> {
-        let class = self.resident_class.get(&key)?;
-        self.queues[class.index()].value(key)
+    /// The class `key` is resident in, if it is resident.
+    pub fn class_of(&self, key: Key) -> Option<ClassId> {
+        self.index.get(&key).map(|item| item.class)
+    }
+
+    /// Checks the index against the queues (see [`crate::queue::check_index`]).
+    #[doc(hidden)]
+    pub fn check_index(&self) -> Result<(), String> {
+        let named = self.index.iter().map(|(&key, item)| {
+            let queue = &self.queues[item.class.index()];
+            (key, queue.peek(item.token))
+        });
+        let queued = self.queues.iter().map(|q| q.len()).sum();
+        crate::queue::check_index(named, (queued, self.used_bytes()))
     }
 }
 
@@ -438,7 +495,7 @@ mod tests {
     }
 
     #[test]
-    fn get_untyped_uses_resident_class() {
+    fn get_untyped_finds_the_class_through_the_index() {
         let mut c = fcfs_cache(1 << 20);
         c.set(key(1), 5_000, ());
         let res = c.get_untyped(key(1));
@@ -456,9 +513,11 @@ mod tests {
         let small = c.class_for_size(50).unwrap();
         c.set(key(1), 5_000, ());
         let large = c.class_for_size(5_000).unwrap();
-        assert!(!c.queue(small).contains(key(1)));
-        assert!(c.queue(large).contains(key(1)));
+        assert!(c.queue(small).is_empty());
+        assert_eq!(c.queue(large).len(), 1);
+        assert_eq!(c.class_of(key(1)), Some(large));
         assert_eq!(c.len(), 1);
+        c.check_index().unwrap();
     }
 
     #[test]

@@ -1,52 +1,69 @@
-//! Property-based tests of the queue substrate: the LRU list is checked
-//! against a naive reference model, and the shadow queue / slab cache
+//! Property-based tests of the queue substrate: the LRU list and the shadow
+//! queue are checked against naive reference models, and the slab cache's
 //! invariants are checked under arbitrary operation sequences.
 
-use cache_core::lru::InsertPosition;
+use cache_core::lru::{HitLocation, InsertPosition};
 use cache_core::store::AllocationMode;
 use cache_core::{
-    CacheQueue, Key, LruList, PolicyKind, QueueConfig, ShadowQueue, SlabCache, SlabCacheConfig,
-    SlabConfig, ITEM_OVERHEAD,
+    ClassId, GlobalLruCache, Key, LruList, PolicyKind, QueueConfig, ShadowHalf, ShadowQueue,
+    SlabCache, SlabCacheConfig, SlabConfig, ITEM_OVERHEAD,
 };
 use proptest::prelude::*;
 
 /// The operations the LRU model exercise can perform.
 #[derive(Clone, Debug)]
 enum LruOp {
-    Insert(u8, u8),
+    Insert(u8, u8, InsertPosition),
     Access(u8),
     Remove(u8),
     PopLru,
+    SetTailRegion(u8),
 }
 
 fn lru_op() -> impl Strategy<Value = LruOp> {
     prop_oneof![
-        (any::<u8>(), 1..=64u8).prop_map(|(k, w)| LruOp::Insert(k, w)),
+        (any::<u8>(), 1..=64u8).prop_map(|(k, w)| LruOp::Insert(k, w, InsertPosition::Top)),
+        (any::<u8>(), 1..=64u8).prop_map(|(k, w)| LruOp::Insert(k, w, InsertPosition::Middle)),
+        any::<u8>().prop_map(LruOp::Access),
         any::<u8>().prop_map(LruOp::Access),
         any::<u8>().prop_map(LruOp::Remove),
         Just(LruOp::PopLru),
+        (0..24u8).prop_map(LruOp::SetTailRegion),
     ]
 }
 
-/// A naive reference LRU: a vector ordered from most- to least-recently used.
+/// A naive reference LRU: a vector ordered from most- to least-recently
+/// used, the last `tail_region` entries of which are the tail region.
 #[derive(Default)]
 struct ModelLru {
     entries: Vec<(u8, u64)>,
+    tail_region: usize,
 }
 
 impl ModelLru {
-    fn insert(&mut self, key: u8, weight: u64) {
-        self.entries.retain(|&(k, _)| k != key);
-        self.entries.insert(0, (key, weight));
+    /// Index of the first tail-region entry.
+    fn tail_start(&self) -> usize {
+        self.entries.len() - self.tail_region.min(self.entries.len())
     }
-    fn access(&mut self, key: u8) -> bool {
-        if let Some(pos) = self.entries.iter().position(|&(k, _)| k == key) {
-            let entry = self.entries.remove(pos);
-            self.entries.insert(0, entry);
-            true
+    fn insert(&mut self, key: u8, weight: u64, position: InsertPosition) {
+        self.entries.retain(|&(k, _)| k != key);
+        let at = match position {
+            InsertPosition::Top => 0,
+            // Behind the upper half of what is not tail region.
+            InsertPosition::Middle => self.tail_start().div_ceil(2),
+        };
+        self.entries.insert(at, (key, weight));
+    }
+    fn access(&mut self, key: u8) -> Option<HitLocation> {
+        let pos = self.entries.iter().position(|&(k, _)| k == key)?;
+        let location = if pos >= self.tail_start() {
+            HitLocation::TailRegion
         } else {
-            false
-        }
+            HitLocation::Main
+        };
+        let entry = self.entries.remove(pos);
+        self.entries.insert(0, entry);
+        Some(location)
     }
     fn remove(&mut self, key: u8) -> Option<u64> {
         let pos = self.entries.iter().position(|&(k, _)| k == key)?;
@@ -60,71 +77,113 @@ impl ModelLru {
     }
 }
 
+/// Cases per property: 128 per push, `PROPTEST_CASES` overrides (nightly.yml
+/// runs 20 x that).
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|cases| cases.parse().ok())
+        .unwrap_or(128)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// The LRU list (with its segmented tail-region implementation) must be
-    /// indistinguishable from the naive model for any operation sequence.
+    /// indistinguishable from the naive model for any operation sequence:
+    /// the same full order after every step, the same hit classification,
+    /// and mid-queue insertions landing on the same rank. The test plays
+    /// the engine's part and keeps the handles.
     #[test]
     fn lru_list_matches_reference_model(
         ops in prop::collection::vec(lru_op(), 1..300),
         tail_region in 0usize..16,
     ) {
         let mut real = LruList::with_tail_region(tail_region);
-        let mut model = ModelLru::default();
+        let mut handles = std::collections::HashMap::new();
+        let mut model = ModelLru { entries: Vec::new(), tail_region };
         for op in ops {
             match op {
-                LruOp::Insert(k, w) => {
-                    real.insert(Key::new(k as u64), w as u64, InsertPosition::Top);
-                    model.insert(k, w as u64);
+                LruOp::Insert(k, w, position) => {
+                    if let Some(old) = handles.remove(&k) {
+                        real.remove(old);
+                    }
+                    handles.insert(k, real.insert(Key::new(k as u64), w as u64, position));
+                    model.insert(k, w as u64, position);
                 }
                 LruOp::Access(k) => {
-                    let real_hit = real.access(Key::new(k as u64)).is_some();
-                    let model_hit = model.access(k);
-                    prop_assert_eq!(real_hit, model_hit);
+                    let real_hit = handles.get(&k).map(|&handle| real.access(handle));
+                    prop_assert_eq!(real_hit, model.access(k));
                 }
                 LruOp::Remove(k) => {
-                    let real_removed = real.remove(Key::new(k as u64));
+                    let real_removed = handles.remove(&k).map(|handle| real.remove(handle));
                     let model_removed = model.remove(k);
-                    prop_assert_eq!(real_removed, model_removed);
+                    prop_assert_eq!(real_removed, model_removed.map(|w| (Key::new(k as u64), w)));
                 }
                 LruOp::PopLru => {
-                    let real_popped = real.pop_lru();
-                    let model_popped = model.pop_lru();
-                    prop_assert_eq!(
-                        real_popped.map(|(k, w)| (k.raw() as u8, w)),
-                        model_popped
-                    );
+                    let real_popped = real.pop_lru().map(|(k, w)| (k.raw() as u8, w));
+                    if let Some((k, _)) = real_popped {
+                        handles.remove(&k);
+                    }
+                    prop_assert_eq!(real_popped, model.pop_lru());
+                }
+                LruOp::SetTailRegion(items) => {
+                    real.set_tail_region(items as usize);
+                    model.tail_region = items as usize;
                 }
             }
+            let order: Vec<(u8, u64)> = real.iter().map(|(k, w)| (k.raw() as u8, w)).collect();
+            prop_assert_eq!(&order, &model.entries);
             prop_assert_eq!(real.len(), model.entries.len());
             prop_assert_eq!(real.total_weight(), model.total_weight());
+            for (&k, &handle) in &handles {
+                prop_assert_eq!(real.get(handle).map(|(key, _)| key), Some(Key::new(k as u64)));
+            }
         }
     }
 
-    /// A shadow queue never exceeds its capacity, never reports keys it does
-    /// not hold, and always reports keys it just admitted (while within
-    /// capacity).
+    /// A shadow queue is its naive model — the last `capacity` distinct
+    /// keys, newest first, the first `ceil(len / 2)` of them its left half —
+    /// under inserts, probes and capacity changes: same order, same half
+    /// for every key, same key falling off the end.
     #[test]
-    fn shadow_queue_capacity_and_membership(
+    fn shadow_queue_matches_reference_model(
         capacity in 1usize..64,
-        keys in prop::collection::vec(any::<u8>(), 1..200),
+        ops in prop::collection::vec((0u8..8, any::<u8>()), 1..300),
     ) {
         let mut shadow = ShadowQueue::new(capacity);
-        let mut recent: Vec<u8> = Vec::new();
-        for k in keys {
-            shadow.insert(Key::new(k as u64));
-            recent.retain(|&r| r != k);
-            recent.push(k);
-            if recent.len() > capacity {
-                recent.remove(0);
+        let mut capacity = capacity;
+        let mut model: Vec<u8> = Vec::new();
+        let half_of = |model: &[u8], k: u8| {
+            let pos = model.iter().position(|&m| m == k)?;
+            Some(if pos < model.len().div_ceil(2) { ShadowHalf::Left } else { ShadowHalf::Right })
+        };
+        for (op, k) in ops {
+            let key = Key::new(k as u64);
+            match op {
+                0..=4 => {
+                    model.retain(|&m| m != k);
+                    model.insert(0, k);
+                    let dropped = (model.len() > capacity).then(|| model.pop().unwrap());
+                    prop_assert_eq!(shadow.insert(key), dropped.map(|d| Key::new(d as u64)));
+                }
+                5 | 6 => {
+                    let expected = half_of(&model, k);
+                    model.retain(|&m| m != k);
+                    prop_assert_eq!(shadow.probe(key).map(|hit| hit.half), expected);
+                }
+                _ => {
+                    capacity = 1 + k as usize % 64;
+                    model.truncate(capacity);
+                    shadow.set_capacity(capacity);
+                }
             }
-            prop_assert!(shadow.len() <= capacity);
-            // Every key in the recent window must be present.
-            for &r in &recent {
-                prop_assert!(shadow.contains(Key::new(r as u64)));
+            let order: Vec<u8> = shadow.iter().map(|key| key.raw() as u8).collect();
+            prop_assert_eq!(&order, &model);
+            prop_assert_eq!(shadow.len(), model.len());
+            for &m in &model {
+                prop_assert_eq!(shadow.peek(Key::new(m as u64)), half_of(&model, m));
             }
-            prop_assert_eq!(shadow.len(), recent.len());
         }
     }
 
@@ -136,17 +195,17 @@ proptest! {
         sizes in prop::collection::vec(1u64..4096, 1..200),
     ) {
         let target = target_kb * 1024;
-        let mut queue: CacheQueue<()> = CacheQueue::new(QueueConfig {
+        let mut cache: GlobalLruCache<()> = GlobalLruCache::with_config(QueueConfig {
             policy: PolicyKind::Lru,
             target_bytes: target,
             tail_region_items: 4,
             shadow_capacity: 32,
         });
         for (i, &size) in sizes.iter().enumerate() {
-            queue.set(Key::new(i as u64), size, ());
-            prop_assert!(queue.used_bytes() <= target);
+            cache.set(Key::new(i as u64), size, ());
+            prop_assert!(cache.used_bytes() <= target);
             // Every resident item's charge is accounted.
-            prop_assert_eq!(queue.contains(Key::new(i as u64)),
+            prop_assert_eq!(cache.value(Key::new(i as u64)).is_some(),
                 size + ITEM_OVERHEAD <= target);
         }
     }
@@ -174,6 +233,70 @@ proptest! {
             }
             prop_assert!(cache.used_bytes() <= total,
                 "used {} > reservation {}", cache.used_bytes(), total);
+        }
+    }
+
+    /// The slab cache's one index and its class queues never disagree,
+    /// under every policy and allocation mode: as many entries as queued
+    /// items, every token naming a node that holds its key in its class,
+    /// bytes in use equal to those nodes' weights — across overwrites that
+    /// change class, rejected writes, deletes and eager target shrinks.
+    #[test]
+    fn slab_cache_index_matches_its_queues(
+        policy in prop_oneof![Just(PolicyKind::Lru), Just(PolicyKind::Facebook), Just(PolicyKind::Arc)],
+        managed in any::<bool>(),
+        ops in prop::collection::vec((0u8..6, 0u16..300, 1u64..8_000), 1..400),
+    ) {
+        let mut cache: SlabCache<u64> = SlabCache::new(SlabCacheConfig {
+            slab: SlabConfig::new(64, 2.0, 8_192),
+            total_bytes: 128 << 10,
+            policy,
+            mode: if managed {
+                AllocationMode::Managed
+            } else {
+                AllocationMode::FirstComeFirstServe { page_size: 4 << 10 }
+            },
+            shadow_bytes: 8 << 10,
+            tail_region_items: 4,
+        });
+        let classes = cache.num_classes() as u32;
+        for class in 0..classes {
+            cache.set_class_target(ClassId::new(class), 16 << 10);
+        }
+        for (step, (op, k, size)) in ops.into_iter().enumerate() {
+            let key = Key::new(k as u64);
+            match op {
+                0 => {
+                    cache.get(key, size);
+                }
+                1 => {
+                    let lent = cache.lookup(key).copied();
+                    prop_assert_eq!(lent, cache.value(key).copied());
+                }
+                2 | 3 => {
+                    let (class, result) = cache.set(key, size, step as u64).expect("sizes fit a class");
+                    prop_assert_eq!(result.token.is_some(), cache.value(key).is_some());
+                    if let Some(&held) = cache.value(key) {
+                        prop_assert_eq!(held, step as u64);
+                        prop_assert_eq!(cache.class_of(key), Some(class));
+                    }
+                    for evicted in &result.evicted {
+                        prop_assert!(cache.value(*evicted).is_none());
+                    }
+                }
+                4 => {
+                    let was = cache.value(key).is_some();
+                    prop_assert_eq!(cache.delete(key), was);
+                }
+                _ => {
+                    let class = ClassId::new(k as u32 % classes);
+                    cache.set_class_target(class, size);
+                    cache.enforce_targets();
+                }
+            }
+            if let Err(broken) = cache.check_index() {
+                return Err(format!("after step {step}: {broken}"));
+            }
         }
     }
 }

@@ -6,14 +6,20 @@
 //! [`HillClimber`] moves credits between classes whenever a request hits a
 //! class's long shadow queue (hill climbing across classes). Both algorithms
 //! run purely on local signals, per request, with no profiling phase.
+//!
+//! The cache has one hash table, as Memcached has: every resident key maps
+//! to its class, the partition holding it, the token that partition's queue
+//! issued, and the value. The queues below hold order and bytes only, so a
+//! GET hit is one probe of that table plus a relink in one queue, and the
+//! table is changed in one place per path: a SET writes the slot the queue
+//! reports and drops the keys it reports evicted.
 
-use crate::cliff_scale::CliffScaler;
 use crate::config::CliffhangerConfig;
 use crate::events::{EventSink, SinkSlot};
 use crate::hill_climb::HillClimber;
-use crate::partitioned_queue::{PartitionedQueue, PartitionedQueueConfig, QueueEvent};
+use crate::partitioned_queue::{Partition, PartitionedQueue, PartitionedQueueConfig, QueueEvent};
 use cache_core::key::KeyMap;
-use cache_core::{CacheStats, ClassId, Key};
+use cache_core::{CacheStats, ClassId, Key, Token};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -41,18 +47,30 @@ pub struct ClassSnapshot {
     pub stats: CacheStats,
 }
 
+/// What the index holds per resident key: where the item is queued and the
+/// value itself.
+#[derive(Debug)]
+struct Resident<V> {
+    class: ClassId,
+    side: Partition,
+    token: Token,
+    value: V,
+}
+
 /// The Cliffhanger-managed cache for a single application.
 #[derive(Debug)]
 pub struct Cliffhanger<V> {
     config: CliffhangerConfig,
-    queues: Vec<PartitionedQueue<V>>,
+    queues: Vec<PartitionedQueue>,
     climber: HillClimber,
     /// Memory not yet granted to any class (drained first-come-first-serve
     /// while the cache warms up, exactly like Memcached's free pages).
     free_bytes: u64,
-    /// Slab class of every resident key — the equivalent of Memcached's
-    /// global hash table, so lookups without a size hint stay O(1).
-    resident: KeyMap<ClassId>,
+    /// Every resident key — the equivalent of Memcached's global hash
+    /// table, and the only place a key is looked up.
+    index: KeyMap<Resident<V>>,
+    /// Aggregate counters, evictions included (counted as the queues hand
+    /// evicted keys back, so reading them walks nothing).
     stats: CacheStats,
     /// Optional host sink narrating allocation decisions (free-pool grants,
     /// cliff-scaler ratio steps). `None` keeps every hook zero-cost.
@@ -119,7 +137,7 @@ impl<V> Cliffhanger<V> {
             queues,
             climber,
             free_bytes,
-            resident: KeyMap::default(),
+            index: KeyMap::default(),
             stats: CacheStats::new(),
             sink: SinkSlot::default(),
             // Fresh partitioned queues start with an even 0.5 split.
@@ -138,11 +156,20 @@ impl<V> Cliffhanger<V> {
     /// Reports the class's Talus ratio to the sink when it crossed into a
     /// new 5% step since the last report.
     fn note_ratio(&mut self, idx: usize) {
-        let Some(sink) = &self.sink.0 else { return };
-        let ratio = self.queues[idx].ratio();
+        Self::note_ratio_of(
+            &self.sink,
+            &self.queues[idx],
+            &mut self.ratio_buckets[idx],
+            idx,
+        );
+    }
+
+    fn note_ratio_of(sink: &SinkSlot, queue: &PartitionedQueue, last: &mut i16, idx: usize) {
+        let Some(sink) = &sink.0 else { return };
+        let ratio = queue.ratio();
         let bucket = (ratio * 20.0).round() as i16;
-        if bucket != self.ratio_buckets[idx] {
-            self.ratio_buckets[idx] = bucket;
+        if bucket != *last {
+            *last = bucket;
             sink.scaler_ratio(idx as u32, ratio);
         }
     }
@@ -162,60 +189,93 @@ impl<V> Cliffhanger<V> {
         self.queues.len()
     }
 
-    /// Looks up `key`; `size` routes the request to its slab class.
+    /// Looks up `key`; `size` routes the request to its slab class. A key
+    /// resident in another class is a miss in this one.
     pub fn get(&mut self, key: Key, size: u64) -> Option<(ClassId, QueueEvent)> {
         let class = self.class_for_size(size)?;
-        Some((class, self.get_in_class(key, class)))
+        let event = match self.touch(key, Some(class)) {
+            Some((_, event, _)) => event,
+            None => self.miss_in_class(key, class),
+        };
+        Some((class, event))
     }
 
     /// Looks up `key` without a size hint, as the wire-protocol GET path
     /// must (the item size is unknown until a value is found). Resident keys
-    /// are routed by the global key index in O(1); misses are recorded but
-    /// their shadow classification is deferred to the demand-fill SET, which
+    /// are found by the index in one probe; misses are recorded but their
+    /// shadow classification is deferred to the demand-fill SET, which
     /// knows the size (see [`PartitionedQueue::set`]).
     pub fn get_untyped(&mut self, key: Key) -> (ClassId, QueueEvent) {
-        match self.resident.get(&key).copied() {
-            Some(class) => (class, self.get_in_class(key, class)),
+        match self.touch(key, None) {
+            Some((class, event, _)) => (class, event),
             None => {
-                self.stats.record_get(false);
-                let class = ClassId::new(0);
-                (
-                    class,
-                    QueueEvent {
-                        hit: false,
-                        partition: crate::partitioned_queue::Partition::Left,
-                        tail_hit: false,
-                        cliff_shadow_hit: false,
-                        hill_shadow_hit: false,
-                    },
-                )
+                let event = QueueEvent {
+                    hit: false,
+                    partition: Partition::Left,
+                    tail_hit: false,
+                    cliff_shadow_hit: false,
+                    hill_shadow_hit: false,
+                };
+                (ClassId::new(0), event)
             }
         }
     }
 
-    fn get_in_class(&mut self, key: Key, class: ClassId) -> QueueEvent {
-        let idx = class.index();
-        let event = self.queues[idx].get(key);
-        self.stats.record_get(event.hit);
-        if !event.hit && self.resident.get(&key) == Some(&class) {
-            // The index said resident but the queue no longer holds it (it
-            // was evicted through a path we could not observe); heal the
-            // index so it cannot grow stale entries.
-            self.resident.remove(&key);
+    /// [`Cliffhanger::get_untyped`] that lends the value on a hit: the GET
+    /// of a server, one index probe for the access and the value together.
+    pub fn lookup(&mut self, key: Key) -> Option<&V> {
+        self.touch(key, None).map(|(_, _, value)| value)
+    }
+
+    /// The hit half of every GET. Finds `key` (in `only`, when the caller
+    /// knows the class), records the access on its queue and lends the
+    /// value. A miss without a class is counted here, since nothing else
+    /// will see it; a miss in a known class is the caller's to classify.
+    fn touch(&mut self, key: Key, only: Option<ClassId>) -> Option<(ClassId, QueueEvent, &V)> {
+        let found = self.index.get_mut(&key);
+        let Some(item) = found.filter(|item| only.map_or(true, |class| class == item.class)) else {
+            if only.is_none() {
+                self.stats.record_get(false);
+            }
+            return None;
+        };
+        let idx = item.class.index();
+        let event = self.queues[idx].hit(item.side, &mut item.token);
+        self.stats.record_get(true);
+        if event.tail_hit {
+            // Only pointer events (tail / cliff-shadow hits) can move the
+            // Talus ratio, so this is the one place a hit can step it.
+            Self::note_ratio_of(
+                &self.sink,
+                &self.queues[idx],
+                &mut self.ratio_buckets[idx],
+                idx,
+            );
         }
+        Some((item.class, event, &item.value))
+    }
+
+    fn miss_in_class(&mut self, key: Key, class: ClassId) -> QueueEvent {
+        let idx = class.index();
+        let event = self.queues[idx].miss(key);
+        self.stats.record_get(false);
         if event.hill_shadow_hit {
             self.stats.shadow_hits += 1;
             self.hill_climb(idx);
         }
         if event.cliff_shadow_hit {
             self.stats.cliff_shadow_hits += 1;
-        }
-        if event.cliff_shadow_hit || event.tail_hit {
-            // Only pointer events (tail / cliff-shadow hits) can move the
-            // Talus ratio, so this is the one place a step can appear.
             self.note_ratio(idx);
         }
         event
+    }
+
+    /// Drops the index entries of keys a queue evicted.
+    fn unindex(&mut self, evicted: &[Key]) {
+        for key in evicted {
+            self.index.remove(key);
+        }
+        self.stats.record_evictions(evicted.len() as u64);
     }
 
     /// While the free pool is non-empty, classes grow into it on demand
@@ -291,9 +351,8 @@ impl<V> Cliffhanger<V> {
             // page evicts its items), so the sum of resident bytes can never
             // exceed the reservation just because the loser happens to be
             // idle.
-            for evicted in self.queues[transfer.loser].enforce_target() {
-                self.resident.remove(&evicted);
-            }
+            let evicted = self.queues[transfer.loser].enforce_target();
+            self.unindex(&evicted);
         }
     }
 
@@ -303,15 +362,21 @@ impl<V> Cliffhanger<V> {
     pub fn set(&mut self, key: Key, size: u64, value: V) -> Option<(ClassId, bool)> {
         let class = self.class_for_size(size)?;
         self.stats.record_set();
-        // If the item changed size class, drop the stale copy.
-        if let Some(&old_class) = self.resident.get(&key) {
-            if old_class != class {
-                self.queues[old_class.index()].delete(key);
-                self.resident.remove(&key);
-            }
+        // The write replaces whatever copy there is: one in another class
+        // (the item changed size class) goes now, one in this class with
+        // its queue's set.
+        let mut old = self
+            .index
+            .get(&key)
+            .map(|item| (item.class, item.side, item.token));
+        if let Some((old_class, side, token)) = old.filter(|&(old_class, ..)| old_class != class) {
+            self.queues[old_class.index()].remove(side, token);
+            self.index.remove(&key);
+            old = None;
         }
         self.grant_from_free_pool(class, size);
-        let outcome = self.queues[class.index()].set(key, size, value);
+        let replaced = old.map(|(_, side, token)| (side, token));
+        let outcome = self.queues[class.index()].set(key, size, replaced);
         if outcome.hill_shadow_hit {
             self.stats.shadow_hits += 1;
             self.hill_climb(class.index());
@@ -320,45 +385,57 @@ impl<V> Cliffhanger<V> {
             self.stats.cliff_shadow_hits += 1;
             self.note_ratio(class.index());
         }
-        for evicted in &outcome.evicted {
-            self.resident.remove(evicted);
-        }
+        self.unindex(&outcome.evicted);
         if !outcome.evicted.is_empty() {
             self.grant_on_eviction(class);
         }
-        if outcome.admitted {
-            self.resident.insert(key, class);
-        } else {
-            self.resident.remove(&key);
+        match outcome.slot {
+            // Overwrites the old entry where it stands.
+            Some((side, token)) => {
+                let item = Resident {
+                    class,
+                    side,
+                    token,
+                    value,
+                };
+                self.index.insert(key, item);
+            }
+            // Turned away, or evicted by its own insertion: either way the
+            // copy it replaced is gone too.
+            None => drop(self.index.remove(&key)),
         }
         Some((class, outcome.admitted))
     }
 
     /// Deletes `key` from whichever class holds it.
     pub fn delete(&mut self, key: Key) -> bool {
-        match self.resident.remove(&key) {
-            Some(class) => self.queues[class.index()].delete(key),
+        match self.index.remove(&key) {
+            Some(item) => {
+                self.queues[item.class.index()].remove(item.side, item.token);
+                true
+            }
             None => false,
         }
     }
 
-    /// The stored value for `key`, if resident.
+    /// The stored value for `key`, if resident (no effect on recency).
     pub fn value(&self, key: Key) -> Option<&V> {
-        let class = self.resident.get(&key)?;
-        self.queues[class.index()].value(key)
+        self.index.get(&key).map(|item| &item.value)
     }
 
     /// Whether `key` is resident in any class.
     pub fn contains(&self, key: Key) -> bool {
-        self.resident.contains_key(&key)
+        self.index.contains_key(&key)
     }
 
-    /// Aggregate statistics (evictions are accounted inside the per-class
-    /// queues and folded in here).
+    /// The class `key` is resident in, if it is resident.
+    pub fn class_of(&self, key: Key) -> Option<ClassId> {
+        self.index.get(&key).map(|item| item.class)
+    }
+
+    /// Aggregate statistics.
     pub fn stats(&self) -> CacheStats {
-        let mut stats = self.stats;
-        stats.evictions = self.queues.iter().map(|q| q.stats().evictions).sum();
-        stats
+        self.stats
     }
 
     /// Per-class statistics, indexed by class.
@@ -382,12 +459,12 @@ impl<V> Cliffhanger<V> {
 
     /// Total resident items.
     pub fn len(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
+        self.index.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.index.is_empty()
     }
 
     /// The total memory budget: the sum of class targets plus whatever is
@@ -443,23 +520,8 @@ impl<V> Cliffhanger<V> {
     }
 
     /// Direct access to one class's partitioned queue (diagnostics, tests).
-    pub fn queue(&self, class: ClassId) -> &PartitionedQueue<V> {
+    pub fn queue(&self, class: ClassId) -> &PartitionedQueue {
         &self.queues[class.index()]
-    }
-
-    /// The cliff scaler of one class (diagnostics, tests).
-    pub fn scaler(&self, class: ClassId) -> &CliffScaler {
-        self.queues[class.index()].scaler()
-    }
-
-    /// Grows one class's budget by `bytes` from outside (used by the
-    /// cross-application layer). The extra memory is real: the cache's total
-    /// grows.
-    pub fn grow_class(&mut self, class: ClassId, bytes: u64) {
-        let idx = class.index();
-        let new_target = self.climber.target(idx) + bytes;
-        self.climber.set_target(idx, new_target);
-        self.queues[idx].set_target_bytes(new_target);
     }
 
     /// Grows the cache's total budget by `bytes` from outside (the
@@ -502,38 +564,24 @@ impl<V> Cliffhanger<V> {
             let new_target = self.climber.target(idx) - take;
             self.climber.set_target(idx, new_target);
             self.queues[idx].set_target_bytes(new_target);
-            for evicted in self.queues[idx].enforce_target() {
-                self.resident.remove(&evicted);
-            }
+            let evicted = self.queues[idx].enforce_target();
+            self.unindex(&evicted);
             needed -= take;
         }
         true
     }
 
-    /// Shrinks the cache by `bytes`, returning `true` if the memory could be
-    /// released. Ungranted free-pool memory is released first; otherwise the
-    /// class with the most memory above its own floor (at least one chunk,
-    /// as in [`Cliffhanger::shrink_total`]) gives it up.
-    pub fn shrink_some_class(&mut self, bytes: u64) -> bool {
-        if self.free_bytes >= bytes {
-            self.free_bytes -= bytes;
-            return true;
-        }
-        let candidate = (0..self.queues.len())
-            .filter(|&i| {
-                let target = self.climber.target(i);
-                target >= bytes && target - bytes >= self.climber.queue_floor(i)
-            })
-            .max_by_key(|&i| self.climber.target(i));
-        match candidate {
-            Some(idx) => {
-                let new_target = self.climber.target(idx) - bytes;
-                self.climber.set_target(idx, new_target);
-                self.queues[idx].set_target_bytes(new_target);
-                true
-            }
-            None => false,
-        }
+    /// Checks the index against the queues: every entry's token names a
+    /// node holding that key on that class and side, there are as many
+    /// entries as queued items, and the bytes in use are those nodes'.
+    #[doc(hidden)]
+    pub fn check_index(&self) -> Result<(), String> {
+        let named = self.index.iter().map(|(&key, item)| {
+            let queue = &self.queues[item.class.index()];
+            (key, queue.peek(item.side, item.token))
+        });
+        let queued = self.queues.iter().map(|q| q.len()).sum();
+        cache_core::queue::check_index(named, (queued, self.used_bytes()))
     }
 }
 
@@ -676,10 +724,12 @@ mod tests {
         let mut c: Cliffhanger<()> = Cliffhanger::new(config(1 << 20));
         c.set(key(1), 60, ());
         c.set(key(1), 4_000, ());
-        let copies = (0..c.num_classes())
-            .filter(|&i| c.queue(ClassId::new(i as u32)).contains(key(1)))
-            .count();
-        assert_eq!(copies, 1);
+        let queued: usize = (0..c.num_classes())
+            .map(|i| c.queue(ClassId::new(i as u32)).len())
+            .sum();
+        assert_eq!(queued, 1);
+        assert_eq!(c.class_of(key(1)), c.class_for_size(4_000));
+        c.check_index().unwrap();
         assert!(c.delete(key(1)));
         assert!(!c.contains(key(1)));
     }
@@ -698,19 +748,6 @@ mod tests {
         assert!(small.items > 0);
         assert!(small.used_bytes > 0);
         assert_eq!(small.chunk_size, 64);
-    }
-
-    #[test]
-    fn grow_and_shrink_interact_with_external_allocators() {
-        let mut c: Cliffhanger<()> = Cliffhanger::new(config(1 << 20));
-        let class = c.class_for_size(60).unwrap();
-        let before_total = c.total_bytes();
-        c.grow_class(class, 64 << 10);
-        assert_eq!(c.total_bytes(), before_total + (64 << 10));
-        assert!(c.shrink_some_class(64 << 10));
-        assert_eq!(c.total_bytes(), before_total);
-        // Shrinking more than any class can afford fails gracefully.
-        assert!(!c.shrink_some_class(10 << 20));
     }
 
     #[test]
@@ -748,7 +785,7 @@ mod tests {
             c.used_bytes(),
             c.total_bytes()
         );
-        // Evicted keys are healed out of the resident index.
+        // Evicted keys left the index with their items.
         let resident_everywhere = (0..20_000u64).filter(|&i| c.contains(key(i))).count();
         assert_eq!(resident_everywhere, c.len());
         // Shrinking below the per-class floors fails atomically.
@@ -909,11 +946,6 @@ mod tests {
             c.class_floor(giant)
         );
         assert!(c.class_floor(giant) >= charge, "the floor is one chunk");
-        // shrink_some_class honours the same per-class floor.
-        let before = c.class_target(giant);
-        while c.shrink_some_class(32 << 10) {}
-        assert!(c.class_target(giant) >= c.class_floor(giant));
-        let _ = before;
     }
 
     #[test]
@@ -965,5 +997,58 @@ mod tests {
         assert_eq!(c.stats().gets, 0);
         assert_eq!(c.used_bytes(), used);
         assert!(c.class_stats().iter().all(|s| s.gets == 0));
+    }
+
+    /// Index probes per operation, counted (cache-core counts the keys its
+    /// `KeyHasher` hashes in debug builds; a release build of it carries no
+    /// counter, so this test only exists where `debug_assertions` do).
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_resident_get_is_one_probe_and_a_write_two_plus_its_shadows() {
+        use cache_core::key::probes::hashed_by;
+        let mut c: Cliffhanger<u64> = Cliffhanger::new(config(64 << 10));
+        for i in 0..2_000 {
+            c.set(key(i), 60, i);
+        }
+        let resident = (0..2_000).rev().find(|&i| c.contains(key(i))).unwrap();
+        let evicted = (0..2_000).find(|&i| !c.contains(key(i))).unwrap();
+        // A hit, any way it is asked for: the engine's index and nothing
+        // else — no second table below it, no re-hash on rebalance.
+        assert_eq!(hashed_by(|| c.get_untyped(key(resident)).1.hit), (1, true));
+        assert_eq!(
+            hashed_by(|| c.get(key(resident), 60).unwrap().1.hit),
+            (1, true)
+        );
+        assert_eq!(
+            hashed_by(|| c.lookup(key(resident)).copied()),
+            (1, Some(resident))
+        );
+        assert_eq!(
+            hashed_by(|| c.value(key(resident)).copied()),
+            (1, Some(resident))
+        );
+        // A miss without a size consults no shadow queue; with one, at most
+        // the class's four (two cliff, two hill), each only until it hits.
+        assert_eq!(hashed_by(|| c.get_untyped(key(evicted)).1.hit), (1, false));
+        let (hashed, (_, event)) = hashed_by(|| c.get(key(evicted + 1), 60).unwrap());
+        assert!(!event.hit && hashed <= 1 + 4, "{hashed} keys hashed");
+        // An overwrite in the same class: the lookup, the replacing insert,
+        // the four shadow queues the key might still sit in.
+        let (hashed, stored) = hashed_by(|| c.set(key(resident), 61, 7));
+        assert!(stored.is_some_and(|(_, admitted)| admitted));
+        assert!(hashed <= 2 + 4, "{hashed} keys hashed");
+        // A write that evicts adds, per evicted key, its removal from the
+        // index, and what the shadow cascade does with it: into the cliff
+        // shadow (and its oldest key out), that one into the hill shadow
+        // (and its oldest out).
+        let before = c.stats().evictions;
+        let (hashed, _) = hashed_by(|| c.set(key(5_000), 60, 7));
+        let evictions = c.stats().evictions - before;
+        assert!(evictions >= 1);
+        assert!(
+            hashed <= 2 + 4 + evictions * (1 + 4),
+            "{hashed} keys hashed"
+        );
+        assert_eq!(hashed_by(|| c.delete(key(5_000))), (1, true));
     }
 }

@@ -9,6 +9,13 @@
 //! appended after the cliff shadow queues and split across the two
 //! partitions in proportion to their sizes.
 //!
+//! Like the [`CacheQueue`]s it is made of, a partitioned queue keeps order
+//! and bytes and no index: the [`crate::Cliffhanger`] above it looks a key
+//! up once, and tells the queue either "the item on this side, under this
+//! token, was hit" ([`PartitionedQueue::hit`]) or "this key is not here"
+//! ([`PartitionedQueue::miss`]). Only the shadow queues, which hold keys of
+//! items that are gone, are searched by key.
+//!
 //! Requests are routed between the two partitions by key hash with the
 //! Talus ratio from [`CliffScaler`]; evictions cascade physical queue →
 //! cliff shadow → hill shadow, so a miss can be classified as "just beyond
@@ -20,7 +27,7 @@
 use crate::cliff_scale::{CliffScaler, PointerEvent};
 use cache_core::key::mix64;
 use cache_core::lru::HitLocation;
-use cache_core::{CacheQueue, CacheStats, Key, PolicyKind, QueueConfig, ShadowQueue};
+use cache_core::{CacheQueue, CacheStats, Key, PolicyKind, QueueConfig, ShadowQueue, Token};
 
 /// Which physical sub-queue a request was routed to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -65,6 +72,9 @@ pub struct SetOutcome {
     /// The stored key was found in the hill-climbing shadow queue before
     /// insertion (the deferred Algorithm 1 signal).
     pub hill_shadow_hit: bool,
+    /// Where the item now sits, for the caller's index: `None` if it was
+    /// not admitted or did not survive its own insertion.
+    pub slot: Option<(Partition, Token)>,
 }
 
 /// Static parameters of a partitioned queue (derived per slab class by the
@@ -108,10 +118,10 @@ impl Default for PartitionedQueueConfig {
 /// One Cliffhanger-managed queue: two physical sub-queues plus their shadow
 /// structure (Figure 5).
 #[derive(Debug)]
-pub struct PartitionedQueue<V> {
+pub struct PartitionedQueue {
     config: PartitionedQueueConfig,
-    left: CacheQueue<V>,
-    right: CacheQueue<V>,
+    left: CacheQueue,
+    right: CacheQueue,
     left_cliff: ShadowQueue,
     right_cliff: ShadowQueue,
     left_hill: ShadowQueue,
@@ -122,7 +132,7 @@ pub struct PartitionedQueue<V> {
     stats: CacheStats,
 }
 
-impl<V> PartitionedQueue<V> {
+impl PartitionedQueue {
     /// Creates a partitioned queue from its configuration.
     pub fn new(config: PartitionedQueueConfig) -> Self {
         let charge = config.charge_per_item.max(1);
@@ -189,14 +199,19 @@ impl<V> PartitionedQueue<V> {
         self.len() == 0
     }
 
-    /// Whether `key` is resident in either partition.
-    pub fn contains(&self, key: Key) -> bool {
-        self.left.contains(key) || self.right.contains(key)
+    /// The key and charge of the item `token` names on `side`, if any.
+    pub fn peek(&self, side: Partition, token: Token) -> Option<(Key, u64)> {
+        match side {
+            Partition::Left => self.left.peek(token),
+            Partition::Right => self.right.peek(token),
+        }
     }
 
-    /// The stored value for `key`, if resident in either partition.
-    pub fn value(&self, key: Key) -> Option<&V> {
-        self.left.value(key).or_else(|| self.right.value(key))
+    fn side_mut(&mut self, side: Partition) -> &mut CacheQueue {
+        match side {
+            Partition::Left => &mut self.left,
+            Partition::Right => &mut self.right,
+        }
     }
 
     /// Cumulative statistics for this queue.
@@ -268,72 +283,67 @@ impl<V> PartitionedQueue<V> {
         }
     }
 
-    /// Looks up `key`, classifying the outcome for both algorithms.
-    ///
-    /// Lookups behave like Memcached's hash table: a resident item is found
-    /// no matter which partition stores it (the partitioning only steers
-    /// insertions and evictions). The partition reported in the event is the
-    /// one that produced the signal — the partition holding the item on a
-    /// hit, or the partition whose shadow queue remembered the key on a
-    /// miss — falling back to the hash-routed partition for cold misses.
-    pub fn get(&mut self, key: Key) -> QueueEvent {
+    /// Records a GET of the resident item `token` names on `side`. Lookups
+    /// behave like Memcached's hash table: the caller's index finds a
+    /// resident item no matter which partition stores it (the partitioning
+    /// only steers insertions and evictions), and the partition holding the
+    /// item is the one whose tail region produces the signal.
+    pub fn hit(&mut self, side: Partition, token: &mut Token) -> QueueEvent {
+        let result = self.side_mut(side).hit(token);
+        self.classify(QueueEvent {
+            hit: true,
+            partition: side,
+            tail_hit: result.location == Some(HitLocation::TailRegion),
+            cliff_shadow_hit: false,
+            hill_shadow_hit: false,
+        })
+    }
+
+    /// Records a GET of `key`, which is in neither partition, classifying
+    /// the miss for both algorithms. The partition reported is the one
+    /// whose shadow queue remembered the key, falling back to the
+    /// hash-routed partition for cold misses.
+    pub fn miss(&mut self, key: Key) -> QueueEvent {
         let routed = self.route(key);
-        // Try the routed partition first, then the other one.
+        // Record the miss against the routed partition's physical queue
+        // (for per-queue statistics and policies with ghost lists).
+        self.side_mut(routed).miss(key);
         let order = match routed {
             Partition::Left => [Partition::Left, Partition::Right],
             Partition::Right => [Partition::Right, Partition::Left],
         };
-        let mut event = QueueEvent {
+        let shadow = self.probe_shadows(key, order);
+        self.classify(QueueEvent {
             hit: false,
-            partition: routed,
+            partition: shadow.map_or(routed, |(partition, _)| partition),
             tail_hit: false,
-            cliff_shadow_hit: false,
-            hill_shadow_hit: false,
-        };
-        for &p in &order {
-            let queue = match p {
-                Partition::Left => &mut self.left,
-                Partition::Right => &mut self.right,
+            cliff_shadow_hit: matches!(shadow, Some((_, true))),
+            hill_shadow_hit: matches!(shadow, Some((_, false))),
+        })
+    }
+
+    /// Takes `key` out of the shadow structure, which holds it in at most
+    /// one queue: the partitions are searched in `order`, each one's cliff
+    /// shadow before its hill shadow. Returns the partition that remembered
+    /// the key and whether its cliff shadow did.
+    fn probe_shadows(&mut self, key: Key, order: [Partition; 2]) -> Option<(Partition, bool)> {
+        for p in order {
+            let (cliff, hill) = match p {
+                Partition::Left => (&mut self.left_cliff, &mut self.left_hill),
+                Partition::Right => (&mut self.right_cliff, &mut self.right_hill),
             };
-            if queue.contains(key) {
-                let result = queue.get(key);
-                event.hit = true;
-                event.partition = p;
-                event.tail_hit = result.location == Some(HitLocation::TailRegion);
-                break;
+            if cliff.probe(key).is_some() {
+                return Some((p, true));
+            }
+            if hill.probe(key).is_some() {
+                return Some((p, false));
             }
         }
-        if !event.hit {
-            // Record the miss against the routed partition's physical queue
-            // (for per-queue statistics and policies with ghost lists).
-            match routed {
-                Partition::Left => {
-                    let _ = self.left.get(key);
-                }
-                Partition::Right => {
-                    let _ = self.right.get(key);
-                }
-            }
-            // The key lives in at most one shadow structure; search both
-            // partitions' cliff shadows first, then the hill shadows.
-            for &p in &order {
-                let (cliff, hill) = match p {
-                    Partition::Left => (&mut self.left_cliff, &mut self.left_hill),
-                    Partition::Right => (&mut self.right_cliff, &mut self.right_hill),
-                };
-                if cliff.probe(key).is_some() {
-                    event.cliff_shadow_hit = true;
-                    event.partition = p;
-                    break;
-                }
-                if hill.probe(key).is_some() {
-                    event.hill_shadow_hit = true;
-                    event.partition = p;
-                    break;
-                }
-            }
-        }
-        let partition = event.partition;
+        None
+    }
+
+    /// Counts the event and feeds the cliff scaler's pointers.
+    fn classify(&mut self, event: QueueEvent) -> QueueEvent {
         self.stats.record_get(event.hit);
         if event.hill_shadow_hit {
             self.stats.shadow_hits += 1;
@@ -342,7 +352,7 @@ impl<V> PartitionedQueue<V> {
             self.stats.cliff_shadow_hits += 1;
         }
         if self.cliff_scaling_active() {
-            let pointer_event = match (partition, event.tail_hit, event.cliff_shadow_hit) {
+            let pointer_event = match (event.partition, event.tail_hit, event.cliff_shadow_hit) {
                 (Partition::Right, true, _) => Some(PointerEvent::RightQueueTailHit),
                 (Partition::Right, _, true) => Some(PointerEvent::RightQueueShadowHit),
                 (Partition::Left, true, _) => Some(PointerEvent::LeftQueueTailHit),
@@ -360,7 +370,10 @@ impl<V> PartitionedQueue<V> {
     /// Stores `key` with a payload of `size` bytes. Pending resizes are
     /// applied first (this is the insertion that follows a miss), then the
     /// item is admitted to its routed partition; evicted keys cascade into
-    /// the shadow queues.
+    /// the shadow queues. `old` is where the caller's index holds the copy
+    /// of `key` this write replaces, if it holds one: that copy is gone
+    /// afterwards, whichever side it was on and whether or not the new item
+    /// was admitted.
     ///
     /// If the key is still sitting in one of the shadow structures (because
     /// the preceding GET could not be classified — the wire-protocol path
@@ -368,63 +381,47 @@ impl<V> PartitionedQueue<V> {
     /// classifies it now: the cliff scaler is updated and the outcome
     /// reports the hill-climbing signal. A GET that already probed the
     /// shadow queues removed the key, so the signal is never counted twice.
-    pub fn set(&mut self, key: Key, size: u64, value: V) -> SetOutcome {
+    pub fn set(&mut self, key: Key, size: u64, mut old: Option<(Partition, Token)>) -> SetOutcome {
         self.stats.record_set();
-        // Deferred shadow classification (at most one structure holds the key).
-        let mut outcome = SetOutcome::default();
-        let mut cliff_partition = None;
-        for &p in &[Partition::Left, Partition::Right] {
-            let (cliff, hill) = match p {
-                Partition::Left => (&mut self.left_cliff, &mut self.left_hill),
-                Partition::Right => (&mut self.right_cliff, &mut self.right_hill),
-            };
-            if cliff.probe(key).is_some() {
-                outcome.cliff_shadow_hit = true;
-                cliff_partition = Some(p);
-                break;
-            }
-            if hill.probe(key).is_some() {
-                outcome.hill_shadow_hit = true;
-                break;
-            }
-        }
-        if outcome.cliff_shadow_hit {
-            self.stats.cliff_shadow_hits += 1;
-        }
-        if outcome.hill_shadow_hit {
-            self.stats.shadow_hits += 1;
-        }
-        if self.cliff_scaling_active() {
-            if let Some(p) = cliff_partition {
-                let event = match p {
-                    Partition::Right => PointerEvent::RightQueueShadowHit,
-                    Partition::Left => PointerEvent::LeftQueueShadowHit,
-                };
-                self.scaler.on_event(event);
-                self.resize_pending = true;
-            }
+        // Deferred shadow classification.
+        let shadow = self.probe_shadows(key, [Partition::Left, Partition::Right]);
+        let mut outcome = SetOutcome {
+            cliff_shadow_hit: matches!(shadow, Some((_, true))),
+            hill_shadow_hit: matches!(shadow, Some((_, false))),
+            ..SetOutcome::default()
+        };
+        self.stats.cliff_shadow_hits += u64::from(outcome.cliff_shadow_hit);
+        self.stats.shadow_hits += u64::from(outcome.hill_shadow_hit);
+        if let (true, Some((partition, true))) = (self.cliff_scaling_active(), shadow) {
+            self.scaler.on_event(match partition {
+                Partition::Right => PointerEvent::RightQueueShadowHit,
+                Partition::Left => PointerEvent::LeftQueueShadowHit,
+            });
+            self.resize_pending = true;
         }
 
         if self.resize_pending {
-            let resize_evictions = self.apply_sizes();
-            outcome.evicted.extend(resize_evictions);
+            outcome.evicted = self.apply_sizes();
             self.resize_pending = false;
+            // The resize may have evicted the very copy being replaced.
+            if old.is_some() && outcome.evicted.contains(&key) {
+                old = None;
+            }
         }
         let partition = self.route(key);
-        // Make sure the other partition does not keep a stale copy.
-        match partition {
-            Partition::Left => {
-                self.right.delete(key);
+        // A copy on the other side must not outlive the write.
+        let replaced = match old {
+            Some((side, token)) if side != partition => {
+                self.remove(side, token);
+                None
             }
-            Partition::Right => {
-                self.left.delete(key);
-            }
-        }
+            same_side => same_side.map(|(_, token)| token),
+        };
         let (queue, cliff, hill) = match partition {
             Partition::Left => (&mut self.left, &mut self.left_cliff, &mut self.left_hill),
             Partition::Right => (&mut self.right, &mut self.right_cliff, &mut self.right_hill),
         };
-        let result = queue.set(key, size, value);
+        let result = queue.set(key, size, replaced);
         for evicted in &result.evicted {
             if let Some(overflow) = cliff.insert(*evicted) {
                 hill.insert(overflow);
@@ -432,15 +429,15 @@ impl<V> PartitionedQueue<V> {
         }
         self.stats.record_evictions(result.evicted.len() as u64);
         outcome.admitted = result.admitted;
+        outcome.slot = result.token.map(|token| (partition, token));
         outcome.evicted.extend(result.evicted);
         outcome
     }
 
-    /// Deletes `key` from both partitions.
-    pub fn delete(&mut self, key: Key) -> bool {
-        let left = self.left.delete(key);
-        let right = self.right.delete(key);
-        left || right
+    /// Removes the item `token` names on `side` (a DELETE, or a copy a write
+    /// elsewhere supersedes); its key does not enter the shadow queues.
+    pub fn remove(&mut self, side: Partition, token: Token) {
+        self.side_mut(side).remove(token);
     }
 
     /// Applies the current pointer-derived sizes to the two partitions and
@@ -499,23 +496,67 @@ impl<V> PartitionedQueue<V> {
         self.resize_pending = false;
         evicted
     }
-
-    /// The scaler driving this queue (read-only; for diagnostics and tests).
-    pub fn scaler(&self) -> &CliffScaler {
-        &self.scaler
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cache_core::key::KeyMap;
 
     fn key(i: u64) -> Key {
         Key::new(i)
     }
 
-    fn small_queue(target_bytes: u64) -> PartitionedQueue<()> {
-        PartitionedQueue::new(PartitionedQueueConfig {
+    /// A partitioned queue with the index its owner keeps for it.
+    struct Keyed {
+        queue: PartitionedQueue,
+        index: KeyMap<(Partition, Token)>,
+    }
+
+    impl Keyed {
+        fn new(config: PartitionedQueueConfig) -> Keyed {
+            Keyed {
+                queue: PartitionedQueue::new(config),
+                index: KeyMap::default(),
+            }
+        }
+
+        fn get(&mut self, key: Key) -> QueueEvent {
+            match self.index.get_mut(&key) {
+                Some((side, token)) => self.queue.hit(*side, token),
+                None => self.queue.miss(key),
+            }
+        }
+
+        fn set(&mut self, key: Key, size: u64) -> SetOutcome {
+            let old = self.index.remove(&key);
+            let outcome = self.queue.set(key, size, old);
+            for evicted in &outcome.evicted {
+                self.index.remove(evicted);
+            }
+            if let Some(slot) = outcome.slot {
+                self.index.insert(key, slot);
+            }
+            assert_eq!(self.index.len(), self.queue.len());
+            outcome
+        }
+    }
+
+    impl std::ops::Deref for Keyed {
+        type Target = PartitionedQueue;
+        fn deref(&self) -> &PartitionedQueue {
+            &self.queue
+        }
+    }
+
+    impl std::ops::DerefMut for Keyed {
+        fn deref_mut(&mut self) -> &mut PartitionedQueue {
+            &mut self.queue
+        }
+    }
+
+    fn small_queue(target_bytes: u64) -> Keyed {
+        Keyed::new(PartitionedQueueConfig {
             target_bytes,
             charge_per_item: 100,
             cliff_shadow_items: 8,
@@ -531,7 +572,7 @@ mod tests {
     fn behaves_like_a_cache_when_split_evenly() {
         let mut q = small_queue(100 * 100); // 100 items
         for i in 0..50 {
-            q.set(key(i), 52, ()); // charge 100
+            q.set(key(i), 52); // charge 100
         }
         let mut hits = 0;
         for i in 0..50 {
@@ -549,7 +590,7 @@ mod tests {
     fn evictions_cascade_into_shadow_queues() {
         let mut q = small_queue(20 * 100); // ~20 items
         for i in 0..200 {
-            q.set(key(i), 52, ());
+            q.set(key(i), 52);
         }
         assert!(q.len() <= 20);
         // Recently evicted keys are in the cliff shadows; older ones in the
@@ -573,7 +614,7 @@ mod tests {
 
     #[test]
     fn tail_hits_are_reported() {
-        let mut q = PartitionedQueue::<()>::new(PartitionedQueueConfig {
+        let mut q = Keyed::new(PartitionedQueueConfig {
             target_bytes: 40 * 100,
             charge_per_item: 100,
             cliff_shadow_items: 4,
@@ -584,7 +625,7 @@ mod tests {
             ..PartitionedQueueConfig::default()
         });
         for i in 0..40 {
-            q.set(key(i), 52, ());
+            q.set(key(i), 52);
         }
         // The coldest resident keys sit in the tail regions of their
         // partitions; at least one probe of an early key must be a tail hit.
@@ -602,12 +643,12 @@ mod tests {
     fn resize_is_applied_on_the_next_insertion() {
         let mut q = small_queue(100 * 100);
         for i in 0..100 {
-            q.set(key(i), 52, ());
+            q.set(key(i), 52);
         }
         let before = q.len();
         q.set_target_bytes(20 * 100);
         assert_eq!(q.len(), before, "shrink must wait for the next insertion");
-        q.set(key(1_000), 52, ());
+        q.set(key(1_000), 52);
         assert!(
             q.used_bytes() <= 20 * 100,
             "the insertion after the resize must enforce the new budget"
@@ -618,12 +659,12 @@ mod tests {
     fn growing_budget_admits_more_items() {
         let mut q = small_queue(10 * 100);
         for i in 0..50 {
-            q.set(key(i), 52, ());
+            q.set(key(i), 52);
         }
         assert!(q.len() <= 10);
         q.set_target_bytes(200 * 100);
         for i in 100..250 {
-            q.set(key(i), 52, ());
+            q.set(key(i), 52);
         }
         assert!(q.len() > 100, "queue should grow into the new budget");
         assert!(q.used_bytes() <= 200 * 100);
@@ -639,7 +680,7 @@ mod tests {
         let universe = 2_200u64;
         let rounds = 12;
         let make = |enable_cliff_scaling: bool| {
-            PartitionedQueue::<()>::new(PartitionedQueueConfig {
+            Keyed::new(PartitionedQueueConfig {
                 target_bytes: 2_000 * 100,
                 charge_per_item: 100,
                 cliff_shadow_items: 128,
@@ -650,12 +691,12 @@ mod tests {
                 ..PartitionedQueueConfig::default()
             })
         };
-        let run = |q: &mut PartitionedQueue<()>| {
+        let run = |q: &mut Keyed| {
             for _ in 0..rounds {
                 for i in 0..universe {
                     let e = q.get(key(i));
                     if !e.hit {
-                        q.set(key(i), 52, ());
+                        q.set(key(i), 52);
                     }
                 }
             }
@@ -689,7 +730,7 @@ mod tests {
 
     #[test]
     fn disabled_cliff_scaling_behaves_as_a_single_queue() {
-        let mut q = PartitionedQueue::<()>::new(PartitionedQueueConfig {
+        let mut q = Keyed::new(PartitionedQueueConfig {
             target_bytes: 2_000 * 100,
             charge_per_item: 100,
             enable_cliff_scaling: false,
@@ -699,7 +740,7 @@ mod tests {
         for i in 0..5_000u64 {
             let e = q.get(key(i % 2_600));
             if !e.hit {
-                q.set(key(i % 2_600), 52, ());
+                q.set(key(i % 2_600), 52);
             }
         }
         assert!((q.ratio() - 0.5).abs() < f64::EPSILON);
@@ -712,27 +753,53 @@ mod tests {
     }
 
     #[test]
-    fn delete_and_value_check_both_partitions() {
-        let mut q: PartitionedQueue<String> = PartitionedQueue::new(PartitionedQueueConfig {
+    fn a_deleted_item_is_gone_from_its_partition() {
+        let mut q = Keyed::new(PartitionedQueueConfig {
             target_bytes: 50 * 100,
             charge_per_item: 100,
             ..PartitionedQueueConfig::default()
         });
         for i in 0..20 {
-            q.set(key(i), 10, format!("v{i}"));
+            q.set(key(i), 10);
         }
-        assert_eq!(q.value(key(3)).map(String::as_str), Some("v3"));
-        assert!(q.contains(key(3)));
-        assert!(q.delete(key(3)));
-        assert!(!q.delete(key(3)));
-        assert!(q.value(key(3)).is_none());
+        let (side, token) = q.index.remove(&key(3)).unwrap();
+        assert_eq!(q.peek(side, token), Some((key(3), 58)));
+        q.remove(side, token);
+        assert_eq!(q.len(), 19);
+        assert!(!q.get(key(3)).hit);
+    }
+
+    #[test]
+    fn an_overwrite_replaces_the_copy_on_either_side() {
+        // Cliff scaling active: keys are hash-routed, and the ratio (hence
+        // a key's side) moves as the scan walks the pointers.
+        let mut q = Keyed::new(PartitionedQueueConfig {
+            target_bytes: 2_000 * 100,
+            charge_per_item: 100,
+            cliff_shadow_items: 128,
+            hill_shadow_entries: 4_096,
+            credit_items: 16,
+            cliff_min_items: 1_000,
+            ..PartitionedQueueConfig::default()
+        });
+        for round in 0..6 {
+            for i in 0..2_200 {
+                if !q.get(key(i)).hit || round % 2 == 1 {
+                    q.set(key(i), 52);
+                }
+            }
+        }
+        assert!(q.used_bytes() <= 2_000 * 100);
+        for (&k, &(side, token)) in &q.index {
+            assert_eq!(q.peek(side, token), Some((k, 100)));
+        }
     }
 
     #[test]
     fn routing_is_deterministic_for_a_fixed_ratio() {
         // A queue large enough for cliff scaling to be active, so requests
         // are hash-partitioned by the Talus ratio.
-        let q = PartitionedQueue::<()>::new(PartitionedQueueConfig {
+        let q = Keyed::new(PartitionedQueueConfig {
             target_bytes: 5_000 * 100,
             charge_per_item: 100,
             cliff_shadow_items: 128,

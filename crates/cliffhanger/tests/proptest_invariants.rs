@@ -3,11 +3,49 @@
 //! conservation under cliff scaling, and byte budgets under arbitrary
 //! request streams.
 
-use cache_core::{Key, SlabConfig};
+use cache_core::key::KeyMap;
+use cache_core::{Key, PolicyKind, SlabConfig};
 use cliffhanger::cliff_scale::{CliffScaler, PointerEvent};
 use cliffhanger::partitioned_queue::{PartitionedQueue, PartitionedQueueConfig};
 use cliffhanger::{Cliffhanger, CliffhangerConfig, HillClimber};
 use proptest::prelude::*;
+
+/// One operation against a whole engine.
+#[derive(Clone, Debug)]
+enum EngineOp {
+    Get(u16, u64),
+    GetUntyped(u16),
+    Lookup(u16),
+    Set(u16, u64),
+    Delete(u16),
+    Shrink(u64),
+    Grow(u64),
+}
+
+fn engine_op() -> impl Strategy<Value = EngineOp> {
+    let key = || 0u16..400;
+    let size = || 1u64..8_000;
+    prop_oneof![
+        (key(), size()).prop_map(|(k, s)| EngineOp::Get(k, s)),
+        key().prop_map(EngineOp::GetUntyped),
+        key().prop_map(EngineOp::Lookup),
+        (key(), size()).prop_map(|(k, s)| EngineOp::Set(k, s)),
+        (key(), size()).prop_map(|(k, s)| EngineOp::Set(k, s)),
+        (key(), size()).prop_map(|(k, s)| EngineOp::Set(k, s)),
+        key().prop_map(EngineOp::Delete),
+        (1u64..64).prop_map(|kb| EngineOp::Shrink(kb << 10)),
+        (1u64..64).prop_map(|kb| EngineOp::Grow(kb << 10)),
+    ]
+}
+
+/// Cases per property: 64 per push, `PROPTEST_CASES` overrides (nightly.yml
+/// runs 20 x that).
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|cases| cases.parse().ok())
+        .unwrap_or(64)
+}
 
 fn pointer_event() -> impl Strategy<Value = PointerEvent> {
     prop_oneof![
@@ -19,7 +57,7 @@ fn pointer_event() -> impl Strategy<Value = PointerEvent> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// Algorithm 1 moves credits around but never creates or destroys
     /// memory, and never drives a queue below the configured floor.
@@ -83,7 +121,7 @@ proptest! {
         keys in prop::collection::vec(any::<u16>(), 1..400),
     ) {
         let charge = 100u64;
-        let mut queue: PartitionedQueue<()> = PartitionedQueue::new(PartitionedQueueConfig {
+        let mut queue = PartitionedQueue::new(PartitionedQueueConfig {
             target_bytes: budget_items * charge,
             charge_per_item: charge,
             cliff_shadow_items: 8,
@@ -93,13 +131,92 @@ proptest! {
             enable_cliff_scaling: true,
             ..PartitionedQueueConfig::default()
         });
+        // The queue keeps no index; the test keeps the one its owner would.
+        let mut index = KeyMap::default();
         for k in keys {
             let key = Key::new(k as u64);
-            if !queue.get(key).hit {
-                queue.set(key, 52, ());
+            let hit = match index.get_mut(&key) {
+                Some((side, token)) => queue.hit(*side, token).hit,
+                None => queue.miss(key).hit,
+            };
+            if !hit {
+                let outcome = queue.set(key, 52, None);
+                for evicted in &outcome.evicted {
+                    index.remove(evicted);
+                }
+                if let Some(slot) = outcome.slot {
+                    index.insert(key, slot);
+                }
             }
+            prop_assert_eq!(index.len(), queue.len());
             prop_assert!(queue.used_bytes() <= budget_items * charge);
             prop_assert!(queue.ratio() >= 0.0 && queue.ratio() <= 1.0);
+        }
+    }
+
+    /// The engine's one index and its queues never disagree: after every
+    /// operation there are as many entries as queued items, every entry's
+    /// token names a node holding that key on that class and side, and the
+    /// bytes in use are those nodes' weights — under both list-backed
+    /// policies, class-changing overwrites, deletes and outer budget moves.
+    #[test]
+    fn cliffhanger_index_matches_its_queues(
+        ops in prop::collection::vec(engine_op(), 1..400),
+        facebook in any::<bool>(),
+    ) {
+        let mut cache: Cliffhanger<u64> = Cliffhanger::new(CliffhangerConfig {
+            slab: SlabConfig::new(64, 2.0, 8_192),
+            total_bytes: 256 << 10,
+            policy: if facebook { PolicyKind::Facebook } else { PolicyKind::Lru },
+            credit_bytes: 1 << 10,
+            hill_shadow_bytes: 32 << 10,
+            cliff_shadow_items: 8,
+            cliff_min_items: 64,
+            min_class_bytes: 2 << 10,
+            ..CliffhangerConfig::default()
+        });
+        for (step, op) in ops.into_iter().enumerate() {
+            let stamp = step as u64;
+            match op {
+                EngineOp::Get(k, size) => {
+                    cache.get(Key::new(k as u64), size);
+                }
+                EngineOp::GetUntyped(k) => {
+                    let key = Key::new(k as u64);
+                    let (class, event) = cache.get_untyped(key);
+                    prop_assert_eq!(event.hit, cache.contains(key));
+                    prop_assert!(!event.hit || cache.class_of(key) == Some(class));
+                }
+                EngineOp::Lookup(k) => {
+                    let key = Key::new(k as u64);
+                    let lent = cache.lookup(key).copied();
+                    prop_assert_eq!(lent, cache.value(key).copied());
+                }
+                EngineOp::Set(k, size) => {
+                    let key = Key::new(k as u64);
+                    let (class, _) = cache.set(key, size, stamp).expect("sizes fit a class");
+                    // Resident or not, never stale and never in another class.
+                    if let Some(&held) = cache.value(key) {
+                        prop_assert_eq!(held, stamp);
+                        prop_assert_eq!(cache.class_of(key), Some(class));
+                    }
+                }
+                EngineOp::Delete(k) => {
+                    let key = Key::new(k as u64);
+                    let was = cache.contains(key);
+                    prop_assert_eq!(cache.delete(key), was);
+                    prop_assert!(!cache.contains(key));
+                }
+                EngineOp::Shrink(bytes) => {
+                    cache.shrink_total(bytes);
+                }
+                EngineOp::Grow(bytes) => cache.grow_total(bytes),
+            }
+            if let Err(broken) = cache.check_index() {
+                return Err(format!("after step {step}: {broken}"));
+            }
+            let evictions: u64 = cache.class_stats().iter().map(|s| s.evictions).sum();
+            prop_assert_eq!(cache.stats().evictions, evictions);
         }
     }
 

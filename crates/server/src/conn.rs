@@ -121,7 +121,7 @@ pub(crate) enum Drive {
 }
 
 /// How an I/O pass left the socket.
-#[derive(PartialEq)]
+#[derive(PartialEq, Debug)]
 enum Flow {
     /// Still usable.
     Open,
@@ -130,6 +130,49 @@ enum Flow {
     Eof,
     /// Hard I/O error: close now.
     Broken,
+}
+
+/// Ends a `read_to_end` as soon as the socket has been read dry. A read that
+/// returns fewer bytes than it was offered emptied the socket's buffer, so
+/// the `recv` after it could only say `EAGAIN`; this reports end-of-input
+/// there instead of paying for that call on every pass (level-triggered
+/// epoll re-arms the connection if more has arrived since). `eof` tells the
+/// peer's real end of input — a read of zero bytes — from that.
+struct UntilShort<R> {
+    inner: R,
+    short: bool,
+    eof: bool,
+}
+
+impl<R: Read> Read for UntilShort<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.short {
+            return Ok(0);
+        }
+        let n = self.inner.read(buf)?;
+        self.eof = n == 0;
+        self.short = n < buf.len();
+        Ok(n)
+    }
+}
+
+/// One fill pass: appends what `socket` has to `inbuf`, up to
+/// [`IN_FILL_BUDGET`] bytes, stopping after the first short read. Bytes read
+/// before an error are kept.
+fn fill_from(inbuf: &mut BytesMut, socket: impl Read) -> Flow {
+    inbuf.reserve(READ_CHUNK);
+    let mut socket = UntilShort {
+        inner: socket,
+        short: false,
+        eof: false,
+    };
+    match inbuf.read_from(&mut (&mut socket).take(IN_FILL_BUDGET as u64)) {
+        Ok(_) if socket.eof => Flow::Eof,
+        // The budget's end or the socket's: either way there may be more.
+        Ok(_) => Flow::Open,
+        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Flow::Open,
+        Err(_) => Flow::Broken,
+    }
 }
 
 /// One command whose response is not on `out` yet, in program order.
@@ -432,15 +475,7 @@ impl Connection {
     /// Reads whatever the socket has (bounded per pass) straight into
     /// `inbuf`: the kernel's copy is the only one a request byte gets.
     fn fill(&mut self) -> Flow {
-        self.inbuf.reserve(READ_CHUNK);
-        let mut budget = (&self.stream).take(IN_FILL_BUDGET as u64);
-        match self.inbuf.read_from(&mut budget) {
-            // End of input: the budget's, or else the peer's.
-            Ok(_) if budget.limit() == 0 => Flow::Open,
-            Ok(_) => Flow::Eof,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Flow::Open,
-            Err(_) => Flow::Broken,
-        }
+        fill_from(&mut self.inbuf, &self.stream)
     }
 
     /// Parses and executes buffered commands until the input runs dry, the
@@ -679,5 +714,95 @@ impl Connection {
             self.out_pos = 0;
         }
         Flow::Open
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{Error, ErrorKind};
+
+    /// What the scripted socket answers to one `read` call.
+    enum Step {
+        /// This many bytes (fewer than any buffer a fill pass offers).
+        Short(usize),
+        /// As many bytes as were offered.
+        Full,
+        /// The peer closed.
+        Closed,
+        Fails(ErrorKind),
+    }
+
+    /// A socket that answers `read` from a script and counts the calls.
+    struct Scripted {
+        steps: Vec<Step>,
+        calls: usize,
+    }
+
+    impl Read for &mut Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let step = self.steps.get(self.calls).expect("a read past the script");
+            self.calls += 1;
+            let n = match *step {
+                Step::Short(n) => n,
+                Step::Full => buf.len(),
+                Step::Closed => 0,
+                Step::Fails(kind) => return Err(Error::from(kind)),
+            };
+            assert!(n <= buf.len() && (n < buf.len() || matches!(step, Step::Full)));
+            buf[..n].fill(b'x');
+            Ok(n)
+        }
+    }
+
+    /// Runs one fill pass over `steps`; returns the flow, the bytes
+    /// buffered and the `read` calls made.
+    fn fill(steps: Vec<Step>) -> (Flow, usize, usize) {
+        let mut socket = Scripted { steps, calls: 0 };
+        let mut inbuf = BytesMut::new();
+        let flow = fill_from(&mut inbuf, &mut socket);
+        (flow, inbuf.len(), socket.calls)
+    }
+
+    #[test]
+    fn a_short_read_ends_the_pass_without_a_second_call() {
+        assert_eq!(fill(vec![Step::Short(100)]), (Flow::Open, 100, 1));
+    }
+
+    #[test]
+    fn a_full_read_is_followed_by_another() {
+        let (flow, buffered, calls) = fill(vec![Step::Full, Step::Short(7)]);
+        assert_eq!((flow, calls), (Flow::Open, 2));
+        assert!(buffered > 7);
+        // ... which may find the socket empty after all.
+        let (flow, _, calls) = fill(vec![Step::Full, Step::Fails(ErrorKind::WouldBlock)]);
+        assert_eq!((flow, calls), (Flow::Open, 2));
+    }
+
+    #[test]
+    fn a_read_of_nothing_is_the_peers_end_of_input() {
+        assert_eq!(fill(vec![Step::Closed]), (Flow::Eof, 0, 1));
+        let (flow, buffered, calls) = fill(vec![Step::Full, Step::Closed]);
+        assert_eq!((flow, calls), (Flow::Eof, 2));
+        assert!(buffered > 0, "what came before the close is served");
+    }
+
+    #[test]
+    fn an_error_after_data_keeps_the_data() {
+        let (flow, buffered, calls) =
+            fill(vec![Step::Full, Step::Fails(ErrorKind::ConnectionReset)]);
+        assert_eq!((flow, calls), (Flow::Broken, 2));
+        assert!(buffered > 0);
+        assert_eq!(
+            fill(vec![Step::Fails(ErrorKind::WouldBlock)]),
+            (Flow::Open, 0, 1)
+        );
+    }
+
+    #[test]
+    fn the_budget_bounds_a_pass_that_never_reads_short() {
+        let (flow, buffered, calls) = fill((0..4_096).map(|_| Step::Full).collect());
+        assert_eq!((flow, buffered), (Flow::Open, IN_FILL_BUDGET));
+        assert!(calls < 4_096);
     }
 }

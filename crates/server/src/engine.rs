@@ -284,19 +284,16 @@ impl Engine {
         self.value(id).map(|s| s.key == key).unwrap_or(false)
     }
 
-    /// A wire-level GET: records the access (feeding the shadow queues in
-    /// managed mode) and lends the stored item on an exact byte-string
-    /// match. A 64-bit hash collision is a miss for the colliding key,
-    /// never a wrong value.
+    /// A wire-level GET: one probe of the engine's index records the
+    /// access (feeding the shadow queues in managed mode) and lends the
+    /// stored item, on an exact byte-string match. A 64-bit hash collision
+    /// is a miss for the colliding key, never a wrong value.
     pub(crate) fn wire_get(&mut self, id: Key, key: &[u8]) -> Option<&StoredValue> {
-        let hit = match self {
-            Engine::Plain(cache) => cache.get_untyped(id).result.hit,
-            Engine::Managed(cache) => cache.get_untyped(id).1.hit,
-        };
-        if !hit {
-            return None;
+        match self {
+            Engine::Plain(cache) => cache.lookup(id),
+            Engine::Managed(cache) => cache.lookup(id),
         }
-        self.value(id).filter(|stored| stored.key == key)
+        .filter(|stored| stored.key == key)
     }
 
     /// A wire-level store: charges `key + data` bytes and admits the item,
@@ -359,6 +356,50 @@ impl Engine {
         match self {
             Engine::Plain(cache) => cache.len(),
             Engine::Managed(cache) => cache.len(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn item(key: &[u8], data: &[u8]) -> StoredValue {
+        StoredValue {
+            key: Bytes::copy_from_slice(key),
+            flags: 0,
+            data: Bytes::copy_from_slice(data),
+        }
+    }
+
+    /// Two byte-string keys forced onto one 64-bit [`Key`]. The engine's
+    /// index is keyed by the hash, so the pair shares one slot: the later
+    /// write replaces the earlier item — as an eviction would — and the
+    /// displaced key reads as a miss, never as the other key's bytes.
+    #[test]
+    fn colliding_keys_share_one_slot_and_never_each_others_bytes() {
+        for mode in [BackendMode::Default, BackendMode::Cliffhanger] {
+            let config = BackendConfig {
+                mode,
+                ..BackendConfig::default()
+            };
+            let mut engine = Engine::build(&config, 8 << 20);
+            let id = Key::new(0xC0111DE);
+            assert!(engine.wire_set(id, item(b"first", b"one")));
+            let charged = engine.used_bytes();
+            assert!(engine.wire_set(id, item(b"second", b"two")));
+            assert_eq!(engine.len(), 1, "{mode:?}: one slot");
+            assert_eq!(engine.used_bytes(), charged + 1, "{mode:?}: charged once");
+            assert!(engine.wire_get(id, b"first").is_none(), "{mode:?}");
+            assert!(!engine.contains_exact(id, b"first"), "{mode:?}");
+            let found = engine.wire_get(id, b"second").expect("the later write");
+            assert_eq!(&found.data[..], b"two", "{mode:?}");
+            assert!(engine.contains_exact(id, b"second"), "{mode:?}");
+            // Both lookups reached the slot: the engine saw two GETs and two
+            // hits, the wire one hit (the caller counts exact matches).
+            assert_eq!(engine.stats().hits, 2, "{mode:?}");
+            assert!(engine.delete(id));
+            assert_eq!((engine.len(), engine.used_bytes()), (0, 0), "{mode:?}");
         }
     }
 }

@@ -539,6 +539,9 @@ pub(crate) struct LoopState {
     mrc: Vec<OnlineMrc>,
     /// Per-tenant counter history, bucketed into wall-clock intervals.
     history: TimeSeries,
+    /// The sample `observe` builds for `history`, kept between passes so a
+    /// readiness pass allocates nothing.
+    sample: Vec<SeriesSample>,
     /// Per-target-loop outbound batches, flushed once per readiness pass.
     outbound: Vec<Vec<LoopMsg>>,
     /// Loop-local hot-key state (tracker, promoted-set view, replica
@@ -605,6 +608,7 @@ impl LoopState {
             arbitrate_interval: (shared.config.tenant_balance.interval_requests / loops).max(1),
             mrc,
             history: TimeSeries::new(HISTORY_INTERVAL_US, HISTORY_WINDOWS),
+            sample: Vec::new(),
             outbound: (0..shared.loops).map(|_| Vec::new()).collect(),
             hot: shared
                 .hot
@@ -644,17 +648,17 @@ impl LoopState {
     }
 
     /// Samples the loop's cumulative per-tenant counters into the history
-    /// ring. Called once per readiness pass; recording into the current
-    /// interval bucket overwrites in place, so the cost is an `Instant`
-    /// read plus a per-owned-cell sum.
+    /// ring. Called once per readiness pass (once per request in an
+    /// open-loop trickle), so it is an `Instant` read and a per-owned-cell
+    /// sum of plain counters: the sample is built in a buffer the loop
+    /// keeps and the ring overwrites its current bucket in place.
     pub(crate) fn observe(&mut self) {
         let now_us = self.shared.started.elapsed().as_micros() as u64;
-        let mut columns = vec![SeriesSample::default(); self.tenants.len()];
+        let columns = &mut self.sample;
+        columns.clear();
+        columns.resize(self.tenants.len(), SeriesSample::default());
         for shard in &self.owned {
-            for (tenant, cell) in shard.cells.iter().enumerate() {
-                let Some(column) = columns.get_mut(tenant) else {
-                    continue;
-                };
+            for (column, cell) in columns.iter_mut().zip(&shard.cells) {
                 column.gets += cell.gets;
                 column.hits += cell.hits;
                 column.evictions += cell.engine.stats().evictions;

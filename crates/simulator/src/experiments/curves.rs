@@ -63,7 +63,7 @@ pub fn talus_partition_figure(ctx: &ExperimentContext, app_number: u32) -> (Figu
     // Operating point: the class's share of the default allocation, i.e.
     // what first-come-first-serve gives it; approximated as the class's GET
     // share of the reservation, converted to items.
-    let charge = CacheQueue::<()>::charge(options.slab.chunk_size(class));
+    let charge = CacheQueue::charge(options.slab.chunk_size(class));
     let share = profile.frequency.max(0.01);
     let operating_items =
         (((options.reserved_bytes as f64) * share) / charge as f64).round() as u64;

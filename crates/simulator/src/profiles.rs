@@ -69,7 +69,7 @@ pub fn profile_app_classes(
             } else {
                 gets[idx] as f64 / total_gets as f64
             };
-            let bytes_per_item = CacheQueue::<()>::charge(slab.chunk_size(class));
+            let bytes_per_item = CacheQueue::charge(slab.chunk_size(class));
             QueueProfile::new(curve, frequency, bytes_per_item)
         })
         .collect();
@@ -105,7 +105,7 @@ pub fn profile_whole_app(trace: &Trace, max_curve_points: usize) -> QueueProfile
             continue;
         }
         gets += 1;
-        total_size += CacheQueue::<()>::charge(request.size as u64) as u128;
+        total_size += CacheQueue::charge(request.size as u64) as u128;
         tracker.record(request.key);
     }
     let mean_charge = if gets == 0 {

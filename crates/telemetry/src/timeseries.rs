@@ -109,22 +109,29 @@ impl TimeSeries {
 
     /// Records the current cumulative `columns` at time `now_us` (micros
     /// since the shared time base). Within one interval the latest sample
-    /// overwrites; a new interval pushes a bucket and drops the oldest past
-    /// `capacity`. Out-of-order samples older than the newest bucket are
-    /// dropped (can only happen across loops, and merged() re-aligns those).
-    pub fn record(&mut self, now_us: u64, columns: Vec<SeriesSample>) {
+    /// overwrites the bucket in place; a new interval takes over the oldest
+    /// bucket once the ring holds `capacity` of them, so a full ring records
+    /// without allocating. Out-of-order samples older than the newest bucket
+    /// are dropped (can only happen across loops, and merged() re-aligns
+    /// those).
+    pub fn record(&mut self, now_us: u64, columns: &[SeriesSample]) {
         let index = now_us / self.interval_us;
-        match self.buckets.last_mut() {
-            Some(last) if last.index == index => last.columns = columns,
-            Some(last) if last.index > index => {}
-            _ => {
-                self.buckets.push(SeriesBucket { index, columns });
-                if self.buckets.len() > self.capacity {
-                    let excess = self.buckets.len() - self.capacity;
-                    self.buckets.drain(..excess);
-                }
-            }
+        let newest = self.buckets.last().map(|last| last.index);
+        if newest.is_some_and(|newest| newest > index) {
+            return;
         }
+        if newest != Some(index) {
+            let mut bucket = if self.buckets.len() >= self.capacity {
+                self.buckets.remove(0)
+            } else {
+                SeriesBucket::default()
+            };
+            bucket.index = index;
+            self.buckets.push(bucket);
+        }
+        let current = self.buckets.last_mut().expect("a bucket for `index`");
+        current.columns.clear();
+        current.columns.extend_from_slice(columns);
     }
 
     /// Merges per-loop rings into one series by bucket index, summing each
@@ -224,11 +231,11 @@ mod tests {
     #[test]
     fn latest_sample_within_an_interval_wins() {
         let mut ts = TimeSeries::new(1_000_000, 4);
-        ts.record(100, vec![sample(1, 1, 0)]);
-        ts.record(900_000, vec![sample(5, 3, 1)]);
+        ts.record(100, &[sample(1, 1, 0)]);
+        ts.record(900_000, &[sample(5, 3, 1)]);
         assert_eq!(ts.buckets().len(), 1);
         assert_eq!(ts.buckets()[0].columns[0], sample(5, 3, 1));
-        ts.record(1_100_000, vec![sample(9, 5, 1)]);
+        ts.record(1_100_000, &[sample(9, 5, 1)]);
         assert_eq!(ts.buckets().len(), 2);
         assert_eq!(ts.buckets()[1].index, 1);
     }
@@ -237,7 +244,7 @@ mod tests {
     fn ring_drops_oldest_past_capacity() {
         let mut ts = TimeSeries::new(1_000_000, 3);
         for i in 0..5u64 {
-            ts.record(i * 1_000_000, vec![sample(i, i, 0)]);
+            ts.record(i * 1_000_000, &[sample(i, i, 0)]);
         }
         let indices: Vec<u64> = ts.buckets().iter().map(|b| b.index).collect();
         assert_eq!(indices, vec![2, 3, 4]);
@@ -246,8 +253,8 @@ mod tests {
     #[test]
     fn out_of_order_samples_are_dropped() {
         let mut ts = TimeSeries::new(1_000_000, 4);
-        ts.record(5_000_000, vec![sample(10, 5, 0)]);
-        ts.record(1_000_000, vec![sample(1, 1, 0)]);
+        ts.record(5_000_000, &[sample(10, 5, 0)]);
+        ts.record(1_000_000, &[sample(1, 1, 0)]);
         assert_eq!(ts.buckets().len(), 1);
         assert_eq!(ts.buckets()[0].index, 5);
     }
@@ -255,10 +262,10 @@ mod tests {
     #[test]
     fn rates_difference_adjacent_buckets() {
         let mut ts = TimeSeries::new(1_000_000, 8);
-        ts.record(0, vec![sample(100, 50, 0)]);
-        ts.record(1_000_000, vec![sample(300, 150, 10)]);
+        ts.record(0, &[sample(100, 50, 0)]);
+        ts.record(1_000_000, &[sample(300, 150, 10)]);
         // Interval 2 skipped entirely; bucket 3 spans a 2-second window.
-        ts.record(3_000_000, vec![sample(500, 150, 10)]);
+        ts.record(3_000_000, &[sample(500, 150, 10)]);
         let rates = ts.rates();
         assert_eq!(rates.len(), 2);
         assert_eq!(rates[0].index, 1);
@@ -275,8 +282,8 @@ mod tests {
     #[test]
     fn windows_without_gets_render_null_hit_rate_not_nan() {
         let mut ts = TimeSeries::new(1_000_000, 4);
-        ts.record(0, vec![sample(7, 3, 0)]);
-        ts.record(1_000_000, vec![sample(7, 3, 2)]);
+        ts.record(0, &[sample(7, 3, 0)]);
+        ts.record(1_000_000, &[sample(7, 3, 2)]);
         let rates = ts.rates();
         assert_eq!(rates[0].columns[0].hit_rate, None);
         let json = serde_json::to_string(&rates).unwrap();
@@ -288,12 +295,12 @@ mod tests {
         // Loop A samples every interval; loop B misses interval 1 (its
         // cumulative counters carry forward) and has a second tenant.
         let mut a = TimeSeries::new(1_000_000, 8);
-        a.record(0, vec![sample(10, 5, 0)]);
-        a.record(1_000_000, vec![sample(20, 10, 1)]);
-        a.record(2_000_000, vec![sample(30, 15, 1)]);
+        a.record(0, &[sample(10, 5, 0)]);
+        a.record(1_000_000, &[sample(20, 10, 1)]);
+        a.record(2_000_000, &[sample(30, 15, 1)]);
         let mut b = TimeSeries::new(1_000_000, 8);
-        b.record(0, vec![sample(100, 50, 0), sample(1, 0, 0)]);
-        b.record(2_000_000, vec![sample(300, 150, 4), sample(3, 1, 0)]);
+        b.record(0, &[sample(100, 50, 0), sample(1, 0, 0)]);
+        b.record(2_000_000, &[sample(300, 150, 4), sample(3, 1, 0)]);
 
         let merged = TimeSeries::merged(&[&a, &b]);
         let indices: Vec<u64> = merged.buckets().iter().map(|x| x.index).collect();
@@ -316,7 +323,7 @@ mod tests {
     fn merged_respects_capacity() {
         let mut a = TimeSeries::new(1_000_000, 3);
         for i in 0..6u64 {
-            a.record(i * 1_000_000, vec![sample(i, 0, 0)]);
+            a.record(i * 1_000_000, &[sample(i, 0, 0)]);
         }
         let merged = TimeSeries::merged(&[&a]);
         let indices: Vec<u64> = merged.buckets().iter().map(|x| x.index).collect();
