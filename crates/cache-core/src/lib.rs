@@ -30,7 +30,8 @@
 //! * [`store`] — a slab-class cache for a single application (first-come-
 //!   first-serve by default, externally resizable per class).
 //! * [`global_lru`] — the log-structured-memory model: one global LRU.
-//! * [`tenant`] — the tenant name table of a multi-tenant server.
+//! * [`tenant`] — a multi-tenant cache server: per-application reservations or
+//!   a shared memory pool.
 //! * [`stats`] — hit/miss/eviction accounting shared by all of the above.
 
 #![warn(missing_docs)]
@@ -58,7 +59,7 @@ pub use shadow::{ShadowHalf, ShadowHit, ShadowQueue};
 pub use slab::SlabConfig;
 pub use stats::{CacheStats, HitRatio};
 pub use store::{SlabCache, SlabCacheConfig};
-pub use tenant::{TenantDirectory, DEFAULT_TENANT};
+pub use tenant::{MultiTenantCache, TenantConfig, TenantDirectory, DEFAULT_TENANT};
 
 /// Fixed per-item metadata overhead charged against the memory budget, in
 /// bytes. Memcached charges roughly 48–56 bytes of header per item; we use a

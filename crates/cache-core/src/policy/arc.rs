@@ -137,8 +137,9 @@ impl EvictionPolicy for ArcPolicy {
     }
 
     fn remove(&mut self, token: Token) -> (Key, u64) {
-        // A resident key is never also marked: the mark is set on a miss
-        // and consumed by the insert that made the key resident.
+        // The ghost-hit mark is not this method's business: the queue
+        // calls `forget` where the key is going away rather than being
+        // replaced.
         if token.frequent {
             self.t2.remove(token.node)
         } else {
@@ -206,6 +207,20 @@ mod tests {
         p.insert(victim, 1);
         let (_, t2, _, _) = p.list_sizes();
         assert!(t2 >= 1, "ghost-hit key must be admitted to T2");
+    }
+
+    #[test]
+    fn a_forgotten_ghost_hit_admits_to_the_recency_list() {
+        let mut p = ArcPolicy::new();
+        for i in 0..8 {
+            p.insert(key(i), 1);
+        }
+        let (victim, _) = p.evict().unwrap();
+        p.on_miss(victim);
+        // The write the miss announced went elsewhere (or was a DELETE).
+        p.forget(victim);
+        p.insert(victim, 1);
+        assert_eq!(p.list_sizes().1, 0, "the mark must not outlive `forget`");
     }
 
     #[test]

@@ -102,8 +102,10 @@ pub trait EvictionPolicy: std::fmt::Debug + Send {
     /// Removes the item `token` names, returning its key and weight.
     fn remove(&mut self, token: Token) -> (Key, u64);
 
-    /// A write of non-resident `key` was turned away; drops what the policy
-    /// remembered about its next admission (ARC's ghost-hit mark).
+    /// Drops what the policy remembered about the next admission of `key`
+    /// (ARC's ghost-hit mark). The owning queue calls it when the admission
+    /// a miss announced will not happen here: the write was turned away as
+    /// oversized, the key was deleted, or the write landed in another queue.
     fn forget(&mut self, _key: Key) {}
 
     /// The key and weight `token` names, if it names a live item.

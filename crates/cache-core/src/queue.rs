@@ -155,9 +155,7 @@ impl CacheQueue {
         if charge > self.target_bytes {
             // The item alone exceeds the budget; do not admit it (Memcached
             // would fail the store with SERVER_ERROR object too large).
-            if old.is_none() {
-                self.policy.forget(key);
-            }
+            self.policy.forget(key);
             return SetResult::default();
         }
         let token = self.policy.insert(key, charge);
@@ -174,7 +172,15 @@ impl CacheQueue {
     /// Removes the item `token` names from the physical queue (its key does
     /// not enter the shadow queue), returning its key.
     pub fn remove(&mut self, token: Token) -> Key {
-        self.policy.remove(token).0
+        let (key, _) = self.policy.remove(token);
+        self.policy.forget(key);
+        key
+    }
+
+    /// `key` was written to, or deleted from, another queue: drops what this
+    /// queue's policy remembered about its next admission here.
+    pub fn forget(&mut self, key: Key) {
+        self.policy.forget(key);
     }
 
     /// Evicts items until the queue fits its byte budget; returns the evicted

@@ -36,6 +36,10 @@ pub enum ShadowHalf {
 pub struct ShadowHit {
     /// Which half of the queue the key was found in.
     pub half: ShadowHalf,
+    /// Approximate distance (in entries, counted from the physical queue)
+    /// at which the key was found: 0-based index of the half boundary the
+    /// key fell into. `0` for the left half, `capacity / 2` for the right.
+    pub depth_hint: usize,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -129,7 +133,13 @@ impl ShadowQueue {
         let handle = self.index.remove(&key)?;
         let half = self.unlink(handle);
         self.rebalance();
-        Some(ShadowHit { half })
+        Some(ShadowHit {
+            half,
+            depth_hint: match half {
+                ShadowHalf::Left => 0,
+                ShadowHalf::Right => self.capacity / 2,
+            },
+        })
     }
 
     /// Looks up `key` without removing it.
@@ -142,6 +152,11 @@ impl ShadowQueue {
     /// through a path that did not call [`ShadowQueue::probe`]).
     pub fn remove(&mut self, key: Key) -> bool {
         self.probe(key).is_some()
+    }
+
+    /// Drops every key.
+    pub fn clear(&mut self) {
+        *self = ShadowQueue::new(self.capacity);
     }
 
     /// Iterates over keys from most to least recently evicted.
@@ -272,6 +287,7 @@ mod tests {
         }
         let hit = q.probe(key(0)).unwrap();
         assert_eq!(hit.half, ShadowHalf::Right);
+        assert_eq!(hit.depth_hint, 2);
     }
 
     #[test]
@@ -317,5 +333,15 @@ mod tests {
         assert!(!q.remove(key(2)));
         let keys: Vec<u64> = q.iter().map(Key::raw).collect();
         assert_eq!(keys, vec![4, 3, 1, 0]);
+    }
+
+    #[test]
+    fn clear_empties() {
+        let mut q = ShadowQueue::new(5);
+        q.insert(key(1));
+        q.clear();
+        assert!(q.is_empty());
+        assert!(!q.contains(key(1)));
+        assert_eq!(q.capacity(), 5);
     }
 }

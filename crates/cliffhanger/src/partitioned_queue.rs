@@ -409,18 +409,30 @@ impl PartitionedQueue {
             }
         }
         let partition = self.route(key);
-        // A copy on the other side must not outlive the write.
+        let (queue, other, cliff, hill) = match partition {
+            Partition::Left => (
+                &mut self.left,
+                &mut self.right,
+                &mut self.left_cliff,
+                &mut self.left_hill,
+            ),
+            Partition::Right => (
+                &mut self.right,
+                &mut self.left,
+                &mut self.right_cliff,
+                &mut self.right_hill,
+            ),
+        };
+        // Neither a copy on the other side nor what that side's policy
+        // remembers about the key must outlive the write.
         let replaced = match old {
             Some((side, token)) if side != partition => {
-                self.remove(side, token);
+                other.remove(token);
                 None
             }
             same_side => same_side.map(|(_, token)| token),
         };
-        let (queue, cliff, hill) = match partition {
-            Partition::Left => (&mut self.left, &mut self.left_cliff, &mut self.left_hill),
-            Partition::Right => (&mut self.right, &mut self.right_cliff, &mut self.right_hill),
-        };
+        other.forget(key);
         let result = queue.set(key, size, replaced);
         for evicted in &result.evicted {
             if let Some(overflow) = cliff.insert(*evicted) {
@@ -437,7 +449,10 @@ impl PartitionedQueue {
     /// Removes the item `token` names on `side` (a DELETE, or a copy a write
     /// elsewhere supersedes); its key does not enter the shadow queues.
     pub fn remove(&mut self, side: Partition, token: Token) {
-        self.side_mut(side).remove(token);
+        let key = self.side_mut(side).remove(token);
+        // Either side's policy may have marked the key on an earlier miss.
+        self.left.forget(key);
+        self.right.forget(key);
     }
 
     /// Applies the current pointer-derived sizes to the two partitions and
@@ -495,6 +510,11 @@ impl PartitionedQueue {
         let evicted = self.apply_sizes();
         self.resize_pending = false;
         evicted
+    }
+
+    /// The scaler driving this queue (read-only; for diagnostics and tests).
+    pub fn scaler(&self) -> &CliffScaler {
+        &self.scaler
     }
 }
 

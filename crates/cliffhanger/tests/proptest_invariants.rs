@@ -157,17 +157,18 @@ proptest! {
     /// The engine's one index and its queues never disagree: after every
     /// operation there are as many entries as queued items, every entry's
     /// token names a node holding that key on that class and side, and the
-    /// bytes in use are those nodes' weights — under both list-backed
-    /// policies, class-changing overwrites, deletes and outer budget moves.
+    /// bytes in use are those nodes' weights — under every policy (ARC
+    /// rewrites a token when a hit moves the item to its other list),
+    /// class-changing overwrites, deletes and outer budget moves.
     #[test]
     fn cliffhanger_index_matches_its_queues(
         ops in prop::collection::vec(engine_op(), 1..400),
-        facebook in any::<bool>(),
+        policy in prop_oneof![Just(PolicyKind::Lru), Just(PolicyKind::Facebook), Just(PolicyKind::Arc)],
     ) {
         let mut cache: Cliffhanger<u64> = Cliffhanger::new(CliffhangerConfig {
             slab: SlabConfig::new(64, 2.0, 8_192),
             total_bytes: 256 << 10,
-            policy: if facebook { PolicyKind::Facebook } else { PolicyKind::Lru },
+            policy,
             credit_bytes: 1 << 10,
             hill_shadow_bytes: 32 << 10,
             cliff_shadow_items: 8,
