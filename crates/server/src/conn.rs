@@ -21,16 +21,20 @@
 //! to its shard *before* any engine is touched. A key whose shard the
 //! connection's own loop owns executes inline — plain field accesses on
 //! loop-owned state, zero shared locks. A key owned by another loop is
-//! forwarded as a [`DataOp`] message, and the connection *keeps parsing*:
-//! the command takes an [`Entry`] in the connection's in-order completion
-//! ring (entry `seq` sits at index `seq - head_seq`), later commands queue
-//! their finished responses behind it, and a
-//! [`crate::plane::LoopMsg::DataReply`] fills its entry whenever it
-//! arrives. Responses leave the head of the ring in program order, so the
-//! wire is byte-identical to inline execution while a pipelined batch
-//! crosses the mailbox as one message batch and one wake-up per target
-//! loop. With the ring empty (every key local) responses encode straight
-//! into `out`, exactly as before the ring existed.
+//! forwarded as an [`Op`] in the loop's [`OpBatch`] for that owner, and the
+//! connection *keeps parsing*: the command takes an [`Entry`] in the
+//! connection's in-order completion ring (entry `seq` sits at index
+//! `seq - head_seq`), later commands stage their finished responses behind
+//! it — in one FIFO buffer, the ring holding only their lengths — and the
+//! batch, back from the owner, resolves its entries
+//! ([`Connection::on_replies`]). Responses leave the head of the ring in
+//! program order, so the wire is byte-identical to inline execution while a
+//! pipelined batch crosses the mailbox as one message. While the ring's head
+//! is unanswered, fewer than [`OUT_HOLD`] bytes of `out` wait for the
+//! connection's next pass — the reply batch, or more input — so a batch
+//! whose first key is local costs one `send` and one client wake-up, not
+//! two. With the ring empty (every key local) responses encode straight
+//! into `out` and leave at once, exactly as before the ring existed.
 //!
 //! # The byte path
 //!
@@ -40,12 +44,13 @@
 //! the engine's stored item onto `out` (the payload's one copy), and a
 //! store's key and data are copied once into the `Bytes` that then move
 //! into the engine. Only a key another loop owns is copied out to cross
-//! threads. ARCHITECTURE.md has the table; `tests/byte_path.rs` holds the
-//! allocation counts.
+//! threads: into the batch's key bytes, which also serve its `VALUE` line.
+//! ARCHITECTURE.md has the table; `tests/byte_path.rs` holds the counts.
 //!
 //! * **Same-key order** needs no mechanism of its own: shard ownership is
-//!   static and mailboxes are FIFO, so every op on a key reaches its one
-//!   owner in program order.
+//!   static, mailboxes are FIFO and a batch keeps its ops in the order
+//!   they were issued, so every op on a key reaches its one owner in
+//!   program order.
 //! * **Admin commands** (`stats`, `flush_all`, `app_create`, `app_list`) are
 //!   barriers. They go to the control thread at once, while forwarded data
 //!   ops wait in the loop's outbound batch, so one is sent only when the
@@ -56,17 +61,16 @@
 //!   not bumped the key's version yet, so remote GETs skip the hot-key
 //!   replica cache and forward; FIFO to the owner restores read-your-writes.
 //! * **Bounds**: at most [`MAX_IN_FLIGHT`] entries, and finished responses
-//!   waiting in the ring count toward [`OUT_HIGH_WATERMARK`]; at either
+//!   staged behind the ring count toward [`OUT_HIGH_WATERMARK`]; at either
 //!   limit the connection stops parsing and reading until replies drain it.
 //!
 //! The command semantics (and every byte on the wire) are identical to the
 //! old blocking handler; only the scheduling changed.
 
-use crate::plane::{
-    AdminOp, AdminResult, DataOp, DataOutcome, DataReplyTo, DataVerb, LoopMsg, LoopState,
-};
+use crate::engine::StoredValue;
+use crate::plane::{AdminOp, AdminResult, LoopState, Op, OpBatch, OpState};
 use crate::protocol::{
-    encode_response, encode_value, Command, ParseOutcome, Parser, Request, Response,
+    encode_response, encode_value, Command, ParseOutcome, Parser, Request, Response, StoreVerb,
 };
 use bytes::{Bytes, BytesMut};
 use cache_core::Key;
@@ -82,6 +86,9 @@ use crate::reactor::{EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 /// parsing until the socket drains (and above which a pipelined batch is
 /// cut, matching the old handler's flush threshold).
 pub(crate) const OUT_HIGH_WATERMARK: usize = 256 * 1024;
+/// Pending-output bytes below which a pass that leaves the ring unanswered
+/// sends nothing.
+const OUT_HOLD: usize = 16 * 1024;
 /// Ring entries a connection may hold before it stops parsing: deep enough
 /// that a pipelined batch crosses the mailbox in one piece, small enough to
 /// bound what one socket can queue on other loops.
@@ -94,6 +101,9 @@ const READ_CHUNK: usize = 16 * 1024;
 /// [`crate::protocol::MAX_DATA_BYTES`]) goes back to the allocator once it
 /// is parsed, the way `flush` trims `out`.
 const IN_RETAIN: usize = 4 * READ_CHUNK;
+/// Capacity the staging buffer may keep once it has drained, and the
+/// consumed prefix it may carry while it has not.
+const STAGED_RETAIN: usize = READ_CHUNK;
 /// Bytes buffered per fill pass before yielding back to the loop, so one
 /// fire-hosing connection cannot starve its siblings (level-triggered
 /// epoll re-schedules it immediately).
@@ -177,28 +187,29 @@ fn fill_from(inbuf: &mut BytesMut, socket: impl Read) -> Flow {
 
 /// One command whose response is not on `out` yet, in program order.
 enum Entry {
-    /// One key of a `get`, forwarded to the loop that owns it; the key is
-    /// kept for the `VALUE` line of a hit. A (multi-)get is one entry per
-    /// remote key with its local hits as `Done` bytes between them, so the
-    /// ring's order is the reply's order. `end`: the command's `END`
-    /// follows this key (no later key of it produced bytes).
-    Get { key: Bytes, end: bool },
+    /// One key of a `get`, forwarded to the loop that owns it (the batch
+    /// brings the key back for the `VALUE` line of a hit). A (multi-)get is
+    /// one entry per remote key with its local hits as `Done` bytes between
+    /// them, so the ring's order is the reply's order. `end`: the command's
+    /// `END` follows this key (no later key of it produced bytes).
+    Get { end: bool },
     /// A store or delete forwarded to the owning loop. A `noreply` one
     /// keeps its place in the order and emits nothing.
     Write { delete: bool, noreply: bool },
     /// An admin command: `Some` until the ring ahead of it drains and it is
     /// sent to the control thread, `None` while that thread runs it.
     Admin(Option<AdminOp>),
-    /// Finished response bytes waiting for the entries ahead of them.
-    Done(Vec<u8>),
+    /// This many finished response bytes wait in `staged` for the entries
+    /// ahead of them.
+    Done(usize),
 }
 
 /// What closes a `get` reply.
 const END: &[u8] = b"END\r\n";
 
 /// The reply to a store (`delete == false`) or delete verb.
-fn flag_response(delete: bool, outcome: &DataOutcome) -> Response {
-    match (delete, matches!(outcome, DataOutcome::Flag(true))) {
+fn flag_response(delete: bool, done: bool) -> Response {
+    match (delete, done) {
         (false, true) => Response::Stored,
         (false, false) => Response::NotStored,
         (true, true) => Response::Deleted,
@@ -227,8 +238,11 @@ pub(crate) struct Connection {
     /// Sequence number of `ring[0]`. Replies carry their entry's number, so
     /// one that no longer (or never) maps into the ring is dropped.
     head_seq: u64,
-    /// Bytes held by the ring's `Done` entries.
-    ring_bytes: usize,
+    /// The bytes of the ring's `Done` entries, in ring order, from
+    /// `staged_pos` on.
+    staged: Vec<u8>,
+    /// Bytes of `staged` already moved onto `out`.
+    staged_pos: usize,
     /// Forwarded writes not yet acknowledged (the replica bypass).
     unacked_writes: usize,
     /// Last time the peer gave us bytes or an operation resolved — the
@@ -262,7 +276,8 @@ impl Connection {
             draining: false,
             ring: VecDeque::new(),
             head_seq: 0,
-            ring_bytes: 0,
+            staged: Vec::new(),
+            staged_pos: 0,
             unacked_writes: 0,
             last_activity: Instant::now(),
         })
@@ -292,25 +307,32 @@ impl Connection {
         self.out.len() - self.out_pos
     }
 
+    /// Whether `out` waits for the connection's next pass: the ring's head
+    /// is unanswered (a non-empty ring's always is), so a reply batch is on
+    /// its way, and what is pending is not worth a `send` of its own.
+    fn held(&self) -> bool {
+        !self.ring.is_empty() && self.pending_out() < OUT_HOLD
+    }
+
     /// Whether parsing must wait: output (unsent, or finished but still in
     /// the ring) is past the watermark, the ring is full, or an admin
     /// barrier is up.
     fn stalled(&self) -> bool {
-        self.pending_out() + self.ring_bytes >= OUT_HIGH_WATERMARK
+        self.pending_out() + self.staged.len() - self.staged_pos >= OUT_HIGH_WATERMARK
             || self.ring.len() >= MAX_IN_FLIGHT
             || matches!(self.ring.back(), Some(Entry::Admin(_)))
     }
 
     /// One readiness pass: flush, then parse/execute/flush — with one fill
     /// from the socket in between — until quiescent or stalled.
-    pub(crate) fn on_ready(&mut self, readable: bool, writable: bool, ctx: &mut Ctx<'_>) -> Drive {
-        if readable || writable {
-            self.last_activity = Instant::now();
-        }
+    pub(crate) fn on_ready(&mut self, readable: bool, ctx: &mut Ctx<'_>) -> Drive {
+        // Readiness or a delivery: not idle as of this pass's clock.
+        self.last_activity = ctx.state.now;
         // Always flush first, not only on `EPOLLOUT`: replies that resolved
         // ring entries since the last pass put bytes on `out`, and `process`
         // may only find the watermark in its way when the socket is full.
-        if self.flush() == Flow::Broken {
+        // What an earlier pass held back goes too: it has waited for this.
+        if self.flush(false) == Flow::Broken {
             return Drive::Close;
         }
         // Parsing can be resumed by a flush that drains the output below
@@ -331,7 +353,7 @@ impl Connection {
                     (0, false)
                 }
             };
-            if self.flush() == Flow::Broken {
+            if self.flush(true) == Flow::Broken {
                 return Drive::Close;
             }
             if dry && read && !self.draining && !self.stalled() {
@@ -351,7 +373,7 @@ impl Connection {
             return Drive::Close;
         }
         let mut want = 0;
-        if self.pending_out() > 0 {
+        if self.pending_out() > 0 && !self.held() {
             want |= EPOLLOUT;
         }
         // A stalled connection reads nothing: there is no point waking on
@@ -369,38 +391,39 @@ impl Connection {
         }
     }
 
-    /// A [`DataOutcome`] arrived for a forwarded operation: resolve its
-    /// entry. A reply whose entry has left the ring is dropped.
-    pub(crate) fn on_data_reply(&mut self, seq: u64, outcome: DataOutcome) {
-        self.last_activity = Instant::now();
-        let Some(index) = self.index_of(seq) else {
-            return;
-        };
-        match std::mem::replace(&mut self.ring[index], Entry::Done(Vec::new())) {
-            Entry::Get { key, end } => self.complete(index, |out| {
-                if let DataOutcome::Value(Some((flags, data))) = &outcome {
-                    encode_value(&key, *flags, data, out);
-                }
-                if end {
-                    out.extend_from_slice(END);
-                }
-            }),
-            Entry::Write { delete, noreply } => {
-                self.unacked_writes -= 1;
-                self.complete(index, |out| {
-                    if !noreply {
-                        encode_response(&flag_response(delete, &outcome), out);
+    /// `ops`, this connection's in `batch`, are back from their owner:
+    /// resolve their entries. One whose entry has left the ring is dropped.
+    pub(crate) fn on_replies(&mut self, ops: &[Op], batch: &OpBatch) {
+        for op in ops {
+            let Some(index) = self.index_of(op.seq) else {
+                continue;
+            };
+            match self.ring[index] {
+                Entry::Get { end } => self.complete(index, |out| {
+                    if let OpState::Value(Some((flags, data))) = &op.state {
+                        encode_value(batch.key(op), *flags, data, out);
                     }
-                });
+                    if end {
+                        out.extend_from_slice(END);
+                    }
+                }),
+                Entry::Write { delete, noreply } => {
+                    self.unacked_writes -= 1;
+                    let done = matches!(op.state, OpState::Flag(true));
+                    self.complete(index, |out| {
+                        if !noreply {
+                            encode_response(&flag_response(delete, done), out);
+                        }
+                    });
+                }
+                _ => {}
             }
-            other => self.ring[index] = other,
         }
     }
 
     /// The control thread finished the admin command at the head of the
     /// ring.
     pub(crate) fn on_admin_done(&mut self, seq: u64, result: AdminResult) {
-        self.last_activity = Instant::now();
         if self.index_of(seq) != Some(0) || !matches!(self.ring[0], Entry::Admin(None)) {
             return;
         }
@@ -431,40 +454,60 @@ impl Connection {
 
     /// Entry `index` resolved to the bytes `write` produces (none for
     /// `noreply` or a miss). At the head they go out, followed by every
-    /// finished entry behind them; elsewhere they wait as `Done` bytes for
-    /// the entries ahead.
+    /// finished entry behind them; elsewhere — a later owner answered before
+    /// an earlier one — they are staged at the entry's place in the FIFO.
     fn complete(&mut self, index: usize, write: impl FnOnce(&mut Vec<u8>)) {
         if index > 0 {
-            let mut bytes = Vec::new();
-            write(&mut bytes);
-            self.ring_bytes += bytes.len();
-            self.ring[index] = Entry::Done(bytes);
+            let staged_ahead = self.ring.iter().take(index).map(|entry| match entry {
+                Entry::Done(len) => *len,
+                _ => 0,
+            });
+            let at = self.staged_pos + staged_ahead.sum::<usize>();
+            let len = Self::append(&mut self.staged, write);
+            self.staged[at..].rotate_right(len);
+            self.ring[index] = Entry::Done(len);
             return;
         }
         self.ring.pop_front();
         self.head_seq += 1;
         write(&mut self.out);
-        while let Some(Entry::Done(bytes)) = self.ring.front() {
-            self.out.extend_from_slice(bytes);
-            self.ring_bytes -= bytes.len();
+        while let Some(&Entry::Done(len)) = self.ring.front() {
+            let next = self.staged_pos + len;
+            self.out
+                .extend_from_slice(&self.staged[self.staged_pos..next]);
+            self.staged_pos = next;
             self.ring.pop_front();
             self.head_seq += 1;
         }
+        if self.staged_pos == self.staged.len() {
+            self.staged.clear();
+            self.staged.shrink_to(STAGED_RETAIN);
+            self.staged_pos = 0;
+        } else if self.staged_pos >= STAGED_RETAIN {
+            // A ring that never quite drains must not keep what has left.
+            self.staged.drain(..self.staged_pos);
+            self.staged_pos = 0;
+        }
+    }
+
+    /// Lets `write` append to `buffer`; returns how many bytes it added.
+    fn append(buffer: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) -> usize {
+        let before = buffer.len();
+        write(buffer);
+        buffer.len() - before
     }
 
     /// Lets `write` append the response of a command that executed inline:
-    /// straight onto `out` when nothing is ahead of it, else behind the ring.
+    /// straight onto `out` when nothing is ahead of it, else staged behind
+    /// the ring.
     fn emit(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
         if self.ring.is_empty() {
             return write(&mut self.out);
         }
-        if !matches!(self.ring.back(), Some(Entry::Done(_))) {
-            self.ring.push_back(Entry::Done(Vec::new()));
-        }
-        if let Some(Entry::Done(bytes)) = self.ring.back_mut() {
-            let before = bytes.len();
-            write(bytes);
-            self.ring_bytes += bytes.len() - before;
+        let len = Self::append(&mut self.staged, write);
+        match self.ring.back_mut() {
+            Some(Entry::Done(staged)) => *staged += len,
+            _ => self.ring.push_back(Entry::Done(len)),
         }
     }
 
@@ -510,30 +553,26 @@ impl Connection {
     }
 
     /// Forwards one key's op to the loop that owns it, addressed to the
-    /// ring entry the caller pushes next.
+    /// ring entry the caller pushes next. `key`: a GET's or DELETE's.
     fn forward(
         &self,
         ctx: &mut Ctx<'_>,
         (shard, id, owner): (usize, Key, usize),
-        key: Bytes,
-        verb: DataVerb,
+        key: &[u8],
+        state: OpState,
         hot_fill: bool,
     ) {
-        let op = DataOp {
-            shard,
+        let op = Op {
+            token: ctx.token,
+            seq: self.head_seq + self.ring.len() as u64,
             tenant: self.tenant,
+            shard,
             id,
-            key,
-            verb,
-            enqueued: Instant::now(),
-            reply: DataReplyTo::Conn {
-                origin: ctx.state.index,
-                token: ctx.token,
-                seq: self.head_seq + self.ring.len() as u64,
-            },
             hot_fill,
+            key: 0..0,
+            state,
         };
-        ctx.state.forward(owner, LoopMsg::Data(op));
+        ctx.state.forward_op(owner, op, key);
     }
 
     /// A (multi-)get, key by key: route by hash, and answer a key this
@@ -546,13 +585,11 @@ impl Connection {
             let (shard, id, route) = ctx.state.route(self.tenant, key);
             match route {
                 Ok(local) => {
-                    let started = Instant::now();
-                    let hit = ctx.state.get(local, self.tenant, id, key);
-                    let took = started.elapsed();
-                    if let Some(item) = hit {
+                    let timer = ctx.state.local_timer();
+                    if let Some(item) = ctx.state.get(local, self.tenant, id, key) {
                         self.emit(|out| encode_value(key, item.flags, &item.data, out));
                     }
-                    ctx.state.note_local(took);
+                    ctx.state.note_local(timer);
                 }
                 Err(owner) => {
                     // Promoted hot keys serve from the loop-local replica
@@ -568,10 +605,8 @@ impl Connection {
                     // A replica miss on a promoted key rides the normal
                     // forward but asks the owner to fill us.
                     let hot_fill = ctx.state.wants_hot_fill(self.tenant, id);
-                    let key = Bytes::copy_from_slice(key);
-                    let route = (shard, id, owner);
-                    self.forward(ctx, route, key.clone(), DataVerb::Get, hot_fill);
-                    self.ring.push_back(Entry::Get { key, end: false });
+                    self.forward(ctx, (shard, id, owner), key, OpState::Get, hot_fill);
+                    self.ring.push_back(Entry::Get { end: false });
                 }
             }
         }
@@ -594,8 +629,8 @@ impl Connection {
                 data,
                 noreply,
                 ..
-            } => self.write(key, DataVerb::Store { verb, flags, data }, noreply, ctx),
-            Command::Delete { key, noreply } => self.write(key, DataVerb::Delete, noreply, ctx),
+            } => self.write(key, Some((verb, flags, data)), noreply, ctx),
+            Command::Delete { key, noreply } => self.write(key, None, noreply, ctx),
             Command::App { id } => {
                 let response = match std::str::from_utf8(&id)
                     .ok()
@@ -645,28 +680,47 @@ impl Connection {
         }
     }
 
-    /// A store or delete: inline when this loop owns the key — the parsed
-    /// key and data move into the engine — else forwarded. A forwarded
-    /// `noreply` still takes a ring entry: program order, drain-before-close
-    /// and the replica bypass all hang on it.
-    fn write(&mut self, key: Bytes, verb: DataVerb, noreply: bool, ctx: &mut Ctx<'_>) {
-        let delete = matches!(verb, DataVerb::Delete);
+    /// A store (`Some`: verb, flags, data) or delete: inline when this loop
+    /// owns the key — the parsed key and data move into the engine — else
+    /// forwarded. A forwarded `noreply` still takes a ring entry: program
+    /// order, drain-before-close and the replica bypass all hang on it.
+    fn write(
+        &mut self,
+        key: Bytes,
+        store: Option<(StoreVerb, u32, Bytes)>,
+        noreply: bool,
+        ctx: &mut Ctx<'_>,
+    ) {
+        let delete = store.is_none();
         let (shard, id, route) = ctx.state.route(self.tenant, &key);
-        match route {
+        let owner = match route {
             Ok(local) => {
-                let started = Instant::now();
-                let outcome = ctx.state.apply(local, self.tenant, id, key, verb);
-                ctx.state.note_local(started.elapsed());
+                let timer = ctx.state.local_timer();
+                let done = match store {
+                    Some((verb, flags, data)) => {
+                        let item = StoredValue { key, flags, data };
+                        ctx.state.store(local, self.tenant, id, verb, item)
+                    }
+                    None => ctx.state.delete(local, self.tenant, id, &key),
+                };
+                ctx.state.note_local(timer);
                 if !noreply {
-                    self.respond(&flag_response(delete, &outcome));
+                    self.respond(&flag_response(delete, done));
                 }
+                return;
             }
-            Err(owner) => {
-                self.forward(ctx, (shard, id, owner), key, verb, false);
-                self.unacked_writes += 1;
-                self.ring.push_back(Entry::Write { delete, noreply });
+            Err(owner) => owner,
+        };
+        match store {
+            Some((verb, flags, data)) => {
+                let item = StoredValue { key, flags, data };
+                let store = OpState::Store { verb, item };
+                self.forward(ctx, (shard, id, owner), &[], store, false);
             }
+            None => self.forward(ctx, (shard, id, owner), &key, OpState::Delete, false),
         }
+        self.unacked_writes += 1;
+        self.ring.push_back(Entry::Write { delete, noreply });
     }
 
     /// Raises an admin barrier: the command joins the ring and goes to the
@@ -692,8 +746,12 @@ impl Connection {
         }
     }
 
-    /// Writes as much parked output as the socket accepts.
-    fn flush(&mut self) -> Flow {
+    /// Writes as much parked output as the socket accepts — unless `hold`
+    /// and it is [`Connection::held`] back.
+    fn flush(&mut self, hold: bool) -> Flow {
+        if hold && self.held() {
+            return Flow::Open;
+        }
         while self.out_pos < self.out.len() {
             match self.stream.write(&self.out[self.out_pos..]) {
                 Ok(0) => return Flow::Broken,
@@ -804,5 +862,97 @@ mod tests {
         let (flow, buffered, calls) = fill((0..4_096).map(|_| Step::Full).collect());
         assert_eq!((flow, buffered), (Flow::Open, IN_FILL_BUDGET));
         assert!(calls < 4_096);
+    }
+
+    /// A connection over a loopback socket nobody reads, and its peer.
+    fn connection() -> (Connection, TcpStream) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        (Connection::adopt(stream).unwrap(), peer)
+    }
+
+    /// A served batch answering ring entries `seqs` (key, outcome) in turn.
+    fn served(replies: Vec<(u64, &str, OpState)>) -> OpBatch {
+        let mut batch = OpBatch::new(Some(0), Instant::now());
+        for (seq, key, outcome) in replies {
+            let op = Op {
+                token: 1,
+                seq,
+                tenant: 0,
+                shard: 0,
+                id: Key::new(seq),
+                hot_fill: false,
+                key: 0..0,
+                state: outcome,
+            };
+            batch.push(op, key.as_bytes());
+        }
+        batch
+    }
+
+    #[test]
+    fn replies_of_a_later_owner_are_staged_where_their_entries_sit() {
+        let (mut conn, _peer) = connection();
+        let hit = |data: &'static [u8]| OpState::Value(Some((5, Bytes::from_static(data))));
+        // get a (remote, owner 1) | local bytes | get b (owner 2) | local
+        // bytes | set (owner 2) | local bytes | get c (owner 2, a miss)
+        conn.ring.push_back(Entry::Get { end: true });
+        conn.emit(|out| out.extend_from_slice(b"<one>"));
+        conn.ring.push_back(Entry::Get { end: true });
+        conn.emit(|out| out.extend_from_slice(b"<two>"));
+        conn.ring.push_back(Entry::Write {
+            delete: false,
+            noreply: false,
+        });
+        conn.unacked_writes = 1;
+        conn.emit(|out| out.extend_from_slice(b"<three>"));
+        conn.ring.push_back(Entry::Get { end: false });
+
+        // Owner 2 answers first: nothing may leave, and nothing may move
+        // ahead of the bytes staged before it.
+        let later = served(vec![
+            (2, "b", hit(b"bee")),
+            (4, "", OpState::Flag(true)),
+            (6, "c", OpState::Value(None)),
+            (9, "gone", hit(b"an entry that left the ring")),
+        ]);
+        conn.on_replies(&later.ops, &later);
+        assert!(conn.out.is_empty());
+        assert_eq!(conn.ring.len(), 7);
+        assert_eq!(conn.unacked_writes, 0);
+
+        // Owner 1's answer releases everything, in program order.
+        let first = served(vec![(0, "a", hit(b"ay"))]);
+        conn.on_replies(&first.ops, &first);
+        assert!(conn.ring.is_empty() && conn.staged.is_empty());
+        assert_eq!((conn.head_seq, conn.staged_pos), (7, 0));
+        assert_eq!(
+            String::from_utf8_lossy(&conn.out),
+            "VALUE a 5 2\r\nay\r\nEND\r\n<one>VALUE b 5 3\r\nbee\r\nEND\r\n<two>\
+             STORED\r\n<three>"
+        );
+    }
+
+    #[test]
+    fn a_ring_that_never_empties_does_not_keep_what_has_left_it() {
+        let (mut conn, _peer) = connection();
+        let forward_then_stage = |conn: &mut Connection| {
+            conn.ring.push_back(Entry::Get { end: true });
+            conn.emit(|out| out.extend_from_slice(&[b'x'; 1000]));
+        };
+        forward_then_stage(&mut conn);
+        for answered in 0..200 {
+            // Always a second unanswered entry with bytes behind it before
+            // the head resolves: the staging buffer never drains.
+            forward_then_stage(&mut conn);
+            let reply = served(vec![(2 * answered, "k", OpState::Value(None))]);
+            conn.on_replies(&reply.ops, &reply);
+            assert_eq!(conn.out.len(), END.len() + 1000);
+            conn.out.clear();
+            assert_eq!(conn.staged.len() - conn.staged_pos, 1000);
+            assert!(conn.staged.len() <= STAGED_RETAIN + 2000);
+        }
+        assert_eq!(conn.ring.len(), 2);
     }
 }

@@ -18,8 +18,8 @@
 //! The served request path is *shared-nothing*: each epoll event loop owns
 //! the shards assigned to it (`shard % loops`) outright, requests are routed
 //! by key hash at the connection layer before touching any engine, and an
-//! op for a shard another loop owns is forwarded over that loop's wakeup
-//! pipe instead of taking a lock. Admin commands (`stats`, `flush_all`,
+//! op for a shard another loop owns is forwarded over that loop's mailbox
+//! instead of taking a lock. Admin commands (`stats`, `flush_all`,
 //! `app_create`, `app_list`) and the budget-moving rounds run on a single
 //! control thread that converses with the loops by message, so they never
 //! head-of-line-block a serving loop. See `ARCHITECTURE.md` at the
@@ -31,7 +31,7 @@
 //!   resumable [`protocol::Parser`] lets a connection pick a `set` back up
 //!   mid-value when the data block trickles in.
 //! * [`reactor`] — the epoll event loops, their mailboxes and the
-//!   wakeup-pipe hand-off (thin unsafe FFI against the system libc; no
+//!   eventfd wake-up (thin unsafe FFI against the system libc; no
 //!   crates).
 //! * [`server`] — the TCP listener, accept gate and lifecycle; its serving
 //!   side is the data plane in `plane` (exposed as [`PlaneHandle`], the

@@ -8,11 +8,12 @@
 //!
 //! * keys owned by the connection's own loop execute immediately on the
 //!   loop thread (the fast path — zero shared locks);
-//! * keys owned by another loop are forwarded as a [`DataOp`] message over
-//!   that loop's wakeup mailbox; the connection keeps parsing, and its
-//!   in-order completion ring holds every later response until the
-//!   [`LoopMsg::DataReply`] comes back, so a pipelined batch crosses the
-//!   mailbox in one piece and still answers in program order.
+//! * keys owned by another loop join that loop's [`OpBatch`] of the
+//!   readiness pass — one message over the owner's mailbox however many
+//!   ops it holds; the connection keeps parsing, and its in-order
+//!   completion ring holds every later response until the owner sends the
+//!   same batch back with the outcomes filled in, so a pipelined batch
+//!   crosses the mailbox in one piece and still answers in program order.
 //!
 //! Cross-cutting operations never touch the loops' owned state directly.
 //! A single *control thread* — the only blocking coordinator in the server
@@ -82,6 +83,9 @@ const HISTORY_WINDOWS: usize = 64;
 /// it (per loop), so a pathological threshold cannot flood the ring.
 const SLOW_OP_SAMPLE: u64 = 64;
 
+/// One local op in this many is timed for the local-latency histogram.
+const LOCAL_TIMED_EVERY: u64 = 16;
+
 /// Hottest tracked keys exposed in the stats document; the tail of a wide
 /// tracker window is sampling noise.
 const HOT_KEYS_EXPOSED: usize = 32;
@@ -90,19 +94,10 @@ const HOT_KEYS_EXPOSED: usize = 32;
 pub(crate) enum LoopMsg {
     /// A freshly accepted connection from the acceptor.
     Conn(TcpStream),
-    /// A data operation forwarded by another loop (or a synchronous
-    /// [`PlaneHandle`] caller) for a shard this loop owns.
-    Data(DataOp),
-    /// The answer to a [`DataOp`] this loop forwarded for one of its
-    /// connections.
-    DataReply {
-        /// The origin connection's token on this loop.
-        token: u64,
-        /// The connection's ring-entry sequence number the reply answers.
-        seq: u64,
-        /// The operation's result.
-        outcome: DataOutcome,
-    },
+    /// Data operations for shards one loop owns, on their way there — or,
+    /// in the mailbox of the loop that issued them, on their way back with
+    /// the outcomes filled in.
+    Ops(OpBatch),
     /// The control thread finished an admin command a connection forwarded.
     AdminDone {
         /// The origin connection's token on this loop.
@@ -116,7 +111,7 @@ pub(crate) enum LoopMsg {
     Control(ControlMsg),
     /// A hot-key replica fill from the owning loop: the value a forwarded
     /// GET just read, plus the version it carried at read time. Queued
-    /// *before* the matching [`LoopMsg::DataReply`] on the same FIFO
+    /// *before* the returning [`LoopMsg::Ops`] batch on the same FIFO
     /// mailbox, so a fill can never be overtaken by a later invalidation.
     HotFill {
         tenant: usize,
@@ -137,49 +132,111 @@ pub(crate) enum LoopMsg {
     HotFlushTenant { tenant: usize },
 }
 
+/// Capacity a kept batch may retain (op records, key bytes); what a deeper
+/// one-off burst grew beyond it goes back to the allocator.
+const BATCH_RETAIN_OPS: usize = 256;
+const BATCH_RETAIN_KEY_BYTES: usize = 16 * 1024;
+/// Cleared batches a loop keeps for its next passes.
+const SPARE_BATCHES: usize = 8;
+
 /// One key's worth of work for the loop that owns `shard`.
-pub(crate) struct DataOp {
-    pub(crate) shard: usize,
+pub(crate) struct Op {
+    /// The issuing connection's token on the origin loop, and the sequence
+    /// number of the ring entry the op resolves there.
+    pub(crate) token: u64,
+    pub(crate) seq: u64,
     pub(crate) tenant: usize,
+    pub(crate) shard: usize,
     pub(crate) id: Key,
-    pub(crate) key: Bytes,
-    pub(crate) verb: DataVerb,
-    pub(crate) reply: DataReplyTo,
-    /// When the issuing side created the op. The owning loop's
-    /// remote-latency histogram measures from here, so forwarded ops are
-    /// charged their mailbox queueing delay, not just engine time.
-    pub(crate) enqueued: Instant,
-    /// The issuing loop wants a [`LoopMsg::HotFill`] alongside the reply
-    /// (a read-through miss on a promoted key's replica).
+    /// The issuing loop wants a [`LoopMsg::HotFill`] ahead of the reply (a
+    /// read-through miss on a promoted key's replica).
     pub(crate) hot_fill: bool,
+    /// Where a GET's or DELETE's key sits in the batch's key bytes (set by
+    /// [`OpBatch::push`]); a store's key travels in its item.
+    pub(crate) key: std::ops::Range<usize>,
+    pub(crate) state: OpState,
 }
 
-/// The operation itself.
-pub(crate) enum DataVerb {
+/// What an [`Op`] asks for on the way out — `Get`, `Delete`, `Store` — and
+/// what came of it on the way back: the owner overwrites the request with
+/// its outcome in place.
+pub(crate) enum OpState {
     Get,
+    Delete,
     Store {
         verb: StoreVerb,
-        flags: u32,
-        data: Bytes,
+        item: StoredValue,
     },
-    Delete,
-}
-
-/// Where a [`DataOp`]'s result goes.
-pub(crate) enum DataReplyTo {
-    /// Back to the loop whose connection issued it.
-    Conn { origin: usize, token: u64, seq: u64 },
-    /// Straight to a blocked [`PlaneHandle`] caller.
-    Sync(Sender<DataOutcome>),
-}
-
-/// A [`DataOp`]'s result.
-#[derive(Clone, Debug)]
-pub(crate) enum DataOutcome {
-    /// GET: `(flags, data)` on an exact hit.
+    /// A GET's outcome: `(flags, data)` on an exact hit.
     Value(Option<(u32, Bytes)>),
-    /// Store/delete verbs: success flag.
+    /// A store's or delete's outcome.
     Flag(bool),
+}
+
+impl OpState {
+    /// Hands the request out and leaves the outcome of one nobody served: a
+    /// miss for a GET, `false` for a write.
+    fn fail(&mut self) -> OpState {
+        let failed = match self {
+            OpState::Get => OpState::Value(None),
+            _ => OpState::Flag(false),
+        };
+        std::mem::replace(self, failed)
+    }
+}
+
+/// The unit that crosses a mailbox: the ops one loop forwarded to one owner
+/// in a run of one readiness pass. The origin loop allocates its two buffers
+/// (or takes a cleared batch it kept), the owner executes the ops in order,
+/// overwrites each request with its outcome and sends the batch back; the
+/// origin completes its connections' ring entries from it, clears it and
+/// keeps it. In the steady state a remote op allocates nothing and either
+/// side reads the clock once per batch.
+pub(crate) struct OpBatch {
+    /// The loop that issued the ops and gets the batch back; `None` for a
+    /// [`PlaneHandle`] caller, which is answered over `caller`.
+    pub(crate) origin: Option<usize>,
+    caller: Option<Sender<OpBatch>>,
+    /// When the issuing side opened the batch. The owning loop's
+    /// remote-latency histogram measures from here, so forwarded ops are
+    /// charged their mailbox queueing delay, not just engine time.
+    enqueued: Instant,
+    pub(crate) ops: Vec<Op>,
+    /// GET and DELETE keys, back to back.
+    keys: Vec<u8>,
+}
+
+impl OpBatch {
+    pub(crate) fn new(origin: Option<usize>, enqueued: Instant) -> OpBatch {
+        OpBatch {
+            origin,
+            caller: None,
+            enqueued,
+            ops: Vec::new(),
+            keys: Vec::new(),
+        }
+    }
+
+    /// Appends `op`; `key` is copied behind the keys already held.
+    pub(crate) fn push(&mut self, mut op: Op, key: &[u8]) {
+        op.key = self.keys.len()..self.keys.len() + key.len();
+        self.keys.extend_from_slice(key);
+        self.ops.push(op);
+    }
+
+    /// The key bytes of one of this batch's GET or DELETE ops.
+    pub(crate) fn key(&self, op: &Op) -> &[u8] {
+        &self.keys[op.key.clone()]
+    }
+
+    /// Empties the batch for its next trip — no op, key byte or `Bytes`
+    /// handle of this one survives — trimmed to the retained capacity.
+    fn clear(&mut self) {
+        self.ops.clear();
+        self.ops.shrink_to(BATCH_RETAIN_OPS);
+        self.keys.clear();
+        self.keys.shrink_to(BATCH_RETAIN_KEY_BYTES);
+    }
 }
 
 /// Control-thread requests against one loop's owned engines. Replies go
@@ -542,8 +599,16 @@ pub(crate) struct LoopState {
     /// The sample `observe` builds for `history`, kept between passes so a
     /// readiness pass allocates nothing.
     sample: Vec<SeriesSample>,
-    /// Per-target-loop outbound batches, flushed once per readiness pass.
+    /// Per-target-loop outbound messages, flushed once per readiness pass.
+    /// A forwarded op joins the [`OpBatch`] at the tail of its target's
+    /// queue or opens one there, so a batch sits where its first op was
+    /// issued and the queue stays FIFO per (origin, owner).
     outbound: Vec<Vec<LoopMsg>>,
+    /// Cleared batches back from their trip, ready for the next.
+    spare: Vec<OpBatch>,
+    /// The instant [`LoopState::observe`] read at the top of this readiness
+    /// pass: the pass's one clock for batch stamps and connection activity.
+    pub(crate) now: Instant,
     /// Loop-local hot-key state (tracker, promoted-set view, replica
     /// cache); `None` when the feature is off.
     hot: Option<HotLoopState>,
@@ -610,6 +675,8 @@ impl LoopState {
             history: TimeSeries::new(HISTORY_INTERVAL_US, HISTORY_WINDOWS),
             sample: Vec::new(),
             outbound: (0..shared.loops).map(|_| Vec::new()).collect(),
+            spare: Vec::new(),
+            now: shared.started,
             hot: shared
                 .hot
                 .as_ref()
@@ -653,7 +720,8 @@ impl LoopState {
     /// sum of plain counters: the sample is built in a buffer the loop
     /// keeps and the ring overwrites its current bucket in place.
     pub(crate) fn observe(&mut self) {
-        let now_us = self.shared.started.elapsed().as_micros() as u64;
+        self.now = Instant::now();
+        let now_us = (self.now - self.shared.started).as_micros() as u64;
         let columns = &mut self.sample;
         columns.clear();
         columns.resize(self.tenants.len(), SeriesSample::default());
@@ -772,32 +840,6 @@ impl LoopState {
         deleted
     }
 
-    /// Executes one owned data op — a forwarded one, or a connection's own
-    /// write — against an owned engine.
-    pub(crate) fn apply(
-        &mut self,
-        slot: usize,
-        tenant: usize,
-        id: Key,
-        key: Bytes,
-        verb: DataVerb,
-    ) -> DataOutcome {
-        match verb {
-            DataVerb::Get => {
-                let found = self.get(slot, tenant, id, &key);
-                DataOutcome::Value(found.map(|v| (v.flags, v.data.clone())))
-            }
-            DataVerb::Store { verb, flags, data } => DataOutcome::Flag(self.store(
-                slot,
-                tenant,
-                id,
-                verb,
-                StoredValue { key, flags, data },
-            )),
-            DataVerb::Delete => DataOutcome::Flag(self.delete(slot, tenant, id, &key)),
-        }
-    }
-
     /// Hot-key bookkeeping for a mutation this (owning) loop just applied:
     /// bump the key's version slot *before* the ack can be observed, and —
     /// if the key is promoted — broadcast eager invalidations to every
@@ -890,13 +932,24 @@ impl LoopState {
         }
     }
 
-    /// An op for one of the loop's own connections took `took`: counts it
-    /// as local and records its service time in the local histogram.
-    pub(crate) fn note_local(&mut self, took: Duration) {
+    /// Starts the service-time stamp of the next local op if it is one of
+    /// those timed: every [`LOCAL_TIMED_EVERY`]th (a clock read costs a
+    /// tenth of a local GET), or every one while a slow-op threshold asks
+    /// for a census.
+    pub(crate) fn local_timer(&self) -> Option<Instant> {
+        (self.shared.slow_op_nanos != 0 || self.local_ops % LOCAL_TIMED_EVERY == 0)
+            .then(Instant::now)
+    }
+
+    /// An op for one of the loop's own connections finished: counts it and,
+    /// if [`LoopState::local_timer`] timed it, records its service time.
+    pub(crate) fn note_local(&mut self, timer: Option<Instant>) {
         self.local_ops += 1;
-        let nanos = took.as_nanos() as u64;
-        self.local_latency.record(nanos);
-        self.note_slow(nanos, "local");
+        if let Some(started) = timer {
+            let nanos = started.elapsed().as_nanos() as u64;
+            self.local_latency.record(nanos);
+            self.note_slow(nanos, "local");
+        }
     }
 
     /// Counts (and samples into the journal) an op over the slow-op
@@ -960,13 +1013,37 @@ impl LoopState {
         }
     }
 
-    /// Queues a message for another loop; batches are flushed (one mailbox
-    /// lock + one wakeup per target) at the end of the readiness pass.
+    /// Queues a message for another loop; the queues are flushed (one mailbox
+    /// lock + at most one wakeup per target) at the end of the readiness pass.
     pub(crate) fn forward(&mut self, target: usize, msg: LoopMsg) {
-        if matches!(msg, LoopMsg::Data(_)) {
-            self.remote_out += 1;
-        }
         self.outbound[target].push(msg);
+    }
+
+    /// Queues one op (and the key bytes of a GET or DELETE) for the loop
+    /// that owns its shard: onto the batch open at the tail of that loop's
+    /// queue, else onto a fresh one stamped with this pass's instant.
+    pub(crate) fn forward_op(&mut self, target: usize, op: Op, key: &[u8]) {
+        self.remote_out += 1;
+        let queue = &mut self.outbound[target];
+        if !matches!(queue.last(), Some(LoopMsg::Ops(open)) if open.origin == Some(self.index)) {
+            let mut batch = self
+                .spare
+                .pop()
+                .unwrap_or_else(|| OpBatch::new(Some(self.index), self.now));
+            batch.enqueued = self.now;
+            queue.push(LoopMsg::Ops(batch));
+        }
+        if let Some(LoopMsg::Ops(open)) = queue.last_mut() {
+            open.push(op, key);
+        }
+    }
+
+    /// Takes back a batch whose ops the event loop has completed.
+    pub(crate) fn recycle(&mut self, mut batch: OpBatch) {
+        if self.spare.len() < SPARE_BATCHES {
+            batch.clear();
+            self.spare.push(batch);
+        }
     }
 
     /// Forwards an admin command to the control thread. Returns whether the
@@ -986,76 +1063,89 @@ impl LoopState {
             .is_ok()
     }
 
-    /// Sends every queued outbound batch.
+    /// Sends every target's queued messages. A stopped target refuses
+    /// them: replies and fills for its connections are moot, but a batch of
+    /// this loop's own holds *its* connections' ops, and a connection with
+    /// an op in flight is never reaped — so that batch, every op failed,
+    /// goes into this loop's own mailbox and is completed like a reply.
     pub(crate) fn flush_outbound(&mut self) {
-        for target in 0..self.outbound.len() {
-            if self.outbound[target].is_empty() {
+        for (target, queue) in self.outbound.iter_mut().enumerate() {
+            if queue.is_empty() || self.shared.mailboxes[target].send_many(queue) {
                 continue;
             }
-            let batch = std::mem::take(&mut self.outbound[target]);
-            // A refused batch means the target loop is tearing down; its
-            // connections are gone with it, so the replies are moot.
-            let _ = self.shared.mailboxes[target].send_many(batch);
-        }
-    }
-
-    /// Executes a [`DataOp`] another loop (or a sync caller) forwarded here
-    /// and routes the outcome back.
-    pub(crate) fn serve_remote(&mut self, op: DataOp) {
-        self.remote_in += 1;
-        // Read-through fill: the origin loop missed its replica of a
-        // promoted key and wants the value the GET below reads.
-        let fill_key = op.hot_fill.then(|| op.key.clone());
-        let outcome = match (self.slots[op.shard], op.verb) {
-            (Some(slot), verb) => self.apply(slot, op.tenant, op.id, op.key, verb),
-            // Only reachable if ownership and routing disagree — fail the
-            // op rather than wedge the issuing connection.
-            (None, DataVerb::Get) => DataOutcome::Value(None),
-            (None, _) => DataOutcome::Flag(false),
-        };
-        // Forwarded ops are measured from the moment the issuing side
-        // created them: mailbox queueing is part of the latency a remote
-        // key pays, and hiding it would make the two histograms lie.
-        let nanos = op.enqueued.elapsed().as_nanos() as u64;
-        self.remote_latency.record(nanos);
-        self.note_slow(nanos, "remote");
-        // The fill carries the value *with the version it had at read
-        // time*. Queued before the DataReply on the same FIFO mailbox, and
-        // this loop is the key's only writer, so the (value, version) pair
-        // is a consistent snapshot.
-        if let (Some(key), DataOutcome::Value(Some((flags, data)))) = (fill_key, &outcome) {
-            if let DataReplyTo::Conn { origin, .. } = &op.reply {
-                let origin = *origin;
-                if let Some(version) = self
-                    .shared
-                    .hot
-                    .as_ref()
-                    .map(|hot| hot.versions.load(op.tenant, op.id))
-                {
-                    let fill = LoopMsg::HotFill {
-                        tenant: op.tenant,
-                        id: op.id,
-                        key,
-                        flags: *flags,
-                        data: data.clone(),
-                        version,
-                    };
-                    self.forward(origin, fill);
+            for msg in queue.drain(..) {
+                if let LoopMsg::Ops(mut batch) = msg {
+                    if batch.origin == Some(self.index) {
+                        batch.ops.iter_mut().for_each(|op| drop(op.state.fail()));
+                        let _ = self.shared.mailboxes[self.index].send(LoopMsg::Ops(batch));
+                    }
                 }
             }
         }
-        match op.reply {
-            DataReplyTo::Conn { origin, token, seq } => self.forward(
-                origin,
-                LoopMsg::DataReply {
-                    token,
-                    seq,
-                    outcome,
-                },
-            ),
-            DataReplyTo::Sync(tx) => {
-                let _ = tx.send(outcome);
-            }
+    }
+
+    /// Executes a batch another loop (or a sync caller) forwarded here, in
+    /// order, overwriting each request with its outcome, and sends the same
+    /// batch back.
+    pub(crate) fn serve(&mut self, mut batch: OpBatch) {
+        let OpBatch {
+            origin, ops, keys, ..
+        } = &mut batch;
+        for op in ops.iter_mut() {
+            let key = &keys[op.key.clone()];
+            op.state = match (self.slots[op.shard], op.state.fail()) {
+                (Some(slot), OpState::Get) => {
+                    // A read-through fill (the origin loop missed its
+                    // replica of a promoted key) takes the stored key too.
+                    let found = self.get(slot, op.tenant, op.id, key).map(|item| {
+                        let fill_key = op.hot_fill.then(|| item.key.clone());
+                        (fill_key, item.flags, item.data.clone())
+                    });
+                    // The fill carries the value *with the version it had
+                    // at read time*. Queued before this batch on the same
+                    // FIFO mailbox, and this loop is the key's only writer,
+                    // so the (value, version) pair is a consistent snapshot.
+                    if let (Some(origin), Some((Some(key), flags, data)), Some(hot)) =
+                        (*origin, &found, self.shared.hot.as_ref())
+                    {
+                        let fill = LoopMsg::HotFill {
+                            tenant: op.tenant,
+                            id: op.id,
+                            key: key.clone(),
+                            flags: *flags,
+                            data: data.clone(),
+                            version: hot.versions.load(op.tenant, op.id),
+                        };
+                        self.forward(origin, fill);
+                    }
+                    OpState::Value(found.map(|(_, flags, data)| (flags, data)))
+                }
+                (Some(slot), OpState::Store { verb, item }) => {
+                    OpState::Flag(self.store(slot, op.tenant, op.id, verb, item))
+                }
+                (Some(slot), OpState::Delete) => {
+                    OpState::Flag(self.delete(slot, op.tenant, op.id, key))
+                }
+                // Only reachable if ownership and routing disagree (or the
+                // op is no request): it stays failed rather than wedge the
+                // issuing connection.
+                _ => continue,
+            };
+        }
+        // Forwarded ops are measured from the moment the issuing side
+        // opened their batch: mailbox queueing is part of the latency a
+        // remote key pays, and hiding it would make the two histograms lie.
+        // One clock read for the batch; each op is recorded at that time.
+        let nanos = batch.enqueued.elapsed().as_nanos() as u64;
+        self.remote_in += batch.ops.len() as u64;
+        for _ in 0..batch.ops.len() {
+            self.remote_latency.record(nanos);
+            self.note_slow(nanos, "remote");
+        }
+        match (batch.caller.take(), batch.origin) {
+            (Some(caller), _) => drop(caller.send(batch)),
+            (None, Some(origin)) => self.forward(origin, LoopMsg::Ops(batch)),
+            (None, None) => {}
         }
     }
 
@@ -1848,23 +1938,29 @@ pub struct PlaneHandle {
 }
 
 impl PlaneHandle {
-    fn data_op(&self, tenant: usize, key: &[u8], verb: DataVerb) -> Option<DataOutcome> {
+    /// One op as a batch of one, answered over its own channel: the path a
+    /// connection's forwarded ops take, from a caller that is no loop.
+    /// Returns the op's outcome.
+    fn data_op(&self, tenant: usize, key: &[u8], state: OpState) -> Option<OpState> {
         let (shard, id) = route_key(tenant, key, self.shared.shards);
-        let owner = self.shared.owner_of(shard);
         let (tx, rx) = channel();
-        self.shared.mailboxes[owner]
-            .send(LoopMsg::Data(DataOp {
-                shard,
-                tenant,
-                id,
-                key: Bytes::copy_from_slice(key),
-                verb,
-                reply: DataReplyTo::Sync(tx),
-                enqueued: Instant::now(),
-                hot_fill: false,
-            }))
+        let mut batch = OpBatch::new(None, Instant::now());
+        batch.caller = Some(tx);
+        let op = Op {
+            token: 0,
+            seq: 0,
+            tenant,
+            shard,
+            id,
+            hot_fill: false,
+            key: 0..0,
+            state,
+        };
+        batch.push(op, key);
+        self.shared.mailboxes[self.shared.owner_of(shard)]
+            .send(LoopMsg::Ops(batch))
             .ok()?;
-        rx.recv().ok()
+        Some(rx.recv().ok()?.ops.pop()?.state)
     }
 
     fn admin(&self, op: AdminOp) -> Option<AdminResult> {
@@ -1882,9 +1978,9 @@ impl PlaneHandle {
     /// Looks up a key for one tenant, returning its flags and value on an
     /// exact match.
     pub fn get_for(&self, tenant: usize, key: &[u8]) -> Option<(u32, Bytes)> {
-        match self.data_op(tenant, key, DataVerb::Get)? {
-            DataOutcome::Value(found) => found,
-            DataOutcome::Flag(_) => None,
+        match self.data_op(tenant, key, OpState::Get)? {
+            OpState::Value(found) => found,
+            _ => None,
         }
     }
 
@@ -1896,10 +1992,14 @@ impl PlaneHandle {
         flags: u32,
         data: Bytes,
     ) -> bool {
-        let verb = DataVerb::Store { verb, flags, data };
+        let item = StoredValue {
+            key: Bytes::copy_from_slice(key),
+            flags,
+            data,
+        };
         matches!(
-            self.data_op(tenant, key, verb),
-            Some(DataOutcome::Flag(true))
+            self.data_op(tenant, key, OpState::Store { verb, item }),
+            Some(OpState::Flag(true))
         )
     }
 
@@ -1922,8 +2022,8 @@ impl PlaneHandle {
     /// Deletes a key for one tenant; returns whether it was present.
     pub fn delete_for(&self, tenant: usize, key: &[u8]) -> bool {
         matches!(
-            self.data_op(tenant, key, DataVerb::Delete),
-            Some(DataOutcome::Flag(true))
+            self.data_op(tenant, key, OpState::Delete),
+            Some(OpState::Flag(true))
         )
     }
 
@@ -2317,5 +2417,193 @@ impl Plane {
         for event_loop in self.loops.iter() {
             event_loop.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::reactor::{loop_channel, LoopSeed};
+
+    /// The loop states of a 2-loop x 2-shard plane no thread serves: the
+    /// tests move the mailboxes' contents by hand.
+    fn two_loops() -> (Vec<LoopState>, Vec<LoopSeed>) {
+        let (mailboxes, seeds): (Vec<_>, Vec<_>) = (0..2)
+            .map(|index| loop_channel(index).expect("eventfd and epoll"))
+            .unzip();
+        let config = BackendConfig {
+            shards: 2,
+            ..BackendConfig::default()
+        };
+        let (ctrl, _) = channel();
+        let shared = Arc::new(PlaneShared::new(config, 2, mailboxes, ctrl, 0));
+        let states = (0..2)
+            .map(|index| LoopState::new(index, Arc::clone(&shared)))
+            .collect();
+        (states, seeds)
+    }
+
+    /// `count` keys of `len` bytes whose shard loop 1 owns.
+    fn remote_keys(origin: &LoopState, count: usize, len: usize) -> Vec<Vec<u8>> {
+        (0..)
+            .map(|i| format!("{i:0len$}").into_bytes())
+            .filter(|key| origin.route(0, key).2 == Err(1))
+            .take(count)
+            .collect()
+    }
+
+    /// Queues `state` on `key` for loop 1 as connection 7's entry `seq`.
+    fn forward(origin: &mut LoopState, seq: u64, key: &[u8], state: OpState) {
+        let (shard, id, owner) = origin.route(0, key);
+        let carried = if matches!(state, OpState::Store { .. }) {
+            &[][..]
+        } else {
+            key
+        };
+        let op = Op {
+            token: 7,
+            seq,
+            tenant: 0,
+            shard,
+            id,
+            hot_fill: false,
+            key: 0..0,
+            state,
+        };
+        origin.forward_op(owner.expect_err("a remote key"), op, carried);
+    }
+
+    fn store(key: &[u8], data: &'static [u8]) -> OpState {
+        let item = StoredValue {
+            key: Bytes::copy_from_slice(key),
+            flags: 9,
+            data: Bytes::from_static(data),
+        };
+        OpState::Store {
+            verb: StoreVerb::Set,
+            item,
+        }
+    }
+
+    /// The one batch in a mailbox that holds nothing else.
+    fn only_batch(seed: &LoopSeed) -> OpBatch {
+        let mut msgs = seed.take_inbox();
+        match (msgs.pop(), msgs.is_empty()) {
+            (Some(LoopMsg::Ops(batch)), true) => batch,
+            _ => panic!("expected exactly one op batch"),
+        }
+    }
+
+    #[test]
+    fn a_batch_makes_the_round_trip_and_comes_back_clean_for_the_next() {
+        let (mut states, seeds) = two_loops();
+        let (origin, owner) = states.split_at_mut(1);
+        let (origin, owner) = (&mut origin[0], &mut owner[0]);
+        let keys = remote_keys(origin, 2, 24);
+        forward(
+            origin,
+            0,
+            &keys[0],
+            store(&keys[0], b"poison-poison-poison"),
+        );
+        forward(origin, 1, &keys[0], OpState::Get);
+        forward(origin, 2, &keys[1], OpState::Get);
+        forward(origin, 3, &keys[0], OpState::Delete);
+        origin.flush_outbound();
+        assert_eq!(origin.remote_out, 4);
+
+        // One message out, the same buffers back, outcomes in place.
+        let batch = only_batch(&seeds[1]);
+        let allocation = batch.ops.as_ptr();
+        owner.serve(batch);
+        owner.flush_outbound();
+        assert_eq!(owner.remote_in, 4);
+        assert_eq!(owner.remote_latency.count(), 4);
+        let batch = only_batch(&seeds[0]);
+        assert!(std::ptr::eq(allocation, batch.ops.as_ptr()));
+        assert_eq!(batch.origin, Some(0));
+        let seqs: Vec<u64> = batch.ops.iter().map(|op| op.seq).collect();
+        assert_eq!(seqs, [0, 1, 2, 3]);
+        assert_eq!(batch.key(&batch.ops[1]), &keys[0][..]);
+        assert_eq!(batch.key(&batch.ops[2]), &keys[1][..]);
+        let hit = |data: &Bytes| &data[..] == b"poison-poison-poison";
+        assert!(matches!(batch.ops[0].state, OpState::Flag(true)));
+        assert!(matches!(
+            &batch.ops[1].state,
+            OpState::Value(Some((9, data))) if hit(data)
+        ));
+        assert!(matches!(batch.ops[2].state, OpState::Value(None)));
+        assert!(matches!(batch.ops[3].state, OpState::Flag(true)));
+
+        // Recycled, it opens the next pass's batch and holds that pass's op
+        // alone: no op, outcome, value handle or key byte of the last trip.
+        origin.recycle(batch);
+        let short = remote_keys(origin, 1, 3);
+        forward(origin, 4, &short[0], OpState::Get);
+        let Some(LoopMsg::Ops(next)) = origin.outbound[1].last() else {
+            panic!("the op opened no batch");
+        };
+        assert!(std::ptr::eq(allocation, next.ops.as_ptr()));
+        assert_eq!(next.ops.len(), 1);
+        assert!(matches!(next.ops[0].state, OpState::Get));
+        assert_eq!(next.keys, short[0]);
+        assert_eq!(next.key(&next.ops[0]), &short[0][..]);
+    }
+
+    #[test]
+    fn a_one_off_burst_does_not_pin_a_kept_batchs_capacity() {
+        let (mut states, seeds) = two_loops();
+        let origin = &mut states[0];
+        for (seq, key) in remote_keys(origin, 2 * BATCH_RETAIN_OPS, 250)
+            .iter()
+            .enumerate()
+        {
+            forward(origin, seq as u64, key, OpState::Get);
+        }
+        origin.flush_outbound();
+        let batch = only_batch(&seeds[1]);
+        assert!(batch.keys.capacity() > BATCH_RETAIN_KEY_BYTES);
+        assert!(batch.ops.capacity() > BATCH_RETAIN_OPS);
+        origin.recycle(batch);
+        let kept = origin.spare.last().expect("the batch is kept");
+        assert!(kept.ops.is_empty() && kept.keys.is_empty());
+        assert!(kept.keys.capacity() <= BATCH_RETAIN_KEY_BYTES);
+        assert!(kept.ops.capacity() <= BATCH_RETAIN_OPS);
+        // ... and the pool of kept batches is bounded too.
+        for _ in 0..2 * SPARE_BATCHES {
+            origin.recycle(OpBatch::new(Some(0), Instant::now()));
+        }
+        assert_eq!(origin.spare.len(), SPARE_BATCHES);
+    }
+
+    #[test]
+    fn a_batch_its_owner_refuses_comes_back_with_every_op_failed() {
+        let (mut states, seeds) = two_loops();
+        let origin = &mut states[0];
+        let keys = remote_keys(origin, 1, 16);
+        forward(origin, 0, &keys[0], OpState::Get);
+        forward(origin, 1, &keys[0], store(&keys[0], b"never stored"));
+        forward(origin, 2, &keys[0], OpState::Delete);
+        // Not this loop's to complete: dropped with the mailbox.
+        let id = origin.route(0, &keys[0]).1;
+        origin.forward(1, LoopMsg::HotInvalidate { tenant: 0, id });
+        origin.shared.mailboxes[1].close();
+        origin.flush_outbound();
+
+        assert!(seeds[1].take_inbox().is_empty());
+        assert!(origin.outbound[1].is_empty());
+        // Back in the origin's own mailbox, where a served batch would be.
+        let refused = only_batch(&seeds[0]);
+        assert_eq!(refused.origin, Some(0));
+        let outcomes: Vec<_> = refused
+            .ops
+            .iter()
+            .map(|op| match &op.state {
+                OpState::Value(None) => (op.token, op.seq, "miss"),
+                OpState::Flag(false) => (op.token, op.seq, "false"),
+                _ => (op.token, op.seq, "not failed"),
+            })
+            .collect();
+        assert_eq!(outcomes, [(7, 0, "miss"), (7, 1, "false"), (7, 2, "false")]);
     }
 }

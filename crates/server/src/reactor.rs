@@ -12,38 +12,41 @@
 //! `conn::Connection` state machine, so thousands of mostly-idle
 //! connections cost a few kilobytes of buffer each instead of a thread.
 //!
-//! The wakeup pipe doubles as the cross-loop message channel: the acceptor,
-//! sibling loops and the control thread push `LoopMsg`s into the loop's
-//! `Mailbox` and write one byte to the pipe; the loop drains the mailbox
-//! at the top of its readiness pass. Connections whose keys hash to a shard
-//! another loop owns get their operations forwarded the same way.
+//! Each loop has a `Mailbox`, the cross-loop message channel: the acceptor,
+//! sibling loops and the control thread push `LoopMsg`s into it and, if it
+//! was empty, add one to the loop's `eventfd` counter (one 8-byte `write`,
+//! no socket buffer behind it). The loop zeroes the counter with one `read`
+//! and swaps the inbox for the emptied `Vec` of its last drain. Operations
+//! on keys another loop owns travel the same way, a whole
+//! `plane::OpBatch` per message.
 //!
-//! The epoll binding is a thin unsafe FFI against the system libc — the
-//! workspace is offline/vendored-only, so no `mio`/`libc` crates. The
-//! unsafe surface is confined to the `ffi` module: four syscalls and the
-//! kernel's `struct epoll_event` layout. The wakeup pipe is a
-//! `UnixStream::pair`, which the standard library manages safely.
+//! The epoll and eventfd bindings are a thin unsafe FFI against the system
+//! libc — the workspace is offline/vendored-only, so no `mio`/`libc`
+//! crates. The unsafe surface is confined to the `ffi` module: five
+//! syscalls and the kernel's `struct epoll_event` layout; the eventfd is
+//! handed out as a `File`, which the standard library manages safely.
 
 use crate::conn::{Connection, Ctx, Drive};
-use crate::plane::{LoopMsg, LoopState, PlaneShared};
+use crate::plane::{LoopMsg, LoopState, OpBatch, PlaneShared};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::fs::File;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
-use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Thin FFI over the kernel epoll interface. All `unsafe` in the crate
-/// lives here.
+/// Thin FFI over the kernel epoll and eventfd interfaces. All `unsafe` in
+/// the crate lives here.
 #[allow(unsafe_code)]
 mod ffi {
+    use std::fs::File;
     use std::io;
-    use std::os::fd::RawFd;
-    use std::os::raw::c_int;
+    use std::os::fd::{FromRawFd, RawFd};
+    use std::os::raw::{c_int, c_uint};
 
     /// The fd is readable.
     pub const EPOLLIN: u32 = 0x001;
@@ -59,6 +62,8 @@ mod ffi {
     const EPOLL_CTL_DEL: c_int = 2;
     const EPOLL_CTL_MOD: c_int = 3;
     const EPOLL_CLOEXEC: c_int = 0o2000000;
+    const EFD_CLOEXEC: c_int = 0o2000000;
+    const EFD_NONBLOCK: c_int = 0o4000;
 
     /// The kernel's `struct epoll_event`. Packed on x86-64 (the kernel ABI
     /// packs it there so the 32- and 64-bit layouts match); naturally
@@ -83,6 +88,7 @@ mod ffi {
             timeout: c_int,
         ) -> c_int;
         fn close(fd: c_int) -> c_int;
+        fn eventfd(initval: c_uint, flags: c_int) -> c_int;
     }
 
     /// An owned epoll instance.
@@ -157,6 +163,20 @@ mod ffi {
                 close(self.fd);
             }
         }
+    }
+
+    /// A close-on-exec, non-blocking `eventfd` counter at zero, readable (to
+    /// epoll) while non-zero. As a [`File`], so adding to it, zeroing it and
+    /// closing it are the standard library's safe `write`, `read` and `Drop`.
+    pub fn eventfd_counter() -> io::Result<File> {
+        // SAFETY: `eventfd` takes no pointers; a negative return is an
+        // error and no fd was created.
+        let fd = unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) };
+        if fd < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        // SAFETY: `fd` is a fresh, open descriptor nothing else owns.
+        Ok(unsafe { File::from_raw_fd(fd) })
     }
 }
 
@@ -253,7 +273,7 @@ impl ConnTelemetry {
     }
 }
 
-/// Token reserved for the loop's wakeup pipe.
+/// Token reserved for the loop's wake-up eventfd.
 const WAKE_TOKEN: u64 = 0;
 /// Ready events drained per `epoll_wait`.
 const EVENT_BATCH: usize = 256;
@@ -266,53 +286,67 @@ struct Inbox {
     shutdown: AtomicBool,
 }
 
-/// The sending half of a loop's mailbox: push messages, write one byte to
-/// the wakeup pipe. Shared by the acceptor, sibling loops and the control
-/// thread via [`PlaneShared::mailboxes`].
+/// The sending half of a loop's mailbox: push messages and, if the inbox
+/// was empty, wake the loop. Shared by the acceptor, sibling loops and the
+/// control thread via [`PlaneShared::mailboxes`].
 pub(crate) struct Mailbox {
     inbox: Arc<Inbox>,
-    /// Write side of the wakeup pipe; one byte = "check your mailbox".
-    waker: UnixStream,
+    /// The loop's wake-up eventfd; non-zero = "check your mailbox".
+    waker: Arc<File>,
 }
 
 impl Mailbox {
     /// Delivers one message. Fails (handing the message back) once the
-    /// loop has stopped serving — the check happens under the inbox lock,
-    /// the same lock teardown drains under, so a message can never be
-    /// stranded after the final drain.
+    /// loop has stopped serving.
     // The Err variant carries the whole message back by design: callers
     // that care (the acceptor) re-own the connection, and the common path
     // moves the value without an allocation.
     #[allow(clippy::result_large_err)]
     pub(crate) fn send(&self, msg: LoopMsg) -> Result<(), LoopMsg> {
-        {
-            let mut msgs = self.inbox.msgs.lock();
-            if self.inbox.shutdown.load(Ordering::SeqCst) {
-                return Err(msg);
-            }
-            msgs.push(msg);
-        }
-        self.wake();
-        Ok(())
+        self.deliver(msg, |msgs, msg| msgs.push(msg))
     }
 
-    /// Delivers a batch under one lock acquisition and one wakeup.
-    pub(crate) fn send_many(&self, batch: Vec<LoopMsg>) -> Result<(), Vec<LoopMsg>> {
-        {
+    /// Delivers a batch under one lock acquisition and at most one wakeup,
+    /// leaving `batch` empty with its capacity — or returns `false`, with
+    /// `batch` as it was, once the loop has stopped serving.
+    pub(crate) fn send_many(&self, batch: &mut Vec<LoopMsg>) -> bool {
+        self.deliver(batch, |msgs, batch| msgs.append(batch))
+            .is_ok()
+    }
+
+    /// Lets `put` add `item` to the inbox, or hands `item` back if the loop
+    /// has stopped serving — the check happens under the inbox lock, the
+    /// same lock teardown drains under, so a message can never be stranded
+    /// after the final drain.
+    fn deliver<T>(&self, item: T, put: impl FnOnce(&mut Vec<LoopMsg>, T)) -> Result<(), T> {
+        let was_empty = {
             let mut msgs = self.inbox.msgs.lock();
             if self.inbox.shutdown.load(Ordering::SeqCst) {
-                return Err(batch);
+                return Err(item);
             }
-            msgs.extend(batch);
+            let was_empty = msgs.is_empty();
+            put(&mut msgs, item);
+            was_empty
+        };
+        // The loop resets its counter before it swaps the inbox out, so
+        // whoever found messages waiting is covered by the wake-up (or the
+        // drain in progress) of whoever put the first one there.
+        if was_empty {
+            self.wake();
         }
-        self.wake();
         Ok(())
     }
 
     fn wake(&self) {
-        // A full pipe means a wakeup is already pending — losing this
-        // write is fine.
-        let _ = (&self.waker).write(&[1u8]);
+        // Adds one to the counter. Fails only on a counter at its maximum,
+        // which is readable all the same.
+        let _ = (&*self.waker).write(&1u64.to_ne_bytes());
+    }
+
+    /// Stops accepting messages and wakes the loop, which sees that and exits.
+    pub(crate) fn close(&self) {
+        self.inbox.shutdown.store(true, Ordering::SeqCst);
+        self.wake();
     }
 }
 
@@ -322,19 +356,25 @@ impl Mailbox {
 pub(crate) struct LoopSeed {
     pub(crate) index: usize,
     epoll: Epoll,
-    wake_rx: UnixStream,
+    waker: Arc<File>,
     inbox: Arc<Inbox>,
+}
+
+#[cfg(test)]
+impl LoopSeed {
+    /// What the loop's thread would find in its mailbox now.
+    pub(crate) fn take_inbox(&self) -> Vec<LoopMsg> {
+        std::mem::take(&mut *self.inbox.msgs.lock())
+    }
 }
 
 /// Creates the mailbox/loop-seed pair for event loop `index`. The mailboxes
 /// go into [`PlaneShared`] before any loop thread starts, so every loop can
 /// message every other from its very first readiness pass.
 pub(crate) fn loop_channel(index: usize) -> std::io::Result<(Mailbox, LoopSeed)> {
-    let (waker, wake_rx) = UnixStream::pair()?;
-    waker.set_nonblocking(true)?;
-    wake_rx.set_nonblocking(true)?;
+    let waker = Arc::new(ffi::eventfd_counter()?);
     let epoll = Epoll::new()?;
-    epoll.add(wake_rx.as_raw_fd(), EPOLLIN, WAKE_TOKEN)?;
+    epoll.add(waker.as_raw_fd(), EPOLLIN, WAKE_TOKEN)?;
     let inbox = Arc::new(Inbox {
         msgs: Mutex::new(Vec::new()),
         shutdown: AtomicBool::new(false),
@@ -342,12 +382,12 @@ pub(crate) fn loop_channel(index: usize) -> std::io::Result<(Mailbox, LoopSeed)>
     Ok((
         Mailbox {
             inbox: Arc::clone(&inbox),
-            waker,
+            waker: Arc::clone(&waker),
         },
         LoopSeed {
             index,
             epoll,
-            wake_rx,
+            waker,
             inbox,
         },
     ))
@@ -382,8 +422,9 @@ impl LoopHandle {
                 EventLoop {
                     index,
                     epoll: seed.epoll,
-                    wake_rx: seed.wake_rx,
+                    waker: seed.waker,
                     inbox: seed.inbox,
+                    drained: Vec::new(),
                     state,
                     telemetry,
                     conns: HashMap::new(),
@@ -417,9 +458,7 @@ impl LoopHandle {
     /// Tells the loop to close every connection and exit; [`LoopHandle::join`]
     /// completes it.
     pub(crate) fn begin_shutdown(&self) {
-        let mailbox = &self.shared.mailboxes[self.index];
-        mailbox.inbox.shutdown.store(true, Ordering::SeqCst);
-        mailbox.wake();
+        self.shared.mailboxes[self.index].close();
     }
 
     /// Waits for the loop thread to exit.
@@ -435,8 +474,11 @@ impl LoopHandle {
 struct EventLoop {
     index: usize,
     epoll: Epoll,
-    wake_rx: UnixStream,
+    waker: Arc<File>,
     inbox: Arc<Inbox>,
+    /// What the inbox is swapped for at each drain: the two `Vec`s trade
+    /// places, so neither is regrown from empty.
+    drained: Vec<LoopMsg>,
     state: LoopState,
     telemetry: Arc<ConnTelemetry>,
     conns: HashMap<u64, Connection>,
@@ -473,10 +515,11 @@ impl EventLoop {
                 let token = event.data;
                 let ready = event.events;
                 if token == WAKE_TOKEN {
-                    self.drain_waker();
+                    // Zero the counter before the swap: see `deliver`.
+                    let _ = (&*self.waker).read(&mut [0u8; 8]);
                     self.process_mailbox();
                 } else {
-                    self.drive(token, ready);
+                    self.drive(token, ready, |_| {});
                 }
             }
             // One mailbox lock + one wakeup per sibling loop per pass, no
@@ -508,37 +551,18 @@ impl EventLoop {
         }
     }
 
-    fn drain_waker(&mut self) {
-        let mut sink = [0u8; 64];
-        while matches!((&self.wake_rx).read(&mut sink), Ok(n) if n > 0) {}
-    }
-
     fn process_mailbox(&mut self) {
-        let msgs: Vec<LoopMsg> = std::mem::take(&mut *self.inbox.msgs.lock());
-        // Connections a reply reached. Each is driven once after the whole
-        // drain, so a batch of replies costs one parse-and-flush pass (one
-        // socket write), not one per reply.
-        let mut touched: Vec<u64> = Vec::new();
-        for msg in msgs {
+        let mut msgs = std::mem::take(&mut self.drained);
+        std::mem::swap(&mut *self.inbox.msgs.lock(), &mut msgs);
+        for msg in msgs.drain(..) {
             match msg {
                 LoopMsg::Conn(stream) => self.adopt(stream),
-                LoopMsg::Data(op) => self.state.serve_remote(op),
-                // A reply for a connection that closed meanwhile is dropped.
-                LoopMsg::DataReply {
-                    token,
-                    seq,
-                    outcome,
-                } => {
-                    if let Some(conn) = self.conns.get_mut(&token) {
-                        conn.on_data_reply(seq, outcome);
-                        touched.push(token);
-                    }
+                LoopMsg::Ops(batch) if batch.origin == Some(self.index) => {
+                    self.complete_batch(batch)
                 }
+                LoopMsg::Ops(batch) => self.state.serve(batch),
                 LoopMsg::AdminDone { token, seq, result } => {
-                    if let Some(conn) = self.conns.get_mut(&token) {
-                        conn.on_admin_done(seq, result);
-                        touched.push(token);
-                    }
+                    self.drive(token, 0, |conn| conn.on_admin_done(seq, result))
                 }
                 LoopMsg::Control(msg) => self.state.serve_control(msg),
                 LoopMsg::HotFill {
@@ -553,11 +577,23 @@ impl EventLoop {
                 LoopMsg::HotFlushTenant { tenant } => self.state.hot_flush_tenant(tenant),
             }
         }
-        touched.sort_unstable();
-        touched.dedup();
-        for token in touched {
-            self.drive(token, 0);
+        self.drained = msgs;
+    }
+
+    /// A batch this loop sent is back, served (or refused, every op
+    /// failed): each run of ops of one connection resolves that connection's
+    /// ring entries and drives it once — one `conns` lookup, one
+    /// parse-and-flush pass. Ops of a connection that closed meanwhile are
+    /// dropped. The batch is then kept for a later pass.
+    fn complete_batch(&mut self, batch: OpBatch) {
+        let mut rest = &batch.ops[..];
+        while let Some(first) = rest.first() {
+            let run = rest.iter().take_while(|op| op.token == first.token);
+            let (ops, later) = rest.split_at(run.count());
+            rest = later;
+            self.drive(first.token, 0, |conn| conn.on_replies(ops, &batch));
         }
+        self.state.recycle(batch);
     }
 
     fn adopt(&mut self, stream: TcpStream) {
@@ -575,17 +611,19 @@ impl EventLoop {
         }
     }
 
-    fn drive(&mut self, token: u64, ready: u32) {
+    /// Hands the connection what arrived for it (`deliver`), then runs one
+    /// readiness pass on it. A closed connection's token is ignored.
+    fn drive(&mut self, token: u64, ready: u32, deliver: impl FnOnce(&mut Connection)) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
+        deliver(conn);
         let readable = ready & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0;
-        let writable = ready & EPOLLOUT != 0;
         let mut ctx = Ctx {
             state: &mut self.state,
             token,
         };
-        match conn.on_ready(readable, writable, &mut ctx) {
+        match conn.on_ready(readable, &mut ctx) {
             Drive::Keep { interest, changed } => {
                 if changed && self.epoll.modify(conn.fd(), interest, token).is_err() {
                     // Cannot adjust the registration: fail the connection

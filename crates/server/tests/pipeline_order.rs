@@ -13,6 +13,15 @@
 //! the server closes only once everything outstanding has been answered,
 //! and the two reply streams must be byte-identical.
 //!
+//! A 3-loop x 6-shard server runs the same scripts: there a connection's
+//! remote keys have two owners, whose batches come back in either order, so
+//! a reply can resolve an entry that is not at the ring's head and its bytes
+//! are spliced into the staging buffer where the entry sits. Fixed scripts
+//! cover what the random ones reach only by luck: values that push the
+//! output past the 16 KB a connection holds back while its ring is
+//! unanswered, and `quit` or the peer's EOF directly behind a remote op with
+//! held bytes ahead of it (everything drains, then the server closes).
+//!
 //! A script starts by flushing every namespace, so a case depends on its
 //! seed alone: a failure names the seed, and `PIPELINE_ORDER_SEED=<seed>`
 //! replays that one case. `PIPELINE_ORDER_CASES` sets how many seeds run
@@ -110,9 +119,10 @@ fn env_u64(name: &str) -> Option<u64> {
     )
 }
 
-#[test]
-fn two_loops_answer_byte_for_byte_like_one() {
-    let ringed = start_server(2, 4);
+/// Runs the seeded scripts against a `workers`-loop x `shards`-shard server
+/// and a 1-loop one; the reply streams must be byte-identical.
+fn loops_answer_byte_for_byte_like_one(workers: usize, shards: usize) {
+    let ringed = start_server(workers, shards);
     let inline = start_server(1, 1);
     let replay = env_u64("PIPELINE_ORDER_SEED");
     let cases = if replay.is_some() {
@@ -131,7 +141,7 @@ fn two_loops_answer_byte_for_byte_like_one() {
         assert!(
             got == expected,
             "reply streams differ at depth {depth}; replay with PIPELINE_ORDER_SEED={seed}\n\
-             --- script\n{}\n--- one loop\n{}\n--- two loops\n{}",
+             --- script\n{}\n--- one loop\n{}\n--- {workers} loops\n{}",
             String::from_utf8_lossy(&wire),
             String::from_utf8_lossy(&expected),
             String::from_utf8_lossy(&got),
@@ -145,11 +155,88 @@ fn two_loops_answer_byte_for_byte_like_one() {
     }
 
     // The comparison meant something: one side crossed loops, one never did.
-    let remote_ops = |server: &CacheServer| -> u64 {
-        let mut client = CacheClient::connect(server.local_addr()).unwrap();
-        let stats: std::collections::HashMap<_, _> = client.stats().unwrap().into_iter().collect();
-        stats["plane:remote_ops"].parse().unwrap()
-    };
     assert!(remote_ops(&ringed) > 0);
     assert_eq!(remote_ops(&inline), 0);
+}
+
+fn remote_ops(server: &CacheServer) -> u64 {
+    let mut client = CacheClient::connect(server.local_addr()).unwrap();
+    let stats: std::collections::HashMap<_, _> = client.stats().unwrap().into_iter().collect();
+    stats["plane:remote_ops"].parse().unwrap()
+}
+
+#[test]
+fn two_loops_answer_byte_for_byte_like_one() {
+    loops_answer_byte_for_byte_like_one(2, 4);
+}
+
+#[test]
+fn three_loops_answer_byte_for_byte_like_one() {
+    loops_answer_byte_for_byte_like_one(3, 6);
+}
+
+/// Like [`exchange`], but the script ends with the client closing its
+/// writing half instead of `quit`.
+fn exchange_until_eof(addr: SocketAddr, script: &[u8]) -> Vec<u8> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    stream.write_all(script).unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut replies = Vec::new();
+    stream
+        .read_to_end(&mut replies)
+        .expect("the server answers everything, then closes on EOF");
+    replies
+}
+
+#[test]
+fn held_bytes_leave_in_order_past_the_limit_and_before_the_close() {
+    const KEYS: usize = 12;
+    let inline = start_server(1, 1);
+    for (workers, shards) in [(2, 4), (3, 6)] {
+        let ringed = start_server(workers, shards);
+
+        // 12 x 3000-byte values, read back by multi-gets whose remote keys
+        // keep the ring unanswered while the local hits between them carry
+        // `out` far past the hold limit.
+        let mut big = String::new();
+        for k in 0..KEYS {
+            big.push_str(&format!("set k{k} {k} 0 3000\r\n{}\r\n", "x".repeat(3000)));
+        }
+        let all: Vec<String> = (0..KEYS).map(|k| format!("k{k}")).collect();
+        for _ in 0..6 {
+            big.push_str(&format!("get {}\r\n", all.join(" ")));
+        }
+        big.push_str("quit\r\n");
+        let expected = exchange(inline.local_addr(), big.as_bytes());
+        assert!(expected.len() > 6 * KEYS * 3000);
+        let got = exchange(ringed.local_addr(), big.as_bytes());
+        assert!(got == expected, "{workers} loops: big replies differ");
+
+        // Every key takes a turn at being the last op before `quit` / EOF,
+        // whichever loop the connection lands on: in some turn that op is
+        // remote with a local hit's bytes held ahead of it.
+        for last in 0..KEYS {
+            let mut wire = String::new();
+            for k in (0..KEYS).map(|k| (last + 1 + k) % KEYS) {
+                wire.push_str(&format!("get k{k}\r\n"));
+            }
+            let expected = exchange_until_eof(inline.local_addr(), wire.as_bytes());
+            assert!(expected.len() > KEYS * 3000, "every key hits");
+            let got = exchange_until_eof(ringed.local_addr(), wire.as_bytes());
+            assert!(
+                got == expected,
+                "{workers} loops: replies before EOF differ"
+            );
+            wire.push_str("quit\r\n");
+            let got = exchange(ringed.local_addr(), wire.as_bytes());
+            assert!(
+                got == expected,
+                "{workers} loops: replies before quit differ"
+            );
+        }
+        assert!(remote_ops(&ringed) > 0);
+    }
 }
