@@ -275,6 +275,38 @@ mod tests {
         }
 
         #[test]
+        fn a_prefetch_hashes_one_key_and_what_follows_it_what_it_did() {
+            use crate::prefetch::Sweep;
+            let mut cache = slab_cache(0);
+            let large = cache.class_for_size(5_000).unwrap();
+            cache.set_class_target(large, 1 << 20);
+            cache.set(Key::new(0), 5_000, 0);
+            for key in 1..5 {
+                cache.set(Key::new(key), 60, 10);
+            }
+            // The sweeps: one probe each, resident key or not.
+            let sweeps = |cache: &SlabCache<u64>, key| {
+                for sweep in [Sweep::Item, Sweep::Neighbours] {
+                    let (hashed, lent) =
+                        hashed_by(|| cache.prefetch(Key::new(key), sweep).copied());
+                    assert_eq!((hashed, lent), (1, cache.value(Key::new(key)).copied()));
+                }
+            };
+            // A hit, an overwrite and an evicting write behind them cost
+            // what the tests around this one hold them to without.
+            sweeps(&cache, 1);
+            assert_eq!(
+                hashed_by(|| cache.lookup(Key::new(1)).copied()),
+                (1, Some(10))
+            );
+            sweeps(&cache, 2);
+            assert_eq!(hashed_by(|| cache.set(Key::new(2), 61, 11)).0, 2);
+            sweeps(&cache, 9);
+            let (hashed, (_, result)) = hashed_by(|| cache.set(Key::new(9), 60, 10).unwrap());
+            assert_eq!((hashed, result.evicted.len()), (3, 1));
+        }
+
+        #[test]
         fn a_miss_hashes_the_index_and_the_shadow_indexes_it_consults() {
             // No shadow queues (the server's plain engine): the index only.
             let mut plain = slab_cache(0);

@@ -24,6 +24,7 @@
 //! * [`slab`] — Memcached-style slab-class geometry.
 //! * [`policy`] — eviction policies: LRU, ARC and the Facebook mid-queue
 //!   insertion scheme, all behind [`policy::EvictionPolicy`].
+//! * [`prefetch`] — cache-line prefetch hints (the crate's one `unsafe`).
 //! * [`queue`] — a physical cache queue: a policy, a byte budget and an
 //!   attached shadow queue, addressed by token (the engine above it owns
 //!   the one index from key to value).
@@ -43,6 +44,7 @@ pub mod key;
 pub mod list;
 pub mod lru;
 pub mod policy;
+pub mod prefetch;
 pub mod queue;
 pub mod shadow;
 pub mod slab;

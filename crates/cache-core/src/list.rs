@@ -207,6 +207,23 @@ impl<T> LinkedArena<T> {
             .and_then(|n| n.value.as_mut())
     }
 
+    /// Asks the cache for the node at `handle` (see [`crate::prefetch`]).
+    pub fn prefetch(&self, handle: NodeHandle) {
+        if let Some(node) = self.nodes.get(handle.index()) {
+            crate::prefetch::line(node);
+        }
+    }
+
+    /// Asks the cache for the two nodes linked to the one at `handle`, which
+    /// unlinking it writes. Reads the node: [`LinkedArena::prefetch`] it first.
+    pub fn prefetch_neighbours(&self, handle: NodeHandle) {
+        let linked = self.nodes.get(handle.index()).map(|n| [n.prev, n.next]);
+        // `NONE` is past the end of any arena.
+        for neighbour in linked.iter().flatten() {
+            self.prefetch(NodeHandle(*neighbour));
+        }
+    }
+
     /// Handle of the back (least-recent) node.
     pub fn back(&self) -> Option<NodeHandle> {
         (self.tail != NodeHandle::NONE).then(|| NodeHandle::some(self.tail as usize))

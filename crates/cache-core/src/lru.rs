@@ -24,6 +24,7 @@
 
 use crate::key::Key;
 use crate::list::{LinkedArena, NodeHandle};
+use crate::prefetch::Sweep;
 
 /// Where a hit was found inside the physical queue.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -117,6 +118,14 @@ impl LruList {
     /// without affecting recency.
     pub fn get(&self, handle: NodeHandle) -> Option<(Key, u64)> {
         self.nodes.get(handle).map(|e| (e.key, e.weight))
+    }
+
+    /// One read-only sweep ahead of an `access` or `remove` of `handle`.
+    pub fn prefetch(&self, handle: NodeHandle, sweep: Sweep) {
+        match sweep {
+            Sweep::Item => self.nodes.prefetch(handle),
+            Sweep::Neighbours => self.nodes.prefetch_neighbours(handle),
+        }
     }
 
     /// Records an access to the item at `handle`, promoting it to the

@@ -10,6 +10,7 @@
 use crate::key::Key;
 use crate::lru::{HitLocation, InsertPosition, LruList};
 use crate::policy::{EvictionPolicy, Token};
+use crate::prefetch::Sweep;
 
 /// Facebook's hybrid insertion policy on top of a recency list.
 #[derive(Debug, Default)]
@@ -47,6 +48,10 @@ impl EvictionPolicy for FacebookPolicy {
 
     fn peek(&self, token: Token) -> Option<(Key, u64)> {
         self.list.get(token.node)
+    }
+
+    fn prefetch(&self, token: Token, sweep: Sweep) {
+        self.list.prefetch(token.node, sweep);
     }
 
     fn len(&self) -> usize {

@@ -3,6 +3,7 @@
 use crate::key::Key;
 use crate::lru::{HitLocation, InsertPosition, LruList};
 use crate::policy::{EvictionPolicy, Token};
+use crate::prefetch::Sweep;
 
 /// Least-recently-used eviction over a [`LruList`].
 #[derive(Debug, Default)]
@@ -38,6 +39,10 @@ impl EvictionPolicy for LruPolicy {
 
     fn peek(&self, token: Token) -> Option<(Key, u64)> {
         self.list.get(token.node)
+    }
+
+    fn prefetch(&self, token: Token, sweep: Sweep) {
+        self.list.prefetch(token.node, sweep);
     }
 
     fn len(&self) -> usize {

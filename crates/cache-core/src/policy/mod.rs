@@ -31,6 +31,7 @@ pub mod lru;
 use crate::key::Key;
 use crate::list::NodeHandle;
 use crate::lru::HitLocation;
+use crate::prefetch::Sweep;
 use serde::{Deserialize, Serialize};
 
 /// Which eviction policy to instantiate for a queue.
@@ -110,6 +111,10 @@ pub trait EvictionPolicy: std::fmt::Debug + Send {
 
     /// The key and weight `token` names, if it names a live item.
     fn peek(&self, token: Token) -> Option<(Key, u64)>;
+
+    /// One read-only sweep ahead of an `access` or `remove` of `token`
+    /// (see [`crate::prefetch`]): advisory, so a policy may ignore it.
+    fn prefetch(&self, _token: Token, _sweep: Sweep) {}
 
     /// Number of resident keys.
     fn len(&self) -> usize;

@@ -19,6 +19,7 @@
 use crate::key::Key;
 use crate::lru::HitLocation;
 use crate::policy::{EvictionPolicy, PolicyKind, Token};
+use crate::prefetch::Sweep;
 use crate::shadow::{ShadowHit, ShadowQueue};
 use crate::stats::CacheStats;
 use crate::ITEM_OVERHEAD;
@@ -231,6 +232,12 @@ impl CacheQueue {
     /// The key and charge of the item `token` names, if it names one.
     pub fn peek(&self, token: Token) -> Option<(Key, u64)> {
         self.policy.peek(token)
+    }
+
+    /// One read-only sweep ahead of a [`CacheQueue::hit`] or a removal of
+    /// `token` (see [`crate::prefetch`]).
+    pub fn prefetch(&self, token: Token, sweep: Sweep) {
+        self.policy.prefetch(token, sweep);
     }
 
     /// Cumulative statistics.

@@ -14,6 +14,7 @@
 
 use crate::key::{ClassId, Key, KeyMap};
 use crate::policy::{PolicyKind, Token};
+use crate::prefetch::Sweep;
 use crate::queue::{CacheQueue, GetResult, QueueConfig, SetResult};
 use crate::slab::SlabConfig;
 use crate::stats::CacheStats;
@@ -374,6 +375,15 @@ impl<V> SlabCache<V> {
     /// The class `key` is resident in, if it is resident.
     pub fn class_of(&self, key: Key) -> Option<ClassId> {
         self.index.get(&key).map(|item| item.class)
+    }
+
+    /// One read-only sweep ahead of an operation on `key` (see
+    /// [`crate::prefetch`]): no statistics, no recency. Lends a resident
+    /// item's value, so the caller can ask for the bytes behind it.
+    pub fn prefetch(&self, key: Key, sweep: Sweep) -> Option<&V> {
+        let item = self.index.get(&key)?;
+        self.queues[item.class.index()].prefetch(item.token, sweep);
+        Some(&item.value)
     }
 
     /// Checks the index against the queues (see [`crate::queue::check_index`]).

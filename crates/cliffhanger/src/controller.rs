@@ -20,6 +20,7 @@ use crate::events::{EventSink, SinkSlot};
 use crate::hill_climb::HillClimber;
 use crate::partitioned_queue::{Partition, PartitionedQueue, PartitionedQueueConfig, QueueEvent};
 use cache_core::key::KeyMap;
+use cache_core::prefetch::Sweep;
 use cache_core::{CacheStats, ClassId, Key, Token};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -422,6 +423,15 @@ impl<V> Cliffhanger<V> {
     /// The stored value for `key`, if resident (no effect on recency).
     pub fn value(&self, key: Key) -> Option<&V> {
         self.index.get(&key).map(|item| &item.value)
+    }
+
+    /// One read-only sweep ahead of an operation on `key` (see
+    /// [`cache_core::prefetch`]): no statistics, recency or shadow queue.
+    /// Lends a resident item's value, so the caller can ask for its bytes.
+    pub fn prefetch(&self, key: Key, sweep: Sweep) -> Option<&V> {
+        let item = self.index.get(&key)?;
+        self.queues[item.class.index()].prefetch(item.side, item.token, sweep);
+        Some(&item.value)
     }
 
     /// Whether `key` is resident in any class.
@@ -1082,6 +1092,13 @@ mod tests {
             hashed_by(|| c.value(key(resident)).copied()),
             (1, Some(resident))
         );
+        // A sweep ahead of it is one probe more, and saves the hit none.
+        for sweep in [Sweep::Item, Sweep::Neighbours] {
+            let lent = hashed_by(|| c.prefetch(key(resident), sweep).copied());
+            assert_eq!(lent, (1, Some(resident)));
+            assert_eq!(hashed_by(|| c.prefetch(key(evicted), sweep)), (1, None));
+        }
+        assert_eq!(hashed_by(|| c.get_untyped(key(resident)).1.hit), (1, true));
         // A miss without a size consults no shadow queue; with one, at most
         // the class's four (two cliff, two hill), each only until it hits.
         assert_eq!(hashed_by(|| c.get_untyped(key(evicted)).1.hit), (1, false));

@@ -27,6 +27,7 @@
 use crate::cliff_scale::{CliffScaler, PointerEvent};
 use cache_core::key::mix64;
 use cache_core::lru::HitLocation;
+use cache_core::prefetch::Sweep;
 use cache_core::{CacheQueue, CacheStats, Key, PolicyKind, QueueConfig, ShadowQueue, Token};
 
 /// Which physical sub-queue a request was routed to.
@@ -128,6 +129,10 @@ pub struct PartitionedQueue {
     right_hill: ShadowQueue,
     scaler: CliffScaler,
     target_bytes: u64,
+    /// `target_bytes` in items, and whether that many make cliff scaling
+    /// active: every request asks, so both are set where the target is.
+    target_items: u64,
+    scaling_active: bool,
     resize_pending: bool,
     stats: CacheStats,
 }
@@ -136,7 +141,6 @@ impl PartitionedQueue {
     /// Creates a partitioned queue from its configuration.
     pub fn new(config: PartitionedQueueConfig) -> Self {
         let charge = config.charge_per_item.max(1);
-        let total_items = config.target_bytes / charge;
         let make_queue = |bytes: u64| {
             CacheQueue::new(QueueConfig {
                 policy: config.policy,
@@ -155,8 +159,10 @@ impl PartitionedQueue {
             right_hill: ShadowQueue::new(
                 config.hill_shadow_entries - config.hill_shadow_entries / 2,
             ),
-            scaler: CliffScaler::new(total_items, config.credit_items),
-            target_bytes: config.target_bytes,
+            scaler: CliffScaler::new(config.target_bytes / charge, config.credit_items),
+            target_bytes: 0,
+            target_items: 0,
+            scaling_active: false,
             resize_pending: false,
             stats: CacheStats::new(),
             config: PartitionedQueueConfig {
@@ -164,14 +170,15 @@ impl PartitionedQueue {
                 ..config
             },
         };
-        queue.apply_sizes();
+        queue.set_target_bytes(queue.config.target_bytes);
+        queue.enforce_target();
         queue
     }
 
     /// Whether cliff scaling is currently active (enabled and the queue is
     /// large enough, §5.1).
     pub fn cliff_scaling_active(&self) -> bool {
-        self.config.enable_cliff_scaling && self.target_items() >= self.config.cliff_min_items
+        self.scaling_active
     }
 
     /// The queue's byte budget.
@@ -181,7 +188,7 @@ impl PartitionedQueue {
 
     /// The byte budget converted to items.
     pub fn target_items(&self) -> u64 {
-        self.target_bytes / self.config.charge_per_item
+        self.target_items
     }
 
     /// Bytes currently in use across both partitions.
@@ -204,6 +211,15 @@ impl PartitionedQueue {
         match side {
             Partition::Left => self.left.peek(token),
             Partition::Right => self.right.peek(token),
+        }
+    }
+
+    /// One read-only sweep ahead of a hit on, or a removal of, `token` on
+    /// `side` (see [`cache_core::prefetch`]).
+    pub fn prefetch(&self, side: Partition, token: Token, sweep: Sweep) {
+        match side {
+            Partition::Left => self.left.prefetch(token, sweep),
+            Partition::Right => self.right.prefetch(token, sweep),
         }
     }
 
@@ -256,8 +272,10 @@ impl PartitionedQueue {
     /// resize-on-miss rule.
     pub fn set_target_bytes(&mut self, bytes: u64) {
         self.target_bytes = bytes;
-        self.scaler
-            .set_queue_size(bytes / self.config.charge_per_item);
+        self.target_items = bytes / self.config.charge_per_item;
+        self.scaling_active =
+            self.config.enable_cliff_scaling && self.target_items >= self.config.cliff_min_items;
+        self.scaler.set_queue_size(self.target_items);
         self.resize_pending = true;
     }
 

@@ -4,7 +4,9 @@
 //! request streams.
 
 use cache_core::key::KeyMap;
-use cache_core::{Key, PolicyKind, SlabConfig};
+use cache_core::prefetch::Sweep;
+use cache_core::store::AllocationMode;
+use cache_core::{Key, PolicyKind, SlabCache, SlabCacheConfig, SlabConfig};
 use cliffhanger::cliff_scale::{CliffScaler, PointerEvent};
 use cliffhanger::partitioned_queue::{PartitionedQueue, PartitionedQueueConfig};
 use cliffhanger::{Cliffhanger, CliffhangerConfig, HillClimber};
@@ -36,6 +38,142 @@ fn engine_op() -> impl Strategy<Value = EngineOp> {
         (1u64..64).prop_map(|kb| EngineOp::Shrink(kb << 10)),
         (1u64..64).prop_map(|kb| EngineOp::Grow(kb << 10)),
     ]
+}
+
+/// The sweeps a server would run ahead of a batch, here at random: keys
+/// that are resident, were evicted, changed class or (400 and up) were
+/// never written, in either sweep and in any order.
+fn prefetches() -> impl Strategy<Value = Vec<(u16, bool)>> {
+    prop::collection::vec((0u16..440, any::<bool>()), 0..6)
+}
+
+fn sweep(second: bool) -> Sweep {
+    if second {
+        Sweep::Neighbours
+    } else {
+        Sweep::Item
+    }
+}
+
+fn small_cliffhanger(policy: PolicyKind) -> Cliffhanger<u64> {
+    Cliffhanger::new(CliffhangerConfig {
+        slab: SlabConfig::new(64, 2.0, 8_192),
+        total_bytes: 256 << 10,
+        policy,
+        credit_bytes: 1 << 10,
+        hill_shadow_bytes: 32 << 10,
+        cliff_shadow_items: 8,
+        cliff_min_items: 64,
+        min_class_bytes: 2 << 10,
+        ..CliffhangerConfig::default()
+    })
+}
+
+/// Runs `script` through a managed cache, with or without the prefetches
+/// between its operations, and returns everything a caller can observe:
+/// a digest of every operation's outcome and of the residency set after it
+/// (so: of every eviction, in order), the statistics and the class
+/// snapshots.
+fn observe_cliffhanger(
+    policy: PolicyKind,
+    script: &[(EngineOp, Vec<(u16, bool)>)],
+    prefetching: bool,
+) -> (u64, String) {
+    let mut cache = small_cliffhanger(policy);
+    let mut digest = 0u64;
+    let mut fold = |value: u64| digest = cache_core::key::mix64(digest ^ value).wrapping_add(value);
+    for (step, (op, ahead)) in script.iter().enumerate() {
+        for &(k, second) in ahead.iter().filter(|_| prefetching) {
+            let key = Key::new(k as u64);
+            let lent = cache.prefetch(key, sweep(second)).copied();
+            assert_eq!(lent, cache.value(key).copied(), "prefetch lends the value");
+        }
+        match *op {
+            EngineOp::Get(k, size) => {
+                let got = cache.get(Key::new(k as u64), size);
+                fold(got.map_or(9, |(class, e)| {
+                    u64::from(class.0) << 8
+                        | u64::from(e.hit) << 3
+                        | u64::from(e.tail_hit) << 2
+                        | u64::from(e.cliff_shadow_hit) << 1
+                        | u64::from(e.hill_shadow_hit)
+                }));
+            }
+            EngineOp::GetUntyped(k) => {
+                let (class, e) = cache.get_untyped(Key::new(k as u64));
+                fold(u64::from(class.0) << 8 | u64::from(e.hit) << 1 | u64::from(e.tail_hit));
+            }
+            EngineOp::Lookup(k) => fold(cache.lookup(Key::new(k as u64)).map_or(0, |v| v + 1)),
+            EngineOp::Set(k, size) => {
+                let stored = cache.set(Key::new(k as u64), size, step as u64);
+                fold(stored.map_or(9, |(class, admitted)| {
+                    u64::from(class.0) << 1 | u64::from(admitted)
+                }));
+            }
+            EngineOp::Delete(k) => fold(u64::from(cache.delete(Key::new(k as u64)))),
+            EngineOp::Shrink(bytes) => fold(u64::from(cache.shrink_total(bytes))),
+            EngineOp::Grow(bytes) => cache.grow_total(bytes),
+        }
+        for k in 0..400u64 {
+            fold(cache.value(Key::new(k)).map_or(0, |v| v + 1));
+        }
+        fold(cache.used_bytes());
+    }
+    cache.check_index().expect("index and queues agree");
+    let state = format!("{:?} {:?}", cache.stats(), cache.class_snapshots());
+    (digest, state)
+}
+
+/// [`observe_cliffhanger`] for a first-come-first-serve slab cache, whose
+/// `set` names the keys it evicted.
+fn observe_slab(script: &[(EngineOp, Vec<(u16, bool)>)], prefetching: bool) -> (u64, String) {
+    let mut cache: SlabCache<u64> = SlabCache::new(SlabCacheConfig {
+        slab: SlabConfig::new(64, 2.0, 8_192),
+        total_bytes: 256 << 10,
+        mode: AllocationMode::FirstComeFirstServe {
+            page_size: 16 << 10,
+        },
+        shadow_bytes: 32 << 10,
+        tail_region_items: 8,
+        ..SlabCacheConfig::default()
+    });
+    let mut digest = 0u64;
+    let mut fold = |value: u64| digest = cache_core::key::mix64(digest ^ value).wrapping_add(value);
+    for (step, (op, ahead)) in script.iter().enumerate() {
+        for &(k, second) in ahead.iter().filter(|_| prefetching) {
+            let key = Key::new(k as u64);
+            let lent = cache.prefetch(key, sweep(second)).copied();
+            assert_eq!(lent, cache.value(key).copied(), "prefetch lends the value");
+        }
+        match *op {
+            EngineOp::Get(k, size) => {
+                let got = cache
+                    .get(Key::new(k as u64), size)
+                    .expect("sizes fit a class");
+                fold(u64::from(got.class.0) << 8 | u64::from(got.result.hit));
+                fold(got.result.shadow_hit.is_some() as u64);
+            }
+            EngineOp::GetUntyped(k) => {
+                let got = cache.get_untyped(Key::new(k as u64));
+                fold(u64::from(got.class.0) << 8 | u64::from(got.result.hit));
+            }
+            EngineOp::Lookup(k) => fold(cache.lookup(Key::new(k as u64)).map_or(0, |v| v + 1)),
+            EngineOp::Set(k, size) => {
+                let (class, result) = cache
+                    .set(Key::new(k as u64), size, step as u64)
+                    .expect("sizes fit a class");
+                fold(u64::from(class.0) << 1 | u64::from(result.admitted));
+                result.evicted.iter().for_each(|key| fold(key.raw()));
+            }
+            EngineOp::Delete(k) => fold(u64::from(cache.delete(Key::new(k as u64)))),
+            // A plain slab cache has no outer budget moves.
+            EngineOp::Shrink(_) | EngineOp::Grow(_) => {}
+        }
+        fold(cache.used_bytes());
+    }
+    cache.check_index().expect("index and queues agree");
+    let state = format!("{:?} {:?}", cache.stats(), cache.class_stats());
+    (digest, state)
 }
 
 /// Cases per property: 64 per push, `PROPTEST_CASES` overrides (nightly.yml
@@ -165,17 +303,7 @@ proptest! {
         ops in prop::collection::vec(engine_op(), 1..400),
         policy in prop_oneof![Just(PolicyKind::Lru), Just(PolicyKind::Facebook), Just(PolicyKind::Arc)],
     ) {
-        let mut cache: Cliffhanger<u64> = Cliffhanger::new(CliffhangerConfig {
-            slab: SlabConfig::new(64, 2.0, 8_192),
-            total_bytes: 256 << 10,
-            policy,
-            credit_bytes: 1 << 10,
-            hill_shadow_bytes: 32 << 10,
-            cliff_shadow_items: 8,
-            cliff_min_items: 64,
-            min_class_bytes: 2 << 10,
-            ..CliffhangerConfig::default()
-        });
+        let mut cache = small_cliffhanger(policy);
         for (step, op) in ops.into_iter().enumerate() {
             let stamp = step as u64;
             match op {
@@ -219,6 +347,24 @@ proptest! {
             let evictions: u64 = cache.class_stats().iter().map(|s| s.evictions).sum();
             prop_assert_eq!(cache.stats().evictions, evictions);
         }
+    }
+
+    /// Prefetching is invisible: interleaving arbitrary `prefetch` calls
+    /// into an operation sequence leaves every outcome, every eviction, the
+    /// statistics, the class snapshots and the index invariant exactly as
+    /// the run without them has them.
+    #[test]
+    fn prefetch_changes_nothing(
+        script in prop::collection::vec((engine_op(), prefetches()), 1..300),
+    ) {
+        for policy in [PolicyKind::Lru, PolicyKind::Facebook, PolicyKind::Arc] {
+            prop_assert_eq!(
+                observe_cliffhanger(policy, &script, true),
+                observe_cliffhanger(policy, &script, false),
+                "{:?}", policy
+            );
+        }
+        prop_assert_eq!(observe_slab(&script, true), observe_slab(&script, false));
     }
 
     /// The managed cache conserves its total byte budget across arbitrary

@@ -34,7 +34,22 @@
 //! connection's next pass — the reply batch, or more input — so a batch
 //! whose first key is local costs one `send` and one client wake-up, not
 //! two. With the ring empty (every key local) responses encode straight
-//! into `out` and leave at once, exactly as before the ring existed.
+//! into `out` and leave at once.
+//!
+//! # The window
+//!
+//! [`Connection::process`] executes a *window* at a time: the commands
+//! already complete in `inbuf`, parsed ahead and each key routed once — data
+//! commands until they hold [`WINDOW`] keys, or up to the first other
+//! command or invalid line, which closes the window and runs alone on the
+//! state everything ahead of it left. Before the entries execute — in order,
+//! the stall check ahead of every command — [`LoopState::sweep`] prefetches
+//! what the locally owned keys are about to miss on, so a batch's cache
+//! misses overlap instead of queueing one request behind another. A stall
+//! mid-window puts the cursor back on the stalled command's first byte and
+//! drops the unexecuted entries, to be parsed again when the connection
+//! resumes: every bound below holds to the command, as if each were parsed
+//! when its turn came. ARCHITECTURE.md has the schedule.
 //!
 //! # The byte path
 //!
@@ -63,12 +78,9 @@
 //! * **Bounds**: at most [`MAX_IN_FLIGHT`] entries, and finished responses
 //!   staged behind the ring count toward [`OUT_HIGH_WATERMARK`]; at either
 //!   limit the connection stops parsing and reading until replies drain it.
-//!
-//! The command semantics (and every byte on the wire) are identical to the
-//! old blocking handler; only the scheduling changed.
 
 use crate::engine::StoredValue;
-use crate::plane::{AdminOp, AdminResult, LoopState, Op, OpBatch, OpState};
+use crate::plane::{AdminOp, AdminResult, LoopState, Op, OpBatch, OpState, Route};
 use crate::protocol::{
     encode_response, encode_value, Command, ParseOutcome, Parser, Request, Response, StoreVerb,
 };
@@ -93,6 +105,10 @@ const OUT_HOLD: usize = 16 * 1024;
 /// that a pipelined batch crosses the mailbox in one piece, small enough to
 /// bound what one socket can queue on other loops.
 const MAX_IN_FLIGHT: usize = 128;
+/// Keys a window holds before it closes (its last command is not split,
+/// and a kept window may be four times as long before it gives capacity
+/// back): the batch whose cache misses [`LoopState::sweep`] overlaps.
+pub(crate) const WINDOW: usize = 32;
 /// Spare input capacity a fill pass starts with, and what a connection's
 /// two buffers are born with.
 const READ_CHUNK: usize = 16 * 1024;
@@ -204,6 +220,18 @@ enum Entry {
     Done(usize),
 }
 
+/// What one entry of the window, parsed and routed, will execute.
+enum Work {
+    /// One key of a `get`: where it sits in `inbuf`, and whether it is the
+    /// command's last.
+    Get(Route, std::ops::Range<usize>, bool),
+    /// A store (`Some`: verb, flags, data) or delete: key, payload, `noreply`.
+    Write(Route, Bytes, Option<(StoreVerb, u32, Bytes)>, bool),
+    /// Any other command, or (`Err`) a line that is none: it closes the
+    /// window, so nothing behind it is parsed before it has run.
+    Alone(Result<Command, String>),
+}
+
 /// What closes a `get` reply.
 const END: &[u8] = b"END\r\n";
 
@@ -222,6 +250,10 @@ pub(crate) struct Connection {
     stream: TcpStream,
     parser: Parser,
     inbuf: BytesMut,
+    /// The window (empty between passes, its capacity kept): each entry
+    /// with where its command starts in `inbuf`, which is where the cursor
+    /// goes back to if the connection stalls before the command.
+    window: Vec<(usize, Work)>,
     out: Vec<u8>,
     /// Bytes of `out` already written to the socket.
     out_pos: usize,
@@ -269,6 +301,7 @@ impl Connection {
             stream,
             parser: Parser::new(),
             inbuf: BytesMut::with_capacity(READ_CHUNK),
+            window: Vec::new(),
             out: Vec::with_capacity(READ_CHUNK),
             out_pos: 0,
             tenant: 0,
@@ -521,27 +554,97 @@ impl Connection {
         fill_from(&mut self.inbuf, &self.stream)
     }
 
-    /// Parses and executes buffered commands until the input runs dry, the
-    /// connection stalls (see [`Connection::stalled`]), or the client quits.
+    /// Executes buffered commands, a window at a time, until the input runs
+    /// dry, the connection [`Connection::stalled`], or the client quits.
     fn process(&mut self, ctx: &mut Ctx<'_>) -> Step {
         self.launch_admin(ctx);
-        // A `get`'s keys borrow the input while the rest of the connection
-        // is mutated around them, so the buffer steps out of `self`.
+        // Keys borrow the input while the rest of the connection is mutated
+        // around them, so the buffer (and the window) step out of `self`.
         let mut inbuf = std::mem::take(&mut self.inbuf);
+        let mut window = std::mem::take(&mut self.window);
         let mut input = &inbuf[..];
         let mut parsed = 0;
-        let step = loop {
+        let step = 'pass: loop {
             if self.stalled() {
                 break Step::Stalled(parsed);
             }
-            match self.parser.next_request(&mut input) {
-                ParseOutcome::Complete(Request::Other(Command::Quit)) => break Step::Quit,
-                ParseOutcome::Complete(Request::Get(keys)) => self.get(keys, ctx),
-                ParseOutcome::Complete(Request::Other(command)) => self.dispatch(command, ctx),
-                ParseOutcome::Invalid(message) => self.respond(&Response::ClientError(message)),
-                ParseOutcome::Incomplete => break Step::Dry(parsed),
+            // Fill the window, each key routed once: until it holds `WINDOW`
+            // keys, takes an entry that runs alone, or the input runs dry.
+            let route = |key: &[u8]| ctx.state.route(self.tenant, key);
+            let dry = loop {
+                if window.len() >= WINDOW {
+                    break false;
+                }
+                let at = inbuf.len() - input.len();
+                let work = match self.parser.next_request(&mut input) {
+                    ParseOutcome::Complete(Request::Get(keys)) => {
+                        for key in keys {
+                            let start = key.as_ptr() as usize - inbuf.as_ptr() as usize;
+                            let work = Work::Get(route(key), start..start + key.len(), false);
+                            window.push((at, work));
+                        }
+                        if let Some((_, Work::Get(_, _, end))) = window.last_mut() {
+                            *end = true;
+                        }
+                        continue;
+                    }
+                    ParseOutcome::Complete(Request::Other(command)) => match command {
+                        Command::Store {
+                            verb,
+                            key,
+                            flags,
+                            data,
+                            noreply,
+                            ..
+                        } => Work::Write(route(&key), key, Some((verb, flags, data)), noreply),
+                        Command::Delete { key, noreply } => {
+                            Work::Write(route(&key), key, None, noreply)
+                        }
+                        command => Work::Alone(Ok(command)),
+                    },
+                    ParseOutcome::Invalid(message) => Work::Alone(Err(message)),
+                    ParseOutcome::Incomplete => break true,
+                };
+                let alone = matches!(work, Work::Alone(_));
+                window.push((at, work));
+                if alone {
+                    break false;
+                }
+            };
+            // The local keys' cache misses first, overlapped; then the
+            // commands in order, the stall check before each, as ever.
+            ctx.state.sweep(&window, |(_, work)| match *work {
+                Work::Get((_, id, Ok(local)), ..) | Work::Write((_, id, Ok(local)), ..) => {
+                    Some((local, self.tenant, id))
+                }
+                _ => None,
+            });
+            let mut command_at = usize::MAX;
+            for (at, work) in window.drain(..) {
+                if at != command_at {
+                    if self.stalled() {
+                        // Back to this command's first byte: the rest of
+                        // the window is dropped and parsed again later.
+                        input = &inbuf[at..];
+                        self.parser = Parser::new();
+                        break 'pass Step::Stalled(parsed);
+                    }
+                    command_at = at;
+                    parsed += 1;
+                }
+                match work {
+                    Work::Get(route, key, end) => self.get(route, &inbuf[key], end, ctx),
+                    Work::Write(route, key, store, noreply) => {
+                        self.write(route, key, store, noreply, ctx)
+                    }
+                    Work::Alone(Ok(Command::Quit)) => break 'pass Step::Quit,
+                    Work::Alone(Ok(command)) => self.dispatch(command, ctx),
+                    Work::Alone(Err(message)) => self.respond(&Response::ClientError(message)),
+                }
             }
-            parsed += 1;
+            if dry {
+                break Step::Dry(parsed);
+            }
         };
         let used = inbuf.len() - input.len();
         inbuf.advance(used);
@@ -549,6 +652,8 @@ impl Connection {
             inbuf.shrink_to(IN_RETAIN);
         }
         self.inbuf = inbuf;
+        window.shrink_to(4 * WINDOW);
+        self.window = window;
         step
     }
 
@@ -575,33 +680,30 @@ impl Connection {
         ctx.state.forward_op(owner, op, key);
     }
 
-    /// A (multi-)get, key by key: route by hash, and answer a key this
-    /// loop owns straight from the engine's stored item — its payload's one
+    /// One key of a (multi-)get, `end` its last: a key this loop owns is
+    /// answered straight from the engine's stored item — its payload's one
     /// copy is the one onto `out`. A key another loop owns takes a ring
     /// entry, so the hits reach the wire in request order whatever mix of
     /// owners the keys have.
-    fn get<'k>(&mut self, keys: impl Iterator<Item = &'k [u8]>, ctx: &mut Ctx<'_>) {
-        for key in keys {
-            let (shard, id, route) = ctx.state.route(self.tenant, key);
-            match route {
-                Ok(local) => {
-                    let timer = ctx.state.local_timer();
-                    if let Some(item) = ctx.state.get(local, self.tenant, id, key) {
-                        self.emit(|out| encode_value(key, item.flags, &item.data, out));
-                    }
-                    ctx.state.note_local(timer);
+    fn get(&mut self, (shard, id, route): Route, key: &[u8], end: bool, ctx: &mut Ctx<'_>) {
+        match route {
+            Ok(local) => {
+                let timer = ctx.state.local_timer();
+                if let Some(item) = ctx.state.get(local, self.tenant, id, key) {
+                    self.emit(|out| encode_value(key, item.flags, &item.data, out));
                 }
-                Err(owner) => {
-                    // Promoted hot keys serve from the loop-local replica
-                    // cache: no forward, no ring entry. Not behind an
-                    // un-acked write, whose version bump the replica check
-                    // could not see yet.
-                    let replica = (self.unacked_writes == 0)
-                        .then(|| ctx.state.replica_get(shard, self.tenant, id, key));
-                    if let Some(Some((flags, data))) = replica {
-                        self.emit(|out| encode_value(key, flags, &data, out));
-                        continue;
-                    }
+                ctx.state.note_local(timer);
+            }
+            Err(owner) => {
+                // Promoted hot keys serve from the loop-local replica
+                // cache: no forward, no ring entry. Not behind an
+                // un-acked write, whose version bump the replica check
+                // could not see yet.
+                let replica = (self.unacked_writes == 0)
+                    .then(|| ctx.state.replica_get(shard, self.tenant, id, key));
+                if let Some(Some((flags, data))) = replica {
+                    self.emit(|out| encode_value(key, flags, &data, out));
+                } else {
                     // A replica miss on a promoted key rides the normal
                     // forward but asks the owner to fill us.
                     let hot_fill = ctx.state.wants_hot_fill(self.tenant, id);
@@ -613,24 +715,18 @@ impl Connection {
         // Between commands every `Get` entry has `end` set, so an unset
         // one at the back is this command's, with nothing emitted since.
         match self.ring.back_mut() {
+            _ if !end => {}
             Some(Entry::Get { end, .. }) if !*end => *end = true,
             _ => self.emit(|out| out.extend_from_slice(END)),
         }
     }
 
-    /// Executes one command other than a parsed `get`.
+    /// Executes one command that closes a window and runs alone.
     fn dispatch(&mut self, command: Command, ctx: &mut Ctx<'_>) {
         match command {
-            Command::Get { keys } => self.get(keys.iter().map(|key| &key[..]), ctx),
-            Command::Store {
-                verb,
-                key,
-                flags,
-                data,
-                noreply,
-                ..
-            } => self.write(key, Some((verb, flags, data)), noreply, ctx),
-            Command::Delete { key, noreply } => self.write(key, None, noreply, ctx),
+            Command::Get { .. } | Command::Store { .. } | Command::Delete { .. } => {
+                unreachable!("data commands join the window")
+            }
             Command::App { id } => {
                 let response = match std::str::from_utf8(&id)
                     .ok()
@@ -686,13 +782,13 @@ impl Connection {
     /// order, drain-before-close and the replica bypass all hang on it.
     fn write(
         &mut self,
+        (shard, id, route): Route,
         key: Bytes,
         store: Option<(StoreVerb, u32, Bytes)>,
         noreply: bool,
         ctx: &mut Ctx<'_>,
     ) {
         let delete = store.is_none();
-        let (shard, id, route) = ctx.state.route(self.tenant, &key);
         let owner = match route {
             Ok(local) => {
                 let timer = ctx.state.local_timer();
@@ -954,5 +1050,65 @@ mod tests {
             assert!(conn.staged.len() <= STAGED_RETAIN + 2000);
         }
         assert_eq!(conn.ring.len(), 2);
+    }
+
+    #[test]
+    fn a_stall_mid_window_puts_the_cursor_back_on_the_stalled_command() {
+        const BIG: usize = 100 << 10;
+        let (mut conn, _peer) = connection();
+        let mut state = LoopState::solo();
+        let mut ctx = Ctx {
+            state: &mut state,
+            token: 1,
+        };
+        let mut wire = format!("set big 0 0 {BIG}\r\n{}\r\n", "v".repeat(BIG));
+        for version in 1..=7 {
+            wire.push_str(&format!("get big\r\nset c {version} 0 1 noreply\r\nx\r\n"));
+        }
+        // The window parses to the end of the input — into the data block
+        // of a command that is not all there yet.
+        wire.push_str("set c 8 0 5\r\nab");
+        conn.inbuf.extend_from_slice(wire.as_bytes());
+        let version_of_c = |ctx: &mut Ctx<'_>| {
+            let (_, id, slot) = ctx.state.route(0, b"c");
+            let found = ctx.state.get(slot.unwrap(), 0, id, b"c");
+            found.map(|item| item.flags)
+        };
+
+        // Three hits carry `out` over the watermark: the seventh command is
+        // the first the stall check refuses, with eight more parsed behind
+        // it. They are dropped, the parser is back between commands, and
+        // the input starts at the refused command's first byte.
+        assert!(matches!(conn.process(&mut ctx), super::Step::Stalled(6)));
+        assert!(conn.out.len() >= OUT_HIGH_WATERMARK && conn.out.len() < 4 * BIG);
+        assert!(conn.window.is_empty() && !conn.parser.mid_command());
+        assert!(conn
+            .inbuf
+            .starts_with(b"set c 3 0 1 noreply\r\nx\r\nget big\r\n"));
+        assert_eq!(version_of_c(&mut ctx), Some(2));
+        assert!(matches!(conn.process(&mut ctx), super::Step::Stalled(0)));
+
+        // The socket drains; the rest runs, again a watermark's worth at a
+        // time, each write once and in order.
+        let mut commands = 6;
+        while !conn.inbuf.starts_with(b"ab") {
+            conn.out.clear();
+            let before = version_of_c(&mut ctx);
+            commands += match conn.process(&mut ctx) {
+                super::Step::Stalled(n) | super::Step::Dry(n) => n,
+                super::Step::Quit => unreachable!(),
+            };
+            assert!(conn.out.len() < 4 * BIG);
+            assert!(version_of_c(&mut ctx) > before);
+        }
+        assert_eq!((commands, version_of_c(&mut ctx)), (15, Some(7)));
+        assert!(
+            conn.parser.mid_command(),
+            "the unfinished `set` waits for its data"
+        );
+        conn.inbuf.extend_from_slice(b"cde\r\n");
+        assert!(matches!(conn.process(&mut ctx), super::Step::Dry(1)));
+        assert_eq!(version_of_c(&mut ctx), Some(8));
+        assert!(conn.out.ends_with(b"END\r\nSTORED\r\n"));
     }
 }

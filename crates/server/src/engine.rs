@@ -9,6 +9,7 @@
 use crate::hotkey::HotKeyConfig;
 use bytes::Bytes;
 use cache_core::key::mix64;
+use cache_core::prefetch::{self, Sweep};
 use cache_core::store::AllocationMode;
 use cache_core::{
     hash_bytes, CacheStats, Key, PolicyKind, SlabCache, SlabCacheConfig, SlabConfig,
@@ -282,6 +283,20 @@ impl Engine {
     /// Whether `key` is resident with an exact byte-string match.
     pub(crate) fn contains_exact(&self, id: Key, key: &[u8]) -> bool {
         self.value(id).map(|s| s.key == key).unwrap_or(false)
+    }
+
+    /// One read-only sweep ahead of an operation on `id`: the engine's
+    /// (see [`cache_core::prefetch`]) plus, on the first, the stored key a
+    /// GET compares and the first lines of the payload it copies out.
+    pub(crate) fn prefetch(&self, id: Key, sweep: Sweep) {
+        let stored = match self {
+            Engine::Plain(cache) => cache.prefetch(id, sweep),
+            Engine::Managed(cache) => cache.prefetch(id, sweep),
+        };
+        if let (Some(stored), Sweep::Item) = (stored, sweep) {
+            prefetch::bytes(&stored.key);
+            prefetch::bytes(&stored.data);
+        }
     }
 
     /// A wire-level GET: one probe of the engine's index records the

@@ -40,6 +40,7 @@
 //!   every owning loop has built the new tenant's engines, so a session
 //!   can never resolve a tenant whose cells do not exist yet.
 
+use crate::conn::WINDOW;
 use crate::engine::{
     even_split, route_key, weighted_split, BackendConfig, BackendMode, Engine, StoredValue,
 };
@@ -52,6 +53,7 @@ use crate::stats::{
     WireCounts,
 };
 use bytes::Bytes;
+use cache_core::prefetch::Sweep;
 use cache_core::{Key, TenantDirectory};
 use cliffhanger::{
     EventSink, ShardRebalancer, ShardSample, TenantArbiter, TenantSample, TransferEvent,
@@ -523,6 +525,10 @@ fn build_engine(shared: &PlaneShared, shard: usize, tenant: &str, budget: u64) -
     engine
 }
 
+/// Where a key lives: its shard, its 64-bit id, and `Ok(local slot)` when
+/// the asking loop owns the shard, `Err(owner loop)` otherwise.
+pub(crate) type Route = (usize, Key, Result<usize, usize>);
+
 /// One owned engine and its wire counters — plain fields, touched only by
 /// the owning loop thread.
 struct OwnedEngine {
@@ -755,11 +761,30 @@ impl LoopState {
 
     /// Routes a key: `Ok(local slot)` when this loop owns the shard,
     /// `Err(owner loop)` otherwise.
-    pub(crate) fn route(&self, tenant: usize, key: &[u8]) -> (usize, Key, Result<usize, usize>) {
+    pub(crate) fn route(&self, tenant: usize, key: &[u8]) -> Route {
         let (shard, id) = route_key(tenant, key, self.shared.shards);
         match self.slots[shard] {
             Some(slot) => (shard, id, Ok(slot)),
             None => (shard, id, Err(self.shared.owner_of(shard))),
+        }
+    }
+
+    /// The two read-only sweeps ahead of a batch's execution (a connection's
+    /// window, a chunk of an [`OpBatch`]); `owned` gives a key's `(local
+    /// slot, tenant, id)`. The first probes each key's engine index and asks
+    /// for the item's queue node and bytes, the second for the node's
+    /// neighbours: independent across keys, so the misses execution would
+    /// take one by one overlap. One key overlaps with nothing.
+    pub(crate) fn sweep<T>(&self, batch: &[T], owned: impl Fn(&T) -> Option<(usize, usize, Key)>) {
+        if batch.len() < 2 {
+            return;
+        }
+        for sweep in [Sweep::Item, Sweep::Neighbours] {
+            for (slot, tenant, id) in batch.iter().filter_map(&owned) {
+                if let Some(cell) = self.owned[slot].cells.get(tenant) {
+                    cell.engine.prefetch(id, sweep);
+                }
+            }
         }
     }
 
@@ -1091,46 +1116,49 @@ impl LoopState {
         let OpBatch {
             origin, ops, keys, ..
         } = &mut batch;
-        for op in ops.iter_mut() {
-            let key = &keys[op.key.clone()];
-            op.state = match (self.slots[op.shard], op.state.fail()) {
-                (Some(slot), OpState::Get) => {
-                    // A read-through fill (the origin loop missed its
-                    // replica of a promoted key) takes the stored key too.
-                    let found = self.get(slot, op.tenant, op.id, key).map(|item| {
-                        let fill_key = op.hot_fill.then(|| item.key.clone());
-                        (fill_key, item.flags, item.data.clone())
-                    });
-                    // The fill carries the value *with the version it had
-                    // at read time*. Queued before this batch on the same
-                    // FIFO mailbox, and this loop is the key's only writer,
-                    // so the (value, version) pair is a consistent snapshot.
-                    if let (Some(origin), Some((Some(key), flags, data)), Some(hot)) =
-                        (*origin, &found, self.shared.hot.as_ref())
-                    {
-                        let fill = LoopMsg::HotFill {
-                            tenant: op.tenant,
-                            id: op.id,
-                            key: key.clone(),
-                            flags: *flags,
-                            data: data.clone(),
-                            version: hot.versions.load(op.tenant, op.id),
-                        };
-                        self.forward(origin, fill);
+        for chunk in ops.chunks_mut(WINDOW) {
+            self.sweep(chunk, |op| Some((self.slots[op.shard]?, op.tenant, op.id)));
+            for op in chunk {
+                let key = &keys[op.key.clone()];
+                op.state = match (self.slots[op.shard], op.state.fail()) {
+                    (Some(slot), OpState::Get) => {
+                        // A read-through fill (the origin loop missed its
+                        // replica of a promoted key) takes the stored key too.
+                        let found = self.get(slot, op.tenant, op.id, key).map(|item| {
+                            let fill_key = op.hot_fill.then(|| item.key.clone());
+                            (fill_key, item.flags, item.data.clone())
+                        });
+                        // The fill carries the value *with the version it had
+                        // at read time*. Queued before this batch on the same
+                        // FIFO mailbox, and this loop is the key's only writer,
+                        // so the (value, version) pair is a consistent snapshot.
+                        if let (Some(origin), Some((Some(key), flags, data)), Some(hot)) =
+                            (*origin, &found, self.shared.hot.as_ref())
+                        {
+                            let fill = LoopMsg::HotFill {
+                                tenant: op.tenant,
+                                id: op.id,
+                                key: key.clone(),
+                                flags: *flags,
+                                data: data.clone(),
+                                version: hot.versions.load(op.tenant, op.id),
+                            };
+                            self.forward(origin, fill);
+                        }
+                        OpState::Value(found.map(|(_, flags, data)| (flags, data)))
                     }
-                    OpState::Value(found.map(|(_, flags, data)| (flags, data)))
-                }
-                (Some(slot), OpState::Store { verb, item }) => {
-                    OpState::Flag(self.store(slot, op.tenant, op.id, verb, item))
-                }
-                (Some(slot), OpState::Delete) => {
-                    OpState::Flag(self.delete(slot, op.tenant, op.id, key))
-                }
-                // Only reachable if ownership and routing disagree (or the
-                // op is no request): it stays failed rather than wedge the
-                // issuing connection.
-                _ => continue,
-            };
+                    (Some(slot), OpState::Store { verb, item }) => {
+                        OpState::Flag(self.store(slot, op.tenant, op.id, verb, item))
+                    }
+                    (Some(slot), OpState::Delete) => {
+                        OpState::Flag(self.delete(slot, op.tenant, op.id, key))
+                    }
+                    // Only reachable if ownership and routing disagree (or the
+                    // op is no request): it stays failed rather than wedge the
+                    // issuing connection.
+                    _ => continue,
+                };
+            }
         }
         // Forwarded ops are measured from the moment the issuing side
         // opened their batch: mailbox queueing is part of the latency a
@@ -2417,6 +2445,21 @@ impl Plane {
         for event_loop in self.loops.iter() {
             event_loop.join();
         }
+    }
+}
+
+#[cfg(test)]
+impl LoopState {
+    /// The state of a 1-loop x 1-shard plane no thread serves: every key is
+    /// local, and nobody listens to the control channel.
+    pub(crate) fn solo() -> LoopState {
+        let (mailbox, _) = crate::reactor::loop_channel(0).expect("eventfd and epoll");
+        let config = BackendConfig {
+            shards: 1,
+            ..BackendConfig::default()
+        };
+        let shared = PlaneShared::new(config, 1, vec![mailbox], channel().0, 0);
+        LoopState::new(0, Arc::new(shared))
     }
 }
 

@@ -541,11 +541,29 @@ impl Parser {
     }
 }
 
+/// Appends a space and `value` in decimal: a reply's numeric field, without
+/// the formatting machinery `write!` brings to every `VALUE` line.
+fn push_number(out: &mut Vec<u8>, mut value: u64) {
+    let mut digits = [b' '; 21];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at - 1..]);
+}
+
 /// Appends one hit of a `get` reply: the `VALUE` header and the data block.
 pub(crate) fn encode_value(key: &[u8], flags: u32, data: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(b"VALUE ");
     out.extend_from_slice(key);
-    let _ = write!(out, " {flags} {}\r\n", data.len());
+    push_number(out, u64::from(flags));
+    push_number(out, data.len() as u64);
+    out.extend_from_slice(b"\r\n");
     out.extend_from_slice(data);
     out.extend_from_slice(b"\r\n");
 }
@@ -581,11 +599,11 @@ pub fn encode_response(response: &Response, out: &mut Vec<u8>) {
         }
         Response::Apps(apps) => {
             for app in apps {
-                let _ = write!(
-                    out,
-                    "APP {} {} {}\r\n",
-                    app.name, app.weight, app.budget_bytes
-                );
+                out.extend_from_slice(b"APP ");
+                out.extend_from_slice(app.name.as_bytes());
+                push_number(out, app.weight);
+                push_number(out, app.budget_bytes);
+                out.extend_from_slice(b"\r\n");
             }
             out.write_all(b"END\r\n")
         }
@@ -604,8 +622,16 @@ fn discard_keeping_split_cr(input: &mut &[u8]) {
     *input = &input[input.len() - keep..];
 }
 
+/// The offset of the first CRLF: a search for `\r`, then a look behind it.
 fn find_crlf(buffer: &[u8]) -> Option<usize> {
-    buffer.windows(2).position(|w| w == b"\r\n")
+    let mut from = 0;
+    while let Some(found) = buffer[from..].iter().position(|&byte| byte == b'\r') {
+        from += found + 1;
+        if buffer.get(from) == Some(&b'\n') {
+            return Some(from - 1);
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -954,6 +980,24 @@ mod tests {
             }
         }
         assert_eq!(resumed, reference);
+    }
+
+    #[test]
+    fn decimal_digits_match_the_formatter() {
+        for value in [0, 9, 10, 99, 100, u64::from(u32::MAX), usize::MAX as u64] {
+            let mut out = b"x".to_vec();
+            push_number(&mut out, value);
+            assert_eq!(out, format!("x {value}").into_bytes());
+        }
+    }
+
+    #[test]
+    fn a_line_ends_at_its_first_crlf_and_nowhere_else() {
+        assert_eq!(find_crlf(b""), None);
+        assert_eq!(find_crlf(b"\r"), None);
+        assert_eq!(find_crlf(b"get k\r"), None);
+        assert_eq!(find_crlf(b"\n\r x\r\r\n\r\n"), Some(5));
+        assert_eq!(find_crlf(b"\r\nrest"), Some(0));
     }
 
     #[test]

@@ -30,6 +30,11 @@
 //! each few thousand ops, on the control thread) are the ≈ 0.013 per GET
 //! that section still reads — none of it on the request path.
 //!
+//! The connection parses a window of up to 32 keys ahead of executing it;
+//! the window is one buffer the connection keeps, so the figures are what
+//! they were when commands were parsed one at a time, and a 32-deep pipeline
+//! (one window exactly) is held to the GET budget too.
+//!
 //! One `#[test]` on purpose: the allocator counts every thread of the
 //! process, so nothing else may run while it is armed. The client half
 //! pre-builds its request bytes and pre-sizes its read buffer, and allocates
@@ -123,8 +128,14 @@ fn hit(i: usize) -> Vec<u8> {
 
 /// Sends `request` and reads `reply.len()` bytes back `rounds` times over,
 /// checking the last reply, with the allocator armed. Returns the
-/// allocations per operation at `DEPTH` operations per round.
-fn steady_state(stream: &mut TcpStream, request: &[u8], reply: &[u8], rounds: usize) -> f64 {
+/// allocations per operation at `depth` operations per round.
+fn steady_state(
+    stream: &mut TcpStream,
+    request: &[u8],
+    reply: &[u8],
+    rounds: usize,
+    depth: usize,
+) -> f64 {
     let mut got = vec![0u8; reply.len()];
     let round = |stream: &mut TcpStream, got: &mut [u8]| {
         stream.write_all(request).unwrap();
@@ -140,7 +151,7 @@ fn steady_state(stream: &mut TcpStream, request: &[u8], reply: &[u8], rounds: us
         }
     });
     assert_eq!(got, reply, "the counted replies must be the expected ones");
-    allocs as f64 / (rounds * DEPTH) as f64
+    allocs as f64 / (rounds * depth) as f64
 }
 
 /// Holds a `workers`-loop x `shards`-shard server to `get_budget`
@@ -168,11 +179,21 @@ fn hold_to_budgets(workers: usize, shards: usize, get_budget: f64) -> u64 {
         .flat_map(|i| format!("get {}\r\n", key(i)).into_bytes())
         .collect();
     let hits: Vec<u8> = (0..DEPTH).flat_map(hit).collect();
-    let per_get = steady_state(&mut stream, &gets, &hits, rounds());
+    let per_get = steady_state(&mut stream, &gets, &hits, rounds(), DEPTH);
     assert!(
         per_get <= get_budget,
         "{workers} loop(s): a pipelined GET hit costs {per_get:.4} allocations; \
          the budget is {get_budget}"
+    );
+    // 32 deep: exactly one window, which its own size closes, not the end
+    // of the input. The window is a buffer the connection keeps, so the
+    // budget is the same.
+    let window = |bytes: &[u8]| bytes[..bytes.len() / 2].to_vec();
+    let per_get_32 = steady_state(&mut stream, &window(&gets), &window(&hits), rounds(), 32);
+    assert!(
+        per_get_32 <= get_budget,
+        "{workers} loop(s): a GET hit in a 32-deep pipeline costs {per_get_32:.4} \
+         allocations; the budget is {get_budget}"
     );
     let sets: Vec<u8> = (0..DEPTH)
         .flat_map(|i| {
@@ -183,7 +204,7 @@ fn hold_to_budgets(workers: usize, shards: usize, get_budget: f64) -> u64 {
         })
         .collect();
     let stored = b"STORED\r\n".repeat(DEPTH);
-    let per_set = steady_state(&mut stream, &sets, &stored, rounds());
+    let per_set = steady_state(&mut stream, &sets, &stored, rounds(), DEPTH);
     assert!(
         per_set <= 2.25,
         "{workers} loop(s): a pipelined SET costs {per_set:.3} allocations; \
@@ -215,7 +236,8 @@ fn hold_to_budgets(workers: usize, shards: usize, get_budget: f64) -> u64 {
     assert!(got == expected, "every pipelined GET must hit, in order");
     let budget = 2 * (burst.len() + expected.len()) as u64;
     println!(
-        "{workers} loop(s): allocations per GET {per_get:.4}, per SET {per_set:.3}; \
+        "{workers} loop(s): allocations per GET {per_get:.4} (32 deep: {per_get_32:.4}), \
+         per SET {per_set:.3}; \
          burst of {commands} GETs allocated {bytes} of {budget} bytes"
     );
     assert!(
