@@ -30,7 +30,7 @@ use serde_json::Value;
 use std::process::ExitCode;
 
 /// Schema tag for the hot-key A/B sweep report.
-const HOTKEY_SWEEP_SCHEMA: &str = "cliffhanger-hotkey-sweep/v1";
+const SCHEMA: &str = "cliffhanger-hotkey-sweep/v1";
 
 /// One arm of the A/B sweep (mitigation off or on).
 #[derive(Serialize)]
@@ -279,7 +279,7 @@ fn main() -> ExitCode {
         }
     };
     let sweep = HotkeySweepReport {
-        schema: HOTKEY_SWEEP_SCHEMA.to_string(),
+        schema: SCHEMA.to_string(),
         scenario: "flash_crowd".to_string(),
         scale,
         cpus: std::thread::available_parallelism().map_or(1, |n| n.get() as u64),

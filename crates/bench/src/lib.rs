@@ -15,10 +15,5 @@
 #![warn(missing_docs)]
 
 pub mod overhead;
-pub mod perf_gate;
 
 pub use overhead::{table6_latency_overhead, table7_throughput_overhead, OverheadOptions};
-pub use perf_gate::{
-    compare_scenario_matrices, compare_sweeps, is_scenario_document, GateCheck, GateReport,
-    ScenarioGateCheck, ScenarioGateReport,
-};

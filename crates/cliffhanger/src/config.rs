@@ -148,8 +148,12 @@ impl CliffhangerConfig {
     }
 }
 
-/// Configuration of the cross-shard rebalancer
-/// ([`crate::shard_balance::ShardRebalancer`]).
+/// Configuration of the gradient balancer
+/// ([`crate::shard_balance::ShardRebalancer`]), whichever queues sit in its
+/// seats: a server's shards ([`ShardBalanceConfig::default`],
+/// [`ShardBalanceConfig::scaled_for`]) or the applications sharing it
+/// ([`ShardBalanceConfig::tenant_default`],
+/// [`ShardBalanceConfig::scaled_for_tenants`]).
 ///
 /// The defaults follow the same shape as Algorithm 1's knobs, one level up:
 /// a small fixed credit moved per decision, a floor that keeps every shard's
@@ -164,8 +168,9 @@ pub struct ShardBalanceConfig {
     /// Budget moved per transfer, in bytes. Like the per-class credit, small
     /// relative to a shard's budget so the walk stays incremental.
     pub credit_bytes: u64,
-    /// Floor below which no shard's budget is shrunk. A shard at the floor
-    /// can still climb back: its shadow queues keep observing demand.
+    /// Floor below which no shard's (or tenant's) budget is shrunk. A seat
+    /// at the floor can still climb back: its shadow queues keep observing
+    /// demand.
     pub min_shard_bytes: u64,
     /// Minimum absolute shadow-hit-delta gap between a winner and a donor
     /// before a transfer happens (absorbs counting noise near uniformity).
@@ -199,8 +204,8 @@ impl Default for ShardBalanceConfig {
 }
 
 impl ShardBalanceConfig {
-    /// A disabled configuration (static per-shard budgets, the PR 2
-    /// behaviour).
+    /// A disabled configuration: static per-shard budgets, or — in the
+    /// tenant seat — Memcachier's static reservations.
     pub fn disabled() -> Self {
         ShardBalanceConfig {
             enabled: false,
@@ -226,6 +231,45 @@ impl ShardBalanceConfig {
         }
     }
 
+    /// The defaults with whole applications in the seats (the paper's §4.1
+    /// "queue of an entire application" reading). Tenant moves are rarer
+    /// and chunkier than shard moves — an application's demand shifts on
+    /// minutes, not thousands of requests — so the interval is longer and
+    /// the credit larger; and the gap and band are deliberately wider:
+    /// identically-loaded tenants produce shadow-hit deltas that differ
+    /// only by sampling noise, and every transfer evicts real items from
+    /// the donor, so balanced tenants must not trade budget back and forth
+    /// on that noise, while a genuinely starved tenant clears both within a
+    /// few intervals.
+    pub fn tenant_default() -> Self {
+        ShardBalanceConfig {
+            interval_requests: 8_192,
+            credit_bytes: 512 << 10,
+            min_gradient_gap: 32,
+            hysteresis: 0.2,
+            max_transfers_per_round: 2,
+            ..ShardBalanceConfig::default()
+        }
+    }
+
+    /// [`ShardBalanceConfig::tenant_default`] with credit and floor scaled
+    /// to the per-tenant share, as [`ShardBalanceConfig::scaled_for`] does
+    /// per shard.
+    pub fn scaled_for_tenants(total_bytes: u64, tenants: usize) -> Self {
+        let tenant_bytes = total_bytes / tenants.max(1) as u64;
+        // Move ~1/32 of a tenant's share per decision; tenant-level demand
+        // shifts are coarse, so the walk can take bigger steps than the
+        // per-shard one without churning.
+        let credit_bytes = (tenant_bytes / 32).clamp(16 << 10, 512 << 10);
+        // Keep every tenant at least an eighth of its even share.
+        let min_shard_bytes = (tenant_bytes / 8).max(64 << 10);
+        ShardBalanceConfig {
+            credit_bytes,
+            min_shard_bytes,
+            ..ShardBalanceConfig::tenant_default()
+        }
+    }
+
     /// Validates the configuration, panicking on nonsensical values.
     pub fn validate(&self) {
         assert!(self.credit_bytes > 0, "credit_bytes must be positive");
@@ -242,112 +286,6 @@ impl ShardBalanceConfig {
             self.max_transfers_per_round > 0,
             "max_transfers_per_round must be positive"
         );
-    }
-}
-
-/// Configuration of the cross-tenant arbiter
-/// ([`crate::tenant_arbiter::TenantArbiter`]).
-///
-/// The same gradient machinery as [`ShardBalanceConfig`], one level further
-/// up: the "queues" are now whole applications sharing a server (the paper's
-/// §4.1 "queue of an entire application" reading, and the setting of its §3
-/// Memcachier analysis — static reservations leave hit rate on the table).
-/// Tenant moves are rarer and chunkier than shard moves: an application's
-/// demand shifts on minutes, not thousands of requests, so the defaults use
-/// a longer interval and a larger credit than the shard rebalancer.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct TenantBalanceConfig {
-    /// Whether cross-tenant arbitration runs at all. Off reproduces
-    /// Memcachier's static reservations exactly.
-    pub enabled: bool,
-    /// How many wire requests between arbitration rounds (the host counts).
-    pub interval_requests: u64,
-    /// Budget moved per tenant transfer, in bytes.
-    pub credit_bytes: u64,
-    /// Floor below which no tenant's budget is shrunk — a paying tenant is
-    /// never arbitrated down to nothing, and its shadow queues keep
-    /// observing demand so it can climb back.
-    pub min_tenant_bytes: u64,
-    /// Minimum absolute shadow-hit-delta gap between winner and donor.
-    pub min_gradient_gap: u64,
-    /// EWMA factor on the per-interval shadow-hit deltas (1.0 = raw delta).
-    pub smoothing: f64,
-    /// Relative band on top of `min_gradient_gap` (0.1 = winner's delta must
-    /// exceed the donor's by 10%).
-    pub hysteresis: f64,
-    /// At most this many winner/donor pairs transfer per round.
-    pub max_transfers_per_round: usize,
-}
-
-impl Default for TenantBalanceConfig {
-    fn default() -> Self {
-        TenantBalanceConfig {
-            enabled: true,
-            interval_requests: 8_192,
-            credit_bytes: 512 << 10,
-            min_tenant_bytes: 1 << 20,
-            // Deliberately more conservative than the shard rebalancer:
-            // identically-loaded tenants produce shadow-hit deltas that
-            // differ only by sampling noise, and every transfer evicts real
-            // items from the donor — a wider gap and band keep balanced
-            // tenants from trading budget back and forth on that noise,
-            // while a genuinely starved tenant clears both within a few
-            // intervals.
-            min_gradient_gap: 32,
-            smoothing: 0.25,
-            hysteresis: 0.2,
-            max_transfers_per_round: 2,
-        }
-    }
-}
-
-impl TenantBalanceConfig {
-    /// A disabled configuration: static per-tenant reservations, stock
-    /// Memcachier behaviour.
-    pub fn disabled() -> Self {
-        TenantBalanceConfig {
-            enabled: false,
-            ..TenantBalanceConfig::default()
-        }
-    }
-
-    /// A configuration whose credit and floor are scaled to the per-tenant
-    /// share, mirroring [`ShardBalanceConfig::scaled_for`] so reduced-scale
-    /// experiments keep the production *ratios*.
-    pub fn scaled_for(total_bytes: u64, tenants: usize) -> Self {
-        let tenant_bytes = total_bytes / tenants.max(1) as u64;
-        // Move ~1/32 of a tenant's share per decision; tenant-level demand
-        // shifts are coarse, so the walk can take bigger steps than the
-        // per-shard one without churning.
-        let credit_bytes = (tenant_bytes / 32).clamp(16 << 10, 512 << 10);
-        // Keep every tenant at least an eighth of its even share.
-        let min_tenant_bytes = (tenant_bytes / 8).max(64 << 10);
-        TenantBalanceConfig {
-            credit_bytes,
-            min_tenant_bytes,
-            ..TenantBalanceConfig::default()
-        }
-    }
-
-    /// The equivalent [`ShardBalanceConfig`] for the inner gradient engine
-    /// ([`crate::ShardRebalancer`] does the actual climbing; tenants are its
-    /// "shards").
-    pub fn as_shard_balance(&self) -> ShardBalanceConfig {
-        ShardBalanceConfig {
-            enabled: self.enabled,
-            interval_requests: self.interval_requests,
-            credit_bytes: self.credit_bytes,
-            min_shard_bytes: self.min_tenant_bytes,
-            min_gradient_gap: self.min_gradient_gap,
-            smoothing: self.smoothing,
-            hysteresis: self.hysteresis,
-            max_transfers_per_round: self.max_transfers_per_round,
-        }
-    }
-
-    /// Validates the configuration, panicking on nonsensical values.
-    pub fn validate(&self) {
-        self.as_shard_balance().validate();
     }
 }
 
@@ -437,31 +375,29 @@ mod tests {
     }
 
     #[test]
-    fn tenant_balance_defaults_and_scaling() {
-        let c = TenantBalanceConfig::default();
+    fn tenant_defaults_and_scaling() {
+        let c = ShardBalanceConfig::tenant_default();
         assert!(c.enabled);
         c.validate();
-        assert!(!TenantBalanceConfig::disabled().enabled);
-        let inner = c.as_shard_balance();
-        assert_eq!(inner.credit_bytes, c.credit_bytes);
-        assert_eq!(inner.min_shard_bytes, c.min_tenant_bytes);
-        assert_eq!(inner.interval_requests, c.interval_requests);
+        assert_eq!((c.interval_requests, c.credit_bytes), (8_192, 512 << 10));
+        assert_eq!(c.min_shard_bytes, 1 << 20);
         // 64 MB over 2 tenants: 32 MB/tenant => 512 KB credits (cap), 4 MB floor.
-        let scaled = TenantBalanceConfig::scaled_for(64 << 20, 2);
+        let scaled = ShardBalanceConfig::scaled_for_tenants(64 << 20, 2);
         assert_eq!(scaled.credit_bytes, 512 << 10);
-        assert_eq!(scaled.min_tenant_bytes, 4 << 20);
+        assert_eq!(scaled.min_shard_bytes, 4 << 20);
+        assert_eq!(scaled.min_gradient_gap, c.min_gradient_gap);
         scaled.validate();
-        let tiny = TenantBalanceConfig::scaled_for(2 << 20, 4);
+        let tiny = ShardBalanceConfig::scaled_for_tenants(2 << 20, 4);
         assert_eq!(tiny.credit_bytes, 16 << 10);
-        assert!(tiny.min_tenant_bytes <= (2 << 20) / 4);
+        assert!(tiny.min_shard_bytes <= (2 << 20) / 4);
     }
 
     #[test]
     #[should_panic(expected = "credit_bytes")]
-    fn tenant_zero_credit_rejected() {
-        let c = TenantBalanceConfig {
+    fn zero_balance_credit_rejected() {
+        let c = ShardBalanceConfig {
             credit_bytes: 0,
-            ..TenantBalanceConfig::default()
+            ..ShardBalanceConfig::tenant_default()
         };
         c.validate();
     }

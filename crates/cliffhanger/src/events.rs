@@ -1,16 +1,15 @@
 //! Host-facing event hooks: the library narrates its decisions, the host
 //! decides what to do with them.
 //!
-//! The balancing layers ([`crate::shard_balance`], [`crate::tenant_arbiter`])
-//! and the managed cache ([`crate::controller::Cliffhanger`]) make memory
-//! decisions continuously — budget transfers along shadow-hit gradients,
-//! cliff-scaler ratio changes, free-pool grants. A server embedding the
-//! library wants those decisions in its flight recorder *with the evidence
-//! that justified them* (the gradients at decision time), but the library
-//! must not know about journals, rings or JSON. [`EventSink`] is the seam:
-//! hosts implement it (typically appending to a bounded journal), the
-//! library calls it at decision points, and the no-op default keeps every
-//! existing call site zero-cost.
+//! The managed cache ([`crate::controller::Cliffhanger`]) makes memory
+//! decisions continuously — cliff-scaler ratio changes, free-pool grants. A
+//! server embedding the library wants those decisions in its flight
+//! recorder, but the library must not know about journals, rings or JSON.
+//! [`EventSink`] is the seam: hosts implement it (typically appending to a
+//! bounded journal), the library calls it at decision points, and the no-op
+//! default keeps every existing call site zero-cost. (The balancer needs no
+//! hook: [`crate::ShardRebalancer`] hands its transfers, gradients
+//! included, back to the host that applies them.)
 //!
 //! Sink methods take `&self`: the controller holds its sink behind an
 //! `Arc`, and decision points can sit under a shared reference. Sinks that
@@ -19,33 +18,9 @@
 
 use std::sync::Arc;
 
-/// One proposed budget transfer, with the smoothed gradient evidence.
-///
-/// Indices are in the balancer's own space: shard indices when emitted by a
-/// [`crate::ShardRebalancer`], tenant indices when emitted through a
-/// [`crate::TenantArbiter`] (which runs tenants in shard seats). The host
-/// sink knows which balancer it is attached to and maps indices to names.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TransferEvent {
-    /// Donating queue index.
-    pub from: usize,
-    /// Receiving queue index.
-    pub to: usize,
-    /// Bytes proposed to move.
-    pub bytes: u64,
-    /// The donor's bias-corrected smoothed shadow-hit gradient.
-    pub from_gradient: f64,
-    /// The receiver's bias-corrected smoothed shadow-hit gradient.
-    pub to_gradient: f64,
-}
-
 /// A sink for library decision events. Every method has a no-op default,
 /// so implementations subscribe only to what they record.
 pub trait EventSink {
-    /// A balancer proposed a budget transfer (the host applies or rejects
-    /// it; the gradients are only observable here, at proposal time).
-    fn transfer(&self, _event: &TransferEvent) {}
-
     /// A cliff scaler's Talus request ratio moved to a new 5% step for
     /// `class` (per-twitch emission would flood any recorder).
     fn scaler_ratio(&self, _class: u32, _ratio: f64) {}
@@ -54,12 +29,6 @@ pub trait EventSink {
     /// (the first-come-first-serve warmup path).
     fn free_pool_grant(&self, _class: u32, _bytes: u64) {}
 }
-
-/// The default sink: ignores everything.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopSink;
-
-impl EventSink for NoopSink {}
 
 /// An optional shared sink slot, `Debug`-printable so the structs holding
 /// it can keep deriving `Debug`.
@@ -84,15 +53,11 @@ pub(crate) mod test_support {
     /// also serve as a shared `Arc` sink in controller tests).
     #[derive(Default)]
     pub(crate) struct RecordingSink {
-        pub(crate) transfers: Mutex<Vec<TransferEvent>>,
         pub(crate) ratios: Mutex<Vec<(u32, f64)>>,
         pub(crate) grants: Mutex<Vec<(u32, u64)>>,
     }
 
     impl EventSink for RecordingSink {
-        fn transfer(&self, event: &TransferEvent) {
-            self.transfers.lock().unwrap().push(event.clone());
-        }
         fn scaler_ratio(&self, class: u32, ratio: f64) {
             self.ratios.lock().unwrap().push((class, ratio));
         }

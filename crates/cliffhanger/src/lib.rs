@@ -25,15 +25,14 @@
 //!   key-partitioned server as the queues: per-shard shadow-hit deltas are
 //!   the gradients, and a periodic hill-climbing round moves budget between
 //!   shards so a sharded deployment converges toward the unsharded
-//!   controller's hit rate instead of re-creating static partitions.
-//! * [`tenant_arbiter`] — the same machinery one level further up: whole
-//!   applications (tenants) sharing the live server are the queues, and the
-//!   arbiter moves budget between tenants globally, replacing Memcachier's
-//!   static reservations (§3) with dynamic cross-application arbitration.
-//! * [`events`] — the host-facing [`EventSink`] hook: balancers and the
-//!   controller narrate their decisions (transfers with the gradients that
-//!   justified them, cliff-scaler ratio steps, free-pool grants) to a sink
-//!   the host installs, typically a flight-recorder journal.
+//!   controller's hit rate instead of re-creating static partitions. The
+//!   same balancer, seated with whole applications (tenants) under
+//!   [`ShardBalanceConfig::tenant_default`], is the server's arbiter: it
+//!   replaces Memcachier's static reservations (§3) with dynamic
+//!   cross-application arbitration.
+//! * [`events`] — the host-facing [`EventSink`] hook: the controller
+//!   narrates its decisions (cliff-scaler ratio steps, free-pool grants) to
+//!   a sink the host installs, typically a flight-recorder journal.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -46,13 +45,11 @@ pub mod events;
 pub mod hill_climb;
 pub mod partitioned_queue;
 pub mod shard_balance;
-pub mod tenant_arbiter;
 
 pub use cliff_scale::{CliffScaler, PointerEvent};
-pub use config::{CliffhangerConfig, ShardBalanceConfig, TenantBalanceConfig};
+pub use config::{CliffhangerConfig, ShardBalanceConfig};
 pub use controller::{ClassSnapshot, Cliffhanger};
-pub use events::{EventSink, NoopSink, TransferEvent};
+pub use events::EventSink;
 pub use hill_climb::HillClimber;
 pub use partitioned_queue::{Partition, PartitionedQueue, QueueEvent, SetOutcome};
 pub use shard_balance::{ShardRebalancer, ShardSample, ShardTransfer};
-pub use tenant_arbiter::{TenantArbiter, TenantSample, TenantTransfer};

@@ -7,7 +7,11 @@
 //! hot (or large) is starved while an idle shard hoards budget. The same
 //! observation drives the paper's §4.1 remark that the "queues" Cliffhanger
 //! optimises can be slab classes *or entire applications* — and, here,
-//! entire shards.
+//! entire shards. The same holds one level further up: applications sharing
+//! a server behind static reservations (the paper's §3 Memcachier analysis)
+//! are one more set of queues, so the server seats its *tenants* in a second
+//! [`ShardRebalancer`] — with the coarser
+//! [`ShardBalanceConfig::tenant_default`] knobs — and calls it the arbiter.
 //!
 //! [`ShardRebalancer`] closes the loop with the identical gradient signal:
 //! every shard's long shadow queues already count the requests that *would*
@@ -26,28 +30,33 @@
 //! which keeps it trivially testable and lock-free.
 
 use crate::config::ShardBalanceConfig;
-use crate::events::{EventSink, NoopSink, TransferEvent};
 use serde::{Deserialize, Serialize};
 
-/// One shard's cumulative counters and current budget, as observed by the
-/// host at the start of a rebalancing round.
+/// One seat's (shard's, or tenant's) cumulative counters and current
+/// budget, as observed by the host at the start of a rebalancing round.
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
 pub struct ShardSample {
-    /// Cumulative hill-climbing shadow-queue hits of the shard's engine.
+    /// Cumulative hill-climbing shadow-queue hits of the seat's engines.
     pub shadow_hits: u64,
-    /// The shard's current byte budget.
+    /// The seat's current byte budget.
     pub budget_bytes: u64,
 }
 
-/// A proposed budget move between two shards.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// A proposed budget move between two seats, with the evidence for it:
+/// the gradients exist only here, at proposal time, and a flight recorder
+/// wants them alongside the transfer it goes on to apply.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ShardTransfer {
-    /// Shard index giving up budget.
+    /// Index giving up budget.
     pub from: usize,
-    /// Shard index receiving budget.
+    /// Index receiving budget.
     pub to: usize,
     /// Bytes to move.
     pub bytes: u64,
+    /// The donor's bias-corrected smoothed shadow-hit gradient.
+    pub from_gradient: f64,
+    /// The receiver's bias-corrected smoothed shadow-hit gradient.
+    pub to_gradient: f64,
 }
 
 /// The cross-shard hill climber.
@@ -134,20 +143,6 @@ impl ShardRebalancer {
     /// The first round (or the first after [`ShardRebalancer::reset`], or a
     /// shard-count change) only records the baseline and proposes nothing.
     pub fn rebalance(&mut self, samples: &[ShardSample]) -> Vec<ShardTransfer> {
-        self.rebalance_with(samples, &NoopSink)
-    }
-
-    /// Like [`ShardRebalancer::rebalance`], but narrates each proposal to
-    /// `sink` as a [`TransferEvent`] carrying the bias-corrected smoothed
-    /// gradients of the donor and receiver — evidence that exists only
-    /// here, at proposal time, and that a flight recorder wants alongside
-    /// the transfer itself. Events are emitted in proposal order, one per
-    /// returned transfer.
-    pub fn rebalance_with(
-        &mut self,
-        samples: &[ShardSample],
-        sink: &dyn EventSink,
-    ) -> Vec<ShardTransfer> {
         self.rounds += 1;
         let current: Vec<u64> = samples.iter().map(|s| s.shadow_hits).collect();
         let Some(last) = self.last.replace(current) else {
@@ -226,17 +221,12 @@ impl ShardRebalancer {
             }
             budgets[loser] -= bytes;
             budgets[winner] += bytes;
-            sink.transfer(&TransferEvent {
+            transfers.push(ShardTransfer {
                 from: loser,
                 to: winner,
                 bytes,
                 from_gradient: gradients[loser],
                 to_gradient: gradients[winner],
-            });
-            transfers.push(ShardTransfer {
-                from: loser,
-                to: winner,
-                bytes,
             });
         }
         self.proposed_transfers += transfers.len() as u64;
@@ -389,21 +379,14 @@ mod tests {
     }
 
     #[test]
-    fn rebalance_with_narrates_each_transfer_with_its_gradients() {
-        use crate::events::test_support::RecordingSink;
+    fn each_transfer_carries_the_gradients_that_justified_it() {
         let mut r = warmed(config(), 4);
-        let sink = RecordingSink::default();
-        let transfers = r.rebalance_with(&samples(&[2_000, 1_500, 20, 10], 32 << 20), &sink);
-        let events = sink.transfers.lock().unwrap();
-        assert_eq!(events.len(), transfers.len());
-        for (event, transfer) in events.iter().zip(&transfers) {
-            assert_eq!(
-                (event.from, event.to, event.bytes),
-                (transfer.from, transfer.to, transfer.bytes)
-            );
+        let transfers = r.rebalance(&samples(&[2_000, 1_500, 20, 10], 32 << 20));
+        assert_eq!(transfers.len(), 2);
+        for t in &transfers {
             assert!(
-                event.to_gradient > event.from_gradient,
-                "budget must move up-gradient: {event:?}"
+                t.to_gradient > t.from_gradient,
+                "budget must move up-gradient: {t:?}"
             );
         }
     }

@@ -11,8 +11,8 @@
 //!   pipelined) and open-loop (fixed arrival rate, coordinated-omission
 //!   corrected) drivers.
 //! * [`report`] — machine-readable JSON reports (`cliffhanger-loadgen/v1`).
-//! * [`sweep`] — self-hosted runs and the 1/2/4/8 shard sweep that
-//!   demonstrates the sharded backend's throughput scaling.
+//! * [`self_host`] — runs against an in-process server, with the server's
+//!   own counters and `stats json` document attached to the report.
 //! * [`scenario`] — named, phased chaos/replay scenarios (scan storms,
 //!   diurnal rate swings, working-set drift, connection churn, slow-loris,
 //!   tenant storms) with pass/fail invariants checked at run end
@@ -27,17 +27,15 @@
 pub mod report;
 pub mod runner;
 pub mod scenario;
-pub mod sweep;
+pub mod self_host;
 pub mod workload;
 
-pub use report::{
-    LoadReport, ServerEcho, SweepPoint, SweepReport, TenantSection, LOAD_SCHEMA, SWEEP_SCHEMA,
-};
+pub use report::{LoadReport, ServerEcho, TenantSection, LOAD_SCHEMA};
 pub use runner::{run_load, LoadMode, LoadgenConfig, Pacer};
 pub use scenario::{
     evaluate_invariants, named_scenario, run_scenario, scenario_names, Chaos, Invariant,
     InvariantVerdict, Phase, Scenario, ScenarioMatrixReport, ScenarioReport,
     SCENARIO_MATRIX_SCHEMA, SCENARIO_SCHEMA,
 };
-pub use sweep::{run_self_hosted, run_shard_sweep, SelfHostConfig};
+pub use self_host::{run_self_hosted, SelfHostConfig};
 pub use workload::{GenOp, RequestGen, TenantLoad, WorkloadSpec};

@@ -1,9 +1,7 @@
 //! The `loadgen` command-line tool.
 //!
 //! With `--addr` it drives an external server; without it, it self-hosts an
-//! in-process [`cache_server::CacheServer`] (handy for CI smoke runs and
-//! the shard sweep). `--sweep` runs the same workload against a series of
-//! shard counts and reports the throughput curve.
+//! in-process [`cache_server::CacheServer`] (handy for CI smoke runs).
 //!
 //! The JSON report goes to stdout (or `--json <path>`); the human-readable
 //! summary goes to stderr, so `loadgen … | jq .` just works.
@@ -11,8 +9,8 @@
 use cache_server::BackendMode;
 use loadgen::scenario::{named_scenario, run_scenario, scenario_names, ScenarioReport};
 use loadgen::{
-    run_load, run_self_hosted, run_shard_sweep, LoadMode, LoadReport, LoadgenConfig,
-    SelfHostConfig, SweepReport, TenantLoad, WorkloadSpec,
+    run_load, run_self_hosted, LoadMode, LoadReport, LoadgenConfig, SelfHostConfig, TenantLoad,
+    WorkloadSpec,
 };
 use std::io::Write;
 use std::process::ExitCode;
@@ -83,7 +81,6 @@ RESILIENCE SCENARIOS (self-host only; other load/workload flags ignored):
                             standard nightly size, 0.05 = CI smoke)  [1.0]
 
 OUTPUT:
-    --sweep <a,b,c>         shard sweep over these counts (self-host only)
     --json <path>           write the JSON report to a file instead of stdout
     -h, --help              this text
 ";
@@ -99,7 +96,6 @@ struct Args {
     slow_op_micros: u64,
     mrc_sample: u64,
     hot_key_promote: bool,
-    sweep: Option<Vec<usize>>,
     scenario: Option<String>,
     scenario_scale: f64,
     json_path: Option<String>,
@@ -197,7 +193,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         slow_op_micros: 0,
         mrc_sample: 64,
         hot_key_promote: false,
-        sweep: None,
         scenario: None,
         scenario_scale: 1.0,
         json_path: None,
@@ -349,16 +344,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "bad --seed".to_string())?
             }
-            "--sweep" => {
-                let list = value("--sweep")?;
-                let counts: Result<Vec<usize>, _> =
-                    list.split(',').map(|s| s.trim().parse()).collect();
-                let counts = counts.map_err(|_| format!("bad --sweep {list:?}"))?;
-                if counts.is_empty() {
-                    return Err("--sweep needs at least one shard count".to_string());
-                }
-                args.sweep = Some(counts);
-            }
             "--scenario" => args.scenario = Some(value("--scenario")?),
             "--scenario-scale" => {
                 args.scenario_scale = value("--scenario-scale")?
@@ -401,13 +386,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         }
         args.load.tenants = tenants;
     }
-    if args.sweep.is_some() && args.addr.is_some() {
-        return Err("--sweep self-hosts the server; it cannot be combined with --addr".to_string());
-    }
-    if args.scenario.is_some() && (args.addr.is_some() || args.sweep.is_some()) {
+    if args.scenario.is_some() && args.addr.is_some() {
         return Err(
-            "--scenario self-hosts its own server; it cannot be combined with --addr or --sweep"
-                .to_string(),
+            "--scenario self-hosts its own server; it cannot be combined with --addr".to_string(),
         );
     }
     if let (Some(_), Some(flag)) = (&args.addr, self_host_flag) {
@@ -547,20 +528,6 @@ fn summarize_scenario(report: &ScenarioReport) {
     }
 }
 
-fn summarize_sweep(sweep: &SweepReport) {
-    eprintln!("shard sweep:");
-    for point in &sweep.points {
-        eprintln!(
-            "  {:>2} shards: {:>9.0} req/s  ({:.2}x vs baseline)  p99 {:.0} us  hit {:.1}%",
-            point.shards,
-            point.throughput_rps,
-            point.speedup_vs_baseline,
-            point.p99_us,
-            point.hit_rate * 100.0
-        );
-    }
-}
-
 fn emit(json: &str, path: &Option<String>) -> std::io::Result<()> {
     match path {
         Some(path) => {
@@ -623,13 +590,6 @@ fn run() -> Result<(), String> {
                 failed.join(", ")
             ));
         }
-        return Ok(());
-    }
-
-    if let Some(shard_counts) = &args.sweep {
-        let sweep = run_shard_sweep(&args.load, &host, shard_counts).map_err(|e| e.to_string())?;
-        summarize_sweep(&sweep);
-        emit(&sweep.to_json(), &args.json_path).map_err(|e| e.to_string())?;
         return Ok(());
     }
 

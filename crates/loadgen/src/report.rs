@@ -1,10 +1,7 @@
 //! Machine-readable run reports.
 //!
 //! Every loadgen run emits one JSON document (schema
-//! `cliffhanger-loadgen/v1`) so results can be diffed across PRs — the same
-//! trajectory the repo's `BENCH_*.json` files follow. A shard sweep emits a
-//! `cliffhanger-loadgen-sweep/v1` document embedding one run report per
-//! shard count.
+//! `cliffhanger-loadgen/v1`) so results can be diffed across runs.
 
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
@@ -200,45 +197,10 @@ pub struct ServerEcho {
     pub hot_key_replica_hits: u64,
 }
 
-/// One point of a shard sweep.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct SweepPoint {
-    /// Shard count of this point.
-    pub shards: u64,
-    /// Completed requests per second.
-    pub throughput_rps: f64,
-    /// Throughput relative to the first (baseline) point.
-    pub speedup_vs_baseline: f64,
-    /// GET hit rate.
-    pub hit_rate: f64,
-    /// p99 latency in microseconds.
-    pub p99_us: f64,
-    /// Full report for the point.
-    pub report: LoadReport,
-}
-
-/// Report of a shard sweep (schema `cliffhanger-loadgen-sweep/v1`).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct SweepReport {
-    /// Schema tag: `cliffhanger-loadgen-sweep/v1`.
-    pub schema: String,
-    /// One point per shard count, in sweep order.
-    pub points: Vec<SweepPoint>,
-}
-
 /// Schema tag for single-run reports.
 pub const LOAD_SCHEMA: &str = "cliffhanger-loadgen/v1";
-/// Schema tag for sweep reports.
-pub const SWEEP_SCHEMA: &str = "cliffhanger-loadgen-sweep/v1";
 
 impl LoadReport {
-    /// Serialises to compact JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("report serialisation cannot fail")
-    }
-}
-
-impl SweepReport {
     /// Serialises to compact JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("report serialisation cannot fail")
@@ -279,30 +241,5 @@ mod tests {
         assert_eq!(back.requests, 30_000);
         assert_eq!(back.latency.p99_us, 900.0);
         assert!(back.server.is_none());
-    }
-
-    #[test]
-    fn sweep_report_round_trips() {
-        let sweep = SweepReport {
-            schema: SWEEP_SCHEMA.to_string(),
-            points: vec![
-                SweepPoint {
-                    shards: 1,
-                    throughput_rps: 10_000.0,
-                    speedup_vs_baseline: 1.0,
-                    ..SweepPoint::default()
-                },
-                SweepPoint {
-                    shards: 4,
-                    throughput_rps: 25_000.0,
-                    speedup_vs_baseline: 2.5,
-                    ..SweepPoint::default()
-                },
-            ],
-        };
-        let back: SweepReport = serde_json::from_str(&sweep.to_json()).unwrap();
-        assert_eq!(back.points.len(), 2);
-        assert_eq!(back.points[1].shards, 4);
-        assert_eq!(back.points[1].speedup_vs_baseline, 2.5);
     }
 }

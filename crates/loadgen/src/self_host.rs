@@ -1,21 +1,15 @@
-//! Self-hosted runs and the shard sweep.
-//!
-//! The sweep is the headline experiment of this subsystem: start the cache
-//! server with 1, 2, 4, 8 … shards, drive the identical closed-loop Zipf
-//! workload against each, and report throughput per shard count. On a
-//! multi-core host the single-shard point is serialized behind one mutex
-//! while the sharded points spread the same traffic over independent locks,
-//! so throughput should grow until the host runs out of cores (or the
-//! workload stops being lock-bound). The JSON report records the speedup of
-//! every point against the first so regressions are one `jq` away.
+//! Self-hosted runs: start an in-process [`CacheServer`], drive the
+//! configured load at it over TCP, and attach the server's own view of the
+//! run (the text `stats` counters and the scraped `stats json` document) to
+//! the report.
 
-use crate::report::{ServerEcho, SweepPoint, SweepReport, SWEEP_SCHEMA};
+use crate::report::ServerEcho;
 use crate::runner::{run_load, LoadgenConfig};
 use crate::LoadReport;
 use cache_server::{
     BackendConfig, BackendMode, CacheServer, HotKeyConfig, ServerConfig, TenantSpec,
 };
-use cliffhanger::{ShardBalanceConfig, TenantBalanceConfig};
+use cliffhanger::ShardBalanceConfig;
 use serde_json::Value;
 
 /// Configuration for self-hosted runs (the server the loadgen spawns).
@@ -33,11 +27,6 @@ pub struct SelfHostConfig {
     /// Whether the backend's cross-shard rebalancer runs (the backend
     /// default; turn off to measure static per-shard splits).
     pub rebalance: bool,
-    /// Tenants to host besides `default`. Empty derives them from the load
-    /// config's tenant list (reservation weight = traffic weight), so a
-    /// multi-tenant load self-hosts without repeating itself; set explicitly
-    /// to decouple reservations from traffic (the arbitration experiments).
-    pub tenants: Vec<TenantSpec>,
     /// Whether the cross-tenant arbiter runs (off = Memcachier-style static
     /// reservations).
     pub tenant_balance: bool,
@@ -68,7 +57,6 @@ impl Default for SelfHostConfig {
             mode: BackendMode::Cliffhanger,
             workers: 0,
             rebalance: true,
-            tenants: Vec::new(),
             tenant_balance: true,
             idle_timeout_ms: 0,
             slow_op_micros: 0,
@@ -98,16 +86,14 @@ pub fn run_self_hosted(
     } else {
         cache_server::default_event_loops()
     };
-    // Host every tenant the load will select; explicit host tenants win.
-    let tenants: Vec<TenantSpec> = if host.tenants.is_empty() {
-        load.tenants
-            .iter()
-            .filter(|t| t.name != "default")
-            .map(|t| TenantSpec::new(t.name.clone(), t.weight.max(1)))
-            .collect()
-    } else {
-        host.tenants.clone()
-    };
+    // Host every tenant the load will select, reservation weight = traffic
+    // weight, so a multi-tenant load self-hosts without repeating itself.
+    let tenants: Vec<TenantSpec> = load
+        .tenants
+        .iter()
+        .filter(|t| t.name != "default")
+        .map(|t| TenantSpec::new(t.name.clone(), t.weight.max(1)))
+        .collect();
     let mut server = CacheServer::start(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         workers,
@@ -129,9 +115,9 @@ pub fn run_self_hosted(
             },
             tenants,
             tenant_balance: if host.tenant_balance {
-                TenantBalanceConfig::default()
+                ShardBalanceConfig::tenant_default()
             } else {
-                TenantBalanceConfig::disabled()
+                ShardBalanceConfig::disabled()
             },
             mrc_sample: host.mrc_sample,
             hot_key: if host.hot_key_promote {
@@ -208,48 +194,6 @@ pub fn run_self_hosted(
         section.evictions = stat_u64(&stats, &format!("tenant:{name}:evictions"));
     }
     Ok(report)
-}
-
-/// Runs the same workload against servers with each of `shard_counts`
-/// shards and collects the throughput curve.
-pub fn run_shard_sweep(
-    load: &LoadgenConfig,
-    host: &SelfHostConfig,
-    shard_counts: &[usize],
-) -> std::io::Result<SweepReport> {
-    let mut points = Vec::with_capacity(shard_counts.len());
-    let mut baseline_rps = 0.0f64;
-    for &shards in shard_counts {
-        let report = run_self_hosted(load, host, shards)?;
-        if baseline_rps == 0.0 {
-            baseline_rps = report.throughput_rps;
-        }
-        // Label the point with the shard count that actually ran — the
-        // backend budget-caps the requested count (min 1 MB per shard), and
-        // attributing a number to a config that never ran would corrupt the
-        // scaling curve.
-        let resolved = report
-            .server
-            .as_ref()
-            .map(|s| s.shards)
-            .unwrap_or(shards as u64);
-        points.push(SweepPoint {
-            shards: resolved,
-            throughput_rps: report.throughput_rps,
-            speedup_vs_baseline: if baseline_rps > 0.0 {
-                report.throughput_rps / baseline_rps
-            } else {
-                0.0
-            },
-            hit_rate: report.hit_rate,
-            p99_us: report.latency.p99_us,
-            report,
-        });
-    }
-    Ok(SweepReport {
-        schema: SWEEP_SCHEMA.to_string(),
-        points,
-    })
 }
 
 #[cfg(test)]
@@ -347,29 +291,14 @@ mod tests {
     }
 
     #[test]
-    fn sweep_labels_points_with_the_resolved_shard_count() {
+    fn the_echo_carries_the_resolved_shard_count() {
         // 2 MB of cache budget caps the backend at 2 shards (1 MB each), so
-        // a requested 8-shard point must be labeled with what actually ran.
+        // a requested 8-shard run must be labeled with what actually ran.
         let host = SelfHostConfig {
             total_bytes: 2 << 20,
             ..SelfHostConfig::default()
         };
-        let sweep = run_shard_sweep(&tiny_load(), &host, &[8]).unwrap();
-        assert_eq!(sweep.points[0].shards, 2);
-        assert_eq!(sweep.points[0].report.server.as_ref().unwrap().shards, 2);
-    }
-
-    #[test]
-    fn sweep_produces_one_point_per_shard_count() {
-        let sweep = run_shard_sweep(&tiny_load(), &SelfHostConfig::default(), &[1, 2]).unwrap();
-        assert_eq!(sweep.schema, SWEEP_SCHEMA);
-        assert_eq!(sweep.points.len(), 2);
-        assert_eq!(sweep.points[0].shards, 1);
-        assert_eq!(sweep.points[1].shards, 2);
-        assert!((sweep.points[0].speedup_vs_baseline - 1.0).abs() < 1e-9);
-        assert!(sweep.points[1].throughput_rps > 0.0);
-        for point in &sweep.points {
-            assert_eq!(point.report.requests, 1_500);
-        }
+        let report = run_self_hosted(&tiny_load(), &host, 8).unwrap();
+        assert_eq!(report.server.unwrap().shards, 2);
     }
 }

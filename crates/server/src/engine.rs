@@ -15,9 +15,7 @@ use cache_core::{
     hash_bytes, CacheStats, Key, PolicyKind, SlabCache, SlabCacheConfig, SlabConfig,
     TenantDirectory,
 };
-use cliffhanger::{
-    Cliffhanger, CliffhangerConfig, EventSink, ShardBalanceConfig, TenantBalanceConfig,
-};
+use cliffhanger::{Cliffhanger, CliffhangerConfig, EventSink, ShardBalanceConfig};
 use std::sync::Arc;
 
 /// Which allocation scheme the server runs (Tables 6–7 compare these).
@@ -35,7 +33,7 @@ pub enum BackendMode {
 ///
 /// Budgets start proportional to the weights (a weight-2 tenant reserves
 /// twice the bytes of a weight-1 tenant) and then move under arbitration
-/// unless [`TenantBalanceConfig::enabled`] is off.
+/// unless [`BackendConfig::tenant_balance`] is disabled.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TenantSpec {
     /// The application name clients select with `app <name>`. Must satisfy
@@ -100,8 +98,10 @@ pub struct BackendConfig {
     pub tenants: Vec<TenantSpec>,
     /// Cross-tenant budget arbitration. Enabled by default; only effective
     /// with more than one tenant and a managed allocator. Off reproduces
-    /// Memcachier's static reservations.
-    pub tenant_balance: TenantBalanceConfig,
+    /// Memcachier's static reservations. The same balancer as `rebalance`
+    /// with tenants in the seats, so the same configuration type
+    /// (`min_shard_bytes` is the per-tenant floor here).
+    pub tenant_balance: ShardBalanceConfig,
     /// Online miss-ratio-curve sampling rate denominator: on average one in
     /// `mrc_sample` GETs is profiled (rounded up to a power of two; `0`
     /// disables profiling).
@@ -119,7 +119,7 @@ impl Default for BackendConfig {
             shards: 0,
             rebalance: ShardBalanceConfig::default(),
             tenants: Vec::new(),
-            tenant_balance: TenantBalanceConfig::default(),
+            tenant_balance: ShardBalanceConfig::tenant_default(),
             mrc_sample: 64,
             hot_key: HotKeyConfig::default(),
         }

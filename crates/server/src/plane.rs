@@ -18,9 +18,10 @@
 //! Cross-cutting operations never touch the loops' owned state directly.
 //! A single *control thread* — the only blocking coordinator in the server
 //! — serialises them: `stats` fan-out, tenant `flush_all`, `app_create`
-//! carve-outs, and every [`ShardRebalancer`]/[`TenantArbiter`] budget
-//! transfer become [`ControlMsg`]s answered by the owning loops, so admin
-//! commands no longer head-of-line-block the loop that received them.
+//! carve-outs, and every [`ShardRebalancer`] budget transfer (across
+//! shards, or across tenants) become [`ControlMsg`]s answered by the
+//! owning loops, so admin commands no longer head-of-line-block the loop
+//! that received them.
 //!
 //! # Invariants
 //!
@@ -48,16 +49,13 @@ use crate::hotkey::{plan_round, HotKeyCount, HotLoopState, HotShared, PromotedEn
 use crate::protocol::{StatsFormat, StoreVerb};
 use crate::reactor::{ConnTelemetry, Mailbox};
 use crate::stats::{
-    build_document, render_json, render_prom, render_stats, BalanceCounters, EngineStat,
-    HotKeyEntryDoc, HotKeysDoc, LoopTelemetry, ObservedPlane, PlaneStats, StatsSnapshot,
-    WireCounts,
+    build_document, render_json, render_prom, render_stats, BalanceDoc, EngineStat, HotKeyEntryDoc,
+    HotKeysDoc, LoopTelemetry, ObservedPlane, PlaneStats, StatsDocument, StatsSnapshot, WireCounts,
 };
 use bytes::Bytes;
 use cache_core::prefetch::Sweep;
 use cache_core::{Key, TenantDirectory};
-use cliffhanger::{
-    EventSink, ShardRebalancer, ShardSample, TenantArbiter, TenantSample, TransferEvent,
-};
+use cliffhanger::{EventSink, ShardRebalancer, ShardSample};
 use parking_lot::Mutex;
 use profiler::{MrcSnapshot, OnlineMrc};
 use std::collections::HashMap;
@@ -1304,7 +1302,8 @@ struct Control {
     rx: Receiver<CtrlReq>,
     telemetry: Arc<ConnTelemetry>,
     balancers: Vec<ShardRebalancer>,
-    arbiter: TenantArbiter,
+    /// The same balancer with tenants in the seats.
+    arbiter: ShardRebalancer,
     rebalance_runs: u64,
     rebalance_transfers: u64,
     rebalance_bytes: u64,
@@ -1318,19 +1317,6 @@ struct Control {
     hot_rounds: u64,
     promotions: u64,
     demotions: u64,
-}
-
-/// A one-round [`EventSink`] that captures the balancer's proposals (with
-/// their gradient evidence) so the control thread can journal exactly the
-/// transfers it goes on to apply. Interior mutability because sink methods
-/// take `&self`.
-#[derive(Default)]
-struct CapturedTransfers(std::cell::RefCell<Vec<TransferEvent>>);
-
-impl EventSink for CapturedTransfers {
-    fn transfer(&self, event: &TransferEvent) {
-        self.0.borrow_mut().push(event.clone());
-    }
 }
 
 impl Control {
@@ -1374,11 +1360,14 @@ impl Control {
                     self.admin_msgs += 1;
                     let started = Instant::now();
                     let result = match op {
-                        AdminOp::Stats { format } => match format {
-                            StatsFormat::Text => AdminResult::Stats(self.stats()),
-                            StatsFormat::Json => AdminResult::Blob(self.stats_blob(format)),
-                            StatsFormat::Prom => AdminResult::Blob(self.stats_blob(format)),
-                        },
+                        AdminOp::Stats { format } => {
+                            let doc = self.document();
+                            match format {
+                                StatsFormat::Text => AdminResult::Stats(render_stats(&doc)),
+                                StatsFormat::Json => AdminResult::Blob(render_json(&doc)),
+                                StatsFormat::Prom => AdminResult::Blob(render_prom(&doc)),
+                            }
+                        }
                         AdminOp::FlushTenant { tenant } => {
                             self.flush_tenant(tenant);
                             AdminResult::Flushed
@@ -1414,10 +1403,25 @@ impl Control {
             && self.shared.config.mode != BackendMode::Default
     }
 
-    fn arbiter_active(&self) -> bool {
+    fn arbiter_active(&self, tenants: usize) -> bool {
         self.shared.config.tenant_balance.enabled
-            && self.shared.roster.lock().directory.len() > 1
+            && tenants > 1
             && self.shared.config.mode != BackendMode::Default
+    }
+
+    /// The loops' sampled hot-key windows folded into one tally per
+    /// (tenant, key).
+    fn merged_hot_keys(snaps: &[Option<LoopSnapshot>]) -> HashMap<(usize, Key), (u64, Bytes)> {
+        let mut merged: HashMap<(usize, Key), (u64, Bytes)> = HashMap::new();
+        for snap in snaps.iter().flatten() {
+            for entry in &snap.hot_keys {
+                merged
+                    .entry((entry.tenant, entry.id))
+                    .and_modify(|slot| slot.0 += entry.count)
+                    .or_insert_with(|| (entry.count, entry.key.clone()));
+            }
+        }
+        merged
     }
 
     /// Asks every live loop for a snapshot and collects the answers. A
@@ -1500,12 +1504,9 @@ impl Control {
                     budget_bytes: roster.budgets[t][s],
                 })
                 .collect();
-            // Capture the proposals' gradient evidence so the journal can
-            // record *applied* transfers with the reasoning behind them.
-            let sink = CapturedTransfers::default();
-            let proposals = self.balancers[t].rebalance_with(&samples, &sink);
-            let evidence = sink.0.into_inner();
-            for (tr, ev) in proposals.iter().zip(&evidence) {
+            // Only *applied* transfers are journalled, each with the
+            // gradients the proposal carried.
+            for tr in self.balancers[t].rebalance(&samples) {
                 if self.shrink_on_owner(tr.from, t, tr.bytes) {
                     roster.budgets[t][tr.from] -= tr.bytes;
                     self.grow_on_owner(tr.to, t, tr.bytes);
@@ -1517,8 +1518,8 @@ impl Control {
                         from_shard: tr.from,
                         to_shard: tr.to,
                         bytes: tr.bytes,
-                        from_gradient: ev.from_gradient,
-                        to_gradient: ev.to_gradient,
+                        from_gradient: tr.from_gradient,
+                        to_gradient: tr.to_gradient,
                     });
                 }
             }
@@ -1532,25 +1533,22 @@ impl Control {
     /// by exactly the released slice — shard-local symmetry keeps the
     /// summed budget conserved even if some slices fail on their floors.
     fn arbitrate(&mut self) {
-        if !self.arbiter_active() {
+        let shared = Arc::clone(&self.shared);
+        if !self.arbiter_active(shared.roster.lock().directory.len()) {
             return;
         }
-        let shared = Arc::clone(&self.shared);
         let snaps = self.gather();
         let mut roster = shared.roster.lock();
         let tenants = roster.directory.len();
         let grid = self.shadow_grid(&snaps, tenants);
         let n = shared.shards as u64;
-        let samples: Vec<TenantSample> = (0..tenants)
-            .map(|t| TenantSample {
+        let samples: Vec<ShardSample> = (0..tenants)
+            .map(|t| ShardSample {
                 shadow_hits: (0..shared.shards).map(|s| grid[s][t]).sum(),
                 budget_bytes: roster.budgets[t].iter().sum(),
             })
             .collect();
-        let sink = CapturedTransfers::default();
-        let proposals = self.arbiter.arbitrate_with(&samples, &sink);
-        let evidence = sink.0.into_inner();
-        for (tr, ev) in proposals.iter().zip(&evidence) {
+        for tr in self.arbiter.rebalance(&samples) {
             let mut moved = 0u64;
             for s in 0..shared.shards {
                 let slice = tr.bytes / n + u64::from((s as u64) < tr.bytes % n);
@@ -1572,8 +1570,8 @@ impl Control {
                     from_tenant: roster.directory.name(tr.from).to_string(),
                     to_tenant: roster.directory.name(tr.to).to_string(),
                     bytes: moved,
-                    from_gradient: ev.from_gradient,
-                    to_gradient: ev.to_gradient,
+                    from_gradient: tr.from_gradient,
+                    to_gradient: tr.to_gradient,
                 });
             }
         }
@@ -1589,16 +1587,7 @@ impl Control {
         let Some(hot) = shared.hot.as_ref() else {
             return;
         };
-        let snaps = self.gather();
-        let mut merged: HashMap<(usize, Key), (u64, Bytes)> = HashMap::new();
-        for snap in snaps.iter().flatten() {
-            for entry in &snap.hot_keys {
-                merged
-                    .entry((entry.tenant, entry.id))
-                    .and_modify(|slot| slot.0 += entry.count)
-                    .or_insert_with(|| (entry.count, entry.key.clone()));
-            }
-        }
+        let merged = Self::merged_hot_keys(&self.gather());
         // Tenant names for the journal, resolved before taking the
         // promoted lock (control-thread lock order: roster, then promoted).
         let names = shared.roster.lock().directory.names().to_vec();
@@ -1773,7 +1762,7 @@ impl Control {
         self.balancers
             .push(ShardRebalancer::new(n, shared.config.rebalance.clone()));
         self.arbiter =
-            TenantArbiter::new(roster.directory.len(), shared.config.tenant_balance.clone());
+            ShardRebalancer::new(roster.directory.len(), shared.config.tenant_balance.clone());
         // Publish only now, with every owning loop's cells in place.
         shared.generation.fetch_add(1, Ordering::AcqRel);
         Ok(index)
@@ -1792,16 +1781,15 @@ impl Control {
             .collect()
     }
 
-    /// Assembles the stats state every exposition format renders from:
-    /// the engine-level snapshot, the plane counters and the per-loop
-    /// service-time telemetry.
-    fn collect(&self) -> (StatsSnapshot, PlaneStats, Vec<LoopTelemetry>, ObservedPlane) {
+    /// Builds the one [`StatsDocument`] every `stats` format renders: asks
+    /// the loops for their snapshots and folds them, the roster and this
+    /// thread's own counters together.
+    fn document(&self) -> StatsDocument {
         let shared = Arc::clone(&self.shared);
         let snaps = self.gather();
         let roster = shared.roster.lock();
         let tenants = roster.directory.len();
         let mut cells = vec![vec![EngineStat::default(); tenants]; shared.shards];
-        let mut per_loop = vec![(0u64, 0u64, 0u64); shared.loops];
         let mut loops = vec![LoopTelemetry::default(); shared.loops];
         let mut mrc = vec![MrcSnapshot::default(); tenants];
         // Loops count what they forwarded, control counts what it served;
@@ -1811,8 +1799,10 @@ impl Control {
         let forwarded: u64 = snaps.iter().flatten().map(|s| s.admin_forwards).sum();
         let admin_msgs = self.admin_msgs.max(forwarded);
         for snap in snaps.iter().flatten() {
-            per_loop[snap.loop_index] = (snap.local_ops, snap.remote_in, snap.remote_out);
             loops[snap.loop_index] = LoopTelemetry {
+                local_ops: snap.local_ops,
+                remote_in: snap.remote_in,
+                remote_out: snap.remote_out,
                 local: snap.local_latency.clone(),
                 remote: snap.remote_latency.clone(),
                 slow_ops: snap.slow_ops,
@@ -1848,16 +1838,7 @@ impl Control {
                     String::new()
                 }
             };
-            let mut merged: HashMap<(usize, Key), (u64, Bytes)> = HashMap::new();
-            for snap in snaps.iter().flatten() {
-                for entry in &snap.hot_keys {
-                    merged
-                        .entry((entry.tenant, entry.id))
-                        .and_modify(|slot| slot.0 += entry.count)
-                        .or_insert_with(|| (entry.count, entry.key.clone()));
-                }
-            }
-            let mut tracked: Vec<HotKeyEntryDoc> = merged
+            let mut tracked: Vec<HotKeyEntryDoc> = Self::merged_hot_keys(&snaps)
                 .iter()
                 .map(|(&(tenant, _), (count, key))| HotKeyEntryDoc {
                     app: name_of(tenant),
@@ -1907,52 +1888,33 @@ impl Control {
             tenant_names: roster.directory.names().to_vec(),
             tenant_budgets: roster.tenant_budgets(),
             shard_budgets: roster.shard_budgets(shared.shards),
-            balance: BalanceCounters {
+            balance: BalanceDoc {
                 rebalance_enabled: self.rebalance_active(),
                 rebalance_runs: self.rebalance_runs,
                 rebalance_transfers: self.rebalance_transfers,
-                rebalance_bytes: self.rebalance_bytes,
-                arbiter_enabled: shared.config.tenant_balance.enabled
-                    && tenants > 1
-                    && shared.config.mode != BackendMode::Default,
+                rebalance_bytes_moved: self.rebalance_bytes,
+                arbiter_enabled: self.arbiter_active(tenants),
                 arbiter_runs: self.arbiter_runs,
                 arbiter_transfers: self.arbiter_transfers,
-                arbiter_bytes: self.arbiter_bytes,
+                arbiter_bytes_moved: self.arbiter_bytes,
             },
         };
         let plane = PlaneStats {
             owner_of: (0..shared.shards).map(|s| shared.owner_of(s)).collect(),
-            per_loop,
             admin_msgs,
             idle_timeout_ms: self.idle_timeout_ms,
-            slow_ops: loops.iter().map(|l| l.slow_ops).sum(),
         };
-        (snapshot, plane, loops, observed)
-    }
-
-    /// The legacy human-oriented `stats` report.
-    fn stats(&self) -> Vec<(String, String)> {
-        let (snapshot, plane, _, _) = self.collect();
-        render_stats(&snapshot, &self.telemetry, &plane)
-    }
-
-    /// The machine-readable expositions: one `cliffhanger-stats/v1`
-    /// document, rendered as JSON or Prometheus text.
-    fn stats_blob(&self, format: StatsFormat) -> String {
-        let (snapshot, plane, loops, observed) = self.collect();
-        let doc = build_document(
+        // The roster is copied out; curves and joins are built unlocked.
+        drop(roster);
+        build_document(
             &snapshot,
             &self.telemetry,
             &plane,
             &loops,
             &self.admin_latency,
-            &self.shared.journal,
+            &shared.journal,
             &observed,
-        );
-        match format {
-            StatsFormat::Prom => render_prom(&doc),
-            _ => render_json(&doc),
-        }
+        )
     }
 }
 
@@ -2392,7 +2354,7 @@ impl Plane {
             balancers: (0..tenants)
                 .map(|_| ShardRebalancer::new(shared.shards, shared.config.rebalance.clone()))
                 .collect(),
-            arbiter: TenantArbiter::new(tenants, shared.config.tenant_balance.clone()),
+            arbiter: ShardRebalancer::new(tenants, shared.config.tenant_balance.clone()),
             rebalance_runs: 0,
             rebalance_transfers: 0,
             rebalance_bytes: 0,

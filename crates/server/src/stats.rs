@@ -1,16 +1,13 @@
-//! The `stats` renderer, in three expositions.
+//! The `stats` model: one document, three expositions.
 //!
-//! The data plane's control thread assembles a [`StatsSnapshot`] from the
-//! loops' snapshot messages and renders it through [`render_stats`] — the
-//! committed benchmark baselines and the CI smoke validators parse these
-//! keys by name.
-//!
-//! The same state is also rendered machine-readably:
-//! [`build_document`] assembles one versioned [`StatsDocument`]
-//! (`cliffhanger-stats/v1`) carrying per-loop service-time quantiles and
-//! the flight-recorder journal, and [`render_json`] / [`render_prom`]
-//! serialise it as JSON or Prometheus text exposition. Both formats come
-//! from the *same* document, so they cannot disagree.
+//! The data plane's control thread folds the loops' snapshot messages into
+//! a [`StatsSnapshot`] and [`build_document`] assembles from it the one
+//! versioned [`StatsDocument`] (`cliffhanger-stats/v1`) — counters, per-loop
+//! service-time quantiles, the flight-recorder journal, live MRCs. Every
+//! `stats` command builds it once, and the three renderers are pure
+//! functions of it: [`render_stats`] (the memcached `STAT` list, whose key
+//! names and order `tests/stats_keys.rs` pins), [`render_json`] and
+//! [`render_prom`]. They cannot disagree, and a new fact is added once.
 
 use crate::engine::BackendMode;
 use crate::reactor::ConnTelemetry;
@@ -53,19 +50,6 @@ pub(crate) struct EngineStat {
     pub(crate) items: usize,
 }
 
-/// Round counters of the two balancing levels.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct BalanceCounters {
-    pub(crate) rebalance_enabled: bool,
-    pub(crate) rebalance_runs: u64,
-    pub(crate) rebalance_transfers: u64,
-    pub(crate) rebalance_bytes: u64,
-    pub(crate) arbiter_enabled: bool,
-    pub(crate) arbiter_runs: u64,
-    pub(crate) arbiter_transfers: u64,
-    pub(crate) arbiter_bytes: u64,
-}
-
 /// The backend-independent inputs of one `stats` report.
 pub(crate) struct StatsSnapshot {
     pub(crate) total_bytes: u64,
@@ -78,28 +62,29 @@ pub(crate) struct StatsSnapshot {
     pub(crate) tenant_names: Vec<String>,
     pub(crate) tenant_budgets: Vec<u64>,
     pub(crate) shard_budgets: Vec<u64>,
-    pub(crate) balance: BalanceCounters,
+    pub(crate) balance: BalanceDoc,
 }
 
-/// Per-event-loop counters of the shared-nothing data plane.
+/// Counters of the shared-nothing data plane as a whole.
 pub(crate) struct PlaneStats {
     /// Owning event loop per shard index.
     pub(crate) owner_of: Vec<usize>,
-    /// Per loop: (data ops executed for its own connections, data ops
-    /// executed on behalf of another loop, data ops it forwarded away).
-    pub(crate) per_loop: Vec<(u64, u64, u64)>,
     /// Admin commands forwarded to the control thread.
     pub(crate) admin_msgs: u64,
     /// The configured idle reaping timeout in milliseconds (0 = disabled).
     pub(crate) idle_timeout_ms: u64,
-    /// Ops over the slow-op threshold, summed across loops.
-    pub(crate) slow_ops: u64,
 }
 
-/// One event loop's service-time telemetry, as merged by the control
-/// thread from the loop's snapshot.
+/// One event loop's op counters and service-time telemetry, as taken by
+/// the control thread from the loop's snapshot.
 #[derive(Clone, Default)]
 pub(crate) struct LoopTelemetry {
+    /// Data ops the loop executed for its own connections.
+    pub(crate) local_ops: u64,
+    /// Data ops it executed on behalf of another loop.
+    pub(crate) remote_in: u64,
+    /// Data ops it forwarded away.
+    pub(crate) remote_out: u64,
     /// Service times of ops the loop ran for its own connections (ns).
     pub(crate) local: Histogram,
     /// Queue + service times of ops forwarded to the loop (ns).
@@ -108,230 +93,40 @@ pub(crate) struct LoopTelemetry {
     pub(crate) slow_ops: u64,
 }
 
-/// Sums a snapshot's `[shard][tenant]` engine cells into server-wide,
-/// per-tenant and per-shard aggregates — the one accumulation every
-/// exposition format renders from.
+/// A snapshot's `[shard][tenant]` engine cells summed server-wide, per
+/// tenant and per shard — the one accumulation the document is built from.
 struct Rollup {
-    totals: WireCounts,
-    core_total: CacheStats,
-    used: u64,
-    items: usize,
-    tenant_wire: Vec<WireCounts>,
-    tenant_core: Vec<CacheStats>,
-    tenant_used: Vec<u64>,
-    tenant_items: Vec<usize>,
-    shard_wire: Vec<WireCounts>,
-    shard_core: Vec<CacheStats>,
-    shard_used: Vec<u64>,
-    shard_items: Vec<usize>,
+    total: EngineStat,
+    tenants: Vec<EngineStat>,
+    shards: Vec<EngineStat>,
 }
 
 fn rollup(snap: &StatsSnapshot) -> Rollup {
-    let ns = snap.cells.len();
     let nt = snap.tenant_names.len();
     let mut r = Rollup {
-        totals: WireCounts::default(),
-        core_total: CacheStats::default(),
-        used: 0,
-        items: 0,
-        tenant_wire: vec![WireCounts::default(); nt],
-        tenant_core: vec![CacheStats::default(); nt],
-        tenant_used: vec![0u64; nt],
-        tenant_items: vec![0usize; nt],
-        shard_wire: vec![WireCounts::default(); ns],
-        shard_core: vec![CacheStats::default(); ns],
-        shard_used: vec![0u64; ns],
-        shard_items: vec![0usize; ns],
+        total: EngineStat::default(),
+        tenants: vec![EngineStat::default(); nt],
+        shards: vec![EngineStat::default(); snap.cells.len()],
     };
     for (s, cells) in snap.cells.iter().enumerate() {
         for (t, cell) in cells.iter().enumerate().take(nt) {
-            r.totals.accumulate(cell.wire);
-            r.core_total += cell.core;
-            r.used += cell.used;
-            r.items += cell.items;
-            r.tenant_wire[t].accumulate(cell.wire);
-            r.tenant_core[t] += cell.core;
-            r.tenant_used[t] += cell.used;
-            r.tenant_items[t] += cell.items;
-            r.shard_wire[s].accumulate(cell.wire);
-            r.shard_core[s] += cell.core;
-            r.shard_used[s] += cell.used;
-            r.shard_items[s] += cell.items;
+            for sum in [&mut r.total, &mut r.tenants[t], &mut r.shards[s]] {
+                sum.wire.accumulate(cell.wire);
+                sum.core += cell.core;
+                sum.used += cell.used;
+                sum.items += cell.items;
+            }
         }
     }
     r
 }
 
-/// Renders a snapshot as the `STAT` key/value list: aggregated counters,
-/// allocation-hierarchy counters, the connection section, then per-tenant
-/// and per-shard breakdowns, then the data-plane section.
-pub(crate) fn render_stats(
-    snap: &StatsSnapshot,
-    conns: &ConnTelemetry,
-    plane: &PlaneStats,
-) -> Vec<(String, String)> {
-    let ns = snap.cells.len();
-    let nt = snap.tenant_names.len();
-    let Rollup {
-        totals,
-        core_total,
-        used,
-        items,
-        tenant_wire,
-        tenant_core,
-        tenant_used,
-        tenant_items,
-        shard_wire,
-        shard_core,
-        shard_used,
-        shard_items,
-    } = rollup(snap);
-
-    let mut out = vec![
-        ("cmd_get".into(), totals.gets.to_string()),
-        ("cmd_set".into(), totals.sets.to_string()),
-        ("get_hits".into(), totals.hits.to_string()),
-        ("get_misses".into(), totals.misses.to_string()),
-        ("cmd_delete".into(), totals.deletes.to_string()),
-        ("bytes".into(), used.to_string()),
-        ("curr_items".into(), items.to_string()),
-        ("evictions".into(), core_total.evictions.to_string()),
-        ("uptime".into(), snap.uptime_s.to_string()),
-        ("limit_maxbytes".into(), snap.total_bytes.to_string()),
-        (
-            "allocator".into(),
-            format!("{:?}", snap.mode).to_lowercase(),
-        ),
-        ("shard_count".into(), ns.to_string()),
-        ("shards_requested".into(), snap.requested_shards.to_string()),
-        (
-            "shard_bytes".into(),
-            (snap.total_bytes / ns.max(1) as u64).to_string(),
-        ),
-        ("tenant_count".into(), nt.to_string()),
-        (
-            "rebalance:enabled".into(),
-            (snap.balance.rebalance_enabled as u8).to_string(),
-        ),
-        (
-            "rebalance:runs".into(),
-            snap.balance.rebalance_runs.to_string(),
-        ),
-        (
-            "rebalance:transfers".into(),
-            snap.balance.rebalance_transfers.to_string(),
-        ),
-        (
-            "rebalance:bytes_moved".into(),
-            snap.balance.rebalance_bytes.to_string(),
-        ),
-        (
-            "arbiter:enabled".into(),
-            (snap.balance.arbiter_enabled as u8).to_string(),
-        ),
-        ("arbiter:runs".into(), snap.balance.arbiter_runs.to_string()),
-        (
-            "arbiter:transfers".into(),
-            snap.balance.arbiter_transfers.to_string(),
-        ),
-        (
-            "arbiter:bytes_moved".into(),
-            snap.balance.arbiter_bytes.to_string(),
-        ),
-    ];
-    out.push(("curr_connections".into(), conns.curr().to_string()));
-    out.push(("total_connections".into(), conns.total().to_string()));
-    out.push(("rejected_connections".into(), conns.rejected().to_string()));
-    out.push((
-        "max_connections".into(),
-        conns.max_connections().to_string(),
-    ));
-    for i in 0..conns.loops() {
-        out.push((format!("conns:loop:{i}"), conns.loop_curr(i).to_string()));
-    }
-    out.push((
-        "idle_closed_connections".into(),
-        conns.idle_closed().to_string(),
-    ));
-    for t in 0..nt {
-        let name = &snap.tenant_names[t];
-        let wire = tenant_wire[t];
-        out.push((format!("tenant:{name}:cmd_get"), wire.gets.to_string()));
-        out.push((format!("tenant:{name}:cmd_set"), wire.sets.to_string()));
-        out.push((format!("tenant:{name}:get_hits"), wire.hits.to_string()));
-        out.push((format!("tenant:{name}:get_misses"), wire.misses.to_string()));
-        out.push((
-            format!("tenant:{name}:cmd_delete"),
-            wire.deletes.to_string(),
-        ));
-        out.push((format!("tenant:{name}:bytes"), tenant_used[t].to_string()));
-        out.push((
-            format!("tenant:{name}:curr_items"),
-            tenant_items[t].to_string(),
-        ));
-        out.push((
-            format!("tenant:{name}:evictions"),
-            tenant_core[t].evictions.to_string(),
-        ));
-        out.push((
-            format!("tenant:{name}:budget"),
-            snap.tenant_budgets[t].to_string(),
-        ));
-        out.push((
-            format!("tenant:{name}:shadow_hits"),
-            tenant_core[t].shadow_hits.to_string(),
-        ));
-    }
-    for s in 0..ns {
-        let wire = shard_wire[s];
-        out.push((format!("shard:{s}:cmd_get"), wire.gets.to_string()));
-        out.push((format!("shard:{s}:cmd_set"), wire.sets.to_string()));
-        out.push((format!("shard:{s}:get_hits"), wire.hits.to_string()));
-        out.push((format!("shard:{s}:get_misses"), wire.misses.to_string()));
-        out.push((format!("shard:{s}:cmd_delete"), wire.deletes.to_string()));
-        out.push((format!("shard:{s}:bytes"), shard_used[s].to_string()));
-        out.push((format!("shard:{s}:curr_items"), shard_items[s].to_string()));
-        out.push((
-            format!("shard:{s}:evictions"),
-            shard_core[s].evictions.to_string(),
-        ));
-        out.push((
-            format!("shard:{s}:budget"),
-            snap.shard_budgets[s].to_string(),
-        ));
-        out.push((
-            format!("shard:{s}:shadow_hits"),
-            shard_core[s].shadow_hits.to_string(),
-        ));
-    }
-    let local: u64 = plane.per_loop.iter().map(|l| l.0).sum();
-    let remote: u64 = plane.per_loop.iter().map(|l| l.1).sum();
-    out.push(("plane:event_loops".into(), plane.per_loop.len().to_string()));
-    out.push(("plane:local_ops".into(), local.to_string()));
-    out.push(("plane:remote_ops".into(), remote.to_string()));
-    out.push(("plane:admin_msgs".into(), plane.admin_msgs.to_string()));
-    out.push((
-        "plane:idle_timeout_ms".into(),
-        plane.idle_timeout_ms.to_string(),
-    ));
-    out.push(("plane:slow_ops".into(), plane.slow_ops.to_string()));
-    for (i, (local_ops, remote_in, remote_out)) in plane.per_loop.iter().enumerate() {
-        out.push((format!("loop:{i}:local_ops"), local_ops.to_string()));
-        out.push((format!("loop:{i}:remote_in"), remote_in.to_string()));
-        out.push((format!("loop:{i}:remote_out"), remote_out.to_string()));
-    }
-    for (s, owner) in plane.owner_of.iter().enumerate() {
-        out.push((format!("shard:{s}:owner_loop"), owner.to_string()));
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
-// The machine-readable exposition: one versioned document, two renderings.
+// The document.
 // ---------------------------------------------------------------------------
 
 /// Server-wide wire counters.
-#[derive(Serialize)]
+#[derive(Default, Serialize)]
 pub(crate) struct CountersDoc {
     pub(crate) cmd_get: u64,
     pub(crate) cmd_set: u64,
@@ -345,7 +140,7 @@ pub(crate) struct CountersDoc {
 }
 
 /// Static capacity and topology facts.
-#[derive(Serialize)]
+#[derive(Default, Serialize)]
 pub(crate) struct CapacityDoc {
     pub(crate) limit_maxbytes: u64,
     pub(crate) allocator: String,
@@ -356,7 +151,7 @@ pub(crate) struct CapacityDoc {
 }
 
 /// Round counters of the two balancing levels.
-#[derive(Serialize)]
+#[derive(Clone, Copy, Default, Serialize)]
 pub(crate) struct BalanceDoc {
     pub(crate) rebalance_enabled: bool,
     pub(crate) rebalance_runs: u64,
@@ -369,7 +164,7 @@ pub(crate) struct BalanceDoc {
 }
 
 /// The accept gate's connection counters.
-#[derive(Serialize)]
+#[derive(Default, Serialize)]
 pub(crate) struct ConnectionsDoc {
     pub(crate) curr: u64,
     pub(crate) total: u64,
@@ -392,7 +187,7 @@ pub(crate) struct LoopDoc {
 }
 
 /// One tenant's aggregated counters.
-#[derive(Serialize)]
+#[derive(Default, Serialize)]
 pub(crate) struct TenantDoc {
     pub(crate) name: String,
     pub(crate) cmd_get: u64,
@@ -413,7 +208,10 @@ pub(crate) struct ShardDoc {
     pub(crate) index: usize,
     pub(crate) owner_loop: usize,
     pub(crate) cmd_get: u64,
+    pub(crate) cmd_set: u64,
     pub(crate) get_hits: u64,
+    pub(crate) get_misses: u64,
+    pub(crate) cmd_delete: u64,
     pub(crate) bytes: u64,
     pub(crate) curr_items: u64,
     pub(crate) evictions: u64,
@@ -422,7 +220,7 @@ pub(crate) struct ShardDoc {
 }
 
 /// Data-plane totals and the control thread's own service times.
-#[derive(Serialize)]
+#[derive(Default, Serialize)]
 pub(crate) struct PlaneDoc {
     pub(crate) local_ops: u64,
     pub(crate) remote_ops: u64,
@@ -432,14 +230,14 @@ pub(crate) struct PlaneDoc {
 }
 
 /// Server-wide service-time quantiles merged across every loop.
-#[derive(Serialize)]
+#[derive(Default, Serialize)]
 pub(crate) struct ServiceLatencyDoc {
     pub(crate) local: LatencySummary,
     pub(crate) remote: LatencySummary,
 }
 
 /// The flight recorder: ring facts plus the retained events, oldest first.
-#[derive(Serialize)]
+#[derive(Default, Serialize)]
 pub(crate) struct JournalDoc {
     pub(crate) capacity: usize,
     pub(crate) next_seq: u64,
@@ -538,7 +336,7 @@ pub(crate) struct HistoryWindowDoc {
 }
 
 /// The stats time series: the last N intervals as per-tenant rates.
-#[derive(Serialize)]
+#[derive(Default, Serialize)]
 pub(crate) struct HistoryDoc {
     pub(crate) interval_us: u64,
     /// Oldest window first.
@@ -572,7 +370,7 @@ pub(crate) struct AllocatorTransferDoc {
 
 /// Allocator introspection: predicted-vs-realized for every journalled
 /// budget transfer still inside the history horizon.
-#[derive(Serialize)]
+#[derive(Default, Serialize)]
 pub(crate) struct AllocatorDoc {
     /// The hit-rate comparison window (one history interval).
     pub(crate) window_us: u64,
@@ -600,7 +398,7 @@ pub(crate) struct ObservedPlane {
 /// The versioned `cliffhanger-stats/v1` document behind `stats json` and
 /// `stats prom`. Additive evolution only: consumers pin `schema` and
 /// ignore fields they do not know.
-#[derive(Serialize)]
+#[derive(Default, Serialize)]
 pub(crate) struct StatsDocument {
     pub(crate) schema: String,
     /// Unix microseconds at server boot.
@@ -643,8 +441,8 @@ fn build_mrc(snap: &StatsSnapshot, r: &Rollup, observed: &ObservedPlane) -> Opti
             let merged = observed.mrc.get(t).cloned().unwrap_or_default();
             // The tenant's budget in items: budget bytes over the mean live
             // item footprint. No items yet means no meaningful probe sizes.
-            let budget_items = if r.tenant_items[t] > 0 {
-                let item_bytes = (r.tenant_used[t] / r.tenant_items[t] as u64).max(1);
+            let budget_items = if r.tenants[t].items > 0 {
+                let item_bytes = (r.tenants[t].used / r.tenants[t].items as u64).max(1);
                 snap.tenant_budgets[t] / item_bytes
             } else {
                 0
@@ -813,9 +611,9 @@ fn build_allocator(
     }
 }
 
-/// Assembles the machine-readable stats document from the same inputs the
-/// text renderer uses, plus the per-loop latency telemetry, the journal and
-/// the observability plane (wall clock, MRC estimators, time series).
+/// Assembles the stats document from the engine-level snapshot, the plane
+/// counters, the per-loop latency telemetry, the journal and the
+/// observability plane (wall clock, MRC estimators, time series).
 pub(crate) fn build_document(
     snap: &StatsSnapshot,
     conns: &ConnTelemetry,
@@ -843,15 +641,15 @@ pub(crate) fn build_document(
         snapshot_unix_us: observed.snapshot_unix_us,
         uptime_s: snap.uptime_s,
         counters: CountersDoc {
-            cmd_get: r.totals.gets,
-            cmd_set: r.totals.sets,
-            get_hits: r.totals.hits,
-            get_misses: r.totals.misses,
-            cmd_delete: r.totals.deletes,
-            bytes: r.used,
-            curr_items: r.items as u64,
-            evictions: r.core_total.evictions,
-            slow_ops: plane.slow_ops,
+            cmd_get: r.total.wire.gets,
+            cmd_set: r.total.wire.sets,
+            get_hits: r.total.wire.hits,
+            get_misses: r.total.wire.misses,
+            cmd_delete: r.total.wire.deletes,
+            bytes: r.total.used,
+            curr_items: r.total.items as u64,
+            evictions: r.total.core.evictions,
+            slow_ops: loops.iter().map(|l| l.slow_ops).sum(),
         },
         capacity: CapacityDoc {
             limit_maxbytes: snap.total_bytes,
@@ -859,18 +657,9 @@ pub(crate) fn build_document(
             shard_count: ns,
             shards_requested: snap.requested_shards,
             tenant_count: nt,
-            event_loops: plane.per_loop.len(),
+            event_loops: loops.len(),
         },
-        balance: BalanceDoc {
-            rebalance_enabled: snap.balance.rebalance_enabled,
-            rebalance_runs: snap.balance.rebalance_runs,
-            rebalance_transfers: snap.balance.rebalance_transfers,
-            rebalance_bytes_moved: snap.balance.rebalance_bytes,
-            arbiter_enabled: snap.balance.arbiter_enabled,
-            arbiter_runs: snap.balance.arbiter_runs,
-            arbiter_transfers: snap.balance.arbiter_transfers,
-            arbiter_bytes_moved: snap.balance.arbiter_bytes,
-        },
+        balance: snap.balance,
         connections: ConnectionsDoc {
             curr: conns.curr(),
             total: conns.total(),
@@ -886,51 +675,50 @@ pub(crate) fn build_document(
         loops: loops
             .iter()
             .enumerate()
-            .map(|(i, tel)| {
-                let (local_ops, remote_in, remote_out) =
-                    plane.per_loop.get(i).copied().unwrap_or((0, 0, 0));
-                LoopDoc {
-                    index: i,
-                    local_ops,
-                    remote_in,
-                    remote_out,
-                    slow_ops: tel.slow_ops,
-                    local_latency: tel.local.summarize_us(),
-                    remote_latency: tel.remote.summarize_us(),
-                }
+            .map(|(i, tel)| LoopDoc {
+                index: i,
+                local_ops: tel.local_ops,
+                remote_in: tel.remote_in,
+                remote_out: tel.remote_out,
+                slow_ops: tel.slow_ops,
+                local_latency: tel.local.summarize_us(),
+                remote_latency: tel.remote.summarize_us(),
             })
             .collect(),
         tenants: (0..nt)
             .map(|t| TenantDoc {
                 name: snap.tenant_names[t].clone(),
-                cmd_get: r.tenant_wire[t].gets,
-                cmd_set: r.tenant_wire[t].sets,
-                get_hits: r.tenant_wire[t].hits,
-                get_misses: r.tenant_wire[t].misses,
-                cmd_delete: r.tenant_wire[t].deletes,
-                bytes: r.tenant_used[t],
-                curr_items: r.tenant_items[t] as u64,
-                evictions: r.tenant_core[t].evictions,
+                cmd_get: r.tenants[t].wire.gets,
+                cmd_set: r.tenants[t].wire.sets,
+                get_hits: r.tenants[t].wire.hits,
+                get_misses: r.tenants[t].wire.misses,
+                cmd_delete: r.tenants[t].wire.deletes,
+                bytes: r.tenants[t].used,
+                curr_items: r.tenants[t].items as u64,
+                evictions: r.tenants[t].core.evictions,
                 budget: snap.tenant_budgets[t],
-                shadow_hits: r.tenant_core[t].shadow_hits,
+                shadow_hits: r.tenants[t].core.shadow_hits,
             })
             .collect(),
         shards: (0..ns)
             .map(|s| ShardDoc {
                 index: s,
                 owner_loop: plane.owner_of.get(s).copied().unwrap_or(0),
-                cmd_get: r.shard_wire[s].gets,
-                get_hits: r.shard_wire[s].hits,
-                bytes: r.shard_used[s],
-                curr_items: r.shard_items[s] as u64,
-                evictions: r.shard_core[s].evictions,
+                cmd_get: r.shards[s].wire.gets,
+                cmd_set: r.shards[s].wire.sets,
+                get_hits: r.shards[s].wire.hits,
+                get_misses: r.shards[s].wire.misses,
+                cmd_delete: r.shards[s].wire.deletes,
+                bytes: r.shards[s].used,
+                curr_items: r.shards[s].items as u64,
+                evictions: r.shards[s].core.evictions,
                 budget: snap.shard_budgets[s],
-                shadow_hits: r.shard_core[s].shadow_hits,
+                shadow_hits: r.shards[s].core.shadow_hits,
             })
             .collect(),
         plane: PlaneDoc {
-            local_ops: plane.per_loop.iter().map(|l| l.0).sum(),
-            remote_ops: plane.per_loop.iter().map(|l| l.1).sum(),
+            local_ops: loops.iter().map(|l| l.local_ops).sum(),
+            remote_ops: loops.iter().map(|l| l.remote_in).sum(),
             admin_msgs: plane.admin_msgs,
             idle_timeout_ms: plane.idle_timeout_ms,
             admin_latency: admin_latency.summarize_us(),
@@ -946,6 +734,144 @@ pub(crate) fn build_document(
         history,
         allocator,
     }
+}
+
+fn stat(out: &mut Vec<(String, String)>, key: impl Into<String>, value: impl ToString) {
+    out.push((key.into(), value.to_string()));
+}
+
+/// The ten per-engine keys a `tenant:<name>` and a `shard:<n>` section share.
+fn engine_stats(out: &mut Vec<(String, String)>, prefix: &str, values: [u64; 10]) {
+    let keys = [
+        "cmd_get",
+        "cmd_set",
+        "get_hits",
+        "get_misses",
+        "cmd_delete",
+        "bytes",
+        "curr_items",
+        "evictions",
+        "budget",
+        "shadow_hits",
+    ];
+    for (key, value) in keys.iter().zip(values) {
+        stat(out, format!("{prefix}:{key}"), value);
+    }
+}
+
+/// Renders the document as the memcached `STAT` key/value list (the text
+/// `stats` payload): aggregated counters, allocation-hierarchy counters,
+/// the connection section, then per-tenant and per-shard breakdowns, then
+/// the data-plane section.
+pub(crate) fn render_stats(doc: &StatsDocument) -> Vec<(String, String)> {
+    let (c, cap, b) = (&doc.counters, &doc.capacity, &doc.balance);
+    let (conns, plane) = (&doc.connections, &doc.plane);
+    let mut out = Vec::new();
+    for (key, value) in [
+        ("cmd_get", c.cmd_get),
+        ("cmd_set", c.cmd_set),
+        ("get_hits", c.get_hits),
+        ("get_misses", c.get_misses),
+        ("cmd_delete", c.cmd_delete),
+        ("bytes", c.bytes),
+        ("curr_items", c.curr_items),
+        ("evictions", c.evictions),
+        ("uptime", doc.uptime_s),
+        ("limit_maxbytes", cap.limit_maxbytes),
+    ] {
+        stat(&mut out, key, value);
+    }
+    stat(&mut out, "allocator", &cap.allocator);
+    for (key, value) in [
+        ("shard_count", cap.shard_count as u64),
+        ("shards_requested", cap.shards_requested as u64),
+        (
+            "shard_bytes",
+            cap.limit_maxbytes / cap.shard_count.max(1) as u64,
+        ),
+        ("tenant_count", cap.tenant_count as u64),
+        ("rebalance:enabled", b.rebalance_enabled as u64),
+        ("rebalance:runs", b.rebalance_runs),
+        ("rebalance:transfers", b.rebalance_transfers),
+        ("rebalance:bytes_moved", b.rebalance_bytes_moved),
+        ("arbiter:enabled", b.arbiter_enabled as u64),
+        ("arbiter:runs", b.arbiter_runs),
+        ("arbiter:transfers", b.arbiter_transfers),
+        ("arbiter:bytes_moved", b.arbiter_bytes_moved),
+        ("curr_connections", conns.curr),
+        ("total_connections", conns.total),
+        ("rejected_connections", conns.rejected),
+        ("max_connections", conns.max),
+    ] {
+        stat(&mut out, key, value);
+    }
+    for (i, curr) in conns.per_loop.iter().enumerate() {
+        stat(&mut out, format!("conns:loop:{i}"), curr);
+    }
+    stat(&mut out, "idle_closed_connections", conns.idle_closed);
+    for t in &doc.tenants {
+        engine_stats(
+            &mut out,
+            &format!("tenant:{}", t.name),
+            [
+                t.cmd_get,
+                t.cmd_set,
+                t.get_hits,
+                t.get_misses,
+                t.cmd_delete,
+                t.bytes,
+                t.curr_items,
+                t.evictions,
+                t.budget,
+                t.shadow_hits,
+            ],
+        );
+    }
+    for s in &doc.shards {
+        engine_stats(
+            &mut out,
+            &format!("shard:{}", s.index),
+            [
+                s.cmd_get,
+                s.cmd_set,
+                s.get_hits,
+                s.get_misses,
+                s.cmd_delete,
+                s.bytes,
+                s.curr_items,
+                s.evictions,
+                s.budget,
+                s.shadow_hits,
+            ],
+        );
+    }
+    for (key, value) in [
+        ("plane:event_loops", cap.event_loops as u64),
+        ("plane:local_ops", plane.local_ops),
+        ("plane:remote_ops", plane.remote_ops),
+        ("plane:admin_msgs", plane.admin_msgs),
+        ("plane:idle_timeout_ms", plane.idle_timeout_ms),
+        ("plane:slow_ops", c.slow_ops),
+    ] {
+        stat(&mut out, key, value);
+    }
+    for l in &doc.loops {
+        stat(&mut out, format!("loop:{}:local_ops", l.index), l.local_ops);
+        stat(&mut out, format!("loop:{}:remote_in", l.index), l.remote_in);
+        stat(
+            &mut out,
+            format!("loop:{}:remote_out", l.index),
+            l.remote_out,
+        );
+    }
+    for s in &doc.shards {
+        stat(
+            &mut out,
+            format!("shard:{}:owner_loop", s.index),
+            s.owner_loop,
+        );
+    }
+    out
 }
 
 /// Renders the document as one line of JSON (the `stats json` payload).
@@ -1248,4 +1174,36 @@ pub(crate) fn render_prom(doc: &StatsDocument) -> String {
         &[(String::new(), doc.journal.next_seq.to_string())],
     );
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use serde_json::Value;
+
+    /// Tenant names are operator-chosen ASCII-graphic strings, so `"` and
+    /// `\` are legal in them: each renderer must carry one through, in its
+    /// own quoting.
+    #[test]
+    fn a_quote_and_backslash_in_a_tenant_name_survive_every_renderer() {
+        let name = r#"a"b\c"#;
+        let doc = StatsDocument {
+            schema: STATS_SCHEMA.to_string(),
+            tenants: vec![TenantDoc {
+                name: name.to_string(),
+                cmd_get: 7,
+                budget: 9,
+                ..TenantDoc::default()
+            }],
+            ..StatsDocument::default()
+        };
+        let text = render_stats(&doc);
+        assert!(text.contains(&(format!("tenant:{name}:cmd_get"), "7".to_string())));
+        let json: Value = serde_json::from_str(&render_json(&doc)).unwrap();
+        let tenants = json.get("tenants").and_then(Value::as_array).unwrap();
+        assert_eq!(tenants[0].get("name").and_then(Value::as_str), Some(name));
+        let prom = render_prom(&doc);
+        assert!(prom.contains(r#"cliffhanger_tenant_cmd_get{app="a\"b\\c"} 7"#));
+        assert!(prom.contains(r#"cliffhanger_tenant_budget_bytes{tenant="a\"b\\c"} 9"#));
+    }
 }

@@ -19,7 +19,7 @@ use cache_core::{hash_bytes, key::mix64};
 use cache_server::{
     BackendConfig, BackendMode, CacheServer, PlaneHandle, ServerConfig, SharedCache, TenantSpec,
 };
-use cliffhanger::{ShardBalanceConfig, TenantBalanceConfig};
+use cliffhanger::ShardBalanceConfig;
 use std::collections::HashMap;
 
 const MODES: [BackendMode; 3] = [
@@ -72,11 +72,11 @@ fn arbitrated(tenants: &[&str]) -> BackendConfig {
             .iter()
             .map(|name| TenantSpec::new(*name, 1))
             .collect(),
-        tenant_balance: TenantBalanceConfig {
+        tenant_balance: ShardBalanceConfig {
             credit_bytes: 256 << 10,
-            min_tenant_bytes: 1 << 20,
+            min_shard_bytes: 1 << 20,
             min_gradient_gap: 4,
-            ..TenantBalanceConfig::default()
+            ..ShardBalanceConfig::tenant_default()
         },
         ..BackendConfig::default()
     }
@@ -587,7 +587,7 @@ fn arbiter_disabled_keeps_static_reservations() {
     let server = start(BackendConfig {
         total_bytes: 8 << 20,
         tenants: vec![TenantSpec::new("a", 1)],
-        tenant_balance: TenantBalanceConfig::disabled(),
+        tenant_balance: ShardBalanceConfig::disabled(),
         ..small(BackendMode::Cliffhanger)
     });
     let cache = server.cache();
@@ -619,7 +619,7 @@ fn shared_cache_answers_like_a_one_loop_plane() {
             shards: 2,
             tenants: vec![TenantSpec::new("app", 1)],
             rebalance: ShardBalanceConfig::disabled(),
-            tenant_balance: TenantBalanceConfig::disabled(),
+            tenant_balance: ShardBalanceConfig::disabled(),
             ..BackendConfig::default()
         };
         let inline = SharedCache::new(config.clone());

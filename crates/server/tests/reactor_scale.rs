@@ -25,7 +25,7 @@ use bytes::Bytes;
 use cache_server::{
     BackendConfig, BackendMode, CacheClient, CacheServer, ServerConfig, TenantSpec,
 };
-use cliffhanger::TenantBalanceConfig;
+use cliffhanger::ShardBalanceConfig;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -651,13 +651,13 @@ fn message_based_transfers_conserve_the_budget_total() {
             mode: BackendMode::Cliffhanger,
             shards: 2,
             tenants: vec![TenantSpec::new("greedy", 1), TenantSpec::new("modest", 1)],
-            tenant_balance: TenantBalanceConfig {
+            tenant_balance: ShardBalanceConfig {
                 interval_requests: 1_024,
                 credit_bytes: 256 << 10,
-                min_tenant_bytes: 1 << 20,
+                min_shard_bytes: 1 << 20,
                 min_gradient_gap: 4,
                 hysteresis: 0.05,
-                ..TenantBalanceConfig::default()
+                ..ShardBalanceConfig::tenant_default()
             },
             ..BackendConfig::default()
         },

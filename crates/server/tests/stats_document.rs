@@ -8,7 +8,9 @@
 use bytes::Bytes;
 use cache_core::hash_bytes;
 use cache_core::key::mix64;
-use cache_server::{BackendConfig, BackendMode, CacheClient, CacheServer, ServerConfig};
+use cache_server::{
+    BackendConfig, BackendMode, CacheClient, CacheServer, ServerConfig, TenantSpec,
+};
 use cliffhanger::ShardBalanceConfig;
 use serde_json::Value;
 use std::collections::HashMap;
@@ -199,4 +201,128 @@ fn stats_json_carries_latency_quantiles_and_transfer_evidence() {
     );
     assert!(prom.contains("cliffhanger_rebalance_transfers_total"));
     assert!(prom.contains("cliffhanger_slow_ops_total"));
+}
+
+/// Where in the `stats json` document a text `stats` key's value lives, as
+/// a `/`-separated walk of map keys and array indices.
+fn path_of(key: &str, tenants: &[&str]) -> String {
+    let parts: Vec<&str> = key.split(':').collect();
+    match parts[..] {
+        ["uptime"] => "uptime_s".into(),
+        ["limit_maxbytes" | "allocator" | "shard_count" | "shards_requested" | "tenant_count"] => {
+            format!("capacity/{key}")
+        }
+        ["curr_connections"] => "connections/curr".into(),
+        ["total_connections"] => "connections/total".into(),
+        ["rejected_connections"] => "connections/rejected".into(),
+        ["max_connections"] => "connections/max".into(),
+        ["idle_closed_connections"] => "connections/idle_closed".into(),
+        [field] => format!("counters/{field}"),
+        [level @ ("rebalance" | "arbiter"), field] => format!("balance/{level}_{field}"),
+        ["plane", "event_loops"] => "capacity/event_loops".into(),
+        ["plane", "slow_ops"] => "counters/slow_ops".into(),
+        ["plane", field] => format!("plane/{field}"),
+        ["conns", "loop", i] => format!("connections/per_loop/{i}"),
+        ["loop", i, field] => format!("loops/{i}/{field}"),
+        ["shard", s, field] => format!("shards/{s}/{field}"),
+        ["tenant", name, field] => {
+            let t = tenants.iter().position(|n| *n == name).unwrap();
+            format!("tenants/{t}/{field}")
+        }
+        _ => panic!("text stats key {key} has no place in the document"),
+    }
+}
+
+/// The document value at `path`, printed the way text `stats` prints it.
+fn leaf(doc: &Value, path: &str) -> String {
+    let mut at = doc;
+    for seg in path.split('/') {
+        at = match at.as_array() {
+            Some(items) => &items[seg.parse::<usize>().unwrap()],
+            None => at
+                .get(seg)
+                .unwrap_or_else(|| panic!("the document has no {path}")),
+        };
+    }
+    match (at.as_str(), at.as_u64()) {
+        (Some(s), _) => s.to_string(),
+        (_, Some(n)) => n.to_string(),
+        _ if *at == Value::Bool(true) => "1".into(),
+        _ if *at == Value::Bool(false) => "0".into(),
+        _ => panic!("{path} is not a text stats value: {at:?}"),
+    }
+}
+
+#[test]
+fn text_stats_is_the_document_key_for_key() {
+    let server = CacheServer::start(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 2,
+        backend: BackendConfig {
+            total_bytes: 8 << 20,
+            mode: BackendMode::Cliffhanger,
+            shards: 4,
+            tenants: vec![TenantSpec::new("second", 1)],
+            ..BackendConfig::default()
+        },
+        ..ServerConfig::default()
+    })
+    .expect("server must start");
+    let tenants = ["default", "second"];
+
+    // Reads, writes, deletes and misses for both tenants, spread over all
+    // four shards and both loops. The client is synchronous, so once the
+    // last reply is in the server is quiescent between the two scrapes.
+    let mut client = CacheClient::connect(server.local_addr()).unwrap();
+    for (t, name) in tenants.iter().enumerate() {
+        assert!(client.app(name).unwrap());
+        for i in 0..(120 + 40 * t) {
+            let key = format!("{name}-{i}");
+            assert!(client.set(key.as_bytes(), 0, b"value").unwrap());
+            assert!(client.get(key.as_bytes()).unwrap().is_some());
+            if i % 3 == 0 {
+                assert!(client.delete(key.as_bytes()).unwrap());
+                assert!(client.get(key.as_bytes()).unwrap().is_none());
+            }
+        }
+    }
+    let text = client.stats().unwrap();
+    let doc: Value = serde_json::from_str(&client.stats_json().unwrap()).unwrap();
+
+    let number = |key: &str| -> u64 {
+        let (_, v) = text.iter().find(|(k, _)| k == key).unwrap();
+        v.parse().unwrap()
+    };
+    for key in ["get_hits", "get_misses", "cmd_set", "cmd_delete"] {
+        assert!(number(key) > 0, "{key} must have been exercised");
+        for prefix in ["tenant:default", "tenant:second"] {
+            assert!(number(&format!("{prefix}:{key}")) > 0, "{prefix}:{key}");
+        }
+        let over_shards: u64 = (0..4).map(|s| number(&format!("shard:{s}:{key}"))).sum();
+        assert_eq!(over_shards, number(key), "shards partition {key}");
+    }
+
+    for (key, value) in &text {
+        match key.as_str() {
+            // Derived, not stored: the even per-shard share of the limit.
+            "shard_bytes" => assert_eq!(
+                number(key),
+                number("limit_maxbytes") / number("shard_count")
+            ),
+            // A second may tick between the two scrapes.
+            "uptime" => {
+                let later: u64 = leaf(&doc, "uptime_s").parse().unwrap();
+                assert!((number(key)..=number(key) + 1).contains(&later));
+            }
+            // The `stats json` scrape is itself one more admin message.
+            "plane:admin_msgs" => assert_eq!(
+                leaf(&doc, "plane/admin_msgs"),
+                (number(key) + 1).to_string()
+            ),
+            _ => {
+                let path = path_of(key, &tenants);
+                assert_eq!(leaf(&doc, &path), *value, "text `{key}` vs `{path}`");
+            }
+        }
+    }
 }

@@ -21,7 +21,7 @@ use bytes::Bytes;
 use cache_server::{
     BackendConfig, BackendMode, CacheServer, PlaneHandle, ServerConfig, TenantSpec,
 };
-use cliffhanger::TenantBalanceConfig;
+use cliffhanger::ShardBalanceConfig;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -161,7 +161,7 @@ fn eviction_storm_is_isolated_behind_static_reservations() {
         mode: BackendMode::Cliffhanger,
         shards: 2,
         tenants: vec![TenantSpec::new("storm", 2), TenantSpec::new("quiet", 1)],
-        tenant_balance: TenantBalanceConfig::disabled(),
+        tenant_balance: ShardBalanceConfig::disabled(),
         ..BackendConfig::default()
     });
     let cache = Arc::clone(server.cache());
@@ -225,13 +225,13 @@ fn budgets_conserve_the_total_under_live_arbitration() {
         mode: BackendMode::Cliffhanger,
         shards: 2,
         tenants: vec![TenantSpec::new("greedy", 1), TenantSpec::new("modest", 1)],
-        tenant_balance: TenantBalanceConfig {
+        tenant_balance: ShardBalanceConfig {
             interval_requests: 1_024,
             credit_bytes: 256 << 10,
-            min_tenant_bytes: 1 << 20,
+            min_shard_bytes: 1 << 20,
             min_gradient_gap: 4,
             hysteresis: 0.05,
-            ..TenantBalanceConfig::default()
+            ..ShardBalanceConfig::tenant_default()
         },
         ..BackendConfig::default()
     });

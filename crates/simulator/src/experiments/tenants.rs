@@ -4,9 +4,10 @@
 //! Memcachier divides one cache between applications with *static*
 //! reservations, and Table 3 of the paper shows how much hit rate that
 //! leaves on the table when the applications' marginal utilities of memory
-//! differ. The server backend's [`cliffhanger::TenantArbiter`] replaces the
-//! static split with the paper's shadow-queue gradient machinery run at
-//! whole-application granularity (§4.1's "queue of an entire application"),
+//! differ. The server backend's arbiter (a [`cliffhanger::ShardRebalancer`]
+//! with tenants in its seats) replaces the static split with the paper's
+//! shadow-queue gradient machinery run at whole-application granularity
+//! (§4.1's "queue of an entire application"),
 //! and this experiment quantifies the win: several tenant mixes — from
 //! perfectly balanced to heavily skewed — are each replayed twice at a fixed
 //! total budget, once with static even reservations and once with the
@@ -18,7 +19,7 @@
 use crate::report::Table;
 use cache_core::Key;
 use cliffhanger::{
-    Cliffhanger, CliffhangerConfig, TenantArbiter, TenantBalanceConfig, TenantSample,
+    Cliffhanger, CliffhangerConfig, ShardBalanceConfig, ShardRebalancer, ShardSample,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -79,9 +80,8 @@ fn profile(name: &str, traffic_weight: u64, num_keys: u64, zipf_exponent: f64) -
 }
 
 impl TenantOptions {
-    /// The scale the committed experiment artifacts use (`BENCH_PR4.json`):
-    /// working sets well past the static shares, long enough for the
-    /// arbiter's walk to converge.
+    /// The scale README's figures are quoted at: working sets well past the
+    /// static shares, long enough for the arbiter's walk to converge.
     pub fn standard() -> Self {
         TenantOptions {
             total_bytes: 32 << 20,
@@ -233,11 +233,11 @@ fn run_scenario(opts: &TenantOptions, scenario: &TenantScenario, arbitrate: bool
             Cliffhanger::new(cfg)
         })
         .collect();
-    let balance = TenantBalanceConfig {
+    let balance = ShardBalanceConfig {
         interval_requests: opts.interval_requests,
-        ..TenantBalanceConfig::scaled_for(opts.total_bytes, n)
+        ..ShardBalanceConfig::scaled_for_tenants(opts.total_bytes, n)
     };
-    let mut arbiter = TenantArbiter::new(n, balance);
+    let mut arbiter = ShardRebalancer::new(n, balance);
     let mut transfers = 0u64;
     let mut bytes_moved = 0u64;
 
@@ -305,14 +305,14 @@ fn run_scenario(opts: &TenantOptions, scenario: &TenantScenario, arbitrate: bool
             per_tenant_hits[t] += hit as u64;
         }
         if arbitrate && n > 1 && (r + 1) % opts.interval_requests == 0 {
-            let samples: Vec<TenantSample> = caches
+            let samples: Vec<ShardSample> = caches
                 .iter()
-                .map(|c| TenantSample {
+                .map(|c| ShardSample {
                     shadow_hits: c.stats().shadow_hits,
                     budget_bytes: c.total_bytes(),
                 })
                 .collect();
-            for tr in arbiter.arbitrate(&samples) {
+            for tr in arbiter.rebalance(&samples) {
                 if caches[tr.from].shrink_total(tr.bytes) {
                     caches[tr.to].grow_total(tr.bytes);
                     transfers += 1;

@@ -5,18 +5,13 @@ Validates any mix of report files against the shapes documented in
 docs/report-schemas.md, dispatching on each document's `schema` tag:
 
   cliffhanger-loadgen/v1          single loadgen run
-  cliffhanger-loadgen-sweep/v1    shard sweep
   cliffhanger-stats/v1            scraped server telemetry document
-  cliffhanger-tenant-sweep/v1     tenant arbiter on/off sweep
-  cliffhanger-rebalance-sweep/v1  shard rebalancer on/off sweep
   cliffhanger-scenario/v1         one resilience scenario run
   cliffhanger-scenario-matrix/v1  a matrix of scenario runs
   cliffhanger-hotkey-sweep/v1     hot-key mitigation on/off A/B sweep
-  (no tag, "pr" + "shard_sweep")  committed BENCH_PR<N>.json wrapper
 
 Usage:
   python3 scripts/validate_reports.py FILE [FILE ...]
-  python3 scripts/validate_reports.py            # all committed BENCH_PR*.json
 
 Fails fast: the first file that does not match its schema stops the run
 with a non-zero exit, printing the offending file and the first mismatch —
@@ -24,7 +19,6 @@ both as a plain `SCHEMA VALIDATION FAILED` line and as a GitHub `::error`
 annotation so the message surfaces in the workflow UI, not just the log.
 """
 
-import glob
 import json
 import sys
 
@@ -54,7 +48,7 @@ def check_summary(s, where):
 
 def check_mrc(mrc, where):
     """The live-profiled miss-ratio-curve section (stats documents that
-    carry one; absent/null means profiling was off or predates PR 9)."""
+    carry one; absent/null means profiling was off)."""
     require("sample_shift" in mrc, where, "mrc lacks sample_shift")
     require("sample_rate" in mrc, where, "mrc lacks sample_rate")
     require(
@@ -80,7 +74,7 @@ def check_mrc(mrc, where):
 
 
 def check_history(history, where):
-    """The windowed counter-rate time series (always present post-PR 9)."""
+    """The windowed counter-rate time series."""
     require(history.get("interval_us", 0) > 0, where, "history lacks interval_us")
     for w in history.get("windows", []):
         ww = f"{where}/window={w.get('unix_us')}"
@@ -138,8 +132,7 @@ def check_stats(stats, where):
         where,
         f"tenant budgets sum to {tenant_sum}, limit_maxbytes is {limit}",
     )
-    # Additive sections: committed pre-PR-9 baselines lack them, so only
-    # assert their shape where the document carries them.
+    # Additive sections: assert their shape where the document carries them.
     if "server_start" in stats:
         require(
             stats["server_start"] <= stats["snapshot_unix_us"],
@@ -176,46 +169,6 @@ def check_load(r, where):
             require(t["fills"] <= t["sets"], where, f"tenant {t['tenant']} fills > sets")
     if r.get("server_stats") is not None:
         check_stats(r["server_stats"], f"{where}/server_stats")
-
-
-def check_sweep(s, where):
-    require(
-        s.get("schema") == "cliffhanger-loadgen-sweep/v1",
-        where,
-        f"bad schema tag {s.get('schema')!r}",
-    )
-    require(s.get("points"), where, "sweep has no points")
-    for p in s["points"]:
-        require(
-            p["shards"] > 0 and p["throughput_rps"] > 0,
-            where,
-            f"degenerate point at {p.get('shards')} shards",
-        )
-        # Some baselines were committed with the embedded per-point
-        # reports trimmed; later ones keep them.
-        if "report" in p:
-            check_load(p["report"], f"{where}/shards={p['shards']}")
-
-
-def check_tenant_sweep(ts, where):
-    require(
-        ts.get("schema") == "cliffhanger-tenant-sweep/v1",
-        where,
-        f"bad schema tag {ts.get('schema')!r}",
-    )
-    for point in ts["points"]:
-        for side in ("off", "on"):
-            check_load(point[side], f"{where}/{point['point']}/{side}")
-
-
-def check_rebalance_sweep(rs, where):
-    require(
-        rs.get("schema") == "cliffhanger-rebalance-sweep/v1",
-        where,
-        f"bad schema tag {rs.get('schema')!r}",
-    )
-    for side in ("off", "on"):
-        check_sweep(rs[side], f"{where}/{side}")
 
 
 def check_scenario(r, where):
@@ -300,27 +253,9 @@ def check_hotkey_sweep(hs, where):
     )
 
 
-def check_bench_wrapper(bench, where):
-    require(bench.get("pr", 0) > 0 and bench.get("date"), where, "bad BENCH wrapper")
-    check_sweep(bench["shard_sweep"], f"{where}/shard_sweep")
-    if "loadgen_tenant_smoke" in bench:
-        check_load(bench["loadgen_tenant_smoke"]["report"], f"{where}/tenant_smoke")
-    if "tenant_sweep" in bench:
-        check_tenant_sweep(bench["tenant_sweep"], f"{where}/tenant_sweep")
-    if "rebalance_sweep" in bench:
-        check_rebalance_sweep(bench["rebalance_sweep"], f"{where}/rebalance_sweep")
-    if "scenario_matrix" in bench:
-        check_scenario_matrix(bench["scenario_matrix"], f"{where}/scenario_matrix")
-    if "hotkey_sweep" in bench:
-        check_hotkey_sweep(bench["hotkey_sweep"], f"{where}/hotkey_sweep")
-
-
 DISPATCH = {
     "cliffhanger-loadgen/v1": check_load,
-    "cliffhanger-loadgen-sweep/v1": check_sweep,
     "cliffhanger-stats/v1": check_stats,
-    "cliffhanger-tenant-sweep/v1": check_tenant_sweep,
-    "cliffhanger-rebalance-sweep/v1": check_rebalance_sweep,
     "cliffhanger-scenario/v1": check_scenario,
     "cliffhanger-scenario-matrix/v1": check_scenario_matrix,
     "cliffhanger-hotkey-sweep/v1": check_hotkey_sweep,
@@ -336,18 +271,15 @@ def validate_file(path):
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema in DISPATCH:
         DISPATCH[schema](doc, path)
-    elif isinstance(doc, dict) and "shard_sweep" in doc:
-        check_bench_wrapper(doc, path)
     else:
         raise Mismatch(path, f"unrecognized document (schema tag {schema!r})")
 
 
 def main(argv):
-    paths = argv or sorted(glob.glob("BENCH_PR*.json"))
-    if not paths:
-        print("validate_reports: no files given and no BENCH_PR*.json found")
+    if not argv:
+        print("usage: validate_reports.py FILE [FILE ...]")
         return 1
-    for path in paths:
+    for path in argv:
         try:
             validate_file(path)
         except Mismatch as e:

@@ -20,7 +20,8 @@
 //! * [`cache_server`] — a Memcached-text-protocol TCP server and client
 //!   backed by the Cliffhanger-managed cache, N-way sharded.
 //! * [`loadgen`] — a memtier-style load generator with HDR-style latency
-//!   telemetry and a shard-sweep mode (see README "Benchmarking").
+//!   telemetry and the phased resilience scenarios (see README
+//!   "Benchmarking").
 //!
 //! See `examples/quickstart.rs` for a five-minute tour and DESIGN.md /
 //! EXPERIMENTS.md for the reproduction methodology and results.
