@@ -1,8 +1,8 @@
 //! # cache-core
 //!
 //! The cache substrate used by the Cliffhanger reproduction: a Memcached-like,
-//! slab-structured, multi-tenant in-memory key-value cache with pluggable
-//! eviction policies and key-only *shadow queues*.
+//! slab-structured in-memory key-value cache with pluggable eviction policies
+//! and key-only *shadow queues*.
 //!
 //! The crate is deliberately independent of the allocation algorithms in the
 //! [`cliffhanger`](../cliffhanger/index.html) crate: it exposes the queue
@@ -31,8 +31,7 @@
 //! * [`store`] — a slab-class cache for a single application (first-come-
 //!   first-serve by default, externally resizable per class).
 //! * [`global_lru`] — the log-structured-memory model: one global LRU.
-//! * [`tenant`] — a multi-tenant cache server: per-application reservations or
-//!   a shared memory pool.
+//! * [`tenant`] — the tenant name table (`app <name>` to a dense index).
 //! * [`stats`] — hit/miss/eviction accounting shared by all of the above.
 
 #![warn(missing_docs)]
@@ -61,7 +60,7 @@ pub use shadow::{ShadowHalf, ShadowHit, ShadowQueue};
 pub use slab::SlabConfig;
 pub use stats::{CacheStats, HitRatio};
 pub use store::{SlabCache, SlabCacheConfig};
-pub use tenant::{MultiTenantCache, TenantConfig, TenantDirectory, DEFAULT_TENANT};
+pub use tenant::{TenantDirectory, DEFAULT_TENANT};
 
 /// Fixed per-item metadata overhead charged against the memory budget, in
 /// bytes. Memcached charges roughly 48–56 bytes of header per item; we use a

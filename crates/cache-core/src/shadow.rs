@@ -154,11 +154,6 @@ impl ShadowQueue {
         self.probe(key).is_some()
     }
 
-    /// Drops every key.
-    pub fn clear(&mut self) {
-        *self = ShadowQueue::new(self.capacity);
-    }
-
     /// Iterates over keys from most to least recently evicted.
     pub fn iter(&self) -> impl Iterator<Item = Key> + '_ {
         self.nodes.iter().map(|ghost| ghost.key)
@@ -333,15 +328,5 @@ mod tests {
         assert!(!q.remove(key(2)));
         let keys: Vec<u64> = q.iter().map(Key::raw).collect();
         assert_eq!(keys, vec![4, 3, 1, 0]);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut q = ShadowQueue::new(5);
-        q.insert(key(1));
-        q.clear();
-        assert!(q.is_empty());
-        assert!(!q.contains(key(1)));
-        assert_eq!(q.capacity(), 5);
     }
 }

@@ -52,11 +52,6 @@ impl CacheStats {
     pub fn hit_ratio(&self) -> HitRatio {
         HitRatio::new(self.hits, self.gets)
     }
-
-    /// Miss ratio over all GETs observed so far.
-    pub fn miss_ratio(&self) -> f64 {
-        1.0 - self.hit_ratio().value()
-    }
 }
 
 impl Add for CacheStats {
@@ -109,11 +104,6 @@ impl HitRatio {
         self.value() * 100.0
     }
 
-    /// Number of hits.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
     /// Number of requests.
     pub fn total(&self) -> u64 {
         self.total
@@ -158,7 +148,6 @@ mod tests {
         assert_eq!(s.misses, 3);
         assert_eq!(s.sets, 1);
         assert!((s.hit_ratio().value() - 0.7).abs() < 1e-12);
-        assert!((s.miss_ratio() - 0.3).abs() < 1e-12);
     }
 
     #[test]
@@ -204,7 +193,6 @@ mod tests {
         let r = HitRatio::new(977, 1000);
         assert!((r.percent() - 97.7).abs() < 1e-9);
         assert_eq!(r.misses(), 23);
-        assert_eq!(r.hits(), 977);
         assert_eq!(r.total(), 1000);
     }
 }

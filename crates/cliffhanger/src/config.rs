@@ -98,23 +98,9 @@ impl CliffhangerConfig {
         }
     }
 
-    /// Disables cliff scaling (the hill-climbing-only ablation of Table 4).
-    pub fn hill_climbing_only(mut self) -> Self {
-        self.enable_cliff_scaling = false;
-        self.enable_hill_climbing = true;
-        self
-    }
-
     /// Disables hill climbing (the cliff-scaling-only ablation of Table 4).
     pub fn cliff_scaling_only(mut self) -> Self {
         self.enable_cliff_scaling = true;
-        self.enable_hill_climbing = false;
-        self
-    }
-
-    /// Disables both algorithms (useful as a managed-cache baseline).
-    pub fn disabled(mut self) -> Self {
-        self.enable_cliff_scaling = false;
         self.enable_hill_climbing = false;
         self
     }
@@ -329,12 +315,8 @@ mod tests {
 
     #[test]
     fn ablation_helpers_toggle_flags() {
-        let hc = CliffhangerConfig::default().hill_climbing_only();
-        assert!(hc.enable_hill_climbing && !hc.enable_cliff_scaling);
         let cs = CliffhangerConfig::default().cliff_scaling_only();
         assert!(!cs.enable_hill_climbing && cs.enable_cliff_scaling);
-        let off = CliffhangerConfig::default().disabled();
-        assert!(!off.enable_hill_climbing && !off.enable_cliff_scaling);
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! table is changed in one place per path: a SET writes the slot the queue
 //! reports and drops the keys it reports evicted.
 
-use crate::cliff_scale::CliffScaler;
 use crate::config::CliffhangerConfig;
 use crate::events::{EventSink, SinkSlot};
 use crate::hill_climb::HillClimber;
@@ -535,21 +534,6 @@ impl<V> Cliffhanger<V> {
         &self.queues[class.index()]
     }
 
-    /// The cliff scaler of one class (diagnostics, tests).
-    pub fn scaler(&self, class: ClassId) -> &CliffScaler {
-        self.queues[class.index()].scaler()
-    }
-
-    /// Grows one class's budget by `bytes` from outside (used by the
-    /// cross-application layer). The extra memory is real: the cache's total
-    /// grows.
-    pub fn grow_class(&mut self, class: ClassId, bytes: u64) {
-        let idx = class.index();
-        let new_target = self.climber.target(idx) + bytes;
-        self.climber.set_target(idx, new_target);
-        self.queues[idx].set_target_bytes(new_target);
-    }
-
     /// Grows the cache's total budget by `bytes` from outside (the
     /// cross-shard rebalancer). The new memory lands in the free pool, where
     /// classes grow into it on demand exactly like Memcached's free pages —
@@ -595,32 +579,6 @@ impl<V> Cliffhanger<V> {
             needed -= take;
         }
         true
-    }
-
-    /// Shrinks the cache by `bytes`, returning `true` if the memory could be
-    /// released. Ungranted free-pool memory is released first; otherwise the
-    /// class with the most memory above its own floor (at least one chunk,
-    /// as in [`Cliffhanger::shrink_total`]) gives it up.
-    pub fn shrink_some_class(&mut self, bytes: u64) -> bool {
-        if self.free_bytes >= bytes {
-            self.free_bytes -= bytes;
-            return true;
-        }
-        let candidate = (0..self.queues.len())
-            .filter(|&i| {
-                let target = self.climber.target(i);
-                target >= bytes && target - bytes >= self.climber.queue_floor(i)
-            })
-            .max_by_key(|&i| self.climber.target(i));
-        match candidate {
-            Some(idx) => {
-                let new_target = self.climber.target(idx) - bytes;
-                self.climber.set_target(idx, new_target);
-                self.queues[idx].set_target_bytes(new_target);
-                true
-            }
-            None => false,
-        }
     }
 
     /// Checks the index against the queues: every entry's token names a
@@ -800,19 +758,6 @@ mod tests {
         assert!(small.items > 0);
         assert!(small.used_bytes > 0);
         assert_eq!(small.chunk_size, 64);
-    }
-
-    #[test]
-    fn grow_and_shrink_interact_with_external_allocators() {
-        let mut c: Cliffhanger<()> = Cliffhanger::new(config(1 << 20));
-        let class = c.class_for_size(60).unwrap();
-        let before_total = c.total_bytes();
-        c.grow_class(class, 64 << 10);
-        assert_eq!(c.total_bytes(), before_total + (64 << 10));
-        assert!(c.shrink_some_class(64 << 10));
-        assert_eq!(c.total_bytes(), before_total);
-        // Shrinking more than any class can afford fails gracefully.
-        assert!(!c.shrink_some_class(10 << 20));
     }
 
     #[test]

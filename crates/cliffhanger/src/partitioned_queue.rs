@@ -529,11 +529,6 @@ impl PartitionedQueue {
         self.resize_pending = false;
         evicted
     }
-
-    /// The scaler driving this queue (read-only; for diagnostics and tests).
-    pub fn scaler(&self) -> &CliffScaler {
-        &self.scaler
-    }
 }
 
 #[cfg(test)]

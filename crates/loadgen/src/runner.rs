@@ -68,8 +68,8 @@ pub struct LoadgenConfig {
     /// queueing it causes (coordinated omission by another name). Fill SETs
     /// ride on top of the request budget — `requests` counts the generated
     /// stream, the report counts everything completed, and fills also get
-    /// their own `fills` / `fill_latency` report section. Off by default,
-    /// preserving the pre-PR4 pure GET/SET stream.
+    /// their own `fills` / `fill_latency` report section. Off by default:
+    /// the stream is then the generated GETs and SETs and nothing else.
     pub fill_on_miss: bool,
 }
 
@@ -138,16 +138,6 @@ impl Pacer {
         let slot = self.next;
         self.next += self.interval;
         slot
-    }
-
-    /// The slot `next_arrival` would return, without claiming it.
-    pub fn peek(&self) -> Instant {
-        self.next
-    }
-
-    /// The current spacing between arrivals.
-    pub fn interval(&self) -> Duration {
-        self.interval
     }
 }
 
@@ -328,34 +318,39 @@ pub(crate) fn record(
     }
 }
 
-/// Untimed warm-up: worker `w` SETs ranks `w, w+W, w+2W, …` below
-/// `warmup_keys`, so the hottest portion of the universe is resident before
-/// the measured window opens.
-fn warmup(
+/// Where a worker's requests come from: the stationary [`RequestGen`] of a
+/// plain run, or a scenario phase's generator.
+pub(crate) trait OpSource {
+    /// Draws the next request.
+    fn next_op(&mut self) -> GenOp;
+
+    /// The SET that stores `rank`: a warm-up write, or the demand fill of a
+    /// GET that missed.
+    fn fill_for(&self, rank: u64) -> GenOp;
+
+    /// Tells a source whose traffic changes over its budget how much of it
+    /// has been claimed (`progress` in `[0, 1]`).
+    fn advance(&mut self, _progress: f64) {}
+}
+
+/// Untimed warm-up: SETs `ranks` (the worker's stripe of the hottest keys)
+/// 64 to a batch, so that portion of the universe is resident before the
+/// measured window opens.
+pub(crate) fn warmup(
     conn: &mut Conn,
-    gen: &RequestGen,
-    worker: usize,
-    workers: usize,
-    warmup_keys: u64,
+    gen: &impl OpSource,
+    ranks: impl Iterator<Item = u64>,
     payload_pool: &[u8],
 ) -> std::io::Result<()> {
     let mut buf = Vec::with_capacity(64 * 1024);
-    let mut pending = 0usize;
-    let mut rank = worker as u64;
-    while rank < warmup_keys {
-        encode_op(&gen.set_for_rank(rank), &mut buf, payload_pool);
-        pending += 1;
-        if pending == 64 {
-            conn.writer.write_all(&buf)?;
-            buf.clear();
-            for _ in 0..pending {
-                conn.read_set_response()?;
-            }
-            pending = 0;
+    let mut ranks = ranks.peekable();
+    while ranks.peek().is_some() {
+        buf.clear();
+        let mut pending = 0;
+        for rank in ranks.by_ref().take(64) {
+            encode_op(&gen.fill_for(rank), &mut buf, payload_pool);
+            pending += 1;
         }
-        rank += workers as u64;
-    }
-    if pending > 0 {
         conn.writer.write_all(&buf)?;
         for _ in 0..pending {
             conn.read_set_response()?;
@@ -364,10 +359,27 @@ fn warmup(
     Ok(())
 }
 
-fn run_closed_worker(
+/// How far a budget of `total` requests has been claimed.
+fn progress(budget: &AtomicU64, total: u64) -> f64 {
+    1.0 - budget.load(Ordering::Relaxed) as f64 / total.max(1) as f64
+}
+
+/// The demand fill a completed op calls for: the SET of a GET that missed,
+/// when the run fills on miss.
+fn demand_fill(gen: &impl OpSource, op: &GenOp, outcome: Option<bool>) -> Option<GenOp> {
+    if !matches!(op, GenOp::Get { .. }) || outcome != Some(false) {
+        return None;
+    }
+    RequestGen::rank_for_key(op.key()).map(|rank| gen.fill_for(rank))
+}
+
+/// Runs one connection closed-loop until `budget` (of `total` requests) is
+/// spent: claim up to `pipeline` requests, send them as one batch behind the
+/// demand fills the previous batch discovered, read every response.
+pub(crate) fn run_closed(
     conn: &mut Conn,
-    gen: &mut RequestGen,
-    budget: &AtomicU64,
+    gen: &mut impl OpSource,
+    (budget, total): (&AtomicU64, u64),
     pipeline: u64,
     payload_pool: &[u8],
     fill_on_miss: bool,
@@ -382,18 +394,15 @@ fn run_closed_worker(
         if batch == 0 && fills.is_empty() {
             return Ok(stats);
         }
+        gen.advance(progress(budget, total));
         buf.clear();
         ops.clear();
         // Fills go first, so the first `batch_fills` responses are theirs.
         let batch_fills = fills.len();
-        for op in fills.drain(..) {
-            encode_op(&op, &mut buf, payload_pool);
-            ops.push(op);
-        }
-        for _ in 0..batch {
-            let op = gen.next_op();
-            encode_op(&op, &mut buf, payload_pool);
-            ops.push(op);
+        ops.append(&mut fills);
+        ops.extend((0..batch).map(|_| gen.next_op()));
+        for op in &ops {
+            encode_op(op, &mut buf, payload_pool);
         }
         let sent = Instant::now();
         conn.writer.write_all(&buf)?;
@@ -403,10 +412,8 @@ fn run_closed_worker(
                 GenOp::Set { .. } if i < batch_fills => (OpKind::Fill, conn.read_set_response()?),
                 GenOp::Set { .. } => (OpKind::Set, conn.read_set_response()?),
             };
-            if fill_on_miss && kind == OpKind::Get && outcome == Some(false) {
-                if let Some(rank) = RequestGen::rank_for_key(op.key()) {
-                    fills.push(gen.set_for_rank(rank));
-                }
+            if fill_on_miss {
+                fills.extend(demand_fill(gen, op, outcome));
             }
             // Pipelined latency: from batch send to this response parsed,
             // i.e. queueing behind earlier responses in the batch counts.
@@ -415,22 +422,25 @@ fn run_closed_worker(
     }
 }
 
-fn run_open_worker(
+/// Runs one connection open-loop until `budget` (of `total` requests) is
+/// spent, one request per arrival slot of `pacer`. The caller keeps the
+/// pacer, so a scenario's consecutive open phases continue one arrival
+/// chain through their rate changes (see [`Pacer::set_rate`]).
+pub(crate) fn run_open(
     conn: &mut Conn,
-    gen: &mut RequestGen,
-    budget: &AtomicU64,
-    per_conn_rps: f64,
+    gen: &mut impl OpSource,
+    (budget, total): (&AtomicU64, u64),
+    pacer: &mut Pacer,
     payload_pool: &[u8],
     fill_on_miss: bool,
 ) -> std::io::Result<WorkerStats> {
     let mut stats = WorkerStats::default();
     let mut buf = Vec::with_capacity(16 * 1024);
-    let mut pacer = Pacer::new(Instant::now(), per_conn_rps);
     // Demand fills waiting for their arrival slot. A fill is part of the
-    // application's offered load, so it occupies the *next scheduled slot*
-    // — sending it out-of-band (as pre-PR5 code did) both exceeded the
-    // configured arrival rate and hid the queueing the fill causes from
-    // the schedule-anchored latencies (coordinated omission, reinvented).
+    // application's offered load, so it occupies the *next scheduled slot*:
+    // sent out of band it would exceed the configured arrival rate and hide
+    // the queueing it causes from the schedule-anchored latencies
+    // (coordinated omission, reinvented).
     let mut fills: std::collections::VecDeque<GenOp> = std::collections::VecDeque::new();
     loop {
         let (op, kind) = match fills.pop_front() {
@@ -439,6 +449,7 @@ fn run_open_worker(
                 if claim(budget, 1) == 0 {
                     return Ok(stats);
                 }
+                gen.advance(progress(budget, total));
                 let op = gen.next_op();
                 let kind = match op {
                     GenOp::Get { .. } => OpKind::Get,
@@ -447,52 +458,31 @@ fn run_open_worker(
                 (op, kind)
             }
         };
-        let outcome = open_loop_step(
-            conn,
-            &op,
-            kind,
-            &mut pacer,
-            payload_pool,
-            &mut buf,
+        let scheduled = pacer.next_arrival();
+        let now = Instant::now();
+        if scheduled > now {
+            std::thread::sleep(scheduled - now);
+        }
+        buf.clear();
+        encode_op(&op, &mut buf, payload_pool);
+        conn.writer.write_all(&buf)?;
+        let outcome = match op {
+            GenOp::Get { .. } => conn.read_get_response()?,
+            GenOp::Set { .. } => conn.read_set_response()?,
+        };
+        // Measured from the *scheduled* time: if the server falls behind the
+        // arrival rate, the backlog shows up in the tail (no coordinated
+        // omission).
+        record(
             &mut stats,
-        )?;
-        if fill_on_miss && kind == OpKind::Get && outcome == Some(false) {
-            if let Some(rank) = RequestGen::rank_for_key(op.key()) {
-                fills.push_back(gen.set_for_rank(rank));
-            }
+            kind,
+            scheduled.elapsed().as_nanos() as u64,
+            outcome,
+        );
+        if fill_on_miss {
+            fills.extend(demand_fill(gen, &op, outcome));
         }
     }
-}
-
-/// Sends one operation in its scheduled arrival slot and records its
-/// schedule-anchored latency: sleep until the pacer's next slot, send, read
-/// the response, and measure from the *scheduled* time — if the server
-/// falls behind the arrival rate, the backlog shows up in the tail (no
-/// coordinated omission). Returns the op's outcome for fill decisions.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn open_loop_step(
-    conn: &mut Conn,
-    op: &GenOp,
-    kind: OpKind,
-    pacer: &mut Pacer,
-    payload_pool: &[u8],
-    buf: &mut Vec<u8>,
-    stats: &mut WorkerStats,
-) -> std::io::Result<Option<bool>> {
-    let scheduled = pacer.next_arrival();
-    let now = Instant::now();
-    if scheduled > now {
-        std::thread::sleep(scheduled - now);
-    }
-    buf.clear();
-    encode_op(op, buf, payload_pool);
-    conn.writer.write_all(buf)?;
-    let outcome = match op {
-        GenOp::Get { .. } => conn.read_get_response()?,
-        GenOp::Set { .. } => conn.read_set_response()?,
-    };
-    record(stats, kind, scheduled.elapsed().as_nanos() as u64, outcome);
-    Ok(outcome)
 }
 
 /// Selects the connection's application namespace (`app <name>`). The
@@ -664,6 +654,7 @@ pub fn run_load(config: &LoadgenConfig) -> std::io::Result<LoadReport> {
             let tenants = Arc::clone(&tenants);
             let tenant_connections = Arc::clone(&tenant_connections);
             let budget = Arc::clone(&budgets[tenant]);
+            let total = tenant_requests[tenant];
             let start_gate = Arc::clone(&start_gate);
             let payload_pool = Arc::clone(&payload_pool);
             std::thread::Builder::new()
@@ -682,27 +673,30 @@ pub fn run_load(config: &LoadgenConfig) -> std::io::Result<LoadReport> {
                         // independent, so cross-tenant striping would leave
                         // gaps).
                         let capped_warmup = config.warmup_keys.min(load.spec.keys.num_keys());
-                        warmup(&mut conn, &gen, tw, siblings, capped_warmup, &payload_pool)?;
+                        let stripe = (tw as u64..capped_warmup).step_by(siblings);
+                        warmup(&mut conn, &gen, stripe, &payload_pool)?;
                         Ok((conn, gen))
                     })();
                     start_gate.wait();
                     let (mut conn, mut gen) = setup?;
+                    let budget = (&*budget, total);
                     match config.mode {
-                        LoadMode::Closed => run_closed_worker(
+                        LoadMode::Closed => run_closed(
                             &mut conn,
                             &mut gen,
-                            &budget,
+                            budget,
                             config.pipeline as u64,
                             &payload_pool,
                             config.fill_on_miss,
                         ),
                         LoadMode::Open { target_rps } => {
                             let per_conn = (target_rps / config.connections as f64).max(1.0);
-                            run_open_worker(
+                            let mut pacer = Pacer::new(Instant::now(), per_conn);
+                            run_open(
                                 &mut conn,
                                 &mut gen,
-                                &budget,
-                                per_conn,
+                                budget,
+                                &mut pacer,
                                 &payload_pool,
                                 config.fill_on_miss,
                             )
@@ -856,6 +850,40 @@ mod tests {
         }
     }
 
+    /// Drives one shared worker loop, filling on miss, over each kind of op
+    /// source against an unwarmed server: every claimed request is recorded,
+    /// and each demand fill counts once as a SET and once as a fill.
+    fn both_sources_account_for_every_request(server: &CacheServer, open: bool) {
+        let spec = small_config(String::new()).workload;
+        let phase = crate::scenario::Phase::steady("steady", 300, 1_000, 0.99);
+        drive(server, &mut RequestGen::new(&spec, 0), open);
+        // Another seed: the same one draws the first source's keys again,
+        // all of them hits by then.
+        let mut phased = crate::scenario::PhaseGen::new(&phase, 0, 1, !spec.seed);
+        drive(server, &mut phased, open);
+    }
+
+    fn drive(server: &CacheServer, gen: &mut impl OpSource, open: bool) {
+        let mut conn = Conn::connect(&server.local_addr().to_string()).unwrap();
+        let pool = vec![b'x'; 1 << 10];
+        let budget = AtomicU64::new(300);
+        let stats = if open {
+            let mut pacer = Pacer::new(Instant::now(), 50_000.0);
+            run_open(&mut conn, gen, (&budget, 300), &mut pacer, &pool, true)
+        } else {
+            run_closed(&mut conn, gen, (&budget, 300), 8, &pool, true)
+        }
+        .unwrap();
+        let generated_sets = stats.sets - stats.fills;
+        assert_eq!(stats.gets + generated_sets, 300, "claimed = recorded");
+        assert_eq!(stats.fills, stats.gets - stats.hits, "a fill per miss");
+        assert!(stats.fills > 0 && generated_sets > 0);
+        assert_eq!(stats.fill.count(), stats.fills);
+        assert_eq!(stats.set.count(), stats.sets);
+        assert_eq!(stats.all.count(), stats.gets + stats.sets);
+        assert_eq!(stats.errors, 0);
+    }
+
     #[test]
     fn closed_loop_completes_the_budget_and_reports() {
         let server = test_server(2);
@@ -873,6 +901,7 @@ mod tests {
         assert!(report.latency.p50_us > 0.0);
         assert!(report.latency.p999_us >= report.latency.p99_us);
         assert_eq!(report.schema, LOAD_SCHEMA);
+        both_sources_account_for_every_request(&test_server(1), false);
     }
 
     #[test]
@@ -889,6 +918,7 @@ mod tests {
         assert_eq!(report.pipeline, 1);
         // 400 requests at 4k rps should take roughly 0.1 s of schedule.
         assert!(report.elapsed_secs < 5.0);
+        both_sources_account_for_every_request(&test_server(1), true);
     }
 
     #[test]
@@ -1005,18 +1035,6 @@ mod tests {
         // The new slots are nowhere near a from-scratch schedule at the new
         // rate (t0 + 600 µs / 700 µs): the chain kept its history.
         assert!(first > t0 + Duration::from_millis(4));
-    }
-
-    #[test]
-    fn pacer_peek_does_not_claim_the_slot() {
-        let t0 = Instant::now();
-        let mut pacer = Pacer::new(t0, 1_000.0);
-        let peeked = pacer.peek();
-        assert_eq!(peeked, pacer.next_arrival());
-        assert!(pacer.peek() > peeked);
-        let one_ms = Duration::from_millis(1);
-        assert!(pacer.interval() >= one_ms - Duration::from_nanos(10));
-        assert!(pacer.interval() <= one_ms + Duration::from_nanos(10));
     }
 
     #[test]

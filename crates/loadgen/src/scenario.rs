@@ -22,7 +22,7 @@
 //! and the `scenario_matrix` bench binary.
 
 use crate::runner::{
-    claim, encode_op, open_loop_step, record, select_app, Conn, OpKind, Pacer, WorkerStats,
+    run_closed, run_open, select_app, warmup, Conn, OpSource, Pacer, WorkerStats,
     PAYLOAD_POOL_BYTES,
 };
 use crate::workload::{GenOp, RequestGen};
@@ -569,7 +569,7 @@ fn budget_conservation(report: &ScenarioReport) -> (bool, String) {
 /// A per-worker, per-phase generator: a quantized time-varying Zipf
 /// sampler, linear working-set drift, and an optional interleaved scan
 /// striped across the workers.
-struct PhaseGen {
+pub(crate) struct PhaseGen {
     phase: Phase,
     sampler: workloads::zipf::PopularitySampler,
     step: usize,
@@ -589,7 +589,7 @@ fn sampler_for(num_keys: u64, exponent: f64) -> workloads::zipf::PopularitySampl
 }
 
 impl PhaseGen {
-    fn new(phase: &Phase, worker: u64, workers: u64, seed: u64) -> PhaseGen {
+    pub(crate) fn new(phase: &Phase, worker: u64, workers: u64, seed: u64) -> PhaseGen {
         PhaseGen {
             sampler: sampler_for(
                 phase.num_keys,
@@ -603,7 +603,9 @@ impl PhaseGen {
             scan_stride: workers.max(1),
         }
     }
+}
 
+impl OpSource for PhaseGen {
     /// Advances the phase clock: `progress` ∈ [0, 1] is the fraction of
     /// the phase budget already claimed. The Zipf sampler is rebuilt at
     /// most [`ZIPF_STEPS`] times per phase (the CDF build is O(keys)).
@@ -681,136 +683,6 @@ struct WorkerCtx {
     seed: u64,
 }
 
-/// Untimed warm-up of the first phase's working set: the worker SETs its
-/// stripe of ranks `offset_start .. offset_start + warmup_keys` (capped at
-/// the phase's key universe) so the window opens over a populated cache.
-fn scenario_warmup(conn: &mut Conn, ctx: &WorkerCtx) -> std::io::Result<()> {
-    let Some(first) = ctx.phases.first() else {
-        return Ok(());
-    };
-    let span = ctx.warmup_keys.min(first.num_keys);
-    let mut buf = Vec::with_capacity(64 * 1024);
-    let mut pending = 0usize;
-    let mut rank = ctx.stripe as u64;
-    while rank < span {
-        encode_op(
-            &GenOp::Set {
-                key: RequestGen::key_for_rank(first.offset_start + rank),
-                size: first.value_bytes,
-            },
-            &mut buf,
-            &ctx.pool,
-        );
-        pending += 1;
-        if pending == 64 {
-            conn.writer.write_all(&buf)?;
-            buf.clear();
-            for _ in 0..pending {
-                conn.read_set_response()?;
-            }
-            pending = 0;
-        }
-        rank += ctx.siblings.max(1) as u64;
-    }
-    if pending > 0 {
-        conn.writer.write_all(&buf)?;
-        for _ in 0..pending {
-            conn.read_set_response()?;
-        }
-    }
-    Ok(())
-}
-
-/// Runs one closed-loop phase on one connection (the pipelined batch loop
-/// of the plain runner, with a phase-aware generator).
-fn run_phase_closed(
-    conn: &mut Conn,
-    gen: &mut PhaseGen,
-    budget: &AtomicU64,
-    total: u64,
-    ctx: &WorkerCtx,
-) -> std::io::Result<WorkerStats> {
-    let mut stats = WorkerStats::default();
-    let mut buf = Vec::with_capacity(64 * 1024);
-    let mut ops: Vec<GenOp> = Vec::with_capacity(ctx.pipeline as usize);
-    let mut fills: Vec<GenOp> = Vec::new();
-    loop {
-        let batch = claim(budget, ctx.pipeline);
-        if batch == 0 && fills.is_empty() {
-            return Ok(stats);
-        }
-        let remaining = budget.load(Ordering::Relaxed);
-        gen.advance(1.0 - remaining as f64 / total.max(1) as f64);
-        buf.clear();
-        ops.clear();
-        let batch_fills = fills.len();
-        for op in fills.drain(..) {
-            encode_op(&op, &mut buf, &ctx.pool);
-            ops.push(op);
-        }
-        for _ in 0..batch {
-            let op = gen.next_op();
-            encode_op(&op, &mut buf, &ctx.pool);
-            ops.push(op);
-        }
-        let sent = Instant::now();
-        conn.writer.write_all(&buf)?;
-        for (i, op) in ops.iter().enumerate() {
-            let (kind, outcome) = match op {
-                GenOp::Get { .. } => (OpKind::Get, conn.read_get_response()?),
-                GenOp::Set { .. } if i < batch_fills => (OpKind::Fill, conn.read_set_response()?),
-                GenOp::Set { .. } => (OpKind::Set, conn.read_set_response()?),
-            };
-            if ctx.fill_on_miss && kind == OpKind::Get && outcome == Some(false) {
-                if let Some(rank) = RequestGen::rank_for_key(op.key()) {
-                    fills.push(gen.fill_for(rank));
-                }
-            }
-            record(&mut stats, kind, sent.elapsed().as_nanos() as u64, outcome);
-        }
-    }
-}
-
-/// Runs one open-loop phase on one connection. The pacer is shared across
-/// consecutive open phases so the arrival chain survives rate changes at
-/// phase boundaries (see [`Pacer::set_rate`]).
-fn run_phase_open(
-    conn: &mut Conn,
-    gen: &mut PhaseGen,
-    budget: &AtomicU64,
-    total: u64,
-    pacer: &mut Pacer,
-    ctx: &WorkerCtx,
-) -> std::io::Result<WorkerStats> {
-    let mut stats = WorkerStats::default();
-    let mut buf = Vec::with_capacity(16 * 1024);
-    let mut fills: std::collections::VecDeque<GenOp> = std::collections::VecDeque::new();
-    loop {
-        let (op, kind) = match fills.pop_front() {
-            Some(op) => (op, OpKind::Fill),
-            None => {
-                if claim(budget, 1) == 0 {
-                    return Ok(stats);
-                }
-                let remaining = budget.load(Ordering::Relaxed);
-                gen.advance(1.0 - remaining as f64 / total.max(1) as f64);
-                let op = gen.next_op();
-                let kind = match op {
-                    GenOp::Get { .. } => OpKind::Get,
-                    GenOp::Set { .. } => OpKind::Set,
-                };
-                (op, kind)
-            }
-        };
-        let outcome = open_loop_step(conn, &op, kind, pacer, &ctx.pool, &mut buf, &mut stats)?;
-        if ctx.fill_on_miss && kind == OpKind::Get && outcome == Some(false) {
-            if let Some(rank) = RequestGen::rank_for_key(op.key()) {
-                fills.push_back(gen.fill_for(rank));
-            }
-        }
-    }
-}
-
 /// The worker thread: connect, pin the tenant, warm up, then run every
 /// phase between the coordinator's barriers. A worker that fails keeps
 /// participating in the barriers (doing nothing) so the coordinator and
@@ -819,7 +691,17 @@ fn scenario_worker(ctx: WorkerCtx) -> std::io::Result<Vec<WorkerStats>> {
     let setup = (|| -> std::io::Result<Conn> {
         let mut conn = Conn::connect(&ctx.addr)?;
         select_app(&mut conn, &ctx.tenant)?;
-        scenario_warmup(&mut conn, &ctx)?;
+        // Untimed warm-up of the first phase's working set: the worker SETs
+        // its stripe of ranks `offset_start .. offset_start + warmup_keys`
+        // (capped at the phase's key universe) so the window opens over a
+        // populated cache.
+        if let Some(first) = ctx.phases.first() {
+            let gen = PhaseGen::new(first, ctx.worker, ctx.workers, ctx.seed);
+            let stripe = (ctx.stripe as u64..ctx.warmup_keys.min(first.num_keys))
+                .step_by(ctx.siblings.max(1))
+                .map(|rank| first.offset_start + rank);
+            warmup(&mut conn, &gen, stripe, &ctx.pool)?;
+        }
         Ok(conn)
     })();
     ctx.gate.wait();
@@ -843,13 +725,19 @@ fn scenario_worker(ctx: WorkerCtx) -> std::io::Result<Vec<WorkerStats>> {
     for (index, phase) in ctx.phases.iter().enumerate() {
         ctx.gate.wait();
         if err.is_none() {
-            let budget = &ctx.budgets[index];
-            let total = phase.requests;
+            let budget = (&*ctx.budgets[index], phase.requests);
             let mut gen = PhaseGen::new(phase, ctx.worker, ctx.workers, ctx.seed);
             let result = match phase.rate {
                 None => {
                     pacer = None;
-                    run_phase_closed(&mut conn, &mut gen, budget, total, &ctx)
+                    run_closed(
+                        &mut conn,
+                        &mut gen,
+                        budget,
+                        ctx.pipeline,
+                        &ctx.pool,
+                        ctx.fill_on_miss,
+                    )
                 }
                 Some(rate) => {
                     let per_conn = (rate / ctx.connections as f64).max(1.0);
@@ -860,7 +748,7 @@ fn scenario_worker(ctx: WorkerCtx) -> std::io::Result<Vec<WorkerStats>> {
                         }
                         None => pacer.insert(Pacer::new(Instant::now(), per_conn)),
                     };
-                    run_phase_open(&mut conn, &mut gen, budget, total, p, &ctx)
+                    run_open(&mut conn, &mut gen, budget, p, &ctx.pool, ctx.fill_on_miss)
                 }
             };
             match result {

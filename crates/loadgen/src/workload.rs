@@ -4,6 +4,7 @@
 //! fraction (the Facebook ETC mix by default, as in the paper's Mutilate
 //! runs).
 
+use crate::runner::OpSource;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use workloads::zipf::PopularitySampler;
@@ -138,9 +139,10 @@ impl RequestGen {
     pub fn size_for_rank(&self, rank: u64) -> usize {
         self.sizes.size_for_key(rank, self.seed).max(1) as usize
     }
+}
 
-    /// Draws the next request.
-    pub fn next_op(&mut self) -> GenOp {
+impl OpSource for RequestGen {
+    fn next_op(&mut self) -> GenOp {
         let rank = self.sampler.sample(&mut self.rng);
         let key = Self::key_for_rank(rank);
         if self.rng.gen_bool(self.get_fraction) {
@@ -153,8 +155,7 @@ impl RequestGen {
         }
     }
 
-    /// A SET for a specific rank (used by the warm-up phase).
-    pub fn set_for_rank(&self, rank: u64) -> GenOp {
+    fn fill_for(&self, rank: u64) -> GenOp {
         GenOp::Set {
             key: Self::key_for_rank(rank),
             size: self.size_for_rank(rank),

@@ -100,24 +100,6 @@ impl HitRateCurve {
         prev.1
     }
 
-    /// Local gradient (hits per item) around `items`, measured over a window
-    /// of `window` items to the right — the quantity shadow-queue hit rates
-    /// approximate (paper §3.4).
-    pub fn gradient_at(&self, items: u64, window: u64) -> f64 {
-        let window = window.max(1);
-        (self.hit_rate_at(items + window) - self.hit_rate_at(items)) / window as f64
-    }
-
-    /// Discrete second derivative around `items` over a window. Positive
-    /// values indicate a convex region, i.e. a performance cliff (§4.2).
-    pub fn second_derivative_at(&self, items: u64, window: u64) -> f64 {
-        let window = window.max(1);
-        let left = self.hit_rate_at(items.saturating_sub(window));
-        let mid = self.hit_rate_at(items);
-        let right = self.hit_rate_at(items + window);
-        (right - 2.0 * mid + left) / (window as f64 * window as f64)
-    }
-
     /// Whether the curve is concave everywhere (within `tolerance` of hit
     /// rate), checked across its sample points.
     pub fn is_concave(&self, tolerance: f64) -> bool {
@@ -153,15 +135,6 @@ impl HitRateCurve {
         }
         points.dedup_by_key(|&mut (x, _)| x);
         HitRateCurve { points }
-    }
-
-    /// Scales the item axis by `bytes_per_item`, producing `(bytes, rate)`
-    /// points — convenient when reporting byte-based allocations.
-    pub fn to_byte_points(&self, bytes_per_item: u64) -> Vec<(u64, f64)> {
-        self.points
-            .iter()
-            .map(|&(x, y)| (x * bytes_per_item, y))
-            .collect()
     }
 }
 
@@ -243,16 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn gradient_is_positive_and_diminishing_on_concave_curve() {
-        let c = HitRateCurve::from_points(concave_points());
-        let g1 = c.gradient_at(100, 50);
-        let g2 = c.gradient_at(400, 50);
-        let g3 = c.gradient_at(1000, 50);
-        assert!(g1 > g2 && g2 > g3);
-        assert!(g3 >= 0.0);
-    }
-
-    #[test]
     fn concavity_and_cliff_detection() {
         let concave = HitRateCurve::from_points(concave_points());
         assert!(concave.is_concave(1e-9));
@@ -261,8 +224,6 @@ mod tests {
         let cliff = cliff_curve(10_000, 0.8);
         assert!(cliff.has_cliff(0.05));
         assert!(!cliff.is_concave(0.05));
-        // The second derivative is positive just before the cliff.
-        assert!(cliff.second_derivative_at(9_000, 500) > 0.0);
     }
 
     #[test]
@@ -278,12 +239,5 @@ mod tests {
         for probe in [10u64, 100, 500, 900] {
             assert!((d.hit_rate_at(probe) - c.hit_rate_at(probe)).abs() < 0.05);
         }
-    }
-
-    #[test]
-    fn byte_points_scale_axis() {
-        let c = HitRateCurve::from_points(vec![(10, 0.5), (20, 0.8)]);
-        let b = c.to_byte_points(128);
-        assert_eq!(b, vec![(1280, 0.5), (2560, 0.8)]);
     }
 }

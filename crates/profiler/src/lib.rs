@@ -18,7 +18,6 @@
 //! * [`dynacache`] — the Dynacache solver (Equation 1): frequency-weighted
 //!   allocation across queues via marginal-utility water-filling.
 //! * [`talus`] — Talus partitioning of a single queue given its curve.
-//! * [`lookahead`] — the Qureshi–Patt LookAhead allocator.
 //! * [`online`] — SHARDS-sampled live MRC estimation for the server's
 //!   observability plane (bounded memory, near-zero unsampled cost).
 
@@ -29,7 +28,6 @@
 pub mod curve;
 pub mod dynacache;
 pub mod hull;
-pub mod lookahead;
 pub mod mimir;
 pub mod online;
 pub mod stack_distance;
@@ -38,7 +36,6 @@ pub mod talus;
 pub use curve::HitRateCurve;
 pub use dynacache::{DynacacheSolver, QueueProfile};
 pub use hull::ConcaveHull;
-pub use lookahead::LookAheadAllocator;
 pub use mimir::MimirEstimator;
 pub use online::{MrcSnapshot, OnlineMrc};
 pub use stack_distance::{StackDistanceHistogram, StackDistanceTracker};

@@ -48,11 +48,6 @@ impl MimirEstimator {
         }
     }
 
-    /// Default configuration: 100 buckets, one million tracked keys.
-    pub fn with_default_buckets() -> Self {
-        MimirEstimator::new(100, 1_000_000)
-    }
-
     /// Records an access and returns the estimated stack distance
     /// (`None` for keys not currently tracked, i.e. cold or pruned).
     pub fn record(&mut self, key: Key) -> Option<usize> {

@@ -117,16 +117,6 @@ impl OnlineMrc {
         }
     }
 
-    /// The configured sampling shift (`R = 2^-shift`).
-    pub fn sample_shift(&self) -> u32 {
-        self.shift
-    }
-
-    /// The configured sampling rate `R` as a fraction.
-    pub fn sample_rate(&self) -> f64 {
-        1.0 / (1u64 << self.shift) as f64
-    }
-
     /// GETs offered to the estimator (sampled or not).
     pub fn offered(&self) -> u64 {
         self.offered

@@ -78,11 +78,6 @@ impl StackDistanceHistogram {
         self.counts.len()
     }
 
-    /// Number of requests that an LRU cache of `items` entries would hit.
-    pub fn hits_at(&self, items: usize) -> u64 {
-        self.counts.iter().take(items).sum()
-    }
-
     /// The hit-rate curve implied by this histogram.
     pub fn to_curve(&self) -> HitRateCurve {
         HitRateCurve::from_histogram(self)
@@ -244,11 +239,6 @@ impl StackDistanceTracker {
         &self.histogram
     }
 
-    /// Consumes the tracker, returning the histogram.
-    pub fn into_histogram(self) -> StackDistanceHistogram {
-        self.histogram
-    }
-
     /// The hit-rate curve implied by the requests seen so far.
     pub fn to_curve(&self) -> HitRateCurve {
         self.histogram.to_curve()
@@ -400,7 +390,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_hits_at_matches_lru_semantics() {
+    fn histogram_of_a_cycle_has_one_distance() {
         let mut t = StackDistanceTracker::new();
         // Cyclic access to 3 keys: every non-cold access has distance 3.
         for _ in 0..10 {
@@ -409,16 +399,8 @@ mod tests {
             }
         }
         let h = t.histogram();
-        assert_eq!(
-            h.hits_at(2),
-            0,
-            "a 2-item LRU cache never hits a 3-item cycle"
-        );
-        assert_eq!(
-            h.hits_at(3),
-            27,
-            "a 3-item cache hits everything after warm-up"
-        );
+        assert_eq!(h.count_at(2), 0, "no access of a 3-key cycle is nearer");
+        assert_eq!(h.count_at(3), 27, "every access after warm-up is at 3");
         assert_eq!(h.total(), 30);
         assert_eq!(h.cold(), 3);
     }

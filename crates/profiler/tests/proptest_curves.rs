@@ -5,7 +5,7 @@
 use cache_core::Key;
 use profiler::curve::HitRateCurve;
 use profiler::stack_distance::{NaiveStackDistance, StackDistanceTracker};
-use profiler::{DynacacheSolver, LookAheadAllocator, QueueProfile};
+use profiler::{DynacacheSolver, QueueProfile};
 use proptest::prelude::*;
 
 proptest! {
@@ -49,10 +49,10 @@ proptest! {
         }
     }
 
-    /// Both allocators hand out exactly the memory they were given and never
-    /// produce negative or NaN predictions.
+    /// The solver hands out exactly the memory it was given and never
+    /// produces a negative or NaN prediction.
     #[test]
-    fn allocators_conserve_memory(
+    fn the_solver_conserves_memory(
         knees in prop::collection::vec(100u64..20_000, 1..8),
         total_mb in 1u64..32,
     ) {
@@ -73,9 +73,6 @@ proptest! {
         prop_assert_eq!(dynacache.total_bytes(), total);
         prop_assert!(dynacache.predicted_hit_rate.is_finite());
         prop_assert!(dynacache.predicted_hit_rate >= 0.0);
-        let lookahead = LookAheadAllocator::new(64 << 10).allocate(&profiles, total);
-        prop_assert_eq!(lookahead.total_bytes(), total);
-        prop_assert!(lookahead.predicted_hit_rate.is_finite());
     }
 
     /// Hit rates evaluated anywhere on a curve are within [0, 1] and

@@ -5,7 +5,7 @@
 //! one connection, with buffered reads.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 
 /// A blocking client for the cache server.
 pub struct CacheClient {
@@ -23,11 +23,6 @@ impl CacheClient {
             reader,
             writer: stream,
         })
-    }
-
-    /// Connects to a specific socket address.
-    pub fn connect_addr(addr: SocketAddr) -> std::io::Result<CacheClient> {
-        Self::connect(addr)
     }
 
     fn read_line(&mut self) -> std::io::Result<String> {

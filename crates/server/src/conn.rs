@@ -96,7 +96,7 @@ use crate::reactor::{EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
 /// Pending-output bytes above which the connection stops reading and
 /// parsing until the socket drains (and above which a pipelined batch is
-/// cut, matching the old handler's flush threshold).
+/// cut), so a client that never reads cannot grow `out` without bound.
 pub(crate) const OUT_HIGH_WATERMARK: usize = 256 * 1024;
 /// Pending-output bytes below which a pass that leaves the ring unanswered
 /// sends nothing.
@@ -379,8 +379,8 @@ impl Connection {
                 Step::Dry(n) => (n, true),
                 Step::Stalled(n) => (n, false),
                 Step::Quit => {
-                    // Commands pipelined after `quit` are never parsed,
-                    // exactly like the blocking handler's early return.
+                    // Commands pipelined after `quit` are never parsed:
+                    // memcached closes on `quit` without reading further.
                     self.draining = true;
                     self.inbuf.clear();
                     (0, false)

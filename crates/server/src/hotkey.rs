@@ -481,8 +481,6 @@ pub(crate) struct HotShared {
     pub(crate) promoted: parking_lot::Mutex<HashMap<(usize, Key), PromotedEntry>>,
     /// Bumped by the control thread after every promoted-set change.
     pub(crate) generation: AtomicU64,
-    /// Collapses concurrent round triggers into one queued round.
-    pub(crate) round_pending: std::sync::atomic::AtomicBool,
 }
 
 impl HotShared {
@@ -492,7 +490,6 @@ impl HotShared {
             versions: VersionTable::new(),
             promoted: parking_lot::Mutex::new(HashMap::new()),
             generation: AtomicU64::new(1),
-            round_pending: std::sync::atomic::AtomicBool::new(false),
         }
     }
 }

@@ -50,12 +50,12 @@ use crate::protocol::{StatsFormat, StoreVerb};
 use crate::reactor::{ConnTelemetry, Mailbox};
 use crate::stats::{
     build_document, render_json, render_prom, render_stats, BalanceDoc, EngineStat, HotKeyEntryDoc,
-    HotKeysDoc, LoopTelemetry, ObservedPlane, PlaneStats, StatsDocument, StatsSnapshot, WireCounts,
+    HotKeysDoc, StatsDocument, StatsSnapshot, WireCounts,
 };
 use bytes::Bytes;
 use cache_core::prefetch::Sweep;
 use cache_core::{Key, TenantDirectory};
-use cliffhanger::{EventSink, ShardRebalancer, ShardSample};
+use cliffhanger::{EventSink, ShardRebalancer, ShardSample, ShardTransfer};
 use parking_lot::Mutex;
 use profiler::{MrcSnapshot, OnlineMrc};
 use std::collections::HashMap;
@@ -315,17 +315,35 @@ pub(crate) struct LoopSnapshot {
     pub(crate) replica_hit_cells: Vec<(usize, usize, u64)>,
 }
 
+/// The rounds the control thread runs, in the order a loop whose op counter
+/// crosses several intervals at once asks for them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum RoundKind {
+    /// Hot-key promotion and demotion.
+    HotKeys,
+    /// Budget across the shards of each tenant.
+    Rebalance,
+    /// Budget across the tenants.
+    Arbitrate,
+}
+
+impl RoundKind {
+    const ALL: [RoundKind; 3] = [
+        RoundKind::HotKeys,
+        RoundKind::Rebalance,
+        RoundKind::Arbitrate,
+    ];
+}
+
 /// Requests to the control thread.
 pub(crate) enum CtrlReq {
-    /// A loop's op counter crossed a balancing interval.
-    Round { arbitrate: bool },
-    /// Run a round synchronously ([`PlaneHandle::rebalance_now`] etc.).
-    RoundSync { arbitrate: bool, done: Sender<()> },
-    /// A loop's op counter crossed the hot-key round interval.
-    HotRound,
-    /// Run a hot-key promotion round synchronously
-    /// ([`PlaneHandle::hot_round_now`]).
-    HotRoundSync { done: Sender<()> },
+    /// Run one round: asked for by a loop whose op counter crossed the
+    /// kind's interval (`done` is `None`), or by a caller that waits for it
+    /// ([`PlaneHandle::rebalance_now`] etc.).
+    Round {
+        kind: RoundKind,
+        done: Option<Sender<()>>,
+    },
     /// An admin command forwarded off a connection (or a sync caller).
     Admin { op: AdminOp, reply: AdminReply },
     /// Exit the control thread.
@@ -384,6 +402,20 @@ impl RosterMaster {
             .map(|s| self.budgets.iter().map(|per_shard| per_shard[s]).sum())
             .collect()
     }
+
+    /// Every live budget summed: what the control thread must conserve.
+    fn total_budget(&self) -> u64 {
+        self.budgets.iter().flatten().sum()
+    }
+
+    /// The hosted applications as `(name, weight, live budget bytes)`.
+    fn app_list(&self) -> Vec<(String, u64, u64)> {
+        let budgets = self.tenant_budgets();
+        let rows = self.directory.names().iter().zip(&self.weights);
+        rows.zip(budgets)
+            .map(|((name, &weight), budget)| (name.clone(), weight, budget))
+            .collect()
+    }
 }
 
 /// State shared by the loops, the control thread and the [`PlaneHandle`].
@@ -411,8 +443,10 @@ pub(crate) struct PlaneShared {
     /// Hot-key subsystem shared state; `None` when the feature is off, so
     /// the request fast path pays exactly one `Option` discriminant check.
     pub(crate) hot: Option<HotShared>,
-    rebalance_pending: AtomicBool,
-    arbitrate_pending: AtomicBool,
+    /// Per [`RoundKind`]: a loop has asked for a round the control thread
+    /// has not started yet. Collapses concurrent triggers from many loops
+    /// into one queued round.
+    round_pending: [AtomicBool; 3],
 }
 
 impl PlaneShared {
@@ -432,7 +466,7 @@ impl PlaneShared {
         let shards = config.resolved_shards();
         if shards < requested {
             // The budget cap is a silent hit-rate/scaling hazard otherwise:
-            // a sweep that asked for 8 shards may be measuring 2.
+            // a run that asked for 8 shards may be measuring 2.
             eprintln!(
                 "plane: shard count clamped from {requested} to {shards} \
                  ({} MB total across {} tenant(s)); \
@@ -468,8 +502,7 @@ impl PlaneShared {
                 .hot_key
                 .enabled
                 .then(|| HotShared::new(config.hot_key.clone())),
-            rebalance_pending: AtomicBool::new(false),
-            arbitrate_pending: AtomicBool::new(false),
+            round_pending: Default::default(),
             config,
         }
     }
@@ -477,6 +510,18 @@ impl PlaneShared {
     /// The event loop that owns a shard.
     pub(crate) fn owner_of(&self, shard: usize) -> usize {
         shard % self.loops
+    }
+
+    /// Whether rounds of `kind` run on this plane while it hosts `tenants`
+    /// tenants: the one predicate behind the loops' triggers, the control
+    /// thread's rounds and the `enabled` flags `stats` reports.
+    fn round_active(&self, kind: RoundKind, tenants: usize) -> bool {
+        let managed = self.config.mode != BackendMode::Default;
+        match kind {
+            RoundKind::HotKeys => self.hot.is_some(),
+            RoundKind::Rebalance => managed && self.config.rebalance.enabled && self.shards > 1,
+            RoundKind::Arbitrate => managed && self.config.tenant_balance.enabled && tenants > 1,
+        }
     }
 }
 
@@ -593,8 +638,9 @@ pub(crate) struct LoopState {
     /// Ops over the slow-op threshold (0 threshold = never counted).
     slow_ops: u64,
     ops: u64,
-    rebalance_interval: u64,
-    arbitrate_interval: u64,
+    /// Per [`RoundKind`]: the ops this loop executes between two requests
+    /// for a round (the configured interval over the loop count).
+    intervals: [u64; 3],
     /// Per-tenant online MRC estimators over this loop's shard partition
     /// (empty when profiling is off or the loop owns no shards).
     mrc: Vec<OnlineMrc>,
@@ -616,7 +662,6 @@ pub(crate) struct LoopState {
     /// Loop-local hot-key state (tracker, promoted-set view, replica
     /// cache); `None` when the feature is off.
     hot: Option<HotLoopState>,
-    hot_interval: u64,
     /// Replica-served GETs tallied by `(shard, tenant)`; merged into the
     /// owning cell's wire counters at snapshot. Promoted keys only, so
     /// the map stays a handful of entries.
@@ -648,18 +693,14 @@ impl LoopState {
         for (i, shard) in owned.iter().enumerate() {
             slots[shard.global] = Some(i);
         }
-        let loops = shared.loops as u64;
-        let mrc = match shared.mrc_shift {
-            Some(shift) if !owned.is_empty() => {
-                let share = owned.len() as f64 / shared.shards as f64;
-                tenants
-                    .iter()
-                    .map(|_| OnlineMrc::with_population_share(shift, share))
-                    .collect()
-            }
-            _ => Vec::new(),
-        };
-        LoopState {
+        let config = &shared.config;
+        let intervals = RoundKind::ALL.map(|kind| match kind {
+            RoundKind::HotKeys => config.hot_key.interval_requests,
+            RoundKind::Rebalance => config.rebalance.interval_requests,
+            RoundKind::Arbitrate => config.tenant_balance.interval_requests,
+        });
+        let intervals = intervals.map(|requests| (requests / shared.loops as u64).max(1));
+        let mut state = LoopState {
             index,
             slots,
             owned,
@@ -673,9 +714,8 @@ impl LoopState {
             remote_latency: Histogram::new(),
             slow_ops: 0,
             ops: 0,
-            rebalance_interval: (shared.config.rebalance.interval_requests / loops).max(1),
-            arbitrate_interval: (shared.config.tenant_balance.interval_requests / loops).max(1),
-            mrc,
+            intervals,
+            mrc: Vec::new(),
             history: TimeSeries::new(HISTORY_INTERVAL_US, HISTORY_WINDOWS),
             sample: Vec::new(),
             outbound: (0..shared.loops).map(|_| Vec::new()).collect(),
@@ -685,9 +725,20 @@ impl LoopState {
                 .hot
                 .as_ref()
                 .map(|hot| HotLoopState::new(&hot.config)),
-            hot_interval: (shared.config.hot_key.interval_requests / loops).max(1),
             replica_tenant_hits: HashMap::new(),
             shared,
+        };
+        state.grow_mrc();
+        state
+    }
+
+    /// Brings the MRC estimators up to one per tenant (none when profiling
+    /// is off or the loop owns no shard to sample).
+    fn grow_mrc(&mut self) {
+        if let (Some(shift), false) = (self.shared.mrc_shift, self.owned.is_empty()) {
+            let share = self.owned.len() as f64 / self.shared.shards as f64;
+            let estimator = || OnlineMrc::with_population_share(shift, share);
+            self.mrc.resize_with(self.tenants.len(), estimator);
         }
     }
 
@@ -706,15 +757,7 @@ impl LoopState {
         if generation != self.generation_seen {
             self.tenants = self.shared.roster.lock().directory.names().to_vec();
             self.generation_seen = generation;
-            if let Some(shift) = self.shared.mrc_shift {
-                if !self.owned.is_empty() {
-                    let share = self.owned.len() as f64 / self.shared.shards as f64;
-                    while self.mrc.len() < self.tenants.len() {
-                        self.mrc
-                            .push(OnlineMrc::with_population_share(shift, share));
-                    }
-                }
-            }
+            self.grow_mrc();
         }
     }
 
@@ -999,40 +1042,24 @@ impl LoopState {
         });
     }
 
-    /// Counts one executed data op and nudges the control thread when a
-    /// balancing interval elapses. The pending flags collapse concurrent
-    /// triggers from many loops into one queued round.
+    /// Counts one executed data op and asks the control thread for a round
+    /// of each kind whose interval the count crosses, unless one is already
+    /// queued. A plane with no round to run counts nothing.
     fn tick(&mut self) {
-        let config = &self.shared.config;
-        let rebalance = config.rebalance.enabled
-            && self.shared.shards > 1
-            && config.mode != BackendMode::Default;
-        let arbitrate = config.tenant_balance.enabled
-            && self.tenants.len() > 1
-            && config.mode != BackendMode::Default;
-        let hot = self.shared.hot.is_some();
-        if !rebalance && !arbitrate && !hot {
+        let shared = &self.shared;
+        let active = RoundKind::ALL.map(|kind| shared.round_active(kind, self.tenants.len()));
+        if active == [false; 3] {
             return;
         }
         self.ops += 1;
-        if hot && self.ops % self.hot_interval == 0 {
-            if let Some(hot_shared) = self.shared.hot.as_ref() {
-                if !hot_shared.round_pending.swap(true, Ordering::AcqRel) {
-                    let _ = self.shared.ctrl.send(CtrlReq::HotRound);
-                }
+        for kind in RoundKind::ALL {
+            let k = kind as usize;
+            if active[k]
+                && self.ops % self.intervals[k] == 0
+                && !shared.round_pending[k].swap(true, Ordering::AcqRel)
+            {
+                let _ = shared.ctrl.send(CtrlReq::Round { kind, done: None });
             }
-        }
-        if rebalance
-            && self.ops % self.rebalance_interval == 0
-            && !self.shared.rebalance_pending.swap(true, Ordering::AcqRel)
-        {
-            let _ = self.shared.ctrl.send(CtrlReq::Round { arbitrate: false });
-        }
-        if arbitrate
-            && self.ops % self.arbitrate_interval == 0
-            && !self.shared.arbitrate_pending.swap(true, Ordering::AcqRel)
-        {
-            let _ = self.shared.ctrl.send(CtrlReq::Round { arbitrate: true });
         }
     }
 
@@ -1175,6 +1202,19 @@ impl LoopState {
         }
     }
 
+    /// The engine of `(shard, tenant)`, if this loop owns the shard and
+    /// has built the tenant's engines.
+    fn cell_mut(&mut self, shard: usize, tenant: usize) -> Option<&mut OwnedEngine> {
+        self.owned[self.slots[shard]?].cells.get_mut(tenant)
+    }
+
+    /// Releases `bytes` of one owned engine's budget, evicting as needed;
+    /// `false` — and nothing changes — if its class floors forbid it.
+    fn shrink(&mut self, shard: usize, tenant: usize, bytes: u64) -> bool {
+        self.cell_mut(shard, tenant)
+            .is_some_and(|cell| cell.engine.shrink_total(bytes))
+    }
+
     /// Serves a control-thread request against the owned engines.
     pub(crate) fn serve_control(&mut self, msg: ControlMsg) {
         match msg {
@@ -1187,20 +1227,14 @@ impl LoopState {
                 bytes,
                 reply,
             } => {
-                let released = self.slots[shard]
-                    .and_then(|slot| self.owned[slot].cells.get_mut(tenant))
-                    .map(|cell| cell.engine.shrink_total(bytes))
-                    .unwrap_or(false);
-                let _ = reply.send(released);
+                let _ = reply.send(self.shrink(shard, tenant, bytes));
             }
             ControlMsg::Grow {
                 shard,
                 tenant,
                 bytes,
             } => {
-                if let Some(cell) =
-                    self.slots[shard].and_then(|slot| self.owned[slot].cells.get_mut(tenant))
-                {
+                if let Some(cell) = self.cell_mut(shard, tenant) {
                     cell.engine.grow_total(bytes);
                 }
             }
@@ -1212,26 +1246,20 @@ impl LoopState {
             } => {
                 let shared = Arc::clone(&self.shared);
                 let name = self.tenants.get(tenant).cloned().unwrap_or_default();
-                if let Some(cell) =
-                    self.slots[shard].and_then(|slot| self.owned[slot].cells.get_mut(tenant))
-                {
+                if let Some(cell) = self.cell_mut(shard, tenant) {
                     cell.engine = build_engine(&shared, shard, &name, budget);
                 }
                 let _ = reply.send(());
             }
             ControlMsg::CarveAdd { name, asks, reply } => {
                 let shared = Arc::clone(&self.shared);
-                let mut granted: Vec<(usize, usize, u64)> = Vec::new();
                 let mut carved = vec![0u64; shared.shards];
-                for (shard, tenant, bytes) in asks {
-                    let released = self.slots[shard]
-                        .and_then(|slot| self.owned[slot].cells.get_mut(tenant))
-                        .map(|cell| cell.engine.shrink_total(bytes))
-                        .unwrap_or(false);
-                    if released {
-                        granted.push((shard, tenant, bytes));
-                        carved[shard] += bytes;
-                    }
+                let granted: Vec<(usize, usize, u64)> = asks
+                    .into_iter()
+                    .filter(|&(shard, tenant, bytes)| self.shrink(shard, tenant, bytes))
+                    .collect();
+                for &(shard, _, bytes) in &granted {
+                    carved[shard] += bytes;
                 }
                 for shard in self.owned.iter_mut() {
                     shard.cells.push(OwnedEngine::new(build_engine(
@@ -1294,22 +1322,32 @@ impl LoopState {
     }
 }
 
+/// What the rounds of one balancing level have done so far.
+#[derive(Clone, Copy, Default)]
+struct RoundTally {
+    runs: u64,
+    transfers: u64,
+    bytes: u64,
+}
+
+/// One step of a budget transfer: `bytes` from the donor engine to the
+/// recipient engine, each named `(shard, tenant)`.
+type Move = ((usize, usize), (usize, usize), u64);
+
 /// The control thread: the single blocking coordinator behind rounds,
-/// flushes, tenant onboarding and `stats` assembly. It owns both
-/// balancers' decision state outright, so rounds need no locking.
+/// flushes, tenant onboarding and `stats` assembly. It owns the balancers'
+/// decision state (gradient histories, cooldowns) outright, so rounds need
+/// no locking.
 struct Control {
     shared: Arc<PlaneShared>,
     rx: Receiver<CtrlReq>,
     telemetry: Arc<ConnTelemetry>,
+    /// One balancer per tenant, the tenant's shards in its seats.
     balancers: Vec<ShardRebalancer>,
     /// The same balancer with tenants in the seats.
     arbiter: ShardRebalancer,
-    rebalance_runs: u64,
-    rebalance_transfers: u64,
-    rebalance_bytes: u64,
-    arbiter_runs: u64,
-    arbiter_transfers: u64,
-    arbiter_bytes: u64,
+    rebalanced: RoundTally,
+    arbitrated: RoundTally,
     admin_msgs: u64,
     idle_timeout_ms: u64,
     /// Service times of the admin commands this thread ran (ns).
@@ -1320,41 +1358,50 @@ struct Control {
 }
 
 impl Control {
+    /// The control thread's state for a plane that has run no round yet.
+    fn new(
+        shared: Arc<PlaneShared>,
+        rx: Receiver<CtrlReq>,
+        telemetry: Arc<ConnTelemetry>,
+        idle_timeout: Option<Duration>,
+    ) -> Control {
+        let tenants = shared.roster.lock().directory.len();
+        Control {
+            rx,
+            telemetry,
+            balancers: (0..tenants)
+                .map(|_| ShardRebalancer::new(shared.shards, shared.config.rebalance.clone()))
+                .collect(),
+            arbiter: ShardRebalancer::new(tenants, shared.config.tenant_balance.clone()),
+            rebalanced: RoundTally::default(),
+            arbitrated: RoundTally::default(),
+            admin_msgs: 0,
+            idle_timeout_ms: idle_timeout.map(|t| t.as_millis() as u64).unwrap_or(0),
+            admin_latency: Histogram::new(),
+            hot_rounds: 0,
+            promotions: 0,
+            demotions: 0,
+            shared,
+        }
+    }
+
     fn run(mut self) {
         while let Ok(req) = self.rx.recv() {
             match req {
-                CtrlReq::Round { arbitrate } => {
-                    // Clear the pending flag before running so a trigger
-                    // that fires mid-round queues exactly one more round.
-                    if arbitrate {
-                        self.shared
-                            .arbitrate_pending
-                            .store(false, Ordering::Release);
-                        self.arbitrate();
-                    } else {
-                        self.shared
-                            .rebalance_pending
-                            .store(false, Ordering::Release);
-                        self.rebalance();
+                CtrlReq::Round { kind, done } => {
+                    // A loop's trigger set the kind's pending flag: clear it
+                    // before running, so a trigger that fires mid-round
+                    // queues exactly one more round.
+                    if done.is_none() {
+                        self.shared.round_pending[kind as usize].store(false, Ordering::Release);
                     }
-                }
-                CtrlReq::RoundSync { arbitrate, done } => {
-                    if arbitrate {
-                        self.arbitrate();
-                    } else {
-                        self.rebalance();
+                    match kind {
+                        RoundKind::HotKeys => self.hot_round(),
+                        RoundKind::Rebalance | RoundKind::Arbitrate => self.balance(kind),
                     }
-                    let _ = done.send(());
-                }
-                CtrlReq::HotRound => {
-                    if let Some(hot) = &self.shared.hot {
-                        hot.round_pending.store(false, Ordering::Release);
+                    if let Some(done) = done {
+                        let _ = done.send(());
                     }
-                    self.hot_round();
-                }
-                CtrlReq::HotRoundSync { done } => {
-                    self.hot_round();
-                    let _ = done.send(());
                 }
                 CtrlReq::Admin { op, reply } => {
                     self.admin_msgs += 1;
@@ -1375,7 +1422,7 @@ impl Control {
                         AdminOp::CreateTenant { name, weight } => {
                             AdminResult::Created(self.create_tenant(&name, weight))
                         }
-                        AdminOp::AppList => AdminResult::Apps(self.app_list()),
+                        AdminOp::AppList => AdminResult::Apps(self.shared.roster.lock().app_list()),
                     };
                     self.admin_latency
                         .record(started.elapsed().as_nanos() as u64);
@@ -1395,18 +1442,6 @@ impl Control {
                 CtrlReq::Shutdown => break,
             }
         }
-    }
-
-    fn rebalance_active(&self) -> bool {
-        self.shared.config.rebalance.enabled
-            && self.shared.shards > 1
-            && self.shared.config.mode != BackendMode::Default
-    }
-
-    fn arbiter_active(&self, tenants: usize) -> bool {
-        self.shared.config.tenant_balance.enabled
-            && tenants > 1
-            && self.shared.config.mode != BackendMode::Default
     }
 
     /// The loops' sampled hot-key windows folded into one tally per
@@ -1455,25 +1490,26 @@ impl Control {
         grid
     }
 
-    /// One shrink round-trip against the owning loop. `false` when the
-    /// donor engine is pinned at its floors (or the loop is gone) — the
-    /// transfer is simply skipped and re-decided from real budgets next
-    /// round.
+    /// One blocking round trip to the loop that owns `shard`: `None` if the
+    /// loop is gone.
+    fn ask_owner<R>(&self, shard: usize, msg: impl FnOnce(Sender<R>) -> ControlMsg) -> Option<R> {
+        let (reply, answer) = channel();
+        let owner = &self.shared.mailboxes[self.shared.owner_of(shard)];
+        owner.send(LoopMsg::Control(msg(reply))).ok()?;
+        answer.recv().ok()
+    }
+
+    /// Shrinks one engine on its owning loop. `false` when the donor engine
+    /// is pinned at its floors (or the loop is gone) — the transfer is
+    /// simply skipped and re-decided from real budgets next round.
     fn shrink_on_owner(&self, shard: usize, tenant: usize, bytes: u64) -> bool {
-        let (tx, rx) = channel();
-        let owner = self.shared.owner_of(shard);
-        if self.shared.mailboxes[owner]
-            .send(LoopMsg::Control(ControlMsg::Shrink {
-                shard,
-                tenant,
-                bytes,
-                reply: tx,
-            }))
-            .is_err()
-        {
-            return false;
-        }
-        rx.recv().unwrap_or(false)
+        let shrink = |reply| ControlMsg::Shrink {
+            shard,
+            tenant,
+            bytes,
+            reply,
+        };
+        self.ask_owner(shard, shrink).unwrap_or(false)
     }
 
     fn grow_on_owner(&self, shard: usize, tenant: usize, bytes: u64) {
@@ -1485,97 +1521,115 @@ impl Control {
         }));
     }
 
-    /// One cross-shard rebalancing round per tenant: snapshot the gradient
-    /// signal, decide, then move budget shrink-first so the total can
-    /// momentarily dip but never exceed the configured bytes.
-    fn rebalance(&mut self) {
-        if !self.rebalance_active() {
+    /// One balancing round: a cross-shard round per tenant
+    /// ([`RoundKind::Rebalance`]) or the one cross-tenant round
+    /// ([`RoundKind::Arbitrate`]). Snapshot the shadow-hit signal, let the
+    /// balancer whose seats are at stake decide, then apply each transfer
+    /// it proposes as a list of moves: one for a shard transfer; for a
+    /// tenant transfer one shard-local slice per shard, so the summed budget
+    /// is conserved even if some slices fail on their floors.
+    fn balance(&mut self, kind: RoundKind) {
+        let shared = Arc::clone(&self.shared);
+        if !shared.round_active(kind, shared.roster.lock().directory.len()) {
             return;
         }
-        let shared = Arc::clone(&self.shared);
+        // Gathered with the roster unlocked: a loop answers from a pass that
+        // first re-reads a changed tenant table, under that lock.
         let snaps = self.gather();
         let mut roster = shared.roster.lock();
         let tenants = roster.directory.len();
         let grid = self.shadow_grid(&snaps, tenants);
-        for t in 0..tenants {
-            let samples: Vec<ShardSample> = (0..shared.shards)
-                .map(|s| ShardSample {
-                    shadow_hits: grid[s][t],
-                    budget_bytes: roster.budgets[t][s],
-                })
-                .collect();
-            // Only *applied* transfers are journalled, each with the
-            // gradients the proposal carried.
-            for tr in self.balancers[t].rebalance(&samples) {
-                if self.shrink_on_owner(tr.from, t, tr.bytes) {
-                    roster.budgets[t][tr.from] -= tr.bytes;
-                    self.grow_on_owner(tr.to, t, tr.bytes);
-                    roster.budgets[t][tr.to] += tr.bytes;
-                    self.rebalance_transfers += 1;
-                    self.rebalance_bytes += tr.bytes;
-                    self.shared.journal.record(EventKind::ShardTransfer {
-                        tenant: roster.directory.name(t).to_string(),
-                        from_shard: tr.from,
-                        to_shard: tr.to,
-                        bytes: tr.bytes,
-                        from_gradient: tr.from_gradient,
-                        to_gradient: tr.to_gradient,
-                    });
-                }
+        let arbitrate = kind == RoundKind::Arbitrate;
+        // Each balancer's seats, as the `(shard, tenant)` engines behind
+        // them: the tenants with all their engines, or one tenant's shards.
+        let engines = |t: usize| (0..shared.shards).map(move |s| (s, t));
+        let balancers: Vec<Vec<Vec<(usize, usize)>>> = if arbitrate {
+            vec![(0..tenants).map(|t| engines(t).collect()).collect()]
+        } else {
+            let shards = |t| engines(t).map(|engine| vec![engine]).collect();
+            (0..tenants).map(shards).collect()
+        };
+        for (b, seats) in balancers.iter().enumerate() {
+            let sample = |seat: &Vec<(usize, usize)>| ShardSample {
+                shadow_hits: seat.iter().map(|&(s, t)| grid[s][t]).sum(),
+                budget_bytes: seat.iter().map(|&(s, t)| roster.budgets[t][s]).sum(),
+            };
+            let samples: Vec<ShardSample> = seats.iter().map(sample).collect();
+            let balancer = match kind {
+                RoundKind::Arbitrate => &mut self.arbiter,
+                _ => &mut self.balancers[b],
+            };
+            for tr in balancer.rebalance(&samples) {
+                let (from, to) = (&seats[tr.from], &seats[tr.to]);
+                let n = from.len() as u64;
+                let slice = |i: usize| tr.bytes / n + u64::from((i as u64) < tr.bytes % n);
+                let moves = from.iter().zip(to).enumerate();
+                let moves: Vec<Move> = moves
+                    .map(|(i, (&from, &to))| (from, to, slice(i)))
+                    .collect();
+                self.apply(&mut roster, kind, &moves, &tr);
             }
         }
-        self.rebalance_runs += 1;
+        self.tally(kind).runs += 1;
     }
 
-    /// One cross-tenant arbitration round. A tenant transfer is spread
-    /// across every shard: each shard's donor slice is shrunk (evicting
-    /// immediately, so the released bytes are real) and the winner grows
-    /// by exactly the released slice — shard-local symmetry keeps the
-    /// summed budget conserved even if some slices fail on their floors.
-    fn arbitrate(&mut self) {
-        let shared = Arc::clone(&self.shared);
-        if !self.arbiter_active(shared.roster.lock().directory.len()) {
+    fn tally(&mut self, kind: RoundKind) -> &mut RoundTally {
+        match kind {
+            RoundKind::Arbitrate => &mut self.arbitrated,
+            _ => &mut self.rebalanced,
+        }
+    }
+
+    /// Applies the moves of transfer `tr`, each shrink-first: the donor
+    /// engine evicts down at once and the recipient grows by exactly what
+    /// was released, so the total can momentarily dip but never exceed the
+    /// configured bytes. A move whose donor is pinned at its floors is
+    /// skipped. Only a transfer that moved something is counted and
+    /// journalled, with the gradients its proposal carried.
+    fn apply(
+        &mut self,
+        roster: &mut RosterMaster,
+        kind: RoundKind,
+        moves: &[Move],
+        tr: &ShardTransfer,
+    ) {
+        let before = roster.total_budget();
+        let mut moved = 0u64;
+        for &((from_shard, from_tenant), (to_shard, to_tenant), bytes) in moves {
+            if bytes > 0 && self.shrink_on_owner(from_shard, from_tenant, bytes) {
+                roster.budgets[from_tenant][from_shard] -= bytes;
+                self.grow_on_owner(to_shard, to_tenant, bytes);
+                roster.budgets[to_tenant][to_shard] += bytes;
+                moved += bytes;
+            }
+        }
+        debug_assert_eq!(roster.total_budget(), before, "a transfer conserves budget");
+        if moved == 0 {
             return;
         }
-        let snaps = self.gather();
-        let mut roster = shared.roster.lock();
-        let tenants = roster.directory.len();
-        let grid = self.shadow_grid(&snaps, tenants);
-        let n = shared.shards as u64;
-        let samples: Vec<ShardSample> = (0..tenants)
-            .map(|t| ShardSample {
-                shadow_hits: (0..shared.shards).map(|s| grid[s][t]).sum(),
-                budget_bytes: roster.budgets[t].iter().sum(),
-            })
-            .collect();
-        for tr in self.arbiter.rebalance(&samples) {
-            let mut moved = 0u64;
-            for s in 0..shared.shards {
-                let slice = tr.bytes / n + u64::from((s as u64) < tr.bytes % n);
-                if slice == 0 {
-                    continue;
-                }
-                if !self.shrink_on_owner(s, tr.from, slice) {
-                    continue;
-                }
-                roster.budgets[tr.from][s] -= slice;
-                self.grow_on_owner(s, tr.to, slice);
-                roster.budgets[tr.to][s] += slice;
-                moved += slice;
-            }
-            if moved > 0 {
-                self.arbiter_transfers += 1;
-                self.arbiter_bytes += moved;
-                self.shared.journal.record(EventKind::TenantTransfer {
-                    from_tenant: roster.directory.name(tr.from).to_string(),
-                    to_tenant: roster.directory.name(tr.to).to_string(),
-                    bytes: moved,
-                    from_gradient: tr.from_gradient,
-                    to_gradient: tr.to_gradient,
-                });
-            }
-        }
-        self.arbiter_runs += 1;
+        let ((_, from_tenant), (_, to_tenant), _) = moves[0];
+        let name = |tenant: usize| roster.directory.name(tenant).to_string();
+        let (from_gradient, to_gradient) = (tr.from_gradient, tr.to_gradient);
+        self.shared.journal.record(match kind {
+            RoundKind::Arbitrate => EventKind::TenantTransfer {
+                from_tenant: name(from_tenant),
+                to_tenant: name(to_tenant),
+                bytes: moved,
+                from_gradient,
+                to_gradient,
+            },
+            _ => EventKind::ShardTransfer {
+                tenant: name(from_tenant),
+                from_shard: tr.from,
+                to_shard: tr.to,
+                bytes: moved,
+                from_gradient,
+                to_gradient,
+            },
+        });
+        let tally = self.tally(kind);
+        tally.transfers += 1;
+        tally.bytes += moved;
     }
 
     /// One hot-key promotion round: merge the per-loop tracker windows,
@@ -1644,26 +1698,21 @@ impl Control {
         if tenant >= roster.directory.len() {
             return;
         }
+        let before = roster.total_budget();
         let total: u64 = roster.budgets[tenant].iter().sum();
-        let shares = even_split(total.max(1), shared.shards);
+        let shares = even_split(total, shared.shards);
         let mut order: Vec<usize> = (0..shared.shards).collect();
         order.sort_by_key(|&s| {
             std::cmp::Reverse(roster.budgets[tenant][s].saturating_sub(shares[s]))
         });
         for s in order {
-            let (tx, rx) = channel();
-            let owner = shared.owner_of(s);
-            if shared.mailboxes[owner]
-                .send(LoopMsg::Control(ControlMsg::Rebuild {
-                    shard: s,
-                    tenant,
-                    budget: shares[s],
-                    reply: tx,
-                }))
-                .is_ok()
-            {
-                let _ = rx.recv();
-            }
+            let _ = self.ask_owner(s, |reply| ControlMsg::Rebuild {
+                shard: s,
+                tenant,
+                // An engine cannot be built on no bytes at all.
+                budget: shares[s].max(1),
+                reply,
+            });
             roster.budgets[tenant][s] = shares[s];
         }
         // The rebuilds just dropped keys no loop can enumerate, so stale
@@ -1678,6 +1727,7 @@ impl Control {
                 let _ = mailbox.send(LoopMsg::HotFlushTenant { tenant });
             }
         }
+        debug_assert_eq!(roster.total_budget(), before, "a flush conserves budget");
         self.balancers[tenant].reset();
         shared.journal.record(EventKind::TenantFlushed {
             tenant: roster.directory.name(tenant).to_string(),
@@ -1704,6 +1754,7 @@ impl Control {
         if roster.directory.index_of(name).is_some() {
             return Err(format!("app {name:?} already exists"));
         }
+        let before = roster.total_budget();
         let n = shared.shards;
         let tenants = roster.directory.len();
         let sum_weights: u64 = roster.weights.iter().sum();
@@ -1759,6 +1810,11 @@ impl Control {
         let index = roster.directory.add(name);
         roster.weights.push(weight);
         roster.budgets.push(carved_per_shard);
+        debug_assert_eq!(
+            roster.total_budget(),
+            before,
+            "a carve-out conserves budget"
+        );
         self.balancers
             .push(ShardRebalancer::new(n, shared.config.rebalance.clone()));
         self.arbiter =
@@ -1766,19 +1822,6 @@ impl Control {
         // Publish only now, with every owning loop's cells in place.
         shared.generation.fetch_add(1, Ordering::AcqRel);
         Ok(index)
-    }
-
-    fn app_list(&self) -> Vec<(String, u64, u64)> {
-        let roster = self.shared.roster.lock();
-        (0..roster.directory.len())
-            .map(|t| {
-                (
-                    roster.directory.name(t).to_string(),
-                    roster.weights[t],
-                    roster.budgets[t].iter().sum(),
-                )
-            })
-            .collect()
     }
 
     /// Builds the one [`StatsDocument`] every `stats` format renders: asks
@@ -1789,80 +1832,24 @@ impl Control {
         let snaps = self.gather();
         let roster = shared.roster.lock();
         let tenants = roster.directory.len();
-        let mut cells = vec![vec![EngineStat::default(); tenants]; shared.shards];
-        let mut loops = vec![LoopTelemetry::default(); shared.loops];
-        let mut mrc = vec![MrcSnapshot::default(); tenants];
         // Loops count what they forwarded, control counts what it served;
         // the two only differ transiently (a forward still in flight) or
         // for admin calls arriving through the synchronous handle instead
         // of a connection — report whichever saw more.
         let forwarded: u64 = snaps.iter().flatten().map(|s| s.admin_forwards).sum();
         let admin_msgs = self.admin_msgs.max(forwarded);
-        for snap in snaps.iter().flatten() {
-            loops[snap.loop_index] = LoopTelemetry {
-                local_ops: snap.local_ops,
-                remote_in: snap.remote_in,
-                remote_out: snap.remote_out,
-                local: snap.local_latency.clone(),
-                remote: snap.remote_latency.clone(),
-                slow_ops: snap.slow_ops,
-            };
-            for (shard, engines) in &snap.engines {
-                for (t, cell) in engines.iter().enumerate().take(tenants) {
-                    cells[*shard][t] = cell.clone();
-                }
-            }
-            for (t, view) in snap.mrc.iter().enumerate().take(tenants) {
-                mrc[t].merge(view);
-            }
-        }
-        // Replica-served GETs are executed on non-owning loops; fold them
-        // into the owning cell's wire counters so tenant/shard hit ratios
-        // keep seeing a promoted key's (dominant) traffic. Gets and hits
-        // move together, so the derived miss count is untouched.
-        for snap in snaps.iter().flatten() {
-            for &(shard, tenant, count) in &snap.replica_hit_cells {
-                if shard < cells.len() && tenant < tenants {
-                    cells[shard][tenant].wire.gets += count;
-                    cells[shard][tenant].wire.hits += count;
-                }
-            }
-        }
-        let histories: Vec<&TimeSeries> = snaps.iter().flatten().map(|s| &s.history).collect();
         let elapsed = shared.started.elapsed();
         let hot_keys = shared.hot.as_ref().map(|hot| {
-            let name_of = |tenant: usize| -> String {
-                if tenant < roster.directory.len() {
-                    roster.directory.name(tenant).to_string()
-                } else {
-                    String::new()
-                }
-            };
-            let mut tracked: Vec<HotKeyEntryDoc> = Self::merged_hot_keys(&snaps)
-                .iter()
-                .map(|(&(tenant, _), (count, key))| HotKeyEntryDoc {
-                    app: name_of(tenant),
-                    key: String::from_utf8_lossy(key).into_owned(),
-                    ops: *count,
-                })
-                .collect();
-            tracked.sort_by(|a, b| b.ops.cmp(&a.ops).then_with(|| a.key.cmp(&b.key)));
+            let names = roster.directory.names();
+            let merged = Self::merged_hot_keys(&snaps);
+            let tallies = merged.iter();
+            let tallies = tallies.map(|(&(tenant, _), (count, key))| (tenant, key, *count));
+            let mut tracked = hot_key_docs(names, tallies);
             // Bound the exposed list: the tail of a wide window is noise.
             tracked.truncate(HOT_KEYS_EXPOSED);
-            let mut promoted: Vec<HotKeyEntryDoc> = hot
-                .promoted
-                .lock()
-                .iter()
-                .map(|(&(tenant, _), entry)| HotKeyEntryDoc {
-                    app: name_of(tenant),
-                    key: String::from_utf8_lossy(&entry.key).into_owned(),
-                    ops: entry.count,
-                })
-                .collect();
-            promoted.sort_by(|a, b| b.ops.cmp(&a.ops).then_with(|| a.key.cmp(&b.key)));
             HotKeysDoc {
                 tracked,
-                promoted,
+                promoted: promoted_docs(hot, names),
                 promotions: self.promotions,
                 demotions: self.demotions,
                 rounds: self.hot_rounds,
@@ -1871,35 +1858,28 @@ impl Control {
                 invalidations: snaps.iter().flatten().map(|s| s.hot_invalidations).sum(),
             }
         });
-        let observed = ObservedPlane {
-            server_start_unix_us: shared.start_unix_us,
-            snapshot_unix_us: shared.start_unix_us + elapsed.as_micros() as u64,
-            mrc_shift: shared.mrc_shift,
-            mrc,
-            history: TimeSeries::merged(&histories),
-            hot_keys,
-        };
         let snapshot = StatsSnapshot {
             total_bytes: shared.config.total_bytes,
             mode: shared.config.mode,
             requested_shards: shared.config.requested_shards(),
             uptime_s: elapsed.as_secs(),
-            cells,
+            server_start_unix_us: shared.start_unix_us,
+            snapshot_unix_us: shared.start_unix_us + elapsed.as_micros() as u64,
+            mrc_shift: shared.mrc_shift,
+            hot_keys,
             tenant_names: roster.directory.names().to_vec(),
             tenant_budgets: roster.tenant_budgets(),
             shard_budgets: roster.shard_budgets(shared.shards),
             balance: BalanceDoc {
-                rebalance_enabled: self.rebalance_active(),
-                rebalance_runs: self.rebalance_runs,
-                rebalance_transfers: self.rebalance_transfers,
-                rebalance_bytes_moved: self.rebalance_bytes,
-                arbiter_enabled: self.arbiter_active(tenants),
-                arbiter_runs: self.arbiter_runs,
-                arbiter_transfers: self.arbiter_transfers,
-                arbiter_bytes_moved: self.arbiter_bytes,
+                rebalance_enabled: shared.round_active(RoundKind::Rebalance, tenants),
+                rebalance_runs: self.rebalanced.runs,
+                rebalance_transfers: self.rebalanced.transfers,
+                rebalance_bytes_moved: self.rebalanced.bytes,
+                arbiter_enabled: shared.round_active(RoundKind::Arbitrate, tenants),
+                arbiter_runs: self.arbitrated.runs,
+                arbiter_transfers: self.arbitrated.transfers,
+                arbiter_bytes_moved: self.arbitrated.bytes,
             },
-        };
-        let plane = PlaneStats {
             owner_of: (0..shared.shards).map(|s| shared.owner_of(s)).collect(),
             admin_msgs,
             idle_timeout_ms: self.idle_timeout_ms,
@@ -1909,20 +1889,45 @@ impl Control {
         build_document(
             &snapshot,
             &self.telemetry,
-            &plane,
-            &loops,
+            &snaps,
             &self.admin_latency,
             &shared.journal,
-            &observed,
         )
     }
 }
 
+/// Hot-key tallies `(tenant, key, ops)` as the stats document lists them:
+/// hottest first.
+fn hot_key_docs<'a>(
+    names: &[String],
+    tallies: impl Iterator<Item = (usize, &'a Bytes, u64)>,
+) -> Vec<HotKeyEntryDoc> {
+    let mut docs: Vec<HotKeyEntryDoc> = tallies
+        .map(|(tenant, key, ops)| HotKeyEntryDoc {
+            app: names.get(tenant).cloned().unwrap_or_default(),
+            key: String::from_utf8_lossy(key).into_owned(),
+            ops,
+        })
+        .collect();
+    docs.sort_by(|a, b| b.ops.cmp(&a.ops).then_with(|| a.key.cmp(&b.key)));
+    docs
+}
+
+/// The promoted set (`ops` is the merged count at the last promotion round).
+fn promoted_docs(hot: &HotShared, names: &[String]) -> Vec<HotKeyEntryDoc> {
+    let promoted = hot.promoted.lock();
+    let tallies = promoted.iter();
+    hot_key_docs(
+        names,
+        tallies.map(|(&(tenant, _), entry)| (tenant, &entry.key, entry.count)),
+    )
+}
+
 /// The public handle to a running data plane: the synchronous view
-/// benchmarks, sweeps and tests use ([`crate::server::CacheServer::cache`]
-/// returns it). Every method is a message round-trip to the owning loop or
-/// the control thread; after shutdown they degrade to misses/defaults
-/// instead of panicking.
+/// `benchmark/`, the load generator's self-hosted runs and tests use
+/// ([`crate::server::CacheServer::cache`] returns it). Every method is a
+/// message round-trip to the owning loop or the control thread; after
+/// shutdown they degrade to misses/defaults instead of panicking.
 pub struct PlaneHandle {
     shared: Arc<PlaneShared>,
 }
@@ -1999,16 +2004,6 @@ impl PlaneHandle {
         self.store_for(StoreVerb::Set, tenant, key, flags, data)
     }
 
-    /// Stores a key for one tenant only if it is absent (`add`).
-    pub fn add_for(&self, tenant: usize, key: &[u8], flags: u32, data: Bytes) -> bool {
-        self.store_for(StoreVerb::Add, tenant, key, flags, data)
-    }
-
-    /// Stores a key for one tenant only if it is present (`replace`).
-    pub fn replace_for(&self, tenant: usize, key: &[u8], flags: u32, data: Bytes) -> bool {
-        self.store_for(StoreVerb::Replace, tenant, key, flags, data)
-    }
-
     /// Deletes a key for one tenant; returns whether it was present.
     pub fn delete_for(&self, tenant: usize, key: &[u8]) -> bool {
         matches!(
@@ -2027,14 +2022,14 @@ impl PlaneHandle {
         self.set_for(0, key, flags, data)
     }
 
-    /// `add` for the default tenant.
+    /// `add`: stores a key for the default tenant only if it is absent.
     pub fn add(&self, key: &[u8], flags: u32, data: Bytes) -> bool {
-        self.add_for(0, key, flags, data)
+        self.store_for(StoreVerb::Add, 0, key, flags, data)
     }
 
-    /// `replace` for the default tenant.
+    /// `replace`: stores a key for the default tenant only if it is present.
     pub fn replace(&self, key: &[u8], flags: u32, data: Bytes) -> bool {
-        self.replace_for(0, key, flags, data)
+        self.store_for(StoreVerb::Replace, 0, key, flags, data)
     }
 
     /// Deletes a key for the default tenant.
@@ -2044,9 +2039,8 @@ impl PlaneHandle {
 
     /// The full `stats` report (empty after shutdown).
     pub fn stats(&self) -> Vec<(String, String)> {
-        match self.admin(AdminOp::Stats {
-            format: StatsFormat::Text,
-        }) {
+        let format = StatsFormat::Text;
+        match self.admin(AdminOp::Stats { format }) {
             Some(AdminResult::Stats(lines)) => lines,
             _ => Vec::new(),
         }
@@ -2055,20 +2049,8 @@ impl PlaneHandle {
     /// The versioned `cliffhanger-stats/v1` JSON document (empty after
     /// shutdown).
     pub fn stats_json(&self) -> String {
-        match self.admin(AdminOp::Stats {
-            format: StatsFormat::Json,
-        }) {
-            Some(AdminResult::Blob(text)) => text,
-            _ => String::new(),
-        }
-    }
-
-    /// The Prometheus text exposition of the same stats document (empty
-    /// after shutdown).
-    pub fn stats_prom(&self) -> String {
-        match self.admin(AdminOp::Stats {
-            format: StatsFormat::Prom,
-        }) {
+        let format = StatsFormat::Json;
+        match self.admin(AdminOp::Stats { format }) {
             Some(AdminResult::Blob(text)) => text,
             _ => String::new(),
         }
@@ -2104,47 +2086,33 @@ impl PlaneHandle {
 
     /// The hosted applications as `(name, weight, live budget bytes)`.
     pub fn app_list(&self) -> Vec<(String, u64, u64)> {
-        let roster = self.shared.roster.lock();
-        (0..roster.directory.len())
-            .map(|t| {
-                (
-                    roster.directory.name(t).to_string(),
-                    roster.weights[t],
-                    roster.budgets[t].iter().sum(),
-                )
-            })
-            .collect()
+        self.shared.roster.lock().app_list()
+    }
+
+    /// Asks the control thread for one round of `kind` and waits for it.
+    fn round_now(&self, kind: RoundKind) {
+        let (tx, rx) = channel();
+        let done = Some(tx);
+        if self.shared.ctrl.send(CtrlReq::Round { kind, done }).is_ok() {
+            let _ = rx.recv();
+        }
     }
 
     /// Runs one cross-shard rebalancing round per tenant, synchronously.
     pub fn rebalance_now(&self) {
-        let (tx, rx) = channel();
-        if self
-            .shared
-            .ctrl
-            .send(CtrlReq::RoundSync {
-                arbitrate: false,
-                done: tx,
-            })
-            .is_ok()
-        {
-            let _ = rx.recv();
-        }
+        self.round_now(RoundKind::Rebalance);
+    }
+
+    /// Runs one cross-tenant arbitration round, synchronously.
+    pub fn arbitrate_now(&self) {
+        self.round_now(RoundKind::Arbitrate);
     }
 
     /// Runs one hot-key promotion round synchronously: merges the per-loop
     /// tracker windows and applies the hysteretic promote/demote plan.
     /// A no-op when hot-key detection is disabled. Test/bench hook.
     pub fn hot_round_now(&self) {
-        let (tx, rx) = channel();
-        if self
-            .shared
-            .ctrl
-            .send(CtrlReq::HotRoundSync { done: tx })
-            .is_ok()
-        {
-            let _ = rx.recv();
-        }
+        self.round_now(RoundKind::HotKeys);
     }
 
     /// The currently promoted hot keys as `(app, key)` pairs, hottest
@@ -2154,59 +2122,15 @@ impl PlaneHandle {
             return Vec::new();
         };
         let names = self.shared.roster.lock().directory.names().to_vec();
-        let mut entries: Vec<(u64, String, String)> = hot
-            .promoted
-            .lock()
-            .iter()
-            .map(|(&(tenant, _), entry)| {
-                (
-                    entry.count,
-                    names.get(tenant).cloned().unwrap_or_default(),
-                    String::from_utf8_lossy(&entry.key).into_owned(),
-                )
-            })
-            .collect();
-        entries.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.2.cmp(&b.2)));
-        entries
+        promoted_docs(hot, &names)
             .into_iter()
-            .map(|(_, app, key)| (app, key))
+            .map(|entry| (entry.app, entry.key))
             .collect()
-    }
-
-    /// Runs one cross-tenant arbitration round, synchronously.
-    pub fn arbitrate_now(&self) {
-        let (tx, rx) = channel();
-        if self
-            .shared
-            .ctrl
-            .send(CtrlReq::RoundSync {
-                arbitrate: true,
-                done: tx,
-            })
-            .is_ok()
-        {
-            let _ = rx.recv();
-        }
     }
 
     /// Number of shards the plane is running.
     pub fn shard_count(&self) -> usize {
         self.shared.shards
-    }
-
-    /// Number of event loops the shards are fused to.
-    pub fn event_loops(&self) -> usize {
-        self.shared.loops
-    }
-
-    /// The event loop owning a shard.
-    pub fn shard_owner(&self, shard: usize) -> usize {
-        self.shared.owner_of(shard)
-    }
-
-    /// The hosted tenant names (default first).
-    pub fn tenant_names(&self) -> Vec<String> {
-        self.shared.roster.lock().directory.names().to_vec()
     }
 
     /// The dense index of a tenant name, if hosted.
@@ -2228,11 +2152,6 @@ impl PlaneHandle {
     pub fn shard_budgets(&self) -> Vec<u64> {
         let shards = self.shared.shards;
         self.shared.roster.lock().shard_budgets(shards)
-    }
-
-    /// The backend mode the plane runs.
-    pub fn mode(&self) -> BackendMode {
-        self.shared.config.mode
     }
 }
 
@@ -2317,7 +2236,6 @@ impl SharedCache {
 pub(crate) struct Plane {
     pub(crate) handle: Arc<PlaneHandle>,
     pub(crate) loops: Arc<Vec<crate::reactor::LoopHandle>>,
-    pub(crate) ctrl: Sender<CtrlReq>,
     control: Option<JoinHandle<()>>,
 }
 
@@ -2343,31 +2261,15 @@ impl Plane {
             config,
             workers,
             mailboxes,
-            ctrl_tx.clone(),
+            ctrl_tx,
             slow_op_micros,
         ));
-        let tenants = shared.roster.lock().directory.len();
-        let control = Control {
-            shared: Arc::clone(&shared),
-            rx: ctrl_rx,
-            telemetry: Arc::clone(&telemetry),
-            balancers: (0..tenants)
-                .map(|_| ShardRebalancer::new(shared.shards, shared.config.rebalance.clone()))
-                .collect(),
-            arbiter: ShardRebalancer::new(tenants, shared.config.tenant_balance.clone()),
-            rebalance_runs: 0,
-            rebalance_transfers: 0,
-            rebalance_bytes: 0,
-            arbiter_runs: 0,
-            arbiter_transfers: 0,
-            arbiter_bytes: 0,
-            admin_msgs: 0,
-            idle_timeout_ms: idle_timeout.map(|t| t.as_millis() as u64).unwrap_or(0),
-            admin_latency: Histogram::new(),
-            hot_rounds: 0,
-            promotions: 0,
-            demotions: 0,
-        };
+        let control = Control::new(
+            Arc::clone(&shared),
+            ctrl_rx,
+            Arc::clone(&telemetry),
+            idle_timeout,
+        );
         let control_thread = std::thread::Builder::new()
             .name("cache-control".to_string())
             .spawn(move || control.run())?;
@@ -2389,7 +2291,6 @@ impl Plane {
                 shared: Arc::clone(&shared),
             }),
             loops: Arc::new(loops),
-            ctrl: ctrl_tx,
             control: Some(control_thread),
         })
     }
@@ -2397,7 +2298,7 @@ impl Plane {
     /// Stops the control thread first (admin requests in flight drain with
     /// the loops still alive to answer), then the loops.
     pub(crate) fn shutdown(&mut self) {
-        let _ = self.ctrl.send(CtrlReq::Shutdown);
+        let _ = self.handle.shared.ctrl.send(CtrlReq::Shutdown);
         if let Some(thread) = self.control.take() {
             let _ = thread.join();
         }
@@ -2415,37 +2316,37 @@ impl LoopState {
     /// The state of a 1-loop x 1-shard plane no thread serves: every key is
     /// local, and nobody listens to the control channel.
     pub(crate) fn solo() -> LoopState {
-        let (mailbox, _) = crate::reactor::loop_channel(0).expect("eventfd and epoll");
         let config = BackendConfig {
             shards: 1,
             ..BackendConfig::default()
         };
-        let shared = PlaneShared::new(config, 1, vec![mailbox], channel().0, 0);
-        LoopState::new(0, Arc::new(shared))
+        SharedCache::new(config).state.into_inner()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::TenantSpec;
     use crate::reactor::{loop_channel, LoopSeed};
 
-    /// The loop states of a 2-loop x 2-shard plane no thread serves: the
-    /// tests move the mailboxes' contents by hand.
-    fn two_loops() -> (Vec<LoopState>, Vec<LoopSeed>) {
+    /// The loop states of a 2-loop x 2-shard plane no thread serves — the
+    /// tests move the mailboxes' contents by hand — and what its loops ask
+    /// of the control thread.
+    fn two_loops(config: BackendConfig) -> (Vec<LoopState>, Vec<LoopSeed>, Receiver<CtrlReq>) {
         let (mailboxes, seeds): (Vec<_>, Vec<_>) = (0..2)
             .map(|index| loop_channel(index).expect("eventfd and epoll"))
             .unzip();
         let config = BackendConfig {
             shards: 2,
-            ..BackendConfig::default()
+            ..config
         };
-        let (ctrl, _) = channel();
+        let (ctrl, asked) = channel();
         let shared = Arc::new(PlaneShared::new(config, 2, mailboxes, ctrl, 0));
         let states = (0..2)
             .map(|index| LoopState::new(index, Arc::clone(&shared)))
             .collect();
-        (states, seeds)
+        (states, seeds, asked)
     }
 
     /// `count` keys of `len` bytes whose shard loop 1 owns.
@@ -2501,7 +2402,7 @@ mod tests {
 
     #[test]
     fn a_batch_makes_the_round_trip_and_comes_back_clean_for_the_next() {
-        let (mut states, seeds) = two_loops();
+        let (mut states, seeds, _) = two_loops(BackendConfig::default());
         let (origin, owner) = states.split_at_mut(1);
         let (origin, owner) = (&mut origin[0], &mut owner[0]);
         let keys = remote_keys(origin, 2, 24);
@@ -2557,7 +2458,7 @@ mod tests {
 
     #[test]
     fn a_one_off_burst_does_not_pin_a_kept_batchs_capacity() {
-        let (mut states, seeds) = two_loops();
+        let (mut states, seeds, _) = two_loops(BackendConfig::default());
         let origin = &mut states[0];
         for (seq, key) in remote_keys(origin, 2 * BATCH_RETAIN_OPS, 250)
             .iter()
@@ -2583,7 +2484,7 @@ mod tests {
 
     #[test]
     fn a_batch_its_owner_refuses_comes_back_with_every_op_failed() {
-        let (mut states, seeds) = two_loops();
+        let (mut states, seeds, _) = two_loops(BackendConfig::default());
         let origin = &mut states[0];
         let keys = remote_keys(origin, 1, 16);
         forward(origin, 0, &keys[0], OpState::Get);
@@ -2610,5 +2511,70 @@ mod tests {
             })
             .collect();
         assert_eq!(outcomes, [(7, 0, "miss"), (7, 1, "false"), (7, 2, "false")]);
+    }
+
+    /// A plane whose loops (two of them) ask for a hot-key round every 3
+    /// ops, a rebalancing round every 5 and an arbitration round every 7.
+    fn three_rounds(mode: BackendMode, hot_keys: bool) -> BackendConfig {
+        let mut config = BackendConfig {
+            mode,
+            tenants: vec![TenantSpec::new("second", 1)],
+            ..BackendConfig::default()
+        };
+        config.hot_key.enabled = hot_keys;
+        config.hot_key.interval_requests = 6;
+        config.rebalance.interval_requests = 10;
+        config.tenant_balance.interval_requests = 14;
+        config
+    }
+
+    /// The rounds the loops have asked for since the last look.
+    fn asked(ctrl: &Receiver<CtrlReq>) -> Vec<RoundKind> {
+        ctrl.try_iter()
+            .map(|req| match req {
+                CtrlReq::Round { kind, done: None } => kind,
+                _ => panic!("a loop asks for rounds only, and waits for none"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crossing_an_interval_asks_for_one_round_until_the_control_thread_takes_it() {
+        use RoundKind::{Arbitrate, HotKeys, Rebalance};
+        let (mut states, _seeds, ctrl) = two_loops(three_rounds(BackendMode::Cliffhanger, true));
+        let state = &mut states[0];
+        // Ops 3, 5 and 7 cross one interval each; op 6 crosses the hot-key
+        // interval again with that round still queued.
+        (0..7).for_each(|_| state.tick());
+        assert_eq!(asked(&ctrl), [HotKeys, Rebalance, Arbitrate]);
+        // Every kind crosses again by op 14, every flag still set.
+        (7..14).for_each(|_| state.tick());
+        assert_eq!(asked(&ctrl), []);
+        // The control thread clears a kind's flag as it takes the round up:
+        // op 15 crosses the hot-key and rebalancing intervals both.
+        state.shared.round_pending[Rebalance as usize].store(false, Ordering::Release);
+        state.tick();
+        assert_eq!(asked(&ctrl), [Rebalance]);
+
+        // A plane with no round to run counts nothing and asks for nothing.
+        let (mut states, _seeds, ctrl) = two_loops(three_rounds(BackendMode::Default, false));
+        (0..100).for_each(|_| states[0].tick());
+        assert_eq!((asked(&ctrl), states[0].ops), (vec![], 0));
+        // Its control thread still answers a caller that waits on `done`, and
+        // clears a pending flag only for the round a loop asked for.
+        let shared = Arc::clone(&states[0].shared);
+        let pending = |kind: RoundKind| &shared.round_pending[kind as usize];
+        pending(Arbitrate).store(true, Ordering::Release);
+        pending(Rebalance).store(true, Ordering::Release);
+        let (done, answered) = channel();
+        for (kind, done) in [(Arbitrate, Some(done)), (Rebalance, None)] {
+            shared.ctrl.send(CtrlReq::Round { kind, done }).unwrap();
+        }
+        shared.ctrl.send(CtrlReq::Shutdown).unwrap();
+        let telemetry = Arc::new(ConnTelemetry::new(2, 16));
+        Control::new(Arc::clone(&shared), ctrl, telemetry, None).run();
+        assert_eq!(answered.try_recv(), Ok(()));
+        assert!(pending(Arbitrate).load(Ordering::Acquire));
+        assert!(!pending(Rebalance).load(Ordering::Acquire));
     }
 }

@@ -528,7 +528,7 @@ impl EventLoop {
             self.sweep_idle();
         }
         // Teardown: closing the sockets (by dropping them) unblocks every
-        // peer with EOF, exactly like the old registry sweep did.
+        // peer with EOF.
         for (_, conn) in self.conns.drain() {
             self.epoll.delete(conn.fd());
             self.telemetry.on_close(self.index);

@@ -6,8 +6,7 @@
 //! round-robin to one of `workers` reactor event loops (see
 //! [`crate::reactor`]). Connection count is bounded by the gate and by fds
 //! — not by the worker count: a 2-loop server happily serves hundreds of
-//! concurrent connections, the configuration the old thread-per-connection
-//! front end deadlocked on.
+//! concurrent connections.
 //!
 //! The cache behind the loops is the shared-nothing data plane
 //! (`crate::plane`): each loop owns the engines of its shard group
@@ -83,7 +82,6 @@ pub fn default_event_loops() -> usize {
 pub struct CacheServer {
     local_addr: SocketAddr,
     plane: Plane,
-    telemetry: Arc<ConnTelemetry>,
     shutdown: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
 }
@@ -125,7 +123,7 @@ impl CacheServer {
 
         let accept_shutdown = Arc::clone(&shutdown);
         let accept_loops = Arc::clone(&plane.loops);
-        let accept_telemetry = Arc::clone(&telemetry);
+        let accept_telemetry = telemetry;
         let accept_plane = Arc::clone(&plane.handle);
         let max_connections = config.max_connections as u64;
         let accept_thread = std::thread::Builder::new()
@@ -184,7 +182,6 @@ impl CacheServer {
         Ok(CacheServer {
             local_addr,
             plane,
-            telemetry,
             shutdown,
             accept_thread: Some(accept_thread),
         })
@@ -200,12 +197,6 @@ impl CacheServer {
     /// event loop owning the key's shard.
     pub fn cache(&self) -> &Arc<PlaneHandle> {
         &self.plane.handle
-    }
-
-    /// Live connection counters (also exposed as `curr_connections` /
-    /// `total_connections` / `conns:loop:<i>` stats lines).
-    pub fn connections(&self) -> &Arc<ConnTelemetry> {
-        &self.telemetry
     }
 
     /// Stops accepting connections, closes live connections after the

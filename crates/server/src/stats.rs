@@ -1,8 +1,9 @@
 //! The `stats` model: one document, three expositions.
 //!
-//! The data plane's control thread folds the loops' snapshot messages into
-//! a [`StatsSnapshot`] and [`build_document`] assembles from it the one
-//! versioned [`StatsDocument`] (`cliffhanger-stats/v1`) — counters, per-loop
+//! The data plane's control thread gathers the loops' snapshots and puts
+//! what it knows itself — configuration, the roster, its counters — into a
+//! [`StatsSnapshot`]; [`build_document`] assembles from both the one versioned
+//! [`StatsDocument`] (`cliffhanger-stats/v1`) — counters, per-loop
 //! service-time quantiles, the flight-recorder journal, live MRCs. Every
 //! `stats` command builds it once, and the three renderers are pure
 //! functions of it: [`render_stats`] (the memcached `STAT` list, whose key
@@ -10,6 +11,7 @@
 //! [`render_prom`]. They cannot disagree, and a new fact is added once.
 
 use crate::engine::BackendMode;
+use crate::plane::LoopSnapshot;
 use crate::reactor::ConnTelemetry;
 use cache_core::CacheStats;
 use profiler::MrcSnapshot;
@@ -50,23 +52,26 @@ pub(crate) struct EngineStat {
     pub(crate) items: usize,
 }
 
-/// The backend-independent inputs of one `stats` report.
+/// What the control thread knows at one `stats` command, beside the loops'
+/// own snapshots: configuration, the roster and its own counters.
 pub(crate) struct StatsSnapshot {
     pub(crate) total_bytes: u64,
     pub(crate) mode: BackendMode,
     pub(crate) requested_shards: usize,
-    /// Seconds since the backend was constructed.
+    /// Seconds since the plane booted.
     pub(crate) uptime_s: u64,
-    /// Engine stats indexed `[shard][tenant]`.
-    pub(crate) cells: Vec<Vec<EngineStat>>,
+    /// Unix microseconds at plane boot (anchors journal event times).
+    pub(crate) server_start_unix_us: u64,
+    /// Unix microseconds when this snapshot was taken.
+    pub(crate) snapshot_unix_us: u64,
+    /// The configured sampling shift; `None` when live MRC is disabled.
+    pub(crate) mrc_shift: Option<u32>,
+    /// The assembled hot-key section (`None` when the feature is off).
+    pub(crate) hot_keys: Option<HotKeysDoc>,
     pub(crate) tenant_names: Vec<String>,
     pub(crate) tenant_budgets: Vec<u64>,
     pub(crate) shard_budgets: Vec<u64>,
     pub(crate) balance: BalanceDoc,
-}
-
-/// Counters of the shared-nothing data plane as a whole.
-pub(crate) struct PlaneStats {
     /// Owning event loop per shard index.
     pub(crate) owner_of: Vec<usize>,
     /// Admin commands forwarded to the control thread.
@@ -75,46 +80,42 @@ pub(crate) struct PlaneStats {
     pub(crate) idle_timeout_ms: u64,
 }
 
-/// One event loop's op counters and service-time telemetry, as taken by
-/// the control thread from the loop's snapshot.
-#[derive(Clone, Default)]
-pub(crate) struct LoopTelemetry {
-    /// Data ops the loop executed for its own connections.
-    pub(crate) local_ops: u64,
-    /// Data ops it executed on behalf of another loop.
-    pub(crate) remote_in: u64,
-    /// Data ops it forwarded away.
-    pub(crate) remote_out: u64,
-    /// Service times of ops the loop ran for its own connections (ns).
-    pub(crate) local: Histogram,
-    /// Queue + service times of ops forwarded to the loop (ns).
-    pub(crate) remote: Histogram,
-    /// Ops over the slow-op threshold on this loop.
-    pub(crate) slow_ops: u64,
-}
-
-/// A snapshot's `[shard][tenant]` engine cells summed server-wide, per
-/// tenant and per shard — the one accumulation the document is built from.
+/// The loops' `(shard, tenant)` engine cells summed server-wide, per tenant
+/// and per shard — the one accumulation the document is built from.
 struct Rollup {
     total: EngineStat,
     tenants: Vec<EngineStat>,
     shards: Vec<EngineStat>,
 }
 
-fn rollup(snap: &StatsSnapshot) -> Rollup {
-    let nt = snap.tenant_names.len();
+fn rollup(snap: &StatsSnapshot, loops: &[Option<LoopSnapshot>]) -> Rollup {
+    let (nt, ns) = (snap.tenant_names.len(), snap.owner_of.len());
     let mut r = Rollup {
         total: EngineStat::default(),
         tenants: vec![EngineStat::default(); nt],
-        shards: vec![EngineStat::default(); snap.cells.len()],
+        shards: vec![EngineStat::default(); ns],
     };
-    for (s, cells) in snap.cells.iter().enumerate() {
-        for (t, cell) in cells.iter().enumerate().take(nt) {
-            for sum in [&mut r.total, &mut r.tenants[t], &mut r.shards[s]] {
-                sum.wire.accumulate(cell.wire);
-                sum.core += cell.core;
-                sum.used += cell.used;
-                sum.items += cell.items;
+    for tel in loops.iter().flatten() {
+        for (s, cells) in &tel.engines {
+            for (t, cell) in cells.iter().enumerate().take(nt) {
+                for sum in [&mut r.total, &mut r.tenants[t], &mut r.shards[*s]] {
+                    sum.wire.accumulate(cell.wire);
+                    sum.core += cell.core;
+                    sum.used += cell.used;
+                    sum.items += cell.items;
+                }
+            }
+        }
+        // Replica-served GETs are executed on non-owning loops; they count
+        // for the owning cell, so tenant and shard hit ratios keep seeing a
+        // promoted key's (dominant) traffic. Gets and hits move together,
+        // so the miss count is untouched.
+        for &(s, t, count) in &tel.replica_hit_cells {
+            if s < ns && t < nt {
+                for sum in [&mut r.total, &mut r.tenants[t], &mut r.shards[s]] {
+                    sum.wire.gets += count;
+                    sum.wire.hits += count;
+                }
             }
         }
     }
@@ -175,7 +176,7 @@ pub(crate) struct ConnectionsDoc {
 }
 
 /// One event loop's ops and service-time quantiles.
-#[derive(Serialize)]
+#[derive(Default, Serialize)]
 pub(crate) struct LoopDoc {
     pub(crate) index: usize,
     pub(crate) local_ops: u64,
@@ -377,24 +378,6 @@ pub(crate) struct AllocatorDoc {
     pub(crate) transfers: Vec<AllocatorTransferDoc>,
 }
 
-/// What the control thread observed beyond the point-in-time snapshot:
-/// wall-clock anchoring, the merged per-tenant MRC estimators and the
-/// merged stats time series.
-pub(crate) struct ObservedPlane {
-    /// Unix microseconds at plane boot (anchors journal event times).
-    pub(crate) server_start_unix_us: u64,
-    /// Unix microseconds when this snapshot was taken.
-    pub(crate) snapshot_unix_us: u64,
-    /// The configured sampling shift; `None` when live MRC is disabled.
-    pub(crate) mrc_shift: Option<u32>,
-    /// Merged per-tenant MRC snapshots, aligned with the tenant table.
-    pub(crate) mrc: Vec<MrcSnapshot>,
-    /// The merged per-loop stats time series.
-    pub(crate) history: TimeSeries,
-    /// The assembled hot-key section (`None` when the feature is off).
-    pub(crate) hot_keys: Option<HotKeysDoc>,
-}
-
 /// The versioned `cliffhanger-stats/v1` document behind `stats json` and
 /// `stats prom`. Additive evolution only: consumers pin `schema` and
 /// ignore fields they do not know.
@@ -430,15 +413,19 @@ pub(crate) struct StatsDocument {
 /// The budget-multiple scales every tenant's live MRC is probed at.
 const MRC_SCALES: [f64; 5] = [0.25, 0.5, 1.0, 2.0, 4.0];
 
-/// Builds the `mrc` section from the merged per-tenant estimator snapshots.
-fn build_mrc(snap: &StatsSnapshot, r: &Rollup, observed: &ObservedPlane) -> Option<MrcDoc> {
-    let shift = observed.mrc_shift?;
+/// Builds the `mrc` section from the loops' per-tenant estimator snapshots,
+/// merged.
+fn build_mrc(snap: &StatsSnapshot, r: &Rollup, loops: &[Option<LoopSnapshot>]) -> Option<MrcDoc> {
+    let shift = snap.mrc_shift?;
     let tenants = snap
         .tenant_names
         .iter()
         .enumerate()
         .map(|(t, name)| {
-            let merged = observed.mrc.get(t).cloned().unwrap_or_default();
+            let mut merged = MrcSnapshot::default();
+            for view in loops.iter().flatten().filter_map(|tel| tel.mrc.get(t)) {
+                merged.merge(view);
+            }
             // The tenant's budget in items: budget bytes over the mean live
             // item footprint. No items yet means no meaningful probe sizes.
             let budget_items = if r.tenants[t].items > 0 {
@@ -481,14 +468,13 @@ fn build_mrc(snap: &StatsSnapshot, r: &Rollup, observed: &ObservedPlane) -> Opti
 }
 
 /// Builds the `history` section by differencing the merged time series.
-fn build_history(snap: &StatsSnapshot, observed: &ObservedPlane) -> HistoryDoc {
-    let interval_us = observed.history.interval_us();
-    let windows = observed
-        .history
+fn build_history(snap: &StatsSnapshot, history: &TimeSeries) -> HistoryDoc {
+    let interval_us = history.interval_us();
+    let windows = history
         .rates()
         .iter()
         .map(|window| HistoryWindowDoc {
-            unix_us: observed.server_start_unix_us + (window.index + 1) * interval_us,
+            unix_us: snap.server_start_unix_us + (window.index + 1) * interval_us,
             seconds: window.seconds,
             tenants: window
                 .columns
@@ -528,13 +514,9 @@ fn tenant_hit_rate_where(
 
 /// Builds the `allocator` section: every journalled budget transfer joined
 /// against the beneficiary tenant's realized hit rate before and after.
-fn build_allocator(
-    snap: &StatsSnapshot,
-    observed: &ObservedPlane,
-    journal: &Journal,
-) -> AllocatorDoc {
-    let interval_us = observed.history.interval_us();
-    let rates = observed.history.rates();
+fn build_allocator(snap: &StatsSnapshot, history: &TimeSeries, journal: &Journal) -> AllocatorDoc {
+    let interval_us = history.interval_us();
+    let rates = history.rates();
     let tenant_index = |name: &str| snap.tenant_names.iter().position(|n| n == name);
     let transfers = journal
         .snapshot()
@@ -589,7 +571,7 @@ fn build_allocator(
             };
             Some(AllocatorTransferDoc {
                 seq: event.seq,
-                at_unix_us: observed.server_start_unix_us + event.at_micros,
+                at_unix_us: snap.server_start_unix_us + event.at_micros,
                 kind: kind.to_string(),
                 tenant,
                 donor,
@@ -611,34 +593,35 @@ fn build_allocator(
     }
 }
 
-/// Assembles the stats document from the engine-level snapshot, the plane
-/// counters, the per-loop latency telemetry, the journal and the
-/// observability plane (wall clock, MRC estimators, time series).
+/// Assembles the stats document from the control thread's snapshot, the
+/// loops' own (`None` for a loop that did not answer: it reports zeros) —
+/// engine cells, service times, MRC estimators, rate history — and the
+/// journal.
 pub(crate) fn build_document(
     snap: &StatsSnapshot,
     conns: &ConnTelemetry,
-    plane: &PlaneStats,
-    loops: &[LoopTelemetry],
+    loops: &[Option<LoopSnapshot>],
     admin_latency: &Histogram,
     journal: &Journal,
-    observed: &ObservedPlane,
 ) -> StatsDocument {
-    let r = rollup(snap);
+    let r = rollup(snap, loops);
     let nt = snap.tenant_names.len();
-    let ns = snap.cells.len();
+    let ns = snap.owner_of.len();
     let mut local_merged = Histogram::new();
     let mut remote_merged = Histogram::new();
-    for tel in loops {
-        local_merged.merge(&tel.local);
-        remote_merged.merge(&tel.remote);
+    for tel in loops.iter().flatten() {
+        local_merged.merge(&tel.local_latency);
+        remote_merged.merge(&tel.remote_latency);
     }
-    let mrc = build_mrc(snap, &r, observed);
-    let history = build_history(snap, observed);
-    let allocator = build_allocator(snap, observed, journal);
+    let histories: Vec<&TimeSeries> = loops.iter().flatten().map(|l| &l.history).collect();
+    let merged = TimeSeries::merged(&histories);
+    let mrc = build_mrc(snap, &r, loops);
+    let history = build_history(snap, &merged);
+    let allocator = build_allocator(snap, &merged, journal);
     StatsDocument {
         schema: STATS_SCHEMA.to_string(),
-        server_start: observed.server_start_unix_us,
-        snapshot_unix_us: observed.snapshot_unix_us,
+        server_start: snap.server_start_unix_us,
+        snapshot_unix_us: snap.snapshot_unix_us,
         uptime_s: snap.uptime_s,
         counters: CountersDoc {
             cmd_get: r.total.wire.gets,
@@ -649,7 +632,7 @@ pub(crate) fn build_document(
             bytes: r.total.used,
             curr_items: r.total.items as u64,
             evictions: r.total.core.evictions,
-            slow_ops: loops.iter().map(|l| l.slow_ops).sum(),
+            slow_ops: loops.iter().flatten().map(|l| l.slow_ops).sum(),
         },
         capacity: CapacityDoc {
             limit_maxbytes: snap.total_bytes,
@@ -675,14 +658,20 @@ pub(crate) fn build_document(
         loops: loops
             .iter()
             .enumerate()
-            .map(|(i, tel)| LoopDoc {
-                index: i,
-                local_ops: tel.local_ops,
-                remote_in: tel.remote_in,
-                remote_out: tel.remote_out,
-                slow_ops: tel.slow_ops,
-                local_latency: tel.local.summarize_us(),
-                remote_latency: tel.remote.summarize_us(),
+            .map(|(index, tel)| match tel {
+                Some(tel) => LoopDoc {
+                    index,
+                    local_ops: tel.local_ops,
+                    remote_in: tel.remote_in,
+                    remote_out: tel.remote_out,
+                    slow_ops: tel.slow_ops,
+                    local_latency: tel.local_latency.summarize_us(),
+                    remote_latency: tel.remote_latency.summarize_us(),
+                },
+                None => LoopDoc {
+                    index,
+                    ..LoopDoc::default()
+                },
             })
             .collect(),
         tenants: (0..nt)
@@ -703,7 +692,7 @@ pub(crate) fn build_document(
         shards: (0..ns)
             .map(|s| ShardDoc {
                 index: s,
-                owner_loop: plane.owner_of.get(s).copied().unwrap_or(0),
+                owner_loop: snap.owner_of[s],
                 cmd_get: r.shards[s].wire.gets,
                 cmd_set: r.shards[s].wire.sets,
                 get_hits: r.shards[s].wire.hits,
@@ -717,10 +706,10 @@ pub(crate) fn build_document(
             })
             .collect(),
         plane: PlaneDoc {
-            local_ops: loops.iter().map(|l| l.local_ops).sum(),
-            remote_ops: loops.iter().map(|l| l.remote_in).sum(),
-            admin_msgs: plane.admin_msgs,
-            idle_timeout_ms: plane.idle_timeout_ms,
+            local_ops: loops.iter().flatten().map(|l| l.local_ops).sum(),
+            remote_ops: loops.iter().flatten().map(|l| l.remote_in).sum(),
+            admin_msgs: snap.admin_msgs,
+            idle_timeout_ms: snap.idle_timeout_ms,
             admin_latency: admin_latency.summarize_us(),
         },
         journal: JournalDoc {
@@ -730,7 +719,7 @@ pub(crate) fn build_document(
             events: journal.snapshot(),
         },
         mrc,
-        hot_keys: observed.hot_keys.clone(),
+        hot_keys: snap.hot_keys.clone(),
         history,
         allocator,
     }
@@ -908,6 +897,11 @@ fn prom_metric(out: &mut String, name: &str, kind: &str, lines: &[(String, Strin
     }
 }
 
+/// Appends one metric that is a single unlabelled sample.
+fn prom_scalar(out: &mut String, name: &str, kind: &str, value: impl ToString) {
+    prom_metric(out, name, kind, &[(String::new(), value.to_string())]);
+}
+
 /// Quantile label/value pairs for one latency summary, in microseconds.
 fn prom_quantiles(class: &str, latency: &LatencySummary) -> Vec<(String, String)> {
     [
@@ -935,12 +929,7 @@ pub(crate) fn render_prom(doc: &StatsDocument) -> String {
         ("cliffhanger_evictions_total", c.evictions),
         ("cliffhanger_slow_ops_total", c.slow_ops),
     ] {
-        prom_metric(
-            &mut out,
-            name,
-            "counter",
-            &[(String::new(), value.to_string())],
-        );
+        prom_scalar(&mut out, name, "counter", value);
     }
     for (name, value) in [
         ("cliffhanger_bytes_used", c.bytes),
@@ -951,12 +940,7 @@ pub(crate) fn render_prom(doc: &StatsDocument) -> String {
         ("cliffhanger_event_loops", doc.capacity.event_loops as u64),
         ("cliffhanger_uptime_seconds", doc.uptime_s),
     ] {
-        prom_metric(
-            &mut out,
-            name,
-            "gauge",
-            &[(String::new(), value.to_string())],
-        );
+        prom_scalar(&mut out, name, "gauge", value);
     }
     for (name, value) in [
         (
@@ -976,38 +960,25 @@ pub(crate) fn render_prom(doc: &StatsDocument) -> String {
             doc.balance.arbiter_bytes_moved,
         ),
     ] {
-        prom_metric(
-            &mut out,
-            name,
-            "counter",
-            &[(String::new(), value.to_string())],
-        );
+        prom_scalar(&mut out, name, "counter", value);
     }
     let conns = &doc.connections;
-    prom_metric(
-        &mut out,
-        "cliffhanger_connections",
-        "gauge",
-        &[(String::new(), conns.curr.to_string())],
-    );
-    prom_metric(
-        &mut out,
-        "cliffhanger_connections_total",
-        "counter",
-        &[(String::new(), conns.total.to_string())],
-    );
-    prom_metric(
-        &mut out,
-        "cliffhanger_connections_rejected_total",
-        "counter",
-        &[(String::new(), conns.rejected.to_string())],
-    );
-    prom_metric(
-        &mut out,
-        "cliffhanger_connections_idle_closed_total",
-        "counter",
-        &[(String::new(), conns.idle_closed.to_string())],
-    );
+    for (name, kind, value) in [
+        ("cliffhanger_connections", "gauge", conns.curr),
+        ("cliffhanger_connections_total", "counter", conns.total),
+        (
+            "cliffhanger_connections_rejected_total",
+            "counter",
+            conns.rejected,
+        ),
+        (
+            "cliffhanger_connections_idle_closed_total",
+            "counter",
+            conns.idle_closed,
+        ),
+    ] {
+        prom_scalar(&mut out, name, kind, value);
+    }
     let mut latency_lines = prom_quantiles("local", &doc.service_latency.local);
     latency_lines.extend(prom_quantiles("remote", &doc.service_latency.remote));
     latency_lines.extend(prom_quantiles("admin", &doc.plane.admin_latency));
@@ -1017,96 +988,46 @@ pub(crate) fn render_prom(doc: &StatsDocument) -> String {
         "summary",
         &latency_lines,
     );
-    let loop_ops: Vec<(String, String)> = doc
-        .loops
-        .iter()
-        .flat_map(|l| {
-            [
-                (
-                    format!("loop=\"{}\",kind=\"local\"", l.index),
-                    l.local_ops.to_string(),
-                ),
-                (
-                    format!("loop=\"{}\",kind=\"remote_in\"", l.index),
-                    l.remote_in.to_string(),
-                ),
-                (
-                    format!("loop=\"{}\",kind=\"remote_out\"", l.index),
-                    l.remote_out.to_string(),
-                ),
-            ]
-        })
-        .collect();
-    prom_metric(&mut out, "cliffhanger_loop_ops_total", "counter", &loop_ops);
-    let tenant_bytes: Vec<(String, String)> = doc
-        .tenants
-        .iter()
-        .map(|t| {
+    let loop_ops = |l: &LoopDoc| {
+        let kinds = [
+            ("local", l.local_ops),
+            ("remote_in", l.remote_in),
+            ("remote_out", l.remote_out),
+        ];
+        kinds.map(|(kind, ops)| {
             (
-                format!("tenant=\"{}\"", prom_escape_label(&t.name)),
-                t.bytes.to_string(),
+                format!("loop=\"{}\",kind=\"{kind}\"", l.index),
+                ops.to_string(),
             )
         })
-        .collect();
-    prom_metric(
-        &mut out,
-        "cliffhanger_tenant_bytes_used",
-        "gauge",
-        &tenant_bytes,
-    );
-    let tenant_budget: Vec<(String, String)> = doc
-        .tenants
-        .iter()
-        .map(|t| {
-            (
-                format!("tenant=\"{}\"", prom_escape_label(&t.name)),
-                t.budget.to_string(),
-            )
-        })
-        .collect();
-    prom_metric(
-        &mut out,
-        "cliffhanger_tenant_budget_bytes",
-        "gauge",
-        &tenant_budget,
-    );
-    // Per-tenant wire series under an `app` label (the `app <name>` command
-    // namespace), so one Grafana variable covers every hosted application.
-    let app_lines = |value: fn(&TenantDoc) -> u64| -> Vec<(String, String)> {
-        doc.tenants
-            .iter()
-            .map(|t| {
-                (
-                    format!("app=\"{}\"", prom_escape_label(&t.name)),
-                    value(t).to_string(),
-                )
-            })
-            .collect()
     };
-    prom_metric(
-        &mut out,
-        "cliffhanger_tenant_cmd_get",
-        "counter",
-        &app_lines(|t| t.cmd_get),
-    );
-    prom_metric(
-        &mut out,
-        "cliffhanger_tenant_get_hits",
-        "counter",
-        &app_lines(|t| t.get_hits),
-    );
-    prom_metric(
-        &mut out,
-        "cliffhanger_tenant_bytes",
-        "gauge",
-        &app_lines(|t| t.bytes),
-    );
-    prom_metric(
-        &mut out,
-        "cliffhanger_tenant_budget",
-        "gauge",
-        &app_lines(|t| t.budget),
-    );
+    let loop_ops: Vec<(String, String)> = doc.loops.iter().flat_map(loop_ops).collect();
+    prom_metric(&mut out, "cliffhanger_loop_ops_total", "counter", &loop_ops);
+    // Per-tenant series: memory under a `tenant` label, and the wire series
+    // under an `app` label (the `app <name>` command namespace), so one
+    // Grafana variable covers every hosted application.
+    let mut per_tenant = |name: &str, kind: &str, label: &str, value: fn(&TenantDoc) -> u64| {
+        let line = |t: &TenantDoc| {
+            let labels = format!("{label}=\"{}\"", prom_escape_label(&t.name));
+            (labels, value(t).to_string())
+        };
+        let lines: Vec<(String, String)> = doc.tenants.iter().map(line).collect();
+        prom_metric(&mut out, name, kind, &lines);
+    };
+    per_tenant("cliffhanger_tenant_bytes_used", "gauge", "tenant", |t| {
+        t.bytes
+    });
+    per_tenant("cliffhanger_tenant_budget_bytes", "gauge", "tenant", |t| {
+        t.budget
+    });
+    per_tenant("cliffhanger_tenant_cmd_get", "counter", "app", |t| {
+        t.cmd_get
+    });
+    per_tenant("cliffhanger_tenant_get_hits", "counter", "app", |t| {
+        t.get_hits
+    });
+    per_tenant("cliffhanger_tenant_bytes", "gauge", "app", |t| t.bytes);
+    per_tenant("cliffhanger_tenant_budget", "gauge", "app", |t| t.budget);
     if let Some(mrc) = &doc.mrc {
         let lines: Vec<(String, String)> = mrc
             .tenants
@@ -1146,11 +1067,11 @@ pub(crate) fn render_prom(doc: &StatsDocument) -> String {
         if !lines.is_empty() {
             prom_metric(&mut out, "cliffhanger_hot_key_ops", "gauge", &lines);
         }
-        prom_metric(
+        prom_scalar(
             &mut out,
             "cliffhanger_hot_keys_promoted",
             "gauge",
-            &[(String::new(), hot.promoted.len().to_string())],
+            hot.promoted.len(),
         );
         for (name, value) in [
             ("cliffhanger_hot_key_promotions_total", hot.promotions),
@@ -1159,19 +1080,14 @@ pub(crate) fn render_prom(doc: &StatsDocument) -> String {
             ("cliffhanger_hot_key_replica_fills_total", hot.replica_fills),
             ("cliffhanger_hot_key_invalidations_total", hot.invalidations),
         ] {
-            prom_metric(
-                &mut out,
-                name,
-                "counter",
-                &[(String::new(), value.to_string())],
-            );
+            prom_scalar(&mut out, name, "counter", value);
         }
     }
-    prom_metric(
+    prom_scalar(
         &mut out,
         "cliffhanger_journal_events_total",
         "counter",
-        &[(String::new(), doc.journal.next_seq.to_string())],
+        doc.journal.next_seq,
     );
     out
 }

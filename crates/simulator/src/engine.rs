@@ -328,9 +328,8 @@ impl SystemInstance {
 
 /// Replays a single-application trace against a cache system.
 ///
-/// The trace is expected to contain only one application's requests (use
-/// [`workloads::Trace::filter_app`] first); the `app` field of requests is
-/// not interpreted here.
+/// The trace is expected to contain only one application's requests; the
+/// `app` field of requests is not interpreted here.
 pub fn replay_app(trace: &Trace, system: &CacheSystem, options: &ReplayOptions) -> AppRunResult {
     let mut instance = SystemInstance::build(system, options);
     let total = trace.len();

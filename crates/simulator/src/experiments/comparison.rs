@@ -3,7 +3,7 @@
 //! solver vs Cliffhanger), Figure 7 (miss reduction and memory savings of
 //! Cliffhanger) and the headline summary of §1 / §5.2.
 
-use crate::engine::{replay_app, CacheSystem, CliffhangerMode};
+use crate::engine::{replay_app, CacheSystem};
 use crate::experiments::allocation::default_vs_dynacache;
 use crate::experiments::ExperimentContext;
 use crate::report::{FigureSeries, Table};
@@ -228,27 +228,6 @@ pub fn arc_comparison(ctx: &ExperimentContext, apps: &[u32]) -> Table {
         ]);
     }
     table
-}
-
-/// Convenience wrapper used by the harness: the hill-climbing-only variant
-/// across all applications (useful when reporting how much of the gain comes
-/// from each algorithm in aggregate).
-pub fn cliffhanger_variant_rate(
-    ctx: &ExperimentContext,
-    app_number: u32,
-    mode: CliffhangerMode,
-) -> f64 {
-    let trace = ctx.trace(app_number);
-    let options = ctx.options(app_number);
-    replay_app(
-        trace,
-        &CacheSystem::Cliffhanger {
-            mode,
-            policy: PolicyKind::Lru,
-        },
-        &options,
-    )
-    .hit_rate()
 }
 
 #[cfg(test)]

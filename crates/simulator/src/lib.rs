@@ -10,7 +10,7 @@
 //! * [`engine`] — replay a single application's trace against one cache
 //!   system, with warm-up handling and timeline sampling.
 //! * [`profiles`] — build per-slab-class hit-rate curves and frequencies
-//!   from a trace (the inputs to the Dynacache / LookAhead baselines).
+//!   from a trace (the inputs to the Dynacache baseline).
 //! * [`sweep`] — memory sweeps: how much memory a system needs to match a
 //!   target hit rate (Figure 7's memory savings).
 //! * [`report`] — plain-text / CSV tables and series used by the harness

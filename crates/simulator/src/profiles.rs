@@ -1,7 +1,7 @@
 //! Building solver inputs (per-queue hit-rate curves and frequencies) from
 //! traces.
 //!
-//! The Dynacache solver and LookAhead need, for every queue, the hit-rate
+//! The Dynacache solver needs, for every queue, the hit-rate
 //! curve and the fraction of GETs it receives (paper Equation 1). This module
 //! derives them from a trace by running per-slab-class stack-distance
 //! trackers over the GET stream — exactly what the paper did with the

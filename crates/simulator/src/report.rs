@@ -33,18 +33,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Renders the table as CSV (headers first).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.headers.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
-
     /// A cell formatted as a percentage with one decimal.
     pub fn pct(value: f64) -> String {
         format!("{:.1}%", value * 100.0)
@@ -152,16 +140,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn table_renders_and_exports() {
+    fn table_renders() {
         let mut t = Table::new("Demo", &["App", "Hit rate"]);
         t.push_row(vec!["app1".into(), Table::pct(0.677)]);
         t.push_row(vec!["app2".into(), Table::pct(0.275)]);
         let text = t.to_string();
         assert!(text.contains("Demo"));
         assert!(text.contains("67.7%"));
-        let csv = t.to_csv();
-        assert_eq!(csv.lines().count(), 3);
-        assert!(csv.starts_with("App,Hit rate"));
     }
 
     #[test]

@@ -51,12 +51,6 @@ impl EtcConfig {
     pub fn table7_mixes() -> [(f64, f64); 3] {
         [(0.967, 0.033), (0.5, 0.5), (0.1, 0.9)]
     }
-
-    /// Overrides the GET fraction.
-    pub fn with_get_fraction(mut self, get_fraction: f64) -> Self {
-        self.get_fraction = get_fraction.clamp(0.0, 1.0);
-        self
-    }
 }
 
 /// Generates an ETC-like trace of `requests` requests.

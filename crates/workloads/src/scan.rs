@@ -41,21 +41,6 @@ impl ScanGenerator {
         self.cursor = (self.cursor + 1) % self.length;
         key
     }
-
-    /// The number of distinct keys the scan touches.
-    pub fn length(&self) -> u64 {
-        self.length
-    }
-
-    /// How many full passes a request budget covers.
-    pub fn passes_for(&self, requests: u64) -> u64 {
-        requests / self.length
-    }
-
-    /// Resets the scan to its first key.
-    pub fn reset(&mut self) {
-        self.cursor = 0;
-    }
 }
 
 #[cfg(test)]
@@ -67,17 +52,6 @@ mod tests {
         let mut scan = ScanGenerator::new(100, 4);
         let keys: Vec<u64> = (0..10).map(|_| scan.next_key()).collect();
         assert_eq!(keys, vec![100, 101, 102, 103, 100, 101, 102, 103, 100, 101]);
-        assert_eq!(scan.length(), 4);
-        assert_eq!(scan.passes_for(10), 2);
-    }
-
-    #[test]
-    fn reset_restarts_the_scan() {
-        let mut scan = ScanGenerator::new(0, 3);
-        scan.next_key();
-        scan.next_key();
-        scan.reset();
-        assert_eq!(scan.next_key(), 0);
     }
 
     #[test]

@@ -100,31 +100,6 @@ impl Trace {
         self.requests.iter()
     }
 
-    /// The requests of a single application, preserving order.
-    pub fn filter_app(&self, app: AppId) -> Trace {
-        Trace {
-            requests: self
-                .requests
-                .iter()
-                .copied()
-                .filter(|r| r.app == app)
-                .collect(),
-        }
-    }
-
-    /// The applications present in the trace, ascending.
-    pub fn apps(&self) -> Vec<AppId> {
-        let mut apps: Vec<AppId> = self
-            .requests
-            .iter()
-            .map(|r| r.app)
-            .collect::<HashSet<_>>()
-            .into_iter()
-            .collect();
-        apps.sort();
-        apps
-    }
-
     /// The span of the trace in seconds (last minus first timestamp).
     pub fn duration(&self) -> u64 {
         match (self.requests.first(), self.requests.last()) {
@@ -245,15 +220,6 @@ mod tests {
         assert_eq!(s.requests_per_app[&AppId::new(1)], 2);
         assert_eq!(s.requests_per_app[&AppId::new(2)], 2);
         assert!((s.mean_size - (100.0 + 100.0 + 5_000.0 + 64.0) / 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn filter_app_keeps_order() {
-        let t = sample_trace();
-        let app2 = t.filter_app(AppId::new(2));
-        assert_eq!(app2.len(), 2);
-        assert!(app2.iter().all(|r| r.app == AppId::new(2)));
-        assert_eq!(t.apps(), vec![AppId::new(1), AppId::new(2)]);
     }
 
     #[test]

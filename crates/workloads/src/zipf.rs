@@ -138,11 +138,6 @@ impl ZipfSampler {
         ZipfSampler { cdf }
     }
 
-    /// Number of ranks.
-    pub fn num_keys(&self) -> u64 {
-        self.cdf.len() as u64
-    }
-
     /// Draws a rank in `0..num_keys` (rank 0 is the most popular).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         let u: f64 = rng.gen();

@@ -8,11 +8,11 @@
 //! depend on a single crate:
 //!
 //! * [`cache_core`] — the Memcached-like cache substrate (slab classes,
-//!   eviction policies, shadow queues, multi-tenant stores).
+//!   eviction policies, shadow queues, the tenant name table).
 //! * [`cliffhanger`] — the paper's contribution: shadow-queue hill climbing
 //!   and incremental cliff scaling.
 //! * [`profiler`] — stack distances, hit-rate curves and the curve-based
-//!   baselines (Dynacache, Talus, LookAhead).
+//!   baselines (Dynacache, Talus).
 //! * [`workloads`] — the synthetic Memcachier-like traces and Facebook-ETC
 //!   micro-benchmark workloads.
 //! * [`simulator`] — the trace-driven engine and the per-table / per-figure
