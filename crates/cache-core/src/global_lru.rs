@@ -88,26 +88,6 @@ impl<V> GlobalLruCache<V> {
     pub fn used_bytes(&self) -> u64 {
         self.queue.used_bytes()
     }
-
-    /// Byte budget.
-    pub fn total_bytes(&self) -> u64 {
-        self.queue.target_bytes()
-    }
-
-    /// Number of resident items.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// The underlying queue (for allocators and tests).
-    pub fn queue(&self) -> &CacheQueue {
-        &self.queue
-    }
 }
 
 #[cfg(test)]
@@ -140,7 +120,7 @@ mod tests {
         for i in 0..10_000 {
             c.set(key(i), 52, ()); // charge = 100 bytes
         }
-        assert_eq!(c.len(), 1_000);
+        assert_eq!(c.index.len(), 1_000);
         assert_eq!(c.used_bytes(), 100_000);
     }
 
@@ -154,7 +134,7 @@ mod tests {
             c.set(key(i), 52, ());
         }
         assert!(c.used_bytes() <= 5_000);
-        assert!(!c.is_empty());
+        assert!(!c.index.is_empty());
     }
 
     #[test]
@@ -179,6 +159,6 @@ mod tests {
         assert_eq!(c.value(key(1)), Some(&99));
         assert!(c.delete(key(1)));
         assert!(c.value(key(1)).is_none());
-        assert!(c.is_empty());
+        assert!(c.index.is_empty());
     }
 }

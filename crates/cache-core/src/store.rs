@@ -146,11 +146,6 @@ impl<V> SlabCache<V> {
         self.queues.len()
     }
 
-    /// The configuration this cache was built with.
-    pub fn config(&self) -> &SlabCacheConfig {
-        &self.config
-    }
-
     /// Looks up `key`; `size` routes the request to its slab class (traces
     /// carry the item size on every request). A key resident in another
     /// class is a miss in this one.
@@ -351,22 +346,6 @@ impl<V> SlabCache<V> {
         self.index.is_empty()
     }
 
-    /// The application's total reservation in bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.config.total_bytes
-    }
-
-    /// Changes the application's total reservation (FCFS mode grants no new
-    /// pages beyond it; managed mode treats it as informational).
-    pub fn set_total_bytes(&mut self, bytes: u64) {
-        self.config.total_bytes = bytes;
-    }
-
-    /// Direct access to a class queue (used by allocators and tests).
-    pub fn queue(&self, class: ClassId) -> &CacheQueue {
-        &self.queues[class.index()]
-    }
-
     /// Stored value for `key`, if resident (no effect on recency).
     pub fn value(&self, key: Key) -> Option<&V> {
         self.index.get(&key).map(|item| &item.value)
@@ -404,6 +383,13 @@ mod tests {
 
     fn key(i: u64) -> Key {
         Key::new(i)
+    }
+
+    /// What the server's engines pay per resident key in the one index:
+    /// its value is one boxed slice (key, flags and data in one buffer).
+    #[test]
+    fn an_index_entry_holding_one_boxed_item_is_at_most_40_bytes() {
+        assert!(std::mem::size_of::<(Key, Resident<Box<[u8]>>)>() <= 40);
     }
 
     fn fcfs_cache(total: u64) -> SlabCache<()> {
@@ -523,8 +509,8 @@ mod tests {
         let small = c.class_for_size(50).unwrap();
         c.set(key(1), 5_000, ());
         let large = c.class_for_size(5_000).unwrap();
-        assert!(c.queue(small).is_empty());
-        assert_eq!(c.queue(large).len(), 1);
+        assert!(c.queues[small.index()].is_empty());
+        assert_eq!(c.queues[large.index()].len(), 1);
         assert_eq!(c.class_of(key(1)), Some(large));
         assert_eq!(c.len(), 1);
         c.check_index().unwrap();
@@ -538,11 +524,12 @@ mod tests {
         });
         let small = c.class_for_size(64).unwrap();
         let large = c.class_for_size(1 << 19).unwrap();
+        let shadow_keys = |class: ClassId| c.queues[class.index()].shadow().capacity();
         assert!(
-            c.queue(small).shadow().capacity() > c.queue(large).shadow().capacity(),
+            shadow_keys(small) > shadow_keys(large),
             "smaller slab classes hold more shadow keys per byte"
         );
-        assert_eq!(c.queue(small).shadow().capacity(), (1 << 20) / 64);
+        assert_eq!(shadow_keys(small), (1 << 20) / 64);
     }
 
     #[test]

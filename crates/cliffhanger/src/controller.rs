@@ -604,6 +604,13 @@ mod tests {
         Key::new(i)
     }
 
+    /// What the server's engines pay per resident key in the one index:
+    /// its value is one boxed slice (key, flags and data in one buffer).
+    #[test]
+    fn an_index_entry_holding_one_boxed_item_is_at_most_40_bytes() {
+        assert!(std::mem::size_of::<(Key, Resident<Box<[u8]>>)>() <= 40);
+    }
+
     fn config(total: u64) -> CliffhangerConfig {
         CliffhangerConfig {
             slab: SlabConfig::new(64, 2.0, 8192),

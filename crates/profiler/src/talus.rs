@@ -106,12 +106,6 @@ impl TalusPartition {
     pub fn improvement(&self) -> f64 {
         self.expected_hit_rate - self.baseline_hit_rate
     }
-
-    /// Whether the partition actually splits the queue unevenly (i.e. the
-    /// operating point was inside a cliff).
-    pub fn is_cliff_partition(&self) -> bool {
-        self.simulated_left != self.simulated_right
-    }
 }
 
 #[cfg(test)]
@@ -153,7 +147,7 @@ mod tests {
     fn partition_rides_the_hull_inside_a_cliff() {
         let curve = app19_like_curve();
         let p = TalusPartition::compute(&curve, 8_000, 0.02);
-        assert!(p.is_cliff_partition());
+        assert_ne!(p.simulated_left, p.simulated_right);
         assert!(p.simulated_left < 8_000);
         assert!(p.simulated_right > 8_000);
         assert_eq!(p.left_items + p.right_items, 8_000);
@@ -177,7 +171,7 @@ mod tests {
         let curve =
             HitRateCurve::from_points(vec![(100, 0.3), (200, 0.5), (400, 0.65), (800, 0.72)]);
         let p = TalusPartition::compute(&curve, 400, 0.01);
-        assert!(!p.is_cliff_partition());
+        assert_eq!(p.simulated_left, p.simulated_right);
         assert_eq!(p.left_request_ratio, 0.5);
         assert_eq!(p.left_items + p.right_items, 400);
         assert!((p.expected_hit_rate - 0.65).abs() < 1e-9);
@@ -188,7 +182,7 @@ mod tests {
     fn beyond_the_curve_splits_evenly() {
         let curve = app19_like_curve();
         let p = TalusPartition::compute(&curve, 50_000, 0.02);
-        assert!(!p.is_cliff_partition());
+        assert_eq!(p.simulated_left, p.simulated_right);
         let z = TalusPartition::compute(&curve, 0, 0.02);
         assert_eq!(z.left_items, 0);
         assert_eq!(z.right_items, 0);

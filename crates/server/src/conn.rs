@@ -57,9 +57,10 @@
 //! parsed in place and consumed by moving a cursor, a local `get` looks its
 //! keys up while they still sit in `inbuf` and copies a hit's payload from
 //! the engine's stored item onto `out` (the payload's one copy), and a
-//! store's key and data are copied once into the `Bytes` that then move
-//! into the engine. Only a key another loop owns is copied out to cross
-//! threads: into the batch's key bytes, which also serve its `VALUE` line.
+//! store's key and data are copied once, out of `inbuf` into the one
+//! allocation that then moves into the engine as the item. Only a key
+//! another loop owns is copied out to cross threads: into the batch's
+//! bytes, which also serve its `VALUE` line and carry a hit's data back.
 //! ARCHITECTURE.md has the table; `tests/byte_path.rs` holds the counts.
 //!
 //! * **Same-key order** needs no mechanism of its own: shard ownership is
@@ -84,7 +85,7 @@ use crate::plane::{AdminOp, AdminResult, LoopState, Op, OpBatch, OpState, Route}
 use crate::protocol::{
     encode_response, encode_value, Command, ParseOutcome, Parser, Request, Response, StoreVerb,
 };
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 use cache_core::Key;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -225,8 +226,14 @@ enum Work {
     /// One key of a `get`: where it sits in `inbuf`, and whether it is the
     /// command's last.
     Get(Route, std::ops::Range<usize>, bool),
-    /// A store (`Some`: verb, flags, data) or delete: key, payload, `noreply`.
-    Write(Route, Bytes, Option<(StoreVerb, u32, Bytes)>, bool),
+    /// A store (`Some`: the verb and the item, which carries its key) or a
+    /// delete (where its key sits in `inbuf`), and whether it is `noreply`.
+    Write(
+        Route,
+        std::ops::Range<usize>,
+        Option<(StoreVerb, StoredValue)>,
+        bool,
+    ),
     /// Any other command, or (`Err`) a line that is none: it closes the
     /// window, so nothing behind it is parsed before it has run.
     Alone(Result<Command, String>),
@@ -434,7 +441,7 @@ impl Connection {
             match self.ring[index] {
                 Entry::Get { end } => self.complete(index, |out| {
                     if let OpState::Value(Some((flags, data))) = &op.state {
-                        encode_value(batch.key(op), *flags, data, out);
+                        encode_value(batch.bytes(&op.key), *flags, batch.bytes(data), out);
                     }
                     if end {
                         out.extend_from_slice(END);
@@ -571,6 +578,10 @@ impl Connection {
             // Fill the window, each key routed once: until it holds `WINDOW`
             // keys, takes an entry that runs alone, or the input runs dry.
             let route = |key: &[u8]| ctx.state.route(self.tenant, key);
+            let range_of = |key: &[u8]| {
+                let start = key.as_ptr() as usize - inbuf.as_ptr() as usize;
+                start..start + key.len()
+            };
             let dry = loop {
                 if window.len() >= WINDOW {
                     break false;
@@ -579,8 +590,7 @@ impl Connection {
                 let work = match self.parser.next_request(&mut input) {
                     ParseOutcome::Complete(Request::Get(keys)) => {
                         for key in keys {
-                            let start = key.as_ptr() as usize - inbuf.as_ptr() as usize;
-                            let work = Work::Get(route(key), start..start + key.len(), false);
+                            let work = Work::Get(route(key), range_of(key), false);
                             window.push((at, work));
                         }
                         if let Some((_, Work::Get(_, _, end))) = window.last_mut() {
@@ -588,20 +598,21 @@ impl Connection {
                         }
                         continue;
                     }
-                    ParseOutcome::Complete(Request::Other(command)) => match command {
-                        Command::Store {
-                            verb,
-                            key,
-                            flags,
-                            data,
-                            noreply,
-                            ..
-                        } => Work::Write(route(&key), key, Some((verb, flags, data)), noreply),
-                        Command::Delete { key, noreply } => {
-                            Work::Write(route(&key), key, None, noreply)
-                        }
-                        command => Work::Alone(Ok(command)),
+                    ParseOutcome::Complete(Request::Store {
+                        verb,
+                        key,
+                        flags,
+                        data,
+                        noreply,
+                        ..
+                    }) => match StoredValue::new(&key, flags, data) {
+                        Some(item) => Work::Write(route(&key), 0..0, Some((verb, item)), noreply),
+                        None => Work::Alone(Err("key too long".to_string())),
                     },
+                    ParseOutcome::Complete(Request::Delete { key, noreply }) => {
+                        Work::Write(route(key), range_of(key), None, noreply)
+                    }
+                    ParseOutcome::Complete(Request::Other(command)) => Work::Alone(Ok(command)),
                     ParseOutcome::Invalid(message) => Work::Alone(Err(message)),
                     ParseOutcome::Incomplete => break true,
                 };
@@ -635,7 +646,7 @@ impl Connection {
                 match work {
                     Work::Get(route, key, end) => self.get(route, &inbuf[key], end, ctx),
                     Work::Write(route, key, store, noreply) => {
-                        self.write(route, key, store, noreply, ctx)
+                        self.write(route, &inbuf[key], store, noreply, ctx)
                     }
                     Work::Alone(Ok(Command::Quit)) => break 'pass Step::Quit,
                     Work::Alone(Ok(command)) => self.dispatch(command, ctx),
@@ -690,7 +701,7 @@ impl Connection {
             Ok(local) => {
                 let timer = ctx.state.local_timer();
                 if let Some(item) = ctx.state.get(local, self.tenant, id, key) {
-                    self.emit(|out| encode_value(key, item.flags, &item.data, out));
+                    self.emit(|out| encode_value(key, item.flags(), item.data(), out));
                 }
                 ctx.state.note_local(timer);
             }
@@ -776,15 +787,15 @@ impl Connection {
         }
     }
 
-    /// A store (`Some`: verb, flags, data) or delete: inline when this loop
-    /// owns the key — the parsed key and data move into the engine — else
+    /// A store (`Some`: the verb and the item) or a delete of `key`: inline
+    /// when this loop owns the key — the item moves into the engine — else
     /// forwarded. A forwarded `noreply` still takes a ring entry: program
     /// order, drain-before-close and the replica bypass all hang on it.
     fn write(
         &mut self,
         (shard, id, route): Route,
-        key: Bytes,
-        store: Option<(StoreVerb, u32, Bytes)>,
+        key: &[u8],
+        store: Option<(StoreVerb, StoredValue)>,
         noreply: bool,
         ctx: &mut Ctx<'_>,
     ) {
@@ -793,11 +804,8 @@ impl Connection {
             Ok(local) => {
                 let timer = ctx.state.local_timer();
                 let done = match store {
-                    Some((verb, flags, data)) => {
-                        let item = StoredValue { key, flags, data };
-                        ctx.state.store(local, self.tenant, id, verb, item)
-                    }
-                    None => ctx.state.delete(local, self.tenant, id, &key),
+                    Some((verb, item)) => ctx.state.store(local, self.tenant, id, verb, item),
+                    None => ctx.state.delete(local, self.tenant, id, key),
                 };
                 ctx.state.note_local(timer);
                 if !noreply {
@@ -807,14 +815,11 @@ impl Connection {
             }
             Err(owner) => owner,
         };
-        match store {
-            Some((verb, flags, data)) => {
-                let item = StoredValue { key, flags, data };
-                let store = OpState::Store { verb, item };
-                self.forward(ctx, (shard, id, owner), &[], store, false);
-            }
-            None => self.forward(ctx, (shard, id, owner), &key, OpState::Delete, false),
-        }
+        let state = match store {
+            Some((verb, item)) => OpState::Store { verb, item },
+            None => OpState::Delete,
+        };
+        self.forward(ctx, (shard, id, owner), key, state, false);
         self.unacked_writes += 1;
         self.ring.push_back(Entry::Write { delete, noreply });
     }
@@ -968,8 +973,11 @@ mod tests {
         (Connection::adopt(stream).unwrap(), peer)
     }
 
+    /// What an owner answered: a GET's hit (flags 5) or miss, or a flag.
+    type Outcome = Result<Option<&'static str>, bool>;
+
     /// A served batch answering ring entries `seqs` (key, outcome) in turn.
-    fn served(replies: Vec<(u64, &str, OpState)>) -> OpBatch {
+    fn served(replies: Vec<(u64, &str, Outcome)>) -> OpBatch {
         let mut batch = OpBatch::new(Some(0), Instant::now());
         for (seq, key, outcome) in replies {
             let op = Op {
@@ -980,9 +988,18 @@ mod tests {
                 id: Key::new(seq),
                 hot_fill: false,
                 key: 0..0,
-                state: outcome,
+                state: OpState::Get,
             };
-            batch.push(op, key.as_bytes());
+            // A hit's data sits in the batch's bytes too: here, behind its key.
+            let hit = outcome.ok().flatten();
+            batch.push(op, format!("{key}{}", hit.unwrap_or("")).as_bytes());
+            let op = batch.ops.last_mut().unwrap();
+            let data = op.key.start + key.len()..op.key.end;
+            op.key.end = data.start;
+            op.state = match outcome {
+                Ok(_) => OpState::Value(hit.map(|_| (5, data))),
+                Err(done) => OpState::Flag(done),
+            };
         }
         batch
     }
@@ -990,7 +1007,6 @@ mod tests {
     #[test]
     fn replies_of_a_later_owner_are_staged_where_their_entries_sit() {
         let (mut conn, _peer) = connection();
-        let hit = |data: &'static [u8]| OpState::Value(Some((5, Bytes::from_static(data))));
         // get a (remote, owner 1) | local bytes | get b (owner 2) | local
         // bytes | set (owner 2) | local bytes | get c (owner 2, a miss)
         conn.ring.push_back(Entry::Get { end: true });
@@ -1008,10 +1024,10 @@ mod tests {
         // Owner 2 answers first: nothing may leave, and nothing may move
         // ahead of the bytes staged before it.
         let later = served(vec![
-            (2, "b", hit(b"bee")),
-            (4, "", OpState::Flag(true)),
-            (6, "c", OpState::Value(None)),
-            (9, "gone", hit(b"an entry that left the ring")),
+            (2, "b", Ok(Some("bee"))),
+            (4, "", Err(true)),
+            (6, "c", Ok(None)),
+            (9, "gone", Ok(Some("an entry that left the ring"))),
         ]);
         conn.on_replies(&later.ops, &later);
         assert!(conn.out.is_empty());
@@ -1019,7 +1035,7 @@ mod tests {
         assert_eq!(conn.unacked_writes, 0);
 
         // Owner 1's answer releases everything, in program order.
-        let first = served(vec![(0, "a", hit(b"ay"))]);
+        let first = served(vec![(0, "a", Ok(Some("ay")))]);
         conn.on_replies(&first.ops, &first);
         assert!(conn.ring.is_empty() && conn.staged.is_empty());
         assert_eq!((conn.head_seq, conn.staged_pos), (7, 0));
@@ -1042,7 +1058,7 @@ mod tests {
             // Always a second unanswered entry with bytes behind it before
             // the head resolves: the staging buffer never drains.
             forward_then_stage(&mut conn);
-            let reply = served(vec![(2 * answered, "k", OpState::Value(None))]);
+            let reply = served(vec![(2 * answered, "k", Ok(None))]);
             conn.on_replies(&reply.ops, &reply);
             assert_eq!(conn.out.len(), END.len() + 1000);
             conn.out.clear();
@@ -1050,6 +1066,23 @@ mod tests {
             assert!(conn.staged.len() <= STAGED_RETAIN + 2000);
         }
         assert_eq!(conn.ring.len(), 2);
+    }
+
+    #[test]
+    fn a_store_whose_key_the_item_cannot_count_is_refused_in_stride() {
+        let (mut conn, _peer) = connection();
+        let mut state = LoopState::solo();
+        let mut ctx = Ctx {
+            state: &mut state,
+            token: 1,
+        };
+        let wire = format!(
+            "set {} 0 0 1\r\nx\r\nset k 0 0 1\r\ny\r\n",
+            "k".repeat(1 << 16)
+        );
+        conn.inbuf.extend_from_slice(wire.as_bytes());
+        assert!(matches!(conn.process(&mut ctx), super::Step::Dry(2)));
+        assert_eq!(conn.out, b"CLIENT_ERROR key too long\r\nSTORED\r\n");
     }
 
     #[test]
@@ -1072,7 +1105,7 @@ mod tests {
         let version_of_c = |ctx: &mut Ctx<'_>| {
             let (_, id, slot) = ctx.state.route(0, b"c");
             let found = ctx.state.get(slot.unwrap(), 0, id, b"c");
-            found.map(|item| item.flags)
+            found.map(|item| item.flags())
         };
 
         // Three hits carry `out` over the watermark: the seventh command is

@@ -7,7 +7,6 @@
 //! and routes to the same shard on every path that reaches an engine.
 
 use crate::hotkey::HotKeyConfig;
-use bytes::Bytes;
 use cache_core::key::mix64;
 use cache_core::prefetch::{self, Sweep};
 use cache_core::store::AllocationMode;
@@ -184,15 +183,55 @@ impl BackendConfig {
     }
 }
 
-/// A value as stored by the server.
-#[derive(Clone, Debug)]
-pub(crate) struct StoredValue {
-    /// The full byte-string key (for exact-match verification).
-    pub(crate) key: Bytes,
+/// Length of an item's header: `flags` (`u32`) and the key's length (`u16`),
+/// little-endian, ahead of the key and the data.
+const ITEM_HEADER: usize = 6;
+
+/// An item as the server stores it: header, key and data back to back in
+/// one owned allocation, so a SET allocates once, an eviction frees once,
+/// and a GET compares the key and copies the data out of one run of cache
+/// lines. The engines charge `key + data` for it; the header is not charged.
+#[derive(Debug)]
+pub(crate) struct StoredValue(Box<[u8]>);
+
+impl StoredValue {
+    /// Copies `key` and `data` into a buffer sized for exactly them (so
+    /// boxing it reallocates nothing). `None` for a key whose length the
+    /// header cannot hold: the caller refuses the store.
+    pub(crate) fn new(key: &[u8], flags: u32, data: &[u8]) -> Option<StoredValue> {
+        let key_len = u16::try_from(key.len()).ok()?;
+        let mut item = Vec::with_capacity(ITEM_HEADER + key.len() + data.len());
+        item.extend_from_slice(&flags.to_le_bytes());
+        item.extend_from_slice(&key_len.to_le_bytes());
+        item.extend_from_slice(key);
+        item.extend_from_slice(data);
+        Some(StoredValue(item.into_boxed_slice()))
+    }
+
     /// Client flags.
-    pub(crate) flags: u32,
+    pub(crate) fn flags(&self) -> u32 {
+        u32::from_le_bytes([self.0[0], self.0[1], self.0[2], self.0[3]])
+    }
+
+    /// Where the key ends and the data starts.
+    fn data_at(&self) -> usize {
+        ITEM_HEADER + usize::from(u16::from_le_bytes([self.0[4], self.0[5]]))
+    }
+
+    /// The full byte-string key (for exact-match verification).
+    pub(crate) fn key(&self) -> &[u8] {
+        &self.0[ITEM_HEADER..self.data_at()]
+    }
+
     /// The payload.
-    pub(crate) data: Bytes,
+    pub(crate) fn data(&self) -> &[u8] {
+        &self.0[self.data_at()..]
+    }
+
+    /// What the engines charge for the item: key and data bytes.
+    fn charge(&self) -> u64 {
+        (self.0.len() - ITEM_HEADER) as u64
+    }
 }
 
 /// Routes a byte-string key of one tenant to its shard index and 64-bit
@@ -282,20 +321,20 @@ impl Engine {
 
     /// Whether `key` is resident with an exact byte-string match.
     pub(crate) fn contains_exact(&self, id: Key, key: &[u8]) -> bool {
-        self.value(id).map(|s| s.key == key).unwrap_or(false)
+        self.value(id).is_some_and(|stored| stored.key() == key)
     }
 
     /// One read-only sweep ahead of an operation on `id`: the engine's
-    /// (see [`cache_core::prefetch`]) plus, on the first, the stored key a
-    /// GET compares and the first lines of the payload it copies out.
+    /// (see [`cache_core::prefetch`]) plus, on the first, the first lines of
+    /// the item — the stored key a GET compares, then the payload it copies
+    /// out.
     pub(crate) fn prefetch(&self, id: Key, sweep: Sweep) {
         let stored = match self {
             Engine::Plain(cache) => cache.prefetch(id, sweep),
             Engine::Managed(cache) => cache.prefetch(id, sweep),
         };
         if let (Some(stored), Sweep::Item) = (stored, sweep) {
-            prefetch::bytes(&stored.key);
-            prefetch::bytes(&stored.data);
+            prefetch::bytes(&stored.0);
         }
     }
 
@@ -308,14 +347,14 @@ impl Engine {
             Engine::Plain(cache) => cache.lookup(id),
             Engine::Managed(cache) => cache.lookup(id),
         }
-        .filter(|stored| stored.key == key)
+        .filter(|stored| stored.key() == key)
     }
 
     /// A wire-level store: charges `key + data` bytes and admits the item,
     /// which moves into the cache as it is. Returns `false` only if the
     /// item could not be admitted (e.g. larger than the largest slab class).
     pub(crate) fn wire_set(&mut self, id: Key, stored: StoredValue) -> bool {
-        let size = (stored.key.len() + stored.data.len()) as u64;
+        let size = stored.charge();
         match self {
             Engine::Plain(cache) => cache
                 .set(id, size, stored)
@@ -378,13 +417,44 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn item(key: &[u8], data: &[u8]) -> StoredValue {
-        StoredValue {
-            key: Bytes::copy_from_slice(key),
-            flags: 0,
-            data: Bytes::copy_from_slice(data),
+        StoredValue::new(key, 0, data).expect("a short key")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Whatever the key (non-UTF-8 included), flags and data, the one
+        /// buffer hands each back as it came and charges key plus data.
+        #[test]
+        fn an_item_gives_back_its_key_flags_and_data(
+            key in vec(any::<u8>(), 1..8_193usize),
+            flags in any::<u32>(),
+            data in vec(any::<u8>(), 0..70_001usize),
+        ) {
+            let item = StoredValue::new(&key, flags, &data).expect("the header holds the length");
+            prop_assert_eq!(item.key(), &key[..]);
+            prop_assert_eq!(item.flags(), flags);
+            prop_assert_eq!(item.data(), &data[..]);
+            prop_assert_eq!(item.charge(), (key.len() + data.len()) as u64);
+            prop_assert_eq!(item.0.len(), ITEM_HEADER + key.len() + data.len());
         }
+    }
+
+    /// The item is one pointer and a length in the index entry; a key the
+    /// header's `u16` cannot count is refused, not truncated.
+    #[test]
+    fn an_item_is_one_box_and_refuses_a_key_it_cannot_count() {
+        assert_eq!(
+            std::mem::size_of::<StoredValue>(),
+            std::mem::size_of::<Box<[u8]>>()
+        );
+        let longest = vec![b'k'; usize::from(u16::MAX)];
+        assert_eq!(item(&longest, b"v").key(), &longest[..]);
+        assert!(StoredValue::new(&[b'k'; 1 << 16], 0, b"v").is_none());
     }
 
     /// Two byte-string keys forced onto one 64-bit [`Key`]. The engine's
@@ -408,7 +478,7 @@ mod tests {
             assert!(engine.wire_get(id, b"first").is_none(), "{mode:?}");
             assert!(!engine.contains_exact(id, b"first"), "{mode:?}");
             let found = engine.wire_get(id, b"second").expect("the later write");
-            assert_eq!(&found.data[..], b"two", "{mode:?}");
+            assert_eq!(found.data(), b"two", "{mode:?}");
             assert!(engine.contains_exact(id, b"second"), "{mode:?}");
             // Both lookups reached the slot: the engine saw two GETs and two
             // hits, the wire one hit (the caller counts exact matches).

@@ -132,10 +132,11 @@ pub(crate) enum LoopMsg {
     HotFlushTenant { tenant: usize },
 }
 
-/// Capacity a kept batch may retain (op records, key bytes); what a deeper
-/// one-off burst grew beyond it goes back to the allocator.
+/// Capacity a kept batch may retain (op records; key and hit bytes, a full
+/// batch's worth at 256 bytes an op); what a deeper one-off burst grew beyond
+/// it goes back to the allocator.
 const BATCH_RETAIN_OPS: usize = 256;
-const BATCH_RETAIN_KEY_BYTES: usize = 16 * 1024;
+const BATCH_RETAIN_BYTES: usize = 64 * 1024;
 /// Cleared batches a loop keeps for its next passes.
 const SPARE_BATCHES: usize = 8;
 
@@ -151,7 +152,7 @@ pub(crate) struct Op {
     /// The issuing loop wants a [`LoopMsg::HotFill`] ahead of the reply (a
     /// read-through miss on a promoted key's replica).
     pub(crate) hot_fill: bool,
-    /// Where a GET's or DELETE's key sits in the batch's key bytes (set by
+    /// Where a GET's or DELETE's key sits in the batch's bytes (set by
     /// [`OpBatch::push`]); a store's key travels in its item.
     pub(crate) key: std::ops::Range<usize>,
     pub(crate) state: OpState,
@@ -167,8 +168,9 @@ pub(crate) enum OpState {
         verb: StoreVerb,
         item: StoredValue,
     },
-    /// A GET's outcome: `(flags, data)` on an exact hit.
-    Value(Option<(u32, Bytes)>),
+    /// A GET's outcome: on an exact hit, the flags and where the owner
+    /// copied the data in the batch's bytes ([`OpBatch::bytes`]).
+    Value(Option<(u32, std::ops::Range<usize>)>),
     /// A store's or delete's outcome.
     Flag(bool),
 }
@@ -188,10 +190,12 @@ impl OpState {
 /// The unit that crosses a mailbox: the ops one loop forwarded to one owner
 /// in a run of one readiness pass. The origin loop allocates its two buffers
 /// (or takes a cleared batch it kept), the owner executes the ops in order,
-/// overwrites each request with its outcome and sends the batch back; the
-/// origin completes its connections' ring entries from it, clears it and
-/// keeps it. In the steady state a remote op allocates nothing and either
-/// side reads the clock once per batch.
+/// overwrites each request with its outcome — a hit's data copied out of the
+/// owner's item behind the keys, so no reference into one thread's cache is
+/// ever held by another — and sends the batch back; the origin completes its
+/// connections' ring entries from it, clears it and keeps it. In the steady
+/// state a remote op allocates nothing and either side reads the clock once
+/// per batch.
 pub(crate) struct OpBatch {
     /// The loop that issued the ops and gets the batch back; `None` for a
     /// [`PlaneHandle`] caller, which is answered over `caller`.
@@ -202,8 +206,8 @@ pub(crate) struct OpBatch {
     /// charged their mailbox queueing delay, not just engine time.
     enqueued: Instant,
     pub(crate) ops: Vec<Op>,
-    /// GET and DELETE keys, back to back.
-    keys: Vec<u8>,
+    /// GET and DELETE keys, then the data of the GETs that hit, back to back.
+    bytes: Vec<u8>,
 }
 
 impl OpBatch {
@@ -213,30 +217,36 @@ impl OpBatch {
             caller: None,
             enqueued,
             ops: Vec::new(),
-            keys: Vec::new(),
+            bytes: Vec::new(),
         }
     }
 
-    /// Appends `op`; `key` is copied behind the keys already held.
+    /// Appends `op`; `key` is copied behind the bytes already held.
     pub(crate) fn push(&mut self, mut op: Op, key: &[u8]) {
-        op.key = self.keys.len()..self.keys.len() + key.len();
-        self.keys.extend_from_slice(key);
+        op.key = append(&mut self.bytes, key);
         self.ops.push(op);
     }
 
-    /// The key bytes of one of this batch's GET or DELETE ops.
-    pub(crate) fn key(&self, op: &Op) -> &[u8] {
-        &self.keys[op.key.clone()]
+    /// The bytes at `range`: an op's key, or the data of a GET that hit.
+    pub(crate) fn bytes(&self, range: &std::ops::Range<usize>) -> &[u8] {
+        &self.bytes[range.clone()]
     }
 
-    /// Empties the batch for its next trip — no op, key byte or `Bytes`
-    /// handle of this one survives — trimmed to the retained capacity.
+    /// Empties the batch for its next trip — no op, key or value byte of
+    /// this one survives — trimmed to the retained capacity.
     fn clear(&mut self) {
         self.ops.clear();
         self.ops.shrink_to(BATCH_RETAIN_OPS);
-        self.keys.clear();
-        self.keys.shrink_to(BATCH_RETAIN_KEY_BYTES);
+        self.bytes.clear();
+        self.bytes.shrink_to(BATCH_RETAIN_BYTES);
     }
+}
+
+/// Copies `data` behind what `bytes` holds; returns where it sits.
+fn append(bytes: &mut Vec<u8>, data: &[u8]) -> std::ops::Range<usize> {
+    let start = bytes.len();
+    bytes.extend_from_slice(data);
+    start..bytes.len()
 }
 
 /// Control-thread requests against one loop's owned engines. Replies go
@@ -382,6 +392,7 @@ pub(crate) enum AdminResult {
 /// copy the name table out when the generation counter moves, and slow
 /// readers ([`PlaneHandle`] accessors, `stats` assembly) take the lock.
 /// The request fast path never touches it.
+#[derive(Clone)]
 pub(crate) struct RosterMaster {
     pub(crate) directory: TenantDirectory,
     pub(crate) weights: Vec<u64>,
@@ -879,8 +890,8 @@ impl LoopState {
         };
         let touched = match verb {
             StoreVerb::Set => true,
-            StoreVerb::Add => !cell.engine.contains_exact(id, &item.key),
-            StoreVerb::Replace => cell.engine.contains_exact(id, &item.key),
+            StoreVerb::Add => !cell.engine.contains_exact(id, item.key()),
+            StoreVerb::Replace => cell.engine.contains_exact(id, item.key()),
         };
         cell.sets += u64::from(touched);
         let stored = touched && cell.engine.wire_set(id, item);
@@ -1139,44 +1150,44 @@ impl LoopState {
     /// batch back.
     pub(crate) fn serve(&mut self, mut batch: OpBatch) {
         let OpBatch {
-            origin, ops, keys, ..
+            origin, ops, bytes, ..
         } = &mut batch;
         for chunk in ops.chunks_mut(WINDOW) {
             self.sweep(chunk, |op| Some((self.slots[op.shard]?, op.tenant, op.id)));
             for op in chunk {
-                let key = &keys[op.key.clone()];
                 op.state = match (self.slots[op.shard], op.state.fail()) {
                     (Some(slot), OpState::Get) => {
+                        let Some(item) = self.get(slot, op.tenant, op.id, &bytes[op.key.clone()])
+                        else {
+                            continue;
+                        };
+                        let found = (item.flags(), append(bytes, item.data()));
                         // A read-through fill (the origin loop missed its
-                        // replica of a promoted key) takes the stored key too.
-                        let found = self.get(slot, op.tenant, op.id, key).map(|item| {
-                            let fill_key = op.hot_fill.then(|| item.key.clone());
-                            (fill_key, item.flags, item.data.clone())
-                        });
-                        // The fill carries the value *with the version it had
-                        // at read time*. Queued before this batch on the same
-                        // FIFO mailbox, and this loop is the key's only writer,
-                        // so the (value, version) pair is a consistent snapshot.
-                        if let (Some(origin), Some((Some(key), flags, data)), Some(hot)) =
-                            (*origin, &found, self.shared.hot.as_ref())
+                        // replica of a promoted key) carries the value *with
+                        // the version it had at read time*. Queued before
+                        // this batch on the same FIFO mailbox, and this loop
+                        // is the key's only writer, so the (value, version)
+                        // pair is a consistent snapshot.
+                        if let (true, Some(origin), Some(hot)) =
+                            (op.hot_fill, *origin, self.shared.hot.as_ref())
                         {
                             let fill = LoopMsg::HotFill {
                                 tenant: op.tenant,
                                 id: op.id,
-                                key: key.clone(),
-                                flags: *flags,
-                                data: data.clone(),
+                                key: Bytes::copy_from_slice(&bytes[op.key.clone()]),
+                                flags: found.0,
+                                data: Bytes::copy_from_slice(&bytes[found.1.clone()]),
                                 version: hot.versions.load(op.tenant, op.id),
                             };
                             self.forward(origin, fill);
                         }
-                        OpState::Value(found.map(|(_, flags, data)| (flags, data)))
+                        OpState::Value(Some(found))
                     }
                     (Some(slot), OpState::Store { verb, item }) => {
                         OpState::Flag(self.store(slot, op.tenant, op.id, verb, item))
                     }
                     (Some(slot), OpState::Delete) => {
-                        OpState::Flag(self.delete(slot, op.tenant, op.id, key))
+                        OpState::Flag(self.delete(slot, op.tenant, op.id, &bytes[op.key.clone()]))
                     }
                     // Only reachable if ownership and routing disagree (or the
                     // op is no request): it stays failed rather than wedge the
@@ -1533,10 +1544,12 @@ impl Control {
         if !shared.round_active(kind, shared.roster.lock().directory.len()) {
             return;
         }
-        // Gathered with the roster unlocked: a loop answers from a pass that
-        // first re-reads a changed tenant table, under that lock.
+        // No loop is waited on with the roster locked — a loop answers from
+        // a pass that first re-reads a changed tenant table, under that lock
+        // — so the round moves budget on a copy and writes it back: this
+        // thread is the roster's only writer.
         let snaps = self.gather();
-        let mut roster = shared.roster.lock();
+        let mut roster = shared.roster.lock().clone();
         let tenants = roster.directory.len();
         let grid = self.shadow_grid(&snaps, tenants);
         let arbitrate = kind == RoundKind::Arbitrate;
@@ -1570,6 +1583,7 @@ impl Control {
                 self.apply(&mut roster, kind, &moves, &tr);
             }
         }
+        shared.roster.lock().budgets = roster.budgets;
         self.tally(kind).runs += 1;
     }
 
@@ -1694,17 +1708,21 @@ impl Control {
     /// total while traffic keeps filling the other shards.
     fn flush_tenant(&mut self, tenant: usize) {
         let shared = Arc::clone(&self.shared);
-        let mut roster = shared.roster.lock();
-        if tenant >= roster.directory.len() {
-            return;
-        }
-        let before = roster.total_budget();
-        let total: u64 = roster.budgets[tenant].iter().sum();
-        let shares = even_split(total, shared.shards);
-        let mut order: Vec<usize> = (0..shared.shards).collect();
-        order.sort_by_key(|&s| {
-            std::cmp::Reverse(roster.budgets[tenant][s].saturating_sub(shares[s]))
-        });
+        // Planned under the roster lock, applied with it released (see
+        // `balance`), written back under it again.
+        let (name, shares, order) = {
+            let roster = shared.roster.lock();
+            if tenant >= roster.directory.len() {
+                return;
+            }
+            let total: u64 = roster.budgets[tenant].iter().sum();
+            let shares = even_split(total, shared.shards);
+            let mut order: Vec<usize> = (0..shared.shards).collect();
+            order.sort_by_key(|&s| {
+                std::cmp::Reverse(roster.budgets[tenant][s].saturating_sub(shares[s]))
+            });
+            (roster.directory.name(tenant).to_string(), shares, order)
+        };
         for s in order {
             let _ = self.ask_owner(s, |reply| ControlMsg::Rebuild {
                 shard: s,
@@ -1713,7 +1731,6 @@ impl Control {
                 budget: shares[s].max(1),
                 reply,
             });
-            roster.budgets[tenant][s] = shares[s];
         }
         // The rebuilds just dropped keys no loop can enumerate, so stale
         // hot-key replicas of this tenant must stop serving before the
@@ -1727,11 +1744,15 @@ impl Control {
                 let _ = mailbox.send(LoopMsg::HotFlushTenant { tenant });
             }
         }
+        let mut roster = shared.roster.lock();
+        let before = roster.total_budget();
+        roster.budgets[tenant] = shares;
         debug_assert_eq!(roster.total_budget(), before, "a flush conserves budget");
+        drop(roster);
         self.balancers[tenant].reset();
-        shared.journal.record(EventKind::TenantFlushed {
-            tenant: roster.directory.name(tenant).to_string(),
-        });
+        shared
+            .journal
+            .record(EventKind::TenantFlushed { tenant: name });
     }
 
     /// Hosts a new application live (`app_create`): validate, carve a
@@ -1750,26 +1771,29 @@ impl Control {
             return Err("app weight must be at least 1".to_string());
         }
         let shared = Arc::clone(&self.shared);
-        let mut roster = shared.roster.lock();
-        if roster.directory.index_of(name).is_some() {
-            return Err(format!("app {name:?} already exists"));
-        }
-        let before = roster.total_budget();
         let n = shared.shards;
-        let tenants = roster.directory.len();
-        let sum_weights: u64 = roster.weights.iter().sum();
-        let target_total = (shared.config.total_bytes as u128 * weight as u128
-            / (sum_weights + weight) as u128) as u64;
-        let target_slices = even_split(target_total.max(1), n);
+        // The asks are planned under the roster lock, the carve-outs awaited
+        // with it released (see `balance`), the table written under it again.
         let mut per_loop: Vec<Vec<(usize, usize, u64)>> =
             (0..shared.loops).map(|_| Vec::new()).collect();
-        for (s, &target_slice) in target_slices.iter().enumerate() {
-            let shard_total: u64 = (0..tenants).map(|t| roster.budgets[t][s]).sum();
-            for t in 0..tenants {
-                let ask = (target_slice as u128 * roster.budgets[t][s] as u128
-                    / shard_total.max(1) as u128) as u64;
-                if ask > 0 {
-                    per_loop[shared.owner_of(s)].push((s, t, ask));
+        {
+            let roster = shared.roster.lock();
+            if roster.directory.index_of(name).is_some() {
+                return Err(format!("app {name:?} already exists"));
+            }
+            let tenants = roster.directory.len();
+            let sum_weights: u64 = roster.weights.iter().sum();
+            let target_total = (shared.config.total_bytes as u128 * weight as u128
+                / (sum_weights + weight) as u128) as u64;
+            let target_slices = even_split(target_total.max(1), n);
+            for (s, &target_slice) in target_slices.iter().enumerate() {
+                let shard_total: u64 = (0..tenants).map(|t| roster.budgets[t][s]).sum();
+                for t in 0..tenants {
+                    let ask = (target_slice as u128 * roster.budgets[t][s] as u128
+                        / shard_total.max(1) as u128) as u64;
+                    if ask > 0 {
+                        per_loop[shared.owner_of(s)].push((s, t, ask));
+                    }
                 }
             }
         }
@@ -1787,12 +1811,13 @@ impl Control {
             }
         }
         drop(tx);
+        let granted: Vec<(usize, usize, u64)> = rx.iter().flatten().collect();
+        let mut roster = shared.roster.lock();
+        let before = roster.total_budget();
         let mut carved_per_shard = vec![0u64; n];
-        while let Ok(granted) = rx.recv() {
-            for (s, t, bytes) in granted {
-                roster.budgets[t][s] -= bytes;
-                carved_per_shard[s] += bytes;
-            }
+        for (s, t, bytes) in granted {
+            roster.budgets[t][s] -= bytes;
+            carved_per_shard[s] += bytes;
         }
         for (s, &bytes) in carved_per_shard.iter().enumerate() {
             if bytes > 0 {
@@ -1935,8 +1960,8 @@ pub struct PlaneHandle {
 impl PlaneHandle {
     /// One op as a batch of one, answered over its own channel: the path a
     /// connection's forwarded ops take, from a caller that is no loop.
-    /// Returns the op's outcome.
-    fn data_op(&self, tenant: usize, key: &[u8], state: OpState) -> Option<OpState> {
+    /// Returns the batch, the op's outcome in place.
+    fn data_op(&self, tenant: usize, key: &[u8], state: OpState) -> Option<OpBatch> {
         let (shard, id) = route_key(tenant, key, self.shared.shards);
         let (tx, rx) = channel();
         let mut batch = OpBatch::new(None, Instant::now());
@@ -1955,7 +1980,14 @@ impl PlaneHandle {
         self.shared.mailboxes[self.shared.owner_of(shard)]
             .send(LoopMsg::Ops(batch))
             .ok()?;
-        Some(rx.recv().ok()?.ops.pop()?.state)
+        rx.recv().ok()
+    }
+
+    /// [`PlaneHandle::data_op`] for a store or delete: whether it was done.
+    fn write_op(&self, tenant: usize, key: &[u8], state: OpState) -> bool {
+        let batch = self.data_op(tenant, key, state);
+        let outcome = batch.as_ref().and_then(|batch| batch.ops.first());
+        matches!(outcome.map(|op| &op.state), Some(OpState::Flag(true)))
     }
 
     fn admin(&self, op: AdminOp) -> Option<AdminResult> {
@@ -1973,8 +2005,11 @@ impl PlaneHandle {
     /// Looks up a key for one tenant, returning its flags and value on an
     /// exact match.
     pub fn get_for(&self, tenant: usize, key: &[u8]) -> Option<(u32, Bytes)> {
-        match self.data_op(tenant, key, OpState::Get)? {
-            OpState::Value(found) => found,
+        let batch = self.data_op(tenant, key, OpState::Get)?;
+        match &batch.ops.first()?.state {
+            OpState::Value(Some((flags, data))) => {
+                Some((*flags, Bytes::copy_from_slice(batch.bytes(data))))
+            }
             _ => None,
         }
     }
@@ -1987,15 +2022,8 @@ impl PlaneHandle {
         flags: u32,
         data: Bytes,
     ) -> bool {
-        let item = StoredValue {
-            key: Bytes::copy_from_slice(key),
-            flags,
-            data,
-        };
-        matches!(
-            self.data_op(tenant, key, OpState::Store { verb, item }),
-            Some(OpState::Flag(true))
-        )
+        StoredValue::new(key, flags, &data)
+            .is_some_and(|item| self.write_op(tenant, key, OpState::Store { verb, item }))
     }
 
     /// Stores a key for one tenant unconditionally. Returns `false` only
@@ -2006,10 +2034,7 @@ impl PlaneHandle {
 
     /// Deletes a key for one tenant; returns whether it was present.
     pub fn delete_for(&self, tenant: usize, key: &[u8]) -> bool {
-        matches!(
-            self.data_op(tenant, key, OpState::Delete),
-            Some(OpState::Flag(true))
-        )
+        self.write_op(tenant, key, OpState::Delete)
     }
 
     /// Looks up a key for the default tenant.
@@ -2205,22 +2230,17 @@ impl SharedCache {
     pub fn get_for(&self, tenant: usize, key: &[u8]) -> Option<(u32, Bytes)> {
         self.routed(tenant, key, |state, slot, id| {
             let found = state.get(slot, tenant, id, key);
-            found.map(|v| (v.flags, v.data.clone()))
+            found.map(|item| (item.flags(), Bytes::copy_from_slice(item.data())))
         })
     }
 
     /// Stores a key for one tenant unconditionally. Returns `false` only
     /// if the item could not be admitted.
     pub fn set_for(&self, tenant: usize, key: &[u8], flags: u32, data: Bytes) -> bool {
-        self.routed(tenant, key, |state, slot, id| {
-            let key = Bytes::copy_from_slice(key);
-            state.store(
-                slot,
-                tenant,
-                id,
-                StoreVerb::Set,
-                StoredValue { key, flags, data },
-            )
+        StoredValue::new(key, flags, &data).is_some_and(|item| {
+            self.routed(tenant, key, |state, slot, id| {
+                state.store(slot, tenant, id, StoreVerb::Set, item)
+            })
         })
     }
 
@@ -2380,11 +2400,7 @@ mod tests {
     }
 
     fn store(key: &[u8], data: &'static [u8]) -> OpState {
-        let item = StoredValue {
-            key: Bytes::copy_from_slice(key),
-            flags: 9,
-            data: Bytes::from_static(data),
-        };
+        let item = StoredValue::new(key, 9, data).expect("a short key");
         OpState::Store {
             verb: StoreVerb::Set,
             item,
@@ -2430,19 +2446,20 @@ mod tests {
         assert_eq!(batch.origin, Some(0));
         let seqs: Vec<u64> = batch.ops.iter().map(|op| op.seq).collect();
         assert_eq!(seqs, [0, 1, 2, 3]);
-        assert_eq!(batch.key(&batch.ops[1]), &keys[0][..]);
-        assert_eq!(batch.key(&batch.ops[2]), &keys[1][..]);
-        let hit = |data: &Bytes| &data[..] == b"poison-poison-poison";
+        assert_eq!(batch.bytes(&batch.ops[1].key), &keys[0][..]);
+        assert_eq!(batch.bytes(&batch.ops[2].key), &keys[1][..]);
+        // The hit's data came back in the batch's own bytes, behind the keys.
+        let hit = |data| batch.bytes(data) == b"poison-poison-poison";
         assert!(matches!(batch.ops[0].state, OpState::Flag(true)));
         assert!(matches!(
             &batch.ops[1].state,
-            OpState::Value(Some((9, data))) if hit(data)
+            OpState::Value(Some((9, data))) if data.start == 3 * 24 && hit(data)
         ));
         assert!(matches!(batch.ops[2].state, OpState::Value(None)));
         assert!(matches!(batch.ops[3].state, OpState::Flag(true)));
 
         // Recycled, it opens the next pass's batch and holds that pass's op
-        // alone: no op, outcome, value handle or key byte of the last trip.
+        // alone: no op, outcome, key byte or value byte of the last trip.
         origin.recycle(batch);
         let short = remote_keys(origin, 1, 3);
         forward(origin, 4, &short[0], OpState::Get);
@@ -2452,8 +2469,8 @@ mod tests {
         assert!(std::ptr::eq(allocation, next.ops.as_ptr()));
         assert_eq!(next.ops.len(), 1);
         assert!(matches!(next.ops[0].state, OpState::Get));
-        assert_eq!(next.keys, short[0]);
-        assert_eq!(next.key(&next.ops[0]), &short[0][..]);
+        assert_eq!(next.bytes, short[0]);
+        assert_eq!(next.bytes(&next.ops[0].key), &short[0][..]);
     }
 
     #[test]
@@ -2468,12 +2485,12 @@ mod tests {
         }
         origin.flush_outbound();
         let batch = only_batch(&seeds[1]);
-        assert!(batch.keys.capacity() > BATCH_RETAIN_KEY_BYTES);
+        assert!(batch.bytes.capacity() > BATCH_RETAIN_BYTES);
         assert!(batch.ops.capacity() > BATCH_RETAIN_OPS);
         origin.recycle(batch);
         let kept = origin.spare.last().expect("the batch is kept");
-        assert!(kept.ops.is_empty() && kept.keys.is_empty());
-        assert!(kept.keys.capacity() <= BATCH_RETAIN_KEY_BYTES);
+        assert!(kept.ops.is_empty() && kept.bytes.is_empty());
+        assert!(kept.bytes.capacity() <= BATCH_RETAIN_BYTES);
         assert!(kept.ops.capacity() <= BATCH_RETAIN_OPS);
         // ... and the pool of kept batches is bounded too.
         for _ in 0..2 * SPARE_BATCHES {

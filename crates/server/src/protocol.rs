@@ -23,8 +23,11 @@
 //! pipelined batch copies nothing and costs the same per command however
 //! much input waits behind it. The public functions wrap that in
 //! `&mut BytesMut` in, owned [`Command`] out; the connection calls
-//! `Parser::next_request` on the slice itself and gets a `get`'s keys still
-//! borrowed from its input buffer.
+//! `Parser::next_request` on the slice itself and gets keys and data still
+//! borrowed from its input buffer: a `get` and a `delete` look their keys up
+//! where they lie, and a store's key and data block are copied once, by the
+//! connection, into the item the cache keeps. Only a store header whose data
+//! block has not arrived yet has its key copied out, to be remembered.
 //!
 //! # The `app` extension
 //!
@@ -39,6 +42,7 @@
 //! pre-extension protocol.
 
 use bytes::{Bytes, BytesMut};
+use std::borrow::Cow;
 use std::io::Write;
 
 /// A parsed client command.
@@ -211,63 +215,97 @@ impl<'a> Iterator for Tokens<'a> {
     }
 }
 
-/// A command as the connection executes it: a `get`'s keys still borrow the
-/// input buffer, so looking one up allocates nothing; every other command
-/// owns what it carries (a store's key and data move into the cache).
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// A command as the connection executes it: the keys of a `get` and a
+/// `delete` and the key and data of a store still borrow the input buffer,
+/// so looking one up allocates nothing and storing one copies it once. A
+/// store's key is owned only if its header was remembered across reads.
+#[derive(Debug)]
 pub(crate) enum Request<'a> {
     Get(Tokens<'a>),
+    Store {
+        verb: StoreVerb,
+        key: Cow<'a, [u8]>,
+        flags: u32,
+        exptime: u32,
+        data: &'a [u8],
+        noreply: bool,
+    },
+    Delete {
+        key: &'a [u8],
+        noreply: bool,
+    },
     Other(Command),
 }
 
 impl ParseOutcome<Request<'_>> {
-    /// The outcome the public entry points return: keys copied out.
+    /// The outcome the public entry points return: keys and data copied out.
     fn into_owned(self) -> ParseOutcome {
-        match self {
-            ParseOutcome::Complete(Request::Get(keys)) => ParseOutcome::Complete(Command::Get {
+        let command = match self {
+            ParseOutcome::Complete(request) => request,
+            ParseOutcome::Incomplete => return ParseOutcome::Incomplete,
+            ParseOutcome::Invalid(message) => return ParseOutcome::Invalid(message),
+        };
+        ParseOutcome::Complete(match command {
+            Request::Get(keys) => Command::Get {
                 keys: keys.map(Bytes::copy_from_slice).collect(),
-            }),
-            ParseOutcome::Complete(Request::Other(command)) => ParseOutcome::Complete(command),
-            ParseOutcome::Incomplete => ParseOutcome::Incomplete,
-            ParseOutcome::Invalid(message) => ParseOutcome::Invalid(message),
-        }
+            },
+            Request::Store {
+                verb,
+                key,
+                flags,
+                exptime,
+                data,
+                noreply,
+            } => Command::Store {
+                verb,
+                key: Bytes::copy_from_slice(&key),
+                flags,
+                exptime,
+                data: Bytes::copy_from_slice(data),
+                noreply,
+            },
+            Request::Delete { key, noreply } => Command::Delete {
+                key: Bytes::copy_from_slice(key),
+                noreply,
+            },
+            Request::Other(command) => command,
+        })
     }
 }
 
-/// A store command whose header line has been parsed but whose data block
-/// has not fully arrived.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct PendingStore {
+/// The header line of a store command, less its key: what its data block,
+/// once buffered, is completed with.
+#[derive(Clone, Copy, Debug)]
+struct StoreHeader {
     verb: StoreVerb,
-    key: Bytes,
     flags: u32,
     exptime: u32,
     bytes: usize,
     noreply: bool,
 }
 
-impl PendingStore {
+impl StoreHeader {
     /// Bytes the data block takes on the wire: the payload and its CRLF.
     fn needed(&self) -> usize {
         self.bytes.saturating_add(2)
     }
 
-    /// Completes the store with the data block at the front of `input`
-    /// (`bytes` of payload, then CRLF), consuming it.
-    fn complete(self, input: &mut &[u8]) -> ParseOutcome<Request<'static>> {
+    /// Completes the store of `key` with the data block at the front of
+    /// `input` (`bytes` of payload, then CRLF), consuming it.
+    fn complete<'a>(self, key: Cow<'a, [u8]>, input: &mut &'a [u8]) -> ParseOutcome<Request<'a>> {
         let (block, rest) = input.split_at(self.needed());
         *input = rest;
         if &block[self.bytes..] != b"\r\n" {
             return ParseOutcome::Invalid("bad data chunk terminator".to_string());
         }
-        ParseOutcome::Complete(Request::Other(Command::Store {
+        ParseOutcome::Complete(Request::Store {
             verb: self.verb,
-            key: self.key,
+            key,
             flags: self.flags,
             exptime: self.exptime,
-            data: Bytes::copy_from_slice(&block[..self.bytes]),
+            data: &block[..self.bytes],
             noreply: self.noreply,
-        }))
+        })
     }
 }
 
@@ -275,7 +313,7 @@ impl PendingStore {
 /// block, for store verbs).
 enum LineOutcome<'a> {
     Complete(Request<'a>),
-    Store(PendingStore),
+    Store(&'a [u8], StoreHeader),
     Invalid(String),
 }
 
@@ -314,18 +352,18 @@ fn parse_line(line: &[u8]) -> LineOutcome<'_> {
             else {
                 return invalid("bad store command");
             };
-            LineOutcome::Store(PendingStore {
+            let header = StoreHeader {
                 verb,
-                key: Bytes::copy_from_slice(key),
                 flags,
                 exptime,
                 bytes,
                 noreply,
-            })
+            };
+            LineOutcome::Store(key, header)
         }
         b"delete" => match parts.next() {
-            Some(key) => complete(Command::Delete {
-                key: Bytes::copy_from_slice(key),
+            Some(key) => LineOutcome::Complete(Request::Delete {
+                key,
                 noreply: parts.next() == Some(b"noreply"),
             }),
             None => invalid("delete requires a key"),
@@ -381,10 +419,10 @@ fn parse_stateless<'a>(input: &mut &'a [u8]) -> ParseOutcome<Request<'a>> {
             *input = rest;
             ParseOutcome::Invalid(message)
         }
-        LineOutcome::Store(pending) if rest.len() < pending.needed() => ParseOutcome::Incomplete,
-        LineOutcome::Store(pending) => {
+        LineOutcome::Store(_, header) if rest.len() < header.needed() => ParseOutcome::Incomplete,
+        LineOutcome::Store(key, header) => {
             *input = rest;
-            pending.complete(input)
+            header.complete(Cow::Borrowed(key), input)
         }
     }
 }
@@ -426,8 +464,9 @@ enum ParseState {
     /// At a command-line boundary.
     #[default]
     Idle,
-    /// A store header was consumed; waiting for its data block.
-    Data(PendingStore),
+    /// A store header was consumed, its key copied out of the line; waiting
+    /// for its data block.
+    Data(Vec<u8>, StoreHeader),
     /// Swallowing an oversized data block (plus CRLF) without buffering it;
     /// reports the error once fully discarded, keeping the stream in sync.
     DiscardData {
@@ -483,12 +522,12 @@ impl Parser {
         loop {
             let all = *input;
             match std::mem::take(&mut self.state) {
-                ParseState::Data(pending) => {
-                    if all.len() < pending.needed() {
-                        self.state = ParseState::Data(pending);
+                ParseState::Data(key, header) => {
+                    if all.len() < header.needed() {
+                        self.state = ParseState::Data(key, header);
                         return ParseOutcome::Incomplete;
                     }
-                    return pending.complete(input);
+                    return header.complete(Cow::Owned(key), input);
                 }
                 ParseState::DiscardData { remaining, message } => {
                     let drop = remaining.min(all.len());
@@ -525,15 +564,22 @@ impl Parser {
                     match parse_line(&all[..line_end]) {
                         LineOutcome::Complete(request) => return ParseOutcome::Complete(request),
                         LineOutcome::Invalid(message) => return ParseOutcome::Invalid(message),
-                        LineOutcome::Store(pending) if pending.bytes > MAX_DATA_BYTES => {
+                        LineOutcome::Store(_, header) if header.bytes > MAX_DATA_BYTES => {
                             // Swallow the declared block + CRLF unbuffered.
                             self.state = ParseState::DiscardData {
-                                remaining: pending.needed(),
+                                remaining: header.needed(),
                                 message: "object too large for cache",
                             };
                         }
-                        // Header consumed and remembered; loop to the data.
-                        LineOutcome::Store(pending) => self.state = ParseState::Data(pending),
+                        LineOutcome::Store(key, header) if input.len() >= header.needed() => {
+                            return header.complete(Cow::Borrowed(key), input);
+                        }
+                        // Header consumed and remembered; its data block
+                        // comes with a later read.
+                        LineOutcome::Store(key, header) => {
+                            self.state = ParseState::Data(key.to_vec(), header);
+                            return ParseOutcome::Incomplete;
+                        }
                     }
                 }
             }

@@ -13,7 +13,7 @@
 use crate::engine::BackendMode;
 use crate::plane::LoopSnapshot;
 use crate::reactor::ConnTelemetry;
-use cache_core::CacheStats;
+use cache_core::{CacheStats, ITEM_OVERHEAD};
 use profiler::MrcSnapshot;
 use serde::Serialize;
 use telemetry::{
@@ -138,6 +138,27 @@ pub(crate) struct CountersDoc {
     pub(crate) curr_items: u64,
     pub(crate) evictions: u64,
     pub(crate) slow_ops: u64,
+}
+
+/// Real bytes beside the accounted ones (`counters.bytes`): what the
+/// process holds resident, for how many items of how many key and data
+/// bytes — so bytes per resident item are a subtraction away.
+#[derive(Default, Serialize)]
+pub(crate) struct ProcessDoc {
+    /// `VmRSS` of `/proc/self/status`; 0 where there is no such file.
+    pub(crate) rss_bytes: u64,
+    pub(crate) items: u64,
+    /// Key and data bytes of the resident items: `counters.bytes` less the
+    /// per-item overhead the queues charge on top.
+    pub(crate) item_payload_bytes: u64,
+}
+
+/// The process's resident set in bytes, as `benchmark/` reads its `rss_mb`.
+fn resident_bytes() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let line = status.lines().find_map(|line| line.strip_prefix("VmRSS:"));
+    let kb = line.and_then(|rest| rest.split_whitespace().next()?.parse::<u64>().ok());
+    kb.unwrap_or(0) << 10
 }
 
 /// Static capacity and topology facts.
@@ -391,6 +412,7 @@ pub(crate) struct StatsDocument {
     /// Seconds since boot.
     pub(crate) uptime_s: u64,
     pub(crate) counters: CountersDoc,
+    pub(crate) process: ProcessDoc,
     pub(crate) capacity: CapacityDoc,
     pub(crate) balance: BalanceDoc,
     pub(crate) connections: ConnectionsDoc,
@@ -634,6 +656,11 @@ pub(crate) fn build_document(
             evictions: r.total.core.evictions,
             slow_ops: loops.iter().flatten().map(|l| l.slow_ops).sum(),
         },
+        process: ProcessDoc {
+            rss_bytes: resident_bytes(),
+            items: r.total.items as u64,
+            item_payload_bytes: r.total.used - r.total.items as u64 * ITEM_OVERHEAD,
+        },
         capacity: CapacityDoc {
             limit_maxbytes: snap.total_bytes,
             allocator: format!("{:?}", snap.mode).to_lowercase(),
@@ -750,8 +777,8 @@ fn engine_stats(out: &mut Vec<(String, String)>, prefix: &str, values: [u64; 10]
 
 /// Renders the document as the memcached `STAT` key/value list (the text
 /// `stats` payload): aggregated counters, allocation-hierarchy counters,
-/// the connection section, then per-tenant and per-shard breakdowns, then
-/// the data-plane section.
+/// the connection section, then per-tenant and per-shard breakdowns, the
+/// data-plane section, then the process section.
 pub(crate) fn render_stats(doc: &StatsDocument) -> Vec<(String, String)> {
     let (c, cap, b) = (&doc.counters, &doc.capacity, &doc.balance);
     let (conns, plane) = (&doc.connections, &doc.plane);
@@ -860,6 +887,13 @@ pub(crate) fn render_stats(doc: &StatsDocument) -> Vec<(String, String)> {
             s.owner_loop,
         );
     }
+    for (key, value) in [
+        ("process:rss_bytes", doc.process.rss_bytes),
+        ("process:items", doc.process.items),
+        ("process:item_payload_bytes", doc.process.item_payload_bytes),
+    ] {
+        stat(&mut out, key, value);
+    }
     out
 }
 
@@ -939,6 +973,12 @@ pub(crate) fn render_prom(doc: &StatsDocument) -> String {
         ("cliffhanger_tenant_count", doc.capacity.tenant_count as u64),
         ("cliffhanger_event_loops", doc.capacity.event_loops as u64),
         ("cliffhanger_uptime_seconds", doc.uptime_s),
+        ("cliffhanger_process_rss_bytes", doc.process.rss_bytes),
+        ("cliffhanger_items", doc.process.items),
+        (
+            "cliffhanger_item_payload_bytes",
+            doc.process.item_payload_bytes,
+        ),
     ] {
         prom_scalar(&mut out, name, "gauge", value);
     }

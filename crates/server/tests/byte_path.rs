@@ -3,9 +3,11 @@
 //! A request byte is copied once by the kernel into the connection's input
 //! buffer and consumed there through a cursor; a GET hit's payload is copied
 //! once from the stored item onto the output buffer. Nothing on that path
-//! allocates for a GET, and a SET allocates its stored key and its stored
-//! data. This test holds the server to those figures with a counting global
-//! allocator: counts, not timings, so the budgets hold on any host.
+//! allocates for a GET, and a SET allocates once: the item, its key and data
+//! copied out of the input buffer into one buffer (two, key and data, until
+//! the item became one). This test holds the server to those figures with a
+//! counting global allocator: counts, not timings, so the budgets hold on
+//! any host.
 //!
 //! A readiness pass itself allocates nothing either (the history sample in
 //! `LoopState::observe` is built in a kept buffer and overwrites its bucket
@@ -18,14 +20,15 @@
 //!
 //! The same budgets hold a 2-loop x 2-shard server, where half the keys
 //! belong to the loop the connection is not on: a forwarded op joins the
-//! loop's kept `OpBatch` (its key appended to the batch's key bytes), the
-//! owner fills the outcome in place and sends the batch back, and responses
-//! behind an unanswered ring entry wait in one kept staging buffer — so the
-//! hop allocates nothing in the steady state either. Before the batch made
-//! the round trip (one boxed `DataOp` with an owned key out, one `DataReply`
-//! back, a `Vec` per staged response, mailbox `Vec`s regrown every pass)
-//! that section read 2.12 allocations per GET, 2.67 per SET and 5.2 MB for
-//! the 256 KB burst. Its GET budget is 0.05, not 0.005: two shards switch
+//! loop's kept `OpBatch` (its key appended to the batch's bytes), the owner
+//! fills the outcome in place — a hit's data copied behind the keys — and
+//! sends the batch back, and responses behind an unanswered ring entry wait
+//! in one kept staging buffer — so the hop allocates nothing in the steady
+//! state either, held once more on a pipeline whose every GET crosses.
+//! Before the batch made the round trip (one boxed `DataOp` with an owned
+//! key out, one `DataReply` back, a `Vec` per staged response, mailbox
+//! `Vec`s regrown every pass) that section read 2.12 allocations per GET,
+//! 2.67 per SET and 5.2 MB for the 256 KB burst. Its GET budget is 0.05, not 0.005: two shards switch
 //! the cross-shard rebalancer on, and its rounds (a snapshot of every loop
 //! each few thousand ops, on the control thread) are the ≈ 0.013 per GET
 //! that section still reads — none of it on the request path.
@@ -42,6 +45,7 @@
 
 use cache_server::{BackendConfig, CacheClient, CacheServer, ServerConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -154,9 +158,32 @@ fn steady_state(
     allocs as f64 / (rounds * depth) as f64
 }
 
+/// GETs of the keys of `0..KEYS` another loop owns than the one `stream` is
+/// on (found by watching `plane:remote_ops` move), and their hits.
+fn remote_gets(stream: &mut TcpStream, client: &mut CacheClient) -> (Vec<u8>, Vec<u8>, usize) {
+    let mut remote_ops = || -> u64 {
+        let stats: HashMap<_, _> = client.stats().unwrap().into_iter().collect();
+        stats["plane:remote_ops"].parse().unwrap()
+    };
+    let (mut gets, mut hits, mut keys) = (Vec::new(), Vec::new(), 0);
+    for i in 0..KEYS {
+        let (get, before) = (format!("get {}\r\n", key(i)).into_bytes(), remote_ops());
+        let mut got = vec![0u8; hit(i).len()];
+        stream.write_all(&get).unwrap();
+        stream.read_exact(&mut got).unwrap();
+        if remote_ops() > before {
+            gets.extend_from_slice(&get);
+            hits.extend_from_slice(&got);
+            keys += 1;
+        }
+    }
+    (gets, hits, keys)
+}
+
 /// Holds a `workers`-loop x `shards`-shard server to `get_budget`
-/// allocations per pipelined GET hit, 2.25 per SET and twice the bytes
-/// crossed for a 256 KB burst. Returns the ops that crossed loops.
+/// allocations per pipelined GET hit (and per GET hit that crosses loops),
+/// 1.25 per SET and twice the bytes crossed for a 256 KB burst. Returns the
+/// ops that crossed loops.
 fn hold_to_budgets(workers: usize, shards: usize, get_budget: f64) -> u64 {
     let server = CacheServer::start(ServerConfig {
         workers,
@@ -206,10 +233,23 @@ fn hold_to_budgets(workers: usize, shards: usize, get_budget: f64) -> u64 {
     let stored = b"STORED\r\n".repeat(DEPTH);
     let per_set = steady_state(&mut stream, &sets, &stored, rounds(), DEPTH);
     assert!(
-        per_set <= 2.25,
+        per_set <= 1.25,
         "{workers} loop(s): a pipelined SET costs {per_set:.3} allocations; \
-         the budget is 2.25 (key and data)"
+         the budget is 1.25 (the item)"
     );
+    // Every GET of the pipeline a remote hit: its data comes back in the
+    // batch's own recycled bytes, not in an allocation or a shared handle.
+    if workers > 1 {
+        let (gets, hits, keys) = remote_gets(&mut stream, &mut client);
+        assert!(keys > KEYS / 4, "only {keys} of {KEYS} keys are remote");
+        let per_remote_get = steady_state(&mut stream, &gets, &hits, rounds(), keys);
+        println!("{workers} loop(s): allocations per remote GET hit {per_remote_get:.4}");
+        assert!(
+            per_remote_get <= get_budget,
+            "{workers} loop(s): a GET hit that crosses loops costs {per_remote_get:.4} \
+             allocations; the budget is {get_budget}"
+        );
+    }
 
     // (b) One 256 KB write of pipelined GETs: what the server allocates to
     // serve it is bounded by the bytes that cross the socket, not by the
@@ -247,7 +287,11 @@ fn hold_to_budgets(workers: usize, shards: usize, get_budget: f64) -> u64 {
         commands,
         burst.len() >> 10
     );
-    let stats: std::collections::HashMap<_, _> = client.stats().unwrap().into_iter().collect();
+    let stats: HashMap<_, _> = client.stats().unwrap().into_iter().collect();
+    // What the script's 64 items are charged is their keys and data and the
+    // queues' 48 bytes each, whatever the buffers that hold them weigh.
+    let charged = KEYS as u64 * ((key(0).len() + VALUE.len()) as u64 + cache_core::ITEM_OVERHEAD);
+    assert_eq!(stats["bytes"], charged.to_string(), "accounted bytes");
     stats["plane:remote_ops"].parse().unwrap()
 }
 

@@ -12,7 +12,8 @@
 //! per-shard and per-tenant stats sum to the aggregates; shard
 //! auto-detection is budget-capped; and the store verbs' semantics in all
 //! three allocator modes. One test pins [`SharedCache`] to the handle's
-//! answers.
+//! answers, and one holds the control thread to never waiting on a loop with
+//! the roster locked (two admin commands in a row on idle loops).
 
 use bytes::Bytes;
 use cache_core::{hash_bytes, key::mix64};
@@ -555,6 +556,41 @@ fn create_tenant_carves_budget_and_isolates() {
     c.flush_tenant(gamma);
     assert!(c.get_for(gamma, b"k").is_none());
     assert_eq!(c.tenant_budgets(), budgets);
+}
+
+/// Runs `admin` against a fresh, idle 2-loop server on a thread of its own
+/// and fails — instead of hanging — if it has not returned within 5 s. The
+/// thread owns the server, so a wedged one is left behind, not joined.
+fn returns_on_idle_loops(what: &str, admin: impl FnOnce(&PlaneHandle) + Send + 'static) {
+    let (done, finished) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let server = start(small(BackendMode::Cliffhanger));
+        admin(server.cache());
+        let _ = done.send(());
+    });
+    let waited = finished.recv_timeout(std::time::Duration::from_secs(5));
+    assert!(waited.is_ok(), "{what}: the control thread is wedged");
+    worker.join().expect("the admin calls must not panic");
+}
+
+/// `app_create` bumps the tenant-table generation; the loops have nothing
+/// to do and do not see it until the next admin command's message wakes
+/// them — when they re-read the table under the roster lock before they
+/// read their mailboxes. The control thread must not be holding that lock
+/// while it waits for their answers.
+#[test]
+fn admin_commands_in_a_row_do_not_wedge_on_idle_loops() {
+    returns_on_idle_loops("app_create then flush_all", |cache| {
+        cache.create_tenant("x", 1).expect("create must succeed");
+        cache.flush_tenant(0);
+        assert_eq!(cache.tenant_budgets().iter().sum::<u64>(), 4 << 20);
+    });
+    returns_on_idle_loops("app_create twice", |cache| {
+        cache.create_tenant("x", 1).expect("create must succeed");
+        cache.create_tenant("y", 1).expect("create must succeed");
+        assert_eq!(cache.tenant_count(), 3);
+        assert_eq!(cache.tenant_budgets().iter().sum::<u64>(), 4 << 20);
+    });
 }
 
 #[test]

@@ -15,6 +15,8 @@
 //!   it ever reads back is held to the output watermark plus one ring;
 //! * retained input capacity — 200 connections that each send a 1 MB
 //!   pipelined burst and go idle give the burst's buffers back;
+//! * bytes per resident item — what the process's resident set grows by
+//!   per stored item, beyond the item's own key and data, is held;
 //! * the shared-nothing contract — every data op executes on the loop
 //!   that owns the key's shard (locally or via one forwarded message),
 //!   `flush_all` and tenant-table growth ride the control plane without
@@ -380,6 +382,24 @@ fn resident_bytes() -> u64 {
     kb << 10
 }
 
+/// Resident memory belongs to the process, and this binary's other tests
+/// run beside the one that measures it: the parent re-executes the binary
+/// for test `name` alone, checks that it passed and returns `false`; in that
+/// child this returns `true`, and the caller measures.
+fn measured_alone(name: &str) -> bool {
+    const ALONE: &str = "REACTOR_SCALE_ALONE";
+    if std::env::var_os(ALONE).is_some() {
+        return true;
+    }
+    let status = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", name, "--nocapture"])
+        .env(ALONE, "1")
+        .status()
+        .expect("re-executing the test binary");
+    assert!(status.success(), "the measurement run failed");
+    false
+}
+
 /// A burst must not pin memory: a fill pass reads up to 256 KB into a
 /// connection's input buffer (and one value may be 16 MB), so the buffer
 /// grows under a pipelined burst — and has to fall back to a few read
@@ -390,21 +410,9 @@ fn resident_bytes() -> u64 {
 /// set may end at most 32 MB above where it started — 13 MB is what 200
 /// idle connections may keep (64 KB each), the rest is allocator slack. A
 /// buffer that kept its burst capacity holds about 100 MB here.
-///
-/// Resident memory belongs to the process, and this binary's other tests
-/// run beside this one, so the measurement re-executes the binary for this
-/// test alone.
 #[test]
 fn idle_connections_give_their_burst_buffers_back() {
-    const NAME: &str = "idle_connections_give_their_burst_buffers_back";
-    const ALONE: &str = "REACTOR_SCALE_BURST_ALONE";
-    if std::env::var_os(ALONE).is_none() {
-        let status = std::process::Command::new(std::env::current_exe().unwrap())
-            .args(["--exact", NAME, "--nocapture"])
-            .env(ALONE, "1")
-            .status()
-            .expect("re-executing the test binary");
-        assert!(status.success(), "the measurement run failed");
+    if !measured_alone("idle_connections_give_their_burst_buffers_back") {
         return;
     }
     const CONNECTIONS: usize = 200;
@@ -443,6 +451,82 @@ fn idle_connections_give_their_burst_buffers_back() {
         grown <= 32 << 20,
         "{CONNECTIONS} idle connections hold {} MB more than before their bursts",
         grown >> 20
+    );
+}
+
+/// A budget byte should be a real byte: what a resident item costs the
+/// process beyond its own key and data — the item's header and malloc
+/// chunk, its index bucket, LRU node, and its share of the shadow queues and
+/// estimators — is held under a pinned constant. 100,000 items of 12-byte
+/// keys and 200-byte values go into a 1-loop, 1-shard server roomy enough to
+/// evict none, over loopback, and the server's own `process:*` stats are
+/// read before and after. With key and data in two `Bytes` behind a 64-byte
+/// index entry this read 179 bytes an item; as one buffer behind a 40-byte
+/// entry it reads 117. `ITEM_BYTES_ITEMS` overrides the count; nightly.yml
+/// runs 800,000, which fill the index's next power of two exactly as far
+/// (0.76 of its buckets; 1 M items sit in a table twice the size at 0.48
+/// and read 146).
+#[test]
+fn a_resident_item_costs_a_bounded_number_of_bytes_beyond_its_own() {
+    if !measured_alone("a_resident_item_costs_a_bounded_number_of_bytes_beyond_its_own") {
+        return;
+    }
+    /// The measured 117 and a tenth.
+    const OVERHEAD_LIMIT: u64 = 129;
+    const BATCH: usize = 500;
+    let items: usize = std::env::var("ITEM_BYTES_ITEMS")
+        .ok()
+        .and_then(|items| items.parse().ok())
+        .unwrap_or(100_000);
+    let server = CacheServer::start(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        backend: BackendConfig {
+            total_bytes: (64 << 20) * (items as u64).div_ceil(100_000),
+            shards: 1,
+            ..BackendConfig::default()
+        },
+        ..ServerConfig::default()
+    })
+    .expect("server must start");
+    let mut client = CacheClient::connect(server.local_addr()).unwrap();
+    let mut process = |field: &str| -> u64 {
+        stats_map(&mut client)[&format!("process:{field}")]
+            .parse()
+            .unwrap()
+    };
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut request = Vec::with_capacity(BATCH * 256);
+    let mut replies = vec![0u8; BATCH * b"STORED\r\n".len()];
+    let before = process("rss_bytes");
+    for first in (0..items).step_by(BATCH) {
+        request.clear();
+        let batch = first..(first + BATCH).min(items);
+        let stored = batch.len() * b"STORED\r\n".len();
+        for i in batch {
+            request.extend_from_slice(format!("set item:{i:07} 0 0 200\r\n").as_bytes());
+            request.extend_from_slice(&[b'v'; 200]);
+            request.extend_from_slice(b"\r\n");
+        }
+        stream.write_all(&request).unwrap();
+        stream.read_exact(&mut replies[..stored]).unwrap();
+    }
+    let growth = process("rss_bytes").saturating_sub(before);
+    let (resident, payload) = (process("items"), process("item_payload_bytes"));
+    assert_eq!(
+        (resident, payload),
+        (items as u64, items as u64 * 212),
+        "every item resident, its key and data counted"
+    );
+    let overhead = growth.saturating_sub(payload) / resident;
+    println!(
+        "{resident} items: resident set grew by {growth} bytes for {payload} of keys and \
+         data, {overhead} bytes of overhead an item"
+    );
+    assert!(
+        overhead <= OVERHEAD_LIMIT,
+        "a resident item costs {overhead} bytes beyond its key and data; \
+         the limit is {OVERHEAD_LIMIT}"
     );
 }
 

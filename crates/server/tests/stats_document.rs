@@ -201,6 +201,7 @@ fn stats_json_carries_latency_quantiles_and_transfer_evidence() {
     );
     assert!(prom.contains("cliffhanger_rebalance_transfers_total"));
     assert!(prom.contains("cliffhanger_slow_ops_total"));
+    assert!(prom.contains("# TYPE cliffhanger_process_rss_bytes gauge"));
 }
 
 /// Where in the `stats json` document a text `stats` key's value lives, as
@@ -221,7 +222,7 @@ fn path_of(key: &str, tenants: &[&str]) -> String {
         [level @ ("rebalance" | "arbiter"), field] => format!("balance/{level}_{field}"),
         ["plane", "event_loops"] => "capacity/event_loops".into(),
         ["plane", "slow_ops"] => "counters/slow_ops".into(),
-        ["plane", field] => format!("plane/{field}"),
+        ["plane" | "process", field] => format!("{}/{field}", parts[0]),
         ["conns", "loop", i] => format!("connections/per_loop/{i}"),
         ["loop", i, field] => format!("loops/{i}/{field}"),
         ["shard", s, field] => format!("shards/{s}/{field}"),
@@ -313,6 +314,11 @@ fn text_stats_is_the_document_key_for_key() {
             "uptime" => {
                 let later: u64 = leaf(&doc, "uptime_s").parse().unwrap();
                 assert!((number(key)..=number(key) + 1).contains(&later));
+            }
+            // Resident memory is read afresh by every scrape.
+            "process:rss_bytes" => {
+                let later: u64 = leaf(&doc, "process/rss_bytes").parse().unwrap();
+                assert!(number(key) > 0 && later > 0);
             }
             // The `stats json` scrape is itself one more admin message.
             "plane:admin_msgs" => assert_eq!(

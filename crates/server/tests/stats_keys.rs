@@ -62,7 +62,7 @@ fn engine_keys(prefix: &str) -> Vec<String> {
 }
 
 /// The full expected key sequence for the server: head, connections,
-/// tenants, shards, then the data-plane section.
+/// tenants, shards, the data-plane section, then the process section.
 fn server_keys(shards: usize, loops: usize) -> Vec<String> {
     let mut keys = head_keys();
     keys.extend(
@@ -101,6 +101,14 @@ fn server_keys(shards: usize, loops: usize) -> Vec<String> {
     for s in 0..shards {
         keys.push(format!("shard:{s}:owner_loop"));
     }
+    keys.extend(
+        [
+            "process:rss_bytes",
+            "process:items",
+            "process:item_payload_bytes",
+        ]
+        .map(String::from),
+    );
     keys
 }
 

@@ -106,15 +106,6 @@ impl Histogram {
         self.count
     }
 
-    /// The smallest recorded value (0 when empty).
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
     /// The largest recorded value, tracked exactly.
     pub fn max(&self) -> u64 {
         self.max
@@ -195,7 +186,7 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.count(), 32);
-        assert_eq!(h.min(), 0);
+        assert_eq!(h.min, 0);
         assert_eq!(h.max(), 31);
         assert_eq!(h.value_at_percentile(0.0), 0);
         assert_eq!(h.value_at_percentile(100.0), 31);
@@ -250,7 +241,7 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a.count(), whole.count());
-        assert_eq!(a.min(), whole.min());
+        assert_eq!(a.min, whole.min);
         assert_eq!(a.max(), whole.max());
         for p in [50.0, 90.0, 99.0, 99.9] {
             assert_eq!(a.value_at_percentile(p), whole.value_at_percentile(p));
@@ -261,7 +252,6 @@ mod tests {
     fn empty_histogram_reports_zeros() {
         let h = Histogram::new();
         assert_eq!(h.count(), 0);
-        assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.value_at_percentile(99.0), 0);
@@ -307,7 +297,7 @@ mod merge_properties {
                 merged.merge(part);
             }
             prop_assert_eq!(merged.count(), whole.count());
-            prop_assert_eq!(merged.min(), whole.min());
+            prop_assert_eq!(merged.min, whole.min);
             prop_assert_eq!(merged.max(), whole.max());
             for p in [0.0, 50.0, 90.0, 99.0, 99.9, 100.0] {
                 prop_assert_eq!(

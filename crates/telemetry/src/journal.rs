@@ -228,15 +228,6 @@ impl Journal {
         events.sort_by_key(|e| e.seq);
         events
     }
-
-    /// The most recent `n` retained events, oldest first.
-    pub fn recent(&self, n: usize) -> Vec<JournalEvent> {
-        let mut events = self.snapshot();
-        if events.len() > n {
-            events.drain(..events.len() - n);
-        }
-        events
-    }
 }
 
 impl std::fmt::Debug for Journal {
@@ -289,10 +280,6 @@ mod tests {
         assert_eq!(snap[0].seq, 12);
         assert_eq!(j.dropped(), 12);
         assert_eq!(j.next_seq(), 20);
-        assert_eq!(
-            j.recent(3).iter().map(|e| e.seq).collect::<Vec<_>>(),
-            vec![17, 18, 19]
-        );
     }
 
     #[test]

@@ -102,11 +102,6 @@ impl TimeSeries {
         self.interval_us
     }
 
-    /// The retained buckets, oldest first.
-    pub fn buckets(&self) -> &[SeriesBucket] {
-        &self.buckets
-    }
-
     /// Records the current cumulative `columns` at time `now_us` (micros
     /// since the shared time base). Within one interval the latest sample
     /// overwrites the bucket in place; a new interval takes over the oldest
@@ -233,11 +228,11 @@ mod tests {
         let mut ts = TimeSeries::new(1_000_000, 4);
         ts.record(100, &[sample(1, 1, 0)]);
         ts.record(900_000, &[sample(5, 3, 1)]);
-        assert_eq!(ts.buckets().len(), 1);
-        assert_eq!(ts.buckets()[0].columns[0], sample(5, 3, 1));
+        assert_eq!(ts.buckets.len(), 1);
+        assert_eq!(ts.buckets[0].columns[0], sample(5, 3, 1));
         ts.record(1_100_000, &[sample(9, 5, 1)]);
-        assert_eq!(ts.buckets().len(), 2);
-        assert_eq!(ts.buckets()[1].index, 1);
+        assert_eq!(ts.buckets.len(), 2);
+        assert_eq!(ts.buckets[1].index, 1);
     }
 
     #[test]
@@ -246,7 +241,7 @@ mod tests {
         for i in 0..5u64 {
             ts.record(i * 1_000_000, &[sample(i, i, 0)]);
         }
-        let indices: Vec<u64> = ts.buckets().iter().map(|b| b.index).collect();
+        let indices: Vec<u64> = ts.buckets.iter().map(|b| b.index).collect();
         assert_eq!(indices, vec![2, 3, 4]);
     }
 
@@ -255,8 +250,8 @@ mod tests {
         let mut ts = TimeSeries::new(1_000_000, 4);
         ts.record(5_000_000, &[sample(10, 5, 0)]);
         ts.record(1_000_000, &[sample(1, 1, 0)]);
-        assert_eq!(ts.buckets().len(), 1);
-        assert_eq!(ts.buckets()[0].index, 5);
+        assert_eq!(ts.buckets.len(), 1);
+        assert_eq!(ts.buckets[0].index, 5);
     }
 
     #[test]
@@ -303,14 +298,14 @@ mod tests {
         b.record(2_000_000, &[sample(300, 150, 4), sample(3, 1, 0)]);
 
         let merged = TimeSeries::merged(&[&a, &b]);
-        let indices: Vec<u64> = merged.buckets().iter().map(|x| x.index).collect();
+        let indices: Vec<u64> = merged.buckets.iter().map(|x| x.index).collect();
         assert_eq!(indices, vec![0, 1, 2]);
-        assert_eq!(merged.buckets()[0].columns[0], sample(110, 55, 0));
+        assert_eq!(merged.buckets[0].columns[0], sample(110, 55, 0));
         // Interval 1: B carries its interval-0 sample forward.
-        assert_eq!(merged.buckets()[1].columns[0], sample(120, 60, 1));
-        assert_eq!(merged.buckets()[1].columns[1], sample(1, 0, 0));
-        assert_eq!(merged.buckets()[2].columns[0], sample(330, 165, 5));
-        assert_eq!(merged.buckets()[2].columns[1], sample(3, 1, 0));
+        assert_eq!(merged.buckets[1].columns[0], sample(120, 60, 1));
+        assert_eq!(merged.buckets[1].columns[1], sample(1, 0, 0));
+        assert_eq!(merged.buckets[2].columns[0], sample(330, 165, 5));
+        assert_eq!(merged.buckets[2].columns[1], sample(3, 1, 0));
 
         // Rates over the merged ring are well-formed.
         let rates = merged.rates();
@@ -326,7 +321,7 @@ mod tests {
             a.record(i * 1_000_000, &[sample(i, 0, 0)]);
         }
         let merged = TimeSeries::merged(&[&a]);
-        let indices: Vec<u64> = merged.buckets().iter().map(|x| x.index).collect();
+        let indices: Vec<u64> = merged.buckets.iter().map(|x| x.index).collect();
         assert_eq!(indices, vec![3, 4, 5]);
     }
 }

@@ -139,6 +139,16 @@ def check_stats(stats, where):
             where,
             "snapshot taken before the server started",
         )
+    if "process" in stats:
+        p = stats["process"]
+        for key in ("rss_bytes", "items", "item_payload_bytes"):
+            require(key in p, where, f"process section without {key}")
+        require(p["items"] == c["curr_items"], where, f"process.items vs counters: {p}")
+        require(
+            p["item_payload_bytes"] <= c["bytes"],
+            where,
+            f"payload bytes above accounted bytes: {p}",
+        )
     if stats.get("mrc") is not None:
         check_mrc(stats["mrc"], f"{where}/mrc")
     if "history" in stats:
