@@ -58,7 +58,7 @@ pub use policy::{EvictionPolicy, PolicyKind, Token};
 pub use queue::{CacheQueue, GetResult, QueueConfig, SetResult};
 pub use shadow::{ShadowHalf, ShadowHit, ShadowQueue};
 pub use slab::SlabConfig;
-pub use stats::{CacheStats, HitRatio};
+pub use stats::{CacheStats, Footprint, HitRatio};
 pub use store::{SlabCache, SlabCacheConfig};
 pub use tenant::{TenantDirectory, DEFAULT_TENANT};
 

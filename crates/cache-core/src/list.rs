@@ -9,25 +9,29 @@
 //! relinked around it: that is what lets the queues keep their segments as
 //! boundaries in one list and lets an engine's index hold handles.
 
+use std::num::NonZeroU32;
+
 /// Handle to a node inside a [`LinkedArena`].
 ///
 /// Handles are only meaningful for the arena that issued them and become
 /// invalid after the node is removed (slots are recycled; a stale handle may
 /// alias a newer node, so whoever holds a handle drops it on removal — the
-/// engines do, with the index entry that holds it).
+/// engines do, with the index entry that holds it). It stores the slot plus
+/// one, so an `Option` of it, or of a [`crate::key::KeyMap`] entry holding
+/// it, costs no tag.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct NodeHandle(u32);
+pub struct NodeHandle(NonZeroU32);
 
 impl NodeHandle {
     const NONE: u32 = u32::MAX;
 
     fn some(idx: usize) -> Self {
         debug_assert!(idx < u32::MAX as usize);
-        NodeHandle(idx as u32)
+        NodeHandle(NonZeroU32::MIN.saturating_add(idx as u32))
     }
 
     fn index(self) -> usize {
-        self.0 as usize
+        self.0.get() as usize - 1
     }
 }
 
@@ -220,7 +224,9 @@ impl<T> LinkedArena<T> {
         let linked = self.nodes.get(handle.index()).map(|n| [n.prev, n.next]);
         // `NONE` is past the end of any arena.
         for neighbour in linked.iter().flatten() {
-            self.prefetch(NodeHandle(*neighbour));
+            if let Some(node) = self.nodes.get(*neighbour as usize) {
+                crate::prefetch::line(node);
+            }
         }
     }
 
@@ -239,6 +245,13 @@ impl<T> LinkedArena<T> {
     pub fn next(&self, handle: NodeHandle) -> Option<NodeHandle> {
         let next = self.nodes[handle.index()].next;
         (next != NodeHandle::NONE).then(|| NodeHandle::some(next as usize))
+    }
+
+    /// Heap bytes the arena holds: its node slots, live or free, and its
+    /// free list. Neither shrinks: a slot freed is kept for the next node.
+    pub fn heap_bytes(&self) -> u64 {
+        let nodes = self.nodes.capacity() * std::mem::size_of::<Node<T>>();
+        (nodes + self.free.capacity() * std::mem::size_of::<u32>()) as u64
     }
 
     /// Iterates over values from front (most recent) to back (least recent).

@@ -108,6 +108,11 @@ impl LruList {
         self.total_weight
     }
 
+    /// Heap bytes of the list's arena (see [`LinkedArena::heap_bytes`]).
+    pub fn heap_bytes(&self) -> u64 {
+        self.nodes.heap_bytes()
+    }
+
     /// Reconfigures the tail region to the last `items` items.
     pub fn set_tail_region(&mut self, items: usize) {
         self.tail_items = items;
@@ -123,6 +128,8 @@ impl LruList {
     /// One read-only sweep ahead of an `access` or `remove` of `handle`.
     pub fn prefetch(&self, handle: NodeHandle, sweep: Sweep) {
         match sweep {
+            // The engine's index, not the list, has the slot.
+            Sweep::Slot => {}
             Sweep::Item => self.nodes.prefetch(handle),
             Sweep::Neighbours => self.nodes.prefetch_neighbours(handle),
         }

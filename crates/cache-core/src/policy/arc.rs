@@ -16,6 +16,7 @@ use crate::key::Key;
 use crate::lru::{HitLocation, InsertPosition, LruList};
 use crate::policy::{EvictionPolicy, Token};
 use crate::shadow::ShadowQueue;
+use crate::stats::Footprint;
 use std::collections::HashSet;
 
 /// Adaptive Replacement Cache policy.
@@ -155,6 +156,15 @@ impl EvictionPolicy for ArcPolicy {
 
     fn total_weight(&self) -> u64 {
         self.t1.total_weight() + self.t2.total_weight()
+    }
+
+    fn footprint(&self) -> Footprint {
+        let marks = self.pending_frequent.capacity() * std::mem::size_of::<Key>();
+        Footprint {
+            index: 0,
+            queues: self.t1.heap_bytes() + self.t2.heap_bytes(),
+            shadows: self.b1.heap_bytes() + self.b2.heap_bytes() + marks as u64,
+        }
     }
 
     fn set_tail_region(&mut self, _items: usize) {}

@@ -11,6 +11,7 @@ use crate::key::Key;
 use crate::lru::{HitLocation, InsertPosition, LruList};
 use crate::policy::{EvictionPolicy, Token};
 use crate::prefetch::Sweep;
+use crate::stats::Footprint;
 
 /// Facebook's hybrid insertion policy on top of a recency list.
 #[derive(Debug, Default)]
@@ -60,6 +61,13 @@ impl EvictionPolicy for FacebookPolicy {
 
     fn total_weight(&self) -> u64 {
         self.list.total_weight()
+    }
+
+    fn footprint(&self) -> Footprint {
+        Footprint {
+            queues: self.list.heap_bytes(),
+            ..Footprint::default()
+        }
     }
 
     fn set_tail_region(&mut self, items: usize) {

@@ -4,6 +4,7 @@ use crate::key::Key;
 use crate::lru::{HitLocation, InsertPosition, LruList};
 use crate::policy::{EvictionPolicy, Token};
 use crate::prefetch::Sweep;
+use crate::stats::Footprint;
 
 /// Least-recently-used eviction over a [`LruList`].
 #[derive(Debug, Default)]
@@ -51,6 +52,13 @@ impl EvictionPolicy for LruPolicy {
 
     fn total_weight(&self) -> u64 {
         self.list.total_weight()
+    }
+
+    fn footprint(&self) -> Footprint {
+        Footprint {
+            queues: self.list.heap_bytes(),
+            ..Footprint::default()
+        }
     }
 
     fn set_tail_region(&mut self, items: usize) {

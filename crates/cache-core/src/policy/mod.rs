@@ -32,6 +32,7 @@ use crate::key::Key;
 use crate::list::NodeHandle;
 use crate::lru::HitLocation;
 use crate::prefetch::Sweep;
+use crate::stats::Footprint;
 use serde::{Deserialize, Serialize};
 
 /// Which eviction policy to instantiate for a queue.
@@ -126,6 +127,9 @@ pub trait EvictionPolicy: std::fmt::Debug + Send {
 
     /// Total weight of resident keys.
     fn total_weight(&self) -> u64;
+
+    /// Heap bytes of the policy's lists (`queues`) and ghosts (`shadows`).
+    fn footprint(&self) -> Footprint;
 
     /// Configures the tail region (last `items` items) for policies that
     /// keep a strict recency order and can therefore report tail-region

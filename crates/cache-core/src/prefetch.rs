@@ -1,23 +1,26 @@
 //! Advisory cache-line prefetches: the crate's one piece of `unsafe`.
 //!
-//! A GET hit is a chain of dependent cache misses — index bucket, queue
+//! A GET hit is a chain of dependent cache misses — index slot, queue
 //! node, the node's neighbours, the stored bytes — and a server holding a
 //! pipelined batch knows every key before it executes the first. The
-//! `prefetch` methods up the stack ([`crate::list::LinkedArena`] to the
-//! engines) walk that chain read-only, a batch ahead of execution, so the
-//! misses of different keys overlap; they all end here. A prefetch is a
-//! hint: it cannot fault and changes no value, so what executes afterwards
-//! cannot observe whether it ran, only how long its loads take. Off x86-64
-//! both functions compile to nothing.
+//! `prefetch` methods up the stack ([`crate::key::KeyMap`] and
+//! [`crate::list::LinkedArena`] to the engines) walk that chain read-only, a
+//! batch ahead of execution, so the misses of different keys overlap; they
+//! all end here. A prefetch is a hint: it cannot fault and changes no value,
+//! so what executes afterwards cannot observe whether it ran, only how long
+//! its loads take. Off x86-64 both functions compile to nothing.
 
 /// Lines [`bytes`] asks for; the hardware streamer takes a longer value on.
 const PAYLOAD_LINES: usize = 4;
 const LINE: usize = 64;
 
-/// Which of a batch's two sweeps a `prefetch` call belongs to. The second
-/// reads what the first asked for, so all of the first run before it.
+/// Which of a batch's three sweeps a `prefetch` call belongs to. Each reads
+/// what the one before it asked for, so all of one run before the next.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Sweep {
+    /// The index slot the key's probe starts at: its address follows from
+    /// the key, so this sweep reads nothing.
+    Slot,
     /// The item's queue node (an engine adds the stored value's bytes).
     Item,
     /// The node's two neighbours, which unlinking it is about to write.

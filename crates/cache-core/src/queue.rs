@@ -21,7 +21,7 @@ use crate::lru::HitLocation;
 use crate::policy::{EvictionPolicy, PolicyKind, Token};
 use crate::prefetch::Sweep;
 use crate::shadow::{ShadowHit, ShadowQueue};
-use crate::stats::CacheStats;
+use crate::stats::{CacheStats, Footprint};
 use crate::ITEM_OVERHEAD;
 
 /// Configuration of a [`CacheQueue`].
@@ -253,6 +253,13 @@ impl CacheQueue {
     /// The attached shadow queue.
     pub fn shadow(&self) -> &ShadowQueue {
         &self.shadow
+    }
+
+    /// Heap bytes of the policy's structures and the shadow queue.
+    pub fn footprint(&self) -> Footprint {
+        let mut footprint = self.policy.footprint();
+        footprint.shadows += self.shadow.heap_bytes();
+        footprint
     }
 }
 

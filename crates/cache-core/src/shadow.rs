@@ -82,6 +82,11 @@ impl ShadowQueue {
         self.capacity
     }
 
+    /// Heap bytes of the queue's arena and key index.
+    pub fn heap_bytes(&self) -> u64 {
+        self.nodes.heap_bytes() + self.index.heap_bytes()
+    }
+
     /// Current number of keys.
     pub fn len(&self) -> usize {
         self.index.len()

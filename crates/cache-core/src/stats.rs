@@ -76,6 +76,27 @@ impl AddAssign for CacheStats {
     }
 }
 
+/// The heap bytes an engine's structures hold, by capacity times element
+/// size: what they have allocated, whether or not it is in use now.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Footprint {
+    /// The engine's key index.
+    pub index: u64,
+    /// The queue arenas: the nodes of the physical queues.
+    pub queues: u64,
+    /// The shadow structures: shadow queues' nodes and key indexes, ARC's
+    /// ghosts.
+    pub shadows: u64,
+}
+
+impl AddAssign for Footprint {
+    fn add_assign(&mut self, rhs: Footprint) {
+        self.index += rhs.index;
+        self.queues += rhs.queues;
+        self.shadows += rhs.shadows;
+    }
+}
+
 /// A hit ratio: hits over requests, `0.0` when no requests were observed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct HitRatio {

@@ -17,7 +17,7 @@ use crate::policy::{PolicyKind, Token};
 use crate::prefetch::Sweep;
 use crate::queue::{CacheQueue, GetResult, QueueConfig, SetResult};
 use crate::slab::SlabConfig;
-use crate::stats::CacheStats;
+use crate::stats::{CacheStats, Footprint};
 
 /// How the application's memory is divided among its slab classes.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -226,11 +226,11 @@ impl<V> SlabCache<V> {
         let class = self.class_for_size(size)?;
         self.stats.record_set();
         // The write replaces whatever copy there is: one in another class
-        // goes now, one in this class with its queue's set.
+        // leaves its queue now — its index entry stays, for the write to
+        // overwrite or remove below — one in this class with its queue's set.
         let mut old = self.index.get(&key).map(|item| (item.class, item.token));
         if let Some((old_class, token)) = old.filter(|&(old_class, _)| old_class != class) {
             self.queues[old_class.index()].remove(token);
-            self.index.remove(&key);
             old = None;
         }
         let charge = CacheQueue::charge(size);
@@ -357,12 +357,27 @@ impl<V> SlabCache<V> {
     }
 
     /// One read-only sweep ahead of an operation on `key` (see
-    /// [`crate::prefetch`]): no statistics, no recency. Lends a resident
-    /// item's value, so the caller can ask for the bytes behind it.
+    /// [`crate::prefetch`]): no statistics, no recency. After the slot
+    /// sweep, which reads nothing, lends a resident item's value, so the
+    /// caller can ask for the bytes behind it.
     pub fn prefetch(&self, key: Key, sweep: Sweep) -> Option<&V> {
+        if sweep == Sweep::Slot {
+            self.index.prefetch(key);
+            return None;
+        }
         let item = self.index.get(&key)?;
         self.queues[item.class.index()].prefetch(item.token, sweep);
         Some(&item.value)
+    }
+
+    /// Heap bytes of the index and of every class's queue and shadow.
+    pub fn footprint(&self) -> Footprint {
+        let mut footprint = Footprint::default();
+        for queue in &self.queues {
+            footprint += queue.footprint();
+        }
+        footprint.index = self.index.heap_bytes();
+        footprint
     }
 
     /// Checks the index against the queues (see [`crate::queue::check_index`]).
@@ -386,10 +401,11 @@ mod tests {
     }
 
     /// What the server's engines pay per resident key in the one index:
-    /// its value is one boxed slice (key, flags and data in one buffer).
+    /// its value is one boxed slice (key, flags and data in one buffer), and
+    /// the slot holding the entry is no larger.
     #[test]
     fn an_index_entry_holding_one_boxed_item_is_at_most_40_bytes() {
-        assert!(std::mem::size_of::<(Key, Resident<Box<[u8]>>)>() <= 40);
+        assert!(std::mem::size_of::<Option<(Key, Resident<Box<[u8]>>)>>() <= 40);
     }
 
     fn fcfs_cache(total: u64) -> SlabCache<()> {

@@ -28,7 +28,9 @@ use crate::cliff_scale::{CliffScaler, PointerEvent};
 use cache_core::key::mix64;
 use cache_core::lru::HitLocation;
 use cache_core::prefetch::Sweep;
-use cache_core::{CacheQueue, CacheStats, Key, PolicyKind, QueueConfig, ShadowQueue, Token};
+use cache_core::{
+    CacheQueue, CacheStats, Footprint, Key, PolicyKind, QueueConfig, ShadowQueue, Token,
+};
 
 /// Which physical sub-queue a request was routed to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -228,6 +230,22 @@ impl PartitionedQueue {
             Partition::Left => &mut self.left,
             Partition::Right => &mut self.right,
         }
+    }
+
+    /// Heap bytes of both sub-queues and the four shadow queues.
+    pub fn footprint(&self) -> Footprint {
+        let mut footprint = self.left.footprint();
+        footprint += self.right.footprint();
+        footprint.shadows += [
+            &self.left_cliff,
+            &self.right_cliff,
+            &self.left_hill,
+            &self.right_hill,
+        ]
+        .iter()
+        .map(|shadow| shadow.heap_bytes())
+        .sum::<u64>();
+        footprint
     }
 
     /// Cumulative statistics for this queue.
@@ -823,7 +841,7 @@ mod tests {
             }
         }
         assert!(q.used_bytes() <= 2_000 * 100);
-        for (&k, &(side, token)) in &q.index {
+        for (&k, &(side, token)) in q.index.iter() {
             assert_eq!(q.peek(side, token), Some((k, 100)));
         }
     }

@@ -42,17 +42,20 @@ fn engine_op() -> impl Strategy<Value = EngineOp> {
 
 /// The sweeps a server would run ahead of a batch, here at random: keys
 /// that are resident, were evicted, changed class or (400 and up) were
-/// never written, in either sweep and in any order.
-fn prefetches() -> impl Strategy<Value = Vec<(u16, bool)>> {
-    prop::collection::vec((0u16..440, any::<bool>()), 0..6)
+/// never written, in any of the three sweeps and in any order.
+fn prefetches() -> impl Strategy<Value = Vec<(u16, Sweep)>> {
+    let sweep = prop_oneof![
+        Just(Sweep::Slot),
+        Just(Sweep::Item),
+        Just(Sweep::Neighbours)
+    ];
+    prop::collection::vec((0u16..440, sweep), 0..6)
 }
 
-fn sweep(second: bool) -> Sweep {
-    if second {
-        Sweep::Neighbours
-    } else {
-        Sweep::Item
-    }
+/// What a prefetch lends: nothing from the slot sweep, which reads nothing,
+/// and the value from the others.
+fn lends<V: Copy>(sweep: Sweep, value: Option<&V>) -> Option<V> {
+    value.copied().filter(|_| sweep != Sweep::Slot)
 }
 
 fn small_cliffhanger(policy: PolicyKind) -> Cliffhanger<u64> {
@@ -76,17 +79,21 @@ fn small_cliffhanger(policy: PolicyKind) -> Cliffhanger<u64> {
 /// snapshots.
 fn observe_cliffhanger(
     policy: PolicyKind,
-    script: &[(EngineOp, Vec<(u16, bool)>)],
+    script: &[(EngineOp, Vec<(u16, Sweep)>)],
     prefetching: bool,
 ) -> (u64, String) {
     let mut cache = small_cliffhanger(policy);
     let mut digest = 0u64;
     let mut fold = |value: u64| digest = cache_core::key::mix64(digest ^ value).wrapping_add(value);
     for (step, (op, ahead)) in script.iter().enumerate() {
-        for &(k, second) in ahead.iter().filter(|_| prefetching) {
+        for &(k, sweep) in ahead.iter().filter(|_| prefetching) {
             let key = Key::new(k as u64);
-            let lent = cache.prefetch(key, sweep(second)).copied();
-            assert_eq!(lent, cache.value(key).copied(), "prefetch lends the value");
+            let lent = cache.prefetch(key, sweep).copied();
+            assert_eq!(
+                lent,
+                lends(sweep, cache.value(key)),
+                "prefetch lends the value"
+            );
         }
         match *op {
             EngineOp::Get(k, size) => {
@@ -126,7 +133,7 @@ fn observe_cliffhanger(
 
 /// [`observe_cliffhanger`] for a first-come-first-serve slab cache, whose
 /// `set` names the keys it evicted.
-fn observe_slab(script: &[(EngineOp, Vec<(u16, bool)>)], prefetching: bool) -> (u64, String) {
+fn observe_slab(script: &[(EngineOp, Vec<(u16, Sweep)>)], prefetching: bool) -> (u64, String) {
     let mut cache: SlabCache<u64> = SlabCache::new(SlabCacheConfig {
         slab: SlabConfig::new(64, 2.0, 8_192),
         total_bytes: 256 << 10,
@@ -140,10 +147,14 @@ fn observe_slab(script: &[(EngineOp, Vec<(u16, bool)>)], prefetching: bool) -> (
     let mut digest = 0u64;
     let mut fold = |value: u64| digest = cache_core::key::mix64(digest ^ value).wrapping_add(value);
     for (step, (op, ahead)) in script.iter().enumerate() {
-        for &(k, second) in ahead.iter().filter(|_| prefetching) {
+        for &(k, sweep) in ahead.iter().filter(|_| prefetching) {
             let key = Key::new(k as u64);
-            let lent = cache.prefetch(key, sweep(second)).copied();
-            assert_eq!(lent, cache.value(key).copied(), "prefetch lends the value");
+            let lent = cache.prefetch(key, sweep).copied();
+            assert_eq!(
+                lent,
+                lends(sweep, cache.value(key)),
+                "prefetch lends the value"
+            );
         }
         match *op {
             EngineOp::Get(k, size) => {

@@ -11,7 +11,7 @@ use cache_core::key::mix64;
 use cache_core::prefetch::{self, Sweep};
 use cache_core::store::AllocationMode;
 use cache_core::{
-    hash_bytes, CacheStats, Key, PolicyKind, SlabCache, SlabCacheConfig, SlabConfig,
+    hash_bytes, CacheStats, Footprint, Key, PolicyKind, SlabCache, SlabCacheConfig, SlabConfig,
     TenantDirectory,
 };
 use cliffhanger::{Cliffhanger, CliffhangerConfig, EventSink, ShardBalanceConfig};
@@ -312,22 +312,19 @@ impl Engine {
         }
     }
 
-    pub(crate) fn value(&self, id: Key) -> Option<&StoredValue> {
+    /// Whether `key` is resident with an exact byte-string match.
+    pub(crate) fn contains_exact(&self, id: Key, key: &[u8]) -> bool {
         match self {
             Engine::Plain(cache) => cache.value(id),
             Engine::Managed(cache) => cache.value(id),
         }
-    }
-
-    /// Whether `key` is resident with an exact byte-string match.
-    pub(crate) fn contains_exact(&self, id: Key, key: &[u8]) -> bool {
-        self.value(id).is_some_and(|stored| stored.key() == key)
+        .is_some_and(|stored| stored.key() == key)
     }
 
     /// One read-only sweep ahead of an operation on `id`: the engine's
-    /// (see [`cache_core::prefetch`]) plus, on the first, the first lines of
-    /// the item — the stored key a GET compares, then the payload it copies
-    /// out.
+    /// (see [`cache_core::prefetch`]) plus, on the item sweep, the first
+    /// lines of the item — the stored key a GET compares, then the payload
+    /// it copies out.
     pub(crate) fn prefetch(&self, id: Key, sweep: Sweep) {
         let stored = match self {
             Engine::Plain(cache) => cache.prefetch(id, sweep),
@@ -410,6 +407,14 @@ impl Engine {
         match self {
             Engine::Plain(cache) => cache.len(),
             Engine::Managed(cache) => cache.len(),
+        }
+    }
+
+    /// Heap bytes of the engine's index, queue arenas and shadows.
+    pub(crate) fn footprint(&self) -> Footprint {
+        match self {
+            Engine::Plain(cache) => cache.footprint(),
+            Engine::Managed(cache) => cache.footprint(),
         }
     }
 }

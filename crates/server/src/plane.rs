@@ -821,17 +821,17 @@ impl LoopState {
         }
     }
 
-    /// The two read-only sweeps ahead of a batch's execution (a connection's
+    /// The three read-only sweeps ahead of a batch's execution (a connection's
     /// window, a chunk of an [`OpBatch`]); `owned` gives a key's `(local
-    /// slot, tenant, id)`. The first probes each key's engine index and asks
-    /// for the item's queue node and bytes, the second for the node's
-    /// neighbours: independent across keys, so the misses execution would
-    /// take one by one overlap. One key overlaps with nothing.
+    /// slot, tenant, id)`: each key's engine index slot, then the item's queue
+    /// node and bytes, then the node's neighbours. Independent across keys,
+    /// so the misses execution would take one by one overlap; one key
+    /// overlaps with nothing.
     pub(crate) fn sweep<T>(&self, batch: &[T], owned: impl Fn(&T) -> Option<(usize, usize, Key)>) {
         if batch.len() < 2 {
             return;
         }
-        for sweep in [Sweep::Item, Sweep::Neighbours] {
+        for sweep in [Sweep::Slot, Sweep::Item, Sweep::Neighbours] {
             for (slot, tenant, id) in batch.iter().filter_map(&owned) {
                 if let Some(cell) = self.owned[slot].cells.get(tenant) {
                     cell.engine.prefetch(id, sweep);
@@ -1302,6 +1302,7 @@ impl LoopState {
                                 core: cell.engine.stats(),
                                 used: cell.engine.used_bytes(),
                                 items: cell.engine.len(),
+                                footprint: cell.engine.footprint(),
                             })
                             .collect(),
                     )

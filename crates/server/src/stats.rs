@@ -13,7 +13,7 @@
 use crate::engine::BackendMode;
 use crate::plane::LoopSnapshot;
 use crate::reactor::ConnTelemetry;
-use cache_core::{CacheStats, ITEM_OVERHEAD};
+use cache_core::{CacheStats, Footprint, ITEM_OVERHEAD};
 use profiler::MrcSnapshot;
 use serde::Serialize;
 use telemetry::{
@@ -50,6 +50,7 @@ pub(crate) struct EngineStat {
     pub(crate) core: CacheStats,
     pub(crate) used: u64,
     pub(crate) items: usize,
+    pub(crate) footprint: Footprint,
 }
 
 /// What the control thread knows at one `stats` command, beside the loops'
@@ -103,6 +104,7 @@ fn rollup(snap: &StatsSnapshot, loops: &[Option<LoopSnapshot>]) -> Rollup {
                     sum.core += cell.core;
                     sum.used += cell.used;
                     sum.items += cell.items;
+                    sum.footprint += cell.footprint;
                 }
             }
         }
@@ -151,6 +153,11 @@ pub(crate) struct ProcessDoc {
     /// Key and data bytes of the resident items: `counters.bytes` less the
     /// per-item overhead the queues charge on top.
     pub(crate) item_payload_bytes: u64,
+    /// Capacity times element size, summed over every engine: the key
+    /// indexes, the physical queues' arenas, the shadow structures.
+    pub(crate) index_bytes: u64,
+    pub(crate) queue_bytes: u64,
+    pub(crate) shadow_bytes: u64,
 }
 
 /// The process's resident set in bytes, as `benchmark/` reads its `rss_mb`.
@@ -660,6 +667,9 @@ pub(crate) fn build_document(
             rss_bytes: resident_bytes(),
             items: r.total.items as u64,
             item_payload_bytes: r.total.used - r.total.items as u64 * ITEM_OVERHEAD,
+            index_bytes: r.total.footprint.index,
+            queue_bytes: r.total.footprint.queues,
+            shadow_bytes: r.total.footprint.shadows,
         },
         capacity: CapacityDoc {
             limit_maxbytes: snap.total_bytes,
@@ -891,6 +901,9 @@ pub(crate) fn render_stats(doc: &StatsDocument) -> Vec<(String, String)> {
         ("process:rss_bytes", doc.process.rss_bytes),
         ("process:items", doc.process.items),
         ("process:item_payload_bytes", doc.process.item_payload_bytes),
+        ("process:index_bytes", doc.process.index_bytes),
+        ("process:queue_bytes", doc.process.queue_bytes),
+        ("process:shadow_bytes", doc.process.shadow_bytes),
     ] {
         stat(&mut out, key, value);
     }
@@ -979,6 +992,9 @@ pub(crate) fn render_prom(doc: &StatsDocument) -> String {
             "cliffhanger_item_payload_bytes",
             doc.process.item_payload_bytes,
         ),
+        ("cliffhanger_process_index_bytes", doc.process.index_bytes),
+        ("cliffhanger_process_queue_bytes", doc.process.queue_bytes),
+        ("cliffhanger_process_shadow_bytes", doc.process.shadow_bytes),
     ] {
         prom_scalar(&mut out, name, "gauge", value);
     }

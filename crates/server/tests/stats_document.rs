@@ -202,6 +202,15 @@ fn stats_json_carries_latency_quantiles_and_transfer_evidence() {
     assert!(prom.contains("cliffhanger_rebalance_transfers_total"));
     assert!(prom.contains("cliffhanger_slow_ops_total"));
     assert!(prom.contains("# TYPE cliffhanger_process_rss_bytes gauge"));
+
+    // Where the memory goes: the engines' indexes, queue arenas and (the
+    // storm evicted) shadows, each a part of the resident set.
+    let process = doc.get("process").unwrap();
+    let bytes = |key: &str| process.get(key).and_then(Value::as_u64).unwrap();
+    for key in ["index_bytes", "queue_bytes", "shadow_bytes"] {
+        assert!(bytes(key) > 0 && bytes(key) < bytes("rss_bytes"), "{key}");
+        assert!(prom.contains(&format!("# TYPE cliffhanger_process_{key} gauge")));
+    }
 }
 
 /// Where in the `stats json` document a text `stats` key's value lives, as

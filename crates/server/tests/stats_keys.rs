@@ -106,6 +106,9 @@ fn server_keys(shards: usize, loops: usize) -> Vec<String> {
             "process:rss_bytes",
             "process:items",
             "process:item_payload_bytes",
+            "process:index_bytes",
+            "process:queue_bytes",
+            "process:shadow_bytes",
         ]
         .map(String::from),
     );

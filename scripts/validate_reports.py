@@ -141,7 +141,14 @@ def check_stats(stats, where):
         )
     if "process" in stats:
         p = stats["process"]
-        for key in ("rss_bytes", "items", "item_payload_bytes"):
+        for key in (
+            "rss_bytes",
+            "items",
+            "item_payload_bytes",
+            "index_bytes",
+            "queue_bytes",
+            "shadow_bytes",
+        ):
             require(key in p, where, f"process section without {key}")
         require(p["items"] == c["curr_items"], where, f"process.items vs counters: {p}")
         require(
