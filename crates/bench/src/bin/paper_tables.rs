@@ -9,7 +9,8 @@
 //! With no `--table` arguments every table (1–7), the ARC comparison of
 //! §5.5 and the headline summary are printed. `--quick` uses a small trace
 //! (seconds instead of minutes); the default uses the standard experiment
-//! context described in DESIGN.md.
+//! context over the synthetic Memcachier-like trace (`workloads::memcachier`,
+//! whose module documentation argues the substitution).
 
 use bench::{table6_latency_overhead, table7_throughput_overhead, OverheadOptions};
 use simulator::experiments::allocation::{table1_slab_misses, table2_global_lru, table3_cross_app};

@@ -3,8 +3,7 @@
 //! Every experiment consumes an [`ExperimentContext`] (the generated
 //! Memcachier-like trace split per application) and produces a
 //! [`crate::report::Table`] or [`crate::report::FigureSeries`]. The
-//! `paper_tables` / `paper_figures` binaries in the `bench` crate print them;
-//! EXPERIMENTS.md records the measured values next to the paper's.
+//! `paper_tables` / `paper_figures` binaries in the `bench` crate print them.
 //!
 //! | Paper artefact | Module | Function |
 //! |---|---|---|

@@ -1,7 +1,7 @@
 //! Plain-text tables and figure series.
 //!
 //! The harness binaries (`paper_tables`, `paper_figures`) print these; the
-//! integration tests and EXPERIMENTS.md consume the same structures.
+//! integration tests consume the same structures.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

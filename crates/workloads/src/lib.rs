@@ -4,7 +4,8 @@
 //! on a week-long trace of the top 20 applications of Memcachier (which is
 //! not public) and on micro-benchmarks driven by Mutilate replaying the
 //! Facebook ETC distributions. This crate builds the closest synthetic
-//! equivalents (see DESIGN.md §1 for the substitution argument):
+//! equivalents ([`memcachier`]'s module documentation argues the
+//! substitution):
 //!
 //! * [`zipf`] — key-popularity samplers (Zipf, uniform, hot-set).
 //! * [`sizes`] — per-key item-size distributions (fixed, uniform, lognormal,

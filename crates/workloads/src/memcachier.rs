@@ -1,9 +1,18 @@
 //! The synthetic Memcachier-like trace (the paper's evaluation substrate).
 //!
 //! The real week-long Memcachier trace of the top 20 applications is not
-//! public, so this module builds a synthetic stand-in with the properties the
-//! paper's analysis actually depends on (DESIGN.md §1 records the
-//! substitution argument):
+//! public, so this module builds a synthetic stand-in. This is where the
+//! substitution is argued; the rest of the workspace points here.
+//!
+//! Every allocator the paper compares sees a trace only through hit-rate
+//! curves: hill climbing samples a curve's gradient with its shadow queues,
+//! cliff scaling its convexity with the tail and cliff shadows, and the
+//! Dynacache and Talus baselines solve over whole curves. What decides the
+//! comparisons is the shape of each slab class's and each application's
+//! curve and how requests and memory divide among them, not which keys a
+//! request names. A trace with the same shapes, divisions and changes over
+//! time therefore reproduces the comparisons, and this one is built with
+//! the properties the paper's analysis depends on:
 //!
 //! * twenty applications with very different request shares, key-universe
 //!   sizes, item-size mixes and reservations, so that some are
@@ -20,7 +29,9 @@
 //!
 //! Absolute hit rates differ from the proprietary trace; orderings and
 //! qualitative behaviour (who benefits from what) are what the experiments
-//! reproduce.
+//! reproduce. The micro-benchmarks substitute the same way: the paper's
+//! Mutilate runs replay the Facebook ETC distributions, which
+//! [`crate::facebook_etc`] samples from their published fits.
 
 use crate::app_profile::{AppProfile, Phase};
 use crate::sizes::SizeDistribution;

@@ -23,8 +23,10 @@
 //!   telemetry and the phased resilience scenarios (see README
 //!   "Benchmarking").
 //!
-//! See `examples/quickstart.rs` for a five-minute tour and DESIGN.md /
-//! EXPERIMENTS.md for the reproduction methodology and results.
+//! See `examples/quickstart.rs` for a five-minute tour,
+//! [`workloads::memcachier`] for why a synthetic trace stands in for the
+//! paper's, and README ("Reproducing the paper's benches") for the binaries
+//! that print the reproduced tables and figures.
 
 #![warn(missing_docs)]
 
