@@ -81,7 +81,6 @@ const GROUP: usize = 4;
 /// A slot's metadata: an empty slot is 0; an entry `distance` slots past its
 /// home is `(distance + 1)` (saturating) in the high byte and its [`tag`] in
 /// the low one.
-#[inline]
 fn metadata(distance: usize, tag: u8) -> u16 {
     let counted = (distance + 1).min(usize::from(SATURATED)) as u16;
     (counted << 8) | u16::from(tag)
@@ -89,7 +88,6 @@ fn metadata(distance: usize, tag: u8) -> u16 {
 
 /// The 8 bits of a hash its slot's metadata keeps: bits the home slot of
 /// any table under 2^24 slots does not use.
-#[inline]
 fn tag(hash: u64) -> u8 {
     (hash >> 32) as u8
 }
@@ -97,7 +95,6 @@ fn tag(hash: u64) -> u8 {
 /// Entries a table of `slots` holds before it doubles: 7/8 of them, or one
 /// fewer than all of them while they are under 8 (std's rule, so both
 /// tables are the same size for the same number of live entries).
-#[inline]
 fn max_load(slots: usize) -> usize {
     if slots < 8 {
         slots.saturating_sub(1)
@@ -163,13 +160,11 @@ impl<V> KeyMap<V> {
     }
 
     /// Number of entries.
-    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
 
     /// Whether the table holds no entry.
-    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -186,13 +181,11 @@ impl<V> KeyMap<V> {
         (slots + self.meta.len() * std::mem::size_of::<u16>()) as u64
     }
 
-    #[inline]
     fn hash(&self, key: Key) -> u64 {
         (key.0 ^ self.seed).wrapping_mul(GOLDEN)
     }
 
     /// [`KeyMap::hash`] for an operation's own key: the probe tests count.
-    #[inline]
     fn hash_probe(&self, key: Key) -> u64 {
         #[cfg(any(test, debug_assertions))]
         probes::HASHED.with(|count| count.set(count.get() + 1));
@@ -200,13 +193,11 @@ impl<V> KeyMap<V> {
     }
 
     /// The slot a hash's probe starts at (the table has slots).
-    #[inline]
     fn home(&self, hash: u64) -> usize {
         (hash >> self.shift) as usize
     }
 
     /// Writes slot `at`'s metadata, and its copy past the end.
-    #[inline]
     fn set_meta(&mut self, at: usize, meta: u16) {
         self.meta[at] = meta;
         if at < GROUP - 1 {
@@ -216,7 +207,6 @@ impl<V> KeyMap<V> {
 
     /// How far past its home the entry in slot `at`, with metadata `meta`,
     /// sits.
-    #[inline]
     fn distance(&self, at: usize, meta: u16) -> usize {
         if meta >> 8 < SATURATED {
             return usize::from(meta >> 8).saturating_sub(1);
@@ -236,7 +226,6 @@ impl<V> KeyMap<V> {
     /// slots from home that equals `(k + 1) << 8 | tag` is the key's, if the
     /// key is there, and the first lane whose distance is below `k` ends the
     /// search. A run past them (rare below 7/8 full) goes a slot at a time.
-    #[inline]
     fn find(&self, hash: u64, key: Key) -> Result<usize, (usize, usize)> {
         const LANES: u64 = 0x0001_0001_0001_0001;
         const HIGH: u64 = 0x8000_8000_8000_8000;
@@ -285,7 +274,6 @@ impl<V> KeyMap<V> {
     }
 
     /// The value `key` maps to.
-    #[inline]
     pub fn get(&self, key: &Key) -> Option<&V> {
         if self.len == 0 {
             return None;
@@ -295,7 +283,6 @@ impl<V> KeyMap<V> {
     }
 
     /// The value `key` maps to, mutably.
-    #[inline]
     pub fn get_mut(&mut self, key: &Key) -> Option<&mut V> {
         if self.len == 0 {
             return None;
@@ -305,13 +292,11 @@ impl<V> KeyMap<V> {
     }
 
     /// Whether `key` has an entry.
-    #[inline]
     pub fn contains_key(&self, key: &Key) -> bool {
         self.get(key).is_some()
     }
 
     /// Maps `key` to `value`, returning the value it replaced.
-    #[inline]
     pub fn insert(&mut self, key: Key, value: V) -> Option<V> {
         let hash = self.hash_probe(key);
         let mut found = self.find(hash, key);
@@ -335,7 +320,6 @@ impl<V> KeyMap<V> {
     /// Puts `entry`, with metadata `meta`, in slot `at`, and moves what is
     /// there, up to the first empty slot, on by one slot (one farther from
     /// its home): the run stays ordered by home slot.
-    #[inline]
     fn insert_at(&mut self, at: usize, meta: u16, entry: (Key, V)) {
         let mask = self.slots.len() - 1;
         let mut empty = at;
@@ -355,7 +339,6 @@ impl<V> KeyMap<V> {
 
     /// Removes `key`'s entry, returning its value. The entries behind it in
     /// its run each move back one slot, to the first that is home or empty.
-    #[inline]
     pub fn remove(&mut self, key: &Key) -> Option<V> {
         if self.len == 0 {
             return None;
@@ -388,7 +371,6 @@ impl<V> KeyMap<V> {
     /// Asks for the metadata and the slots `key`'s probe starts at (see
     /// [`crate::prefetch`]): the address follows from the key, so nothing in
     /// the table is read. The second slot holds the end of the first.
-    #[inline]
     pub fn prefetch(&self, key: Key) {
         if self.len == 0 {
             return;
@@ -464,7 +446,6 @@ impl fmt::Display for ClassId {
 /// compact [`Key`] space. FNV-1a is not collision-free; callers that need
 /// exact semantics (the server does) must keep the original byte key and
 /// verify it on lookup.
-#[inline]
 pub fn hash_bytes(bytes: &[u8]) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -478,7 +459,6 @@ pub fn hash_bytes(bytes: &[u8]) -> u64 {
 
 /// Mixes a 64-bit value (SplitMix64 finalizer); used to derive well-spread
 /// key ids from sequential counters in workload generators.
-#[inline]
 pub fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

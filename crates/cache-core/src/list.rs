@@ -25,13 +25,11 @@ pub struct NodeHandle(NonZeroU32);
 impl NodeHandle {
     const NONE: u32 = u32::MAX;
 
-    #[inline]
     fn some(idx: usize) -> Self {
         debug_assert!(idx < u32::MAX as usize);
         NodeHandle(NonZeroU32::MIN.saturating_add(idx as u32))
     }
 
-    #[inline]
     fn index(self) -> usize {
         self.0.get() as usize - 1
     }
@@ -76,7 +74,6 @@ impl<T> LinkedArena<T> {
     }
 
     /// Number of elements in the list.
-    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
@@ -86,7 +83,6 @@ impl<T> LinkedArena<T> {
         self.len == 0
     }
 
-    #[inline]
     fn alloc(&mut self, value: T) -> u32 {
         if let Some(idx) = self.free.pop() {
             let node = &mut self.nodes[idx as usize];
@@ -106,7 +102,6 @@ impl<T> LinkedArena<T> {
     }
 
     /// Pushes a value at the front (most-recent end) and returns its handle.
-    #[inline]
     pub fn push_front(&mut self, value: T) -> NodeHandle {
         let idx = self.alloc(value);
         self.nodes[idx as usize].next = self.head;
@@ -122,7 +117,6 @@ impl<T> LinkedArena<T> {
     }
 
     /// Pushes a value at the back (least-recent end) and returns its handle.
-    #[inline]
     pub fn push_back(&mut self, value: T) -> NodeHandle {
         let idx = self.alloc(value);
         self.nodes[idx as usize].prev = self.tail;
@@ -138,7 +132,6 @@ impl<T> LinkedArena<T> {
     }
 
     /// Inserts a value immediately before the node identified by `before`.
-    #[inline]
     pub fn insert_before(&mut self, before: NodeHandle, value: T) -> NodeHandle {
         let b = before.index() as u32;
         let prev = self.nodes[b as usize].prev;
@@ -154,7 +147,6 @@ impl<T> LinkedArena<T> {
         NodeHandle::some(idx as usize)
     }
 
-    #[inline]
     fn unlink(&mut self, idx: u32) {
         let (prev, next) = {
             let node = &self.nodes[idx as usize];
@@ -176,7 +168,6 @@ impl<T> LinkedArena<T> {
     ///
     /// # Panics
     /// Panics if the handle does not refer to a live node.
-    #[inline]
     pub fn remove(&mut self, handle: NodeHandle) -> T {
         let idx = handle.index() as u32;
         self.unlink(idx);
@@ -190,7 +181,6 @@ impl<T> LinkedArena<T> {
     }
 
     /// Moves an existing node to the front (most-recent end).
-    #[inline]
     pub fn move_to_front(&mut self, handle: NodeHandle) {
         let idx = handle.index() as u32;
         if self.head == idx {
@@ -208,7 +198,6 @@ impl<T> LinkedArena<T> {
     }
 
     /// Returns a reference to the value stored at `handle`.
-    #[inline]
     pub fn get(&self, handle: NodeHandle) -> Option<&T> {
         self.nodes
             .get(handle.index())
@@ -216,7 +205,6 @@ impl<T> LinkedArena<T> {
     }
 
     /// Returns a mutable reference to the value stored at `handle`.
-    #[inline]
     pub fn get_mut(&mut self, handle: NodeHandle) -> Option<&mut T> {
         self.nodes
             .get_mut(handle.index())
@@ -224,7 +212,6 @@ impl<T> LinkedArena<T> {
     }
 
     /// Asks the cache for the node at `handle` (see [`crate::prefetch`]).
-    #[inline]
     pub fn prefetch(&self, handle: NodeHandle) {
         if let Some(node) = self.nodes.get(handle.index()) {
             crate::prefetch::line(node);
@@ -233,7 +220,6 @@ impl<T> LinkedArena<T> {
 
     /// Asks the cache for the two nodes linked to the one at `handle`, which
     /// unlinking it writes. Reads the node: [`LinkedArena::prefetch`] it first.
-    #[inline]
     pub fn prefetch_neighbours(&self, handle: NodeHandle) {
         let linked = self.nodes.get(handle.index()).map(|n| [n.prev, n.next]);
         // `NONE` is past the end of any arena.
@@ -245,20 +231,17 @@ impl<T> LinkedArena<T> {
     }
 
     /// Handle of the back (least-recent) node.
-    #[inline]
     pub fn back(&self) -> Option<NodeHandle> {
         (self.tail != NodeHandle::NONE).then(|| NodeHandle::some(self.tail as usize))
     }
 
     /// Handle of the node preceding `handle` (towards the front).
-    #[inline]
     pub fn prev(&self, handle: NodeHandle) -> Option<NodeHandle> {
         let prev = self.nodes[handle.index()].prev;
         (prev != NodeHandle::NONE).then(|| NodeHandle::some(prev as usize))
     }
 
     /// Handle of the node following `handle` (towards the back).
-    #[inline]
     pub fn next(&self, handle: NodeHandle) -> Option<NodeHandle> {
         let next = self.nodes[handle.index()].next;
         (next != NodeHandle::NONE).then(|| NodeHandle::some(next as usize))

@@ -104,7 +104,6 @@ impl LruList {
     }
 
     /// Sum of the weights of all items.
-    #[inline]
     pub fn total_weight(&self) -> u64 {
         self.total_weight
     }
@@ -127,7 +126,6 @@ impl LruList {
     }
 
     /// One read-only sweep ahead of an `access` or `remove` of `handle`.
-    #[inline]
     pub fn prefetch(&self, handle: NodeHandle, sweep: Sweep) {
         match sweep {
             // The engine's index, not the list, has the slot.
@@ -142,7 +140,6 @@ impl LruList {
     ///
     /// # Panics
     /// Panics if the handle does not refer to a live item.
-    #[inline]
     pub fn access(&mut self, handle: NodeHandle) -> HitLocation {
         let found = self.segment_of(handle);
         self.leave(handle, found);
@@ -159,7 +156,6 @@ impl LruList {
     /// handle that names it until it is removed. The list does not know
     /// which keys it holds: a caller replacing an item removes the old
     /// handle first.
-    #[inline]
     pub fn insert(&mut self, key: Key, weight: u64, position: InsertPosition) -> NodeHandle {
         let segment = match position {
             InsertPosition::Top => Segment::Upper,
@@ -189,7 +185,6 @@ impl LruList {
     ///
     /// # Panics
     /// Panics if the handle does not refer to a live item.
-    #[inline]
     pub fn remove(&mut self, handle: NodeHandle) -> (Key, u64) {
         self.leave(handle, self.segment_of(handle));
         let entry = self.nodes.remove(handle);
@@ -199,7 +194,6 @@ impl LruList {
     }
 
     /// Removes and returns the least-recently-used item.
-    #[inline]
     pub fn pop_lru(&mut self) -> Option<(Key, u64)> {
         self.nodes.back().map(|handle| self.remove(handle))
     }
@@ -210,12 +204,10 @@ impl LruList {
     }
 
     /// The first node of `segment` (untracked, hence `None`, for the upper).
-    #[inline]
     fn first(&self, segment: Segment) -> Option<NodeHandle> {
         self.heads[segment as usize]
     }
 
-    #[inline]
     fn segment_of(&self, handle: NodeHandle) -> Segment {
         self.nodes
             .get(handle)
@@ -225,7 +217,6 @@ impl LruList {
 
     /// Takes the node at `handle` out of `segment`'s books (it stays linked
     /// where it is).
-    #[inline]
     fn leave(&mut self, handle: NodeHandle, segment: Segment) {
         let s = segment as usize;
         self.lens[s] -= 1;
@@ -241,7 +232,6 @@ impl LruList {
 
     /// Books the node at `handle` into `segment`, as its first node
     /// (`at_front`) or its last.
-    #[inline]
     fn enter(&mut self, handle: NodeHandle, segment: Segment, at_front: bool) {
         let s = segment as usize;
         if let Some(entry) = self.nodes.get_mut(handle) {
@@ -255,7 +245,6 @@ impl LruList {
 
     /// The node just before `boundary`, or the list's last when there is no
     /// boundary behind it.
-    #[inline]
     fn last_before(&self, boundary: Option<NodeHandle>) -> NodeHandle {
         match boundary {
             Some(first) => self.nodes.prev(first),
@@ -268,7 +257,6 @@ impl LruList {
     /// the remainder is split evenly between upper and lower (upper holding
     /// the extra item when odd) so that [`InsertPosition::Middle`] lands in
     /// the middle of the non-tail population.
-    #[inline]
     fn targets(&self) -> (usize, usize) {
         let len = self.nodes.len();
         let tail_target = self.tail_items.min(len);
@@ -280,7 +268,6 @@ impl LruList {
     /// Moves the two boundaries until the segments have their target sizes.
     /// A node changes segment by being retagged where it stands, so handles
     /// held outside stay valid and nothing is hashed.
-    #[inline]
     fn rebalance(&mut self) {
         use Segment::{Lower, Tail, Upper};
         let (upper_target, tail_target) = self.targets();

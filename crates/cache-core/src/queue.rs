@@ -110,14 +110,12 @@ impl CacheQueue {
     }
 
     /// The memory charge of an item of `size` bytes.
-    #[inline]
     pub fn charge(size: u64) -> u64 {
         size + ITEM_OVERHEAD
     }
 
     /// Records a GET of the resident item `token` names, updating recency
     /// and statistics.
-    #[inline]
     pub fn hit(&mut self, token: &mut Token) -> GetResult {
         let location = self.policy.access(token);
         self.stats.record_get(true);
@@ -131,7 +129,6 @@ impl CacheQueue {
     /// Records a GET of `key`, which the engine's index does not hold for
     /// this queue: the policy's ghost lists, the shadow queue and the
     /// statistics see the miss.
-    #[inline]
     pub fn miss(&mut self, key: Key) -> GetResult {
         self.policy.on_miss(key);
         let shadow_hit = self.shadow.probe(key);
@@ -150,7 +147,6 @@ impl CacheQueue {
     /// to stay within the byte budget. `old` names the copy of `key` this
     /// queue already holds, if it holds one; it is gone afterwards whether
     /// or not the new item was admitted.
-    #[inline]
     pub fn set(&mut self, key: Key, size: u64, old: Option<Token>) -> SetResult {
         self.stats.record_set();
         if let Some(token) = old {
@@ -176,7 +172,6 @@ impl CacheQueue {
 
     /// Removes the item `token` names from the physical queue (its key does
     /// not enter the shadow queue), returning its key.
-    #[inline]
     pub fn remove(&mut self, token: Token) -> Key {
         let (key, _) = self.policy.remove(token);
         self.policy.forget(key);
@@ -185,14 +180,12 @@ impl CacheQueue {
 
     /// `key` was written to, or deleted from, another queue: drops what this
     /// queue's policy remembered about its next admission here.
-    #[inline]
     pub fn forget(&mut self, key: Key) {
         self.policy.forget(key);
     }
 
     /// Evicts items until the queue fits its byte budget; returns the evicted
     /// keys (they are recorded in the shadow queue).
-    #[inline]
     pub fn evict_to_target(&mut self) -> Vec<Key> {
         let mut evicted = Vec::new();
         while self.policy.total_weight() > self.target_bytes {
@@ -217,13 +210,11 @@ impl CacheQueue {
     /// eviction happens lazily on the next insertion (the paper resizes
     /// queues only on misses to avoid thrashing, §5.1). Call
     /// [`CacheQueue::evict_to_target`] to enforce the new budget eagerly.
-    #[inline]
     pub fn set_target_bytes(&mut self, bytes: u64) {
         self.target_bytes = bytes;
     }
 
     /// Bytes currently charged against the budget.
-    #[inline]
     pub fn used_bytes(&self) -> u64 {
         self.policy.total_weight()
     }
@@ -245,7 +236,6 @@ impl CacheQueue {
 
     /// One read-only sweep ahead of a [`CacheQueue::hit`] or a removal of
     /// `token` (see [`crate::prefetch`]).
-    #[inline]
     pub fn prefetch(&self, token: Token, sweep: Sweep) {
         self.policy.prefetch(token, sweep);
     }
@@ -261,7 +251,6 @@ impl CacheQueue {
     }
 
     /// The attached shadow queue.
-    #[inline]
     pub fn shadow(&self) -> &ShadowQueue {
         &self.shadow
     }

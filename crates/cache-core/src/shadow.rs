@@ -98,13 +98,11 @@ impl ShadowQueue {
     }
 
     /// Whether `key` is currently in the shadow queue (no side effects).
-    #[inline]
     pub fn contains(&self, key: Key) -> bool {
         self.index.contains_key(&key)
     }
 
     /// Changes the capacity, evicting the oldest keys if necessary.
-    #[inline]
     pub fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity;
         self.enforce_capacity();
@@ -114,7 +112,6 @@ impl ShadowQueue {
     /// Inserts a key evicted from the physical queue at the front (most
     /// recent end). If the key is already present it is refreshed. Returns
     /// the key that fell off the far end, if any.
-    #[inline]
     pub fn insert(&mut self, key: Key) -> Option<Key> {
         if self.capacity == 0 {
             return None;
@@ -133,7 +130,6 @@ impl ShadowQueue {
     /// Probes the shadow queue for `key`. On a hit the key is removed (it is
     /// about to be re-admitted to the physical queue by the caller) and the
     /// half it was found in is reported.
-    #[inline]
     pub fn probe(&mut self, key: Key) -> Option<ShadowHit> {
         // An empty queue (every capacity-0 one) costs a lookup no hash.
         if self.index.is_empty() {
@@ -159,7 +155,6 @@ impl ShadowQueue {
 
     /// Removes `key` if present (used when the physical queue re-admits a key
     /// through a path that did not call [`ShadowQueue::probe`]).
-    #[inline]
     pub fn remove(&mut self, key: Key) -> bool {
         self.probe(key).is_some()
     }
@@ -170,7 +165,6 @@ impl ShadowQueue {
     }
 
     /// Takes the node at `handle` off the list and out of its half's books.
-    #[inline]
     fn unlink(&mut self, handle: NodeHandle) -> ShadowHalf {
         if self.right_head == Some(handle) {
             self.right_head = self.nodes.next(handle);
@@ -182,7 +176,6 @@ impl ShadowQueue {
         ghost.half
     }
 
-    #[inline]
     fn enforce_capacity(&mut self) -> Option<Key> {
         let mut last_evicted = None;
         while self.index.len() > self.capacity {
@@ -196,7 +189,6 @@ impl ShadowQueue {
     }
 
     /// Moves the boundary until the left half holds `ceil(len / 2)` keys.
-    #[inline]
     fn rebalance(&mut self) {
         let left_target = self.index.len().div_ceil(2);
         while self.left_len > left_target {
@@ -218,7 +210,6 @@ impl ShadowQueue {
         }
     }
 
-    #[inline]
     fn retag(&mut self, node: NodeHandle, half: ShadowHalf) {
         if let Some(ghost) = self.nodes.get_mut(node) {
             ghost.half = half;

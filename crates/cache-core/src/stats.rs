@@ -29,7 +29,6 @@ impl CacheStats {
     }
 
     /// Records a GET and whether it hit.
-    #[inline]
     pub fn record_get(&mut self, hit: bool) {
         self.gets += 1;
         if hit {
@@ -40,13 +39,11 @@ impl CacheStats {
     }
 
     /// Records a SET.
-    #[inline]
     pub fn record_set(&mut self) {
         self.sets += 1;
     }
 
     /// Records `n` evictions.
-    #[inline]
     pub fn record_evictions(&mut self, n: u64) {
         self.evictions += n;
     }

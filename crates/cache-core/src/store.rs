@@ -137,7 +137,6 @@ impl<V> SlabCache<V> {
     }
 
     /// The slab class an item of `size` bytes maps to.
-    #[inline]
     pub fn class_for_size(&self, size: u64) -> Option<ClassId> {
         self.config.slab.class_for_size(size)
     }
@@ -169,12 +168,10 @@ impl<V> SlabCache<V> {
 
     /// [`SlabCache::get_untyped`] that lends the value on a hit: the GET of
     /// a server, one index probe for the access and the value together.
-    #[inline]
     pub fn lookup(&mut self, key: Key) -> Option<&V> {
         self.touch(key).1
     }
 
-    #[inline]
     fn touch(&mut self, key: Key) -> (SlabGetResult, Option<&V>) {
         let (queues, stats) = (&mut self.queues, &mut self.stats);
         match self.index.get_mut(&key) {
@@ -190,7 +187,6 @@ impl<V> SlabCache<V> {
         }
     }
 
-    #[inline]
     fn hit(
         queues: &mut [CacheQueue],
         stats: &mut CacheStats,
@@ -203,7 +199,6 @@ impl<V> SlabCache<V> {
         }
     }
 
-    #[inline]
     fn miss(
         queues: &mut [CacheQueue],
         stats: &mut CacheStats,
@@ -219,7 +214,6 @@ impl<V> SlabCache<V> {
     }
 
     /// Drops the index entries of keys a queue evicted.
-    #[inline]
     fn unindex(&mut self, evicted: &[Key]) {
         for key in evicted {
             self.index.remove(key);
@@ -228,7 +222,6 @@ impl<V> SlabCache<V> {
     }
 
     /// Stores `key` with a payload of `size` bytes.
-    #[inline]
     pub fn set(&mut self, key: Key, size: u64, value: V) -> Option<(ClassId, SetResult)> {
         let class = self.class_for_size(size)?;
         self.stats.record_set();
@@ -264,7 +257,6 @@ impl<V> SlabCache<V> {
     }
 
     /// Deletes `key` if resident.
-    #[inline]
     pub fn delete(&mut self, key: Key) -> bool {
         match self.index.remove(&key) {
             Some(item) => {
@@ -275,7 +267,6 @@ impl<V> SlabCache<V> {
         }
     }
 
-    #[inline]
     fn grow_class_fcfs(&mut self, class: ClassId, needed: u64, page_size: u64) {
         let idx = class.index();
         let queue_used = self.queues[idx].used_bytes();
@@ -356,7 +347,6 @@ impl<V> SlabCache<V> {
     }
 
     /// Stored value for `key`, if resident (no effect on recency).
-    #[inline]
     pub fn value(&self, key: Key) -> Option<&V> {
         self.index.get(&key).map(|item| &item.value)
     }
@@ -370,7 +360,6 @@ impl<V> SlabCache<V> {
     /// [`crate::prefetch`]): no statistics, no recency. After the slot
     /// sweep, which reads nothing, lends a resident item's value, so the
     /// caller can ask for the bytes behind it.
-    #[inline]
     pub fn prefetch(&self, key: Key, sweep: Sweep) -> Option<&V> {
         if sweep == Sweep::Slot {
             self.index.prefetch(key);

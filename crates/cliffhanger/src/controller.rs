@@ -181,7 +181,6 @@ impl<V> Cliffhanger<V> {
     }
 
     /// The slab class an item of `size` bytes maps to.
-    #[inline]
     pub fn class_for_size(&self, size: u64) -> Option<ClassId> {
         self.config.slab.class_for_size(size)
     }
@@ -225,7 +224,6 @@ impl<V> Cliffhanger<V> {
 
     /// [`Cliffhanger::get_untyped`] that lends the value on a hit: the GET
     /// of a server, one index probe for the access and the value together.
-    #[inline]
     pub fn lookup(&mut self, key: Key) -> Option<&V> {
         self.touch(key, None).map(|(_, _, value)| value)
     }
@@ -234,7 +232,6 @@ impl<V> Cliffhanger<V> {
     /// knows the class), records the access on its queue and lends the
     /// value. A miss without a class is counted here, since nothing else
     /// will see it; a miss in a known class is the caller's to classify.
-    #[inline]
     fn touch(&mut self, key: Key, only: Option<ClassId>) -> Option<(ClassId, QueueEvent, &V)> {
         let found = self.index.get_mut(&key);
         let Some(item) = found.filter(|item| only.map_or(true, |class| class == item.class)) else {
@@ -275,7 +272,6 @@ impl<V> Cliffhanger<V> {
     }
 
     /// Drops the index entries of keys a queue evicted.
-    #[inline]
     fn unindex(&mut self, evicted: &[Key]) {
         for key in evicted {
             self.index.remove(key);
@@ -286,7 +282,6 @@ impl<V> Cliffhanger<V> {
     /// While the free pool is non-empty, classes grow into it on demand
     /// (Memcached's first-come-first-serve page grants); afterwards memory
     /// only moves through hill climbing.
-    #[inline]
     fn grant_from_free_pool(&mut self, class: ClassId, size: u64) {
         if self.free_bytes == 0 {
             return;
@@ -325,7 +320,6 @@ impl<V> Cliffhanger<V> {
     /// slack), so the eviction itself is the fullness signal — exactly
     /// Memcached's rule of granting a free page to whichever class evicts
     /// while pages remain.
-    #[inline]
     fn grant_on_eviction(&mut self, class: ClassId) {
         if self.free_bytes == 0 {
             return;
@@ -366,7 +360,6 @@ impl<V> Cliffhanger<V> {
     /// Stores `key` with a payload of `size` bytes. Returns the class and
     /// whether the item was admitted, or `None` if the item is too large for
     /// any slab class.
-    #[inline]
     pub fn set(&mut self, key: Key, size: u64, value: V) -> Option<(ClassId, bool)> {
         let class = self.class_for_size(size)?;
         self.stats.record_set();
@@ -416,7 +409,6 @@ impl<V> Cliffhanger<V> {
     }
 
     /// Deletes `key` from whichever class holds it.
-    #[inline]
     pub fn delete(&mut self, key: Key) -> bool {
         match self.index.remove(&key) {
             Some(item) => {
@@ -428,7 +420,6 @@ impl<V> Cliffhanger<V> {
     }
 
     /// The stored value for `key`, if resident (no effect on recency).
-    #[inline]
     pub fn value(&self, key: Key) -> Option<&V> {
         self.index.get(&key).map(|item| &item.value)
     }
@@ -437,7 +428,6 @@ impl<V> Cliffhanger<V> {
     /// [`cache_core::prefetch`]): no statistics, recency or shadow queue.
     /// After the slot sweep, which reads nothing, lends a resident item's
     /// value, so the caller can ask for its bytes.
-    #[inline]
     pub fn prefetch(&self, key: Key, sweep: Sweep) -> Option<&V> {
         if sweep == Sweep::Slot {
             self.index.prefetch(key);

@@ -179,7 +179,6 @@ impl PartitionedQueue {
 
     /// Whether cliff scaling is currently active (enabled and the queue is
     /// large enough, §5.1).
-    #[inline]
     pub fn cliff_scaling_active(&self) -> bool {
         self.scaling_active
     }
@@ -190,13 +189,11 @@ impl PartitionedQueue {
     }
 
     /// The byte budget converted to items.
-    #[inline]
     pub fn target_items(&self) -> u64 {
         self.target_items
     }
 
     /// Bytes currently in use across both partitions.
-    #[inline]
     pub fn used_bytes(&self) -> u64 {
         self.left.used_bytes() + self.right.used_bytes()
     }
@@ -221,7 +218,6 @@ impl PartitionedQueue {
 
     /// One read-only sweep ahead of a hit on, or a removal of, `token` on
     /// `side` (see [`cache_core::prefetch`]).
-    #[inline]
     pub fn prefetch(&self, side: Partition, token: Token, sweep: Sweep) {
         match side {
             Partition::Left => self.left.prefetch(token, sweep),
@@ -229,7 +225,6 @@ impl PartitionedQueue {
         }
     }
 
-    #[inline]
     fn side_mut(&mut self, side: Partition) -> &mut CacheQueue {
         match side {
             Partition::Left => &mut self.left,
@@ -266,7 +261,6 @@ impl PartitionedQueue {
     }
 
     /// The current Talus request ratio (fraction of requests routed left).
-    #[inline]
     pub fn ratio(&self) -> f64 {
         if self.cliff_scaling_active() {
             self.scaler.ratio()
@@ -294,7 +288,6 @@ impl PartitionedQueue {
     /// Changes the queue's byte budget (called by the hill-climbing layer).
     /// The resize is applied on the next insertion, per the paper's
     /// resize-on-miss rule.
-    #[inline]
     pub fn set_target_bytes(&mut self, bytes: u64) {
         self.target_bytes = bytes;
         self.target_items = bytes / self.config.charge_per_item;
@@ -312,7 +305,6 @@ impl PartitionedQueue {
     /// 1000-item threshold of §5.1) the queue is not meaningfully
     /// partitioned: everything is routed to the right sub-queue, which then
     /// behaves exactly like a single queue with the full budget.
-    #[inline]
     fn route(&self, key: Key) -> Partition {
         if !self.cliff_scaling_active() {
             return Partition::Right;
@@ -332,7 +324,6 @@ impl PartitionedQueue {
     /// resident item no matter which partition stores it (the partitioning
     /// only steers insertions and evictions), and the partition holding the
     /// item is the one whose tail region produces the signal.
-    #[inline]
     pub fn hit(&mut self, side: Partition, token: &mut Token) -> QueueEvent {
         let result = self.side_mut(side).hit(token);
         self.classify(QueueEvent {
@@ -371,7 +362,6 @@ impl PartitionedQueue {
     /// one queue: the partitions are searched in `order`, each one's cliff
     /// shadow before its hill shadow. Returns the partition that remembered
     /// the key and whether its cliff shadow did.
-    #[inline]
     fn probe_shadows(&mut self, key: Key, order: [Partition; 2]) -> Option<(Partition, bool)> {
         for p in order {
             let (cliff, hill) = match p {
@@ -389,7 +379,6 @@ impl PartitionedQueue {
     }
 
     /// Counts the event and feeds the cliff scaler's pointers.
-    #[inline]
     fn classify(&mut self, event: QueueEvent) -> QueueEvent {
         self.stats.record_get(event.hit);
         if event.hill_shadow_hit {
@@ -428,7 +417,6 @@ impl PartitionedQueue {
     /// classifies it now: the cliff scaler is updated and the outcome
     /// reports the hill-climbing signal. A GET that already probed the
     /// shadow queues removed the key, so the signal is never counted twice.
-    #[inline]
     pub fn set(&mut self, key: Key, size: u64, mut old: Option<(Partition, Token)>) -> SetOutcome {
         self.stats.record_set();
         // Deferred shadow classification.
@@ -496,7 +484,6 @@ impl PartitionedQueue {
 
     /// Removes the item `token` names on `side` (a DELETE, or a copy a write
     /// elsewhere supersedes); its key does not enter the shadow queues.
-    #[inline]
     pub fn remove(&mut self, side: Partition, token: Token) {
         let key = self.side_mut(side).remove(token);
         // Either side's policy may have marked the key on an earlier miss.
@@ -508,7 +495,6 @@ impl PartitionedQueue {
     /// their shadow queues, evicting eagerly so the split takes effect.
     /// Returns the keys evicted by the resize so callers can keep any
     /// external residency index in sync.
-    #[inline]
     fn apply_sizes(&mut self) -> Vec<Key> {
         let charge = self.config.charge_per_item;
         let total_items = self.target_items();

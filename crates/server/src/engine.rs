@@ -198,7 +198,6 @@ impl StoredValue {
     /// Copies `key` and `data` into a buffer sized for exactly them (so
     /// boxing it reallocates nothing). `None` for a key whose length the
     /// header cannot hold: the caller refuses the store.
-    #[inline]
     pub(crate) fn new(key: &[u8], flags: u32, data: &[u8]) -> Option<StoredValue> {
         let key_len = u16::try_from(key.len()).ok()?;
         let mut item = Vec::with_capacity(ITEM_HEADER + key.len() + data.len());
@@ -210,31 +209,26 @@ impl StoredValue {
     }
 
     /// Client flags.
-    #[inline]
     pub(crate) fn flags(&self) -> u32 {
         u32::from_le_bytes([self.0[0], self.0[1], self.0[2], self.0[3]])
     }
 
     /// Where the key ends and the data starts.
-    #[inline]
     fn data_at(&self) -> usize {
         ITEM_HEADER + usize::from(u16::from_le_bytes([self.0[4], self.0[5]]))
     }
 
     /// The full byte-string key (for exact-match verification).
-    #[inline]
     pub(crate) fn key(&self) -> &[u8] {
         &self.0[ITEM_HEADER..self.data_at()]
     }
 
     /// The payload.
-    #[inline]
     pub(crate) fn data(&self) -> &[u8] {
         &self.0[self.data_at()..]
     }
 
     /// What the engines charge for the item: key and data bytes.
-    #[inline]
     fn charge(&self) -> u64 {
         (self.0.len() - ITEM_HEADER) as u64
     }
@@ -248,7 +242,6 @@ impl StoredValue {
 /// tenants fold a per-tenant salt in (the backend-side form of key
 /// prefixing) so their key populations spread independently, while the
 /// default tenant routes exactly as the single-tenant server did.
-#[inline]
 pub(crate) fn route_key(tenant: usize, key: &[u8], shards: usize) -> (usize, Key) {
     let hash = hash_bytes(key);
     let salt = if tenant == 0 { 0 } else { mix64(tenant as u64) };
@@ -320,7 +313,6 @@ impl Engine {
     }
 
     /// Whether `key` is resident with an exact byte-string match.
-    #[inline]
     pub(crate) fn contains_exact(&self, id: Key, key: &[u8]) -> bool {
         match self {
             Engine::Plain(cache) => cache.value(id),
@@ -333,7 +325,6 @@ impl Engine {
     /// (see [`cache_core::prefetch`]) plus, on the item sweep, the first
     /// lines of the item — the stored key a GET compares, then the payload
     /// it copies out.
-    #[inline]
     pub(crate) fn prefetch(&self, id: Key, sweep: Sweep) {
         let stored = match self {
             Engine::Plain(cache) => cache.prefetch(id, sweep),
@@ -348,7 +339,6 @@ impl Engine {
     /// access (feeding the shadow queues in managed mode) and lends the
     /// stored item, on an exact byte-string match. A 64-bit hash collision
     /// is a miss for the colliding key, never a wrong value.
-    #[inline]
     pub(crate) fn wire_get(&mut self, id: Key, key: &[u8]) -> Option<&StoredValue> {
         match self {
             Engine::Plain(cache) => cache.lookup(id),
@@ -360,7 +350,6 @@ impl Engine {
     /// A wire-level store: charges `key + data` bytes and admits the item,
     /// which moves into the cache as it is. Returns `false` only if the
     /// item could not be admitted (e.g. larger than the largest slab class).
-    #[inline]
     pub(crate) fn wire_set(&mut self, id: Key, stored: StoredValue) -> bool {
         let size = stored.charge();
         match self {
@@ -376,7 +365,6 @@ impl Engine {
     }
 
     /// Deletes `id`; returns whether it was present.
-    #[inline]
     pub(crate) fn delete(&mut self, id: Key) -> bool {
         match self {
             Engine::Plain(cache) => cache.delete(id),

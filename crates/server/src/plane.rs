@@ -813,7 +813,6 @@ impl LoopState {
 
     /// Routes a key: `Ok(local slot)` when this loop owns the shard,
     /// `Err(owner loop)` otherwise.
-    #[inline]
     pub(crate) fn route(&self, tenant: usize, key: &[u8]) -> Route {
         let (shard, id) = route_key(tenant, key, self.shared.shards);
         match self.slots[shard] {
@@ -828,7 +827,6 @@ impl LoopState {
     /// node and bytes, then the node's neighbours. Independent across keys,
     /// so the misses execution would take one by one overlap; one key
     /// overlaps with nothing.
-    #[inline]
     pub(crate) fn sweep<T>(&self, batch: &[T], owned: impl Fn(&T) -> Option<(usize, usize, Key)>) {
         if batch.len() < 2 {
             return;
@@ -845,7 +843,6 @@ impl LoopState {
     /// A GET against an owned engine, lending the stored item on a hit.
     /// The zero-lock fast path: a slot lookup, plain-field counter bumps and
     /// the engine call — no allocation and no refcount traffic.
-    #[inline]
     pub(crate) fn get(
         &mut self,
         slot: usize,
@@ -880,7 +877,6 @@ impl LoopState {
     /// promoted keys, broadcast invalidations that evict perfectly valid
     /// replicas). A `set` that ran but was not admitted still counts —
     /// admission failure may have displaced the old value.
-    #[inline]
     pub(crate) fn store(
         &mut self,
         slot: usize,
@@ -907,7 +903,6 @@ impl LoopState {
     }
 
     /// A delete against an owned engine; returns whether the key was there.
-    #[inline]
     pub(crate) fn delete(&mut self, slot: usize, tenant: usize, id: Key, key: &[u8]) -> bool {
         let Some(cell) = self.owned[slot].cells.get_mut(tenant) else {
             return false;
@@ -927,7 +922,6 @@ impl LoopState {
     /// if the key is promoted — broadcast eager invalidations to every
     /// sibling loop. The version bump alone carries correctness; a stale
     /// promoted-set view here only delays memory reclaim.
-    #[inline]
     fn note_mutation(&mut self, tenant: usize, id: Key) {
         let Some(hot_shared) = self.shared.hot.as_ref() else {
             return;
@@ -1019,7 +1013,6 @@ impl LoopState {
     /// those timed: every [`LOCAL_TIMED_EVERY`]th (a clock read costs a
     /// tenth of a local GET), or every one while a slow-op threshold asks
     /// for a census.
-    #[inline]
     pub(crate) fn local_timer(&self) -> Option<Instant> {
         (self.shared.slow_op_nanos != 0 || self.local_ops % LOCAL_TIMED_EVERY == 0)
             .then(Instant::now)
@@ -1027,7 +1020,6 @@ impl LoopState {
 
     /// An op for one of the loop's own connections finished: counts it and,
     /// if [`LoopState::local_timer`] timed it, records its service time.
-    #[inline]
     pub(crate) fn note_local(&mut self, timer: Option<Instant>) {
         self.local_ops += 1;
         if let Some(started) = timer {
@@ -1064,7 +1056,6 @@ impl LoopState {
     /// Counts one executed data op and asks the control thread for a round
     /// of each kind whose interval the count crosses, unless one is already
     /// queued. A plane with no round to run counts nothing.
-    #[inline]
     fn tick(&mut self) {
         let shared = &self.shared;
         let active = RoundKind::ALL.map(|kind| shared.round_active(kind, self.tenants.len()));
@@ -1092,7 +1083,6 @@ impl LoopState {
     /// Queues one op (and the key bytes of a GET or DELETE) for the loop
     /// that owns its shard: onto the batch open at the tail of that loop's
     /// queue, else onto a fresh one stamped with this pass's instant.
-    #[inline]
     pub(crate) fn forward_op(&mut self, target: usize, op: Op, key: &[u8]) {
         self.remote_out += 1;
         let queue = &mut self.outbound[target];

@@ -518,7 +518,6 @@ impl Parser {
     /// [`Parser::parse`] over a slice cursor, which is how the connection
     /// calls it: `input` is advanced past what was consumed, and a `get`
     /// hands its keys back borrowed from the bytes it was given.
-    #[inline]
     pub(crate) fn next_request<'a>(&mut self, input: &mut &'a [u8]) -> ParseOutcome<Request<'a>> {
         loop {
             let all = *input;
@@ -605,7 +604,6 @@ fn push_number(out: &mut Vec<u8>, mut value: u64) {
 }
 
 /// Appends one hit of a `get` reply: the `VALUE` header and the data block.
-#[inline]
 pub(crate) fn encode_value(key: &[u8], flags: u32, data: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(b"VALUE ");
     out.extend_from_slice(key);
