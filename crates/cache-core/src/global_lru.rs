@@ -7,16 +7,16 @@
 //! fragmentation — and so do we.
 
 use crate::key::{Key, KeyMap};
-use crate::policy::Token;
+use crate::list::NodeHandle;
 use crate::queue::{CacheQueue, GetResult, QueueConfig, SetResult};
 use crate::stats::CacheStats;
 
 /// A cache with a single global eviction queue over bytes: one index from
-/// key to (queue token, value) over one [`CacheQueue`].
+/// key to (queue handle, value) over one [`CacheQueue`].
 #[derive(Debug)]
 pub struct GlobalLruCache<V> {
     queue: CacheQueue,
-    index: KeyMap<(Token, V)>,
+    index: KeyMap<(NodeHandle, V)>,
 }
 
 impl<V> GlobalLruCache<V> {
@@ -35,22 +35,22 @@ impl<V> GlobalLruCache<V> {
 
     /// Looks up `key`.
     pub fn get(&mut self, key: Key) -> GetResult {
-        match self.index.get_mut(&key) {
-            Some((token, _)) => self.queue.hit(token),
+        match self.index.get(&key) {
+            Some(&(handle, _)) => self.queue.hit(handle),
             None => self.queue.miss(key),
         }
     }
 
     /// Stores `key` with a payload of `size` bytes.
     pub fn set(&mut self, key: Key, size: u64, value: V) -> SetResult {
-        let old = self.index.get(&key).map(|&(token, _)| token);
+        let old = self.index.get(&key).map(|&(handle, _)| handle);
         let result = self.queue.set(key, size, old);
         for evicted in &result.evicted {
             self.index.remove(evicted);
         }
-        match result.token {
+        match result.handle {
             // Overwrites the old entry where it stands.
-            Some(token) => drop(self.index.insert(key, (token, value))),
+            Some(handle) => drop(self.index.insert(key, (handle, value))),
             // Turned away, or evicted by its own insertion: either way the
             // copy it replaced is gone too.
             None => drop(self.index.remove(&key)),
@@ -61,8 +61,8 @@ impl<V> GlobalLruCache<V> {
     /// Deletes `key`.
     pub fn delete(&mut self, key: Key) -> bool {
         match self.index.remove(&key) {
-            Some((token, _)) => {
-                self.queue.remove(token);
+            Some((handle, _)) => {
+                self.queue.remove(handle);
                 true
             }
             None => false,

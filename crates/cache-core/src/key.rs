@@ -107,10 +107,10 @@ fn max_load(slots: usize) -> usize {
 /// `V` with Robin Hood insertion, backward-shift deletion and the entry
 /// inline in its slot.
 ///
-/// A slot holds the `(Key, V)` entry itself — an engine's index entry is
-/// 40 bytes, a shadow queue's 16 — and beside it, in an array of their own,
-/// two bytes of metadata: how far the entry sits past its home slot and 8
-/// bits of its hash. Insertion keeps every run ordered by home slot (an
+/// A slot holds the `(Key, V)` entry itself — an engine's index entry is 32
+/// or 40 bytes, a shadow queue's 16 — and beside it, in an array of their
+/// own, two bytes of metadata: how far the entry sits past its home slot and
+/// 8 bits of its hash. Insertion keeps every run ordered by home slot (an
 /// entry goes before the first one whose home is later, and the rest of
 /// the run moves on a slot), so a lookup stops at the first slot nearer its
 /// home than the probe has come, and reads an entry only where its
@@ -280,15 +280,6 @@ impl<V> KeyMap<V> {
         }
         let at = self.find(self.hash_probe(*key), *key).ok()?;
         self.slots[at].as_ref().map(|(_, value)| value)
-    }
-
-    /// The value `key` maps to, mutably.
-    pub fn get_mut(&mut self, key: &Key) -> Option<&mut V> {
-        if self.len == 0 {
-            return None;
-        }
-        let at = self.find(self.hash_probe(*key), *key).ok()?;
-        self.slots[at].as_mut().map(|(_, value)| value)
     }
 
     /// Whether `key` has an entry.
@@ -519,20 +510,18 @@ mod tests {
         assert_eq!(map.get(&Key::new(7)), Some(&"seven"));
     }
 
-    /// A slot is its entry and two bytes: an engine's 40-byte entry and a
-    /// shadow queue's 16 keep their size as an `Option` (their tokens and
-    /// handles leave it a niche).
+    /// A slot is its entry and two bytes: an engine's entry and a shadow
+    /// queue's 16 keep their size as an `Option` (their handles leave it a
+    /// niche).
     #[test]
     fn a_slot_is_its_entry_and_two_bytes() {
         use crate::list::NodeHandle;
-        use crate::policy::Token;
         use std::mem::size_of;
         assert_eq!(size_of::<Option<(Key, NodeHandle)>>(), 16);
-        assert_eq!(size_of::<Option<(Key, Token)>>(), 16);
         let mut map = KeyMap::default();
         assert_eq!((map.slots(), map.heap_bytes()), (0, 0));
         let handle = crate::list::LinkedArena::new().push_front(());
-        map.insert(Key::new(1), Token::new(handle));
+        map.insert(Key::new(1), handle);
         assert_eq!((map.slots(), map.heap_bytes()), (4, 4 * 18 + 6));
     }
 
@@ -568,7 +557,6 @@ mod tests {
         enum Op {
             Insert(u16, u64),
             Remove(u16),
-            GetMut(u16, u64),
             Get(u16),
         }
 
@@ -588,7 +576,6 @@ mod tests {
                 (key(), any::<u64>()).prop_map(|(k, v)| Op::Insert(k, v)),
                 (key(), any::<u64>()).prop_map(|(k, v)| Op::Insert(k, v)),
                 key().prop_map(Op::Remove),
-                (key(), any::<u64>()).prop_map(|(k, v)| Op::GetMut(k, v)),
                 key().prop_map(Op::Get),
             ]
         }
@@ -604,12 +591,6 @@ mod tests {
             let (ours, theirs) = match *op {
                 Op::Insert(k, v) => (map.insert(key(k), v), model.insert(key(k), v)),
                 Op::Remove(k) => (map.remove(&key(k)), model.remove(&key(k))),
-                Op::GetMut(k, v) => (
-                    map.get_mut(&key(k)).map(|held| std::mem::replace(held, v)),
-                    model
-                        .get_mut(&key(k))
-                        .map(|held| std::mem::replace(held, v)),
-                ),
                 Op::Get(k) if map.contains_key(&key(k)) != model.contains_key(&key(k)) => {
                     return Err(format!("{op:?}: contains_key"));
                 }
@@ -665,7 +646,7 @@ mod tests {
                 script.extend([Op::Get(k), Op::Remove(k), Op::Get(k)]);
             }
             for k in (0..1000).rev().step_by(3) {
-                script.extend([Op::Insert(k, 7), Op::GetMut(k, 8)]);
+                script.extend([Op::Insert(k, 7), Op::Insert(k, 8)]);
             }
             let mut model = HashMap::new();
             for op in &script {

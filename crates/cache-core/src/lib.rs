@@ -22,12 +22,13 @@
 //! * [`shadow`] — key-only shadow queues with half-classification (older/newer
 //!   half), the paper's central measurement device.
 //! * [`slab`] — Memcached-style slab-class geometry.
-//! * [`policy`] — eviction policies: LRU, ARC and the Facebook mid-queue
-//!   insertion scheme, all behind [`policy::EvictionPolicy`].
+//! * [`policy`] — eviction policies as one [`policy::Policy`] enum: LRU and
+//!   the Facebook mid-queue insertion scheme (one [`LruList`] each,
+//!   inserting at the top or the middle) and ARC (T1 and T2 in one arena).
 //! * [`prefetch`] — cache-line prefetch hints (the crate's one `unsafe`).
 //! * [`queue`] — a physical cache queue: a policy, a byte budget and an
-//!   attached shadow queue, addressed by token (the engine above it owns
-//!   the one index from key to value).
+//!   attached shadow queue, addressed by [`NodeHandle`] (the engine above
+//!   it owns the one index from key to value).
 //! * [`store`] — a slab-class cache for a single application (first-come-
 //!   first-serve by default, externally resizable per class).
 //! * [`global_lru`] — the log-structured-memory model: one global LRU.
@@ -53,8 +54,9 @@ pub mod tenant;
 
 pub use global_lru::GlobalLruCache;
 pub use key::{hash_bytes, AppId, ClassId, Key};
+pub use list::NodeHandle;
 pub use lru::{HitLocation, LruList};
-pub use policy::{EvictionPolicy, PolicyKind, Token};
+pub use policy::PolicyKind;
 pub use queue::{CacheQueue, GetResult, QueueConfig, SetResult};
 pub use shadow::{ShadowHalf, ShadowHit, ShadowQueue};
 pub use slab::SlabConfig;

@@ -1,7 +1,7 @@
 //! An index-based intrusive doubly-linked list arena.
 //!
-//! Every recency-ordered queue in this crate (LRU lists, shadow queues, the
-//! segmented queues used by ARC) is built on [`LinkedArena`]: a `Vec`
+//! Every recency-ordered queue in this crate (LRU lists, shadow queues,
+//! ARC's T1 and T2) is built on [`LinkedArena`]: a `Vec`
 //! of nodes linked by indices, with a free list for recycling slots. Compared
 //! to `std::collections::LinkedList` this gives O(1) removal of arbitrary
 //! elements by handle without unsafe code or per-node allocations. A node

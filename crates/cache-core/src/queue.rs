@@ -11,14 +11,15 @@
 //! A queue keeps order and bytes; it holds no values and cannot look a key
 //! up. The engine above it ([`crate::SlabCache`], [`crate::GlobalLruCache`],
 //! `cliffhanger::Cliffhanger`) owns the one index from key to value and
-//! [`Token`]: it tells the queue whether a GET was a [`CacheQueue::hit`] (and
-//! on which token) or a [`CacheQueue::miss`], passes the token of the copy a
-//! SET replaces, and drops its entries for the keys a SET or a shrink hands
-//! back as evicted.
+//! [`NodeHandle`]: it tells the queue whether a GET was a [`CacheQueue::hit`]
+//! (and on which handle) or a [`CacheQueue::miss`], passes the handle of the
+//! copy a SET replaces, and drops its entries for the keys a SET or a shrink
+//! hands back as evicted.
 
 use crate::key::Key;
+use crate::list::NodeHandle;
 use crate::lru::HitLocation;
-use crate::policy::{EvictionPolicy, PolicyKind, Token};
+use crate::policy::{Policy, PolicyKind};
 use crate::prefetch::Sweep;
 use crate::shadow::{ShadowHit, ShadowQueue};
 use crate::stats::{CacheStats, Footprint};
@@ -81,14 +82,14 @@ pub struct SetResult {
     /// Where the item now sits: `None` if it was not admitted, or if making
     /// room evicted the item itself (a mid-queue insertion into a queue
     /// that fits almost nothing).
-    pub token: Option<Token>,
+    pub handle: Option<NodeHandle>,
 }
 
 /// A physical cache queue: an order of weighted keys under a byte budget,
 /// with a shadow queue behind it.
 #[derive(Debug)]
 pub struct CacheQueue {
-    policy: Box<dyn EvictionPolicy>,
+    policy: Policy,
     shadow: ShadowQueue,
     target_bytes: u64,
     stats: CacheStats,
@@ -97,12 +98,8 @@ pub struct CacheQueue {
 impl CacheQueue {
     /// Creates a queue from its configuration.
     pub fn new(config: QueueConfig) -> Self {
-        let mut policy = config.policy.build();
-        if config.tail_region_items > 0 {
-            policy.set_tail_region(config.tail_region_items);
-        }
         CacheQueue {
-            policy,
+            policy: Policy::new(config.policy, config.tail_region_items),
             shadow: ShadowQueue::new(config.shadow_capacity),
             target_bytes: config.target_bytes,
             stats: CacheStats::new(),
@@ -114,10 +111,10 @@ impl CacheQueue {
         size + ITEM_OVERHEAD
     }
 
-    /// Records a GET of the resident item `token` names, updating recency
+    /// Records a GET of the resident item `handle` names, updating recency
     /// and statistics.
-    pub fn hit(&mut self, token: &mut Token) -> GetResult {
-        let location = self.policy.access(token);
+    pub fn hit(&mut self, handle: NodeHandle) -> GetResult {
+        let location = self.policy.access(handle);
         self.stats.record_get(true);
         GetResult {
             hit: true,
@@ -147,10 +144,10 @@ impl CacheQueue {
     /// to stay within the byte budget. `old` names the copy of `key` this
     /// queue already holds, if it holds one; it is gone afterwards whether
     /// or not the new item was admitted.
-    pub fn set(&mut self, key: Key, size: u64, old: Option<Token>) -> SetResult {
+    pub fn set(&mut self, key: Key, size: u64, old: Option<NodeHandle>) -> SetResult {
         self.stats.record_set();
-        if let Some(token) = old {
-            self.policy.remove(token);
+        if let Some(handle) = old {
+            self.policy.remove(handle);
         }
         let charge = Self::charge(size);
         if charge > self.target_bytes {
@@ -159,21 +156,21 @@ impl CacheQueue {
             self.policy.forget(key);
             return SetResult::default();
         }
-        let token = self.policy.insert(key, charge);
+        let handle = self.policy.insert(key, charge);
         // The key is now resident; it must not linger in the shadow queue.
         self.shadow.remove(key);
         let evicted = self.evict_to_target();
         SetResult {
             admitted: true,
-            token: (!evicted.contains(&key)).then_some(token),
+            handle: (!evicted.contains(&key)).then_some(handle),
             evicted,
         }
     }
 
-    /// Removes the item `token` names from the physical queue (its key does
+    /// Removes the item `handle` names from the physical queue (its key does
     /// not enter the shadow queue), returning its key.
-    pub fn remove(&mut self, token: Token) -> Key {
-        let (key, _) = self.policy.remove(token);
+    pub fn remove(&mut self, handle: NodeHandle) -> Key {
+        let (key, _) = self.policy.remove(handle);
         self.policy.forget(key);
         key
     }
@@ -229,15 +226,15 @@ impl CacheQueue {
         self.policy.is_empty()
     }
 
-    /// The key and charge of the item `token` names, if it names one.
-    pub fn peek(&self, token: Token) -> Option<(Key, u64)> {
-        self.policy.peek(token)
+    /// The key and charge of the item `handle` names, if it names one.
+    pub fn peek(&self, handle: NodeHandle) -> Option<(Key, u64)> {
+        self.policy.peek(handle)
     }
 
     /// One read-only sweep ahead of a [`CacheQueue::hit`] or a removal of
-    /// `token` (see [`crate::prefetch`]).
-    pub fn prefetch(&self, token: Token, sweep: Sweep) {
-        self.policy.prefetch(token, sweep);
+    /// `handle` (see [`crate::prefetch`]).
+    pub fn prefetch(&self, handle: NodeHandle, sweep: Sweep) {
+        self.policy.prefetch(handle, sweep);
     }
 
     /// Cumulative statistics.
@@ -264,8 +261,8 @@ impl CacheQueue {
 }
 
 /// The invariant between an engine's index and its queues, for the engines'
-/// `check_index`: every entry's token must name a queued node holding that
-/// entry's key (`entries` pairs each indexed key with what its token names),
+/// `check_index`: every entry's handle must name a queued node holding that
+/// entry's key (`entries` pairs each indexed key with what its handle names),
 /// and the index must account for exactly the `queued` (items, bytes).
 #[doc(hidden)]
 pub fn check_index(
@@ -276,7 +273,7 @@ pub fn check_index(
     for (key, named) in entries {
         match named {
             Some((held, weight)) if held == key => indexed = (indexed.0 + 1, indexed.1 + weight),
-            other => return Err(format!("{key:?}: its token names {other:?}")),
+            other => return Err(format!("{key:?}: its handle names {other:?}")),
         }
     }
     if indexed != queued {
@@ -299,7 +296,7 @@ mod tests {
     /// The smallest engine there is: a queue and the index it relies on.
     struct Keyed {
         queue: CacheQueue,
-        index: KeyMap<Token>,
+        index: KeyMap<NodeHandle>,
     }
 
     impl Keyed {
@@ -311,8 +308,8 @@ mod tests {
         }
 
         fn get(&mut self, key: Key) -> GetResult {
-            match self.index.get_mut(&key) {
-                Some(token) => self.queue.hit(token),
+            match self.index.get(&key) {
+                Some(&handle) => self.queue.hit(handle),
                 None => self.queue.miss(key),
             }
         }
@@ -323,8 +320,8 @@ mod tests {
             for evicted in &result.evicted {
                 self.index.remove(evicted);
             }
-            if let Some(token) = result.token {
-                self.index.insert(key, token);
+            if let Some(handle) = result.handle {
+                self.index.insert(key, handle);
             }
             result
         }
@@ -395,7 +392,7 @@ mod tests {
         let mut q = queue(100, 0);
         let res = q.set(key(1), 1_000);
         assert!(!res.admitted);
-        assert_eq!(res.token, None);
+        assert_eq!(res.handle, None);
         assert_eq!(q.queue.len(), 0);
     }
 
@@ -412,7 +409,7 @@ mod tests {
     }
 
     #[test]
-    fn an_item_evicted_by_its_own_insertion_gets_no_token() {
+    fn an_item_evicted_by_its_own_insertion_gets_no_handle() {
         // A mid-queue insertion behind one promoted item, into a budget of
         // one item: making room evicts the newcomer itself.
         let mut q = Keyed::new(QueueConfig {
@@ -425,7 +422,7 @@ mod tests {
         let res = q.set(key(2), 100);
         assert!(res.admitted);
         assert_eq!(res.evicted, vec![key(2)]);
-        assert_eq!(res.token, None);
+        assert_eq!(res.handle, None);
         assert!(q.contains(key(1)) && !q.contains(key(2)));
     }
 
@@ -451,9 +448,9 @@ mod tests {
     fn remove_takes_the_item_out_without_a_shadow_entry() {
         let mut q = queue(10_000, 16);
         q.set(key(1), 10);
-        let token = q.index.remove(&key(1)).unwrap();
-        assert_eq!(q.queue.peek(token), Some((key(1), 58)));
-        assert_eq!(q.queue.remove(token), key(1));
+        let handle = q.index.remove(&key(1)).unwrap();
+        assert_eq!(q.queue.peek(handle), Some((key(1), 58)));
+        assert_eq!(q.queue.remove(handle), key(1));
         assert!(q.queue.is_empty());
         let gone = q.get(key(1));
         assert!(!gone.hit && gone.shadow_hit.is_none());

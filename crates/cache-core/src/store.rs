@@ -13,7 +13,8 @@
 //!   plan); the cache only enforces them.
 
 use crate::key::{ClassId, Key, KeyMap};
-use crate::policy::{PolicyKind, Token};
+use crate::list::NodeHandle;
+use crate::policy::PolicyKind;
 use crate::prefetch::Sweep;
 use crate::queue::{CacheQueue, GetResult, QueueConfig, SetResult};
 use crate::slab::SlabConfig;
@@ -82,11 +83,11 @@ pub struct SlabGetResult {
 }
 
 /// What the cache's one index holds per resident key: where the item is
-/// (its class queue and the token that queue issued) and the value itself.
+/// (its class queue and the handle that queue issued) and the value itself.
 #[derive(Debug)]
 struct Resident<V> {
     class: ClassId,
-    token: Token,
+    handle: NodeHandle,
     value: V,
 }
 
@@ -94,7 +95,7 @@ struct Resident<V> {
 ///
 /// One hash table — Memcached's — maps every resident key to its
 /// `Resident` entry; the per-class queues below it keep eviction order and
-/// bytes and are addressed by token, so a GET hit is one probe.
+/// bytes and are addressed by handle, so a GET hit is one probe.
 #[derive(Debug)]
 pub struct SlabCache<V> {
     config: SlabCacheConfig,
@@ -152,7 +153,7 @@ impl<V> SlabCache<V> {
     pub fn get(&mut self, key: Key, size: u64) -> Option<SlabGetResult> {
         let class = self.class_for_size(size)?;
         let (queues, stats) = (&mut self.queues, &mut self.stats);
-        Some(match self.index.get_mut(&key) {
+        Some(match self.index.get(&key) {
             Some(item) if item.class == class => Self::hit(queues, stats, item),
             _ => Self::miss(queues, stats, key, class),
         })
@@ -174,7 +175,7 @@ impl<V> SlabCache<V> {
 
     fn touch(&mut self, key: Key) -> (SlabGetResult, Option<&V>) {
         let (queues, stats) = (&mut self.queues, &mut self.stats);
-        match self.index.get_mut(&key) {
+        match self.index.get(&key) {
             Some(item) => (Self::hit(queues, stats, item), Some(&item.value)),
             None => {
                 // Only consult the shadow queues when they exist at all.
@@ -187,15 +188,11 @@ impl<V> SlabCache<V> {
         }
     }
 
-    fn hit(
-        queues: &mut [CacheQueue],
-        stats: &mut CacheStats,
-        item: &mut Resident<V>,
-    ) -> SlabGetResult {
+    fn hit(queues: &mut [CacheQueue], stats: &mut CacheStats, item: &Resident<V>) -> SlabGetResult {
         stats.record_get(true);
         SlabGetResult {
             class: item.class,
-            result: queues[item.class.index()].hit(&mut item.token),
+            result: queues[item.class.index()].hit(item.handle),
         }
     }
 
@@ -228,23 +225,23 @@ impl<V> SlabCache<V> {
         // The write replaces whatever copy there is: one in another class
         // leaves its queue now — its index entry stays, for the write to
         // overwrite or remove below — one in this class with its queue's set.
-        let mut old = self.index.get(&key).map(|item| (item.class, item.token));
-        if let Some((old_class, token)) = old.filter(|&(old_class, _)| old_class != class) {
-            self.queues[old_class.index()].remove(token);
+        let mut old = self.index.get(&key).map(|item| (item.class, item.handle));
+        if let Some((old_class, handle)) = old.filter(|&(old_class, _)| old_class != class) {
+            self.queues[old_class.index()].remove(handle);
             old = None;
         }
         let charge = CacheQueue::charge(size);
         if let AllocationMode::FirstComeFirstServe { page_size } = self.config.mode {
             self.grow_class_fcfs(class, charge, page_size);
         }
-        let result = self.queues[class.index()].set(key, size, old.map(|(_, token)| token));
+        let result = self.queues[class.index()].set(key, size, old.map(|(_, handle)| handle));
         self.unindex(&result.evicted);
-        match result.token {
+        match result.handle {
             // Overwrites the old entry where it stands.
-            Some(token) => {
+            Some(handle) => {
                 let item = Resident {
                     class,
-                    token,
+                    handle,
                     value,
                 };
                 self.index.insert(key, item);
@@ -260,7 +257,7 @@ impl<V> SlabCache<V> {
     pub fn delete(&mut self, key: Key) -> bool {
         match self.index.remove(&key) {
             Some(item) => {
-                self.queues[item.class.index()].remove(item.token);
+                self.queues[item.class.index()].remove(item.handle);
                 true
             }
             None => false,
@@ -366,7 +363,7 @@ impl<V> SlabCache<V> {
             return None;
         }
         let item = self.index.get(&key)?;
-        self.queues[item.class.index()].prefetch(item.token, sweep);
+        self.queues[item.class.index()].prefetch(item.handle, sweep);
         Some(&item.value)
     }
 
@@ -385,7 +382,7 @@ impl<V> SlabCache<V> {
     pub fn check_index(&self) -> Result<(), String> {
         let named = self.index.iter().map(|(&key, item)| {
             let queue = &self.queues[item.class.index()];
-            (key, queue.peek(item.token))
+            (key, queue.peek(item.handle))
         });
         let queued = self.queues.iter().map(|q| q.len()).sum();
         crate::queue::check_index(named, (queued, self.used_bytes()))
@@ -400,12 +397,16 @@ mod tests {
         Key::new(i)
     }
 
-    /// What the server's engines pay per resident key in the one index:
-    /// its value is one boxed slice (key, flags and data in one buffer), and
-    /// the slot holding the entry is no larger.
+    /// What the server's plain engine pays per resident key in the one
+    /// index: key 8 + class 4 + handle 4 + the item, one boxed slice (key,
+    /// flags and data in one buffer) of 16 — and the slot holding the entry
+    /// is no larger.
     #[test]
-    fn an_index_entry_holding_one_boxed_item_is_at_most_40_bytes() {
-        assert!(std::mem::size_of::<Option<(Key, Resident<Box<[u8]>>)>>() <= 40);
+    fn an_index_entry_holding_one_boxed_item_is_32_bytes() {
+        assert_eq!(
+            std::mem::size_of::<Option<(Key, Resident<Box<[u8]>>)>>(),
+            32
+        );
     }
 
     fn fcfs_cache(total: u64) -> SlabCache<()> {

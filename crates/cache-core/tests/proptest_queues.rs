@@ -1,8 +1,9 @@
-//! Property-based tests of the queue substrate: the LRU list and the shadow
-//! queue are checked against naive reference models, and the slab cache's
-//! invariants are checked under arbitrary operation sequences.
+//! Property-based tests of the queue substrate: the LRU list, ARC and the
+//! shadow queue are checked against naive reference models, and the slab
+//! cache's invariants are checked under arbitrary operation sequences.
 
 use cache_core::lru::{HitLocation, InsertPosition};
+use cache_core::policy::{ArcList, Policy};
 use cache_core::store::AllocationMode;
 use cache_core::{
     ClassId, GlobalLruCache, Key, LruList, PolicyKind, QueueConfig, ShadowHalf, ShadowQueue,
@@ -77,6 +78,108 @@ impl ModelLru {
     }
 }
 
+/// The operations the ARC model exercise can perform, on 16 keys.
+#[derive(Clone, Debug)]
+enum ArcOp {
+    Insert(u8, u8),
+    Access(u8),
+    OnMiss(u8),
+    Evict,
+    Remove(u8),
+    Forget(u8),
+}
+
+fn arc_op() -> impl Strategy<Value = ArcOp> {
+    let key = || 0..16u8;
+    prop_oneof![
+        (key(), 1..=64u8).prop_map(|(k, w)| ArcOp::Insert(k, w)),
+        key().prop_map(ArcOp::Access),
+        key().prop_map(ArcOp::OnMiss),
+        Just(ArcOp::Evict),
+        key().prop_map(ArcOp::Remove),
+        key().prop_map(ArcOp::Forget),
+    ]
+}
+
+/// A naive reference ARC (Megiddo & Modha's algorithm over an externally
+/// driven eviction): T1 and T2 most recent first, the ghosts B1 and B2
+/// newest first and at most `c` long, `c` the largest resident count seen,
+/// the target `p` of T1, and the keys a ghost hit marked for T2.
+#[derive(Default)]
+struct ModelArc {
+    t1: Vec<(u8, u64)>,
+    t2: Vec<(u8, u64)>,
+    b1: Vec<u8>,
+    b2: Vec<u8>,
+    p: usize,
+    c: usize,
+    marks: std::collections::HashSet<u8>,
+}
+
+/// Takes the first element `hit` picks out of `list`.
+fn take<T: Copy>(list: &mut Vec<T>, hit: impl Fn(&T) -> bool) -> Option<T> {
+    let at = list.iter().position(hit)?;
+    Some(list.remove(at))
+}
+
+impl ModelArc {
+    fn list_of(&self, key: u8) -> Option<ArcList> {
+        let holds = |list: &Vec<(u8, u64)>| list.iter().any(|e| e.0 == key);
+        if holds(&self.t1) {
+            Some(ArcList::T1)
+        } else {
+            holds(&self.t2).then_some(ArcList::T2)
+        }
+    }
+    fn remove(&mut self, key: u8) -> Option<(u8, u64)> {
+        take(&mut self.t1, |e| e.0 == key).or_else(|| take(&mut self.t2, |e| e.0 == key))
+    }
+    fn access(&mut self, key: u8) {
+        if let Some(entry) = self.remove(key) {
+            self.t2.insert(0, entry);
+        }
+    }
+    fn on_miss(&mut self, key: u8) {
+        let (b1, b2) = (self.b1.len().max(1), self.b2.len().max(1));
+        if take(&mut self.b1, |&g| g == key).is_some() {
+            self.p = (self.p + (b2 / b1).max(1)).min(self.c);
+        } else if take(&mut self.b2, |&g| g == key).is_some() {
+            self.p = self.p.saturating_sub((b1 / b2).max(1));
+        } else {
+            return;
+        }
+        self.marks.insert(key);
+    }
+    fn insert(&mut self, key: u8, weight: u64) {
+        let list = if self.marks.remove(&key) {
+            &mut self.t2
+        } else {
+            &mut self.t1
+        };
+        list.insert(0, (key, weight));
+        self.b1.retain(|&g| g != key);
+        self.b2.retain(|&g| g != key);
+        self.c = self.c.max(self.t1.len() + self.t2.len());
+        self.p = self.p.min(self.c);
+    }
+    fn evict(&mut self) -> Option<(u8, u64)> {
+        let from_t1 = !self.t1.is_empty() && (self.t2.is_empty() || self.t1.len() > self.p);
+        let (list, ghosts) = if from_t1 {
+            (&mut self.t1, &mut self.b1)
+        } else {
+            (&mut self.t2, &mut self.b2)
+        };
+        let victim = list.pop()?;
+        ghosts.insert(0, victim.0);
+        ghosts.truncate(self.c);
+        Some(victim)
+    }
+    fn len_and_weight(&self) -> (usize, u64) {
+        let resident = self.t1.iter().chain(&self.t2);
+        (resident.clone().count(), resident.map(|&(_, w)| w).sum())
+    }
+}
+
 /// Cases per property: 128 per push, `PROPTEST_CASES` overrides (nightly.yml
 /// runs 20 x that).
 fn cases() -> u32 {
@@ -138,6 +241,62 @@ proptest! {
             prop_assert_eq!(real.total_weight(), model.total_weight());
             for (&k, &handle) in &handles {
                 prop_assert_eq!(real.get(handle).map(|(key, _)| key), Some(Key::new(k as u64)));
+            }
+        }
+    }
+
+    /// ARC — T1 and T2 in one arena, each node tagged with its list — is
+    /// its naive model under any sequence: the same victim on every
+    /// eviction, every handle naming its key in the model's list, the same
+    /// length and total weight after every step. The test plays the
+    /// engine's part: it keeps the handles and removes a key's old copy
+    /// before inserting it again.
+    #[test]
+    fn arc_matches_reference_model(ops in prop::collection::vec(arc_op(), 1..400)) {
+        let mut real = Policy::new(PolicyKind::Arc, 0);
+        let mut handles = std::collections::HashMap::new();
+        let mut model = ModelArc::default();
+        for op in ops {
+            match op {
+                ArcOp::Insert(k, w) => {
+                    if let Some(old) = handles.remove(&k) {
+                        real.remove(old);
+                        model.remove(k);
+                    }
+                    handles.insert(k, real.insert(Key::new(k as u64), w as u64));
+                    model.insert(k, w as u64);
+                }
+                ArcOp::Access(k) => {
+                    if let Some(&handle) = handles.get(&k) {
+                        real.access(handle);
+                        model.access(k);
+                    }
+                }
+                ArcOp::OnMiss(k) => {
+                    real.on_miss(Key::new(k as u64));
+                    model.on_miss(k);
+                }
+                ArcOp::Evict => {
+                    let victim = real.evict().map(|(k, w)| (k.raw() as u8, w));
+                    if let Some((k, _)) = victim {
+                        handles.remove(&k);
+                    }
+                    prop_assert_eq!(victim, model.evict());
+                }
+                ArcOp::Remove(k) => {
+                    let removed = handles.remove(&k).map(|handle| real.remove(handle));
+                    prop_assert_eq!(removed, model.remove(k).map(|(k, w)| (Key::new(k as u64), w)));
+                }
+                ArcOp::Forget(k) => {
+                    real.forget(Key::new(k as u64));
+                    model.marks.remove(&k);
+                }
+            }
+            prop_assert_eq!((real.len(), real.total_weight()), model.len_and_weight());
+            let Policy::Arc(arc) = &real else { unreachable!() };
+            for (&k, &handle) in &handles {
+                prop_assert_eq!(real.peek(handle).map(|(key, _)| key), Some(Key::new(k as u64)));
+                prop_assert_eq!(arc.list(handle), model.list_of(k));
             }
         }
     }
@@ -238,7 +397,7 @@ proptest! {
 
     /// The slab cache's one index and its class queues never disagree,
     /// under every policy and allocation mode: as many entries as queued
-    /// items, every token naming a node that holds its key in its class,
+    /// items, every handle naming a node that holds its key in its class,
     /// bytes in use equal to those nodes' weights — across overwrites that
     /// change class, rejected writes, deletes and eager target shrinks.
     #[test]
@@ -275,7 +434,7 @@ proptest! {
                 }
                 2 | 3 => {
                     let (class, result) = cache.set(key, size, step as u64).expect("sizes fit a class");
-                    prop_assert_eq!(result.token.is_some(), cache.value(key).is_some());
+                    prop_assert_eq!(result.handle.is_some(), cache.value(key).is_some());
                     if let Some(&held) = cache.value(key) {
                         prop_assert_eq!(held, step as u64);
                         prop_assert_eq!(cache.class_of(key), Some(class));

@@ -8,7 +8,7 @@
 //! run purely on local signals, per request, with no profiling phase.
 //!
 //! The cache has one hash table, as Memcached has: every resident key maps
-//! to its class, the partition holding it, the token that partition's queue
+//! to its class, the partition holding it, the handle that partition's queue
 //! issued, and the value. The queues below hold order and bytes only, so a
 //! GET hit is one probe of that table plus a relink in one queue, and the
 //! table is changed in one place per path: a SET writes the slot the queue
@@ -20,7 +20,7 @@ use crate::hill_climb::HillClimber;
 use crate::partitioned_queue::{Partition, PartitionedQueue, PartitionedQueueConfig, QueueEvent};
 use cache_core::key::KeyMap;
 use cache_core::prefetch::Sweep;
-use cache_core::{CacheStats, ClassId, Footprint, Key, Token};
+use cache_core::{CacheStats, ClassId, Footprint, Key, NodeHandle};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -54,7 +54,7 @@ pub struct ClassSnapshot {
 struct Resident<V> {
     class: ClassId,
     side: Partition,
-    token: Token,
+    handle: NodeHandle,
     value: V,
 }
 
@@ -233,7 +233,7 @@ impl<V> Cliffhanger<V> {
     /// value. A miss without a class is counted here, since nothing else
     /// will see it; a miss in a known class is the caller's to classify.
     fn touch(&mut self, key: Key, only: Option<ClassId>) -> Option<(ClassId, QueueEvent, &V)> {
-        let found = self.index.get_mut(&key);
+        let found = self.index.get(&key);
         let Some(item) = found.filter(|item| only.map_or(true, |class| class == item.class)) else {
             if only.is_none() {
                 self.stats.record_get(false);
@@ -241,7 +241,7 @@ impl<V> Cliffhanger<V> {
             return None;
         };
         let idx = item.class.index();
-        let event = self.queues[idx].hit(item.side, &mut item.token);
+        let event = self.queues[idx].hit(item.side, item.handle);
         self.stats.record_get(true);
         if event.tail_hit {
             // Only pointer events (tail / cliff-shadow hits) can move the
@@ -370,13 +370,13 @@ impl<V> Cliffhanger<V> {
         let mut old = self
             .index
             .get(&key)
-            .map(|item| (item.class, item.side, item.token));
-        if let Some((old_class, side, token)) = old.filter(|&(old_class, ..)| old_class != class) {
-            self.queues[old_class.index()].remove(side, token);
+            .map(|item| (item.class, item.side, item.handle));
+        if let Some((old_class, side, handle)) = old.filter(|&(old_class, ..)| old_class != class) {
+            self.queues[old_class.index()].remove(side, handle);
             old = None;
         }
         self.grant_from_free_pool(class, size);
-        let replaced = old.map(|(_, side, token)| (side, token));
+        let replaced = old.map(|(_, side, handle)| (side, handle));
         let outcome = self.queues[class.index()].set(key, size, replaced);
         if outcome.hill_shadow_hit {
             self.stats.shadow_hits += 1;
@@ -392,11 +392,11 @@ impl<V> Cliffhanger<V> {
         }
         match outcome.slot {
             // Overwrites the old entry where it stands.
-            Some((side, token)) => {
+            Some((side, handle)) => {
                 let item = Resident {
                     class,
                     side,
-                    token,
+                    handle,
                     value,
                 };
                 self.index.insert(key, item);
@@ -412,7 +412,7 @@ impl<V> Cliffhanger<V> {
     pub fn delete(&mut self, key: Key) -> bool {
         match self.index.remove(&key) {
             Some(item) => {
-                self.queues[item.class.index()].remove(item.side, item.token);
+                self.queues[item.class.index()].remove(item.side, item.handle);
                 true
             }
             None => false,
@@ -434,7 +434,7 @@ impl<V> Cliffhanger<V> {
             return None;
         }
         let item = self.index.get(&key)?;
-        self.queues[item.class.index()].prefetch(item.side, item.token, sweep);
+        self.queues[item.class.index()].prefetch(item.side, item.handle, sweep);
         Some(&item.value)
     }
 
@@ -596,14 +596,14 @@ impl<V> Cliffhanger<V> {
         footprint
     }
 
-    /// Checks the index against the queues: every entry's token names a
+    /// Checks the index against the queues: every entry's handle names a
     /// node holding that key on that class and side, there are as many
     /// entries as queued items, and the bytes in use are those nodes'.
     #[doc(hidden)]
     pub fn check_index(&self) -> Result<(), String> {
         let named = self.index.iter().map(|(&key, item)| {
             let queue = &self.queues[item.class.index()];
-            (key, queue.peek(item.side, item.token))
+            (key, queue.peek(item.side, item.handle))
         });
         let queued = self.queues.iter().map(|q| q.len()).sum();
         cache_core::queue::check_index(named, (queued, self.used_bytes()))
@@ -619,9 +619,11 @@ mod tests {
         Key::new(i)
     }
 
-    /// What the server's engines pay per resident key in the one index:
-    /// its value is one boxed slice (key, flags and data in one buffer), and
-    /// the slot holding the entry is no larger.
+    /// What the server's managed engine pays per resident key in the one
+    /// index: key 8 + class 4 + handle 4 + the item, one boxed slice (key,
+    /// flags and data in one buffer) of 16, is 32 — and the partition side's
+    /// byte pads the entry to the item's 8-byte alignment, back to 40. The
+    /// slot holding the entry is no larger.
     #[test]
     fn an_index_entry_holding_one_boxed_item_is_at_most_40_bytes() {
         assert!(std::mem::size_of::<Option<(Key, Resident<Box<[u8]>>)>>() <= 40);

@@ -12,7 +12,7 @@
 //! Like the [`CacheQueue`]s it is made of, a partitioned queue keeps order
 //! and bytes and no index: the [`crate::Cliffhanger`] above it looks a key
 //! up once, and tells the queue either "the item on this side, under this
-//! token, was hit" ([`PartitionedQueue::hit`]) or "this key is not here"
+//! handle, was hit" ([`PartitionedQueue::hit`]) or "this key is not here"
 //! ([`PartitionedQueue::miss`]). Only the shadow queues, which hold keys of
 //! items that are gone, are searched by key.
 //!
@@ -29,7 +29,7 @@ use cache_core::key::mix64;
 use cache_core::lru::HitLocation;
 use cache_core::prefetch::Sweep;
 use cache_core::{
-    CacheQueue, CacheStats, Footprint, Key, PolicyKind, QueueConfig, ShadowQueue, Token,
+    CacheQueue, CacheStats, Footprint, Key, NodeHandle, PolicyKind, QueueConfig, ShadowQueue,
 };
 
 /// Which physical sub-queue a request was routed to.
@@ -77,7 +77,7 @@ pub struct SetOutcome {
     pub hill_shadow_hit: bool,
     /// Where the item now sits, for the caller's index: `None` if it was
     /// not admitted or did not survive its own insertion.
-    pub slot: Option<(Partition, Token)>,
+    pub slot: Option<(Partition, NodeHandle)>,
 }
 
 /// Static parameters of a partitioned queue (derived per slab class by the
@@ -208,20 +208,20 @@ impl PartitionedQueue {
         self.len() == 0
     }
 
-    /// The key and charge of the item `token` names on `side`, if any.
-    pub fn peek(&self, side: Partition, token: Token) -> Option<(Key, u64)> {
+    /// The key and charge of the item `handle` names on `side`, if any.
+    pub fn peek(&self, side: Partition, handle: NodeHandle) -> Option<(Key, u64)> {
         match side {
-            Partition::Left => self.left.peek(token),
-            Partition::Right => self.right.peek(token),
+            Partition::Left => self.left.peek(handle),
+            Partition::Right => self.right.peek(handle),
         }
     }
 
-    /// One read-only sweep ahead of a hit on, or a removal of, `token` on
+    /// One read-only sweep ahead of a hit on, or a removal of, `handle` on
     /// `side` (see [`cache_core::prefetch`]).
-    pub fn prefetch(&self, side: Partition, token: Token, sweep: Sweep) {
+    pub fn prefetch(&self, side: Partition, handle: NodeHandle, sweep: Sweep) {
         match side {
-            Partition::Left => self.left.prefetch(token, sweep),
-            Partition::Right => self.right.prefetch(token, sweep),
+            Partition::Left => self.left.prefetch(handle, sweep),
+            Partition::Right => self.right.prefetch(handle, sweep),
         }
     }
 
@@ -319,13 +319,13 @@ impl PartitionedQueue {
         }
     }
 
-    /// Records a GET of the resident item `token` names on `side`. Lookups
+    /// Records a GET of the resident item `handle` names on `side`. Lookups
     /// behave like Memcached's hash table: the caller's index finds a
     /// resident item no matter which partition stores it (the partitioning
     /// only steers insertions and evictions), and the partition holding the
     /// item is the one whose tail region produces the signal.
-    pub fn hit(&mut self, side: Partition, token: &mut Token) -> QueueEvent {
-        let result = self.side_mut(side).hit(token);
+    pub fn hit(&mut self, side: Partition, handle: NodeHandle) -> QueueEvent {
+        let result = self.side_mut(side).hit(handle);
         self.classify(QueueEvent {
             hit: true,
             partition: side,
@@ -417,7 +417,12 @@ impl PartitionedQueue {
     /// classifies it now: the cliff scaler is updated and the outcome
     /// reports the hill-climbing signal. A GET that already probed the
     /// shadow queues removed the key, so the signal is never counted twice.
-    pub fn set(&mut self, key: Key, size: u64, mut old: Option<(Partition, Token)>) -> SetOutcome {
+    pub fn set(
+        &mut self,
+        key: Key,
+        size: u64,
+        mut old: Option<(Partition, NodeHandle)>,
+    ) -> SetOutcome {
         self.stats.record_set();
         // Deferred shadow classification.
         let shadow = self.probe_shadows(key, [Partition::Left, Partition::Right]);
@@ -462,11 +467,11 @@ impl PartitionedQueue {
         // Neither a copy on the other side nor what that side's policy
         // remembers about the key must outlive the write.
         let replaced = match old {
-            Some((side, token)) if side != partition => {
-                other.remove(token);
+            Some((side, handle)) if side != partition => {
+                other.remove(handle);
                 None
             }
-            same_side => same_side.map(|(_, token)| token),
+            same_side => same_side.map(|(_, handle)| handle),
         };
         other.forget(key);
         let result = queue.set(key, size, replaced);
@@ -477,15 +482,15 @@ impl PartitionedQueue {
         }
         self.stats.record_evictions(result.evicted.len() as u64);
         outcome.admitted = result.admitted;
-        outcome.slot = result.token.map(|token| (partition, token));
+        outcome.slot = result.handle.map(|handle| (partition, handle));
         outcome.evicted.extend(result.evicted);
         outcome
     }
 
-    /// Removes the item `token` names on `side` (a DELETE, or a copy a write
-    /// elsewhere supersedes); its key does not enter the shadow queues.
-    pub fn remove(&mut self, side: Partition, token: Token) {
-        let key = self.side_mut(side).remove(token);
+    /// Removes the item `handle` names on `side` (a DELETE, or a copy a
+    /// write elsewhere supersedes); its key does not enter the shadow queues.
+    pub fn remove(&mut self, side: Partition, handle: NodeHandle) {
+        let key = self.side_mut(side).remove(handle);
         // Either side's policy may have marked the key on an earlier miss.
         self.left.forget(key);
         self.right.forget(key);
@@ -561,7 +566,7 @@ mod tests {
     /// A partitioned queue with the index its owner keeps for it.
     struct Keyed {
         queue: PartitionedQueue,
-        index: KeyMap<(Partition, Token)>,
+        index: KeyMap<(Partition, NodeHandle)>,
     }
 
     impl Keyed {
@@ -573,8 +578,8 @@ mod tests {
         }
 
         fn get(&mut self, key: Key) -> QueueEvent {
-            match self.index.get_mut(&key) {
-                Some((side, token)) => self.queue.hit(*side, token),
+            match self.index.get(&key) {
+                Some(&(side, handle)) => self.queue.hit(side, handle),
                 None => self.queue.miss(key),
             }
         }
@@ -813,9 +818,9 @@ mod tests {
         for i in 0..20 {
             q.set(key(i), 10);
         }
-        let (side, token) = q.index.remove(&key(3)).unwrap();
-        assert_eq!(q.peek(side, token), Some((key(3), 58)));
-        q.remove(side, token);
+        let (side, handle) = q.index.remove(&key(3)).unwrap();
+        assert_eq!(q.peek(side, handle), Some((key(3), 58)));
+        q.remove(side, handle);
         assert_eq!(q.len(), 19);
         assert!(!q.get(key(3)).hit);
     }
@@ -841,8 +846,8 @@ mod tests {
             }
         }
         assert!(q.used_bytes() <= 2_000 * 100);
-        for (&k, &(side, token)) in q.index.iter() {
-            assert_eq!(q.peek(side, token), Some((k, 100)));
+        for (&k, &(side, handle)) in q.index.iter() {
+            assert_eq!(q.peek(side, handle), Some((k, 100)));
         }
     }
 

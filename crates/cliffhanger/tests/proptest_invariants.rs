@@ -284,8 +284,8 @@ proptest! {
         let mut index = KeyMap::default();
         for k in keys {
             let key = Key::new(k as u64);
-            let hit = match index.get_mut(&key) {
-                Some((side, token)) => queue.hit(*side, token).hit,
+            let hit = match index.get(&key) {
+                Some((side, token)) => queue.hit(*side, *token).hit,
                 None => queue.miss(key).hit,
             };
             if !hit {
@@ -305,9 +305,9 @@ proptest! {
 
     /// The engine's one index and its queues never disagree: after every
     /// operation there are as many entries as queued items, every entry's
-    /// token names a node holding that key on that class and side, and the
+    /// handle names a node holding that key on that class and side, and the
     /// bytes in use are those nodes' weights — under every policy (ARC
-    /// rewrites a token when a hit moves the item to its other list),
+    /// retags a node when a hit moves the item to its other list),
     /// class-changing overwrites, deletes and outer budget moves.
     #[test]
     fn cliffhanger_index_matches_its_queues(
