@@ -149,7 +149,7 @@ mod tests {
         // Early keys were evicted; they should register as shadow hits.
         let res = c.get(key(0));
         assert!(!res.hit);
-        assert!(res.shadow_hit.is_some());
+        assert!(res.shadow_hit);
     }
 
     #[test]

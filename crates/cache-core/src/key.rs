@@ -759,7 +759,7 @@ mod tests {
                 shadowed.set(Key::new(key), 60, 10);
             }
             let (hashed, got) = hashed_by(|| shadowed.get_untyped(Key::new(1)));
-            assert!(got.result.shadow_hit.is_some());
+            assert!(got.result.shadow_hit);
             assert_eq!(hashed, 3, "the index, one shadow's `contains`, its `probe`");
         }
 

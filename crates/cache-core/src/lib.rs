@@ -6,8 +6,8 @@
 //!
 //! The crate is deliberately independent of the allocation algorithms in the
 //! [`cliffhanger`](../cliffhanger/index.html) crate: it exposes the queue
-//! primitives (physical eviction queues with byte budgets, shadow queues with
-//! half-classification, slab-class sizing, per-queue statistics) and two cache
+//! primitives (physical eviction queues with byte budgets, shadow queues read
+//! at two depths, slab-class sizing, per-queue statistics) and two cache
 //! organisations (slab-class caches and a global-LRU / log-structured cache),
 //! while *who gets how much memory* is decided by an external allocator.
 //!
@@ -19,8 +19,8 @@
 //! * [`lru`] — an LRU list with O(1) access/insert/evict, byte weights and an
 //!   exactly-maintained *tail region* (the "last k items" the cliff-scaling
 //!   algorithm needs to observe).
-//! * [`shadow`] — key-only shadow queues with half-classification (older/newer
-//!   half), the paper's central measurement device.
+//! * [`shadow`] — key-only shadow queues, a near segment in front of a far
+//!   one (the cliff and hill shadows), the paper's central measurement device.
 //! * [`slab`] — Memcached-style slab-class geometry.
 //! * [`policy`] — eviction policies as one [`policy::Policy`] enum: LRU and
 //!   the Facebook mid-queue insertion scheme (one [`LruList`] each,
@@ -58,7 +58,7 @@ pub use list::NodeHandle;
 pub use lru::{HitLocation, LruList};
 pub use policy::PolicyKind;
 pub use queue::{CacheQueue, GetResult, QueueConfig, SetResult};
-pub use shadow::{ShadowHalf, ShadowHit, ShadowQueue};
+pub use shadow::{Segment, ShadowQueue};
 pub use slab::SlabConfig;
 pub use stats::{CacheStats, Footprint, HitRatio};
 pub use store::{SlabCache, SlabCacheConfig};

@@ -21,7 +21,7 @@ use crate::list::NodeHandle;
 use crate::lru::HitLocation;
 use crate::policy::{Policy, PolicyKind};
 use crate::prefetch::Sweep;
-use crate::shadow::{ShadowHit, ShadowQueue};
+use crate::shadow::ShadowQueue;
 use crate::stats::{CacheStats, Footprint};
 use crate::ITEM_OVERHEAD;
 
@@ -66,9 +66,9 @@ pub struct GetResult {
     pub hit: bool,
     /// Where the hit landed (only for policies with tail-region support).
     pub location: Option<HitLocation>,
-    /// If the request missed the physical queue, whether it hit the shadow
-    /// queue and in which half.
-    pub shadow_hit: Option<ShadowHit>,
+    /// Whether the request missed the physical queue and hit the shadow
+    /// queue.
+    pub shadow_hit: bool,
 }
 
 /// Outcome of a SET against a [`CacheQueue`].
@@ -119,7 +119,7 @@ impl CacheQueue {
         GetResult {
             hit: true,
             location: Some(location),
-            shadow_hit: None,
+            shadow_hit: false,
         }
     }
 
@@ -128,11 +128,9 @@ impl CacheQueue {
     /// statistics see the miss.
     pub fn miss(&mut self, key: Key) -> GetResult {
         self.policy.on_miss(key);
-        let shadow_hit = self.shadow.probe(key);
+        let shadow_hit = self.shadow.probe(key).is_some();
         self.stats.record_get(false);
-        if shadow_hit.is_some() {
-            self.stats.shadow_hits += 1;
-        }
+        self.stats.shadow_hits += u64::from(shadow_hit);
         GetResult {
             hit: false,
             location: None,
@@ -380,11 +378,11 @@ mod tests {
         // Key 0 was evicted; a GET on it must report a shadow hit.
         let result = q.get(key(0));
         assert!(!result.hit);
-        assert!(result.shadow_hit.is_some());
+        assert!(result.shadow_hit);
         assert_eq!(q.queue.stats().shadow_hits, 1);
         // A completely cold key misses both.
         let cold = q.get(key(77));
-        assert!(!cold.hit && cold.shadow_hit.is_none());
+        assert!(!cold.hit && !cold.shadow_hit);
     }
 
     #[test]
@@ -453,7 +451,7 @@ mod tests {
         assert_eq!(q.queue.remove(handle), key(1));
         assert!(q.queue.is_empty());
         let gone = q.get(key(1));
-        assert!(!gone.hit && gone.shadow_hit.is_none());
+        assert!(!gone.hit && !gone.shadow_hit);
     }
 
     #[test]

@@ -8,78 +8,68 @@
 //! of shadow hits therefore approximates the local gradient of the hit-rate
 //! curve, which is all the hill-climbing algorithm needs.
 //!
-//! For the cliff-scaling algorithm the shadow queue is additionally split
-//! into a *left half* (the more recent evictions, adjacent to the physical
-//! queue) and a *right half* (older evictions, farther along the hit-rate
-//! curve); which half a hit lands in approximates the sign of the second
-//! derivative (paper §4.2, Algorithm 2).
+//! Cliffhanger reads one shadow queue at two depths (paper §5.1, Figure 5):
+//! a short **near** segment right behind the physical queue (the cliff
+//! shadow: a hit there is hit mass just beyond the queue, Algorithm 2) and,
+//! appended to it, a long **far** segment (the hill-climbing shadow,
+//! Algorithm 1). A key enters at the front of the near segment, moves to the
+//! front of the far segment once the near one overflows, and falls off the
+//! far end; it never moves back. A queue with no far segment is a plain
+//! shadow queue (a physical queue's own, ARC's ghost lists).
 
 use crate::key::{Key, KeyMap};
 use crate::list::{LinkedArena, NodeHandle};
 
-/// Which half of a shadow queue a hit landed in.
-///
-/// `Left` is the half adjacent to the physical queue (most recent evictions);
-/// `Right` is the farther half. These names follow Algorithm 2 in the paper,
-/// where a hit in the *right* half of the right shadow queue pushes the right
-/// pointer further right (towards larger simulated queues).
+/// Which segment of a shadow queue held a key.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ShadowHalf {
-    /// The more recent (nearer) half.
-    Left,
-    /// The older (farther) half.
-    Right,
-}
-
-/// Outcome of probing a shadow queue.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ShadowHit {
-    /// Which half of the queue the key was found in.
-    pub half: ShadowHalf,
-    /// Approximate distance (in entries, counted from the physical queue)
-    /// at which the key was found: 0-based index of the half boundary the
-    /// key fell into. `0` for the left half, `capacity / 2` for the right.
-    pub depth_hint: usize,
+pub enum Segment {
+    /// The fixed-capacity segment right behind the physical queue.
+    Near,
+    /// The segment the near one overflows into.
+    Far,
 }
 
 #[derive(Clone, Copy, Debug)]
 struct Ghost {
     key: Key,
-    half: ShadowHalf,
+    segment: Segment,
 }
 
-/// A fixed-capacity, key-only LRU queue with exact half classification.
+/// A key-only LRU queue: a near segment in front of a far segment.
 ///
-/// The queue is one list, newest first, whose nodes are tagged left (newer)
-/// or right (older); the boundary is kept at `ceil(len / 2)` by retagging
-/// the node next to it, so half membership is exact at all times and the
-/// key index (a shadow queue is looked up by key: its keys are resident
-/// nowhere else) is touched only for the key an operation names.
+/// The queue is one list, newest first, whose nodes are tagged with their
+/// segment; every near node precedes every far node, so overflowing the near
+/// segment retags one node at the boundary, and the key index (a shadow
+/// queue is looked up by key: its keys are resident nowhere else) is touched
+/// only for the key an operation names and the key falling off the end.
 #[derive(Debug)]
 pub struct ShadowQueue {
     nodes: LinkedArena<Ghost>,
-    /// First node of the right half (`None` while it is empty).
-    right_head: Option<NodeHandle>,
-    left_len: usize,
+    /// First node of the far segment (`None` while it is empty).
+    far_head: Option<NodeHandle>,
+    near_len: usize,
+    near_capacity: usize,
+    far_capacity: usize,
     index: KeyMap<NodeHandle>,
-    capacity: usize,
 }
 
 impl ShadowQueue {
-    /// Creates a shadow queue holding at most `capacity` keys.
+    /// Creates a shadow queue whose near segment holds at most `capacity`
+    /// keys, with no far segment.
     pub fn new(capacity: usize) -> Self {
         ShadowQueue {
             nodes: LinkedArena::new(),
-            right_head: None,
-            left_len: 0,
+            far_head: None,
+            near_len: 0,
+            near_capacity: capacity,
+            far_capacity: 0,
             index: KeyMap::default(),
-            capacity,
         }
     }
 
-    /// Maximum number of keys retained.
+    /// Maximum number of keys retained, both segments together.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.near_capacity + self.far_capacity
     }
 
     /// Heap bytes of the queue's arena and key index.
@@ -102,55 +92,45 @@ impl ShadowQueue {
         self.index.contains_key(&key)
     }
 
-    /// Changes the capacity, evicting the oldest keys if necessary.
+    /// Changes the near segment's capacity; what no longer fits moves to
+    /// the far segment.
     pub fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity;
+        self.near_capacity = capacity;
         self.enforce_capacity();
-        self.rebalance();
     }
 
-    /// Inserts a key evicted from the physical queue at the front (most
-    /// recent end). If the key is already present it is refreshed. Returns
-    /// the key that fell off the far end, if any.
-    pub fn insert(&mut self, key: Key) -> Option<Key> {
-        if self.capacity == 0 {
-            return None;
+    /// Changes the far segment's capacity, dropping its oldest keys if
+    /// necessary.
+    pub fn set_far_capacity(&mut self, capacity: usize) {
+        self.far_capacity = capacity;
+        self.enforce_capacity();
+    }
+
+    /// Inserts a key evicted from the physical queue at the front of the
+    /// near segment, taking it out of wherever the queue held it before.
+    pub fn insert(&mut self, key: Key) {
+        if self.capacity() == 0 {
+            return;
         }
-        let half = ShadowHalf::Left;
-        let handle = self.nodes.push_front(Ghost { key, half });
-        self.left_len += 1;
+        let segment = Segment::Near;
+        let handle = self.nodes.push_front(Ghost { key, segment });
+        self.near_len += 1;
         if let Some(stale) = self.index.insert(key, handle) {
             self.unlink(stale);
         }
-        let evicted = self.enforce_capacity();
-        self.rebalance();
-        evicted
+        self.enforce_capacity();
     }
 
     /// Probes the shadow queue for `key`. On a hit the key is removed (it is
     /// about to be re-admitted to the physical queue by the caller) and the
-    /// half it was found in is reported.
-    pub fn probe(&mut self, key: Key) -> Option<ShadowHit> {
+    /// segment it was found in is reported.
+    pub fn probe(&mut self, key: Key) -> Option<Segment> {
         // An empty queue (every capacity-0 one) costs a lookup no hash.
         if self.index.is_empty() {
             return None;
         }
         let handle = self.index.remove(&key)?;
-        let half = self.unlink(handle);
-        self.rebalance();
-        Some(ShadowHit {
-            half,
-            depth_hint: match half {
-                ShadowHalf::Left => 0,
-                ShadowHalf::Right => self.capacity / 2,
-            },
-        })
-    }
-
-    /// Looks up `key` without removing it.
-    pub fn peek(&self, key: Key) -> Option<ShadowHalf> {
-        let handle = self.index.get(&key)?;
-        self.nodes.get(*handle).map(|ghost| ghost.half)
+        Some(self.unlink(handle).segment)
     }
 
     /// Removes `key` if present (used when the physical queue re-admits a key
@@ -159,60 +139,45 @@ impl ShadowQueue {
         self.probe(key).is_some()
     }
 
-    /// Iterates over keys from most to least recently evicted.
-    pub fn iter(&self) -> impl Iterator<Item = Key> + '_ {
-        self.nodes.iter().map(|ghost| ghost.key)
+    /// Iterates over keys and their segments from most to least recently
+    /// evicted.
+    pub fn iter(&self) -> impl Iterator<Item = (Key, Segment)> + '_ {
+        self.nodes.iter().map(|ghost| (ghost.key, ghost.segment))
     }
 
-    /// Takes the node at `handle` off the list and out of its half's books.
-    fn unlink(&mut self, handle: NodeHandle) -> ShadowHalf {
-        if self.right_head == Some(handle) {
-            self.right_head = self.nodes.next(handle);
+    /// Takes the node at `handle` off the list and out of its segment's
+    /// books.
+    fn unlink(&mut self, handle: NodeHandle) -> Ghost {
+        if self.far_head == Some(handle) {
+            self.far_head = self.nodes.next(handle);
         }
         let ghost = self.nodes.remove(handle);
-        if ghost.half == ShadowHalf::Left {
-            self.left_len -= 1;
+        if ghost.segment == Segment::Near {
+            self.near_len -= 1;
         }
-        ghost.half
+        ghost
     }
 
-    fn enforce_capacity(&mut self) -> Option<Key> {
-        let mut last_evicted = None;
-        while self.index.len() > self.capacity {
-            let oldest = self.nodes.back().expect("over capacity implies non-empty");
-            let key = self.nodes.get(oldest).expect("back is live").key;
-            self.unlink(oldest);
-            self.index.remove(&key);
-            last_evicted = Some(key);
-        }
-        last_evicted
-    }
-
-    /// Moves the boundary until the left half holds `ceil(len / 2)` keys.
-    fn rebalance(&mut self) {
-        let left_target = self.index.len().div_ceil(2);
-        while self.left_len > left_target {
-            // The left half's last node becomes the right half's first.
-            let node = match self.right_head {
+    /// Moves the near segment's overflow to the front of the far segment,
+    /// then drops the far segment's overflow off the end.
+    fn enforce_capacity(&mut self) {
+        while self.near_len > self.near_capacity {
+            // The near segment's last node becomes the far segment's first.
+            let last = match self.far_head {
                 Some(first) => self.nodes.prev(first),
                 None => self.nodes.back(),
             }
-            .expect("left half non-empty");
-            self.retag(node, ShadowHalf::Right);
-            self.right_head = Some(node);
-            self.left_len -= 1;
+            .expect("near segment non-empty");
+            if let Some(ghost) = self.nodes.get_mut(last) {
+                ghost.segment = Segment::Far;
+            }
+            self.far_head = Some(last);
+            self.near_len -= 1;
         }
-        while self.left_len < left_target {
-            let node = self.right_head.expect("right half non-empty");
-            self.retag(node, ShadowHalf::Left);
-            self.right_head = self.nodes.next(node);
-            self.left_len += 1;
-        }
-    }
-
-    fn retag(&mut self, node: NodeHandle, half: ShadowHalf) {
-        if let Some(ghost) = self.nodes.get_mut(node) {
-            ghost.half = half;
+        while self.index.len() - self.near_len > self.far_capacity {
+            let oldest = self.nodes.back().expect("far segment non-empty");
+            let ghost = self.unlink(oldest);
+            self.index.remove(&ghost.key);
         }
     }
 }
@@ -225,69 +190,71 @@ mod tests {
         Key::new(i)
     }
 
+    /// A queue of `near` + `far` keys.
+    fn segmented(near: usize, far: usize) -> ShadowQueue {
+        let mut q = ShadowQueue::new(near);
+        q.set_far_capacity(far);
+        q
+    }
+
+    /// The queue's keys, newest first, with `N` or `F` for their segment.
+    fn contents(q: &ShadowQueue) -> Vec<(u64, char)> {
+        q.iter()
+            .map(|(k, segment)| (k.raw(), if segment == Segment::Near { 'N' } else { 'F' }))
+            .collect()
+    }
+
     #[test]
     fn insert_and_probe() {
         let mut q = ShadowQueue::new(4);
         q.insert(key(1));
         q.insert(key(2));
         assert!(q.contains(key(1)));
-        // Halves are relative to the current contents: key 2 is the newer
-        // half, key 1 the older half.
-        let hit = q.probe(key(1)).unwrap();
-        assert_eq!(hit.half, ShadowHalf::Right);
-        let hit = q.probe(key(2)).unwrap();
-        assert_eq!(hit.half, ShadowHalf::Left);
+        assert_eq!(q.probe(key(1)), Some(Segment::Near));
         // Probe removes the key.
         assert!(!q.contains(key(1)));
         assert!(q.probe(key(1)).is_none());
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
-    fn capacity_evicts_oldest() {
-        let mut q = ShadowQueue::new(3);
-        q.insert(key(1));
-        q.insert(key(2));
-        q.insert(key(3));
-        let evicted = q.insert(key(4));
-        assert_eq!(evicted, Some(key(1)));
-        assert_eq!(q.len(), 3);
-        assert!(!q.contains(key(1)));
-        assert!(q.contains(key(2)));
-    }
-
-    #[test]
-    fn halves_are_exact() {
-        let mut q = ShadowQueue::new(8);
-        for i in 0..8 {
+    fn the_near_segment_overflows_into_the_far_one() {
+        let mut q = segmented(2, 3);
+        for i in 0..7 {
             q.insert(key(i));
         }
-        // Recency order (newest first): 7,6,5,4 | 3,2,1,0
-        assert_eq!(q.peek(key(7)), Some(ShadowHalf::Left));
-        assert_eq!(q.peek(key(4)), Some(ShadowHalf::Left));
-        assert_eq!(q.peek(key(3)), Some(ShadowHalf::Right));
-        assert_eq!(q.peek(key(0)), Some(ShadowHalf::Right));
+        // 6 and 5 are near; 4, 3, 2 far; 1 and 0 fell off the end.
+        let expected = [(6, 'N'), (5, 'N'), (4, 'F'), (3, 'F'), (2, 'F')];
+        assert_eq!(contents(&q), expected);
+        assert_eq!(q.probe(key(5)), Some(Segment::Near));
+        assert_eq!(q.probe(key(3)), Some(Segment::Far));
+        assert_eq!(q.probe(key(1)), None);
     }
 
     #[test]
-    fn odd_lengths_put_extra_in_left() {
-        let mut q = ShadowQueue::new(10);
-        for i in 0..5 {
-            q.insert(key(i));
-        }
-        // Order: 4,3,2 | 1,0 (left holds ceil(5/2) = 3).
-        assert_eq!(q.peek(key(2)), Some(ShadowHalf::Left));
-        assert_eq!(q.peek(key(1)), Some(ShadowHalf::Right));
-    }
-
-    #[test]
-    fn probe_reports_right_half() {
-        let mut q = ShadowQueue::new(4);
+    fn a_far_key_never_moves_back() {
+        let mut q = segmented(2, 4);
         for i in 0..4 {
             q.insert(key(i));
         }
-        let hit = q.probe(key(0)).unwrap();
-        assert_eq!(hit.half, ShadowHalf::Right);
-        assert_eq!(hit.depth_hint, 2);
+        // Emptying the near segment leaves the far one as it was.
+        q.probe(key(3));
+        q.probe(key(2));
+        assert_eq!(contents(&q), [(1, 'F'), (0, 'F')]);
+        // A far key inserted again is near, and held once.
+        q.insert(key(0));
+        assert_eq!(contents(&q), [(0, 'N'), (1, 'F')]);
+    }
+
+    #[test]
+    fn probing_the_far_head_keeps_the_boundary() {
+        let mut q = segmented(1, 3);
+        for i in 0..4 {
+            q.insert(key(i));
+        }
+        assert_eq!(q.probe(key(2)), Some(Segment::Far));
+        q.insert(key(4));
+        assert_eq!(contents(&q), [(4, 'N'), (3, 'F'), (1, 'F'), (0, 'F')]);
     }
 
     #[test]
@@ -297,30 +264,31 @@ mod tests {
         q.insert(key(2));
         q.insert(key(3));
         q.insert(key(1)); // refresh
-        let evicted = q.insert(key(4));
-        assert_eq!(evicted, Some(key(2)), "key 1 was refreshed, 2 is oldest");
-        assert!(q.contains(key(1)));
+        q.insert(key(4));
+        assert!(!q.contains(key(2)), "key 1 was refreshed, 2 is oldest");
+        assert!(q.contains(key(1)) && q.contains(key(3)));
+        assert_eq!(q.len(), 3);
     }
 
     #[test]
     fn zero_capacity_is_inert() {
         let mut q = ShadowQueue::new(0);
-        assert_eq!(q.insert(key(1)), None);
+        q.insert(key(1));
         assert!(q.is_empty());
         assert!(q.probe(key(1)).is_none());
     }
 
     #[test]
-    fn shrink_capacity_drops_oldest() {
-        let mut q = ShadowQueue::new(6);
+    fn shrinking_moves_near_keys_far_and_drops_the_oldest() {
+        let mut q = segmented(4, 2);
         for i in 0..6 {
             q.insert(key(i));
         }
         q.set_capacity(2);
-        assert_eq!(q.len(), 2);
-        assert!(q.contains(key(5)));
-        assert!(q.contains(key(4)));
-        assert!(!q.contains(key(3)));
+        assert_eq!(contents(&q), [(5, 'N'), (4, 'N'), (3, 'F'), (2, 'F')]);
+        q.set_far_capacity(1);
+        assert_eq!(contents(&q), [(5, 'N'), (4, 'N'), (3, 'F')]);
+        assert_eq!(q.capacity(), 3);
     }
 
     #[test]
@@ -331,7 +299,7 @@ mod tests {
         }
         assert!(q.remove(key(2)));
         assert!(!q.remove(key(2)));
-        let keys: Vec<u64> = q.iter().map(Key::raw).collect();
+        let keys: Vec<u64> = q.iter().map(|(k, _)| k.raw()).collect();
         assert_eq!(keys, vec![4, 3, 1, 0]);
     }
 }

@@ -204,7 +204,7 @@ impl<V> SlabCache<V> {
     ) -> SlabGetResult {
         let result = queues[class.index()].miss(key);
         stats.record_get(false);
-        if result.shadow_hit.is_some() {
+        if result.shadow_hit {
             stats.shadow_hits += 1;
         }
         SlabGetResult { class, result }

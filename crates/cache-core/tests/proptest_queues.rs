@@ -6,7 +6,7 @@ use cache_core::lru::{HitLocation, InsertPosition};
 use cache_core::policy::{ArcList, Policy};
 use cache_core::store::AllocationMode;
 use cache_core::{
-    ClassId, GlobalLruCache, Key, LruList, PolicyKind, QueueConfig, ShadowHalf, ShadowQueue,
+    ClassId, GlobalLruCache, Key, LruList, PolicyKind, QueueConfig, Segment, ShadowQueue,
     SlabCache, SlabCacheConfig, SlabConfig, ITEM_OVERHEAD,
 };
 use proptest::prelude::*;
@@ -301,48 +301,63 @@ proptest! {
         }
     }
 
-    /// A shadow queue is its naive model — the last `capacity` distinct
-    /// keys, newest first, the first `ceil(len / 2)` of them its left half —
-    /// under inserts, probes and capacity changes: same order, same half
-    /// for every key, same key falling off the end.
+    /// A shadow queue is its naive model — a near and a far list, newest
+    /// first: an inserted key leaves wherever it was for the front of near,
+    /// near's overflow goes to the front of far, far is cut to its capacity,
+    /// and a probe takes the key out and names its list — under inserts,
+    /// probes and both capacities changing mid-script: same keys in the same
+    /// segments in the same order after every step.
     #[test]
     fn shadow_queue_matches_reference_model(
-        capacity in 1usize..64,
-        ops in prop::collection::vec((0u8..8, any::<u8>()), 1..300),
+        near_capacity in 0usize..12,
+        far_capacity in 0usize..24,
+        ops in prop::collection::vec((0u8..9, 0u8..32), 1..300),
     ) {
-        let mut shadow = ShadowQueue::new(capacity);
-        let mut capacity = capacity;
-        let mut model: Vec<u8> = Vec::new();
-        let half_of = |model: &[u8], k: u8| {
-            let pos = model.iter().position(|&m| m == k)?;
-            Some(if pos < model.len().div_ceil(2) { ShadowHalf::Left } else { ShadowHalf::Right })
-        };
+        let mut shadow = ShadowQueue::new(near_capacity);
+        shadow.set_far_capacity(far_capacity);
+        let (mut near_capacity, mut far_capacity) = (near_capacity, far_capacity);
+        let (mut near, mut far): (Vec<u8>, Vec<u8>) = (Vec::new(), Vec::new());
         for (op, k) in ops {
             let key = Key::new(k as u64);
+            let expected = if near.contains(&k) {
+                Some(Segment::Near)
+            } else {
+                far.contains(&k).then_some(Segment::Far)
+            };
             match op {
-                0..=4 => {
-                    model.retain(|&m| m != k);
-                    model.insert(0, k);
-                    let dropped = (model.len() > capacity).then(|| model.pop().unwrap());
-                    prop_assert_eq!(shadow.insert(key), dropped.map(|d| Key::new(d as u64)));
+                0..=3 => {
+                    shadow.insert(key);
+                    near.retain(|&m| m != k);
+                    far.retain(|&m| m != k);
+                    near.insert(0, k);
                 }
-                5 | 6 => {
-                    let expected = half_of(&model, k);
-                    model.retain(|&m| m != k);
-                    prop_assert_eq!(shadow.probe(key).map(|hit| hit.half), expected);
+                4..=6 => {
+                    prop_assert_eq!(shadow.probe(key), expected);
+                    near.retain(|&m| m != k);
+                    far.retain(|&m| m != k);
+                }
+                7 => {
+                    near_capacity = k as usize % 12;
+                    shadow.set_capacity(near_capacity);
                 }
                 _ => {
-                    capacity = 1 + k as usize % 64;
-                    model.truncate(capacity);
-                    shadow.set_capacity(capacity);
+                    far_capacity = k as usize % 24;
+                    shadow.set_far_capacity(far_capacity);
                 }
             }
-            let order: Vec<u8> = shadow.iter().map(|key| key.raw() as u8).collect();
-            prop_assert_eq!(&order, &model);
-            prop_assert_eq!(shadow.len(), model.len());
-            for &m in &model {
-                prop_assert_eq!(shadow.peek(Key::new(m as u64)), half_of(&model, m));
+            while near.len() > near_capacity {
+                far.insert(0, near.pop().unwrap());
             }
+            far.truncate(far_capacity);
+            let model: Vec<(Key, Segment)> = near
+                .iter()
+                .map(|&m| (m, Segment::Near))
+                .chain(far.iter().map(|&m| (m, Segment::Far)))
+                .map(|(m, segment)| (Key::new(m as u64), segment))
+                .collect();
+            prop_assert_eq!(shadow.iter().collect::<Vec<_>>(), model);
+            prop_assert_eq!(shadow.len(), near.len() + far.len());
+            prop_assert_eq!(shadow.capacity(), near_capacity + far_capacity);
         }
     }
 

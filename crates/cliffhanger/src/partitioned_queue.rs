@@ -2,23 +2,25 @@
 //!
 //! Every queue Cliffhanger manages (one per slab class, or one per
 //! application) is physically split into a **left** and a **right**
-//! sub-queue. Each sub-queue is followed by a 128-item cliff-scaling shadow
-//! queue, and each also treats the last 128 items of its physical queue as
-//! the "left half" of that shadow structure (no extra memory needed, §5.1).
-//! A longer, hill-climbing shadow queue (1 MB of simulated requests) is
-//! appended after the cliff shadow queues and split across the two
-//! partitions in proportion to their sizes.
+//! sub-queue. Each sub-queue is followed by one [`ShadowQueue`] read at two
+//! depths: its near segment is the 128-item cliff-scaling shadow queue, and
+//! the sub-queue treats the last 128 items of its physical queue as the
+//! "left half" of that shadow structure (no extra memory needed, §5.1); its
+//! far segment is this side's share of the longer hill-climbing shadow queue
+//! (1 MB of simulated requests), which is split across the two partitions in
+//! proportion to their sizes.
 //!
 //! Like the [`CacheQueue`]s it is made of, a partitioned queue keeps order
 //! and bytes and no index: the [`crate::Cliffhanger`] above it looks a key
 //! up once, and tells the queue either "the item on this side, under this
 //! handle, was hit" ([`PartitionedQueue::hit`]) or "this key is not here"
-//! ([`PartitionedQueue::miss`]). Only the shadow queues, which hold keys of
-//! items that are gone, are searched by key.
+//! ([`PartitionedQueue::miss`]). Only the two shadow queues, which hold keys
+//! of items that are gone, are searched by key: a miss or a SET probes at
+//! most two key indexes, and an eviction inserts into one.
 //!
 //! Requests are routed between the two partitions by key hash with the
 //! Talus ratio from [`CliffScaler`]; evictions cascade physical queue →
-//! cliff shadow → hill shadow, so a miss can be classified as "just beyond
+//! near segment → far segment, so a miss can be classified as "just beyond
 //! the physical queue" (a cliff signal) or "would have hit with one shadow
 //! queue's worth of extra memory" (a hill-climbing signal). Physical resizes
 //! are applied only on the insertion that follows a miss, which is the
@@ -29,7 +31,8 @@ use cache_core::key::mix64;
 use cache_core::lru::HitLocation;
 use cache_core::prefetch::Sweep;
 use cache_core::{
-    CacheQueue, CacheStats, Footprint, Key, NodeHandle, PolicyKind, QueueConfig, ShadowQueue,
+    CacheQueue, CacheStats, Footprint, Key, NodeHandle, PolicyKind, QueueConfig, Segment,
+    ShadowQueue,
 };
 
 /// Which physical sub-queue a request was routed to.
@@ -125,10 +128,9 @@ pub struct PartitionedQueue {
     config: PartitionedQueueConfig,
     left: CacheQueue,
     right: CacheQueue,
-    left_cliff: ShadowQueue,
-    right_cliff: ShadowQueue,
-    left_hill: ShadowQueue,
-    right_hill: ShadowQueue,
+    /// Each side's shadow: near = cliff shadow, far = its hill share.
+    left_shadow: ShadowQueue,
+    right_shadow: ShadowQueue,
     scaler: CliffScaler,
     target_bytes: u64,
     /// `target_bytes` in items, and whether that many make cliff scaling
@@ -155,12 +157,9 @@ impl PartitionedQueue {
         let mut queue = PartitionedQueue {
             left: make_queue(half),
             right: make_queue(config.target_bytes - half),
-            left_cliff: ShadowQueue::new(config.cliff_shadow_items),
-            right_cliff: ShadowQueue::new(config.cliff_shadow_items),
-            left_hill: ShadowQueue::new(config.hill_shadow_entries / 2),
-            right_hill: ShadowQueue::new(
-                config.hill_shadow_entries - config.hill_shadow_entries / 2,
-            ),
+            // `apply_sizes` below gives each its far segment.
+            left_shadow: ShadowQueue::new(config.cliff_shadow_items),
+            right_shadow: ShadowQueue::new(config.cliff_shadow_items),
             scaler: CliffScaler::new(config.target_bytes / charge, config.credit_items),
             target_bytes: 0,
             target_items: 0,
@@ -232,19 +231,11 @@ impl PartitionedQueue {
         }
     }
 
-    /// Heap bytes of both sub-queues and the four shadow queues.
+    /// Heap bytes of both sub-queues and their shadow queues.
     pub fn footprint(&self) -> Footprint {
         let mut footprint = self.left.footprint();
         footprint += self.right.footprint();
-        footprint.shadows += [
-            &self.left_cliff,
-            &self.right_cliff,
-            &self.left_hill,
-            &self.right_hill,
-        ]
-        .iter()
-        .map(|shadow| shadow.heap_bytes())
-        .sum::<u64>();
+        footprint.shadows += self.left_shadow.heap_bytes() + self.right_shadow.heap_bytes();
         footprint
     }
 
@@ -358,24 +349,19 @@ impl PartitionedQueue {
         })
     }
 
-    /// Takes `key` out of the shadow structure, which holds it in at most
-    /// one queue: the partitions are searched in `order`, each one's cliff
-    /// shadow before its hill shadow. Returns the partition that remembered
-    /// the key and whether its cliff shadow did.
+    /// Takes `key` out of the first of the two sides' shadows, in `order`,
+    /// that holds it. Returns that side and whether the key was in its
+    /// cliff (near) segment.
     fn probe_shadows(&mut self, key: Key, order: [Partition; 2]) -> Option<(Partition, bool)> {
-        for p in order {
-            let (cliff, hill) = match p {
-                Partition::Left => (&mut self.left_cliff, &mut self.left_hill),
-                Partition::Right => (&mut self.right_cliff, &mut self.right_hill),
+        order.into_iter().find_map(|p| {
+            let shadow = match p {
+                Partition::Left => &mut self.left_shadow,
+                Partition::Right => &mut self.right_shadow,
             };
-            if cliff.probe(key).is_some() {
-                return Some((p, true));
-            }
-            if hill.probe(key).is_some() {
-                return Some((p, false));
-            }
-        }
-        None
+            shadow
+                .probe(key)
+                .map(|segment| (p, segment == Segment::Near))
+        })
     }
 
     /// Counts the event and feeds the cliff scaler's pointers.
@@ -450,19 +436,9 @@ impl PartitionedQueue {
             }
         }
         let partition = self.route(key);
-        let (queue, other, cliff, hill) = match partition {
-            Partition::Left => (
-                &mut self.left,
-                &mut self.right,
-                &mut self.left_cliff,
-                &mut self.left_hill,
-            ),
-            Partition::Right => (
-                &mut self.right,
-                &mut self.left,
-                &mut self.right_cliff,
-                &mut self.right_hill,
-            ),
+        let (queue, other, shadow) = match partition {
+            Partition::Left => (&mut self.left, &mut self.right, &mut self.left_shadow),
+            Partition::Right => (&mut self.right, &mut self.left, &mut self.right_shadow),
         };
         // Neither a copy on the other side nor what that side's policy
         // remembers about the key must outlive the write.
@@ -475,10 +451,8 @@ impl PartitionedQueue {
         };
         other.forget(key);
         let result = queue.set(key, size, replaced);
-        for evicted in &result.evicted {
-            if let Some(overflow) = cliff.insert(*evicted) {
-                hill.insert(overflow);
-            }
+        for &evicted in &result.evicted {
+            shadow.insert(evicted);
         }
         self.stats.record_evictions(result.evicted.len() as u64);
         outcome.admitted = result.admitted;
@@ -515,17 +489,14 @@ impl PartitionedQueue {
         self.right
             .set_target_bytes(self.target_bytes - left_items * charge);
         let mut all_evicted = Vec::new();
-        for evicted in self.left.evict_to_target() {
-            if let Some(overflow) = self.left_cliff.insert(evicted) {
-                self.left_hill.insert(overflow);
+        for (queue, shadow) in [
+            (&mut self.left, &mut self.left_shadow),
+            (&mut self.right, &mut self.right_shadow),
+        ] {
+            for evicted in queue.evict_to_target() {
+                shadow.insert(evicted);
+                all_evicted.push(evicted);
             }
-            all_evicted.push(evicted);
-        }
-        for evicted in self.right.evict_to_target() {
-            if let Some(overflow) = self.right_cliff.insert(evicted) {
-                self.right_hill.insert(overflow);
-            }
-            all_evicted.push(evicted);
         }
         self.stats.record_evictions(all_evicted.len() as u64);
         // Split the hill-climbing shadow entries in proportion to the
@@ -536,9 +507,9 @@ impl PartitionedQueue {
         } else {
             ((entries as u64 * left_items) / total_items.max(1)) as usize
         };
-        self.left_hill.set_capacity(left_entries.min(entries));
-        self.right_hill
-            .set_capacity(entries - left_entries.min(entries));
+        self.left_shadow.set_far_capacity(left_entries.min(entries));
+        self.right_shadow
+            .set_far_capacity(entries - left_entries.min(entries));
         all_evicted
     }
 
@@ -644,28 +615,71 @@ mod tests {
 
     #[test]
     fn evictions_cascade_into_shadow_queues() {
-        let mut q = small_queue(20 * 100); // ~20 items
-        for i in 0..200 {
+        // Cliff scaling off: the right side takes every key and all 8 hill
+        // entries, behind its 4-item cliff shadow.
+        let mut q = Keyed::new(PartitionedQueueConfig {
+            target_bytes: 20 * 100,
+            charge_per_item: 100,
+            cliff_shadow_items: 4,
+            hill_shadow_entries: 8,
+            enable_cliff_scaling: false,
+            ..PartitionedQueueConfig::default()
+        });
+        for i in 0..60 {
             q.set(key(i), 52);
         }
-        assert!(q.len() <= 20);
-        // Recently evicted keys are in the cliff shadows; older ones in the
-        // hill shadows; both classify the miss.
-        let mut cliff_hits = 0;
-        let mut hill_hits = 0;
-        for i in 0..200 {
-            let e = q.get(key(i));
-            if e.cliff_shadow_hit {
-                cliff_hits += 1;
-            }
-            if e.hill_shadow_hit {
-                hill_hits += 1;
-            }
+        assert_eq!(q.len(), 20);
+        // Keys 0..40 were evicted in that order: newest first, 4 are in the
+        // cliff shadow, the next 8 in the hill shadow, the rest nowhere.
+        let signals: Vec<(bool, bool)> = (0..40)
+            .rev()
+            .map(|i| {
+                let e = q.get(key(i));
+                (e.cliff_shadow_hit, e.hill_shadow_hit)
+            })
+            .collect();
+        let expected: Vec<(bool, bool)> = (0..40)
+            .map(|rank| (rank < 4, (4..12).contains(&rank)))
+            .collect();
+        assert_eq!(signals, expected);
+        assert_eq!((q.stats().cliff_shadow_hits, q.stats().shadow_hits), (4, 8));
+    }
+
+    /// A resize on an overwrite can evict the very copy being replaced: its
+    /// key enters the shadow and is admitted again, resident and shadowed at
+    /// once. Evicted again after that ghost has moved past the cliff shadow,
+    /// the key is still remembered once, so one later miss is a shadow hit.
+    #[test]
+    fn a_key_evicted_twice_is_remembered_once() {
+        let mut q = Keyed::new(PartitionedQueueConfig {
+            target_bytes: 10 * 100,
+            charge_per_item: 100,
+            cliff_shadow_items: 2,
+            hill_shadow_entries: 16,
+            enable_cliff_scaling: false,
+            ..PartitionedQueueConfig::default()
+        });
+        for i in 0..10 {
+            q.set(key(i), 52);
         }
-        assert!(cliff_hits > 0, "some misses must land in the cliff shadows");
-        assert!(hill_hits > 0, "older misses must land in the hill shadows");
-        assert_eq!(q.stats().cliff_shadow_hits, cliff_hits);
-        assert_eq!(q.stats().shadow_hits, hill_hits);
+        // Shrink by one item and overwrite the oldest key: the resize
+        // evicts the copy being replaced, then the write admits it again
+        // (and evicts the next oldest).
+        q.set_target_bytes(9 * 100);
+        let outcome = q.set(key(0), 52);
+        assert_eq!(outcome.evicted, vec![key(0), key(1)]);
+        assert!(outcome.slot.is_some());
+        // Nine new keys evict 2..=9, which push the ghost of 0 past the
+        // cliff shadow, and then 0 itself.
+        for i in 100..109 {
+            q.set(key(i), 52);
+        }
+        assert!(!q.index.contains_key(&key(0)));
+        let first = q.get(key(0));
+        let second = q.get(key(0));
+        assert!(first.cliff_shadow_hit);
+        assert!(!second.cliff_shadow_hit && !second.hill_shadow_hit);
+        assert_eq!(q.stats().cliff_shadow_hits + q.stats().shadow_hits, 1);
     }
 
     #[test]

@@ -290,7 +290,7 @@ fn slab_digest(policy: PolicyKind, managed: bool, ops: u64) -> u64 {
                 digest.flags(&[
                     got.result.hit,
                     got.result.location == Some(cache_core::HitLocation::TailRegion),
-                    got.result.shadow_hit.is_some(),
+                    got.result.shadow_hit,
                 ]);
                 digest.fold(cache.value(key).copied().unwrap_or(u64::MAX));
                 fill = !got.result.hit;
@@ -302,7 +302,7 @@ fn slab_digest(policy: PolicyKind, managed: bool, ops: u64) -> u64 {
                 digest.flags(&[
                     got.result.hit,
                     got.result.location == Some(cache_core::HitLocation::TailRegion),
-                    got.result.shadow_hit.is_some(),
+                    got.result.shadow_hit,
                 ]);
                 fill = !got.result.hit;
             }

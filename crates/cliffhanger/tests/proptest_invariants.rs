@@ -162,7 +162,7 @@ fn observe_slab(script: &[(EngineOp, Vec<(u16, Sweep)>)], prefetching: bool) -> 
                     .get(Key::new(k as u64), size)
                     .expect("sizes fit a class");
                 fold(u64::from(got.class.0) << 8 | u64::from(got.result.hit));
-                fold(got.result.shadow_hit.is_some() as u64);
+                fold(got.result.shadow_hit as u64);
             }
             EngineOp::GetUntyped(k) => {
                 let got = cache.get_untyped(Key::new(k as u64));
