@@ -108,7 +108,7 @@ fn max_load(slots: usize) -> usize {
 /// inline in its slot.
 ///
 /// A slot holds the `(Key, V)` entry itself — an engine's index entry is 32
-/// or 40 bytes, a shadow queue's 16 — and beside it, in an array of their
+/// bytes, a shadow queue's 16 — and beside it, in an array of their
 /// own, two bytes of metadata: how far the entry sits past its home slot and
 /// 8 bits of its hash. Insertion keeps every run ordered by home slot (an
 /// entry goes before the first one whose home is later, and the rest of

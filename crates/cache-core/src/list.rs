@@ -1,8 +1,10 @@
 //! An index-based intrusive doubly-linked list arena.
 //!
 //! Every recency-ordered queue in this crate (LRU lists, shadow queues,
-//! ARC's T1 and T2) is built on [`LinkedArena`]: a `Vec`
-//! of nodes linked by indices, with a free list for recycling slots. Compared
+//! ARC's T1 and T2) is built on [`LinkedArena`]: a `Vec` of nodes linked by
+//! `u32` indices. A freed slot is chained to the previously freed one through
+//! its own `next` link and is the first reused, so a queue's memory is its
+//! nodes and nothing beside them: a value plus 8 bytes of links. Compared
 //! to `std::collections::LinkedList` this gives O(1) removal of arbitrary
 //! elements by handle without unsafe code or per-node allocations. A node
 //! never moves between slots, so a handle stays good while the list is
@@ -35,6 +37,8 @@ impl NodeHandle {
     }
 }
 
+/// A slot: a live node (`value` set, linked both ways) or a free one
+/// (`value` empty, `next` naming the slot freed before it).
 #[derive(Debug)]
 struct Node<T> {
     value: Option<T>,
@@ -49,7 +53,8 @@ struct Node<T> {
 #[derive(Debug)]
 pub struct LinkedArena<T> {
     nodes: Vec<Node<T>>,
-    free: Vec<u32>,
+    /// The slot freed last, the first the next node takes.
+    free: u32,
     head: u32,
     tail: u32,
     len: usize,
@@ -66,7 +71,7 @@ impl<T> LinkedArena<T> {
     pub fn new() -> Self {
         LinkedArena {
             nodes: Vec::new(),
-            free: Vec::new(),
+            free: NodeHandle::NONE,
             head: NodeHandle::NONE,
             tail: NodeHandle::NONE,
             len: 0,
@@ -84,8 +89,10 @@ impl<T> LinkedArena<T> {
     }
 
     fn alloc(&mut self, value: T) -> u32 {
-        if let Some(idx) = self.free.pop() {
+        if self.free != NodeHandle::NONE {
+            let idx = self.free;
             let node = &mut self.nodes[idx as usize];
+            self.free = node.next;
             node.value = Some(value);
             node.prev = NodeHandle::NONE;
             node.next = NodeHandle::NONE;
@@ -171,11 +178,13 @@ impl<T> LinkedArena<T> {
     pub fn remove(&mut self, handle: NodeHandle) -> T {
         let idx = handle.index() as u32;
         self.unlink(idx);
-        let value = self.nodes[idx as usize]
+        let node = &mut self.nodes[idx as usize];
+        let value = node
             .value
             .take()
             .expect("LinkedArena::remove called with a stale handle");
-        self.free.push(idx);
+        node.next = self.free;
+        self.free = idx;
         self.len -= 1;
         value
     }
@@ -247,11 +256,10 @@ impl<T> LinkedArena<T> {
         (next != NodeHandle::NONE).then(|| NodeHandle::some(next as usize))
     }
 
-    /// Heap bytes the arena holds: its node slots, live or free, and its
-    /// free list. Neither shrinks: a slot freed is kept for the next node.
+    /// Heap bytes the arena holds: its node slots, live or free. They do not
+    /// shrink: a slot freed is kept for the next node.
     pub fn heap_bytes(&self) -> u64 {
-        let nodes = self.nodes.capacity() * std::mem::size_of::<Node<T>>();
-        (nodes + self.free.capacity() * std::mem::size_of::<u32>()) as u64
+        (self.nodes.capacity() * std::mem::size_of::<Node<T>>()) as u64
     }
 
     /// Iterates over values from front (most recent) to back (least recent).
@@ -349,14 +357,21 @@ mod tests {
     }
 
     #[test]
-    fn slots_are_recycled() {
+    fn slots_are_recycled_last_freed_first() {
         let mut a = LinkedArena::new();
-        let h = a.push_front(1);
-        a.remove(h);
-        a.push_front(2);
-        // The underlying vector should not have grown past one slot.
-        assert_eq!(a.nodes.len(), 1);
-        assert_eq!(collect(&a), vec![2]);
+        let h: Vec<NodeHandle> = (0..4).map(|i| a.push_front(i)).collect();
+        let bytes = a.heap_bytes();
+        a.remove(h[1]);
+        a.remove(h[3]);
+        a.remove(h[0]);
+        // Freeing a slot and taking it again allocate nothing.
+        assert_eq!(a.heap_bytes(), bytes);
+        assert_eq!(a.push_back(10), h[0]);
+        assert_eq!(a.push_back(11), h[3]);
+        assert_eq!(a.push_front(12), h[1]);
+        assert_eq!(a.push_front(13), NodeHandle::some(4));
+        assert_eq!(a.nodes.len(), 5);
+        assert_eq!(collect(&a), vec![13, 12, 2, 10, 11]);
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! index here. [`LruList::insert`] hands back a [`NodeHandle`] that stays
 //! valid until the item is removed or evicted, `access` / `remove` take
 //! that handle, and eviction hands back the key so the owner of the one
-//! index (the engine, see [`crate::store`]) can drop its entry. Besides the
-//! usual O(1) `access` / `insert` / `pop_lru`, it offers two features the
-//! Cliffhanger algorithms rely on:
+//! index (the engine, see [`crate::store`]) can drop its entry. Every
+//! resident item has a node here, so the node is kept to 24 bytes: the key,
+//! the item's charge in 32 bits, a segment tag and the arena's two links.
+//! Besides the usual O(1) `access` / `insert` / `pop_lru`, it offers two
+//! features the Cliffhanger algorithms rely on:
 //!
 //! * **Tail region** — the cliff-scaling algorithm (paper §5.1) needs to know
 //!   whether a hit landed "in the last part of the queue (the last 128
@@ -54,11 +56,28 @@ enum Segment {
     Tail = 2,
 }
 
+/// What a list node holds, an [`LruList`]'s or ARC's: the key, the item's
+/// charge in 32 bits and a one-byte tag (the node's segment, or ARC's list)
+/// — 16 bytes, 24 with the arena's links. The tag's niche makes the freed
+/// slot's `None` free.
 #[derive(Clone, Copy, Debug)]
-struct Entry {
+pub(crate) struct Entry<Tag> {
     key: Key,
-    weight: u64,
-    segment: Segment,
+    weight: u32,
+    pub(crate) tag: Tag,
+}
+
+impl<Tag> Entry<Tag> {
+    /// Panics if `weight` exceeds `u32::MAX` (see [`LruList::insert`]).
+    pub(crate) fn new(key: Key, weight: u64, tag: Tag) -> Self {
+        let weight = u32::try_from(weight).expect("an item's charge fits in 32 bits");
+        Entry { key, weight, tag }
+    }
+
+    /// The key and the charge.
+    pub(crate) fn item(&self) -> (Key, u64) {
+        (self.key, self.weight.into())
+    }
 }
 
 /// A weighted LRU list with tail-region tracking and middle insertion.
@@ -69,7 +88,7 @@ struct Entry {
 /// queue.
 #[derive(Debug, Default)]
 pub struct LruList {
-    nodes: LinkedArena<Entry>,
+    nodes: LinkedArena<Entry<Segment>>,
     /// First node of each segment, `None` while it is empty (the upper
     /// segment's is the list's front and is not tracked).
     heads: [Option<NodeHandle>; 3],
@@ -122,7 +141,7 @@ impl LruList {
     /// The key and weight stored at `handle` (`None` for a freed slot),
     /// without affecting recency.
     pub fn get(&self, handle: NodeHandle) -> Option<(Key, u64)> {
-        self.nodes.get(handle).map(|e| (e.key, e.weight))
+        self.nodes.get(handle).map(Entry::item)
     }
 
     /// One read-only sweep ahead of an `access` or `remove` of `handle`.
@@ -156,16 +175,17 @@ impl LruList {
     /// handle that names it until it is removed. The list does not know
     /// which keys it holds: a caller replacing an item removes the old
     /// handle first.
+    ///
+    /// # Panics
+    /// Panics if `weight` exceeds `u32::MAX`. The node keeps a charge in 32
+    /// bits; a slab engine's never needs more, since
+    /// [`crate::SlabConfig::new`] bounds its largest item's charge.
     pub fn insert(&mut self, key: Key, weight: u64, position: InsertPosition) -> NodeHandle {
         let segment = match position {
             InsertPosition::Top => Segment::Upper,
             InsertPosition::Middle => Segment::Lower,
         };
-        let entry = Entry {
-            key,
-            weight,
-            segment,
-        };
+        let entry = Entry::new(key, weight, segment);
         // The front of the lower segment is wherever the upper one ends.
         let handle = match (
             position,
@@ -187,10 +207,10 @@ impl LruList {
     /// Panics if the handle does not refer to a live item.
     pub fn remove(&mut self, handle: NodeHandle) -> (Key, u64) {
         self.leave(handle, self.segment_of(handle));
-        let entry = self.nodes.remove(handle);
-        self.total_weight -= entry.weight;
+        let (key, weight) = self.nodes.remove(handle).item();
+        self.total_weight -= weight;
         self.rebalance();
-        (entry.key, entry.weight)
+        (key, weight)
     }
 
     /// Removes and returns the least-recently-used item.
@@ -200,7 +220,7 @@ impl LruList {
 
     /// Iterates over keys from most- to least-recently used.
     pub fn iter(&self) -> impl Iterator<Item = (Key, u64)> + '_ {
-        self.nodes.iter().map(|e| (e.key, e.weight))
+        self.nodes.iter().map(Entry::item)
     }
 
     /// The first node of `segment` (untracked, hence `None`, for the upper).
@@ -212,7 +232,7 @@ impl LruList {
         self.nodes
             .get(handle)
             .expect("LruList handle must name a live item")
-            .segment
+            .tag
     }
 
     /// Takes the node at `handle` out of `segment`'s books (it stays linked
@@ -235,7 +255,7 @@ impl LruList {
     fn enter(&mut self, handle: NodeHandle, segment: Segment, at_front: bool) {
         let s = segment as usize;
         if let Some(entry) = self.nodes.get_mut(handle) {
-            entry.segment = segment;
+            entry.tag = segment;
         }
         self.lens[s] += 1;
         if segment != Segment::Upper && (at_front || self.heads[s].is_none()) {
@@ -343,6 +363,23 @@ mod tests {
         assert_eq!(l.pop_lru(), Some((key(2), 10)));
         assert_eq!(l.pop_lru(), Some((key(0), 10)));
         assert_eq!(l.pop_lru(), None);
+    }
+
+    /// Every resident item pays for one node: key 8, charge 4, segment tag 1
+    /// (its niche holds the freed slot's `None`), padding 3, links 8. Freed
+    /// nodes cost nothing beside their slots.
+    #[test]
+    fn a_node_is_24_bytes_and_the_arena_is_its_nodes() {
+        let (mut l, h) = filled(4, 64, 1);
+        assert_eq!(l.heap_bytes(), 64 * 24);
+        for &handle in &h[..40] {
+            l.remove(handle);
+        }
+        assert_eq!(l.heap_bytes(), 64 * 24);
+        for i in 0..40 {
+            l.insert(key(100 + i), 1, InsertPosition::Middle);
+        }
+        assert_eq!(l.heap_bytes(), 64 * 24);
     }
 
     #[test]

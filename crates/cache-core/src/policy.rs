@@ -25,7 +25,7 @@
 
 use crate::key::{Key, KeyMap};
 use crate::list::{LinkedArena, NodeHandle};
-use crate::lru::{HitLocation, InsertPosition, LruList};
+use crate::lru::{Entry, HitLocation, InsertPosition, LruList};
 use crate::prefetch::Sweep;
 use crate::shadow::ShadowQueue;
 use crate::stats::Footprint;
@@ -94,6 +94,9 @@ impl Policy {
 
     /// Makes `key` resident with the given weight. The caller has removed
     /// any previous copy: a policy cannot look a key up.
+    ///
+    /// # Panics
+    /// Panics if `weight` exceeds `u32::MAX`, as [`LruList::insert`] does.
     pub fn insert(&mut self, key: Key, weight: u64) -> NodeHandle {
         match self {
             Policy::List(list, position) => list.insert(key, weight, *position),
@@ -134,7 +137,7 @@ impl Policy {
     pub fn peek(&self, handle: NodeHandle) -> Option<(Key, u64)> {
         match self {
             Policy::List(list, _) => list.get(handle),
-            Policy::Arc(arc) => arc.nodes.get(handle).map(|e| (e.key, e.weight)),
+            Policy::Arc(arc) => arc.nodes.get(handle).map(Entry::item),
         }
     }
 
@@ -195,13 +198,6 @@ pub enum ArcList {
     T2,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct ArcEntry {
-    key: Key,
-    weight: u64,
-    list: ArcList,
-}
-
 /// Adaptive Replacement Cache.
 ///
 /// ARC (Megiddo & Modha, FAST 2003) splits the resident population into a
@@ -224,7 +220,7 @@ struct ArcEntry {
 #[derive(Debug)]
 pub struct ArcPolicy {
     /// T2's items, most recent first, then T1's.
-    nodes: LinkedArena<ArcEntry>,
+    nodes: LinkedArena<Entry<ArcList>>,
     /// First node of T1, `None` while it is empty.
     t1_head: Option<NodeHandle>,
     t1_len: usize,
@@ -260,7 +256,7 @@ impl Default for ArcPolicy {
 impl ArcPolicy {
     /// The list the item `handle` names is in, if it names a live item.
     pub fn list(&self, handle: NodeHandle) -> Option<ArcList> {
-        self.nodes.get(handle).map(|e| e.list)
+        self.nodes.get(handle).map(|e| e.tag)
     }
 
     /// A second reference moves a T1 item to the front of T2, a later one to
@@ -270,8 +266,8 @@ impl ArcPolicy {
             .nodes
             .get_mut(handle)
             .expect("ArcPolicy handle must name a live item");
-        if entry.list == ArcList::T1 {
-            entry.list = ArcList::T2;
+        if entry.tag == ArcList::T1 {
+            entry.tag = ArcList::T2;
             self.leave_t1(handle);
         }
         self.nodes.move_to_front(handle);
@@ -300,7 +296,7 @@ impl ArcPolicy {
     fn insert(&mut self, key: Key, weight: u64) -> NodeHandle {
         let frequent = self.pending_frequent.remove(&key).is_some();
         let list = if frequent { ArcList::T2 } else { ArcList::T1 };
-        let entry = ArcEntry { key, weight, list };
+        let entry = Entry::new(key, weight, list);
         let handle = match (list, self.t1_head) {
             (ArcList::T2, _) => self.nodes.push_front(entry),
             (ArcList::T1, Some(first)) => self.nodes.insert_before(first, entry),
@@ -337,9 +333,9 @@ impl ArcPolicy {
         if self.list(handle) == Some(ArcList::T1) {
             self.leave_t1(handle);
         }
-        let entry = self.nodes.remove(handle);
-        self.total_weight -= entry.weight;
-        (entry.key, entry.weight)
+        let (key, weight) = self.nodes.remove(handle).item();
+        self.total_weight -= weight;
+        (key, weight)
     }
 
     /// Takes the T1 node at `handle` out of T1's books (it stays linked
@@ -403,6 +399,21 @@ mod tests {
             assert_eq!((seen.len(), drained), (54, 550), "{kind:?}");
             assert_eq!((policy.is_empty(), policy.total_weight()), (true, 0));
         }
+    }
+
+    /// ARC's T1 and T2 nodes are an LRU list's size: key 8, charge 4, list
+    /// tag 1, padding 3, links 8. Freed nodes cost nothing beside their
+    /// slots.
+    #[test]
+    fn an_arc_node_is_24_bytes_and_the_arena_is_its_nodes() {
+        let mut p = Policy::new(PolicyKind::Arc, 0);
+        let handles: Vec<NodeHandle> = (0..64).map(|i| p.insert(key(i), 10)).collect();
+        p.access(handles[7]);
+        assert_eq!(p.footprint().queues, 64 * 24);
+        for _ in 0..40 {
+            p.evict();
+        }
+        assert_eq!(p.footprint().queues, 64 * 24);
     }
 
     #[test]

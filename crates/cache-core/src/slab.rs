@@ -28,20 +28,21 @@ impl Default for SlabConfig {
         // Powers-of-two classes from 64 B to 1 MB, matching the ranges the
         // paper quotes ("< 128B, 128-256B, etc.") and keeping the number of
         // classes at 15, the maximum the paper reports for Memcachier (§5.7).
-        SlabConfig {
-            min_chunk: 64,
-            growth_factor: 2.0,
-            max_item_size: 1 << 20,
-        }
+        SlabConfig::new(64, 2.0, 1 << 20)
     }
 }
 
 impl SlabConfig {
     /// Creates a config with explicit parameters.
     ///
+    /// A list node keeps an item's charge (at most `max_item_size +`
+    /// [`crate::ITEM_OVERHEAD`]) in a `u32` and a managed index entry its
+    /// class in a `u16`; the last two checks make both narrowings lossless.
+    ///
     /// # Panics
-    /// Panics if `growth_factor <= 1.0`, `min_chunk == 0` or
-    /// `max_item_size < min_chunk`.
+    /// Panics if `growth_factor <= 1.0`, `min_chunk == 0`,
+    /// `max_item_size < min_chunk`, the largest charge exceeds `u32::MAX`,
+    /// or there are more classes than a `u16` numbers.
     pub fn new(min_chunk: u64, growth_factor: f64, max_item_size: u64) -> Self {
         assert!(growth_factor > 1.0, "growth factor must exceed 1.0");
         assert!(min_chunk > 0, "minimum chunk must be positive");
@@ -49,11 +50,22 @@ impl SlabConfig {
             max_item_size >= min_chunk,
             "max item size must be at least the minimum chunk"
         );
-        SlabConfig {
+        assert!(
+            max_item_size
+                .checked_add(crate::ITEM_OVERHEAD)
+                .is_some_and(|charge| charge <= u64::from(u32::MAX)),
+            "max item size plus the item overhead must fit in 32 bits"
+        );
+        let config = SlabConfig {
             min_chunk,
             growth_factor,
             max_item_size,
-        }
+        };
+        assert!(
+            config.num_classes() <= usize::from(u16::MAX) + 1,
+            "class ids must fit in 16 bits"
+        );
+        config
     }
 
     /// A Memcached-like config with growth factor 1.25 (the upstream default).
@@ -168,5 +180,21 @@ mod tests {
     #[should_panic(expected = "growth factor")]
     fn rejects_non_growing_factor() {
         let _ = SlabConfig::new(64, 1.0, 1024);
+    }
+
+    #[test]
+    #[should_panic(expected = "fit in 32 bits")]
+    fn rejects_a_charge_wider_than_32_bits() {
+        let largest = u64::from(u32::MAX) - crate::ITEM_OVERHEAD;
+        assert_eq!(SlabConfig::new(64, 2.0, largest).max_item_size, largest);
+        let _ = SlabConfig::new(64, 2.0, largest + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "fit in 16 bits")]
+    fn rejects_more_classes_than_16_bits_number() {
+        // 1.0001^65,535 ≈ 701: a ladder up to 1 MB needs some 138,600
+        // classes.
+        let _ = SlabConfig::new(1, 1.0001, 1 << 20);
     }
 }

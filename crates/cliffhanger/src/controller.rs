@@ -49,13 +49,21 @@ pub struct ClassSnapshot {
 }
 
 /// What the index holds per resident key: where the item is queued and the
-/// value itself.
+/// value itself. The class is kept in 16 bits, beside the side's byte
+/// ([`cache_core::SlabConfig::new`] refuses a ladder that needs more), so
+/// the two fill what would otherwise be padding.
 #[derive(Debug)]
 struct Resident<V> {
-    class: ClassId,
+    class: u16,
     side: Partition,
     handle: NodeHandle,
     value: V,
+}
+
+impl<V> Resident<V> {
+    fn class(&self) -> ClassId {
+        ClassId::new(self.class.into())
+    }
 }
 
 /// The Cliffhanger-managed cache for a single application.
@@ -234,13 +242,13 @@ impl<V> Cliffhanger<V> {
     /// will see it; a miss in a known class is the caller's to classify.
     fn touch(&mut self, key: Key, only: Option<ClassId>) -> Option<(ClassId, QueueEvent, &V)> {
         let found = self.index.get(&key);
-        let Some(item) = found.filter(|item| only.map_or(true, |class| class == item.class)) else {
+        let Some(item) = found.filter(|item| only.map_or(true, |c| c == item.class())) else {
             if only.is_none() {
                 self.stats.record_get(false);
             }
             return None;
         };
-        let idx = item.class.index();
+        let idx = item.class().index();
         let event = self.queues[idx].hit(item.side, item.handle);
         self.stats.record_get(true);
         if event.tail_hit {
@@ -253,7 +261,7 @@ impl<V> Cliffhanger<V> {
                 idx,
             );
         }
-        Some((item.class, event, &item.value))
+        Some((item.class(), event, &item.value))
     }
 
     fn miss_in_class(&mut self, key: Key, class: ClassId) -> QueueEvent {
@@ -370,7 +378,7 @@ impl<V> Cliffhanger<V> {
         let mut old = self
             .index
             .get(&key)
-            .map(|item| (item.class, item.side, item.handle));
+            .map(|item| (item.class(), item.side, item.handle));
         if let Some((old_class, side, handle)) = old.filter(|&(old_class, ..)| old_class != class) {
             self.queues[old_class.index()].remove(side, handle);
             old = None;
@@ -394,7 +402,7 @@ impl<V> Cliffhanger<V> {
             // Overwrites the old entry where it stands.
             Some((side, handle)) => {
                 let item = Resident {
-                    class,
+                    class: u16::try_from(class.0).expect("class ids fit in 16 bits"),
                     side,
                     handle,
                     value,
@@ -412,7 +420,7 @@ impl<V> Cliffhanger<V> {
     pub fn delete(&mut self, key: Key) -> bool {
         match self.index.remove(&key) {
             Some(item) => {
-                self.queues[item.class.index()].remove(item.side, item.handle);
+                self.queues[item.class().index()].remove(item.side, item.handle);
                 true
             }
             None => false,
@@ -434,7 +442,7 @@ impl<V> Cliffhanger<V> {
             return None;
         }
         let item = self.index.get(&key)?;
-        self.queues[item.class.index()].prefetch(item.side, item.handle, sweep);
+        self.queues[item.class().index()].prefetch(item.side, item.handle, sweep);
         Some(&item.value)
     }
 
@@ -445,7 +453,7 @@ impl<V> Cliffhanger<V> {
 
     /// The class `key` is resident in, if it is resident.
     pub fn class_of(&self, key: Key) -> Option<ClassId> {
-        self.index.get(&key).map(|item| item.class)
+        self.index.get(&key).map(|item| item.class())
     }
 
     /// Aggregate statistics.
@@ -602,7 +610,7 @@ impl<V> Cliffhanger<V> {
     #[doc(hidden)]
     pub fn check_index(&self) -> Result<(), String> {
         let named = self.index.iter().map(|(&key, item)| {
-            let queue = &self.queues[item.class.index()];
+            let queue = &self.queues[item.class().index()];
             (key, queue.peek(item.side, item.handle))
         });
         let queued = self.queues.iter().map(|q| q.len()).sum();
@@ -620,13 +628,16 @@ mod tests {
     }
 
     /// What the server's managed engine pays per resident key in the one
-    /// index: key 8 + class 4 + handle 4 + the item, one boxed slice (key,
-    /// flags and data in one buffer) of 16, is 32 — and the partition side's
-    /// byte pads the entry to the item's 8-byte alignment, back to 40. The
-    /// slot holding the entry is no larger.
+    /// index: key 8 + class 2 + partition side 1 + handle 4 + the item, one
+    /// boxed slice (key, flags and data in one buffer) of 16, padded to the
+    /// item's 8-byte alignment: 32, as `SlabCache`'s entry. The slot holding
+    /// the entry is no larger.
     #[test]
-    fn an_index_entry_holding_one_boxed_item_is_at_most_40_bytes() {
-        assert!(std::mem::size_of::<Option<(Key, Resident<Box<[u8]>>)>>() <= 40);
+    fn an_index_entry_holding_one_boxed_item_is_32_bytes() {
+        assert_eq!(
+            std::mem::size_of::<Option<(Key, Resident<Box<[u8]>>)>>(),
+            32
+        );
     }
 
     fn config(total: u64) -> CliffhangerConfig {
