@@ -44,7 +44,7 @@ impl<V> GlobalLruCache<V> {
     /// Stores `key` with a payload of `size` bytes.
     pub fn set(&mut self, key: Key, size: u64, value: V) -> SetResult {
         let old = self.index.get(&key).map(|&(handle, _)| handle);
-        let result = self.queue.set(key, size, old);
+        let result = self.queue.set_collecting(key, size, old);
         for evicted in &result.evicted {
             self.index.remove(evicted);
         }

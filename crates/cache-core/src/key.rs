@@ -361,12 +361,13 @@ impl<V> KeyMap<V> {
 
     /// Asks for the metadata and the slots `key`'s probe starts at (see
     /// [`crate::prefetch`]): the address follows from the key, so nothing in
-    /// the table is read. The second slot holds the end of the first.
+    /// the table is read — no probe, and [`probes`] does not count it. The
+    /// second slot holds the end of the first.
     pub fn prefetch(&self, key: Key) {
         if self.len == 0 {
             return;
         }
-        let at = self.home(self.hash_probe(key));
+        let at = self.home(self.hash(key));
         crate::prefetch::line(&self.meta[at]);
         crate::prefetch::line(&self.slots[at]);
         crate::prefetch::line(&self.slots[(at + 1) & (self.slots.len() - 1)]);

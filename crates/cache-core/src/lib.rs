@@ -57,7 +57,7 @@ pub use key::{hash_bytes, AppId, ClassId, Key};
 pub use list::NodeHandle;
 pub use lru::{HitLocation, LruList};
 pub use policy::PolicyKind;
-pub use queue::{CacheQueue, GetResult, QueueConfig, SetResult};
+pub use queue::{Admission, CacheQueue, GetResult, QueueConfig, SetResult};
 pub use shadow::{Segment, ShadowQueue};
 pub use slab::SlabConfig;
 pub use stats::{CacheStats, Footprint, HitRatio};

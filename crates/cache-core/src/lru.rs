@@ -22,7 +22,10 @@
 //!   an item in the middle of the queue on first use and promotes it to the
 //!   top on its second hit. [`InsertPosition::Middle`] lands the new item at
 //!   the upper/lower segment boundary, which is maintained at half of the
-//!   non-tail population.
+//!   non-tail population from the list's first middle insertion on. A list
+//!   that only ever inserts at the top (plain LRU, every server queue) keeps
+//!   no midpoint: its lower segment stays empty, and an access, insertion or
+//!   eviction retags at most the node at the tail region's boundary.
 
 use crate::key::Key;
 use crate::list::{LinkedArena, NodeHandle};
@@ -95,6 +98,9 @@ pub struct LruList {
     lens: [usize; 3],
     tail_items: usize,
     total_weight: u64,
+    /// Whether the upper/lower midpoint is kept: set by the first middle
+    /// insertion, until which every non-tail node is upper.
+    midpoint: bool,
 }
 
 impl LruList {
@@ -154,6 +160,20 @@ impl LruList {
         }
     }
 
+    /// Asks for what the next [`LruList::pop_lru`] touches beyond the back
+    /// node, which the last unlink left cached: the node in front of it,
+    /// which its unlink writes, and the one the tail region's boundary moves
+    /// onto. Returns the back node's key, the next victim, so the owner can
+    /// ask for what dropping it touches (see [`crate::prefetch`]).
+    pub fn prefetch_next_victim(&self) -> Option<Key> {
+        let back = self.nodes.back()?;
+        self.nodes.prefetch_neighbours(back);
+        if let Some(first) = self.first(Segment::Tail) {
+            self.nodes.prefetch_neighbours(first);
+        }
+        self.nodes.get(back).map(|entry| entry.key)
+    }
+
     /// Records an access to the item at `handle`, promoting it to the
     /// most-recently-used position. Returns where the item was found.
     ///
@@ -186,6 +206,10 @@ impl LruList {
             InsertPosition::Middle => Segment::Lower,
         };
         let entry = Entry::new(key, weight, segment);
+        if position == InsertPosition::Middle && !self.midpoint {
+            self.midpoint = true;
+            self.rebalance();
+        }
         // The front of the lower segment is wherever the upper one ends.
         let handle = match (
             position,
@@ -273,15 +297,20 @@ impl LruList {
         .expect("a non-empty segment precedes the boundary")
     }
 
-    /// Target sizes: the tail region holds `min(tail_items, len)` items and
-    /// the remainder is split evenly between upper and lower (upper holding
-    /// the extra item when odd) so that [`InsertPosition::Middle`] lands in
-    /// the middle of the non-tail population.
+    /// Target sizes: the tail region holds `min(tail_items, len)` items and,
+    /// once a midpoint is kept, the remainder is split evenly between upper
+    /// and lower (upper holding the extra item when odd) so that
+    /// [`InsertPosition::Middle`] lands in the middle of the non-tail
+    /// population; until then the upper segment holds all of it.
     fn targets(&self) -> (usize, usize) {
         let len = self.nodes.len();
         let tail_target = self.tail_items.min(len);
         let rest = len - tail_target;
-        let upper_target = rest.div_ceil(2);
+        let upper_target = if self.midpoint {
+            rest.div_ceil(2)
+        } else {
+            rest
+        };
         (upper_target, tail_target)
     }
 
@@ -380,6 +409,25 @@ mod tests {
             l.insert(key(100 + i), 1, InsertPosition::Middle);
         }
         assert_eq!(l.heap_bytes(), 64 * 24);
+    }
+
+    /// A list that only inserts at the top keeps no midpoint: accesses,
+    /// insertions and evictions leave its lower segment empty, so none of
+    /// them retags a node in the middle of the list. Its first middle
+    /// insertion puts the midpoint where a list keeping it all along has it.
+    #[test]
+    fn a_top_only_list_keeps_no_midpoint_until_a_middle_insert() {
+        let (mut l, h) = filled(3, 20, 1);
+        for &handle in h.iter().step_by(3) {
+            l.access(handle);
+        }
+        l.pop_lru();
+        l.insert(key(50), 1, InsertPosition::Top);
+        assert_eq!(l.segment_lens(), (17, 0, 3));
+        // 17 items above the tail region: the newcomer lands behind 9.
+        l.insert(key(99), 1, InsertPosition::Middle);
+        assert_eq!(order(&l).iter().position(|&k| k == 99), Some(9));
+        assert_eq!(l.segment_lens(), (9, 9, 3));
     }
 
     #[test]
@@ -509,10 +557,12 @@ mod tests {
 
     #[test]
     fn segments_respect_targets() {
-        let (l, _) = filled(2, 9, 1);
+        let (mut l, _) = filled(2, 9, 1);
+        assert_eq!(l.segment_lens(), (7, 0, 2));
+        l.insert(key(9), 1, InsertPosition::Middle);
         let (u, lo, t) = l.segment_lens();
         assert_eq!(t, 2);
-        assert_eq!(u + lo + t, 9);
-        assert_eq!(u, 4); // ceil((9-2)/2)
+        assert_eq!(u + lo + t, 10);
+        assert_eq!(u, 4); // ceil((10-2)/2)
     }
 }

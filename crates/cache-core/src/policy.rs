@@ -150,6 +150,16 @@ impl Policy {
         }
     }
 
+    /// Asks for what the next [`Policy::evict`] touches and names its
+    /// victim ([`LruList::prefetch_next_victim`]); ARC, which the server does
+    /// not run, asks for nothing.
+    pub(crate) fn prefetch_next_victim(&self) -> Option<Key> {
+        match self {
+            Policy::List(list, _) => list.prefetch_next_victim(),
+            Policy::Arc(_) => None,
+        }
+    }
+
     /// Number of resident keys.
     pub fn len(&self) -> usize {
         match self {

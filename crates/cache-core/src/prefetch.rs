@@ -5,17 +5,25 @@
 //! pipelined batch knows every key before it executes the first. The
 //! `prefetch` methods up the stack ([`crate::key::KeyMap`] and
 //! [`crate::list::LinkedArena`] to the engines) walk that chain read-only, a
-//! batch ahead of execution, so the misses of different keys overlap; they
-//! all end here. A prefetch is a hint: it cannot fault and changes no value,
-//! so what executes afterwards cannot observe whether it ran, only how long
-//! its loads take. Off x86-64 both functions compile to nothing.
+//! batch ahead of execution, so the misses of different keys overlap. A
+//! write that evicts asks, the same way, for what its queue's *next*
+//! eviction will touch — the next victim's index slots, the nodes its
+//! unlink and the segment boundaries write — which has arrived by the time
+//! that eviction runs ([`crate::LruList::prefetch_next_victim`],
+//! [`crate::ShadowQueue::prefetch_insert`]). They all end here. A prefetch
+//! is a hint: it cannot fault and changes no value, so what executes
+//! afterwards cannot observe whether it ran, only how long its loads take.
+//! Off x86-64 both functions compile to nothing.
 
 /// Lines [`bytes`] asks for; the hardware streamer takes a longer value on.
 const PAYLOAD_LINES: usize = 4;
 const LINE: usize = 64;
 
 /// Which of a batch's three sweeps a `prefetch` call belongs to. Each reads
-/// what the one before it asked for, so all of one run before the next.
+/// what the one before it asked for, so all of one run before the next. A
+/// store's key is swept like a GET's; what its eviction touches is asked
+/// for one eviction ahead instead: sweep 0 already keeps the misses of a
+/// window's GETs in flight, and more lines there wait for those.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Sweep {
     /// The index slot the key's probe starts at: its address follows from

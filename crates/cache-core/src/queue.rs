@@ -14,7 +14,8 @@
 //! [`NodeHandle`]: it tells the queue whether a GET was a [`CacheQueue::hit`]
 //! (and on which handle) or a [`CacheQueue::miss`], passes the handle of the
 //! copy a SET replaces, and drops its entries for the keys a SET or a shrink
-//! hands back as evicted.
+//! appends to the buffer of evicted keys it passes in (an engine keeps one,
+//! so an evicting SET allocates nothing for them).
 
 use crate::key::Key;
 use crate::list::NodeHandle;
@@ -71,17 +72,27 @@ pub struct GetResult {
     pub shadow_hit: bool,
 }
 
-/// Outcome of a SET against a [`CacheQueue`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SetResult {
+/// What a [`CacheQueue::set`] did with the item.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Admission {
     /// Whether the item was admitted (false only if it alone exceeds the
-    /// queue's byte budget and `admit_oversized` is off).
+    /// queue's byte budget).
     pub admitted: bool,
-    /// Keys evicted from the physical queue to make room.
-    pub evicted: Vec<Key>,
     /// Where the item now sits: `None` if it was not admitted, or if making
     /// room evicted the item itself (a mid-queue insertion into a queue
     /// that fits almost nothing).
+    pub handle: Option<NodeHandle>,
+}
+
+/// Outcome of a SET against an engine of one queue per class or of one
+/// queue ([`crate::SlabCache`], [`crate::GlobalLruCache`]).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SetResult {
+    /// Whether the item was admitted.
+    pub admitted: bool,
+    /// Keys evicted to make room.
+    pub evicted: Vec<Key>,
+    /// Where the item now sits (see [`Admission::handle`]).
     pub handle: Option<NodeHandle>,
 }
 
@@ -139,10 +150,17 @@ impl CacheQueue {
     }
 
     /// Inserts `key` with a payload of `size` bytes, evicting items as needed
-    /// to stay within the byte budget. `old` names the copy of `key` this
-    /// queue already holds, if it holds one; it is gone afterwards whether
-    /// or not the new item was admitted.
-    pub fn set(&mut self, key: Key, size: u64, old: Option<NodeHandle>) -> SetResult {
+    /// to stay within the byte budget and appending their keys to
+    /// `evicted`. `old` names the copy of `key` this queue already holds, if
+    /// it holds one; it is gone afterwards whether or not the new item was
+    /// admitted.
+    pub fn set(
+        &mut self,
+        key: Key,
+        size: u64,
+        old: Option<NodeHandle>,
+        evicted: &mut Vec<Key>,
+    ) -> Admission {
         self.stats.record_set();
         if let Some(handle) = old {
             self.policy.remove(handle);
@@ -152,16 +170,28 @@ impl CacheQueue {
             // The item alone exceeds the budget; do not admit it (Memcached
             // would fail the store with SERVER_ERROR object too large).
             self.policy.forget(key);
-            return SetResult::default();
+            return Admission::default();
         }
         let handle = self.policy.insert(key, charge);
         // The key is now resident; it must not linger in the shadow queue.
         self.shadow.remove(key);
-        let evicted = self.evict_to_target();
-        SetResult {
+        let from = evicted.len();
+        self.evict_to_target(evicted);
+        Admission {
             admitted: true,
-            handle: (!evicted.contains(&key)).then_some(handle),
+            handle: (!evicted[from..].contains(&key)).then_some(handle),
+        }
+    }
+
+    /// [`CacheQueue::set`] for an engine that hands its caller the evicted
+    /// keys: the same write, its keys collected in a result of their own.
+    pub fn set_collecting(&mut self, key: Key, size: u64, old: Option<NodeHandle>) -> SetResult {
+        let mut evicted = Vec::new();
+        let Admission { admitted, handle } = self.set(key, size, old, &mut evicted);
+        SetResult {
+            admitted,
             evicted,
+            handle,
         }
     }
 
@@ -179,10 +209,10 @@ impl CacheQueue {
         self.policy.forget(key);
     }
 
-    /// Evicts items until the queue fits its byte budget; returns the evicted
-    /// keys (they are recorded in the shadow queue).
-    pub fn evict_to_target(&mut self) -> Vec<Key> {
-        let mut evicted = Vec::new();
+    /// Evicts items until the queue fits its byte budget, appending their
+    /// keys to `evicted` (they are recorded in the shadow queue).
+    pub fn evict_to_target(&mut self, evicted: &mut Vec<Key>) {
+        let from = evicted.len();
         while self.policy.total_weight() > self.target_bytes {
             match self.policy.evict() {
                 Some((key, _)) => {
@@ -192,8 +222,13 @@ impl CacheQueue {
                 None => break,
             }
         }
-        self.stats.record_evictions(evicted.len() as u64);
-        evicted
+        self.stats.record_evictions((evicted.len() - from) as u64);
+    }
+
+    /// Asks for what the queue's next eviction touches and names its victim
+    /// (see [`crate::lru::LruList::prefetch_next_victim`]).
+    pub fn prefetch_next_victim(&self) -> Option<Key> {
+        self.policy.prefetch_next_victim()
     }
 
     /// Current byte budget.
@@ -314,7 +349,7 @@ mod tests {
 
         fn set(&mut self, key: Key, size: u64) -> SetResult {
             let old = self.index.remove(&key);
-            let result = self.queue.set(key, size, old);
+            let result = self.queue.set_collecting(key, size, old);
             for evicted in &result.evicted {
                 self.index.remove(evicted);
             }
@@ -437,7 +472,8 @@ mod tests {
             before,
             "shrinking must not evict immediately"
         );
-        let evicted = q.queue.evict_to_target();
+        let mut evicted = Vec::new();
+        q.queue.evict_to_target(&mut evicted);
         assert!(!evicted.is_empty());
         assert!(q.queue.used_bytes() <= 500);
     }

@@ -133,6 +133,28 @@ impl ShadowQueue {
         Some(self.unlink(handle).segment)
     }
 
+    /// Asks for what inserting `next` — the key the physical queue evicts
+    /// next — will touch: its slot in the index, the node in front of the
+    /// far segment's first (the near segment's overflow retags it), and the
+    /// last node's key slot and front neighbour (a full queue drops it). In
+    /// a full queue the insert before this one wrote both nodes, so reading
+    /// them costs no miss (see [`crate::prefetch`]).
+    pub fn prefetch_insert(&self, next: Key) {
+        if self.capacity() == 0 {
+            return;
+        }
+        self.index.prefetch(next);
+        if let Some(first) = self.far_head {
+            self.nodes.prefetch_neighbours(first);
+        }
+        if let Some(last) = self.nodes.back() {
+            self.nodes.prefetch_neighbours(last);
+            if let Some(ghost) = self.nodes.get(last) {
+                self.index.prefetch(ghost.key);
+            }
+        }
+    }
+
     /// Removes `key` if present (used when the physical queue re-admits a key
     /// through a path that did not call [`ShadowQueue::probe`]).
     pub fn remove(&mut self, key: Key) -> bool {

@@ -234,7 +234,8 @@ impl<V> SlabCache<V> {
         if let AllocationMode::FirstComeFirstServe { page_size } = self.config.mode {
             self.grow_class_fcfs(class, charge, page_size);
         }
-        let result = self.queues[class.index()].set(key, size, old.map(|(_, handle)| handle));
+        let old = old.map(|(_, handle)| handle);
+        let result = self.queues[class.index()].set_collecting(key, size, old);
         self.unindex(&result.evicted);
         match result.handle {
             // Overwrites the old entry where it stands.
@@ -301,13 +302,12 @@ impl<V> SlabCache<V> {
     /// Evicts every class down to its target; returns the number of items
     /// evicted.
     pub fn enforce_targets(&mut self) -> usize {
-        let mut evicted = 0;
-        for idx in 0..self.queues.len() {
-            let keys = self.queues[idx].evict_to_target();
-            self.unindex(&keys);
-            evicted += keys.len();
+        let mut evicted = Vec::new();
+        for queue in &mut self.queues {
+            queue.evict_to_target(&mut evicted);
         }
-        evicted
+        self.unindex(&evicted);
+        evicted.len()
     }
 
     /// Per-class statistics, indexed by class.

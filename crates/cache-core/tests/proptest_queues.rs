@@ -245,6 +245,54 @@ proptest! {
         }
     }
 
+    /// A list that only ever inserts at the top keeps no midpoint (its
+    /// lower segment stays empty); it is the same model all the same, and
+    /// the next victim it names is the model's least recent key.
+    #[test]
+    fn top_only_lru_list_matches_reference_model(
+        ops in prop::collection::vec(lru_op(), 1..300),
+        tail_region in 0usize..16,
+    ) {
+        let mut real = LruList::with_tail_region(tail_region);
+        let mut handles = std::collections::HashMap::new();
+        let mut model = ModelLru { entries: Vec::new(), tail_region };
+        for op in ops {
+            match op {
+                LruOp::Insert(k, w, _) => {
+                    if let Some(old) = handles.remove(&k) {
+                        real.remove(old);
+                    }
+                    handles.insert(k, real.insert(Key::new(k as u64), w as u64, InsertPosition::Top));
+                    model.insert(k, w as u64, InsertPosition::Top);
+                }
+                LruOp::Access(k) => {
+                    let real_hit = handles.get(&k).map(|&handle| real.access(handle));
+                    prop_assert_eq!(real_hit, model.access(k));
+                }
+                LruOp::Remove(k) => {
+                    let real_removed = handles.remove(&k).map(|handle| real.remove(handle).1);
+                    prop_assert_eq!(real_removed, model.remove(k));
+                }
+                LruOp::PopLru => {
+                    let named = real.prefetch_next_victim().map(|k| k.raw() as u8);
+                    let real_popped = real.pop_lru().map(|(k, w)| (k.raw() as u8, w));
+                    if let Some((k, _)) = real_popped {
+                        handles.remove(&k);
+                    }
+                    prop_assert_eq!(named, real_popped.map(|(k, _)| k));
+                    prop_assert_eq!(real_popped, model.pop_lru());
+                }
+                LruOp::SetTailRegion(items) => {
+                    real.set_tail_region(items as usize);
+                    model.tail_region = items as usize;
+                }
+            }
+            let order: Vec<(u8, u64)> = real.iter().map(|(k, w)| (k.raw() as u8, w)).collect();
+            prop_assert_eq!(&order, &model.entries);
+            prop_assert_eq!(real.total_weight(), model.total_weight());
+        }
+    }
+
     /// ARC — T1 and T2 in one arena, each node tagged with its list — is
     /// its naive model under any sequence: the same victim on every
     /// eviction, every handle naming its key in the model's list, the same
@@ -306,7 +354,9 @@ proptest! {
     /// near's overflow goes to the front of far, far is cut to its capacity,
     /// and a probe takes the key out and names its list — under inserts,
     /// probes and both capacities changing mid-script: same keys in the same
-    /// segments in the same order after every step.
+    /// segments in the same order after every step. Before every step the
+    /// queue is asked for what inserting the step's key would touch, which
+    /// must change none of that.
     #[test]
     fn shadow_queue_matches_reference_model(
         near_capacity in 0usize..12,
@@ -324,6 +374,7 @@ proptest! {
             } else {
                 far.contains(&k).then_some(Segment::Far)
             };
+            shadow.prefetch_insert(key);
             match op {
                 0..=3 => {
                     shadow.insert(key);

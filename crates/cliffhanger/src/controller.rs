@@ -22,6 +22,7 @@ use cache_core::key::KeyMap;
 use cache_core::prefetch::Sweep;
 use cache_core::{CacheStats, ClassId, Footprint, Key, NodeHandle};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A point-in-time view of one managed slab class (used by experiments that
@@ -70,6 +71,10 @@ impl<V> Resident<V> {
 #[derive(Debug)]
 pub struct Cliffhanger<V> {
     config: CliffhangerConfig,
+    /// Each class's chunk size, smallest first: the ladder every request
+    /// looks its size up in, computed once (`SlabConfig::class_for_size`
+    /// walks it in floating point per call).
+    chunk_sizes: Vec<u64>,
     queues: Vec<PartitionedQueue>,
     climber: HillClimber,
     /// Memory not yet granted to any class (drained first-come-first-serve
@@ -81,6 +86,10 @@ pub struct Cliffhanger<V> {
     /// Aggregate counters, evictions included (counted as the queues hand
     /// evicted keys back, so reading them walks nothing).
     stats: CacheStats,
+    /// The keys the last evicting operation's queues handed back, in the
+    /// order they went: one buffer, cleared by each operation that may
+    /// evict, so an eviction allocates nothing for its key.
+    evicted: Vec<Key>,
     /// Optional host sink narrating allocation decisions (free-pool grants,
     /// cliff-scaler ratio steps). `None` keeps every hook zero-cost.
     sink: SinkSlot,
@@ -142,12 +151,14 @@ impl<V> Cliffhanger<V> {
             })
             .collect();
         Cliffhanger {
+            chunk_sizes: config.slab.chunk_sizes(),
             config,
             queues,
             climber,
             free_bytes,
             index: KeyMap::default(),
             stats: CacheStats::new(),
+            evicted: Vec::new(),
             sink: SinkSlot::default(),
             // Fresh partitioned queues start with an even 0.5 split.
             ratio_buckets: vec![10; num_classes],
@@ -190,7 +201,10 @@ impl<V> Cliffhanger<V> {
 
     /// The slab class an item of `size` bytes maps to.
     pub fn class_for_size(&self, size: u64) -> Option<ClassId> {
-        self.config.slab.class_for_size(size)
+        // The first class whose chunk holds `size`; the last chunk is the
+        // largest item size, so a larger one has none.
+        let class = self.chunk_sizes.partition_point(|&chunk| chunk < size);
+        (class < self.chunk_sizes.len()).then(|| ClassId::new(class as u32))
     }
 
     /// Number of slab classes.
@@ -270,6 +284,7 @@ impl<V> Cliffhanger<V> {
         self.stats.record_get(false);
         if event.hill_shadow_hit {
             self.stats.shadow_hits += 1;
+            self.evicted.clear();
             self.hill_climb(idx);
         }
         if event.cliff_shadow_hit {
@@ -279,12 +294,12 @@ impl<V> Cliffhanger<V> {
         event
     }
 
-    /// Drops the index entries of keys a queue evicted.
-    fn unindex(&mut self, evicted: &[Key]) {
-        for key in evicted {
+    /// Drops the index entries of the evicted keys at `keys` in the buffer.
+    fn unindex(&mut self, keys: Range<usize>) {
+        self.stats.record_evictions(keys.len() as u64);
+        for key in &self.evicted[keys] {
             self.index.remove(key);
         }
-        self.stats.record_evictions(evicted.len() as u64);
     }
 
     /// While the free pool is non-empty, classes grow into it on demand
@@ -360,8 +375,9 @@ impl<V> Cliffhanger<V> {
             // page evicts its items), so the sum of resident bytes can never
             // exceed the reservation just because the loser happens to be
             // idle.
-            let evicted = self.queues[transfer.loser].enforce_target();
-            self.unindex(&evicted);
+            let from = self.evicted.len();
+            self.queues[transfer.loser].enforce_target(&mut self.evicted);
+            self.unindex(from..self.evicted.len());
         }
     }
 
@@ -385,7 +401,9 @@ impl<V> Cliffhanger<V> {
         }
         self.grant_from_free_pool(class, size);
         let replaced = old.map(|(_, side, handle)| (side, handle));
-        let outcome = self.queues[class.index()].set(key, size, replaced);
+        self.evicted.clear();
+        let outcome = self.queues[class.index()].set(key, size, replaced, &mut self.evicted);
+        let evicted = self.evicted.len();
         if outcome.hill_shadow_hit {
             self.stats.shadow_hits += 1;
             self.hill_climb(class.index());
@@ -394,8 +412,11 @@ impl<V> Cliffhanger<V> {
             self.stats.cliff_shadow_hits += 1;
             self.note_ratio(class.index());
         }
-        self.unindex(&outcome.evicted);
-        if !outcome.evicted.is_empty() {
+        self.unindex(0..evicted);
+        if let Some(next) = outcome.next_victim {
+            self.index.prefetch(next);
+        }
+        if evicted > 0 {
             self.grant_on_eviction(class);
         }
         match outcome.slot {
@@ -578,6 +599,7 @@ impl<V> Cliffhanger<V> {
             return false;
         }
         self.free_bytes -= from_free;
+        self.evicted.clear();
         while needed > 0 {
             let idx = (0..self.queues.len())
                 .max_by_key(|&i| spare_of(&self.climber, i))
@@ -587,8 +609,9 @@ impl<V> Cliffhanger<V> {
             let new_target = self.climber.target(idx) - take;
             self.climber.set_target(idx, new_target);
             self.queues[idx].set_target_bytes(new_target);
-            let evicted = self.queues[idx].enforce_target();
-            self.unindex(&evicted);
+            let from = self.evicted.len();
+            self.queues[idx].enforce_target(&mut self.evicted);
+            self.unindex(from..self.evicted.len());
             needed -= take;
         }
         true
@@ -666,6 +689,28 @@ mod tests {
         assert_eq!(c.stats().gets, 2);
         assert_eq!(c.stats().hits, 1);
         assert!(c.contains(key(1)));
+    }
+
+    /// The ladder lookup is `SlabConfig::class_for_size`, at every boundary
+    /// of a power-of-two ladder and of Memcached's 1.25 one.
+    #[test]
+    fn the_class_ladder_matches_the_slab_geometry() {
+        for slab in [
+            SlabConfig::new(64, 2.0, 8192),
+            SlabConfig::memcached_default(),
+        ] {
+            let c: Cliffhanger<()> = Cliffhanger::new(CliffhangerConfig {
+                slab: slab.clone(),
+                ..config(1 << 20)
+            });
+            let edges = slab
+                .chunk_sizes()
+                .into_iter()
+                .flat_map(|chunk| [chunk, chunk + 1]);
+            for size in [0, 1].into_iter().chain(edges) {
+                assert_eq!(c.class_for_size(size), slab.class_for_size(size), "{size}");
+            }
+        }
     }
 
     #[test]
@@ -1122,7 +1167,8 @@ mod tests {
         assert_eq!(hashed, 3);
         // A write that evicts one adds the evicted key's removal from the
         // index, its insertion into the shadow and the removal of the key
-        // that falls off the shadow's far end.
+        // that falls off the shadow's far end. (Asking for the next
+        // victim's slots after it hashes, but probes nothing.)
         let before = c.stats().evictions;
         let (hashed, _) = hashed_by(|| c.set(key(5_000), 60, 7));
         assert_eq!(c.stats().evictions - before, 1);

@@ -62,14 +62,12 @@ pub struct QueueEvent {
     pub hill_shadow_hit: bool,
 }
 
-/// Outcome of a SET against a [`PartitionedQueue`].
-#[derive(Clone, Debug, Default)]
+/// Outcome of a SET against a [`PartitionedQueue`] (the keys it evicted
+/// went to the caller's buffer).
+#[derive(Clone, Copy, Debug, Default)]
 pub struct SetOutcome {
     /// Whether the item was admitted.
     pub admitted: bool,
-    /// Keys evicted from the physical queues to make room (they moved into
-    /// the shadow structure).
-    pub evicted: Vec<Key>,
     /// The stored key was found in a cliff shadow queue before insertion —
     /// the deferred "right of the pointer" signal for callers that could not
     /// classify the preceding GET (e.g. the wire-protocol path, where the
@@ -81,6 +79,9 @@ pub struct SetOutcome {
     /// Where the item now sits, for the caller's index: `None` if it was
     /// not admitted or did not survive its own insertion.
     pub slot: Option<(Partition, NodeHandle)>,
+    /// After a write that evicted: the key the same side evicts next, whose
+    /// line in the caller's index the caller may ask for now.
+    pub next_victim: Option<Key>,
 }
 
 /// Static parameters of a partitioned queue (derived per slab class by the
@@ -172,7 +173,7 @@ impl PartitionedQueue {
             },
         };
         queue.set_target_bytes(queue.config.target_bytes);
-        queue.enforce_target();
+        queue.enforce_target(&mut Vec::new());
         queue
     }
 
@@ -392,7 +393,8 @@ impl PartitionedQueue {
     /// Stores `key` with a payload of `size` bytes. Pending resizes are
     /// applied first (this is the insertion that follows a miss), then the
     /// item is admitted to its routed partition; evicted keys cascade into
-    /// the shadow queues. `old` is where the caller's index holds the copy
+    /// the shadow queues and are appended to `evicted`, the resize's first.
+    /// `old` is where the caller's index holds the copy
     /// of `key` this write replaces, if it holds one: that copy is gone
     /// afterwards, whichever side it was on and whether or not the new item
     /// was admitted.
@@ -408,6 +410,7 @@ impl PartitionedQueue {
         key: Key,
         size: u64,
         mut old: Option<(Partition, NodeHandle)>,
+        evicted: &mut Vec<Key>,
     ) -> SetOutcome {
         self.stats.record_set();
         // Deferred shadow classification.
@@ -428,10 +431,11 @@ impl PartitionedQueue {
         }
 
         if self.resize_pending {
-            outcome.evicted = self.apply_sizes();
+            let from = evicted.len();
+            self.apply_sizes(evicted);
             self.resize_pending = false;
             // The resize may have evicted the very copy being replaced.
-            if old.is_some() && outcome.evicted.contains(&key) {
+            if old.is_some() && evicted[from..].contains(&key) {
                 old = None;
             }
         }
@@ -450,14 +454,22 @@ impl PartitionedQueue {
             same_side => same_side.map(|(_, handle)| handle),
         };
         other.forget(key);
-        let result = queue.set(key, size, replaced);
-        for &evicted in &result.evicted {
-            shadow.insert(evicted);
+        let from = evicted.len();
+        let admission = queue.set(key, size, replaced, evicted);
+        for &key in &evicted[from..] {
+            shadow.insert(key);
         }
-        self.stats.record_evictions(result.evicted.len() as u64);
-        outcome.admitted = result.admitted;
-        outcome.slot = result.handle.map(|handle| (partition, handle));
-        outcome.evicted.extend(result.evicted);
+        if evicted.len() > from {
+            // A side that evicted evicts again soon: its next victim's lines
+            // are asked for now and have arrived by then.
+            outcome.next_victim = queue.prefetch_next_victim();
+            if let Some(next) = outcome.next_victim {
+                shadow.prefetch_insert(next);
+            }
+        }
+        self.stats.record_evictions((evicted.len() - from) as u64);
+        outcome.admitted = admission.admitted;
+        outcome.slot = admission.handle.map(|handle| (partition, handle));
         outcome
     }
 
@@ -472,9 +484,9 @@ impl PartitionedQueue {
 
     /// Applies the current pointer-derived sizes to the two partitions and
     /// their shadow queues, evicting eagerly so the split takes effect.
-    /// Returns the keys evicted by the resize so callers can keep any
-    /// external residency index in sync.
-    fn apply_sizes(&mut self) -> Vec<Key> {
+    /// Appends the keys evicted by the resize to `evicted` so callers can
+    /// keep any external residency index in sync.
+    fn apply_sizes(&mut self, evicted: &mut Vec<Key>) {
         let charge = self.config.charge_per_item;
         let total_items = self.target_items();
         let left_items = if self.cliff_scaling_active() {
@@ -488,17 +500,18 @@ impl PartitionedQueue {
         // the full budget stays usable.
         self.right
             .set_target_bytes(self.target_bytes - left_items * charge);
-        let mut all_evicted = Vec::new();
+        let start = evicted.len();
         for (queue, shadow) in [
             (&mut self.left, &mut self.left_shadow),
             (&mut self.right, &mut self.right_shadow),
         ] {
-            for evicted in queue.evict_to_target() {
-                shadow.insert(evicted);
-                all_evicted.push(evicted);
+            let from = evicted.len();
+            queue.evict_to_target(evicted);
+            for &key in &evicted[from..] {
+                shadow.insert(key);
             }
         }
-        self.stats.record_evictions(all_evicted.len() as u64);
+        self.stats.record_evictions((evicted.len() - start) as u64);
         // Split the hill-climbing shadow entries in proportion to the
         // partition sizes (§5.1).
         let entries = self.config.hill_shadow_entries;
@@ -510,18 +523,17 @@ impl PartitionedQueue {
         self.left_shadow.set_far_capacity(left_entries.min(entries));
         self.right_shadow
             .set_far_capacity(entries - left_entries.min(entries));
-        all_evicted
     }
 
     /// Applies the current byte budget immediately, evicting as needed, and
-    /// returns the evicted keys. Used when memory is taken away from this
-    /// queue by the hill-climbing layer: reassigning a slab page in
-    /// Memcached evicts that page's items right away, so the donated memory
-    /// becomes available to the winner without over-committing the total.
-    pub fn enforce_target(&mut self) -> Vec<Key> {
-        let evicted = self.apply_sizes();
+    /// appends the evicted keys to `evicted`. Used when memory is taken away
+    /// from this queue by the hill-climbing layer: reassigning a slab page
+    /// in Memcached evicts that page's items right away, so the donated
+    /// memory becomes available to the winner without over-committing the
+    /// total.
+    pub fn enforce_target(&mut self, evicted: &mut Vec<Key>) {
+        self.apply_sizes(evicted);
         self.resize_pending = false;
-        evicted
     }
 }
 
@@ -555,17 +567,18 @@ mod tests {
             }
         }
 
-        fn set(&mut self, key: Key, size: u64) -> SetOutcome {
-            let old = self.index.remove(&key);
-            let outcome = self.queue.set(key, size, old);
-            for evicted in &outcome.evicted {
+        /// The outcome and the keys the write evicted.
+        fn set(&mut self, key: Key, size: u64) -> (SetOutcome, Vec<Key>) {
+            let (old, mut evicted) = (self.index.remove(&key), Vec::new());
+            let outcome = self.queue.set(key, size, old, &mut evicted);
+            for evicted in &evicted {
                 self.index.remove(evicted);
             }
             if let Some(slot) = outcome.slot {
                 self.index.insert(key, slot);
             }
             assert_eq!(self.index.len(), self.queue.len());
-            outcome
+            (outcome, evicted)
         }
     }
 
@@ -666,8 +679,8 @@ mod tests {
         // evicts the copy being replaced, then the write admits it again
         // (and evicts the next oldest).
         q.set_target_bytes(9 * 100);
-        let outcome = q.set(key(0), 52);
-        assert_eq!(outcome.evicted, vec![key(0), key(1)]);
+        let (outcome, evicted) = q.set(key(0), 52);
+        assert_eq!(evicted, vec![key(0), key(1)]);
         assert!(outcome.slot.is_some());
         // Nine new keys evict 2..=9, which push the ghost of 0 past the
         // cliff shadow, and then 0 itself.
@@ -680,6 +693,57 @@ mod tests {
         assert!(first.cliff_shadow_hit);
         assert!(!second.cliff_shadow_hit && !second.hill_shadow_hit);
         assert_eq!(q.stats().cliff_shadow_hits + q.stats().shadow_hits, 1);
+    }
+
+    /// The key a write names as its side's next victim is the first key
+    /// that side's next evicting write evicts. Named wrongly, the prefetch
+    /// would look just as correct and save nothing. Left out are the writes
+    /// that resize first (a resize pending, or a cliff-shadow hit moving the
+    /// pointers) and the write of the named key itself, whose old copy
+    /// leaves before anything is evicted; the script only writes, so no hit
+    /// moves a named key in between.
+    #[test]
+    fn the_named_next_victim_is_the_next_key_evicted() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut q = Keyed::new(PartitionedQueueConfig {
+            target_bytes: 2_000 * 100,
+            charge_per_item: 100,
+            cliff_shadow_items: 128,
+            hill_shadow_entries: 4_096,
+            credit_items: 16,
+            cliff_min_items: 1_000,
+            ..PartitionedQueueConfig::default()
+        });
+        assert!(q.cliff_scaling_active());
+        let mut rng = StdRng::seed_from_u64(5);
+        let (mut named, mut checked) = ([None; 2], 0);
+        for _ in 0..60_000 {
+            let k = key(rng.gen_range(0..3_000));
+            let before = (q.resize_pending, q.stats().cliff_shadow_hits);
+            let (outcome, evicted) = q.set(k, 52);
+            let resized = before.0 || q.stats().cliff_shadow_hits > before.1;
+            let Some((side, _)) = outcome.slot else {
+                continue;
+            };
+            let side = usize::from(side == Partition::Right);
+            if let (Some(&first), Some(expected), false) = (
+                evicted.first(),
+                named[side],
+                resized || named[side] == Some(k),
+            ) {
+                assert_eq!(first, expected);
+                checked += 1;
+            }
+            if resized {
+                named = [None; 2];
+            }
+            named = named.map(|n| n.filter(|&n| n != k));
+            if !evicted.is_empty() {
+                named[side] = outcome.next_victim;
+            }
+        }
+        assert!(checked > 20_000, "{checked} evicting writes checked");
     }
 
     #[test]

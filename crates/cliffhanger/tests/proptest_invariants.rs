@@ -289,8 +289,9 @@ proptest! {
                 None => queue.miss(key).hit,
             };
             if !hit {
-                let outcome = queue.set(key, 52, None);
-                for evicted in &outcome.evicted {
+                let mut evicted = Vec::new();
+                let outcome = queue.set(key, 52, None, &mut evicted);
+                for evicted in &evicted {
                     index.remove(evicted);
                 }
                 if let Some(slot) = outcome.slot {

@@ -38,6 +38,12 @@
 //! they were when commands were parsed one at a time, and a 32-deep pipeline
 //! (one window exactly) is held to the GET budget too.
 //!
+//! A SET that evicts allocates only its item too: the engine keeps one
+//! buffer for the keys its queues hand back as evicted. A server whose
+//! budget holds fewer items than one pipeline writes, so that every counted
+//! SET evicts, is held to 1.05 allocations per SET; it read 3.0 while the
+//! queues returned a fresh `Vec` of evicted keys from each layer.
+//!
 //! One `#[test]` on purpose: the allocator counts every thread of the
 //! process, so nothing else may run while it is armed. The client half
 //! pre-builds its request bytes and pre-sizes its read buffer, and allocates
@@ -108,6 +114,8 @@ fn counted(run: impl FnOnce()) -> (u64, u64) {
 const KEYS: usize = 64;
 const VALUE: [u8; 64] = [b'v'; 64];
 const DEPTH: usize = 64;
+/// Rounds each steady-state measurement runs uncounted first.
+const WARM_UP: usize = 20;
 
 /// Counted rounds per verb: 200 per push, `BYTE_PATH_ROUNDS` overrides
 /// (nightly.yml runs 20 x that).
@@ -146,7 +154,7 @@ fn steady_state(
         stream.read_exact(got).unwrap();
     };
     // Buffers, maps and the history ring reach their steady size first.
-    for _ in 0..20 {
+    for _ in 0..WARM_UP {
         round(stream, &mut got);
     }
     let (allocs, _) = counted(|| {
@@ -295,8 +303,55 @@ fn hold_to_budgets(workers: usize, shards: usize, get_budget: f64) -> u64 {
     stats["plane:remote_ops"].parse().unwrap()
 }
 
+/// Holds a one-loop server whose budget holds fewer than `DEPTH` of the
+/// pipeline's items to 1.05 allocations per SET, every one of which evicts.
+fn hold_evicting_sets_to_budget() {
+    const LARGE: [u8; 400] = [b'v'; 400];
+    let server = CacheServer::start(ServerConfig {
+        workers: 1,
+        backend: BackendConfig {
+            total_bytes: 16 << 10,
+            shards: 1,
+            ..BackendConfig::default()
+        },
+        ..ServerConfig::default()
+    })
+    .expect("server must start");
+    let mut client = CacheClient::connect(server.local_addr()).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let sets: Vec<u8> = (0..DEPTH)
+        .flat_map(|i| {
+            let mut set = format!("set {} 0 0 {}\r\n", key(i), LARGE.len()).into_bytes();
+            set.extend_from_slice(&LARGE);
+            set.extend_from_slice(b"\r\n");
+            set
+        })
+        .collect();
+    let mut evictions = || -> u64 {
+        let stats: HashMap<_, _> = client.stats().unwrap().into_iter().collect();
+        stats["evictions"].parse().unwrap()
+    };
+    let before = evictions();
+    let stored = b"STORED\r\n".repeat(DEPTH);
+    let per_set = steady_state(&mut stream, &sets, &stored, rounds(), DEPTH);
+    let evicted = evictions() - before;
+    println!("evicting SETs: allocations per SET {per_set:.3}, {evicted} evictions");
+    // Only the first round's SETs find room.
+    assert!(
+        evicted >= ((WARM_UP + rounds() - 1) * DEPTH) as u64,
+        "only {evicted} evictions: the counted SETs must all evict"
+    );
+    assert!(
+        per_set <= 1.05,
+        "a pipelined SET that evicts costs {per_set:.3} allocations; \
+         the budget is 1.05 (the item)"
+    );
+}
+
 #[test]
 fn the_byte_path_stays_inside_its_allocation_and_copy_budgets() {
+    hold_evicting_sets_to_budget();
     assert_eq!(hold_to_budgets(1, 1, 0.005), 0);
     // The 64 keys split across both owners, whichever loop the counted
     // connection landed on.
