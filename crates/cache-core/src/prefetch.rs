@@ -5,8 +5,10 @@
 //! pipelined batch knows every key before it executes the first. The
 //! `prefetch` methods up the stack ([`crate::key::KeyMap`] and
 //! [`crate::list::LinkedArena`] to the engines) walk that chain read-only, a
-//! batch ahead of execution, so the misses of different keys overlap. A
-//! write that evicts asks, the same way, for what its queue's *next*
+//! batch ahead of execution, so the misses of different keys overlap. The
+//! stored bytes are asked for whole ([`bytes`]: every line they span, up to
+//! 1 KiB), since the copy that reads them stalls on each line still missing.
+//! A write that evicts asks, the same way, for what its queue's *next*
 //! eviction will touch — the next victim's index slots, the nodes its
 //! unlink and the segment boundaries write — which has arrived by the time
 //! that eviction runs ([`crate::LruList::prefetch_next_victim`],
@@ -15,8 +17,10 @@
 //! afterwards cannot observe whether it ran, only how long its loads take.
 //! Off x86-64 both functions compile to nothing.
 
-/// Lines [`bytes`] asks for; the hardware streamer takes a longer value on.
-const PAYLOAD_LINES: usize = 4;
+/// Lines [`bytes`] asks for at most: 1 KiB. A 256-byte value spans 5–6
+/// lines with its header and key, a 400-byte one 7–8; a cap of 8 lines and
+/// one of 66 (a whole 4 KiB value) both read slower than 16.
+const PAYLOAD_LINES: usize = 16;
 const LINE: usize = 64;
 
 /// Which of a batch's three sweeps a `prefetch` call belongs to. Each reads
@@ -29,7 +33,9 @@ pub enum Sweep {
     /// The index slot the key's probe starts at: its address follows from
     /// the key, so this sweep reads nothing.
     Slot,
-    /// The item's queue node (an engine adds the stored value's bytes).
+    /// The item's queue node (an engine adds every line of the stored
+    /// item, up to 1 KiB: the copy a GET makes of it, or the copy a write
+    /// replaces).
     Item,
     /// The node's two neighbours, which unlinking it is about to write.
     Neighbours,
@@ -50,15 +56,31 @@ pub fn line<T>(at: &T) {
     let _ = at;
 }
 
-/// Asks for the first few cache lines of `data`.
+/// Asks for every cache line `data` spans, from the one its first byte is
+/// in, up to 16 lines (1 KiB).
 #[inline]
 pub fn bytes(data: &[u8]) {
-    data.iter().step_by(LINE).take(PAYLOAD_LINES).for_each(line);
+    let first = data.as_ptr() as usize % LINE;
+    offsets(first, data.len()).for_each(|at| line(&data[at]));
+}
+
+/// The offsets into a slice of `len` bytes, whose first byte sits `first`
+/// bytes into its cache line, that [`bytes`] asks for: 0, then the first
+/// byte of each later line the slice reaches, at most [`PAYLOAD_LINES`].
+#[inline]
+fn offsets(first: usize, len: usize) -> impl Iterator<Item = usize> {
+    let spanned = if len == 0 {
+        0
+    } else {
+        (first + len).div_ceil(LINE)
+    };
+    (0..spanned.min(PAYLOAD_LINES)).map(move |k| (k * LINE).saturating_sub(first))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn any_reference_and_any_length_are_fine() {
@@ -67,5 +89,33 @@ mod tests {
         bytes(&[]);
         bytes(&[1]);
         bytes(&vec![0u8; 10 * PAYLOAD_LINES * LINE]);
+    }
+
+    #[test]
+    fn a_span_asks_for_each_line_it_touches_up_to_the_cap() {
+        let lines = |first, len| offsets(first, len).count();
+        assert_eq!(offsets(0, 256).collect::<Vec<_>>(), [0, 64, 128, 192]);
+        assert_eq!(
+            offsets(60, 271).collect::<Vec<_>>(),
+            [0, 4, 68, 132, 196, 260]
+        );
+        assert_eq!(lines(60, 411), 8);
+        assert_eq!(lines(0, 4_096), PAYLOAD_LINES);
+        assert_eq!(lines(0, 0), 0);
+        assert_eq!(lines(60, 0), 0);
+    }
+
+    proptest! {
+        #[test]
+        fn offsets_are_one_per_spanned_line(first in 0usize..LINE, len in 0usize..5_000) {
+            let at: Vec<usize> = offsets(first, len).collect();
+            let spanned = if len == 0 { 0 } else { (first + len).div_ceil(LINE) };
+            prop_assert_eq!(at.len(), spanned.min(PAYLOAD_LINES));
+            prop_assert!(at.first().is_none_or(|&o| o == 0), "{:?}", at);
+            prop_assert!(at.iter().all(|&o| o < len), "{:?}", at);
+            prop_assert!(at.windows(2).all(|w| w[0] < w[1]), "{:?}", at);
+            let line_of = |o: usize| (first + o) / LINE;
+            prop_assert!(at.windows(2).all(|w| line_of(w[0]) != line_of(w[1])), "{:?}", at);
+        }
     }
 }

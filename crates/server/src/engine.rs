@@ -322,9 +322,9 @@ impl Engine {
     }
 
     /// One read-only sweep ahead of an operation on `id`: the engine's
-    /// (see [`cache_core::prefetch`]) plus, on the item sweep, the first
-    /// lines of the item — the stored key a GET compares, then the payload
-    /// it copies out.
+    /// (see [`cache_core::prefetch`]) plus, on the item sweep, every line of
+    /// the item up to 1 KiB — the stored key a GET compares, then the
+    /// payload it copies out, or the copy a write replaces.
     pub(crate) fn prefetch(&self, id: Key, sweep: Sweep) {
         let stored = match self {
             Engine::Plain(cache) => cache.prefetch(id, sweep),
