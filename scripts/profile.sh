@@ -11,8 +11,9 @@
 # defaults to 10, --seed to 1. Edits nothing under benchmark/.
 #
 # Resolution: one sample per scheduler tick of CPU time (4 ms at HZ=250),
-# so a 10 s run gives a loop thread some 1,100-1,700 samples and a share
-# under about 1 % is noise. The dump is kept in target/profile/.
+# so a 10 s run gives a one-loop workload's loop some 1,000-1,600 samples
+# (hot_remote's two loops share about 1,300), and a share under about 1 %
+# is noise. The dump is kept in target/profile/.
 set -euo pipefail
 
 usage() {
@@ -22,6 +23,9 @@ usage() {
 [[ $# -ge 1 ]] || usage
 workload=$1
 shift
+# One workload, one process: e2e runs a comma list or `all` as a child
+# per workload, and each child would write a dump of its own.
+[[ $workload != *,* && $workload != all ]] || usage
 seconds=10 seed=1
 while [[ $# -gt 0 ]]; do
   case "$1" in

@@ -83,10 +83,8 @@ static void on_prof(int sig, siginfo_t *info, void *context)
         samples[at].tid = tid;
 #if defined(__x86_64__)
         samples[at].ip = (uint64_t)uc->uc_mcontext.gregs[REG_RIP];
-#elif defined(__aarch64__)
-        samples[at].ip = (uint64_t)uc->uc_mcontext.pc;
 #else
-#error "sampler.c reads the interrupted instruction pointer on x86-64 and aarch64 only"
+#error "sampler.c reads the interrupted instruction pointer on x86-64 only"
 #endif
     }
     name_thread(tid);

@@ -1,24 +1,20 @@
 #!/usr/bin/env python3
 """Where a sampled process spent its CPU: samples per thread and per function.
 
-    python3 scripts/symbolize.py <dump> [--threads <prefix>] [--top <n>]
+    python3 scripts/symbolize.py <dump>
 
 <dump> is what scripts/sampler.c writes at exit: the samples (thread id and
 interrupted instruction pointer), the threads' names and the process's
-/proc/self/maps. Only threads whose name starts with --threads (default
-`cache-`: the server's event loops and its control thread) are counted.
-Threads of one name count as one (a benchmark run sets its server up three
-times, so it has three `cache-loop-0`s), and the loops' names are also
-summed as `cache-loop-*`. For each name the script prints its samples and
-its --top (default 30) functions, with their share of that name's samples.
+/proc/self/maps. Only threads whose name starts with `cache-` (the server's
+event loops and its control thread) are counted. Threads of one name count
+as one (a benchmark run sets its server up three times, so it has three
+`cache-loop-0`s). For each name the script prints its samples and its 30
+busiest functions, with their share of that name's samples.
 
 A sample in the executable is named by `addr2line -f -i -C` after its
 innermost inlined frame: the function whose code was running, even where
 the compiler folded it into a caller. That needs line tables
 (CARGO_PROFILE_RELEASE_DEBUG=line-tables-only, as scripts/profile.sh builds).
-The `inlined` column counts the samples in which a function is any frame of
-the inline chain; a caller the compiler kept as a function of its own counts
-its own code only.
 
 A sample in a shared library is charged to the nearest symbol the library
 exports at or below it, printed as `<library>:<symbol>` with the range of
@@ -39,7 +35,6 @@ The memmove is the code moving `%ymm` or `%zmm` registers (`vmovdqu`,
 exported and show by name.
 """
 
-import argparse
 import bisect
 import collections
 import os
@@ -47,6 +42,9 @@ import re
 import struct
 import subprocess
 import sys
+
+THREADS = "cache-"
+TOP = 30
 
 
 def read_dump(path):
@@ -109,8 +107,8 @@ def exports(path):
     return sorted(symbols)
 
 
-def inline_chains(path, addresses):
-    """For each address of `path`, its inlined frames' names, innermost first."""
+def innermost_frames(path, addresses):
+    """For each address of `path`, the name of its innermost inlined frame."""
     out = subprocess.run(
         ["addr2line", "-a", "-f", "-i", "-C", "-e", path],
         input="\n".join(hex(a) for a in addresses),
@@ -118,20 +116,21 @@ def inline_chains(path, addresses):
         text=True,
         check=True,
     ).stdout.splitlines()
-    chains, current, i = {}, None, 0
+    # Per address: the address, then a (function, file:line) pair per
+    # frame, innermost first.
+    frames, i = {}, 0
     while i < len(out):
         if re.fullmatch(r"0x[0-9a-f]+", out[i]):
-            current = int(out[i], 16)
-            chains[current] = []
-            i += 1
+            address = int(out[i], 16)
+            frames[address] = re.sub(r"::h[0-9a-f]{16}$", "", out[i + 1])
+            i += 3
         else:
-            chains[current].append(re.sub(r"::h[0-9a-f]{16}$", "", out[i]))
             i += 2
-    return chains
+    return frames
 
 
 def resolve(samples, maps):
-    """The inline chain (innermost first) each sampled address resolves to."""
+    """The function each sampled address is in, and each library row's address range."""
     starts = [m[0] for m in maps]
     where = {}
     for ip in {ip for _, ip in samples}:
@@ -151,7 +150,7 @@ def resolve(samples, maps):
     for path, address in where.values():
         if address is not None:
             by_object[path].add(address)
-    names, ranges = {}, collections.defaultdict(lambda: [None, None])
+    names, ranges = {}, {}
     for path, addresses in by_object.items():
         if ".so" in os.path.basename(path):
             symbols = exports(path)
@@ -159,57 +158,43 @@ def resolve(samples, maps):
             for address in addresses:
                 j = bisect.bisect_right(keys, address) - 1
                 name = f"{os.path.basename(path)}:{symbols[j][1] if j >= 0 else '?'}"
-                names[(path, address)] = [name]
-                low, high = ranges[name]
-                ranges[name] = [min(low or address, address), max(high or address, address)]
+                names[(path, address)] = name
+                low, high = ranges.get(name, (address, address))
+                ranges[name] = (min(low, address), max(high, address))
         else:
-            for address, chain in inline_chains(path, sorted(addresses)).items():
-                names[(path, address)] = chain or ["??"]
-    chains = {}
+            for address, name in innermost_frames(path, sorted(addresses)).items():
+                names[(path, address)] = name
+    functions = {}
     for ip, (path, address) in where.items():
-        chains[ip] = names.get((path, address), [os.path.basename(path) or "?"])
-    return chains, ranges
+        functions[ip] = names.get((path, address), os.path.basename(path) or "?")
+    return functions, ranges
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("dump")
-    parser.add_argument("--threads", default="cache-")
-    parser.add_argument("--top", type=int, default=30)
-    args = parser.parse_args()
-
-    threads, samples, maps = read_dump(args.dump)
+    if len(sys.argv) != 2:
+        sys.exit(f"usage: {sys.argv[0]} <dump>")
+    threads, samples, maps = read_dump(sys.argv[1])
     kept = [(threads.get(tid, "?"), ip) for tid, ip in samples]
-    kept = [(name, ip) for name, ip in kept if name.startswith(args.threads)]
-    chains, ranges = resolve(kept, maps)
+    kept = [(name, ip) for name, ip in kept if name.startswith(THREADS)]
+    functions, ranges = resolve(kept, maps)
 
-    per_thread = collections.Counter(name for name, _ in kept)
-    several_loops = sum(n.startswith("cache-loop-") for n in per_thread) > 1
-    groups = collections.defaultdict(list)
+    per_thread = collections.defaultdict(list)
     for name, ip in kept:
-        groups[name].append(ip)
-        if several_loops and name.startswith("cache-loop-"):
-            groups["cache-loop-*"].append(ip)
+        per_thread[name].append(ip)
 
-    print(f"{len(samples)} samples, {len(kept)} in threads named {args.threads}*")
-    for name, count in sorted(per_thread.items()):
-        print(f"thread {name}: {count} samples")
-    for name in sorted(groups):
-        ips = groups[name]
-        inner = collections.Counter(chains.get(ip, ["?"])[0] for ip in ips)
-        anywhere = collections.Counter(f for ip in ips for f in set(chains.get(ip, ["?"])))
-        print(f"\n{name}: {len(ips)} samples\n  share  inlined  samples  function")
-        for function, n in inner.most_common(args.top):
+    print(f"{len(samples)} samples, {len(kept)} in threads named {THREADS}*")
+    for name in sorted(per_thread):
+        print(f"thread {name}: {len(per_thread[name])} samples")
+    for name in sorted(per_thread):
+        ips = per_thread[name]
+        counts = collections.Counter(functions.get(ip, "?") for ip in ips)
+        print(f"\n{name}: {len(ips)} samples\n  share  samples  function")
+        for function, n in counts.most_common(TOP):
             extra = ""
             if function in ranges:
                 low, high = ranges[function]
                 extra = f"  [{low:#x}..{high:#x}]"
-            print(f"{n / len(ips):7.1%} {anywhere[function] / len(ips):8.1%} {n:8d}  {function}{extra}")
-        callers = [(f, n) for f, n in anywhere.most_common() if f not in dict(inner.most_common(args.top))]
-        if callers:
-            print("  inlined only (not innermost in the rows above):")
-            for function, n in callers[: args.top // 3]:
-                print(f"        {n / len(ips):8.1%} {n:8d}  {function}")
+            print(f"{n / len(ips):7.1%} {n:8d}  {function}{extra}")
     return 0 if kept else 1
 
 
