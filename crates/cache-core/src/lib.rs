@@ -26,6 +26,8 @@
 //!   the Facebook mid-queue insertion scheme (one [`LruList`] each,
 //!   inserting at the top or the middle) and ARC (T1 and T2 in one arena).
 //! * [`prefetch`] — cache-line prefetch hints (the crate's one `unsafe`).
+//! * [`magazine`] — per-size-class stacks of freed buffers, the item
+//!   buffers' recycler.
 //! * [`queue`] — a physical cache queue: a policy, a byte budget and an
 //!   attached shadow queue, addressed by [`NodeHandle`] (the engine above
 //!   it owns the one index from key to value).
@@ -43,6 +45,7 @@ pub mod global_lru;
 pub mod key;
 pub mod list;
 pub mod lru;
+pub mod magazine;
 pub mod policy;
 pub mod prefetch;
 pub mod queue;

@@ -8,6 +8,7 @@
 
 use crate::hotkey::HotKeyConfig;
 use cache_core::key::mix64;
+use cache_core::magazine::{self, Magazine};
 use cache_core::prefetch::{self, Sweep};
 use cache_core::store::AllocationMode;
 use cache_core::{
@@ -15,6 +16,7 @@ use cache_core::{
     TenantDirectory,
 };
 use cliffhanger::{Cliffhanger, CliffhangerConfig, EventSink, ShardBalanceConfig};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Which allocation scheme the server runs (Tables 6–7 compare these).
@@ -184,27 +186,50 @@ impl BackendConfig {
 }
 
 /// Length of an item's header: `flags` (`u32`) and the key's length (`u16`),
-/// little-endian, ahead of the key and the data.
-const ITEM_HEADER: usize = 6;
+/// little-endian, then the pad (`u8`): how many bytes past the data fill the
+/// buffer out to its [`magazine::capacity`].
+const ITEM_HEADER: usize = 7;
 
-/// An item as the server stores it: header, key and data back to back in
-/// one owned allocation, so a SET allocates once, an eviction frees once,
-/// and a GET compares the key and copies the data out of one run of cache
-/// lines. The engines charge `key + data` for it; the header is not charged.
+thread_local! {
+    /// The item buffers this thread freed last, by size class. Items are
+    /// dropped deep inside the engines (an overwrite, an eviction, a delete)
+    /// on the loop that owns them, and each loop is one thread.
+    static MAGAZINE: RefCell<Magazine> = const { RefCell::new(Magazine::new()) };
+}
+
+/// An item as the server stores it: header, key, data and pad back to back
+/// in one owned buffer, so a GET compares the key and copies the data out of
+/// one run of cache lines. The buffer is as long as the chunk `malloc` would
+/// hand out for the item ([`magazine::capacity`]): a SET takes the one its
+/// loop last freed in that size class and allocates only when there is
+/// none, and dropping an item gives its buffer back without reading it. The
+/// engines charge `key + data` for it; header and pad are not charged.
 #[derive(Debug)]
 pub(crate) struct StoredValue(Box<[u8]>);
 
 impl StoredValue {
-    /// Copies `key` and `data` into a buffer sized for exactly them (so
-    /// boxing it reallocates nothing). `None` for a key whose length the
-    /// header cannot hold: the caller refuses the store.
+    /// Copies `key` and `data` into a recycled or fresh buffer of their
+    /// class. `None` for a key whose length the header cannot hold: the
+    /// caller refuses the store.
     pub(crate) fn new(key: &[u8], flags: u32, data: &[u8]) -> Option<StoredValue> {
         let key_len = u16::try_from(key.len()).ok()?;
-        let mut item = Vec::with_capacity(ITEM_HEADER + key.len() + data.len());
+        let len = ITEM_HEADER + key.len() + data.len();
+        let capacity = magazine::capacity(len);
+        // A recycled buffer is exactly `capacity` long, and so is a fresh
+        // one (`with_capacity` allocates what it is asked for), so filling
+        // it to that length and boxing it reallocates nothing.
+        let mut item = MAGAZINE
+            .try_with(|magazine| magazine.borrow_mut().take(capacity))
+            .ok()
+            .flatten()
+            .map_or_else(|| Vec::with_capacity(capacity), <[u8]>::into_vec);
+        item.clear();
         item.extend_from_slice(&flags.to_le_bytes());
         item.extend_from_slice(&key_len.to_le_bytes());
+        item.push((capacity - len) as u8);
         item.extend_from_slice(key);
         item.extend_from_slice(data);
+        item.resize(capacity, 0);
         Some(StoredValue(item.into_boxed_slice()))
     }
 
@@ -218,6 +243,11 @@ impl StoredValue {
         ITEM_HEADER + usize::from(u16::from_le_bytes([self.0[4], self.0[5]]))
     }
 
+    /// Where the data ends and the pad starts.
+    fn data_end(&self) -> usize {
+        self.0.len() - usize::from(self.0[6])
+    }
+
     /// The full byte-string key (for exact-match verification).
     pub(crate) fn key(&self) -> &[u8] {
         &self.0[ITEM_HEADER..self.data_at()]
@@ -225,12 +255,21 @@ impl StoredValue {
 
     /// The payload.
     pub(crate) fn data(&self) -> &[u8] {
-        &self.0[self.data_at()..]
+        &self.0[self.data_at()..self.data_end()]
     }
 
     /// What the engines charge for the item: key and data bytes.
     fn charge(&self) -> u64 {
-        (self.0.len() - ITEM_HEADER) as u64
+        (self.data_end() - ITEM_HEADER) as u64
+    }
+}
+
+impl Drop for StoredValue {
+    /// Gives the buffer to this thread's magazine, which reads its length
+    /// from the fat pointer and no byte of the item.
+    fn drop(&mut self) {
+        let buffer = std::mem::take(&mut self.0);
+        let _ = MAGAZINE.try_with(|magazine| magazine.borrow_mut().put(buffer));
     }
 }
 
@@ -429,34 +468,63 @@ mod tests {
         StoredValue::new(key, 0, data).expect("a short key")
     }
 
+    /// Key, flags, data and charge come back exactly as they went in.
+    fn gives_back(item: &StoredValue, key: &[u8], flags: u32, data: &[u8]) {
+        assert_eq!(item.key(), key);
+        assert_eq!(item.flags(), flags);
+        assert_eq!(item.data(), data);
+        assert_eq!(item.charge(), (key.len() + data.len()) as u64);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Whatever the key (non-UTF-8 included), flags and data, the one
-        /// buffer hands each back as it came and charges key plus data.
+        /// buffer hands each back as it came and charges key plus data —
+        /// in a fresh buffer, and again in one a larger item of its class
+        /// left behind, whose last bytes it must not show as data.
         #[test]
         fn an_item_gives_back_its_key_flags_and_data(
-            key in vec(any::<u8>(), 1..8_193usize),
+            key in prop_oneof![vec(any::<u8>(), 1..40usize), vec(any::<u8>(), 1..8_193usize)],
             flags in any::<u32>(),
-            data in vec(any::<u8>(), 0..70_001usize),
+            data in prop_oneof![vec(any::<u8>(), 0..600usize), vec(any::<u8>(), 0..70_001usize)],
         ) {
+            MAGAZINE.with(|magazine| *magazine.borrow_mut() = Magazine::new());
+            let len = ITEM_HEADER + key.len() + data.len();
             let item = StoredValue::new(&key, flags, &data).expect("the header holds the length");
-            prop_assert_eq!(item.key(), &key[..]);
-            prop_assert_eq!(item.flags(), flags);
-            prop_assert_eq!(item.data(), &data[..]);
-            prop_assert_eq!(item.charge(), (key.len() + data.len()) as u64);
-            prop_assert_eq!(item.0.len(), ITEM_HEADER + key.len() + data.len());
+            gives_back(&item, &key, flags, &data);
+            prop_assert_eq!(item.0.len(), magazine::capacity(len));
+
+            // The largest item of the class, which fills the buffer, then
+            // the same item again in the buffer it leaves.
+            let larger = vec![0xA5; data.len() + item.0.len() - len];
+            drop(item);
+            let left = StoredValue::new(&key, !flags, &larger).expect("same key");
+            let at = left.0.as_ptr();
+            drop(left);
+            let item = StoredValue::new(&key, flags, &data).expect("the header holds the length");
+            if item.0.len() <= 8 << 10 {
+                prop_assert_eq!(item.0.as_ptr(), at, "the larger item's buffer is reused");
+            }
+            gives_back(&item, &key, flags, &data);
         }
     }
 
-    /// The item is one pointer and a length in the index entry; a key the
-    /// header's `u16` cannot count is refused, not truncated.
+    /// The item is one pointer and a length in the index entry, its buffer
+    /// the chunk's usable size with the pad counted in the header; a key
+    /// the header's `u16` cannot count is refused, not truncated.
     #[test]
     fn an_item_is_one_box_and_refuses_a_key_it_cannot_count() {
         assert_eq!(
             std::mem::size_of::<StoredValue>(),
             std::mem::size_of::<Box<[u8]>>()
         );
+        for data_len in 0..=40 {
+            let stored = item(b"k", &vec![b'v'; data_len]);
+            let len = ITEM_HEADER + 1 + data_len;
+            assert_eq!(stored.0.len(), magazine::capacity(len), "{data_len}");
+            assert_eq!(usize::from(stored.0[6]), stored.0.len() - len, "{data_len}");
+        }
         let longest = vec![b'k'; usize::from(u16::MAX)];
         assert_eq!(item(&longest, b"v").key(), &longest[..]);
         assert!(StoredValue::new(&[b'k'; 1 << 16], 0, b"v").is_none());

@@ -24,7 +24,11 @@ addresses hit. glibc exports neither its malloc internals (`_int_malloc`,
 `memmove` resolve to), so their samples land under an exported neighbour
 at a large offset. On glibc 2.36 for x86-64 the memmove reads as
 `__nss_database_lookup` at 0x163000-0x16f000 and the malloc internals as
-`__default_morecore`. To place such a row, disassemble its range:
+`__default_morecore`; so do their chunk helpers at 0x95060-0x95243
+(`unlink_chunk` and `malloc_consolidate`), which read as `timer_settime`
+at +0xb70 and beyond and which only `_int_malloc`, `_int_free`, `mallopt`
+and `malloc_trim` call. A malloc/free row counts both ranges. To place
+such a row, disassemble its range:
 
     objdump -d --no-show-raw-insn --start-address=<low> --stop-address=<high> \\
         /lib/x86_64-linux-gnu/libc.so.6
