@@ -70,9 +70,9 @@ struct ArmReport {
     demotions: u64,
     /// GETs served from a local replica instead of a forward.
     replica_hits: u64,
-    /// Replica cache fills piggybacked on forwarded GETs.
+    /// Replica cache entries filled from forwarded GETs' replies.
     replica_fills: u64,
-    /// Replica invalidations broadcast by writes to promoted keys.
+    /// Replica entries a read found stale (version moved) and dropped.
     invalidations: u64,
     /// The full scenario report for the arm.
     report: ScenarioReport,

@@ -75,8 +75,6 @@ pub struct ShardRebalancer {
     /// start-up bias correction).
     observations: u64,
     rounds: u64,
-    proposed_transfers: u64,
-    proposed_bytes: u64,
 }
 
 impl ShardRebalancer {
@@ -93,8 +91,6 @@ impl ShardRebalancer {
             smoothed: vec![0.0; shards],
             observations: 0,
             rounds: 0,
-            proposed_transfers: 0,
-            proposed_bytes: 0,
         }
     }
 
@@ -115,16 +111,6 @@ impl ShardRebalancer {
     /// Number of rebalancing rounds observed (including no-op rounds).
     pub fn rounds(&self) -> u64 {
         self.rounds
-    }
-
-    /// Number of transfers proposed so far.
-    pub fn proposed_transfers(&self) -> u64 {
-        self.proposed_transfers
-    }
-
-    /// Bytes proposed for transfer so far.
-    pub fn proposed_bytes(&self) -> u64 {
-        self.proposed_bytes
     }
 
     /// Runs one rebalancing round over the shards' cumulative samples and
@@ -229,8 +215,6 @@ impl ShardRebalancer {
                 to_gradient: gradients[winner],
             });
         }
-        self.proposed_transfers += transfers.len() as u64;
-        self.proposed_bytes += transfers.iter().map(|t| t.bytes).sum::<u64>();
         transfers
     }
 }
@@ -359,8 +343,6 @@ mod tests {
         assert!(t.is_empty(), "first round after reset only observes");
         let t = r.rebalance(&samples(&[18_000, 0], 16 << 20));
         assert!(!t.is_empty());
-        assert!(r.proposed_transfers() >= 1);
-        assert!(r.proposed_bytes() >= r.config().credit_bytes);
     }
 
     #[test]

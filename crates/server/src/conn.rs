@@ -676,7 +676,6 @@ impl Connection {
         (shard, id, owner): (usize, Key, usize),
         key: &[u8],
         state: OpState,
-        hot_fill: bool,
     ) {
         let op = Op {
             token: ctx.token,
@@ -684,7 +683,7 @@ impl Connection {
             tenant: self.tenant,
             shard,
             id,
-            hot_fill,
+            version: 0,
             key: 0..0,
             state,
         };
@@ -715,10 +714,9 @@ impl Connection {
                 if let Some(Some((flags, data))) = replica {
                     self.emit(|out| encode_value(key, flags, &data, out));
                 } else {
-                    // A replica miss on a promoted key rides the normal
-                    // forward but asks the owner to fill us.
-                    let hot_fill = ctx.state.wants_hot_fill(self.tenant, id);
-                    self.forward(ctx, (shard, id, owner), key, OpState::Get, hot_fill);
+                    // A replica miss rides the normal forward; a promoted
+                    // key's replica fills from the reply.
+                    self.forward(ctx, (shard, id, owner), key, OpState::Get);
                     self.ring.push_back(Entry::Get { end: false });
                 }
             }
@@ -819,7 +817,7 @@ impl Connection {
             Some((verb, item)) => OpState::Store { verb, item },
             None => OpState::Delete,
         };
-        self.forward(ctx, (shard, id, owner), key, state, false);
+        self.forward(ctx, (shard, id, owner), key, state);
         self.unacked_writes += 1;
         self.ring.push_back(Entry::Write { delete, noreply });
     }
@@ -986,7 +984,7 @@ mod tests {
                 tenant: 0,
                 shard: 0,
                 id: Key::new(seq),
-                hot_fill: false,
+                version: 0,
                 key: 0..0,
                 state: OpState::Get,
             };

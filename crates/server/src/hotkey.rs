@@ -13,8 +13,8 @@
 //!    shared promoted set (hysteretic promote/demote thresholds, published
 //!    with the same generation protocol as the tenant table). Non-owning
 //!    loops serve promoted GETs from a local read-through replica cache;
-//!    the first miss rides the normal forward with a fill request, and the
-//!    owner answers with the value *and its version*.
+//!    a miss rides the normal forward, and the owner answers with the
+//!    value *and its version*, from which the replica fills.
 //! 3. **Consistency** — correctness never depends on the promoted set
 //!    being fresh. A fixed table of atomic version slots ([`VersionTable`])
 //!    is bumped by the owning loop on *every* SET/DELETE before the write
@@ -23,8 +23,7 @@
 //!    every replica of the key (plus, harmlessly, any key aliasing the same
 //!    slot) no later than the moment its ack is observable, so a GET issued
 //!    after an acknowledged write can never see the overwritten value.
-//!    The mailbox invalidation broadcast on writes to promoted keys is an
-//!    *eager memory reclaim* on top, not a correctness mechanism.
+//!    No message is sent: the next read of a stale entry drops it.
 //!
 //! The whole subsystem is feature-gated: with [`HotKeyConfig::enabled`]
 //! off (the default), the routing fast path pays a single `Option`
@@ -315,9 +314,9 @@ pub(crate) struct HotLoopState {
     tick: u64,
     /// GETs served from the replica cache (never crossed a loop).
     pub(crate) replica_hits: u64,
-    /// Fills accepted from owning loops.
+    /// Fills taken from forwarded GETs' replies.
     pub(crate) replica_fills: u64,
-    /// Invalidation broadcasts received.
+    /// Entries a read found stale (version moved) and dropped.
     pub(crate) invalidations: u64,
 }
 
@@ -337,15 +336,10 @@ impl HotLoopState {
         }
     }
 
-    /// Whether `(tenant, id)` is promoted in this loop's view.
-    pub(crate) fn is_promoted(&self, tenant: usize, id: Key) -> bool {
-        self.view.contains(&(tenant, id))
-    }
-
     /// Serves a GET from the replica cache if the entry is present, the key
     /// bytes match exactly, and the captured version still equals the live
-    /// slot. A version mismatch evicts the entry and misses (the caller
-    /// forwards with a fill request — read-through revalidation).
+    /// slot. A version mismatch drops the entry, counts an invalidation
+    /// and misses (the caller forwards, and the reply refills it).
     pub(crate) fn replica_get(
         &mut self,
         tenant: usize,
@@ -371,19 +365,21 @@ impl HotLoopState {
                 }
             }
         }
+        self.invalidations += 1;
         self.evict(tenant, id);
         None
     }
 
-    /// Accepts a fill from the owning loop. Ignored if the key has since
-    /// left this loop's view or the value cannot fit the byte cap.
+    /// Fills a replica from a forwarded GET's hit, `version` what the
+    /// owner read with the value. Ignored if the key is not promoted in
+    /// this loop's view or the value cannot fit the byte cap.
     pub(crate) fn fill(
         &mut self,
         tenant: usize,
         id: Key,
-        key: Bytes,
+        key: &[u8],
         flags: u32,
-        data: Bytes,
+        data: &[u8],
         version: u64,
     ) {
         if !self.view.contains(&(tenant, id)) {
@@ -391,9 +387,9 @@ impl HotLoopState {
         }
         self.tick += 1;
         let entry = ReplicaEntry {
-            key,
+            key: Bytes::copy_from_slice(key),
             flags,
-            data,
+            data: Bytes::copy_from_slice(data),
             version,
             last_hit: self.tick,
         };
@@ -415,28 +411,6 @@ impl HotLoopState {
         self.replica_used += cost;
         self.replica.insert((tenant, id), entry);
         self.replica_fills += 1;
-    }
-
-    /// Drops one replica entry (invalidation broadcast, or a stale read).
-    pub(crate) fn invalidate(&mut self, tenant: usize, id: Key) {
-        self.invalidations += 1;
-        self.evict(tenant, id);
-    }
-
-    /// Drops every replica entry of one tenant (tenant `flush_all`).
-    /// Eager memory reclaim: correctness is carried by the control
-    /// thread's `bump_all` on the version table, which lands before the
-    /// flush is acknowledged.
-    pub(crate) fn purge_tenant(&mut self, tenant: usize) {
-        let gone: Vec<(usize, Key)> = self
-            .replica
-            .keys()
-            .filter(|slot| slot.0 == tenant)
-            .copied()
-            .collect();
-        for (tenant, id) in gone {
-            self.invalidate(tenant, id);
-        }
     }
 
     fn evict(&mut self, tenant: usize, id: Key) {
@@ -635,14 +609,7 @@ mod tests {
         let mut state = HotLoopState::new(&config);
         state.refresh(2, &shared_promoted);
         let v = versions.load(0, Key::new(9));
-        state.fill(
-            0,
-            Key::new(9),
-            Bytes::from_static(b"k9"),
-            7,
-            Bytes::from_static(b"v1"),
-            v,
-        );
+        state.fill(0, Key::new(9), b"k9", 7, b"v1", v);
         assert_eq!(
             state.replica_get(0, Key::new(9), b"k9", &versions),
             Some((7, Bytes::from_static(b"v1")))
@@ -651,8 +618,9 @@ mod tests {
         // A write bumps the version: the stale entry must stop serving.
         versions.bump(0, Key::new(9));
         assert_eq!(state.replica_get(0, Key::new(9), b"k9", &versions), None);
-        // And it was evicted, not just skipped.
+        // And it was evicted, not just skipped, and counted.
         assert_eq!(state.replica_used, 0);
+        assert_eq!(state.invalidations, 1);
     }
 
     #[test]
@@ -662,14 +630,7 @@ mod tests {
         let shared_promoted = parking_lot::Mutex::new(promoted_with(&[((0, 9), 50)]));
         let mut state = HotLoopState::new(&config);
         state.refresh(2, &shared_promoted);
-        state.fill(
-            0,
-            Key::new(9),
-            Bytes::from_static(b"k9"),
-            0,
-            Bytes::from_static(b"v"),
-            0,
-        );
+        state.fill(0, Key::new(9), b"k9", 0, b"v", 0);
         // A colliding 64-bit id with different bytes must forward.
         assert_eq!(state.replica_get(0, Key::new(9), b"other", &versions), None);
         // Demotion prunes the entry and stops serving.
@@ -691,9 +652,9 @@ mod tests {
         state.fill(
             0,
             Key::new(9),
-            Bytes::from_static(b"k9"),
+            b"k9",
             0,
-            Bytes::from_static(b"pre-flush"),
+            b"pre-flush",
             versions.load(0, Key::new(9)),
         );
         assert!(state
@@ -702,37 +663,6 @@ mod tests {
         versions.bump_all();
         assert_eq!(state.replica_get(0, Key::new(9), b"k9", &versions), None);
         assert_eq!(state.replica_used, 0, "the stale entry must be evicted");
-    }
-
-    #[test]
-    fn purge_tenant_drops_only_that_tenants_replicas() {
-        let config = test_config();
-        let versions = VersionTable::new();
-        let shared_promoted = parking_lot::Mutex::new(promoted_with(&[((0, 1), 50), ((1, 2), 50)]));
-        let mut state = HotLoopState::new(&config);
-        state.refresh(2, &shared_promoted);
-        state.fill(
-            0,
-            Key::new(1),
-            Bytes::from_static(b"k1"),
-            0,
-            Bytes::from_static(b"a"),
-            0,
-        );
-        state.fill(
-            1,
-            Key::new(2),
-            Bytes::from_static(b"k2"),
-            0,
-            Bytes::from_static(b"b"),
-            0,
-        );
-        state.purge_tenant(0);
-        assert_eq!(state.replica_get(0, Key::new(1), b"k1", &versions), None);
-        assert_eq!(
-            state.replica_get(1, Key::new(2), b"k2", &versions),
-            Some((0, Bytes::from_static(b"b")))
-        );
     }
 
     #[test]
@@ -750,28 +680,14 @@ mod tests {
             parking_lot::Mutex::new(promoted_with(&[((0, 1), 50), ((0, 2), 50), ((0, 3), 50)]));
         let mut state = HotLoopState::new(&config);
         state.refresh(2, &shared_promoted);
-        let value = Bytes::from(vec![0u8; 8]);
-        state.fill(
-            0,
-            Key::new(1),
-            Bytes::from_static(b"k1"),
-            0,
-            value.clone(),
-            0,
-        );
-        state.fill(
-            0,
-            Key::new(2),
-            Bytes::from_static(b"k2"),
-            0,
-            value.clone(),
-            0,
-        );
+        let value = [0u8; 8];
+        state.fill(0, Key::new(1), b"k1", 0, &value, 0);
+        state.fill(0, Key::new(2), b"k2", 0, &value, 0);
         // k1 is the hot one; k2 goes cold.
         assert!(state
             .replica_get(0, Key::new(1), b"k1", &versions)
             .is_some());
-        state.fill(0, Key::new(3), Bytes::from_static(b"k3"), 0, value, 0);
+        state.fill(0, Key::new(3), b"k3", 0, &value, 0);
         assert!(
             state
                 .replica_get(0, Key::new(1), b"k1", &versions)
@@ -795,32 +711,11 @@ mod tests {
         let mut state = HotLoopState::new(&config);
         state.refresh(2, &shared_promoted);
         // An oversize value is refused outright.
-        state.fill(
-            0,
-            Key::new(1),
-            Bytes::from_static(b"k1"),
-            0,
-            Bytes::from(vec![0u8; 512]),
-            0,
-        );
+        state.fill(0, Key::new(1), b"k1", 0, &[0u8; 512], 0);
         assert_eq!(state.replica_used, 0);
         // Two entries that do not fit together: the second evicts the first.
-        state.fill(
-            0,
-            Key::new(1),
-            Bytes::from_static(b"k1"),
-            0,
-            Bytes::from(vec![0u8; 100]),
-            0,
-        );
-        state.fill(
-            0,
-            Key::new(2),
-            Bytes::from_static(b"k2"),
-            0,
-            Bytes::from(vec![0u8; 100]),
-            0,
-        );
+        state.fill(0, Key::new(1), b"k1", 0, &[0u8; 100], 0);
+        state.fill(0, Key::new(2), b"k2", 0, &[0u8; 100], 0);
         assert!(state.replica_used <= 256);
         assert_eq!(state.replica.len(), 1);
         assert_eq!(

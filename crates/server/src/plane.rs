@@ -109,27 +109,6 @@ pub(crate) enum LoopMsg {
     },
     /// A request from the control thread against this loop's owned state.
     Control(ControlMsg),
-    /// A hot-key replica fill from the owning loop: the value a forwarded
-    /// GET just read, plus the version it carried at read time. Queued
-    /// *before* the returning [`LoopMsg::Ops`] batch on the same FIFO
-    /// mailbox, so a fill can never be overtaken by a later invalidation.
-    HotFill {
-        tenant: usize,
-        id: Key,
-        key: Bytes,
-        flags: u32,
-        data: Bytes,
-        version: u64,
-    },
-    /// Eager replica invalidation broadcast by the owning loop after a
-    /// write to a promoted key. Reclaims memory promptly; correctness is
-    /// carried by the version table, not by this message.
-    HotInvalidate { tenant: usize, id: Key },
-    /// Tenant-wide replica purge broadcast by the control thread during a
-    /// tenant `flush_all`. Like [`LoopMsg::HotInvalidate`], eager memory
-    /// reclaim only: the control thread's version-table `bump_all` before
-    /// the flush ack is what stops stale replicas from serving.
-    HotFlushTenant { tenant: usize },
 }
 
 /// Capacity a kept batch may retain (op records; key and hit bytes, a full
@@ -149,9 +128,9 @@ pub(crate) struct Op {
     pub(crate) tenant: usize,
     pub(crate) shard: usize,
     pub(crate) id: Key,
-    /// The issuing loop wants a [`LoopMsg::HotFill`] ahead of the reply (a
-    /// read-through miss on a promoted key's replica).
-    pub(crate) hot_fill: bool,
+    /// A GET hit's version slot, read by the owner with the value when hot
+    /// keys are on: the origin fills its replica from the reply with it.
+    pub(crate) version: u64,
     /// Where a GET's or DELETE's key sits in the batch's bytes (set by
     /// [`OpBatch::push`]); a store's key travels in its item.
     pub(crate) key: std::ops::Range<usize>,
@@ -314,9 +293,9 @@ pub(crate) struct LoopSnapshot {
     pub(crate) hot_keys: Vec<HotKeyCount>,
     /// GETs this loop served from its promoted-key replica cache.
     pub(crate) replica_hits: u64,
-    /// Replica fills this loop accepted from owning loops.
+    /// Replica fills this loop took from its forwarded GETs' replies.
     pub(crate) replica_fills: u64,
-    /// Invalidation broadcasts this loop received.
+    /// Replica entries this loop found stale on a read and dropped.
     pub(crate) hot_invalidations: u64,
     /// Replica-served GETs by `(shard, tenant, count)`, so snapshot
     /// assembly can fold them into the owning cell's wire counters — a
@@ -873,10 +852,10 @@ impl LoopState {
     /// A store against an owned engine: `item` moves into the cache as it
     /// is. `touched` below is whether a mutating engine call actually ran:
     /// a failed `add` on a present key or a `delete` of a missing key never
-    /// touches the store, so it must not bump the version slot (and, for
-    /// promoted keys, broadcast invalidations that evict perfectly valid
-    /// replicas). A `set` that ran but was not admitted still counts —
-    /// admission failure may have displaced the old value.
+    /// touches the store, so it must not bump the version slot (which
+    /// would stop perfectly valid replicas serving). A `set` that ran but
+    /// was not admitted still counts — admission failure may have
+    /// displaced the old value.
     pub(crate) fn store(
         &mut self,
         slot: usize,
@@ -918,26 +897,11 @@ impl LoopState {
     }
 
     /// Hot-key bookkeeping for a mutation this (owning) loop just applied:
-    /// bump the key's version slot *before* the ack can be observed, and —
-    /// if the key is promoted — broadcast eager invalidations to every
-    /// sibling loop. The version bump alone carries correctness; a stale
-    /// promoted-set view here only delays memory reclaim.
-    fn note_mutation(&mut self, tenant: usize, id: Key) {
-        let Some(hot_shared) = self.shared.hot.as_ref() else {
-            return;
-        };
-        hot_shared.versions.bump(tenant, id);
-        let promoted = self
-            .hot
-            .as_ref()
-            .map(|hot| hot.is_promoted(tenant, id))
-            .unwrap_or(false);
-        if promoted {
-            for target in 0..self.shared.loops {
-                if target != self.index {
-                    self.forward(target, LoopMsg::HotInvalidate { tenant, id });
-                }
-            }
+    /// bump the key's version slot *before* the ack can be observed, so
+    /// every replica of the key stops serving.
+    fn note_mutation(&self, tenant: usize, id: Key) {
+        if let Some(hot) = self.shared.hot.as_ref() {
+            hot.versions.bump(tenant, id);
         }
     }
 
@@ -971,41 +935,18 @@ impl LoopState {
         found
     }
 
-    /// Whether a forwarded GET for `(tenant, id)` should ask the owner for
-    /// a replica fill (the key is promoted in this loop's view).
-    pub(crate) fn wants_hot_fill(&self, tenant: usize, id: Key) -> bool {
-        self.hot
-            .as_ref()
-            .map(|hot| hot.is_promoted(tenant, id))
-            .unwrap_or(false)
-    }
-
-    /// Installs a replica fill an owning loop sent us.
-    pub(crate) fn hot_fill(
-        &mut self,
-        tenant: usize,
-        id: Key,
-        key: Bytes,
-        flags: u32,
-        data: Bytes,
-        version: u64,
-    ) {
-        if let Some(hot) = self.hot.as_mut() {
-            hot.fill(tenant, id, key, flags, data, version);
-        }
-    }
-
-    /// Drops a replica entry an owning loop invalidated.
-    pub(crate) fn hot_invalidate(&mut self, tenant: usize, id: Key) {
-        if let Some(hot) = self.hot.as_mut() {
-            hot.invalidate(tenant, id);
-        }
-    }
-
-    /// Drops every replica entry of a tenant the control thread flushed.
-    pub(crate) fn hot_flush_tenant(&mut self, tenant: usize) {
-        if let Some(hot) = self.hot.as_mut() {
-            hot.purge_tenant(tenant);
+    /// Fills this loop's replicas from a batch that came back served:
+    /// each GET hit brings the value and the version its owner read with
+    /// it. [`HotLoopState::fill`] keeps only the keys this loop promoted.
+    pub(crate) fn fill_replicas(&mut self, batch: &OpBatch) {
+        let Some(hot) = self.hot.as_mut() else {
+            return;
+        };
+        for op in &batch.ops {
+            if let OpState::Value(Some((flags, data))) = &op.state {
+                let (key, data) = (batch.bytes(&op.key), batch.bytes(data));
+                hot.fill(op.tenant, op.id, key, *flags, data, op.version);
+            }
         }
     }
 
@@ -1125,7 +1066,7 @@ impl LoopState {
     }
 
     /// Sends every target's queued messages. A stopped target refuses
-    /// them: replies and fills for its connections are moot, but a batch of
+    /// them: replies for its connections are moot, but a batch of
     /// this loop's own holds *its* connections' ops, and a connection with
     /// an op in flight is never reaped — so that batch, every op failed,
     /// goes into this loop's own mailbox and is completed like a reply.
@@ -1149,9 +1090,7 @@ impl LoopState {
     /// order, overwriting each request with its outcome, and sends the same
     /// batch back.
     pub(crate) fn serve(&mut self, mut batch: OpBatch) {
-        let OpBatch {
-            origin, ops, bytes, ..
-        } = &mut batch;
+        let OpBatch { ops, bytes, .. } = &mut batch;
         for chunk in ops.chunks_mut(WINDOW) {
             self.sweep(chunk, |op| Some((self.slots[op.shard]?, op.tenant, op.id)));
             for op in chunk {
@@ -1162,24 +1101,10 @@ impl LoopState {
                             continue;
                         };
                         let found = (item.flags(), append(bytes, item.data()));
-                        // A read-through fill (the origin loop missed its
-                        // replica of a promoted key) carries the value *with
-                        // the version it had at read time*. Queued before
-                        // this batch on the same FIFO mailbox, and this loop
-                        // is the key's only writer, so the (value, version)
-                        // pair is a consistent snapshot.
-                        if let (true, Some(origin), Some(hot)) =
-                            (op.hot_fill, *origin, self.shared.hot.as_ref())
-                        {
-                            let fill = LoopMsg::HotFill {
-                                tenant: op.tenant,
-                                id: op.id,
-                                key: Bytes::copy_from_slice(&bytes[op.key.clone()]),
-                                flags: found.0,
-                                data: Bytes::copy_from_slice(&bytes[found.1.clone()]),
-                                version: hot.versions.load(op.tenant, op.id),
-                            };
-                            self.forward(origin, fill);
+                        // This loop is the key's only writer, so the value
+                        // and the version form one snapshot for a replica.
+                        if let Some(hot) = self.shared.hot.as_ref() {
+                            op.version = hot.versions.load(op.tenant, op.id);
                         }
                         OpState::Value(Some(found))
                     }
@@ -1737,13 +1662,9 @@ impl Control {
         // hot-key replicas of this tenant must stop serving before the
         // flush is acknowledged. Bumping every version slot (after the
         // last rebuild, before the ack) guarantees any replica captured
-        // pre-flush fails revalidation; the tenant-wide purge broadcast is
-        // eager memory reclaim on top, exactly like per-key invalidation.
+        // pre-flush fails revalidation.
         if let Some(hot) = shared.hot.as_ref() {
             hot.versions.bump_all();
-            for mailbox in &shared.mailboxes {
-                let _ = mailbox.send(LoopMsg::HotFlushTenant { tenant });
-            }
         }
         let mut roster = shared.roster.lock();
         let before = roster.total_budget();
@@ -1973,7 +1894,7 @@ impl PlaneHandle {
             tenant,
             shard,
             id,
-            hot_fill: false,
+            version: 0,
             key: 0..0,
             state,
         };
@@ -2349,6 +2270,7 @@ impl LoopState {
 mod tests {
     use super::*;
     use crate::engine::TenantSpec;
+    use crate::hotkey::HotKeyConfig;
     use crate::reactor::{loop_channel, LoopSeed};
 
     /// The loop states of a 2-loop x 2-shard plane no thread serves — the
@@ -2393,7 +2315,7 @@ mod tests {
             tenant: 0,
             shard,
             id,
-            hot_fill: false,
+            version: 0,
             key: 0..0,
             state,
         };
@@ -2509,8 +2431,12 @@ mod tests {
         forward(origin, 1, &keys[0], store(&keys[0], b"never stored"));
         forward(origin, 2, &keys[0], OpState::Delete);
         // Not this loop's to complete: dropped with the mailbox.
-        let id = origin.route(0, &keys[0]).1;
-        origin.forward(1, LoopMsg::HotInvalidate { tenant: 0, id });
+        let done = LoopMsg::AdminDone {
+            token: 7,
+            seq: 3,
+            result: AdminResult::Flushed,
+        };
+        origin.forward(1, done);
         origin.shared.mailboxes[1].close();
         origin.flush_outbound();
 
@@ -2529,6 +2455,69 @@ mod tests {
             })
             .collect();
         assert_eq!(outcomes, [(7, 0, "miss"), (7, 1, "false"), (7, 2, "false")]);
+    }
+
+    /// Forwards `state` on `key` from loop 0 to loop 1, serves it there and
+    /// completes it back on loop 0 as its event loop would; each mailbox
+    /// must have held the one op batch and nothing else.
+    fn round_trip(states: &mut [LoopState], seeds: &[LoopSeed], key: &[u8], state: OpState) {
+        let (origin, owner) = states.split_at_mut(1);
+        forward(&mut origin[0], 0, key, state);
+        origin[0].flush_outbound();
+        owner[0].serve(only_batch(&seeds[1]));
+        owner[0].flush_outbound();
+        let batch = only_batch(&seeds[0]);
+        origin[0].fill_replicas(&batch);
+        origin[0].recycle(batch);
+    }
+
+    #[test]
+    fn a_forwarded_gets_reply_fills_the_replica_and_a_version_bump_alone_drops_it() {
+        let config = BackendConfig {
+            hot_key: HotKeyConfig::aggressive(),
+            ..BackendConfig::default()
+        };
+        let (mut states, seeds, _) = two_loops(config);
+        let key = remote_keys(&states[0], 1, 8).remove(0);
+        let (shard, id, _) = states[0].route(0, &key);
+        let shared = Arc::clone(&states[0].shared);
+        let hot = shared.hot.as_ref().expect("hot keys on");
+        let entry = PromotedEntry {
+            key: Bytes::copy_from_slice(&key),
+            count: 64,
+        };
+        hot.promoted.lock().insert((0, id), entry);
+        hot.generation.fetch_add(1, Ordering::AcqRel);
+        states.iter_mut().for_each(LoopState::refresh_tenants);
+        let counters = |state: &LoopState| {
+            let hot = state.hot.as_ref().expect("hot keys on");
+            (hot.replica_hits, hot.replica_fills, hot.invalidations)
+        };
+
+        round_trip(&mut states, &seeds, &key, store(&key, b"first"));
+        assert_eq!(states[0].replica_get(shard, 0, id, &key), None);
+        round_trip(&mut states, &seeds, &key, OpState::Get);
+        let first = Some((9, Bytes::from_static(b"first")));
+        assert_eq!(states[0].replica_get(shard, 0, id, &key), first);
+        assert_eq!(counters(&states[0]), (1, 1, 0));
+
+        // The owner's SET bumps the key's version and sends nothing else:
+        // the next read finds the entry stale, drops it and counts it.
+        round_trip(&mut states, &seeds, &key, store(&key, b"second"));
+        assert_eq!(states[0].replica_get(shard, 0, id, &key), None);
+        assert_eq!(counters(&states[0]), (1, 1, 1));
+        assert_eq!(states[0].replica_get(shard, 0, id, &key), None);
+        assert_eq!(counters(&states[0]), (1, 1, 1), "the entry is gone");
+
+        // A flush's bump of every slot does the same.
+        round_trip(&mut states, &seeds, &key, OpState::Get);
+        let second = Some((9, Bytes::from_static(b"second")));
+        assert_eq!(states[0].replica_get(shard, 0, id, &key), second);
+        hot.versions.bump_all();
+        assert_eq!(states[0].replica_get(shard, 0, id, &key), None);
+        assert_eq!(counters(&states[0]), (2, 2, 2));
+        assert_eq!(states[0].replica_get(shard, 0, id, &key), None);
+        assert_eq!(counters(&states[0]), (2, 2, 2), "the entry is gone");
     }
 
     /// A plane whose loops (two of them) ask for a hot-key round every 3

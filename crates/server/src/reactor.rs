@@ -565,27 +565,20 @@ impl EventLoop {
                     self.drive(token, 0, |conn| conn.on_admin_done(seq, result))
                 }
                 LoopMsg::Control(msg) => self.state.serve_control(msg),
-                LoopMsg::HotFill {
-                    tenant,
-                    id,
-                    key,
-                    flags,
-                    data,
-                    version,
-                } => self.state.hot_fill(tenant, id, key, flags, data, version),
-                LoopMsg::HotInvalidate { tenant, id } => self.state.hot_invalidate(tenant, id),
-                LoopMsg::HotFlushTenant { tenant } => self.state.hot_flush_tenant(tenant),
             }
         }
         self.drained = msgs;
     }
 
     /// A batch this loop sent is back, served (or refused, every op
-    /// failed): each run of ops of one connection resolves that connection's
-    /// ring entries and drives it once — one `conns` lookup, one
-    /// parse-and-flush pass. Ops of a connection that closed meanwhile are
-    /// dropped. The batch is then kept for a later pass.
+    /// failed): its GET hits first fill the loop's hot-key replicas, so a
+    /// GET a reply lets through already finds them. Then each run of ops of
+    /// one connection resolves that connection's ring entries and drives it
+    /// once — one `conns` lookup, one parse-and-flush pass. Ops of a
+    /// connection that closed meanwhile are dropped. The batch is then kept
+    /// for a later pass.
     fn complete_batch(&mut self, batch: OpBatch) {
+        self.state.fill_replicas(&batch);
         let mut rest = &batch.ops[..];
         while let Some(first) = rest.first() {
             let run = rest.iter().take_while(|op| op.token == first.token);

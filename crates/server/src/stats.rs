@@ -340,7 +340,7 @@ pub(crate) struct HotKeysDoc {
     pub(crate) replica_hits: u64,
     /// Replica fills accepted by non-owning loops.
     pub(crate) replica_fills: u64,
-    /// Invalidation broadcasts received by non-owning loops.
+    /// Replica entries non-owning loops found stale on a read and dropped.
     pub(crate) invalidations: u64,
 }
 
