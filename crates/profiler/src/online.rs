@@ -49,10 +49,18 @@ const MIMIR_BUCKETS: usize = 128;
 /// Hard cap on sampled keys tracked per estimator. At the default R = 1/64
 /// this bounds each per-loop per-tenant estimator to roughly
 /// `64 * 32768 = 2M` distinct keys of coverage before the oldest sampled
-/// keys are pruned, at a few hundred KB worst case.
+/// keys are pruned. The cap bounds the estimator's memory too: the bucket
+/// estimator's key table and bucket sets hold at most this many keys, and
+/// its in-sample histogram at most this many counters (256 KiB), since no
+/// in-sample distance exceeds the keys tracked.
 const MAX_TRACKED: usize = 32_768;
 
 /// A SHARDS-sampled, Mimir-bucketed, online miss-ratio-curve estimator.
+///
+/// It keeps only the in-sample distances the bucket estimator records;
+/// the population-scaled histogram is built from them when it is read.
+/// Scaled, a histogram indexed by distance would be `2^shift / share`
+/// times longer and all but one entry in `2^shift / share` empty.
 #[derive(Debug)]
 pub struct OnlineMrc {
     shift: u32,
@@ -64,7 +72,6 @@ pub struct OnlineMrc {
     mimir: MimirEstimator,
     offered: u64,
     sampled: u64,
-    histogram: StackDistanceHistogram,
 }
 
 impl OnlineMrc {
@@ -92,7 +99,6 @@ impl OnlineMrc {
             mimir: MimirEstimator::new(MIMIR_BUCKETS, MAX_TRACKED),
             offered: 0,
             sampled: 0,
-            histogram: StackDistanceHistogram::new(),
         }
     }
 
@@ -106,15 +112,9 @@ impl OnlineMrc {
             return;
         }
         self.sampled += 1;
-        // Mimir keeps its own (unscaled, in-sample) histogram; the curve
-        // must come from distances rescaled to the full population, so the
-        // estimator accumulates its own.
-        match self.mimir.record(key) {
-            Some(d) => self
-                .histogram
-                .record(((d as f64 * self.scale).round() as usize).max(1)),
-            None => self.histogram.record_cold(),
-        }
+        // Mimir records the in-sample distance (or a cold access) in its
+        // own histogram; `histogram` scales it to the population.
+        self.mimir.record(key);
     }
 
     /// GETs offered to the estimator (sampled or not).
@@ -132,9 +132,19 @@ impl OnlineMrc {
         self.mimir.tracked_keys()
     }
 
-    /// The accumulated population-scaled stack-distance histogram.
-    pub fn histogram(&self) -> &StackDistanceHistogram {
-        &self.histogram
+    /// The accumulated population-scaled stack-distance histogram, built
+    /// in one pass over the bucket estimator's populated in-sample
+    /// distances: each count lands at its distance times the scale,
+    /// rounded, at least 1; cold accesses carry over as they are.
+    pub fn histogram(&self) -> StackDistanceHistogram {
+        let sampled = self.mimir.histogram();
+        let mut scaled = StackDistanceHistogram::new();
+        for d in 1..=sampled.max_distance() {
+            let at = ((d as f64 * self.scale).round() as usize).max(1);
+            scaled.add(at, sampled.count_at(d));
+        }
+        scaled.add_cold(sampled.cold());
+        scaled
     }
 
     /// The estimated full-population hit-rate curve (SHARDS_adj-corrected,
@@ -152,7 +162,7 @@ impl OnlineMrc {
             offered: self.offered,
             sampled: self.sampled,
             tracked_keys: self.mimir.tracked_keys() as u64,
-            histogram: self.histogram.clone(),
+            histogram: self.histogram(),
         }
     }
 }
@@ -385,6 +395,45 @@ mod tests {
                     "distance {}", d
                 );
             }
+        }
+    }
+
+    proptest! {
+        /// The scaled histogram built at snapshot time from the bucket
+        /// estimator's in-sample one is the histogram of scaling each
+        /// distance as it is measured, at every sampling shift and
+        /// population share: the snapshot carries the same counts at the
+        /// same distances, the same cold count and the same total.
+        #[test]
+        fn snapshot_scales_the_in_sample_histogram_exactly(
+            shift in 0u32..=8,
+            share in 0usize..4,
+            trace in proptest::collection::vec((any::<bool>(), 0u64..256), 0..800),
+        ) {
+            // Keys that pass the gate at shift 8 pass it at every smaller
+            // shift; the rest of the trace is mostly gated out.
+            let sampled_pool: Vec<Key> = (0..)
+                .map(key)
+                .filter(|k| mix64(k.raw() ^ SAMPLE_SALT) <= u64::MAX >> 8)
+                .take(256)
+                .collect();
+            let share = [1.0, 0.5, 2.0 / 3.0, 1.0 / 3.0][share];
+            let mut online = OnlineMrc::with_population_share(shift, share);
+            let mut mimir = MimirEstimator::new(MIMIR_BUCKETS, MAX_TRACKED);
+            let mut reference = StackDistanceHistogram::new();
+            let scale = (1u64 << shift) as f64 / share;
+            for &(pooled, i) in &trace {
+                let k = if pooled { sampled_pool[i as usize] } else { key(i) };
+                online.record(k);
+                if mix64(k.raw() ^ SAMPLE_SALT) > online.threshold {
+                    continue;
+                }
+                match mimir.record(k) {
+                    Some(d) => reference.record(((d as f64 * scale).round() as usize).max(1)),
+                    None => reference.record_cold(),
+                }
+            }
+            prop_assert_eq!(online.snapshot().histogram, reference);
         }
     }
 

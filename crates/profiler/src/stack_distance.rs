@@ -40,18 +40,32 @@ impl StackDistanceHistogram {
 
     /// Records a request with finite stack distance `distance` (1-based).
     pub fn record(&mut self, distance: usize) {
+        self.add(distance, 1);
+    }
+
+    /// Records `count` requests at finite stack distance `distance`
+    /// (1-based) at once. A zero `count` changes nothing.
+    pub fn add(&mut self, distance: usize, count: u64) {
         assert!(distance >= 1, "stack distances are 1-based");
+        if count == 0 {
+            return;
+        }
         if self.counts.len() < distance {
             self.counts.resize(distance, 0);
         }
-        self.counts[distance - 1] += 1;
-        self.total += 1;
+        self.counts[distance - 1] += count;
+        self.total += count;
     }
 
     /// Records a cold (first-ever) access.
     pub fn record_cold(&mut self) {
-        self.cold += 1;
-        self.total += 1;
+        self.add_cold(1);
+    }
+
+    /// Records `count` cold accesses at once.
+    pub fn add_cold(&mut self, count: u64) {
+        self.cold += count;
+        self.total += count;
     }
 
     /// Total number of requests recorded.

@@ -232,8 +232,17 @@ fn append(bytes: &mut Vec<u8>, data: &[u8]) -> std::ops::Range<usize> {
 /// over plain `mpsc` senders — the control thread is the only receiver and
 /// the only thread that ever blocks on them.
 pub(crate) enum ControlMsg {
-    /// Snapshot every owned engine's stats and the loop's counters.
+    /// Snapshot every owned engine's stats and the loop's counters: the
+    /// `stats` document's fan-out, and nothing else.
     Snapshot { reply: Sender<LoopSnapshot> },
+    /// Report `(global shard, per-tenant shadow hits)` for every owned
+    /// shard: all a balancing round reads.
+    ShadowHits {
+        reply: Sender<Vec<(usize, Vec<u64>)>>,
+    },
+    /// Report the hot-key tracker's window tallies (empty when the feature
+    /// is off): all a hot-key round reads.
+    HotKeys { reply: Sender<Vec<HotKeyCount>> },
     /// Release budget from one engine (evicting as needed); reply whether
     /// the bytes were actually released.
     Shrink {
@@ -268,7 +277,7 @@ pub(crate) enum ControlMsg {
     },
 }
 
-/// What one loop reports to the control thread.
+/// What one loop reports to the control thread for the `stats` document.
 pub(crate) struct LoopSnapshot {
     pub(crate) loop_index: usize,
     /// `(global shard index, per-tenant engine stats)` for owned shards.
@@ -1157,6 +1166,16 @@ impl LoopState {
             ControlMsg::Snapshot { reply } => {
                 let _ = reply.send(self.snapshot());
             }
+            ControlMsg::ShadowHits { reply } => {
+                let shadow_hits = |shard: &OwnedShard| {
+                    let hits = shard.cells.iter().map(|c| c.engine.stats().shadow_hits);
+                    (shard.global, hits.collect())
+                };
+                let _ = reply.send(self.owned.iter().map(shadow_hits).collect());
+            }
+            ControlMsg::HotKeys { reply } => {
+                let _ = reply.send(self.hot_key_counts());
+            }
             ControlMsg::Shrink {
                 shard,
                 tenant,
@@ -1210,6 +1229,12 @@ impl LoopState {
         }
     }
 
+    /// The hot-key tracker's window tallies; none when the feature is off.
+    fn hot_key_counts(&self) -> Vec<HotKeyCount> {
+        let hot = self.hot.as_ref();
+        hot.map(|hot| hot.tracker.snapshot()).unwrap_or_default()
+    }
+
     fn snapshot(&self) -> LoopSnapshot {
         LoopSnapshot {
             loop_index: self.index,
@@ -1242,11 +1267,7 @@ impl LoopState {
             slow_ops: self.slow_ops,
             mrc: self.mrc.iter().map(OnlineMrc::snapshot).collect(),
             history: self.history.clone(),
-            hot_keys: self
-                .hot
-                .as_ref()
-                .map(|hot| hot.tracker.snapshot())
-                .unwrap_or_default(),
+            hot_keys: self.hot_key_counts(),
             replica_hits: self.hot.as_ref().map(|hot| hot.replica_hits).unwrap_or(0),
             replica_fills: self.hot.as_ref().map(|hot| hot.replica_fills).unwrap_or(0),
             hot_invalidations: self.hot.as_ref().map(|hot| hot.invalidations).unwrap_or(0),
@@ -1383,10 +1404,12 @@ impl Control {
 
     /// The loops' sampled hot-key windows folded into one tally per
     /// (tenant, key).
-    fn merged_hot_keys(snaps: &[Option<LoopSnapshot>]) -> HashMap<(usize, Key), (u64, Bytes)> {
+    fn merged_hot_keys<'a>(
+        windows: impl Iterator<Item = &'a Vec<HotKeyCount>>,
+    ) -> HashMap<(usize, Key), (u64, Bytes)> {
         let mut merged: HashMap<(usize, Key), (u64, Bytes)> = HashMap::new();
-        for snap in snaps.iter().flatten() {
-            for entry in &snap.hot_keys {
+        for window in windows {
+            for entry in window {
                 merged
                     .entry((entry.tenant, entry.id))
                     .and_modify(|slot| slot.0 += entry.count)
@@ -1396,32 +1419,37 @@ impl Control {
         merged
     }
 
-    /// Asks every live loop for a snapshot and collects the answers. A
-    /// loop that died mid-request simply drops its reply sender, so the
-    /// collection never hangs.
-    fn gather(&self) -> Vec<Option<LoopSnapshot>> {
+    /// Sends every live loop the message `ask` builds around one shared
+    /// reply sender and collects the answers in the order they come. A
+    /// loop that died mid-request simply drops its copy of the sender, so
+    /// the collection never hangs.
+    fn ask_all<R>(&self, ask: impl Fn(Sender<R>) -> ControlMsg) -> Vec<R> {
         let (tx, rx) = channel();
         for mailbox in &self.shared.mailboxes {
-            let _ = mailbox.send(LoopMsg::Control(ControlMsg::Snapshot { reply: tx.clone() }));
+            let _ = mailbox.send(LoopMsg::Control(ask(tx.clone())));
         }
         drop(tx);
+        rx.iter().collect()
+    }
+
+    /// Every live loop's snapshot, by loop index (for `stats` only).
+    fn gather(&self) -> Vec<Option<LoopSnapshot>> {
         let mut out: Vec<Option<LoopSnapshot>> = (0..self.shared.loops).map(|_| None).collect();
-        while let Ok(snap) = rx.recv() {
+        for snap in self.ask_all(|reply| ControlMsg::Snapshot { reply }) {
             let index = snap.loop_index;
             out[index] = Some(snap);
         }
         out
     }
 
-    /// Shadow-hit counters indexed `[shard][tenant]`, zero for any shard
-    /// whose loop did not answer.
-    fn shadow_grid(&self, snaps: &[Option<LoopSnapshot>], tenants: usize) -> Vec<Vec<u64>> {
+    /// The loops' `(global shard, per-tenant shadow hits)` answers as a
+    /// grid indexed `[shard][tenant]`, zero for any shard whose loop did
+    /// not answer.
+    fn shadow_grid(&self, answers: Vec<Vec<(usize, Vec<u64>)>>, tenants: usize) -> Vec<Vec<u64>> {
         let mut grid = vec![vec![0u64; tenants]; self.shared.shards];
-        for snap in snaps.iter().flatten() {
-            for (shard, cells) in &snap.engines {
-                for (t, cell) in cells.iter().enumerate().take(tenants) {
-                    grid[*shard][t] = cell.core.shadow_hits;
-                }
+        for (shard, hits) in answers.into_iter().flatten() {
+            for (t, hits) in hits.into_iter().enumerate().take(tenants) {
+                grid[shard][t] = hits;
             }
         }
         grid
@@ -1460,11 +1488,12 @@ impl Control {
 
     /// One balancing round: a cross-shard round per tenant
     /// ([`RoundKind::Rebalance`]) or the one cross-tenant round
-    /// ([`RoundKind::Arbitrate`]). Snapshot the shadow-hit signal, let the
-    /// balancer whose seats are at stake decide, then apply each transfer
-    /// it proposes as a list of moves: one for a shard transfer; for a
-    /// tenant transfer one shard-local slice per shard, so the summed budget
-    /// is conserved even if some slices fail on their floors.
+    /// ([`RoundKind::Arbitrate`]). Ask the loops for the shadow-hit
+    /// signal, let the balancer whose seats are at stake decide, then apply
+    /// each transfer it proposes as a list of moves: one for a shard
+    /// transfer; for a tenant transfer one shard-local slice per shard, so
+    /// the summed budget is conserved even if some slices fail on their
+    /// floors.
     fn balance(&mut self, kind: RoundKind) {
         let shared = Arc::clone(&self.shared);
         if !shared.round_active(kind, shared.roster.lock().directory.len()) {
@@ -1474,10 +1503,10 @@ impl Control {
         // a pass that first re-reads a changed tenant table, under that lock
         // — so the round moves budget on a copy and writes it back: this
         // thread is the roster's only writer.
-        let snaps = self.gather();
+        let answers = self.ask_all(|reply| ControlMsg::ShadowHits { reply });
         let mut roster = shared.roster.lock().clone();
         let tenants = roster.directory.len();
-        let grid = self.shadow_grid(&snaps, tenants);
+        let grid = self.shadow_grid(answers, tenants);
         let arbitrate = kind == RoundKind::Arbitrate;
         // Each balancer's seats, as the `(shard, tenant)` engines behind
         // them: the tenants with all their engines, or one tenant's shards.
@@ -1581,7 +1610,8 @@ impl Control {
         let Some(hot) = shared.hot.as_ref() else {
             return;
         };
-        let merged = Self::merged_hot_keys(&self.gather());
+        let windows = self.ask_all(|reply| ControlMsg::HotKeys { reply });
+        let merged = Self::merged_hot_keys(windows.iter());
         // Tenant names for the journal, resolved before taking the
         // promoted lock (control-thread lock order: roster, then promoted).
         let names = shared.roster.lock().directory.names().to_vec();
@@ -1788,7 +1818,7 @@ impl Control {
         let elapsed = shared.started.elapsed();
         let hot_keys = shared.hot.as_ref().map(|hot| {
             let names = roster.directory.names();
-            let merged = Self::merged_hot_keys(&snaps);
+            let merged = Self::merged_hot_keys(snaps.iter().flatten().map(|s| &s.hot_keys));
             let tallies = merged.iter();
             let tallies = tallies.map(|(&(tenant, _), (count, key))| (tenant, key, *count));
             let mut tracked = hot_key_docs(names, tallies);
@@ -2583,5 +2613,48 @@ mod tests {
         assert_eq!(answered.try_recv(), Ok(()));
         assert!(pending(Arbitrate).load(Ordering::Acquire));
         assert!(!pending(Rebalance).load(Ordering::Acquire));
+    }
+
+    #[test]
+    fn a_round_asks_each_loop_for_its_counters_and_builds_no_snapshot() {
+        use std::sync::mpsc::TryRecvError;
+        let (mut states, seeds, ctrl) = two_loops(three_rounds(BackendMode::Cliffhanger, true));
+        let shared = Arc::clone(&states[0].shared);
+        let telemetry = Arc::new(ConnTelemetry::new(2, 16));
+        let control = Control::new(Arc::clone(&shared), ctrl, telemetry, None);
+        let control = std::thread::spawn(move || control.run());
+        for (kind, narrow) in [
+            (RoundKind::Rebalance, "shadow hits"),
+            (RoundKind::HotKeys, "hot keys"),
+        ] {
+            let (done, answered) = channel();
+            let done = Some(done);
+            shared.ctrl.send(CtrlReq::Round { kind, done }).unwrap();
+            // Both loops' mailboxes are served by hand until the round is
+            // done; with no traffic a round moves no budget, so what the
+            // loops see is what the round reads.
+            let mut seen = Vec::new();
+            while answered.try_recv() == Err(TryRecvError::Empty) {
+                for (state, seed) in states.iter_mut().zip(&seeds) {
+                    for msg in seed.take_inbox() {
+                        let LoopMsg::Control(msg) = msg else {
+                            panic!("a round sends the loops control messages only");
+                        };
+                        seen.push(match msg {
+                            ControlMsg::ShadowHits { .. } => "shadow hits",
+                            ControlMsg::HotKeys { .. } => "hot keys",
+                            ControlMsg::Snapshot { .. } => "snapshot",
+                            _ => "a budget move",
+                        });
+                        state.serve_control(msg);
+                    }
+                }
+                std::thread::yield_now();
+            }
+            assert_eq!(seen, [narrow; 2], "one narrow question to each loop");
+        }
+        shared.ctrl.send(CtrlReq::Shutdown).unwrap();
+        control.join().expect("the control thread");
+        assert!(seeds.iter().all(|seed| seed.take_inbox().is_empty()));
     }
 }

@@ -31,10 +31,16 @@
 //! Before the batch made the round trip (one boxed `DataOp` with an owned
 //! key out, one `DataReply` back, a `Vec` per staged response, mailbox
 //! `Vec`s regrown every pass) that section read 2.12 allocations per GET,
-//! 2.67 per SET and 5.2 MB for the 256 KB burst. Its GET budget is 0.05, not 0.005: two shards switch
-//! the cross-shard rebalancer on, and its rounds (a snapshot of every loop
-//! each few thousand ops, on the control thread) are the ≈ 0.013 per GET
-//! that section still reads — none of it on the request path. Its SET
+//! 2.67 per SET and 5.2 MB for the 256 KB burst. Its GET budget is 0.05,
+//! not 0.005: two shards switch the cross-shard rebalancer on, and its
+//! rounds are the ≈ 0.012 per GET (0.014 on the all-remote pipeline) that
+//! section still reads — none of it on the request path. Each few thousand
+//! ops the control thread asks every loop for its engines' shadow-hit
+//! counters, which each loop reads and sends back on its own thread; one
+//! round is held to 8 KiB allocated and reads ≈ 3 KB. While a round asked
+//! each loop for the whole snapshot the `stats` document is built from,
+//! its MRC histograms cloned, one round allocated 52 KB and the section
+//! read ≈ 0.017 per GET (0.020). Its SET
 //! budget is 0.75, not 0.05: a SET of a key the other loop owns is built on
 //! the connection's loop and freed, when overwritten, on the owner's, so
 //! the origin's magazine never gets those buffers back (reads ≈ 0.58).
@@ -124,6 +130,8 @@ const VALUE: [u8; 64] = [b'v'; 64];
 const DEPTH: usize = 64;
 /// Rounds each steady-state measurement runs uncounted first.
 const WARM_UP: usize = 20;
+/// Bytes one rebalancing round of the 2-loop server may allocate.
+const ROUND_BYTES: u64 = 8 << 10;
 
 /// Counted rounds per verb: 200 per push, `BYTE_PATH_ROUNDS` overrides
 /// (nightly.yml runs 20 x that).
@@ -267,6 +275,22 @@ fn hold_to_budgets(workers: usize, shards: usize, get_budget: f64, set_budget: f
             per_remote_get <= get_budget,
             "{workers} loop(s): a GET hit that crosses loops costs {per_remote_get:.4} \
              allocations; the budget is {get_budget}"
+        );
+    }
+
+    // A balancing round asks each loop for its engines' shadow-hit counters
+    // and nothing else: what one allocates is its messages and its
+    // decision, not a snapshot of every loop. The first rounds size what
+    // the balancers keep.
+    if shards > 1 {
+        let cache = server.cache();
+        (0..3).for_each(|_| cache.rebalance_now());
+        let (_, round_bytes) = counted(|| cache.rebalance_now());
+        println!("{workers} loop(s): one rebalancing round allocated {round_bytes} bytes");
+        assert!(
+            round_bytes <= ROUND_BYTES,
+            "{workers} loop(s): one rebalancing round allocated {round_bytes} bytes; \
+             the budget is {ROUND_BYTES} (a round reads counters, not loop snapshots)"
         );
     }
 

@@ -291,10 +291,11 @@ fn no_stale_reads_while_promotion_churns_under_a_set_storm() {
 #[test]
 fn flush_all_is_never_shadowed_by_stale_replicas() {
     // `flush_all` rebuilds the tenant's engines without being able to
-    // enumerate its keys, so it bumps every version slot (and broadcasts
-    // a tenant-wide purge) before acknowledging. A GET on any loop after
-    // the ack must miss — a replica serving the pre-flush value here is
-    // exactly the acknowledged-mutation-shadowed bug.
+    // enumerate its keys, so it bumps every version slot before
+    // acknowledging: a replica's next read finds its slot moved and drops
+    // the entry. A GET on any loop after the ack must miss — a replica
+    // serving the pre-flush value here is exactly the
+    // acknowledged-mutation-shadowed bug.
     let server = start_server(HotKeyConfig::aggressive());
     let addr = server.local_addr();
     let mut heater = CacheClient::connect(addr).unwrap();

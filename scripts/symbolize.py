@@ -36,7 +36,12 @@ such a row, disassemble its range:
 The memmove is the code moving `%ymm` or `%zmm` registers (`vmovdqu`,
 `vmovdqu64`) and `rep movsb`; `_int_malloc` and `_int_free` follow
 `__default_morecore`, and their callers (`malloc`, `free`, `realloc`) are
-exported and show by name.
+exported and show by name. The memmove range holds the vector memset too:
+its `rep stos` is at 0x16e0b0-0x16e0bf. Samples at 0x85820-0x858d1, which
+read as `__libc_alloca_cutoff+0x50` and beyond, are
+`__pthread_enable_asynccancel` and `__pthread_disable_asynccancel`, which
+every blocking syscall (`send`, `recv`, `read`, `write`, `epoll_wait`)
+passes through on its way into and out of the kernel.
 """
 
 import bisect
