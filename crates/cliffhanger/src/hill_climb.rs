@@ -111,18 +111,19 @@ impl HillClimber {
                 r
             }
         };
-        let affordable = |t: u64, credit: u64, min: u64| t >= credit && t - credit >= min;
-        let loser = if affordable(self.targets[candidate], credit, self.floors[candidate]) {
+        let (targets, floors) = (&self.targets, &self.floors);
+        let affordable = |i: usize| targets[i] >= credit && targets[i] - credit >= floors[i];
+        let loser = if affordable(candidate) {
             candidate
         } else {
-            let options: Vec<usize> = (0..n)
-                .filter(|&i| i != winner)
-                .filter(|&i| affordable(self.targets[i], credit, self.floors[i]))
-                .collect();
-            if options.is_empty() {
+            // The k-th affordable queue, counted twice rather than collected.
+            let mut options = (0..n).filter(|&i| i != winner && affordable(i));
+            let count = options.clone().count();
+            if count == 0 {
                 return None;
             }
-            options[self.rng.gen_range(0..options.len())]
+            let k = self.rng.gen_range(0..count);
+            options.nth(k).expect("k < count")
         };
         self.targets[winner] += credit;
         self.targets[loser] -= credit;
@@ -337,5 +338,23 @@ mod tests {
             "nobody can donate a 64 KB chunk; totals must be conserved"
         );
         assert_eq!(hc.total(), 20 << 10);
+    }
+
+    /// When the random candidate cannot pay, the loser is drawn among the
+    /// queues that can, each as often as the others.
+    #[test]
+    fn an_unaffordable_candidate_falls_back_to_any_affordable_queue() {
+        let mut seen = [0u32; 6];
+        for seed in 0..1_000 {
+            // Queues 1 and 5 can give a credit; the candidate is one of the
+            // three that cannot three times in five.
+            let targets = vec![0, 1_000, 100, 100, 100, 1_000];
+            let mut hc = HillClimber::new(targets, 100, 50, seed);
+            if let Some(t) = hc.on_shadow_hit(0) {
+                seen[t.loser] += 1;
+            }
+        }
+        assert_eq!(seen[1] + seen[5], 1_000, "{seen:?}");
+        assert!((400..600).contains(&seen[1]), "{seen:?}");
     }
 }

@@ -9,7 +9,8 @@
 //!
 //! * [`stack_distance`] — exact Mattson stack distances (O(log N) per request
 //!   with a Fenwick tree) and the resulting reuse-distance histograms.
-//! * [`mimir`] — the Mimir bucket approximation (O(N/B) per request) used by
+//! * [`mimir`] — the Mimir bucket approximation (per request, one key-table
+//!   probe and a sum over B bucket counts; aging moves no key) used by
 //!   Dynacache when exact profiling is too expensive.
 //! * [`curve`] — hit-rate curves: evaluation, interpolation, gradients,
 //!   concavity/cliff detection.

@@ -1,27 +1,37 @@
 //! The Mimir bucket approximation of stack distances.
 //!
-//! Mimir (Saemundsson et al., SoCC 2014) estimates stack distances in
-//! O(N / B) by keeping B buckets of keys ordered by recency *of bucket*, not
-//! of key: an access to a key in bucket `i` is assigned the average rank of
-//! that bucket (the sum of the sizes of all newer buckets plus half its own),
-//! the key moves to the newest bucket, and buckets age wholesale when the
-//! newest one fills up. Dynacache uses this estimator because exact Mattson
-//! profiling is too expensive on a cache server (paper §2.1); the paper also
-//! notes it loses accuracy for curves spanning tens of thousands of items —
-//! a property the tests below exhibit rather than hide.
+//! Mimir (Saemundsson et al., SoCC 2014) estimates stack distances without
+//! a per-key recency order by keeping B buckets of keys ordered by recency
+//! *of bucket*, not of key: an access to a key in bucket `i` is assigned the
+//! average rank of that bucket (the sum of the sizes of all newer buckets
+//! plus half its own), the key moves to the newest bucket, and buckets age
+//! wholesale when the newest one fills up. Dynacache uses this estimator
+//! because exact Mattson profiling is too expensive on a cache server (paper
+//! §2.1); the paper also notes it loses accuracy for curves spanning tens of
+//! thousands of items — a property the tests below exhibit rather than hide.
+//!
+//! A record costs one table probe and a sum over at most B bucket counts.
+//! Aging costs O(1): a bucket is a count, each key remembers only the id of
+//! the bucket it entered, and a key whose id is older than the oldest
+//! bucket's is in the oldest bucket, so folding the oldest bucket into the
+//! next moves no key. Pruning, which runs only once more than `max_tracked`
+//! keys are tracked, is one pass over the key table. Once that table has
+//! grown, a record allocates nothing.
 
 use crate::curve::HitRateCurve;
 use crate::stack_distance::StackDistanceHistogram;
+use cache_core::key::KeyMap;
 use cache_core::Key;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Approximate stack-distance estimator with a fixed number of buckets.
 #[derive(Debug)]
 pub struct MimirEstimator {
-    /// Buckets from newest (front) to oldest (back); each holds distinct keys.
-    buckets: VecDeque<HashSet<Key>>,
-    /// Which bucket (by stable id) each tracked key lives in.
-    key_bucket: HashMap<Key, u64>,
+    /// Keys per bucket, from newest (front) to oldest (back).
+    counts: VecDeque<usize>,
+    /// The id of the bucket each tracked key entered: the key is in that
+    /// bucket, or in the oldest one if its id is older still.
+    key_bucket: KeyMap<u64>,
     /// Stable id of the newest bucket; older buckets have smaller ids.
     newest_id: u64,
     /// Number of buckets (the paper's B; Dynacache used 100).
@@ -36,11 +46,12 @@ impl MimirEstimator {
     /// tracking at most `max_tracked` distinct keys.
     pub fn new(num_buckets: usize, max_tracked: usize) -> Self {
         assert!(num_buckets >= 2, "at least two buckets are required");
-        let mut buckets = VecDeque::with_capacity(num_buckets);
-        buckets.push_front(HashSet::new());
+        // One more than the bound: aging opens a bucket before it folds two.
+        let mut counts = VecDeque::with_capacity(num_buckets + 1);
+        counts.push_front(0);
         MimirEstimator {
-            buckets,
-            key_bucket: HashMap::new(),
+            counts,
+            key_bucket: KeyMap::default(),
             newest_id: 0,
             num_buckets,
             max_tracked: max_tracked.max(num_buckets),
@@ -51,76 +62,64 @@ impl MimirEstimator {
     /// Records an access and returns the estimated stack distance
     /// (`None` for keys not currently tracked, i.e. cold or pruned).
     pub fn record(&mut self, key: Key) -> Option<usize> {
-        let estimate = match self.key_bucket.get(&key).copied() {
-            Some(bucket_id) => {
-                let index = self.index_of(bucket_id);
-                let mut rank = 0usize;
-                for b in self.buckets.iter().take(index) {
-                    rank += b.len();
-                }
-                let own = self.buckets[index].len();
-                self.buckets[index].remove(&key);
-                Some((rank + own.div_ceil(2)).max(1))
-            }
-            None => None,
-        };
+        let oldest_id = self.oldest_id();
+        // Move (or admit) the key into the newest bucket.
+        let estimate = self.key_bucket.insert(key, self.newest_id).map(|id| {
+            let index = (self.newest_id - id.max(oldest_id)) as usize;
+            let rank: usize = self.counts.iter().take(index).sum();
+            let own = self.counts[index];
+            self.counts[index] -= 1;
+            (rank + own.div_ceil(2)).max(1)
+        });
         match estimate {
             Some(d) => self.histogram.record(d),
             None => self.histogram.record_cold(),
         }
-        // Move (or admit) the key into the newest bucket.
-        self.buckets[0].insert(key);
-        self.key_bucket.insert(key, self.newest_id);
+        self.counts[0] += 1;
         self.maybe_age();
         self.maybe_prune();
         estimate
     }
 
-    fn index_of(&self, bucket_id: u64) -> usize {
-        // newest_id corresponds to index 0; ids decrease towards the back.
-        (self.newest_id - bucket_id) as usize
+    /// The id of the oldest bucket: the newest's, less the buckets behind it.
+    fn oldest_id(&self) -> u64 {
+        self.newest_id - (self.counts.len() - 1) as u64
     }
 
     /// Ages buckets when the newest one grows past its share of the tracked
     /// population: a fresh bucket is opened and, if the bucket count exceeds
-    /// B, the two oldest buckets are merged.
+    /// B, the oldest bucket's count folds into the next one, whose id its
+    /// keys' ids are now older than.
     fn maybe_age(&mut self) {
         let per_bucket = (self.key_bucket.len() / self.num_buckets).max(16);
-        if self.buckets[0].len() <= per_bucket {
+        if self.counts[0] <= per_bucket {
             return;
         }
         self.newest_id += 1;
-        self.buckets.push_front(HashSet::new());
-        if self.buckets.len() > self.num_buckets {
-            let oldest = self.buckets.pop_back().expect("len > num_buckets >= 2");
-            let merged_into = self.buckets.len() - 1;
-            let merged_id = self.newest_id - merged_into as u64;
-            for key in oldest {
-                self.buckets[merged_into].insert(key);
-                self.key_bucket.insert(key, merged_id);
-            }
+        self.counts.push_front(0);
+        if self.counts.len() > self.num_buckets {
+            let oldest = self.counts.pop_back().expect("len > num_buckets >= 2");
+            *self.counts.back_mut().expect("len >= num_buckets >= 2") += oldest;
         }
     }
 
-    /// Drops keys from the oldest bucket when the tracked population exceeds
-    /// the configured bound.
+    /// Drops the oldest bucket's keys — those whose id is at or below its
+    /// id — when the tracked population exceeds the configured bound.
     fn maybe_prune(&mut self) {
         while self.key_bucket.len() > self.max_tracked {
-            let Some(oldest) = self.buckets.back_mut() else {
+            let oldest_id = self.oldest_id();
+            let Some(oldest) = self.counts.back_mut() else {
                 return;
             };
-            if oldest.is_empty() {
-                if self.buckets.len() == 1 {
+            if *oldest == 0 {
+                if self.counts.len() == 1 {
                     return;
                 }
-                self.buckets.pop_back();
+                self.counts.pop_back();
                 continue;
             }
-            // Drain the oldest bucket.
-            let keys: Vec<Key> = oldest.drain().collect();
-            for key in keys {
-                self.key_bucket.remove(&key);
-            }
+            *oldest = 0;
+            self.key_bucket.retain(|_, &id| id > oldest_id);
         }
     }
 
@@ -131,7 +130,7 @@ impl MimirEstimator {
 
     /// Number of buckets currently in use.
     pub fn active_buckets(&self) -> usize {
-        self.buckets.len()
+        self.counts.len()
     }
 
     /// The accumulated (approximate) stack-distance histogram.

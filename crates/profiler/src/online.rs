@@ -14,10 +14,12 @@
 //!   re-references a sampled key after `1/R` fewer distinct intervening
 //!   keys, in expectation. The non-sampled path is one multiply-shift hash
 //!   and one compare: near-zero cost for the ~`1 - R` majority of GETs.
-//! * **Mimir buckets** ([`MimirEstimator`]) under the sample: distances among
-//!   sampled keys are estimated in O(tracked/B) amortized with a hard cap on
-//!   tracked keys, so memory stays bounded no matter how long the server
-//!   runs or how large the tenant's working set grows.
+//! * **Mimir buckets** ([`MimirEstimator`]) under the sample: a sampled GET
+//!   costs one probe of the estimator's key table and a sum over its B
+//!   bucket counts; aging moves no key, and once the table has grown a
+//!   record allocates nothing. A hard cap on tracked keys keeps memory
+//!   bounded no matter how long the server runs or how large the tenant's
+//!   working set grows; past it, pruning is one pass over the key table.
 //!
 //! The estimator is deliberately shared-nothing: each event loop owns one
 //! per tenant, records only the GETs it serves, and exports a serializable
@@ -41,16 +43,16 @@ const SAMPLE_SALT: u64 = 0x9e6c_63d0_876a_3f00;
 
 /// Mimir bucket count under the sample. More buckets shrink the
 /// within-bucket distance quantisation error (the dominant error term at
-/// R = 1, where sampling itself is exact) at the cost of a longer
-/// amortised aging scan; 128 keeps full-sampling error under ~2pp on
-/// Zipf-skewed traces.
+/// R = 1, where sampling itself is exact) at the cost of a longer sum of
+/// bucket counts per sampled GET; 128 keeps full-sampling error under ~2pp
+/// on Zipf-skewed traces.
 const MIMIR_BUCKETS: usize = 128;
 
 /// Hard cap on sampled keys tracked per estimator. At the default R = 1/64
 /// this bounds each per-loop per-tenant estimator to roughly
 /// `64 * 32768 = 2M` distinct keys of coverage before the oldest sampled
 /// keys are pruned. The cap bounds the estimator's memory too: the bucket
-/// estimator's key table and bucket sets hold at most this many keys, and
+/// estimator's key table holds at most this many keys, and
 /// its in-sample histogram at most this many counters (256 KiB), since no
 /// in-sample distance exceeds the keys tracked.
 const MAX_TRACKED: usize = 32_768;
@@ -104,7 +106,8 @@ impl OnlineMrc {
 
     /// Records one GET. For the `1 - R` majority of keys this is one hash,
     /// one counter increment and one branch; sampled keys pay the Mimir
-    /// bucket update.
+    /// bucket update (one key-table probe and a sum over the bucket counts),
+    /// which allocates nothing once the key table has grown.
     #[inline]
     pub fn record(&mut self, key: Key) {
         self.offered += 1;

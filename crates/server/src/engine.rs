@@ -276,11 +276,12 @@ impl Drop for StoredValue {
 /// Routes a byte-string key of one tenant to its shard index and 64-bit
 /// cache key.
 ///
-/// The shard selector re-mixes the FNV hash so that shard membership is
-/// decorrelated from the bits the per-shard engines use; non-default
-/// tenants fold a per-tenant salt in (the backend-side form of key
-/// prefixing) so their key populations spread independently, while the
-/// default tenant routes exactly as the single-tenant server did.
+/// The key is hashed eight bytes at a time ([`hash_bytes`]). The shard
+/// selector re-mixes that hash so that shard membership is decorrelated
+/// from the bits the per-shard engines use; non-default tenants fold a
+/// per-tenant salt in (the backend-side form of key prefixing) so their key
+/// populations spread independently, while the default tenant routes
+/// exactly as the single-tenant server did.
 pub(crate) fn route_key(tenant: usize, key: &[u8], shards: usize) -> (usize, Key) {
     let hash = hash_bytes(key);
     let salt = if tenant == 0 { 0 } else { mix64(tenant as u64) };

@@ -636,10 +636,12 @@ pub(crate) struct LoopState {
     remote_latency: Histogram,
     /// Ops over the slow-op threshold (0 threshold = never counted).
     slow_ops: u64,
-    ops: u64,
     /// Per [`RoundKind`]: the ops this loop executes between two requests
     /// for a round (the configured interval over the loop count).
     intervals: [u64; 3],
+    /// Per [`RoundKind`]: the ops left until the count next crosses its
+    /// interval (a countdown, so an op divides nothing).
+    until: [u64; 3],
     /// Per-tenant online MRC estimators over this loop's shard partition
     /// (empty when profiling is off or the loop owns no shards).
     mrc: Vec<OnlineMrc>,
@@ -712,8 +714,8 @@ impl LoopState {
             local_latency: Histogram::new(),
             remote_latency: Histogram::new(),
             slow_ops: 0,
-            ops: 0,
             intervals,
+            until: intervals,
             mrc: Vec::new(),
             history: TimeSeries::new(HISTORY_INTERVAL_US, HISTORY_WINDOWS),
             sample: Vec::new(),
@@ -1012,13 +1014,14 @@ impl LoopState {
         if active == [false; 3] {
             return;
         }
-        self.ops += 1;
         for kind in RoundKind::ALL {
             let k = kind as usize;
-            if active[k]
-                && self.ops % self.intervals[k] == 0
-                && !shared.round_pending[k].swap(true, Ordering::AcqRel)
-            {
+            self.until[k] -= 1;
+            if self.until[k] > 0 {
+                continue;
+            }
+            self.until[k] = self.intervals[k];
+            if active[k] && !shared.round_pending[k].swap(true, Ordering::AcqRel) {
                 let _ = shared.ctrl.send(CtrlReq::Round { kind, done: None });
             }
         }
@@ -2596,7 +2599,8 @@ mod tests {
         // A plane with no round to run counts nothing and asks for nothing.
         let (mut states, _seeds, ctrl) = two_loops(three_rounds(BackendMode::Default, false));
         (0..100).for_each(|_| states[0].tick());
-        assert_eq!((asked(&ctrl), states[0].ops), (vec![], 0));
+        assert_eq!(asked(&ctrl), []);
+        assert_eq!(states[0].until, states[0].intervals);
         // Its control thread still answers a caller that waits on `done`, and
         // clears a pending flag only for the round a loop asked for.
         let shared = Arc::clone(&states[0].shared);
@@ -2613,6 +2617,31 @@ mod tests {
         assert_eq!(answered.try_recv(), Ok(()));
         assert!(pending(Arbitrate).load(Ordering::Acquire));
         assert!(!pending(Rebalance).load(Ordering::Acquire));
+    }
+
+    /// The countdowns ask for each kind at the op counts that are multiples
+    /// of its interval, as the count of ops divided by it once did.
+    #[test]
+    fn the_rounds_are_asked_for_at_every_multiple_of_their_intervals() {
+        let (mut states, _seeds, ctrl) = two_loops(three_rounds(BackendMode::Cliffhanger, true));
+        let state = &mut states[0];
+        let mut seen = Vec::new();
+        for op in 1..=1_000u64 {
+            state.tick();
+            seen.extend(asked(&ctrl).into_iter().map(|kind| (op, kind)));
+            for pending in &state.shared.round_pending {
+                pending.store(false, Ordering::Release);
+            }
+        }
+        let expected: Vec<(u64, RoundKind)> = (1..=1_000u64)
+            .flat_map(|op| {
+                RoundKind::ALL
+                    .into_iter()
+                    .filter(move |&kind| op % [3, 5, 7][kind as usize] == 0)
+                    .map(move |kind| (op, kind))
+            })
+            .collect();
+        assert_eq!(seen, expected);
     }
 
     #[test]

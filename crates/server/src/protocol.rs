@@ -206,13 +206,46 @@ impl<'a> Iterator for Tokens<'a> {
     fn next(&mut self) -> Option<&'a [u8]> {
         let start = self.0.iter().position(|b| !b.is_ascii_whitespace())?;
         let rest = &self.0[start..];
-        let end = rest
-            .iter()
-            .position(u8::is_ascii_whitespace)
-            .unwrap_or(rest.len());
+        // A word with no byte at or below a space holds no ASCII whitespace
+        // (space, `\t`, `\n`, `\x0c`, `\r`): skip the token's words so. In
+        // the first that has one, the lowest such byte is exact: the token
+        // ends there if it is whitespace (`\x0b` and control bytes are not),
+        // else byte by byte from it, as past the last whole word.
+        let mut end = 0;
+        let from = loop {
+            let Some(word) = word_at(rest, end) else {
+                break end;
+            };
+            match bytes_below(word, b' ' + 1) {
+                0 => end += 8,
+                lanes => break end + lanes.trailing_zeros() as usize / 8,
+            }
+        };
+        let end = from
+            + rest[from..]
+                .iter()
+                .position(u8::is_ascii_whitespace)
+                .unwrap_or(rest.len() - from);
         self.0 = &rest[end..];
         Some(&rest[..end])
     }
+}
+
+/// One in each byte of a word.
+const LANES: u64 = 0x0101_0101_0101_0101;
+
+/// The little-endian word of the eight bytes of `bytes` from `at`, if
+/// there are eight.
+fn word_at(bytes: &[u8], at: usize) -> Option<u64> {
+    let word: [u8; 8] = bytes.get(at..at + 8)?.try_into().ok()?;
+    Some(u64::from_le_bytes(word))
+}
+
+/// The high bit of each byte of `word` below `bound` (at most 128): none
+/// if no byte is, and the lowest set bit is exact, though lanes above it
+/// may be set falsely.
+fn bytes_below(word: u64, bound: u8) -> u64 {
+    word.wrapping_sub(LANES * u64::from(bound)) & !word & (LANES << 7)
 }
 
 /// A command as the connection executes it: the keys of a `get` and a
@@ -317,9 +350,18 @@ enum LineOutcome<'a> {
     Invalid(String),
 }
 
-/// Parses one decimal token; a missing or malformed one is `None`.
-fn number<T: std::str::FromStr>(token: Option<&[u8]>) -> Option<T> {
-    std::str::from_utf8(token?).ok()?.parse().ok()
+/// Parses one decimal token; a missing or malformed one is `None`. A token
+/// of 1–18 ASCII digits (below 10^18, so no `u64` overflows) is summed
+/// here; anything else — a sign, overflow — takes `str::parse`'s answer.
+fn number<T: std::str::FromStr + TryFrom<u64>>(token: Option<&[u8]>) -> Option<T> {
+    let token = token?;
+    if (1..=18).contains(&token.len()) && token.iter().all(u8::is_ascii_digit) {
+        let value = token
+            .iter()
+            .fold(0u64, |value, digit| value * 10 + u64::from(digit - b'0'));
+        return T::try_from(value).ok();
+    }
+    std::str::from_utf8(token).ok()?.parse().ok()
 }
 
 /// Parses one command line (CRLF excluded) into borrowed tokens. Shared by
@@ -669,13 +711,30 @@ fn discard_keeping_split_cr(input: &mut &[u8]) {
 }
 
 /// The offset of the first CRLF: a search for `\r`, then a look behind it.
+/// A word that XORed with `\r` in every byte has no zero byte holds no `\r`
+/// and is skipped whole; in one that does, the first `\r` is its lowest
+/// zero byte, and the rest of the word, like the tail short of a word, is
+/// searched byte by byte.
 fn find_crlf(buffer: &[u8]) -> Option<usize> {
-    let mut from = 0;
-    while let Some(found) = buffer[from..].iter().position(|&byte| byte == b'\r') {
-        from += found + 1;
-        if buffer.get(from) == Some(&b'\n') {
-            return Some(from - 1);
+    let mut at = 0;
+    while at < buffer.len() {
+        let end = buffer.len().min(at + 8);
+        let from = match word_at(buffer, at) {
+            Some(word) => match bytes_below(word ^ (LANES * u64::from(b'\r')), 1) {
+                0 => {
+                    at = end;
+                    continue;
+                }
+                lanes => at + lanes.trailing_zeros() as usize / 8,
+            },
+            None => at,
+        };
+        if let Some(found) =
+            (from..end).find(|&i| buffer[i] == b'\r' && buffer.get(i + 1) == Some(&b'\n'))
+        {
+            return Some(found);
         }
+        at = end;
     }
     None
 }
@@ -1086,5 +1145,257 @@ mod tests {
             &mut out,
         );
         assert_eq!(out, b"APP alpha 2 1024\r\nEND\r\n");
+    }
+
+    /// The word-at-a-time scanner against the byte-at-a-time one it
+    /// replaced, kept here as it was: the first CRLF, the tokens, every
+    /// token read as a `u32`, `usize` and `u64`, and the parse of the line
+    /// must be the same for every line.
+    mod scanner {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The scanner and line grammar before words, verbatim but for the
+        /// `Request` they build: the grammar's own `Get`, `Delete`, `Other`.
+        mod oracle {
+            use super::super::super::{Command, StatsFormat, StoreHeader, StoreVerb};
+            use bytes::Bytes;
+
+            #[derive(Clone, Debug)]
+            pub(super) struct Tokens<'a>(pub(super) &'a [u8]);
+
+            impl<'a> Iterator for Tokens<'a> {
+                type Item = &'a [u8];
+                fn next(&mut self) -> Option<&'a [u8]> {
+                    let start = self.0.iter().position(|b| !b.is_ascii_whitespace())?;
+                    let rest = &self.0[start..];
+                    let end = rest
+                        .iter()
+                        .position(u8::is_ascii_whitespace)
+                        .unwrap_or(rest.len());
+                    self.0 = &rest[end..];
+                    Some(&rest[..end])
+                }
+            }
+
+            pub(super) enum Request<'a> {
+                Get(Tokens<'a>),
+                Delete { key: &'a [u8], noreply: bool },
+                Other(Command),
+            }
+
+            pub(super) enum LineOutcome<'a> {
+                Complete(Request<'a>),
+                Store(&'a [u8], StoreHeader),
+                Invalid(String),
+            }
+
+            pub(super) fn number<T: std::str::FromStr>(token: Option<&[u8]>) -> Option<T> {
+                std::str::from_utf8(token?).ok()?.parse().ok()
+            }
+
+            pub(super) fn parse_line(line: &[u8]) -> LineOutcome<'_> {
+                let complete = |command| LineOutcome::Complete(Request::Other(command));
+                let invalid = |message: &str| LineOutcome::Invalid(message.to_string());
+                let mut parts = Tokens(line);
+                let Some(verb) = parts.next() else {
+                    return invalid("empty command");
+                };
+                match verb {
+                    b"get" | b"gets" => match parts.clone().next() {
+                        Some(_) => LineOutcome::Complete(Request::Get(parts)),
+                        None => invalid("get requires at least one key"),
+                    },
+                    b"set" | b"add" | b"replace" => {
+                        let verb = match verb {
+                            b"set" => StoreVerb::Set,
+                            b"add" => StoreVerb::Add,
+                            _ => StoreVerb::Replace,
+                        };
+                        let key = parts.next();
+                        let flags = number::<u32>(parts.next());
+                        let exptime = number::<u32>(parts.next());
+                        let bytes = number::<usize>(parts.next());
+                        let noreply = parts.next() == Some(b"noreply");
+                        let (Some(key), Some(flags), Some(exptime), Some(bytes)) =
+                            (key, flags, exptime, bytes)
+                        else {
+                            return invalid("bad store command");
+                        };
+                        let header = StoreHeader {
+                            verb,
+                            flags,
+                            exptime,
+                            bytes,
+                            noreply,
+                        };
+                        LineOutcome::Store(key, header)
+                    }
+                    b"delete" => match parts.next() {
+                        Some(key) => LineOutcome::Complete(Request::Delete {
+                            key,
+                            noreply: parts.next() == Some(b"noreply"),
+                        }),
+                        None => invalid("delete requires a key"),
+                    },
+                    b"app" => match (parts.next(), parts.next()) {
+                        (Some(id), None) => complete(Command::App {
+                            id: Bytes::copy_from_slice(id),
+                        }),
+                        (Some(_), Some(_)) => invalid("app takes exactly one name"),
+                        (None, _) => invalid("app requires a name"),
+                    },
+                    b"app_create" => {
+                        match (parts.next(), number::<u64>(parts.next()), parts.next()) {
+                            (Some(name), Some(weight), None) if weight >= 1 => {
+                                complete(Command::AppCreate {
+                                    name: Bytes::copy_from_slice(name),
+                                    weight,
+                                })
+                            }
+                            _ => invalid("app_create takes a name and an integer weight >= 1"),
+                        }
+                    }
+                    b"app_list" => complete(Command::AppList),
+                    b"stats" => {
+                        let format = match (parts.next(), parts.next()) {
+                            (None, _) => StatsFormat::Text,
+                            (Some(b"json"), None) => StatsFormat::Json,
+                            (Some(b"prom"), None) => StatsFormat::Prom,
+                            _ => return invalid("stats takes at most one of: json, prom"),
+                        };
+                        complete(Command::Stats { format })
+                    }
+                    b"version" => complete(Command::Version),
+                    b"flush_all" => complete(Command::FlushAll),
+                    b"quit" => complete(Command::Quit),
+                    other => LineOutcome::Invalid(format!(
+                        "unknown command {}",
+                        String::from_utf8_lossy(other)
+                    )),
+                }
+            }
+
+            pub(super) fn find_crlf(buffer: &[u8]) -> Option<usize> {
+                let mut from = 0;
+                while let Some(found) = buffer[from..].iter().position(|&byte| byte == b'\r') {
+                    from += found + 1;
+                    if buffer.get(from) == Some(&b'\n') {
+                        return Some(from - 1);
+                    }
+                }
+                None
+            }
+        }
+
+        /// A line's parse, written out so that the two grammars compare.
+        fn ours(line: &[u8]) -> String {
+            match parse_line(line) {
+                LineOutcome::Complete(Request::Get(keys)) => {
+                    format!("get {:?}", keys.collect::<Vec<_>>())
+                }
+                LineOutcome::Complete(Request::Delete { key, noreply }) => {
+                    format!("delete {key:?} {noreply}")
+                }
+                LineOutcome::Complete(Request::Other(command)) => format!("{command:?}"),
+                LineOutcome::Complete(request) => panic!("a line parsed to {request:?}"),
+                LineOutcome::Store(key, header) => format!("store {key:?} {header:?}"),
+                LineOutcome::Invalid(message) => format!("invalid {message}"),
+            }
+        }
+
+        fn theirs(line: &[u8]) -> String {
+            use oracle::{LineOutcome, Request};
+            match oracle::parse_line(line) {
+                LineOutcome::Complete(Request::Get(keys)) => {
+                    format!("get {:?}", keys.collect::<Vec<_>>())
+                }
+                LineOutcome::Complete(Request::Delete { key, noreply }) => {
+                    format!("delete {key:?} {noreply}")
+                }
+                LineOutcome::Complete(Request::Other(command)) => format!("{command:?}"),
+                LineOutcome::Store(key, header) => format!("store {key:?} {header:?}"),
+                LineOutcome::Invalid(message) => format!("invalid {message}"),
+            }
+        }
+
+        /// Single bytes: letters, digits, `+`, `-`, the five ASCII
+        /// whitespace bytes and `\x0b` (not whitespace), a byte >= 0x80.
+        const BYTES: &[u8] = b"aZk:09+- \t\x0b\x0c\r\n\xff";
+
+        /// Numbers at the `u32`, `usize` and 18-digit edges, signed and
+        /// zero-padded.
+        const NUMBERS: &[&str] = &[
+            "0",
+            "7",
+            "+7",
+            "-1",
+            "4294967295",
+            "4294967296",
+            "004294967295",
+            "999999999999999999",
+            "1000000000000000000",
+            "18446744073709551615",
+            "18446744073709551616",
+            "000000000000000000000001",
+        ];
+
+        /// Verbs, so that every arm of the grammar is reached.
+        const VERBS: &[&str] = &[
+            "get",
+            "gets",
+            "set",
+            "add",
+            "replace",
+            "delete",
+            "app",
+            "app_create",
+            "app_list",
+            "stats",
+            "json",
+            "noreply",
+            "version",
+            "flush_all",
+            "quit",
+        ];
+
+        /// A piece of a line: a byte, a number or a verb.
+        fn piece() -> impl Strategy<Value = Vec<u8>> {
+            prop_oneof![
+                (0..BYTES.len()).prop_map(|i| vec![BYTES[i]]),
+                (0..BYTES.len()).prop_map(|i| vec![BYTES[i]]),
+                (0..NUMBERS.len()).prop_map(|i| NUMBERS[i].as_bytes().to_vec()),
+                (0..VERBS.len()).prop_map(|i| VERBS[i].as_bytes().to_vec()),
+                Just(b" ".to_vec()),
+            ]
+        }
+
+        fn cases() -> u32 {
+            std::env::var("PROPTEST_CASES")
+                .ok()
+                .and_then(|cases| cases.parse().ok())
+                .unwrap_or(1024)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+            #[test]
+            fn the_word_scanner_answers_as_the_byte_scanner(
+                pieces in prop::collection::vec(piece(), 0..40),
+            ) {
+                let line = pieces.concat();
+                prop_assert_eq!(find_crlf(&line), oracle::find_crlf(&line));
+                let tokens: Vec<&[u8]> = Tokens(&line).collect();
+                prop_assert_eq!(&tokens, &oracle::Tokens(&line).collect::<Vec<_>>());
+                for token in tokens {
+                    let token = Some(token);
+                    prop_assert_eq!(number::<u32>(token), oracle::number::<u32>(token));
+                    prop_assert_eq!(number::<usize>(token), oracle::number::<usize>(token));
+                    prop_assert_eq!(number::<u64>(token), oracle::number::<u64>(token));
+                }
+                prop_assert_eq!(ours(&line), theirs(&line));
+            }
+        }
     }
 }

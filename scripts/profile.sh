@@ -4,10 +4,13 @@
 #   scripts/profile.sh <workload> [--seconds <s>] [--seed <n>]
 #
 # Builds benchmark/'s `e2e` with line tables
-# (CARGO_PROFILE_RELEASE_DEBUG=line-tables-only) into target/profile/build,
-# and scripts/sampler.c into a preload library beside it; runs the workload
-# from the repository root under the library; then prints
-# scripts/symbolize.py's tables for the `cache-*` threads. --seconds
+# (CARGO_PROFILE_RELEASE_DEBUG=line-tables-only) and frame pointers
+# (RUSTFLAGS="-C force-frame-pointers=yes", so the sampler can walk each
+# sample's call chain; it costs the build a little) into
+# target/profile/build, and scripts/sampler.c into a preload library beside
+# it; runs the workload from the repository root under the library; then
+# prints scripts/symbolize.py's tables for the `cache-*` threads: exclusive
+# per function, inclusive per named part of the request path. --seconds
 # defaults to 10, --seed to 1. Edits nothing under benchmark/.
 #
 # Resolution: one sample per scheduler tick of CPU time (4 ms at HZ=250),
@@ -39,9 +42,9 @@ done
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 work="$root/target/profile"
 mkdir -p "$work"
-cc -O2 -shared -fPIC -o "$work/libsampler.so" "$root/scripts/sampler.c"
-CARGO_PROFILE_RELEASE_DEBUG=line-tables-only CARGO_TARGET_DIR="$work/build" \
-  cargo build --release --quiet --manifest-path "$root/benchmark/Cargo.toml" --bin e2e 1>&2
+cc -O2 -shared -fPIC -o "$work/libsampler.so" "$root/scripts/sampler.c" -ldl
+RUSTFLAGS="-C force-frame-pointers=yes" CARGO_PROFILE_RELEASE_DEBUG=line-tables-only \
+  CARGO_TARGET_DIR="$work/build" cargo build --release --quiet --manifest-path "$root/benchmark/Cargo.toml" --bin e2e 1>&2
 
 out="$work/$workload-$(date +%Y%m%d-%H%M%S)"
 (cd "$root" && SAMPLER_OUT="$out" LD_PRELOAD="$work/libsampler.so" \

@@ -3,13 +3,25 @@
 
     python3 scripts/symbolize.py <dump>
 
-<dump> is what scripts/sampler.c writes at exit: the samples (thread id and
-interrupted instruction pointer), the threads' names and the process's
-/proc/self/maps. Only threads whose name starts with `cache-` (the server's
-event loops and its control thread) are counted. Threads of one name count
-as one (a benchmark run sets its server up three times, so it has three
+<dump> is what scripts/sampler.c writes at exit: the samples (thread id,
+interrupted instruction pointer and the return addresses of its
+frame-pointer chain), the threads' names and the process's /proc/self/maps.
+Only threads whose name starts with `cache-` (the server's event loops and
+its control thread) are counted. Threads of one name count as one (a
+benchmark run sets its server up three times, so it has three
 `cache-loop-0`s). For each name the script prints its samples and its 30
-busiest functions, with their share of that name's samples.
+busiest functions, with their share of that name's samples (the innermost
+frame: exclusive), then the inclusive table: for each of a few named parts
+of the request path (ROWS), the share of samples with a frame of that part
+anywhere in their chain, inlined frames included.
+
+The chains need frame pointers, which scripts/profile.sh builds with
+(-C force-frame-pointers=yes): that costs the profiled build a little (one
+register and a push and pop per call), so its shares are of a slightly
+slower loop than the benchmark's. A sample taken inside glibc, which keeps
+no frame pointers, or in a function's prologue, loses its innermost caller
+from the chain; a dump without chains (an older sampler) prints an empty
+inclusive table.
 
 A sample in the executable is named by `addr2line -f -i -C` after its
 innermost inlined frame: the function whose code was running, even where
@@ -54,10 +66,58 @@ import sys
 
 THREADS = "cache-"
 TOP = 30
+# The inclusive rows: a name, then the places a frame of it may be in: a
+# source file, the module path, and the functions there that count (None:
+# all of them). addr2line names an inlined frame by its bare name (`route`,
+# `next`) and its source file, and an outermost frame by its full path, but
+# places that one's address in whatever file the line table says (an
+# inlined `Option` method's, say): a frame counts if either the file or
+# the path is the row's.
+PARSER = {"next_request", "parse_line", "next", "number", "find_crlf", "complete", "word_at"}
+ROWS = [
+    ("parser", ("server/src/protocol.rs", "cache_server::protocol::", PARSER)),
+    (
+        "route",
+        ("server/src/plane.rs", "cache_server::plane::", {"route"}),
+        ("server/src/engine.rs", "cache_server::engine::", {"route_key"}),
+        ("cache-core/src/key.rs", "cache_core::key::", {"hash_bytes", "short_word"}),
+    ),
+    ("MRC estimator", ("profiler/src/", "profiler::", None)),
+    ("sweeps", ("server/src/plane.rs", "cache_server::plane::", {"sweep"})),
+    ("LoopState::store", ("server/src/plane.rs", "cache_server::plane::", {"store"})),
+    (
+        "probe_shadows",
+        (
+            "cliffhanger/src/partitioned_queue.rs",
+            "cliffhanger::partitioned_queue::",
+            {"probe_shadows"},
+        ),
+    ),
+]
+
+
+def bare(name):
+    """A function's name without its path or generic arguments."""
+    depth, out = 0, []
+    for c in name:
+        depth += c == "<"
+        if depth == 0:
+            out.append(c)
+        depth -= c == ">" and depth > 0
+    return "".join(out).rsplit("::", 1)[-1]
+
+
+def in_row(frame, row):
+    """Whether a (function, file) frame belongs to an inclusive row."""
+    name, file = frame
+    return any(
+        (path in file or module in name) and (names is None or bare(name) in names)
+        for path, module, names in row[1:]
+    )
 
 
 def read_dump(path):
-    """(thread names by id, [(tid, ip)], sorted executable mappings)."""
+    """(thread names by id, [(tid, ip, return addresses)], sorted executable mappings)."""
     threads, samples, maps = {}, [], []
     in_maps = False
     with open(path) as dump:
@@ -74,8 +134,8 @@ def read_dump(path):
                 tid, _, name = rest.partition(" ")
                 threads[int(tid)] = name
             elif kind == "sample":
-                tid, ip = rest.split()
-                samples.append((int(tid), int(ip, 16)))
+                tid, ip, *chain = rest.split()
+                samples.append((int(tid), int(ip, 16), tuple(int(r, 16) for r in chain)))
             elif kind == "maps":
                 in_maps = True
     maps.sort()
@@ -116,8 +176,8 @@ def exports(path):
     return sorted(symbols)
 
 
-def innermost_frames(path, addresses):
-    """For each address of `path`, the name of its innermost inlined frame."""
+def inlined_frames(path, addresses):
+    """For each address of `path`, the (function, file) of its inlined frames, innermost first."""
     out = subprocess.run(
         ["addr2line", "-a", "-f", "-i", "-C", "-e", path],
         input="\n".join(hex(a) for a in addresses),
@@ -127,22 +187,24 @@ def innermost_frames(path, addresses):
     ).stdout.splitlines()
     # Per address: the address, then a (function, file:line) pair per
     # frame, innermost first.
-    frames, i = {}, 0
+    frames, address, i = {}, None, 0
     while i < len(out):
         if re.fullmatch(r"0x[0-9a-f]+", out[i]):
             address = int(out[i], 16)
-            frames[address] = re.sub(r"::h[0-9a-f]{16}$", "", out[i + 1])
-            i += 3
+            frames[address] = []
+            i += 1
         else:
+            name = re.sub(r"::h[0-9a-f]{16}$", "", out[i])
+            frames[address].append((name, out[i + 1].rsplit(":", 1)[0]))
             i += 2
     return frames
 
 
-def resolve(samples, maps):
-    """The function each sampled address is in, and each library row's address range."""
+def resolve(addresses, maps):
+    """The frames each address is in (innermost first), and each library row's address range."""
     starts = [m[0] for m in maps]
     where = {}
-    for ip in {ip for _, ip in samples}:
+    for ip in addresses:
         i = bisect.bisect_right(starts, ip) - 1
         if i < 0 or ip >= maps[i][1]:
             continue
@@ -167,15 +229,15 @@ def resolve(samples, maps):
             for address in addresses:
                 j = bisect.bisect_right(keys, address) - 1
                 name = f"{os.path.basename(path)}:{symbols[j][1] if j >= 0 else '?'}"
-                names[(path, address)] = name
+                names[(path, address)] = [(name, path)]
                 low, high = ranges.get(name, (address, address))
                 ranges[name] = (min(low, address), max(high, address))
         else:
-            for address, name in innermost_frames(path, sorted(addresses)).items():
-                names[(path, address)] = name
+            for address, frames in inlined_frames(path, sorted(addresses)).items():
+                names[(path, address)] = frames
     functions = {}
     for ip, (path, address) in where.items():
-        functions[ip] = names.get((path, address), os.path.basename(path) or "?")
+        functions[ip] = names.get((path, address)) or [(os.path.basename(path) or "?", path)]
     return functions, ranges
 
 
@@ -183,13 +245,18 @@ def main():
     if len(sys.argv) != 2:
         sys.exit(f"usage: {sys.argv[0]} <dump>")
     threads, samples, maps = read_dump(sys.argv[1])
-    kept = [(threads.get(tid, "?"), ip) for tid, ip in samples]
-    kept = [(name, ip) for name, ip in kept if name.startswith(THREADS)]
-    functions, ranges = resolve(kept, maps)
+    kept = [(threads.get(tid, "?"), ip, chain) for tid, ip, chain in samples]
+    kept = [sample for sample in kept if sample[0].startswith(THREADS)]
+    # A return address is the instruction after its call: look up the call.
+    addresses = {ip for _, ip, _ in kept} | {r - 1 for _, _, chain in kept for r in chain}
+    frames, ranges = resolve(addresses, maps)
+    functions = {ip: names[0][0] for ip, names in frames.items()}
 
     per_thread = collections.defaultdict(list)
-    for name, ip in kept:
+    chains = collections.defaultdict(list)
+    for name, ip, chain in kept:
         per_thread[name].append(ip)
+        chains[name].append([ip] + [r - 1 for r in chain])
 
     print(f"{len(samples)} samples, {len(kept)} in threads named {THREADS}*")
     for name in sorted(per_thread):
@@ -204,6 +271,13 @@ def main():
                 low, high = ranges[function]
                 extra = f"  [{low:#x}..{high:#x}]"
             print(f"{n / len(ips):7.1%} {n:8d}  {function}{extra}")
+        print(f"  inclusive (a frame anywhere in the chain)\n  share  samples  row")
+        for row in ROWS:
+            n = sum(
+                any(in_row(f, row) for address in chain for f in frames.get(address, ()))
+                for chain in chains[name]
+            )
+            print(f"{n / len(ips):7.1%} {n:8d}  {row[0]}")
     return 0 if kept else 1
 
 
