@@ -6,17 +6,15 @@
 //! cargo run --release -p bench --bin paper_tables -- [--quick] [--table N]... [--sweep-iters K]
 //! ```
 //!
-//! With no `--table` arguments every table (1–7), the ARC comparison of
-//! §5.5 and the headline summary are printed. `--quick` uses a small trace
+//! With no `--table` arguments every table (1–7) and the headline summary
+//! are printed. `--quick` uses a small trace
 //! (seconds instead of minutes); the default uses the standard experiment
 //! context over the synthetic Memcachier-like trace (`workloads::memcachier`,
 //! whose module documentation argues the substitution).
 
 use bench::{table6_latency_overhead, table7_throughput_overhead, OverheadOptions};
 use simulator::experiments::allocation::{table1_slab_misses, table2_global_lru, table3_cross_app};
-use simulator::experiments::comparison::{
-    arc_comparison, compare_apps, figure7_savings, headline_summary,
-};
+use simulator::experiments::comparison::{compare_apps, figure7_savings, headline_summary};
 use simulator::experiments::dynamics::table4_ablation;
 use simulator::experiments::policies::table5_eviction_schemes;
 use simulator::experiments::ExperimentContext;
@@ -95,7 +93,6 @@ fn main() {
         }
         if wants(5) {
             println!("{}\n", table5_eviction_schemes(ctx));
-            println!("{}\n", arc_comparison(ctx, &[3, 4, 5]));
         }
         if all {
             eprintln!("running the 20-application comparison and memory sweep (headline)...");

@@ -79,11 +79,6 @@ impl<V> GlobalLruCache<V> {
         self.queue.stats()
     }
 
-    /// Resets statistics.
-    pub fn reset_stats(&mut self) {
-        self.queue.reset_stats();
-    }
-
     /// Bytes in use.
     pub fn used_bytes(&self) -> u64 {
         self.queue.used_bytes()

@@ -275,11 +275,6 @@ impl CacheQueue {
         self.stats
     }
 
-    /// Resets the statistics (e.g. after a warm-up phase).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::new();
-    }
-
     /// The attached shadow queue.
     pub fn shadow(&self) -> &ShadowQueue {
         &self.shadow

@@ -320,14 +320,6 @@ impl<V> SlabCache<V> {
         self.stats
     }
 
-    /// Resets aggregate and per-class statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::new();
-        for q in &mut self.queues {
-            q.reset_stats();
-        }
-    }
-
     /// Total bytes used across all classes.
     pub fn used_bytes(&self) -> u64 {
         self.queues.iter().map(|q| q.used_bytes()).sum()

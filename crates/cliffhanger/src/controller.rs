@@ -487,15 +487,6 @@ impl<V> Cliffhanger<V> {
         self.queues.iter().map(|q| q.stats()).collect()
     }
 
-    /// Resets aggregate and per-class statistics (memory allocations are left
-    /// untouched, so a warmed-up cache can be measured cleanly).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::new();
-        for q in &mut self.queues {
-            q.reset_stats();
-        }
-    }
-
     /// Total bytes in use.
     pub fn used_bytes(&self) -> u64 {
         self.queues.iter().map(|q| q.used_bytes()).sum()
@@ -1100,22 +1091,6 @@ mod tests {
             );
         }
         assert!(c.stats().evictions > 100_000 && peak > 100_000, "{peak}");
-    }
-
-    #[test]
-    fn reset_stats_preserves_allocation() {
-        let mut c: Cliffhanger<()> = Cliffhanger::new(config(1 << 20));
-        for i in 0..500 {
-            let k = key(i);
-            if !c.get(k, 60).unwrap().1.hit {
-                c.set(k, 60, ());
-            }
-        }
-        let used = c.used_bytes();
-        c.reset_stats();
-        assert_eq!(c.stats().gets, 0);
-        assert_eq!(c.used_bytes(), used);
-        assert!(c.class_stats().iter().all(|s| s.gets == 0));
     }
 
     /// Index probes per operation, counted (cache-core counts the keys a

@@ -245,13 +245,6 @@ impl PartitionedQueue {
         self.stats
     }
 
-    /// Resets statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::new();
-        self.left.reset_stats();
-        self.right.reset_stats();
-    }
-
     /// The current Talus request ratio (fraction of requests routed left).
     pub fn ratio(&self) -> f64 {
         if self.cliff_scaling_active() {

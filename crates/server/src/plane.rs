@@ -650,11 +650,11 @@ pub(crate) struct LoopState {
     /// The sample `observe` builds for `history`, kept between passes so a
     /// readiness pass allocates nothing.
     sample: Vec<SeriesSample>,
-    /// Per-target-loop outbound messages, flushed once per readiness pass.
+    /// Per-target-loop outbound batches, flushed once per readiness pass.
     /// A forwarded op joins the [`OpBatch`] at the tail of its target's
     /// queue or opens one there, so a batch sits where its first op was
     /// issued and the queue stays FIFO per (origin, owner).
-    outbound: Vec<Vec<LoopMsg>>,
+    outbound: Vec<Vec<OpBatch>>,
     /// Cleared batches back from their trip, ready for the next.
     spare: Vec<OpBatch>,
     /// The instant [`LoopState::observe`] read at the top of this readiness
@@ -1027,27 +1027,23 @@ impl LoopState {
         }
     }
 
-    /// Queues a message for another loop; the queues are flushed (one mailbox
-    /// lock + at most one wakeup per target) at the end of the readiness pass.
-    pub(crate) fn forward(&mut self, target: usize, msg: LoopMsg) {
-        self.outbound[target].push(msg);
-    }
-
     /// Queues one op (and the key bytes of a GET or DELETE) for the loop
     /// that owns its shard: onto the batch open at the tail of that loop's
-    /// queue, else onto a fresh one stamped with this pass's instant.
+    /// queue, else onto a fresh one stamped with this pass's instant. The
+    /// queues are flushed (one mailbox lock + at most one wakeup per target)
+    /// at the end of the readiness pass.
     pub(crate) fn forward_op(&mut self, target: usize, op: Op, key: &[u8]) {
         self.remote_out += 1;
         let queue = &mut self.outbound[target];
-        if !matches!(queue.last(), Some(LoopMsg::Ops(open)) if open.origin == Some(self.index)) {
+        if !matches!(queue.last(), Some(open) if open.origin == Some(self.index)) {
             let mut batch = self
                 .spare
                 .pop()
                 .unwrap_or_else(|| OpBatch::new(Some(self.index), self.now));
             batch.enqueued = self.now;
-            queue.push(LoopMsg::Ops(batch));
+            queue.push(batch);
         }
-        if let Some(LoopMsg::Ops(open)) = queue.last_mut() {
+        if let Some(open) = queue.last_mut() {
             open.push(op, key);
         }
     }
@@ -1077,7 +1073,7 @@ impl LoopState {
             .is_ok()
     }
 
-    /// Sends every target's queued messages. A stopped target refuses
+    /// Sends every target's queued batches. A stopped target refuses
     /// them: replies for its connections are moot, but a batch of
     /// this loop's own holds *its* connections' ops, and a connection with
     /// an op in flight is never reaped — so that batch, every op failed,
@@ -1087,12 +1083,10 @@ impl LoopState {
             if queue.is_empty() || self.shared.mailboxes[target].send_many(queue) {
                 continue;
             }
-            for msg in queue.drain(..) {
-                if let LoopMsg::Ops(mut batch) = msg {
-                    if batch.origin == Some(self.index) {
-                        batch.ops.iter_mut().for_each(|op| drop(op.state.fail()));
-                        let _ = self.shared.mailboxes[self.index].send(LoopMsg::Ops(batch));
-                    }
+            for mut batch in queue.drain(..) {
+                if batch.origin == Some(self.index) {
+                    batch.ops.iter_mut().for_each(|op| drop(op.state.fail()));
+                    let _ = self.shared.mailboxes[self.index].send(LoopMsg::Ops(batch));
                 }
             }
         }
@@ -1145,7 +1139,7 @@ impl LoopState {
         }
         match (batch.caller.take(), batch.origin) {
             (Some(caller), _) => drop(caller.send(batch)),
-            (None, Some(origin)) => self.forward(origin, LoopMsg::Ops(batch)),
+            (None, Some(origin)) => self.outbound[origin].push(batch),
             (None, None) => {}
         }
     }
@@ -2419,7 +2413,7 @@ mod tests {
         origin.recycle(batch);
         let short = remote_keys(origin, 1, 3);
         forward(origin, 4, &short[0], OpState::Get);
-        let Some(LoopMsg::Ops(next)) = origin.outbound[1].last() else {
+        let Some(next) = origin.outbound[1].last() else {
             panic!("the op opened no batch");
         };
         assert!(std::ptr::eq(allocation, next.ops.as_ptr()));
@@ -2463,13 +2457,9 @@ mod tests {
         forward(origin, 0, &keys[0], OpState::Get);
         forward(origin, 1, &keys[0], store(&keys[0], b"never stored"));
         forward(origin, 2, &keys[0], OpState::Delete);
-        // Not this loop's to complete: dropped with the mailbox.
-        let done = LoopMsg::AdminDone {
-            token: 7,
-            seq: 3,
-            result: AdminResult::Flushed,
-        };
-        origin.forward(1, done);
+        // A reply to loop 1's own batch is not this loop's to complete:
+        // dropped with the mailbox.
+        origin.serve(OpBatch::new(Some(1), Instant::now()));
         origin.shared.mailboxes[1].close();
         origin.flush_outbound();
 

@@ -306,12 +306,15 @@ impl Mailbox {
         self.deliver(msg, |msgs, msg| msgs.push(msg))
     }
 
-    /// Delivers a batch under one lock acquisition and at most one wakeup,
-    /// leaving `batch` empty with its capacity — or returns `false`, with
-    /// `batch` as it was, once the loop has stopped serving.
-    pub(crate) fn send_many(&self, batch: &mut Vec<LoopMsg>) -> bool {
-        self.deliver(batch, |msgs, batch| msgs.append(batch))
-            .is_ok()
+    /// Delivers op batches as [`LoopMsg::Ops`] under one lock acquisition
+    /// and at most one wakeup, leaving `batches` empty with its capacity —
+    /// or returns `false`, with `batches` as it was, once the loop has
+    /// stopped serving.
+    pub(crate) fn send_many(&self, batches: &mut Vec<OpBatch>) -> bool {
+        self.deliver(batches, |msgs, batches| {
+            msgs.extend(batches.drain(..).map(LoopMsg::Ops))
+        })
+        .is_ok()
     }
 
     /// Lets `put` add `item` to the inbox, or hands `item` back if the loop

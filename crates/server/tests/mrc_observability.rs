@@ -87,8 +87,13 @@ fn start_server(mrc_sample: u64, tenants: Vec<TenantSpec>) -> CacheServer {
 
 /// Drives `requests` Zipf GETs for the default tenant and returns the exact
 /// reference curve over the identical key stream (same 64-bit cache keys
-/// the plane routes on, so reuse distances match by construction).
-fn drive_zipf(server: &CacheServer, distinct: usize, requests: usize) -> profiler::HitRateCurve {
+/// the plane routes on, so reuse distances match by construction) and the
+/// number of distinct keys the stream requested.
+fn drive_zipf(
+    server: &CacheServer,
+    distinct: usize,
+    requests: usize,
+) -> (profiler::HitRateCurve, usize) {
     let handle = server.cache();
     let payload = Bytes::from(vec![b'v'; 400]);
     // Store a slice of the key population so the document can express the
@@ -110,7 +115,7 @@ fn drive_zipf(server: &CacheServer, distinct: usize, requests: usize) -> profile
             slept = true;
         }
     }
-    exact.to_curve()
+    (exact.to_curve(), exact.distinct_keys())
 }
 
 fn stats_doc(server: &CacheServer) -> Value {
@@ -157,7 +162,7 @@ fn assert_curve_agrees(tenant: &Value, exact: &profiler::HitRateCurve, tolerance
 #[test]
 fn live_mrc_matches_exact_curve_at_full_sampling() {
     let server = start_server(1, Vec::new());
-    let exact = drive_zipf(&server, 2_500, 40_000);
+    let (exact, _) = drive_zipf(&server, 2_500, 40_000);
     let doc = stats_doc(&server);
 
     let mrc = doc.get("mrc").expect("mrc section must be present");
@@ -228,7 +233,7 @@ fn live_mrc_matches_exact_curve_at_full_sampling() {
 #[test]
 fn sampled_mrc_tracks_exact_curve_at_production_rate() {
     let server = start_server(64, Vec::new());
-    let exact = drive_zipf(&server, 8_000, 240_000);
+    let (exact, requested) = drive_zipf(&server, 8_000, 240_000);
     let doc = stats_doc(&server);
 
     let mrc = doc.get("mrc").expect("mrc section must be present");
@@ -236,14 +241,16 @@ fn sampled_mrc_tracks_exact_curve_at_production_rate() {
 
     let tenant = default_tenant_mrc(&doc);
     let offered = tenant.get("offered").and_then(Value::as_u64).unwrap();
-    let sampled = tenant.get("sampled").and_then(Value::as_u64).unwrap();
     assert_eq!(offered, 240_000);
-    let rate = sampled as f64 / offered as f64;
-    assert!(
-        (0.2 / 64.0..5.0 / 64.0).contains(&rate),
-        "spatial sampling must land near 1/64: {rate}"
-    );
+    // SHARDS samples keys, not references: the share of the requested keys
+    // it tracks is the rate to bound. (The share of references it sees
+    // jumps whenever the key hash happens to sample the hottest key.)
     let tracked = tenant.get("tracked_keys").and_then(Value::as_u64).unwrap();
+    let rate = tracked as f64 / requested as f64;
+    assert!(
+        (0.5 / 64.0..=2.0 / 64.0).contains(&rate),
+        "spatial sampling must track near 1/64 of the keys: {tracked} of {requested}"
+    );
     assert!(
         tracked < 500,
         "the sampled estimator must track a small key subset: {tracked}"

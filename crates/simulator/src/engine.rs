@@ -23,9 +23,6 @@ pub enum CliffhangerMode {
     HillClimbingOnly,
     /// Algorithms 2–3 only.
     CliffScalingOnly,
-    /// Neither (a managed cache with an even, static split — useful as a
-    /// sanity baseline).
-    Disabled,
 }
 
 /// The cache organisation to replay against.
@@ -74,13 +71,8 @@ pub struct ReplayOptions {
     pub reserved_bytes: u64,
     /// Slab-class geometry.
     pub slab: SlabConfig,
-    /// Fraction of the trace treated as warm-up; statistics are reset after
-    /// it (0.0 replays and counts the whole trace, like the paper).
-    pub warmup_fraction: f64,
     /// Number of timeline samples to record (0 disables the timeline).
     pub timeline_samples: usize,
-    /// Cliffhanger knobs (ignored by the other systems).
-    pub cliffhanger: CliffhangerConfig,
 }
 
 impl ReplayOptions {
@@ -89,16 +81,8 @@ impl ReplayOptions {
         ReplayOptions {
             reserved_bytes,
             slab: SlabConfig::default(),
-            warmup_fraction: 0.0,
             timeline_samples: 0,
-            cliffhanger: CliffhangerConfig::default(),
         }
-    }
-
-    /// Sets the warm-up fraction.
-    pub fn with_warmup(mut self, fraction: f64) -> Self {
-        self.warmup_fraction = fraction.clamp(0.0, 0.95);
-        self
     }
 
     /// Enables timeline sampling.
@@ -107,49 +91,16 @@ impl ReplayOptions {
         self
     }
 
+    /// The traces are scaled-down stand-ins for 50 MB+ production
+    /// reservations, so the shadow-queue / credit constants scale with the
+    /// reservation to keep their *ratios* the paper's (see
+    /// [`CliffhangerConfig::scaled_for`]).
     fn cliffhanger_config(&self, mode: CliffhangerMode, policy: PolicyKind) -> CliffhangerConfig {
-        let mut config = self.cliffhanger.clone();
+        let mut config = CliffhangerConfig::scaled_for(self.reserved_bytes);
         config.slab = self.slab.clone();
-        config.total_bytes = self.reserved_bytes;
         config.policy = policy;
-        // The traces are scaled-down stand-ins for 50 MB+ production
-        // reservations; scale the shadow-queue / credit constants with the
-        // reservation so their *ratios* match the paper's (see
-        // CliffhangerConfig::scaled_for). Explicit overrides in
-        // `self.cliffhanger` are preserved only when they differ from the
-        // stock defaults.
-        let defaults = CliffhangerConfig::default();
-        let scaled = CliffhangerConfig::scaled_for(self.reserved_bytes);
-        if config.hill_shadow_bytes == defaults.hill_shadow_bytes {
-            config.hill_shadow_bytes = scaled.hill_shadow_bytes;
-        }
-        if config.credit_bytes == defaults.credit_bytes {
-            config.credit_bytes = scaled.credit_bytes;
-        }
-        if config.min_class_bytes == defaults.min_class_bytes {
-            config.min_class_bytes = scaled.min_class_bytes;
-        }
-        if config.cliff_shadow_items == defaults.cliff_shadow_items {
-            config.cliff_shadow_items = scaled.cliff_shadow_items;
-        }
-        match mode {
-            CliffhangerMode::Full => {
-                config.enable_hill_climbing = true;
-                config.enable_cliff_scaling = true;
-            }
-            CliffhangerMode::HillClimbingOnly => {
-                config.enable_hill_climbing = true;
-                config.enable_cliff_scaling = false;
-            }
-            CliffhangerMode::CliffScalingOnly => {
-                config.enable_hill_climbing = false;
-                config.enable_cliff_scaling = true;
-            }
-            CliffhangerMode::Disabled => {
-                config.enable_hill_climbing = false;
-                config.enable_cliff_scaling = false;
-            }
-        }
+        config.enable_hill_climbing = mode != CliffhangerMode::CliffScalingOnly;
+        config.enable_cliff_scaling = mode != CliffhangerMode::HillClimbingOnly;
         config
     }
 }
@@ -172,9 +123,9 @@ pub struct TimelinePoint {
 /// The result of replaying one application.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct AppRunResult {
-    /// Statistics after the warm-up point.
+    /// Statistics over the whole trace.
     pub stats: CacheStats,
-    /// Per-slab-class statistics after warm-up (empty for global LRU).
+    /// Per-slab-class statistics (empty for global LRU).
     pub class_stats: Vec<CacheStats>,
     /// Final byte target per class (empty for global LRU / default FCFS it
     /// reports the grown targets).
@@ -316,14 +267,6 @@ impl SystemInstance {
             }
         }
     }
-
-    fn reset_stats(&mut self) {
-        match self {
-            SystemInstance::Slab(c) => c.reset_stats(),
-            SystemInstance::Global(c) => c.reset_stats(),
-            SystemInstance::Managed(c) => c.reset_stats(),
-        }
-    }
 }
 
 /// Replays a single-application trace against a cache system.
@@ -333,7 +276,6 @@ impl SystemInstance {
 pub fn replay_app(trace: &Trace, system: &CacheSystem, options: &ReplayOptions) -> AppRunResult {
     let mut instance = SystemInstance::build(system, options);
     let total = trace.len();
-    let warmup_until = ((total as f64) * options.warmup_fraction) as usize;
     let sample_every = total
         .checked_div(options.timeline_samples)
         .map_or(usize::MAX, |every| every.max(1));
@@ -341,9 +283,6 @@ pub fn replay_app(trace: &Trace, system: &CacheSystem, options: &ReplayOptions) 
     let mut last_stats = CacheStats::new();
 
     for (idx, request) in trace.iter().enumerate() {
-        if idx == warmup_until && warmup_until > 0 {
-            instance.reset_stats();
-        }
         let size = request.size as u64;
         match request.op {
             Op::Get => {
@@ -424,23 +363,6 @@ mod tests {
             result.hit_rate()
         );
         assert!(!result.class_stats.is_empty());
-    }
-
-    #[test]
-    fn warmup_resets_statistics() {
-        let trace = zipf_trace(2_000, 30_000);
-        let cold = replay_app(
-            &trace,
-            &CacheSystem::default_lru(),
-            &ReplayOptions::new(2 << 20),
-        );
-        let warm = replay_app(
-            &trace,
-            &CacheSystem::default_lru(),
-            &ReplayOptions::new(2 << 20).with_warmup(0.3),
-        );
-        assert!(warm.stats.gets < cold.stats.gets);
-        assert!(warm.hit_rate() >= cold.hit_rate());
     }
 
     #[test]

@@ -9,7 +9,6 @@ use crate::experiments::ExperimentContext;
 use crate::report::{FigureSeries, Table};
 use crate::sweep::{memory_to_match, MemoryMatch};
 use cache_core::stats::miss_reduction;
-use cache_core::PolicyKind;
 use serde::{Deserialize, Serialize};
 
 /// Hit rates of one application under the three systems the paper compares.
@@ -206,27 +205,6 @@ pub fn headline_summary(rows: &[AppComparisonRow], matches: &[MemoryMatch]) -> T
         "55%".into(),
         Table::pct(avg_memory_fraction),
     ]);
-    table
-}
-
-/// §5.5 sanity check: replaying with ARC instead of LRU as the underlying
-/// policy (the paper found ARC gives no improvement on these workloads).
-pub fn arc_comparison(ctx: &ExperimentContext, apps: &[u32]) -> Table {
-    let mut table = Table::new(
-        "ARC vs LRU under the default allocation (paper §5.5: no improvement)",
-        &["app", "LRU hit rate", "ARC hit rate"],
-    );
-    for &app_number in apps {
-        let trace = ctx.trace(app_number);
-        let options = ctx.options(app_number);
-        let lru = replay_app(trace, &CacheSystem::default_lru(), &options);
-        let arc = replay_app(trace, &CacheSystem::Default(PolicyKind::Arc), &options);
-        table.push_row(vec![
-            app_number.to_string(),
-            Table::pct(lru.hit_rate()),
-            Table::pct(arc.hit_rate()),
-        ]);
-    }
     table
 }
 

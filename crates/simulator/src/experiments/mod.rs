@@ -51,9 +51,6 @@ pub struct ExperimentContext {
     pub apps: Vec<AppProfile>,
     /// Per-application traces (same order of requests as the combined trace).
     pub traces: BTreeMap<AppId, Trace>,
-    /// Fraction of each application's trace treated as warm-up when
-    /// replaying (0.0 counts everything, like the paper).
-    pub warmup_fraction: f64,
 }
 
 impl ExperimentContext {
@@ -72,7 +69,6 @@ impl ExperimentContext {
             config,
             apps,
             traces,
-            warmup_fraction: 0.0,
         }
     }
 
@@ -109,11 +105,10 @@ impl ExperimentContext {
         &self.traces[&AppId::new(number)]
     }
 
-    /// Replay options for an application (reservation, slab geometry,
-    /// warm-up).
+    /// Replay options for an application (its reservation, the default slab
+    /// geometry); the whole trace is counted, like the paper.
     pub fn options(&self, number: u32) -> ReplayOptions {
-        let app = self.app(number);
-        ReplayOptions::new(app.reserved_bytes).with_warmup(self.warmup_fraction)
+        ReplayOptions::new(self.app(number).reserved_bytes)
     }
 
     /// Application numbers in paper order.

@@ -130,32 +130,118 @@ pub struct ShardingResult {
 /// Schema tag for [`ShardingResult`].
 pub const SHARDING_SCHEMA: &str = "cliffhanger-shard-experiment/v1";
 
-/// Replays the trace against `shards` Cliffhanger instances sharing
-/// `opts.total_bytes`, with or without cross-shard rebalancing. Returns
-/// `(hit_rate, transfers, bytes_moved)` over the measured window.
-fn run_point(opts: &ShardingOptions, shards: usize, rebalance: bool) -> (f64, u64, u64) {
-    let shard_bytes = (opts.total_bytes / shards as u64).max(1);
-    let mut caches: Vec<Cliffhanger<()>> = (0..shards)
-        .map(|i| {
-            let mut cfg = CliffhangerConfig::scaled_for(shard_bytes);
-            cfg.seed = opts.seed.wrapping_add(i as u64);
-            // The paper's 2% shadow:budget ratio leaves large-chunk classes
-            // with one-entry shadow queues at sub-megabyte shard slices;
-            // widen it so every class still produces a usable gradient
-            // (shadow queues store keys only, so this stays cheap).
-            cfg.hill_shadow_bytes = (shard_bytes / 8).clamp(64 << 10, 1 << 20);
+/// What one [`replay_seats`] run measured.
+pub(crate) struct SeatReplay {
+    /// GETs per seat after warm-up.
+    pub(crate) gets: Vec<u64>,
+    /// Hits per seat after warm-up.
+    pub(crate) hits: Vec<u64>,
+    /// Final byte budget per seat.
+    pub(crate) budgets: Vec<u64>,
+    /// Budget transfers the balancer applied.
+    pub(crate) transfers: u64,
+    /// Bytes the balancer moved.
+    pub(crate) bytes_moved: u64,
+}
 
+impl SeatReplay {
+    /// Hit rate over every seat's measured GETs.
+    pub(crate) fn hit_rate(&self) -> f64 {
+        let gets: u64 = self.gets.iter().sum();
+        self.hits.iter().sum::<u64>() as f64 / gets.max(1) as f64
+    }
+}
+
+/// Replays `warmup + requests` requests against `seats` Cliffhanger engines
+/// splitting `total_bytes` evenly — the shards of one cache, or its tenants.
+/// `draw` picks each request's `(seat, rank, size)` from the one RNG seeded
+/// with `seed`; a missed GET is filled. With a `balance` config (and more
+/// than one seat) a [`ShardRebalancer`] round runs every
+/// `interval_requests`, and each transfer is applied shrink-first and
+/// counted only if applied.
+pub(crate) fn replay_seats(
+    seats: usize,
+    total_bytes: u64,
+    seed: u64,
+    (warmup, requests): (u64, u64),
+    balance: Option<ShardBalanceConfig>,
+    mut draw: impl FnMut(&mut StdRng) -> (usize, u64, u64),
+) -> SeatReplay {
+    let share = (total_bytes / seats as u64).max(1);
+    let mut caches: Vec<Cliffhanger<()>> = (0..seats)
+        .map(|i| {
+            let mut cfg = CliffhangerConfig::scaled_for(share);
+            cfg.seed = seed.wrapping_add(i as u64);
+            // The paper's 2% shadow:budget ratio leaves large-chunk classes
+            // with one-entry shadow queues at sub-megabyte slices; widen it
+            // so every class still produces a usable gradient (shadow queues
+            // store keys only, so this stays cheap).
+            cfg.hill_shadow_bytes = (share / 8).clamp(64 << 10, 1 << 20);
             Cliffhanger::new(cfg)
         })
         .collect();
-    let balance = ShardBalanceConfig {
+    let mut balancer = balance
+        .filter(|_| seats > 1)
+        .map(|cfg| (cfg.interval_requests, ShardRebalancer::new(seats, cfg)));
+    let mut out = SeatReplay {
+        gets: vec![0; seats],
+        hits: vec![0; seats],
+        budgets: Vec::new(),
+        transfers: 0,
+        bytes_moved: 0,
+    };
+    let mut rng = StdRng::seed_from_u64(seed);
+    for r in 0..warmup + requests {
+        let (seat, rank, size) = draw(&mut rng);
+        let key = Key::new(rank);
+        let hit = caches[seat]
+            .get(key, size)
+            .map(|(_, event)| event.hit)
+            .unwrap_or(false);
+        if !hit {
+            caches[seat].set(key, size, ());
+        }
+        if r >= warmup {
+            out.gets[seat] += 1;
+            out.hits[seat] += hit as u64;
+        }
+        let Some((interval, balancer)) = balancer.as_mut() else {
+            continue;
+        };
+        if (r + 1) % *interval == 0 {
+            let samples: Vec<ShardSample> = caches
+                .iter()
+                .map(|c| ShardSample {
+                    shadow_hits: c.stats().shadow_hits,
+                    budget_bytes: c.total_bytes(),
+                })
+                .collect();
+            for t in balancer.rebalance(&samples) {
+                if caches[t.from].shrink_total(t.bytes) {
+                    caches[t.to].grow_total(t.bytes);
+                    out.transfers += 1;
+                    out.bytes_moved += t.bytes;
+                }
+            }
+        }
+    }
+    out.budgets = caches.iter().map(|c| c.total_bytes()).collect();
+    debug_assert_eq!(
+        out.budgets.iter().sum::<u64>(),
+        share * seats as u64,
+        "balancing must conserve the fixed total budget"
+    );
+    out
+}
+
+/// Replays the trace against `shards` Cliffhanger instances sharing
+/// `opts.total_bytes`, with or without cross-shard rebalancing: a Zipf rank,
+/// routed by a second mix of the key id, with a hot or tail value size.
+fn run_point(opts: &ShardingOptions, shards: usize, rebalance: bool) -> SeatReplay {
+    let balance = rebalance.then(|| ShardBalanceConfig {
         interval_requests: opts.interval_requests,
         ..ShardBalanceConfig::scaled_for(opts.total_bytes, shards)
-    };
-    let mut balancer = ShardRebalancer::new(shards, balance);
-    let mut transfers = 0u64;
-    let mut bytes_moved = 0u64;
-
+    });
     let sampler = KeyPopularity::Zipf {
         num_keys: opts.num_keys,
         exponent: opts.zipf_exponent,
@@ -173,104 +259,20 @@ fn run_point(opts: &ShardingOptions, shards: usize, rebalance: bool) -> (f64, u6
         shape: 0.348_468,
         cap: opts.tail_cap,
     };
-    let size_of = |rank: u64| -> u64 {
-        if rank < opts.hot_keys {
-            hot_sizes.size_for_key(rank, opts.seed)
+    let draw = |rng: &mut StdRng| {
+        let rank = sampler.sample(rng);
+        let sizes = if rank < opts.hot_keys {
+            &hot_sizes
         } else {
-            tail_sizes.size_for_key(rank, opts.seed)
-        }
-        .max(1)
-    };
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-
-    let total_requests = opts.warmup_requests + opts.requests;
-    let mut measured_gets = 0u64;
-    let mut measured_hits = 0u64;
-    for r in 0..total_requests {
-        let rank = sampler.sample(&mut rng);
+            &tail_sizes
+        };
         // Same routing as the server backend: a second mix of the key id,
         // decorrelated from the bits the engines hash internally.
         let shard = (mix64(rank) % shards as u64) as usize;
-        let size = size_of(rank);
-        let key = Key::new(rank);
-        let hit = caches[shard]
-            .get(key, size)
-            .map(|(_, event)| event.hit)
-            .unwrap_or(false);
-        if !hit {
-            caches[shard].set(key, size, ());
-        }
-        if r >= opts.warmup_requests {
-            measured_gets += 1;
-            measured_hits += hit as u64;
-        }
-        if rebalance && shards > 1 && (r + 1) % opts.interval_requests == 0 {
-            let samples: Vec<ShardSample> = caches
-                .iter()
-                .map(|c| ShardSample {
-                    shadow_hits: c.stats().shadow_hits,
-                    budget_bytes: c.total_bytes(),
-                })
-                .collect();
-            for t in balancer.rebalance(&samples) {
-                if caches[t.from].shrink_total(t.bytes) {
-                    caches[t.to].grow_total(t.bytes);
-                    transfers += 1;
-                    bytes_moved += t.bytes;
-                    if std::env::var_os("SHARD_EXP_DEBUG_TRANSFERS").is_some() {
-                        eprintln!(
-                            "      [xfer r={r}] {} -> {} {} KB",
-                            t.from,
-                            t.to,
-                            t.bytes >> 10
-                        );
-                    }
-                }
-            }
-        }
-    }
-    debug_assert_eq!(
-        caches.iter().map(|c| c.total_bytes()).sum::<u64>(),
-        opts.total_bytes / shards as u64 * shards as u64,
-        "rebalancing must conserve the fixed total budget"
-    );
-    if std::env::var_os("SHARD_EXP_DEBUG").is_some() {
-        for (i, c) in caches.iter().enumerate() {
-            let stats = c.stats();
-            eprintln!(
-                "  [debug {} shards rebalance={}] shard {i}: budget {:.2} MB used {:.2} MB \
-                 gets {} hit {:.3} shadow_hits {} evictions {}",
-                shards,
-                rebalance,
-                c.total_bytes() as f64 / (1 << 20) as f64,
-                c.used_bytes() as f64 / (1 << 20) as f64,
-                stats.gets,
-                stats.hit_ratio().value(),
-                stats.shadow_hits,
-                stats.evictions,
-            );
-            if std::env::var_os("SHARD_EXP_DEBUG_CLASSES").is_some() {
-                for snap in c.class_snapshots() {
-                    if snap.stats.gets > 0 || snap.target_bytes > 2048 {
-                        eprintln!(
-                            "      class {} chunk {} target {:.0}KB used {:.0}KB items {} gets {} hit {:.3} shadow {}",
-                            snap.class, snap.chunk_size,
-                            snap.target_bytes as f64 / 1024.0,
-                            snap.used_bytes as f64 / 1024.0,
-                            snap.items, snap.stats.gets,
-                            snap.stats.hit_ratio().value(),
-                            snap.stats.shadow_hits,
-                        );
-                    }
-                }
-            }
-        }
-    }
-    (
-        measured_hits as f64 / measured_gets.max(1) as f64,
-        transfers,
-        bytes_moved,
-    )
+        (shard, rank, sizes.size_for_key(rank, opts.seed).max(1))
+    };
+    let requests = (opts.warmup_requests, opts.requests);
+    replay_seats(shards, opts.total_bytes, opts.seed, requests, balance, draw)
 }
 
 /// Runs the full experiment: every shard count, rebalancer off and on.
@@ -279,14 +281,14 @@ pub fn shard_count_experiment(opts: &ShardingOptions) -> ShardingResult {
         .shard_counts
         .iter()
         .map(|&shards| {
-            let (static_hit_rate, _, _) = run_point(opts, shards, false);
-            let (rebalanced_hit_rate, transfers, bytes_moved) = run_point(opts, shards, true);
+            let fixed = run_point(opts, shards, false);
+            let live = run_point(opts, shards, true);
             ShardingPoint {
                 shards,
-                static_hit_rate,
-                rebalanced_hit_rate,
-                transfers,
-                bytes_moved,
+                static_hit_rate: fixed.hit_rate(),
+                rebalanced_hit_rate: live.hit_rate(),
+                transfers: live.transfers,
+                bytes_moved: live.bytes_moved,
             }
         })
         .collect();

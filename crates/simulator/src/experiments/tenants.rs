@@ -16,13 +16,11 @@
 //! down-scaled [`TenantOptions::smoke`] variant and asserts the arbiter
 //! never loses to the static split (and clearly beats it on the skewed mix).
 
+use super::sharding::{replay_seats, SeatReplay};
 use crate::report::Table;
-use cache_core::Key;
-use cliffhanger::{
-    Cliffhanger, CliffhangerConfig, ShardBalanceConfig, ShardRebalancer, ShardSample,
-};
+use cliffhanger::ShardBalanceConfig;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 use workloads::{KeyPopularity, SizeDistribution};
 
@@ -199,48 +197,18 @@ pub struct TenantResult {
 /// Schema tag for [`TenantResult`].
 pub const TENANT_SCHEMA: &str = "cliffhanger-tenant-experiment/v1";
 
-/// Outcome of one scenario replay in one mode.
-struct RunOutcome {
-    hit_rate: f64,
-    per_tenant_hits: Vec<u64>,
-    per_tenant_gets: Vec<u64>,
-    budgets: Vec<u64>,
-    transfers: u64,
-    bytes_moved: u64,
-}
-
 /// Replays one scenario at fixed total budget, with or without the arbiter.
 ///
 /// Every tenant is one Cliffhanger engine holding its reservation (the
 /// backend runs one engine per tenant per shard; a single engine per tenant
 /// is the same allocation problem without the wire layer). The request
 /// stream interleaves the tenants by traffic weight, deterministically.
-fn run_scenario(opts: &TenantOptions, scenario: &TenantScenario, arbitrate: bool) -> RunOutcome {
+fn run_scenario(opts: &TenantOptions, scenario: &TenantScenario, arbitrate: bool) -> SeatReplay {
     let n = scenario.tenants.len();
-    let share = (opts.total_bytes / n as u64).max(1);
-    let mut caches: Vec<Cliffhanger<()>> = scenario
-        .tenants
-        .iter()
-        .enumerate()
-        .map(|(i, _)| {
-            let mut cfg = CliffhangerConfig::scaled_for(share);
-            cfg.seed = opts.seed.wrapping_add(i as u64);
-            // Same widening as the sharding experiment: at megabyte-scale
-            // slices the paper's 2% shadow ratio leaves giant classes with
-            // one-entry shadow queues; wider queues keep the gradient alive
-            // (shadow queues store keys only, so this stays cheap).
-            cfg.hill_shadow_bytes = (share / 8).clamp(64 << 10, 1 << 20);
-            Cliffhanger::new(cfg)
-        })
-        .collect();
-    let balance = ShardBalanceConfig {
+    let balance = arbitrate.then(|| ShardBalanceConfig {
         interval_requests: opts.interval_requests,
         ..ShardBalanceConfig::scaled_for_tenants(opts.total_bytes, n)
-    };
-    let mut arbiter = ShardRebalancer::new(n, balance);
-    let mut transfers = 0u64;
-    let mut bytes_moved = 0u64;
-
+    });
     let samplers: Vec<_> = scenario
         .tenants
         .iter()
@@ -265,11 +233,6 @@ fn run_scenario(opts: &TenantOptions, scenario: &TenantScenario, arbitrate: bool
         cap: opts.value_cap,
     };
     // Weighted tenant pick per request via cumulative weights.
-    let total_weight: u64 = scenario
-        .tenants
-        .iter()
-        .map(|t| t.traffic_weight.max(1))
-        .sum();
     let cumulative: Vec<u64> = scenario
         .tenants
         .iter()
@@ -278,64 +241,20 @@ fn run_scenario(opts: &TenantOptions, scenario: &TenantScenario, arbitrate: bool
             Some(*acc)
         })
         .collect();
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-
-    let total_requests = opts.warmup_requests + opts.requests;
-    let mut per_tenant_hits = vec![0u64; n];
-    let mut per_tenant_gets = vec![0u64; n];
-    for r in 0..total_requests {
-        let draw = rng.gen_range(0..total_weight);
-        let t = cumulative.partition_point(|&c| c <= draw);
-        let rank = samplers[t].sample(&mut rng);
+    let total_weight = cumulative.last().copied().unwrap_or(0);
+    let draw = |rng: &mut StdRng| {
+        let pick = rng.gen_range(0..total_weight);
+        let t = cumulative.partition_point(|&c| c <= pick);
+        let rank = samplers[t].sample(rng);
         // Per-tenant seed salt keeps the size assignment independent across
         // tenants sharing ranks.
         let size = sizes
             .size_for_key(rank, opts.seed ^ (t as u64).wrapping_mul(0x9E37_79B9))
             .max(1);
-        let key = Key::new(rank);
-        let hit = caches[t]
-            .get(key, size)
-            .map(|(_, event)| event.hit)
-            .unwrap_or(false);
-        if !hit {
-            caches[t].set(key, size, ());
-        }
-        if r >= opts.warmup_requests {
-            per_tenant_gets[t] += 1;
-            per_tenant_hits[t] += hit as u64;
-        }
-        if arbitrate && n > 1 && (r + 1) % opts.interval_requests == 0 {
-            let samples: Vec<ShardSample> = caches
-                .iter()
-                .map(|c| ShardSample {
-                    shadow_hits: c.stats().shadow_hits,
-                    budget_bytes: c.total_bytes(),
-                })
-                .collect();
-            for tr in arbiter.rebalance(&samples) {
-                if caches[tr.from].shrink_total(tr.bytes) {
-                    caches[tr.to].grow_total(tr.bytes);
-                    transfers += 1;
-                    bytes_moved += tr.bytes;
-                }
-            }
-        }
-    }
-    debug_assert_eq!(
-        caches.iter().map(|c| c.total_bytes()).sum::<u64>(),
-        share * n as u64,
-        "arbitration must conserve the fixed total budget"
-    );
-    let gets: u64 = per_tenant_gets.iter().sum();
-    let hits: u64 = per_tenant_hits.iter().sum();
-    RunOutcome {
-        hit_rate: hits as f64 / gets.max(1) as f64,
-        per_tenant_hits,
-        per_tenant_gets,
-        budgets: caches.iter().map(|c| c.total_bytes()).collect(),
-        transfers,
-        bytes_moved,
-    }
+        (t, rank, size)
+    };
+    let requests = (opts.warmup_requests, opts.requests);
+    replay_seats(n, opts.total_bytes, opts.seed, requests, balance, draw)
 }
 
 /// Runs the full experiment: every scenario, arbiter off and on.
@@ -352,18 +271,16 @@ pub fn tenant_experiment(opts: &TenantOptions) -> TenantResult {
                 .enumerate()
                 .map(|(i, t)| TenantOutcome {
                     name: t.name.clone(),
-                    gets: live.per_tenant_gets[i],
-                    static_hit_rate: fixed.per_tenant_hits[i] as f64
-                        / fixed.per_tenant_gets[i].max(1) as f64,
-                    arbitrated_hit_rate: live.per_tenant_hits[i] as f64
-                        / live.per_tenant_gets[i].max(1) as f64,
+                    gets: live.gets[i],
+                    static_hit_rate: fixed.hits[i] as f64 / fixed.gets[i].max(1) as f64,
+                    arbitrated_hit_rate: live.hits[i] as f64 / live.gets[i].max(1) as f64,
                     arbitrated_budget_bytes: live.budgets[i],
                 })
                 .collect();
             TenantPoint {
                 scenario: scenario.name.clone(),
-                static_hit_rate: fixed.hit_rate,
-                arbitrated_hit_rate: live.hit_rate,
+                static_hit_rate: fixed.hit_rate(),
+                arbitrated_hit_rate: live.hit_rate(),
                 transfers: live.transfers,
                 bytes_moved: live.bytes_moved,
                 tenants,
