@@ -46,7 +46,9 @@
 
 pub mod client;
 mod conn;
+mod control;
 mod engine;
+mod handle;
 mod hotkey;
 mod plane;
 pub mod protocol;
@@ -56,8 +58,8 @@ mod stats;
 
 pub use client::CacheClient;
 pub use engine::{detect_shards, BackendConfig, BackendMode, TenantSpec};
+pub use handle::{PlaneHandle, SharedCache};
 pub use hotkey::HotKeyConfig;
-pub use plane::{PlaneHandle, SharedCache};
 pub use protocol::{Command, Response, StatsFormat};
 pub use reactor::ConnTelemetry;
 pub use server::{default_event_loops, CacheServer, ServerConfig};

@@ -42,26 +42,25 @@
 //!   can never resolve a tenant whose cells do not exist yet.
 
 use crate::conn::WINDOW;
+use crate::control::Control;
 use crate::engine::{
     even_split, route_key, weighted_split, BackendConfig, BackendMode, Engine, StoredValue,
 };
-use crate::hotkey::{plan_round, HotKeyCount, HotLoopState, HotShared, PromotedEntry};
+use crate::handle::PlaneHandle;
+use crate::hotkey::{HotKeyCount, HotLoopState, HotShared};
 use crate::protocol::{StatsFormat, StoreVerb};
 use crate::reactor::{ConnTelemetry, Mailbox};
-use crate::stats::{
-    build_document, render_json, render_prom, render_stats, BalanceDoc, EngineStat, HotKeyEntryDoc,
-    HotKeysDoc, StatsDocument, StatsSnapshot, WireCounts,
-};
+use crate::stats::{EngineStat, WireCounts};
 use bytes::Bytes;
 use cache_core::prefetch::Sweep;
 use cache_core::{Key, TenantDirectory};
-use cliffhanger::{EventSink, ShardRebalancer, ShardSample, ShardTransfer};
+use cliffhanger::EventSink;
 use parking_lot::Mutex;
 use profiler::{MrcSnapshot, OnlineMrc};
 use std::collections::HashMap;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
@@ -85,10 +84,6 @@ const SLOW_OP_SAMPLE: u64 = 64;
 
 /// One local op in this many is timed for the local-latency histogram.
 const LOCAL_TIMED_EVERY: u64 = 16;
-
-/// Hottest tracked keys exposed in the stats document; the tail of a wide
-/// tracker window is sampling noise.
-const HOT_KEYS_EXPOSED: usize = 32;
 
 /// Everything an event loop can find in its mailbox.
 pub(crate) enum LoopMsg {
@@ -179,7 +174,7 @@ pub(crate) struct OpBatch {
     /// The loop that issued the ops and gets the batch back; `None` for a
     /// [`PlaneHandle`] caller, which is answered over `caller`.
     pub(crate) origin: Option<usize>,
-    caller: Option<Sender<OpBatch>>,
+    pub(crate) caller: Option<Sender<OpBatch>>,
     /// When the issuing side opened the batch. The owning loop's
     /// remote-latency histogram measures from here, so forwarded ops are
     /// charged their mailbox queueing delay, not just engine time.
@@ -403,12 +398,12 @@ impl RosterMaster {
     }
 
     /// Every live budget summed: what the control thread must conserve.
-    fn total_budget(&self) -> u64 {
+    pub(crate) fn total_budget(&self) -> u64 {
         self.budgets.iter().flatten().sum()
     }
 
     /// The hosted applications as `(name, weight, live budget bytes)`.
-    fn app_list(&self) -> Vec<(String, u64, u64)> {
+    pub(crate) fn app_list(&self) -> Vec<(String, u64, u64)> {
         let budgets = self.tenant_budgets();
         let rows = self.directory.names().iter().zip(&self.weights);
         rows.zip(budgets)
@@ -445,14 +440,14 @@ pub(crate) struct PlaneShared {
     /// Per [`RoundKind`]: a loop has asked for a round the control thread
     /// has not started yet. Collapses concurrent triggers from many loops
     /// into one queued round.
-    round_pending: [AtomicBool; 3],
+    pub(crate) round_pending: [AtomicBool; 3],
 }
 
 impl PlaneShared {
     /// Resolves the tenant roster, the shard count and the boot budget
     /// split (weight-proportional across tenants, even across shards) for
     /// a plane of `loops` event loops reachable over `mailboxes`.
-    fn new(
+    pub(crate) fn new(
         config: BackendConfig,
         loops: usize,
         mailboxes: Vec<Mailbox>,
@@ -514,7 +509,7 @@ impl PlaneShared {
     /// Whether rounds of `kind` run on this plane while it hosts `tenants`
     /// tenants: the one predicate behind the loops' triggers, the control
     /// thread's rounds and the `enabled` flags `stats` reports.
-    fn round_active(&self, kind: RoundKind, tenants: usize) -> bool {
+    pub(crate) fn round_active(&self, kind: RoundKind, tenants: usize) -> bool {
         let managed = self.config.mode != BackendMode::Default;
         match kind {
             RoundKind::HotKeys => self.hot.is_some(),
@@ -672,7 +667,7 @@ pub(crate) struct LoopState {
 impl LoopState {
     /// The state of loop `index` of a plane that has not served yet: an
     /// engine per tenant, at its boot budget, for every shard the loop owns.
-    fn new(index: usize, shared: Arc<PlaneShared>) -> LoopState {
+    pub(crate) fn new(index: usize, shared: Arc<PlaneShared>) -> LoopState {
         let roster = shared.roster.lock();
         let tenants = roster.directory.names().to_vec();
         let owned: Vec<OwnedShard> = (index..shared.shards)
@@ -1277,930 +1272,6 @@ impl LoopState {
     }
 }
 
-/// What the rounds of one balancing level have done so far.
-#[derive(Clone, Copy, Default)]
-struct RoundTally {
-    runs: u64,
-    transfers: u64,
-    bytes: u64,
-}
-
-/// One step of a budget transfer: `bytes` from the donor engine to the
-/// recipient engine, each named `(shard, tenant)`.
-type Move = ((usize, usize), (usize, usize), u64);
-
-/// The control thread: the single blocking coordinator behind rounds,
-/// flushes, tenant onboarding and `stats` assembly. It owns the balancers'
-/// decision state (gradient histories, cooldowns) outright, so rounds need
-/// no locking.
-struct Control {
-    shared: Arc<PlaneShared>,
-    rx: Receiver<CtrlReq>,
-    telemetry: Arc<ConnTelemetry>,
-    /// One balancer per tenant, the tenant's shards in its seats.
-    balancers: Vec<ShardRebalancer>,
-    /// The same balancer with tenants in the seats.
-    arbiter: ShardRebalancer,
-    rebalanced: RoundTally,
-    arbitrated: RoundTally,
-    admin_msgs: u64,
-    idle_timeout_ms: u64,
-    /// Service times of the admin commands this thread ran (ns).
-    admin_latency: Histogram,
-    hot_rounds: u64,
-    promotions: u64,
-    demotions: u64,
-}
-
-impl Control {
-    /// The control thread's state for a plane that has run no round yet.
-    fn new(
-        shared: Arc<PlaneShared>,
-        rx: Receiver<CtrlReq>,
-        telemetry: Arc<ConnTelemetry>,
-        idle_timeout: Option<Duration>,
-    ) -> Control {
-        let tenants = shared.roster.lock().directory.len();
-        Control {
-            rx,
-            telemetry,
-            balancers: (0..tenants)
-                .map(|_| ShardRebalancer::new(shared.shards, shared.config.rebalance.clone()))
-                .collect(),
-            arbiter: ShardRebalancer::new(tenants, shared.config.tenant_balance.clone()),
-            rebalanced: RoundTally::default(),
-            arbitrated: RoundTally::default(),
-            admin_msgs: 0,
-            idle_timeout_ms: idle_timeout.map(|t| t.as_millis() as u64).unwrap_or(0),
-            admin_latency: Histogram::new(),
-            hot_rounds: 0,
-            promotions: 0,
-            demotions: 0,
-            shared,
-        }
-    }
-
-    fn run(mut self) {
-        while let Ok(req) = self.rx.recv() {
-            match req {
-                CtrlReq::Round { kind, done } => {
-                    // A loop's trigger set the kind's pending flag: clear it
-                    // before running, so a trigger that fires mid-round
-                    // queues exactly one more round.
-                    if done.is_none() {
-                        self.shared.round_pending[kind as usize].store(false, Ordering::Release);
-                    }
-                    match kind {
-                        RoundKind::HotKeys => self.hot_round(),
-                        RoundKind::Rebalance | RoundKind::Arbitrate => self.balance(kind),
-                    }
-                    if let Some(done) = done {
-                        let _ = done.send(());
-                    }
-                }
-                CtrlReq::Admin { op, reply } => {
-                    self.admin_msgs += 1;
-                    let started = Instant::now();
-                    let result = match op {
-                        AdminOp::Stats { format } => {
-                            let doc = self.document();
-                            match format {
-                                StatsFormat::Text => AdminResult::Stats(render_stats(&doc)),
-                                StatsFormat::Json => AdminResult::Blob(render_json(&doc)),
-                                StatsFormat::Prom => AdminResult::Blob(render_prom(&doc)),
-                            }
-                        }
-                        AdminOp::FlushTenant { tenant } => {
-                            self.flush_tenant(tenant);
-                            AdminResult::Flushed
-                        }
-                        AdminOp::CreateTenant { name, weight } => {
-                            AdminResult::Created(self.create_tenant(&name, weight))
-                        }
-                        AdminOp::AppList => AdminResult::Apps(self.shared.roster.lock().app_list()),
-                    };
-                    self.admin_latency
-                        .record(started.elapsed().as_nanos() as u64);
-                    match reply {
-                        AdminReply::Conn { origin, token, seq } => {
-                            let _ = self.shared.mailboxes[origin].send(LoopMsg::AdminDone {
-                                token,
-                                seq,
-                                result,
-                            });
-                        }
-                        AdminReply::Sync(tx) => {
-                            let _ = tx.send(result);
-                        }
-                    }
-                }
-                CtrlReq::Shutdown => break,
-            }
-        }
-    }
-
-    /// The loops' sampled hot-key windows folded into one tally per
-    /// (tenant, key).
-    fn merged_hot_keys<'a>(
-        windows: impl Iterator<Item = &'a Vec<HotKeyCount>>,
-    ) -> HashMap<(usize, Key), (u64, Bytes)> {
-        let mut merged: HashMap<(usize, Key), (u64, Bytes)> = HashMap::new();
-        for window in windows {
-            for entry in window {
-                merged
-                    .entry((entry.tenant, entry.id))
-                    .and_modify(|slot| slot.0 += entry.count)
-                    .or_insert_with(|| (entry.count, entry.key.clone()));
-            }
-        }
-        merged
-    }
-
-    /// Sends every live loop the message `ask` builds around one shared
-    /// reply sender and collects the answers in the order they come. A
-    /// loop that died mid-request simply drops its copy of the sender, so
-    /// the collection never hangs.
-    fn ask_all<R>(&self, ask: impl Fn(Sender<R>) -> ControlMsg) -> Vec<R> {
-        let (tx, rx) = channel();
-        for mailbox in &self.shared.mailboxes {
-            let _ = mailbox.send(LoopMsg::Control(ask(tx.clone())));
-        }
-        drop(tx);
-        rx.iter().collect()
-    }
-
-    /// Every live loop's snapshot, by loop index (for `stats` only).
-    fn gather(&self) -> Vec<Option<LoopSnapshot>> {
-        let mut out: Vec<Option<LoopSnapshot>> = (0..self.shared.loops).map(|_| None).collect();
-        for snap in self.ask_all(|reply| ControlMsg::Snapshot { reply }) {
-            let index = snap.loop_index;
-            out[index] = Some(snap);
-        }
-        out
-    }
-
-    /// The loops' `(global shard, per-tenant shadow hits)` answers as a
-    /// grid indexed `[shard][tenant]`, zero for any shard whose loop did
-    /// not answer.
-    fn shadow_grid(&self, answers: Vec<Vec<(usize, Vec<u64>)>>, tenants: usize) -> Vec<Vec<u64>> {
-        let mut grid = vec![vec![0u64; tenants]; self.shared.shards];
-        for (shard, hits) in answers.into_iter().flatten() {
-            for (t, hits) in hits.into_iter().enumerate().take(tenants) {
-                grid[shard][t] = hits;
-            }
-        }
-        grid
-    }
-
-    /// One blocking round trip to the loop that owns `shard`: `None` if the
-    /// loop is gone.
-    fn ask_owner<R>(&self, shard: usize, msg: impl FnOnce(Sender<R>) -> ControlMsg) -> Option<R> {
-        let (reply, answer) = channel();
-        let owner = &self.shared.mailboxes[self.shared.owner_of(shard)];
-        owner.send(LoopMsg::Control(msg(reply))).ok()?;
-        answer.recv().ok()
-    }
-
-    /// Shrinks one engine on its owning loop. `false` when the donor engine
-    /// is pinned at its floors (or the loop is gone) — the transfer is
-    /// simply skipped and re-decided from real budgets next round.
-    fn shrink_on_owner(&self, shard: usize, tenant: usize, bytes: u64) -> bool {
-        let shrink = |reply| ControlMsg::Shrink {
-            shard,
-            tenant,
-            bytes,
-            reply,
-        };
-        self.ask_owner(shard, shrink).unwrap_or(false)
-    }
-
-    fn grow_on_owner(&self, shard: usize, tenant: usize, bytes: u64) {
-        let owner = self.shared.owner_of(shard);
-        let _ = self.shared.mailboxes[owner].send(LoopMsg::Control(ControlMsg::Grow {
-            shard,
-            tenant,
-            bytes,
-        }));
-    }
-
-    /// One balancing round: a cross-shard round per tenant
-    /// ([`RoundKind::Rebalance`]) or the one cross-tenant round
-    /// ([`RoundKind::Arbitrate`]). Ask the loops for the shadow-hit
-    /// signal, let the balancer whose seats are at stake decide, then apply
-    /// each transfer it proposes as a list of moves: one for a shard
-    /// transfer; for a tenant transfer one shard-local slice per shard, so
-    /// the summed budget is conserved even if some slices fail on their
-    /// floors.
-    fn balance(&mut self, kind: RoundKind) {
-        let shared = Arc::clone(&self.shared);
-        if !shared.round_active(kind, shared.roster.lock().directory.len()) {
-            return;
-        }
-        // No loop is waited on with the roster locked — a loop answers from
-        // a pass that first re-reads a changed tenant table, under that lock
-        // — so the round moves budget on a copy and writes it back: this
-        // thread is the roster's only writer.
-        let answers = self.ask_all(|reply| ControlMsg::ShadowHits { reply });
-        let mut roster = shared.roster.lock().clone();
-        let tenants = roster.directory.len();
-        let grid = self.shadow_grid(answers, tenants);
-        let arbitrate = kind == RoundKind::Arbitrate;
-        // Each balancer's seats, as the `(shard, tenant)` engines behind
-        // them: the tenants with all their engines, or one tenant's shards.
-        let engines = |t: usize| (0..shared.shards).map(move |s| (s, t));
-        let balancers: Vec<Vec<Vec<(usize, usize)>>> = if arbitrate {
-            vec![(0..tenants).map(|t| engines(t).collect()).collect()]
-        } else {
-            let shards = |t| engines(t).map(|engine| vec![engine]).collect();
-            (0..tenants).map(shards).collect()
-        };
-        for (b, seats) in balancers.iter().enumerate() {
-            let sample = |seat: &Vec<(usize, usize)>| ShardSample {
-                shadow_hits: seat.iter().map(|&(s, t)| grid[s][t]).sum(),
-                budget_bytes: seat.iter().map(|&(s, t)| roster.budgets[t][s]).sum(),
-            };
-            let samples: Vec<ShardSample> = seats.iter().map(sample).collect();
-            let balancer = match kind {
-                RoundKind::Arbitrate => &mut self.arbiter,
-                _ => &mut self.balancers[b],
-            };
-            for tr in balancer.rebalance(&samples) {
-                let (from, to) = (&seats[tr.from], &seats[tr.to]);
-                let n = from.len() as u64;
-                let slice = |i: usize| tr.bytes / n + u64::from((i as u64) < tr.bytes % n);
-                let moves = from.iter().zip(to).enumerate();
-                let moves: Vec<Move> = moves
-                    .map(|(i, (&from, &to))| (from, to, slice(i)))
-                    .collect();
-                self.apply(&mut roster, kind, &moves, &tr);
-            }
-        }
-        shared.roster.lock().budgets = roster.budgets;
-        self.tally(kind).runs += 1;
-    }
-
-    fn tally(&mut self, kind: RoundKind) -> &mut RoundTally {
-        match kind {
-            RoundKind::Arbitrate => &mut self.arbitrated,
-            _ => &mut self.rebalanced,
-        }
-    }
-
-    /// Applies the moves of transfer `tr`, each shrink-first: the donor
-    /// engine evicts down at once and the recipient grows by exactly what
-    /// was released, so the total can momentarily dip but never exceed the
-    /// configured bytes. A move whose donor is pinned at its floors is
-    /// skipped. Only a transfer that moved something is counted and
-    /// journalled, with the gradients its proposal carried.
-    fn apply(
-        &mut self,
-        roster: &mut RosterMaster,
-        kind: RoundKind,
-        moves: &[Move],
-        tr: &ShardTransfer,
-    ) {
-        let before = roster.total_budget();
-        let mut moved = 0u64;
-        for &((from_shard, from_tenant), (to_shard, to_tenant), bytes) in moves {
-            if bytes > 0 && self.shrink_on_owner(from_shard, from_tenant, bytes) {
-                roster.budgets[from_tenant][from_shard] -= bytes;
-                self.grow_on_owner(to_shard, to_tenant, bytes);
-                roster.budgets[to_tenant][to_shard] += bytes;
-                moved += bytes;
-            }
-        }
-        debug_assert_eq!(roster.total_budget(), before, "a transfer conserves budget");
-        if moved == 0 {
-            return;
-        }
-        let ((_, from_tenant), (_, to_tenant), _) = moves[0];
-        let name = |tenant: usize| roster.directory.name(tenant).to_string();
-        let (from_gradient, to_gradient) = (tr.from_gradient, tr.to_gradient);
-        self.shared.journal.record(match kind {
-            RoundKind::Arbitrate => EventKind::TenantTransfer {
-                from_tenant: name(from_tenant),
-                to_tenant: name(to_tenant),
-                bytes: moved,
-                from_gradient,
-                to_gradient,
-            },
-            _ => EventKind::ShardTransfer {
-                tenant: name(from_tenant),
-                from_shard: tr.from,
-                to_shard: tr.to,
-                bytes: moved,
-                from_gradient,
-                to_gradient,
-            },
-        });
-        let tally = self.tally(kind);
-        tally.transfers += 1;
-        tally.bytes += moved;
-    }
-
-    /// One hot-key promotion round: merge the per-loop tracker windows,
-    /// apply the hysteretic promote/demote plan to the master promoted
-    /// set, journal the decisions and publish the new generation. Loops
-    /// copy the set out at their next readiness pass.
-    fn hot_round(&mut self) {
-        let shared = Arc::clone(&self.shared);
-        let Some(hot) = shared.hot.as_ref() else {
-            return;
-        };
-        let windows = self.ask_all(|reply| ControlMsg::HotKeys { reply });
-        let merged = Self::merged_hot_keys(windows.iter());
-        // Tenant names for the journal, resolved before taking the
-        // promoted lock (control-thread lock order: roster, then promoted).
-        let names = shared.roster.lock().directory.names().to_vec();
-        let name_of = |tenant: usize| -> String { names.get(tenant).cloned().unwrap_or_default() };
-        let mut promoted = hot.promoted.lock();
-        let plan = plan_round(&merged, &promoted, &hot.config);
-        for (slot, count) in &plan.refreshed {
-            if let Some(entry) = promoted.get_mut(slot) {
-                entry.count = *count;
-            }
-        }
-        let changed = !plan.promote.is_empty() || !plan.demote.is_empty();
-        for slot in &plan.demote {
-            if let Some(entry) = promoted.remove(slot) {
-                self.demotions += 1;
-                shared.journal.record(EventKind::HotKeyDemoted {
-                    tenant: name_of(slot.0),
-                    key: String::from_utf8_lossy(&entry.key).into_owned(),
-                });
-            }
-        }
-        for (slot, key, count) in &plan.promote {
-            promoted.insert(
-                *slot,
-                PromotedEntry {
-                    key: key.clone(),
-                    count: *count,
-                },
-            );
-            self.promotions += 1;
-            shared.journal.record(EventKind::HotKeyPromoted {
-                tenant: name_of(slot.0),
-                key: String::from_utf8_lossy(key).into_owned(),
-                count: *count,
-            });
-        }
-        drop(promoted);
-        if changed {
-            // Publish only after the master set is fully updated, exactly
-            // like the tenant-table generation.
-            hot.generation.fetch_add(1, Ordering::AcqRel);
-        }
-        self.hot_rounds += 1;
-    }
-
-    /// Tenant `flush_all`: rebuild the tenant's engine on every shard at an
-    /// even split of its *current* (arbitrated) budget. Rebuilds run
-    /// donors-first (largest budget surplus first), one blocking round-trip
-    /// at a time, so the tenant's summed live targets never overshoot its
-    /// total while traffic keeps filling the other shards.
-    fn flush_tenant(&mut self, tenant: usize) {
-        let shared = Arc::clone(&self.shared);
-        // Planned under the roster lock, applied with it released (see
-        // `balance`), written back under it again.
-        let (name, shares, order) = {
-            let roster = shared.roster.lock();
-            if tenant >= roster.directory.len() {
-                return;
-            }
-            let total: u64 = roster.budgets[tenant].iter().sum();
-            let shares = even_split(total, shared.shards);
-            let mut order: Vec<usize> = (0..shared.shards).collect();
-            order.sort_by_key(|&s| {
-                std::cmp::Reverse(roster.budgets[tenant][s].saturating_sub(shares[s]))
-            });
-            (roster.directory.name(tenant).to_string(), shares, order)
-        };
-        for s in order {
-            let _ = self.ask_owner(s, |reply| ControlMsg::Rebuild {
-                shard: s,
-                tenant,
-                // An engine cannot be built on no bytes at all.
-                budget: shares[s].max(1),
-                reply,
-            });
-        }
-        // The rebuilds just dropped keys no loop can enumerate, so stale
-        // hot-key replicas of this tenant must stop serving before the
-        // flush is acknowledged. Bumping every version slot (after the
-        // last rebuild, before the ack) guarantees any replica captured
-        // pre-flush fails revalidation.
-        if let Some(hot) = shared.hot.as_ref() {
-            hot.versions.bump_all();
-        }
-        let mut roster = shared.roster.lock();
-        let before = roster.total_budget();
-        roster.budgets[tenant] = shares;
-        debug_assert_eq!(roster.total_budget(), before, "a flush conserves budget");
-        drop(roster);
-        self.balancers[tenant].reset();
-        shared
-            .journal
-            .record(EventKind::TenantFlushed { tenant: name });
-    }
-
-    /// Hosts a new application live (`app_create`): validate, carve a
-    /// weight-proportional budget out of every existing tenant's engines
-    /// via the owning loops, then publish the new tenant table. Only bytes
-    /// actually released are granted, so the configured total is conserved
-    /// exactly. The generation counter moves *after* every loop has built
-    /// the new engines.
-    fn create_tenant(&mut self, name: &str, weight: u64) -> Result<usize, String> {
-        if !TenantDirectory::valid_name(name) {
-            return Err(format!(
-                "invalid app name {name:?}: need 1-64 ASCII graphic bytes, no ':'"
-            ));
-        }
-        if weight == 0 {
-            return Err("app weight must be at least 1".to_string());
-        }
-        let shared = Arc::clone(&self.shared);
-        let n = shared.shards;
-        // The asks are planned under the roster lock, the carve-outs awaited
-        // with it released (see `balance`), the table written under it again.
-        let mut per_loop: Vec<Vec<(usize, usize, u64)>> =
-            (0..shared.loops).map(|_| Vec::new()).collect();
-        {
-            let roster = shared.roster.lock();
-            if roster.directory.index_of(name).is_some() {
-                return Err(format!("app {name:?} already exists"));
-            }
-            let tenants = roster.directory.len();
-            let sum_weights: u64 = roster.weights.iter().sum();
-            let target_total = (shared.config.total_bytes as u128 * weight as u128
-                / (sum_weights + weight) as u128) as u64;
-            let target_slices = even_split(target_total.max(1), n);
-            for (s, &target_slice) in target_slices.iter().enumerate() {
-                let shard_total: u64 = (0..tenants).map(|t| roster.budgets[t][s]).sum();
-                for t in 0..tenants {
-                    let ask = (target_slice as u128 * roster.budgets[t][s] as u128
-                        / shard_total.max(1) as u128) as u64;
-                    if ask > 0 {
-                        per_loop[shared.owner_of(s)].push((s, t, ask));
-                    }
-                }
-            }
-        }
-        let (tx, rx) = channel();
-        for (i, asks) in per_loop.into_iter().enumerate() {
-            // Loop i owns shard i (and every loops-th after it) iff
-            // i < shards; owner loops with no asks still must build the
-            // new tenant's cells.
-            if i < n {
-                let _ = shared.mailboxes[i].send(LoopMsg::Control(ControlMsg::CarveAdd {
-                    name: name.to_string(),
-                    asks,
-                    reply: tx.clone(),
-                }));
-            }
-        }
-        drop(tx);
-        let granted: Vec<(usize, usize, u64)> = rx.iter().flatten().collect();
-        let mut roster = shared.roster.lock();
-        let before = roster.total_budget();
-        let mut carved_per_shard = vec![0u64; n];
-        for (s, t, bytes) in granted {
-            roster.budgets[t][s] -= bytes;
-            carved_per_shard[s] += bytes;
-        }
-        for (s, &bytes) in carved_per_shard.iter().enumerate() {
-            if bytes > 0 {
-                shared.journal.record(EventKind::CarveOut {
-                    tenant: name.to_string(),
-                    shard: s,
-                    bytes,
-                });
-            }
-        }
-        shared.journal.record(EventKind::TenantCreated {
-            tenant: name.to_string(),
-            weight,
-        });
-        let index = roster.directory.add(name);
-        roster.weights.push(weight);
-        roster.budgets.push(carved_per_shard);
-        debug_assert_eq!(
-            roster.total_budget(),
-            before,
-            "a carve-out conserves budget"
-        );
-        self.balancers
-            .push(ShardRebalancer::new(n, shared.config.rebalance.clone()));
-        self.arbiter =
-            ShardRebalancer::new(roster.directory.len(), shared.config.tenant_balance.clone());
-        // Publish only now, with every owning loop's cells in place.
-        shared.generation.fetch_add(1, Ordering::AcqRel);
-        Ok(index)
-    }
-
-    /// Builds the one [`StatsDocument`] every `stats` format renders: asks
-    /// the loops for their snapshots and folds them, the roster and this
-    /// thread's own counters together.
-    fn document(&self) -> StatsDocument {
-        let shared = Arc::clone(&self.shared);
-        let snaps = self.gather();
-        let roster = shared.roster.lock();
-        let tenants = roster.directory.len();
-        // Loops count what they forwarded, control counts what it served;
-        // the two only differ transiently (a forward still in flight) or
-        // for admin calls arriving through the synchronous handle instead
-        // of a connection — report whichever saw more.
-        let forwarded: u64 = snaps.iter().flatten().map(|s| s.admin_forwards).sum();
-        let admin_msgs = self.admin_msgs.max(forwarded);
-        let elapsed = shared.started.elapsed();
-        let hot_keys = shared.hot.as_ref().map(|hot| {
-            let names = roster.directory.names();
-            let merged = Self::merged_hot_keys(snaps.iter().flatten().map(|s| &s.hot_keys));
-            let tallies = merged.iter();
-            let tallies = tallies.map(|(&(tenant, _), (count, key))| (tenant, key, *count));
-            let mut tracked = hot_key_docs(names, tallies);
-            // Bound the exposed list: the tail of a wide window is noise.
-            tracked.truncate(HOT_KEYS_EXPOSED);
-            HotKeysDoc {
-                tracked,
-                promoted: promoted_docs(hot, names),
-                promotions: self.promotions,
-                demotions: self.demotions,
-                rounds: self.hot_rounds,
-                replica_hits: snaps.iter().flatten().map(|s| s.replica_hits).sum(),
-                replica_fills: snaps.iter().flatten().map(|s| s.replica_fills).sum(),
-                invalidations: snaps.iter().flatten().map(|s| s.hot_invalidations).sum(),
-            }
-        });
-        let snapshot = StatsSnapshot {
-            total_bytes: shared.config.total_bytes,
-            mode: shared.config.mode,
-            requested_shards: shared.config.requested_shards(),
-            uptime_s: elapsed.as_secs(),
-            server_start_unix_us: shared.start_unix_us,
-            snapshot_unix_us: shared.start_unix_us + elapsed.as_micros() as u64,
-            mrc_shift: shared.mrc_shift,
-            hot_keys,
-            tenant_names: roster.directory.names().to_vec(),
-            tenant_budgets: roster.tenant_budgets(),
-            shard_budgets: roster.shard_budgets(shared.shards),
-            balance: BalanceDoc {
-                rebalance_enabled: shared.round_active(RoundKind::Rebalance, tenants),
-                rebalance_runs: self.rebalanced.runs,
-                rebalance_transfers: self.rebalanced.transfers,
-                rebalance_bytes_moved: self.rebalanced.bytes,
-                arbiter_enabled: shared.round_active(RoundKind::Arbitrate, tenants),
-                arbiter_runs: self.arbitrated.runs,
-                arbiter_transfers: self.arbitrated.transfers,
-                arbiter_bytes_moved: self.arbitrated.bytes,
-            },
-            owner_of: (0..shared.shards).map(|s| shared.owner_of(s)).collect(),
-            admin_msgs,
-            idle_timeout_ms: self.idle_timeout_ms,
-        };
-        // The roster is copied out; curves and joins are built unlocked.
-        drop(roster);
-        build_document(
-            &snapshot,
-            &self.telemetry,
-            &snaps,
-            &self.admin_latency,
-            &shared.journal,
-        )
-    }
-}
-
-/// Hot-key tallies `(tenant, key, ops)` as the stats document lists them:
-/// hottest first.
-fn hot_key_docs<'a>(
-    names: &[String],
-    tallies: impl Iterator<Item = (usize, &'a Bytes, u64)>,
-) -> Vec<HotKeyEntryDoc> {
-    let mut docs: Vec<HotKeyEntryDoc> = tallies
-        .map(|(tenant, key, ops)| HotKeyEntryDoc {
-            app: names.get(tenant).cloned().unwrap_or_default(),
-            key: String::from_utf8_lossy(key).into_owned(),
-            ops,
-        })
-        .collect();
-    docs.sort_by(|a, b| b.ops.cmp(&a.ops).then_with(|| a.key.cmp(&b.key)));
-    docs
-}
-
-/// The promoted set (`ops` is the merged count at the last promotion round).
-fn promoted_docs(hot: &HotShared, names: &[String]) -> Vec<HotKeyEntryDoc> {
-    let promoted = hot.promoted.lock();
-    let tallies = promoted.iter();
-    hot_key_docs(
-        names,
-        tallies.map(|(&(tenant, _), entry)| (tenant, &entry.key, entry.count)),
-    )
-}
-
-/// The public handle to a running data plane: the synchronous view
-/// `benchmark/`, the load generator's self-hosted runs and tests use
-/// ([`crate::server::CacheServer::cache`] returns it). Every method is a
-/// message round-trip to the owning loop or the control thread; after
-/// shutdown they degrade to misses/defaults instead of panicking.
-pub struct PlaneHandle {
-    shared: Arc<PlaneShared>,
-}
-
-impl PlaneHandle {
-    /// One op as a batch of one, answered over its own channel: the path a
-    /// connection's forwarded ops take, from a caller that is no loop.
-    /// Returns the batch, the op's outcome in place.
-    fn data_op(&self, tenant: usize, key: &[u8], state: OpState) -> Option<OpBatch> {
-        let (shard, id) = route_key(tenant, key, self.shared.shards);
-        let (tx, rx) = channel();
-        let mut batch = OpBatch::new(None, Instant::now());
-        batch.caller = Some(tx);
-        let op = Op {
-            token: 0,
-            seq: 0,
-            tenant,
-            shard,
-            id,
-            version: 0,
-            key: 0..0,
-            state,
-        };
-        batch.push(op, key);
-        self.shared.mailboxes[self.shared.owner_of(shard)]
-            .send(LoopMsg::Ops(batch))
-            .ok()?;
-        rx.recv().ok()
-    }
-
-    /// [`PlaneHandle::data_op`] for a store or delete: whether it was done.
-    fn write_op(&self, tenant: usize, key: &[u8], state: OpState) -> bool {
-        let batch = self.data_op(tenant, key, state);
-        let outcome = batch.as_ref().and_then(|batch| batch.ops.first());
-        matches!(outcome.map(|op| &op.state), Some(OpState::Flag(true)))
-    }
-
-    fn admin(&self, op: AdminOp) -> Option<AdminResult> {
-        let (tx, rx) = channel();
-        self.shared
-            .ctrl
-            .send(CtrlReq::Admin {
-                op,
-                reply: AdminReply::Sync(tx),
-            })
-            .ok()?;
-        rx.recv().ok()
-    }
-
-    /// Looks up a key for one tenant, returning its flags and value on an
-    /// exact match.
-    pub fn get_for(&self, tenant: usize, key: &[u8]) -> Option<(u32, Bytes)> {
-        let batch = self.data_op(tenant, key, OpState::Get)?;
-        match &batch.ops.first()?.state {
-            OpState::Value(Some((flags, data))) => {
-                Some((*flags, Bytes::copy_from_slice(batch.bytes(data))))
-            }
-            _ => None,
-        }
-    }
-
-    fn store_for(
-        &self,
-        verb: StoreVerb,
-        tenant: usize,
-        key: &[u8],
-        flags: u32,
-        data: Bytes,
-    ) -> bool {
-        StoredValue::new(key, flags, &data)
-            .is_some_and(|item| self.write_op(tenant, key, OpState::Store { verb, item }))
-    }
-
-    /// Stores a key for one tenant unconditionally. Returns `false` only
-    /// if the item could not be admitted.
-    pub fn set_for(&self, tenant: usize, key: &[u8], flags: u32, data: Bytes) -> bool {
-        self.store_for(StoreVerb::Set, tenant, key, flags, data)
-    }
-
-    /// Deletes a key for one tenant; returns whether it was present.
-    pub fn delete_for(&self, tenant: usize, key: &[u8]) -> bool {
-        self.write_op(tenant, key, OpState::Delete)
-    }
-
-    /// Looks up a key for the default tenant.
-    pub fn get(&self, key: &[u8]) -> Option<(u32, Bytes)> {
-        self.get_for(0, key)
-    }
-
-    /// Stores a key for the default tenant.
-    pub fn set(&self, key: &[u8], flags: u32, data: Bytes) -> bool {
-        self.set_for(0, key, flags, data)
-    }
-
-    /// `add`: stores a key for the default tenant only if it is absent.
-    pub fn add(&self, key: &[u8], flags: u32, data: Bytes) -> bool {
-        self.store_for(StoreVerb::Add, 0, key, flags, data)
-    }
-
-    /// `replace`: stores a key for the default tenant only if it is present.
-    pub fn replace(&self, key: &[u8], flags: u32, data: Bytes) -> bool {
-        self.store_for(StoreVerb::Replace, 0, key, flags, data)
-    }
-
-    /// Deletes a key for the default tenant.
-    pub fn delete(&self, key: &[u8]) -> bool {
-        self.delete_for(0, key)
-    }
-
-    /// The full `stats` report (empty after shutdown).
-    pub fn stats(&self) -> Vec<(String, String)> {
-        let format = StatsFormat::Text;
-        match self.admin(AdminOp::Stats { format }) {
-            Some(AdminResult::Stats(lines)) => lines,
-            _ => Vec::new(),
-        }
-    }
-
-    /// The versioned `cliffhanger-stats/v1` JSON document (empty after
-    /// shutdown).
-    pub fn stats_json(&self) -> String {
-        let format = StatsFormat::Json;
-        match self.admin(AdminOp::Stats { format }) {
-            Some(AdminResult::Blob(text)) => text,
-            _ => String::new(),
-        }
-    }
-
-    /// The retained flight-recorder events, oldest first.
-    pub fn journal_events(&self) -> Vec<telemetry::JournalEvent> {
-        self.shared.journal.snapshot()
-    }
-
-    /// Journals a connection shed at the accept gate (called by the
-    /// acceptor, which has no loop state of its own).
-    pub(crate) fn note_connection_shed(&self) {
-        self.shared.journal.record(EventKind::ConnectionShed);
-    }
-
-    /// Drops every item of one tenant, keeping (but re-splitting) its
-    /// arbitrated budget.
-    pub fn flush_tenant(&self, tenant: usize) {
-        let _ = self.admin(AdminOp::FlushTenant { tenant });
-    }
-
-    /// Hosts a new application live; returns its tenant index.
-    pub fn create_tenant(&self, name: &str, weight: u64) -> Result<usize, String> {
-        match self.admin(AdminOp::CreateTenant {
-            name: name.to_string(),
-            weight,
-        }) {
-            Some(AdminResult::Created(result)) => result,
-            _ => Err("server is shutting down".to_string()),
-        }
-    }
-
-    /// The hosted applications as `(name, weight, live budget bytes)`.
-    pub fn app_list(&self) -> Vec<(String, u64, u64)> {
-        self.shared.roster.lock().app_list()
-    }
-
-    /// Asks the control thread for one round of `kind` and waits for it.
-    fn round_now(&self, kind: RoundKind) {
-        let (tx, rx) = channel();
-        let done = Some(tx);
-        if self.shared.ctrl.send(CtrlReq::Round { kind, done }).is_ok() {
-            let _ = rx.recv();
-        }
-    }
-
-    /// Runs one cross-shard rebalancing round per tenant, synchronously.
-    pub fn rebalance_now(&self) {
-        self.round_now(RoundKind::Rebalance);
-    }
-
-    /// Runs one cross-tenant arbitration round, synchronously.
-    pub fn arbitrate_now(&self) {
-        self.round_now(RoundKind::Arbitrate);
-    }
-
-    /// Runs one hot-key promotion round synchronously: merges the per-loop
-    /// tracker windows and applies the hysteretic promote/demote plan.
-    /// A no-op when hot-key detection is disabled. Test/bench hook.
-    pub fn hot_round_now(&self) {
-        self.round_now(RoundKind::HotKeys);
-    }
-
-    /// The currently promoted hot keys as `(app, key)` pairs, hottest
-    /// first. Empty when hot-key detection is disabled.
-    pub fn promoted_keys(&self) -> Vec<(String, String)> {
-        let Some(hot) = self.shared.hot.as_ref() else {
-            return Vec::new();
-        };
-        let names = self.shared.roster.lock().directory.names().to_vec();
-        promoted_docs(hot, &names)
-            .into_iter()
-            .map(|entry| (entry.app, entry.key))
-            .collect()
-    }
-
-    /// Number of shards the plane is running.
-    pub fn shard_count(&self) -> usize {
-        self.shared.shards
-    }
-
-    /// The dense index of a tenant name, if hosted.
-    pub fn tenant_index(&self, name: &str) -> Option<usize> {
-        self.shared.roster.lock().directory.index_of(name)
-    }
-
-    /// Number of tenants hosted (at least 1).
-    pub fn tenant_count(&self) -> usize {
-        self.shared.roster.lock().directory.len()
-    }
-
-    /// The live per-tenant byte budgets.
-    pub fn tenant_budgets(&self) -> Vec<u64> {
-        self.shared.roster.lock().tenant_budgets()
-    }
-
-    /// The live per-shard byte budgets.
-    pub fn shard_budgets(&self) -> Vec<u64> {
-        let shards = self.shared.shards;
-        self.shared.roster.lock().shard_budgets(shards)
-    }
-}
-
-/// The plane's routing and engine code run in the caller's thread: the
-/// `LoopState` of a one-loop plane that owns every shard, with no reactor
-/// and no control thread. An op is `LoopState::route` + `LoopState::get` /
-/// `store` / `delete`, what a connection runs for a key its own loop owns
-/// (less the service-time stamp of `note_local`). With nobody to run balancing
-/// rounds, budgets stay at their boot split. The paper's Tables 6–7
-/// overhead measurement (`bench::overhead`) and the benchmark's `engine.*`
-/// layer probes time this.
-pub struct SharedCache {
-    state: Mutex<LoopState>,
-}
-
-impl SharedCache {
-    /// Builds the tenants' engines on every configured (or detected) shard.
-    pub fn new(config: BackendConfig) -> SharedCache {
-        // The receiver is dropped: the round nudges `LoopState::tick`
-        // sends have no control thread to reach and fail silently.
-        let (ctrl, _) = channel();
-        let shared = Arc::new(PlaneShared::new(config, 1, Vec::new(), ctrl, 0));
-        SharedCache {
-            state: Mutex::new(LoopState::new(0, shared)),
-        }
-    }
-
-    /// The dense index of a tenant name, if hosted.
-    pub fn tenant_index(&self, name: &str) -> Option<usize> {
-        self.state.lock().tenant_lookup(name)
-    }
-
-    /// Routes `key` and runs `op` on the state with the owning slot.
-    fn routed<R>(
-        &self,
-        tenant: usize,
-        key: &[u8],
-        op: impl FnOnce(&mut LoopState, usize, Key) -> R,
-    ) -> R {
-        let mut state = self.state.lock();
-        let (_, id, slot) = state.route(tenant, key);
-        op(
-            &mut state,
-            slot.expect("a one-loop plane owns every shard"),
-            id,
-        )
-    }
-
-    /// Looks up a key for one tenant, returning its flags and value on an
-    /// exact match.
-    pub fn get_for(&self, tenant: usize, key: &[u8]) -> Option<(u32, Bytes)> {
-        self.routed(tenant, key, |state, slot, id| {
-            let found = state.get(slot, tenant, id, key);
-            found.map(|item| (item.flags(), Bytes::copy_from_slice(item.data())))
-        })
-    }
-
-    /// Stores a key for one tenant unconditionally. Returns `false` only
-    /// if the item could not be admitted.
-    pub fn set_for(&self, tenant: usize, key: &[u8], flags: u32, data: Bytes) -> bool {
-        StoredValue::new(key, flags, &data).is_some_and(|item| {
-            self.routed(tenant, key, |state, slot, id| {
-                state.store(slot, tenant, id, StoreVerb::Set, item)
-            })
-        })
-    }
-
-    /// Deletes a key for one tenant; returns whether it was present.
-    pub fn delete_for(&self, tenant: usize, key: &[u8]) -> bool {
-        self.routed(tenant, key, |state, slot, id| {
-            state.delete(slot, tenant, id, key)
-        })
-    }
-}
-
 /// A running data plane: the loops, the control thread and the handle.
 pub(crate) struct Plane {
     pub(crate) handle: Arc<PlaneHandle>,
@@ -2281,29 +1352,19 @@ impl Plane {
 }
 
 #[cfg(test)]
-impl LoopState {
-    /// The state of a 1-loop x 1-shard plane no thread serves: every key is
-    /// local, and nobody listens to the control channel.
-    pub(crate) fn solo() -> LoopState {
-        let config = BackendConfig {
-            shards: 1,
-            ..BackendConfig::default()
-        };
-        SharedCache::new(config).state.into_inner()
-    }
-}
-
-#[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::engine::TenantSpec;
-    use crate::hotkey::HotKeyConfig;
+    use crate::hotkey::{HotKeyConfig, PromotedEntry};
     use crate::reactor::{loop_channel, LoopSeed};
+    use std::sync::mpsc::Receiver;
 
     /// The loop states of a 2-loop x 2-shard plane no thread serves — the
     /// tests move the mailboxes' contents by hand — and what its loops ask
     /// of the control thread.
-    fn two_loops(config: BackendConfig) -> (Vec<LoopState>, Vec<LoopSeed>, Receiver<CtrlReq>) {
+    pub(crate) fn two_loops(
+        config: BackendConfig,
+    ) -> (Vec<LoopState>, Vec<LoopSeed>, Receiver<CtrlReq>) {
         let (mailboxes, seeds): (Vec<_>, Vec<_>) = (0..2)
             .map(|index| loop_channel(index).expect("eventfd and epoll"))
             .unzip();
@@ -2545,7 +1606,7 @@ mod tests {
 
     /// A plane whose loops (two of them) ask for a hot-key round every 3
     /// ops, a rebalancing round every 5 and an arbitration round every 7.
-    fn three_rounds(mode: BackendMode, hot_keys: bool) -> BackendConfig {
+    pub(crate) fn three_rounds(mode: BackendMode, hot_keys: bool) -> BackendConfig {
         let mut config = BackendConfig {
             mode,
             tenants: vec![TenantSpec::new("second", 1)],
@@ -2632,48 +1693,5 @@ mod tests {
             })
             .collect();
         assert_eq!(seen, expected);
-    }
-
-    #[test]
-    fn a_round_asks_each_loop_for_its_counters_and_builds_no_snapshot() {
-        use std::sync::mpsc::TryRecvError;
-        let (mut states, seeds, ctrl) = two_loops(three_rounds(BackendMode::Cliffhanger, true));
-        let shared = Arc::clone(&states[0].shared);
-        let telemetry = Arc::new(ConnTelemetry::new(2, 16));
-        let control = Control::new(Arc::clone(&shared), ctrl, telemetry, None);
-        let control = std::thread::spawn(move || control.run());
-        for (kind, narrow) in [
-            (RoundKind::Rebalance, "shadow hits"),
-            (RoundKind::HotKeys, "hot keys"),
-        ] {
-            let (done, answered) = channel();
-            let done = Some(done);
-            shared.ctrl.send(CtrlReq::Round { kind, done }).unwrap();
-            // Both loops' mailboxes are served by hand until the round is
-            // done; with no traffic a round moves no budget, so what the
-            // loops see is what the round reads.
-            let mut seen = Vec::new();
-            while answered.try_recv() == Err(TryRecvError::Empty) {
-                for (state, seed) in states.iter_mut().zip(&seeds) {
-                    for msg in seed.take_inbox() {
-                        let LoopMsg::Control(msg) = msg else {
-                            panic!("a round sends the loops control messages only");
-                        };
-                        seen.push(match msg {
-                            ControlMsg::ShadowHits { .. } => "shadow hits",
-                            ControlMsg::HotKeys { .. } => "hot keys",
-                            ControlMsg::Snapshot { .. } => "snapshot",
-                            _ => "a budget move",
-                        });
-                        state.serve_control(msg);
-                    }
-                }
-                std::thread::yield_now();
-            }
-            assert_eq!(seen, [narrow; 2], "one narrow question to each loop");
-        }
-        shared.ctrl.send(CtrlReq::Shutdown).unwrap();
-        control.join().expect("the control thread");
-        assert!(seeds.iter().all(|seed| seed.take_inbox().is_empty()));
     }
 }

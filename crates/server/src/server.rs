@@ -14,7 +14,8 @@
 //! operations are message round-trips to the owning loop.
 
 use crate::engine::BackendConfig;
-use crate::plane::{Plane, PlaneHandle};
+use crate::handle::PlaneHandle;
+use crate::plane::Plane;
 use crate::reactor::ConnTelemetry;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
