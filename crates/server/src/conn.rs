@@ -81,7 +81,7 @@
 //!   limit the connection stops parsing and reading until replies drain it.
 
 use crate::engine::StoredValue;
-use crate::plane::{AdminOp, AdminResult, LoopState, Op, OpBatch, OpState, Route};
+use crate::plane::{AdminOp, LoopState, Op, OpBatch, OpState, Route};
 use crate::protocol::{
     encode_response, encode_value, Command, ParseOutcome, Parser, Request, Response, StoreVerb,
 };
@@ -463,26 +463,10 @@ impl Connection {
 
     /// The control thread finished the admin command at the head of the
     /// ring.
-    pub(crate) fn on_admin_done(&mut self, seq: u64, result: AdminResult) {
+    pub(crate) fn on_admin_done(&mut self, seq: u64, response: Response) {
         if self.index_of(seq) != Some(0) || !matches!(self.ring[0], Entry::Admin(None)) {
             return;
         }
-        let response = match result {
-            AdminResult::Stats(lines) => Response::Stats(lines),
-            AdminResult::Blob(payload) => Response::Blob(payload),
-            AdminResult::Flushed => Response::Ok,
-            AdminResult::Created(Ok(_)) => Response::Ok,
-            AdminResult::Created(Err(reason)) => Response::ClientError(reason),
-            AdminResult::Apps(apps) => Response::Apps(
-                apps.into_iter()
-                    .map(|(name, weight, budget_bytes)| crate::protocol::AppEntry {
-                        name,
-                        weight,
-                        budget_bytes,
-                    })
-                    .collect(),
-            ),
-        };
         self.complete(0, |out| encode_response(&response, out));
     }
 

@@ -6,14 +6,14 @@
 use crate::engine::even_split;
 use crate::hotkey::{plan_round, HotKeyCount, HotShared, PromotedEntry};
 use crate::plane::{
-    AdminOp, AdminReply, AdminResult, ControlMsg, CtrlReq, LoopMsg, LoopSnapshot, PlaneShared,
-    RosterMaster, RoundKind,
+    AdminOp, AdminReply, ControlMsg, CtrlReq, LoopMsg, LoopSnapshot, PlaneShared, RosterMaster,
+    RoundKind,
 };
-use crate::protocol::StatsFormat;
+use crate::protocol::{Response, StatsFormat};
 use crate::reactor::ConnTelemetry;
 use crate::stats::{
     build_document, render_json, render_prom, render_stats, BalanceDoc, HotKeyEntryDoc, HotKeysDoc,
-    StatsDocument, StatsSnapshot,
+    PlaneDoc, StatsDocument,
 };
 use bytes::Bytes;
 use cache_core::{Key, TenantDirectory};
@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime};
 use telemetry::{EventKind, Histogram};
 
 /// Hottest tracked keys exposed in the stats document; the tail of a wide
@@ -57,6 +57,8 @@ pub(crate) struct Control {
     arbitrated: RoundTally,
     admin_msgs: u64,
     idle_timeout_ms: u64,
+    /// Wall-clock at boot, for anchoring monotonic offsets to real time.
+    start_unix_us: u64,
     /// Service times of the admin commands this thread ran (ns).
     admin_latency: Histogram,
     hot_rounds: u64,
@@ -84,6 +86,10 @@ impl Control {
             arbitrated: RoundTally::default(),
             admin_msgs: 0,
             idle_timeout_ms: idle_timeout.map(|t| t.as_millis() as u64).unwrap_or(0),
+            start_unix_us: SystemTime::now()
+                .duration_since(SystemTime::UNIX_EPOCH)
+                .map(|d| d.as_micros() as u64)
+                .unwrap_or(0),
             admin_latency: Histogram::new(),
             hot_rounds: 0,
             promotions: 0,
@@ -113,23 +119,26 @@ impl Control {
                 CtrlReq::Admin { op, reply } => {
                     self.admin_msgs += 1;
                     let started = Instant::now();
-                    let result = match op {
+                    let response = match op {
                         AdminOp::Stats { format } => {
                             let doc = self.document();
                             match format {
-                                StatsFormat::Text => AdminResult::Stats(render_stats(&doc)),
-                                StatsFormat::Json => AdminResult::Blob(render_json(&doc)),
-                                StatsFormat::Prom => AdminResult::Blob(render_prom(&doc)),
+                                StatsFormat::Text => Response::Stats(render_stats(&doc)),
+                                StatsFormat::Json => Response::Blob(render_json(&doc)),
+                                StatsFormat::Prom => Response::Blob(render_prom(&doc)),
                             }
                         }
                         AdminOp::FlushTenant { tenant } => {
                             self.flush_tenant(tenant);
-                            AdminResult::Flushed
+                            Response::Ok
                         }
                         AdminOp::CreateTenant { name, weight } => {
-                            AdminResult::Created(self.create_tenant(&name, weight))
+                            match self.create_tenant(&name, weight) {
+                                Ok(()) => Response::Ok,
+                                Err(reason) => Response::ClientError(reason),
+                            }
                         }
-                        AdminOp::AppList => AdminResult::Apps(self.shared.roster.lock().app_list()),
+                        AdminOp::AppList => Response::Apps(self.shared.roster.lock().app_list()),
                     };
                     self.admin_latency
                         .record(started.elapsed().as_nanos() as u64);
@@ -138,11 +147,11 @@ impl Control {
                             let _ = self.shared.mailboxes[origin].send(LoopMsg::AdminDone {
                                 token,
                                 seq,
-                                result,
+                                response,
                             });
                         }
                         AdminReply::Sync(tx) => {
-                            let _ = tx.send(result);
+                            let _ = tx.send(response);
                         }
                     }
                 }
@@ -462,7 +471,7 @@ impl Control {
     /// actually released are granted, so the configured total is conserved
     /// exactly. The generation counter moves *after* every loop has built
     /// the new engines.
-    fn create_tenant(&mut self, name: &str, weight: u64) -> Result<usize, String> {
+    fn create_tenant(&mut self, name: &str, weight: u64) -> Result<(), String> {
         if !TenantDirectory::valid_name(name) {
             return Err(format!(
                 "invalid app name {name:?}: need 1-64 ASCII graphic bytes, no ':'"
@@ -533,7 +542,7 @@ impl Control {
             tenant: name.to_string(),
             weight,
         });
-        let index = roster.directory.add(name);
+        roster.directory.add(name);
         roster.weights.push(weight);
         roster.budgets.push(carved_per_shard);
         debug_assert_eq!(
@@ -547,24 +556,23 @@ impl Control {
             ShardRebalancer::new(roster.directory.len(), shared.config.tenant_balance.clone());
         // Publish only now, with every owning loop's cells in place.
         shared.generation.fetch_add(1, Ordering::AcqRel);
-        Ok(index)
+        Ok(())
     }
 
     /// Builds the one [`StatsDocument`] every `stats` format renders: asks
     /// the loops for their snapshots and folds them, the roster and this
     /// thread's own counters together.
     fn document(&self) -> StatsDocument {
-        let shared = Arc::clone(&self.shared);
+        let shared = &*self.shared;
         let snaps = self.gather();
-        let roster = shared.roster.lock();
+        // The roster is copied out; curves and joins are built unlocked.
+        let roster = shared.roster.lock().clone();
         let tenants = roster.directory.len();
         // Loops count what they forwarded, control counts what it served;
         // the two only differ transiently (a forward still in flight) or
         // for admin calls arriving through the synchronous handle instead
         // of a connection — report whichever saw more.
         let forwarded: u64 = snaps.iter().flatten().map(|s| s.admin_forwards).sum();
-        let admin_msgs = self.admin_msgs.max(forwarded);
-        let elapsed = shared.started.elapsed();
         let hot_keys = shared.hot.as_ref().map(|hot| {
             let names = roster.directory.names();
             let merged = Self::merged_hot_keys(snaps.iter().flatten().map(|s| &s.hot_keys));
@@ -584,18 +592,8 @@ impl Control {
                 invalidations: snaps.iter().flatten().map(|s| s.hot_invalidations).sum(),
             }
         });
-        let snapshot = StatsSnapshot {
-            total_bytes: shared.config.total_bytes,
-            mode: shared.config.mode,
-            requested_shards: shared.config.requested_shards(),
-            uptime_s: elapsed.as_secs(),
-            server_start_unix_us: shared.start_unix_us,
-            snapshot_unix_us: shared.start_unix_us + elapsed.as_micros() as u64,
-            mrc_shift: shared.mrc_shift,
-            hot_keys,
-            tenant_names: roster.directory.names().to_vec(),
-            tenant_budgets: roster.tenant_budgets(),
-            shard_budgets: roster.shard_budgets(shared.shards),
+        let doc = build_document(shared, &roster, &self.telemetry, &snaps, self.start_unix_us);
+        StatsDocument {
             balance: BalanceDoc {
                 rebalance_enabled: shared.round_active(RoundKind::Rebalance, tenants),
                 rebalance_runs: self.rebalanced.runs,
@@ -606,19 +604,15 @@ impl Control {
                 arbiter_transfers: self.arbitrated.transfers,
                 arbiter_bytes_moved: self.arbitrated.bytes,
             },
-            owner_of: (0..shared.shards).map(|s| shared.owner_of(s)).collect(),
-            admin_msgs,
-            idle_timeout_ms: self.idle_timeout_ms,
-        };
-        // The roster is copied out; curves and joins are built unlocked.
-        drop(roster);
-        build_document(
-            &snapshot,
-            &self.telemetry,
-            &snaps,
-            &self.admin_latency,
-            &shared.journal,
-        )
+            plane: PlaneDoc {
+                admin_msgs: self.admin_msgs.max(forwarded),
+                idle_timeout_ms: self.idle_timeout_ms,
+                admin_latency: self.admin_latency.summarize_us(),
+                ..doc.plane
+            },
+            hot_keys,
+            ..doc
+        }
     }
 }
 

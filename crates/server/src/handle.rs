@@ -6,10 +6,9 @@
 use crate::control::promoted_docs;
 use crate::engine::{route_key, BackendConfig, StoredValue};
 use crate::plane::{
-    AdminOp, AdminReply, AdminResult, CtrlReq, LoopMsg, LoopState, Op, OpBatch, OpState,
-    PlaneShared, RoundKind,
+    AdminOp, AdminReply, CtrlReq, LoopMsg, LoopState, Op, OpBatch, OpState, PlaneShared, RoundKind,
 };
-use crate::protocol::{StatsFormat, StoreVerb};
+use crate::protocol::{AppEntry, Response, StatsFormat, StoreVerb};
 use bytes::Bytes;
 use cache_core::Key;
 use parking_lot::Mutex;
@@ -60,7 +59,7 @@ impl PlaneHandle {
         matches!(outcome.map(|op| &op.state), Some(OpState::Flag(true)))
     }
 
-    fn admin(&self, op: AdminOp) -> Option<AdminResult> {
+    fn admin(&self, op: AdminOp) -> Option<Response> {
         let (tx, rx) = channel();
         self.shared
             .ctrl
@@ -136,7 +135,7 @@ impl PlaneHandle {
     pub fn stats(&self) -> Vec<(String, String)> {
         let format = StatsFormat::Text;
         match self.admin(AdminOp::Stats { format }) {
-            Some(AdminResult::Stats(lines)) => lines,
+            Some(Response::Stats(lines)) => lines,
             _ => Vec::new(),
         }
     }
@@ -146,7 +145,7 @@ impl PlaneHandle {
     pub fn stats_json(&self) -> String {
         let format = StatsFormat::Json;
         match self.admin(AdminOp::Stats { format }) {
-            Some(AdminResult::Blob(text)) => text,
+            Some(Response::Blob(text)) => text,
             _ => String::new(),
         }
     }
@@ -174,14 +173,17 @@ impl PlaneHandle {
             name: name.to_string(),
             weight,
         }) {
-            Some(AdminResult::Created(result)) => result,
+            Some(Response::Ok) => Ok(self.tenant_index(name).expect("a created app is hosted")),
+            Some(Response::ClientError(reason)) => Err(reason),
             _ => Err("server is shutting down".to_string()),
         }
     }
 
     /// The hosted applications as `(name, weight, live budget bytes)`.
     pub fn app_list(&self) -> Vec<(String, u64, u64)> {
-        self.shared.roster.lock().app_list()
+        let apps = self.shared.roster.lock().app_list();
+        let row = |app: AppEntry| (app.name, app.weight, app.budget_bytes);
+        apps.into_iter().map(row).collect()
     }
 
     /// Asks the control thread for one round of `kind` and waits for it.
@@ -268,9 +270,9 @@ impl SharedCache {
         // The receiver is dropped: the round nudges `LoopState::tick`
         // sends have no control thread to reach and fail silently.
         let (ctrl, _) = channel();
-        let shared = Arc::new(PlaneShared::new(config, 1, Vec::new(), ctrl, 0));
+        let shared = Arc::new(PlaneShared::new(config, 1, Vec::new(), ctrl));
         SharedCache {
-            state: Mutex::new(LoopState::new(0, shared)),
+            state: Mutex::new(LoopState::new(0, shared, 0)),
         }
     }
 

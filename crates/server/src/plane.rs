@@ -48,7 +48,7 @@ use crate::engine::{
 };
 use crate::handle::PlaneHandle;
 use crate::hotkey::{HotKeyCount, HotLoopState, HotShared};
-use crate::protocol::{StatsFormat, StoreVerb};
+use crate::protocol::{AppEntry, Response, StatsFormat, StoreVerb};
 use crate::reactor::{ConnTelemetry, Mailbox};
 use crate::stats::{EngineStat, WireCounts};
 use bytes::Bytes;
@@ -63,7 +63,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, Instant};
 use telemetry::{EventKind, Histogram, Journal, SeriesSample, TimeSeries};
 
 /// Ring capacity of the control-plane flight recorder: enough to hold a
@@ -99,8 +99,8 @@ pub(crate) enum LoopMsg {
         token: u64,
         /// The connection's op sequence number the reply answers.
         seq: u64,
-        /// The rendered result.
-        result: AdminResult,
+        /// The reply, as the connection writes it.
+        response: Response,
     },
     /// A request from the control thread against this loop's owned state.
     Control(ControlMsg),
@@ -357,18 +357,7 @@ pub(crate) enum AdminReply {
     /// [`LoopMsg::AdminDone`]).
     Conn { origin: usize, token: u64, seq: u64 },
     /// Straight to a blocked [`PlaneHandle`] caller.
-    Sync(Sender<AdminResult>),
-}
-
-/// An admin command's result.
-pub(crate) enum AdminResult {
-    Stats(Vec<(String, String)>),
-    /// A machine-readable stats payload (`stats json` / `stats prom`),
-    /// already rendered to its wire text.
-    Blob(String),
-    Flushed,
-    Created(Result<usize, String>),
-    Apps(Vec<(String, u64, u64)>),
+    Sync(Sender<Response>),
 }
 
 /// The master tenant table. The control thread is the only writer; loops
@@ -402,12 +391,16 @@ impl RosterMaster {
         self.budgets.iter().flatten().sum()
     }
 
-    /// The hosted applications as `(name, weight, live budget bytes)`.
-    pub(crate) fn app_list(&self) -> Vec<(String, u64, u64)> {
+    /// The hosted applications with their weights and live budgets.
+    pub(crate) fn app_list(&self) -> Vec<AppEntry> {
         let budgets = self.tenant_budgets();
         let rows = self.directory.names().iter().zip(&self.weights);
         rows.zip(budgets)
-            .map(|((name, &weight), budget)| (name.clone(), weight, budget))
+            .map(|((name, &weight), budget_bytes)| AppEntry {
+                name: name.clone(),
+                weight,
+                budget_bytes,
+            })
             .collect()
     }
 }
@@ -425,15 +418,9 @@ pub(crate) struct PlaneShared {
     /// The control-plane flight recorder. Lock-free claims; writers are
     /// control-plane actors only (never the per-request fast path).
     pub(crate) journal: Arc<Journal>,
-    /// Slow-op threshold in nanoseconds; 0 disables the slow-op log.
-    pub(crate) slow_op_nanos: u64,
     /// Plane boot instant: the monotonic zero for journal timestamps,
     /// history bucket indices and `uptime_s`.
     pub(crate) started: Instant,
-    /// Wall-clock at boot, for anchoring monotonic offsets to real time.
-    pub(crate) start_unix_us: u64,
-    /// Spatial-sampling shift for online MRC profiling (`None` = off).
-    pub(crate) mrc_shift: Option<u32>,
     /// Hot-key subsystem shared state; `None` when the feature is off, so
     /// the request fast path pays exactly one `Option` discriminant check.
     pub(crate) hot: Option<HotShared>,
@@ -452,7 +439,6 @@ impl PlaneShared {
         loops: usize,
         mailboxes: Vec<Mailbox>,
         ctrl: Sender<CtrlReq>,
-        slow_op_micros: u64,
     ) -> PlaneShared {
         let directory = config.tenant_directory();
         let weights = config.tenant_weights(&directory);
@@ -485,13 +471,7 @@ impl PlaneShared {
                 budgets,
             }),
             journal: Arc::new(Journal::new(JOURNAL_CAPACITY)),
-            slow_op_nanos: slow_op_micros.saturating_mul(1_000),
             started: Instant::now(),
-            start_unix_us: SystemTime::now()
-                .duration_since(SystemTime::UNIX_EPOCH)
-                .map(|d| d.as_micros() as u64)
-                .unwrap_or(0),
-            mrc_shift: config.mrc_shift(),
             hot: config
                 .hot_key
                 .enabled
@@ -629,6 +609,8 @@ pub(crate) struct LoopState {
     local_latency: Histogram,
     /// Queue + service times of ops forwarded here by siblings (ns).
     remote_latency: Histogram,
+    /// Slow-op threshold in nanoseconds; 0 disables the slow-op log.
+    slow_op_nanos: u64,
     /// Ops over the slow-op threshold (0 threshold = never counted).
     slow_ops: u64,
     /// Per [`RoundKind`]: the ops this loop executes between two requests
@@ -666,8 +648,9 @@ pub(crate) struct LoopState {
 
 impl LoopState {
     /// The state of loop `index` of a plane that has not served yet: an
-    /// engine per tenant, at its boot budget, for every shard the loop owns.
-    pub(crate) fn new(index: usize, shared: Arc<PlaneShared>) -> LoopState {
+    /// engine per tenant, at its boot budget, for every shard the loop owns;
+    /// an op slower than `slow_op_micros` (0: none) is counted and journalled.
+    pub(crate) fn new(index: usize, shared: Arc<PlaneShared>, slow_op_micros: u64) -> LoopState {
         let roster = shared.roster.lock();
         let tenants = roster.directory.names().to_vec();
         let owned: Vec<OwnedShard> = (index..shared.shards)
@@ -708,6 +691,7 @@ impl LoopState {
             admin_forwards: 0,
             local_latency: Histogram::new(),
             remote_latency: Histogram::new(),
+            slow_op_nanos: slow_op_micros.saturating_mul(1_000),
             slow_ops: 0,
             intervals,
             until: intervals,
@@ -731,7 +715,7 @@ impl LoopState {
     /// Brings the MRC estimators up to one per tenant (none when profiling
     /// is off or the loop owns no shard to sample).
     fn grow_mrc(&mut self) {
-        if let (Some(shift), false) = (self.shared.mrc_shift, self.owned.is_empty()) {
+        if let (Some(shift), false) = (self.shared.config.mrc_shift(), self.owned.is_empty()) {
             let share = self.owned.len() as f64 / self.shared.shards as f64;
             let estimator = || OnlineMrc::with_population_share(shift, share);
             self.mrc.resize_with(self.tenants.len(), estimator);
@@ -961,8 +945,7 @@ impl LoopState {
     /// tenth of a local GET), or every one while a slow-op threshold asks
     /// for a census.
     pub(crate) fn local_timer(&self) -> Option<Instant> {
-        (self.shared.slow_op_nanos != 0 || self.local_ops % LOCAL_TIMED_EVERY == 0)
-            .then(Instant::now)
+        (self.slow_op_nanos != 0 || self.local_ops % LOCAL_TIMED_EVERY == 0).then(Instant::now)
     }
 
     /// An op for one of the loop's own connections finished: counts it and,
@@ -979,7 +962,7 @@ impl LoopState {
     /// Counts (and samples into the journal) an op over the slow-op
     /// threshold. Off the fast path when the threshold is 0 (one compare).
     fn note_slow(&mut self, nanos: u64, class: &str) {
-        let threshold = self.shared.slow_op_nanos;
+        let threshold = self.slow_op_nanos;
         if threshold == 0 || nanos < threshold {
             return;
         }
@@ -1297,13 +1280,7 @@ impl Plane {
             mailboxes.push(mailbox);
             seeds.push(seed);
         }
-        let shared = Arc::new(PlaneShared::new(
-            config,
-            workers,
-            mailboxes,
-            ctrl_tx,
-            slow_op_micros,
-        ));
+        let shared = Arc::new(PlaneShared::new(config, workers, mailboxes, ctrl_tx));
         let control = Control::new(
             Arc::clone(&shared),
             ctrl_rx,
@@ -1316,7 +1293,7 @@ impl Plane {
         let loops: Vec<crate::reactor::LoopHandle> = seeds
             .into_iter()
             .map(|seed| {
-                let state = LoopState::new(seed.index, Arc::clone(&shared));
+                let state = LoopState::new(seed.index, Arc::clone(&shared), slow_op_micros);
                 crate::reactor::LoopHandle::spawn(
                     seed,
                     state,
@@ -1373,9 +1350,9 @@ pub(crate) mod tests {
             ..config
         };
         let (ctrl, asked) = channel();
-        let shared = Arc::new(PlaneShared::new(config, 2, mailboxes, ctrl, 0));
+        let shared = Arc::new(PlaneShared::new(config, 2, mailboxes, ctrl));
         let states = (0..2)
-            .map(|index| LoopState::new(index, Arc::clone(&shared)))
+            .map(|index| LoopState::new(index, Arc::clone(&shared), 0))
             .collect();
         (states, seeds, asked)
     }

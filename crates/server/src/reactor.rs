@@ -564,9 +564,11 @@ impl EventLoop {
                     self.complete_batch(batch)
                 }
                 LoopMsg::Ops(batch) => self.state.serve(batch),
-                LoopMsg::AdminDone { token, seq, result } => {
-                    self.drive(token, 0, |conn| conn.on_admin_done(seq, result))
-                }
+                LoopMsg::AdminDone {
+                    token,
+                    seq,
+                    response,
+                } => self.drive(token, 0, |conn| conn.on_admin_done(seq, response)),
                 LoopMsg::Control(msg) => self.state.serve_control(msg),
             }
         }

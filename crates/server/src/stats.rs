@@ -1,17 +1,16 @@
 //! The `stats` model: one document, three expositions.
 //!
-//! The data plane's control thread gathers the loops' snapshots and puts
-//! what it knows itself — configuration, the roster, its counters — into a
-//! [`StatsSnapshot`]; [`build_document`] assembles from both the one versioned
-//! [`StatsDocument`] (`cliffhanger-stats/v1`) — counters, per-loop
-//! service-time quantiles, the flight-recorder journal, live MRCs. Every
+//! The data plane's control thread gathers the loops' snapshots;
+//! [`build_document`] assembles from them, the plane's configuration and
+//! the roster the one versioned [`StatsDocument`] (`cliffhanger-stats/v1`) —
+//! counters, per-loop service-time quantiles, the flight-recorder journal,
+//! live MRCs — and the control thread adds its own counters. Every
 //! `stats` command builds it once, and the three renderers are pure
 //! functions of it: [`render_stats`] (the memcached `STAT` list, whose key
 //! names and order `tests/stats_keys.rs` pins), [`render_json`] and
 //! [`render_prom`]. They cannot disagree, and a new fact is added once.
 
-use crate::engine::BackendMode;
-use crate::plane::LoopSnapshot;
+use crate::plane::{LoopSnapshot, PlaneShared, RosterMaster};
 use crate::reactor::ConnTelemetry;
 use cache_core::{CacheStats, Footprint, ITEM_OVERHEAD};
 use profiler::MrcSnapshot;
@@ -53,34 +52,6 @@ pub(crate) struct EngineStat {
     pub(crate) footprint: Footprint,
 }
 
-/// What the control thread knows at one `stats` command, beside the loops'
-/// own snapshots: configuration, the roster and its own counters.
-pub(crate) struct StatsSnapshot {
-    pub(crate) total_bytes: u64,
-    pub(crate) mode: BackendMode,
-    pub(crate) requested_shards: usize,
-    /// Seconds since the plane booted.
-    pub(crate) uptime_s: u64,
-    /// Unix microseconds at plane boot (anchors journal event times).
-    pub(crate) server_start_unix_us: u64,
-    /// Unix microseconds when this snapshot was taken.
-    pub(crate) snapshot_unix_us: u64,
-    /// The configured sampling shift; `None` when live MRC is disabled.
-    pub(crate) mrc_shift: Option<u32>,
-    /// The assembled hot-key section (`None` when the feature is off).
-    pub(crate) hot_keys: Option<HotKeysDoc>,
-    pub(crate) tenant_names: Vec<String>,
-    pub(crate) tenant_budgets: Vec<u64>,
-    pub(crate) shard_budgets: Vec<u64>,
-    pub(crate) balance: BalanceDoc,
-    /// Owning event loop per shard index.
-    pub(crate) owner_of: Vec<usize>,
-    /// Admin commands forwarded to the control thread.
-    pub(crate) admin_msgs: u64,
-    /// The configured idle reaping timeout in milliseconds (0 = disabled).
-    pub(crate) idle_timeout_ms: u64,
-}
-
 /// The loops' `(shard, tenant)` engine cells summed server-wide, per tenant
 /// and per shard — the one accumulation the document is built from.
 struct Rollup {
@@ -89,8 +60,7 @@ struct Rollup {
     shards: Vec<EngineStat>,
 }
 
-fn rollup(snap: &StatsSnapshot, loops: &[Option<LoopSnapshot>]) -> Rollup {
-    let (nt, ns) = (snap.tenant_names.len(), snap.owner_of.len());
+fn rollup(nt: usize, ns: usize, loops: &[Option<LoopSnapshot>]) -> Rollup {
     let mut r = Rollup {
         total: EngineStat::default(),
         tenants: vec![EngineStat::default(); nt],
@@ -443,11 +413,16 @@ pub(crate) struct StatsDocument {
 const MRC_SCALES: [f64; 5] = [0.25, 0.5, 1.0, 2.0, 4.0];
 
 /// Builds the `mrc` section from the loops' per-tenant estimator snapshots,
-/// merged.
-fn build_mrc(snap: &StatsSnapshot, r: &Rollup, loops: &[Option<LoopSnapshot>]) -> Option<MrcDoc> {
-    let shift = snap.mrc_shift?;
-    let tenants = snap
-        .tenant_names
+/// merged; `None` when live MRC sampling (`shift`) is off.
+fn build_mrc(
+    shift: Option<u32>,
+    names: &[String],
+    budgets: &[u64],
+    r: &Rollup,
+    loops: &[Option<LoopSnapshot>],
+) -> Option<MrcDoc> {
+    let shift = shift?;
+    let tenants = names
         .iter()
         .enumerate()
         .map(|(t, name)| {
@@ -459,7 +434,7 @@ fn build_mrc(snap: &StatsSnapshot, r: &Rollup, loops: &[Option<LoopSnapshot>]) -
             // item footprint. No items yet means no meaningful probe sizes.
             let budget_items = if r.tenants[t].items > 0 {
                 let item_bytes = (r.tenants[t].used / r.tenants[t].items as u64).max(1);
-                snap.tenant_budgets[t] / item_bytes
+                budgets[t] / item_bytes
             } else {
                 0
             };
@@ -497,20 +472,20 @@ fn build_mrc(snap: &StatsSnapshot, r: &Rollup, loops: &[Option<LoopSnapshot>]) -
 }
 
 /// Builds the `history` section by differencing the merged time series.
-fn build_history(snap: &StatsSnapshot, history: &TimeSeries) -> HistoryDoc {
+fn build_history(start_unix_us: u64, names: &[String], history: &TimeSeries) -> HistoryDoc {
     let interval_us = history.interval_us();
     let windows = history
         .rates()
         .iter()
         .map(|window| HistoryWindowDoc {
-            unix_us: snap.server_start_unix_us + (window.index + 1) * interval_us,
+            unix_us: start_unix_us + (window.index + 1) * interval_us,
             seconds: window.seconds,
             tenants: window
                 .columns
                 .iter()
                 .enumerate()
                 .filter_map(|(t, col)| {
-                    snap.tenant_names.get(t).map(|name| HistoryTenantDoc {
+                    names.get(t).map(|name| HistoryTenantDoc {
                         name: name.clone(),
                         ops_per_sec: col.ops_per_sec,
                         hit_rate: col.hit_rate,
@@ -543,10 +518,15 @@ fn tenant_hit_rate_where(
 
 /// Builds the `allocator` section: every journalled budget transfer joined
 /// against the beneficiary tenant's realized hit rate before and after.
-fn build_allocator(snap: &StatsSnapshot, history: &TimeSeries, journal: &Journal) -> AllocatorDoc {
+fn build_allocator(
+    start_unix_us: u64,
+    names: &[String],
+    history: &TimeSeries,
+    journal: &Journal,
+) -> AllocatorDoc {
     let interval_us = history.interval_us();
     let rates = history.rates();
-    let tenant_index = |name: &str| snap.tenant_names.iter().position(|n| n == name);
+    let tenant_index = |name: &str| names.iter().position(|n| n == name);
     let transfers = journal
         .snapshot()
         .into_iter()
@@ -600,7 +580,7 @@ fn build_allocator(snap: &StatsSnapshot, history: &TimeSeries, journal: &Journal
             };
             Some(AllocatorTransferDoc {
                 seq: event.seq,
-                at_unix_us: snap.server_start_unix_us + event.at_micros,
+                at_unix_us: start_unix_us + event.at_micros,
                 kind: kind.to_string(),
                 tenant,
                 donor,
@@ -622,20 +602,23 @@ fn build_allocator(snap: &StatsSnapshot, history: &TimeSeries, journal: &Journal
     }
 }
 
-/// Assembles the stats document from the control thread's snapshot, the
-/// loops' own (`None` for a loop that did not answer: it reports zeros) —
-/// engine cells, service times, MRC estimators, rate history — and the
-/// journal.
+/// Assembles the stats document from the plane's configuration and
+/// journal, the roster, and the loops' snapshots (`None` for a loop that did
+/// not answer: it reports zeros) — engine cells, service times, MRC
+/// estimators, rate history. The balancing, admin and hot-key counters are
+/// left at their defaults: they are the control thread's, and it sets them.
 pub(crate) fn build_document(
-    snap: &StatsSnapshot,
+    shared: &PlaneShared,
+    roster: &RosterMaster,
     conns: &ConnTelemetry,
     loops: &[Option<LoopSnapshot>],
-    admin_latency: &Histogram,
-    journal: &Journal,
+    start_unix_us: u64,
 ) -> StatsDocument {
-    let r = rollup(snap, loops);
-    let nt = snap.tenant_names.len();
-    let ns = snap.owner_of.len();
+    let (names, budgets) = (roster.directory.names(), roster.tenant_budgets());
+    let (nt, ns) = (names.len(), shared.shards);
+    let r = rollup(nt, ns, loops);
+    let shard_budgets = roster.shard_budgets(ns);
+    let (config, journal) = (&shared.config, &shared.journal);
     let mut local_merged = Histogram::new();
     let mut remote_merged = Histogram::new();
     for tel in loops.iter().flatten() {
@@ -644,14 +627,15 @@ pub(crate) fn build_document(
     }
     let histories: Vec<&TimeSeries> = loops.iter().flatten().map(|l| &l.history).collect();
     let merged = TimeSeries::merged(&histories);
-    let mrc = build_mrc(snap, &r, loops);
-    let history = build_history(snap, &merged);
-    let allocator = build_allocator(snap, &merged, journal);
+    let mrc = build_mrc(config.mrc_shift(), names, &budgets, &r, loops);
+    let history = build_history(start_unix_us, names, &merged);
+    let allocator = build_allocator(start_unix_us, names, &merged, journal);
+    let elapsed = shared.started.elapsed();
     StatsDocument {
         schema: STATS_SCHEMA.to_string(),
-        server_start: snap.server_start_unix_us,
-        snapshot_unix_us: snap.snapshot_unix_us,
-        uptime_s: snap.uptime_s,
+        server_start: start_unix_us,
+        snapshot_unix_us: start_unix_us + elapsed.as_micros() as u64,
+        uptime_s: elapsed.as_secs(),
         counters: CountersDoc {
             cmd_get: r.total.wire.gets,
             cmd_set: r.total.wire.sets,
@@ -672,14 +656,14 @@ pub(crate) fn build_document(
             shadow_bytes: r.total.footprint.shadows,
         },
         capacity: CapacityDoc {
-            limit_maxbytes: snap.total_bytes,
-            allocator: format!("{:?}", snap.mode).to_lowercase(),
+            limit_maxbytes: config.total_bytes,
+            allocator: format!("{:?}", config.mode).to_lowercase(),
             shard_count: ns,
-            shards_requested: snap.requested_shards,
+            shards_requested: config.requested_shards(),
             tenant_count: nt,
             event_loops: loops.len(),
         },
-        balance: snap.balance,
+        balance: BalanceDoc::default(),
         connections: ConnectionsDoc {
             curr: conns.curr(),
             total: conns.total(),
@@ -713,7 +697,7 @@ pub(crate) fn build_document(
             .collect(),
         tenants: (0..nt)
             .map(|t| TenantDoc {
-                name: snap.tenant_names[t].clone(),
+                name: names[t].clone(),
                 cmd_get: r.tenants[t].wire.gets,
                 cmd_set: r.tenants[t].wire.sets,
                 get_hits: r.tenants[t].wire.hits,
@@ -722,14 +706,14 @@ pub(crate) fn build_document(
                 bytes: r.tenants[t].used,
                 curr_items: r.tenants[t].items as u64,
                 evictions: r.tenants[t].core.evictions,
-                budget: snap.tenant_budgets[t],
+                budget: budgets[t],
                 shadow_hits: r.tenants[t].core.shadow_hits,
             })
             .collect(),
         shards: (0..ns)
             .map(|s| ShardDoc {
                 index: s,
-                owner_loop: snap.owner_of[s],
+                owner_loop: shared.owner_of(s),
                 cmd_get: r.shards[s].wire.gets,
                 cmd_set: r.shards[s].wire.sets,
                 get_hits: r.shards[s].wire.hits,
@@ -738,16 +722,14 @@ pub(crate) fn build_document(
                 bytes: r.shards[s].used,
                 curr_items: r.shards[s].items as u64,
                 evictions: r.shards[s].core.evictions,
-                budget: snap.shard_budgets[s],
+                budget: shard_budgets[s],
                 shadow_hits: r.shards[s].core.shadow_hits,
             })
             .collect(),
         plane: PlaneDoc {
             local_ops: loops.iter().flatten().map(|l| l.local_ops).sum(),
             remote_ops: loops.iter().flatten().map(|l| l.remote_in).sum(),
-            admin_msgs: snap.admin_msgs,
-            idle_timeout_ms: snap.idle_timeout_ms,
-            admin_latency: admin_latency.summarize_us(),
+            ..PlaneDoc::default()
         },
         journal: JournalDoc {
             capacity: journal.capacity(),
@@ -756,7 +738,7 @@ pub(crate) fn build_document(
             events: journal.snapshot(),
         },
         mrc,
-        hot_keys: snap.hot_keys.clone(),
+        hot_keys: None,
         history,
         allocator,
     }
