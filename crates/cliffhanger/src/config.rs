@@ -161,12 +161,6 @@ pub struct ShardBalanceConfig {
     /// Minimum absolute shadow-hit-delta gap between a winner and a donor
     /// before a transfer happens (absorbs counting noise near uniformity).
     pub min_gradient_gap: u64,
-    /// Exponential smoothing factor applied to the per-interval shadow-hit
-    /// deltas (1.0 = use the raw delta of the last interval only). One
-    /// interval's delta is a noisy gradient estimate; transfers that chase
-    /// it evict real items on the donor, so the rebalancer follows the
-    /// smoothed demand instead.
-    pub smoothing: f64,
     /// Relative band on top of `min_gradient_gap`: the winner's delta must
     /// exceed the donor's by this fraction (0.2 = 20%) before budget moves.
     pub hysteresis: f64,
@@ -182,7 +176,6 @@ impl Default for ShardBalanceConfig {
             credit_bytes: 256 << 10,
             min_shard_bytes: 1 << 20,
             min_gradient_gap: 4,
-            smoothing: 0.25,
             hysteresis: 0.05,
             max_transfers_per_round: 4,
         }
@@ -264,10 +257,6 @@ impl ShardBalanceConfig {
             "interval_requests must be positive"
         );
         assert!(self.hysteresis >= 0.0, "hysteresis must be non-negative");
-        assert!(
-            self.smoothing > 0.0 && self.smoothing <= 1.0,
-            "smoothing must be in (0, 1]"
-        );
         assert!(
             self.max_transfers_per_round > 0,
             "max_transfers_per_round must be positive"

@@ -32,6 +32,12 @@
 use crate::config::ShardBalanceConfig;
 use serde::{Deserialize, Serialize};
 
+/// Exponential smoothing factor applied to the per-interval shadow-hit
+/// deltas. One interval's delta is a noisy gradient estimate; transfers
+/// that chase it evict real items on the donor, so the rebalancer follows
+/// the smoothed demand instead.
+const SMOOTHING: f64 = 0.25;
+
 /// One seat's (shard's, or tenant's) cumulative counters and current
 /// budget, as observed by the host at the start of a rebalancing round.
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
@@ -159,7 +165,7 @@ impl ShardRebalancer {
         // standard start-up bias correction: without it the first rounds
         // after a baseline compare artificially damped gradients against
         // full-scale thresholds and sit on their hands.
-        let alpha = self.config.smoothing;
+        let alpha = SMOOTHING;
         for (g, (s, &prev_shadow)) in self.smoothed.iter_mut().zip(samples.iter().zip(&last)) {
             let delta = (s.shadow_hits - prev_shadow) as f64;
             *g = alpha * delta + (1.0 - alpha) * *g;

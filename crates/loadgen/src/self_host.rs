@@ -125,7 +125,6 @@ pub fn run_self_hosted(
             } else {
                 HotKeyConfig::default()
             },
-            ..BackendConfig::default()
         },
     })?;
     let mut config = load.clone();

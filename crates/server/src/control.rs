@@ -441,8 +441,7 @@ impl Control {
             let _ = self.ask_owner(s, |reply| ControlMsg::Rebuild {
                 shard: s,
                 tenant,
-                // An engine cannot be built on no bytes at all.
-                budget: shares[s].max(1),
+                budget: shares[s],
                 reply,
             });
         }

@@ -80,8 +80,6 @@ pub struct BackendConfig {
     pub total_bytes: u64,
     /// Which allocation scheme to run.
     pub mode: BackendMode,
-    /// Slab-class geometry.
-    pub slab: SlabConfig,
     /// Number of independent shards; `0` auto-detects from the host's
     /// available parallelism. Both explicit and detected counts are capped
     /// so every tenant's engine keeps at least 1 MB of budget — the clamp is
@@ -116,7 +114,6 @@ impl Default for BackendConfig {
         BackendConfig {
             total_bytes: 64 << 20,
             mode: BackendMode::Cliffhanger,
-            slab: SlabConfig::default(),
             shards: 0,
             rebalance: ShardBalanceConfig::default(),
             tenants: Vec::new(),
@@ -324,7 +321,7 @@ impl Engine {
     pub(crate) fn build(config: &BackendConfig, engine_bytes: u64) -> Engine {
         match config.mode {
             BackendMode::Default => Engine::Plain(Box::new(SlabCache::new(SlabCacheConfig {
-                slab: config.slab.clone(),
+                slab: SlabConfig::default(),
                 total_bytes: engine_bytes,
                 policy: PolicyKind::Lru,
                 mode: AllocationMode::FirstComeFirstServe { page_size: 1 << 20 },
@@ -333,7 +330,7 @@ impl Engine {
             }))),
             BackendMode::HillClimbing | BackendMode::Cliffhanger => {
                 let cfg = CliffhangerConfig {
-                    slab: config.slab.clone(),
+                    slab: SlabConfig::default(),
                     total_bytes: engine_bytes,
                     enable_hill_climbing: true,
                     enable_cliff_scaling: config.mode == BackendMode::Cliffhanger,

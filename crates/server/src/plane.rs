@@ -50,6 +50,7 @@ use crate::handle::PlaneHandle;
 use crate::hotkey::{HotKeyCount, HotLoopState, HotShared};
 use crate::protocol::{AppEntry, Response, StatsFormat, StoreVerb};
 use crate::reactor::{ConnTelemetry, Mailbox};
+use crate::server::ServerConfig;
 use crate::stats::{EngineStat, WireCounts};
 use bytes::Bytes;
 use cache_core::prefetch::Sweep;
@@ -63,7 +64,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use telemetry::{EventKind, Histogram, Journal, SeriesSample, TimeSeries};
 
 /// Ring capacity of the control-plane flight recorder: enough to hold a
@@ -533,7 +534,8 @@ impl EventSink for EngineSink {
 /// Builds an engine for `(shard, tenant)` with the flight-recorder sink
 /// installed (a no-op on plain engines).
 fn build_engine(shared: &PlaneShared, shard: usize, tenant: &str, budget: u64) -> Engine {
-    let mut engine = Engine::build(&shared.config, budget);
+    // An engine cannot be built on no bytes at all.
+    let mut engine = Engine::build(&shared.config, budget.max(1));
     engine.set_event_sink(Arc::new(EngineSink {
         journal: Arc::clone(&shared.journal),
         shard,
@@ -1196,7 +1198,7 @@ impl LoopState {
                         &shared,
                         shard.global,
                         &name,
-                        carved[shard.global].max(1),
+                        carved[shard.global],
                     )));
                 }
                 let _ = reply.send(granted);
@@ -1263,15 +1265,13 @@ pub(crate) struct Plane {
 }
 
 impl Plane {
-    /// Builds the roster, fuses shards to `workers` event loops, spawns
-    /// them and the control thread.
+    /// Builds the roster, fuses shards to `config.workers` event loops,
+    /// spawns them and the control thread.
     pub(crate) fn start(
-        config: BackendConfig,
-        workers: usize,
+        config: &ServerConfig,
         telemetry: Arc<ConnTelemetry>,
-        idle_timeout: Option<Duration>,
-        slow_op_micros: u64,
     ) -> std::io::Result<Plane> {
+        let (workers, idle_timeout) = (config.workers, config.idle_timeout);
         let (ctrl_tx, ctrl_rx) = channel();
         let mut mailboxes = Vec::with_capacity(workers);
         let mut seeds = Vec::with_capacity(workers);
@@ -1280,7 +1280,12 @@ impl Plane {
             mailboxes.push(mailbox);
             seeds.push(seed);
         }
-        let shared = Arc::new(PlaneShared::new(config, workers, mailboxes, ctrl_tx));
+        let shared = Arc::new(PlaneShared::new(
+            config.backend.clone(),
+            workers,
+            mailboxes,
+            ctrl_tx,
+        ));
         let control = Control::new(
             Arc::clone(&shared),
             ctrl_rx,
@@ -1293,20 +1298,12 @@ impl Plane {
         let loops: Vec<crate::reactor::LoopHandle> = seeds
             .into_iter()
             .map(|seed| {
-                let state = LoopState::new(seed.index, Arc::clone(&shared), slow_op_micros);
-                crate::reactor::LoopHandle::spawn(
-                    seed,
-                    state,
-                    Arc::clone(&shared),
-                    Arc::clone(&telemetry),
-                    idle_timeout,
-                )
+                let state = LoopState::new(seed.index, Arc::clone(&shared), config.slow_op_micros);
+                crate::reactor::LoopHandle::spawn(seed, state, Arc::clone(&telemetry), idle_timeout)
             })
             .collect::<std::io::Result<_>>()?;
         Ok(Plane {
-            handle: Arc::new(PlaneHandle {
-                shared: Arc::clone(&shared),
-            }),
+            handle: Arc::new(PlaneHandle { shared }),
             loops: Arc::new(loops),
             control: Some(control_thread),
         })
@@ -1401,6 +1398,22 @@ pub(crate) mod tests {
         match (msgs.pop(), msgs.is_empty()) {
             (Some(LoopMsg::Ops(batch)), true) => batch,
             _ => panic!("expected exactly one op batch"),
+        }
+    }
+
+    #[test]
+    fn a_boot_share_smaller_than_the_shard_count_still_builds_every_engine() {
+        // The default tenant's weighted share is under a byte: one shard
+        // boots with a budget of 0.
+        let config = BackendConfig {
+            total_bytes: 4 << 20,
+            tenants: vec![TenantSpec::new("big", 1 << 40)],
+            ..BackendConfig::default()
+        };
+        let (states, _seeds, _) = two_loops(config);
+        for state in &states {
+            assert_eq!(state.owned.len(), 1);
+            assert_eq!(state.owned[0].cells.len(), 2, "an engine per tenant");
         }
     }
 

@@ -409,11 +409,10 @@ impl LoopHandle {
     pub(crate) fn spawn(
         seed: LoopSeed,
         state: LoopState,
-        shared: Arc<PlaneShared>,
         telemetry: Arc<ConnTelemetry>,
         idle_timeout: Option<Duration>,
     ) -> std::io::Result<LoopHandle> {
-        let index = seed.index;
+        let (index, shared) = (seed.index, Arc::clone(&state.shared));
         let thread = std::thread::Builder::new()
             .name(format!("cache-loop-{index}"))
             .spawn(move || {

@@ -113,13 +113,7 @@ impl CacheServer {
             config.workers,
             config.max_connections as u64,
         ));
-        let plane = Plane::start(
-            config.backend.clone(),
-            config.workers,
-            Arc::clone(&telemetry),
-            config.idle_timeout,
-            config.slow_op_micros,
-        )?;
+        let plane = Plane::start(&config, Arc::clone(&telemetry))?;
         let shutdown = Arc::new(AtomicBool::new(false));
 
         let accept_shutdown = Arc::clone(&shutdown);

@@ -663,7 +663,6 @@ pub(crate) fn build_document(
             tenant_count: nt,
             event_loops: loops.len(),
         },
-        balance: BalanceDoc::default(),
         connections: ConnectionsDoc {
             curr: conns.curr(),
             total: conns.total(),
@@ -738,9 +737,9 @@ pub(crate) fn build_document(
             events: journal.snapshot(),
         },
         mrc,
-        hot_keys: None,
         history,
         allocator,
+        ..StatsDocument::default()
     }
 }
 

@@ -69,8 +69,6 @@ impl CacheSystem {
 pub struct ReplayOptions {
     /// The application's memory reservation in bytes.
     pub reserved_bytes: u64,
-    /// Slab-class geometry.
-    pub slab: SlabConfig,
     /// Number of timeline samples to record (0 disables the timeline).
     pub timeline_samples: usize,
 }
@@ -80,7 +78,6 @@ impl ReplayOptions {
     pub fn new(reserved_bytes: u64) -> Self {
         ReplayOptions {
             reserved_bytes,
-            slab: SlabConfig::default(),
             timeline_samples: 0,
         }
     }
@@ -97,7 +94,6 @@ impl ReplayOptions {
     /// [`CliffhangerConfig::scaled_for`]).
     fn cliffhanger_config(&self, mode: CliffhangerMode, policy: PolicyKind) -> CliffhangerConfig {
         let mut config = CliffhangerConfig::scaled_for(self.reserved_bytes);
-        config.slab = self.slab.clone();
         config.policy = policy;
         config.enable_hill_climbing = mode != CliffhangerMode::CliffScalingOnly;
         config.enable_cliff_scaling = mode != CliffhangerMode::HillClimbingOnly;
@@ -156,7 +152,7 @@ impl SystemInstance {
                 // scheme keeps the same pages-per-application granularity.
                 let page_size = (options.reserved_bytes / 48).clamp(8 << 10, 1 << 20);
                 SystemInstance::Slab(SlabCache::new(SlabCacheConfig {
-                    slab: options.slab.clone(),
+                    slab: SlabConfig::default(),
                     total_bytes: options.reserved_bytes,
                     policy: *policy,
                     mode: AllocationMode::FirstComeFirstServe { page_size },
@@ -169,7 +165,7 @@ impl SystemInstance {
                 policy,
             } => {
                 let mut cache = SlabCache::new(SlabCacheConfig {
-                    slab: options.slab.clone(),
+                    slab: SlabConfig::default(),
                     total_bytes: options.reserved_bytes,
                     policy: *policy,
                     mode: AllocationMode::Managed,
@@ -374,7 +370,7 @@ mod tests {
             CacheSystem::Default(PolicyKind::Facebook),
             CacheSystem::GlobalLru,
             CacheSystem::StaticPlan {
-                class_targets: vec![1 << 20; options.slab.num_classes()],
+                class_targets: vec![1 << 20; SlabConfig::default().num_classes()],
                 policy: PolicyKind::Lru,
             },
             CacheSystem::cliffhanger(),
@@ -424,7 +420,10 @@ mod tests {
         let first = result.timeline.first().unwrap();
         let last = result.timeline.last().unwrap();
         assert!(last.time >= first.time);
-        assert_eq!(first.class_targets.len(), options.slab.num_classes());
+        assert_eq!(
+            first.class_targets.len(),
+            SlabConfig::default().num_classes()
+        );
         // Cumulative hit rate should improve as the cache warms.
         assert!(last.cumulative_hit_rate >= first.cumulative_hit_rate);
     }

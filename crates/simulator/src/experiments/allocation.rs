@@ -7,7 +7,7 @@ use crate::engine::{replay_app, CacheSystem, ReplayOptions};
 use crate::experiments::ExperimentContext;
 use crate::profiles::{dynacache_plan, profile_app_classes, profile_whole_app};
 use crate::report::Table;
-use cache_core::PolicyKind;
+use cache_core::{PolicyKind, SlabConfig};
 use profiler::DynacacheSolver;
 
 /// The solver step used throughout (1 MB, Memcached's page size, scaled down
@@ -27,7 +27,7 @@ pub fn default_vs_dynacache(
     let default = replay_app(trace, &CacheSystem::default_lru(), &options);
     let plan = dynacache_plan(
         trace,
-        &options.slab,
+        &SlabConfig::default(),
         options.reserved_bytes,
         solver_step(&options),
     );
@@ -56,8 +56,7 @@ pub fn table1_slab_misses(ctx: &ExperimentContext) -> Table {
         ],
     );
     for app_number in [4u32, 6] {
-        let options = ctx.options(app_number);
-        let profiles = profile_app_classes(ctx.trace(app_number), &options.slab, 256);
+        let profiles = profile_app_classes(ctx.trace(app_number), &SlabConfig::default(), 256);
         let (default, solved) = default_vs_dynacache(ctx, app_number);
         let total_gets: u64 = profiles.gets_per_class.iter().sum();
         let default_misses: u64 = default.class_stats.iter().map(|s| s.misses).sum();

@@ -5,12 +5,12 @@
 use crate::experiments::ExperimentContext;
 use crate::profiles::profile_app_classes;
 use crate::report::{FigureSeries, Table};
-use cache_core::{CacheQueue, ClassId};
+use cache_core::{CacheQueue, ClassId, SlabConfig};
 use profiler::TalusPartition;
 
 /// The slab class of an application that receives the most GETs.
 pub fn dominant_class(ctx: &ExperimentContext, app_number: u32) -> ClassId {
-    let profiles = profile_app_classes(ctx.trace(app_number), &ctx.options(app_number).slab, 256);
+    let profiles = profile_app_classes(ctx.trace(app_number), &SlabConfig::default(), 256);
     profiles
         .gets_per_class
         .iter()
@@ -28,8 +28,7 @@ pub fn hit_rate_curve_figure(
     class: Option<ClassId>,
     title: &str,
 ) -> FigureSeries {
-    let options = ctx.options(app_number);
-    let profiles = profile_app_classes(ctx.trace(app_number), &options.slab, 512);
+    let profiles = profile_app_classes(ctx.trace(app_number), &SlabConfig::default(), 512);
     let class = class.unwrap_or_else(|| dominant_class(ctx, app_number));
     let curve = &profiles.profiles[class.index()].curve;
     let mut figure = FigureSeries::new(title, "items in LRU queue", &["hit rate"]);
@@ -45,7 +44,7 @@ pub fn hit_rate_curve_figure(
 /// parameters (the paper's 957 / 7043-item example).
 pub fn talus_partition_figure(ctx: &ExperimentContext, app_number: u32) -> (FigureSeries, Table) {
     let options = ctx.options(app_number);
-    let profiles = profile_app_classes(ctx.trace(app_number), &options.slab, 512);
+    let profiles = profile_app_classes(ctx.trace(app_number), &SlabConfig::default(), 512);
     let class = dominant_class(ctx, app_number);
     let profile = &profiles.profiles[class.index()];
     let curve = &profile.curve;
@@ -63,7 +62,7 @@ pub fn talus_partition_figure(ctx: &ExperimentContext, app_number: u32) -> (Figu
     // Operating point: the class's share of the default allocation, i.e.
     // what first-come-first-serve gives it; approximated as the class's GET
     // share of the reservation, converted to items.
-    let charge = CacheQueue::charge(options.slab.chunk_size(class));
+    let charge = CacheQueue::charge(SlabConfig::default().chunk_size(class));
     let share = profile.frequency.max(0.01);
     let operating_items =
         (((options.reserved_bytes as f64) * share) / charge as f64).round() as u64;
@@ -117,8 +116,7 @@ mod tests {
     #[test]
     fn figure3_curve_has_a_cliff() {
         let ctx = shared_quick_context();
-        let options = ctx.options(11);
-        let profiles = profile_app_classes(ctx.trace(11), &options.slab, 512);
+        let profiles = profile_app_classes(ctx.trace(11), &SlabConfig::default(), 512);
         let class = dominant_class(ctx, 11);
         let curve = &profiles.profiles[class.index()].curve;
         assert!(

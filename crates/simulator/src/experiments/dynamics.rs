@@ -6,7 +6,7 @@
 use crate::engine::{replay_app, CacheSystem, CliffhangerMode};
 use crate::experiments::ExperimentContext;
 use crate::report::{FigureSeries, Table};
-use cache_core::PolicyKind;
+use cache_core::{PolicyKind, SlabConfig};
 
 /// Figure 8: memory allocated to each active slab class over time for
 /// application 5 (the application whose traffic shifts between size classes
@@ -26,7 +26,7 @@ pub fn figure8_memory_over_time(ctx: &ExperimentContext, samples: usize) -> Figu
 
     // Report only classes that ever hold a meaningful share of memory, so the
     // figure matches the paper's "slabs 4–9" style of presentation.
-    let num_classes = options.slab.num_classes();
+    let num_classes = SlabConfig::default().num_classes();
     let mut active = vec![false; num_classes];
     for point in &result.timeline {
         for (idx, &used) in point.class_used.iter().enumerate() {

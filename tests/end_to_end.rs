@@ -120,7 +120,12 @@ fn dynacache_plan_matches_or_beats_default_on_size_imbalanced_app() {
     .with_get_fraction(1.0);
     let trace = Trace::from_requests(profile.generate(200_000, 3_600, 5));
     let options = ReplayOptions::new(2 << 20);
-    let plan = dynacache_plan(&trace, &options.slab, options.reserved_bytes, 64 << 10);
+    let plan = dynacache_plan(
+        &trace,
+        &SlabConfig::default(),
+        options.reserved_bytes,
+        64 << 10,
+    );
     let results = replay_many(
         &trace,
         &[
