@@ -130,6 +130,17 @@ fn main() -> ExitCode {
                 continue;
             }
         };
+        for phase in &report.phases {
+            eprintln!(
+                "  phase {:<12} {:>6} mode: {:>8} reqs, {:>9.0} req/s, hit {:>5.1}%, p99 {:.0} us",
+                phase.name,
+                phase.mode,
+                phase.requests,
+                phase.throughput_rps,
+                phase.hit_rate * 100.0,
+                phase.latency.p99_us
+            );
+        }
         for verdict in &report.invariants {
             let flag = if verdict.pass { "ok  " } else { "FAIL" };
             eprintln!("  {flag} {:<28} {}", verdict.name, verdict.detail);

@@ -113,9 +113,10 @@ impl<V> Cliffhanger<V> {
         let num_classes = config.slab.num_classes();
         // The per-class floor must stay below the even-split share, otherwise
         // no queue could ever afford to give up a credit and hill climbing
-        // would be frozen on small reservations.
+        // would be frozen on small reservations. Under two bytes a class
+        // there is no floor, so the engine holds exactly its budget.
         let even_share = config.total_bytes / num_classes.max(1) as u64;
-        let floor = config.min_class_bytes.min(even_share / 2).max(1);
+        let floor = config.min_class_bytes.min(even_share / 2);
         let initial_targets = vec![floor; num_classes];
         let free_bytes = config
             .total_bytes

@@ -6,12 +6,9 @@
 //! The JSON report goes to stdout (or `--json <path>`); the human-readable
 //! summary goes to stderr, so `loadgen … | jq .` just works.
 
-use cache_server::BackendMode;
-use loadgen::scenario::{named_scenario, run_scenario, scenario_names, ScenarioReport};
-use loadgen::{
-    run_load, run_self_hosted, LoadMode, LoadReport, LoadgenConfig, SelfHostConfig, TenantLoad,
-    WorkloadSpec,
-};
+use cache_server::{BackendMode, HotKeyConfig, ServerConfig};
+use cliffhanger::ShardBalanceConfig;
+use loadgen::{run_load, run_self_hosted, LoadReport, LoadgenConfig, TenantLoad, WorkloadSpec};
 use std::io::Write;
 use std::process::ExitCode;
 use workloads::{KeyPopularity, SizeDistribution};
@@ -71,15 +68,6 @@ MULTI-TENANT (the `app <name>` protocol extension):
                             server hosts the named apps automatically)
     --tenant-balance <on|off>  cross-tenant budget arbitration      [on]
 
-RESILIENCE SCENARIOS (self-host only; other load/workload flags ignored):
-    --scenario <name>       run a named chaos/replay scenario end to end and
-                            report `cliffhanger-scenario/v1` with invariant
-                            verdicts: scan_storm | diurnal | drift |
-                            conn_churn | slow_loris | tenant_storm |
-                            flash_crowd
-    --scenario-scale <f>    scale the scenario's request volume (1.0 =
-                            standard nightly size, 0.05 = CI smoke)  [1.0]
-
 OUTPUT:
     --json <path>           write the JSON report to a file instead of stdout
     -h, --help              this text
@@ -87,17 +75,8 @@ OUTPUT:
 
 struct Args {
     addr: Option<String>,
-    shards: usize,
-    mb: u64,
-    allocator: BackendMode,
-    server_workers: usize,
-    rebalance: bool,
-    tenant_balance: bool,
-    slow_op_micros: u64,
-    mrc_sample: u64,
-    hot_key_promote: bool,
-    scenario: Option<String>,
-    scenario_scale: f64,
+    /// The self-hosted server, built from the self-host flags.
+    server: ServerConfig,
     json_path: Option<String>,
     load: LoadgenConfig,
 }
@@ -155,6 +134,15 @@ fn parse_tenant(
     Ok(TenantLoad::new(name, weight, spec))
 }
 
+/// Parses the value of an `on|off` flag.
+fn on_off(flag: &str, value: &str) -> Result<bool, String> {
+    match value {
+        "on" => Ok(true),
+        "off" => Ok(false),
+        other => Err(format!("bad {flag} {other:?} (want on|off)")),
+    }
+}
+
 fn parse_value_size(spec: &str) -> Result<SizeDistribution, String> {
     if let Some(bytes) = spec.strip_prefix("fixed:") {
         let bytes: u64 = bytes
@@ -184,20 +172,14 @@ fn parse_value_size(spec: &str) -> Result<SizeDistribution, String> {
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         addr: None,
-        shards: 0,
-        mb: 64,
-        allocator: BackendMode::Cliffhanger,
-        server_workers: 0,
-        rebalance: true,
-        tenant_balance: true,
-        slow_op_micros: 0,
-        mrc_sample: 64,
-        hot_key_promote: false,
-        scenario: None,
-        scenario_scale: 1.0,
+        server: ServerConfig {
+            workers: 0,
+            ..ServerConfig::default()
+        },
         json_path: None,
         load: LoadgenConfig::default(),
     };
+    let backend = &mut args.server.backend;
     let mut num_keys: u64 = 50_000;
     let mut zipf: f64 = 0.99;
     let mut open_rate: f64 = 20_000.0;
@@ -236,13 +218,16 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "-h" | "--help" => return Err(String::new()),
             "--addr" => args.addr = Some(value("--addr")?),
             "--shards" => {
-                args.shards = value("--shards")?
+                backend.shards = value("--shards")?
                     .parse()
                     .map_err(|_| "bad --shards".to_string())?
             }
-            "--mb" => args.mb = value("--mb")?.parse().map_err(|_| "bad --mb".to_string())?,
+            "--mb" => {
+                let mb: u64 = value("--mb")?.parse().map_err(|_| "bad --mb".to_string())?;
+                backend.total_bytes = mb << 20;
+            }
             "--allocator" => {
-                args.allocator = match value("--allocator")?.as_str() {
+                backend.mode = match value("--allocator")?.as_str() {
                     "default" => BackendMode::Default,
                     "hillclimbing" => BackendMode::HillClimbing,
                     "cliffhanger" => BackendMode::Cliffhanger,
@@ -250,49 +235,43 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 }
             }
             "--server-workers" => {
-                args.server_workers = value("--server-workers")?
+                args.server.workers = value("--server-workers")?
                     .parse()
                     .map_err(|_| "bad --server-workers".to_string())?
             }
             "--rebalance" => {
-                args.rebalance = match value("--rebalance")?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("bad --rebalance {other:?} (want on|off)")),
+                backend.rebalance = if on_off(flag, &value(flag)?)? {
+                    ShardBalanceConfig::default()
+                } else {
+                    ShardBalanceConfig::disabled()
                 }
             }
             "--tenant-balance" => {
-                args.tenant_balance = match value("--tenant-balance")?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("bad --tenant-balance {other:?} (want on|off)")),
+                backend.tenant_balance = if on_off(flag, &value(flag)?)? {
+                    ShardBalanceConfig::tenant_default()
+                } else {
+                    ShardBalanceConfig::disabled()
                 }
             }
             "--slow-op-micros" => {
-                args.slow_op_micros = value("--slow-op-micros")?
+                args.server.slow_op_micros = value("--slow-op-micros")?
                     .parse()
                     .map_err(|_| "bad --slow-op-micros".to_string())?
             }
             "--mrc-sample" => {
-                args.mrc_sample = value("--mrc-sample")?
+                backend.mrc_sample = value("--mrc-sample")?
                     .parse()
                     .map_err(|_| "bad --mrc-sample".to_string())?
             }
             "--hot-key-promote" => {
-                args.hot_key_promote = match value("--hot-key-promote")?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("bad --hot-key-promote {other:?} (want on|off)")),
+                backend.hot_key = if on_off(flag, &value(flag)?)? {
+                    HotKeyConfig::aggressive()
+                } else {
+                    HotKeyConfig::default()
                 }
             }
             "--tenants" => tenants_spec = Some(value("--tenants")?),
-            "--fill-on-miss" => {
-                args.load.fill_on_miss = match value("--fill-on-miss")?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("bad --fill-on-miss {other:?} (want on|off)")),
-                }
-            }
+            "--fill-on-miss" => args.load.fill_on_miss = on_off(flag, &value(flag)?)?,
             "--requests" => {
                 args.load.requests = value("--requests")?
                     .parse()
@@ -344,14 +323,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "bad --seed".to_string())?
             }
-            "--scenario" => args.scenario = Some(value("--scenario")?),
-            "--scenario-scale" => {
-                args.scenario_scale = value("--scenario-scale")?
-                    .parse()
-                    .ok()
-                    .filter(|&f: &f64| f > 0.0)
-                    .ok_or_else(|| "bad --scenario-scale (need a positive number)".to_string())?
-            }
             "--json" => args.json_path = Some(value("--json")?),
             other => return Err(format!("unknown flag {other:?} (try --help)")),
         }
@@ -368,13 +339,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             exponent: zipf,
         }
     };
-    args.load.mode = if open_mode {
-        LoadMode::Open {
-            target_rps: open_rate,
-        }
-    } else {
-        LoadMode::Closed
-    };
+    args.load.rate = open_mode.then_some(open_rate);
     if let Some(spec) = &tenants_spec {
         let tenants: Result<Vec<TenantLoad>, String> = spec
             .split(',')
@@ -386,11 +351,13 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         }
         args.load.tenants = tenants;
     }
-    if args.scenario.is_some() && args.addr.is_some() {
-        return Err(
-            "--scenario self-hosts its own server; it cannot be combined with --addr".to_string(),
-        );
+    if args.server.workers == 0 {
+        args.server.workers = cache_server::default_event_loops();
     }
+    // Self-hosted runs size the accept gate generously above the
+    // connection count; gate behaviour is the server tests' concern, not
+    // the load generator's.
+    args.server.max_connections = (args.load.connections * 2).max(4096);
     if let (Some(_), Some(flag)) = (&args.addr, self_host_flag) {
         return Err(format!(
             "{flag} configures the self-hosted server and has no effect on an \
@@ -502,32 +469,6 @@ fn summarize(report: &LoadReport) {
     }
 }
 
-fn summarize_scenario(report: &ScenarioReport) {
-    eprintln!(
-        "scenario {} (scale {:.3}): {} requests in {:.2} s, {} errors",
-        report.scenario, report.scale, report.requests, report.elapsed_secs, report.errors
-    );
-    for phase in &report.phases {
-        eprintln!(
-            "  phase {:<12} {:>6} mode: {:>8} reqs, {:>9.0} req/s, hit {:>5.1}%, p99 {:.0} us",
-            phase.name,
-            phase.mode,
-            phase.requests,
-            phase.throughput_rps,
-            phase.hit_rate * 100.0,
-            phase.latency.p99_us
-        );
-    }
-    for verdict in &report.invariants {
-        eprintln!(
-            "  {} {:<28} {}",
-            if verdict.pass { "ok  " } else { "FAIL" },
-            verdict.name,
-            verdict.detail
-        );
-    }
-}
-
 fn emit(json: &str, path: &Option<String>) -> std::io::Result<()> {
     match path {
         Some(path) => {
@@ -554,52 +495,13 @@ fn run() -> Result<(), String> {
         Err(message) => return Err(message),
     };
 
-    let host = SelfHostConfig {
-        total_bytes: args.mb << 20,
-        mode: args.allocator,
-        workers: args.server_workers,
-        rebalance: args.rebalance,
-        tenant_balance: args.tenant_balance,
-        slow_op_micros: args.slow_op_micros,
-        mrc_sample: args.mrc_sample,
-        hot_key_promote: args.hot_key_promote,
-        ..SelfHostConfig::default()
-    };
-
-    if let Some(name) = &args.scenario {
-        let scenario = named_scenario(name)
-            .ok_or_else(|| {
-                format!(
-                    "unknown scenario {name:?} (known: {})",
-                    scenario_names().join(", ")
-                )
-            })?
-            .scaled(args.scenario_scale);
-        let report = run_scenario(&scenario).map_err(|e| e.to_string())?;
-        summarize_scenario(&report);
-        emit(&report.to_json(), &args.json_path).map_err(|e| e.to_string())?;
-        if !report.passed {
-            let failed: Vec<&str> = report
-                .invariants
-                .iter()
-                .filter(|v| !v.pass)
-                .map(|v| v.name.as_str())
-                .collect();
-            return Err(format!(
-                "scenario {name} violated invariant(s): {}",
-                failed.join(", ")
-            ));
-        }
-        return Ok(());
-    }
-
     let report = match &args.addr {
         Some(addr) => {
             let mut config = args.load.clone();
             config.addr = addr.clone();
             run_load(&config).map_err(|e| e.to_string())?
         }
-        None => run_self_hosted(&args.load, &host, args.shards).map_err(|e| e.to_string())?,
+        None => run_self_hosted(&args.load, args.server).map_err(|e| e.to_string())?,
     };
     summarize(&report);
     emit(&report.to_json(), &args.json_path).map_err(|e| e.to_string())?;

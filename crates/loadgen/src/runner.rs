@@ -1,13 +1,16 @@
-//! The load-generation engine: N worker threads, one TCP connection each,
-//! driving the server in closed-loop (memtier/mutilate style: a fixed
-//! concurrency, each connection keeps `pipeline` requests in flight) or
-//! open-loop mode (a target arrival rate with latencies measured from the
-//! *scheduled* send time, so queueing delay is charged to the server — the
-//! coordinated-omission correction wrk2 popularised).
+//! The load-generation engine: a pool of worker threads, one TCP
+//! connection each, driving the server through one or more phases, each
+//! closed-loop (memtier/mutilate style: a fixed concurrency, each
+//! connection keeps `pipeline` requests in flight) or open-loop (a target
+//! arrival rate with latencies measured from the *scheduled* send time, so
+//! queueing delay is charged to the server — the coordinated-omission
+//! correction wrk2 popularised). A plain run is one phase; a scenario
+//! (`crate::scenario`) is several.
 //!
-//! Workers share only two pieces of state: an atomic request budget they
-//! claim batches from, and a start barrier. All telemetry is recorded into
-//! per-worker histograms and merged after the workers join.
+//! Workers share only the atomic request budgets they claim batches from
+//! and the barriers that open and close each phase. All telemetry is
+//! recorded into per-worker, per-phase histograms and merged after the
+//! workers join.
 
 use crate::report::{LoadReport, TenantSection, WorkloadEcho, LOAD_SCHEMA};
 use crate::workload::{GenOp, RequestGen, TenantLoad, WorkloadSpec};
@@ -15,25 +18,10 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use telemetry::Histogram;
 use workloads::{KeyPopularity, SizeDistribution};
-
-/// Closed- vs open-loop driving.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum LoadMode {
-    /// Fixed concurrency: every connection keeps `pipeline` requests in
-    /// flight and sends the next batch as soon as the previous one is
-    /// answered. Measures capacity.
-    Closed,
-    /// Fixed arrival rate (requests/sec across all connections), one
-    /// request outstanding per connection. Measures latency at a load
-    /// point; latencies include any backlog the server builds up.
-    Open {
-        /// Total target arrival rate across every connection.
-        target_rps: f64,
-    },
-}
 
 /// Everything a run needs.
 #[derive(Clone, Debug)]
@@ -49,8 +37,11 @@ pub struct LoadgenConfig {
     pub warmup_keys: u64,
     /// Requests per pipelined batch in closed-loop mode.
     pub pipeline: usize,
-    /// Closed- or open-loop.
-    pub mode: LoadMode,
+    /// Open-loop target arrival rate (requests/sec across all connections,
+    /// one request outstanding per connection): measures latency at a
+    /// load point, latencies including any backlog the server builds up.
+    /// `None` drives closed-loop, which measures capacity.
+    pub rate: Option<f64>,
     /// Traffic shape (of the single tenant when `tenants` is empty).
     pub workload: WorkloadSpec,
     /// Multi-tenant mode: drive several application namespaces at once, each
@@ -81,7 +72,7 @@ impl Default for LoadgenConfig {
             requests: 100_000,
             warmup_keys: 10_000,
             pipeline: 16,
-            mode: LoadMode::Closed,
+            rate: None,
             workload: WorkloadSpec::default(),
             tenants: Vec::new(),
             fill_on_miss: false,
@@ -504,6 +495,175 @@ pub(crate) fn select_app(conn: &mut Conn, name: &str) -> std::io::Result<()> {
     Ok(())
 }
 
+/// One connection of a [`Pool`]: the tenant it selects with `app`, the
+/// ranks it SETs before the window opens, and per phase the budget it
+/// claims requests from, with that budget's size.
+pub(crate) struct Worker {
+    pub(crate) tenant: String,
+    pub(crate) warmup: Vec<u64>,
+    pub(crate) budgets: Vec<(Arc<AtomicU64>, u64)>,
+}
+
+/// What every worker of a [`Pool`] shares.
+pub(crate) struct Drive {
+    pub(crate) addr: String,
+    pub(crate) pipeline: u64,
+    pub(crate) fill_on_miss: bool,
+    /// Per phase: the open-loop arrival rate across all workers, or `None`
+    /// for a closed-loop phase.
+    pub(crate) rates: Vec<Option<f64>>,
+}
+
+/// What a pool's run measured.
+pub(crate) struct PoolRun {
+    /// Per worker, in the order they were given: their stats per phase.
+    pub(crate) stats: Vec<Vec<WorkerStats>>,
+    /// Wall-clock seconds of each phase, barrier to barrier.
+    pub(crate) phase_secs: Vec<f64>,
+    /// Wall-clock seconds of the whole measured window.
+    pub(crate) elapsed: f64,
+}
+
+/// The worker threads of a run, parked at the barrier that opens the
+/// first phase.
+pub(crate) struct Pool {
+    gate: Arc<Barrier>,
+    phases: usize,
+    handles: Vec<JoinHandle<std::io::Result<Vec<WorkerStats>>>>,
+}
+
+impl Pool {
+    /// Spawns a thread per worker (see [`work`]) and returns once every one
+    /// has connected, selected its tenant and warmed up (or failed to).
+    /// `source(worker, phase)` builds the requests a worker draws in a phase.
+    pub(crate) fn start<G, S>(drive: Drive, workers: Vec<Worker>, source: S) -> Pool
+    where
+        G: OpSource,
+        S: Fn(usize, usize) -> G + Send + Sync + 'static,
+    {
+        let phases = drive.rates.len();
+        let connections = workers.len() as f64;
+        let gate = Arc::new(Barrier::new(workers.len() + 1));
+        let (drive, source) = (Arc::new(drive), Arc::new(source));
+        let payload: Arc<Vec<u8>> = Arc::new(
+            (0..PAYLOAD_POOL_BYTES)
+                .map(|i| b'a' + (i % 26) as u8)
+                .collect(),
+        );
+        let handles = workers
+            .into_iter()
+            .enumerate()
+            .map(|(w, worker)| {
+                let (drive, source) = (Arc::clone(&drive), Arc::clone(&source));
+                let (gate, payload) = (Arc::clone(&gate), Arc::clone(&payload));
+                std::thread::Builder::new()
+                    .name(format!("loadgen-{}-{w}", worker.tenant))
+                    .spawn(move || {
+                        let source = |phase| source(w, phase);
+                        work(worker, &drive, source, &gate, &payload, connections)
+                    })
+                    .expect("failed to spawn loadgen worker")
+            })
+            .collect();
+        gate.wait();
+        Pool {
+            gate,
+            phases,
+            handles,
+        }
+    }
+
+    /// Runs every phase between two barriers and joins the workers. The
+    /// first worker error (a failed connect or `app`, a mid-run EOF) fails
+    /// the run; per-request rejections are counted in the stats instead.
+    pub(crate) fn run(self) -> std::io::Result<PoolRun> {
+        let window = Instant::now();
+        let phase_secs = (0..self.phases)
+            .map(|_| {
+                self.gate.wait();
+                let start = Instant::now();
+                self.gate.wait();
+                start.elapsed().as_secs_f64().max(f64::EPSILON)
+            })
+            .collect();
+        let elapsed = window.elapsed().as_secs_f64().max(f64::EPSILON);
+        let mut stats = Vec::with_capacity(self.handles.len());
+        let mut first_error: Option<std::io::Error> = None;
+        for handle in self.handles {
+            match handle.join() {
+                Ok(Ok(worker)) => stats.push(worker),
+                Ok(Err(err)) => first_error = first_error.or(Some(err)),
+                Err(_) => {
+                    first_error = first_error
+                        .or_else(|| Some(std::io::Error::other("a loadgen worker panicked")))
+                }
+            }
+        }
+        match first_error {
+            Some(err) => Err(err),
+            None => Ok(PoolRun {
+                stats,
+                phase_secs,
+                elapsed,
+            }),
+        }
+    }
+}
+
+/// One pool worker's thread: connect, select the tenant, warm up with the
+/// first phase's source, then run each phase between the coordinator's two
+/// barriers. A worker that failed keeps reaching every barrier, doing
+/// nothing — an early return would strand the coordinator and the other
+/// workers — and its first error fails the run at join.
+fn work<G: OpSource>(
+    worker: Worker,
+    drive: &Drive,
+    source: impl Fn(usize) -> G,
+    gate: &Barrier,
+    payload: &[u8],
+    connections: f64,
+) -> std::io::Result<Vec<WorkerStats>> {
+    let mut gen = source(0);
+    let mut conn = Conn::connect(&drive.addr).and_then(|mut conn| {
+        select_app(&mut conn, &worker.tenant)?;
+        warmup(&mut conn, &gen, worker.warmup.into_iter(), payload)?;
+        Ok(conn)
+    });
+    gate.wait();
+    let mut out = Vec::with_capacity(drive.rates.len());
+    // One pacer across consecutive open phases: the arrival chain continues
+    // through rate changes. A closed phase is self-clocked and breaks the
+    // chain, so the next open phase re-anchors at the wall clock.
+    let mut pacer: Option<Pacer> = None;
+    for (phase, ((budget, total), rate)) in worker.budgets.iter().zip(&drive.rates).enumerate() {
+        gate.wait();
+        if let Ok(c) = conn.as_mut() {
+            if phase > 0 {
+                gen = source(phase);
+            }
+            let (budget, fill) = ((&**budget, *total), drive.fill_on_miss);
+            let result = match rate {
+                None => {
+                    pacer = None;
+                    run_closed(c, &mut gen, budget, drive.pipeline, payload, fill)
+                }
+                Some(rate) => {
+                    let per_conn = (rate / connections).max(1.0);
+                    let p = pacer.get_or_insert_with(|| Pacer::new(Instant::now(), per_conn));
+                    p.set_rate(per_conn);
+                    run_open(c, &mut gen, budget, p, payload, fill)
+                }
+            };
+            match result {
+                Ok(stats) => out.push(stats),
+                Err(err) => conn = Err(err),
+            }
+        }
+        gate.wait();
+    }
+    conn.map(|_| out)
+}
+
 /// Splits `connections` across the tenants proportionally to their weights,
 /// every tenant getting at least one (largest-remainder rounding).
 fn allocate_connections(connections: usize, tenants: &[TenantLoad]) -> Vec<usize> {
@@ -625,113 +785,54 @@ pub fn run_load(config: &LoadgenConfig) -> std::io::Result<LoadReport> {
             ),
         ));
     }
-    let payload_pool: Arc<Vec<u8>> = Arc::new(
-        (0..PAYLOAD_POOL_BYTES)
-            .map(|i| b'a' + (i % 26) as u8)
-            .collect(),
-    );
     let tenant_connections = allocate_connections(config.connections, &tenants);
     let tenant_requests = allocate_requests(config.requests, &tenants);
-    let budgets: Vec<Arc<AtomicU64>> = tenant_requests
-        .iter()
-        .map(|&r| Arc::new(AtomicU64::new(r)))
-        .collect();
     // worker -> (tenant, index within the tenant's workers).
     let assignments: Vec<(usize, usize)> = tenant_connections
         .iter()
         .enumerate()
         .flat_map(|(t, &count)| (0..count).map(move |i| (t, i)))
         .collect();
-    // connections workers + the coordinating thread.
-    let start_gate = Arc::new(Barrier::new(config.connections + 1));
-    let tenants = Arc::new(tenants);
-    let tenant_connections = Arc::new(tenant_connections);
-
-    let handles: Vec<_> = assignments
+    let budgets: Vec<Arc<AtomicU64>> = tenant_requests
         .iter()
-        .map(|&(tenant, tw)| {
-            let config = config.clone();
-            let tenants = Arc::clone(&tenants);
-            let tenant_connections = Arc::clone(&tenant_connections);
-            let budget = Arc::clone(&budgets[tenant]);
-            let total = tenant_requests[tenant];
-            let start_gate = Arc::clone(&start_gate);
-            let payload_pool = Arc::clone(&payload_pool);
-            std::thread::Builder::new()
-                .name(format!("loadgen-{}-{tw}", tenants[tenant].name))
-                .spawn(move || -> std::io::Result<WorkerStats> {
-                    let load = &tenants[tenant];
-                    let siblings = tenant_connections[tenant];
-                    // Connect + warm up, but *always* reach the barrier —
-                    // an early return here would strand the coordinator.
-                    let setup = (|| -> std::io::Result<(Conn, RequestGen)> {
-                        let mut conn = Conn::connect(&config.addr)?;
-                        select_app(&mut conn, &load.name)?;
-                        let gen = RequestGen::new(&load.spec, tw as u64);
-                        // Warm-up stripes each tenant's hottest keys across
-                        // that tenant's own workers (the namespaces are
-                        // independent, so cross-tenant striping would leave
-                        // gaps).
-                        let capped_warmup = config.warmup_keys.min(load.spec.keys.num_keys());
-                        let stripe = (tw as u64..capped_warmup).step_by(siblings);
-                        warmup(&mut conn, &gen, stripe, &payload_pool)?;
-                        Ok((conn, gen))
-                    })();
-                    start_gate.wait();
-                    let (mut conn, mut gen) = setup?;
-                    let budget = (&*budget, total);
-                    match config.mode {
-                        LoadMode::Closed => run_closed(
-                            &mut conn,
-                            &mut gen,
-                            budget,
-                            config.pipeline as u64,
-                            &payload_pool,
-                            config.fill_on_miss,
-                        ),
-                        LoadMode::Open { target_rps } => {
-                            let per_conn = (target_rps / config.connections as f64).max(1.0);
-                            let mut pacer = Pacer::new(Instant::now(), per_conn);
-                            run_open(
-                                &mut conn,
-                                &mut gen,
-                                budget,
-                                &mut pacer,
-                                &payload_pool,
-                                config.fill_on_miss,
-                            )
-                        }
-                    }
-                })
-                .expect("failed to spawn loadgen worker")
+        .map(|&r| Arc::new(AtomicU64::new(r)))
+        .collect();
+    let workers = assignments
+        .iter()
+        .map(|&(t, tw)| {
+            // Warm-up stripes each tenant's hottest keys across that
+            // tenant's own workers (the namespaces are independent, so
+            // cross-tenant striping would leave gaps).
+            let capped = config.warmup_keys.min(tenants[t].spec.keys.num_keys());
+            Worker {
+                tenant: tenants[t].name.clone(),
+                warmup: (tw as u64..capped).step_by(tenant_connections[t]).collect(),
+                budgets: vec![(Arc::clone(&budgets[t]), tenant_requests[t])],
+            }
         })
         .collect();
+    let drive = Drive {
+        addr: config.addr.clone(),
+        pipeline: config.pipeline as u64,
+        fill_on_miss: config.fill_on_miss,
+        rates: vec![config.rate],
+    };
+    let specs: Vec<WorkloadSpec> = tenants.iter().map(|t| t.spec.clone()).collect();
+    let sources = assignments.clone();
+    let run = Pool::start(drive, workers, move |w, _| {
+        let (t, tw) = sources[w];
+        RequestGen::new(&specs[t], tw as u64)
+    })
+    .run()?;
 
-    // Every worker has finished warming up once the barrier releases; the
-    // measured window is from here to the last join.
-    start_gate.wait();
-    let window_start = Instant::now();
     let mut total = WorkerStats::default();
     let mut per_tenant: Vec<WorkerStats> =
         (0..tenants.len()).map(|_| WorkerStats::default()).collect();
-    let mut first_error: Option<std::io::Error> = None;
-    for (handle, &(tenant, _)) in handles.into_iter().zip(&assignments) {
-        match handle.join() {
-            Ok(Ok(stats)) => {
-                total.merge(&stats);
-                per_tenant[tenant].merge(&stats);
-            }
-            Ok(Err(err)) => first_error = first_error.or(Some(err)),
-            Err(_) => {
-                first_error =
-                    first_error.or_else(|| Some(std::io::Error::other("a loadgen worker panicked")))
-            }
-        }
+    for (stats, &(t, _)) in run.stats.iter().zip(&assignments) {
+        total.merge(&stats[0]);
+        per_tenant[t].merge(&stats[0]);
     }
-    let elapsed = window_start.elapsed().as_secs_f64().max(f64::EPSILON);
-    if let Some(err) = first_error {
-        return Err(err);
-    }
+    let elapsed = run.elapsed;
 
     let tenant_sections: Vec<TenantSection> = if config.tenants.is_empty() {
         Vec::new()
@@ -769,20 +870,20 @@ pub fn run_load(config: &LoadgenConfig) -> std::io::Result<LoadReport> {
     let completed = total.gets + total.sets;
     Ok(LoadReport {
         schema: LOAD_SCHEMA.to_string(),
-        mode: match config.mode {
-            LoadMode::Closed => "closed".to_string(),
-            LoadMode::Open { .. } => "open".to_string(),
-        },
+        mode: if config.rate.is_some() {
+            "open"
+        } else {
+            "closed"
+        }
+        .to_string(),
         addr: config.addr.clone(),
         connections: config.connections as u64,
-        pipeline: match config.mode {
-            LoadMode::Closed => config.pipeline as u64,
-            LoadMode::Open { .. } => 1,
+        pipeline: if config.rate.is_some() {
+            1
+        } else {
+            config.pipeline as u64
         },
-        target_rps: match config.mode {
-            LoadMode::Closed => 0.0,
-            LoadMode::Open { target_rps } => target_rps,
-        },
+        target_rps: config.rate.unwrap_or(0.0),
         requests: completed,
         warmup_requests: tenants
             .iter()
@@ -909,9 +1010,7 @@ mod tests {
         let server = test_server(1);
         let mut config = small_config(server.local_addr().to_string());
         config.requests = 400;
-        config.mode = LoadMode::Open {
-            target_rps: 4_000.0,
-        };
+        config.rate = Some(4_000.0);
         let report = run_load(&config).unwrap();
         assert_eq!(report.requests, 400);
         assert_eq!(report.mode, "open");
@@ -964,9 +1063,7 @@ mod tests {
         config.warmup_keys = 0;
         config.fill_on_miss = true;
         config.workload.get_fraction = 1.0;
-        config.mode = LoadMode::Open {
-            target_rps: 6_000.0,
-        };
+        config.rate = Some(6_000.0);
         let report = run_load(&config).unwrap();
         assert_eq!(report.gets, 600, "the budget counts the generated GETs");
         assert!(report.fills > 0, "an unwarmed pure-GET stream must fill");
@@ -1131,6 +1228,41 @@ mod tests {
         let mut config = small_config(server.local_addr().to_string());
         config.tenants = vec![TenantLoad::new("nope", 1, WorkloadSpec::default())];
         let err = run_load(&config).expect_err("unknown app must fail fast");
+        assert!(err.to_string().contains("app nope"), "{err}");
+    }
+
+    #[test]
+    fn a_worker_whose_setup_failed_still_reaches_every_barrier() {
+        // Three phases, one open between two closed, and one of the two
+        // workers selects an app the server does not host: the run must
+        // fail with that error, not strand the coordinator at a barrier.
+        let server = tenant_server();
+        let spec = small_config(String::new()).workload;
+        let budgets: Vec<_> = (0..3)
+            .map(|_| (Arc::new(AtomicU64::new(200)), 200))
+            .collect();
+        let workers = ["hot", "nope"].map(|tenant| Worker {
+            tenant: tenant.to_string(),
+            warmup: Vec::new(),
+            budgets: budgets.clone(),
+        });
+        let drive = Drive {
+            addr: server.local_addr().to_string(),
+            pipeline: 8,
+            fill_on_miss: false,
+            rates: vec![None, Some(20_000.0), None],
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let pool = Pool::start(drive, workers.into(), move |w, _| {
+                RequestGen::new(&spec, w as u64)
+            });
+            let _ = tx.send(pool.run().map(|run| run.stats.len()));
+        });
+        let result = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the pool hung at a barrier");
+        let err = result.expect_err("a refused app must fail the run");
         assert!(err.to_string().contains("app nope"), "{err}");
     }
 

@@ -14,17 +14,14 @@
 //! `stats json` document, bounded p99 per phase, and `curr_connections`
 //! returning to baseline once the chaos stops.
 //!
-//! Every run self-hosts a server, drives it, scrapes its
-//! `cliffhanger-stats/v1` telemetry and emits one versioned
-//! `cliffhanger-scenario/v1` report with per-phase latency summaries and
-//! one named verdict per invariant. `run_scenario` is the engine;
-//! [`named_scenario`] is the registry behind `loadgen --scenario <name>`
-//! and the `scenario_matrix` bench binary.
+//! Every run self-hosts a server, drives its phases through the runner's
+//! worker pool, scrapes its `cliffhanger-stats/v1` telemetry and emits one
+//! versioned `cliffhanger-scenario/v1` report with per-phase latency
+//! summaries and one named verdict per invariant. `run_scenario` is the
+//! engine; [`named_scenario`] is the registry behind the `scenario_matrix`
+//! bench binary.
 
-use crate::runner::{
-    run_closed, run_open, select_app, warmup, Conn, OpSource, Pacer, WorkerStats,
-    PAYLOAD_POOL_BYTES,
-};
+use crate::runner::{Drive, OpSource, Pool, Worker, WorkerStats};
 use crate::workload::{GenOp, RequestGen};
 use cache_server::{
     BackendConfig, CacheClient, CacheServer, HotKeyConfig, ServerConfig, TenantSpec,
@@ -36,7 +33,7 @@ use serde_json::Value;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use telemetry::LatencySummary;
 use workloads::KeyPopularity;
@@ -661,115 +658,6 @@ impl OpSource for PhaseGen {
 }
 
 // ---------------------------------------------------------------------------
-// The driver workers.
-// ---------------------------------------------------------------------------
-
-/// Everything one scenario worker thread needs.
-struct WorkerCtx {
-    addr: String,
-    tenant: String,
-    stripe: usize,
-    siblings: usize,
-    worker: u64,
-    workers: u64,
-    phases: Arc<Vec<Phase>>,
-    budgets: Arc<Vec<Arc<AtomicU64>>>,
-    gate: Arc<Barrier>,
-    pool: Arc<Vec<u8>>,
-    pipeline: u64,
-    fill_on_miss: bool,
-    warmup_keys: u64,
-    connections: usize,
-    seed: u64,
-}
-
-/// The worker thread: connect, pin the tenant, warm up, then run every
-/// phase between the coordinator's barriers. A worker that fails keeps
-/// participating in the barriers (doing nothing) so the coordinator and
-/// its siblings never deadlock; the first error fails the run at join.
-fn scenario_worker(ctx: WorkerCtx) -> std::io::Result<Vec<WorkerStats>> {
-    let setup = (|| -> std::io::Result<Conn> {
-        let mut conn = Conn::connect(&ctx.addr)?;
-        select_app(&mut conn, &ctx.tenant)?;
-        // Untimed warm-up of the first phase's working set: the worker SETs
-        // its stripe of ranks `offset_start .. offset_start + warmup_keys`
-        // (capped at the phase's key universe) so the window opens over a
-        // populated cache.
-        if let Some(first) = ctx.phases.first() {
-            let gen = PhaseGen::new(first, ctx.worker, ctx.workers, ctx.seed);
-            let stripe = (ctx.stripe as u64..ctx.warmup_keys.min(first.num_keys))
-                .step_by(ctx.siblings.max(1))
-                .map(|rank| first.offset_start + rank);
-            warmup(&mut conn, &gen, stripe, &ctx.pool)?;
-        }
-        Ok(conn)
-    })();
-    ctx.gate.wait();
-    let mut conn = match setup {
-        Ok(conn) => conn,
-        Err(err) => {
-            for _ in ctx.phases.iter() {
-                ctx.gate.wait();
-                ctx.gate.wait();
-            }
-            return Err(err);
-        }
-    };
-    let mut err: Option<std::io::Error> = None;
-    let mut out: Vec<WorkerStats> = Vec::with_capacity(ctx.phases.len());
-    // One pacer per worker, shared across consecutive open phases: the
-    // arrival chain continues through rate changes (the diurnal scenario's
-    // whole point). A closed phase breaks the chain — its arrivals are
-    // self-clocked — so the next open phase re-anchors at the wall clock.
-    let mut pacer: Option<Pacer> = None;
-    for (index, phase) in ctx.phases.iter().enumerate() {
-        ctx.gate.wait();
-        if err.is_none() {
-            let budget = (&*ctx.budgets[index], phase.requests);
-            let mut gen = PhaseGen::new(phase, ctx.worker, ctx.workers, ctx.seed);
-            let result = match phase.rate {
-                None => {
-                    pacer = None;
-                    run_closed(
-                        &mut conn,
-                        &mut gen,
-                        budget,
-                        ctx.pipeline,
-                        &ctx.pool,
-                        ctx.fill_on_miss,
-                    )
-                }
-                Some(rate) => {
-                    let per_conn = (rate / ctx.connections as f64).max(1.0);
-                    let p = match pacer.as_mut() {
-                        Some(p) => {
-                            p.set_rate(per_conn);
-                            p
-                        }
-                        None => pacer.insert(Pacer::new(Instant::now(), per_conn)),
-                    };
-                    run_open(&mut conn, &mut gen, budget, p, &ctx.pool, ctx.fill_on_miss)
-                }
-            };
-            match result {
-                Ok(stats) => out.push(stats),
-                Err(e) => {
-                    err = Some(e);
-                    out.push(WorkerStats::default());
-                }
-            }
-        } else {
-            out.push(WorkerStats::default());
-        }
-        ctx.gate.wait();
-    }
-    match err {
-        Some(e) => Err(e),
-        None => Ok(out),
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Chaos actors.
 // ---------------------------------------------------------------------------
 
@@ -1119,54 +1007,42 @@ pub fn run_scenario(scenario: &Scenario) -> std::io::Result<ScenarioReport> {
     let addr = server.local_addr().to_string();
 
     let phases = Arc::new(scenario.phases.clone());
-    let budgets: Arc<Vec<Arc<AtomicU64>>> = Arc::new(
-        phases
-            .iter()
-            .map(|p| Arc::new(AtomicU64::new(p.requests)))
-            .collect(),
-    );
-    let gate = Arc::new(Barrier::new(scenario.connections + 1));
-    let pool: Arc<Vec<u8>> = Arc::new(
-        (0..PAYLOAD_POOL_BYTES)
-            .map(|i| b'a' + (i % 26) as u8)
-            .collect(),
-    );
-    // Drivers round-robin the hosted tenants ("default" when none); the
-    // stripe/siblings pair makes warm-up cover each tenant's namespace.
+    let budgets: Vec<(Arc<AtomicU64>, u64)> = phases
+        .iter()
+        .map(|p| (Arc::new(AtomicU64::new(p.requests)), p.requests))
+        .collect();
+    // Drivers round-robin the hosted tenants ("default" when none); each
+    // warms its stripe of the first phase's working set, ranks
+    // `offset_start .. offset_start + warmup_keys` (capped at the phase's
+    // key universe), striped across its tenant's drivers.
     let tenant_names: Vec<String> = if scenario.tenants.is_empty() {
         vec!["default".to_string()]
     } else {
         scenario.tenants.iter().map(|(n, _)| n.clone()).collect()
     };
-    let handles: Vec<_> = (0..scenario.connections)
-        .map(|w| {
-            let ctx = WorkerCtx {
-                addr: addr.clone(),
-                tenant: tenant_names[w % tenant_names.len()].clone(),
-                stripe: w / tenant_names.len(),
-                siblings: (scenario.connections - (w % tenant_names.len()))
-                    .div_ceil(tenant_names.len()),
-                worker: w as u64,
-                workers: scenario.connections as u64,
-                phases: Arc::clone(&phases),
-                budgets: Arc::clone(&budgets),
-                gate: Arc::clone(&gate),
-                pool: Arc::clone(&pool),
-                pipeline: scenario.pipeline.max(1) as u64,
-                fill_on_miss: scenario.fill_on_miss,
-                warmup_keys: scenario.warmup_keys,
-                connections: scenario.connections,
-                seed: 0x5CE7_A810,
-            };
-            std::thread::Builder::new()
-                .name(format!("scenario-{w}"))
-                .spawn(move || scenario_worker(ctx))
-                .expect("failed to spawn scenario worker")
+    let (n, first) = (tenant_names.len(), &phases[0]);
+    let workers = (0..scenario.connections)
+        .map(|w| Worker {
+            tenant: tenant_names[w % n].clone(),
+            warmup: ((w / n) as u64..scenario.warmup_keys.min(first.num_keys))
+                .step_by((scenario.connections - w % n).div_ceil(n))
+                .map(|rank| first.offset_start + rank)
+                .collect(),
+            budgets: budgets.clone(),
         })
         .collect();
+    let drive = Drive {
+        addr: addr.clone(),
+        pipeline: scenario.pipeline.max(1) as u64,
+        fill_on_miss: scenario.fill_on_miss,
+        rates: phases.iter().map(|p| p.rate).collect(),
+    };
+    let (sources, drivers) = (Arc::clone(&phases), scenario.connections as u64);
+    let pool = Pool::start(drive, workers, move |w, p| {
+        PhaseGen::new(&sources[p], w as u64, drivers, 0x5CE7_A810)
+    });
 
-    // Setup barrier: every driver is connected and warmed.
-    gate.wait();
+    // Every driver is connected and warmed.
     let mut probe = CacheClient::connect(&addr)?;
     let conn_baseline = curr_connections(&mut probe)?;
 
@@ -1211,43 +1087,18 @@ pub fn run_scenario(scenario: &Scenario) -> std::io::Result<ScenarioReport> {
         })
         .unwrap_or_default();
 
-    let window_start = Instant::now();
-    let mut phase_elapsed: Vec<f64> = Vec::with_capacity(phases.len());
-    for _ in phases.iter() {
-        gate.wait();
-        let phase_start = Instant::now();
-        gate.wait();
-        phase_elapsed.push(phase_start.elapsed().as_secs_f64().max(f64::EPSILON));
-    }
-    let elapsed = window_start.elapsed().as_secs_f64().max(f64::EPSILON);
-
+    let run = pool.run();
     stop.store(true, Ordering::Relaxed);
-    for handle in chaos_handles {
+    for handle in chaos_handles.into_iter().chain(probe_handles) {
         let _ = handle.join();
     }
-    for handle in probe_handles {
-        let _ = handle.join();
-    }
+    let run = run?;
     let mut per_phase: Vec<WorkerStats> =
         (0..phases.len()).map(|_| WorkerStats::default()).collect();
-    let mut first_error: Option<std::io::Error> = None;
-    for handle in handles {
-        match handle.join() {
-            Ok(Ok(stats)) => {
-                for (merged, stats) in per_phase.iter_mut().zip(&stats) {
-                    merged.merge(stats);
-                }
-            }
-            Ok(Err(err)) => first_error = first_error.or(Some(err)),
-            Err(_) => {
-                first_error = first_error
-                    .or_else(|| Some(std::io::Error::other("a scenario worker panicked")))
-            }
+    for stats in &run.stats {
+        for (merged, stats) in per_phase.iter_mut().zip(stats) {
+            merged.merge(stats);
         }
-    }
-    if let Some(err) = first_error {
-        server.shutdown();
-        return Err(err);
     }
 
     // Everything but the probe has disconnected; give the reactor a
@@ -1270,7 +1121,7 @@ pub fn run_scenario(scenario: &Scenario) -> std::io::Result<ScenarioReport> {
     let phase_reports: Vec<PhaseReport> = phases
         .iter()
         .zip(&per_phase)
-        .zip(&phase_elapsed)
+        .zip(&run.phase_secs)
         .map(|((phase, stats), &elapsed)| PhaseReport {
             name: phase.name.clone(),
             mode: if phase.rate.is_some() {
@@ -1303,7 +1154,7 @@ pub fn run_scenario(scenario: &Scenario) -> std::io::Result<ScenarioReport> {
         scale: scenario.scale,
         connections: scenario.connections as u64,
         requests: phase_reports.iter().map(|p| p.requests).sum(),
-        elapsed_secs: elapsed,
+        elapsed_secs: run.elapsed,
         errors: phase_reports.iter().map(|p| p.errors).sum(),
         phases: phase_reports,
         chaos: ChaosReport {

@@ -1,197 +1,100 @@
 //! Self-hosted runs: start an in-process [`CacheServer`], drive the
 //! configured load at it over TCP, and attach the server's own view of the
-//! run (the text `stats` counters and the scraped `stats json` document) to
-//! the report.
+//! run (its scraped `stats json` document) to the report.
 
 use crate::report::ServerEcho;
 use crate::runner::{run_load, LoadgenConfig};
 use crate::LoadReport;
-use cache_server::{
-    BackendConfig, BackendMode, CacheServer, HotKeyConfig, ServerConfig, TenantSpec,
-};
-use cliffhanger::ShardBalanceConfig;
+use cache_server::{CacheServer, ServerConfig, TenantSpec};
 use serde_json::Value;
 
-/// Configuration for self-hosted runs (the server the loadgen spawns).
-#[derive(Clone, Debug)]
-pub struct SelfHostConfig {
-    /// Cache budget in bytes.
-    pub total_bytes: u64,
-    /// Allocator mode.
-    pub mode: BackendMode,
-    /// Server event-loop threads; 0 auto-detects (one per CPU, capped —
-    /// see [`cache_server::default_event_loops`]). Loops multiplex many
-    /// connections each, so this no longer needs to track the connection
-    /// count.
-    pub workers: usize,
-    /// Whether the backend's cross-shard rebalancer runs (the backend
-    /// default; turn off to measure static per-shard splits).
-    pub rebalance: bool,
-    /// Whether the cross-tenant arbiter runs (off = Memcachier-style static
-    /// reservations).
-    pub tenant_balance: bool,
-    /// Idle connection reaping timeout in milliseconds; 0 disables reaping
-    /// (the server default). Loadgen connections are busy, so this is only
-    /// interesting for experiments that deliberately leak sessions.
-    pub idle_timeout_ms: u64,
-    /// Slow-op log threshold in microseconds; 0 disables the log (the
-    /// server default). Ops at or over the threshold are counted in the
-    /// server's `slow_ops` stat and sampled into its flight-recorder
-    /// journal; the per-loop latency histograms record regardless.
-    pub slow_op_micros: u64,
-    /// Online MRC sampling rate denominator (the server default profiles
-    /// one in 64 GETs; rounded up to a power of two; 0 disables live
-    /// miss-ratio-curve profiling).
-    pub mrc_sample: u64,
-    /// Enable hot-key detection and per-loop replication
-    /// (`--hot-key-promote`): the aggressive profile — sample every GET,
-    /// promote fast, round often — so short runs exercise the whole
-    /// promote/replicate/invalidate cycle.
-    pub hot_key_promote: bool,
-}
-
-impl Default for SelfHostConfig {
-    fn default() -> Self {
-        SelfHostConfig {
-            total_bytes: 64 << 20,
-            mode: BackendMode::Cliffhanger,
-            workers: 0,
-            rebalance: true,
-            tenant_balance: true,
-            idle_timeout_ms: 0,
-            slow_op_micros: 0,
-            mrc_sample: BackendConfig::default().mrc_sample,
-            hot_key_promote: false,
-        }
-    }
-}
-
-fn stat_u64(stats: &[(String, String)], name: &str) -> u64 {
-    stats
-        .iter()
-        .find(|(k, _)| k == name)
-        .and_then(|(_, v)| v.parse().ok())
-        .unwrap_or(0)
-}
-
-/// Starts an in-process server with `shards` shards, runs the configured
-/// load against it, and returns the report with server-side facts attached.
+/// Starts `server` with every tenant the load selects added to the ones
+/// it hosts, runs the load against it, and returns the report with the
+/// server's scraped `stats json` document and the facts read from it
+/// attached.
 pub fn run_self_hosted(
     load: &LoadgenConfig,
-    host: &SelfHostConfig,
-    shards: usize,
+    mut server: ServerConfig,
 ) -> std::io::Result<LoadReport> {
-    let workers = if host.workers > 0 {
-        host.workers
-    } else {
-        cache_server::default_event_loops()
-    };
     // Host every tenant the load will select, reservation weight = traffic
     // weight, so a multi-tenant load self-hosts without repeating itself.
-    let tenants: Vec<TenantSpec> = load
-        .tenants
-        .iter()
-        .filter(|t| t.name != "default")
-        .map(|t| TenantSpec::new(t.name.clone(), t.weight.max(1)))
-        .collect();
-    let mut server = CacheServer::start(ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        workers,
-        // Self-hosted runs size the accept gate generously above the
-        // configured connection count; gate behaviour is the server tests'
-        // concern, not the load generator's.
-        max_connections: (load.connections * 2).max(4096),
-        idle_timeout: (host.idle_timeout_ms > 0)
-            .then(|| std::time::Duration::from_millis(host.idle_timeout_ms)),
-        slow_op_micros: host.slow_op_micros,
-        backend: BackendConfig {
-            total_bytes: host.total_bytes,
-            mode: host.mode,
-            shards,
-            rebalance: if host.rebalance {
-                ShardBalanceConfig::default()
-            } else {
-                ShardBalanceConfig::disabled()
-            },
-            tenants,
-            tenant_balance: if host.tenant_balance {
-                ShardBalanceConfig::tenant_default()
-            } else {
-                ShardBalanceConfig::disabled()
-            },
-            mrc_sample: host.mrc_sample,
-            hot_key: if host.hot_key_promote {
-                HotKeyConfig::aggressive()
-            } else {
-                HotKeyConfig::default()
-            },
-        },
-    })?;
+    server.backend.tenants.extend(
+        load.tenants
+            .iter()
+            .filter(|t| t.name != "default")
+            .map(|t| TenantSpec::new(t.name.clone(), t.weight.max(1))),
+    );
+    let mut server = CacheServer::start(server)?;
     let mut config = load.clone();
     config.addr = server.local_addr().to_string();
     let result = run_load(&config);
-    let stats = server.cache().stats();
     // Scrape the machine-readable telemetry document over the wire — the
     // same `stats json` surface an operator's collector would hit — so the
     // report embeds the server's own view of the run (per-loop service-time
-    // histograms, slow ops, the control-plane journal).
-    let server_stats = cache_server::CacheClient::connect(server.local_addr())
+    // histograms, slow ops, the control-plane journal). Every server fact
+    // below is read from this one document.
+    let server_stats: Option<Value> = cache_server::CacheClient::connect(server.local_addr())
         .and_then(|mut c| c.stats_json())
         .ok()
         .and_then(|json| serde_json::from_str(&json).ok());
     server.shutdown();
     let mut report = result?;
-    report.server_stats = server_stats;
-    // Hot-key facts come from the scraped document, not the text stats —
-    // the legacy text key set is pinned (see the server's stats_keys test)
-    // and additive telemetry lands in `stats json` only.
-    let hot_doc = report
-        .server_stats
-        .as_ref()
-        .and_then(|doc| doc.get("hot_keys"));
-    let hot_u64 = |name: &str| -> u64 {
-        hot_doc
-            .and_then(|h| h.get(name))
-            .and_then(Value::as_u64)
-            .unwrap_or(0)
-    };
+    let doc = server_stats.as_ref();
+    let at = |path: &[&str]| path.iter().try_fold(doc?, |v, key| v.get(key));
+    let u64_at = |path: &[&str]| at(path).and_then(Value::as_u64).unwrap_or(0);
+    let on = |path: &[&str]| at(path) == Some(&Value::Bool(true));
+    let list = |key: &str| at(&[key]).and_then(Value::as_array).unwrap_or_default();
     report.server = Some(ServerEcho {
-        shards: server.cache().shard_count() as u64,
-        total_bytes: host.total_bytes,
-        allocator: format!("{:?}", host.mode).to_lowercase(),
-        workers: workers as u64,
-        evictions: stat_u64(&stats, "evictions"),
-        rebalance_enabled: stat_u64(&stats, "rebalance:enabled") == 1,
-        rebalance_runs: stat_u64(&stats, "rebalance:runs"),
-        rebalance_transfers: stat_u64(&stats, "rebalance:transfers"),
-        rebalance_bytes_moved: stat_u64(&stats, "rebalance:bytes_moved"),
-        tenant_count: stat_u64(&stats, "tenant_count").max(1),
-        arbiter_enabled: stat_u64(&stats, "arbiter:enabled") == 1,
-        arbiter_runs: stat_u64(&stats, "arbiter:runs"),
-        arbiter_transfers: stat_u64(&stats, "arbiter:transfers"),
-        arbiter_bytes_moved: stat_u64(&stats, "arbiter:bytes_moved"),
-        event_loops: stat_u64(&stats, "plane:event_loops"),
-        plane_local_ops: stat_u64(&stats, "plane:local_ops"),
-        plane_remote_ops: stat_u64(&stats, "plane:remote_ops"),
-        plane_admin_msgs: stat_u64(&stats, "plane:admin_msgs"),
-        shard_owner_loops: (0..server.cache().shard_count())
-            .map(|s| stat_u64(&stats, &format!("shard:{s}:owner_loop")))
+        shards: u64_at(&["capacity", "shard_count"]),
+        total_bytes: u64_at(&["capacity", "limit_maxbytes"]),
+        allocator: at(&["capacity", "allocator"])
+            .and_then(Value::as_str)
+            .unwrap_or_default()
+            .to_string(),
+        workers: u64_at(&["capacity", "event_loops"]),
+        evictions: u64_at(&["counters", "evictions"]),
+        rebalance_enabled: on(&["balance", "rebalance_enabled"]),
+        rebalance_runs: u64_at(&["balance", "rebalance_runs"]),
+        rebalance_transfers: u64_at(&["balance", "rebalance_transfers"]),
+        rebalance_bytes_moved: u64_at(&["balance", "rebalance_bytes_moved"]),
+        tenant_count: u64_at(&["capacity", "tenant_count"]).max(1),
+        arbiter_enabled: on(&["balance", "arbiter_enabled"]),
+        arbiter_runs: u64_at(&["balance", "arbiter_runs"]),
+        arbiter_transfers: u64_at(&["balance", "arbiter_transfers"]),
+        arbiter_bytes_moved: u64_at(&["balance", "arbiter_bytes_moved"]),
+        event_loops: u64_at(&["capacity", "event_loops"]),
+        plane_local_ops: u64_at(&["plane", "local_ops"]),
+        plane_remote_ops: u64_at(&["plane", "remote_ops"]),
+        plane_admin_msgs: u64_at(&["plane", "admin_msgs"]),
+        shard_owner_loops: list("shards")
+            .iter()
+            .map(|s| s.get("owner_loop").and_then(Value::as_u64).unwrap_or(0))
             .collect(),
-        idle_closed_connections: stat_u64(&stats, "idle_closed_connections"),
-        slow_ops: stat_u64(&stats, "plane:slow_ops"),
-        hot_key_enabled: hot_doc.is_some(),
-        hot_key_promotions: hot_u64("promotions"),
-        hot_key_demotions: hot_u64("demotions"),
-        hot_key_replica_hits: hot_u64("replica_hits"),
+        idle_closed_connections: u64_at(&["connections", "idle_closed"]),
+        slow_ops: u64_at(&["counters", "slow_ops"]),
+        // A server with the feature off serializes the section as `null`.
+        hot_key_enabled: at(&["hot_keys"]).is_some_and(|h| *h != Value::Null),
+        hot_key_promotions: u64_at(&["hot_keys", "promotions"]),
+        hot_key_demotions: u64_at(&["hot_keys", "demotions"]),
+        hot_key_replica_hits: u64_at(&["hot_keys", "replica_hits"]),
     });
-    // Attach each tenant section's server-side facts (budget, gradient
-    // signal, evictions) from the per-tenant stats lines.
+    // Each tenant section's server-side facts (budget, gradient signal,
+    // evictions) come from the document's tenant list.
+    let tenants = list("tenants");
     for section in &mut report.tenants {
-        let name = &section.tenant;
-        section.budget_bytes = stat_u64(&stats, &format!("tenant:{name}:budget"));
-        section.shadow_hits = stat_u64(&stats, &format!("tenant:{name}:shadow_hits"));
-        section.evictions = stat_u64(&stats, &format!("tenant:{name}:evictions"));
+        let doc = tenants
+            .iter()
+            .find(|t| t.get("name").and_then(Value::as_str) == Some(&section.tenant));
+        let fact = |key: &str| {
+            doc.and_then(|t| t.get(key))
+                .and_then(Value::as_u64)
+                .unwrap_or(0)
+        };
+        section.budget_bytes = fact("budget");
+        section.shadow_hits = fact("shadow_hits");
+        section.evictions = fact("evictions");
     }
+    report.server_stats = server_stats;
     Ok(report)
 }
 
@@ -199,6 +102,7 @@ pub fn run_self_hosted(
 mod tests {
     use super::*;
     use crate::workload::WorkloadSpec;
+    use cache_server::BackendConfig;
     use workloads::{KeyPopularity, SizeDistribution};
 
     fn tiny_load() -> LoadgenConfig {
@@ -223,11 +127,15 @@ mod tests {
     fn self_hosted_run_attaches_server_facts() {
         // Explicit worker count: loops no longer track connections, and the
         // auto-detected default depends on the host's CPUs.
-        let host = SelfHostConfig {
+        let host = ServerConfig {
             workers: 2,
-            ..SelfHostConfig::default()
+            backend: BackendConfig {
+                shards: 2,
+                ..BackendConfig::default()
+            },
+            ..ServerConfig::default()
         };
-        let report = run_self_hosted(&tiny_load(), &host, 2).unwrap();
+        let report = run_self_hosted(&tiny_load(), host).unwrap();
         let server = report.server.expect("self-hosted run must echo server");
         assert_eq!(server.shards, 2);
         assert_eq!(server.workers, 2);
@@ -269,11 +177,15 @@ mod tests {
             TenantLoad::new("alpha", 1, load.workload.clone()),
             TenantLoad::new("beta", 1, load.workload.clone()),
         ];
-        let host = SelfHostConfig {
-            total_bytes: 12 << 20,
-            ..SelfHostConfig::default()
+        let host = ServerConfig {
+            backend: BackendConfig {
+                total_bytes: 12 << 20,
+                shards: 2,
+                ..BackendConfig::default()
+            },
+            ..ServerConfig::default()
         };
-        let report = run_self_hosted(&load, &host, 2).unwrap();
+        let report = run_self_hosted(&load, host).unwrap();
         let server = report.server.as_ref().expect("server echo");
         assert_eq!(server.tenant_count, 3, "default + alpha + beta");
         assert!(server.arbiter_enabled);
@@ -293,11 +205,15 @@ mod tests {
     fn the_echo_carries_the_resolved_shard_count() {
         // 2 MB of cache budget caps the backend at 2 shards (1 MB each), so
         // a requested 8-shard run must be labeled with what actually ran.
-        let host = SelfHostConfig {
-            total_bytes: 2 << 20,
-            ..SelfHostConfig::default()
+        let host = ServerConfig {
+            backend: BackendConfig {
+                total_bytes: 2 << 20,
+                shards: 8,
+                ..BackendConfig::default()
+            },
+            ..ServerConfig::default()
         };
-        let report = run_self_hosted(&tiny_load(), &host, 8).unwrap();
+        let report = run_self_hosted(&tiny_load(), host).unwrap();
         assert_eq!(report.server.unwrap().shards, 2);
     }
 }

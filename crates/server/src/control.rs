@@ -494,12 +494,14 @@ impl Control {
             let sum_weights: u64 = roster.weights.iter().sum();
             let target_total = (shared.config.total_bytes as u128 * weight as u128
                 / (sum_weights + weight) as u128) as u64;
-            let target_slices = even_split(target_total.max(1), n);
-            for (s, &target_slice) in target_slices.iter().enumerate() {
+            for (s, &target_slice) in even_split(target_total, n).iter().enumerate() {
                 let shard_total: u64 = (0..tenants).map(|t| roster.budgets[t][s]).sum();
+                let largest = (0..tenants).max_by_key(|&t| roster.budgets[t][s]);
                 for t in 0..tenants {
                     let ask = (target_slice as u128 * roster.budgets[t][s] as u128
                         / shard_total.max(1) as u128) as u64;
+                    // The new cell gets at least a byte, from the largest.
+                    let ask = if Some(t) == largest { ask.max(1) } else { ask };
                     if ask > 0 {
                         per_loop[shared.owner_of(s)].push((s, t, ask));
                     }

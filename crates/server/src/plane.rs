@@ -456,10 +456,18 @@ impl PlaneShared {
                 directory.len(),
             );
         }
-        let budgets: Vec<Vec<u64>> = weighted_split(config.total_bytes, &weights)
+        let mut budgets: Vec<Vec<u64>> = weighted_split(config.total_bytes, &weights)
             .iter()
-            .map(|&share| even_split(share.max(1), shards))
+            .map(|&share| even_split(share, shards))
             .collect();
+        // Every cell gets at least a byte, taken from the largest one: an
+        // engine cannot be built on none.
+        let mut cells: Vec<&mut u64> = budgets.iter_mut().flatten().collect();
+        while let Some(empty) = cells.iter().position(|cell| **cell == 0) {
+            let largest = (0..cells.len()).max_by_key(|&i| *cells[i]).unwrap_or(empty);
+            *cells[largest] -= 1;
+            *cells[empty] = 1;
+        }
         PlaneShared {
             shards,
             loops,
@@ -534,8 +542,7 @@ impl EventSink for EngineSink {
 /// Builds an engine for `(shard, tenant)` with the flight-recorder sink
 /// installed (a no-op on plain engines).
 fn build_engine(shared: &PlaneShared, shard: usize, tenant: &str, budget: u64) -> Engine {
-    // An engine cannot be built on no bytes at all.
-    let mut engine = Engine::build(&shared.config, budget.max(1));
+    let mut engine = Engine::build(&shared.config, budget);
     engine.set_event_sink(Arc::new(EngineSink {
         journal: Arc::clone(&shared.journal),
         shard,
@@ -1403,18 +1410,26 @@ pub(crate) mod tests {
 
     #[test]
     fn a_boot_share_smaller_than_the_shard_count_still_builds_every_engine() {
-        // The default tenant's weighted share is under a byte: one shard
-        // boots with a budget of 0.
+        // The default tenant's weighted share is under a byte per shard:
+        // an even split would boot one shard with a budget of 0.
         let config = BackendConfig {
             total_bytes: 4 << 20,
             tenants: vec![TenantSpec::new("big", 1 << 40)],
             ..BackendConfig::default()
         };
         let (states, _seeds, _) = two_loops(config);
+        let mut held = 0;
         for state in &states {
             assert_eq!(state.owned.len(), 1);
             assert_eq!(state.owned[0].cells.len(), 2, "an engine per tenant");
+            for cell in &state.owned[0].cells {
+                let Engine::Managed(cache) = &cell.engine else {
+                    panic!("the default mode is managed")
+                };
+                held += cache.total_bytes();
+            }
         }
+        assert_eq!(held, 4 << 20, "the live engines hold exactly total_bytes");
     }
 
     #[test]

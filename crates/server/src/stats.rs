@@ -747,9 +747,11 @@ fn stat(out: &mut Vec<(String, String)>, key: impl Into<String>, value: impl ToS
     out.push((key.into(), value.to_string()));
 }
 
-/// The ten per-engine keys a `tenant:<name>` and a `shard:<n>` section share.
-fn engine_stats(out: &mut Vec<(String, String)>, prefix: &str, values: [u64; 10]) {
-    let keys = [
+/// The ten per-engine keys a `tenant:<name>` and a `shard:<n>` section
+/// share, read from the section's serialized fields of the same names.
+fn engine_stats(out: &mut Vec<(String, String)>, prefix: &str, section: &impl Serialize) {
+    let fields = section.serialize();
+    for key in [
         "cmd_get",
         "cmd_set",
         "get_hits",
@@ -760,9 +762,9 @@ fn engine_stats(out: &mut Vec<(String, String)>, prefix: &str, values: [u64; 10]
         "evictions",
         "budget",
         "shadow_hits",
-    ];
-    for (key, value) in keys.iter().zip(values) {
-        stat(out, format!("{prefix}:{key}"), value);
+    ] {
+        let value = fields.get(key).and_then(serde::Value::as_u64);
+        stat(out, format!("{prefix}:{key}"), value.unwrap_or(0));
     }
 }
 
@@ -817,40 +819,10 @@ pub(crate) fn render_stats(doc: &StatsDocument) -> Vec<(String, String)> {
     }
     stat(&mut out, "idle_closed_connections", conns.idle_closed);
     for t in &doc.tenants {
-        engine_stats(
-            &mut out,
-            &format!("tenant:{}", t.name),
-            [
-                t.cmd_get,
-                t.cmd_set,
-                t.get_hits,
-                t.get_misses,
-                t.cmd_delete,
-                t.bytes,
-                t.curr_items,
-                t.evictions,
-                t.budget,
-                t.shadow_hits,
-            ],
-        );
+        engine_stats(&mut out, &format!("tenant:{}", t.name), t);
     }
     for s in &doc.shards {
-        engine_stats(
-            &mut out,
-            &format!("shard:{}", s.index),
-            [
-                s.cmd_get,
-                s.cmd_set,
-                s.get_hits,
-                s.get_misses,
-                s.cmd_delete,
-                s.bytes,
-                s.curr_items,
-                s.evictions,
-                s.budget,
-                s.shadow_hits,
-            ],
-        );
+        engine_stats(&mut out, &format!("shard:{}", s.index), s);
     }
     for (key, value) in [
         ("plane:event_loops", cap.event_loops as u64),
