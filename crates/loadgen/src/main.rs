@@ -224,6 +224,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             "--mb" => {
                 let mb: u64 = value("--mb")?.parse().map_err(|_| "bad --mb".to_string())?;
+                if mb == 0 {
+                    return Err("--mb must be at least 1".to_string());
+                }
                 backend.total_bytes = mb << 20;
             }
             "--allocator" => {

@@ -3,7 +3,7 @@
 //! document. It talks to the event loops only in [`crate::plane`]'s
 //! messages, and owns the balancers' decision state outright.
 
-use crate::engine::even_split;
+use crate::engine::{even_split, BackendMode};
 use crate::hotkey::{plan_round, HotKeyCount, HotShared, PromotedEntry};
 use crate::plane::{
     AdminOp, AdminReply, ControlMsg, CtrlReq, LoopMsg, LoopSnapshot, PlaneShared, RosterMaster,
@@ -466,10 +466,10 @@ impl Control {
 
     /// Hosts a new application live (`app_create`): validate, carve a
     /// weight-proportional budget out of every existing tenant's engines
-    /// via the owning loops, then publish the new tenant table. Only bytes
-    /// actually released are granted, so the configured total is conserved
-    /// exactly. The generation counter moves *after* every loop has built
-    /// the new engines.
+    /// via the owning loops (at least a byte a shard, or the app is
+    /// refused), then publish the new tenant table. Only bytes actually
+    /// released are granted, so the configured total is conserved exactly.
+    /// The generation counter moves *after* every loop has built its cells.
     fn create_tenant(&mut self, name: &str, weight: u64) -> Result<(), String> {
         if !TenantDirectory::valid_name(name) {
             return Err(format!(
@@ -481,11 +481,9 @@ impl Control {
         }
         let shared = Arc::clone(&self.shared);
         let n = shared.shards;
-        // The asks are planned under the roster lock, the carve-outs awaited
+        // The asks are planned under the roster lock, the carve-outs made
         // with it released (see `balance`), the table written under it again.
-        let mut per_loop: Vec<Vec<(usize, usize, u64)>> =
-            (0..shared.loops).map(|_| Vec::new()).collect();
-        {
+        let (tenants, asks) = {
             let roster = shared.roster.lock();
             if roster.directory.index_of(name).is_some() {
                 return Err(format!("app {name:?} already exists"));
@@ -494,43 +492,55 @@ impl Control {
             let sum_weights: u64 = roster.weights.iter().sum();
             let target_total = (shared.config.total_bytes as u128 * weight as u128
                 / (sum_weights + weight) as u128) as u64;
+            let mut asks = Vec::new();
             for (s, &target_slice) in even_split(target_total, n).iter().enumerate() {
                 let shard_total: u64 = (0..tenants).map(|t| roster.budgets[t][s]).sum();
-                let largest = (0..tenants).max_by_key(|&t| roster.budgets[t][s]);
                 for t in 0..tenants {
                     let ask = (target_slice as u128 * roster.budgets[t][s] as u128
                         / shard_total.max(1) as u128) as u64;
-                    // The new cell gets at least a byte, from the largest.
-                    let ask = if Some(t) == largest { ask.max(1) } else { ask };
                     if ask > 0 {
-                        per_loop[shared.owner_of(s)].push((s, t, ask));
+                        asks.push((s, t, ask));
                     }
                 }
             }
+            (tenants, asks)
+        };
+        let mut granted: Vec<(usize, usize, u64)> = asks
+            .into_iter()
+            .filter(|&(s, t, bytes)| self.shrink_on_owner(s, t, bytes))
+            .collect();
+        let mut carved = vec![0u64; n];
+        for &(s, _, bytes) in &granted {
+            carved[s] += bytes;
         }
-        let (tx, rx) = channel();
-        for (i, asks) in per_loop.into_iter().enumerate() {
-            // Loop i owns shard i (and every loops-th after it) iff
-            // i < shards; owner loops with no asks still must build the
-            // new tenant's cells.
-            if i < n {
-                let _ = shared.mailboxes[i].send(LoopMsg::Control(ControlMsg::CarveAdd {
-                    name: name.to_string(),
-                    asks,
-                    reply: tx.clone(),
-                }));
-            }
+        // A managed engine cannot be built on nothing: where no ask was
+        // granted, the new cell takes a byte of the first engine that can
+        // spare one, and where none can the app is refused and every grant
+        // given back. Plain engines neither give bytes up nor need them.
+        let managed = shared.config.mode != BackendMode::Default;
+        let empty: Vec<usize> = (0..n).filter(|&s| managed && carved[s] == 0).collect();
+        for s in empty {
+            let Some(t) = (0..tenants).find(|&t| self.shrink_on_owner(s, t, 1)) else {
+                for &(s, t, bytes) in &granted {
+                    self.grow_on_owner(s, t, bytes);
+                }
+                return Err(format!("no memory left on shard {s} to host app {name:?}"));
+            };
+            granted.push((s, t, 1));
+            carved[s] = 1;
         }
-        drop(tx);
-        let granted: Vec<(usize, usize, u64)> = rx.iter().flatten().collect();
+        // Every loop acks once the shards it owns have the new cells.
+        self.ask_all(|reply| ControlMsg::AddTenant {
+            name: name.to_string(),
+            budgets: carved.clone(),
+            reply,
+        });
         let mut roster = shared.roster.lock();
         let before = roster.total_budget();
-        let mut carved_per_shard = vec![0u64; n];
         for (s, t, bytes) in granted {
             roster.budgets[t][s] -= bytes;
-            carved_per_shard[s] += bytes;
         }
-        for (s, &bytes) in carved_per_shard.iter().enumerate() {
+        for (s, &bytes) in carved.iter().enumerate() {
             if bytes > 0 {
                 shared.journal.record(EventKind::CarveOut {
                     tenant: name.to_string(),
@@ -545,7 +555,7 @@ impl Control {
         });
         roster.directory.add(name);
         roster.weights.push(weight);
-        roster.budgets.push(carved_per_shard);
+        roster.budgets.push(carved);
         debug_assert_eq!(
             roster.total_budget(),
             before,

@@ -424,12 +424,13 @@ impl Engine {
         }
     }
 
-    /// Releases `bytes` of the engine's budget, evicting as needed. Returns
-    /// whether the release happened.
+    /// Releases `bytes` of the engine's budget, evicting as needed, but
+    /// never all of it: a managed engine is built on a byte and keeps one.
+    /// Returns whether the release happened.
     pub(crate) fn shrink_total(&mut self, bytes: u64) -> bool {
         match self {
             Engine::Plain(_) => false,
-            Engine::Managed(cache) => cache.shrink_total(bytes),
+            Engine::Managed(cache) => bytes < cache.total_bytes() && cache.shrink_total(bytes),
         }
     }
 

@@ -261,15 +261,14 @@ pub(crate) enum ControlMsg {
         budget: u64,
         reply: Sender<()>,
     },
-    /// `app_create` carve-out: shrink the asked (shard, tenant) engines,
-    /// then bring up the new tenant's engine on every owned shard with the
-    /// bytes actually carved there. Replies the granted asks.
-    CarveAdd {
+    /// `app_create`: bring up the new tenant's engine on every owned
+    /// shard with the bytes carved for it there (indexed by global shard).
+    AddTenant {
         /// The new tenant's name (not yet in the loops' tables — the
-        /// generation bump that publishes it happens after every carve).
+        /// generation bump that publishes it happens after every loop acks).
         name: String,
-        asks: Vec<(usize, usize, u64)>,
-        reply: Sender<Vec<(usize, usize, u64)>>,
+        budgets: Vec<u64>,
+        reply: Sender<()>,
     },
 }
 
@@ -456,12 +455,19 @@ impl PlaneShared {
                 directory.len(),
             );
         }
+        let cells = directory.len() as u64 * shards as u64;
+        assert!(
+            config.total_bytes >= cells,
+            "total_bytes ({}) is under a byte for each of the {cells} (tenant, shard) engines",
+            config.total_bytes,
+        );
         let mut budgets: Vec<Vec<u64>> = weighted_split(config.total_bytes, &weights)
             .iter()
             .map(|&share| even_split(share, shards))
             .collect();
         // Every cell gets at least a byte, taken from the largest one: an
-        // engine cannot be built on none.
+        // engine cannot be built on none. The largest holds two or more
+        // while a cell is empty, so this fills one cell a pass.
         let mut cells: Vec<&mut u64> = budgets.iter_mut().flatten().collect();
         while let Some(empty) = cells.iter().position(|cell| **cell == 0) {
             let largest = (0..cells.len()).max_by_key(|&i| *cells[i]).unwrap_or(empty);
@@ -540,8 +546,10 @@ impl EventSink for EngineSink {
 }
 
 /// Builds an engine for `(shard, tenant)` with the flight-recorder sink
-/// installed (a no-op on plain engines).
+/// installed (a no-op on plain engines). A managed engine needs
+/// `budget > 0`; a plain one holds nothing below a slab page either way.
 fn build_engine(shared: &PlaneShared, shard: usize, tenant: &str, budget: u64) -> Engine {
+    debug_assert!(budget > 0 || shared.config.mode == BackendMode::Default);
     let mut engine = Engine::build(&shared.config, budget);
     engine.set_event_sink(Arc::new(EngineSink {
         journal: Arc::clone(&shared.journal),
@@ -1137,13 +1145,6 @@ impl LoopState {
         self.owned[self.slots[shard]?].cells.get_mut(tenant)
     }
 
-    /// Releases `bytes` of one owned engine's budget, evicting as needed;
-    /// `false` — and nothing changes — if its class floors forbid it.
-    fn shrink(&mut self, shard: usize, tenant: usize, bytes: u64) -> bool {
-        self.cell_mut(shard, tenant)
-            .is_some_and(|cell| cell.engine.shrink_total(bytes))
-    }
-
     /// Serves a control-thread request against the owned engines.
     pub(crate) fn serve_control(&mut self, msg: ControlMsg) {
         match msg {
@@ -1166,7 +1167,8 @@ impl LoopState {
                 bytes,
                 reply,
             } => {
-                let _ = reply.send(self.shrink(shard, tenant, bytes));
+                let cell = self.cell_mut(shard, tenant);
+                let _ = reply.send(cell.is_some_and(|cell| cell.engine.shrink_total(bytes)));
             }
             ControlMsg::Grow {
                 shard,
@@ -1190,25 +1192,17 @@ impl LoopState {
                 }
                 let _ = reply.send(());
             }
-            ControlMsg::CarveAdd { name, asks, reply } => {
+            ControlMsg::AddTenant {
+                name,
+                budgets,
+                reply,
+            } => {
                 let shared = Arc::clone(&self.shared);
-                let mut carved = vec![0u64; shared.shards];
-                let granted: Vec<(usize, usize, u64)> = asks
-                    .into_iter()
-                    .filter(|&(shard, tenant, bytes)| self.shrink(shard, tenant, bytes))
-                    .collect();
-                for &(shard, _, bytes) in &granted {
-                    carved[shard] += bytes;
-                }
                 for shard in self.owned.iter_mut() {
-                    shard.cells.push(OwnedEngine::new(build_engine(
-                        &shared,
-                        shard.global,
-                        &name,
-                        carved[shard.global],
-                    )));
+                    let engine = build_engine(&shared, shard.global, &name, budgets[shard.global]);
+                    shard.cells.push(OwnedEngine::new(engine));
                 }
-                let _ = reply.send(granted);
+                let _ = reply.send(());
             }
         }
     }

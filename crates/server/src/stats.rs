@@ -185,10 +185,9 @@ pub(crate) struct LoopDoc {
     pub(crate) remote_latency: LatencySummary,
 }
 
-/// One tenant's aggregated counters.
+/// The ten per-engine counters a tenant's and a shard's section share.
 #[derive(Default, Serialize)]
-pub(crate) struct TenantDoc {
-    pub(crate) name: String,
+pub(crate) struct EngineDoc {
     pub(crate) cmd_get: u64,
     pub(crate) cmd_set: u64,
     pub(crate) get_hits: u64,
@@ -201,21 +200,38 @@ pub(crate) struct TenantDoc {
     pub(crate) shadow_hits: u64,
 }
 
+impl EngineDoc {
+    fn new(sum: &EngineStat, budget: u64) -> EngineDoc {
+        EngineDoc {
+            cmd_get: sum.wire.gets,
+            cmd_set: sum.wire.sets,
+            get_hits: sum.wire.hits,
+            get_misses: sum.wire.misses,
+            cmd_delete: sum.wire.deletes,
+            bytes: sum.used,
+            curr_items: sum.items as u64,
+            evictions: sum.core.evictions,
+            budget,
+            shadow_hits: sum.core.shadow_hits,
+        }
+    }
+}
+
+/// One tenant's aggregated counters.
+#[derive(Default, Serialize)]
+pub(crate) struct TenantDoc {
+    pub(crate) name: String,
+    #[serde(flatten)]
+    pub(crate) engine: EngineDoc,
+}
+
 /// One shard's aggregated counters and ownership.
 #[derive(Serialize)]
 pub(crate) struct ShardDoc {
     pub(crate) index: usize,
     pub(crate) owner_loop: usize,
-    pub(crate) cmd_get: u64,
-    pub(crate) cmd_set: u64,
-    pub(crate) get_hits: u64,
-    pub(crate) get_misses: u64,
-    pub(crate) cmd_delete: u64,
-    pub(crate) bytes: u64,
-    pub(crate) curr_items: u64,
-    pub(crate) evictions: u64,
-    pub(crate) budget: u64,
-    pub(crate) shadow_hits: u64,
+    #[serde(flatten)]
+    pub(crate) engine: EngineDoc,
 }
 
 /// Data-plane totals and the control thread's own service times.
@@ -697,32 +713,14 @@ pub(crate) fn build_document(
         tenants: (0..nt)
             .map(|t| TenantDoc {
                 name: names[t].clone(),
-                cmd_get: r.tenants[t].wire.gets,
-                cmd_set: r.tenants[t].wire.sets,
-                get_hits: r.tenants[t].wire.hits,
-                get_misses: r.tenants[t].wire.misses,
-                cmd_delete: r.tenants[t].wire.deletes,
-                bytes: r.tenants[t].used,
-                curr_items: r.tenants[t].items as u64,
-                evictions: r.tenants[t].core.evictions,
-                budget: budgets[t],
-                shadow_hits: r.tenants[t].core.shadow_hits,
+                engine: EngineDoc::new(&r.tenants[t], budgets[t]),
             })
             .collect(),
         shards: (0..ns)
             .map(|s| ShardDoc {
                 index: s,
                 owner_loop: shared.owner_of(s),
-                cmd_get: r.shards[s].wire.gets,
-                cmd_set: r.shards[s].wire.sets,
-                get_hits: r.shards[s].wire.hits,
-                get_misses: r.shards[s].wire.misses,
-                cmd_delete: r.shards[s].wire.deletes,
-                bytes: r.shards[s].used,
-                curr_items: r.shards[s].items as u64,
-                evictions: r.shards[s].core.evictions,
-                budget: shard_budgets[s],
-                shadow_hits: r.shards[s].core.shadow_hits,
+                engine: EngineDoc::new(&r.shards[s], shard_budgets[s]),
             })
             .collect(),
         plane: PlaneDoc {
@@ -747,24 +745,22 @@ fn stat(out: &mut Vec<(String, String)>, key: impl Into<String>, value: impl ToS
     out.push((key.into(), value.to_string()));
 }
 
-/// The ten per-engine keys a `tenant:<name>` and a `shard:<n>` section
-/// share, read from the section's serialized fields of the same names.
-fn engine_stats(out: &mut Vec<(String, String)>, prefix: &str, section: &impl Serialize) {
-    let fields = section.serialize();
-    for key in [
-        "cmd_get",
-        "cmd_set",
-        "get_hits",
-        "get_misses",
-        "cmd_delete",
-        "bytes",
-        "curr_items",
-        "evictions",
-        "budget",
-        "shadow_hits",
-    ] {
-        let value = fields.get(key).and_then(serde::Value::as_u64);
-        stat(out, format!("{prefix}:{key}"), value.unwrap_or(0));
+/// The ten per-engine keys a `tenant:<name>` and a `shard:<n>` section share.
+fn engine_stats(out: &mut Vec<(String, String)>, prefix: &str, e: &EngineDoc) {
+    let values = [
+        ("cmd_get", e.cmd_get),
+        ("cmd_set", e.cmd_set),
+        ("get_hits", e.get_hits),
+        ("get_misses", e.get_misses),
+        ("cmd_delete", e.cmd_delete),
+        ("bytes", e.bytes),
+        ("curr_items", e.curr_items),
+        ("evictions", e.evictions),
+        ("budget", e.budget),
+        ("shadow_hits", e.shadow_hits),
+    ];
+    for (key, value) in values {
+        stat(out, format!("{prefix}:{key}"), value);
     }
 }
 
@@ -819,10 +815,10 @@ pub(crate) fn render_stats(doc: &StatsDocument) -> Vec<(String, String)> {
     }
     stat(&mut out, "idle_closed_connections", conns.idle_closed);
     for t in &doc.tenants {
-        engine_stats(&mut out, &format!("tenant:{}", t.name), t);
+        engine_stats(&mut out, &format!("tenant:{}", t.name), &t.engine);
     }
     for s in &doc.shards {
-        engine_stats(&mut out, &format!("shard:{}", s.index), s);
+        engine_stats(&mut out, &format!("shard:{}", s.index), &s.engine);
     }
     for (key, value) in [
         ("plane:event_loops", cap.event_loops as u64),
@@ -1024,19 +1020,23 @@ pub(crate) fn render_prom(doc: &StatsDocument) -> String {
         prom_metric(&mut out, name, kind, &lines);
     };
     per_tenant("cliffhanger_tenant_bytes_used", "gauge", "tenant", |t| {
-        t.bytes
+        t.engine.bytes
     });
     per_tenant("cliffhanger_tenant_budget_bytes", "gauge", "tenant", |t| {
-        t.budget
+        t.engine.budget
     });
     per_tenant("cliffhanger_tenant_cmd_get", "counter", "app", |t| {
-        t.cmd_get
+        t.engine.cmd_get
     });
     per_tenant("cliffhanger_tenant_get_hits", "counter", "app", |t| {
-        t.get_hits
+        t.engine.get_hits
     });
-    per_tenant("cliffhanger_tenant_bytes", "gauge", "app", |t| t.bytes);
-    per_tenant("cliffhanger_tenant_budget", "gauge", "app", |t| t.budget);
+    per_tenant("cliffhanger_tenant_bytes", "gauge", "app", |t| {
+        t.engine.bytes
+    });
+    per_tenant("cliffhanger_tenant_budget", "gauge", "app", |t| {
+        t.engine.budget
+    });
     if let Some(mrc) = &doc.mrc {
         let lines: Vec<(String, String)> = mrc
             .tenants
@@ -1116,9 +1116,11 @@ mod tests {
             schema: STATS_SCHEMA.to_string(),
             tenants: vec![TenantDoc {
                 name: name.to_string(),
-                cmd_get: 7,
-                budget: 9,
-                ..TenantDoc::default()
+                engine: EngineDoc {
+                    cmd_get: 7,
+                    budget: 9,
+                    ..EngineDoc::default()
+                },
             }],
             ..StatsDocument::default()
         };

@@ -8,7 +8,9 @@
 //! Covered: the rebalancer moves budget toward a starved shard (and never
 //! when disabled or in `Default` mode); the arbiter moves budget toward a
 //! starved tenant, through another tenant's flush storm, and toward a tenant
-//! onboarded live; `flush_tenant` and `create_tenant` conserve the total;
+//! onboarded live; `flush_tenant` and `create_tenant` conserve the total,
+//! a created tenant gets a byte a shard where every ask is refused, and
+//! `create_tenant` is refused (and a start rejected) below a byte an engine;
 //! per-shard and per-tenant stats sum to the aggregates; shard
 //! auto-detection is budget-capped; and the store verbs' semantics in all
 //! three allocator modes. One test pins [`SharedCache`] to the handle's
@@ -556,6 +558,59 @@ fn create_tenant_carves_budget_and_isolates() {
     c.flush_tenant(gamma);
     assert!(c.get_for(gamma, b"k").is_none());
     assert_eq!(c.tenant_budgets(), budgets);
+}
+
+/// A tenant weighted far above the rest asks each engine for nearly all of
+/// it, more than its class floors let it give, so every ask is refused: a
+/// managed engine then gives the new cell one byte a shard (a plain one
+/// gives nothing up), and the new tenant serves, flushes and conserves the
+/// total on what it got.
+#[test]
+fn a_created_tenant_whose_asks_are_all_refused_still_serves() {
+    for mode in MODES {
+        let server = start(small(mode));
+        let cache = server.cache();
+        let huge = cache
+            .create_tenant("huge", 1 << 40)
+            .expect("create must succeed");
+        let carved = if mode == BackendMode::Default { 0 } else { 2 };
+        let budgets = cache.tenant_budgets();
+        assert_eq!(budgets, vec![(4 << 20) - carved, carved], "{mode:?}");
+        cache.set_for(huge, b"k", 0, Bytes::from("v"));
+        assert!(
+            cache.get_for(huge, b"k").is_none(),
+            "{mode:?}: no item fits"
+        );
+        cache.flush_tenant(huge);
+        assert_eq!(cache.tenant_budgets(), budgets, "{mode:?}");
+        assert!(cache.set(b"k", 0, Bytes::from("v")), "{mode:?}");
+    }
+}
+
+/// Where no managed engine can spare a byte, `app_create` is refused and
+/// no budget moves.
+#[test]
+fn create_tenant_is_refused_where_no_engine_can_spare_a_byte() {
+    let server = start(BackendConfig {
+        total_bytes: 2,
+        tenants: vec![TenantSpec::new("a", 1)],
+        ..small(BackendMode::Cliffhanger)
+    });
+    let cache = server.cache();
+    assert_eq!(cache.tenant_budgets(), vec![1, 1], "one shard, a byte each");
+    assert!(cache.create_tenant("b", 1).is_err());
+    assert_eq!(cache.tenant_count(), 2);
+    assert_eq!(cache.tenant_budgets(), vec![1, 1]);
+}
+
+#[test]
+#[should_panic(expected = "under a byte")]
+fn a_budget_under_a_byte_per_engine_is_rejected_at_start() {
+    start(BackendConfig {
+        total_bytes: 1,
+        tenants: vec![TenantSpec::new("a", 1)],
+        ..small(BackendMode::Cliffhanger)
+    });
 }
 
 /// Runs `admin` against a fresh, idle 2-loop server on a thread of its own
