@@ -6,7 +6,7 @@
 //! The JSON report goes to stdout (or `--json <path>`); the human-readable
 //! summary goes to stderr, so `loadgen … | jq .` just works.
 
-use cache_server::{BackendMode, HotKeyConfig, ServerConfig};
+use cache_server::{BackendMode, ServerConfig};
 use cliffhanger::ShardBalanceConfig;
 use loadgen::{run_load, run_self_hosted, LoadReport, LoadgenConfig, TenantLoad, WorkloadSpec};
 use std::io::Write;
@@ -34,10 +34,6 @@ TARGET (default: self-host an in-process server):
                             one in <n> GETs (rounded up to a power
                             of two; 0 = off), surfaced as the `mrc`
                             section of `stats json`                 [64]
-    --hot-key-promote <on|off>  hot-key detection + per-loop replica
-                            promotion (the aggressive profile: every
-                            GET sampled, fast control rounds), echoed
-                            as the report's hot_key_* counters       [off]
 
 LOAD:
     --requests <n>          measured requests                       [100000]
@@ -202,7 +198,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--tenant-balance",
             "--slow-op-micros",
             "--mrc-sample",
-            "--hot-key-promote",
         ] {
             if flag == known {
                 self_host_flag.get_or_insert(known);
@@ -265,13 +260,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 backend.mrc_sample = value("--mrc-sample")?
                     .parse()
                     .map_err(|_| "bad --mrc-sample".to_string())?
-            }
-            "--hot-key-promote" => {
-                backend.hot_key = if on_off(flag, &value(flag)?)? {
-                    HotKeyConfig::aggressive()
-                } else {
-                    HotKeyConfig::default()
-                }
             }
             "--tenants" => tenants_spec = Some(value("--tenants")?),
             "--fill-on-miss" => args.load.fill_on_miss = on_off(flag, &value(flag)?)?,
@@ -432,12 +420,6 @@ fn summarize(report: &LoadReport) {
             eprintln!(
                 "  slow ops: {}, idle-closed connections: {}",
                 server.slow_ops, server.idle_closed_connections
-            );
-        }
-        if server.hot_key_enabled {
-            eprintln!(
-                "  hot keys: {} promotions, {} demotions, {} replica hits",
-                server.hot_key_promotions, server.hot_key_demotions, server.hot_key_replica_hits
             );
         }
     }

@@ -183,17 +183,16 @@ pub struct ServerEcho {
     /// Ops that exceeded the server's slow-op threshold (0 when the
     /// threshold is disabled).
     pub slow_ops: u64,
-    /// Whether hot-key detection and per-loop replication were active
-    /// (`--hot-key-promote`). These fields are sourced from the scraped
-    /// `stats json` document — the legacy text `stats` key set is pinned
-    /// and never grows. (Pre-PR10 reports lack the `hot_key_*` fields;
-    /// same untyped-reader caveat as above.)
+    /// The four `hot_key_*` fields always read `false` and 0: the server
+    /// no longer replicates hot keys, and the fields stay because
+    /// `cliffhanger-loadgen/v1` only ever grows. (Reports older than the
+    /// fields lack them; same untyped-reader caveat as above.)
     pub hot_key_enabled: bool,
-    /// Keys the control thread promoted into per-loop replica caches.
+    /// Always 0.
     pub hot_key_promotions: u64,
-    /// Promoted keys demoted back out (cooled or displaced).
+    /// Always 0.
     pub hot_key_demotions: u64,
-    /// GETs served from a local replica instead of a cross-loop forward.
+    /// Always 0.
     pub hot_key_replica_hits: u64,
 }
 

@@ -23,9 +23,7 @@
 
 use crate::runner::{Drive, OpSource, Pool, Worker, WorkerStats};
 use crate::workload::{GenOp, RequestGen};
-use cache_server::{
-    BackendConfig, CacheClient, CacheServer, HotKeyConfig, ServerConfig, TenantSpec,
-};
+use cache_server::{BackendConfig, CacheClient, CacheServer, ServerConfig, TenantSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -67,8 +65,8 @@ pub struct ScanSpec {
 
 /// An optional single-key flash crowd mixed into a phase: a fraction of
 /// the phase's requests are GETs of one fixed key. Under the
-/// shared-nothing plane that key's owner loop becomes the bottleneck —
-/// the traffic shape the hot-key replication path exists to absorb.
+/// shared-nothing plane that key's owner loop becomes the bottleneck, and
+/// every other loop forwards its share of the crowd there.
 ///
 /// The spike key should sit *outside* the phase's popularity universe
 /// (and drift range), so the versioned probe stays the key's only writer
@@ -212,8 +210,8 @@ pub enum Invariant {
     /// The versioned probe (active whenever a phase carries a
     /// [`SpikeSpec`]) observed no stale read: every GET of the spike key
     /// returned a version at or past the last write that was acknowledged
-    /// before the GET began, while hot-key promotion churned the key in
-    /// and out of the replica caches. Vacuous probes fail — the probe must
+    /// before the GET began, wherever the reading connection's loop sits
+    /// relative to the key's owner. Vacuous probes fail — the probe must
     /// have read real versions for the verdict to mean anything.
     NoStaleReads,
 }
@@ -254,10 +252,6 @@ pub struct Scenario {
     pub warmup_keys: u64,
     /// Demand-fill every GET miss, cache-aside style.
     pub fill_on_miss: bool,
-    /// Enable hot-key detection and per-loop replication on the
-    /// self-hosted server (the aggressive test profile: sample every GET,
-    /// promote fast, round often).
-    pub hot_key_promote: bool,
     /// Tenants to host besides `default`; drivers round-robin across them
     /// (all drivers use `default` when empty).
     pub tenants: Vec<(String, u64)>,
@@ -869,7 +863,7 @@ struct ProbeCounters {
 
 fn probe_payload(version: u64) -> Vec<u8> {
     // Padding keeps the value comparable to the scenario's ordinary
-    // payloads so the replica byte budget is exercised realistically.
+    // payloads, so a probe read costs what a crowd read does.
     format!("v:{version}:{}", "x".repeat(128)).into_bytes()
 }
 
@@ -912,8 +906,8 @@ fn probe_writer(addr: String, key: String, stop: Arc<AtomicBool>, counters: Arc<
 
 /// A probe reader: snapshot the acknowledged frontier, GET, and require
 /// the observed version to be at or past the snapshot. Several readers on
-/// distinct connections land on distinct event loops, so promoted-replica
-/// serving is actually on the path under test.
+/// distinct connections land on distinct event loops, so reads forwarded
+/// to the key's owner are on the path under test.
 fn probe_reader(addr: String, key: String, stop: Arc<AtomicBool>, counters: Arc<ProbeCounters>) {
     let mut client: Option<CacheClient> = None;
     while !stop.load(Ordering::Relaxed) {
@@ -995,11 +989,6 @@ pub fn run_scenario(scenario: &Scenario) -> std::io::Result<ScenarioReport> {
                 .iter()
                 .map(|(name, weight)| TenantSpec::new(name.clone(), (*weight).max(1)))
                 .collect(),
-            hot_key: if scenario.hot_key_promote {
-                HotKeyConfig::aggressive()
-            } else {
-                HotKeyConfig::default()
-            },
             ..BackendConfig::default()
         },
         ..ServerConfig::default()
@@ -1056,8 +1045,8 @@ pub fn run_scenario(scenario: &Scenario) -> std::io::Result<ScenarioReport> {
 
     // The versioned probe runs whenever any phase spikes a key: one
     // writer (the spike key's sole writer) plus two readers on their own
-    // connections, active for the whole measured window so promotion and
-    // demotion both happen under its watch.
+    // connections, active for the whole measured window so the spike's
+    // rise and fall both happen under its watch.
     let spike_rank = phases
         .iter()
         .find_map(|p| p.spike.as_ref().map(|s| s.key_rank));
@@ -1209,7 +1198,6 @@ fn base_scenario(name: &str, description: &str) -> Scenario {
         pipeline: 8,
         warmup_keys: 20_000,
         fill_on_miss: false,
-        hot_key_promote: false,
         tenants: Vec::new(),
         phases: Vec::new(),
         chaos: Vec::new(),
@@ -1391,18 +1379,17 @@ const SPIKE_KEY_RANK: u64 = 5_000_000;
 fn flash_crowd() -> Scenario {
     // The single-core flash crowd: one viral key spikes to half of all
     // traffic while the background mix sharpens (a crowd arriving is also
-    // a skew change). With `hot_key_promote` the control thread promotes
-    // the key into per-loop replicas mid-spike; the versioned probe writes
-    // through the whole window, so promotion, invalidation and demotion
-    // all happen under the `no_stale_reads` microscope.
+    // a skew change). Every loop but the key's owner forwards its share of
+    // the crowd there; the versioned probe writes through the whole
+    // window, so the forward path's read-after-acknowledged-write order is
+    // under the `no_stale_reads` microscope while the owner is busiest.
     let mut s = base_scenario(
         "flash_crowd",
-        "a single viral key spikes to half of all traffic; replication must absorb it with no stale reads",
+        "a single viral key spikes to half of all traffic; its owner loop must serve the crowd with no stale reads",
     );
-    s.hot_key_promote = true;
     // The bottleneck under test is *one loop* pinned by one key: force a
     // multi-loop plane even where CPU auto-detection would pick a single
-    // loop, or there are no non-owning loops to replicate onto.
+    // loop, or no read crosses to the owner.
     s.workers = 4;
     s.shards = 8;
     let keys = 30_000;
@@ -1638,7 +1625,6 @@ mod tests {
     #[test]
     fn flash_crowd_spikes_one_key_outside_its_universe() {
         let s = named_scenario("flash_crowd").expect("registered scenario");
-        assert!(s.hot_key_promote, "the mitigation must be on by default");
         let spike = s
             .phases
             .iter()
@@ -1725,7 +1711,6 @@ mod tests {
             pipeline: 8,
             warmup_keys: 500,
             fill_on_miss: false,
-            hot_key_promote: false,
             tenants: Vec::new(),
             phases: vec![
                 Phase::steady("a", 700, 1_000, 1.0),
@@ -1762,7 +1747,6 @@ mod tests {
             pipeline: 1,
             warmup_keys: 500,
             fill_on_miss: false,
-            hot_key_promote: false,
             tenants: Vec::new(),
             phases: vec![
                 Phase {

@@ -72,11 +72,10 @@ pub fn run_self_hosted(
             .collect(),
         idle_closed_connections: u64_at(&["connections", "idle_closed"]),
         slow_ops: u64_at(&["counters", "slow_ops"]),
-        // A server with the feature off serializes the section as `null`.
-        hot_key_enabled: at(&["hot_keys"]).is_some_and(|h| *h != Value::Null),
-        hot_key_promotions: u64_at(&["hot_keys", "promotions"]),
-        hot_key_demotions: u64_at(&["hot_keys", "demotions"]),
-        hot_key_replica_hits: u64_at(&["hot_keys", "replica_hits"]),
+        hot_key_enabled: false,
+        hot_key_promotions: 0,
+        hot_key_demotions: 0,
+        hot_key_replica_hits: 0,
     });
     // Each tenant section's server-side facts (budget, gradient signal,
     // evictions) come from the document's tenant list.

@@ -73,9 +73,6 @@
 //!   ring ahead of it has drained, and nothing is parsed past it until its
 //!   [`crate::plane::LoopMsg::AdminDone`] — the event loop keeps serving
 //!   every sibling connection meanwhile.
-//! * **Replica bypass**: while a forwarded write is un-acked its owner has
-//!   not bumped the key's version yet, so remote GETs skip the hot-key
-//!   replica cache and forward; FIFO to the owner restores read-your-writes.
 //! * **Bounds**: at most [`MAX_IN_FLIGHT`] entries, and finished responses
 //!   staged behind the ring count toward [`OUT_HIGH_WATERMARK`]; at either
 //!   limit the connection stops parsing and reading until replies drain it.
@@ -282,8 +279,6 @@ pub(crate) struct Connection {
     staged: Vec<u8>,
     /// Bytes of `staged` already moved onto `out`.
     staged_pos: usize,
-    /// Forwarded writes not yet acknowledged (the replica bypass).
-    unacked_writes: usize,
     /// Last time the peer gave us bytes or an operation resolved — the
     /// idle reaper's clock.
     last_activity: Instant,
@@ -318,7 +313,6 @@ impl Connection {
             head_seq: 0,
             staged: Vec::new(),
             staged_pos: 0,
-            unacked_writes: 0,
             last_activity: Instant::now(),
         })
     }
@@ -448,7 +442,6 @@ impl Connection {
                     }
                 }),
                 Entry::Write { delete, noreply } => {
-                    self.unacked_writes -= 1;
                     let done = matches!(op.state, OpState::Flag(true));
                     self.complete(index, |out| {
                         if !noreply {
@@ -667,7 +660,6 @@ impl Connection {
             tenant: self.tenant,
             shard,
             id,
-            version: 0,
             key: 0..0,
             state,
         };
@@ -689,20 +681,8 @@ impl Connection {
                 ctx.state.note_local(timer);
             }
             Err(owner) => {
-                // Promoted hot keys serve from the loop-local replica
-                // cache: no forward, no ring entry. Not behind an
-                // un-acked write, whose version bump the replica check
-                // could not see yet.
-                let replica = (self.unacked_writes == 0)
-                    .then(|| ctx.state.replica_get(shard, self.tenant, id, key));
-                if let Some(Some((flags, data))) = replica {
-                    self.emit(|out| encode_value(key, flags, &data, out));
-                } else {
-                    // A replica miss rides the normal forward; a promoted
-                    // key's replica fills from the reply.
-                    self.forward(ctx, (shard, id, owner), key, OpState::Get);
-                    self.ring.push_back(Entry::Get { end: false });
-                }
+                self.forward(ctx, (shard, id, owner), key, OpState::Get);
+                self.ring.push_back(Entry::Get { end: false });
             }
         }
         // Between commands every `Get` entry has `end` set, so an unset
@@ -772,7 +752,7 @@ impl Connection {
     /// A store (`Some`: the verb and the item) or a delete of `key`: inline
     /// when this loop owns the key — the item moves into the engine — else
     /// forwarded. A forwarded `noreply` still takes a ring entry: program
-    /// order, drain-before-close and the replica bypass all hang on it.
+    /// order and drain-before-close hang on it.
     fn write(
         &mut self,
         (shard, id, route): Route,
@@ -802,7 +782,6 @@ impl Connection {
             None => OpState::Delete,
         };
         self.forward(ctx, (shard, id, owner), key, state);
-        self.unacked_writes += 1;
         self.ring.push_back(Entry::Write { delete, noreply });
     }
 
@@ -968,7 +947,6 @@ mod tests {
                 tenant: 0,
                 shard: 0,
                 id: Key::new(seq),
-                version: 0,
                 key: 0..0,
                 state: OpState::Get,
             };
@@ -999,7 +977,6 @@ mod tests {
             delete: false,
             noreply: false,
         });
-        conn.unacked_writes = 1;
         conn.emit(|out| out.extend_from_slice(b"<three>"));
         conn.ring.push_back(Entry::Get { end: false });
 
@@ -1014,7 +991,6 @@ mod tests {
         conn.on_replies(&later.ops, &later);
         assert!(conn.out.is_empty());
         assert_eq!(conn.ring.len(), 7);
-        assert_eq!(conn.unacked_writes, 0);
 
         // Owner 1's answer releases everything, in program order.
         let first = served(vec![(0, "a", Ok(Some("ay")))]);

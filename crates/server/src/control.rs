@@ -1,10 +1,8 @@
 //! The control thread: the single blocking coordinator behind balancing
-//! rounds, hot-key rounds, tenant `flush_all`, `app_create` and the `stats`
-//! document. It talks to the event loops only in [`crate::plane`]'s
+//! rounds, tenant `flush_all`, `app_create` and the `stats` document. It talks to the event loops only in [`crate::plane`]'s
 //! messages, and owns the balancers' decision state outright.
 
 use crate::engine::{even_split, BackendMode};
-use crate::hotkey::{plan_round, HotKeyCount, HotShared, PromotedEntry};
 use crate::plane::{
     AdminOp, AdminReply, ControlMsg, CtrlReq, LoopMsg, LoopSnapshot, PlaneShared, RosterMaster,
     RoundKind,
@@ -12,22 +10,15 @@ use crate::plane::{
 use crate::protocol::{Response, StatsFormat};
 use crate::reactor::ConnTelemetry;
 use crate::stats::{
-    build_document, render_json, render_prom, render_stats, BalanceDoc, HotKeyEntryDoc, HotKeysDoc,
-    PlaneDoc, StatsDocument,
+    build_document, render_json, render_prom, render_stats, BalanceDoc, PlaneDoc, StatsDocument,
 };
-use bytes::Bytes;
-use cache_core::{Key, TenantDirectory};
+use cache_core::TenantDirectory;
 use cliffhanger::{ShardRebalancer, ShardSample, ShardTransfer};
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
 use telemetry::{EventKind, Histogram};
-
-/// Hottest tracked keys exposed in the stats document; the tail of a wide
-/// tracker window is sampling noise.
-const HOT_KEYS_EXPOSED: usize = 32;
 
 /// What the rounds of one balancing level have done so far.
 #[derive(Clone, Copy, Default)]
@@ -61,9 +52,6 @@ pub(crate) struct Control {
     start_unix_us: u64,
     /// Service times of the admin commands this thread ran (ns).
     admin_latency: Histogram,
-    hot_rounds: u64,
-    promotions: u64,
-    demotions: u64,
 }
 
 impl Control {
@@ -91,9 +79,6 @@ impl Control {
                 .map(|d| d.as_micros() as u64)
                 .unwrap_or(0),
             admin_latency: Histogram::new(),
-            hot_rounds: 0,
-            promotions: 0,
-            demotions: 0,
             shared,
         }
     }
@@ -108,10 +93,7 @@ impl Control {
                     if done.is_none() {
                         self.shared.round_pending[kind as usize].store(false, Ordering::Release);
                     }
-                    match kind {
-                        RoundKind::HotKeys => self.hot_round(),
-                        RoundKind::Rebalance | RoundKind::Arbitrate => self.balance(kind),
-                    }
+                    self.balance(kind);
                     if let Some(done) = done {
                         let _ = done.send(());
                     }
@@ -158,23 +140,6 @@ impl Control {
                 CtrlReq::Shutdown => break,
             }
         }
-    }
-
-    /// The loops' sampled hot-key windows folded into one tally per
-    /// (tenant, key).
-    fn merged_hot_keys<'a>(
-        windows: impl Iterator<Item = &'a Vec<HotKeyCount>>,
-    ) -> HashMap<(usize, Key), (u64, Bytes)> {
-        let mut merged: HashMap<(usize, Key), (u64, Bytes)> = HashMap::new();
-        for window in windows {
-            for entry in window {
-                merged
-                    .entry((entry.tenant, entry.id))
-                    .and_modify(|slot| slot.0 += entry.count)
-                    .or_insert_with(|| (entry.count, entry.key.clone()));
-            }
-        }
-        merged
     }
 
     /// Sends every live loop the message `ask` builds around one shared
@@ -359,62 +324,6 @@ impl Control {
         tally.bytes += moved;
     }
 
-    /// One hot-key promotion round: merge the per-loop tracker windows,
-    /// apply the hysteretic promote/demote plan to the master promoted
-    /// set, journal the decisions and publish the new generation. Loops
-    /// copy the set out at their next readiness pass.
-    fn hot_round(&mut self) {
-        let shared = Arc::clone(&self.shared);
-        let Some(hot) = shared.hot.as_ref() else {
-            return;
-        };
-        let windows = self.ask_all(|reply| ControlMsg::HotKeys { reply });
-        let merged = Self::merged_hot_keys(windows.iter());
-        // Tenant names for the journal, resolved before taking the
-        // promoted lock (control-thread lock order: roster, then promoted).
-        let names = shared.roster.lock().directory.names().to_vec();
-        let name_of = |tenant: usize| -> String { names.get(tenant).cloned().unwrap_or_default() };
-        let mut promoted = hot.promoted.lock();
-        let plan = plan_round(&merged, &promoted, &hot.config);
-        for (slot, count) in &plan.refreshed {
-            if let Some(entry) = promoted.get_mut(slot) {
-                entry.count = *count;
-            }
-        }
-        let changed = !plan.promote.is_empty() || !plan.demote.is_empty();
-        for slot in &plan.demote {
-            if let Some(entry) = promoted.remove(slot) {
-                self.demotions += 1;
-                shared.journal.record(EventKind::HotKeyDemoted {
-                    tenant: name_of(slot.0),
-                    key: String::from_utf8_lossy(&entry.key).into_owned(),
-                });
-            }
-        }
-        for (slot, key, count) in &plan.promote {
-            promoted.insert(
-                *slot,
-                PromotedEntry {
-                    key: key.clone(),
-                    count: *count,
-                },
-            );
-            self.promotions += 1;
-            shared.journal.record(EventKind::HotKeyPromoted {
-                tenant: name_of(slot.0),
-                key: String::from_utf8_lossy(key).into_owned(),
-                count: *count,
-            });
-        }
-        drop(promoted);
-        if changed {
-            // Publish only after the master set is fully updated, exactly
-            // like the tenant-table generation.
-            hot.generation.fetch_add(1, Ordering::AcqRel);
-        }
-        self.hot_rounds += 1;
-    }
-
     /// Tenant `flush_all`: rebuild the tenant's engine on every shard at an
     /// even split of its *current* (arbitrated) budget. Rebuilds run
     /// donors-first (largest budget surplus first), one blocking round-trip
@@ -444,14 +353,6 @@ impl Control {
                 budget: shares[s],
                 reply,
             });
-        }
-        // The rebuilds just dropped keys no loop can enumerate, so stale
-        // hot-key replicas of this tenant must stop serving before the
-        // flush is acknowledged. Bumping every version slot (after the
-        // last rebuild, before the ack) guarantees any replica captured
-        // pre-flush fails revalidation.
-        if let Some(hot) = shared.hot.as_ref() {
-            hot.versions.bump_all();
         }
         let mut roster = shared.roster.lock();
         let before = roster.total_budget();
@@ -584,25 +485,6 @@ impl Control {
         // for admin calls arriving through the synchronous handle instead
         // of a connection — report whichever saw more.
         let forwarded: u64 = snaps.iter().flatten().map(|s| s.admin_forwards).sum();
-        let hot_keys = shared.hot.as_ref().map(|hot| {
-            let names = roster.directory.names();
-            let merged = Self::merged_hot_keys(snaps.iter().flatten().map(|s| &s.hot_keys));
-            let tallies = merged.iter();
-            let tallies = tallies.map(|(&(tenant, _), (count, key))| (tenant, key, *count));
-            let mut tracked = hot_key_docs(names, tallies);
-            // Bound the exposed list: the tail of a wide window is noise.
-            tracked.truncate(HOT_KEYS_EXPOSED);
-            HotKeysDoc {
-                tracked,
-                promoted: promoted_docs(hot, names),
-                promotions: self.promotions,
-                demotions: self.demotions,
-                rounds: self.hot_rounds,
-                replica_hits: snaps.iter().flatten().map(|s| s.replica_hits).sum(),
-                replica_fills: snaps.iter().flatten().map(|s| s.replica_fills).sum(),
-                invalidations: snaps.iter().flatten().map(|s| s.hot_invalidations).sum(),
-            }
-        });
         let doc = build_document(shared, &roster, &self.telemetry, &snaps, self.start_unix_us);
         StatsDocument {
             balance: BalanceDoc {
@@ -621,83 +503,49 @@ impl Control {
                 admin_latency: self.admin_latency.summarize_us(),
                 ..doc.plane
             },
-            hot_keys,
             ..doc
         }
     }
-}
-
-/// Hot-key tallies `(tenant, key, ops)` as the stats document lists them:
-/// hottest first.
-fn hot_key_docs<'a>(
-    names: &[String],
-    tallies: impl Iterator<Item = (usize, &'a Bytes, u64)>,
-) -> Vec<HotKeyEntryDoc> {
-    let mut docs: Vec<HotKeyEntryDoc> = tallies
-        .map(|(tenant, key, ops)| HotKeyEntryDoc {
-            app: names.get(tenant).cloned().unwrap_or_default(),
-            key: String::from_utf8_lossy(key).into_owned(),
-            ops,
-        })
-        .collect();
-    docs.sort_by(|a, b| b.ops.cmp(&a.ops).then_with(|| a.key.cmp(&b.key)));
-    docs
-}
-
-/// The promoted set (`ops` is the merged count at the last promotion round).
-pub(crate) fn promoted_docs(hot: &HotShared, names: &[String]) -> Vec<HotKeyEntryDoc> {
-    let promoted = hot.promoted.lock();
-    let tallies = promoted.iter();
-    hot_key_docs(
-        names,
-        tallies.map(|(&(tenant, _), entry)| (tenant, &entry.key, entry.count)),
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::BackendMode;
-    use crate::plane::tests::{three_rounds, two_loops};
+    use crate::plane::tests::{two_loops, two_rounds};
 
     #[test]
     fn a_round_asks_each_loop_for_its_counters_and_builds_no_snapshot() {
         use std::sync::mpsc::TryRecvError;
-        let (mut states, seeds, ctrl) = two_loops(three_rounds(BackendMode::Cliffhanger, true));
+        let (mut states, seeds, ctrl) = two_loops(two_rounds(BackendMode::Cliffhanger));
         let shared = Arc::clone(&states[0].shared);
         let telemetry = Arc::new(ConnTelemetry::new(2, 16));
         let control = Control::new(Arc::clone(&shared), ctrl, telemetry, None);
         let control = std::thread::spawn(move || control.run());
-        for (kind, narrow) in [
-            (RoundKind::Rebalance, "shadow hits"),
-            (RoundKind::HotKeys, "hot keys"),
-        ] {
-            let (done, answered) = channel();
-            let done = Some(done);
-            shared.ctrl.send(CtrlReq::Round { kind, done }).unwrap();
-            // Both loops' mailboxes are served by hand until the round is
-            // done; with no traffic a round moves no budget, so what the
-            // loops see is what the round reads.
-            let mut seen = Vec::new();
-            while answered.try_recv() == Err(TryRecvError::Empty) {
-                for (state, seed) in states.iter_mut().zip(&seeds) {
-                    for msg in seed.take_inbox() {
-                        let LoopMsg::Control(msg) = msg else {
-                            panic!("a round sends the loops control messages only");
-                        };
-                        seen.push(match msg {
-                            ControlMsg::ShadowHits { .. } => "shadow hits",
-                            ControlMsg::HotKeys { .. } => "hot keys",
-                            ControlMsg::Snapshot { .. } => "snapshot",
-                            _ => "a budget move",
-                        });
-                        state.serve_control(msg);
-                    }
+        let (done, answered) = channel();
+        let (kind, done) = (RoundKind::Rebalance, Some(done));
+        shared.ctrl.send(CtrlReq::Round { kind, done }).unwrap();
+        // Both loops' mailboxes are served by hand until the round is
+        // done; with no traffic a round moves no budget, so what the
+        // loops see is what the round reads.
+        let mut seen = Vec::new();
+        while answered.try_recv() == Err(TryRecvError::Empty) {
+            for (state, seed) in states.iter_mut().zip(&seeds) {
+                for msg in seed.take_inbox() {
+                    let LoopMsg::Control(msg) = msg else {
+                        panic!("a round sends the loops control messages only");
+                    };
+                    seen.push(match msg {
+                        ControlMsg::ShadowHits { .. } => "shadow hits",
+                        ControlMsg::Snapshot { .. } => "snapshot",
+                        _ => "a budget move",
+                    });
+                    state.serve_control(msg);
                 }
-                std::thread::yield_now();
             }
-            assert_eq!(seen, [narrow; 2], "one narrow question to each loop");
+            std::thread::yield_now();
         }
+        assert_eq!(seen, ["shadow hits"; 2], "one narrow question to each loop");
         shared.ctrl.send(CtrlReq::Shutdown).unwrap();
         control.join().expect("the control thread");
         assert!(seeds.iter().all(|seed| seed.take_inbox().is_empty()));

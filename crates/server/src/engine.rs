@@ -6,7 +6,6 @@
 //! live in one place so a key stores the same bytes, charges the same size
 //! and routes to the same shard on every path that reaches an engine.
 
-use crate::hotkey::HotKeyConfig;
 use cache_core::key::mix64;
 use cache_core::magazine::{self, Magazine};
 use cache_core::prefetch::{self, Sweep};
@@ -105,8 +104,6 @@ pub struct BackendConfig {
     /// `mrc_sample` GETs is profiled (rounded up to a power of two; `0`
     /// disables profiling).
     pub mrc_sample: u64,
-    /// Hot-key detection and per-loop replication. Disabled by default.
-    pub hot_key: HotKeyConfig,
 }
 
 impl Default for BackendConfig {
@@ -119,7 +116,6 @@ impl Default for BackendConfig {
             tenants: Vec::new(),
             tenant_balance: ShardBalanceConfig::tenant_default(),
             mrc_sample: 64,
-            hot_key: HotKeyConfig::default(),
         }
     }
 }

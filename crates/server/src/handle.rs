@@ -3,7 +3,6 @@
 //! [`SharedCache`], the plane's routing and engine code run in the caller's
 //! thread.
 
-use crate::control::promoted_docs;
 use crate::engine::{route_key, BackendConfig, StoredValue};
 use crate::plane::{
     AdminOp, AdminReply, CtrlReq, LoopMsg, LoopState, Op, OpBatch, OpState, PlaneShared, RoundKind,
@@ -41,7 +40,6 @@ impl PlaneHandle {
             tenant,
             shard,
             id,
-            version: 0,
             key: 0..0,
             state,
         };
@@ -203,26 +201,6 @@ impl PlaneHandle {
     /// Runs one cross-tenant arbitration round, synchronously.
     pub fn arbitrate_now(&self) {
         self.round_now(RoundKind::Arbitrate);
-    }
-
-    /// Runs one hot-key promotion round synchronously: merges the per-loop
-    /// tracker windows and applies the hysteretic promote/demote plan.
-    /// A no-op when hot-key detection is disabled. Test/bench hook.
-    pub fn hot_round_now(&self) {
-        self.round_now(RoundKind::HotKeys);
-    }
-
-    /// The currently promoted hot keys as `(app, key)` pairs, hottest
-    /// first. Empty when hot-key detection is disabled.
-    pub fn promoted_keys(&self) -> Vec<(String, String)> {
-        let Some(hot) = self.shared.hot.as_ref() else {
-            return Vec::new();
-        };
-        let names = self.shared.roster.lock().directory.names().to_vec();
-        promoted_docs(hot, &names)
-            .into_iter()
-            .map(|entry| (entry.app, entry.key))
-            .collect()
     }
 
     /// Number of shards the plane is running.

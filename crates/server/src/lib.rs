@@ -49,7 +49,6 @@ mod conn;
 mod control;
 mod engine;
 mod handle;
-mod hotkey;
 mod plane;
 pub mod protocol;
 pub mod reactor;
@@ -59,7 +58,6 @@ mod stats;
 pub use client::CacheClient;
 pub use engine::{detect_shards, BackendConfig, BackendMode, TenantSpec};
 pub use handle::{PlaneHandle, SharedCache};
-pub use hotkey::HotKeyConfig;
 pub use protocol::{Command, Response, StatsFormat};
 pub use reactor::ConnTelemetry;
 pub use server::{default_event_loops, CacheServer, ServerConfig};

@@ -47,18 +47,15 @@ use crate::engine::{
     even_split, route_key, weighted_split, BackendConfig, BackendMode, Engine, StoredValue,
 };
 use crate::handle::PlaneHandle;
-use crate::hotkey::{HotKeyCount, HotLoopState, HotShared};
 use crate::protocol::{AppEntry, Response, StatsFormat, StoreVerb};
 use crate::reactor::{ConnTelemetry, Mailbox};
 use crate::server::ServerConfig;
 use crate::stats::{EngineStat, WireCounts};
-use bytes::Bytes;
 use cache_core::prefetch::Sweep;
 use cache_core::{Key, TenantDirectory};
 use cliffhanger::EventSink;
 use parking_lot::Mutex;
 use profiler::{MrcSnapshot, OnlineMrc};
-use std::collections::HashMap;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
@@ -124,9 +121,6 @@ pub(crate) struct Op {
     pub(crate) tenant: usize,
     pub(crate) shard: usize,
     pub(crate) id: Key,
-    /// A GET hit's version slot, read by the owner with the value when hot
-    /// keys are on: the origin fills its replica from the reply with it.
-    pub(crate) version: u64,
     /// Where a GET's or DELETE's key sits in the batch's bytes (set by
     /// [`OpBatch::push`]); a store's key travels in its item.
     pub(crate) key: std::ops::Range<usize>,
@@ -236,9 +230,6 @@ pub(crate) enum ControlMsg {
     ShadowHits {
         reply: Sender<Vec<(usize, Vec<u64>)>>,
     },
-    /// Report the hot-key tracker's window tallies (empty when the feature
-    /// is off): all a hot-key round reads.
-    HotKeys { reply: Sender<Vec<HotKeyCount>> },
     /// Release budget from one engine (evicting as needed); reply whether
     /// the bytes were actually released.
     Shrink {
@@ -292,28 +283,12 @@ pub(crate) struct LoopSnapshot {
     pub(crate) mrc: Vec<MrcSnapshot>,
     /// Per-tenant counter history buckets recorded by this loop.
     pub(crate) history: TimeSeries,
-    /// This loop's sampled hot-key window tallies (empty when the feature
-    /// is off).
-    pub(crate) hot_keys: Vec<HotKeyCount>,
-    /// GETs this loop served from its promoted-key replica cache.
-    pub(crate) replica_hits: u64,
-    /// Replica fills this loop took from its forwarded GETs' replies.
-    pub(crate) replica_fills: u64,
-    /// Replica entries this loop found stale on a read and dropped.
-    pub(crate) hot_invalidations: u64,
-    /// Replica-served GETs by `(shard, tenant, count)`, so snapshot
-    /// assembly can fold them into the owning cell's wire counters — a
-    /// promoted key's dominant traffic must not vanish from tenant and
-    /// shard hit-ratio stats the moment it stops crossing loops.
-    pub(crate) replica_hit_cells: Vec<(usize, usize, u64)>,
 }
 
 /// The rounds the control thread runs, in the order a loop whose op counter
 /// crosses several intervals at once asks for them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum RoundKind {
-    /// Hot-key promotion and demotion.
-    HotKeys,
     /// Budget across the shards of each tenant.
     Rebalance,
     /// Budget across the tenants.
@@ -321,11 +296,7 @@ pub(crate) enum RoundKind {
 }
 
 impl RoundKind {
-    const ALL: [RoundKind; 3] = [
-        RoundKind::HotKeys,
-        RoundKind::Rebalance,
-        RoundKind::Arbitrate,
-    ];
+    const ALL: [RoundKind; 2] = [RoundKind::Rebalance, RoundKind::Arbitrate];
 }
 
 /// Requests to the control thread.
@@ -421,13 +392,10 @@ pub(crate) struct PlaneShared {
     /// Plane boot instant: the monotonic zero for journal timestamps,
     /// history bucket indices and `uptime_s`.
     pub(crate) started: Instant,
-    /// Hot-key subsystem shared state; `None` when the feature is off, so
-    /// the request fast path pays exactly one `Option` discriminant check.
-    pub(crate) hot: Option<HotShared>,
     /// Per [`RoundKind`]: a loop has asked for a round the control thread
     /// has not started yet. Collapses concurrent triggers from many loops
     /// into one queued round.
-    pub(crate) round_pending: [AtomicBool; 3],
+    pub(crate) round_pending: [AtomicBool; 2],
 }
 
 impl PlaneShared {
@@ -487,10 +455,6 @@ impl PlaneShared {
             }),
             journal: Arc::new(Journal::new(JOURNAL_CAPACITY)),
             started: Instant::now(),
-            hot: config
-                .hot_key
-                .enabled
-                .then(|| HotShared::new(config.hot_key.clone())),
             round_pending: Default::default(),
             config,
         }
@@ -507,7 +471,6 @@ impl PlaneShared {
     pub(crate) fn round_active(&self, kind: RoundKind, tenants: usize) -> bool {
         let managed = self.config.mode != BackendMode::Default;
         match kind {
-            RoundKind::HotKeys => self.hot.is_some(),
             RoundKind::Rebalance => managed && self.config.rebalance.enabled && self.shards > 1,
             RoundKind::Arbitrate => managed && self.config.tenant_balance.enabled && tenants > 1,
         }
@@ -632,10 +595,10 @@ pub(crate) struct LoopState {
     slow_ops: u64,
     /// Per [`RoundKind`]: the ops this loop executes between two requests
     /// for a round (the configured interval over the loop count).
-    intervals: [u64; 3],
+    intervals: [u64; 2],
     /// Per [`RoundKind`]: the ops left until the count next crosses its
     /// interval (a countdown, so an op divides nothing).
-    until: [u64; 3],
+    until: [u64; 2],
     /// Per-tenant online MRC estimators over this loop's shard partition
     /// (empty when profiling is off or the loop owns no shards).
     mrc: Vec<OnlineMrc>,
@@ -654,13 +617,6 @@ pub(crate) struct LoopState {
     /// The instant [`LoopState::observe`] read at the top of this readiness
     /// pass: the pass's one clock for batch stamps and connection activity.
     pub(crate) now: Instant,
-    /// Loop-local hot-key state (tracker, promoted-set view, replica
-    /// cache); `None` when the feature is off.
-    hot: Option<HotLoopState>,
-    /// Replica-served GETs tallied by `(shard, tenant)`; merged into the
-    /// owning cell's wire counters at snapshot. Promoted keys only, so
-    /// the map stays a handful of entries.
-    replica_tenant_hits: HashMap<(usize, usize), u64>,
 }
 
 impl LoopState {
@@ -691,7 +647,6 @@ impl LoopState {
         }
         let config = &shared.config;
         let intervals = RoundKind::ALL.map(|kind| match kind {
-            RoundKind::HotKeys => config.hot_key.interval_requests,
             RoundKind::Rebalance => config.rebalance.interval_requests,
             RoundKind::Arbitrate => config.tenant_balance.interval_requests,
         });
@@ -718,11 +673,6 @@ impl LoopState {
             outbound: (0..shared.loops).map(|_| Vec::new()).collect(),
             spare: Vec::new(),
             now: shared.started,
-            hot: shared
-                .hot
-                .as_ref()
-                .map(|hot| HotLoopState::new(&hot.config)),
-            replica_tenant_hits: HashMap::new(),
             shared,
         };
         state.grow_mrc();
@@ -740,16 +690,8 @@ impl LoopState {
     }
 
     /// Re-copies the tenant name table if the control thread changed it.
-    /// One relaxed atomic load on the no-change path. Also refreshes the
-    /// loop's view of the promoted hot-key set (its own generation
-    /// counter, same protocol).
+    /// One relaxed atomic load on the no-change path.
     pub(crate) fn refresh_tenants(&mut self) {
-        if let (Some(hot_shared), Some(hot)) = (self.shared.hot.as_ref(), self.hot.as_mut()) {
-            hot.refresh(
-                hot_shared.generation.load(Ordering::Acquire),
-                &hot_shared.promoted,
-            );
-        }
         let generation = self.shared.generation.load(Ordering::Acquire);
         if generation != self.generation_seen {
             self.tenants = self.shared.roster.lock().directory.names().to_vec();
@@ -774,14 +716,6 @@ impl LoopState {
                 column.gets += cell.gets;
                 column.hits += cell.hits;
                 column.evictions += cell.engine.stats().evictions;
-            }
-        }
-        // Replica-served GETs for keys other loops own: without these a
-        // promoted key's traffic would vanish from this loop's trajectory.
-        for (&(_, tenant), &count) in &self.replica_tenant_hits {
-            if let Some(column) = columns.get_mut(tenant) {
-                column.gets += count;
-                column.hits += count;
             }
         }
         self.history.record(now_us, columns);
@@ -842,10 +776,6 @@ impl LoopState {
         if let Some(estimator) = self.mrc.get_mut(tenant) {
             estimator.record(id);
         }
-        // Hot-key detection rides the same sampled GET stream.
-        if let Some(hot) = self.hot.as_mut() {
-            hot.tracker.record(tenant, id, key);
-        }
         self.tick();
         // A tenant index this loop has not materialised is impossible by
         // the generation protocol; never panic the loop over it.
@@ -857,12 +787,8 @@ impl LoopState {
     }
 
     /// A store against an owned engine: `item` moves into the cache as it
-    /// is. `touched` below is whether a mutating engine call actually ran:
-    /// a failed `add` on a present key or a `delete` of a missing key never
-    /// touches the store, so it must not bump the version slot (which
-    /// would stop perfectly valid replicas serving). A `set` that ran but
-    /// was not admitted still counts — admission failure may have
-    /// displaced the old value.
+    /// is. A failed `add` on a present key or `replace` of a missing one
+    /// never touches the engine and is not counted as a set.
     pub(crate) fn store(
         &mut self,
         slot: usize,
@@ -881,9 +807,6 @@ impl LoopState {
         };
         cell.sets += u64::from(touched);
         let stored = touched && cell.engine.wire_set(id, item);
-        if touched {
-            self.note_mutation(tenant, id);
-        }
         self.tick();
         stored
     }
@@ -894,67 +817,9 @@ impl LoopState {
             return false;
         };
         cell.deletes += 1;
-        let touched = cell.engine.contains_exact(id, key);
-        let deleted = touched && cell.engine.delete(id);
-        if touched {
-            self.note_mutation(tenant, id);
-        }
+        let deleted = cell.engine.contains_exact(id, key) && cell.engine.delete(id);
         self.tick();
         deleted
-    }
-
-    /// Hot-key bookkeeping for a mutation this (owning) loop just applied:
-    /// bump the key's version slot *before* the ack can be observed, so
-    /// every replica of the key stops serving.
-    fn note_mutation(&self, tenant: usize, id: Key) {
-        if let Some(hot) = self.shared.hot.as_ref() {
-            hot.versions.bump(tenant, id);
-        }
-    }
-
-    /// Serves a GET for a *remote-owned* key from the promoted-key replica
-    /// cache, if possible. A hit is a local answer (no mailbox round-trip);
-    /// the tracker still records it so a promoted key's traffic keeps it
-    /// hot instead of decaying out of the window the moment it stops
-    /// crossing loops, and the hit is tallied against the owning
-    /// `(shard, tenant)` cell (merged at snapshot) plus this loop's MRC
-    /// estimator, so promotion does not make the key's traffic vanish
-    /// from hit-ratio stats or the balancer signals derived from them.
-    pub(crate) fn replica_get(
-        &mut self,
-        shard: usize,
-        tenant: usize,
-        id: Key,
-        key: &[u8],
-    ) -> Option<(u32, Bytes)> {
-        let hot_shared = self.shared.hot.as_ref()?;
-        let hot = self.hot.as_mut()?;
-        let found = hot.replica_get(tenant, id, key, &hot_shared.versions);
-        if found.is_some() {
-            hot.tracker.record(tenant, id, key);
-            if let Some(estimator) = self.mrc.get_mut(tenant) {
-                estimator.record(id);
-            }
-            *self.replica_tenant_hits.entry((shard, tenant)).or_insert(0) += 1;
-            self.local_ops += 1;
-            self.tick();
-        }
-        found
-    }
-
-    /// Fills this loop's replicas from a batch that came back served:
-    /// each GET hit brings the value and the version its owner read with
-    /// it. [`HotLoopState::fill`] keeps only the keys this loop promoted.
-    pub(crate) fn fill_replicas(&mut self, batch: &OpBatch) {
-        let Some(hot) = self.hot.as_mut() else {
-            return;
-        };
-        for op in &batch.ops {
-            if let OpState::Value(Some((flags, data))) = &op.state {
-                let (key, data) = (batch.bytes(&op.key), batch.bytes(data));
-                hot.fill(op.tenant, op.id, key, *flags, data, op.version);
-            }
-        }
     }
 
     /// Starts the service-time stamp of the next local op if it is one of
@@ -1006,7 +871,7 @@ impl LoopState {
     fn tick(&mut self) {
         let shared = &self.shared;
         let active = RoundKind::ALL.map(|kind| shared.round_active(kind, self.tenants.len()));
-        if active == [false; 3] {
+        if active == [false; 2] {
             return;
         }
         for kind in RoundKind::ALL {
@@ -1101,13 +966,7 @@ impl LoopState {
                         else {
                             continue;
                         };
-                        let found = (item.flags(), append(bytes, item.data()));
-                        // This loop is the key's only writer, so the value
-                        // and the version form one snapshot for a replica.
-                        if let Some(hot) = self.shared.hot.as_ref() {
-                            op.version = hot.versions.load(op.tenant, op.id);
-                        }
-                        OpState::Value(Some(found))
+                        OpState::Value(Some((item.flags(), append(bytes, item.data()))))
                     }
                     (Some(slot), OpState::Store { verb, item }) => {
                         OpState::Flag(self.store(slot, op.tenant, op.id, verb, item))
@@ -1158,9 +1017,6 @@ impl LoopState {
                 };
                 let _ = reply.send(self.owned.iter().map(shadow_hits).collect());
             }
-            ControlMsg::HotKeys { reply } => {
-                let _ = reply.send(self.hot_key_counts());
-            }
             ControlMsg::Shrink {
                 shard,
                 tenant,
@@ -1207,12 +1063,6 @@ impl LoopState {
         }
     }
 
-    /// The hot-key tracker's window tallies; none when the feature is off.
-    fn hot_key_counts(&self) -> Vec<HotKeyCount> {
-        let hot = self.hot.as_ref();
-        hot.map(|hot| hot.tracker.snapshot()).unwrap_or_default()
-    }
-
     fn snapshot(&self) -> LoopSnapshot {
         LoopSnapshot {
             loop_index: self.index,
@@ -1245,15 +1095,6 @@ impl LoopState {
             slow_ops: self.slow_ops,
             mrc: self.mrc.iter().map(OnlineMrc::snapshot).collect(),
             history: self.history.clone(),
-            hot_keys: self.hot_key_counts(),
-            replica_hits: self.hot.as_ref().map(|hot| hot.replica_hits).unwrap_or(0),
-            replica_fills: self.hot.as_ref().map(|hot| hot.replica_fills).unwrap_or(0),
-            hot_invalidations: self.hot.as_ref().map(|hot| hot.invalidations).unwrap_or(0),
-            replica_hit_cells: self
-                .replica_tenant_hits
-                .iter()
-                .map(|(&(shard, tenant), &count)| (shard, tenant, count))
-                .collect(),
         }
     }
 }
@@ -1330,7 +1171,6 @@ impl Plane {
 pub(crate) mod tests {
     use super::*;
     use crate::engine::TenantSpec;
-    use crate::hotkey::{HotKeyConfig, PromotedEntry};
     use crate::reactor::{loop_channel, LoopSeed};
     use std::sync::mpsc::Receiver;
 
@@ -1378,7 +1218,6 @@ pub(crate) mod tests {
             tenant: 0,
             shard,
             id,
-            version: 0,
             key: 0..0,
             state,
         };
@@ -1540,79 +1379,14 @@ pub(crate) mod tests {
         assert_eq!(outcomes, [(7, 0, "miss"), (7, 1, "false"), (7, 2, "false")]);
     }
 
-    /// Forwards `state` on `key` from loop 0 to loop 1, serves it there and
-    /// completes it back on loop 0 as its event loop would; each mailbox
-    /// must have held the one op batch and nothing else.
-    fn round_trip(states: &mut [LoopState], seeds: &[LoopSeed], key: &[u8], state: OpState) {
-        let (origin, owner) = states.split_at_mut(1);
-        forward(&mut origin[0], 0, key, state);
-        origin[0].flush_outbound();
-        owner[0].serve(only_batch(&seeds[1]));
-        owner[0].flush_outbound();
-        let batch = only_batch(&seeds[0]);
-        origin[0].fill_replicas(&batch);
-        origin[0].recycle(batch);
-    }
-
-    #[test]
-    fn a_forwarded_gets_reply_fills_the_replica_and_a_version_bump_alone_drops_it() {
-        let config = BackendConfig {
-            hot_key: HotKeyConfig::aggressive(),
-            ..BackendConfig::default()
-        };
-        let (mut states, seeds, _) = two_loops(config);
-        let key = remote_keys(&states[0], 1, 8).remove(0);
-        let (shard, id, _) = states[0].route(0, &key);
-        let shared = Arc::clone(&states[0].shared);
-        let hot = shared.hot.as_ref().expect("hot keys on");
-        let entry = PromotedEntry {
-            key: Bytes::copy_from_slice(&key),
-            count: 64,
-        };
-        hot.promoted.lock().insert((0, id), entry);
-        hot.generation.fetch_add(1, Ordering::AcqRel);
-        states.iter_mut().for_each(LoopState::refresh_tenants);
-        let counters = |state: &LoopState| {
-            let hot = state.hot.as_ref().expect("hot keys on");
-            (hot.replica_hits, hot.replica_fills, hot.invalidations)
-        };
-
-        round_trip(&mut states, &seeds, &key, store(&key, b"first"));
-        assert_eq!(states[0].replica_get(shard, 0, id, &key), None);
-        round_trip(&mut states, &seeds, &key, OpState::Get);
-        let first = Some((9, Bytes::from_static(b"first")));
-        assert_eq!(states[0].replica_get(shard, 0, id, &key), first);
-        assert_eq!(counters(&states[0]), (1, 1, 0));
-
-        // The owner's SET bumps the key's version and sends nothing else:
-        // the next read finds the entry stale, drops it and counts it.
-        round_trip(&mut states, &seeds, &key, store(&key, b"second"));
-        assert_eq!(states[0].replica_get(shard, 0, id, &key), None);
-        assert_eq!(counters(&states[0]), (1, 1, 1));
-        assert_eq!(states[0].replica_get(shard, 0, id, &key), None);
-        assert_eq!(counters(&states[0]), (1, 1, 1), "the entry is gone");
-
-        // A flush's bump of every slot does the same.
-        round_trip(&mut states, &seeds, &key, OpState::Get);
-        let second = Some((9, Bytes::from_static(b"second")));
-        assert_eq!(states[0].replica_get(shard, 0, id, &key), second);
-        hot.versions.bump_all();
-        assert_eq!(states[0].replica_get(shard, 0, id, &key), None);
-        assert_eq!(counters(&states[0]), (2, 2, 2));
-        assert_eq!(states[0].replica_get(shard, 0, id, &key), None);
-        assert_eq!(counters(&states[0]), (2, 2, 2), "the entry is gone");
-    }
-
-    /// A plane whose loops (two of them) ask for a hot-key round every 3
-    /// ops, a rebalancing round every 5 and an arbitration round every 7.
-    pub(crate) fn three_rounds(mode: BackendMode, hot_keys: bool) -> BackendConfig {
+    /// A plane whose loops (two of them) ask for a rebalancing round every 5
+    /// ops and an arbitration round every 7.
+    pub(crate) fn two_rounds(mode: BackendMode) -> BackendConfig {
         let mut config = BackendConfig {
             mode,
             tenants: vec![TenantSpec::new("second", 1)],
             ..BackendConfig::default()
         };
-        config.hot_key.enabled = hot_keys;
-        config.hot_key.interval_requests = 6;
         config.rebalance.interval_requests = 10;
         config.tenant_balance.interval_requests = 14;
         config
@@ -1630,24 +1404,23 @@ pub(crate) mod tests {
 
     #[test]
     fn crossing_an_interval_asks_for_one_round_until_the_control_thread_takes_it() {
-        use RoundKind::{Arbitrate, HotKeys, Rebalance};
-        let (mut states, _seeds, ctrl) = two_loops(three_rounds(BackendMode::Cliffhanger, true));
+        use RoundKind::{Arbitrate, Rebalance};
+        let (mut states, _seeds, ctrl) = two_loops(two_rounds(BackendMode::Cliffhanger));
         let state = &mut states[0];
-        // Ops 3, 5 and 7 cross one interval each; op 6 crosses the hot-key
-        // interval again with that round still queued.
+        // Ops 5 and 7 cross one interval each.
         (0..7).for_each(|_| state.tick());
-        assert_eq!(asked(&ctrl), [HotKeys, Rebalance, Arbitrate]);
+        assert_eq!(asked(&ctrl), [Rebalance, Arbitrate]);
         // Every kind crosses again by op 14, every flag still set.
         (7..14).for_each(|_| state.tick());
         assert_eq!(asked(&ctrl), []);
         // The control thread clears a kind's flag as it takes the round up:
-        // op 15 crosses the hot-key and rebalancing intervals both.
+        // op 15 crosses the rebalancing interval.
         state.shared.round_pending[Rebalance as usize].store(false, Ordering::Release);
         state.tick();
         assert_eq!(asked(&ctrl), [Rebalance]);
 
         // A plane with no round to run counts nothing and asks for nothing.
-        let (mut states, _seeds, ctrl) = two_loops(three_rounds(BackendMode::Default, false));
+        let (mut states, _seeds, ctrl) = two_loops(two_rounds(BackendMode::Default));
         (0..100).for_each(|_| states[0].tick());
         assert_eq!(asked(&ctrl), []);
         assert_eq!(states[0].until, states[0].intervals);
@@ -1673,7 +1446,7 @@ pub(crate) mod tests {
     /// of its interval, as the count of ops divided by it once did.
     #[test]
     fn the_rounds_are_asked_for_at_every_multiple_of_their_intervals() {
-        let (mut states, _seeds, ctrl) = two_loops(three_rounds(BackendMode::Cliffhanger, true));
+        let (mut states, _seeds, ctrl) = two_loops(two_rounds(BackendMode::Cliffhanger));
         let state = &mut states[0];
         let mut seen = Vec::new();
         for op in 1..=1_000u64 {
@@ -1687,7 +1460,7 @@ pub(crate) mod tests {
             .flat_map(|op| {
                 RoundKind::ALL
                     .into_iter()
-                    .filter(move |&kind| op % [3, 5, 7][kind as usize] == 0)
+                    .filter(move |&kind| op % [5, 7][kind as usize] == 0)
                     .map(move |kind| (op, kind))
             })
             .collect();

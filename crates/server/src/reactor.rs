@@ -575,14 +575,11 @@ impl EventLoop {
     }
 
     /// A batch this loop sent is back, served (or refused, every op
-    /// failed): its GET hits first fill the loop's hot-key replicas, so a
-    /// GET a reply lets through already finds them. Then each run of ops of
-    /// one connection resolves that connection's ring entries and drives it
+    /// failed): each run of ops of one connection resolves that connection's ring entries and drives it
     /// once — one `conns` lookup, one parse-and-flush pass. Ops of a
     /// connection that closed meanwhile are dropped. The batch is then kept
     /// for a later pass.
     fn complete_batch(&mut self, batch: OpBatch) {
-        self.state.fill_replicas(&batch);
         let mut rest = &batch.ops[..];
         while let Some(first) = rest.first() {
             let run = rest.iter().take_while(|op| op.token == first.token);

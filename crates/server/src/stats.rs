@@ -78,18 +78,6 @@ fn rollup(nt: usize, ns: usize, loops: &[Option<LoopSnapshot>]) -> Rollup {
                 }
             }
         }
-        // Replica-served GETs are executed on non-owning loops; they count
-        // for the owning cell, so tenant and shard hit ratios keep seeing a
-        // promoted key's (dominant) traffic. Gets and hits move together,
-        // so the miss count is untouched.
-        for &(s, t, count) in &tel.replica_hit_cells {
-            if s < ns && t < nt {
-                for sum in [&mut r.total, &mut r.tenants[t], &mut r.shards[s]] {
-                    sum.wire.gets += count;
-                    sum.wire.hits += count;
-                }
-            }
-        }
     }
     r
 }
@@ -300,36 +288,6 @@ pub(crate) struct MrcDoc {
     pub(crate) tenants: Vec<MrcTenantDoc>,
 }
 
-/// One hot-key tally: a key and its sampled windowed op count.
-#[derive(Serialize, Clone)]
-pub(crate) struct HotKeyEntryDoc {
-    pub(crate) app: String,
-    pub(crate) key: String,
-    pub(crate) ops: u64,
-}
-
-/// The hot-key subsystem section: the merged sampled tracker window, the
-/// currently promoted set and the mitigation counters. Present only when
-/// hot-key detection is enabled, like `mrc`.
-#[derive(Serialize, Clone)]
-pub(crate) struct HotKeysDoc {
-    /// The hottest sampled keys, merged across loops, hottest first.
-    pub(crate) tracked: Vec<HotKeyEntryDoc>,
-    /// Keys currently promoted into per-loop replica caches (`ops` is the
-    /// merged count at the last promotion round).
-    pub(crate) promoted: Vec<HotKeyEntryDoc>,
-    pub(crate) promotions: u64,
-    pub(crate) demotions: u64,
-    /// Promotion rounds the control thread has run.
-    pub(crate) rounds: u64,
-    /// GETs served from a replica cache (never crossed a loop).
-    pub(crate) replica_hits: u64,
-    /// Replica fills accepted by non-owning loops.
-    pub(crate) replica_fills: u64,
-    /// Replica entries non-owning loops found stale on a read and dropped.
-    pub(crate) invalidations: u64,
-}
-
 /// One tenant's windowed rates inside one history window.
 #[derive(Serialize)]
 pub(crate) struct HistoryTenantDoc {
@@ -417,8 +375,9 @@ pub(crate) struct StatsDocument {
     pub(crate) journal: JournalDoc,
     /// Live sampled miss-ratio curves (absent when profiling is disabled).
     pub(crate) mrc: Option<MrcDoc>,
-    /// Hot-key detection and mitigation (absent when the feature is off).
-    pub(crate) hot_keys: Option<HotKeysDoc>,
+    /// Always `null`: kept so the `cliffhanger-stats/v1` key set consumers
+    /// pin does not change.
+    pub(crate) hot_keys: Option<serde::Value>,
     /// Windowed per-tenant rate history.
     pub(crate) history: HistoryDoc,
     /// Predicted-vs-realized join of journalled budget transfers.
@@ -1056,40 +1015,6 @@ pub(crate) fn render_prom(doc: &StatsDocument) -> String {
             .collect();
         if !lines.is_empty() {
             prom_metric(&mut out, "cliffhanger_tenant_mrc_hit_rate", "gauge", &lines);
-        }
-    }
-    if let Some(hot) = &doc.hot_keys {
-        let lines: Vec<(String, String)> = hot
-            .tracked
-            .iter()
-            .map(|e| {
-                (
-                    format!(
-                        "app=\"{}\",key=\"{}\"",
-                        prom_escape_label(&e.app),
-                        prom_escape_label(&e.key)
-                    ),
-                    e.ops.to_string(),
-                )
-            })
-            .collect();
-        if !lines.is_empty() {
-            prom_metric(&mut out, "cliffhanger_hot_key_ops", "gauge", &lines);
-        }
-        prom_scalar(
-            &mut out,
-            "cliffhanger_hot_keys_promoted",
-            "gauge",
-            hot.promoted.len(),
-        );
-        for (name, value) in [
-            ("cliffhanger_hot_key_promotions_total", hot.promotions),
-            ("cliffhanger_hot_key_demotions_total", hot.demotions),
-            ("cliffhanger_hot_key_replica_hits_total", hot.replica_hits),
-            ("cliffhanger_hot_key_replica_fills_total", hot.replica_fills),
-            ("cliffhanger_hot_key_invalidations_total", hot.invalidations),
-        ] {
-            prom_scalar(&mut out, name, "counter", value);
         }
     }
     prom_scalar(

@@ -116,6 +116,37 @@ fn stats_json_carries_latency_quantiles_and_transfer_evidence() {
         doc.get("schema").and_then(Value::as_str),
         Some("cliffhanger-stats/v1")
     );
+    // The top-level key set consumers of `cliffhanger-stats/v1` pin:
+    // `hot_keys` stays, always `null`.
+    let Value::Map(sections) = &doc else {
+        panic!("stats json must be an object: {json}");
+    };
+    let keys: Vec<&str> = sections.iter().map(|(key, _)| key.as_str()).collect();
+    assert_eq!(
+        keys,
+        [
+            "schema",
+            "server_start",
+            "snapshot_unix_us",
+            "uptime_s",
+            "counters",
+            "process",
+            "capacity",
+            "balance",
+            "connections",
+            "service_latency",
+            "loops",
+            "tenants",
+            "shards",
+            "plane",
+            "journal",
+            "mrc",
+            "hot_keys",
+            "history",
+            "allocator",
+        ]
+    );
+    assert_eq!(doc.get("hot_keys"), Some(&Value::Null));
 
     // Per-loop service-time sections, with real samples behind them.
     let loops = doc.get("loops").and_then(Value::as_array).unwrap();

@@ -115,24 +115,6 @@ pub enum EventKind {
     },
     /// The accept gate shed a connection over `max_connections`.
     ConnectionShed,
-    /// The hot-key control round promoted a key into the per-loop replica
-    /// caches.
-    HotKeyPromoted {
-        /// Tenant owning the key.
-        tenant: String,
-        /// The key (lossily decoded for the journal).
-        key: String,
-        /// The merged sampled-window op count that justified promotion.
-        count: u64,
-    },
-    /// The hot-key control round demoted a key (it cooled below the
-    /// demotion threshold or was displaced by a hotter key).
-    HotKeyDemoted {
-        /// Tenant owning the key.
-        tenant: String,
-        /// The key (lossily decoded for the journal).
-        key: String,
-    },
     /// A data or admin op exceeded `slow_op_micros` (sampled: the first
     /// slow op and every 64th after it per loop, so a pathological
     /// threshold cannot flood the ring).

@@ -2,10 +2,9 @@
 //!
 //! The paper stresses its implementation with Mutilate, a load generator
 //! that replays the key/value-size and GET/SET distributions measured in the
-//! Facebook ETC pool (Atikoglu et al., SIGMETRICS 2012), plus a synthetic
-//! worst case in which "all keys are unique and all queries miss the cache"
-//! so that every request exercises the shadow-queue and eviction paths.
-//! This module generates both.
+//! Facebook ETC pool (Atikoglu et al., SIGMETRICS 2012). This module
+//! generates that workload; the paper's all-miss worst case for Tables 6–7
+//! is built by `bench::overhead`.
 
 use crate::sizes::SizeDistribution;
 use crate::trace::{Op, Request, Trace};
@@ -81,39 +80,9 @@ pub fn etc_workload(config: &EtcConfig, requests: u64) -> Trace {
     trace
 }
 
-/// Generates the worst-case workload of §5.6: every key is unique, so every
-/// GET misses, every miss walks the shadow queues, and every fill causes
-/// evictions once the cache is full. `get_fraction` controls the GET/SET mix
-/// (Table 7 varies it; Table 6 uses GET-then-fill pairs produced by the
-/// simulator).
-pub fn all_miss_workload(app: AppId, requests: u64, get_fraction: f64, seed: u64) -> Trace {
-    let sizes = SizeDistribution::facebook_etc();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut trace = Trace::new();
-    for i in 0..requests {
-        // Unique keys: derived from the request index, never repeated.
-        let key_id = (1u64 << 50) | i;
-        let size = sizes.size_for_key(key_id, seed).min(u32::MAX as u64) as u32;
-        let op = if rng.gen_bool(get_fraction.clamp(0.0, 1.0)) {
-            Op::Get
-        } else {
-            Op::Set
-        };
-        trace.push(Request {
-            app,
-            key: Key::new(key_id),
-            size,
-            op,
-            time: i,
-        });
-    }
-    trace
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
 
     #[test]
     fn etc_mix_matches_configuration() {
@@ -150,19 +119,9 @@ mod tests {
     }
 
     #[test]
-    fn all_miss_workload_never_repeats_a_key() {
-        let trace = all_miss_workload(AppId::new(0), 30_000, 0.967, 9);
-        let distinct: HashSet<Key> = trace.iter().map(|r| r.key).collect();
-        assert_eq!(distinct.len(), trace.len());
-    }
-
-    #[test]
     fn workloads_are_deterministic() {
         let a = etc_workload(&EtcConfig::default(), 5_000);
         let b = etc_workload(&EtcConfig::default(), 5_000);
         assert_eq!(a, b);
-        let c = all_miss_workload(AppId::new(1), 5_000, 0.5, 3);
-        let d = all_miss_workload(AppId::new(1), 5_000, 0.5, 3);
-        assert_eq!(c, d);
     }
 }

@@ -17,8 +17,7 @@
 //! * [`memcachier`] — the 20-application Memcachier-like mix, with the
 //!   asterisked (cliff-prone) applications of Figure 2 modelled by scan
 //!   components, plus per-application memory reservations.
-//! * [`facebook_etc`] — the Facebook ETC-like micro-benchmark workload and
-//!   the all-miss worst case used for the overhead tables (Tables 6–7).
+//! * [`facebook_etc`] — the Facebook ETC-like micro-benchmark workload.
 //! * [`trace`] — request/trace types, deterministic generation, JSON-lines
 //!   serialisation and summary statistics.
 
@@ -35,7 +34,7 @@ pub mod trace;
 pub mod zipf;
 
 pub use app_profile::{AppProfile, Phase};
-pub use facebook_etc::{all_miss_workload, etc_workload, EtcConfig};
+pub use facebook_etc::{etc_workload, EtcConfig};
 pub use memcachier::{memcachier_apps, memcachier_trace, trace_for_apps, MemcachierConfig};
 pub use scan::ScanGenerator;
 pub use sizes::SizeDistribution;

@@ -8,7 +8,6 @@ docs/report-schemas.md, dispatching on each document's `schema` tag:
   cliffhanger-stats/v1            scraped server telemetry document
   cliffhanger-scenario/v1         one resilience scenario run
   cliffhanger-scenario-matrix/v1  a matrix of scenario runs
-  cliffhanger-hotkey-sweep/v1     hot-key mitigation on/off A/B sweep
 
 Usage:
   python3 scripts/validate_reports.py FILE [FILE ...]
@@ -229,53 +228,11 @@ def check_scenario_matrix(m, where):
         check_scenario(s, f"{where}/{s.get('scenario')}")
 
 
-def check_hotkey_sweep(hs, where):
-    require(
-        hs.get("schema") == "cliffhanger-hotkey-sweep/v1",
-        where,
-        f"bad schema tag {hs.get('schema')!r}",
-    )
-    require(hs.get("scenario") == "flash_crowd", where, "unexpected scenario")
-    for side in ("off", "on"):
-        arm = hs[side]
-        aw = f"{where}/{side}"
-        require(arm["mitigation"] == (side == "on"), aw, "mitigation flag disagrees")
-        require(arm["errors"] == 0, aw, f"arm ran with errors: {arm['errors']}")
-        require(
-            arm["probe_stale_reads"] == 0 and arm["probe_reads"] > 0,
-            aw,
-            f"probe saw {arm['probe_stale_reads']} stale of {arm['probe_reads']} reads",
-        )
-        require(
-            0.0 <= arm["remote_share"] <= 1.0,
-            aw,
-            f"remote_share out of range: {arm['remote_share']}",
-        )
-        check_scenario(arm["report"], f"{aw}/report")
-    require(
-        hs["on"]["replica_hits"] > 0 and hs["on"]["promotions"] > 0,
-        f"{where}/on",
-        "mitigation arm never promoted or served replicas",
-    )
-    require(
-        hs["off"]["replica_hits"] == 0,
-        f"{where}/off",
-        "baseline arm served replica hits with the feature off",
-    )
-    c = hs["comparison"]
-    require(
-        c["spike_throughput_ratio"] > 0 and c["spike_p99_ratio"] > 0,
-        f"{where}/comparison",
-        f"degenerate comparison: {c}",
-    )
-
-
 DISPATCH = {
     "cliffhanger-loadgen/v1": check_load,
     "cliffhanger-stats/v1": check_stats,
     "cliffhanger-scenario/v1": check_scenario,
     "cliffhanger-scenario-matrix/v1": check_scenario_matrix,
-    "cliffhanger-hotkey-sweep/v1": check_hotkey_sweep,
 }
 
 

@@ -18,7 +18,6 @@ fn tiny_scenario(name: &str, phases: Vec<Phase>) -> Scenario {
         pipeline: 8,
         warmup_keys: 300,
         fill_on_miss: false,
-        hot_key_promote: false,
         tenants: Vec::new(),
         phases,
         chaos: Vec::new(),
