@@ -9,7 +9,9 @@
 //! so a [`Magazine`] keeps it: [`Magazine::put`] pushes a freed buffer onto
 //! its class's stack, [`Magazine::take`] pops the most recently freed one,
 //! and the allocator is asked only when that stack is empty. `put` reads no
-//! byte of the buffer: its length is all it needs.
+//! byte of the buffer: its length is all it needs. A magazine keeps nothing
+//! before its first `take`, so a thread that frees buffers it never builds
+//! strands none.
 //!
 //! Buffers are sized by [`capacity`], the usable size glibc's `malloc` gives
 //! for a request, so a buffer fills the chunk the allocator would have
@@ -44,10 +46,11 @@ fn class(len: usize) -> Option<usize> {
 }
 
 /// One LIFO stack of freed buffers per 16-byte size class, up to 8 KiB,
-/// holding at most 1 MiB in all.
+/// holding at most 1 MiB in all, once something has been taken from it.
 #[derive(Debug, Default)]
 pub struct Magazine {
-    /// Indexed by `class`; sized on the first `put`.
+    /// Indexed by `class`; sized on the first `take`, and empty — every
+    /// `put` freeing its buffer — until then.
     stacks: Vec<Vec<Box<[u8]>>>,
     /// The bytes the stacks hold.
     held: usize,
@@ -67,13 +70,23 @@ impl Magazine {
     /// Its bytes are whatever its last owner left in them.
     #[inline]
     pub fn take(&mut self, capacity: usize) -> Option<Box<[u8]>> {
-        let buffer = self.stacks.get_mut(class(capacity)?)?.pop()?;
+        let class = class(capacity)?;
+        let Some(stack) = self.stacks.get_mut(class) else {
+            // The first take: from now on this magazine keeps what it is
+            // given.
+            self.stacks.resize_with(LARGEST / CLASS + 1, Vec::new);
+            return None;
+        };
+        let buffer = stack.pop()?;
         self.held -= buffer.len();
         Some(buffer)
     }
 
     /// Keeps `buffer` for the next [`Magazine::take`] of its length, or
-    /// frees it when it has no class or the stacks are full.
+    /// frees it when it has no class, the stacks are full, or nothing was
+    /// ever taken from this magazine: a thread that only frees items (one
+    /// that evicts or drops what others built) would never give a kept
+    /// buffer back.
     #[inline]
     pub fn put(&mut self, buffer: Box<[u8]>) {
         let Some(class) = class(buffer.len()) else {
@@ -82,11 +95,11 @@ impl Magazine {
         if self.held + buffer.len() > CAP {
             return;
         }
-        if self.stacks.is_empty() {
-            self.stacks.resize_with(LARGEST / CLASS + 1, Vec::new);
-        }
+        let Some(stack) = self.stacks.get_mut(class) else {
+            return;
+        };
         self.held += buffer.len();
-        self.stacks[class].push(buffer);
+        stack.push(buffer);
     }
 }
 
@@ -154,20 +167,22 @@ mod tests {
 
     proptest! {
         /// Against a model of one `Vec` of (tag, length) per class: `take`
-        /// returns the last buffer put into its class, a buffer past the cap,
-        /// past the largest class or of no class is not kept, and the bytes
-        /// held never pass the cap.
+        /// returns the last buffer put into its class, a buffer put before
+        /// the first take, past the cap, past the largest class or of no
+        /// class is not kept, and the bytes held never pass the cap.
         #[test]
         fn a_magazine_is_a_bounded_stack_per_class(ops in proptest::collection::vec(op(), 1..600)) {
             let mut magazine = Magazine::new();
             let mut model: Vec<Vec<(u64, usize)>> = vec![Vec::new(); LARGEST / CLASS + 1];
+            // Nothing is kept until a take of a classed length.
+            let mut taken = false;
             for (next, op) in ops.iter().enumerate() {
                 let tag_now = next as u64;
                 match *op {
                     Op::Put(len) | Op::PutExact(len) => {
                         let len = if matches!(op, Op::Put(_)) { capacity(len) } else { len };
                         let held: usize = model.iter().flatten().map(|&(_, len)| len).sum();
-                        let kept = len <= LARGEST && capacity(len) == len && held + len <= CAP;
+                        let kept = taken && len <= LARGEST && capacity(len) == len && held + len <= CAP;
                         if kept {
                             model[(len + 8) / 16].push((tag_now, len));
                         }
@@ -176,6 +191,7 @@ mod tests {
                     Op::Take(len) => {
                         let want = capacity(len);
                         let expected = if want <= LARGEST { model[(want + 8) / 16].pop() } else { None };
+                        taken |= want <= LARGEST;
                         let got = magazine.take(want).map(|buffer| (tag(&buffer), buffer.len()));
                         prop_assert_eq!(got, expected, "take({})", want);
                     }

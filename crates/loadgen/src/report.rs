@@ -161,14 +161,13 @@ pub struct ServerEcho {
     pub arbiter_transfers: u64,
     /// Bytes of budget moved between tenants.
     pub arbiter_bytes_moved: u64,
-    /// Event loops serving the run — the shared-nothing plane's shard
-    /// owners. (Pre-PR6 reports lack the `event_loops`/`plane_*`/
+    /// Event loops serving the run, each running every key of its own
+    /// connections. (Pre-PR6 reports lack the `event_loops`/`plane_*`/
     /// `shard_owner_loops` fields; same untyped-reader caveat as above.)
     pub event_loops: u64,
-    /// Data ops executed directly on the loop owning both the connection
-    /// and the key's shard (the zero-lock fast path).
+    /// Data ops a loop ran on a shard homed on it.
     pub plane_local_ops: u64,
-    /// Data ops forwarded to the owning loop as cross-loop messages.
+    /// Data ops a loop ran on a shard homed on another loop.
     pub plane_remote_ops: u64,
     /// Admin commands (`stats`, `flush_all`, `app_create`, `app_list`)
     /// served by the control thread during the run.

@@ -64,9 +64,9 @@ pub struct ScanSpec {
 }
 
 /// An optional single-key flash crowd mixed into a phase: a fraction of
-/// the phase's requests are GETs of one fixed key. Under the
-/// shared-nothing plane that key's owner loop becomes the bottleneck, and
-/// every other loop forwards its share of the crowd there.
+/// the phase's requests are GETs of one fixed key. Every loop serves its
+/// share of the crowd under that key's one shard lock, which becomes the
+/// bottleneck.
 ///
 /// The spike key should sit *outside* the phase's popularity universe
 /// (and drift range), so the versioned probe stays the key's only writer
@@ -210,8 +210,8 @@ pub enum Invariant {
     /// The versioned probe (active whenever a phase carries a
     /// [`SpikeSpec`]) observed no stale read: every GET of the spike key
     /// returned a version at or past the last write that was acknowledged
-    /// before the GET began, wherever the reading connection's loop sits
-    /// relative to the key's owner. Vacuous probes fail — the probe must
+    /// before the GET began, whichever loop the reading connection sits
+    /// on. Vacuous probes fail — the probe must
     /// have read real versions for the verdict to mean anything.
     NoStaleReads,
 }
@@ -906,8 +906,8 @@ fn probe_writer(addr: String, key: String, stop: Arc<AtomicBool>, counters: Arc<
 
 /// A probe reader: snapshot the acknowledged frontier, GET, and require
 /// the observed version to be at or past the snapshot. Several readers on
-/// distinct connections land on distinct event loops, so reads forwarded
-/// to the key's owner are on the path under test.
+/// distinct connections land on distinct event loops, so reads from every
+/// loop contend for the key's shard lock under test.
 fn probe_reader(addr: String, key: String, stop: Arc<AtomicBool>, counters: Arc<ProbeCounters>) {
     let mut client: Option<CacheClient> = None;
     while !stop.load(Ordering::Relaxed) {
@@ -1379,17 +1379,17 @@ const SPIKE_KEY_RANK: u64 = 5_000_000;
 fn flash_crowd() -> Scenario {
     // The single-core flash crowd: one viral key spikes to half of all
     // traffic while the background mix sharpens (a crowd arriving is also
-    // a skew change). Every loop but the key's owner forwards its share of
-    // the crowd there; the versioned probe writes through the whole
-    // window, so the forward path's read-after-acknowledged-write order is
-    // under the `no_stale_reads` microscope while the owner is busiest.
+    // a skew change). Every loop serves its share of the crowd under the
+    // key's one shard lock; the versioned probe writes through the whole
+    // window, so the lock's read-after-acknowledged-write order is under
+    // the `no_stale_reads` microscope while the shard is busiest.
     let mut s = base_scenario(
         "flash_crowd",
-        "a single viral key spikes to half of all traffic; its owner loop must serve the crowd with no stale reads",
+        "a single viral key spikes to half of all traffic; every loop must serve its share of the crowd with no stale reads",
     );
-    // The bottleneck under test is *one loop* pinned by one key: force a
+    // The bottleneck under test is *one shard* pinned by one key: force a
     // multi-loop plane even where CPU auto-detection would pick a single
-    // loop, or no read crosses to the owner.
+    // loop, or no two loops contend for its lock.
     s.workers = 4;
     s.shards = 8;
     let keys = 30_000;

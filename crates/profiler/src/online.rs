@@ -21,14 +21,14 @@
 //!   bounded no matter how long the server runs or how large the tenant's
 //!   working set grows; past it, pruning is one pass over the key table.
 //!
-//! The estimator is deliberately shared-nothing: each event loop owns one
-//! per tenant, records only the GETs it serves, and exports a serializable
-//! [`MrcSnapshot`] whose [`MrcSnapshot::merge`] is exact concatenation of
-//! the underlying scaled-distance samples — valid across loops because the
-//! loops own *disjoint* key populations (shards), which is just more spatial
-//! sampling. A loop owning `owned` of `total` shards passes
-//! `owned as f64 / total as f64` as its population share and the recorded
-//! distances absorb the extra `total/owned` scale.
+//! The estimator is deliberately partitioned: the server keeps one per
+//! (shard, tenant), records only the GETs of that shard's keys, and exports
+//! a serializable [`MrcSnapshot`] whose [`MrcSnapshot::merge`] is exact
+//! concatenation of the underlying scaled-distance samples — valid across
+//! estimators because the shards hold *disjoint* key populations, which is
+//! just more spatial sampling. An estimator that sees `owned` of `total`
+//! shards passes `owned as f64 / total as f64` as its population share and
+//! the recorded distances absorb the extra `total/owned` scale.
 
 use crate::curve::HitRateCurve;
 use crate::mimir::MimirEstimator;
@@ -63,7 +63,7 @@ const MAX_TRACKED: usize = 32_768;
 /// the population-scaled histogram is built from them when it is read.
 /// Scaled, a histogram indexed by distance would be `2^shift / share`
 /// times longer and all but one entry in `2^shift / share` empty.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct OnlineMrc {
     shift: u32,
     /// Sample iff `mix64(key ^ salt) <= threshold` (`u64::MAX >> shift`).

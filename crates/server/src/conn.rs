@@ -15,28 +15,13 @@
 //!   reading and parsing, so a client that requests faster than it reads
 //!   responses is throttled by TCP instead of ballooning server memory.
 //!
-//! # Routing and the completion ring
+//! # Routing and the window
 //!
-//! This is where the shared-nothing data plane routes: every key is hashed
-//! to its shard *before* any engine is touched. A key whose shard the
-//! connection's own loop owns executes inline — plain field accesses on
-//! loop-owned state, zero shared locks. A key owned by another loop is
-//! forwarded as an [`Op`] in the loop's [`OpBatch`] for that owner, and the
-//! connection *keeps parsing*: the command takes an [`Entry`] in the
-//! connection's in-order completion ring (entry `seq` sits at index
-//! `seq - head_seq`), later commands stage their finished responses behind
-//! it — in one FIFO buffer, the ring holding only their lengths — and the
-//! batch, back from the owner, resolves its entries
-//! ([`Connection::on_replies`]). Responses leave the head of the ring in
-//! program order, so the wire is byte-identical to inline execution while a
-//! pipelined batch crosses the mailbox as one message. While the ring's head
-//! is unanswered, fewer than [`OUT_HOLD`] bytes of `out` wait for the
-//! connection's next pass — the reply batch, or more input — so a batch
-//! whose first key is local costs one `send` and one client wake-up, not
-//! two. With the ring empty (every key local) responses encode straight
-//! into `out` and leave at once.
-//!
-//! # The window
+//! Every key is hashed to its shard *before* any engine is touched, and the
+//! connection's own loop executes it, whichever shard it is: the shards are
+//! behind a lock each in [`crate::plane::PlaneShared`], and a command's
+//! response is encoded straight onto `out` as it executes, so the wire
+//! order is program order with no mechanism of its own.
 //!
 //! [`Connection::process`] executes a *window* at a time: the commands
 //! already complete in `inbuf`, parsed ahead and each key routed once — data
@@ -44,8 +29,10 @@
 //! command or invalid line, which closes the window and runs alone on the
 //! state everything ahead of it left. Before the entries execute — in order,
 //! the stall check ahead of every command — [`LoopState::sweep`] prefetches
-//! what the locally owned keys are about to miss on, so a batch's cache
-//! misses overlap instead of queueing one request behind another. A stall
+//! what the window's keys are about to miss on, each shard's keys under its
+//! lock, so a batch's cache misses overlap instead of queueing one request
+//! behind another. The entries then execute holding one shard lock at a
+//! time, kept across a run of consecutive same-shard entries. A stall
 //! mid-window puts the cursor back on the stalled command's first byte and
 //! drops the unexecuted entries, to be parsed again when the connection
 //! resumes: every bound below holds to the command, as if each were parsed
@@ -54,37 +41,26 @@
 //! # The byte path
 //!
 //! A request byte is copied once, by the kernel, into `inbuf`; commands are
-//! parsed in place and consumed by moving a cursor, a local `get` looks its
-//! keys up while they still sit in `inbuf` and copies a hit's payload from
-//! the engine's stored item onto `out` (the payload's one copy), and a
-//! store's key and data are copied once, out of `inbuf` into the one
-//! allocation that then moves into the engine as the item. Only a key
-//! another loop owns is copied out to cross threads: into the batch's
-//! bytes, which also serve its `VALUE` line and carry a hit's data back.
-//! ARCHITECTURE.md has the table; `tests/byte_path.rs` holds the counts.
+//! parsed in place and consumed by moving a cursor, a `get` looks its keys
+//! up while they still sit in `inbuf` and copies a hit's payload from the
+//! engine's stored item onto `out` (the payload's one copy), and a store's
+//! key and data are copied once, out of `inbuf` into the one allocation
+//! that then moves into the engine as the item. ARCHITECTURE.md has the
+//! table; `tests/byte_path.rs` holds the counts.
 //!
-//! * **Same-key order** needs no mechanism of its own: shard ownership is
-//!   static, mailboxes are FIFO and a batch keeps its ops in the order
-//!   they were issued, so every op on a key reaches its one owner in
-//!   program order.
 //! * **Admin commands** (`stats`, `flush_all`, `app_create`, `app_list`) are
-//!   barriers. They go to the control thread at once, while forwarded data
-//!   ops wait in the loop's outbound batch, so one is sent only when the
-//!   ring ahead of it has drained, and nothing is parsed past it until its
-//!   [`crate::plane::LoopMsg::AdminDone`] — the event loop keeps serving
-//!   every sibling connection meanwhile.
-//! * **Bounds**: at most [`MAX_IN_FLIGHT`] entries, and finished responses
-//!   staged behind the ring count toward [`OUT_HIGH_WATERMARK`]; at either
-//!   limit the connection stops parsing and reading until replies drain it.
+//!   barriers. They go to the control thread at once, and nothing is parsed
+//!   past one until its [`crate::plane::LoopMsg::AdminDone`] — the event loop
+//!   keeps serving every sibling connection meanwhile.
+//! * **Bounds**: past [`OUT_HIGH_WATERMARK`] bytes of unsent output the
+//!   connection stops parsing and reading until the socket drains it.
 
 use crate::engine::StoredValue;
-use crate::plane::{AdminOp, LoopState, Op, OpBatch, OpState, Route};
+use crate::plane::{AdminOp, LoopState, PlaneShared, Route, Shard, ShardGuard};
 use crate::protocol::{
     encode_response, encode_value, Command, ParseOutcome, Parser, Request, Response, StoreVerb,
 };
 use bytes::BytesMut;
-use cache_core::Key;
-use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::fd::{AsRawFd, RawFd};
@@ -93,16 +69,9 @@ use std::time::{Duration, Instant};
 use crate::reactor::{EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
 /// Pending-output bytes above which the connection stops reading and
-/// parsing until the socket drains (and above which a pipelined batch is
-/// cut), so a client that never reads cannot grow `out` without bound.
+/// parsing until the socket drains, so a client that never reads cannot
+/// grow `out` without bound.
 pub(crate) const OUT_HIGH_WATERMARK: usize = 256 * 1024;
-/// Pending-output bytes below which a pass that leaves the ring unanswered
-/// sends nothing.
-const OUT_HOLD: usize = 16 * 1024;
-/// Ring entries a connection may hold before it stops parsing: deep enough
-/// that a pipelined batch crosses the mailbox in one piece, small enough to
-/// bound what one socket can queue on other loops.
-const MAX_IN_FLIGHT: usize = 128;
 /// Keys a window holds before it closes (its last command is not split,
 /// and a kept window may be four times as long before it gives capacity
 /// back): the batch whose cache misses [`LoopState::sweep`] overlaps.
@@ -115,19 +84,17 @@ const READ_CHUNK: usize = 16 * 1024;
 /// [`crate::protocol::MAX_DATA_BYTES`]) goes back to the allocator once it
 /// is parsed, the way `flush` trims `out`.
 const IN_RETAIN: usize = 4 * READ_CHUNK;
-/// Capacity the staging buffer may keep once it has drained, and the
-/// consumed prefix it may carry while it has not.
-const STAGED_RETAIN: usize = READ_CHUNK;
 /// Bytes buffered per fill pass before yielding back to the loop, so one
 /// fire-hosing connection cannot starve its siblings (level-triggered
 /// epoll re-schedules it immediately).
 const IN_FILL_BUDGET: usize = 256 * 1024;
 
 /// What a connection needs from its event loop to execute commands: the
-/// loop-owned state (engines, tenant table, outbound queues) and its own
-/// token, so forwarded operations can find their way back.
+/// loop's own state (tenant table, op ledger), the shards, and its own
+/// token, so an admin reply can find its way back.
 pub(crate) struct Ctx<'a> {
     pub(crate) state: &'a mut LoopState,
+    pub(crate) shared: &'a PlaneShared,
     pub(crate) token: u64,
 }
 
@@ -199,25 +166,6 @@ fn fill_from(inbuf: &mut BytesMut, socket: impl Read) -> Flow {
     }
 }
 
-/// One command whose response is not on `out` yet, in program order.
-enum Entry {
-    /// One key of a `get`, forwarded to the loop that owns it (the batch
-    /// brings the key back for the `VALUE` line of a hit). A (multi-)get is
-    /// one entry per remote key with its local hits as `Done` bytes between
-    /// them, so the ring's order is the reply's order. `end`: the command's
-    /// `END` follows this key (no later key of it produced bytes).
-    Get { end: bool },
-    /// A store or delete forwarded to the owning loop. A `noreply` one
-    /// keeps its place in the order and emits nothing.
-    Write { delete: bool, noreply: bool },
-    /// An admin command: `Some` until the ring ahead of it drains and it is
-    /// sent to the control thread, `None` while that thread runs it.
-    Admin(Option<AdminOp>),
-    /// This many finished response bytes wait in `staged` for the entries
-    /// ahead of them.
-    Done(usize),
-}
-
 /// What one entry of the window, parsed and routed, will execute.
 enum Work {
     /// One key of a `get`: where it sits in `inbuf`, and whether it is the
@@ -249,6 +197,19 @@ fn flag_response(delete: bool, done: bool) -> Response {
     }
 }
 
+/// The lock of `shard`, from `held` if it is that shard's, else taken
+/// after `held`'s is released.
+fn relock<'g, 'a>(
+    held: &'g mut Option<ShardGuard<'a>>,
+    shared: &'a PlaneShared,
+    shard: usize,
+) -> &'g mut Shard {
+    if held.as_ref().map(|guard| guard.shard) != Some(shard) {
+        *held = None;
+    }
+    held.get_or_insert_with(|| shared.lock(shard))
+}
+
 /// One client connection: socket, buffers, parser and session state.
 pub(crate) struct Connection {
     stream: TcpStream,
@@ -268,18 +229,10 @@ pub(crate) struct Connection {
     interest: u32,
     /// Quit or EOF observed: flush the remaining output, then close.
     draining: bool,
-    /// The in-order completion ring; empty whenever every key so far was
-    /// local.
-    ring: VecDeque<Entry>,
-    /// Sequence number of `ring[0]`. Replies carry their entry's number, so
-    /// one that no longer (or never) maps into the ring is dropped.
-    head_seq: u64,
-    /// The bytes of the ring's `Done` entries, in ring order, from
-    /// `staged_pos` on.
-    staged: Vec<u8>,
-    /// Bytes of `staged` already moved onto `out`.
-    staged_pos: usize,
-    /// Last time the peer gave us bytes or an operation resolved — the
+    /// An admin command is with the control thread: the barrier nothing
+    /// is parsed past until its reply.
+    barrier: bool,
+    /// Last time the peer gave us bytes or an admin command resolved — the
     /// idle reaper's clock.
     last_activity: Instant,
 }
@@ -309,10 +262,7 @@ impl Connection {
             tenant: 0,
             interest: EPOLLIN | EPOLLRDHUP,
             draining: false,
-            ring: VecDeque::new(),
-            head_seq: 0,
-            staged: Vec::new(),
-            staged_pos: 0,
+            barrier: false,
             last_activity: Instant::now(),
         })
     }
@@ -329,7 +279,7 @@ impl Connection {
 
     /// Whether a command is still waiting on another thread.
     pub(crate) fn in_flight(&self) -> bool {
-        !self.ring.is_empty()
+        self.barrier
     }
 
     /// How long the connection has been silent, for the idle reaper.
@@ -341,20 +291,10 @@ impl Connection {
         self.out.len() - self.out_pos
     }
 
-    /// Whether `out` waits for the connection's next pass: the ring's head
-    /// is unanswered (a non-empty ring's always is), so a reply batch is on
-    /// its way, and what is pending is not worth a `send` of its own.
-    fn held(&self) -> bool {
-        !self.ring.is_empty() && self.pending_out() < OUT_HOLD
-    }
-
-    /// Whether parsing must wait: output (unsent, or finished but still in
-    /// the ring) is past the watermark, the ring is full, or an admin
-    /// barrier is up.
+    /// Whether parsing must wait: unsent output is past the watermark, or
+    /// an admin barrier is up.
     fn stalled(&self) -> bool {
-        self.pending_out() + self.staged.len() - self.staged_pos >= OUT_HIGH_WATERMARK
-            || self.ring.len() >= MAX_IN_FLIGHT
-            || matches!(self.ring.back(), Some(Entry::Admin(_)))
+        self.pending_out() >= OUT_HIGH_WATERMARK || self.barrier
     }
 
     /// One readiness pass: flush, then parse/execute/flush — with one fill
@@ -362,11 +302,10 @@ impl Connection {
     pub(crate) fn on_ready(&mut self, readable: bool, ctx: &mut Ctx<'_>) -> Drive {
         // Readiness or a delivery: not idle as of this pass's clock.
         self.last_activity = ctx.state.now;
-        // Always flush first, not only on `EPOLLOUT`: replies that resolved
-        // ring entries since the last pass put bytes on `out`, and `process`
-        // may only find the watermark in its way when the socket is full.
-        // What an earlier pass held back goes too: it has waited for this.
-        if self.flush(false) == Flow::Broken {
+        // Always flush first, not only on `EPOLLOUT`: an admin reply may
+        // have put bytes on `out`, and `process` may only find the watermark
+        // in its way when the socket is full.
+        if self.flush() == Flow::Broken {
             return Drive::Close;
         }
         // Parsing can be resumed by a flush that drains the output below
@@ -387,7 +326,7 @@ impl Connection {
                     (0, false)
                 }
             };
-            if self.flush(true) == Flow::Broken {
+            if self.flush() == Flow::Broken {
                 return Drive::Close;
             }
             if dry && read && !self.draining && !self.stalled() {
@@ -403,17 +342,15 @@ impl Connection {
                 break;
             }
         }
-        if self.draining && self.pending_out() == 0 && self.ring.is_empty() {
+        if self.draining && self.pending_out() == 0 && !self.barrier {
             return Drive::Close;
         }
         let mut want = 0;
-        if self.pending_out() > 0 && !self.held() {
+        if self.pending_out() > 0 {
             want |= EPOLLOUT;
         }
         // A stalled connection reads nothing: there is no point waking on
-        // (and buffering) input we would not parse. A ring that is merely
-        // non-empty keeps `EPOLLIN`, so a pipelined stream costs no
-        // `epoll_ctl` per batch.
+        // (and buffering) input we would not parse.
         if !self.draining && !self.stalled() {
             want |= EPOLLIN | EPOLLRDHUP;
         }
@@ -425,111 +362,15 @@ impl Connection {
         }
     }
 
-    /// `ops`, this connection's in `batch`, are back from their owner:
-    /// resolve their entries. One whose entry has left the ring is dropped.
-    pub(crate) fn on_replies(&mut self, ops: &[Op], batch: &OpBatch) {
-        for op in ops {
-            let Some(index) = self.index_of(op.seq) else {
-                continue;
-            };
-            match self.ring[index] {
-                Entry::Get { end } => self.complete(index, |out| {
-                    if let OpState::Value(Some((flags, data))) = &op.state {
-                        encode_value(batch.bytes(&op.key), *flags, batch.bytes(data), out);
-                    }
-                    if end {
-                        out.extend_from_slice(END);
-                    }
-                }),
-                Entry::Write { delete, noreply } => {
-                    let done = matches!(op.state, OpState::Flag(true));
-                    self.complete(index, |out| {
-                        if !noreply {
-                            encode_response(&flag_response(delete, done), out);
-                        }
-                    });
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// The control thread finished the admin command at the head of the
-    /// ring.
-    pub(crate) fn on_admin_done(&mut self, seq: u64, response: Response) {
-        if self.index_of(seq) != Some(0) || !matches!(self.ring[0], Entry::Admin(None)) {
-            return;
-        }
-        self.complete(0, |out| encode_response(&response, out));
-    }
-
-    /// The ring index of entry `seq`, if it is still in the ring.
-    fn index_of(&self, seq: u64) -> Option<usize> {
-        let index = usize::try_from(seq.checked_sub(self.head_seq)?).ok()?;
-        (index < self.ring.len()).then_some(index)
-    }
-
-    /// Entry `index` resolved to the bytes `write` produces (none for
-    /// `noreply` or a miss). At the head they go out, followed by every
-    /// finished entry behind them; elsewhere — a later owner answered before
-    /// an earlier one — they are staged at the entry's place in the FIFO.
-    fn complete(&mut self, index: usize, write: impl FnOnce(&mut Vec<u8>)) {
-        if index > 0 {
-            let staged_ahead = self.ring.iter().take(index).map(|entry| match entry {
-                Entry::Done(len) => *len,
-                _ => 0,
-            });
-            let at = self.staged_pos + staged_ahead.sum::<usize>();
-            let len = Self::append(&mut self.staged, write);
-            self.staged[at..].rotate_right(len);
-            self.ring[index] = Entry::Done(len);
-            return;
-        }
-        self.ring.pop_front();
-        self.head_seq += 1;
-        write(&mut self.out);
-        while let Some(&Entry::Done(len)) = self.ring.front() {
-            let next = self.staged_pos + len;
-            self.out
-                .extend_from_slice(&self.staged[self.staged_pos..next]);
-            self.staged_pos = next;
-            self.ring.pop_front();
-            self.head_seq += 1;
-        }
-        if self.staged_pos == self.staged.len() {
-            self.staged.clear();
-            self.staged.shrink_to(STAGED_RETAIN);
-            self.staged_pos = 0;
-        } else if self.staged_pos >= STAGED_RETAIN {
-            // A ring that never quite drains must not keep what has left.
-            self.staged.drain(..self.staged_pos);
-            self.staged_pos = 0;
-        }
-    }
-
-    /// Lets `write` append to `buffer`; returns how many bytes it added.
-    fn append(buffer: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) -> usize {
-        let before = buffer.len();
-        write(buffer);
-        buffer.len() - before
-    }
-
-    /// Lets `write` append the response of a command that executed inline:
-    /// straight onto `out` when nothing is ahead of it, else staged behind
-    /// the ring.
-    fn emit(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
-        if self.ring.is_empty() {
-            return write(&mut self.out);
-        }
-        let len = Self::append(&mut self.staged, write);
-        match self.ring.back_mut() {
-            Some(Entry::Done(staged)) => *staged += len,
-            _ => self.ring.push_back(Entry::Done(len)),
+    /// The control thread finished the connection's admin command.
+    pub(crate) fn on_admin_done(&mut self, response: Response) {
+        if std::mem::take(&mut self.barrier) {
+            encode_response(&response, &mut self.out);
         }
     }
 
     fn respond(&mut self, response: &Response) {
-        self.emit(|out| encode_response(response, out));
+        encode_response(response, &mut self.out);
     }
 
     /// Reads whatever the socket has (bounded per pass) straight into
@@ -541,7 +382,6 @@ impl Connection {
     /// Executes buffered commands, a window at a time, until the input runs
     /// dry, the connection [`Connection::stalled`], or the client quits.
     fn process(&mut self, ctx: &mut Ctx<'_>) -> Step {
-        self.launch_admin(ctx);
         // Keys borrow the input while the rest of the connection is mutated
         // around them, so the buffer (and the window) step out of `self`.
         let mut inbuf = std::mem::take(&mut self.inbuf);
@@ -599,14 +439,17 @@ impl Connection {
                     break false;
                 }
             };
-            // The local keys' cache misses first, overlapped; then the
-            // commands in order, the stall check before each, as ever.
+            // The keys' cache misses first, overlapped; then the commands in
+            // order, the stall check before each, as ever, one shard lock
+            // held across each run of same-shard entries.
+            let tenant = self.tenant;
             ctx.state.sweep(&window, |(_, work)| match *work {
-                Work::Get((_, id, Ok(local)), ..) | Work::Write((_, id, Ok(local)), ..) => {
-                    Some((local, self.tenant, id))
+                Work::Get((shard, id), ..) | Work::Write((shard, id), ..) => {
+                    Some((shard, tenant, id))
                 }
-                _ => None,
+                Work::Alone(_) => None,
             });
+            let mut held = None;
             let mut command_at = usize::MAX;
             for (at, work) in window.drain(..) {
                 if at != command_at {
@@ -621,15 +464,44 @@ impl Connection {
                     parsed += 1;
                 }
                 match work {
-                    Work::Get(route, key, end) => self.get(route, &inbuf[key], end, ctx),
-                    Work::Write(route, key, store, noreply) => {
-                        self.write(route, &inbuf[key], store, noreply, ctx)
+                    Work::Get((shard, id), key, end) => {
+                        let timer = ctx.state.timer();
+                        let cells = relock(&mut held, ctx.shared, shard);
+                        let key = &inbuf[key];
+                        if let Some(item) = cells.get(tenant, id, key) {
+                            encode_value(key, item.flags(), item.data(), &mut self.out);
+                        }
+                        ctx.state.note_op(shard, timer);
+                        if end {
+                            self.out.extend_from_slice(END);
+                        }
                     }
-                    Work::Alone(Ok(Command::Quit)) => break 'pass Step::Quit,
-                    Work::Alone(Ok(command)) => self.dispatch(command, ctx),
-                    Work::Alone(Err(message)) => self.respond(&Response::ClientError(message)),
+                    Work::Write((shard, id), key, store, noreply) => {
+                        let timer = ctx.state.timer();
+                        let cells = relock(&mut held, ctx.shared, shard);
+                        let delete = store.is_none();
+                        let done = match store {
+                            Some((verb, item)) => cells.store(tenant, id, verb, item),
+                            None => cells.delete(tenant, id, &inbuf[key]),
+                        };
+                        ctx.state.note_op(shard, timer);
+                        if !noreply {
+                            self.respond(&flag_response(delete, done));
+                        }
+                    }
+                    Work::Alone(command) => {
+                        // An admin command talks to the control thread: no
+                        // shard lock may be held across that.
+                        held = None;
+                        match command {
+                            Ok(Command::Quit) => break 'pass Step::Quit,
+                            Ok(command) => self.dispatch(command, ctx),
+                            Err(message) => self.respond(&Response::ClientError(message)),
+                        }
+                    }
                 }
             }
+            drop(held);
             if dry {
                 break Step::Dry(parsed);
             }
@@ -643,55 +515,6 @@ impl Connection {
         window.shrink_to(4 * WINDOW);
         self.window = window;
         step
-    }
-
-    /// Forwards one key's op to the loop that owns it, addressed to the
-    /// ring entry the caller pushes next. `key`: a GET's or DELETE's.
-    fn forward(
-        &self,
-        ctx: &mut Ctx<'_>,
-        (shard, id, owner): (usize, Key, usize),
-        key: &[u8],
-        state: OpState,
-    ) {
-        let op = Op {
-            token: ctx.token,
-            seq: self.head_seq + self.ring.len() as u64,
-            tenant: self.tenant,
-            shard,
-            id,
-            key: 0..0,
-            state,
-        };
-        ctx.state.forward_op(owner, op, key);
-    }
-
-    /// One key of a (multi-)get, `end` its last: a key this loop owns is
-    /// answered straight from the engine's stored item — its payload's one
-    /// copy is the one onto `out`. A key another loop owns takes a ring
-    /// entry, so the hits reach the wire in request order whatever mix of
-    /// owners the keys have.
-    fn get(&mut self, (shard, id, route): Route, key: &[u8], end: bool, ctx: &mut Ctx<'_>) {
-        match route {
-            Ok(local) => {
-                let timer = ctx.state.local_timer();
-                if let Some(item) = ctx.state.get(local, self.tenant, id, key) {
-                    self.emit(|out| encode_value(key, item.flags(), item.data(), out));
-                }
-                ctx.state.note_local(timer);
-            }
-            Err(owner) => {
-                self.forward(ctx, (shard, id, owner), key, OpState::Get);
-                self.ring.push_back(Entry::Get { end: false });
-            }
-        }
-        // Between commands every `Get` entry has `end` set, so an unset
-        // one at the back is this command's, with nothing emitted since.
-        match self.ring.back_mut() {
-            _ if !end => {}
-            Some(Entry::Get { end, .. }) if !*end => *end = true,
-            _ => self.emit(|out| out.extend_from_slice(END)),
-        }
     }
 
     /// Executes one command that closes a window and runs alone.
@@ -749,71 +572,20 @@ impl Connection {
         }
     }
 
-    /// A store (`Some`: the verb and the item) or a delete of `key`: inline
-    /// when this loop owns the key — the item moves into the engine — else
-    /// forwarded. A forwarded `noreply` still takes a ring entry: program
-    /// order and drain-before-close hang on it.
-    fn write(
-        &mut self,
-        (shard, id, route): Route,
-        key: &[u8],
-        store: Option<(StoreVerb, StoredValue)>,
-        noreply: bool,
-        ctx: &mut Ctx<'_>,
-    ) {
-        let delete = store.is_none();
-        let owner = match route {
-            Ok(local) => {
-                let timer = ctx.state.local_timer();
-                let done = match store {
-                    Some((verb, item)) => ctx.state.store(local, self.tenant, id, verb, item),
-                    None => ctx.state.delete(local, self.tenant, id, key),
-                };
-                ctx.state.note_local(timer);
-                if !noreply {
-                    self.respond(&flag_response(delete, done));
-                }
-                return;
-            }
-            Err(owner) => owner,
-        };
-        let state = match store {
-            Some((verb, item)) => OpState::Store { verb, item },
-            None => OpState::Delete,
-        };
-        self.forward(ctx, (shard, id, owner), key, state);
-        self.ring.push_back(Entry::Write { delete, noreply });
-    }
-
-    /// Raises an admin barrier: the command joins the ring and goes to the
-    /// control thread once everything ahead of it has resolved.
+    /// Raises an admin barrier: the command goes to the control thread, and
+    /// nothing behind it is parsed until the reply.
     fn admin(&mut self, op: AdminOp, ctx: &mut Ctx<'_>) {
-        self.ring.push_back(Entry::Admin(Some(op)));
-        self.launch_admin(ctx);
-    }
-
-    /// Sends the admin command at the head of the ring, if one waits there.
-    fn launch_admin(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(Entry::Admin(op)) = self.ring.front_mut() else {
-            return;
-        };
-        let Some(op) = op.take() else {
-            return;
-        };
-        if !ctx.state.forward_admin(op, ctx.token, self.head_seq) {
+        self.barrier = ctx.state.forward_admin(op, ctx.token);
+        if !self.barrier {
             // The control thread is gone: the server is shutting down and
             // this connection is about to be torn down with its loop.
             let reason = Response::ClientError("server is shutting down".to_string());
-            self.complete(0, |out| encode_response(&reason, out));
+            self.respond(&reason);
         }
     }
 
-    /// Writes as much parked output as the socket accepts — unless `hold`
-    /// and it is [`Connection::held`] back.
-    fn flush(&mut self, hold: bool) -> Flow {
-        if hold && self.held() {
-            return Flow::Open;
-        }
+    /// Writes as much pending output as the socket accepts.
+    fn flush(&mut self) -> Flow {
         while self.out_pos < self.out.len() {
             match self.stream.write(&self.out[self.out_pos..]) {
                 Ok(0) => return Flow::Broken,
@@ -841,6 +613,7 @@ impl Connection {
 mod tests {
     use super::*;
     use std::io::{Error, ErrorKind};
+    use std::sync::Arc;
 
     /// What the scripted socket answers to one `read` call.
     enum Step {
@@ -934,104 +707,14 @@ mod tests {
         (Connection::adopt(stream).unwrap(), peer)
     }
 
-    /// What an owner answered: a GET's hit (flags 5) or miss, or a flag.
-    type Outcome = Result<Option<&'static str>, bool>;
-
-    /// A served batch answering ring entries `seqs` (key, outcome) in turn.
-    fn served(replies: Vec<(u64, &str, Outcome)>) -> OpBatch {
-        let mut batch = OpBatch::new(Some(0), Instant::now());
-        for (seq, key, outcome) in replies {
-            let op = Op {
-                token: 1,
-                seq,
-                tenant: 0,
-                shard: 0,
-                id: Key::new(seq),
-                key: 0..0,
-                state: OpState::Get,
-            };
-            // A hit's data sits in the batch's bytes too: here, behind its key.
-            let hit = outcome.ok().flatten();
-            batch.push(op, format!("{key}{}", hit.unwrap_or("")).as_bytes());
-            let op = batch.ops.last_mut().unwrap();
-            let data = op.key.start + key.len()..op.key.end;
-            op.key.end = data.start;
-            op.state = match outcome {
-                Ok(_) => OpState::Value(hit.map(|_| (5, data))),
-                Err(done) => OpState::Flag(done),
-            };
-        }
-        batch
-    }
-
-    #[test]
-    fn replies_of_a_later_owner_are_staged_where_their_entries_sit() {
-        let (mut conn, _peer) = connection();
-        // get a (remote, owner 1) | local bytes | get b (owner 2) | local
-        // bytes | set (owner 2) | local bytes | get c (owner 2, a miss)
-        conn.ring.push_back(Entry::Get { end: true });
-        conn.emit(|out| out.extend_from_slice(b"<one>"));
-        conn.ring.push_back(Entry::Get { end: true });
-        conn.emit(|out| out.extend_from_slice(b"<two>"));
-        conn.ring.push_back(Entry::Write {
-            delete: false,
-            noreply: false,
-        });
-        conn.emit(|out| out.extend_from_slice(b"<three>"));
-        conn.ring.push_back(Entry::Get { end: false });
-
-        // Owner 2 answers first: nothing may leave, and nothing may move
-        // ahead of the bytes staged before it.
-        let later = served(vec![
-            (2, "b", Ok(Some("bee"))),
-            (4, "", Err(true)),
-            (6, "c", Ok(None)),
-            (9, "gone", Ok(Some("an entry that left the ring"))),
-        ]);
-        conn.on_replies(&later.ops, &later);
-        assert!(conn.out.is_empty());
-        assert_eq!(conn.ring.len(), 7);
-
-        // Owner 1's answer releases everything, in program order.
-        let first = served(vec![(0, "a", Ok(Some("ay")))]);
-        conn.on_replies(&first.ops, &first);
-        assert!(conn.ring.is_empty() && conn.staged.is_empty());
-        assert_eq!((conn.head_seq, conn.staged_pos), (7, 0));
-        assert_eq!(
-            String::from_utf8_lossy(&conn.out),
-            "VALUE a 5 2\r\nay\r\nEND\r\n<one>VALUE b 5 3\r\nbee\r\nEND\r\n<two>\
-             STORED\r\n<three>"
-        );
-    }
-
-    #[test]
-    fn a_ring_that_never_empties_does_not_keep_what_has_left_it() {
-        let (mut conn, _peer) = connection();
-        let forward_then_stage = |conn: &mut Connection| {
-            conn.ring.push_back(Entry::Get { end: true });
-            conn.emit(|out| out.extend_from_slice(&[b'x'; 1000]));
-        };
-        forward_then_stage(&mut conn);
-        for answered in 0..200 {
-            // Always a second unanswered entry with bytes behind it before
-            // the head resolves: the staging buffer never drains.
-            forward_then_stage(&mut conn);
-            let reply = served(vec![(2 * answered, "k", Ok(None))]);
-            conn.on_replies(&reply.ops, &reply);
-            assert_eq!(conn.out.len(), END.len() + 1000);
-            conn.out.clear();
-            assert_eq!(conn.staged.len() - conn.staged_pos, 1000);
-            assert!(conn.staged.len() <= STAGED_RETAIN + 2000);
-        }
-        assert_eq!(conn.ring.len(), 2);
-    }
-
     #[test]
     fn a_store_whose_key_the_item_cannot_count_is_refused_in_stride() {
         let (mut conn, _peer) = connection();
         let mut state = LoopState::solo();
+        let shared = Arc::clone(&state.shared);
         let mut ctx = Ctx {
             state: &mut state,
+            shared: &shared,
             token: 1,
         };
         let wire = format!(
@@ -1048,8 +731,10 @@ mod tests {
         const BIG: usize = 100 << 10;
         let (mut conn, _peer) = connection();
         let mut state = LoopState::solo();
+        let shared = Arc::clone(&state.shared);
         let mut ctx = Ctx {
             state: &mut state,
+            shared: &shared,
             token: 1,
         };
         let mut wire = format!("set big 0 0 {BIG}\r\n{}\r\n", "v".repeat(BIG));
@@ -1061,9 +746,13 @@ mod tests {
         wire.push_str("set c 8 0 5\r\nab");
         conn.inbuf.extend_from_slice(wire.as_bytes());
         let version_of_c = |ctx: &mut Ctx<'_>| {
-            let (_, id, slot) = ctx.state.route(0, b"c");
-            let found = ctx.state.get(slot.unwrap(), 0, id, b"c");
-            found.map(|item| item.flags())
+            let (shard, id) = ctx.state.route(0, b"c");
+            let found = ctx
+                .shared
+                .lock(shard)
+                .get(0, id, b"c")
+                .map(|item| item.flags());
+            found
         };
 
         // Three hits carry `out` over the watermark: the seventh command is

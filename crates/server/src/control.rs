@@ -1,24 +1,36 @@
-//! The control thread: the single blocking coordinator behind balancing
-//! rounds, tenant `flush_all`, `app_create` and the `stats` document. It talks to the event loops only in [`crate::plane`]'s
-//! messages, and owns the balancers' decision state outright.
+//! The control thread: the single coordinator behind balancing rounds,
+//! tenant `flush_all`, `app_create`, the `stats` document and its rate
+//! history. It reads and changes the shards under their locks, one at a
+//! time, asks the event loops only for their ledgers, and owns the
+//! balancers' decision state outright.
 
 use crate::engine::{even_split, BackendMode};
 use crate::plane::{
-    AdminOp, AdminReply, ControlMsg, CtrlReq, LoopMsg, LoopSnapshot, PlaneShared, RosterMaster,
-    RoundKind,
+    build_engine, AdminOp, AdminReply, Cell, CtrlReq, LoopMsg, LoopSnapshot, PlaneShared,
+    RosterMaster, RoundKind,
 };
 use crate::protocol::{Response, StatsFormat};
 use crate::reactor::ConnTelemetry;
 use crate::stats::{
-    build_document, render_json, render_prom, render_stats, BalanceDoc, PlaneDoc, StatsDocument,
+    build_document, render_json, render_prom, render_stats, BalanceDoc, EngineStat, PlaneDoc,
+    StatsDocument,
 };
 use cache_core::TenantDirectory;
 use cliffhanger::{ShardRebalancer, ShardSample, ShardTransfer};
+use profiler::MrcSnapshot;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
-use telemetry::{EventKind, Histogram};
+use telemetry::{EventKind, Histogram, SeriesSample, TimeSeries};
+
+/// Width of one stats-history bucket: the shards' cumulative per-tenant
+/// counters are sampled into 1-second intervals and differenced into rates
+/// at snapshot.
+const HISTORY_INTERVAL_US: u64 = 1_000_000;
+
+/// Retained history buckets: about a minute of trajectory per scrape.
+const HISTORY_WINDOWS: usize = 64;
 
 /// What the rounds of one balancing level have done so far.
 #[derive(Clone, Copy, Default)]
@@ -52,6 +64,9 @@ pub(crate) struct Control {
     start_unix_us: u64,
     /// Service times of the admin commands this thread ran (ns).
     admin_latency: Histogram,
+    /// Per-tenant counter history, sampled once an interval and at every
+    /// `stats`.
+    history: TimeSeries,
 }
 
 impl Control {
@@ -79,12 +94,27 @@ impl Control {
                 .map(|d| d.as_micros() as u64)
                 .unwrap_or(0),
             admin_latency: Histogram::new(),
+            history: TimeSeries::new(HISTORY_INTERVAL_US, HISTORY_WINDOWS),
             shared,
         }
     }
 
     pub(crate) fn run(mut self) {
-        while let Ok(req) = self.rx.recv() {
+        // The history is sampled once an interval, as soon after its start
+        // as the thread is free: woken by a timeout if nothing comes sooner.
+        let mut next_sample = 0;
+        loop {
+            let now_us = self.shared.started.elapsed().as_micros() as u64;
+            if now_us >= next_sample {
+                self.observe();
+                next_sample = (now_us / HISTORY_INTERVAL_US + 1) * HISTORY_INTERVAL_US;
+            }
+            let wait = Duration::from_micros(next_sample.saturating_sub(now_us));
+            let req = match self.rx.recv_timeout(wait) {
+                Ok(req) => req,
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => break,
+            };
             match req {
                 CtrlReq::Round { kind, done } => {
                     // A loop's trigger set the kind's pending flag: clear it
@@ -125,12 +155,9 @@ impl Control {
                     self.admin_latency
                         .record(started.elapsed().as_nanos() as u64);
                     match reply {
-                        AdminReply::Conn { origin, token, seq } => {
-                            let _ = self.shared.mailboxes[origin].send(LoopMsg::AdminDone {
-                                token,
-                                seq,
-                                response,
-                            });
+                        AdminReply::Conn { origin, token } => {
+                            let msg = LoopMsg::AdminDone { token, response };
+                            let _ = self.shared.mailboxes[origin].send(msg);
                         }
                         AdminReply::Sync(tx) => {
                             let _ = tx.send(response);
@@ -142,77 +169,111 @@ impl Control {
         }
     }
 
-    /// Sends every live loop the message `ask` builds around one shared
-    /// reply sender and collects the answers in the order they come. A
-    /// loop that died mid-request simply drops its copy of the sender, so
-    /// the collection never hangs.
-    fn ask_all<R>(&self, ask: impl Fn(Sender<R>) -> ControlMsg) -> Vec<R> {
-        let (tx, rx) = channel();
-        for mailbox in &self.shared.mailboxes {
-            let _ = mailbox.send(LoopMsg::Control(ask(tx.clone())));
+    /// Samples the shards' cumulative per-tenant counters into the history
+    /// ring (a bucket's latest sample overwrites it in place): one lock of
+    /// each shard, a few additions per tenant under it.
+    fn observe(&mut self) {
+        let shared = &*self.shared;
+        let mut columns: Vec<SeriesSample> = Vec::new();
+        for shard in 0..shared.shards {
+            let cells = shared.lock(shard);
+            columns.resize(columns.len().max(cells.0.len()), SeriesSample::default());
+            for (column, cell) in columns.iter_mut().zip(&cells.0) {
+                let wire = cell.wire_counts();
+                column.gets += wire.gets;
+                column.hits += wire.hits;
+                column.evictions += cell.engine.stats().evictions;
+            }
         }
-        drop(tx);
-        rx.iter().collect()
+        let now_us = shared.started.elapsed().as_micros() as u64;
+        self.history.record(now_us, &columns);
     }
 
-    /// Every live loop's snapshot, by loop index (for `stats` only).
+    /// Every live loop's ledger, by loop index (for `stats` only). A loop
+    /// that died mid-request drops its copy of the reply sender, so the
+    /// collection never hangs.
     fn gather(&self) -> Vec<Option<LoopSnapshot>> {
+        let (tx, rx) = channel();
+        for mailbox in &self.shared.mailboxes {
+            let _ = mailbox.send(LoopMsg::Snapshot { reply: tx.clone() });
+        }
+        drop(tx);
         let mut out: Vec<Option<LoopSnapshot>> = (0..self.shared.loops).map(|_| None).collect();
-        for snap in self.ask_all(|reply| ControlMsg::Snapshot { reply }) {
+        for snap in rx.iter() {
             let index = snap.loop_index;
             out[index] = Some(snap);
         }
         out
     }
 
-    /// The loops' `(global shard, per-tenant shadow hits)` answers as a
-    /// grid indexed `[shard][tenant]`, zero for any shard whose loop did
-    /// not answer.
-    fn shadow_grid(&self, answers: Vec<Vec<(usize, Vec<u64>)>>, tenants: usize) -> Vec<Vec<u64>> {
-        let mut grid = vec![vec![0u64; tenants]; self.shared.shards];
-        for (shard, hits) in answers.into_iter().flatten() {
-            for (t, hits) in hits.into_iter().enumerate().take(tenants) {
-                grid[shard][t] = hits;
-            }
+    /// Every engine's statistics, indexed `[shard][tenant]`, and each
+    /// tenant's MRC estimators merged: the counters and the estimators are
+    /// copied under each shard's lock, the curves' histograms built after.
+    fn read_cells(&self, tenants: usize) -> (Vec<Vec<EngineStat>>, Vec<MrcSnapshot>) {
+        let shared = &*self.shared;
+        let mut mrc = vec![MrcSnapshot::default(); tenants];
+        let engines = (0..shared.shards)
+            .map(|shard| {
+                let (stats, estimators): (Vec<EngineStat>, Vec<_>) = {
+                    let cells = shared.lock(shard);
+                    let copy = |cell: &Cell| {
+                        let engine = &cell.engine;
+                        let stat = EngineStat {
+                            wire: cell.wire_counts(),
+                            core: engine.stats(),
+                            used: engine.used_bytes(),
+                            items: engine.len(),
+                            footprint: engine.footprint(),
+                        };
+                        (stat, cell.mrc.clone())
+                    };
+                    cells.0.iter().take(tenants).map(copy).unzip()
+                };
+                for (merged, estimator) in mrc.iter_mut().zip(estimators) {
+                    if let Some(estimator) = estimator {
+                        merged.merge(&estimator.snapshot());
+                    }
+                }
+                stats
+            })
+            .collect();
+        (engines, mrc)
+    }
+
+    /// The shadow hits of every engine, indexed `[shard][tenant]`: all a
+    /// balancing round reads.
+    fn shadow_grid(&self, tenants: usize) -> Vec<Vec<u64>> {
+        let shared = &*self.shared;
+        (0..shared.shards)
+            .map(|shard| {
+                let cells = shared.lock(shard);
+                let hits = cells.0.iter().map(|cell| cell.engine.stats().shadow_hits);
+                let mut hits: Vec<u64> = hits.take(tenants).collect();
+                hits.resize(tenants, 0);
+                hits
+            })
+            .collect()
+    }
+
+    /// Shrinks one engine under its shard's lock. `false` when the donor
+    /// engine is pinned at its floors — the transfer is simply skipped and
+    /// re-decided from real budgets next round.
+    fn shrink(&self, shard: usize, tenant: usize, bytes: u64) -> bool {
+        let mut cells = self.shared.lock(shard);
+        let cell = cells.0.get_mut(tenant);
+        cell.is_some_and(|cell| cell.engine.shrink_total(bytes))
+    }
+
+    fn grow(&self, shard: usize, tenant: usize, bytes: u64) {
+        if let Some(cell) = self.shared.lock(shard).0.get_mut(tenant) {
+            cell.engine.grow_total(bytes);
         }
-        grid
-    }
-
-    /// One blocking round trip to the loop that owns `shard`: `None` if the
-    /// loop is gone.
-    fn ask_owner<R>(&self, shard: usize, msg: impl FnOnce(Sender<R>) -> ControlMsg) -> Option<R> {
-        let (reply, answer) = channel();
-        let owner = &self.shared.mailboxes[self.shared.owner_of(shard)];
-        owner.send(LoopMsg::Control(msg(reply))).ok()?;
-        answer.recv().ok()
-    }
-
-    /// Shrinks one engine on its owning loop. `false` when the donor engine
-    /// is pinned at its floors (or the loop is gone) — the transfer is
-    /// simply skipped and re-decided from real budgets next round.
-    fn shrink_on_owner(&self, shard: usize, tenant: usize, bytes: u64) -> bool {
-        let shrink = |reply| ControlMsg::Shrink {
-            shard,
-            tenant,
-            bytes,
-            reply,
-        };
-        self.ask_owner(shard, shrink).unwrap_or(false)
-    }
-
-    fn grow_on_owner(&self, shard: usize, tenant: usize, bytes: u64) {
-        let owner = self.shared.owner_of(shard);
-        let _ = self.shared.mailboxes[owner].send(LoopMsg::Control(ControlMsg::Grow {
-            shard,
-            tenant,
-            bytes,
-        }));
     }
 
     /// One balancing round: a cross-shard round per tenant
     /// ([`RoundKind::Rebalance`]) or the one cross-tenant round
-    /// ([`RoundKind::Arbitrate`]). Ask the loops for the shadow-hit
-    /// signal, let the balancer whose seats are at stake decide, then apply
+    /// ([`RoundKind::Arbitrate`]). Read the shadow-hit signal off the
+    /// shards, let the balancer whose seats are at stake decide, then apply
     /// each transfer it proposes as a list of moves: one for a shard
     /// transfer; for a tenant transfer one shard-local slice per shard, so
     /// the summed budget is conserved even if some slices fail on their
@@ -222,14 +283,12 @@ impl Control {
         if !shared.round_active(kind, shared.roster.lock().directory.len()) {
             return;
         }
-        // No loop is waited on with the roster locked — a loop answers from
-        // a pass that first re-reads a changed tenant table, under that lock
-        // — so the round moves budget on a copy and writes it back: this
-        // thread is the roster's only writer.
-        let answers = self.ask_all(|reply| ControlMsg::ShadowHits { reply });
+        // No shard is locked with the roster locked, so the round moves
+        // budget on a copy and writes it back: this thread is the roster's
+        // only writer.
         let mut roster = shared.roster.lock().clone();
         let tenants = roster.directory.len();
-        let grid = self.shadow_grid(answers, tenants);
+        let grid = self.shadow_grid(tenants);
         let arbitrate = kind == RoundKind::Arbitrate;
         // Each balancer's seats, as the `(shard, tenant)` engines behind
         // them: the tenants with all their engines, or one tenant's shards.
@@ -272,7 +331,8 @@ impl Control {
         }
     }
 
-    /// Applies the moves of transfer `tr`, each shrink-first: the donor
+    /// Applies the moves of transfer `tr`, each shrink-first under the
+    /// donor's shard lock, then grow under the recipient's: the donor
     /// engine evicts down at once and the recipient grows by exactly what
     /// was released, so the total can momentarily dip but never exceed the
     /// configured bytes. A move whose donor is pinned at its floors is
@@ -288,9 +348,9 @@ impl Control {
         let before = roster.total_budget();
         let mut moved = 0u64;
         for &((from_shard, from_tenant), (to_shard, to_tenant), bytes) in moves {
-            if bytes > 0 && self.shrink_on_owner(from_shard, from_tenant, bytes) {
+            if bytes > 0 && self.shrink(from_shard, from_tenant, bytes) {
                 roster.budgets[from_tenant][from_shard] -= bytes;
-                self.grow_on_owner(to_shard, to_tenant, bytes);
+                self.grow(to_shard, to_tenant, bytes);
                 roster.budgets[to_tenant][to_shard] += bytes;
                 moved += bytes;
             }
@@ -326,9 +386,10 @@ impl Control {
 
     /// Tenant `flush_all`: rebuild the tenant's engine on every shard at an
     /// even split of its *current* (arbitrated) budget. Rebuilds run
-    /// donors-first (largest budget surplus first), one blocking round-trip
-    /// at a time, so the tenant's summed live targets never overshoot its
-    /// total while traffic keeps filling the other shards.
+    /// donors-first (largest budget surplus first), one shard at a time, so
+    /// the tenant's summed live targets never overshoot its total while
+    /// traffic keeps filling the other shards. Each new engine is built
+    /// before its shard is locked and the old one dropped after.
     fn flush_tenant(&mut self, tenant: usize) {
         let shared = Arc::clone(&self.shared);
         // Planned under the roster lock, applied with it released (see
@@ -347,12 +408,13 @@ impl Control {
             (roster.directory.name(tenant).to_string(), shares, order)
         };
         for s in order {
-            let _ = self.ask_owner(s, |reply| ControlMsg::Rebuild {
-                shard: s,
-                tenant,
-                budget: shares[s],
-                reply,
-            });
+            let engine = build_engine(&shared.config, &shared.journal, s, &name, shares[s]);
+            let old = {
+                let mut cells = shared.lock(s);
+                let cell = cells.0.get_mut(tenant);
+                cell.map(|cell| std::mem::replace(&mut cell.engine, engine))
+            };
+            drop(old);
         }
         let mut roster = shared.roster.lock();
         let before = roster.total_budget();
@@ -367,10 +429,10 @@ impl Control {
 
     /// Hosts a new application live (`app_create`): validate, carve a
     /// weight-proportional budget out of every existing tenant's engines
-    /// via the owning loops (at least a byte a shard, or the app is
-    /// refused), then publish the new tenant table. Only bytes actually
-    /// released are granted, so the configured total is conserved exactly.
-    /// The generation counter moves *after* every loop has built its cells.
+    /// (at least a byte a shard, or the app is refused), then publish the
+    /// new tenant table. Only bytes actually released are granted, so the
+    /// configured total is conserved exactly. The generation counter moves
+    /// *after* every shard holds the new cell.
     fn create_tenant(&mut self, name: &str, weight: u64) -> Result<(), String> {
         if !TenantDirectory::valid_name(name) {
             return Err(format!(
@@ -408,7 +470,7 @@ impl Control {
         };
         let mut granted: Vec<(usize, usize, u64)> = asks
             .into_iter()
-            .filter(|&(s, t, bytes)| self.shrink_on_owner(s, t, bytes))
+            .filter(|&(s, t, bytes)| self.shrink(s, t, bytes))
             .collect();
         let mut carved = vec![0u64; n];
         for &(s, _, bytes) in &granted {
@@ -421,21 +483,20 @@ impl Control {
         let managed = shared.config.mode != BackendMode::Default;
         let empty: Vec<usize> = (0..n).filter(|&s| managed && carved[s] == 0).collect();
         for s in empty {
-            let Some(t) = (0..tenants).find(|&t| self.shrink_on_owner(s, t, 1)) else {
+            let Some(t) = (0..tenants).find(|&t| self.shrink(s, t, 1)) else {
                 for &(s, t, bytes) in &granted {
-                    self.grow_on_owner(s, t, bytes);
+                    self.grow(s, t, bytes);
                 }
                 return Err(format!("no memory left on shard {s} to host app {name:?}"));
             };
             granted.push((s, t, 1));
             carved[s] = 1;
         }
-        // Every loop acks once the shards it owns have the new cells.
-        self.ask_all(|reply| ControlMsg::AddTenant {
-            name: name.to_string(),
-            budgets: carved.clone(),
-            reply,
-        });
+        // Each cell is built before its shard is locked.
+        for (s, &budget) in carved.iter().enumerate() {
+            let cell = Cell::new(&shared.config, n, &shared.journal, s, name, budget);
+            shared.lock(s).0.push(cell);
+        }
         let mut roster = shared.roster.lock();
         let before = roster.total_budget();
         for (s, t, bytes) in granted {
@@ -466,26 +527,36 @@ impl Control {
             .push(ShardRebalancer::new(n, shared.config.rebalance.clone()));
         self.arbiter =
             ShardRebalancer::new(roster.directory.len(), shared.config.tenant_balance.clone());
-        // Publish only now, with every owning loop's cells in place.
+        // Publish only now, with every shard's cell in place.
         shared.generation.fetch_add(1, Ordering::AcqRel);
         Ok(())
     }
 
     /// Builds the one [`StatsDocument`] every `stats` format renders: asks
-    /// the loops for their snapshots and folds them, the roster and this
-    /// thread's own counters together.
-    fn document(&self) -> StatsDocument {
+    /// the loops for their ledgers, reads the shards, and folds them, the
+    /// roster, the history and this thread's own counters together.
+    fn document(&mut self) -> StatsDocument {
+        self.observe();
         let shared = &*self.shared;
         let snaps = self.gather();
         // The roster is copied out; curves and joins are built unlocked.
         let roster = shared.roster.lock().clone();
         let tenants = roster.directory.len();
+        let (engines, mrc) = self.read_cells(tenants);
         // Loops count what they forwarded, control counts what it served;
         // the two only differ transiently (a forward still in flight) or
         // for admin calls arriving through the synchronous handle instead
         // of a connection — report whichever saw more.
         let forwarded: u64 = snaps.iter().flatten().map(|s| s.admin_forwards).sum();
-        let doc = build_document(shared, &roster, &self.telemetry, &snaps, self.start_unix_us);
+        let doc = build_document(
+            shared,
+            &roster,
+            &self.telemetry,
+            &snaps,
+            (&engines, &mrc),
+            &self.history,
+            self.start_unix_us,
+        );
         StatsDocument {
             balance: BalanceDoc {
                 rebalance_enabled: shared.round_active(RoundKind::Rebalance, tenants),
@@ -505,49 +576,5 @@ impl Control {
             },
             ..doc
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::engine::BackendMode;
-    use crate::plane::tests::{two_loops, two_rounds};
-
-    #[test]
-    fn a_round_asks_each_loop_for_its_counters_and_builds_no_snapshot() {
-        use std::sync::mpsc::TryRecvError;
-        let (mut states, seeds, ctrl) = two_loops(two_rounds(BackendMode::Cliffhanger));
-        let shared = Arc::clone(&states[0].shared);
-        let telemetry = Arc::new(ConnTelemetry::new(2, 16));
-        let control = Control::new(Arc::clone(&shared), ctrl, telemetry, None);
-        let control = std::thread::spawn(move || control.run());
-        let (done, answered) = channel();
-        let (kind, done) = (RoundKind::Rebalance, Some(done));
-        shared.ctrl.send(CtrlReq::Round { kind, done }).unwrap();
-        // Both loops' mailboxes are served by hand until the round is
-        // done; with no traffic a round moves no budget, so what the
-        // loops see is what the round reads.
-        let mut seen = Vec::new();
-        while answered.try_recv() == Err(TryRecvError::Empty) {
-            for (state, seed) in states.iter_mut().zip(&seeds) {
-                for msg in seed.take_inbox() {
-                    let LoopMsg::Control(msg) = msg else {
-                        panic!("a round sends the loops control messages only");
-                    };
-                    seen.push(match msg {
-                        ControlMsg::ShadowHits { .. } => "shadow hits",
-                        ControlMsg::Snapshot { .. } => "snapshot",
-                        _ => "a budget move",
-                    });
-                    state.serve_control(msg);
-                }
-            }
-            std::thread::yield_now();
-        }
-        assert_eq!(seen, ["shadow hits"; 2], "one narrow question to each loop");
-        shared.ctrl.send(CtrlReq::Shutdown).unwrap();
-        control.join().expect("the control thread");
-        assert!(seeds.iter().all(|seed| seed.take_inbox().is_empty()));
     }
 }

@@ -186,7 +186,8 @@ const ITEM_HEADER: usize = 7;
 thread_local! {
     /// The item buffers this thread freed last, by size class. Items are
     /// dropped deep inside the engines (an overwrite, an eviction, a delete)
-    /// on the loop that owns them, and each loop is one thread.
+    /// by whichever thread runs the op; only a thread that builds items
+    /// (a loop, or a handle caller that stores) keeps what it frees.
     static MAGAZINE: RefCell<Magazine> = const { RefCell::new(Magazine::new()) };
 }
 
@@ -306,7 +307,7 @@ pub(crate) fn even_split(total: u64, parts: usize) -> Vec<u64> {
 
 /// One tenant's cache engine on one shard: a plain slab cache in
 /// `Default` mode, a Cliffhanger-managed cache otherwise. The engine has
-/// no lock of its own: the `LoopState` that owns it is its only caller.
+/// no lock of its own: its shard's lock in `crate::plane` guards it.
 pub(crate) enum Engine {
     Plain(Box<SlabCache<StoredValue>>),
     Managed(Box<Cliffhanger<StoredValue>>),
@@ -523,6 +524,16 @@ mod tests {
         let longest = vec![b'k'; usize::from(u16::MAX)];
         assert_eq!(item(&longest, b"v").key(), &longest[..]);
         assert!(StoredValue::new(&[b'k'; 1 << 16], 0, b"v").is_none());
+
+        // Dropped on a thread that never built an item (one that evicts
+        // what others built), the buffer is freed, not kept there.
+        let built = item(b"k", b"v");
+        let capacity = built.0.len();
+        let kept = std::thread::spawn(move || {
+            drop(built);
+            MAGAZINE.with(|magazine| magazine.borrow_mut().take(capacity))
+        });
+        assert!(kept.join().expect("the dropping thread").is_none());
     }
 
     /// Two byte-string keys forced onto one 64-bit [`Key`]. The engine's

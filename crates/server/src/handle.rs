@@ -1,62 +1,70 @@
-//! The synchronous views of the data plane: [`PlaneHandle`], one message
-//! round trip per call to a running plane's loops or control thread, and
-//! [`SharedCache`], the plane's routing and engine code run in the caller's
-//! thread.
+//! The synchronous views of the data plane: [`PlaneHandle`], whose data
+//! calls lock a running plane's shards in the caller's thread and whose
+//! admin calls are a round trip to its control thread, and [`SharedCache`],
+//! the same data calls on a plane with no loops and no control thread.
 
 use crate::engine::{route_key, BackendConfig, StoredValue};
-use crate::plane::{
-    AdminOp, AdminReply, CtrlReq, LoopMsg, LoopState, Op, OpBatch, OpState, PlaneShared, RoundKind,
-};
+use crate::plane::{AdminOp, AdminReply, CtrlReq, PlaneShared, RoundKind, Shard};
 use crate::protocol::{AppEntry, Response, StatsFormat, StoreVerb};
 use bytes::Bytes;
 use cache_core::Key;
-use parking_lot::Mutex;
 use std::sync::mpsc::channel;
 use std::sync::Arc;
-use std::time::Instant;
 use telemetry::EventKind;
+
+/// Routes `key` of `tenant` and runs `op` on its shard under the shard's
+/// lock: what a connection runs for a key, less the loop's ledger.
+fn locked<R>(
+    shared: &PlaneShared,
+    tenant: usize,
+    key: &[u8],
+    op: impl FnOnce(&mut Shard, Key) -> R,
+) -> R {
+    let (shard, id) = route_key(tenant, key, shared.shards);
+    op(&mut shared.lock(shard), id)
+}
+
+/// A GET's hit, copied out of the item.
+fn get_for(shared: &PlaneShared, tenant: usize, key: &[u8]) -> Option<(u32, Bytes)> {
+    locked(shared, tenant, key, |cells, id| {
+        let found = cells.get(tenant, id, key);
+        found.map(|item| (item.flags(), Bytes::copy_from_slice(item.data())))
+    })
+}
+
+/// A store of `verb`; the item is built before the shard is locked.
+fn store_for(
+    shared: &PlaneShared,
+    verb: StoreVerb,
+    tenant: usize,
+    key: &[u8],
+    flags: u32,
+    data: &[u8],
+) -> bool {
+    StoredValue::new(key, flags, data).is_some_and(|item| {
+        locked(shared, tenant, key, |cells, id| {
+            cells.store(tenant, id, verb, item)
+        })
+    })
+}
+
+fn delete_for(shared: &PlaneShared, tenant: usize, key: &[u8]) -> bool {
+    locked(shared, tenant, key, |cells, id| {
+        cells.delete(tenant, id, key)
+    })
+}
 
 /// The public handle to a running data plane: the synchronous view
 /// `benchmark/`, the load generator's self-hosted runs and tests use
-/// ([`crate::server::CacheServer::cache`] returns it). Every method is a
-/// message round-trip to the owning loop or the control thread; after
-/// shutdown they degrade to misses/defaults instead of panicking.
+/// ([`crate::server::CacheServer::cache`] returns it). A data call locks
+/// the key's shard in the caller's thread; an admin call or round is a
+/// message round trip to the control thread, and after shutdown those
+/// degrade to defaults instead of panicking.
 pub struct PlaneHandle {
     pub(crate) shared: Arc<PlaneShared>,
 }
 
 impl PlaneHandle {
-    /// One op as a batch of one, answered over its own channel: the path a
-    /// connection's forwarded ops take, from a caller that is no loop.
-    /// Returns the batch, the op's outcome in place.
-    fn data_op(&self, tenant: usize, key: &[u8], state: OpState) -> Option<OpBatch> {
-        let (shard, id) = route_key(tenant, key, self.shared.shards);
-        let (tx, rx) = channel();
-        let mut batch = OpBatch::new(None, Instant::now());
-        batch.caller = Some(tx);
-        let op = Op {
-            token: 0,
-            seq: 0,
-            tenant,
-            shard,
-            id,
-            key: 0..0,
-            state,
-        };
-        batch.push(op, key);
-        self.shared.mailboxes[self.shared.owner_of(shard)]
-            .send(LoopMsg::Ops(batch))
-            .ok()?;
-        rx.recv().ok()
-    }
-
-    /// [`PlaneHandle::data_op`] for a store or delete: whether it was done.
-    fn write_op(&self, tenant: usize, key: &[u8], state: OpState) -> bool {
-        let batch = self.data_op(tenant, key, state);
-        let outcome = batch.as_ref().and_then(|batch| batch.ops.first());
-        matches!(outcome.map(|op| &op.state), Some(OpState::Flag(true)))
-    }
-
     fn admin(&self, op: AdminOp) -> Option<Response> {
         let (tx, rx) = channel();
         self.shared
@@ -72,36 +80,18 @@ impl PlaneHandle {
     /// Looks up a key for one tenant, returning its flags and value on an
     /// exact match.
     pub fn get_for(&self, tenant: usize, key: &[u8]) -> Option<(u32, Bytes)> {
-        let batch = self.data_op(tenant, key, OpState::Get)?;
-        match &batch.ops.first()?.state {
-            OpState::Value(Some((flags, data))) => {
-                Some((*flags, Bytes::copy_from_slice(batch.bytes(data))))
-            }
-            _ => None,
-        }
-    }
-
-    fn store_for(
-        &self,
-        verb: StoreVerb,
-        tenant: usize,
-        key: &[u8],
-        flags: u32,
-        data: Bytes,
-    ) -> bool {
-        StoredValue::new(key, flags, &data)
-            .is_some_and(|item| self.write_op(tenant, key, OpState::Store { verb, item }))
+        get_for(&self.shared, tenant, key)
     }
 
     /// Stores a key for one tenant unconditionally. Returns `false` only
     /// if the item could not be admitted.
     pub fn set_for(&self, tenant: usize, key: &[u8], flags: u32, data: Bytes) -> bool {
-        self.store_for(StoreVerb::Set, tenant, key, flags, data)
+        store_for(&self.shared, StoreVerb::Set, tenant, key, flags, &data)
     }
 
     /// Deletes a key for one tenant; returns whether it was present.
     pub fn delete_for(&self, tenant: usize, key: &[u8]) -> bool {
-        self.write_op(tenant, key, OpState::Delete)
+        delete_for(&self.shared, tenant, key)
     }
 
     /// Looks up a key for the default tenant.
@@ -116,12 +106,12 @@ impl PlaneHandle {
 
     /// `add`: stores a key for the default tenant only if it is absent.
     pub fn add(&self, key: &[u8], flags: u32, data: Bytes) -> bool {
-        self.store_for(StoreVerb::Add, 0, key, flags, data)
+        store_for(&self.shared, StoreVerb::Add, 0, key, flags, &data)
     }
 
     /// `replace`: stores a key for the default tenant only if it is present.
     pub fn replace(&self, key: &[u8], flags: u32, data: Bytes) -> bool {
-        self.store_for(StoreVerb::Replace, 0, key, flags, data)
+        store_for(&self.shared, StoreVerb::Replace, 0, key, flags, &data)
     }
 
     /// Deletes a key for the default tenant.
@@ -231,86 +221,60 @@ impl PlaneHandle {
 }
 
 /// The plane's routing and engine code run in the caller's thread: the
-/// `LoopState` of a one-loop plane that owns every shard, with no reactor
-/// and no control thread. An op is `LoopState::route` + `LoopState::get` /
-/// `store` / `delete`, what a connection runs for a key its own loop owns
-/// (less the service-time stamp of `note_local`). With nobody to run balancing
-/// rounds, budgets stay at their boot split. The paper's Tables 6–7
-/// overhead measurement (`bench::overhead`) and the benchmark's `engine.*`
-/// layer probes time this.
+/// shards of a one-loop plane, with no reactor and no control thread. An op
+/// is `route_key` and the shard's lock around `Shard::get` / `store` /
+/// `delete`, what a connection runs for a key (less the loop's ledger).
+/// With nobody to run balancing rounds, budgets stay at their boot split.
+/// The paper's Tables 6–7 overhead measurement (`bench::overhead`) and the
+/// benchmark's `engine.*` layer probes time this.
 pub struct SharedCache {
-    state: Mutex<LoopState>,
+    shared: PlaneShared,
 }
 
 impl SharedCache {
     /// Builds the tenants' engines on every configured (or detected) shard.
     pub fn new(config: BackendConfig) -> SharedCache {
-        // The receiver is dropped: the round nudges `LoopState::tick`
-        // sends have no control thread to reach and fail silently.
+        // The receiver is dropped: nothing here asks for a round.
         let (ctrl, _) = channel();
-        let shared = Arc::new(PlaneShared::new(config, 1, Vec::new(), ctrl));
         SharedCache {
-            state: Mutex::new(LoopState::new(0, shared, 0)),
+            shared: PlaneShared::new(config, 1, Vec::new(), ctrl),
         }
     }
 
     /// The dense index of a tenant name, if hosted.
     pub fn tenant_index(&self, name: &str) -> Option<usize> {
-        self.state.lock().tenant_lookup(name)
-    }
-
-    /// Routes `key` and runs `op` on the state with the owning slot.
-    fn routed<R>(
-        &self,
-        tenant: usize,
-        key: &[u8],
-        op: impl FnOnce(&mut LoopState, usize, Key) -> R,
-    ) -> R {
-        let mut state = self.state.lock();
-        let (_, id, slot) = state.route(tenant, key);
-        op(
-            &mut state,
-            slot.expect("a one-loop plane owns every shard"),
-            id,
-        )
+        self.shared.roster.lock().directory.index_of(name)
     }
 
     /// Looks up a key for one tenant, returning its flags and value on an
     /// exact match.
     pub fn get_for(&self, tenant: usize, key: &[u8]) -> Option<(u32, Bytes)> {
-        self.routed(tenant, key, |state, slot, id| {
-            let found = state.get(slot, tenant, id, key);
-            found.map(|item| (item.flags(), Bytes::copy_from_slice(item.data())))
-        })
+        get_for(&self.shared, tenant, key)
     }
 
     /// Stores a key for one tenant unconditionally. Returns `false` only
     /// if the item could not be admitted.
     pub fn set_for(&self, tenant: usize, key: &[u8], flags: u32, data: Bytes) -> bool {
-        StoredValue::new(key, flags, &data).is_some_and(|item| {
-            self.routed(tenant, key, |state, slot, id| {
-                state.store(slot, tenant, id, StoreVerb::Set, item)
-            })
-        })
+        store_for(&self.shared, StoreVerb::Set, tenant, key, flags, &data)
     }
 
     /// Deletes a key for one tenant; returns whether it was present.
     pub fn delete_for(&self, tenant: usize, key: &[u8]) -> bool {
-        self.routed(tenant, key, |state, slot, id| {
-            state.delete(slot, tenant, id, key)
-        })
+        delete_for(&self.shared, tenant, key)
     }
 }
 
 #[cfg(test)]
-impl LoopState {
-    /// The state of a 1-loop x 1-shard plane no thread serves: every key is
-    /// local, and nobody listens to the control channel.
-    pub(crate) fn solo() -> LoopState {
+impl crate::plane::LoopState {
+    /// The state of loop 0 of a 1-loop x 1-shard plane no thread serves:
+    /// every shard is its home, and nobody listens to the control channel.
+    pub(crate) fn solo() -> crate::plane::LoopState {
         let config = BackendConfig {
             shards: 1,
             ..BackendConfig::default()
         };
-        SharedCache::new(config).state.into_inner()
+        let (ctrl, _) = channel();
+        let shared = Arc::new(PlaneShared::new(config, 1, Vec::new(), ctrl));
+        crate::plane::LoopState::new(0, shared, 0)
     }
 }

@@ -15,15 +15,16 @@
 //! about Memcachier and Facebook in §5.6), which is exactly why a few
 //! loops are enough to saturate the cache.
 //!
-//! The served request path is *shared-nothing*: each epoll event loop owns
-//! the shards assigned to it (`shard % loops`) outright, requests are routed
-//! by key hash at the connection layer before touching any engine, and an
-//! op for a shard another loop owns is forwarded over that loop's mailbox
-//! instead of taking a lock. Admin commands (`stats`, `flush_all`,
-//! `app_create`, `app_list`) and the budget-moving rounds run on a single
-//! control thread that converses with the loops by message, so they never
-//! head-of-line-block a serving loop. See `ARCHITECTURE.md` at the
-//! repository root for the full request lifecycle and message protocol.
+//! On the served request path every epoll event loop executes every key
+//! of its own connections: requests are routed by key hash at the
+//! connection layer, and each key runs under its shard's lock — one lock
+//! per shard, over the shard's per-tenant engines, held across a run of
+//! same-shard keys, never two at once, and never across a system call.
+//! Admin commands (`stats`, `flush_all`, `app_create`, `app_list`) and the
+//! budget-moving rounds run on a single control thread that works on the
+//! shards under the same locks, so they never head-of-line-block a serving
+//! loop. See `ARCHITECTURE.md` at the repository root for the full request
+//! lifecycle and the lock rules.
 //!
 //! * [`protocol`] — parsing and serialising the Memcached ASCII protocol,
 //!   including the multi-tenant `app <name>` session selector and the

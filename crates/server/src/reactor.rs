@@ -1,13 +1,13 @@
 //! The epoll reactor: a small, fixed set of event-loop threads serving
-//! many non-blocking connections each — and, since the shared-nothing
-//! refactor, *owning* the cache shards they serve.
+//! many non-blocking connections each, every loop executing every key of
+//! its connections on the shards in `crate::plane`.
 //!
 //! This replaces the thread-per-connection model (one parked OS thread per
 //! idle session, connection count hard-capped by the worker count) with the
 //! shape production caches use — pelikan's worker event loops, Memcached's
 //! libevent threads: `ServerConfig::workers` event loops, each owning an
-//! epoll instance, a set of connections and (per `crate::plane`) the
-//! engines of its shard group. A loop blocks only in `epoll_wait`; every
+//! epoll instance and a set of connections. A loop blocks only in
+//! `epoll_wait` (and on a shard lock, for another thread's run of ops); every
 //! socket it owns is non-blocking and driven by the
 //! `conn::Connection` state machine, so thousands of mostly-idle
 //! connections cost a few kilobytes of buffer each instead of a thread.
@@ -16,9 +16,9 @@
 //! sibling loops and the control thread push `LoopMsg`s into it and, if it
 //! was empty, add one to the loop's `eventfd` counter (one 8-byte `write`,
 //! no socket buffer behind it). The loop zeroes the counter with one `read`
-//! and swaps the inbox for the emptied `Vec` of its last drain. Operations
-//! on keys another loop owns travel the same way, a whole
-//! `plane::OpBatch` per message.
+//! and swaps the inbox for the emptied `Vec` of its last drain. A data op
+//! never crosses it: what it carries is connections, admin replies and the
+//! control thread's requests for the loop's ledger.
 //!
 //! The epoll and eventfd bindings are a thin unsafe FFI against the system
 //! libc — the workspace is offline/vendored-only, so no `mio`/`libc`
@@ -27,7 +27,7 @@
 //! handed out as a `File`, which the standard library manages safely.
 
 use crate::conn::{Connection, Ctx, Drive};
-use crate::plane::{LoopMsg, LoopState, OpBatch, PlaneShared};
+use crate::plane::{LoopMsg, LoopState, PlaneShared};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fs::File;
@@ -287,8 +287,8 @@ struct Inbox {
 }
 
 /// The sending half of a loop's mailbox: push messages and, if the inbox
-/// was empty, wake the loop. Shared by the acceptor, sibling loops and the
-/// control thread via [`PlaneShared::mailboxes`].
+/// was empty, wake the loop. Shared by the acceptor and the control thread
+/// via [`PlaneShared::mailboxes`].
 pub(crate) struct Mailbox {
     inbox: Arc<Inbox>,
     /// The loop's wake-up eventfd; non-zero = "check your mailbox".
@@ -297,38 +297,21 @@ pub(crate) struct Mailbox {
 
 impl Mailbox {
     /// Delivers one message. Fails (handing the message back) once the
-    /// loop has stopped serving.
+    /// loop has stopped serving — checked under the inbox lock, the same
+    /// lock teardown drains under, so a message can never be stranded after
+    /// the final drain.
     // The Err variant carries the whole message back by design: callers
     // that care (the acceptor) re-own the connection, and the common path
     // moves the value without an allocation.
     #[allow(clippy::result_large_err)]
     pub(crate) fn send(&self, msg: LoopMsg) -> Result<(), LoopMsg> {
-        self.deliver(msg, |msgs, msg| msgs.push(msg))
-    }
-
-    /// Delivers op batches as [`LoopMsg::Ops`] under one lock acquisition
-    /// and at most one wakeup, leaving `batches` empty with its capacity —
-    /// or returns `false`, with `batches` as it was, once the loop has
-    /// stopped serving.
-    pub(crate) fn send_many(&self, batches: &mut Vec<OpBatch>) -> bool {
-        self.deliver(batches, |msgs, batches| {
-            msgs.extend(batches.drain(..).map(LoopMsg::Ops))
-        })
-        .is_ok()
-    }
-
-    /// Lets `put` add `item` to the inbox, or hands `item` back if the loop
-    /// has stopped serving — the check happens under the inbox lock, the
-    /// same lock teardown drains under, so a message can never be stranded
-    /// after the final drain.
-    fn deliver<T>(&self, item: T, put: impl FnOnce(&mut Vec<LoopMsg>, T)) -> Result<(), T> {
         let was_empty = {
             let mut msgs = self.inbox.msgs.lock();
             if self.inbox.shutdown.load(Ordering::SeqCst) {
-                return Err(item);
+                return Err(msg);
             }
             let was_empty = msgs.is_empty();
-            put(&mut msgs, item);
+            msgs.push(msg);
             was_empty
         };
         // The loop resets its counter before it swaps the inbox out, so
@@ -363,17 +346,8 @@ pub(crate) struct LoopSeed {
     inbox: Arc<Inbox>,
 }
 
-#[cfg(test)]
-impl LoopSeed {
-    /// What the loop's thread would find in its mailbox now.
-    pub(crate) fn take_inbox(&self) -> Vec<LoopMsg> {
-        std::mem::take(&mut *self.inbox.msgs.lock())
-    }
-}
-
 /// Creates the mailbox/loop-seed pair for event loop `index`. The mailboxes
-/// go into [`PlaneShared`] before any loop thread starts, so every loop can
-/// message every other from its very first readiness pass.
+/// go into [`PlaneShared`] before any loop thread starts.
 pub(crate) fn loop_channel(index: usize) -> std::io::Result<(Mailbox, LoopSeed)> {
     let waker = Arc::new(ffi::eventfd_counter()?);
     let epoll = Epoll::new()?;
@@ -404,8 +378,8 @@ pub(crate) struct LoopHandle {
 }
 
 impl LoopHandle {
-    /// Spawns event loop `index` from its seed, owning `state`'s shard
-    /// engines and reporting into `telemetry`.
+    /// Spawns event loop `index` from its seed, with `state` and reporting
+    /// into `telemetry`.
     pub(crate) fn spawn(
         seed: LoopSeed,
         state: LoopState,
@@ -423,6 +397,7 @@ impl LoopHandle {
                     .map(|t| (t / 4).clamp(Duration::from_millis(10), Duration::from_millis(500)));
                 EventLoop {
                     index,
+                    shared: Arc::clone(&state.shared),
                     epoll: seed.epoll,
                     waker: seed.waker,
                     inbox: seed.inbox,
@@ -471,10 +446,13 @@ impl LoopHandle {
     }
 }
 
-/// One event loop: an epoll instance, the connections it serves and the
-/// shard engines it owns (inside [`LoopState`]).
+/// One event loop: an epoll instance, the connections it serves and its
+/// [`LoopState`].
 struct EventLoop {
     index: usize,
+    /// The plane, held apart from `state` so a connection can hold a shard
+    /// lock while it updates the loop's ledger.
+    shared: Arc<PlaneShared>,
     epoll: Epoll,
     waker: Arc<File>,
     inbox: Arc<Inbox>,
@@ -509,24 +487,22 @@ impl EventLoop {
             // One atomic load; a changed tenant table is copied out here,
             // never on the request path.
             self.state.refresh_tenants();
-            // Sample cumulative counters into the history ring (in-place
-            // overwrite within the current interval bucket).
-            self.state.observe();
+            self.state.now = Instant::now();
             for event in &events[..n] {
                 // Copy out of the (possibly packed) event before use.
                 let token = event.data;
                 let ready = event.events;
                 if token == WAKE_TOKEN {
-                    // Zero the counter before the swap: see `deliver`.
+                    // Zero the counter before the swap: see `Mailbox::send`.
                     let _ = (&*self.waker).read(&mut [0u8; 8]);
                     self.process_mailbox();
                 } else {
                     self.drive(token, ready, |_| {});
                 }
             }
-            // One mailbox lock + one wakeup per sibling loop per pass, no
-            // matter how many operations were forwarded.
-            self.state.flush_outbound();
+            // Rounds that came due in this pass, asked for with no shard
+            // lock held.
+            self.state.ask_rounds();
             self.sweep_idle();
         }
         // Teardown: closing the sockets (by dropping them) unblocks every
@@ -559,35 +535,15 @@ impl EventLoop {
         for msg in msgs.drain(..) {
             match msg {
                 LoopMsg::Conn(stream) => self.adopt(stream),
-                LoopMsg::Ops(batch) if batch.origin == Some(self.index) => {
-                    self.complete_batch(batch)
+                LoopMsg::AdminDone { token, response } => {
+                    self.drive(token, 0, |conn| conn.on_admin_done(response))
                 }
-                LoopMsg::Ops(batch) => self.state.serve(batch),
-                LoopMsg::AdminDone {
-                    token,
-                    seq,
-                    response,
-                } => self.drive(token, 0, |conn| conn.on_admin_done(seq, response)),
-                LoopMsg::Control(msg) => self.state.serve_control(msg),
+                LoopMsg::Snapshot { reply } => {
+                    let _ = reply.send(self.state.snapshot());
+                }
             }
         }
         self.drained = msgs;
-    }
-
-    /// A batch this loop sent is back, served (or refused, every op
-    /// failed): each run of ops of one connection resolves that connection's ring entries and drives it
-    /// once — one `conns` lookup, one parse-and-flush pass. Ops of a
-    /// connection that closed meanwhile are dropped. The batch is then kept
-    /// for a later pass.
-    fn complete_batch(&mut self, batch: OpBatch) {
-        let mut rest = &batch.ops[..];
-        while let Some(first) = rest.first() {
-            let run = rest.iter().take_while(|op| op.token == first.token);
-            let (ops, later) = rest.split_at(run.count());
-            rest = later;
-            self.drive(first.token, 0, |conn| conn.on_replies(ops, &batch));
-        }
-        self.state.recycle(batch);
     }
 
     fn adopt(&mut self, stream: TcpStream) {
@@ -615,6 +571,7 @@ impl EventLoop {
         let readable = ready & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0;
         let mut ctx = Ctx {
             state: &mut self.state,
+            shared: &self.shared,
             token,
         };
         match conn.on_ready(readable, &mut ctx) {
@@ -629,8 +586,8 @@ impl EventLoop {
         }
     }
 
-    /// Closes connections silent past the idle timeout. Connections with an
-    /// operation in flight are never reaped — they are waiting on us, not
+    /// Closes connections silent past the idle timeout. A connection with
+    /// an admin command in flight is never reaped — it is waiting on us, not
     /// the other way round.
     fn sweep_idle(&mut self) {
         let (Some(timeout), Some(sweep), Some(next)) =

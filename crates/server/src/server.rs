@@ -8,10 +8,10 @@
 //! — not by the worker count: a 2-loop server happily serves hundreds of
 //! concurrent connections.
 //!
-//! The cache behind the loops is the shared-nothing data plane
-//! (`crate::plane`): each loop owns the engines of its shard group
-//! outright, and [`CacheServer::cache`] hands out a [`PlaneHandle`] whose
-//! operations are message round-trips to the owning loop.
+//! The cache behind the loops is the data plane (`crate::plane`): the
+//! shards behind a lock each, every loop running every key of its own
+//! connections, and [`CacheServer::cache`] hands out a [`PlaneHandle`]
+//! whose data calls take the same locks in the caller's thread.
 
 use crate::engine::BackendConfig;
 use crate::handle::PlaneHandle;

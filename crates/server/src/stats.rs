@@ -1,8 +1,9 @@
 //! The `stats` model: one document, three expositions.
 //!
-//! The data plane's control thread gathers the loops' snapshots;
-//! [`build_document`] assembles from them, the plane's configuration and
-//! the roster the one versioned [`StatsDocument`] (`cliffhanger-stats/v1`) —
+//! The data plane's control thread gathers the loops' ledgers and copies
+//! the shards' cells; [`build_document`] assembles from them, the plane's
+//! configuration, the roster and the rate history the one versioned
+//! [`StatsDocument`] (`cliffhanger-stats/v1`) —
 //! counters, per-loop service-time quantiles, the flight-recorder journal,
 //! live MRCs — and the control thread adds its own counters. Every
 //! `stats` command builds it once, and the three renderers are pure
@@ -52,30 +53,28 @@ pub(crate) struct EngineStat {
     pub(crate) footprint: Footprint,
 }
 
-/// The loops' `(shard, tenant)` engine cells summed server-wide, per tenant
-/// and per shard — the one accumulation the document is built from.
+/// The `(shard, tenant)` engine cells summed server-wide, per tenant and
+/// per shard — the one accumulation the document is built from.
 struct Rollup {
     total: EngineStat,
     tenants: Vec<EngineStat>,
     shards: Vec<EngineStat>,
 }
 
-fn rollup(nt: usize, ns: usize, loops: &[Option<LoopSnapshot>]) -> Rollup {
+fn rollup(nt: usize, ns: usize, engines: &[Vec<EngineStat>]) -> Rollup {
     let mut r = Rollup {
         total: EngineStat::default(),
         tenants: vec![EngineStat::default(); nt],
         shards: vec![EngineStat::default(); ns],
     };
-    for tel in loops.iter().flatten() {
-        for (s, cells) in &tel.engines {
-            for (t, cell) in cells.iter().enumerate().take(nt) {
-                for sum in [&mut r.total, &mut r.tenants[t], &mut r.shards[*s]] {
-                    sum.wire.accumulate(cell.wire);
-                    sum.core += cell.core;
-                    sum.used += cell.used;
-                    sum.items += cell.items;
-                    sum.footprint += cell.footprint;
-                }
+    for (s, cells) in engines.iter().enumerate().take(ns) {
+        for (t, cell) in cells.iter().enumerate().take(nt) {
+            for sum in [&mut r.total, &mut r.tenants[t], &mut r.shards[s]] {
+                sum.wire.accumulate(cell.wire);
+                sum.core += cell.core;
+                sum.used += cell.used;
+                sum.items += cell.items;
+                sum.footprint += cell.footprint;
             }
         }
     }
@@ -161,11 +160,15 @@ pub(crate) struct ConnectionsDoc {
     pub(crate) per_loop: Vec<u64>,
 }
 
-/// One event loop's ops and service-time quantiles.
+/// One event loop's ops and service-time quantiles: `local_*` for the ops
+/// it ran on shards homed on it, `remote_*` for those on shards homed on
+/// another loop.
 #[derive(Default, Serialize)]
 pub(crate) struct LoopDoc {
     pub(crate) index: usize,
     pub(crate) local_ops: u64,
+    /// Always 0: no loop runs ops for another since every loop serves every
+    /// shard; kept so the `cliffhanger-stats/v1` key set does not change.
     pub(crate) remote_in: u64,
     pub(crate) remote_out: u64,
     pub(crate) slow_ops: u64,
@@ -213,10 +216,11 @@ pub(crate) struct TenantDoc {
     pub(crate) engine: EngineDoc,
 }
 
-/// One shard's aggregated counters and ownership.
+/// One shard's aggregated counters and home loop.
 #[derive(Serialize)]
 pub(crate) struct ShardDoc {
     pub(crate) index: usize,
+    /// The shard's home loop (`shard % loops`).
     pub(crate) owner_loop: usize,
     #[serde(flatten)]
     pub(crate) engine: EngineDoc,
@@ -387,24 +391,21 @@ pub(crate) struct StatsDocument {
 /// The budget-multiple scales every tenant's live MRC is probed at.
 const MRC_SCALES: [f64; 5] = [0.25, 0.5, 1.0, 2.0, 4.0];
 
-/// Builds the `mrc` section from the loops' per-tenant estimator snapshots,
-/// merged; `None` when live MRC sampling (`shift`) is off.
+/// Builds the `mrc` section from each tenant's estimator snapshots merged
+/// across the shards; `None` when live MRC sampling (`shift`) is off.
 fn build_mrc(
     shift: Option<u32>,
     names: &[String],
     budgets: &[u64],
     r: &Rollup,
-    loops: &[Option<LoopSnapshot>],
+    mrc: &[MrcSnapshot],
 ) -> Option<MrcDoc> {
     let shift = shift?;
     let tenants = names
         .iter()
         .enumerate()
         .map(|(t, name)| {
-            let mut merged = MrcSnapshot::default();
-            for view in loops.iter().flatten().filter_map(|tel| tel.mrc.get(t)) {
-                merged.merge(view);
-            }
+            let merged = mrc.get(t).cloned().unwrap_or_default();
             // The tenant's budget in items: budget bytes over the mean live
             // item footprint. No items yet means no meaningful probe sizes.
             let budget_items = if r.tenants[t].items > 0 {
@@ -578,20 +579,23 @@ fn build_allocator(
 }
 
 /// Assembles the stats document from the plane's configuration and
-/// journal, the roster, and the loops' snapshots (`None` for a loop that did
-/// not answer: it reports zeros) — engine cells, service times, MRC
-/// estimators, rate history. The balancing, admin and hot-key counters are
-/// left at their defaults: they are the control thread's, and it sets them.
+/// journal, the roster, the loops' ledgers (`None` for a loop that did not
+/// answer: it reports zeros), the cells (`[shard][tenant]` engine stats, and
+/// per tenant the merged MRC estimators) and the rate history. The
+/// balancing and admin counters are left at their defaults: they are the
+/// control thread's, and it sets them.
 pub(crate) fn build_document(
     shared: &PlaneShared,
     roster: &RosterMaster,
     conns: &ConnTelemetry,
     loops: &[Option<LoopSnapshot>],
+    (engines, mrc): (&[Vec<EngineStat>], &[MrcSnapshot]),
+    history: &TimeSeries,
     start_unix_us: u64,
 ) -> StatsDocument {
     let (names, budgets) = (roster.directory.names(), roster.tenant_budgets());
     let (nt, ns) = (names.len(), shared.shards);
-    let r = rollup(nt, ns, loops);
+    let r = rollup(nt, ns, engines);
     let shard_budgets = roster.shard_budgets(ns);
     let (config, journal) = (&shared.config, &shared.journal);
     let mut local_merged = Histogram::new();
@@ -600,11 +604,9 @@ pub(crate) fn build_document(
         local_merged.merge(&tel.local_latency);
         remote_merged.merge(&tel.remote_latency);
     }
-    let histories: Vec<&TimeSeries> = loops.iter().flatten().map(|l| &l.history).collect();
-    let merged = TimeSeries::merged(&histories);
-    let mrc = build_mrc(config.mrc_shift(), names, &budgets, &r, loops);
-    let history = build_history(start_unix_us, names, &merged);
-    let allocator = build_allocator(start_unix_us, names, &merged, journal);
+    let mrc = build_mrc(config.mrc_shift(), names, &budgets, &r, mrc);
+    let allocator = build_allocator(start_unix_us, names, history, journal);
+    let history = build_history(start_unix_us, names, history);
     let elapsed = shared.started.elapsed();
     StatsDocument {
         schema: STATS_SCHEMA.to_string(),
@@ -657,7 +659,7 @@ pub(crate) fn build_document(
                 Some(tel) => LoopDoc {
                     index,
                     local_ops: tel.local_ops,
-                    remote_in: tel.remote_in,
+                    remote_in: 0,
                     remote_out: tel.remote_out,
                     slow_ops: tel.slow_ops,
                     local_latency: tel.local_latency.summarize_us(),
@@ -678,13 +680,13 @@ pub(crate) fn build_document(
         shards: (0..ns)
             .map(|s| ShardDoc {
                 index: s,
-                owner_loop: shared.owner_of(s),
+                owner_loop: shared.home_of(s),
                 engine: EngineDoc::new(&r.shards[s], shard_budgets[s]),
             })
             .collect(),
         plane: PlaneDoc {
             local_ops: loops.iter().flatten().map(|l| l.local_ops).sum(),
-            remote_ops: loops.iter().flatten().map(|l| l.remote_in).sum(),
+            remote_ops: loops.iter().flatten().map(|l| l.remote_out).sum(),
             ..PlaneDoc::default()
         },
         journal: JournalDoc {

@@ -17,9 +17,9 @@
 //!   pipelined burst and go idle give the burst's buffers back;
 //! * bytes per resident item — what the process's resident set grows by
 //!   per stored item, beyond the item's own key and data, is held;
-//! * the shared-nothing contract — every data op executes on the loop
-//!   that owns the key's shard (locally or via one forwarded message),
-//!   `flush_all` and tenant-table growth ride the control plane without
+//! * the shared-shard contract — every data op executes on the loop of
+//!   the connection that sent it, whichever loop the key's shard is homed
+//!   on, `flush_all` and tenant-table growth ride the control plane without
 //!   corrupting in-flight traffic, and message-based budget transfers
 //!   conserve the configured total at every observable instant.
 
@@ -532,11 +532,11 @@ fn a_resident_item_costs_a_bounded_number_of_bytes_beyond_its_own() {
     );
 }
 
-/// Every data op lands on the loop that owns its shard. A single client
-/// (pinned to one loop by the round-robin acceptor) drives keys that hash
-/// to both shards; its home loop must execute the ops for its own shard
-/// locally and forward exactly the rest to the other loop, which executes
-/// no ops of its own. The per-loop ledgers must account for every op.
+/// Every data op runs on the loop of the connection that sent it. A single
+/// client (pinned to one loop by the round-robin acceptor) drives keys that
+/// hash to both shards; its loop must run all of them itself, counting the
+/// ops on its home shard as local and the rest as `remote_out`, while the
+/// other loop runs none. The per-loop ledgers must account for every op.
 #[test]
 fn keys_execute_on_the_loop_that_owns_their_shard() {
     const OPS: u64 = 200; // 100 sets + 100 gets, all from one connection
@@ -554,8 +554,8 @@ fn keys_execute_on_the_loop_that_owns_their_shard() {
 
     let stats = stats_map(&mut client);
     assert_eq!(stats["plane:event_loops"], "2");
-    // Static ownership: shard s is fused to loop s % loops, and with two
-    // shards on two loops the owners are disjoint.
+    // Static homes: shard s is homed on loop s % loops, and with two
+    // shards on two loops the homes are disjoint.
     assert_eq!(stats["shard:0:owner_loop"], "0");
     assert_eq!(stats["shard:1:owner_loop"], "1");
 
@@ -566,26 +566,20 @@ fn keys_execute_on_the_loop_that_owns_their_shard() {
             stats[&format!("loop:{l}:remote_out")].parse().unwrap(),
         )
     };
-    // The client sits on exactly one loop; find it by who issued ops.
+    // The client sits on exactly one loop; find it by who ran ops.
     let home = if ledger(0).0 + ledger(0).2 > 0 { 0 } else { 1 };
     let other = 1 - home;
     let (home_local, home_in, home_out) = ledger(home);
-    let (other_local, other_in, other_out) = ledger(other);
 
-    // The home loop issued every op: owned shards locally, the rest as
-    // exactly one forwarded message each. The other loop originated none.
-    assert_eq!(home_local + home_out, OPS, "home loop accounts for all ops");
-    assert_eq!(home_in, 0, "nobody forwards to the client's own loop");
-    assert_eq!(other_local, 0, "no client on the other loop");
-    assert_eq!(other_out, 0);
-    assert_eq!(other_in, home_out, "every forwarded op was executed");
-    assert!(home_local > 0, "some keys hash to the home loop's shard");
-    assert!(home_out > 0, "some keys hash to the remote shard");
+    // The client's loop ran every op: its home shard's as local, the other
+    // shard's as remote. The other loop ran none, and nothing is forwarded.
+    assert_eq!(home_local + home_out, OPS, "the client's loop ran all ops");
+    assert_eq!(ledger(other), (0, 0, 0), "no client on the other loop");
+    assert_eq!(home_in, 0, "no loop runs ops for another");
+    assert!(home_local > 0, "some keys hash to the loop's home shard");
+    assert!(home_out > 0, "some keys hash to the other shard");
     // Plane-wide rollups agree with the per-loop ledgers.
-    assert_eq!(
-        stats["plane:local_ops"].parse::<u64>().unwrap(),
-        home_local + other_local
-    );
+    assert_eq!(stats["plane:local_ops"].parse::<u64>().unwrap(), home_local);
     assert_eq!(stats["plane:remote_ops"].parse::<u64>().unwrap(), home_out);
 }
 

@@ -3,21 +3,25 @@
 //! Every decision the control plane makes — a budget transfer along a
 //! shadow-hit gradient, a carve-out for a new tenant, a flush, an idle
 //! reap, a shed connection, a sampled slow op — is appended as a structured
-//! [`JournalEvent`]. The journal is a bounded ring: when it is full the
-//! oldest events are overwritten, so memory use is fixed no matter how long
-//! the server runs.
+//! [`JournalEvent`]. So is the engines' own narration (a cliff scaler's
+//! ratio step, a free-pool grant), which comes at the rate of the writes
+//! that cause it. The journal is two bounded rings, one for the narration
+//! and one for everything else, so no volume of narration pushes a
+//! transfer out: when a ring is full its oldest events are overwritten,
+//! and memory use is fixed no matter how long the server runs.
 //!
 //! Concurrency model: a sequence number is claimed with one lock-free
-//! `fetch_add`, which also picks the slot (`seq % capacity`); the slot
-//! write itself takes a per-slot latch that only ever contends when two
-//! appends land exactly `capacity` events apart. Appends are off every
-//! per-request fast path by construction — only control-plane actors
-//! (the control thread, the idle reaper, the accept gate, the sampled
-//! slow-op path) write here.
+//! `fetch_add` on the journal, a place with another on the event's ring,
+//! which also picks the slot (`place % capacity`); the slot write itself
+//! takes a per-slot latch that only ever contends when two appends land
+//! exactly `capacity` events apart on one ring. Appends are on a request's
+//! path only where an engine narrates a decision its write triggered, or a
+//! sampled slow op is recorded; everything else comes from the control
+//! thread, the idle reaper and the accept gate.
 //!
-//! Sequence numbers are monotonic and dense, so a reader can detect loss:
-//! if the oldest event in a snapshot has `seq > 0`, exactly `seq` older
-//! events were overwritten.
+//! Sequence numbers are monotonic and dense across both rings, and a
+//! snapshot merges the rings by them, so a reader sees one ordered history;
+//! [`Journal::dropped`] says how many older events the rings overwrote.
 
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -141,27 +145,74 @@ pub struct JournalEvent {
     pub kind: EventKind,
 }
 
-/// A fixed-size lock-free-claim ring of [`JournalEvent`]s.
-pub struct Journal {
-    origin: Instant,
-    head: AtomicU64,
+impl EventKind {
+    /// Whether the event is an engine's narration of its own decision,
+    /// kept on a ring apart from the control plane's.
+    fn is_narration(&self) -> bool {
+        matches!(
+            self,
+            EventKind::ScalerRatio { .. } | EventKind::FreePoolGrant { .. }
+        )
+    }
+}
+
+/// One fixed-size ring: the events it was given, by place.
+struct Ring {
+    /// Places claimed so far: the events ever appended here.
+    appended: AtomicU64,
     slots: Vec<Mutex<Option<JournalEvent>>>,
 }
 
+impl Ring {
+    fn new(capacity: usize) -> Ring {
+        Ring {
+            appended: AtomicU64::new(0),
+            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
+        }
+    }
+
+    fn record(&self, event: JournalEvent) {
+        let place = self.appended.fetch_add(1, Ordering::AcqRel);
+        let slot = (place % self.slots.len() as u64) as usize;
+        let mut guard = self.slots[slot].lock().unwrap_or_else(|e| e.into_inner());
+        // Two appends can race for the same slot only when they are exactly
+        // `capacity` places apart; the newer event wins.
+        if guard.as_ref().map_or(true, |held| held.seq < event.seq) {
+            *guard = Some(event);
+        }
+    }
+
+    /// Events appended here and overwritten since.
+    fn dropped(&self) -> u64 {
+        let appended = self.appended.load(Ordering::Acquire);
+        appended.saturating_sub(self.slots.len() as u64)
+    }
+}
+
+/// Two fixed-size lock-free-claim rings of [`JournalEvent`]s: the control
+/// plane's and the engines' narration.
+pub struct Journal {
+    origin: Instant,
+    head: AtomicU64,
+    /// The control plane's events, then the narration.
+    rings: [Ring; 2],
+}
+
 impl Journal {
-    /// Creates a journal holding at most `capacity` events (min 1).
+    /// Creates a journal whose two rings hold at most `capacity` events each
+    /// (min 1).
     pub fn new(capacity: usize) -> Journal {
         let capacity = capacity.max(1);
         Journal {
             origin: Instant::now(),
             head: AtomicU64::new(0),
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
+            rings: [Ring::new(capacity), Ring::new(capacity)],
         }
     }
 
-    /// The ring capacity.
+    /// The capacity of each ring.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.rings[0].slots.len()
     }
 
     /// The next sequence number to be assigned — equivalently, the total
@@ -170,36 +221,30 @@ impl Journal {
         self.head.load(Ordering::Acquire)
     }
 
-    /// How many recorded events have been overwritten by ring wrap.
+    /// How many recorded events have been overwritten by either ring's wrap.
     pub fn dropped(&self) -> u64 {
-        self.next_seq().saturating_sub(self.slots.len() as u64)
+        self.rings.iter().map(Ring::dropped).sum()
     }
 
     /// Appends an event, returning its sequence number.
     pub fn record(&self, kind: EventKind) -> u64 {
         let seq = self.head.fetch_add(1, Ordering::AcqRel);
-        let event = JournalEvent {
+        let ring = &self.rings[usize::from(kind.is_narration())];
+        ring.record(JournalEvent {
             seq,
             at_micros: self.origin.elapsed().as_micros() as u64,
             kind,
-        };
-        let slot = (seq % self.slots.len() as u64) as usize;
-        let mut guard = self.slots[slot].lock().unwrap_or_else(|e| e.into_inner());
-        // Two appends can race for the same slot only when they are exactly
-        // `capacity` sequence numbers apart; the newer event wins.
-        if guard.as_ref().map_or(true, |held| held.seq < seq) {
-            *guard = Some(event);
-        }
+        });
         seq
     }
 
-    /// A consistent-enough snapshot of the retained events, oldest first
-    /// (sorted by sequence number). Concurrent appends may or may not be
-    /// included; retained events are never duplicated or reordered.
+    /// A consistent-enough snapshot of the retained events of both rings,
+    /// oldest first (sorted by sequence number). Concurrent appends may or
+    /// may not be included; retained events are never duplicated or
+    /// reordered.
     pub fn snapshot(&self) -> Vec<JournalEvent> {
-        let mut events: Vec<JournalEvent> = self
-            .slots
-            .iter()
+        let slots = self.rings.iter().flat_map(|ring| &ring.slots);
+        let mut events: Vec<JournalEvent> = slots
             .filter_map(|slot| {
                 slot.lock()
                     .unwrap_or_else(|e| e.into_inner())
@@ -308,5 +353,52 @@ mod tests {
         assert!(json.contains("\"ShardTransfer\""), "{json}");
         assert!(json.contains("\"from_gradient\""), "{json}");
         assert!(json.contains("ConnectionShed"), "{json}");
+    }
+
+    #[test]
+    fn narration_never_pushes_a_transfer_out() {
+        let j = Journal::new(1024);
+        let narration = |i: u32| EventKind::FreePoolGrant {
+            shard: 0,
+            tenant: "default".into(),
+            class: i,
+            bytes: 64,
+        };
+        let transfer = |i: usize| EventKind::ShardTransfer {
+            tenant: "default".into(),
+            from_shard: i,
+            to_shard: i + 1,
+            bytes: 4096,
+            from_gradient: 0.5,
+            to_gradient: 1.5,
+        };
+        // 10,000 narration events with 50 transfers spread among them.
+        for i in 0..10_000u32 {
+            j.record(narration(i));
+            if i % 200 == 199 {
+                j.record(transfer(i as usize / 200));
+            }
+        }
+        assert_eq!(j.next_seq(), 10_050);
+        let snap = j.snapshot();
+        let transfers: Vec<usize> = snap
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::ShardTransfer { from_shard, .. } => Some(from_shard),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            transfers,
+            (0..50).collect::<Vec<_>>(),
+            "all 50 kept, in order"
+        );
+        assert_eq!(
+            snap.len(),
+            1024 + 50,
+            "the narration ring holds its capacity"
+        );
+        assert_eq!(j.dropped(), 10_000 - 1024);
+        assert!(snap.windows(2).all(|pair| pair[0].seq < pair[1].seq));
     }
 }

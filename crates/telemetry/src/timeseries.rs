@@ -2,20 +2,16 @@
 //!
 //! The `stats` document is a point-in-time snapshot: totals since boot. A
 //! single scrape therefore shows no *trajectory* — was the hit rate rising
-//! or collapsing when you looked? [`TimeSeries`] fixes that with the same
-//! shared-nothing discipline as the rest of the telemetry plane: each event
-//! loop keeps its own bounded ring of interval buckets, records the current
-//! cumulative counters for its owned shards into the bucket for "now" once
-//! per reactor pass (overwriting within the interval — the *latest* sample
-//! wins), and the control thread merges per-loop rings at snapshot time with
-//! [`TimeSeries::merged`]. Differencing adjacent merged buckets turns the
-//! cumulative counters into windowed rates ([`TimeSeries::rates`]) without
-//! the loops ever sharing state or the hot path taking a clock reading.
+//! or collapsing when you looked? [`TimeSeries`] fixes that with a bounded
+//! ring of interval buckets: the owner records the current cumulative
+//! counters into the bucket for "now" (overwriting within the interval —
+//! the *latest* sample wins), and differencing adjacent buckets turns them
+//! into windowed rates ([`TimeSeries::rates`]). The server's control
+//! thread samples the shards' counters at each interval's start and at
+//! every `stats`, so the request path takes no clock reading for it.
 //!
-//! Buckets are indexed by `now_us / interval_us`, so rings recorded on
-//! different loops (whose passes are not synchronised) line up by
-//! construction as long as they share a time base — the plane passes every
-//! loop the same boot instant.
+//! Buckets are indexed by `now_us / interval_us` from a time base the owner
+//! chooses — the plane's boot instant, which the journal shares.
 
 use serde::{Deserialize, Serialize};
 
@@ -28,14 +24,6 @@ pub struct SeriesSample {
     pub hits: u64,
     /// Cumulative evictions.
     pub evictions: u64,
-}
-
-impl SeriesSample {
-    fn add(&mut self, other: &SeriesSample) {
-        self.gets += other.gets;
-        self.hits += other.hits;
-        self.evictions += other.evictions;
-    }
 }
 
 /// One interval bucket: the latest cumulative sample per column recorded
@@ -107,8 +95,7 @@ impl TimeSeries {
     /// overwrites the bucket in place; a new interval takes over the oldest
     /// bucket once the ring holds `capacity` of them, so a full ring records
     /// without allocating. Out-of-order samples older than the newest bucket
-    /// are dropped (can only happen across loops, and merged() re-aligns
-    /// those).
+    /// are dropped.
     pub fn record(&mut self, now_us: u64, columns: &[SeriesSample]) {
         let index = now_us / self.interval_us;
         let newest = self.buckets.last().map(|last| last.index);
@@ -127,57 +114,6 @@ impl TimeSeries {
         let current = self.buckets.last_mut().expect("a bucket for `index`");
         current.columns.clear();
         current.columns.extend_from_slice(columns);
-    }
-
-    /// Merges per-loop rings into one series by bucket index, summing each
-    /// column across loops. A loop with no bucket at some index contributes
-    /// its latest *earlier* sample (counters are cumulative, so the value
-    /// carries forward); a loop with no earlier sample contributes zero.
-    pub fn merged(parts: &[&TimeSeries]) -> TimeSeries {
-        let interval_us = parts
-            .iter()
-            .map(|p| p.interval_us)
-            .max()
-            .unwrap_or(1_000_000);
-        let capacity = parts.iter().map(|p| p.capacity).max().unwrap_or(1);
-        let mut indices: Vec<u64> = parts
-            .iter()
-            .flat_map(|p| p.buckets.iter().map(|b| b.index))
-            .collect();
-        indices.sort_unstable();
-        indices.dedup();
-        // Keep only the newest `capacity` merged buckets.
-        if indices.len() > capacity {
-            indices.drain(..indices.len() - capacity);
-        }
-        let mut buckets = Vec::with_capacity(indices.len());
-        for &index in &indices {
-            let mut columns: Vec<SeriesSample> = Vec::new();
-            for part in parts {
-                // The latest bucket at-or-before `index`: cumulative
-                // counters carry forward over intervals the loop skipped.
-                let carried = part
-                    .buckets
-                    .iter()
-                    .rev()
-                    .find(|b| b.index <= index)
-                    .map(|b| &b.columns);
-                if let Some(cols) = carried {
-                    if columns.len() < cols.len() {
-                        columns.resize_with(cols.len(), SeriesSample::default);
-                    }
-                    for (dst, src) in columns.iter_mut().zip(cols.iter()) {
-                        dst.add(src);
-                    }
-                }
-            }
-            buckets.push(SeriesBucket { index, columns });
-        }
-        TimeSeries {
-            interval_us,
-            capacity,
-            buckets,
-        }
     }
 
     /// Differences adjacent buckets into windowed per-column rates, oldest
@@ -283,45 +219,5 @@ mod tests {
         assert_eq!(rates[0].columns[0].hit_rate, None);
         let json = serde_json::to_string(&rates).unwrap();
         assert!(json.contains("\"hit_rate\":null"), "{json}");
-    }
-
-    #[test]
-    fn merged_sums_columns_and_carries_forward_missing_buckets() {
-        // Loop A samples every interval; loop B misses interval 1 (its
-        // cumulative counters carry forward) and has a second tenant.
-        let mut a = TimeSeries::new(1_000_000, 8);
-        a.record(0, &[sample(10, 5, 0)]);
-        a.record(1_000_000, &[sample(20, 10, 1)]);
-        a.record(2_000_000, &[sample(30, 15, 1)]);
-        let mut b = TimeSeries::new(1_000_000, 8);
-        b.record(0, &[sample(100, 50, 0), sample(1, 0, 0)]);
-        b.record(2_000_000, &[sample(300, 150, 4), sample(3, 1, 0)]);
-
-        let merged = TimeSeries::merged(&[&a, &b]);
-        let indices: Vec<u64> = merged.buckets.iter().map(|x| x.index).collect();
-        assert_eq!(indices, vec![0, 1, 2]);
-        assert_eq!(merged.buckets[0].columns[0], sample(110, 55, 0));
-        // Interval 1: B carries its interval-0 sample forward.
-        assert_eq!(merged.buckets[1].columns[0], sample(120, 60, 1));
-        assert_eq!(merged.buckets[1].columns[1], sample(1, 0, 0));
-        assert_eq!(merged.buckets[2].columns[0], sample(330, 165, 5));
-        assert_eq!(merged.buckets[2].columns[1], sample(3, 1, 0));
-
-        // Rates over the merged ring are well-formed.
-        let rates = merged.rates();
-        assert_eq!(rates.len(), 2);
-        assert_eq!(rates[0].columns[0].ops_per_sec, 10.0);
-        assert_eq!(rates[1].columns[0].ops_per_sec, 210.0);
-    }
-
-    #[test]
-    fn merged_respects_capacity() {
-        let mut a = TimeSeries::new(1_000_000, 3);
-        for i in 0..6u64 {
-            a.record(i * 1_000_000, &[sample(i, 0, 0)]);
-        }
-        let merged = TimeSeries::merged(&[&a]);
-        let indices: Vec<u64> = merged.buckets.iter().map(|x| x.index).collect();
-        assert_eq!(indices, vec![3, 4, 5]);
     }
 }

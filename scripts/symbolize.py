@@ -84,7 +84,7 @@ ROWS = [
     ),
     ("MRC estimator", ("profiler/src/", "profiler::", None)),
     ("sweeps", ("server/src/plane.rs", "cache_server::plane::", {"sweep"})),
-    ("LoopState::store", ("server/src/plane.rs", "cache_server::plane::", {"store"})),
+    ("Shard::store", ("server/src/plane.rs", "cache_server::plane::", {"store"})),
     (
         "probe_shadows",
         (
