@@ -125,7 +125,6 @@ fn max_load(slots: usize) -> usize {
 /// `seed` drawn per table from std's `RandomState`: a client choosing its
 /// keys cannot aim them at one slot. A run longer than the metadata counts
 /// is still searched exactly. Nothing may depend on the iteration order.
-#[derive(Clone)]
 pub struct KeyMap<V> {
     /// One entry per slot, then the first `GROUP - 1` again, so that the
     /// group a lookup reads never wraps.

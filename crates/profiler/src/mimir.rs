@@ -25,7 +25,7 @@ use cache_core::Key;
 use std::collections::VecDeque;
 
 /// Approximate stack-distance estimator with a fixed number of buckets.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct MimirEstimator {
     /// Keys per bucket, from newest (front) to oldest (back).
     counts: VecDeque<usize>,

@@ -63,7 +63,7 @@ const MAX_TRACKED: usize = 32_768;
 /// the population-scaled histogram is built from them when it is read.
 /// Scaled, a histogram indexed by distance would be `2^shift / share`
 /// times longer and all but one entry in `2^shift / share` empty.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct OnlineMrc {
     shift: u32,
     /// Sample iff `mix64(key ^ salt) <= threshold` (`u64::MAX >> shift`).
@@ -137,17 +137,9 @@ impl OnlineMrc {
 
     /// The accumulated population-scaled stack-distance histogram, built
     /// in one pass over the bucket estimator's populated in-sample
-    /// distances: each count lands at its distance times the scale,
-    /// rounded, at least 1; cold accesses carry over as they are.
+    /// distances.
     pub fn histogram(&self) -> StackDistanceHistogram {
-        let sampled = self.mimir.histogram();
-        let mut scaled = StackDistanceHistogram::new();
-        for d in 1..=sampled.max_distance() {
-            let at = ((d as f64 * self.scale).round() as usize).max(1);
-            scaled.add(at, sampled.count_at(d));
-        }
-        scaled.add_cold(sampled.cold());
-        scaled
+        scaled(self.mimir.histogram(), self.scale)
     }
 
     /// The estimated full-population hit-rate curve (SHARDS_adj-corrected,
@@ -166,6 +158,59 @@ impl OnlineMrc {
             sampled: self.sampled,
             tracked_keys: self.mimir.tracked_keys() as u64,
             histogram: self.histogram(),
+        }
+    }
+
+    /// Copies the estimator's counters and in-sample histogram, not its
+    /// key table: what a reader takes while the estimator is locked, to
+    /// scale with [`InSampleMrc::scale`] once it is released.
+    pub fn in_sample(&self) -> InSampleMrc {
+        InSampleMrc {
+            shift: self.shift,
+            scale: self.scale,
+            offered: self.offered,
+            sampled: self.sampled,
+            tracked_keys: self.mimir.tracked_keys() as u64,
+            histogram: self.mimir.histogram().clone(),
+        }
+    }
+}
+
+/// The population-scaled copy of an in-sample histogram: each count lands
+/// at its distance times `scale`, rounded, at least 1; cold accesses carry
+/// over as they are.
+fn scaled(sampled: &StackDistanceHistogram, scale: f64) -> StackDistanceHistogram {
+    let mut scaled = StackDistanceHistogram::new();
+    for d in 1..=sampled.max_distance() {
+        let at = ((d as f64 * scale).round() as usize).max(1);
+        scaled.add(at, sampled.count_at(d));
+    }
+    scaled.add_cold(sampled.cold());
+    scaled
+}
+
+/// An [`OnlineMrc`]'s samples as recorded, from [`OnlineMrc::in_sample`]:
+/// its counters and in-sample histogram, the distances not yet scaled.
+#[derive(Debug)]
+pub struct InSampleMrc {
+    shift: u32,
+    scale: f64,
+    offered: u64,
+    sampled: u64,
+    tracked_keys: u64,
+    histogram: StackDistanceHistogram,
+}
+
+impl InSampleMrc {
+    /// Scales the copy to the population: the [`MrcSnapshot`] that
+    /// [`OnlineMrc::snapshot`] returned when the copy was taken.
+    pub fn scale(self) -> MrcSnapshot {
+        MrcSnapshot {
+            shift: self.shift,
+            offered: self.offered,
+            sampled: self.sampled,
+            tracked_keys: self.tracked_keys,
+            histogram: scaled(&self.histogram, self.scale),
         }
     }
 }
@@ -437,6 +482,19 @@ mod tests {
                 }
             }
             prop_assert_eq!(online.snapshot().histogram, reference);
+        }
+    }
+
+    /// What a reader copies while the estimator is locked and scales after
+    /// is the snapshot, at every shift and population share.
+    #[test]
+    fn a_scaled_in_sample_copy_is_the_snapshot() {
+        for (shift, share) in [(0, 1.0), (3, 0.5), (6, 1.0 / 3.0)] {
+            let mut online = OnlineMrc::with_population_share(shift, share);
+            for k in zipf_trace(60_000, 120_000, u64::from(shift)) {
+                online.record(k);
+            }
+            assert_eq!(online.in_sample().scale(), online.snapshot());
         }
     }
 

@@ -90,8 +90,8 @@ const IN_RETAIN: usize = 4 * READ_CHUNK;
 const IN_FILL_BUDGET: usize = 256 * 1024;
 
 /// What a connection needs from its event loop to execute commands: the
-/// loop's own state (tenant table, op ledger), the shards, and its own
-/// token, so an admin reply can find its way back.
+/// loop's own state (sweep marks, round countdowns), the shards, and its
+/// own token, so an admin reply can find its way back.
 pub(crate) struct Ctx<'a> {
     pub(crate) state: &'a mut LoopState,
     pub(crate) shared: &'a PlaneShared,
@@ -524,9 +524,12 @@ impl Connection {
                 unreachable!("data commands join the window")
             }
             Command::App { id } => {
+                // Resolved in the roster, with no shard lock held.
+                let roster = ctx.shared.roster.lock();
+                let names = &roster.directory;
                 let response = match std::str::from_utf8(&id)
                     .ok()
-                    .and_then(|name| ctx.state.tenant_lookup(name))
+                    .and_then(|name| names.index_of(name))
                 {
                     Some(index) => {
                         self.tenant = index;
@@ -535,9 +538,10 @@ impl Connection {
                     None => Response::ClientError(format!(
                         "unknown app {:?} (hosted: {})",
                         String::from_utf8_lossy(&id),
-                        ctx.state.tenant_names().join(", ")
+                        names.names().join(", ")
                     )),
                 };
+                drop(roster);
                 self.respond(&response);
             }
             Command::AppCreate { name, weight } => match std::str::from_utf8(&name) {

@@ -1,25 +1,23 @@
 //! The control thread: the single coordinator behind balancing rounds,
 //! tenant `flush_all`, `app_create`, the `stats` document and its rate
 //! history. It reads and changes the shards under their locks, one at a
-//! time, asks the event loops only for their ledgers, and owns the
-//! balancers' decision state outright.
+//! time, reads the event loops' ledgers from their shared slots, waits on
+//! no loop, and owns the balancers' decision state outright.
 
 use crate::engine::{even_split, BackendMode};
 use crate::plane::{
-    build_engine, AdminOp, AdminReply, Cell, CtrlReq, LoopMsg, LoopSnapshot, PlaneShared,
-    RosterMaster, RoundKind,
+    build_engine, AdminOp, AdminReply, Cell, CtrlReq, LoopMsg, PlaneShared, RosterMaster, RoundKind,
 };
 use crate::protocol::{Response, StatsFormat};
-use crate::reactor::ConnTelemetry;
 use crate::stats::{
     build_document, render_json, render_prom, render_stats, BalanceDoc, EngineStat, PlaneDoc,
     StatsDocument,
 };
 use cache_core::TenantDirectory;
 use cliffhanger::{ShardRebalancer, ShardSample, ShardTransfer};
-use profiler::MrcSnapshot;
+use profiler::{MrcSnapshot, OnlineMrc};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
 use telemetry::{EventKind, Histogram, SeriesSample, TimeSeries};
@@ -51,7 +49,6 @@ type Move = ((usize, usize), (usize, usize), u64);
 pub(crate) struct Control {
     shared: Arc<PlaneShared>,
     rx: Receiver<CtrlReq>,
-    telemetry: Arc<ConnTelemetry>,
     /// One balancer per tenant, the tenant's shards in its seats.
     balancers: Vec<ShardRebalancer>,
     /// The same balancer with tenants in the seats.
@@ -74,13 +71,11 @@ impl Control {
     pub(crate) fn new(
         shared: Arc<PlaneShared>,
         rx: Receiver<CtrlReq>,
-        telemetry: Arc<ConnTelemetry>,
         idle_timeout: Option<Duration>,
     ) -> Control {
         let tenants = shared.roster.lock().directory.len();
         Control {
             rx,
-            telemetry,
             balancers: (0..tenants)
                 .map(|_| ShardRebalancer::new(shared.shards, shared.config.rebalance.clone()))
                 .collect(),
@@ -189,26 +184,10 @@ impl Control {
         self.history.record(now_us, &columns);
     }
 
-    /// Every live loop's ledger, by loop index (for `stats` only). A loop
-    /// that died mid-request drops its copy of the reply sender, so the
-    /// collection never hangs.
-    fn gather(&self) -> Vec<Option<LoopSnapshot>> {
-        let (tx, rx) = channel();
-        for mailbox in &self.shared.mailboxes {
-            let _ = mailbox.send(LoopMsg::Snapshot { reply: tx.clone() });
-        }
-        drop(tx);
-        let mut out: Vec<Option<LoopSnapshot>> = (0..self.shared.loops).map(|_| None).collect();
-        for snap in rx.iter() {
-            let index = snap.loop_index;
-            out[index] = Some(snap);
-        }
-        out
-    }
-
     /// Every engine's statistics, indexed `[shard][tenant]`, and each
-    /// tenant's MRC estimators merged: the counters and the estimators are
-    /// copied under each shard's lock, the curves' histograms built after.
+    /// tenant's MRC estimators merged: the counters and each estimator's
+    /// in-sample histogram are copied under each shard's lock, and scaled
+    /// to the population after it is released.
     fn read_cells(&self, tenants: usize) -> (Vec<Vec<EngineStat>>, Vec<MrcSnapshot>) {
         let shared = &*self.shared;
         let mut mrc = vec![MrcSnapshot::default(); tenants];
@@ -225,13 +204,13 @@ impl Control {
                             items: engine.len(),
                             footprint: engine.footprint(),
                         };
-                        (stat, cell.mrc.clone())
+                        (stat, cell.mrc.as_ref().map(OnlineMrc::in_sample))
                     };
                     cells.0.iter().take(tenants).map(copy).unzip()
                 };
-                for (merged, estimator) in mrc.iter_mut().zip(estimators) {
-                    if let Some(estimator) = estimator {
-                        merged.merge(&estimator.snapshot());
+                for (merged, copy) in mrc.iter_mut().zip(estimators) {
+                    if let Some(copy) = copy {
+                        merged.merge(&copy.scale());
                     }
                 }
                 stats
@@ -431,8 +410,8 @@ impl Control {
     /// weight-proportional budget out of every existing tenant's engines
     /// (at least a byte a shard, or the app is refused), then publish the
     /// new tenant table. Only bytes actually released are granted, so the
-    /// configured total is conserved exactly. The generation counter moves
-    /// *after* every shard holds the new cell.
+    /// configured total is conserved exactly. The name enters the roster,
+    /// and the tenant count moves, *after* every shard holds the new cell.
     fn create_tenant(&mut self, name: &str, weight: u64) -> Result<(), String> {
         if !TenantDirectory::valid_name(name) {
             return Err(format!(
@@ -527,32 +506,25 @@ impl Control {
             .push(ShardRebalancer::new(n, shared.config.rebalance.clone()));
         self.arbiter =
             ShardRebalancer::new(roster.directory.len(), shared.config.tenant_balance.clone());
-        // Publish only now, with every shard's cell in place.
-        shared.generation.fetch_add(1, Ordering::AcqRel);
+        // Published only now, with every shard's cell in place.
+        let tenants = roster.directory.len();
+        shared.tenants.store(tenants, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Builds the one [`StatsDocument`] every `stats` format renders: asks
-    /// the loops for their ledgers, reads the shards, and folds them, the
-    /// roster, the history and this thread's own counters together.
+    /// Builds the one [`StatsDocument`] every `stats` format renders: reads
+    /// the shards and the loops' ledgers, and folds them, the roster, the
+    /// history and this thread's own counters together.
     fn document(&mut self) -> StatsDocument {
         self.observe();
         let shared = &*self.shared;
-        let snaps = self.gather();
         // The roster is copied out; curves and joins are built unlocked.
         let roster = shared.roster.lock().clone();
         let tenants = roster.directory.len();
         let (engines, mrc) = self.read_cells(tenants);
-        // Loops count what they forwarded, control counts what it served;
-        // the two only differ transiently (a forward still in flight) or
-        // for admin calls arriving through the synchronous handle instead
-        // of a connection — report whichever saw more.
-        let forwarded: u64 = snaps.iter().flatten().map(|s| s.admin_forwards).sum();
         let doc = build_document(
             shared,
             &roster,
-            &self.telemetry,
-            &snaps,
             (&engines, &mrc),
             &self.history,
             self.start_unix_us,
@@ -569,7 +541,7 @@ impl Control {
                 arbiter_bytes_moved: self.arbitrated.bytes,
             },
             plane: PlaneDoc {
-                admin_msgs: self.admin_msgs.max(forwarded),
+                admin_msgs: self.admin_msgs,
                 idle_timeout_ms: self.idle_timeout_ms,
                 admin_latency: self.admin_latency.summarize_us(),
                 ..doc.plane

@@ -1,70 +1,50 @@
-//! The synchronous views of the data plane: [`PlaneHandle`], whose data
-//! calls lock a running plane's shards in the caller's thread and whose
-//! admin calls are a round trip to its control thread, and [`SharedCache`],
-//! the same data calls on a plane with no loops and no control thread.
+//! The synchronous view of the data plane, [`PlaneHandle`]: its data calls
+//! lock the key's shard in the caller's thread, and its admin calls are a
+//! round trip to the plane's control thread. [`PlaneHandle::new`] builds a
+//! plane with no loops and no control thread, which [`SharedCache`] names.
 
 use crate::engine::{route_key, BackendConfig, StoredValue};
 use crate::plane::{AdminOp, AdminReply, CtrlReq, PlaneShared, RoundKind, Shard};
 use crate::protocol::{AppEntry, Response, StatsFormat, StoreVerb};
+use crate::reactor::ConnTelemetry;
 use bytes::Bytes;
 use cache_core::Key;
 use std::sync::mpsc::channel;
 use std::sync::Arc;
 use telemetry::EventKind;
 
-/// Routes `key` of `tenant` and runs `op` on its shard under the shard's
-/// lock: what a connection runs for a key, less the loop's ledger.
-fn locked<R>(
-    shared: &PlaneShared,
-    tenant: usize,
-    key: &[u8],
-    op: impl FnOnce(&mut Shard, Key) -> R,
-) -> R {
-    let (shard, id) = route_key(tenant, key, shared.shards);
-    op(&mut shared.lock(shard), id)
-}
-
-/// A GET's hit, copied out of the item.
-fn get_for(shared: &PlaneShared, tenant: usize, key: &[u8]) -> Option<(u32, Bytes)> {
-    locked(shared, tenant, key, |cells, id| {
-        let found = cells.get(tenant, id, key);
-        found.map(|item| (item.flags(), Bytes::copy_from_slice(item.data())))
-    })
-}
-
-/// A store of `verb`; the item is built before the shard is locked.
-fn store_for(
-    shared: &PlaneShared,
-    verb: StoreVerb,
-    tenant: usize,
-    key: &[u8],
-    flags: u32,
-    data: &[u8],
-) -> bool {
-    StoredValue::new(key, flags, data).is_some_and(|item| {
-        locked(shared, tenant, key, |cells, id| {
-            cells.store(tenant, id, verb, item)
-        })
-    })
-}
-
-fn delete_for(shared: &PlaneShared, tenant: usize, key: &[u8]) -> bool {
-    locked(shared, tenant, key, |cells, id| {
-        cells.delete(tenant, id, key)
-    })
-}
-
-/// The public handle to a running data plane: the synchronous view
-/// `benchmark/`, the load generator's self-hosted runs and tests use
-/// ([`crate::server::CacheServer::cache`] returns it). A data call locks
-/// the key's shard in the caller's thread; an admin call or round is a
-/// message round trip to the control thread, and after shutdown those
+/// The public handle to a data plane: the synchronous view `benchmark/`,
+/// the load generator's self-hosted runs and tests use
+/// ([`crate::server::CacheServer::cache`] returns a running server's). A
+/// data call locks the key's shard in the caller's thread; an admin call or
+/// round is a message round trip to the control thread, and after shutdown
+/// (or on a plane built by [`PlaneHandle::new`], which has none) those
 /// degrade to defaults instead of panicking.
 pub struct PlaneHandle {
     pub(crate) shared: Arc<PlaneShared>,
 }
 
+/// A [`PlaneHandle`] built by [`PlaneHandle::new`]: the plane's routing and
+/// engine code run in the caller's thread, with no reactor and no control
+/// thread, so budgets stay at their boot split. The paper's Tables 6–7
+/// overhead measurement (`bench::overhead`) and the benchmark's `engine.*`
+/// layer probes time it under this name.
+pub type SharedCache = PlaneHandle;
+
 impl PlaneHandle {
+    /// Builds the tenants' engines on every configured (or detected) shard
+    /// of a one-loop plane, and starts no thread: data calls work, admin
+    /// calls and rounds answer with defaults.
+    pub fn new(config: BackendConfig) -> PlaneHandle {
+        // The receiver is dropped: no control thread answers.
+        let (ctrl, _) = channel();
+        let telemetry = ConnTelemetry::new(1, 0);
+        let shared = PlaneShared::new(config, telemetry, Vec::new(), ctrl);
+        PlaneHandle {
+            shared: Arc::new(shared),
+        }
+    }
+
     fn admin(&self, op: AdminOp) -> Option<Response> {
         let (tx, rx) = channel();
         self.shared
@@ -77,21 +57,39 @@ impl PlaneHandle {
         rx.recv().ok()
     }
 
+    /// Routes `key` of `tenant` and runs `op` on its shard under the
+    /// shard's lock: what a connection runs for a key, less the loop's
+    /// ledger.
+    fn locked<R>(&self, tenant: usize, key: &[u8], op: impl FnOnce(&mut Shard, Key) -> R) -> R {
+        let (shard, id) = route_key(tenant, key, self.shared.shards);
+        op(&mut self.shared.lock(shard), id)
+    }
+
+    /// A store of `verb`; the item is built before the shard is locked.
+    fn store(&self, verb: StoreVerb, tenant: usize, key: &[u8], flags: u32, data: &[u8]) -> bool {
+        StoredValue::new(key, flags, data).is_some_and(|item| {
+            self.locked(tenant, key, |cells, id| cells.store(tenant, id, verb, item))
+        })
+    }
+
     /// Looks up a key for one tenant, returning its flags and value on an
     /// exact match.
     pub fn get_for(&self, tenant: usize, key: &[u8]) -> Option<(u32, Bytes)> {
-        get_for(&self.shared, tenant, key)
+        self.locked(tenant, key, |cells, id| {
+            let found = cells.get(tenant, id, key);
+            found.map(|item| (item.flags(), Bytes::copy_from_slice(item.data())))
+        })
     }
 
     /// Stores a key for one tenant unconditionally. Returns `false` only
     /// if the item could not be admitted.
     pub fn set_for(&self, tenant: usize, key: &[u8], flags: u32, data: Bytes) -> bool {
-        store_for(&self.shared, StoreVerb::Set, tenant, key, flags, &data)
+        self.store(StoreVerb::Set, tenant, key, flags, &data)
     }
 
     /// Deletes a key for one tenant; returns whether it was present.
     pub fn delete_for(&self, tenant: usize, key: &[u8]) -> bool {
-        delete_for(&self.shared, tenant, key)
+        self.locked(tenant, key, |cells, id| cells.delete(tenant, id, key))
     }
 
     /// Looks up a key for the default tenant.
@@ -106,12 +104,12 @@ impl PlaneHandle {
 
     /// `add`: stores a key for the default tenant only if it is absent.
     pub fn add(&self, key: &[u8], flags: u32, data: Bytes) -> bool {
-        store_for(&self.shared, StoreVerb::Add, 0, key, flags, &data)
+        self.store(StoreVerb::Add, 0, key, flags, &data)
     }
 
     /// `replace`: stores a key for the default tenant only if it is present.
     pub fn replace(&self, key: &[u8], flags: u32, data: Bytes) -> bool {
-        store_for(&self.shared, StoreVerb::Replace, 0, key, flags, &data)
+        self.store(StoreVerb::Replace, 0, key, flags, &data)
     }
 
     /// Deletes a key for the default tenant.
@@ -220,50 +218,6 @@ impl PlaneHandle {
     }
 }
 
-/// The plane's routing and engine code run in the caller's thread: the
-/// shards of a one-loop plane, with no reactor and no control thread. An op
-/// is `route_key` and the shard's lock around `Shard::get` / `store` /
-/// `delete`, what a connection runs for a key (less the loop's ledger).
-/// With nobody to run balancing rounds, budgets stay at their boot split.
-/// The paper's Tables 6–7 overhead measurement (`bench::overhead`) and the
-/// benchmark's `engine.*` layer probes time this.
-pub struct SharedCache {
-    shared: PlaneShared,
-}
-
-impl SharedCache {
-    /// Builds the tenants' engines on every configured (or detected) shard.
-    pub fn new(config: BackendConfig) -> SharedCache {
-        // The receiver is dropped: nothing here asks for a round.
-        let (ctrl, _) = channel();
-        SharedCache {
-            shared: PlaneShared::new(config, 1, Vec::new(), ctrl),
-        }
-    }
-
-    /// The dense index of a tenant name, if hosted.
-    pub fn tenant_index(&self, name: &str) -> Option<usize> {
-        self.shared.roster.lock().directory.index_of(name)
-    }
-
-    /// Looks up a key for one tenant, returning its flags and value on an
-    /// exact match.
-    pub fn get_for(&self, tenant: usize, key: &[u8]) -> Option<(u32, Bytes)> {
-        get_for(&self.shared, tenant, key)
-    }
-
-    /// Stores a key for one tenant unconditionally. Returns `false` only
-    /// if the item could not be admitted.
-    pub fn set_for(&self, tenant: usize, key: &[u8], flags: u32, data: Bytes) -> bool {
-        store_for(&self.shared, StoreVerb::Set, tenant, key, flags, &data)
-    }
-
-    /// Deletes a key for one tenant; returns whether it was present.
-    pub fn delete_for(&self, tenant: usize, key: &[u8]) -> bool {
-        delete_for(&self.shared, tenant, key)
-    }
-}
-
 #[cfg(test)]
 impl crate::plane::LoopState {
     /// The state of loop 0 of a 1-loop x 1-shard plane no thread serves:
@@ -273,8 +227,6 @@ impl crate::plane::LoopState {
             shards: 1,
             ..BackendConfig::default()
         };
-        let (ctrl, _) = channel();
-        let shared = Arc::new(PlaneShared::new(config, 1, Vec::new(), ctrl));
-        crate::plane::LoopState::new(0, shared, 0)
+        crate::plane::LoopState::new(0, PlaneHandle::new(config).shared, 0)
     }
 }

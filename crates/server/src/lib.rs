@@ -36,9 +36,10 @@
 //!   crates).
 //! * [`server`] — the TCP listener, accept gate and lifecycle; its serving
 //!   side is the data plane in `plane` (exposed as [`PlaneHandle`], the
-//!   in-process view of a running server). [`SharedCache`] runs the same
-//!   routing and engine code in the caller's thread, with no reactor, for
-//!   the overhead measurements of Tables 6–7.
+//!   in-process view of a running server). [`PlaneHandle::new`] builds a
+//!   plane with no threads, whose calls run the same routing and engine
+//!   code in the caller's thread, for the overhead measurements of
+//!   Tables 6–7; [`SharedCache`] is its name there.
 //! * [`client`] — a blocking client for tests, benches and examples.
 
 #![warn(missing_docs)]

@@ -12,11 +12,11 @@
 //! Cross-cutting operations run on a single *control thread*: `stats`
 //! assembly, tenant `flush_all`, `app_create` carve-outs and every
 //! [`ShardRebalancer`] budget transfer (across shards, or across tenants).
-//! It reads and changes the shards under their locks itself; it asks a loop
-//! only for what the loop alone knows (its op ledger and service times, in
-//! [`LoopMsg::Snapshot`]), and answers a connection's admin command in
-//! its loop's mailbox, so admin commands never block the loop that
-//! received them.
+//! It reads and changes the shards under their locks itself, reads each
+//! loop's op ledger and service times from the loop's
+//! [`crate::reactor::LoopLedger`] without asking the loop, and answers a
+//! connection's admin command in its loop's mailbox, so admin commands
+//! never block the loop that received them.
 //!
 //! # Invariants
 //!
@@ -26,9 +26,11 @@
 //!   thread-local depth counter asserts the first half on every lock. A
 //!   window's sweeps take each shard it touches once, its execution once
 //!   per run of consecutive same-shard entries.
-//! * **Lock order** — the roster lock, then a shard lock, then a journal
-//!   slot latch; the roster is never locked under a shard lock. An engine
-//!   narrates into the journal under its shard's lock; nothing else takes a
+//! * **Lock order** — the roster lock, then a shard lock, then a leaf
+//!   latch: a journal slot's, or a loop's service-time histogram's. The
+//!   roster is never locked under a shard lock, and no lock is taken under
+//!   a leaf latch. Under a shard lock an engine narrates into the journal
+//!   and a loop records a timed op's service time; nothing else takes a
 //!   lock there.
 //! * **Nothing built, dropped or histogrammed under a shard lock** that
 //!   could be outside it: a rebuilt engine is built before its lock is taken
@@ -40,16 +42,17 @@
 //!   shard's lock: the winner is granted only bytes the donor engine
 //!   actually released (a donor pinned at its slab-class floors contributes
 //!   nothing), so the summed live budgets never exceed `total_bytes`.
-//! * **Acyclic waits** — a loop waits on a shard lock only for another
-//!   thread's critical section, which waits on nothing, and never on a
-//!   reply. The control thread blocks on loop replies only for `stats`,
-//!   holding no lock, and loops answer it from their mailboxes, so the wait
-//!   graph is acyclic (control → loops, never loops → control).
-//! * **Tenant-table generation** — the name table used by the `app`
-//!   command is a per-loop copy refreshed when the shared generation
-//!   counter moves. The control thread bumps the generation only *after*
-//!   every shard holds the new tenant's cell, so a session can never
-//!   resolve a tenant whose cells do not exist yet.
+//! * **Acyclic waits** — a loop and the control thread, past idling for
+//!   work, wait only for locks, each held across a critical section that
+//!   waits on nothing but a lock later in the order, so no cycle of waits
+//!   can form. The control thread waits on no loop: it reads the loops'
+//!   ledgers from their shared slots. A loop waits on no reply, and a
+//!   [`PlaneHandle`] caller waits only on the control thread.
+//! * **Tenant table** — the `app` command resolves its name in the roster,
+//!   with no shard lock held. The control thread adds a name to the roster,
+//!   and publishes the new tenant count, only *after* every shard holds the
+//!   new tenant's cell, so a session can never resolve a tenant whose cells
+//!   do not exist yet.
 
 use crate::control::Control;
 use crate::engine::{
@@ -57,7 +60,7 @@ use crate::engine::{
 };
 use crate::handle::PlaneHandle;
 use crate::protocol::{AppEntry, Response, StatsFormat, StoreVerb};
-use crate::reactor::{ConnTelemetry, Mailbox};
+use crate::reactor::{bump, ConnTelemetry, Mailbox};
 use crate::server::ServerConfig;
 use crate::stats::WireCounts;
 use cache_core::prefetch::Sweep;
@@ -66,12 +69,12 @@ use cliffhanger::EventSink;
 use parking_lot::{Mutex, MutexGuard};
 use profiler::OnlineMrc;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
-use telemetry::{EventKind, Histogram, Journal};
+use telemetry::{EventKind, Journal};
 
 /// Ring capacity of the control-plane flight recorder (and, apart, of the
 /// engines' narration): a long tail of balancing history at a few hundred
@@ -96,25 +99,6 @@ pub(crate) enum LoopMsg {
         /// The reply, as the connection writes it.
         response: Response,
     },
-    /// The control thread asks for the loop's ledger: the `stats`
-    /// document's fan-out, and nothing else.
-    Snapshot { reply: Sender<LoopSnapshot> },
-}
-
-/// What one loop reports to the control thread for the `stats` document:
-/// what only the loop knows.
-pub(crate) struct LoopSnapshot {
-    pub(crate) loop_index: usize,
-    /// Ops this loop ran on shards homed on it, and on shards homed on
-    /// another loop.
-    pub(crate) local_ops: u64,
-    pub(crate) remote_out: u64,
-    pub(crate) admin_forwards: u64,
-    /// Service times of the loop's ops on its home shards, and on others.
-    pub(crate) local_latency: Histogram,
-    pub(crate) remote_latency: Histogram,
-    /// Ops that exceeded the configured slow-op threshold on this loop.
-    pub(crate) slow_ops: u64,
 }
 
 /// The rounds the control thread runs, in the order a loop whose op counter
@@ -163,10 +147,9 @@ pub(crate) enum AdminReply {
     Sync(Sender<Response>),
 }
 
-/// The master tenant table. The control thread is the only writer; loops
-/// copy the name table out when the generation counter moves, and slow
-/// readers ([`PlaneHandle`] accessors, `stats` assembly) take the lock.
-/// The request fast path never touches it.
+/// The master tenant table. The control thread is the only writer; readers
+/// (the `app` command, [`PlaneHandle`] accessors, `stats` assembly) take the
+/// lock. The request fast path never touches it.
 #[derive(Clone)]
 pub(crate) struct RosterMaster {
     pub(crate) directory: TenantDirectory,
@@ -212,12 +195,15 @@ impl RosterMaster {
 pub(crate) struct PlaneShared {
     pub(crate) config: BackendConfig,
     pub(crate) shards: usize,
-    pub(crate) loops: usize,
     pub(crate) mailboxes: Vec<Mailbox>,
     pub(crate) ctrl: Sender<CtrlReq>,
-    /// Bumped by the control thread after every tenant-table change.
-    pub(crate) generation: AtomicU64,
+    /// Each loop's connection gauge and op ledger, and the accept totals.
+    pub(crate) telemetry: ConnTelemetry,
     pub(crate) roster: Mutex<RosterMaster>,
+    /// The tenants the roster names, published by the control thread once
+    /// every shard holds the newest one's cells: what a loop's round
+    /// trigger reads.
+    pub(crate) tenants: AtomicUsize,
     /// The flight recorder. Lock-free claims; the control plane writes
     /// here, and the engines narrate here under their shard's lock.
     pub(crate) journal: Arc<Journal>,
@@ -235,11 +221,11 @@ pub(crate) struct PlaneShared {
 impl PlaneShared {
     /// Resolves the tenant roster, the shard count and the boot budget
     /// split (weight-proportional across tenants, even across shards), and
-    /// builds every shard's engines, for a plane of `loops` event loops
-    /// reachable over `mailboxes`.
+    /// builds every shard's engines, for a plane of as many event loops as
+    /// `telemetry` counts, reachable over `mailboxes`.
     pub(crate) fn new(
         config: BackendConfig,
-        loops: usize,
+        telemetry: ConnTelemetry,
         mailboxes: Vec<Mailbox>,
         ctrl: Sender<CtrlReq>,
     ) -> PlaneShared {
@@ -289,10 +275,10 @@ impl PlaneShared {
             .collect();
         PlaneShared {
             shards,
-            loops,
             mailboxes,
             ctrl,
-            generation: AtomicU64::new(1),
+            telemetry,
+            tenants: AtomicUsize::new(directory.len()),
             roster: Mutex::new(RosterMaster {
                 directory,
                 weights,
@@ -309,7 +295,7 @@ impl PlaneShared {
     /// The event loop a shard is homed on: what `stats` reports as its
     /// `owner_loop`, and what tells a loop's local ops from its remote ones.
     pub(crate) fn home_of(&self, shard: usize) -> usize {
-        shard % self.loops
+        shard % self.telemetry.loops()
     }
 
     /// Whether rounds of `kind` run on this plane while it hosts `tenants`
@@ -486,8 +472,8 @@ impl Shard {
     /// A GET, lending the stored item on a hit: the MRC estimator's record,
     /// plain counter bumps and the engine call — no allocation.
     pub(crate) fn get(&mut self, tenant: usize, id: Key, key: &[u8]) -> Option<&StoredValue> {
-        // A tenant index without cells is impossible by the generation
-        // protocol; never panic a loop over it.
+        // A tenant index without cells is impossible (see the module's
+        // tenant-table rule); never panic a loop over it.
         let cell = self.0.get_mut(tenant)?;
         if let Some(estimator) = &mut cell.mrc {
             estimator.record(id);
@@ -530,29 +516,15 @@ impl Shard {
     }
 }
 
-/// The loop-thread-owned half of the data plane: the loop's copy of the
-/// tenant name table, its op ledger and service times, and its countdowns
-/// to the next balancing rounds.
+/// The loop-thread-owned half of the data plane: its countdowns to the
+/// next balancing rounds and its sweep marks. Its op ledger and service
+/// times are in its [`crate::reactor::LoopLedger`], where `stats` reads
+/// them.
 pub(crate) struct LoopState {
     pub(crate) index: usize,
     pub(crate) shared: Arc<PlaneShared>,
-    /// Loop-local tenant name table (the `app` command's view), refreshed
-    /// from the roster when the generation counter moves.
-    tenants: Vec<String>,
-    generation_seen: u64,
-    /// Data ops this loop ran on shards homed on it.
-    pub(crate) local_ops: u64,
-    /// Data ops this loop ran on shards homed on another loop.
-    pub(crate) remote_out: u64,
-    /// Admin commands forwarded to the control thread.
-    pub(crate) admin_forwards: u64,
-    /// Service times of the ops on home shards, and on others (ns).
-    local_latency: Histogram,
-    remote_latency: Histogram,
     /// Slow-op threshold in nanoseconds; 0 disables the slow-op log.
     slow_op_nanos: u64,
-    /// Ops over the slow-op threshold (0 threshold = never counted).
-    slow_ops: u64,
     /// Per [`RoundKind`]: the ops this loop executes between two requests
     /// for a round (the configured interval over the loop count).
     intervals: [u64; 2],
@@ -577,24 +549,16 @@ impl LoopState {
     /// The state of loop `index` of a plane that has not served yet; an op
     /// slower than `slow_op_micros` (0: none) is counted and journalled.
     pub(crate) fn new(index: usize, shared: Arc<PlaneShared>, slow_op_micros: u64) -> LoopState {
-        let tenants = shared.roster.lock().directory.names().to_vec();
         let config = &shared.config;
         let intervals = RoundKind::ALL.map(|kind| match kind {
             RoundKind::Rebalance => config.rebalance.interval_requests,
             RoundKind::Arbitrate => config.tenant_balance.interval_requests,
         });
-        let intervals = intervals.map(|requests| (requests / shared.loops as u64).max(1));
+        let intervals =
+            intervals.map(|requests| (requests / shared.telemetry.loops() as u64).max(1));
         LoopState {
             index,
-            tenants,
-            generation_seen: shared.generation.load(Ordering::Acquire),
-            local_ops: 0,
-            remote_out: 0,
-            admin_forwards: 0,
-            local_latency: Histogram::new(),
-            remote_latency: Histogram::new(),
             slow_op_nanos: slow_op_micros.saturating_mul(1_000),
-            slow_ops: 0,
             intervals,
             until: intervals,
             due: [false; 2],
@@ -606,26 +570,6 @@ impl LoopState {
             now: shared.started,
             shared,
         }
-    }
-
-    /// Re-copies the tenant name table if the control thread changed it.
-    /// One relaxed atomic load on the no-change path.
-    pub(crate) fn refresh_tenants(&mut self) {
-        let generation = self.shared.generation.load(Ordering::Acquire);
-        if generation != self.generation_seen {
-            self.tenants = self.shared.roster.lock().directory.names().to_vec();
-            self.generation_seen = generation;
-        }
-    }
-
-    /// The loop-local tenant name table.
-    pub(crate) fn tenant_names(&self) -> &[String] {
-        &self.tenants
-    }
-
-    /// Resolves an `app` name against the loop-local table.
-    pub(crate) fn tenant_lookup(&self, name: &str) -> Option<usize> {
-        self.tenants.iter().position(|n| n == name)
     }
 
     /// Routes a key of `tenant` to its shard and id.
@@ -672,7 +616,9 @@ impl LoopState {
     /// timed: every [`TIMED_EVERY`]th (a clock read costs a tenth of a GET),
     /// or every one while a slow-op threshold asks for a census.
     pub(crate) fn timer(&self) -> Option<Instant> {
-        let ops = self.local_ops + self.remote_out;
+        let ledger = self.shared.telemetry.ledger(self.index);
+        let ops =
+            ledger.local_ops.load(Ordering::Relaxed) + ledger.remote_out.load(Ordering::Relaxed);
         (self.slow_op_nanos != 0 || ops % TIMED_EVERY == 0).then(Instant::now)
     }
 
@@ -681,19 +627,20 @@ impl LoopState {
     /// it, and counts down to the next rounds.
     pub(crate) fn note_op(&mut self, shard: usize, timer: Option<Instant>) {
         let local = self.homed_here[shard];
-        if local {
-            self.local_ops += 1;
+        let ledger = self.shared.telemetry.ledger(self.index);
+        bump(if local {
+            &ledger.local_ops
         } else {
-            self.remote_out += 1;
-        }
+            &ledger.remote_out
+        });
         if let Some(started) = timer {
             let nanos = started.elapsed().as_nanos() as u64;
             let (latency, class) = if local {
-                (&mut self.local_latency, "local")
+                (&ledger.local_latency, "local")
             } else {
-                (&mut self.remote_latency, "remote")
+                (&ledger.remote_latency, "remote")
             };
-            latency.record(nanos);
+            latency.lock().record(nanos);
             self.note_slow(nanos, class);
         }
         self.tick();
@@ -701,13 +648,14 @@ impl LoopState {
 
     /// Counts (and samples into the journal) an op over the slow-op
     /// threshold. Off the fast path when the threshold is 0 (one compare).
-    fn note_slow(&mut self, nanos: u64, class: &str) {
+    fn note_slow(&self, nanos: u64, class: &str) {
         let threshold = self.slow_op_nanos;
         if threshold == 0 || nanos < threshold {
             return;
         }
-        self.slow_ops += 1;
-        if self.slow_ops % SLOW_OP_SAMPLE == 1 {
+        let slow_ops = &self.shared.telemetry.ledger(self.index).slow_ops;
+        bump(slow_ops);
+        if slow_ops.load(Ordering::Relaxed) % SLOW_OP_SAMPLE == 1 {
             self.shared.journal.record(EventKind::SlowOp {
                 loop_index: self.index,
                 class: class.to_string(),
@@ -728,7 +676,8 @@ impl LoopState {
     /// counts nothing.
     fn tick(&mut self) {
         let shared = &self.shared;
-        let active = RoundKind::ALL.map(|kind| shared.round_active(kind, self.tenants.len()));
+        let tenants = shared.tenants.load(Ordering::Relaxed);
+        let active = RoundKind::ALL.map(|kind| shared.round_active(kind, tenants));
         if active == [false; 2] {
             return;
         }
@@ -756,23 +705,10 @@ impl LoopState {
 
     /// Forwards an admin command to the control thread. Returns whether the
     /// control thread is still there to answer.
-    pub(crate) fn forward_admin(&mut self, op: AdminOp, token: u64) -> bool {
-        self.admin_forwards += 1;
+    pub(crate) fn forward_admin(&self, op: AdminOp, token: u64) -> bool {
         let origin = self.index;
         let reply = AdminReply::Conn { origin, token };
         self.shared.ctrl.send(CtrlReq::Admin { op, reply }).is_ok()
-    }
-
-    pub(crate) fn snapshot(&self) -> LoopSnapshot {
-        LoopSnapshot {
-            loop_index: self.index,
-            local_ops: self.local_ops,
-            remote_out: self.remote_out,
-            admin_forwards: self.admin_forwards,
-            local_latency: self.local_latency.clone(),
-            remote_latency: self.remote_latency.clone(),
-            slow_ops: self.slow_ops,
-        }
     }
 }
 
@@ -786,10 +722,7 @@ pub(crate) struct Plane {
 impl Plane {
     /// Builds the roster and the shards, spawns `config.workers` event loops
     /// and the control thread.
-    pub(crate) fn start(
-        config: &ServerConfig,
-        telemetry: Arc<ConnTelemetry>,
-    ) -> std::io::Result<Plane> {
+    pub(crate) fn start(config: &ServerConfig) -> std::io::Result<Plane> {
         let (workers, idle_timeout) = (config.workers, config.idle_timeout);
         let (ctrl_tx, ctrl_rx) = channel();
         let mut mailboxes = Vec::with_capacity(workers);
@@ -799,18 +732,14 @@ impl Plane {
             mailboxes.push(mailbox);
             seeds.push(seed);
         }
+        let telemetry = ConnTelemetry::new(workers, config.max_connections as u64);
         let shared = Arc::new(PlaneShared::new(
             config.backend.clone(),
-            workers,
+            telemetry,
             mailboxes,
             ctrl_tx,
         ));
-        let control = Control::new(
-            Arc::clone(&shared),
-            ctrl_rx,
-            Arc::clone(&telemetry),
-            idle_timeout,
-        );
+        let control = Control::new(Arc::clone(&shared), ctrl_rx, idle_timeout);
         let control_thread = std::thread::Builder::new()
             .name("cache-control".to_string())
             .spawn(move || control.run())?;
@@ -818,7 +747,7 @@ impl Plane {
             .into_iter()
             .map(|seed| {
                 let state = LoopState::new(seed.index, Arc::clone(&shared), config.slow_op_micros);
-                crate::reactor::LoopHandle::spawn(seed, state, Arc::clone(&telemetry), idle_timeout)
+                crate::reactor::LoopHandle::spawn(seed, state, idle_timeout)
             })
             .collect::<std::io::Result<_>>()?;
         Ok(Plane {
@@ -848,6 +777,7 @@ impl Plane {
 pub(crate) mod tests {
     use super::*;
     use crate::engine::TenantSpec;
+    use serde_json::Value;
     use std::sync::mpsc::Receiver;
 
     /// The loop states of a 2-loop x 2-shard plane no thread serves, and
@@ -858,7 +788,8 @@ pub(crate) mod tests {
             ..config
         };
         let (ctrl, asked) = channel();
-        let shared = Arc::new(PlaneShared::new(config, 2, Vec::new(), ctrl));
+        let telemetry = ConnTelemetry::new(2, 0);
+        let shared = Arc::new(PlaneShared::new(config, telemetry, Vec::new(), ctrl));
         let states = (0..2)
             .map(|index| LoopState::new(index, Arc::clone(&shared), 0))
             .collect();
@@ -920,6 +851,47 @@ pub(crate) mod tests {
         let shared = &states[0].shared;
         let _first = shared.lock(0);
         let _second = shared.lock(1);
+    }
+
+    /// `stats` reads each loop's ledger from the loop's slot: a `Control`
+    /// that no loop thread serves reports what two loop states noted.
+    #[test]
+    fn stats_reads_the_loops_ledgers_with_no_loop_running() {
+        let (mut states, ctrl) = two_loops(BackendConfig::default());
+        // Loop 0 runs two timed ops on its home shard and one on loop 1's;
+        // loop 1 one on its own.
+        for (state, shards) in states.iter_mut().zip([&[0, 0, 1][..], &[1]]) {
+            for &shard in shards {
+                state.note_op(shard, Some(Instant::now()));
+            }
+        }
+        let shared = Arc::clone(&states[0].shared);
+        let (tx, answer) = channel();
+        let op = AdminOp::Stats {
+            format: StatsFormat::Json,
+        };
+        let reply = AdminReply::Sync(tx);
+        shared.ctrl.send(CtrlReq::Admin { op, reply }).unwrap();
+        shared.ctrl.send(CtrlReq::Shutdown).unwrap();
+        Control::new(Arc::clone(&shared), ctrl, None).run();
+        let Ok(Response::Blob(json)) = answer.try_recv() else {
+            panic!("the control thread answers stats");
+        };
+        let doc: Value = serde_json::from_str(&json).unwrap();
+        let at = |value: &Value, path: &[&str]| {
+            let found = path.iter().try_fold(value, |value, key| value.get(key));
+            found.and_then(Value::as_u64)
+        };
+        let loops = doc.get("loops").and_then(Value::as_array).unwrap();
+        assert_eq!(loops.len(), 2);
+        for (ledger, (local, remote)) in loops.iter().zip([(2, 1), (1, 0)]) {
+            assert_eq!(at(ledger, &["local_ops"]), Some(local));
+            assert_eq!(at(ledger, &["remote_out"]), Some(remote));
+            assert_eq!(at(ledger, &["local_latency", "count"]), Some(local));
+            assert_eq!(at(ledger, &["remote_latency", "count"]), Some(remote));
+        }
+        assert_eq!(at(&doc, &["plane", "local_ops"]), Some(3));
+        assert_eq!(at(&doc, &["plane", "remote_ops"]), Some(1));
     }
 
     /// A plane whose loops (two of them) ask for a rebalancing round every 5
@@ -984,8 +956,7 @@ pub(crate) mod tests {
             shared.ctrl.send(CtrlReq::Round { kind, done }).unwrap();
         }
         shared.ctrl.send(CtrlReq::Shutdown).unwrap();
-        let telemetry = Arc::new(ConnTelemetry::new(2, 16));
-        Control::new(Arc::clone(&shared), ctrl, telemetry, None).run();
+        Control::new(Arc::clone(&shared), ctrl, None).run();
         assert_eq!(answered.try_recv(), Ok(()));
         assert!(pending(Arbitrate).load(Ordering::Acquire));
         assert!(!pending(Rebalance).load(Ordering::Acquire));

@@ -12,13 +12,14 @@
 //! `conn::Connection` state machine, so thousands of mostly-idle
 //! connections cost a few kilobytes of buffer each instead of a thread.
 //!
-//! Each loop has a `Mailbox`, the cross-loop message channel: the acceptor,
-//! sibling loops and the control thread push `LoopMsg`s into it and, if it
-//! was empty, add one to the loop's `eventfd` counter (one 8-byte `write`,
-//! no socket buffer behind it). The loop zeroes the counter with one `read`
-//! and swaps the inbox for the emptied `Vec` of its last drain. A data op
-//! never crosses it: what it carries is connections, admin replies and the
-//! control thread's requests for the loop's ledger.
+//! Each loop has a `Mailbox`: the acceptor and the control thread push
+//! `LoopMsg`s into it and, if it was empty, add one to the loop's `eventfd`
+//! counter (one 8-byte `write`, no socket buffer behind it). The loop zeroes
+//! the counter with one `read` and swaps the inbox for the emptied `Vec` of
+//! its last drain. Sibling loops never send to it, and a data op never
+//! crosses it: it carries fresh connections (`Conn`) and admin replies
+//! (`AdminDone`), nothing else. What `stats` reports of a loop, the loop
+//! writes into its `LoopLedger`, which `stats` reads without asking it.
 //!
 //! The epoll and eventfd bindings are a thin unsafe FFI against the system
 //! libc — the workspace is offline/vendored-only, so no `mio`/`libc`
@@ -38,6 +39,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use telemetry::Histogram;
 
 /// Thin FFI over the kernel epoll and eventfd interfaces. All `unsafe` in
 /// the crate lives here.
@@ -182,11 +184,38 @@ mod ffi {
 
 pub(crate) use ffi::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
-/// Connection counters shared by the acceptor, the event loops and `stats`:
-/// a live-connection gauge per loop plus server-wide accept totals. All
-/// relaxed atomics — `stats` reads them lock-free.
+/// One loop's slot: its live-connection gauge and its op ledger, on cache
+/// lines no other loop writes. The loop is the op counters' one writer, so
+/// it [`bump`]s them and `stats` reads them with relaxed loads; the gauge,
+/// which the acceptor raises and the loop lowers, takes read-modify-writes.
+/// Each service-time histogram sits behind a leaf latch that the loop takes
+/// only on a timed op and `stats` with no shard lock held.
+#[derive(Default)]
+#[repr(align(64))]
+pub(crate) struct LoopLedger {
+    conns: AtomicU64,
+    /// Data ops the loop ran on shards homed on it, and on shards homed on
+    /// another loop.
+    pub(crate) local_ops: AtomicU64,
+    pub(crate) remote_out: AtomicU64,
+    /// Ops over the slow-op threshold (0 threshold = never counted).
+    pub(crate) slow_ops: AtomicU64,
+    /// Service times of the timed ops on home shards, and on others (ns).
+    pub(crate) local_latency: Mutex<Histogram>,
+    pub(crate) remote_latency: Mutex<Histogram>,
+}
+
+/// Bumps a counter whose only writer is the calling thread: a load and a
+/// store, no read-modify-write.
+pub(crate) fn bump(counter: &AtomicU64) {
+    counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+}
+
+/// Connection counters and op ledgers shared by the acceptor, the event
+/// loops and `stats`: a `LoopLedger` per loop plus server-wide accept
+/// totals. The counters are relaxed atomics, which `stats` reads lock-free.
 pub struct ConnTelemetry {
-    per_loop: Vec<AtomicU64>,
+    per_loop: Vec<LoopLedger>,
     total: AtomicU64,
     rejected: AtomicU64,
     idle_closed: AtomicU64,
@@ -197,7 +226,7 @@ impl ConnTelemetry {
     /// Counters for `loops` event loops under a `max_connections` gate.
     pub(crate) fn new(loops: usize, max_connections: u64) -> ConnTelemetry {
         ConnTelemetry {
-            per_loop: (0..loops).map(|_| AtomicU64::new(0)).collect(),
+            per_loop: (0..loops).map(|_| LoopLedger::default()).collect(),
             total: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             idle_closed: AtomicU64::new(0),
@@ -209,7 +238,7 @@ impl ConnTelemetry {
     pub fn curr(&self) -> u64 {
         self.per_loop
             .iter()
-            .map(|c| c.load(Ordering::Relaxed))
+            .map(|c| c.conns.load(Ordering::Relaxed))
             .sum()
     }
 
@@ -240,18 +269,23 @@ impl ConnTelemetry {
 
     /// Live connections owned by loop `index`.
     pub fn loop_curr(&self, index: usize) -> u64 {
-        self.per_loop[index].load(Ordering::Relaxed)
+        self.per_loop[index].conns.load(Ordering::Relaxed)
+    }
+
+    /// Loop `index`'s slot.
+    pub(crate) fn ledger(&self, index: usize) -> &LoopLedger {
+        &self.per_loop[index]
     }
 
     /// The acceptor admitted a connection destined for loop `index`.
     pub(crate) fn on_accept(&self, index: usize) {
-        self.per_loop[index].fetch_add(1, Ordering::Relaxed);
+        self.per_loop[index].conns.fetch_add(1, Ordering::Relaxed);
         self.total.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A connection owned by loop `index` closed (or never registered).
     pub(crate) fn on_close(&self, index: usize) {
-        self.per_loop[index].fetch_sub(1, Ordering::Relaxed);
+        self.per_loop[index].conns.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// The idle reaper closed a connection on loop `index`.
@@ -263,7 +297,7 @@ impl ConnTelemetry {
     /// Rolls an `on_accept` back entirely (the dispatch was refused): the
     /// connection was never served, so it should not count as accepted.
     pub(crate) fn on_dispatch_refused(&self, index: usize) {
-        self.per_loop[index].fetch_sub(1, Ordering::Relaxed);
+        self.per_loop[index].conns.fetch_sub(1, Ordering::Relaxed);
         self.total.fetch_sub(1, Ordering::Relaxed);
     }
 
@@ -378,12 +412,10 @@ pub(crate) struct LoopHandle {
 }
 
 impl LoopHandle {
-    /// Spawns event loop `index` from its seed, with `state` and reporting
-    /// into `telemetry`.
+    /// Spawns event loop `index` from its seed, with `state`.
     pub(crate) fn spawn(
         seed: LoopSeed,
         state: LoopState,
-        telemetry: Arc<ConnTelemetry>,
         idle_timeout: Option<Duration>,
     ) -> std::io::Result<LoopHandle> {
         let (index, shared) = (seed.index, Arc::clone(&state.shared));
@@ -403,7 +435,6 @@ impl LoopHandle {
                     inbox: seed.inbox,
                     drained: Vec::new(),
                     state,
-                    telemetry,
                     conns: HashMap::new(),
                     next_token: WAKE_TOKEN + 1,
                     idle_timeout,
@@ -460,7 +491,6 @@ struct EventLoop {
     /// places, so neither is regrown from empty.
     drained: Vec<LoopMsg>,
     state: LoopState,
-    telemetry: Arc<ConnTelemetry>,
     conns: HashMap<u64, Connection>,
     next_token: u64,
     idle_timeout: Option<Duration>,
@@ -484,9 +514,6 @@ impl EventLoop {
             if self.inbox.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            // One atomic load; a changed tenant table is copied out here,
-            // never on the request path.
-            self.state.refresh_tenants();
             self.state.now = Instant::now();
             for event in &events[..n] {
                 // Copy out of the (possibly packed) event before use.
@@ -509,21 +536,19 @@ impl EventLoop {
         // peer with EOF.
         for (_, conn) in self.conns.drain() {
             self.epoll.delete(conn.fd());
-            self.telemetry.on_close(self.index);
+            self.shared.telemetry.on_close(self.index);
             drop(conn);
         }
         // Mark the inbox closed *under its lock* before the final drain:
         // `Mailbox::send` checks the flag under the same lock, so after
         // this block no message can ever be stranded in the inbox — this
         // also covers a loop that died on a hard epoll error rather than a
-        // requested shutdown. Dropping a drained message drops any reply
-        // sender inside it, unblocking a waiting control thread or sync
-        // caller.
+        // requested shutdown.
         let mut msgs = self.inbox.msgs.lock();
         self.inbox.shutdown.store(true, Ordering::SeqCst);
         for msg in msgs.drain(..) {
             if let LoopMsg::Conn(_) = &msg {
-                self.telemetry.on_close(self.index);
+                self.shared.telemetry.on_close(self.index);
             }
             drop(msg);
         }
@@ -538,9 +563,6 @@ impl EventLoop {
                 LoopMsg::AdminDone { token, response } => {
                     self.drive(token, 0, |conn| conn.on_admin_done(response))
                 }
-                LoopMsg::Snapshot { reply } => {
-                    let _ = reply.send(self.state.snapshot());
-                }
             }
         }
         self.drained = msgs;
@@ -554,10 +576,10 @@ impl EventLoop {
                 if self.epoll.add(conn.fd(), conn.interest(), token).is_ok() {
                     self.conns.insert(token, conn);
                 } else {
-                    self.telemetry.on_close(self.index);
+                    self.shared.telemetry.on_close(self.index);
                 }
             }
-            Err(_) => self.telemetry.on_close(self.index),
+            Err(_) => self.shared.telemetry.on_close(self.index),
         }
     }
 
@@ -609,7 +631,7 @@ impl EventLoop {
         for token in stale {
             if let Some(conn) = self.conns.remove(&token) {
                 self.epoll.delete(conn.fd());
-                self.telemetry.on_idle_close(self.index);
+                self.shared.telemetry.on_idle_close(self.index);
                 self.state.note_idle_reap();
             }
         }
@@ -618,7 +640,7 @@ impl EventLoop {
     fn close(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(&token) {
             self.epoll.delete(conn.fd());
-            self.telemetry.on_close(self.index);
+            self.shared.telemetry.on_close(self.index);
         }
     }
 }

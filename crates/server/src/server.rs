@@ -16,7 +16,6 @@
 use crate::engine::BackendConfig;
 use crate::handle::PlaneHandle;
 use crate::plane::Plane;
-use crate::reactor::ConnTelemetry;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -109,22 +108,18 @@ impl CacheServer {
         }
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        let telemetry = Arc::new(ConnTelemetry::new(
-            config.workers,
-            config.max_connections as u64,
-        ));
-        let plane = Plane::start(&config, Arc::clone(&telemetry))?;
+        let plane = Plane::start(&config)?;
         let shutdown = Arc::new(AtomicBool::new(false));
 
         let accept_shutdown = Arc::clone(&shutdown);
         let accept_loops = Arc::clone(&plane.loops);
-        let accept_telemetry = telemetry;
         let accept_plane = Arc::clone(&plane.handle);
         let max_connections = config.max_connections as u64;
         let accept_thread = std::thread::Builder::new()
             .name("cache-acceptor".to_string())
             .spawn(move || {
                 let mut next_loop = 0usize;
+                let accept_telemetry = &accept_plane.shared.telemetry;
                 for stream in listener.incoming() {
                     if accept_shutdown.load(Ordering::SeqCst) {
                         break;
@@ -188,8 +183,8 @@ impl CacheServer {
     }
 
     /// The data-plane handle (e.g. for out-of-band statistics in
-    /// benchmarks). Operations are synchronous message round-trips to the
-    /// event loop owning the key's shard.
+    /// benchmarks). A data call locks the key's shard in the caller's
+    /// thread; an admin call is a round trip to the control thread.
     pub fn cache(&self) -> &Arc<PlaneHandle> {
         &self.plane.handle
     }

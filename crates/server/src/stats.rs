@@ -1,7 +1,7 @@
 //! The `stats` model: one document, three expositions.
 //!
-//! The data plane's control thread gathers the loops' ledgers and copies
-//! the shards' cells; [`build_document`] assembles from them, the plane's
+//! The data plane's control thread copies the shards' cells;
+//! [`build_document`] assembles from them, the loops' ledgers, the plane's
 //! configuration, the roster and the rate history the one versioned
 //! [`StatsDocument`] (`cliffhanger-stats/v1`) —
 //! counters, per-loop service-time quantiles, the flight-recorder journal,
@@ -11,11 +11,12 @@
 //! names and order `tests/stats_keys.rs` pins), [`render_json`] and
 //! [`render_prom`]. They cannot disagree, and a new fact is added once.
 
-use crate::plane::{LoopSnapshot, PlaneShared, RosterMaster};
-use crate::reactor::ConnTelemetry;
+use crate::plane::{PlaneShared, RosterMaster};
 use cache_core::{CacheStats, Footprint, ITEM_OVERHEAD};
+use parking_lot::Mutex;
 use profiler::MrcSnapshot;
 use serde::Serialize;
+use std::sync::atomic::Ordering;
 use telemetry::{
     EventKind, Histogram, Journal, JournalEvent, LatencySummary, SeriesRates, TimeSeries,
 };
@@ -163,7 +164,7 @@ pub(crate) struct ConnectionsDoc {
 /// One event loop's ops and service-time quantiles: `local_*` for the ops
 /// it ran on shards homed on it, `remote_*` for those on shards homed on
 /// another loop.
-#[derive(Default, Serialize)]
+#[derive(Serialize)]
 pub(crate) struct LoopDoc {
     pub(crate) index: usize,
     pub(crate) local_ops: u64,
@@ -578,17 +579,14 @@ fn build_allocator(
     }
 }
 
-/// Assembles the stats document from the plane's configuration and
-/// journal, the roster, the loops' ledgers (`None` for a loop that did not
-/// answer: it reports zeros), the cells (`[shard][tenant]` engine stats, and
-/// per tenant the merged MRC estimators) and the rate history. The
+/// Assembles the stats document from the plane's configuration, journal
+/// and loop ledgers, the roster, the cells (`[shard][tenant]` engine stats,
+/// and per tenant the merged MRC estimators) and the rate history. The
 /// balancing and admin counters are left at their defaults: they are the
 /// control thread's, and it sets them.
 pub(crate) fn build_document(
     shared: &PlaneShared,
     roster: &RosterMaster,
-    conns: &ConnTelemetry,
-    loops: &[Option<LoopSnapshot>],
     (engines, mrc): (&[Vec<EngineStat>], &[MrcSnapshot]),
     history: &TimeSeries,
     start_unix_us: u64,
@@ -597,13 +595,29 @@ pub(crate) fn build_document(
     let (nt, ns) = (names.len(), shared.shards);
     let r = rollup(nt, ns, engines);
     let shard_budgets = roster.shard_budgets(ns);
-    let (config, journal) = (&shared.config, &shared.journal);
+    let (config, journal, conns) = (&shared.config, &shared.journal, &shared.telemetry);
     let mut local_merged = Histogram::new();
     let mut remote_merged = Histogram::new();
-    for tel in loops.iter().flatten() {
-        local_merged.merge(&tel.local_latency);
-        remote_merged.merge(&tel.remote_latency);
-    }
+    // Each histogram's latch is taken alone, with no shard lock held.
+    let summarize = |latency: &Mutex<Histogram>, merged: &mut Histogram| {
+        let latency = latency.lock();
+        merged.merge(&latency);
+        latency.summarize_us()
+    };
+    let loops: Vec<LoopDoc> = (0..conns.loops())
+        .map(|index| {
+            let ledger = conns.ledger(index);
+            LoopDoc {
+                index,
+                local_ops: ledger.local_ops.load(Ordering::Relaxed),
+                remote_in: 0,
+                remote_out: ledger.remote_out.load(Ordering::Relaxed),
+                slow_ops: ledger.slow_ops.load(Ordering::Relaxed),
+                local_latency: summarize(&ledger.local_latency, &mut local_merged),
+                remote_latency: summarize(&ledger.remote_latency, &mut remote_merged),
+            }
+        })
+        .collect();
     let mrc = build_mrc(config.mrc_shift(), names, &budgets, &r, mrc);
     let allocator = build_allocator(start_unix_us, names, history, journal);
     let history = build_history(start_unix_us, names, history);
@@ -622,7 +636,7 @@ pub(crate) fn build_document(
             bytes: r.total.used,
             curr_items: r.total.items as u64,
             evictions: r.total.core.evictions,
-            slow_ops: loops.iter().flatten().map(|l| l.slow_ops).sum(),
+            slow_ops: loops.iter().map(|l| l.slow_ops).sum(),
         },
         process: ProcessDoc {
             rss_bytes: resident_bytes(),
@@ -652,25 +666,12 @@ pub(crate) fn build_document(
             local: local_merged.summarize_us(),
             remote: remote_merged.summarize_us(),
         },
-        loops: loops
-            .iter()
-            .enumerate()
-            .map(|(index, tel)| match tel {
-                Some(tel) => LoopDoc {
-                    index,
-                    local_ops: tel.local_ops,
-                    remote_in: 0,
-                    remote_out: tel.remote_out,
-                    slow_ops: tel.slow_ops,
-                    local_latency: tel.local_latency.summarize_us(),
-                    remote_latency: tel.remote_latency.summarize_us(),
-                },
-                None => LoopDoc {
-                    index,
-                    ..LoopDoc::default()
-                },
-            })
-            .collect(),
+        plane: PlaneDoc {
+            local_ops: loops.iter().map(|l| l.local_ops).sum(),
+            remote_ops: loops.iter().map(|l| l.remote_out).sum(),
+            ..PlaneDoc::default()
+        },
+        loops,
         tenants: (0..nt)
             .map(|t| TenantDoc {
                 name: names[t].clone(),
@@ -684,11 +685,6 @@ pub(crate) fn build_document(
                 engine: EngineDoc::new(&r.shards[s], shard_budgets[s]),
             })
             .collect(),
-        plane: PlaneDoc {
-            local_ops: loops.iter().flatten().map(|l| l.local_ops).sum(),
-            remote_ops: loops.iter().flatten().map(|l| l.remote_out).sum(),
-            ..PlaneDoc::default()
-        },
         journal: JournalDoc {
             capacity: journal.capacity(),
             next_seq: journal.next_seq(),

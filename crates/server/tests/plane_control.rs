@@ -628,11 +628,11 @@ fn returns_on_idle_loops(what: &str, admin: impl FnOnce(&PlaneHandle) + Send + '
     worker.join().expect("the admin calls must not panic");
 }
 
-/// `app_create` bumps the tenant-table generation; the loops have nothing
-/// to do and do not see it until the next admin command's message wakes
-/// them — when they re-read the table under the roster lock before they
-/// read their mailboxes. The control thread must not be holding that lock
-/// while it waits for their answers.
+/// Admin commands in a row on idle loops. The control thread waits on no
+/// loop: it reads each loop's ledger from the loop's shared slot, and an
+/// `app` command resolves its name in the roster. This guards the shape in
+/// which it once wedged: waiting on idle loops' answers while they waited
+/// on the roster lock it held.
 #[test]
 fn admin_commands_in_a_row_do_not_wedge_on_idle_loops() {
     returns_on_idle_loops("app_create then flush_all", |cache| {

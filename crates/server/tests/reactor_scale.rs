@@ -638,11 +638,11 @@ fn flush_all_during_traffic_never_corrupts_a_read() {
     );
 }
 
-/// Tenant-table growth is an epoch-bumping control conversation; data
-/// traffic that races it must keep executing lock-free on whatever
-/// generation its loop holds, and every loop must observe each new tenant
-/// once the create returns. This is the zero-shared-locks acceptance run:
-/// the per-request path holds no lock any other thread can contend.
+/// Tenant-table growth races live traffic. A new tenant's name enters the
+/// roster only once every shard holds its cells, so traffic keeps running
+/// on the tenants it has, and each new tenant is servable on every shard,
+/// through the handle and over the wire, once its create returns. The
+/// request path takes only its key's shard lock.
 #[test]
 fn tenant_table_growth_races_live_traffic() {
     const NEW_TENANTS: usize = 8;
