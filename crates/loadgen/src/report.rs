@@ -170,7 +170,7 @@ pub struct ServerEcho {
     /// Data ops a loop ran on a shard homed on another loop.
     pub plane_remote_ops: u64,
     /// Admin commands (`stats`, `flush_all`, `app_create`, `app_list`)
-    /// served by the control thread during the run.
+    /// served during the run, each under the server's control lock.
     pub plane_admin_msgs: u64,
     /// The owning event loop of each shard, indexed by shard
     /// (`owner(shard) = shard % event_loops`).

@@ -1,12 +1,18 @@
-//! The control thread: the single coordinator behind balancing rounds,
-//! tenant `flush_all`, `app_create`, the `stats` document and its rate
-//! history. It reads and changes the shards under their locks, one at a
-//! time, reads the event loops' ledgers from their shared slots, waits on
-//! no loop, and owns the balancers' decision state outright.
+//! The control plane's decision state, [`Control`]: the balancers, the
+//! round tallies, the admin counters and the rate history, behind the first
+//! lock of the plane's lock order ([`PlaneShared::control`]). Whoever needs
+//! an operation runs it in its own thread under that lock: a loop runs the
+//! rounds that came due at the end of its pass (if the lock is free), a
+//! [`crate::handle::PlaneHandle`] caller runs rounds and admin calls, and the
+//! `cache-control` thread ([`serve`]) runs a connection's admin command, so
+//! that no loop stalls on one, and samples the rate history once a second.
+//! Each reads and changes the shards under their locks, one at a time, and
+//! reads the event loops' ledgers from their shared slots: nothing here
+//! waits on a loop or on a reply.
 
-use crate::engine::{even_split, BackendMode};
+use crate::engine::{even_split, BackendConfig, BackendMode};
 use crate::plane::{
-    build_engine, AdminOp, AdminReply, Cell, CtrlReq, LoopMsg, PlaneShared, RosterMaster, RoundKind,
+    build_engine, AdminOp, Cell, CtrlReq, LoopMsg, PlaneShared, RosterMaster, RoundKind,
 };
 use crate::protocol::{Response, StatsFormat};
 use crate::stats::{
@@ -16,9 +22,7 @@ use crate::stats::{
 use cache_core::TenantDirectory;
 use cliffhanger::{ShardRebalancer, ShardSample, ShardTransfer};
 use profiler::{MrcSnapshot, OnlineMrc};
-use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
-use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
 use telemetry::{EventKind, Histogram, SeriesSample, TimeSeries};
 
@@ -32,8 +36,8 @@ const HISTORY_WINDOWS: usize = 64;
 
 /// What the rounds of one balancing level have done so far.
 #[derive(Clone, Copy, Default)]
-struct RoundTally {
-    runs: u64,
+pub(crate) struct RoundTally {
+    pub(crate) runs: u64,
     transfers: u64,
     bytes: u64,
 }
@@ -42,46 +46,66 @@ struct RoundTally {
 /// recipient engine, each named `(shard, tenant)`.
 type Move = ((usize, usize), (usize, usize), u64);
 
-/// The control thread: the single blocking coordinator behind rounds,
-/// flushes, tenant onboarding and `stats` assembly. It owns the balancers'
-/// decision state (gradient histories, cooldowns) outright, so rounds need
-/// no locking.
+/// The control plane's decision state. Its holder is the only thread that
+/// changes budgets, so a round, a flush and a carve-out each see the
+/// budgets the last one left.
 pub(crate) struct Control {
-    shared: Arc<PlaneShared>,
-    rx: Receiver<CtrlReq>,
     /// One balancer per tenant, the tenant's shards in its seats.
     balancers: Vec<ShardRebalancer>,
     /// The same balancer with tenants in the seats.
     arbiter: ShardRebalancer,
-    rebalanced: RoundTally,
-    arbitrated: RoundTally,
+    /// Per [`RoundKind`]: what its rounds have done.
+    pub(crate) tallies: [RoundTally; 2],
     admin_msgs: u64,
     idle_timeout_ms: u64,
     /// Wall-clock at boot, for anchoring monotonic offsets to real time.
     start_unix_us: u64,
-    /// Service times of the admin commands this thread ran (ns).
+    /// Service times of the admin commands run (ns).
     admin_latency: Histogram,
     /// Per-tenant counter history, sampled once an interval and at every
     /// `stats`.
     history: TimeSeries,
 }
 
+/// The `cache-control` thread: runs each admin command a connection
+/// forwards and answers in its loop's mailbox, and samples the history once
+/// an interval, as soon after its start as the thread is free, until
+/// [`CtrlReq::Shutdown`].
+pub(crate) fn serve(shared: &PlaneShared, rx: Receiver<CtrlReq>) {
+    let mut next_sample = 0;
+    loop {
+        let now_us = shared.started.elapsed().as_micros() as u64;
+        if now_us >= next_sample {
+            shared.control.lock().observe(shared);
+            next_sample = (now_us / HISTORY_INTERVAL_US + 1) * HISTORY_INTERVAL_US;
+        }
+        let wait = Duration::from_micros(next_sample.saturating_sub(now_us));
+        match rx.recv_timeout(wait) {
+            Ok(CtrlReq::Admin { op, origin, token }) => {
+                let response = shared.control.lock().admin(shared, op);
+                let _ = shared.mailboxes[origin].send(LoopMsg::AdminDone { token, response });
+            }
+            Err(RecvTimeoutError::Timeout) => {}
+            Ok(CtrlReq::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
+        }
+    }
+}
+
 impl Control {
-    /// The control thread's state for a plane that has run no round yet.
+    /// The decision state of a plane of `shards` shards hosting `tenants`
+    /// tenants that has run no round yet.
     pub(crate) fn new(
-        shared: Arc<PlaneShared>,
-        rx: Receiver<CtrlReq>,
+        config: &BackendConfig,
+        shards: usize,
+        tenants: usize,
         idle_timeout: Option<Duration>,
     ) -> Control {
-        let tenants = shared.roster.lock().directory.len();
         Control {
-            rx,
             balancers: (0..tenants)
-                .map(|_| ShardRebalancer::new(shared.shards, shared.config.rebalance.clone()))
+                .map(|_| ShardRebalancer::new(shards, config.rebalance.clone()))
                 .collect(),
-            arbiter: ShardRebalancer::new(tenants, shared.config.tenant_balance.clone()),
-            rebalanced: RoundTally::default(),
-            arbitrated: RoundTally::default(),
+            arbiter: ShardRebalancer::new(tenants, config.tenant_balance.clone()),
+            tallies: Default::default(),
             admin_msgs: 0,
             idle_timeout_ms: idle_timeout.map(|t| t.as_millis() as u64).unwrap_or(0),
             start_unix_us: SystemTime::now()
@@ -90,85 +114,43 @@ impl Control {
                 .unwrap_or(0),
             admin_latency: Histogram::new(),
             history: TimeSeries::new(HISTORY_INTERVAL_US, HISTORY_WINDOWS),
-            shared,
         }
     }
 
-    pub(crate) fn run(mut self) {
-        // The history is sampled once an interval, as soon after its start
-        // as the thread is free: woken by a timeout if nothing comes sooner.
-        let mut next_sample = 0;
-        loop {
-            let now_us = self.shared.started.elapsed().as_micros() as u64;
-            if now_us >= next_sample {
-                self.observe();
-                next_sample = (now_us / HISTORY_INTERVAL_US + 1) * HISTORY_INTERVAL_US;
-            }
-            let wait = Duration::from_micros(next_sample.saturating_sub(now_us));
-            let req = match self.rx.recv_timeout(wait) {
-                Ok(req) => req,
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => break,
-            };
-            match req {
-                CtrlReq::Round { kind, done } => {
-                    // A loop's trigger set the kind's pending flag: clear it
-                    // before running, so a trigger that fires mid-round
-                    // queues exactly one more round.
-                    if done.is_none() {
-                        self.shared.round_pending[kind as usize].store(false, Ordering::Release);
-                    }
-                    self.balance(kind);
-                    if let Some(done) = done {
-                        let _ = done.send(());
-                    }
+    /// Runs one admin command, counted and timed.
+    pub(crate) fn admin(&mut self, shared: &PlaneShared, op: AdminOp) -> Response {
+        self.admin_msgs += 1;
+        let started = Instant::now();
+        let response = match op {
+            AdminOp::Stats { format } => {
+                let doc = self.document(shared);
+                match format {
+                    StatsFormat::Text => Response::Stats(render_stats(&doc)),
+                    StatsFormat::Json => Response::Blob(render_json(&doc)),
+                    StatsFormat::Prom => Response::Blob(render_prom(&doc)),
                 }
-                CtrlReq::Admin { op, reply } => {
-                    self.admin_msgs += 1;
-                    let started = Instant::now();
-                    let response = match op {
-                        AdminOp::Stats { format } => {
-                            let doc = self.document();
-                            match format {
-                                StatsFormat::Text => Response::Stats(render_stats(&doc)),
-                                StatsFormat::Json => Response::Blob(render_json(&doc)),
-                                StatsFormat::Prom => Response::Blob(render_prom(&doc)),
-                            }
-                        }
-                        AdminOp::FlushTenant { tenant } => {
-                            self.flush_tenant(tenant);
-                            Response::Ok
-                        }
-                        AdminOp::CreateTenant { name, weight } => {
-                            match self.create_tenant(&name, weight) {
-                                Ok(()) => Response::Ok,
-                                Err(reason) => Response::ClientError(reason),
-                            }
-                        }
-                        AdminOp::AppList => Response::Apps(self.shared.roster.lock().app_list()),
-                    };
-                    self.admin_latency
-                        .record(started.elapsed().as_nanos() as u64);
-                    match reply {
-                        AdminReply::Conn { origin, token } => {
-                            let msg = LoopMsg::AdminDone { token, response };
-                            let _ = self.shared.mailboxes[origin].send(msg);
-                        }
-                        AdminReply::Sync(tx) => {
-                            let _ = tx.send(response);
-                        }
-                    }
-                }
-                CtrlReq::Shutdown => break,
             }
-        }
+            AdminOp::FlushTenant { tenant } => {
+                self.flush_tenant(shared, tenant);
+                Response::Ok
+            }
+            AdminOp::CreateTenant { name, weight } => {
+                match self.create_tenant(shared, &name, weight) {
+                    Ok(()) => Response::Ok,
+                    Err(reason) => Response::ClientError(reason),
+                }
+            }
+            AdminOp::AppList => Response::Apps(shared.roster.lock().app_list()),
+        };
+        self.admin_latency
+            .record(started.elapsed().as_nanos() as u64);
+        response
     }
 
     /// Samples the shards' cumulative per-tenant counters into the history
     /// ring (a bucket's latest sample overwrites it in place): one lock of
     /// each shard, a few additions per tenant under it.
-    fn observe(&mut self) {
-        let shared = &*self.shared;
+    fn observe(&mut self, shared: &PlaneShared) {
         let mut columns: Vec<SeriesSample> = Vec::new();
         for shard in 0..shared.shards {
             let cells = shared.lock(shard);
@@ -188,8 +170,10 @@ impl Control {
     /// tenant's MRC estimators merged: the counters and each estimator's
     /// in-sample histogram are copied under each shard's lock, and scaled
     /// to the population after it is released.
-    fn read_cells(&self, tenants: usize) -> (Vec<Vec<EngineStat>>, Vec<MrcSnapshot>) {
-        let shared = &*self.shared;
+    fn read_cells(
+        shared: &PlaneShared,
+        tenants: usize,
+    ) -> (Vec<Vec<EngineStat>>, Vec<MrcSnapshot>) {
         let mut mrc = vec![MrcSnapshot::default(); tenants];
         let engines = (0..shared.shards)
             .map(|shard| {
@@ -221,8 +205,7 @@ impl Control {
 
     /// The shadow hits of every engine, indexed `[shard][tenant]`: all a
     /// balancing round reads.
-    fn shadow_grid(&self, tenants: usize) -> Vec<Vec<u64>> {
-        let shared = &*self.shared;
+    fn shadow_grid(shared: &PlaneShared, tenants: usize) -> Vec<Vec<u64>> {
         (0..shared.shards)
             .map(|shard| {
                 let cells = shared.lock(shard);
@@ -237,14 +220,14 @@ impl Control {
     /// Shrinks one engine under its shard's lock. `false` when the donor
     /// engine is pinned at its floors — the transfer is simply skipped and
     /// re-decided from real budgets next round.
-    fn shrink(&self, shard: usize, tenant: usize, bytes: u64) -> bool {
-        let mut cells = self.shared.lock(shard);
+    fn shrink(shared: &PlaneShared, shard: usize, tenant: usize, bytes: u64) -> bool {
+        let mut cells = shared.lock(shard);
         let cell = cells.0.get_mut(tenant);
         cell.is_some_and(|cell| cell.engine.shrink_total(bytes))
     }
 
-    fn grow(&self, shard: usize, tenant: usize, bytes: u64) {
-        if let Some(cell) = self.shared.lock(shard).0.get_mut(tenant) {
+    fn grow(shared: &PlaneShared, shard: usize, tenant: usize, bytes: u64) {
+        if let Some(cell) = shared.lock(shard).0.get_mut(tenant) {
             cell.engine.grow_total(bytes);
         }
     }
@@ -257,17 +240,16 @@ impl Control {
     /// transfer; for a tenant transfer one shard-local slice per shard, so
     /// the summed budget is conserved even if some slices fail on their
     /// floors.
-    fn balance(&mut self, kind: RoundKind) {
-        let shared = Arc::clone(&self.shared);
+    pub(crate) fn balance(&mut self, shared: &PlaneShared, kind: RoundKind) {
         if !shared.round_active(kind, shared.roster.lock().directory.len()) {
             return;
         }
         // No shard is locked with the roster locked, so the round moves
-        // budget on a copy and writes it back: this thread is the roster's
-        // only writer.
+        // budget on a copy and writes it back: the control lock's holder is
+        // the roster's only writer.
         let mut roster = shared.roster.lock().clone();
         let tenants = roster.directory.len();
-        let grid = self.shadow_grid(tenants);
+        let grid = Control::shadow_grid(shared, tenants);
         let arbitrate = kind == RoundKind::Arbitrate;
         // Each balancer's seats, as the `(shard, tenant)` engines behind
         // them: the tenants with all their engines, or one tenant's shards.
@@ -296,18 +278,11 @@ impl Control {
                 let moves: Vec<Move> = moves
                     .map(|(i, (&from, &to))| (from, to, slice(i)))
                     .collect();
-                self.apply(&mut roster, kind, &moves, &tr);
+                self.apply(shared, &mut roster, kind, &moves, &tr);
             }
         }
         shared.roster.lock().budgets = roster.budgets;
-        self.tally(kind).runs += 1;
-    }
-
-    fn tally(&mut self, kind: RoundKind) -> &mut RoundTally {
-        match kind {
-            RoundKind::Arbitrate => &mut self.arbitrated,
-            _ => &mut self.rebalanced,
-        }
+        self.tallies[kind as usize].runs += 1;
     }
 
     /// Applies the moves of transfer `tr`, each shrink-first under the
@@ -319,6 +294,7 @@ impl Control {
     /// journalled, with the gradients its proposal carried.
     fn apply(
         &mut self,
+        shared: &PlaneShared,
         roster: &mut RosterMaster,
         kind: RoundKind,
         moves: &[Move],
@@ -327,9 +303,9 @@ impl Control {
         let before = roster.total_budget();
         let mut moved = 0u64;
         for &((from_shard, from_tenant), (to_shard, to_tenant), bytes) in moves {
-            if bytes > 0 && self.shrink(from_shard, from_tenant, bytes) {
+            if bytes > 0 && Control::shrink(shared, from_shard, from_tenant, bytes) {
                 roster.budgets[from_tenant][from_shard] -= bytes;
-                self.grow(to_shard, to_tenant, bytes);
+                Control::grow(shared, to_shard, to_tenant, bytes);
                 roster.budgets[to_tenant][to_shard] += bytes;
                 moved += bytes;
             }
@@ -341,7 +317,7 @@ impl Control {
         let ((_, from_tenant), (_, to_tenant), _) = moves[0];
         let name = |tenant: usize| roster.directory.name(tenant).to_string();
         let (from_gradient, to_gradient) = (tr.from_gradient, tr.to_gradient);
-        self.shared.journal.record(match kind {
+        shared.journal.record(match kind {
             RoundKind::Arbitrate => EventKind::TenantTransfer {
                 from_tenant: name(from_tenant),
                 to_tenant: name(to_tenant),
@@ -358,7 +334,7 @@ impl Control {
                 to_gradient,
             },
         });
-        let tally = self.tally(kind);
+        let tally = &mut self.tallies[kind as usize];
         tally.transfers += 1;
         tally.bytes += moved;
     }
@@ -369,8 +345,7 @@ impl Control {
     /// the tenant's summed live targets never overshoot its total while
     /// traffic keeps filling the other shards. Each new engine is built
     /// before its shard is locked and the old one dropped after.
-    fn flush_tenant(&mut self, tenant: usize) {
-        let shared = Arc::clone(&self.shared);
+    fn flush_tenant(&mut self, shared: &PlaneShared, tenant: usize) {
         // Planned under the roster lock, applied with it released (see
         // `balance`), written back under it again.
         let (name, shares, order) = {
@@ -412,7 +387,12 @@ impl Control {
     /// new tenant table. Only bytes actually released are granted, so the
     /// configured total is conserved exactly. The name enters the roster,
     /// and the tenant count moves, *after* every shard holds the new cell.
-    fn create_tenant(&mut self, name: &str, weight: u64) -> Result<(), String> {
+    fn create_tenant(
+        &mut self,
+        shared: &PlaneShared,
+        name: &str,
+        weight: u64,
+    ) -> Result<(), String> {
         if !TenantDirectory::valid_name(name) {
             return Err(format!(
                 "invalid app name {name:?}: need 1-64 ASCII graphic bytes, no ':'"
@@ -421,7 +401,6 @@ impl Control {
         if weight == 0 {
             return Err("app weight must be at least 1".to_string());
         }
-        let shared = Arc::clone(&self.shared);
         let n = shared.shards;
         // The asks are planned under the roster lock, the carve-outs made
         // with it released (see `balance`), the table written under it again.
@@ -449,7 +428,7 @@ impl Control {
         };
         let mut granted: Vec<(usize, usize, u64)> = asks
             .into_iter()
-            .filter(|&(s, t, bytes)| self.shrink(s, t, bytes))
+            .filter(|&(s, t, bytes)| Control::shrink(shared, s, t, bytes))
             .collect();
         let mut carved = vec![0u64; n];
         for &(s, _, bytes) in &granted {
@@ -462,9 +441,9 @@ impl Control {
         let managed = shared.config.mode != BackendMode::Default;
         let empty: Vec<usize> = (0..n).filter(|&s| managed && carved[s] == 0).collect();
         for s in empty {
-            let Some(t) = (0..tenants).find(|&t| self.shrink(s, t, 1)) else {
+            let Some(t) = (0..tenants).find(|&t| Control::shrink(shared, s, t, 1)) else {
                 for &(s, t, bytes) in &granted {
-                    self.grow(s, t, bytes);
+                    Control::grow(shared, s, t, bytes);
                 }
                 return Err(format!("no memory left on shard {s} to host app {name:?}"));
             };
@@ -506,22 +485,18 @@ impl Control {
             .push(ShardRebalancer::new(n, shared.config.rebalance.clone()));
         self.arbiter =
             ShardRebalancer::new(roster.directory.len(), shared.config.tenant_balance.clone());
-        // Published only now, with every shard's cell in place.
-        let tenants = roster.directory.len();
-        shared.tenants.store(tenants, Ordering::Relaxed);
         Ok(())
     }
 
     /// Builds the one [`StatsDocument`] every `stats` format renders: reads
     /// the shards and the loops' ledgers, and folds them, the roster, the
     /// history and this thread's own counters together.
-    fn document(&mut self) -> StatsDocument {
-        self.observe();
-        let shared = &*self.shared;
+    fn document(&mut self, shared: &PlaneShared) -> StatsDocument {
+        self.observe(shared);
         // The roster is copied out; curves and joins are built unlocked.
         let roster = shared.roster.lock().clone();
         let tenants = roster.directory.len();
-        let (engines, mrc) = self.read_cells(tenants);
+        let (engines, mrc) = Control::read_cells(shared, tenants);
         let doc = build_document(
             shared,
             &roster,
@@ -529,16 +504,17 @@ impl Control {
             &self.history,
             self.start_unix_us,
         );
+        let [rebalanced, arbitrated] = self.tallies;
         StatsDocument {
             balance: BalanceDoc {
                 rebalance_enabled: shared.round_active(RoundKind::Rebalance, tenants),
-                rebalance_runs: self.rebalanced.runs,
-                rebalance_transfers: self.rebalanced.transfers,
-                rebalance_bytes_moved: self.rebalanced.bytes,
+                rebalance_runs: rebalanced.runs,
+                rebalance_transfers: rebalanced.transfers,
+                rebalance_bytes_moved: rebalanced.bytes,
                 arbiter_enabled: shared.round_active(RoundKind::Arbitrate, tenants),
-                arbiter_runs: self.arbitrated.runs,
-                arbiter_transfers: self.arbitrated.transfers,
-                arbiter_bytes_moved: self.arbitrated.bytes,
+                arbiter_runs: arbitrated.runs,
+                arbiter_transfers: arbitrated.transfers,
+                arbiter_bytes_moved: arbitrated.bytes,
             },
             plane: PlaneDoc {
                 admin_msgs: self.admin_msgs,

@@ -1,10 +1,11 @@
-//! The synchronous view of the data plane, [`PlaneHandle`]: its data calls
-//! lock the key's shard in the caller's thread, and its admin calls are a
-//! round trip to the plane's control thread. [`PlaneHandle::new`] builds a
-//! plane with no loops and no control thread, which [`SharedCache`] names.
+//! The synchronous view of the data plane, [`PlaneHandle`]: every call
+//! runs in the caller's thread, a data call under the key's shard lock, a
+//! round or an admin call under the control lock. [`PlaneHandle::new`]
+//! builds a full plane with no loops and no threads, which [`SharedCache`]
+//! names: its rounds and admin calls run as a server's do.
 
 use crate::engine::{route_key, BackendConfig, StoredValue};
-use crate::plane::{AdminOp, AdminReply, CtrlReq, PlaneShared, RoundKind, Shard};
+use crate::plane::{AdminOp, PlaneShared, RoundKind, Shard};
 use crate::protocol::{AppEntry, Response, StatsFormat, StoreVerb};
 use crate::reactor::ConnTelemetry;
 use bytes::Bytes;
@@ -15,46 +16,35 @@ use telemetry::EventKind;
 
 /// The public handle to a data plane: the synchronous view `benchmark/`,
 /// the load generator's self-hosted runs and tests use
-/// ([`crate::server::CacheServer::cache`] returns a running server's). A
-/// data call locks the key's shard in the caller's thread; an admin call or
-/// round is a message round trip to the control thread, and after shutdown
-/// (or on a plane built by [`PlaneHandle::new`], which has none) those
-/// degrade to defaults instead of panicking.
+/// ([`crate::server::CacheServer::cache`] returns a running server's). Every
+/// call runs in the caller's thread and waits only on locks: a data call
+/// locks the key's shard, a round or an admin call the control lock.
 pub struct PlaneHandle {
     pub(crate) shared: Arc<PlaneShared>,
 }
 
-/// A [`PlaneHandle`] built by [`PlaneHandle::new`]: the plane's routing and
-/// engine code run in the caller's thread, with no reactor and no control
-/// thread, so budgets stay at their boot split. The paper's Tables 6–7
-/// overhead measurement (`bench::overhead`) and the benchmark's `engine.*`
-/// layer probes time it under this name.
+/// A [`PlaneHandle`] built by [`PlaneHandle::new`]: the plane's routing,
+/// engine and control code run in the caller's thread, with no reactor and
+/// no control thread, so budgets move only when the caller runs a round.
+/// The paper's Tables 6–7 overhead measurement (`bench::overhead`) and the
+/// benchmark's `engine.*` layer probes time it under this name.
 pub type SharedCache = PlaneHandle;
 
 impl PlaneHandle {
     /// Builds the tenants' engines on every configured (or detected) shard
-    /// of a one-loop plane, and starts no thread: data calls work, admin
-    /// calls and rounds answer with defaults.
+    /// of a one-loop plane, and starts no thread.
     pub fn new(config: BackendConfig) -> PlaneHandle {
-        // The receiver is dropped: no control thread answers.
+        // No thread takes a connection's admin command: nothing sends one.
         let (ctrl, _) = channel();
         let telemetry = ConnTelemetry::new(1, 0);
-        let shared = PlaneShared::new(config, telemetry, Vec::new(), ctrl);
+        let shared = PlaneShared::new(config, telemetry, Vec::new(), ctrl, None);
         PlaneHandle {
             shared: Arc::new(shared),
         }
     }
 
-    fn admin(&self, op: AdminOp) -> Option<Response> {
-        let (tx, rx) = channel();
-        self.shared
-            .ctrl
-            .send(CtrlReq::Admin {
-                op,
-                reply: AdminReply::Sync(tx),
-            })
-            .ok()?;
-        rx.recv().ok()
+    fn admin(&self, op: AdminOp) -> Response {
+        self.shared.control.lock().admin(&self.shared, op)
     }
 
     /// Routes `key` of `tenant` and runs `op` on its shard under the
@@ -117,22 +107,21 @@ impl PlaneHandle {
         self.delete_for(0, key)
     }
 
-    /// The full `stats` report (empty after shutdown).
+    /// The full `stats` report.
     pub fn stats(&self) -> Vec<(String, String)> {
         let format = StatsFormat::Text;
         match self.admin(AdminOp::Stats { format }) {
-            Some(Response::Stats(lines)) => lines,
-            _ => Vec::new(),
+            Response::Stats(lines) => lines,
+            _ => unreachable!("text stats are lines"),
         }
     }
 
-    /// The versioned `cliffhanger-stats/v1` JSON document (empty after
-    /// shutdown).
+    /// The versioned `cliffhanger-stats/v1` JSON document.
     pub fn stats_json(&self) -> String {
         let format = StatsFormat::Json;
         match self.admin(AdminOp::Stats { format }) {
-            Some(Response::Blob(text)) => text,
-            _ => String::new(),
+            Response::Blob(text) => text,
+            _ => unreachable!("JSON stats are a blob"),
         }
     }
 
@@ -150,7 +139,7 @@ impl PlaneHandle {
     /// Drops every item of one tenant, keeping (but re-splitting) its
     /// arbitrated budget.
     pub fn flush_tenant(&self, tenant: usize) {
-        let _ = self.admin(AdminOp::FlushTenant { tenant });
+        self.admin(AdminOp::FlushTenant { tenant });
     }
 
     /// Hosts a new application live; returns its tenant index.
@@ -159,9 +148,8 @@ impl PlaneHandle {
             name: name.to_string(),
             weight,
         }) {
-            Some(Response::Ok) => Ok(self.tenant_index(name).expect("a created app is hosted")),
-            Some(Response::ClientError(reason)) => Err(reason),
-            _ => Err("server is shutting down".to_string()),
+            Response::ClientError(reason) => Err(reason),
+            _ => Ok(self.tenant_index(name).expect("a created app is hosted")),
         }
     }
 
@@ -172,23 +160,16 @@ impl PlaneHandle {
         apps.into_iter().map(row).collect()
     }
 
-    /// Asks the control thread for one round of `kind` and waits for it.
-    fn round_now(&self, kind: RoundKind) {
-        let (tx, rx) = channel();
-        let done = Some(tx);
-        if self.shared.ctrl.send(CtrlReq::Round { kind, done }).is_ok() {
-            let _ = rx.recv();
-        }
-    }
-
     /// Runs one cross-shard rebalancing round per tenant, synchronously.
     pub fn rebalance_now(&self) {
-        self.round_now(RoundKind::Rebalance);
+        let shared = &*self.shared;
+        shared.control.lock().balance(shared, RoundKind::Rebalance);
     }
 
     /// Runs one cross-tenant arbitration round, synchronously.
     pub fn arbitrate_now(&self) {
-        self.round_now(RoundKind::Arbitrate);
+        let shared = &*self.shared;
+        shared.control.lock().balance(shared, RoundKind::Arbitrate);
     }
 
     /// Number of shards the plane is running.
@@ -221,7 +202,7 @@ impl PlaneHandle {
 #[cfg(test)]
 impl crate::plane::LoopState {
     /// The state of loop 0 of a 1-loop x 1-shard plane no thread serves:
-    /// every shard is its home, and nobody listens to the control channel.
+    /// every shard is its home.
     pub(crate) fn solo() -> crate::plane::LoopState {
         let config = BackendConfig {
             shards: 1,

@@ -20,10 +20,11 @@
 //! connection layer, and each key runs under its shard's lock — one lock
 //! per shard, over the shard's per-tenant engines, held across a run of
 //! same-shard keys, never two at once, and never across a system call.
-//! Admin commands (`stats`, `flush_all`, `app_create`, `app_list`) and the
-//! budget-moving rounds run on a single control thread that works on the
-//! shards under the same locks, so they never head-of-line-block a serving
-//! loop. See `ARCHITECTURE.md` at the repository root for the full request
+//! The budget-moving rounds run at the end of the pass of the loop whose op
+//! count made them due, under one control lock; admin commands (`stats`,
+//! `flush_all`, `app_create`, `app_list`) take the same lock on a control
+//! thread, which works on the shards under the same shard locks, so they
+//! never head-of-line-block a serving loop. See `ARCHITECTURE.md` at the repository root for the full request
 //! lifecycle and the lock rules.
 //!
 //! * [`protocol`] — parsing and serialising the Memcached ASCII protocol,

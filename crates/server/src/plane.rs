@@ -9,14 +9,17 @@
 //! reports as `owner_loop`; an op a loop runs on a shard homed on another
 //! loop is counted as `remote_out`, and nothing crosses between loops.
 //!
-//! Cross-cutting operations run on a single *control thread*: `stats`
-//! assembly, tenant `flush_all`, `app_create` carve-outs and every
-//! [`ShardRebalancer`] budget transfer (across shards, or across tenants).
-//! It reads and changes the shards under their locks itself, reads each
-//! loop's op ledger and service times from the loop's
-//! [`crate::reactor::LoopLedger`] without asking the loop, and answers a
-//! connection's admin command in its loop's mailbox, so admin commands
-//! never block the loop that received them.
+//! Cross-cutting operations run in the thread that needs them, under the
+//! *control lock* ([`PlaneShared::control`], the [`Control`] state): every
+//! [`ShardRebalancer`] budget transfer (across shards, or across tenants),
+//! tenant `flush_all`, `app_create` carve-outs and `stats` assembly. A loop
+//! runs the rounds its op count made due at the end of its pass, a
+//! [`PlaneHandle`] caller runs its own rounds and admin calls, and the
+//! `cache-control` thread runs a connection's admin command (so a 5 ms
+//! `stats` never stalls the loop that received it) and samples the rate
+//! history. Each reads and changes the shards under their locks, and reads
+//! each loop's op ledger and service times from the loop's
+//! [`crate::reactor::LoopLedger`] without asking the loop.
 //!
 //! # Invariants
 //!
@@ -26,33 +29,33 @@
 //!   thread-local depth counter asserts the first half on every lock. A
 //!   window's sweeps take each shard it touches once, its execution once
 //!   per run of consecutive same-shard entries.
-//! * **Lock order** — the roster lock, then a shard lock, then a leaf
-//!   latch: a journal slot's, or a loop's service-time histogram's. The
-//!   roster is never locked under a shard lock, and no lock is taken under
-//!   a leaf latch. Under a shard lock an engine narrates into the journal
-//!   and a loop records a timed op's service time; nothing else takes a
-//!   lock there.
+//! * **Lock order** — the control lock, then the roster lock, then a shard
+//!   lock, then a leaf latch: a journal slot's, or a loop's service-time
+//!   histogram's. A loop only *tries* the control lock, at the end of its
+//!   pass with no lock held, and skips its round if another thread has it.
+//!   The roster is never locked under a shard lock, and no lock is taken
+//!   under a leaf latch. Under a shard lock an engine narrates into the
+//!   journal and a loop records a timed op's service time; nothing else
+//!   takes a lock there.
 //! * **Nothing built, dropped or histogrammed under a shard lock** that
 //!   could be outside it: a rebuilt engine is built before its lock is taken
 //!   and the old one dropped after it is released, and `stats` copies the
 //!   cells' counters and estimators under the lock and builds the curves
 //!   outside it. What an op evicts is dropped where the engine evicts it.
-//! * **Budget conservation** — the control thread is the *sole* budget
-//!   mutator. Every transfer is shrink-then-grow, each half under its own
-//!   shard's lock: the winner is granted only bytes the donor engine
+//! * **Budget conservation** — the holder of the control lock is the *sole*
+//!   budget mutator. Every transfer is shrink-then-grow, each half under its
+//!   own shard's lock: the winner is granted only bytes the donor engine
 //!   actually released (a donor pinned at its slab-class floors contributes
 //!   nothing), so the summed live budgets never exceed `total_bytes`.
-//! * **Acyclic waits** — a loop and the control thread, past idling for
-//!   work, wait only for locks, each held across a critical section that
-//!   waits on nothing but a lock later in the order, so no cycle of waits
-//!   can form. The control thread waits on no loop: it reads the loops'
-//!   ledgers from their shared slots. A loop waits on no reply, and a
-//!   [`PlaneHandle`] caller waits only on the control thread.
+//! * **Acyclic waits** — past idling for work, every thread waits only for
+//!   locks, each held across a critical section that waits on nothing but a
+//!   lock later in the order, so no cycle of waits can form. No thread
+//!   waits on a reply: a connection's admin command goes to the
+//!   `cache-control` thread, which answers in the loop's mailbox.
 //! * **Tenant table** — the `app` command resolves its name in the roster,
-//!   with no shard lock held. The control thread adds a name to the roster,
-//!   and publishes the new tenant count, only *after* every shard holds the
-//!   new tenant's cell, so a session can never resolve a tenant whose cells
-//!   do not exist yet.
+//!   with no shard lock held. `app_create` adds a name to the roster only
+//!   *after* every shard holds the new tenant's cell, so a session can
+//!   never resolve a tenant whose cells do not exist yet.
 
 use crate::control::Control;
 use crate::engine::{
@@ -69,11 +72,11 @@ use cliffhanger::EventSink;
 use parking_lot::{Mutex, MutexGuard};
 use profiler::OnlineMrc;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use telemetry::{EventKind, Journal};
 
 /// Ring capacity of the control-plane flight recorder (and, apart, of the
@@ -101,8 +104,8 @@ pub(crate) enum LoopMsg {
     },
 }
 
-/// The rounds the control thread runs, in the order a loop whose op counter
-/// crosses several intervals at once asks for them.
+/// The balancing rounds, in the order a loop whose op counter crosses
+/// several intervals at once runs them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum RoundKind {
     /// Budget across the shards of each tenant.
@@ -115,22 +118,20 @@ impl RoundKind {
     const ALL: [RoundKind; 2] = [RoundKind::Rebalance, RoundKind::Arbitrate];
 }
 
-/// Requests to the control thread.
+/// Requests to the `cache-control` thread.
 pub(crate) enum CtrlReq {
-    /// Run one round: asked for by a loop whose op counter crossed the
-    /// kind's interval (`done` is `None`), or by a caller that waits for it
-    /// ([`PlaneHandle::rebalance_now`] etc.).
-    Round {
-        kind: RoundKind,
-        done: Option<Sender<()>>,
+    /// An admin command forwarded off connection `token` of loop `origin`,
+    /// answered there as [`LoopMsg::AdminDone`].
+    Admin {
+        op: AdminOp,
+        origin: usize,
+        token: u64,
     },
-    /// An admin command forwarded off a connection (or a sync caller).
-    Admin { op: AdminOp, reply: AdminReply },
-    /// Exit the control thread.
+    /// Exit the thread.
     Shutdown,
 }
 
-/// The admin commands the control thread serialises.
+/// The admin commands, each run under the control lock.
 pub(crate) enum AdminOp {
     Stats { format: StatsFormat },
     FlushTenant { tenant: usize },
@@ -138,16 +139,7 @@ pub(crate) enum AdminOp {
     AppList,
 }
 
-/// Where an admin result goes.
-pub(crate) enum AdminReply {
-    /// Back to the loop whose connection issued it (as
-    /// [`LoopMsg::AdminDone`]).
-    Conn { origin: usize, token: u64 },
-    /// Straight to a blocked [`PlaneHandle`] caller.
-    Sync(Sender<Response>),
-}
-
-/// The master tenant table. The control thread is the only writer; readers
+/// The master tenant table. The control lock's holder is the only writer; readers
 /// (the `app` command, [`PlaneHandle`] accessors, `stats` assembly) take the
 /// lock. The request fast path never touches it.
 #[derive(Clone)]
@@ -172,7 +164,7 @@ impl RosterMaster {
             .collect()
     }
 
-    /// Every live budget summed: what the control thread must conserve.
+    /// Every live budget summed: what the control lock's holder conserves.
     pub(crate) fn total_budget(&self) -> u64 {
         self.budgets.iter().flatten().sum()
     }
@@ -196,24 +188,20 @@ pub(crate) struct PlaneShared {
     pub(crate) config: BackendConfig,
     pub(crate) shards: usize,
     pub(crate) mailboxes: Vec<Mailbox>,
+    /// Where a loop forwards a connection's admin command.
     pub(crate) ctrl: Sender<CtrlReq>,
     /// Each loop's connection gauge and op ledger, and the accept totals.
     pub(crate) telemetry: ConnTelemetry,
+    /// The control lock: the balancers and the admin state, first in the
+    /// lock order.
+    pub(crate) control: Mutex<Control>,
     pub(crate) roster: Mutex<RosterMaster>,
-    /// The tenants the roster names, published by the control thread once
-    /// every shard holds the newest one's cells: what a loop's round
-    /// trigger reads.
-    pub(crate) tenants: AtomicUsize,
     /// The flight recorder. Lock-free claims; the control plane writes
     /// here, and the engines narrate here under their shard's lock.
     pub(crate) journal: Arc<Journal>,
     /// Plane boot instant: the monotonic zero for journal timestamps,
     /// history bucket indices and `uptime_s`.
     pub(crate) started: Instant,
-    /// Per [`RoundKind`]: a loop has asked for a round the control thread
-    /// has not started yet. Collapses concurrent triggers from many loops
-    /// into one queued round.
-    pub(crate) round_pending: [AtomicBool; 2],
     /// The shards, each behind its own lock (see the module's invariants).
     cells: Vec<Mutex<Shard>>,
 }
@@ -222,12 +210,14 @@ impl PlaneShared {
     /// Resolves the tenant roster, the shard count and the boot budget
     /// split (weight-proportional across tenants, even across shards), and
     /// builds every shard's engines, for a plane of as many event loops as
-    /// `telemetry` counts, reachable over `mailboxes`.
+    /// `telemetry` counts, reachable over `mailboxes`, whose `stats` report
+    /// `idle_timeout` as the connections' idle limit.
     pub(crate) fn new(
         config: BackendConfig,
         telemetry: ConnTelemetry,
         mailboxes: Vec<Mailbox>,
         ctrl: Sender<CtrlReq>,
+        idle_timeout: Option<Duration>,
     ) -> PlaneShared {
         let directory = config.tenant_directory();
         let weights = config.tenant_weights(&directory);
@@ -278,7 +268,7 @@ impl PlaneShared {
             mailboxes,
             ctrl,
             telemetry,
-            tenants: AtomicUsize::new(directory.len()),
+            control: Mutex::new(Control::new(&config, shards, directory.len(), idle_timeout)),
             roster: Mutex::new(RosterMaster {
                 directory,
                 weights,
@@ -286,7 +276,6 @@ impl PlaneShared {
             }),
             journal,
             started: Instant::now(),
-            round_pending: Default::default(),
             cells,
             config,
         }
@@ -299,8 +288,8 @@ impl PlaneShared {
     }
 
     /// Whether rounds of `kind` run on this plane while it hosts `tenants`
-    /// tenants: the one predicate behind the loops' triggers, the control
-    /// thread's rounds and the `enabled` flags `stats` reports.
+    /// tenants: the one predicate behind the rounds and the `enabled` flags
+    /// `stats` reports.
     pub(crate) fn round_active(&self, kind: RoundKind, tenants: usize) -> bool {
         let managed = self.config.mode != BackendMode::Default;
         match kind {
@@ -359,8 +348,8 @@ impl Drop for ShardGuard<'_> {
 /// The [`EventSink`] installed on every managed engine: tags the library's
 /// anonymous decision events with the engine's (shard, tenant) identity and
 /// appends them to the flight recorder. Transfers are not journalled here —
-/// the balancers run in the control thread, which records only the
-/// transfers it actually applied.
+/// the round that runs the balancers records only the transfers it
+/// actually applied.
 struct EngineSink {
     journal: Arc<Journal>,
     shard: usize,
@@ -525,8 +514,8 @@ pub(crate) struct LoopState {
     pub(crate) shared: Arc<PlaneShared>,
     /// Slow-op threshold in nanoseconds; 0 disables the slow-op log.
     slow_op_nanos: u64,
-    /// Per [`RoundKind`]: the ops this loop executes between two requests
-    /// for a round (the configured interval over the loop count).
+    /// Per [`RoundKind`]: the ops this loop executes between two of its
+    /// rounds (the configured interval over the loop count).
     intervals: [u64; 2],
     /// Per [`RoundKind`]: the ops left until the count next crosses its
     /// interval (a countdown, so an op divides nothing).
@@ -672,43 +661,37 @@ impl LoopState {
     }
 
     /// Counts one executed data op and marks each kind of round whose
-    /// interval the count crosses as due. A plane with no round to run
-    /// counts nothing.
+    /// interval the count crosses as due (a round a plane does not run
+    /// returns at once).
     fn tick(&mut self) {
-        let shared = &self.shared;
-        let tenants = shared.tenants.load(Ordering::Relaxed);
-        let active = RoundKind::ALL.map(|kind| shared.round_active(kind, tenants));
-        if active == [false; 2] {
-            return;
-        }
-        for kind in RoundKind::ALL {
-            let k = kind as usize;
+        for k in 0..RoundKind::ALL.len() {
             self.until[k] -= 1;
-            if self.until[k] > 0 {
-                continue;
+            if self.until[k] == 0 {
+                self.until[k] = self.intervals[k];
+                self.due[k] = true;
             }
-            self.until[k] = self.intervals[k];
-            self.due[k] |= active[k];
         }
     }
 
-    /// Asks the control thread for each round that came due, unless one is
-    /// already queued. Called with no shard lock held, once per pass.
+    /// Runs each round that came due, if the control lock is free; a round
+    /// that finds it held (another loop's round, an admin command) is
+    /// skipped, and the next crossing of its interval asks again. Called
+    /// with no shard lock held, once per pass.
     pub(crate) fn ask_rounds(&mut self) {
         for kind in RoundKind::ALL {
-            let due = std::mem::take(&mut self.due[kind as usize]);
-            if due && !self.shared.round_pending[kind as usize].swap(true, Ordering::AcqRel) {
-                let _ = self.shared.ctrl.send(CtrlReq::Round { kind, done: None });
+            if std::mem::take(&mut self.due[kind as usize]) {
+                if let Some(mut control) = self.shared.control.try_lock() {
+                    control.balance(&self.shared, kind);
+                }
             }
         }
     }
 
-    /// Forwards an admin command to the control thread. Returns whether the
-    /// control thread is still there to answer.
+    /// Forwards an admin command to the `cache-control` thread. Returns
+    /// whether the thread is still there to answer.
     pub(crate) fn forward_admin(&self, op: AdminOp, token: u64) -> bool {
-        let origin = self.index;
-        let reply = AdminReply::Conn { origin, token };
-        self.shared.ctrl.send(CtrlReq::Admin { op, reply }).is_ok()
+        let (origin, ctrl) = (self.index, &self.shared.ctrl);
+        ctrl.send(CtrlReq::Admin { op, origin, token }).is_ok()
     }
 }
 
@@ -738,11 +721,12 @@ impl Plane {
             telemetry,
             mailboxes,
             ctrl_tx,
+            idle_timeout,
         ));
-        let control = Control::new(Arc::clone(&shared), ctrl_rx, idle_timeout);
+        let control = Arc::clone(&shared);
         let control_thread = std::thread::Builder::new()
             .name("cache-control".to_string())
-            .spawn(move || control.run())?;
+            .spawn(move || crate::control::serve(&control, ctrl_rx))?;
         let loops: Vec<crate::reactor::LoopHandle> = seeds
             .into_iter()
             .map(|seed| {
@@ -774,26 +758,23 @@ impl Plane {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::engine::TenantSpec;
     use serde_json::Value;
-    use std::sync::mpsc::Receiver;
 
-    /// The loop states of a 2-loop x 2-shard plane no thread serves, and
-    /// what its loops ask of the control thread.
-    pub(crate) fn two_loops(config: BackendConfig) -> (Vec<LoopState>, Receiver<CtrlReq>) {
+    /// The loop states of a 2-loop x 2-shard plane no thread serves.
+    fn two_loops(config: BackendConfig) -> Vec<LoopState> {
         let config = BackendConfig {
             shards: 2,
             ..config
         };
-        let (ctrl, asked) = channel();
+        let (ctrl, _) = channel();
         let telemetry = ConnTelemetry::new(2, 0);
-        let shared = Arc::new(PlaneShared::new(config, telemetry, Vec::new(), ctrl));
-        let states = (0..2)
+        let shared = Arc::new(PlaneShared::new(config, telemetry, Vec::new(), ctrl, None));
+        (0..2)
             .map(|index| LoopState::new(index, Arc::clone(&shared), 0))
-            .collect();
-        (states, asked)
+            .collect()
     }
 
     #[test]
@@ -805,7 +786,7 @@ pub(crate) mod tests {
             tenants: vec![TenantSpec::new("big", 1 << 40)],
             ..BackendConfig::default()
         };
-        let (states, _) = two_loops(config);
+        let states = two_loops(config);
         let shared = &states[0].shared;
         let mut held = 0;
         for shard in 0..2 {
@@ -823,7 +804,7 @@ pub(crate) mod tests {
 
     #[test]
     fn a_sweep_locks_each_shard_it_touches_once_and_serves_every_key_after() {
-        let (mut states, _) = two_loops(BackendConfig::default());
+        let mut states = two_loops(BackendConfig::default());
         let shared = Arc::clone(&states[0].shared);
         let keys: Vec<Route> = (0..40)
             .map(|i| route_key(0, format!("k{i}").as_bytes(), 2))
@@ -847,17 +828,17 @@ pub(crate) mod tests {
     #[test]
     #[should_panic(expected = "a second shard lock")]
     fn a_second_shard_lock_on_one_thread_is_refused() {
-        let (states, _) = two_loops(BackendConfig::default());
+        let states = two_loops(BackendConfig::default());
         let shared = &states[0].shared;
         let _first = shared.lock(0);
         let _second = shared.lock(1);
     }
 
-    /// `stats` reads each loop's ledger from the loop's slot: a `Control`
-    /// that no loop thread serves reports what two loop states noted.
+    /// `stats` reads each loop's ledger from the loop's slot: run on the
+    /// test thread, it reports what two loop states noted.
     #[test]
     fn stats_reads_the_loops_ledgers_with_no_loop_running() {
-        let (mut states, ctrl) = two_loops(BackendConfig::default());
+        let mut states = two_loops(BackendConfig::default());
         // Loop 0 runs two timed ops on its home shard and one on loop 1's;
         // loop 1 one on its own.
         for (state, shards) in states.iter_mut().zip([&[0, 0, 1][..], &[1]]) {
@@ -865,17 +846,12 @@ pub(crate) mod tests {
                 state.note_op(shard, Some(Instant::now()));
             }
         }
-        let shared = Arc::clone(&states[0].shared);
-        let (tx, answer) = channel();
+        let shared = &*states[0].shared;
         let op = AdminOp::Stats {
             format: StatsFormat::Json,
         };
-        let reply = AdminReply::Sync(tx);
-        shared.ctrl.send(CtrlReq::Admin { op, reply }).unwrap();
-        shared.ctrl.send(CtrlReq::Shutdown).unwrap();
-        Control::new(Arc::clone(&shared), ctrl, None).run();
-        let Ok(Response::Blob(json)) = answer.try_recv() else {
-            panic!("the control thread answers stats");
+        let Response::Blob(json) = shared.control.lock().admin(shared, op) else {
+            panic!("JSON stats are a blob");
         };
         let doc: Value = serde_json::from_str(&json).unwrap();
         let at = |value: &Value, path: &[&str]| {
@@ -894,9 +870,9 @@ pub(crate) mod tests {
         assert_eq!(at(&doc, &["plane", "remote_ops"]), Some(1));
     }
 
-    /// A plane whose loops (two of them) ask for a rebalancing round every 5
+    /// A plane whose loops (two of them) run a rebalancing round every 5
     /// ops and an arbitration round every 7.
-    pub(crate) fn two_rounds(mode: BackendMode) -> BackendConfig {
+    fn two_rounds(mode: BackendMode) -> BackendConfig {
         let mut config = BackendConfig {
             mode,
             tenants: vec![TenantSpec::new("second", 1)],
@@ -907,83 +883,49 @@ pub(crate) mod tests {
         config
     }
 
-    /// The rounds the loops have asked for since the last look.
-    fn asked(ctrl: &Receiver<CtrlReq>) -> Vec<RoundKind> {
-        ctrl.try_iter()
-            .map(|req| match req {
-                CtrlReq::Round { kind, done: None } => kind,
-                _ => panic!("a loop asks for rounds only, and waits for none"),
-            })
-            .collect()
-    }
-
-    /// One op's count, and the asks a pass would end in.
+    /// One op's count, and the rounds the end of its pass runs.
     fn tick(state: &mut LoopState) {
         state.tick();
         state.ask_rounds();
     }
 
-    #[test]
-    fn crossing_an_interval_asks_for_one_round_until_the_control_thread_takes_it() {
-        use RoundKind::{Arbitrate, Rebalance};
-        let (mut states, ctrl) = two_loops(two_rounds(BackendMode::Cliffhanger));
-        let state = &mut states[0];
-        // Ops 5 and 7 cross one interval each.
-        (0..7).for_each(|_| tick(state));
-        assert_eq!(asked(&ctrl), [Rebalance, Arbitrate]);
-        // Every kind crosses again by op 14, every flag still set.
-        (7..14).for_each(|_| tick(state));
-        assert_eq!(asked(&ctrl), []);
-        // The control thread clears a kind's flag as it takes the round up:
-        // op 15 crosses the rebalancing interval.
-        state.shared.round_pending[Rebalance as usize].store(false, Ordering::Release);
-        tick(state);
-        assert_eq!(asked(&ctrl), [Rebalance]);
-
-        // A plane with no round to run counts nothing and asks for nothing.
-        let (mut states, ctrl) = two_loops(two_rounds(BackendMode::Default));
-        (0..100).for_each(|_| tick(&mut states[0]));
-        assert_eq!(asked(&ctrl), []);
-        assert_eq!(states[0].until, states[0].intervals);
-        // Its control thread still answers a caller that waits on `done`, and
-        // clears a pending flag only for the round a loop asked for.
-        let shared = Arc::clone(&states[0].shared);
-        let pending = |kind: RoundKind| &shared.round_pending[kind as usize];
-        pending(Arbitrate).store(true, Ordering::Release);
-        pending(Rebalance).store(true, Ordering::Release);
-        let (done, answered) = channel();
-        for (kind, done) in [(Arbitrate, Some(done)), (Rebalance, None)] {
-            shared.ctrl.send(CtrlReq::Round { kind, done }).unwrap();
-        }
-        shared.ctrl.send(CtrlReq::Shutdown).unwrap();
-        Control::new(Arc::clone(&shared), ctrl, None).run();
-        assert_eq!(answered.try_recv(), Ok(()));
-        assert!(pending(Arbitrate).load(Ordering::Acquire));
-        assert!(!pending(Rebalance).load(Ordering::Acquire));
+    /// The rounds of each kind that have run.
+    fn runs(state: &LoopState) -> [u64; 2] {
+        state.shared.control.lock().tallies.map(|tally| tally.runs)
     }
 
-    /// The countdowns ask for each kind at the op counts that are multiples
-    /// of its interval, as the count of ops divided by it once did.
     #[test]
-    fn the_rounds_are_asked_for_at_every_multiple_of_their_intervals() {
-        let (mut states, ctrl) = two_loops(two_rounds(BackendMode::Cliffhanger));
+    fn a_round_runs_at_every_multiple_of_its_interval() {
+        let mut states = two_loops(two_rounds(BackendMode::Cliffhanger));
         let state = &mut states[0];
-        let mut seen = Vec::new();
         for op in 1..=1_000u64 {
             tick(state);
-            seen.extend(asked(&ctrl).into_iter().map(|kind| (op, kind)));
-            for pending in &state.shared.round_pending {
-                pending.store(false, Ordering::Release);
-            }
+            let ran = [5, 7].map(|interval| op / interval);
+            assert_eq!(runs(state), ran, "after op {op}");
         }
-        let expected: Vec<(u64, RoundKind)> = (1..=1_000u64)
-            .flat_map(|op| {
-                RoundKind::ALL
-                    .into_iter()
-                    .filter(move |&kind| op % [5, 7][kind as usize] == 0)
-                    .map(move |kind| (op, kind))
-            })
-            .collect();
-        assert_eq!(seen, expected);
+        // A plane with no round to run runs none.
+        let mut states = two_loops(two_rounds(BackendMode::Default));
+        (0..100).for_each(|_| tick(&mut states[0]));
+        assert_eq!(runs(&states[0]), [0, 0]);
+    }
+
+    #[test]
+    fn a_loop_that_finds_the_control_lock_held_runs_no_round() {
+        use RoundKind::{Arbitrate, Rebalance};
+        let mut states = two_loops(two_rounds(BackendMode::Cliffhanger));
+        let state = &mut states[0];
+        (0..4).for_each(|_| tick(state));
+        // Op 5 crosses the rebalancing interval while another thread holds
+        // the control lock: the round is skipped, not put off.
+        let shared = Arc::clone(&state.shared);
+        let held = shared.control.lock();
+        tick(state);
+        drop(held);
+        assert_eq!(state.due, [false; 2]);
+        (5..7).for_each(|_| tick(state));
+        assert_eq!(runs(state), [0, 1], "op 7 arbitrates");
+        (7..10).for_each(|_| tick(state));
+        assert_eq!(runs(state)[Rebalance as usize], 1, "op 10 rebalances");
+        assert_eq!(runs(state)[Arbitrate as usize], 1);
     }
 }

@@ -183,8 +183,9 @@ impl CacheServer {
     }
 
     /// The data-plane handle (e.g. for out-of-band statistics in
-    /// benchmarks). A data call locks the key's shard in the caller's
-    /// thread; an admin call is a round trip to the control thread.
+    /// benchmarks). Every call runs in the caller's thread: a data call
+    /// under the key's shard lock, a round or an admin call under the
+    /// control lock.
     pub fn cache(&self) -> &Arc<PlaneHandle> {
         &self.plane.handle
     }
@@ -203,7 +204,7 @@ impl CacheServer {
         }
         // The acceptor is gone, so no new dispatches can race the plane's
         // teardown: the control thread exits first (with the loops still
-        // alive to answer any in-flight admin fan-out), then each loop
+        // alive to take any admin reply in flight), then each loop
         // closes every connection it owns and exits.
         self.plane.shutdown();
     }

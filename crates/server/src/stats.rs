@@ -1,11 +1,11 @@
 //! The `stats` model: one document, three expositions.
 //!
-//! The data plane's control thread copies the shards' cells;
+//! The holder of the data plane's control lock copies the shards' cells;
 //! [`build_document`] assembles from them, the loops' ledgers, the plane's
 //! configuration, the roster and the rate history the one versioned
 //! [`StatsDocument`] (`cliffhanger-stats/v1`) —
 //! counters, per-loop service-time quantiles, the flight-recorder journal,
-//! live MRCs — and the control thread adds its own counters. Every
+//! live MRCs — and the control state adds its own counters. Every
 //! `stats` command builds it once, and the three renderers are pure
 //! functions of it: [`render_stats`] (the memcached `STAT` list, whose key
 //! names and order `tests/stats_keys.rs` pins), [`render_json`] and
@@ -227,7 +227,7 @@ pub(crate) struct ShardDoc {
     pub(crate) engine: EngineDoc,
 }
 
-/// Data-plane totals and the control thread's own service times.
+/// Data-plane totals and the admin commands' own service times.
 #[derive(Default, Serialize)]
 pub(crate) struct PlaneDoc {
     pub(crate) local_ops: u64,
@@ -583,7 +583,7 @@ fn build_allocator(
 /// and loop ledgers, the roster, the cells (`[shard][tenant]` engine stats,
 /// and per tenant the merged MRC estimators) and the rate history. The
 /// balancing and admin counters are left at their defaults: they are the
-/// control thread's, and it sets them.
+/// control state's, and it sets them.
 pub(crate) fn build_document(
     shared: &PlaneShared,
     roster: &RosterMaster,

@@ -35,9 +35,10 @@
 //! not 0.005: two shards switch the cross-shard rebalancer on, and its
 //! rounds are the ≈ 0.012 per GET (0.014 on the all-remote pipeline) that
 //! section still reads — none of it on the request path. Each few thousand
-//! ops the control thread asks every loop for its engines' shadow-hit
-//! counters, which each loop reads and sends back on its own thread; one
-//! round is held to 8 KiB allocated and reads ≈ 3 KB. While a round asked
+//! ops a loop runs a round at the end of its pass, reading the engines'
+//! shadow-hit counters under each shard's lock; one round is held to 8 KiB
+//! allocated and reads 343 bytes (1.2 KB while a round was a message to the
+//! control thread, ≈ 3 KB while it asked each loop for the counters). While a round asked
 //! each loop for the whole snapshot the `stats` document is built from,
 //! its MRC histograms cloned, one round allocated 52 KB and the section
 //! read ≈ 0.017 per GET (0.020). Its SET

@@ -1,9 +1,9 @@
 //! The control-plane rules, checked on the code that serves traffic: a
 //! server on two event loops driven through its in-process handle
-//! ([`CacheServer::cache`]). With two loops the shards of every tenant are
-//! split between owners, so each rebalance and arbitration transfer, tenant
-//! flush and `app_create` carve-out below is a message conversation between
-//! the control thread and the loops, exactly as it is for a socket client.
+//! ([`CacheServer::cache`]). Each rebalance and arbitration round, tenant
+//! flush and `app_create` carve-out below runs in the test's thread under
+//! the control lock, changing the shards the loops serve under their shard
+//! locks, as a loop's own round does.
 //!
 //! Covered: the rebalancer moves budget toward a starved shard (and never
 //! when disabled or in `Default` mode); the arbiter moves budget toward a
@@ -14,8 +14,9 @@
 //! per-shard and per-tenant stats sum to the aggregates; shard
 //! auto-detection is budget-capped; and the store verbs' semantics in all
 //! three allocator modes. One test pins [`SharedCache`] to the handle's
-//! answers, and one holds the control thread to never waiting on a loop with
-//! the roster locked (two admin commands in a row on idle loops).
+//! answers, one runs rounds, `stats` and tenant admin calls on a
+//! [`SharedCache`] with no threads, and one holds admin calls to never
+//! waiting on a loop with the roster locked (two in a row on idle loops).
 
 use bytes::Bytes;
 use cache_core::{hash_bytes, key::mix64};
@@ -628,11 +629,12 @@ fn returns_on_idle_loops(what: &str, admin: impl FnOnce(&PlaneHandle) + Send + '
     worker.join().expect("the admin calls must not panic");
 }
 
-/// Admin commands in a row on idle loops. The control thread waits on no
-/// loop: it reads each loop's ledger from the loop's shared slot, and an
-/// `app` command resolves its name in the roster. This guards the shape in
-/// which it once wedged: waiting on idle loops' answers while they waited
-/// on the roster lock it held.
+/// Admin commands in a row on idle loops. An admin call, run in the
+/// caller's thread under the control lock, waits on no loop: it reads each
+/// loop's ledger from the loop's shared slot, and an `app` command resolves
+/// its name in the roster. This guards the shape in which the control
+/// thread once wedged: waiting on idle loops' answers while they waited on
+/// the roster lock it held.
 #[test]
 fn admin_commands_in_a_row_do_not_wedge_on_idle_loops() {
     returns_on_idle_loops("app_create then flush_all", |cache| {
@@ -771,4 +773,56 @@ fn shared_cache_answers_like_a_one_loop_plane() {
         assert!(!inline.delete_for(tenant, b"never-stored"));
         assert!(!plane.delete_for(tenant, b"never-stored"));
     }
+}
+
+/// A plane with no threads is a full plane: on one `SharedCache::new`
+/// builds, a round, `stats` and the tenant admin calls run in the caller's
+/// thread and do what a server's do.
+#[test]
+fn a_plane_with_no_threads_runs_rounds_stats_and_admin_calls() {
+    let total = 16u64 << 20;
+    let cache = SharedCache::new(BackendConfig {
+        total_bytes: total,
+        mode: BackendMode::Cliffhanger,
+        shards: 2,
+        tenants: vec![TenantSpec::new("idle", 1)],
+        rebalance: ShardBalanceConfig {
+            credit_bytes: 128 << 10,
+            min_shard_bytes: 1 << 20,
+            min_gradient_gap: 4,
+            ..ShardBalanceConfig::default()
+        },
+        ..BackendConfig::default()
+    });
+    // The default tenant cycles 13k keys past its 4 MB slice of shard 0,
+    // as in `rebalancer_moves_budget_toward_the_starved_shard`.
+    let payload = Bytes::from(vec![0u8; 200]);
+    let starved: Vec<String> = (0u64..)
+        .map(|i| format!("hot-{i}"))
+        .filter(|k| shard_of(k.as_bytes(), 2) == 0)
+        .take(13_000)
+        .collect();
+    for _ in 0..12 {
+        for key in &starved {
+            touch(&cache, 0, key, &payload);
+        }
+        cache.rebalance_now();
+    }
+    let budgets = cache.shard_budgets();
+    assert_eq!(budgets.iter().sum::<u64>(), total, "{budgets:?}");
+    assert!(budgets[0] > budgets[1], "shard 0 gains: {budgets:?}");
+
+    let doc: serde_json::Value = serde_json::from_str(&cache.stats_json()).expect("stats json");
+    let schema = doc.get("schema").and_then(|schema| schema.as_str());
+    assert_eq!(schema, Some("cliffhanger-stats/v1"));
+    let balance = |key: &str| doc.get("balance").and_then(|b| b.get(key)?.as_u64());
+    assert!(balance("rebalance_runs") >= Some(12));
+    assert!(balance("rebalance_transfers") > Some(0));
+
+    let late = cache.create_tenant("late", 1).expect("a carve-out");
+    assert_eq!(cache.tenant_count(), 3);
+    assert!(cache.tenant_budgets()[late] > 0);
+    cache.flush_tenant(0);
+    assert_eq!(cache.get(starved[0].as_bytes()), None, "flushed");
+    assert_eq!(cache.tenant_budgets().iter().sum::<u64>(), total);
 }

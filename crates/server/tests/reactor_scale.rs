@@ -673,8 +673,8 @@ fn tenant_table_growth_races_live_traffic() {
         .collect();
 
     // Grow the tenant table under fire, and prove each new tenant is
-    // immediately servable on every loop: a round-trip through both
-    // shards touches both loops' freshly refreshed tables.
+    // servable on every shard as soon as its create returns: its eight
+    // keys spread over both shards, each served under its shard's lock.
     for n in 0..NEW_TENANTS {
         let name = format!("app-{n}");
         let id = cache
@@ -709,16 +709,15 @@ fn tenant_table_growth_races_live_traffic() {
         (1 + NEW_TENANTS).to_string(),
         "every app_create committed"
     );
-    // Tenant creation is a multi-message conversation (carve on every
-    // loop, then commit); the counters prove it rode the message plane.
+    // Each create is an admin command run under the control lock, and
+    // counted as one.
     assert!(stats["plane:admin_msgs"].parse::<u64>().unwrap() >= NEW_TENANTS as u64);
 }
 
-/// Budget transfers are message conversations (shrink on the loser's
-/// loops, then grow on the winner's); concurrency must never let the
-/// budget vector sum past the configured total, and skewed demand must
-/// still move bytes toward the needy tenant — through the message plane,
-/// not through a shared lock.
+/// A budget transfer shrinks the loser's engines, each under its shard's
+/// lock, then grows the winner's; concurrency must never let the budget
+/// vector sum past the configured total, and skewed demand must still move
+/// bytes toward the needy tenant while traffic runs on the same shards.
 #[test]
 fn message_based_transfers_conserve_the_budget_total() {
     const TOTAL: u64 = 16 << 20;
@@ -752,8 +751,8 @@ fn message_based_transfers_conserve_the_budget_total() {
     // past the physical capacity of each engine but inside its shadow
     // window, so reuse distances register as shadow hits (the gradient
     // signal) instead of physical hits or silence (the geometry
-    // `plane_control.rs` derives). Every op here is a message round-trip
-    // through the owning event loop.
+    // `plane_control.rs` derives). Every op here runs in its worker's
+    // thread under its key's shard lock.
     let workers: Vec<_> = (0..3)
         .map(|w| {
             let cache = cache.clone();

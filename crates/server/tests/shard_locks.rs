@@ -1,6 +1,6 @@
 //! Every loop serves every shard, each shard behind one lock: what the
-//! locks must keep true while the control thread moves budget, flushes and
-//! onboards tenants under the same locks.
+//! locks must keep true while rounds move budget and admin calls flush
+//! and onboard tenants under the same locks.
 //!
 //! Four loops serve eight shards; eight clients pipeline writes and reads
 //! over the wire, every one of them to keys on every shard, while a thread

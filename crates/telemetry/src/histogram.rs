@@ -10,7 +10,7 @@
 //! server side — owns a private `Histogram` and records into it with plain
 //! (unsynchronised) increments — recording is lock-free and wait-free by
 //! construction — and the per-recorder histograms are merged once, on
-//! report (the loadgen report, or the control thread's stats snapshot).
+//! report (the loadgen report, or the server's `stats` document).
 //! This is the same "stripe then merge" design memtier and wrk2 use, and it
 //! keeps the hot path to a handful of arithmetic instructions.
 
@@ -272,7 +272,7 @@ mod tests {
 /// Property: striping a sample multiset over any number of single-owner
 /// recorders and merging them back reports exactly what one recorder
 /// holding every sample reports — the guarantee the server's per-loop
-/// histograms rely on when the control thread merges loop snapshots.
+/// histograms rely on when `stats` merges the loops' histograms.
 #[cfg(test)]
 mod merge_properties {
     use super::*;

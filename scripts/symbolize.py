@@ -84,7 +84,14 @@ ROWS = [
     ),
     ("MRC estimator", ("profiler/src/", "profiler::", None)),
     ("sweeps", ("server/src/plane.rs", "cache_server::plane::", {"sweep"})),
-    ("Shard::store", ("server/src/plane.rs", "cache_server::plane::", {"store"})),
+    # A store's frames: `Shard::store` is inlined into the connection's
+    # execution and tail-calls `Engine::wire_set`, so only the latter is
+    # left in a sample's chain.
+    (
+        "store",
+        ("server/src/plane.rs", "cache_server::plane::", {"store"}),
+        ("server/src/engine.rs", "cache_server::engine::", {"wire_set"}),
+    ),
     (
         "probe_shadows",
         (
