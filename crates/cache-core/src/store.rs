@@ -320,6 +320,11 @@ impl<V> SlabCache<V> {
         self.stats
     }
 
+    /// The memory budget the cache was built with, in bytes.
+    pub fn total_bytes(&self) -> u64 {
+        self.config.total_bytes
+    }
+
     /// Total bytes used across all classes.
     pub fn used_bytes(&self) -> u64 {
         self.queues.iter().map(|q| q.used_bytes()).sum()

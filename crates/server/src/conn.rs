@@ -48,10 +48,11 @@
 //! that then moves into the engine as the item. ARCHITECTURE.md has the
 //! table; `tests/byte_path.rs` holds the counts.
 //!
-//! * **Admin commands** (`stats`, `flush_all`, `app_create`, `app_list`) are
-//!   barriers. They go to the control thread at once, and nothing is parsed
-//!   past one until its [`crate::plane::LoopMsg::AdminDone`] — the event loop
-//!   keeps serving every sibling connection meanwhile.
+//! * **Admin commands** (`stats`, `flush_all`, `app_create`, `app_list`)
+//!   run where they stand in the stream, on the connection's own loop, under
+//!   the control lock (a Memcached worker answers `stats` itself the same
+//!   way): the loop waits for the lock, with no shard lock held, and its
+//!   other connections wait while the command runs.
 //! * **Bounds**: past [`OUT_HIGH_WATERMARK`] bytes of unsent output the
 //!   connection stops parsing and reading until the socket drains it.
 
@@ -90,12 +91,10 @@ const IN_RETAIN: usize = 4 * READ_CHUNK;
 const IN_FILL_BUDGET: usize = 256 * 1024;
 
 /// What a connection needs from its event loop to execute commands: the
-/// loop's own state (sweep marks, round countdowns), the shards, and its
-/// own token, so an admin reply can find its way back.
+/// loop's own state (sweep marks, round countdowns) and the shards.
 pub(crate) struct Ctx<'a> {
     pub(crate) state: &'a mut LoopState,
     pub(crate) shared: &'a PlaneShared,
-    pub(crate) token: u64,
 }
 
 /// What the reactor should do with the connection after a readiness pass.
@@ -229,11 +228,7 @@ pub(crate) struct Connection {
     interest: u32,
     /// Quit or EOF observed: flush the remaining output, then close.
     draining: bool,
-    /// An admin command is with the control thread: the barrier nothing
-    /// is parsed past until its reply.
-    barrier: bool,
-    /// Last time the peer gave us bytes or an admin command resolved — the
-    /// idle reaper's clock.
+    /// The clock of the last readiness pass: the idle reaper's.
     last_activity: Instant,
 }
 
@@ -262,7 +257,6 @@ impl Connection {
             tenant: 0,
             interest: EPOLLIN | EPOLLRDHUP,
             draining: false,
-            barrier: false,
             last_activity: Instant::now(),
         })
     }
@@ -277,11 +271,6 @@ impl Connection {
         self.interest
     }
 
-    /// Whether a command is still waiting on another thread.
-    pub(crate) fn in_flight(&self) -> bool {
-        self.barrier
-    }
-
     /// How long the connection has been silent, for the idle reaper.
     pub(crate) fn idle_for(&self, now: Instant) -> Duration {
         now.saturating_duration_since(self.last_activity)
@@ -291,20 +280,18 @@ impl Connection {
         self.out.len() - self.out_pos
     }
 
-    /// Whether parsing must wait: unsent output is past the watermark, or
-    /// an admin barrier is up.
+    /// Whether parsing must wait: unsent output is past the watermark.
     fn stalled(&self) -> bool {
-        self.pending_out() >= OUT_HIGH_WATERMARK || self.barrier
+        self.pending_out() >= OUT_HIGH_WATERMARK
     }
 
     /// One readiness pass: flush, then parse/execute/flush — with one fill
     /// from the socket in between — until quiescent or stalled.
     pub(crate) fn on_ready(&mut self, readable: bool, ctx: &mut Ctx<'_>) -> Drive {
-        // Readiness or a delivery: not idle as of this pass's clock.
+        // Readiness: not idle as of this pass's clock.
         self.last_activity = ctx.state.now;
-        // Always flush first, not only on `EPOLLOUT`: an admin reply may
-        // have put bytes on `out`, and `process` may only find the watermark
-        // in its way when the socket is full.
+        // Always flush first, not only on `EPOLLOUT`: `process` may only
+        // find the watermark in its way when the socket is full.
         if self.flush() == Flow::Broken {
             return Drive::Close;
         }
@@ -342,7 +329,7 @@ impl Connection {
                 break;
             }
         }
-        if self.draining && self.pending_out() == 0 && !self.barrier {
+        if self.draining && self.pending_out() == 0 {
             return Drive::Close;
         }
         let mut want = 0;
@@ -359,13 +346,6 @@ impl Connection {
         Drive::Keep {
             interest: want,
             changed,
-        }
-    }
-
-    /// The control thread finished the connection's admin command.
-    pub(crate) fn on_admin_done(&mut self, response: Response) {
-        if std::mem::take(&mut self.barrier) {
-            encode_response(&response, &mut self.out);
         }
     }
 
@@ -490,8 +470,8 @@ impl Connection {
                         }
                     }
                     Work::Alone(command) => {
-                        // An admin command talks to the control thread: no
-                        // shard lock may be held across that.
+                        // An admin command takes the control lock, which is
+                        // ahead of every shard lock in the lock order.
                         held = None;
                         match command {
                             Ok(Command::Quit) => break 'pass Step::Quit,
@@ -576,16 +556,11 @@ impl Connection {
         }
     }
 
-    /// Raises an admin barrier: the command goes to the control thread, and
-    /// nothing behind it is parsed until the reply.
-    fn admin(&mut self, op: AdminOp, ctx: &mut Ctx<'_>) {
-        self.barrier = ctx.state.forward_admin(op, ctx.token);
-        if !self.barrier {
-            // The control thread is gone: the server is shutting down and
-            // this connection is about to be torn down with its loop.
-            let reason = Response::ClientError("server is shutting down".to_string());
-            self.respond(&reason);
-        }
+    /// Runs an admin command under the control lock, waiting for the lock
+    /// if another thread holds it, and writes its reply in its place.
+    fn admin(&mut self, op: AdminOp, ctx: &Ctx<'_>) {
+        let response = ctx.shared.control.lock().admin(ctx.shared, op);
+        self.respond(&response);
     }
 
     /// Writes as much pending output as the socket accepts.
@@ -719,7 +694,6 @@ mod tests {
         let mut ctx = Ctx {
             state: &mut state,
             shared: &shared,
-            token: 1,
         };
         let wire = format!(
             "set {} 0 0 1\r\nx\r\nset k 0 0 1\r\ny\r\n",
@@ -731,6 +705,38 @@ mod tests {
     }
 
     #[test]
+    fn an_admin_command_is_answered_in_its_place_by_the_connections_own_loop() {
+        let (mut conn, mut peer) = connection();
+        let mut state = LoopState::solo();
+        let shared = Arc::clone(&state.shared);
+        let mut ctx = Ctx {
+            state: &mut state,
+            shared: &shared,
+        };
+        let wire = "set k 0 0 1\r\nv\r\nget k\r\nflush_all\r\nget k\r\napp_list\r\n";
+        peer.write_all(wire.as_bytes()).unwrap();
+        assert!(matches!(conn.on_ready(true, &mut ctx), Drive::Keep { .. }));
+        // The plane has no thread: whatever answered, this pass wrote it.
+        let weight = shared.roster.lock().weights[0];
+        let apps = format!(
+            "APP default {weight} {}\r\nEND\r\n",
+            shared.config.total_bytes
+        );
+        let expected = [
+            "STORED\r\n",
+            "VALUE k 0 1\r\nv\r\nEND\r\n",
+            "OK\r\n",
+            "END\r\n",
+            &apps,
+        ];
+        let expected = expected.concat();
+        let mut reply = vec![0; expected.len()];
+        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        peer.read_exact(&mut reply).unwrap();
+        assert_eq!(String::from_utf8_lossy(&reply), expected);
+    }
+
+    #[test]
     fn a_stall_mid_window_puts_the_cursor_back_on_the_stalled_command() {
         const BIG: usize = 100 << 10;
         let (mut conn, _peer) = connection();
@@ -739,7 +745,6 @@ mod tests {
         let mut ctx = Ctx {
             state: &mut state,
             shared: &shared,
-            token: 1,
         };
         let mut wire = format!("set big 0 0 {BIG}\r\n{}\r\n", "v".repeat(BIG));
         for version in 1..=7 {

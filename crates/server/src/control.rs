@@ -2,19 +2,21 @@
 //! round tallies, the admin counters and the rate history, behind the first
 //! lock of the plane's lock order ([`PlaneShared::control`]). Whoever needs
 //! an operation runs it in its own thread under that lock: a loop runs the
-//! rounds that came due at the end of its pass (if the lock is free), a
-//! [`crate::handle::PlaneHandle`] caller runs rounds and admin calls, and the
-//! `cache-control` thread ([`serve`]) runs a connection's admin command, so
-//! that no loop stalls on one, and samples the rate history once a second.
-//! Each reads and changes the shards under their locks, one at a time, and
-//! reads the event loops' ledgers from their shared slots: nothing here
-//! waits on a loop or on a reply.
+//! rounds that came due at the end of its pass (if the lock is free) and a
+//! connection's admin command in its place in the connection's stream, a
+//! [`crate::handle::PlaneHandle`] caller runs rounds and admin calls, and
+//! the `cache-control` thread ([`serve`]) only samples the rate history
+//! once a second. Each reads and changes the shards under their locks, one
+//! at a time, and reads the event loops' ledgers from their shared slots:
+//! nothing here waits on a loop or on a reply.
+//!
+//! The engines hold the budgets ([`crate::engine::Engine::budget`]), and
+//! the control lock's holder is the only thread that moves one, so a reader
+//! that holds the lock (a `&Control`) reads a whole transfer or none of it.
 
 use crate::engine::{even_split, BackendConfig, BackendMode};
-use crate::plane::{
-    build_engine, AdminOp, Cell, CtrlReq, LoopMsg, PlaneShared, RosterMaster, RoundKind,
-};
-use crate::protocol::{Response, StatsFormat};
+use crate::plane::{build_engine, AdminOp, Cell, PlaneShared, RoundKind};
+use crate::protocol::{AppEntry, Response, StatsFormat};
 use crate::stats::{
     build_document, render_json, render_prom, render_stats, BalanceDoc, EngineStat, PlaneDoc,
     StatsDocument,
@@ -67,26 +69,16 @@ pub(crate) struct Control {
     history: TimeSeries,
 }
 
-/// The `cache-control` thread: runs each admin command a connection
-/// forwards and answers in its loop's mailbox, and samples the history once
-/// an interval, as soon after its start as the thread is free, until
-/// [`CtrlReq::Shutdown`].
-pub(crate) fn serve(shared: &PlaneShared, rx: Receiver<CtrlReq>) {
-    let mut next_sample = 0;
+/// The `cache-control` thread: samples the history at its start and at
+/// each interval's boundary after, until the sender of `stop` is dropped.
+pub(crate) fn serve(shared: &PlaneShared, stop: &Receiver<()>) {
     loop {
+        shared.control.lock().observe(shared);
         let now_us = shared.started.elapsed().as_micros() as u64;
-        if now_us >= next_sample {
-            shared.control.lock().observe(shared);
-            next_sample = (now_us / HISTORY_INTERVAL_US + 1) * HISTORY_INTERVAL_US;
-        }
-        let wait = Duration::from_micros(next_sample.saturating_sub(now_us));
-        match rx.recv_timeout(wait) {
-            Ok(CtrlReq::Admin { op, origin, token }) => {
-                let response = shared.control.lock().admin(shared, op);
-                let _ = shared.mailboxes[origin].send(LoopMsg::AdminDone { token, response });
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Ok(CtrlReq::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
+        let wait = HISTORY_INTERVAL_US - now_us % HISTORY_INTERVAL_US;
+        let stopped = stop.recv_timeout(Duration::from_micros(wait));
+        if stopped != Err(RecvTimeoutError::Timeout) {
+            break;
         }
     }
 }
@@ -140,7 +132,7 @@ impl Control {
                     Err(reason) => Response::ClientError(reason),
                 }
             }
-            AdminOp::AppList => Response::Apps(shared.roster.lock().app_list()),
+            AdminOp::AppList => Response::Apps(self.app_list(shared)),
         };
         self.admin_latency
             .record(started.elapsed().as_nanos() as u64);
@@ -184,6 +176,7 @@ impl Control {
                         let stat = EngineStat {
                             wire: cell.wire_counts(),
                             core: engine.stats(),
+                            budget: engine.budget(),
                             used: engine.used_bytes(),
                             items: engine.len(),
                             footprint: engine.footprint(),
@@ -203,18 +196,54 @@ impl Control {
         (engines, mrc)
     }
 
-    /// The shadow hits of every engine, indexed `[shard][tenant]`: all a
-    /// balancing round reads.
-    fn shadow_grid(shared: &PlaneShared, tenants: usize) -> Vec<Vec<u64>> {
+    /// The shadow hits and the budget of every engine, indexed
+    /// `[shard][tenant]`: all a balancing round reads, and where every
+    /// budget is read from. The lock held (`&self`) keeps any budget from
+    /// moving while the shards are read one at a time.
+    fn grid(&self, shared: &PlaneShared) -> Vec<Vec<ShardSample>> {
         (0..shared.shards)
             .map(|shard| {
                 let cells = shared.lock(shard);
-                let hits = cells.0.iter().map(|cell| cell.engine.stats().shadow_hits);
-                let mut hits: Vec<u64> = hits.take(tenants).collect();
-                hits.resize(tenants, 0);
-                hits
+                let sample = |cell: &Cell| ShardSample {
+                    shadow_hits: cell.engine.stats().shadow_hits,
+                    budget_bytes: cell.engine.budget(),
+                };
+                cells.0.iter().map(sample).collect()
             })
             .collect()
+    }
+
+    /// Each tenant's live budget, summed over the shards.
+    pub(crate) fn tenant_budgets(&self, shared: &PlaneShared) -> Vec<u64> {
+        let grid = self.grid(shared);
+        let tenant = |t: usize| grid.iter().map(|cells| cells[t].budget_bytes).sum();
+        (0..grid[0].len()).map(tenant).collect()
+    }
+
+    /// Each shard's live budget, summed over the tenants.
+    pub(crate) fn shard_budgets(&self, shared: &PlaneShared) -> Vec<u64> {
+        let shard = |cells: Vec<ShardSample>| cells.iter().map(|cell| cell.budget_bytes).sum();
+        self.grid(shared).into_iter().map(shard).collect()
+    }
+
+    /// The hosted applications with their weights and live budgets.
+    pub(crate) fn app_list(&self, shared: &PlaneShared) -> Vec<AppEntry> {
+        let budgets = self.tenant_budgets(shared);
+        let roster = shared.roster.lock();
+        let rows = roster.directory.names().iter().zip(&roster.weights);
+        rows.zip(budgets)
+            .map(|((name, &weight), budget_bytes)| AppEntry {
+                name: name.clone(),
+                weight,
+                budget_bytes,
+            })
+            .collect()
+    }
+
+    /// Every live budget summed in debug builds (`None` in release): what
+    /// the conservation asserts compare.
+    fn debug_total(&self, shared: &PlaneShared) -> Option<u64> {
+        cfg!(debug_assertions).then(|| self.shard_budgets(shared).iter().sum())
     }
 
     /// Shrinks one engine under its shard's lock. `false` when the donor
@@ -241,15 +270,11 @@ impl Control {
     /// the summed budget is conserved even if some slices fail on their
     /// floors.
     pub(crate) fn balance(&mut self, shared: &PlaneShared, kind: RoundKind) {
-        if !shared.round_active(kind, shared.roster.lock().directory.len()) {
+        let tenants = shared.roster.lock().directory.len();
+        if !shared.round_active(kind, tenants) {
             return;
         }
-        // No shard is locked with the roster locked, so the round moves
-        // budget on a copy and writes it back: the control lock's holder is
-        // the roster's only writer.
-        let mut roster = shared.roster.lock().clone();
-        let tenants = roster.directory.len();
-        let grid = Control::shadow_grid(shared, tenants);
+        let grid = self.grid(shared);
         let arbitrate = kind == RoundKind::Arbitrate;
         // Each balancer's seats, as the `(shard, tenant)` engines behind
         // them: the tenants with all their engines, or one tenant's shards.
@@ -262,8 +287,8 @@ impl Control {
         };
         for (b, seats) in balancers.iter().enumerate() {
             let sample = |seat: &Vec<(usize, usize)>| ShardSample {
-                shadow_hits: seat.iter().map(|&(s, t)| grid[s][t]).sum(),
-                budget_bytes: seat.iter().map(|&(s, t)| roster.budgets[t][s]).sum(),
+                shadow_hits: seat.iter().map(|&(s, t)| grid[s][t].shadow_hits).sum(),
+                budget_bytes: seat.iter().map(|&(s, t)| grid[s][t].budget_bytes).sum(),
             };
             let samples: Vec<ShardSample> = seats.iter().map(sample).collect();
             let balancer = match kind {
@@ -278,10 +303,9 @@ impl Control {
                 let moves: Vec<Move> = moves
                     .map(|(i, (&from, &to))| (from, to, slice(i)))
                     .collect();
-                self.apply(shared, &mut roster, kind, &moves, &tr);
+                self.apply(shared, kind, &moves, &tr);
             }
         }
-        shared.roster.lock().budgets = roster.budgets;
         self.tallies[kind as usize].runs += 1;
     }
 
@@ -292,29 +316,25 @@ impl Control {
     /// configured bytes. A move whose donor is pinned at its floors is
     /// skipped. Only a transfer that moved something is counted and
     /// journalled, with the gradients its proposal carried.
-    fn apply(
-        &mut self,
-        shared: &PlaneShared,
-        roster: &mut RosterMaster,
-        kind: RoundKind,
-        moves: &[Move],
-        tr: &ShardTransfer,
-    ) {
-        let before = roster.total_budget();
+    fn apply(&mut self, shared: &PlaneShared, kind: RoundKind, moves: &[Move], tr: &ShardTransfer) {
+        let before = self.debug_total(shared);
         let mut moved = 0u64;
         for &((from_shard, from_tenant), (to_shard, to_tenant), bytes) in moves {
             if bytes > 0 && Control::shrink(shared, from_shard, from_tenant, bytes) {
-                roster.budgets[from_tenant][from_shard] -= bytes;
                 Control::grow(shared, to_shard, to_tenant, bytes);
-                roster.budgets[to_tenant][to_shard] += bytes;
                 moved += bytes;
             }
         }
-        debug_assert_eq!(roster.total_budget(), before, "a transfer conserves budget");
+        debug_assert_eq!(
+            self.debug_total(shared),
+            before,
+            "a transfer conserves budget"
+        );
         if moved == 0 {
             return;
         }
         let ((_, from_tenant), (_, to_tenant), _) = moves[0];
+        let roster = shared.roster.lock();
         let name = |tenant: usize| roster.directory.name(tenant).to_string();
         let (from_gradient, to_gradient) = (tr.from_gradient, tr.to_gradient);
         shared.journal.record(match kind {
@@ -346,21 +366,15 @@ impl Control {
     /// traffic keeps filling the other shards. Each new engine is built
     /// before its shard is locked and the old one dropped after.
     fn flush_tenant(&mut self, shared: &PlaneShared, tenant: usize) {
-        // Planned under the roster lock, applied with it released (see
-        // `balance`), written back under it again.
-        let (name, shares, order) = {
-            let roster = shared.roster.lock();
-            if tenant >= roster.directory.len() {
-                return;
-            }
-            let total: u64 = roster.budgets[tenant].iter().sum();
-            let shares = even_split(total, shared.shards);
-            let mut order: Vec<usize> = (0..shared.shards).collect();
-            order.sort_by_key(|&s| {
-                std::cmp::Reverse(roster.budgets[tenant][s].saturating_sub(shares[s]))
-            });
-            (roster.directory.name(tenant).to_string(), shares, order)
+        let Some(name) = shared.roster.lock().directory.names().get(tenant).cloned() else {
+            return;
         };
+        let before = self.debug_total(shared);
+        let grid = self.grid(shared);
+        let budget = |s: usize| grid[s][tenant].budget_bytes;
+        let shares = even_split((0..shared.shards).map(budget).sum(), shared.shards);
+        let mut order: Vec<usize> = (0..shared.shards).collect();
+        order.sort_by_key(|&s| std::cmp::Reverse(budget(s).saturating_sub(shares[s])));
         for s in order {
             let engine = build_engine(&shared.config, &shared.journal, s, &name, shares[s]);
             let old = {
@@ -370,11 +384,7 @@ impl Control {
             };
             drop(old);
         }
-        let mut roster = shared.roster.lock();
-        let before = roster.total_budget();
-        roster.budgets[tenant] = shares;
-        debug_assert_eq!(roster.total_budget(), before, "a flush conserves budget");
-        drop(roster);
+        debug_assert_eq!(self.debug_total(shared), before, "a flush conserves budget");
         self.balancers[tenant].reset();
         shared
             .journal
@@ -402,30 +412,29 @@ impl Control {
             return Err("app weight must be at least 1".to_string());
         }
         let n = shared.shards;
-        // The asks are planned under the roster lock, the carve-outs made
-        // with it released (see `balance`), the table written under it again.
-        let (tenants, asks) = {
+        let sum_weights: u64 = {
             let roster = shared.roster.lock();
             if roster.directory.index_of(name).is_some() {
                 return Err(format!("app {name:?} already exists"));
             }
-            let tenants = roster.directory.len();
-            let sum_weights: u64 = roster.weights.iter().sum();
-            let target_total = (shared.config.total_bytes as u128 * weight as u128
-                / (sum_weights + weight) as u128) as u64;
-            let mut asks = Vec::new();
-            for (s, &target_slice) in even_split(target_total, n).iter().enumerate() {
-                let shard_total: u64 = (0..tenants).map(|t| roster.budgets[t][s]).sum();
-                for t in 0..tenants {
-                    let ask = (target_slice as u128 * roster.budgets[t][s] as u128
-                        / shard_total.max(1) as u128) as u64;
-                    if ask > 0 {
-                        asks.push((s, t, ask));
-                    }
+            roster.weights.iter().sum()
+        };
+        let before = self.debug_total(shared);
+        let grid = self.grid(shared);
+        let tenants = grid[0].len();
+        let target_total = (shared.config.total_bytes as u128 * weight as u128
+            / (sum_weights + weight) as u128) as u64;
+        let mut asks = Vec::new();
+        for (s, &target_slice) in even_split(target_total, n).iter().enumerate() {
+            let shard_total: u64 = grid[s].iter().map(|cell| cell.budget_bytes).sum();
+            for (t, cell) in grid[s].iter().enumerate() {
+                let ask = (target_slice as u128 * cell.budget_bytes as u128
+                    / shard_total.max(1) as u128) as u64;
+                if ask > 0 {
+                    asks.push((s, t, ask));
                 }
             }
-            (tenants, asks)
-        };
+        }
         let mut granted: Vec<(usize, usize, u64)> = asks
             .into_iter()
             .filter(|&(s, t, bytes)| Control::shrink(shared, s, t, bytes))
@@ -455,11 +464,11 @@ impl Control {
             let cell = Cell::new(&shared.config, n, &shared.journal, s, name, budget);
             shared.lock(s).0.push(cell);
         }
-        let mut roster = shared.roster.lock();
-        let before = roster.total_budget();
-        for (s, t, bytes) in granted {
-            roster.budgets[t][s] -= bytes;
-        }
+        debug_assert_eq!(
+            self.debug_total(shared),
+            before,
+            "a carve-out conserves budget"
+        );
         for (s, &bytes) in carved.iter().enumerate() {
             if bytes > 0 {
                 shared.journal.record(EventKind::CarveOut {
@@ -473,14 +482,9 @@ impl Control {
             tenant: name.to_string(),
             weight,
         });
+        let mut roster = shared.roster.lock();
         roster.directory.add(name);
         roster.weights.push(weight);
-        roster.budgets.push(carved);
-        debug_assert_eq!(
-            roster.total_budget(),
-            before,
-            "a carve-out conserves budget"
-        );
         self.balancers
             .push(ShardRebalancer::new(n, shared.config.rebalance.clone()));
         self.arbiter =
@@ -489,17 +493,17 @@ impl Control {
     }
 
     /// Builds the one [`StatsDocument`] every `stats` format renders: reads
-    /// the shards and the loops' ledgers, and folds them, the roster, the
-    /// history and this thread's own counters together.
+    /// the shards and the loops' ledgers, and folds them, the tenants'
+    /// names, the history and this state's own counters together.
     fn document(&mut self, shared: &PlaneShared) -> StatsDocument {
         self.observe(shared);
-        // The roster is copied out; curves and joins are built unlocked.
-        let roster = shared.roster.lock().clone();
-        let tenants = roster.directory.len();
+        // The names are copied out; curves and joins are built unlocked.
+        let names = shared.roster.lock().directory.names().to_vec();
+        let tenants = names.len();
         let (engines, mrc) = Control::read_cells(shared, tenants);
         let doc = build_document(
             shared,
-            &roster,
+            &names,
             (&engines, &mrc),
             &self.history,
             self.start_unix_us,

@@ -431,6 +431,15 @@ impl Engine {
         }
     }
 
+    /// The engine's byte budget: the one record of it, which only the
+    /// control lock's holder changes.
+    pub(crate) fn budget(&self) -> u64 {
+        match self {
+            Engine::Plain(cache) => cache.total_bytes(),
+            Engine::Managed(cache) => cache.total_bytes(),
+        }
+    }
+
     pub(crate) fn used_bytes(&self) -> u64 {
         match self {
             Engine::Plain(cache) => cache.used_bytes(),

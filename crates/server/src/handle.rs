@@ -1,8 +1,10 @@
 //! The synchronous view of the data plane, [`PlaneHandle`]: every call
 //! runs in the caller's thread, a data call under the key's shard lock, a
-//! round or an admin call under the control lock. [`PlaneHandle::new`]
-//! builds a full plane with no loops and no threads, which [`SharedCache`]
-//! names: its rounds and admin calls run as a server's do.
+//! round, an admin call or a budget read under the control lock (the
+//! budgets are read from the engines, whose only mover is that lock's
+//! holder). [`PlaneHandle::new`] builds a full plane with no loops and no
+//! threads, which [`SharedCache`] names: its rounds and admin calls run as
+//! a server's loops run them.
 
 use crate::engine::{route_key, BackendConfig, StoredValue};
 use crate::plane::{AdminOp, PlaneShared, RoundKind, Shard};
@@ -10,7 +12,6 @@ use crate::protocol::{AppEntry, Response, StatsFormat, StoreVerb};
 use crate::reactor::ConnTelemetry;
 use bytes::Bytes;
 use cache_core::Key;
-use std::sync::mpsc::channel;
 use std::sync::Arc;
 use telemetry::EventKind;
 
@@ -18,7 +19,8 @@ use telemetry::EventKind;
 /// the load generator's self-hosted runs and tests use
 /// ([`crate::server::CacheServer::cache`] returns a running server's). Every
 /// call runs in the caller's thread and waits only on locks: a data call
-/// locks the key's shard, a round or an admin call the control lock.
+/// locks the key's shard, a round, an admin call or a budget read the
+/// control lock.
 pub struct PlaneHandle {
     pub(crate) shared: Arc<PlaneShared>,
 }
@@ -34,10 +36,8 @@ impl PlaneHandle {
     /// Builds the tenants' engines on every configured (or detected) shard
     /// of a one-loop plane, and starts no thread.
     pub fn new(config: BackendConfig) -> PlaneHandle {
-        // No thread takes a connection's admin command: nothing sends one.
-        let (ctrl, _) = channel();
         let telemetry = ConnTelemetry::new(1, 0);
-        let shared = PlaneShared::new(config, telemetry, Vec::new(), ctrl, None);
+        let shared = PlaneShared::new(config, telemetry, None);
         PlaneHandle {
             shared: Arc::new(shared),
         }
@@ -155,7 +155,7 @@ impl PlaneHandle {
 
     /// The hosted applications as `(name, weight, live budget bytes)`.
     pub fn app_list(&self) -> Vec<(String, u64, u64)> {
-        let apps = self.shared.roster.lock().app_list();
+        let apps = self.shared.control.lock().app_list(&self.shared);
         let row = |app: AppEntry| (app.name, app.weight, app.budget_bytes);
         apps.into_iter().map(row).collect()
     }
@@ -189,13 +189,12 @@ impl PlaneHandle {
 
     /// The live per-tenant byte budgets.
     pub fn tenant_budgets(&self) -> Vec<u64> {
-        self.shared.roster.lock().tenant_budgets()
+        self.shared.control.lock().tenant_budgets(&self.shared)
     }
 
     /// The live per-shard byte budgets.
     pub fn shard_budgets(&self) -> Vec<u64> {
-        let shards = self.shared.shards;
-        self.shared.roster.lock().shard_budgets(shards)
+        self.shared.control.lock().shard_budgets(&self.shared)
     }
 }
 

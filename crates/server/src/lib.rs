@@ -22,9 +22,10 @@
 //! same-shard keys, never two at once, and never across a system call.
 //! The budget-moving rounds run at the end of the pass of the loop whose op
 //! count made them due, under one control lock; admin commands (`stats`,
-//! `flush_all`, `app_create`, `app_list`) take the same lock on a control
-//! thread, which works on the shards under the same shard locks, so they
-//! never head-of-line-block a serving loop. See `ARCHITECTURE.md` at the repository root for the full request
+//! `flush_all`, `app_create`, `app_list`) take the same lock on the
+//! connection's own loop, where they stand in its stream, as a Memcached
+//! worker answers `stats` itself. The budgets live in the engines alone.
+//! See `ARCHITECTURE.md` at the repository root for the full request
 //! lifecycle and the lock rules.
 //!
 //! * [`protocol`] — parsing and serialising the Memcached ASCII protocol,

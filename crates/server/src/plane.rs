@@ -12,14 +12,16 @@
 //! Cross-cutting operations run in the thread that needs them, under the
 //! *control lock* ([`PlaneShared::control`], the [`Control`] state): every
 //! [`ShardRebalancer`] budget transfer (across shards, or across tenants),
-//! tenant `flush_all`, `app_create` carve-outs and `stats` assembly. A loop
-//! runs the rounds its op count made due at the end of its pass, a
-//! [`PlaneHandle`] caller runs its own rounds and admin calls, and the
-//! `cache-control` thread runs a connection's admin command (so a 5 ms
-//! `stats` never stalls the loop that received it) and samples the rate
-//! history. Each reads and changes the shards under their locks, and reads
-//! each loop's op ledger and service times from the loop's
-//! [`crate::reactor::LoopLedger`] without asking the loop.
+//! tenant `flush_all`, `app_create` carve-outs, `stats` assembly and every
+//! budget read. A loop runs the rounds its op count made due at the end of
+//! its pass, and a connection's admin command where it stands in the
+//! connection's stream; a [`PlaneHandle`] caller runs its own rounds and
+//! admin calls; the `cache-control` thread only samples the rate history.
+//! Each reads and changes the shards under their locks, and reads each
+//! loop's op ledger and service times from the loop's
+//! [`crate::reactor::LoopLedger`] without asking the loop. The one thing
+//! that crosses between threads is a new connection, from the acceptor to
+//! a loop's mailbox.
 //!
 //! # Invariants
 //!
@@ -31,27 +33,29 @@
 //!   per run of consecutive same-shard entries.
 //! * **Lock order** — the control lock, then the roster lock, then a shard
 //!   lock, then a leaf latch: a journal slot's, or a loop's service-time
-//!   histogram's. A loop only *tries* the control lock, at the end of its
-//!   pass with no lock held, and skips its round if another thread has it.
-//!   The roster is never locked under a shard lock, and no lock is taken
-//!   under a leaf latch. Under a shard lock an engine narrates into the
-//!   journal and a loop records a timed op's service time; nothing else
-//!   takes a lock there.
+//!   histogram's. A loop waits for the control lock only to run a
+//!   connection's admin command, and never with a shard lock held; at the
+//!   end of its pass it only *tries* the lock, and skips its round if
+//!   another thread has it. The roster is never locked under a shard lock,
+//!   and no lock is taken under a leaf latch. Under a shard lock an engine
+//!   narrates into the journal and a loop records a timed op's service
+//!   time; nothing else takes a lock there.
 //! * **Nothing built, dropped or histogrammed under a shard lock** that
 //!   could be outside it: a rebuilt engine is built before its lock is taken
 //!   and the old one dropped after it is released, and `stats` copies the
 //!   cells' counters and estimators under the lock and builds the curves
 //!   outside it. What an op evicts is dropped where the engine evicts it.
-//! * **Budget conservation** — the holder of the control lock is the *sole*
-//!   budget mutator. Every transfer is shrink-then-grow, each half under its
+//! * **Budget conservation** — each budget lives in its engine
+//!   ([`Engine::budget`]) and nowhere else, and the holder of the control
+//!   lock is its *sole* mutator, so a reader that holds the lock sees every
+//!   transfer whole. Every transfer is shrink-then-grow, each half under its
 //!   own shard's lock: the winner is granted only bytes the donor engine
 //!   actually released (a donor pinned at its slab-class floors contributes
 //!   nothing), so the summed live budgets never exceed `total_bytes`.
 //! * **Acyclic waits** — past idling for work, every thread waits only for
 //!   locks, each held across a critical section that waits on nothing but a
 //!   lock later in the order, so no cycle of waits can form. No thread
-//!   waits on a reply: a connection's admin command goes to the
-//!   `cache-control` thread, which answers in the loop's mailbox.
+//!   waits on a reply or on a loop.
 //! * **Tenant table** — the `app` command resolves its name in the roster,
 //!   with no shard lock held. `app_create` adds a name to the roster only
 //!   *after* every shard holds the new tenant's cell, so a session can
@@ -62,8 +66,8 @@ use crate::engine::{
     even_split, route_key, weighted_split, BackendConfig, BackendMode, Engine, StoredValue,
 };
 use crate::handle::PlaneHandle;
-use crate::protocol::{AppEntry, Response, StatsFormat, StoreVerb};
-use crate::reactor::{bump, ConnTelemetry, Mailbox};
+use crate::protocol::{StatsFormat, StoreVerb};
+use crate::reactor::{bump, ConnTelemetry, LoopHandle};
 use crate::server::ServerConfig;
 use crate::stats::WireCounts;
 use cache_core::prefetch::Sweep;
@@ -71,7 +75,6 @@ use cache_core::{Key, TenantDirectory};
 use cliffhanger::EventSink;
 use parking_lot::{Mutex, MutexGuard};
 use profiler::OnlineMrc;
-use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
@@ -91,19 +94,6 @@ const SLOW_OP_SAMPLE: u64 = 64;
 /// One op in this many is timed for the service-time histograms.
 const TIMED_EVERY: u64 = 16;
 
-/// Everything an event loop can find in its mailbox.
-pub(crate) enum LoopMsg {
-    /// A freshly accepted connection from the acceptor.
-    Conn(TcpStream),
-    /// The control thread finished an admin command a connection forwarded.
-    AdminDone {
-        /// The origin connection's token on this loop.
-        token: u64,
-        /// The reply, as the connection writes it.
-        response: Response,
-    },
-}
-
 /// The balancing rounds, in the order a loop whose op counter crosses
 /// several intervals at once runs them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -118,19 +108,6 @@ impl RoundKind {
     const ALL: [RoundKind; 2] = [RoundKind::Rebalance, RoundKind::Arbitrate];
 }
 
-/// Requests to the `cache-control` thread.
-pub(crate) enum CtrlReq {
-    /// An admin command forwarded off connection `token` of loop `origin`,
-    /// answered there as [`LoopMsg::AdminDone`].
-    Admin {
-        op: AdminOp,
-        origin: usize,
-        token: u64,
-    },
-    /// Exit the thread.
-    Shutdown,
-}
-
 /// The admin commands, each run under the control lock.
 pub(crate) enum AdminOp {
     Stats { format: StatsFormat },
@@ -139,57 +116,20 @@ pub(crate) enum AdminOp {
     AppList,
 }
 
-/// The master tenant table. The control lock's holder is the only writer; readers
-/// (the `app` command, [`PlaneHandle`] accessors, `stats` assembly) take the
-/// lock. The request fast path never touches it.
-#[derive(Clone)]
+/// The tenant table: each hosted application's name and weight. The
+/// control lock's holder is the only writer; the `app` command and the
+/// admin calls read it. The budgets are the engines' own
+/// ([`crate::engine::Engine::budget`]), and the request fast path never
+/// touches the table.
 pub(crate) struct RosterMaster {
     pub(crate) directory: TenantDirectory,
     pub(crate) weights: Vec<u64>,
-    /// Live per-(tenant, shard) byte budgets.
-    pub(crate) budgets: Vec<Vec<u64>>,
-}
-
-impl RosterMaster {
-    pub(crate) fn tenant_budgets(&self) -> Vec<u64> {
-        self.budgets
-            .iter()
-            .map(|per_shard| per_shard.iter().sum())
-            .collect()
-    }
-
-    pub(crate) fn shard_budgets(&self, shards: usize) -> Vec<u64> {
-        (0..shards)
-            .map(|s| self.budgets.iter().map(|per_shard| per_shard[s]).sum())
-            .collect()
-    }
-
-    /// Every live budget summed: what the control lock's holder conserves.
-    pub(crate) fn total_budget(&self) -> u64 {
-        self.budgets.iter().flatten().sum()
-    }
-
-    /// The hosted applications with their weights and live budgets.
-    pub(crate) fn app_list(&self) -> Vec<AppEntry> {
-        let budgets = self.tenant_budgets();
-        let rows = self.directory.names().iter().zip(&self.weights);
-        rows.zip(budgets)
-            .map(|((name, &weight), budget_bytes)| AppEntry {
-                name: name.clone(),
-                weight,
-                budget_bytes,
-            })
-            .collect()
-    }
 }
 
 /// State shared by the loops, the control thread and the [`PlaneHandle`].
 pub(crate) struct PlaneShared {
     pub(crate) config: BackendConfig,
     pub(crate) shards: usize,
-    pub(crate) mailboxes: Vec<Mailbox>,
-    /// Where a loop forwards a connection's admin command.
-    pub(crate) ctrl: Sender<CtrlReq>,
     /// Each loop's connection gauge and op ledger, and the accept totals.
     pub(crate) telemetry: ConnTelemetry,
     /// The control lock: the balancers and the admin state, first in the
@@ -210,13 +150,11 @@ impl PlaneShared {
     /// Resolves the tenant roster, the shard count and the boot budget
     /// split (weight-proportional across tenants, even across shards), and
     /// builds every shard's engines, for a plane of as many event loops as
-    /// `telemetry` counts, reachable over `mailboxes`, whose `stats` report
-    /// `idle_timeout` as the connections' idle limit.
+    /// `telemetry` counts, whose `stats` report `idle_timeout` as the
+    /// connections' idle limit.
     pub(crate) fn new(
         config: BackendConfig,
         telemetry: ConnTelemetry,
-        mailboxes: Vec<Mailbox>,
-        ctrl: Sender<CtrlReq>,
         idle_timeout: Option<Duration>,
     ) -> PlaneShared {
         let directory = config.tenant_directory();
@@ -240,6 +178,8 @@ impl PlaneShared {
             "total_bytes ({}) is under a byte for each of the {cells} (tenant, shard) engines",
             config.total_bytes,
         );
+        // The boot budgets, `[tenant][shard]`: from here on each lives only
+        // in its engine.
         let mut budgets: Vec<Vec<u64>> = weighted_split(config.total_bytes, &weights)
             .iter()
             .map(|&share| even_split(share, shards))
@@ -265,15 +205,9 @@ impl PlaneShared {
             .collect();
         PlaneShared {
             shards,
-            mailboxes,
-            ctrl,
             telemetry,
             control: Mutex::new(Control::new(&config, shards, directory.len(), idle_timeout)),
-            roster: Mutex::new(RosterMaster {
-                directory,
-                weights,
-                budgets,
-            }),
+            roster: Mutex::new(RosterMaster { directory, weights }),
             journal,
             started: Instant::now(),
             cells,
@@ -686,66 +620,49 @@ impl LoopState {
             }
         }
     }
-
-    /// Forwards an admin command to the `cache-control` thread. Returns
-    /// whether the thread is still there to answer.
-    pub(crate) fn forward_admin(&self, op: AdminOp, token: u64) -> bool {
-        let (origin, ctrl) = (self.index, &self.shared.ctrl);
-        ctrl.send(CtrlReq::Admin { op, origin, token }).is_ok()
-    }
 }
 
 /// A running data plane: the loops, the control thread and the handle.
 pub(crate) struct Plane {
     pub(crate) handle: Arc<PlaneHandle>,
-    pub(crate) loops: Arc<Vec<crate::reactor::LoopHandle>>,
-    control: Option<JoinHandle<()>>,
+    pub(crate) loops: Arc<Vec<LoopHandle>>,
+    /// The `cache-control` thread, and the sender whose drop stops it.
+    control: Option<(Sender<()>, JoinHandle<()>)>,
 }
 
 impl Plane {
-    /// Builds the roster and the shards, spawns `config.workers` event loops
-    /// and the control thread.
+    /// Builds the roster and the shards, spawns the control thread and
+    /// `config.workers` event loops.
     pub(crate) fn start(config: &ServerConfig) -> std::io::Result<Plane> {
         let (workers, idle_timeout) = (config.workers, config.idle_timeout);
-        let (ctrl_tx, ctrl_rx) = channel();
-        let mut mailboxes = Vec::with_capacity(workers);
-        let mut seeds = Vec::with_capacity(workers);
-        for index in 0..workers {
-            let (mailbox, seed) = crate::reactor::loop_channel(index)?;
-            mailboxes.push(mailbox);
-            seeds.push(seed);
-        }
         let telemetry = ConnTelemetry::new(workers, config.max_connections as u64);
         let shared = Arc::new(PlaneShared::new(
             config.backend.clone(),
             telemetry,
-            mailboxes,
-            ctrl_tx,
             idle_timeout,
         ));
+        let (stop, stopped) = channel();
         let control = Arc::clone(&shared);
         let control_thread = std::thread::Builder::new()
             .name("cache-control".to_string())
-            .spawn(move || crate::control::serve(&control, ctrl_rx))?;
-        let loops: Vec<crate::reactor::LoopHandle> = seeds
-            .into_iter()
-            .map(|seed| {
-                let state = LoopState::new(seed.index, Arc::clone(&shared), config.slow_op_micros);
-                crate::reactor::LoopHandle::spawn(seed, state, idle_timeout)
+            .spawn(move || crate::control::serve(&control, &stopped))?;
+        let loops: Vec<LoopHandle> = (0..workers)
+            .map(|index| {
+                let state = LoopState::new(index, Arc::clone(&shared), config.slow_op_micros);
+                LoopHandle::spawn(state, idle_timeout)
             })
             .collect::<std::io::Result<_>>()?;
         Ok(Plane {
             handle: Arc::new(PlaneHandle { shared }),
             loops: Arc::new(loops),
-            control: Some(control_thread),
+            control: Some((stop, control_thread)),
         })
     }
 
-    /// Stops the control thread first (admin requests in flight drain with
-    /// the loops still alive to answer), then the loops.
+    /// Stops the control thread, then the loops.
     pub(crate) fn shutdown(&mut self) {
-        let _ = self.handle.shared.ctrl.send(CtrlReq::Shutdown);
-        if let Some(thread) = self.control.take() {
+        if let Some((stop, thread)) = self.control.take() {
+            drop(stop);
             let _ = thread.join();
         }
         for event_loop in self.loops.iter() {
@@ -761,6 +678,7 @@ impl Plane {
 mod tests {
     use super::*;
     use crate::engine::TenantSpec;
+    use crate::protocol::Response;
     use serde_json::Value;
 
     /// The loop states of a 2-loop x 2-shard plane no thread serves.
@@ -769,9 +687,8 @@ mod tests {
             shards: 2,
             ..config
         };
-        let (ctrl, _) = channel();
         let telemetry = ConnTelemetry::new(2, 0);
-        let shared = Arc::new(PlaneShared::new(config, telemetry, Vec::new(), ctrl, None));
+        let shared = Arc::new(PlaneShared::new(config, telemetry, None));
         (0..2)
             .map(|index| LoopState::new(index, Arc::clone(&shared), 0))
             .collect()

@@ -12,13 +12,13 @@
 //! `conn::Connection` state machine, so thousands of mostly-idle
 //! connections cost a few kilobytes of buffer each instead of a thread.
 //!
-//! Each loop has a `Mailbox`: the acceptor and the control thread push
-//! `LoopMsg`s into it and, if it was empty, add one to the loop's `eventfd`
-//! counter (one 8-byte `write`, no socket buffer behind it). The loop zeroes
-//! the counter with one `read` and swaps the inbox for the emptied `Vec` of
-//! its last drain. Sibling loops never send to it, and a data op never
-//! crosses it: it carries fresh connections (`Conn`) and admin replies
-//! (`AdminDone`), nothing else. What `stats` reports of a loop, the loop
+//! Each loop has a `Mailbox`, which its `LoopHandle` owns: the acceptor
+//! pushes a freshly accepted connection into it and, if it was empty, adds
+//! one to the loop's `eventfd` counter (one 8-byte `write`, no socket
+//! buffer behind it). The loop zeroes the counter with one `read` and swaps
+//! the inbox for the emptied `Vec` of its last drain. A new connection is
+//! all that crosses between threads: a loop runs its connections' data ops
+//! and admin commands itself, and what `stats` reports of a loop, the loop
 //! writes into its `LoopLedger`, which `stats` reads without asking it.
 //!
 //! The epoll and eventfd bindings are a thin unsafe FFI against the system
@@ -28,7 +28,7 @@
 //! handed out as a `File`, which the standard library manages safely.
 
 use crate::conn::{Connection, Ctx, Drive};
-use crate::plane::{LoopMsg, LoopState, PlaneShared};
+use crate::plane::{LoopState, PlaneShared};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fs::File;
@@ -314,15 +314,14 @@ const EVENT_BATCH: usize = 256;
 /// Backstop timeout so a lost wakeup can never wedge shutdown.
 const WAIT_BACKSTOP_MS: i32 = 500;
 
-/// The message queue between the rest of the server and one event loop.
+/// The queue of connections the acceptor hands one event loop.
 struct Inbox {
-    msgs: Mutex<Vec<LoopMsg>>,
+    conns: Mutex<Vec<TcpStream>>,
     shutdown: AtomicBool,
 }
 
-/// The sending half of a loop's mailbox: push messages and, if the inbox
-/// was empty, wake the loop. Shared by the acceptor and the control thread
-/// via [`PlaneShared::mailboxes`].
+/// The sending half of a loop's mailbox: push a connection and, if the
+/// inbox was empty, wake the loop.
 pub(crate) struct Mailbox {
     inbox: Arc<Inbox>,
     /// The loop's wake-up eventfd; non-zero = "check your mailbox".
@@ -330,27 +329,23 @@ pub(crate) struct Mailbox {
 }
 
 impl Mailbox {
-    /// Delivers one message. Fails (handing the message back) once the
-    /// loop has stopped serving — checked under the inbox lock, the same
-    /// lock teardown drains under, so a message can never be stranded after
+    /// Delivers one connection. Fails (handing it back) once the loop has
+    /// stopped serving — checked under the inbox lock, the same lock
+    /// teardown drains under, so a connection can never be stranded after
     /// the final drain.
-    // The Err variant carries the whole message back by design: callers
-    // that care (the acceptor) re-own the connection, and the common path
-    // moves the value without an allocation.
-    #[allow(clippy::result_large_err)]
-    pub(crate) fn send(&self, msg: LoopMsg) -> Result<(), LoopMsg> {
+    fn send(&self, stream: TcpStream) -> Result<(), TcpStream> {
         let was_empty = {
-            let mut msgs = self.inbox.msgs.lock();
+            let mut conns = self.inbox.conns.lock();
             if self.inbox.shutdown.load(Ordering::SeqCst) {
-                return Err(msg);
+                return Err(stream);
             }
-            let was_empty = msgs.is_empty();
-            msgs.push(msg);
+            let was_empty = conns.is_empty();
+            conns.push(stream);
             was_empty
         };
         // The loop resets its counter before it swaps the inbox out, so
-        // whoever found messages waiting is covered by the wake-up (or the
-        // drain in progress) of whoever put the first one there.
+        // whoever found connections waiting is covered by the wake-up (or
+        // the drain in progress) of whoever put the first one there.
         if was_empty {
             self.wake();
         }
@@ -363,62 +358,40 @@ impl Mailbox {
         let _ = (&*self.waker).write(&1u64.to_ne_bytes());
     }
 
-    /// Stops accepting messages and wakes the loop, which sees that and exits.
-    pub(crate) fn close(&self) {
+    /// Stops accepting connections and wakes the loop, which sees that and
+    /// exits.
+    fn close(&self) {
         self.inbox.shutdown.store(true, Ordering::SeqCst);
         self.wake();
     }
 }
 
-/// The loop-side resources [`LoopHandle::spawn`] consumes: created eagerly
-/// by [`loop_channel`] so a resource failure surfaces as a start error
-/// instead of a dead loop.
-pub(crate) struct LoopSeed {
-    pub(crate) index: usize,
-    epoll: Epoll,
-    waker: Arc<File>,
-    inbox: Arc<Inbox>,
-}
-
-/// Creates the mailbox/loop-seed pair for event loop `index`. The mailboxes
-/// go into [`PlaneShared`] before any loop thread starts.
-pub(crate) fn loop_channel(index: usize) -> std::io::Result<(Mailbox, LoopSeed)> {
-    let waker = Arc::new(ffi::eventfd_counter()?);
-    let epoll = Epoll::new()?;
-    epoll.add(waker.as_raw_fd(), EPOLLIN, WAKE_TOKEN)?;
-    let inbox = Arc::new(Inbox {
-        msgs: Mutex::new(Vec::new()),
-        shutdown: AtomicBool::new(false),
-    });
-    Ok((
-        Mailbox {
-            inbox: Arc::clone(&inbox),
-            waker: Arc::clone(&waker),
-        },
-        LoopSeed {
-            index,
-            epoll,
-            waker,
-            inbox,
-        },
-    ))
-}
-
 /// The acceptor-side handle to one running event loop.
 pub(crate) struct LoopHandle {
-    index: usize,
-    shared: Arc<PlaneShared>,
+    mailbox: Mailbox,
     thread: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl LoopHandle {
-    /// Spawns event loop `index` from its seed, with `state`.
+    /// Spawns the event loop of `state`. Its epoll instance and wake-up
+    /// counter are made first, so a resource failure surfaces as a start
+    /// error instead of a dead loop.
     pub(crate) fn spawn(
-        seed: LoopSeed,
         state: LoopState,
         idle_timeout: Option<Duration>,
     ) -> std::io::Result<LoopHandle> {
-        let (index, shared) = (seed.index, Arc::clone(&state.shared));
+        let index = state.index;
+        let waker = Arc::new(ffi::eventfd_counter()?);
+        let epoll = Epoll::new()?;
+        epoll.add(waker.as_raw_fd(), EPOLLIN, WAKE_TOKEN)?;
+        let inbox = Arc::new(Inbox {
+            conns: Mutex::new(Vec::new()),
+            shutdown: AtomicBool::new(false),
+        });
+        let mailbox = Mailbox {
+            inbox: Arc::clone(&inbox),
+            waker: Arc::clone(&waker),
+        };
         let thread = std::thread::Builder::new()
             .name(format!("cache-loop-{index}"))
             .spawn(move || {
@@ -430,9 +403,9 @@ impl LoopHandle {
                 EventLoop {
                     index,
                     shared: Arc::clone(&state.shared),
-                    epoll: seed.epoll,
-                    waker: seed.waker,
-                    inbox: seed.inbox,
+                    epoll,
+                    waker,
+                    inbox,
                     drained: Vec::new(),
                     state,
                     conns: HashMap::new(),
@@ -444,8 +417,7 @@ impl LoopHandle {
                 .run()
             })?;
         Ok(LoopHandle {
-            index,
-            shared,
+            mailbox,
             thread: Mutex::new(Some(thread)),
         })
     }
@@ -455,18 +427,13 @@ impl LoopHandle {
     /// error — the stream is handed back so the acceptor can fail over to
     /// a live loop instead of stranding an accepted client.
     pub(crate) fn dispatch(&self, stream: TcpStream) -> Result<(), TcpStream> {
-        self.shared.mailboxes[self.index]
-            .send(LoopMsg::Conn(stream))
-            .map_err(|msg| match msg {
-                LoopMsg::Conn(stream) => stream,
-                _ => unreachable!("mailbox returned a different message"),
-            })
+        self.mailbox.send(stream)
     }
 
     /// Tells the loop to close every connection and exit; [`LoopHandle::join`]
     /// completes it.
     pub(crate) fn begin_shutdown(&self) {
-        self.shared.mailboxes[self.index].close();
+        self.mailbox.close();
     }
 
     /// Waits for the loop thread to exit.
@@ -489,7 +456,7 @@ struct EventLoop {
     inbox: Arc<Inbox>,
     /// What the inbox is swapped for at each drain: the two `Vec`s trade
     /// places, so neither is regrown from empty.
-    drained: Vec<LoopMsg>,
+    drained: Vec<TcpStream>,
     state: LoopState,
     conns: HashMap<u64, Connection>,
     next_token: u64,
@@ -524,7 +491,7 @@ impl EventLoop {
                     let _ = (&*self.waker).read(&mut [0u8; 8]);
                     self.process_mailbox();
                 } else {
-                    self.drive(token, ready, |_| {});
+                    self.drive(token, ready);
                 }
             }
             // Rounds that came due in this pass, asked for with no shard
@@ -541,31 +508,24 @@ impl EventLoop {
         }
         // Mark the inbox closed *under its lock* before the final drain:
         // `Mailbox::send` checks the flag under the same lock, so after
-        // this block no message can ever be stranded in the inbox — this
-        // also covers a loop that died on a hard epoll error rather than a
-        // requested shutdown.
-        let mut msgs = self.inbox.msgs.lock();
+        // this block no connection can ever be stranded in the inbox —
+        // this also covers a loop that died on a hard epoll error rather
+        // than a requested shutdown.
+        let mut conns = self.inbox.conns.lock();
         self.inbox.shutdown.store(true, Ordering::SeqCst);
-        for msg in msgs.drain(..) {
-            if let LoopMsg::Conn(_) = &msg {
-                self.shared.telemetry.on_close(self.index);
-            }
-            drop(msg);
+        for stream in conns.drain(..) {
+            self.shared.telemetry.on_close(self.index);
+            drop(stream);
         }
     }
 
     fn process_mailbox(&mut self) {
-        let mut msgs = std::mem::take(&mut self.drained);
-        std::mem::swap(&mut *self.inbox.msgs.lock(), &mut msgs);
-        for msg in msgs.drain(..) {
-            match msg {
-                LoopMsg::Conn(stream) => self.adopt(stream),
-                LoopMsg::AdminDone { token, response } => {
-                    self.drive(token, 0, |conn| conn.on_admin_done(response))
-                }
-            }
+        let mut conns = std::mem::take(&mut self.drained);
+        std::mem::swap(&mut *self.inbox.conns.lock(), &mut conns);
+        for stream in conns.drain(..) {
+            self.adopt(stream);
         }
-        self.drained = msgs;
+        self.drained = conns;
     }
 
     fn adopt(&mut self, stream: TcpStream) {
@@ -583,18 +543,16 @@ impl EventLoop {
         }
     }
 
-    /// Hands the connection what arrived for it (`deliver`), then runs one
-    /// readiness pass on it. A closed connection's token is ignored.
-    fn drive(&mut self, token: u64, ready: u32, deliver: impl FnOnce(&mut Connection)) {
+    /// Runs one readiness pass on a connection. A closed connection's token
+    /// is ignored.
+    fn drive(&mut self, token: u64, ready: u32) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        deliver(conn);
         let readable = ready & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0;
         let mut ctx = Ctx {
             state: &mut self.state,
             shared: &self.shared,
-            token,
         };
         match conn.on_ready(readable, &mut ctx) {
             Drive::Keep { interest, changed } => {
@@ -608,9 +566,7 @@ impl EventLoop {
         }
     }
 
-    /// Closes connections silent past the idle timeout. A connection with
-    /// an admin command in flight is never reaped — it is waiting on us, not
-    /// the other way round.
+    /// Closes connections silent past the idle timeout.
     fn sweep_idle(&mut self) {
         let (Some(timeout), Some(sweep), Some(next)) =
             (self.idle_timeout, self.sweep, self.next_sweep)
@@ -625,7 +581,7 @@ impl EventLoop {
         let stale: Vec<u64> = self
             .conns
             .iter()
-            .filter(|(_, conn)| !conn.in_flight() && conn.idle_for(now) >= timeout)
+            .filter(|(_, conn)| conn.idle_for(now) >= timeout)
             .map(|(&token, _)| token)
             .collect();
         for token in stale {

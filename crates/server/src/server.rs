@@ -203,9 +203,8 @@ impl CacheServer {
             let _ = handle.join();
         }
         // The acceptor is gone, so no new dispatches can race the plane's
-        // teardown: the control thread exits first (with the loops still
-        // alive to take any admin reply in flight), then each loop
-        // closes every connection it owns and exits.
+        // teardown: the control thread exits, then each loop closes every
+        // connection it owns and exits.
         self.plane.shutdown();
     }
 }

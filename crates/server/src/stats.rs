@@ -2,7 +2,7 @@
 //!
 //! The holder of the data plane's control lock copies the shards' cells;
 //! [`build_document`] assembles from them, the loops' ledgers, the plane's
-//! configuration, the roster and the rate history the one versioned
+//! configuration, the tenants' names and the rate history the one versioned
 //! [`StatsDocument`] (`cliffhanger-stats/v1`) —
 //! counters, per-loop service-time quantiles, the flight-recorder journal,
 //! live MRCs — and the control state adds its own counters. Every
@@ -11,7 +11,7 @@
 //! names and order `tests/stats_keys.rs` pins), [`render_json`] and
 //! [`render_prom`]. They cannot disagree, and a new fact is added once.
 
-use crate::plane::{PlaneShared, RosterMaster};
+use crate::plane::PlaneShared;
 use cache_core::{CacheStats, Footprint, ITEM_OVERHEAD};
 use parking_lot::Mutex;
 use profiler::MrcSnapshot;
@@ -49,6 +49,7 @@ impl WireCounts {
 pub(crate) struct EngineStat {
     pub(crate) wire: WireCounts,
     pub(crate) core: CacheStats,
+    pub(crate) budget: u64,
     pub(crate) used: u64,
     pub(crate) items: usize,
     pub(crate) footprint: Footprint,
@@ -73,6 +74,7 @@ fn rollup(nt: usize, ns: usize, engines: &[Vec<EngineStat>]) -> Rollup {
             for sum in [&mut r.total, &mut r.tenants[t], &mut r.shards[s]] {
                 sum.wire.accumulate(cell.wire);
                 sum.core += cell.core;
+                sum.budget += cell.budget;
                 sum.used += cell.used;
                 sum.items += cell.items;
                 sum.footprint += cell.footprint;
@@ -193,7 +195,7 @@ pub(crate) struct EngineDoc {
 }
 
 impl EngineDoc {
-    fn new(sum: &EngineStat, budget: u64) -> EngineDoc {
+    fn new(sum: &EngineStat) -> EngineDoc {
         EngineDoc {
             cmd_get: sum.wire.gets,
             cmd_set: sum.wire.sets,
@@ -203,7 +205,7 @@ impl EngineDoc {
             bytes: sum.used,
             curr_items: sum.items as u64,
             evictions: sum.core.evictions,
-            budget,
+            budget: sum.budget,
             shadow_hits: sum.core.shadow_hits,
         }
     }
@@ -397,7 +399,6 @@ const MRC_SCALES: [f64; 5] = [0.25, 0.5, 1.0, 2.0, 4.0];
 fn build_mrc(
     shift: Option<u32>,
     names: &[String],
-    budgets: &[u64],
     r: &Rollup,
     mrc: &[MrcSnapshot],
 ) -> Option<MrcDoc> {
@@ -411,7 +412,7 @@ fn build_mrc(
             // item footprint. No items yet means no meaningful probe sizes.
             let budget_items = if r.tenants[t].items > 0 {
                 let item_bytes = (r.tenants[t].used / r.tenants[t].items as u64).max(1);
-                budgets[t] / item_bytes
+                r.tenants[t].budget / item_bytes
             } else {
                 0
             };
@@ -580,21 +581,19 @@ fn build_allocator(
 }
 
 /// Assembles the stats document from the plane's configuration, journal
-/// and loop ledgers, the roster, the cells (`[shard][tenant]` engine stats,
-/// and per tenant the merged MRC estimators) and the rate history. The
-/// balancing and admin counters are left at their defaults: they are the
-/// control state's, and it sets them.
+/// and loop ledgers, the tenants' names, the cells (`[shard][tenant]`
+/// engine stats, budgets included, and per tenant the merged MRC
+/// estimators) and the rate history. The balancing and admin counters are
+/// left at their defaults: they are the control state's, and it sets them.
 pub(crate) fn build_document(
     shared: &PlaneShared,
-    roster: &RosterMaster,
+    names: &[String],
     (engines, mrc): (&[Vec<EngineStat>], &[MrcSnapshot]),
     history: &TimeSeries,
     start_unix_us: u64,
 ) -> StatsDocument {
-    let (names, budgets) = (roster.directory.names(), roster.tenant_budgets());
     let (nt, ns) = (names.len(), shared.shards);
     let r = rollup(nt, ns, engines);
-    let shard_budgets = roster.shard_budgets(ns);
     let (config, journal, conns) = (&shared.config, &shared.journal, &shared.telemetry);
     let mut local_merged = Histogram::new();
     let mut remote_merged = Histogram::new();
@@ -618,7 +617,7 @@ pub(crate) fn build_document(
             }
         })
         .collect();
-    let mrc = build_mrc(config.mrc_shift(), names, &budgets, &r, mrc);
+    let mrc = build_mrc(config.mrc_shift(), names, &r, mrc);
     let allocator = build_allocator(start_unix_us, names, history, journal);
     let history = build_history(start_unix_us, names, history);
     let elapsed = shared.started.elapsed();
@@ -675,14 +674,14 @@ pub(crate) fn build_document(
         tenants: (0..nt)
             .map(|t| TenantDoc {
                 name: names[t].clone(),
-                engine: EngineDoc::new(&r.tenants[t], budgets[t]),
+                engine: EngineDoc::new(&r.tenants[t]),
             })
             .collect(),
         shards: (0..ns)
             .map(|s| ShardDoc {
                 index: s,
                 owner_loop: shared.home_of(s),
-                engine: EngineDoc::new(&r.shards[s], shard_budgets[s]),
+                engine: EngineDoc::new(&r.shards[s]),
             })
             .collect(),
         journal: JournalDoc {

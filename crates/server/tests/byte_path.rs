@@ -12,39 +12,39 @@
 //! counting global allocator: counts, not timings, so the budgets hold on
 //! any host.
 //!
-//! A readiness pass itself allocates nothing either (the history sample in
-//! `LoopState::observe` is built in a kept buffer and overwrites its bucket
-//! in place; only a new one-second bucket of a ring not yet full allocates),
-//! so the GET budget is one allocation per 200 GETs — two orders of
-//! magnitude under the 1/64 a per-pass `Vec` cost, and far under what the
-//! path cost when every command `split_to`-copied the unparsed rest of the
-//! buffer: 7 allocations per GET and per SET, and ≈ 1.3 GB allocated to
-//! serve one 256 KB pipelined write.
+//! A readiness pass itself allocates nothing either (the once-a-second
+//! history sample is the `cache-control` thread's `Control::observe`: a
+//! few allocations a second, which the allocator counts with the rest), so
+//! the GET budget is one allocation per 200 GETs — two orders of magnitude
+//! under the 1/64 a per-pass `Vec` cost, and far under what the path cost
+//! when every command `split_to`-copied the unparsed rest of the buffer: 7
+//! allocations per GET and per SET, and ≈ 1.3 GB allocated to serve one
+//! 256 KB pipelined write.
 //!
-//! The same budgets hold a 2-loop x 2-shard server, where half the keys
-//! belong to the loop the connection is not on: a forwarded op joins the
-//! loop's kept `OpBatch` (its key appended to the batch's bytes), the owner
-//! fills the outcome in place — a hit's data copied behind the keys — and
-//! sends the batch back, and responses behind an unanswered ring entry wait
-//! in one kept staging buffer — so the hop allocates nothing in the steady
-//! state either, held once more on a pipeline whose every GET crosses.
-//! Before the batch made the round trip (one boxed `DataOp` with an owned
-//! key out, one `DataReply` back, a `Vec` per staged response, mailbox
-//! `Vec`s regrown every pass) that section read 2.12 allocations per GET,
-//! 2.67 per SET and 5.2 MB for the 256 KB burst. Its GET budget is 0.05,
-//! not 0.005: two shards switch the cross-shard rebalancer on, and its
-//! rounds are the ≈ 0.012 per GET (0.014 on the all-remote pipeline) that
-//! section still reads — none of it on the request path. Each few thousand
+//! The same budgets hold a 2-loop x 2-shard server, where half the keys are
+//! homed on the loop the connection is not on: the connection's loop runs
+//! them under their shard's lock as it runs its own, so no op crosses a
+//! loop, and a pipeline whose every GET is the other loop's is held once
+//! more. While such an op crossed to its home loop (one boxed `DataOp` with
+//! an owned key out, one `DataReply` back, a `Vec` per staged response,
+//! mailbox `Vec`s regrown every pass) that section read 2.12 allocations
+//! per GET, 2.67 per SET and 5.2 MB for the 256 KB burst. Its GET budget is
+//! 0.05, not 0.005: two shards switch the cross-shard rebalancer on, and
+//! its rounds are the ≈ 0.006 per GET (0.007 on the all-remote pipeline)
+//! that section reads — none of it on the request path. Each few thousand
 //! ops a loop runs a round at the end of its pass, reading the engines'
-//! shadow-hit counters under each shard's lock; one round is held to 8 KiB
-//! allocated and reads 343 bytes (1.2 KB while a round was a message to the
-//! control thread, ≈ 3 KB while it asked each loop for the counters). While a round asked
-//! each loop for the whole snapshot the `stats` document is built from,
-//! its MRC histograms cloned, one round allocated 52 KB and the section
-//! read ≈ 0.017 per GET (0.020). Its SET
-//! budget is 0.75, not 0.05: a SET of a key the other loop owns is built on
-//! the connection's loop and freed, when overwritten, on the owner's, so
-//! the origin's magazine never gets those buffers back (reads ≈ 0.58).
+//! shadow-hit counters and budgets under each shard's lock; one round is
+//! held to 8 KiB allocated and reads 280 bytes (343 while it copied the
+//! tenant roster, budgets and all, and wrote it back; 1.2 KB while a round
+//! was a message to the control thread, ≈ 3 KB while it asked each loop for
+//! the counters). While a round asked each loop for the whole snapshot the
+//! `stats` document is built from, its MRC histograms cloned, one round
+//! allocated 52 KB and the section read ≈ 0.017 per GET (0.020). Its SET
+//! budget is 0.75, not 0.05, from when a SET of the other loop's key was
+//! freed, when overwritten, into that loop's magazine, so the origin's
+//! magazine never got those buffers back (it read ≈ 0.58); the item is now
+//! built and freed on the connection's loop, and the section reads about
+//! 0.01.
 //!
 //! The connection parses a window of up to 32 keys ahead of executing it;
 //! the window is one buffer the connection keeps, so the figures are what
