@@ -632,7 +632,8 @@ pub(crate) struct Plane {
 
 impl Plane {
     /// Builds the roster and the shards, spawns the control thread and
-    /// `config.workers` event loops.
+    /// `config.workers` event loops. If a loop fails to start, the control
+    /// thread and the loops already running are stopped and joined first.
     pub(crate) fn start(config: &ServerConfig) -> std::io::Result<Plane> {
         let (workers, idle_timeout) = (config.workers, config.idle_timeout);
         let telemetry = ConnTelemetry::new(workers, config.max_connections as u64);
@@ -646,17 +647,21 @@ impl Plane {
         let control_thread = std::thread::Builder::new()
             .name("cache-control".to_string())
             .spawn(move || crate::control::serve(&control, &stopped))?;
-        let loops: Vec<LoopHandle> = (0..workers)
-            .map(|index| {
-                let state = LoopState::new(index, Arc::clone(&shared), config.slow_op_micros);
-                LoopHandle::spawn(state, idle_timeout)
-            })
-            .collect::<std::io::Result<_>>()?;
-        Ok(Plane {
+        let mut loops = Vec::with_capacity(workers);
+        let spawned = (0..workers).try_for_each(|index| {
+            let state = LoopState::new(index, Arc::clone(&shared), config.slow_op_micros);
+            LoopHandle::spawn(state, idle_timeout).map(|event_loop| loops.push(event_loop))
+        });
+        let mut plane = Plane {
             handle: Arc::new(PlaneHandle { shared }),
             loops: Arc::new(loops),
             control: Some((stop, control_thread)),
-        })
+        };
+        if let Err(error) = spawned {
+            plane.shutdown();
+            return Err(error);
+        }
+        Ok(plane)
     }
 
     /// Stops the control thread, then the loops.
