@@ -38,9 +38,14 @@ impl HitRateCurve {
         HitRateCurve { points }
     }
 
-    /// Builds the exact curve implied by a stack-distance histogram: the hit
-    /// rate at `c` items is the fraction of requests with distance `≤ c`.
-    pub fn from_histogram(histogram: &StackDistanceHistogram) -> Self {
+    /// Builds the curve implied by a stack-distance histogram whose distance
+    /// `d` stands for `items(d)` items, `items` strictly increasing over the
+    /// populated distances: the hit rate at `items(d)` is the fraction of
+    /// requests with distance `≤ d`, one point per populated distance.
+    pub fn from_histogram(
+        histogram: &StackDistanceHistogram,
+        items: impl Fn(usize) -> u64,
+    ) -> Self {
         let total = histogram.total();
         if total == 0 {
             return HitRateCurve::default();
@@ -53,7 +58,7 @@ impl HitRateCurve {
                 continue;
             }
             cumulative += count;
-            points.push((d as u64, cumulative as f64 / total as f64));
+            points.push((items(d), cumulative as f64 / total as f64));
         }
         if points.is_empty() {
             points.push((0, 0.0));
@@ -189,7 +194,7 @@ mod tests {
         for _ in 0..2 {
             h.record_cold();
         }
-        let c = HitRateCurve::from_histogram(&h);
+        let c = h.to_curve();
         assert!((c.hit_rate_at(1) - 0.5).abs() < 1e-12);
         assert!((c.hit_rate_at(9) - 0.5).abs() > 0.0); // interpolated region
         assert!((c.hit_rate_at(10) - 0.8).abs() < 1e-12);
@@ -199,7 +204,7 @@ mod tests {
     #[test]
     fn empty_histogram_gives_empty_curve() {
         let h = StackDistanceHistogram::new();
-        let c = HitRateCurve::from_histogram(&h);
+        let c = h.to_curve();
         assert_eq!(c.hit_rate_at(100), 0.0);
         assert_eq!(c.max_items(), 0);
     }

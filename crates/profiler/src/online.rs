@@ -24,11 +24,11 @@
 //! The estimator is deliberately partitioned: the server keeps one per
 //! (shard, tenant), records only the GETs of that shard's keys, and exports
 //! a serializable [`MrcSnapshot`] whose [`MrcSnapshot::merge`] is exact
-//! concatenation of the underlying scaled-distance samples — valid across
+//! concatenation of the underlying in-sample distances — valid across
 //! estimators because the shards hold *disjoint* key populations, which is
 //! just more spatial sampling. An estimator that sees `owned` of `total`
 //! shards passes `owned as f64 / total as f64` as its population share and
-//! the recorded distances absorb the extra `total/owned` scale.
+//! the curve's distances absorb the extra `total/owned` scale.
 
 use crate::curve::HitRateCurve;
 use crate::mimir::MimirEstimator;
@@ -59,10 +59,11 @@ const MAX_TRACKED: usize = 32_768;
 
 /// A SHARDS-sampled, Mimir-bucketed, online miss-ratio-curve estimator.
 ///
-/// It keeps only the in-sample distances the bucket estimator records;
-/// the population-scaled histogram is built from them when it is read.
-/// Scaled, a histogram indexed by distance would be `2^shift / share`
-/// times longer and all but one entry in `2^shift / share` empty.
+/// It keeps only the in-sample distances the bucket estimator records, and
+/// a reader scales only the curve's points ([`MrcSnapshot::to_curve`]): a
+/// population-scaled histogram indexed by distance would be
+/// `2^shift / share` times longer and all but one entry in
+/// `2^shift / share` empty.
 #[derive(Debug)]
 pub struct OnlineMrc {
     shift: u32,
@@ -116,7 +117,7 @@ impl OnlineMrc {
         }
         self.sampled += 1;
         // Mimir records the in-sample distance (or a cold access) in its
-        // own histogram; `histogram` scales it to the population.
+        // own histogram; a snapshot's curve scales it to the population.
         self.mimir.record(key);
     }
 
@@ -135,91 +136,28 @@ impl OnlineMrc {
         self.mimir.tracked_keys()
     }
 
-    /// The accumulated population-scaled stack-distance histogram, built
-    /// in one pass over the bucket estimator's populated in-sample
-    /// distances.
-    pub fn histogram(&self) -> StackDistanceHistogram {
-        scaled(self.mimir.histogram(), self.scale)
-    }
-
-    /// The estimated full-population hit-rate curve (SHARDS_adj-corrected,
-    /// see [`MrcSnapshot::to_curve`]).
-    pub fn to_curve(&self) -> HitRateCurve {
-        self.snapshot().to_curve()
-    }
-
-    /// Exports the estimator's accumulated samples for the snapshot/merge
-    /// path. Cheap relative to a stats round-trip; the estimator keeps
-    /// accumulating afterwards.
+    /// Copies the estimator's counters, scale and in-sample histogram, not
+    /// its key table: what a reader takes while the estimator is locked.
+    /// The estimator keeps accumulating afterwards.
     pub fn snapshot(&self) -> MrcSnapshot {
         MrcSnapshot {
             shift: self.shift,
             offered: self.offered,
             sampled: self.sampled,
             tracked_keys: self.mimir.tracked_keys() as u64,
-            histogram: self.histogram(),
-        }
-    }
-
-    /// Copies the estimator's counters and in-sample histogram, not its
-    /// key table: what a reader takes while the estimator is locked, to
-    /// scale with [`InSampleMrc::scale`] once it is released.
-    pub fn in_sample(&self) -> InSampleMrc {
-        InSampleMrc {
-            shift: self.shift,
             scale: self.scale,
-            offered: self.offered,
-            sampled: self.sampled,
-            tracked_keys: self.mimir.tracked_keys() as u64,
             histogram: self.mimir.histogram().clone(),
         }
     }
 }
 
-/// The population-scaled copy of an in-sample histogram: each count lands
-/// at its distance times `scale`, rounded, at least 1; cold accesses carry
-/// over as they are.
-fn scaled(sampled: &StackDistanceHistogram, scale: f64) -> StackDistanceHistogram {
-    let mut scaled = StackDistanceHistogram::new();
-    for d in 1..=sampled.max_distance() {
-        let at = ((d as f64 * scale).round() as usize).max(1);
-        scaled.add(at, sampled.count_at(d));
-    }
-    scaled.add_cold(sampled.cold());
-    scaled
-}
-
-/// An [`OnlineMrc`]'s samples as recorded, from [`OnlineMrc::in_sample`]:
-/// its counters and in-sample histogram, the distances not yet scaled.
-#[derive(Debug)]
-pub struct InSampleMrc {
-    shift: u32,
-    scale: f64,
-    offered: u64,
-    sampled: u64,
-    tracked_keys: u64,
-    histogram: StackDistanceHistogram,
-}
-
-impl InSampleMrc {
-    /// Scales the copy to the population: the [`MrcSnapshot`] that
-    /// [`OnlineMrc::snapshot`] returned when the copy was taken.
-    pub fn scale(self) -> MrcSnapshot {
-        MrcSnapshot {
-            shift: self.shift,
-            offered: self.offered,
-            sampled: self.sampled,
-            tracked_keys: self.tracked_keys,
-            histogram: scaled(&self.histogram, self.scale),
-        }
-    }
-}
-
-/// A serializable export of one [`OnlineMrc`]'s accumulated samples.
+/// A serializable export of one [`OnlineMrc`]'s accumulated samples, in
+/// the units they were recorded: in-sample distances, and the `scale` that
+/// takes one to the population.
 ///
-/// Merging snapshots is *exactly* concatenation of their scaled-distance
-/// sample multisets (see [`MrcSnapshot::merge`]), so per-loop estimators
-/// over disjoint key populations combine into one unbiased population
+/// Merging snapshots is *exactly* concatenation of their sample multisets
+/// (see [`MrcSnapshot::merge`]), so per-shard estimators over disjoint key
+/// populations, all at one scale, combine into one unbiased population
 /// estimate with no coordination while running.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct MrcSnapshot {
@@ -231,16 +169,27 @@ pub struct MrcSnapshot {
     pub sampled: u64,
     /// Distinct sampled keys tracked at snapshot time (summed on merge).
     pub tracked_keys: u64,
-    /// Population-scaled stack-distance histogram of the sampled GETs.
+    /// Multiplier taking an in-sample distance to a population one:
+    /// `2^shift / population_share` (0 in an empty default snapshot).
+    pub scale: f64,
+    /// In-sample stack-distance histogram of the sampled GETs.
     pub histogram: StackDistanceHistogram,
 }
 
 impl MrcSnapshot {
     /// Merges another snapshot in: histogram counts add per distance,
     /// offered/sampled/tracked counters add. Exact — no re-estimation
-    /// happens.
+    /// happens. Both must be at one scale; an empty default snapshot takes
+    /// the scale of the first it merges.
     pub fn merge(&mut self, other: &MrcSnapshot) {
+        debug_assert!(
+            self.scale == 0.0 || self.scale == other.scale,
+            "merged estimators differ in scale: {} and {}",
+            self.scale,
+            other.scale
+        );
         self.shift = self.shift.max(other.shift);
+        self.scale = other.scale;
         self.offered += other.offered;
         self.sampled += other.sampled;
         self.tracked_keys += other.tracked_keys;
@@ -253,15 +202,21 @@ impl MrcSnapshot {
     /// from unsampled *hot* keys, so it is restored into the smallest
     /// distance bucket before building the curve (an excess is drained the
     /// same way). At `shift = 0` the correction is identically zero.
+    ///
+    /// Each populated in-sample distance `d` is one point, at
+    /// `max(1, round(d × scale))` items: for `scale >= 1` that map is
+    /// strictly increasing, so the points are those of the histogram scaled
+    /// count by count. A shortfall with no finite distance to join lands at
+    /// one item.
     pub fn to_curve(&self) -> HitRateCurve {
         let expected = (self.offered >> self.shift) as i64;
-        let diff = expected - self.histogram.total() as i64;
-        if diff == 0 {
-            return self.histogram.to_curve();
-        }
         let mut adjusted = self.histogram.clone();
-        adjusted.adjust_first_bucket(diff);
-        adjusted.to_curve()
+        adjusted.adjust_first_bucket(expected - self.histogram.total() as i64);
+        // With no finite distance, every point is at one item.
+        let finite = self.histogram.total() > self.histogram.cold();
+        let scale = if finite { self.scale } else { 0.0 };
+        let items = |d: usize| ((d as f64 * scale).round() as u64).max(1);
+        HitRateCurve::from_histogram(&adjusted, items)
     }
 }
 
@@ -289,6 +244,19 @@ mod tests {
             .collect()
     }
 
+    /// Asserts the estimate's curve within 0.15 of the exact one at every
+    /// probed size.
+    fn assert_tracks(exact: &StackDistanceTracker, estimate: &MrcSnapshot, probes: &[u64]) {
+        let (exact, estimate) = (exact.to_curve(), estimate.to_curve());
+        for &probe in probes {
+            let (e, o) = (exact.hit_rate_at(probe), estimate.hit_rate_at(probe));
+            assert!(
+                (e - o).abs() < 0.15,
+                "at {probe} items exact={e:.3} estimate={o:.3}"
+            );
+        }
+    }
+
     /// R = 1 (shift 0) degenerates to plain Mimir estimation: the curve
     /// must track the exact Mattson curve within the Mimir error bound.
     #[test]
@@ -301,16 +269,7 @@ mod tests {
             online.record(k);
         }
         assert_eq!(online.sampled(), trace.len() as u64);
-        let exact_curve = exact.to_curve();
-        let online_curve = online.to_curve();
-        for probe in [25u64, 50, 100, 250, 500] {
-            let e = exact_curve.hit_rate_at(probe);
-            let o = online_curve.hit_rate_at(probe);
-            assert!(
-                (e - o).abs() < 0.15,
-                "at {probe} items exact={e:.3} online={o:.3}"
-            );
-        }
+        assert_tracks(&exact, &online.snapshot(), &[25, 50, 100, 250, 500]);
     }
 
     /// R = 1/64 sampling on a bigger Zipf trace: the scaled curve must land
@@ -330,19 +289,14 @@ mod tests {
             "sampled fraction {rate:.4} should be near 1/64"
         );
         assert!(online.tracked_keys() < 1_000, "memory must stay bounded");
-        let exact_curve = exact.to_curve();
-        let online_curve = online.to_curve();
         // SHARDS resolves cache sizes above 1/R distinct keys (an in-sample
         // distance of 1 already scales to 64 items), so the probed scales
         // start at ~8x the sampling granularity.
-        for probe in [500u64, 1_000, 2_500, 5_000, 10_000] {
-            let e = exact_curve.hit_rate_at(probe);
-            let o = online_curve.hit_rate_at(probe);
-            assert!(
-                (e - o).abs() < 0.15,
-                "at {probe} items exact={e:.3} sampled={o:.3}"
-            );
-        }
+        assert_tracks(
+            &exact,
+            &online.snapshot(),
+            &[500, 1_000, 2_500, 5_000, 10_000],
+        );
     }
 
     /// A loop that owns half the shards sees half the population; with the
@@ -360,16 +314,7 @@ mod tests {
                 half.record(k);
             }
         }
-        let exact_curve = exact.to_curve();
-        let half_curve = half.to_curve();
-        for probe in [100u64, 400, 1_000, 2_000] {
-            let e = exact_curve.hit_rate_at(probe);
-            let h = half_curve.hit_rate_at(probe);
-            assert!(
-                (e - h).abs() < 0.15,
-                "at {probe} items exact={e:.3} half-view={h:.3}"
-            );
-        }
+        assert_tracks(&exact, &half.snapshot(), &[100, 400, 1_000, 2_000]);
     }
 
     /// Two per-loop estimators over disjoint key halves, merged, agree with
@@ -394,16 +339,7 @@ mod tests {
             trace.len() as u64,
             "disjoint halves must cover every request"
         );
-        let exact_curve = exact.to_curve();
-        let merged_curve = merged.to_curve();
-        for probe in [100u64, 400, 1_000, 2_000] {
-            let e = exact_curve.hit_rate_at(probe);
-            let m = merged_curve.hit_rate_at(probe);
-            assert!(
-                (e - m).abs() < 0.15,
-                "at {probe} items exact={e:.3} merged={m:.3}"
-            );
-        }
+        assert_tracks(&exact, &merged, &[100, 400, 1_000, 2_000]);
     }
 
     proptest! {
@@ -427,74 +363,62 @@ mod tests {
 
             prop_assert_eq!(ab.sampled, (left.len() + right.len()) as u64);
             prop_assert_eq!(&ab, &ba);
-            prop_assert_eq!(
-                ab.histogram.total(),
-                a.snapshot().histogram.total() + b.snapshot().histogram.total()
-            );
-            prop_assert_eq!(
-                ab.histogram.cold(),
-                a.histogram().cold() + b.histogram().cold()
-            );
+            let (a, b) = (a.snapshot().histogram, b.snapshot().histogram);
+            prop_assert_eq!(ab.histogram.total(), a.total() + b.total());
+            prop_assert_eq!(ab.histogram.cold(), a.cold() + b.cold());
             let max = ab.histogram.max_distance();
             for d in 1..=max {
                 prop_assert_eq!(
                     ab.histogram.count_at(d),
-                    a.histogram().count_at(d) + b.histogram().count_at(d),
+                    a.count_at(d) + b.count_at(d),
                     "distance {}", d
                 );
             }
         }
     }
 
-    proptest! {
-        /// The scaled histogram built at snapshot time from the bucket
-        /// estimator's in-sample one is the histogram of scaling each
-        /// distance as it is measured, at every sampling shift and
-        /// population share: the snapshot carries the same counts at the
-        /// same distances, the same cold count and the same total.
-        #[test]
-        fn snapshot_scales_the_in_sample_histogram_exactly(
-            shift in 0u32..=8,
-            share in 0usize..4,
-            trace in proptest::collection::vec((any::<bool>(), 0u64..256), 0..800),
-        ) {
-            // Keys that pass the gate at shift 8 pass it at every smaller
-            // shift; the rest of the trace is mostly gated out.
-            let sampled_pool: Vec<Key> = (0..)
-                .map(key)
-                .filter(|k| mix64(k.raw() ^ SAMPLE_SALT) <= u64::MAX >> 8)
-                .take(256)
-                .collect();
-            let share = [1.0, 0.5, 2.0 / 3.0, 1.0 / 3.0][share];
-            let mut online = OnlineMrc::with_population_share(shift, share);
-            let mut mimir = MimirEstimator::new(MIMIR_BUCKETS, MAX_TRACKED);
-            let mut reference = StackDistanceHistogram::new();
-            let scale = (1u64 << shift) as f64 / share;
-            for &(pooled, i) in &trace {
-                let k = if pooled { sampled_pool[i as usize] } else { key(i) };
-                online.record(k);
-                if mix64(k.raw() ^ SAMPLE_SALT) > online.threshold {
-                    continue;
-                }
-                match mimir.record(k) {
-                    Some(d) => reference.record(((d as f64 * scale).round() as usize).max(1)),
-                    None => reference.record_cold(),
-                }
-            }
-            prop_assert_eq!(online.snapshot().histogram, reference);
+    /// The population-scaled histogram curves were once built from: each
+    /// count at its distance times `scale`, rounded, at least 1.
+    fn scaled(sampled: &StackDistanceHistogram, scale: f64) -> StackDistanceHistogram {
+        let mut scaled = StackDistanceHistogram::new();
+        for d in 1..=sampled.max_distance() {
+            let at = ((d as f64 * scale).round() as usize).max(1);
+            scaled.add(at, sampled.count_at(d));
         }
+        scaled.add_cold(sampled.cold());
+        scaled
     }
 
-    /// What a reader copies while the estimator is locked and scales after
-    /// is the snapshot, at every shift and population share.
-    #[test]
-    fn a_scaled_in_sample_copy_is_the_snapshot() {
-        for (shift, share) in [(0, 1.0), (3, 0.5), (6, 1.0 / 3.0)] {
-            let mut online = OnlineMrc::with_population_share(shift, share);
-            for k in zipf_trace(60_000, 120_000, u64::from(shift)) {
-                online.record(k);
+    proptest! {
+        /// Two in-sample snapshots merged give the curve of the dense
+        /// construction they replace: each histogram scaled, the scaled
+        /// ones merged, SHARDS_adj applied to the merge. Covered: every
+        /// shift and population share, shortfalls and excesses, and in one
+        /// case in five histograms of cold accesses alone, whose shortfall
+        /// lands at one item.
+        #[test]
+        fn curve_points_equal_the_dense_scaled_histograms(
+            shift in 0u32..=8,
+            share in 0usize..4,
+            cells in proptest::collection::vec(
+                (proptest::collection::vec((1usize..300, 1u64..5), 0..40), 0u64..20, 0u64..120),
+                2,
+            ),
+            finite in 0u8..5,
+        ) {
+            let scale = (1u64 << shift) as f64 / [1.0, 0.5, 2.0 / 3.0, 1.0 / 3.0][share];
+            let (mut merged, mut dense) = (MrcSnapshot::default(), StackDistanceHistogram::new());
+            for (counts, cold, expected) in cells {
+                let mut histogram = StackDistanceHistogram::new();
+                counts.iter().filter(|_| finite > 0).for_each(|&(d, n)| histogram.add(d, n));
+                histogram.add_cold(cold);
+                dense.merge(&scaled(&histogram, scale));
+                let offered = expected << shift;
+                let snapshot = MrcSnapshot { shift, offered, scale, histogram, ..Default::default() };
+                merged.merge(&snapshot);
             }
-            assert_eq!(online.in_sample().scale(), online.snapshot());
+            dense.adjust_first_bucket((merged.offered >> shift) as i64 - dense.total() as i64);
+            prop_assert_eq!(merged.to_curve(), dense.to_curve());
         }
     }
 
@@ -517,6 +441,6 @@ mod tests {
             "shift 20 should gate out almost everything, sampled {}",
             m.sampled()
         );
-        assert_eq!(m.histogram().total(), recorded);
+        assert_eq!(m.snapshot().histogram.total(), recorded);
     }
 }

@@ -94,7 +94,7 @@ impl StackDistanceHistogram {
 
     /// The hit-rate curve implied by this histogram.
     pub fn to_curve(&self) -> HitRateCurve {
-        HitRateCurve::from_histogram(self)
+        HitRateCurve::from_histogram(self, |d| d as u64)
     }
 
     /// Shifts `delta` requests into (positive) or out of (negative) the

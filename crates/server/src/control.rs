@@ -160,8 +160,8 @@ impl Control {
 
     /// Every engine's statistics, indexed `[shard][tenant]`, and each
     /// tenant's MRC estimators merged: the counters and each estimator's
-    /// in-sample histogram are copied under each shard's lock, and scaled
-    /// to the population after it is released.
+    /// in-sample histogram are copied under each shard's lock, and merged
+    /// after it is released.
     fn read_cells(
         shared: &PlaneShared,
         tenants: usize,
@@ -181,13 +181,13 @@ impl Control {
                             items: engine.len(),
                             footprint: engine.footprint(),
                         };
-                        (stat, cell.mrc.as_ref().map(OnlineMrc::in_sample))
+                        (stat, cell.mrc.as_ref().map(OnlineMrc::snapshot))
                     };
                     cells.0.iter().take(tenants).map(copy).unzip()
                 };
                 for (merged, copy) in mrc.iter_mut().zip(estimators) {
                     if let Some(copy) = copy {
-                        merged.merge(&copy.scale());
+                        merged.merge(&copy);
                     }
                 }
                 stats

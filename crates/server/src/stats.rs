@@ -17,9 +17,7 @@ use parking_lot::Mutex;
 use profiler::MrcSnapshot;
 use serde::Serialize;
 use std::sync::atomic::Ordering;
-use telemetry::{
-    EventKind, Histogram, Journal, JournalEvent, LatencySummary, SeriesRates, TimeSeries,
-};
+use telemetry::{EventKind, Histogram, JournalEvent, LatencySummary, SeriesRates, TimeSeries};
 
 /// The version tag of the machine-readable stats document.
 pub(crate) const STATS_SCHEMA: &str = "cliffhanger-stats/v1";
@@ -405,32 +403,24 @@ fn build_mrc(
     let shift = shift?;
     let tenants = names
         .iter()
-        .enumerate()
-        .map(|(t, name)| {
-            let merged = mrc.get(t).cloned().unwrap_or_default();
+        .zip(mrc)
+        .zip(&r.tenants)
+        .map(|((name, merged), sum)| {
             // The tenant's budget in items: budget bytes over the mean live
             // item footprint. No items yet means no meaningful probe sizes.
-            let budget_items = if r.tenants[t].items > 0 {
-                let item_bytes = (r.tenants[t].used / r.tenants[t].items as u64).max(1);
-                r.tenants[t].budget / item_bytes
-            } else {
-                0
+            let budget_items = match sum.items {
+                0 => 0,
+                items => sum.budget / (sum.used / items as u64).max(1),
             };
             let curve = merged.to_curve();
-            let points = if budget_items > 0 {
-                MRC_SCALES
-                    .iter()
-                    .map(|&scale| {
-                        let items = ((budget_items as f64 * scale).round() as u64).max(1);
-                        MrcPointDoc {
-                            scale,
-                            items,
-                            hit_rate: curve.hit_rate_at(items),
-                        }
-                    })
-                    .collect()
-            } else {
-                Vec::new()
+            let point = |&scale: &f64| {
+                let items = ((budget_items as f64 * scale).round() as u64).max(1);
+                let hit_rate = curve.hit_rate_at(items);
+                MrcPointDoc {
+                    scale,
+                    items,
+                    hit_rate,
+                }
             };
             MrcTenantDoc {
                 name: name.clone(),
@@ -438,7 +428,10 @@ fn build_mrc(
                 sampled: merged.sampled,
                 tracked_keys: merged.tracked_keys,
                 budget_items,
-                points,
+                points: match budget_items {
+                    0 => Vec::new(),
+                    _ => MRC_SCALES.iter().map(point).collect(),
+                },
             }
         })
         .collect();
@@ -479,35 +472,20 @@ fn build_history(start_unix_us: u64, names: &[String], history: &TimeSeries) -> 
     }
 }
 
-/// A tenant's hit rate over the newest history window whose index satisfies
-/// `pick` (used to read "the window containing t" and "the window after t").
-fn tenant_hit_rate_where(
-    rates: &[SeriesRates],
-    tenant: usize,
-    pick: impl Fn(u64) -> bool,
-) -> Option<f64> {
-    rates
-        .iter()
-        .rev()
-        .find(|w| pick(w.index))
-        .and_then(|w| w.columns.get(tenant))
-        .and_then(|col| col.hit_rate)
-}
-
-/// Builds the `allocator` section: every journalled budget transfer joined
-/// against the beneficiary tenant's realized hit rate before and after.
+/// Builds the `allocator` section: every budget transfer of the journal's
+/// `events` joined against the beneficiary tenant's realized hit rate
+/// before and after.
 fn build_allocator(
     start_unix_us: u64,
     names: &[String],
     history: &TimeSeries,
-    journal: &Journal,
+    events: &[JournalEvent],
 ) -> AllocatorDoc {
     let interval_us = history.interval_us();
     let rates = history.rates();
     let tenant_index = |name: &str| names.iter().position(|n| n == name);
-    let transfers = journal
-        .snapshot()
-        .into_iter()
+    let transfers = events
+        .iter()
         .filter_map(|event| {
             let (kind, tenant, donor, bytes, from_gradient, to_gradient) = match &event.kind {
                 EventKind::ShardTransfer {
@@ -543,19 +521,14 @@ fn build_allocator(
             // Journal timestamps are monotonic micros since boot — the same
             // time base as the history bucket indices.
             let bucket = event.at_micros / interval_us;
-            let (before, after) = match tenant_index(&tenant) {
-                Some(t) => (
-                    tenant_hit_rate_where(&rates, t, |i| i <= bucket),
-                    // Oldest window strictly after the transfer: rates are
-                    // sorted, so re-scan forward for the minimum match.
-                    rates
-                        .iter()
-                        .find(|w| w.index > bucket)
-                        .and_then(|w| w.columns.get(t))
-                        .and_then(|col| col.hit_rate),
-                ),
-                None => (None, None),
+            // The newest window containing the transfer and the oldest
+            // after it (the rates are oldest first).
+            let rate_in = |window: Option<&SeriesRates>| {
+                let t = tenant_index(&tenant)?;
+                window?.columns.get(t)?.hit_rate
             };
+            let before = rate_in(rates.iter().rev().find(|w| w.index <= bucket));
+            let after = rate_in(rates.iter().find(|w| w.index > bucket));
             Some(AllocatorTransferDoc {
                 seq: event.seq,
                 at_unix_us: start_unix_us + event.at_micros,
@@ -567,10 +540,7 @@ fn build_allocator(
                 to_gradient,
                 hit_rate_before: before,
                 hit_rate_after: after,
-                realized_delta: match (before, after) {
-                    (Some(b), Some(a)) => Some(a - b),
-                    _ => None,
-                },
+                realized_delta: before.zip(after).map(|(b, a)| a - b),
             })
         })
         .collect();
@@ -618,7 +588,8 @@ pub(crate) fn build_document(
         })
         .collect();
     let mrc = build_mrc(config.mrc_shift(), names, &r, mrc);
-    let allocator = build_allocator(start_unix_us, names, history, journal);
+    let events = journal.snapshot();
+    let allocator = build_allocator(start_unix_us, names, history, &events);
     let history = build_history(start_unix_us, names, history);
     let elapsed = shared.started.elapsed();
     StatsDocument {
@@ -688,7 +659,7 @@ pub(crate) fn build_document(
             capacity: journal.capacity(),
             next_seq: journal.next_seq(),
             dropped: journal.dropped(),
-            events: journal.snapshot(),
+            events,
         },
         mrc,
         history,

@@ -59,31 +59,54 @@
 //! 1.0 (the item) before the magazine and 3.0 while the queues returned a
 //! fresh `Vec` of evicted keys from each layer.
 //!
-//! One `#[test]` on purpose: the allocator counts every thread of the
-//! process, so nothing else may run while it is armed. The client half
-//! pre-builds its request bytes and pre-sizes its read buffer, and allocates
-//! nothing while counting.
+//! One text `stats` after 2 M ops on 2 shards and 3 tenants (MRC sampling
+//! on) copies and merges in-sample histograms: under 2 MiB, no block over
+//! 1 MiB (18.7 MB, largest block 4.2 MB, while it built scaled ones).
+//!
+//! The allocator counts every thread, so nothing else may run while it is
+//! armed: [`counted`] holds [`SERIAL`], and the `stats` test holds it
+//! throughout and counts its own thread only. The client half pre-builds
+//! its request bytes and pre-sizes its read buffer, and allocates nothing
+//! while counting.
 
-use cache_server::{BackendConfig, CacheClient, CacheServer, ServerConfig};
+use bytes::Bytes;
+use cache_server::{
+    BackendConfig, CacheClient, CacheServer, PlaneHandle, ServerConfig, TenantSpec,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Barrier;
+use std::sync::{Barrier, Mutex, PoisonError};
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+/// Held while anything is counted: one test at a time.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+thread_local! {
+    /// Whether this thread's allocations go to `OWN_BYTES` and `OWN_LARGEST`.
+    static OWN_ARMED: Cell<bool> = const { Cell::new(false) };
+}
+static OWN_BYTES: AtomicU64 = AtomicU64::new(0);
+static OWN_LARGEST: AtomicU64 = AtomicU64::new(0);
 
 /// The system allocator, counting calls and newly allocated bytes while
-/// armed. A growing `realloc` is one call and its growth in bytes.
+/// armed, and a thread's own bytes and largest block while it is. A growing
+/// `realloc` is one call, its growth in bytes and its new size as a block.
 struct Counting;
 
-fn count(bytes: usize) {
+fn count(bytes: usize, block: usize) {
     if ARMED.load(Ordering::Relaxed) {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+    if OWN_ARMED.try_with(Cell::get).unwrap_or(false) {
+        OWN_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+        OWN_LARGEST.fetch_max(block as u64, Ordering::Relaxed);
     }
 }
 
@@ -92,7 +115,7 @@ fn count(bytes: usize) {
 // never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
+        count(layout.size(), layout.size());
         // SAFETY: the caller's `layout` is passed through as it came.
         unsafe { System.alloc(layout) }
     }
@@ -104,7 +127,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size.saturating_sub(layout.size()));
+        count(new_size.saturating_sub(layout.size()), new_size);
         // SAFETY: as for `dealloc`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -115,6 +138,7 @@ static ALLOCATOR: Counting = Counting;
 
 /// Runs `run` with the allocator armed; returns `(calls, bytes)`.
 fn counted(run: impl FnOnce()) -> (u64, u64) {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     ALLOCS.store(0, Ordering::Relaxed);
     BYTES.store(0, Ordering::Relaxed);
     ARMED.store(true, Ordering::SeqCst);
@@ -393,4 +417,41 @@ fn the_byte_path_stays_inside_its_allocation_and_copy_budgets() {
     // connection landed on.
     let crossed = hold_to_budgets(2, 2, 0.05, 0.75);
     assert!(crossed as usize > KEYS, "only {crossed} ops crossed loops");
+}
+
+#[test]
+fn a_text_stats_copies_the_in_sample_histograms_only() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let cache = PlaneHandle::new(BackendConfig {
+        total_bytes: 32 << 20,
+        shards: 2,
+        tenants: vec![TenantSpec::new("etc", 1), TenantSpec::new("small", 1)],
+        ..BackendConfig::default()
+    });
+    // GETs, a miss filled by a SET: three in four of `etc`'s 400,000 keys,
+    // the rest of `small`'s 20,000, skewed to the low ranks.
+    let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+    for _ in 0..2_000_000 {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        let u = (state >> 11) as f64 / (1u64 << 53) as f64;
+        let (tenant, keys) = [(1, 400_000.0), (2, 20_000.0)][usize::from(state % 4 == 0)];
+        let key = format!("stats-key-{}", (u.powi(3) * keys) as u64);
+        if cache.get_for(tenant, key.as_bytes()).is_none() {
+            cache.set_for(tenant, key.as_bytes(), 0, Bytes::from_static(&VALUE));
+        }
+    }
+    cache.stats();
+    OWN_ARMED.with(|armed| armed.set(true));
+    cache.stats();
+    OWN_ARMED.with(|armed| armed.set(false));
+    let bytes = OWN_BYTES.load(Ordering::Relaxed);
+    let largest = OWN_LARGEST.load(Ordering::Relaxed);
+    println!("a text `stats` allocated {bytes} bytes, its largest block {largest}");
+    assert!(
+        bytes < 2 << 20 && largest <= 1 << 20,
+        "a text `stats` allocated {bytes} bytes, its largest block {largest}; the budget \
+         is 2 MiB, no block over 1 MiB (the in-sample histograms, not scaled copies)"
+    );
 }

@@ -12,11 +12,12 @@
 //! a created tenant gets a byte a shard where every ask is refused, and
 //! `create_tenant` is refused (and a start rejected) below a byte an engine;
 //! per-shard and per-tenant stats sum to the aggregates; shard
-//! auto-detection is budget-capped; and the store verbs' semantics in all
-//! three allocator modes. One test pins [`SharedCache`] to the handle's
-//! answers, one runs rounds, `stats` and tenant admin calls on a
-//! [`SharedCache`] with no threads, and one holds admin calls to never
-//! waiting on a loop with the roster locked (two in a row on idle loops).
+//! auto-detection is budget-capped; the store verbs' semantics in all three
+//! allocator modes, and `NOT_STORED` for a `set` whose class cannot hold one
+//! item. One test pins [`SharedCache`] to the handle's answers, one runs
+//! rounds, `stats` and tenant admin calls on a [`SharedCache`] with no
+//! threads, and one holds admin calls to never waiting on a loop with the
+//! roster locked (two in a row on idle loops).
 
 use bytes::Bytes;
 use cache_core::{hash_bytes, key::mix64};
@@ -25,6 +26,8 @@ use cache_server::{
 };
 use cliffhanger::ShardBalanceConfig;
 use std::collections::HashMap;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 
 const MODES: [BackendMode; 3] = [
     BackendMode::Default,
@@ -289,6 +292,38 @@ fn store_verbs_in_all_modes() {
             "a failed replace stores nothing"
         );
     }
+}
+
+/// A plain `set` is refused when its item's slab class holds less than one
+/// item: once one class has been granted the whole free pool, an item of a
+/// class that got none of it is charged more than its class's target, and
+/// the engine turns it away. The reply is `NOT_STORED`, as a failed `add`
+/// or `replace` condition is answered, and nothing of the item stays.
+#[test]
+fn a_set_whose_class_holds_less_than_one_item_is_not_stored() {
+    let server = start(BackendConfig {
+        total_bytes: 1 << 20,
+        shards: 1,
+        ..BackendConfig::default()
+    });
+    let cache = server.cache();
+    let (big, small) = ("b".repeat(65_536), "s".repeat(100));
+    for i in 0..20_000u32 {
+        assert!(cache.set(format!("fill-{i}").as_bytes(), 0, small.clone().into()));
+    }
+    let before = stats_map(cache);
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    // The last item filled is resident: its class takes it back.
+    let set_fill = format!("set fill-19999 0 0 100\r\n{small}\r\n");
+    let request = format!("set big 0 0 65536\r\n{big}\r\nget big\r\n{set_fill}");
+    stream.write_all(request.as_bytes()).unwrap();
+    let mut reply = [0u8; 25];
+    stream.read_exact(&mut reply).unwrap();
+    assert_eq!(reply, *b"NOT_STORED\r\nEND\r\nSTORED\r\n");
+    let after = stats_map(cache);
+    assert_eq!(stat(&after, "cmd_set"), stat(&before, "cmd_set") + 2);
+    assert_eq!(stat(&after, "curr_items"), stat(&before, "curr_items"));
+    assert_eq!(stat(&after, "bytes"), stat(&before, "bytes"));
 }
 
 #[test]
