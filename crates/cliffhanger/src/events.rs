@@ -13,8 +13,7 @@
 //!
 //! Sink methods take `&self`: the controller holds its sink behind an
 //! `Arc`, and decision points can sit under a shared reference. Sinks that
-//! accumulate state use interior mutability (the intended host sink is an
-//! append-only ring with atomic claims, which needs none).
+//! accumulate state use interior mutability.
 
 use std::sync::Arc;
 

@@ -25,7 +25,7 @@ use cache_core::TenantDirectory;
 use cliffhanger::{ShardRebalancer, ShardSample, ShardTransfer};
 use profiler::{MrcSnapshot, OnlineMrc};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, Instant};
 use telemetry::{EventKind, Histogram, SeriesSample, TimeSeries};
 
 /// Width of one stats-history bucket: the shards' cumulative per-tenant
@@ -60,8 +60,6 @@ pub(crate) struct Control {
     pub(crate) tallies: [RoundTally; 2],
     admin_msgs: u64,
     idle_timeout_ms: u64,
-    /// Wall-clock at boot, for anchoring monotonic offsets to real time.
-    start_unix_us: u64,
     /// Service times of the admin commands run (ns).
     admin_latency: Histogram,
     /// Per-tenant counter history, sampled once an interval and at every
@@ -100,10 +98,6 @@ impl Control {
             tallies: Default::default(),
             admin_msgs: 0,
             idle_timeout_ms: idle_timeout.map(|t| t.as_millis() as u64).unwrap_or(0),
-            start_unix_us: SystemTime::now()
-                .duration_since(SystemTime::UNIX_EPOCH)
-                .map(|d| d.as_micros() as u64)
-                .unwrap_or(0),
             admin_latency: Histogram::new(),
             history: TimeSeries::new(HISTORY_INTERVAL_US, HISTORY_WINDOWS),
         }
@@ -501,13 +495,7 @@ impl Control {
         let names = shared.roster.lock().directory.names().to_vec();
         let tenants = names.len();
         let (engines, mrc) = Control::read_cells(shared, tenants);
-        let doc = build_document(
-            shared,
-            &names,
-            (&engines, &mrc),
-            &self.history,
-            self.start_unix_us,
-        );
+        let doc = build_document(shared, &names, (&engines, &mrc), &self.history);
         let [rebalanced, arbitrated] = self.tallies;
         StatsDocument {
             balance: BalanceDoc {

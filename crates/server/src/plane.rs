@@ -32,7 +32,7 @@
 //!   window's sweeps take each shard it touches once, its execution once
 //!   per run of consecutive same-shard entries.
 //! * **Lock order** — the control lock, then the roster lock, then a shard
-//!   lock, then a leaf latch: a journal slot's, or a loop's service-time
+//!   lock, then a leaf latch: the journal's, or a loop's service-time
 //!   histogram's. A loop waits for the control lock only to run a
 //!   connection's admin command, and never with a shard lock held; at the
 //!   end of its pass it only *tries* the lock, and skips its round if
@@ -79,7 +79,7 @@ use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use telemetry::{EventKind, Journal};
 
 /// Ring capacity of the control-plane flight recorder (and, apart, of the
@@ -136,12 +136,14 @@ pub(crate) struct PlaneShared {
     /// lock order.
     pub(crate) control: Mutex<Control>,
     pub(crate) roster: Mutex<RosterMaster>,
-    /// The flight recorder. Lock-free claims; the control plane writes
+    /// The flight recorder, behind one leaf latch: the control plane writes
     /// here, and the engines narrate here under their shard's lock.
     pub(crate) journal: Arc<Journal>,
-    /// Plane boot instant: the monotonic zero for journal timestamps,
-    /// history bucket indices and `uptime_s`.
+    /// Plane boot, read before its engines are built: the monotonic zero
+    /// for journal timestamps, history bucket indices and `uptime_s`.
     pub(crate) started: Instant,
+    /// `started` on the wall clock, in µs since the Unix epoch.
+    pub(crate) start_unix_us: u64,
     /// The shards, each behind its own lock (see the module's invariants).
     cells: Vec<Mutex<Shard>>,
 }
@@ -193,7 +195,8 @@ impl PlaneShared {
             *cells[largest] -= 1;
             *cells[empty] = 1;
         }
-        let journal = Arc::new(Journal::new(JOURNAL_CAPACITY));
+        let (started, unix) = (Instant::now(), SystemTime::now().duration_since(UNIX_EPOCH));
+        let journal = Arc::new(Journal::since(started, JOURNAL_CAPACITY));
         let cells = (0..shards)
             .map(|s| {
                 let names = directory.names().iter().zip(&budgets);
@@ -209,7 +212,8 @@ impl PlaneShared {
             control: Mutex::new(Control::new(&config, shards, directory.len(), idle_timeout)),
             roster: Mutex::new(RosterMaster { directory, weights }),
             journal,
-            started: Instant::now(),
+            started,
+            start_unix_us: unix.map_or(0, |since| since.as_micros() as u64),
             cells,
             config,
         }
@@ -849,5 +853,22 @@ mod tests {
         (7..10).for_each(|_| tick(state));
         assert_eq!(runs(state)[Rebalance as usize], 1, "op 10 rebalances");
         assert_eq!(runs(state)[Arbitrate as usize], 1);
+    }
+
+    #[test]
+    fn the_journal_stamps_from_the_planes_start() {
+        // Building 64 shards' engines takes a millisecond or more: a journal
+        // clock started before it, or a wall-clock anchor read after it,
+        // would be off by that.
+        let config = BackendConfig {
+            shards: 64,
+            ..BackendConfig::default()
+        };
+        let shared = PlaneShared::new(config, ConnTelemetry::new(1, 0), None);
+        shared.journal.record(EventKind::ConnectionShed);
+        let now = shared.started.elapsed().as_micros() as u64;
+        assert!(shared.journal.snapshot()[0].at_micros <= now);
+        let unix_now = SystemTime::now().duration_since(UNIX_EPOCH).unwrap();
+        assert!(shared.start_unix_us + now <= unix_now.as_micros() as u64);
     }
 }

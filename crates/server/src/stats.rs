@@ -244,7 +244,8 @@ pub(crate) struct ServiceLatencyDoc {
     pub(crate) remote: LatencySummary,
 }
 
-/// The flight recorder: ring facts plus the retained events, oldest first.
+/// The flight recorder: ring facts plus the retained events, oldest first,
+/// all from one snapshot.
 #[derive(Default, Serialize)]
 pub(crate) struct JournalDoc {
     pub(crate) capacity: usize,
@@ -346,8 +347,9 @@ pub(crate) struct AllocatorTransferDoc {
     pub(crate) realized_delta: Option<f64>,
 }
 
-/// Allocator introspection: predicted-vs-realized for every journalled
-/// budget transfer still inside the history horizon.
+/// Allocator introspection: predicted-vs-realized for every budget
+/// transfer the journal retains (`null` rates where the history ring no
+/// longer holds its windows).
 #[derive(Default, Serialize)]
 pub(crate) struct AllocatorDoc {
     /// The hit-rate comparison window (one history interval).
@@ -494,14 +496,7 @@ fn build_allocator(
                     from_gradient,
                     to_gradient,
                     ..
-                } => (
-                    "shard",
-                    tenant.clone(),
-                    None,
-                    *bytes,
-                    *from_gradient,
-                    *to_gradient,
-                ),
+                } => ("shard", tenant, None, bytes, from_gradient, to_gradient),
                 EventKind::TenantTransfer {
                     from_tenant,
                     to_tenant,
@@ -510,21 +505,21 @@ fn build_allocator(
                     to_gradient,
                 } => (
                     "tenant",
-                    to_tenant.clone(),
-                    Some(from_tenant.clone()),
-                    *bytes,
-                    *from_gradient,
-                    *to_gradient,
+                    to_tenant,
+                    Some(from_tenant),
+                    bytes,
+                    from_gradient,
+                    to_gradient,
                 ),
                 _ => return None,
             };
-            // Journal timestamps are monotonic micros since boot — the same
-            // time base as the history bucket indices.
+            // Journal timestamps count from `PlaneShared::started`, as the
+            // history bucket indices do.
             let bucket = event.at_micros / interval_us;
             // The newest window containing the transfer and the oldest
             // after it (the rates are oldest first).
             let rate_in = |window: Option<&SeriesRates>| {
-                let t = tenant_index(&tenant)?;
+                let t = tenant_index(tenant)?;
                 window?.columns.get(t)?.hit_rate
             };
             let before = rate_in(rates.iter().rev().find(|w| w.index <= bucket));
@@ -533,11 +528,11 @@ fn build_allocator(
                 seq: event.seq,
                 at_unix_us: start_unix_us + event.at_micros,
                 kind: kind.to_string(),
-                tenant,
-                donor,
-                bytes,
-                from_gradient,
-                to_gradient,
+                tenant: tenant.clone(),
+                donor: donor.cloned(),
+                bytes: *bytes,
+                from_gradient: *from_gradient,
+                to_gradient: *to_gradient,
                 hit_rate_before: before,
                 hit_rate_after: after,
                 realized_delta: before.zip(after).map(|(b, a)| a - b),
@@ -560,7 +555,6 @@ pub(crate) fn build_document(
     names: &[String],
     (engines, mrc): (&[Vec<EngineStat>], &[MrcSnapshot]),
     history: &TimeSeries,
-    start_unix_us: u64,
 ) -> StatsDocument {
     let (nt, ns) = (names.len(), shared.shards);
     let r = rollup(nt, ns, engines);
@@ -589,13 +583,15 @@ pub(crate) fn build_document(
         .collect();
     let mrc = build_mrc(config.mrc_shift(), names, &r, mrc);
     let events = journal.snapshot();
-    let allocator = build_allocator(start_unix_us, names, history, &events);
-    let history = build_history(start_unix_us, names, history);
+    // The newest event is always retained: its seq + 1 counts them all.
+    let next_seq = events.last().map_or(0, |newest| newest.seq + 1);
+    let allocator = build_allocator(shared.start_unix_us, names, history, &events);
+    let history = build_history(shared.start_unix_us, names, history);
     let elapsed = shared.started.elapsed();
     StatsDocument {
         schema: STATS_SCHEMA.to_string(),
-        server_start: start_unix_us,
-        snapshot_unix_us: start_unix_us + elapsed.as_micros() as u64,
+        server_start: shared.start_unix_us,
+        snapshot_unix_us: shared.start_unix_us + elapsed.as_micros() as u64,
         uptime_s: elapsed.as_secs(),
         counters: CountersDoc {
             cmd_get: r.total.wire.gets,
@@ -657,8 +653,8 @@ pub(crate) fn build_document(
             .collect(),
         journal: JournalDoc {
             capacity: journal.capacity(),
-            next_seq: journal.next_seq(),
-            dropped: journal.dropped(),
+            next_seq,
+            dropped: next_seq - events.len() as u64,
             events,
         },
         mrc,
@@ -758,20 +754,14 @@ pub(crate) fn render_stats(doc: &StatsDocument) -> Vec<(String, String)> {
         stat(&mut out, key, value);
     }
     for l in &doc.loops {
-        stat(&mut out, format!("loop:{}:local_ops", l.index), l.local_ops);
-        stat(&mut out, format!("loop:{}:remote_in", l.index), l.remote_in);
-        stat(
-            &mut out,
-            format!("loop:{}:remote_out", l.index),
-            l.remote_out,
-        );
+        let i = l.index;
+        stat(&mut out, format!("loop:{i}:local_ops"), l.local_ops);
+        stat(&mut out, format!("loop:{i}:remote_in"), l.remote_in);
+        stat(&mut out, format!("loop:{i}:remote_out"), l.remote_out);
     }
     for s in &doc.shards {
-        stat(
-            &mut out,
-            format!("shard:{}:owner_loop", s.index),
-            s.owner_loop,
-        );
+        let i = s.index;
+        stat(&mut out, format!("shard:{i}:owner_loop"), s.owner_loop);
     }
     for (key, value) in [
         ("process:rss_bytes", doc.process.rss_bytes),

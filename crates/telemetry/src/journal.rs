@@ -10,22 +10,21 @@
 //! transfer out: when a ring is full its oldest events are overwritten,
 //! and memory use is fixed no matter how long the server runs.
 //!
-//! Concurrency model: a sequence number is claimed with one lock-free
-//! `fetch_add` on the journal, a place with another on the event's ring,
-//! which also picks the slot (`place % capacity`); the slot write itself
-//! takes a per-slot latch that only ever contends when two appends land
-//! exactly `capacity` events apart on one ring. Appends are on a request's
-//! path only where an engine narrates a decision its write triggered, or a
-//! sampled slow op is recorded; everything else comes from the control
-//! thread, the idle reaper and the accept gate.
+//! Concurrency model: one latch holds both rings and the sequence counter.
+//! An append numbers, stamps and pushes its event under it and frees the
+//! event it overwrote after; a snapshot copies both rings under it and
+//! merges them after, so a snapshot is the journal at one instant. The
+//! latch is a leaf, which an engine takes under its shard lock when it
+//! narrates. Appends are on a request's path only where an engine narrates
+//! a decision its write triggered, or a sampled slow op is recorded.
 //!
 //! Sequence numbers are monotonic and dense across both rings, and a
 //! snapshot merges the rings by them, so a reader sees one ordered history;
 //! [`Journal::dropped`] says how many older events the rings overwrote.
 
 use serde::Serialize;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::collections::VecDeque;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// One structured control-plane event.
@@ -136,10 +135,10 @@ pub enum EventKind {
 /// structured event.
 #[derive(Clone, Debug, Serialize)]
 pub struct JournalEvent {
-    /// Dense, monotonic sequence number (0-based). Gaps at the front of a
-    /// snapshot mean that many older events were overwritten.
+    /// Dense, monotonic sequence number (0-based) across both rings. A seq
+    /// missing from a snapshot was overwritten by its ring's wrap.
     pub seq: u64,
-    /// Microseconds since the journal was created (monotonic clock).
+    /// Microseconds since the journal's origin (monotonic clock).
     pub at_micros: u64,
     /// The event itself.
     pub kind: EventKind,
@@ -156,103 +155,91 @@ impl EventKind {
     }
 }
 
-/// One fixed-size ring: the events it was given, by place.
-struct Ring {
-    /// Places claimed so far: the events ever appended here.
-    appended: AtomicU64,
-    slots: Vec<Mutex<Option<JournalEvent>>>,
-}
+/// The next sequence number (the events ever recorded), then the control
+/// plane's ring and the narration's, each oldest first.
+type Rings = (u64, [VecDeque<JournalEvent>; 2]);
 
-impl Ring {
-    fn new(capacity: usize) -> Ring {
-        Ring {
-            appended: AtomicU64::new(0),
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-        }
-    }
-
-    fn record(&self, event: JournalEvent) {
-        let place = self.appended.fetch_add(1, Ordering::AcqRel);
-        let slot = (place % self.slots.len() as u64) as usize;
-        let mut guard = self.slots[slot].lock().unwrap_or_else(|e| e.into_inner());
-        // Two appends can race for the same slot only when they are exactly
-        // `capacity` places apart; the newer event wins.
-        if guard.as_ref().map_or(true, |held| held.seq < event.seq) {
-            *guard = Some(event);
-        }
-    }
-
-    /// Events appended here and overwritten since.
-    fn dropped(&self) -> u64 {
-        let appended = self.appended.load(Ordering::Acquire);
-        appended.saturating_sub(self.slots.len() as u64)
-    }
-}
-
-/// Two fixed-size lock-free-claim rings of [`JournalEvent`]s: the control
-/// plane's and the engines' narration.
+/// Two fixed-size rings of [`JournalEvent`]s, the control plane's and the
+/// engines' narration, under one latch.
 pub struct Journal {
     origin: Instant,
-    head: AtomicU64,
-    /// The control plane's events, then the narration.
-    rings: [Ring; 2],
+    capacity: usize,
+    latch: Mutex<Rings>,
 }
 
 impl Journal {
     /// Creates a journal whose two rings hold at most `capacity` events each
-    /// (min 1).
+    /// (min 1), stamping each event with the time since its creation.
     pub fn new(capacity: usize) -> Journal {
+        Journal::since(Instant::now(), capacity)
+    }
+
+    /// [`Journal::new`], stamping each event with the time since `origin`
+    /// instead (a server's: the instant its plane started).
+    pub fn since(origin: Instant, capacity: usize) -> Journal {
         let capacity = capacity.max(1);
+        let ring = || VecDeque::with_capacity(capacity);
         Journal {
-            origin: Instant::now(),
-            head: AtomicU64::new(0),
-            rings: [Ring::new(capacity), Ring::new(capacity)],
+            origin,
+            capacity,
+            latch: Mutex::new((0, [ring(), ring()])),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Rings> {
+        self.latch.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// The capacity of each ring.
     pub fn capacity(&self) -> usize {
-        self.rings[0].slots.len()
+        self.capacity
     }
 
     /// The next sequence number to be assigned — equivalently, the total
     /// number of events ever recorded.
     pub fn next_seq(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
+        self.lock().0
     }
 
     /// How many recorded events have been overwritten by either ring's wrap.
     pub fn dropped(&self) -> u64 {
-        self.rings.iter().map(Ring::dropped).sum()
+        let (next_seq, rings) = &*self.lock();
+        next_seq - rings.iter().map(|ring| ring.len() as u64).sum::<u64>()
     }
 
     /// Appends an event, returning its sequence number.
     pub fn record(&self, kind: EventKind) -> u64 {
-        let seq = self.head.fetch_add(1, Ordering::AcqRel);
-        let ring = &self.rings[usize::from(kind.is_narration())];
-        ring.record(JournalEvent {
+        let mut latch = self.lock();
+        let (next_seq, rings) = &mut *latch;
+        let seq = *next_seq;
+        *next_seq += 1;
+        let ring = &mut rings[usize::from(kind.is_narration())];
+        // A full ring's oldest event is freed after the latch is released.
+        let overwritten = (ring.len() == self.capacity).then(|| ring.pop_front());
+        let at_micros = self.origin.elapsed().as_micros() as u64;
+        ring.push_back(JournalEvent {
             seq,
-            at_micros: self.origin.elapsed().as_micros() as u64,
+            at_micros,
             kind,
         });
+        drop(latch);
+        drop(overwritten);
         seq
     }
 
-    /// A consistent-enough snapshot of the retained events of both rings,
-    /// oldest first (sorted by sequence number). Concurrent appends may or
-    /// may not be included; retained events are never duplicated or
-    /// reordered.
+    /// The retained events of both rings, oldest first: the rings are
+    /// copied under the latch and merged by sequence number after it.
     pub fn snapshot(&self) -> Vec<JournalEvent> {
-        let slots = self.rings.iter().flat_map(|ring| &ring.slots);
-        let mut events: Vec<JournalEvent> = slots
-            .filter_map(|slot| {
-                slot.lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .as_ref()
-                    .cloned()
-            })
-            .collect();
-        events.sort_by_key(|e| e.seq);
+        let [control, narration] = self.lock().1.clone();
+        let mut events = Vec::with_capacity(control.len() + narration.len());
+        let mut narration = narration.into_iter().peekable();
+        for event in control {
+            while let Some(older) = narration.next_if(|n| n.seq < event.seq) {
+                events.push(older);
+            }
+            events.push(event);
+        }
+        events.extend(narration);
         events
     }
 }
@@ -400,5 +387,37 @@ mod tests {
         );
         assert_eq!(j.dropped(), 10_000 - 1024);
         assert!(snap.windows(2).all(|pair| pair[0].seq < pair[1].seq));
+    }
+
+    #[test]
+    fn a_snapshot_taken_while_threads_append_has_no_hole() {
+        use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+        let j = std::sync::Arc::new(Journal::new(1024));
+        let done = std::sync::Arc::new(AtomicBool::new(false));
+        let start = std::sync::Arc::new(std::sync::Barrier::new(4));
+        // One event kind, so one ring: every snapshot's seqs are one run.
+        let writers: Vec<_> = (0..3)
+            .map(|t| {
+                let (j, done, start) = (j.clone(), done.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    while !done.load(Relaxed) {
+                        j.record(reap(t));
+                    }
+                })
+            })
+            .collect();
+        start.wait();
+        let torn = (0..20_000)
+            .filter(|_| {
+                let snap = j.snapshot();
+                snap.windows(2).any(|pair| pair[1].seq != pair[0].seq + 1)
+            })
+            .count();
+        done.store(true, Relaxed);
+        for writer in writers {
+            writer.join().unwrap();
+        }
+        assert_eq!(torn, 0, "of 20,000 snapshots, {torn} had a hole");
     }
 }

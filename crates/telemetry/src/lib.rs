@@ -8,11 +8,11 @@
 //!   request latencies into it; the server's event loops record per-loop,
 //!   per-command-class *service* times into it. One recorder, one
 //!   quantisation model, directly comparable numbers.
-//! * [`journal`] — the control-plane flight recorder: a fixed-size ring
-//!   [`Journal`] of structured [`JournalEvent`]s (budget transfers with the
-//!   gradients that justified them, carve-outs, flushes, idle reaps, shed
-//!   connections, sampled slow ops), each stamped with a monotonic sequence
-//!   number and timestamp.
+//! * [`journal`] — the control-plane flight recorder: a [`Journal`] of
+//!   structured [`JournalEvent`]s (budget transfers with the gradients that
+//!   justified them, carve-outs, flushes, idle reaps, shed connections,
+//!   sampled slow ops; the engines' narration on a ring of its own), two
+//!   fixed-size rings under one latch, numbered densely across both.
 //! * [`timeseries`] — a bounded ring of interval buckets over cumulative
 //!   per-tenant counters ([`TimeSeries`]), recorded per event loop and
 //!   merged at snapshot time, from which the stats document derives
